@@ -10,7 +10,7 @@
 //! 2. **Ingest micro-comparison** — replays an identical per-hop sample
 //!    stream into an inline replica of the pre-PR store (one global
 //!    `RwLock<HashMap<(String, MetricKind), Vec<Sample>>>`, a `String`
-//!    allocation per record) and into the interned/sharded/batched
+//!    allocation per record) and into the interned/dense-slot/batched
 //!    store. Acceptance: ≥5× throughput.
 //! 3. **Window-query flatness** — series of 10^4..10^6 samples spread
 //!    over a fixed 10-minute span; a 1-minute `window_summary` must stay
@@ -172,7 +172,7 @@ fn synthetic_stream(n: u64) -> (Vec<String>, Vec<(u32, MetricKind, Sample)>) {
 ///   `record_value(&label, ..)` calls, each allocating the `String` key
 ///   and hashing it under the one global lock (commit 35ef0b0);
 /// - now: two `SampleBatch::record_value_id` calls against pre-interned
-///   `ScopeId`s, flushed shard-by-shard.
+///   `ScopeId`s, flushed under one lock.
 ///
 /// Events are generated inline from a shared xorshift so neither side
 /// pays for replaying a large stream buffer; each side takes the best of

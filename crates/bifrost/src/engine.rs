@@ -10,15 +10,18 @@
 //! (Figures 4.7–4.10) — and check evaluation fans out over worker threads
 //! (std::thread::scope) once enough strategies are active.
 //!
+//! This module is the *shell*: it gathers what a tick observed, asks
+//! [`crate::decide::decide`] — the rollout policy, which lives there and
+//! nowhere else — what that means for each strategy, and enacts and
+//! journals the answer.
+//!
 //! The engine accounts its own processing cost separately from the
 //! simulated application: [`ExecutionReport::engine_busy`] (the CPU proxy
 //! of Figures 4.7/4.9) and the per-tick processing times (the delay of
 //! Figures 4.8/4.10).
 
-use crate::checks::{
-    self, CheckContext, CheckObservation, CheckResult, CheckScheduler, SequentialState,
-    SequentialUpdate,
-};
+use crate::checks::{self, CheckContext, CheckScheduler, SequentialState};
+use crate::decide::{self, Evaluation, RunView, TickObservation};
 use crate::enact::{self, StrategyBinding};
 use crate::error::BifrostError;
 use crate::journal::{Journal, JournalEvent};
@@ -31,48 +34,18 @@ use microsim::app::{Application, VersionId};
 use microsim::faults::{self, Fault, FaultKind};
 use microsim::health::{EdgeDelta, HealthAccumulator, HealthReport};
 use microsim::monitor::ScopeId;
+use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
 use microsim::trace::{SpanBook, SpanStatus, TailSamplingConfig, Trace};
 use microsim::workload::Workload;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Instantaneous harm-direction likelihood ratio at which a guarded
-/// gradual rollout stops advancing and retreats one step. Deliberately
-/// well below the absorbing abort threshold (a likelihood ratio of 2 is
-/// weak evidence — roughly a p of 0.5 at a single look): the ramp reacts
-/// to scares cheaply and reversibly, while only the always-valid p
-/// crossing α aborts the strategy. Because the signal is the *latest*
-/// look rather than a running extreme, it decays under a healthy
-/// candidate and the ramp resumes.
-pub const RAMP_WARN_LR: f64 = 2.0;
-
-/// Retention policy for the live metric store during an execution.
-///
-/// The execution journal — not the store — is the long-term record of a
-/// run, so the store only needs to keep raw samples long enough for the
-/// trailing windows checks actually read. Older samples are compacted
-/// into their pre-aggregation buckets, bounding memory on
-/// million-request executions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retention {
-    /// Derive the horizon from the strategies under execution: four times
-    /// the longest check window, and never less than five minutes. Checks
-    /// always read fully raw-backed (sample-exact) windows.
-    Auto,
-    /// Keep every raw sample forever (the pre-retention behaviour).
-    Unbounded,
-    /// A fixed horizon. Windows longer than it are answered at bucket
-    /// granularity, so it should exceed the longest check window.
-    Horizon(SimDuration),
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Simulation advance per control-loop iteration.
     pub tick: SimDuration,
-    /// Metric-store retention applied for the duration of the execution.
-    pub retention: Retention,
     /// Bound on consecutive executions of one phase: the `max_retries`-th
     /// consecutive non-success outcome that would re-enter the phase rolls
     /// the strategy back instead (guards against endless retry loops). With
@@ -113,7 +86,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             tick: SimDuration::from_secs(10),
-            retention: Retention::Auto,
             max_retries: 3,
             parallel_threshold: 256,
             workers: 4,
@@ -229,42 +201,241 @@ impl ExecutionReport {
     }
 }
 
-struct RunState {
-    strategy: Strategy,
+type JournalSink<'a> = Option<&'a mut Journal>;
+
+/// Records `event()` when journaling and builds nothing otherwise.
+fn record(journal: &mut JournalSink<'_>, event: impl FnOnce() -> JournalEvent) {
+    if let Some(j) = journal {
+        j.record(event());
+    }
+}
+
+/// What a strategy resolves to once, before its first phase.
+struct Compiled<'a> {
+    strategy: &'a Strategy,
     /// Interned copies of the strategy and phase names — journal events
     /// clone these (an atomic refcount bump) instead of allocating on
     /// every check evaluation.
-    name: std::sync::Arc<str>,
-    phase_names: Vec<std::sync::Arc<str>>,
+    name: Arc<str>,
+    phase_names: Vec<Arc<str>>,
     binding: StrategyBinding,
     ctx: CheckContext,
     machine: StateMachine,
-    state: State,
-    phase_started: SimTime,
+}
+
+/// Everything that restarts when a strategy (re-)enters a phase — a retry
+/// repeats the whole experiment: checks are rescheduled, sequential tests
+/// start from scratch and their cumulative windows anchor at `started`.
+struct PhaseRun {
+    index: usize,
+    started: SimTime,
     scheduler: CheckScheduler,
-    retries: u32,
+    /// Per-check sequential-test state (non-sequential entries stay at
+    /// their default); folded only in the single-threaded apply pass.
+    sequential: Vec<SequentialState>,
+    /// Candidate share the phase routes; moves only in a gradual rollout.
     rollout_percent: f64,
     next_rollout_step: SimTime,
-    /// Per-check sequential-test state for the current phase (entries for
-    /// non-sequential checks stay at their fresh default). Reset on every
-    /// phase (re-)entry; folded only in the single-threaded apply pass.
-    sequential: Vec<SequentialState>,
+}
+
+struct RunState<'a> {
+    compiled: Compiled<'a>,
     status: StrategyStatus,
+    retries: u32,
+    /// The phase in progress; the last one once `status` is terminal.
+    phase: PhaseRun,
     /// Scratch buffer for the scheduler's due-check indices, reused
     /// every tick so the hot loop performs no per-tick allocation.
     due_scratch: Vec<usize>,
-    /// Whether the scratch buffer holds valid indices this tick (the
-    /// strategy was in a running phase during the scheduling pre-pass).
-    due_active: bool,
 }
 
-/// Results of the read-only evaluation pass for one strategy. Each due
-/// evaluation keeps its check index and the windows it read so the
-/// mutating pass can journal full provenance.
-struct TickObservation {
-    due_results: Vec<(usize, CheckObservation, Option<SequentialUpdate>)>,
-    boundary_results: Option<Vec<(CheckObservation, Option<SequentialUpdate>)>>,
-    evaluations: u64,
+impl<'a> Compiled<'a> {
+    fn bind(sim: &Simulation, strategy: &'a Strategy) -> Result<Self, BifrostError> {
+        let machine = StateMachine::compile(strategy)?;
+        let app = sim.app();
+        let binding = StrategyBinding::resolve(app, strategy)?;
+        let (candidate, baseline) = (binding.candidate_scope(app), binding.baseline_scope(app));
+        let ctx = CheckContext::new(sim.store(), candidate, baseline);
+        Ok(Compiled {
+            strategy,
+            name: strategy.name.as_str().into(),
+            phase_names: strategy.phases.iter().map(|p| p.name.as_str().into()).collect(),
+            binding,
+            ctx,
+            machine,
+        })
+    }
+
+    /// Routes phase `index` at `rollout_percent` and journals the enactment.
+    fn enact(
+        &self,
+        sim: &mut Simulation,
+        index: usize,
+        rollout_percent: f64,
+        journal: &mut JournalSink<'_>,
+    ) -> Result<(), BifrostError> {
+        let kind = &self.strategy.phases[index].kind;
+        let (app, router) = sim.app_and_router_mut();
+        enact::enact_phase(app, router, &self.binding, kind, Some(rollout_percent))?;
+        record(journal, || JournalEvent::Enacted {
+            time: sim.now(),
+            strategy: self.name.clone(),
+            phase: self.phase_names[index].clone(),
+            kind: kind.keyword(),
+            percent: rollout_percent,
+        });
+        Ok(())
+    }
+
+    /// The one phase-entry path — phase 0, transitions, retries: enact the
+    /// routing, arm the chaos window (a retry repeats the outage too),
+    /// start the phase's clocks.
+    fn enter_phase(
+        &self,
+        sim: &mut Simulation,
+        index: usize,
+        journal: &mut JournalSink<'_>,
+    ) -> Result<PhaseRun, BifrostError> {
+        let now = sim.now();
+        let phase = &self.strategy.phases[index];
+        let (rollout_percent, next_rollout_step) = entry_percent(&phase.kind, now);
+        self.enact(sim, index, rollout_percent, journal)?;
+        if let Some(spec) = &phase.chaos {
+            for fault in chaos_faults(spec, &self.binding, sim.app(), now)? {
+                sim.inject_fault(fault);
+            }
+            let from = now + spec.start_after;
+            record(journal, || JournalEvent::Chaos {
+                time: now,
+                strategy: self.name.clone(),
+                phase: self.phase_names[index].clone(),
+                kind: chaos_journal_kind(spec),
+                magnitude: chaos_magnitude(&spec.kind),
+                target: chaos_target_label(spec, sim.app(), &self.binding),
+                from,
+                until: from + spec.duration,
+            });
+        }
+        Ok(PhaseRun {
+            index,
+            started: now,
+            scheduler: CheckScheduler::new(&phase.checks, now),
+            sequential: vec![SequentialState::new(); phase.checks.len()],
+            rollout_percent,
+            next_rollout_step,
+        })
+    }
+
+    /// Journals check evaluations with the windows they read.
+    fn journal_checks(
+        &self,
+        journal: &mut JournalSink<'_>,
+        now: SimTime,
+        phase: usize,
+        evaluations: &[Evaluation],
+        boundary: bool,
+    ) {
+        for (check, observed, _) in evaluations {
+            let spec = &self.strategy.phases[phase].checks[*check];
+            record(journal, || JournalEvent::Check {
+                time: now,
+                strategy: self.name.clone(),
+                phase: self.phase_names[phase].clone(),
+                check: *check,
+                metric: spec.metric,
+                scope: spec.scope,
+                boundary,
+                result: observed.result,
+                primary: observed.primary,
+                baseline: observed.baseline,
+            });
+        }
+    }
+}
+
+/// The trace pipeline: every tick the engine drains the sampled traces,
+/// folds them into a health accumulator (the canary-vs-baseline
+/// interaction graph) and distills per-span samples into the
+/// `trace:service@version` store scopes that trace-scoped checks read.
+struct TracePipeline {
+    /// Resolves interned span identity; versions deploy before execution,
+    /// so one snapshot stays valid for the run.
+    book: SpanBook,
+    /// `trace:service@version` scope per `VersionId`.
+    scopes: Vec<ScopeId>,
+    health: HealthAccumulator,
+    /// Drain scratch, reused so the steady-state loop allocates nothing.
+    breakers: Vec<BreakerTransition>,
+    drained: Vec<Trace>,
+}
+
+impl TracePipeline {
+    fn new(sim: &Simulation) -> Self {
+        let book = sim.span_book();
+        let scopes = (0..book.version_count())
+            .map(|i| sim.store().intern(&format!("trace:{}", book.version_label(VersionId(i)))))
+            .collect();
+        TracePipeline {
+            book,
+            scopes,
+            health: HealthAccumulator::new(),
+            breakers: Vec::new(),
+            drained: Vec::new(),
+        }
+    }
+
+    /// Runs in the single-threaded section before the read pass, so
+    /// trace-scoped checks already see this tick's data and fold order is
+    /// collection order, independent of the worker count.
+    fn drain(&mut self, sim: &mut Simulation, journal: &mut JournalSink<'_>) {
+        // Breaker transitions are sim state; drain them every tick
+        // (journaled or not) so the backlog never grows unboundedly.
+        sim.drain_breaker_transitions_into(&mut self.breakers);
+        for tr in &self.breakers {
+            record(journal, || JournalEvent::Breaker {
+                time: tr.time,
+                caller: sim.app().version_label(tr.caller),
+                callee: sim.app().version_label(tr.callee),
+                from: tr.from,
+                to: tr.to,
+            });
+        }
+        sim.drain_traces_into(&mut self.drained);
+        if !self.drained.is_empty() {
+            distill_trace_samples(sim, &self.scopes, &self.drained);
+            self.health.observe_all(&self.drained);
+        }
+    }
+
+    /// One strategy's health report; `None` when no trace was collected.
+    fn report(&self, binding: &StrategyBinding) -> Option<HealthReport> {
+        (self.health.traces() > 0).then(|| {
+            HealthReport::build(&self.health, &self.book, binding.baseline, binding.candidate)
+        })
+    }
+
+    /// The worst-edge snapshot journaled beside a boundary's verdicts.
+    fn snapshot(&self, sim: &Simulation, run: &Compiled<'_>, phase: usize) -> Option<JournalEvent> {
+        let report = self.report(&run.binding)?;
+        let worst = report.worst_edge();
+        let sampling = sim.trace_collector().sampling_stats();
+        Some(JournalEvent::HealthSnapshot {
+            time: sim.now(),
+            strategy: run.name.clone(),
+            phase: run.phase_names[phase].clone(),
+            traces: report.traces,
+            failed: report.failed_traces,
+            baseline: report.baseline.clone(),
+            canary: report.canary.clone(),
+            worst_edge: worst.map(|e| e.endpoint.clone()),
+            score: worst.map_or(0.0, EdgeDelta::score),
+            error_rate_delta: worst.map_or(0.0, EdgeDelta::error_rate_delta),
+            p95_delta_ms: worst.map_or(0.0, EdgeDelta::p95_delta_ms),
+            dropped: sampling.evicted,
+            tail_kept: sampling.tail_kept,
+            downsampled: sampling.downsampled_kept,
+        })
+    }
 }
 
 /// The Bifrost execution engine.
@@ -277,38 +448,6 @@ impl Engine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
         Engine { config }
-    }
-
-    /// The raw-sample retention horizon this execution applies to the
-    /// store, per [`EngineConfig::retention`]. [`Retention::Auto`] leaves
-    /// generous slack past the longest check window so every live check
-    /// reads a fully raw-backed, sample-exact window.
-    fn retention_horizon(&self, strategies: &[Strategy]) -> Option<SimDuration> {
-        match self.config.retention {
-            Retention::Unbounded => None,
-            Retention::Horizon(d) => Some(d),
-            Retention::Auto => {
-                // Sequential checks read cumulative windows that grow to
-                // the full phase duration, so the phase duration — not the
-                // (zero) declared window — is their retention demand.
-                let longest = strategies
-                    .iter()
-                    .flat_map(|s| s.phases.iter())
-                    .flat_map(|p| {
-                        p.checks.iter().map(move |c| {
-                            if c.scope == CheckScope::SequentialVsBaseline {
-                                p.duration
-                            } else {
-                                c.window
-                            }
-                        })
-                    })
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let quadrupled = SimDuration::from_millis(longest.as_millis().saturating_mul(4));
-                Some(quadrupled.max(SimDuration::from_mins(5)))
-            }
-        }
     }
 
     /// Executes `strategies` against the simulated application under
@@ -358,744 +497,406 @@ impl Engine {
         strategies: &[Strategy],
         workload: &Workload,
         max_duration: SimDuration,
-        mut journal: Option<&mut Journal>,
+        journal: JournalSink<'_>,
     ) -> Result<ExecutionReport, BifrostError> {
         if strategies.is_empty() {
             return Err(BifrostError::Execution("no strategies to execute".into()));
         }
         let started_wall = Instant::now();
         let started_sim = sim.now();
-        sim.store().set_retention(self.retention_horizon(strategies));
-        sim.set_workers(self.config.sim_workers);
-        sim.set_tail_sampling(self.config.tail_sampling);
-        sim.set_obs(self.config.obs);
-        // The engine's own phase profiler. Wall-clock timings recorded
-        // here go only to the sidecar RuntimeReport, never the journal.
+        let deadline = started_sim + max_duration;
+        // Wall-clock timings go to the sidecar RuntimeReport, never the journal.
         let profiler = Profiler::new(self.config.obs);
+        let mut execution = Execution::start(&self.config, &profiler, sim, strategies, journal)?;
+        while execution.sim.now() < deadline && execution.active() > 0 {
+            execution.tick(workload, deadline)?;
+        }
+        Ok(execution.finish(started_wall, started_sim))
+    }
+}
 
-        // Trace pipeline: every tick the engine drains the sampled traces,
-        // folds them into a health accumulator (the canary-vs-baseline
-        // interaction graph) and distills per-span samples into the
-        // `trace:service@version` store scopes that trace-scoped checks
-        // read. The book resolves interned span identity; versions deploy
-        // before execution, so one snapshot stays valid for the run.
-        let book = sim.span_book();
-        let trace_scopes: Vec<ScopeId> = (0..book.version_count())
-            .map(|i| sim.store().intern(&format!("trace:{}", book.version_label(VersionId(i)))))
-            .collect();
-        let mut health = HealthAccumulator::new();
+/// The raw-sample retention horizon an execution applies to the store.
+/// The journal — not the store — is the long-term record of a run, so
+/// older samples are compacted into their buckets, bounding memory on
+/// million-request executions. Four times the longest check window and
+/// never less than five minutes: every live check reads a fully
+/// raw-backed, sample-exact window.
+fn retention_horizon(strategies: &[Strategy]) -> SimDuration {
+    // Sequential checks read cumulative windows that grow to the full
+    // phase duration, so the phase duration — not the (zero) declared
+    // window — is their retention demand.
+    let longest = strategies
+        .iter()
+        .flat_map(|s| s.phases.iter())
+        .flat_map(|p| {
+            p.checks.iter().map(move |c| {
+                if c.scope == CheckScope::SequentialVsBaseline {
+                    p.duration
+                } else {
+                    c.window
+                }
+            })
+        })
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    let quadrupled = SimDuration::from_millis(longest.as_millis().saturating_mul(4));
+    quadrupled.max(SimDuration::from_mins(5))
+}
 
-        // Bind, compile, enact phase 0 for every strategy.
+/// One execution in flight: what the control loop carries between ticks.
+struct Execution<'a> {
+    config: &'a EngineConfig,
+    profiler: &'a Profiler,
+    sim: &'a mut Simulation,
+    journal: JournalSink<'a>,
+    traces: TracePipeline,
+    runs: Vec<RunState<'a>>,
+    transitions: Vec<TransitionEvent>,
+    ticks: u64,
+    check_evaluations: u64,
+    max_tick_processing: Duration,
+}
+
+impl<'a> Execution<'a> {
+    /// Applies the configuration to the simulation, then binds, compiles
+    /// and enters phase 0 of every strategy, in submission order.
+    fn start(
+        config: &'a EngineConfig,
+        profiler: &'a Profiler,
+        sim: &'a mut Simulation,
+        strategies: &'a [Strategy],
+        mut journal: JournalSink<'a>,
+    ) -> Result<Self, BifrostError> {
+        sim.store().set_retention(Some(retention_horizon(strategies)));
+        sim.set_workers(config.sim_workers);
+        sim.set_tail_sampling(config.tail_sampling);
+        sim.set_obs(config.obs);
+        let traces = TracePipeline::new(sim);
         let mut runs = Vec::with_capacity(strategies.len());
         for strategy in strategies {
-            let machine = StateMachine::compile(strategy)?;
-            let binding = StrategyBinding::resolve(sim.app(), strategy)?;
-            let ctx = CheckContext::new(
-                sim.store(),
-                binding.candidate_scope(sim.app()),
-                binding.baseline_scope(sim.app()),
-            );
-            let phase = &strategy.phases[0];
-            let (rollout_percent, next_rollout_step) = rollout_init(&phase.kind, sim.now());
-            let scheduler = CheckScheduler::new(&phase.checks, sim.now());
-            let app_snapshot = sim.app().clone();
-            enact::enact_phase(
-                &app_snapshot,
-                sim.router_mut(),
-                &binding,
-                &phase.kind,
-                Some(rollout_percent),
-            )?;
-            let name: std::sync::Arc<str> = strategy.name.as_str().into();
-            let phase_names: Vec<std::sync::Arc<str>> =
-                strategy.phases.iter().map(|p| p.name.as_str().into()).collect();
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(JournalEvent::Enacted {
-                    time: sim.now(),
-                    strategy: name.clone(),
-                    phase: phase_names[0].clone(),
-                    kind: phase.kind.keyword(),
-                    percent: enacted_percent(&phase.kind, rollout_percent),
-                });
-            }
-            if let Some(spec) = &phase.chaos {
-                let faults = chaos_faults(spec, &binding, sim.app(), sim.now())?;
-                let target = chaos_target_label(spec, sim.app(), &binding);
-                let from = sim.now() + spec.start_after;
-                for fault in faults {
-                    sim.inject_fault(fault);
-                }
-                if let Some(j) = journal.as_deref_mut() {
-                    j.record(JournalEvent::Chaos {
-                        time: sim.now(),
-                        strategy: name.clone(),
-                        phase: phase_names[0].clone(),
-                        kind: chaos_journal_kind(spec),
-                        magnitude: chaos_magnitude(&spec.kind),
-                        target,
-                        from,
-                        until: from + spec.duration,
-                    });
-                }
-            }
+            let compiled = Compiled::bind(sim, strategy)?;
+            let phase = compiled.enter_phase(sim, 0, &mut journal)?;
             runs.push(RunState {
-                strategy: strategy.clone(),
-                name,
-                phase_names,
-                binding,
-                ctx,
-                machine,
-                state: State::Phase(0),
-                phase_started: sim.now(),
-                scheduler,
-                retries: 0,
-                rollout_percent,
-                next_rollout_step,
-                sequential: vec![SequentialState::new(); phase.checks.len()],
+                compiled,
                 status: StrategyStatus::Running,
+                retries: 0,
+                phase,
                 due_scratch: Vec::new(),
-                due_active: false,
             });
         }
-
-        let mut ticks = 0u64;
-        let mut check_evaluations = 0u64;
-        let mut tick_times: Vec<Duration> = Vec::new();
-        let mut transitions: Vec<TransitionEvent> = Vec::new();
-        // Per-tick drain scratch, reused across the whole run so the
-        // steady-state loop allocates nothing for draining.
-        let mut breaker_scratch = Vec::new();
-        let mut trace_scratch: Vec<Trace> = Vec::new();
-        let deadline = started_sim + max_duration;
-
-        while sim.now() < deadline && runs.iter().any(|r| r.status == StrategyStatus::Running) {
-            let tick_started = Instant::now();
-            let step = self.config.tick.min(deadline - sim.now());
-            {
-                cex_core::span!(profiler, "engine.tick.simulate");
-                sim.run_with(step, workload);
-            }
-            let now = sim.now();
-
-            let engine_start = Instant::now();
-            {
-                cex_core::span!(profiler, "engine.tick.drain_traces");
-                // Breaker transitions are sim state; drain them every tick
-                // (journaled or not) so the backlog never grows unboundedly.
-                sim.drain_breaker_transitions_into(&mut breaker_scratch);
-                if let Some(j) = journal.as_deref_mut() {
-                    for tr in &breaker_scratch {
-                        j.record(JournalEvent::Breaker {
-                            time: tr.time,
-                            caller: sim.app().version_label(tr.caller),
-                            callee: sim.app().version_label(tr.callee),
-                            from: tr.from,
-                            to: tr.to,
-                        });
-                    }
-                }
-                // Drain sampled traces before the read pass so trace-scoped
-                // checks already see this tick's data. Runs in the
-                // single-threaded section — fold order is collection order,
-                // independent of the worker count.
-                sim.drain_traces_into(&mut trace_scratch);
-                if !trace_scratch.is_empty() {
-                    distill_trace_samples(sim, &trace_scopes, &trace_scratch, now);
-                    health.observe_all(&trace_scratch);
-                }
-            }
-            let observations = {
-                cex_core::span!(profiler, "engine.tick.observe");
-                self.observe(sim, &mut runs, now, &profiler)
-            };
-            let tick_evaluations =
-                observations.iter().flatten().map(|o| o.evaluations).sum::<u64>();
-            check_evaluations += tick_evaluations;
-            {
-                cex_core::span!(profiler, "engine.tick.apply");
-                self.apply(
-                    sim,
-                    &mut runs,
-                    observations,
-                    now,
-                    &mut transitions,
-                    journal.as_deref_mut(),
-                    &health,
-                    &book,
-                )?;
-            }
-            let spent = engine_start.elapsed();
-            tick_times.push(spent);
-            if let Some(j) = journal.as_deref_mut() {
-                cex_core::span!(profiler, "engine.tick.journal_encode");
-                j.record(JournalEvent::Tick {
-                    time: now,
-                    tick: ticks,
-                    active: runs.iter().filter(|r| r.status == StrategyStatus::Running).count(),
-                    due_checks: tick_evaluations,
-                    window_reads: sim.store().window_reads(),
-                    busy: spent,
-                });
-                // The runtime cadence: a counter-registry snapshot, pure
-                // in the seed, taken after this tick's ordinary events so
-                // its own position in the stream is deterministic too.
-                let every = self.config.runtime_report_every;
-                if every > 0 && (ticks + 1).is_multiple_of(every) {
-                    let mut counters = sim.counters();
-                    counters.add("engine.ticks", ticks + 1);
-                    counters.add("engine.check_evaluations", check_evaluations);
-                    counters.add("engine.journal.events", j.len() as u64);
-                    j.record(JournalEvent::Runtime { time: now, tick: ticks, counters });
-                }
-            }
-            // Always-on accounting: `engine.busy` backs the report's
-            // engine_busy thin read; `engine.tick` is the whole-iteration
-            // root the phase spans above nest under.
-            profiler.record("engine.busy", spent);
-            profiler.record("engine.tick", tick_started.elapsed());
-            ticks += 1;
-        }
-
-        let mean_tick_processing = if tick_times.is_empty() {
-            Duration::ZERO
-        } else {
-            tick_times.iter().sum::<Duration>() / tick_times.len() as u32
-        };
-        let max_tick_processing = tick_times.iter().max().copied().unwrap_or(Duration::ZERO);
-        let health_reports = if health.traces() > 0 {
-            let sampling = sim.trace_collector().sampling_stats();
-            runs.iter()
-                .map(|r| {
-                    (
-                        r.strategy.name.clone(),
-                        HealthReport::build(
-                            &health,
-                            &book,
-                            r.binding.baseline,
-                            r.binding.candidate,
-                        )
-                        .with_sampling(sampling),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Final registry snapshot, merged across engine and simulation.
-        // Journal size is recorded through one timed encode so the bytes
-        // gauge and the serialized form agree by construction.
-        let mut counters = sim.counters();
-        counters.add("engine.ticks", ticks);
-        counters.add("engine.check_evaluations", check_evaluations);
-        if let Some(j) = journal.as_deref() {
-            let encode_started = Instant::now();
-            let bytes = j.to_jsonl().len() as u64;
-            profiler.record("engine.journal.encode", encode_started.elapsed());
-            counters.add("engine.journal.events", j.len() as u64);
-            counters.hwm("engine.journal.bytes", bytes);
-        }
-        // One combined wall-clock phase tree: engine tick phases, the
-        // sim's window/event-core nodes, and the store's probe totals.
-        let combined = profiler.clone();
-        combined.merge(sim.profiler());
-        sim.fold_probes_into(&combined);
-        let runtime = RuntimeReport { counters, profile: combined.snapshot() };
-        Ok(ExecutionReport {
-            statuses: runs.iter().map(|r| (r.strategy.name.clone(), r.status.clone())).collect(),
-            transitions,
-            ticks,
-            check_evaluations,
-            engine_busy: profiler.total("engine.busy"),
-            wall_total: started_wall.elapsed(),
-            mean_tick_processing,
-            max_tick_processing,
-            sim_duration: sim.now() - started_sim,
-            health: health_reports,
-            runtime,
+        Ok(Execution {
+            config,
+            profiler,
+            sim,
+            journal,
+            traces,
+            runs,
+            transitions: Vec::new(),
+            ticks: 0,
+            check_evaluations: 0,
+            max_tick_processing: Duration::ZERO,
         })
+    }
+
+    fn active(&self) -> usize {
+        self.runs.iter().filter(|r| r.status == StrategyStatus::Running).count()
+    }
+
+    fn tick(&mut self, workload: &Workload, deadline: SimTime) -> Result<(), BifrostError> {
+        let profiler = self.profiler;
+        let tick_started = Instant::now();
+        let step = self.config.tick.min(deadline - self.sim.now());
+        {
+            cex_core::span!(profiler, "engine.tick.simulate");
+            self.sim.run_with(step, workload);
+        }
+        let now = self.sim.now();
+
+        let engine_start = Instant::now();
+        {
+            cex_core::span!(profiler, "engine.tick.drain_traces");
+            self.traces.drain(self.sim, &mut self.journal);
+        }
+        let observations = self.observe(now);
+        let due_checks =
+            observations.iter().flatten().map(TickObservation::evaluations).sum::<u64>();
+        self.check_evaluations += due_checks;
+        self.apply(observations, now)?;
+        let spent = engine_start.elapsed();
+        self.max_tick_processing = self.max_tick_processing.max(spent);
+        let tick = self.ticks;
+        self.ticks += 1;
+        if self.journal.is_some() {
+            cex_core::span!(profiler, "engine.tick.journal_encode");
+            let (active, window_reads) = (self.active(), self.sim.store().window_reads());
+            record(&mut self.journal, || JournalEvent::Tick {
+                time: now,
+                tick,
+                active,
+                due_checks,
+                window_reads,
+                busy: spent,
+            });
+            // The runtime cadence: a counter-registry snapshot, pure
+            // in the seed, taken after this tick's ordinary events so
+            // its own position in the stream is deterministic too.
+            let every = self.config.runtime_report_every;
+            if every > 0 && self.ticks.is_multiple_of(every) {
+                let counters = self.registry();
+                record(&mut self.journal, || JournalEvent::Runtime { time: now, tick, counters });
+            }
+        }
+        // Always-on accounting: `engine.busy` backs the report's
+        // engine_busy thin read; `engine.tick` is the whole-iteration
+        // root the phase spans above nest under.
+        profiler.record("engine.busy", spent);
+        profiler.record("engine.tick", tick_started.elapsed());
+        Ok(())
+    }
+
+    /// The counter registry, merged across engine and simulation.
+    fn registry(&self) -> Counters {
+        let mut counters = self.sim.counters();
+        counters.add("engine.ticks", self.ticks);
+        counters.add("engine.check_evaluations", self.check_evaluations);
+        if let Some(j) = self.journal.as_deref() {
+            counters.add("engine.journal.events", j.len() as u64);
+        }
+        counters
     }
 
     /// Read-only pass: evaluate due checks (and phase-boundary checks)
     /// for every running strategy. Fans out over scoped worker threads when
-    /// enough strategies are active.
-    fn observe(
-        &self,
-        sim: &Simulation,
-        runs: &mut [RunState],
-        now: SimTime,
-        profiler: &Profiler,
-    ) -> Vec<Option<TickObservation>> {
+    /// enough checks are due.
+    fn observe(&mut self, now: SimTime) -> Vec<Option<TickObservation>> {
+        cex_core::span!(self.profiler, "engine.tick.observe");
+        let running = |run: &RunState| run.status == StrategyStatus::Running;
         // First, a mutable pre-pass collecting which checks are due (the
         // scheduler advances its due times) into each run's reused
         // scratch buffer — no per-tick allocation on the hot loop.
-        for run in runs.iter_mut() {
-            match run.state {
-                State::Phase(p) if run.status == StrategyStatus::Running => {
-                    run.scheduler.due(&run.strategy.phases[p].checks, now, &mut run.due_scratch);
-                    run.due_active = true;
-                }
-                _ => run.due_active = false,
-            }
+        for run in self.runs.iter_mut().filter(|run| running(run)) {
+            let checks = &run.compiled.strategy.phases[run.phase.index].checks;
+            run.phase.scheduler.due(checks, now, &mut run.due_scratch);
         }
 
-        let store = sim.store();
-        let evaluate_one = |run: &RunState, due: &[usize]| -> TickObservation {
-            let State::Phase(p) = run.state else {
-                return TickObservation {
-                    due_results: vec![],
-                    boundary_results: None,
-                    evaluations: 0,
-                };
-            };
-            let phase = &run.strategy.phases[p];
-            let mut evaluations = 0u64;
+        let store = self.sim.store();
+        let evaluate_one = |run: &RunState| -> TickObservation {
+            let phase = &run.compiled.strategy.phases[run.phase.index];
             // Sequential checks run against their per-run state read-only:
             // the returned update is folded later, in the single-threaded
             // apply pass, so this closure stays safe to fan out.
-            let mut eval = |i: usize| -> (CheckObservation, Option<SequentialUpdate>) {
-                evaluations += 1;
-                let check = &phase.checks[i];
+            let eval = |i: usize| -> Evaluation {
+                let (check, ctx) = (&phase.checks[i], &run.compiled.ctx);
                 if check.scope == CheckScope::SequentialVsBaseline {
-                    checks::evaluate_sequential(
-                        check,
-                        &run.ctx,
-                        store,
-                        run.phase_started,
-                        now,
-                        &run.sequential[i],
-                    )
+                    let (started, state) = (run.phase.started, &run.phase.sequential[i]);
+                    let (observed, update) =
+                        checks::evaluate_sequential(check, ctx, store, started, now, state);
+                    (i, observed, update)
                 } else {
-                    (checks::evaluate_observed(check, &run.ctx, store, now), None)
+                    (i, checks::evaluate_observed(check, ctx, store, now), None)
                 }
             };
-            let due_results: Vec<(usize, CheckObservation, Option<SequentialUpdate>)> = due
-                .iter()
-                .map(|i| {
-                    let (obs, update) = eval(*i);
-                    (*i, obs, update)
-                })
-                .collect();
-            let boundary_results = if now.saturating_since(run.phase_started) >= phase.duration {
-                Some((0..phase.checks.len()).map(&mut eval).collect())
-            } else {
-                None
-            };
-            TickObservation { due_results, boundary_results, evaluations }
+            let due_results = run.due_scratch.iter().map(|&i| eval(i)).collect();
+            let at_boundary = now.saturating_since(run.phase.started) >= phase.duration;
+            let boundary_results = at_boundary.then(|| (0..phase.checks.len()).map(eval).collect());
+            TickObservation { due_results, boundary_results }
         };
 
+        let runs = &self.runs[..];
         let due_work: usize =
-            runs.iter().filter(|r| r.due_active).map(|r| r.due_scratch.len()).sum();
-        cex_core::span!(profiler, "engine.tick.observe.evaluate_checks");
+            runs.iter().filter(|run| running(run)).map(|r| r.due_scratch.len()).sum();
+        cex_core::span!(self.profiler, "engine.tick.observe.evaluate_checks");
         if due_work >= self.config.parallel_threshold && self.config.workers > 1 {
-            let mut results: Vec<Option<TickObservation>> = (0..runs.len()).map(|_| None).collect();
+            let mut results: Vec<Option<TickObservation>> = runs.iter().map(|_| None).collect();
             let chunk = (runs.len() / self.config.workers).max(1);
-            let runs_ref: &[RunState] = runs;
+            // The scope joins every worker and re-raises a worker's panic.
             std::thread::scope(|scope| {
-                let mut remaining: &mut [Option<TickObservation>] = &mut results;
-                let mut offset = 0usize;
-                let mut handles = Vec::new();
-                while !remaining.is_empty() {
-                    let take = chunk.min(remaining.len());
-                    let (head, tail) = remaining.split_at_mut(take);
-                    let runs_slice = &runs_ref[offset..offset + take];
-                    handles.push(scope.spawn(move || {
-                        for (slot, run) in head.iter_mut().zip(runs_slice) {
-                            if run.due_active {
-                                *slot = Some(evaluate_one(run, &run.due_scratch));
-                            }
+                for (slots, runs) in results.chunks_mut(chunk).zip(runs.chunks(chunk)) {
+                    scope.spawn(move || {
+                        for (slot, run) in slots.iter_mut().zip(runs) {
+                            *slot = running(run).then(|| evaluate_one(run));
                         }
-                    }));
-                    remaining = tail;
-                    offset += take;
-                }
-                for h in handles {
-                    h.join().expect("check-evaluation worker panicked");
+                    });
                 }
             });
             results
         } else {
-            runs.iter()
-                .map(|run| run.due_active.then(|| evaluate_one(run, &run.due_scratch)))
-                .collect()
+            runs.iter().map(|run| running(run).then(|| evaluate_one(run))).collect()
         }
     }
 
-    /// Mutating pass: advance rollouts, resolve outcomes, drive state
-    /// machines, enact routing changes, journal what happened. Runs
-    /// single-threaded in strategy submission order — that, plus the
-    /// virtual clock, is what makes the journal deterministic.
-    #[allow(clippy::too_many_arguments)]
+    /// Mutating pass: fold the tick's sequential looks, ask
+    /// [`decide::decide`] what the tick means, enact and journal the
+    /// answer. Runs single-threaded in strategy submission order — that,
+    /// plus the virtual clock, makes the journal deterministic.
     fn apply(
-        &self,
-        sim: &mut Simulation,
-        runs: &mut [RunState],
+        &mut self,
         observations: Vec<Option<TickObservation>>,
         now: SimTime,
-        transitions: &mut Vec<TransitionEvent>,
-        mut journal: Option<&mut Journal>,
-        health: &HealthAccumulator,
-        book: &SpanBook,
     ) -> Result<(), BifrostError> {
-        let app = sim.app().clone();
+        cex_core::span!(self.profiler, "engine.tick.apply");
         // Scopes retired by strategies reaching a terminal state this
         // tick; pruned after the loop so shared scopes can be guarded.
-        let mut retired: Vec<(std::sync::Arc<str>, String)> = Vec::new();
-        for (run, obs) in runs.iter_mut().zip(observations) {
+        let mut retired: Vec<(Arc<str>, String)> = Vec::new();
+        for (run, obs) in self.runs.iter_mut().zip(observations) {
             let Some(obs) = obs else { continue };
-            let State::Phase(p) = run.state else { continue };
-            let phase = run.strategy.phases[p].clone();
+            let compiled = &run.compiled;
+            let index = run.phase.index;
 
             // Fold this tick's sequential updates first: every decision
-            // below — ramp steps, due-check failures, boundary verdicts —
             // reads the state advanced through the latest look. Folding
             // the same look twice (a check both due and at the boundary)
             // is idempotent.
-            for (i, _, update) in &obs.due_results {
-                if let Some(u) = update {
-                    run.sequential[*i].fold(*u);
+            for (i, _, update) in
+                obs.due_results.iter().chain(obs.boundary_results.iter().flatten())
+            {
+                if let Some(update) = update {
+                    run.phase.sequential[*i].fold(*update);
+                }
+            }
+            let view = RunView {
+                machine: &compiled.machine,
+                phase_index: index,
+                retries: run.retries,
+                rollout_percent: run.phase.rollout_percent,
+                next_rollout_step: run.phase.next_rollout_step,
+                sequential: &run.phase.sequential,
+            };
+            let phase = &compiled.strategy.phases[index];
+            let decision = decide::decide(phase, view, &obs, now, self.config.max_retries);
+
+            compiled.journal_checks(&mut self.journal, now, index, &obs.due_results, false);
+            if let Some(step) = decision.ramp {
+                run.phase.next_rollout_step = step.next_step_at;
+                if step.guarded {
+                    record(&mut self.journal, || JournalEvent::Ramp {
+                        time: now,
+                        strategy: compiled.name.clone(),
+                        phase: compiled.phase_names[index].clone(),
+                        decision: step.decision,
+                        percent: step.percent,
+                        lr_harm: step.lr_harm,
+                    });
+                }
+                if step.percent != run.phase.rollout_percent {
+                    run.phase.rollout_percent = step.percent;
+                    compiled.enact(self.sim, index, step.percent, &mut self.journal)?;
                 }
             }
             if let Some(boundary) = &obs.boundary_results {
-                for (i, (_, update)) in boundary.iter().enumerate() {
-                    if let Some(u) = update {
-                        run.sequential[i].fold(*u);
+                compiled.journal_checks(&mut self.journal, now, index, boundary, true);
+                if let Some(j) = self.journal.as_deref_mut() {
+                    if let Some(snapshot) = self.traces.snapshot(self.sim, compiled, index) {
+                        j.record(snapshot);
                     }
                 }
             }
 
-            if let Some(j) = journal.as_deref_mut() {
-                for (i, o, _) in &obs.due_results {
-                    let check = &phase.checks[*i];
-                    j.record(JournalEvent::Check {
-                        time: now,
-                        strategy: run.name.clone(),
-                        phase: run.phase_names[p].clone(),
-                        check: *i,
-                        metric: check.metric,
-                        scope: check.scope,
-                        boundary: false,
-                        result: o.result,
-                        primary: o.primary,
-                        baseline: o.baseline,
-                    });
-                }
-            }
-
-            // Gradual rollouts step on their own cadence. A guarded
-            // rollout adapts the direction: it advances only while no
-            // sequential check shows instantaneous harm evidence at
-            // [`RAMP_WARN_LR`] or stronger, and retreats one step (never
-            // below the entry percent) while one does. Retreating is the
-            // cheap, reversible reaction — the absorbing abort stays with
-            // the always-valid p crossing α, which fails the phase through
-            // the ordinary check path below.
-            if let PhaseKind::GradualRollout {
-                from_percent,
-                to_percent,
-                step_percent,
-                step_duration,
-                guarded,
-            } = &phase.kind
-            {
-                if now >= run.next_rollout_step && run.rollout_percent < *to_percent {
-                    let lr_harm = phase
-                        .checks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.scope == CheckScope::SequentialVsBaseline)
-                        .map(|(i, _)| run.sequential[i].lr_harm())
-                        .fold(0.0, f64::max);
-                    let warned = *guarded && lr_harm >= RAMP_WARN_LR;
-                    let (decision, next_percent) = if !warned {
-                        ("advance", (run.rollout_percent + step_percent).min(*to_percent))
-                    } else if run.rollout_percent > *from_percent {
-                        ("retreat", (run.rollout_percent - step_percent).max(*from_percent))
-                    } else {
-                        ("hold", run.rollout_percent)
-                    };
-                    run.next_rollout_step = now + *step_duration;
-                    if *guarded {
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(JournalEvent::Ramp {
-                                time: now,
-                                strategy: run.name.clone(),
-                                phase: run.phase_names[p].clone(),
-                                decision,
-                                percent: next_percent,
-                                lr_harm,
-                            });
-                        }
-                    }
-                    if next_percent != run.rollout_percent {
-                        run.rollout_percent = next_percent;
-                        enact::enact_phase(
-                            &app,
-                            sim.router_mut(),
-                            &run.binding,
-                            &phase.kind,
-                            Some(run.rollout_percent),
-                        )?;
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(JournalEvent::Enacted {
-                                time: now,
-                                strategy: run.name.clone(),
-                                phase: run.phase_names[p].clone(),
-                                kind: phase.kind.keyword(),
-                                percent: run.rollout_percent,
-                            });
-                        }
-                    }
-                }
-            }
-
-            if let (Some(j), Some(boundary)) = (journal.as_deref_mut(), &obs.boundary_results) {
-                for (i, (o, _)) in boundary.iter().enumerate() {
-                    let check = &phase.checks[i];
-                    j.record(JournalEvent::Check {
-                        time: now,
-                        strategy: run.name.clone(),
-                        phase: run.phase_names[p].clone(),
-                        check: i,
-                        metric: check.metric,
-                        scope: check.scope,
-                        boundary: true,
-                        result: o.result,
-                        primary: o.primary,
-                        baseline: o.baseline,
-                    });
-                }
-                // Alongside the boundary verdicts, journal what the trace
-                // pipeline saw: the strategy's canary-vs-baseline
-                // worst-edge snapshot. Only meaningful when traces were
-                // actually collected.
-                if health.traces() > 0 {
-                    let report = HealthReport::build(
-                        health,
-                        book,
-                        run.binding.baseline,
-                        run.binding.candidate,
-                    );
-                    let worst = report.worst_edge();
-                    let sampling = sim.trace_collector().sampling_stats();
-                    j.record(JournalEvent::HealthSnapshot {
-                        time: now,
-                        strategy: run.name.clone(),
-                        phase: run.phase_names[p].clone(),
-                        traces: report.traces,
-                        failed: report.failed_traces,
-                        baseline: report.baseline.clone(),
-                        canary: report.canary.clone(),
-                        worst_edge: worst.map(|e| e.endpoint.clone()),
-                        score: worst.map_or(0.0, EdgeDelta::score),
-                        error_rate_delta: worst.map_or(0.0, EdgeDelta::error_rate_delta),
-                        p95_delta_ms: worst.map_or(0.0, EdgeDelta::p95_delta_ms),
-                        dropped: sampling.evicted,
-                        tail_kept: sampling.tail_kept,
-                        downsampled: sampling.downsampled_kept,
-                    });
-                }
-            }
-
-            // A conclusively failed due check fails the phase immediately.
-            let due_failed = obs.due_results.iter().any(|(_, o, _)| o.result == CheckResult::Fail);
-            let mut outcome = if due_failed {
-                Some(PhaseOutcome::Failure)
-            } else if let Some(boundary) = &obs.boundary_results {
-                // For gradual rollouts the phase only succeeds once the
-                // target percent is reached; otherwise keep rolling.
-                let rollout_pending = matches!(
-                    &phase.kind,
-                    PhaseKind::GradualRollout { to_percent, .. } if run.rollout_percent < *to_percent
-                );
-                if boundary.iter().any(|(o, _)| o.result == CheckResult::Fail) {
-                    Some(PhaseOutcome::Failure)
-                } else if rollout_pending {
-                    None
-                } else if boundary.iter().any(|(o, _)| o.result == CheckResult::Inconclusive) {
-                    Some(PhaseOutcome::Inconclusive)
-                } else {
-                    Some(PhaseOutcome::Success)
-                }
-            } else {
-                None
-            };
-
-            // Early stopping: always-valid p-values stay valid under
-            // continuous monitoring, so a decided sequential verdict need
-            // not wait out the phase clock. Mid-phase, a phase whose
-            // checks are all sequential and all passing promotes
-            // immediately (gradual rollouts still ramp to their target
-            // percent first), and a sequential check crossing its harm
-            // threshold aborts through the due-check failure above — both
-            // journaled as `EarlyStop` with the deciding p.
-            let seq_idx: Vec<usize> = phase
-                .checks
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.scope == CheckScope::SequentialVsBaseline)
-                .map(|(i, _)| i)
-                .collect();
-            let mut early_p: Option<f64> = None;
-            if obs.boundary_results.is_none() && !seq_idx.is_empty() {
-                if due_failed {
-                    let worst = obs
-                        .due_results
-                        .iter()
-                        .filter(|(i, o, _)| o.result == CheckResult::Fail && seq_idx.contains(i))
-                        .map(|(i, _, _)| run.sequential[*i].p_harm())
-                        .fold(f64::NAN, f64::max);
-                    if worst.is_finite() {
-                        early_p = Some(worst);
-                    }
-                } else if outcome.is_none()
-                    && seq_idx.len() == phase.checks.len()
-                    && !matches!(phase.kind, PhaseKind::GradualRollout { .. })
-                    && seq_idx.iter().all(|i| {
-                        run.sequential[*i].verdict(checks::sequential_alpha(&phase.checks[*i]))
-                            == CheckResult::Pass
-                    })
-                {
-                    outcome = Some(PhaseOutcome::Success);
-                    early_p = Some(
-                        seq_idx.iter().map(|i| run.sequential[*i].p_desired()).fold(0.0, f64::max),
-                    );
-                }
-            }
-            let Some(outcome) = outcome else { continue };
-            if let (Some(j), Some(p_val)) = (journal.as_deref_mut(), early_p) {
-                j.record(JournalEvent::EarlyStop {
+            let Some(outcome) = decision.outcome else { continue };
+            if let Some(p) = decision.early_stop_p {
+                record(&mut self.journal, || JournalEvent::EarlyStop {
                     time: now,
-                    strategy: run.name.clone(),
-                    phase: run.phase_names[p].clone(),
+                    strategy: compiled.name.clone(),
+                    phase: compiled.phase_names[index].clone(),
                     outcome,
-                    p: p_val,
+                    p,
                 });
             }
-
-            let from = run.state;
-            let mut next = run.machine.next(run.state, outcome);
-            // Retry accounting: re-entering the same phase consumes a
-            // retry; the `max_retries`-th consecutive non-success outcome
-            // rolls back instead of re-entering (see
-            // [`EngineConfig::max_retries`]).
-            if next == run.state && outcome != PhaseOutcome::Success {
-                run.retries += 1;
-                if run.retries >= self.config.max_retries {
-                    next = State::RolledBack;
-                }
-            } else if next != run.state {
-                run.retries = 0;
-            }
-
-            transitions.push(TransitionEvent {
+            run.retries = decision.retries;
+            let (from, to) = (State::Phase(index), decision.next);
+            self.transitions.push(TransitionEvent {
                 time: now,
-                strategy: run.strategy.name.clone(),
+                strategy: compiled.strategy.name.clone(),
                 from,
-                to: next,
+                to,
                 outcome,
             });
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(JournalEvent::Transition {
-                    time: now,
-                    strategy: run.name.clone(),
-                    from,
-                    to: next,
-                    outcome,
-                });
-            }
-            match next {
-                State::Phase(j_next) => {
-                    let next_phase = &run.strategy.phases[j_next];
-                    run.state = State::Phase(j_next);
-                    run.phase_started = now;
-                    run.scheduler = CheckScheduler::new(&next_phase.checks, now);
-                    // Every (re-)entry restarts the sequential tests from
-                    // scratch — a retry repeats the whole experiment, and
-                    // cumulative windows are anchored at the new
-                    // phase_started.
-                    run.sequential = vec![SequentialState::new(); next_phase.checks.len()];
-                    let (percent, step_at) = rollout_init(&next_phase.kind, now);
-                    run.rollout_percent = percent;
-                    run.next_rollout_step = step_at;
-                    enact::enact_phase(
-                        &app,
-                        sim.router_mut(),
-                        &run.binding,
-                        &next_phase.kind,
-                        Some(percent),
-                    )?;
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.record(JournalEvent::Enacted {
-                            time: now,
-                            strategy: run.name.clone(),
-                            phase: run.phase_names[j_next].clone(),
-                            kind: next_phase.kind.keyword(),
-                            percent: enacted_percent(&next_phase.kind, percent),
-                        });
-                    }
-                    // A chaos-bearing phase re-arms its fault window on
-                    // every entry — including retries, which repeat the
-                    // whole experiment, outage included.
-                    if let Some(spec) = &next_phase.chaos {
-                        let faults = chaos_faults(spec, &run.binding, &app, now)?;
-                        let target = chaos_target_label(spec, &app, &run.binding);
-                        let from = now + spec.start_after;
-                        for fault in faults {
-                            sim.inject_fault(fault);
-                        }
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(JournalEvent::Chaos {
-                                time: now,
-                                strategy: run.name.clone(),
-                                phase: run.phase_names[j_next].clone(),
-                                kind: chaos_journal_kind(spec),
-                                magnitude: chaos_magnitude(&spec.kind),
-                                target,
-                                from,
-                                until: from + spec.duration,
-                            });
-                        }
-                    }
+            record(&mut self.journal, || JournalEvent::Transition {
+                time: now,
+                strategy: compiled.name.clone(),
+                from,
+                to,
+                outcome,
+            });
+            match to {
+                State::Phase(next) => {
+                    run.phase = compiled.enter_phase(self.sim, next, &mut self.journal)?;
                 }
                 State::Completed => {
-                    enact::complete(&app, sim.router_mut(), &run.binding)?;
+                    let (app, router) = self.sim.app_and_router_mut();
+                    enact::complete(app, router, &compiled.binding)?;
                     run.status = StrategyStatus::Completed;
-                    run.state = State::Completed;
                     // The baseline side retires: completion promoted the
                     // candidate to all users.
-                    retired.push((run.name.clone(), run.ctx.baseline_scope.clone()));
+                    retired.push((compiled.name.clone(), compiled.ctx.baseline_scope.clone()));
                 }
                 State::RolledBack => {
-                    enact::rollback(sim.router_mut(), &run.binding);
+                    enact::rollback(self.sim.router_mut(), &compiled.binding);
                     run.status = StrategyStatus::RolledBack;
-                    run.state = State::RolledBack;
                     // The candidate side retires: everyone is back on the
                     // baseline.
-                    retired.push((run.name.clone(), run.ctx.candidate_scope.clone()));
+                    retired.push((compiled.name.clone(), compiled.ctx.candidate_scope.clone()));
                 }
             }
         }
 
-        // Prune retired scopes from the live store — the final checks are
-        // journaled above, and the journal (not the store) is the
-        // long-term record, so a terminated strategy must not pin its
-        // samples in memory forever. A scope still referenced by another
-        // running strategy (e.g. a shared baseline) is kept.
+        self.retire(retired, now);
+        Ok(())
+    }
+
+    /// Prunes the scopes of strategies that just terminated: their final
+    /// checks are journaled, so they must not pin samples in the live
+    /// store forever. A scope another running strategy still references
+    /// (e.g. a shared baseline) is kept.
+    fn retire(&mut self, retired: Vec<(Arc<str>, String)>, now: SimTime) {
         for (strategy, scope) in retired {
-            let still_referenced = runs.iter().any(|r| {
+            let still_referenced = self.runs.iter().any(|r| {
                 r.status == StrategyStatus::Running
-                    && (r.ctx.candidate_scope == scope || r.ctx.baseline_scope == scope)
+                    && (r.compiled.ctx.candidate_scope == scope
+                        || r.compiled.ctx.baseline_scope == scope)
             });
             if still_referenced {
                 continue;
             }
-            sim.store().clear_scope(&scope);
-            sim.store().clear_prefix(&format!("exp:{strategy}/"));
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(JournalEvent::ScopeCleared { time: now, strategy, scope });
-            }
+            self.sim.store().clear_scope(&scope);
+            self.sim.store().clear_prefix(&format!("exp:{strategy}/"));
+            record(&mut self.journal, || JournalEvent::ScopeCleared { time: now, strategy, scope });
         }
-        Ok(())
+    }
+
+    fn finish(self, started_wall: Instant, started_sim: SimTime) -> ExecutionReport {
+        let engine_busy = self.profiler.total("engine.busy");
+        let sampling = self.sim.trace_collector().sampling_stats();
+        let health = self
+            .runs
+            .iter()
+            .filter_map(|r| {
+                let report = self.traces.report(&r.compiled.binding)?;
+                Some((r.compiled.strategy.name.clone(), report.with_sampling(sampling)))
+            })
+            .collect();
+        let counters = self.registry();
+        // One combined wall-clock phase tree: engine tick phases, the
+        // sim's window/event-core nodes, and the store's probe totals.
+        self.profiler.merge(self.sim.profiler());
+        self.sim.fold_probes_into(self.profiler);
+        ExecutionReport {
+            statuses: self
+                .runs
+                .iter()
+                .map(|r| (r.compiled.strategy.name.clone(), r.status.clone()))
+                .collect(),
+            transitions: self.transitions,
+            ticks: self.ticks,
+            check_evaluations: self.check_evaluations,
+            engine_busy,
+            wall_total: started_wall.elapsed(),
+            mean_tick_processing: engine_busy.checked_div(self.ticks as u32).unwrap_or_default(),
+            max_tick_processing: self.max_tick_processing,
+            sim_duration: self.sim.now() - started_sim,
+            health,
+            runtime: RuntimeReport { counters, profile: self.profiler.snapshot() },
+        }
     }
 }
 
@@ -1104,14 +905,10 @@ impl Engine {
 /// under `trace:service@version` (by interned id — no string formatting
 /// on the per-tick path). Shed/fallback event spans carry no service
 /// latency and dark spans are off the user path; both are skipped.
-/// Samples are stamped at the drain time `now`, keeping every series
-/// monotonic for the store's window reads.
-fn distill_trace_samples(
-    sim: &Simulation,
-    trace_scopes: &[ScopeId],
-    drained: &[Trace],
-    now: SimTime,
-) {
+/// Samples are stamped at the drain time, keeping every series monotonic
+/// for the store's window reads.
+fn distill_trace_samples(sim: &Simulation, trace_scopes: &[ScopeId], drained: &[Trace]) {
+    let now = sim.now();
     let mut batch = sim.store().batch();
     for trace in drained {
         for span in &trace.spans {
@@ -1119,12 +916,8 @@ fn distill_trace_samples(
                 continue;
             }
             let scope = trace_scopes[span.version.0];
-            batch.record_value_id(
-                scope,
-                MetricKind::ResponseTime,
-                now,
-                span.duration.as_millis() as f64,
-            );
+            let latency_ms = span.duration.as_millis() as f64;
+            batch.record_value_id(scope, MetricKind::ResponseTime, now, latency_ms);
             let errored = if span.status.is_ok() { 0.0 } else { 1.0 };
             batch.record_value_id(scope, MetricKind::ErrorRate, now, errored);
         }
@@ -1132,14 +925,17 @@ fn distill_trace_samples(
     batch.flush();
 }
 
-/// The candidate traffic share a phase enactment routes, as recorded in
-/// the journal (dark launches mirror traffic instead of routing it).
-fn enacted_percent(kind: &PhaseKind, rollout_percent: f64) -> f64 {
+/// The candidate traffic share a phase routes on entry, as recorded in
+/// the journal (dark launches mirror traffic instead of routing it), and
+/// when a gradual rollout's first step comes due.
+fn entry_percent(kind: &PhaseKind, now: SimTime) -> (f64, SimTime) {
     match kind {
-        PhaseKind::Canary { traffic_percent } => *traffic_percent,
-        PhaseKind::DarkLaunch => 0.0,
-        PhaseKind::AbTest { split_percent } => *split_percent,
-        PhaseKind::GradualRollout { .. } => rollout_percent,
+        PhaseKind::Canary { traffic_percent } => (*traffic_percent, now),
+        PhaseKind::DarkLaunch => (0.0, now),
+        PhaseKind::AbTest { split_percent } => (*split_percent, now),
+        PhaseKind::GradualRollout { from_percent, step_duration, .. } => {
+            (*from_percent, now + *step_duration)
+        }
     }
 }
 
@@ -1155,27 +951,9 @@ fn chaos_faults(
 ) -> Result<Vec<Fault>, BifrostError> {
     let from = now + spec.start_after;
     let until = from + spec.duration;
-    match &spec.target {
-        ChaosTarget::Candidate | ChaosTarget::Baseline => {
-            let version = match spec.target {
-                ChaosTarget::Candidate => binding.candidate,
-                _ => binding.baseline,
-            };
-            let kind = match spec.kind {
-                ChaosKind::LatencySpike { multiplier } => FaultKind::LatencySpike { multiplier },
-                ChaosKind::ErrorBurst { extra_error_rate } => {
-                    FaultKind::ErrorBurst { extra_error_rate }
-                }
-                ChaosKind::Outage => FaultKind::Outage,
-                // Strategy::validate rejects this; guard for hand-built specs.
-                ChaosKind::LatencyStorm { .. } => {
-                    return Err(BifrostError::Execution(
-                        "latency_storm needs a zone target".to_string(),
-                    ))
-                }
-            };
-            Ok(vec![Fault { version, kind, from, until }])
-        }
+    let versions = match &spec.target {
+        ChaosTarget::Candidate => vec![binding.candidate],
+        ChaosTarget::Baseline => vec![binding.baseline],
         ChaosTarget::Zone(zone) => {
             let members = app.versions_in_zone(zone);
             if members.is_empty() {
@@ -1183,32 +961,23 @@ fn chaos_faults(
                     "chaos zone \"{zone}\" matches no deployed version"
                 )));
             }
-            Ok(match spec.kind {
-                ChaosKind::Outage => faults::zone_outage(&members, from, until),
-                ChaosKind::LatencyStorm { multiplier } => {
-                    faults::latency_storm(&members, multiplier, from, until)
-                }
-                ChaosKind::LatencySpike { multiplier } => members
-                    .iter()
-                    .map(|&version| Fault {
-                        version,
-                        kind: FaultKind::LatencySpike { multiplier },
-                        from,
-                        until,
-                    })
-                    .collect(),
-                ChaosKind::ErrorBurst { extra_error_rate } => members
-                    .iter()
-                    .map(|&version| Fault {
-                        version,
-                        kind: FaultKind::ErrorBurst { extra_error_rate },
-                        from,
-                        until,
-                    })
-                    .collect(),
-            })
+            members
         }
-    }
+    };
+    let kind = match spec.kind {
+        ChaosKind::LatencySpike { multiplier } => FaultKind::LatencySpike { multiplier },
+        ChaosKind::ErrorBurst { extra_error_rate } => FaultKind::ErrorBurst { extra_error_rate },
+        ChaosKind::Outage => FaultKind::Outage,
+        ChaosKind::LatencyStorm { multiplier } => {
+            // Strategy::validate rejects a storm on a single version;
+            // guard for hand-built specs.
+            if !matches!(spec.target, ChaosTarget::Zone(_)) {
+                return Err(BifrostError::Execution("latency_storm needs a zone target".into()));
+            }
+            return Ok(faults::latency_storm(&versions, multiplier, from, until));
+        }
+    };
+    Ok(versions.into_iter().map(|version| Fault { version, kind, from, until }).collect())
 }
 
 /// The journaled keyword for a chaos spec — zone-targeted outages
@@ -1237,15 +1006,6 @@ fn chaos_magnitude(kind: &ChaosKind) -> f64 {
         ChaosKind::ErrorBurst { extra_error_rate } => *extra_error_rate,
         ChaosKind::Outage => 0.0,
         ChaosKind::LatencyStorm { multiplier } => *multiplier,
-    }
-}
-
-fn rollout_init(kind: &PhaseKind, now: SimTime) -> (f64, SimTime) {
-    match kind {
-        PhaseKind::GradualRollout { from_percent, step_duration, .. } => {
-            (*from_percent, now + *step_duration)
-        }
-        _ => (0.0, now),
     }
 }
 
@@ -1653,7 +1413,6 @@ mod tests {
         assert!(first.0.contains("\"ev\":\"runtime\""), "runtime events serialized");
         assert!(first.1.counters.count("engine.ticks") > 0);
         assert!(first.1.counters.count("sim.events.popped") > 0);
-        assert!(first.1.counters.gauge("engine.journal.bytes") > 0);
         // And the serialized journal round-trips through the parser.
         let parsed = crate::journal::Journal::from_jsonl(&first.0).unwrap();
         assert_eq!(parsed.to_jsonl(), first.0);
@@ -1949,20 +1708,6 @@ mod tests {
             SimDuration::from_mins(1),
         );
         assert!(s.count > 0);
-    }
-
-    #[test]
-    fn unbounded_retention_keeps_every_raw_sample() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 4);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        Engine::new(EngineConfig { retention: Retention::Unbounded, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        let store = sim.store();
-        assert_eq!(store.retention(), None);
-        assert_eq!(store.total_samples() as u64, store.total_recorded());
     }
 
     /// Two-tier app for the chaos-recovery tests: a stable frontend

@@ -24,8 +24,12 @@
 //! - [`checks`] — time-based check scheduling and evaluation (Figure 4.3).
 //! - [`enact`] — translating phases into router configurations
 //!   (canary splits, dark-launch mirrors, A/B splits, rollout steps).
+//! - [`decide`] — the rollout policy as one pure function: what a tick's
+//!   check results mean for a strategy (ramp step, phase outcome, early
+//!   stop, next state, retry budget).
 //! - [`engine`] — the multi-strategy execution engine measured in
-//!   Figures 4.6–4.10.
+//!   Figures 4.6–4.10: the shell that gathers observations, calls
+//!   [`decide::decide`] and enacts and journals the answer.
 //! - [`journal`] — the structured, deterministic execution journal:
 //!   check verdicts with the windows they read, transitions,
 //!   enactments, per-tick engine accounting; JSONL in and out.
@@ -59,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod checks;
+pub mod decide;
 pub mod dsl;
 pub mod enact;
 pub mod engine;
@@ -69,7 +74,7 @@ pub mod model;
 pub mod templates;
 pub mod verify;
 
-pub use engine::{Engine, EngineConfig, ExecutionReport, Retention, RuntimeReport};
+pub use engine::{Engine, EngineConfig, ExecutionReport, RuntimeReport};
 pub use error::BifrostError;
 pub use journal::{Journal, JournalEvent};
 pub use model::{Action, Check, Phase, PhaseKind, Strategy};

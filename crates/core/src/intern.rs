@@ -1,17 +1,15 @@
-//! String interning with a lock-free read path.
+//! String interning.
 //!
 //! Hot paths in this repository never want to hash or allocate a `String`
 //! per event. The telemetry store (PR 3) interns metric scopes; the trace
 //! pipeline interns span identity (endpoint names shared across deployed
 //! versions). Both use this interner: names are interned once into dense
-//! [`Sym`]s, and resolution runs against an immutable snapshot map cached
-//! per thread, validated with a single atomic generation check — no lock
-//! is taken unless a new name was interned since the thread last looked.
-//! Interning itself is rare (deployment time, not per request), so the
-//! steady-state resolve path never contends.
+//! [`Sym`]s at deployment or strategy start, and the per-event paths carry
+//! the symbols. Interning and by-name resolution are rare, so one
+//! reader-writer lock over the map and the name table is all the
+//! synchronisation there is.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// An interned name. Dense, copyable, and stable for the lifetime of the
@@ -32,70 +30,32 @@ impl Sym {
     }
 }
 
-type SnapshotMap = HashMap<Arc<str>, Sym>;
-
-/// Issues a process-unique identity per [`Interner`], so thread-local
-/// snapshot caches can tell interners apart.
-static INTERNER_IDS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread resolve cache: `(interner identity, generation,
-    /// snapshot)`. While the generation matches, [`Interner::resolve`]
-    /// runs against the cached immutable snapshot without taking any
-    /// lock.
-    static SNAPSHOT_CACHE: std::cell::RefCell<Option<(u64, u64, Arc<SnapshotMap>)>> =
-        const { std::cell::RefCell::new(None) };
+#[derive(Debug, Default)]
+struct Table {
+    by_name: HashMap<Arc<str>, Sym>,
+    /// Names in interning order: `names[sym.index()]`.
+    names: Vec<Arc<str>>,
 }
 
-/// String → [`Sym`] interner with a lock-free read path.
-///
-/// The string→symbol map is published as an immutable [`Arc`] snapshot
-/// with a generation counter. Each reader thread caches the snapshot; on
-/// [`Interner::resolve`] it compares generations with one atomic load and
-/// resolves against its cache.
-#[derive(Debug)]
+/// Thread-safe string → [`Sym`] interner.
+#[derive(Debug, Default)]
 pub struct Interner {
-    identity: u64,
-    generation: AtomicU64,
-    snapshot: RwLock<Arc<SnapshotMap>>,
-    names: RwLock<Vec<Arc<str>>>,
+    table: RwLock<Table>,
 }
 
 impl Interner {
     /// An empty interner.
     pub fn new() -> Self {
-        Interner {
-            identity: INTERNER_IDS.fetch_add(1, Ordering::Relaxed),
-            generation: AtomicU64::new(0),
-            snapshot: RwLock::new(Arc::new(SnapshotMap::new())),
-            names: RwLock::new(Vec::new()),
-        }
+        Interner::default()
     }
 
-    fn load_snapshot(&self) -> Arc<SnapshotMap> {
-        self.snapshot.read().expect("interner snapshot lock poisoned").clone()
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Table> {
+        self.table.read().expect("interner lock poisoned")
     }
 
-    /// Looks up an already-interned name without ever interning. Lock-free
-    /// in the steady state (thread-cached snapshot + one atomic load).
+    /// Looks up an already-interned name without ever interning.
     pub fn resolve(&self, name: &str) -> Option<Sym> {
-        let generation = self.generation.load(Ordering::Acquire);
-        SNAPSHOT_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            match &*cache {
-                Some((identity, cached_generation, snap))
-                    if *identity == self.identity && *cached_generation == generation =>
-                {
-                    snap.get(name).copied()
-                }
-                _ => {
-                    let snap = self.load_snapshot();
-                    let id = snap.get(name).copied();
-                    *cache = Some((self.identity, generation, snap));
-                    id
-                }
-            }
-        })
+        self.read().by_name.get(name).copied()
     }
 
     /// Interns a name, returning its stable symbol. Idempotent.
@@ -103,20 +63,15 @@ impl Interner {
         if let Some(id) = self.resolve(name) {
             return id;
         }
-        // `names` doubles as the writer mutex: interning serializes here.
-        let mut names = self.names.write().expect("interner names lock poisoned");
-        if let Some(id) = self.load_snapshot().get(name).copied() {
-            return id;
+        let mut table = self.table.write().expect("interner lock poisoned");
+        // Another thread may have interned it between the two locks.
+        if let Some(id) = table.by_name.get(name) {
+            return *id;
         }
-        let name_arc: Arc<str> = name.into();
-        let id = Sym(u32::try_from(names.len()).expect("symbol space exhausted"));
-        names.push(name_arc.clone());
-        let mut next = SnapshotMap::clone(&self.load_snapshot());
-        next.insert(name_arc, id);
-        *self.snapshot.write().expect("interner snapshot lock poisoned") = Arc::new(next);
-        // Publish after the snapshot is swapped: a reader seeing the new
-        // generation refreshes onto a snapshot at least this new.
-        self.generation.fetch_add(1, Ordering::Release);
+        let id = Sym::from_index(table.names.len());
+        let name: Arc<str> = name.into();
+        table.names.push(name.clone());
+        table.by_name.insert(name, id);
         id
     }
 
@@ -126,29 +81,29 @@ impl Interner {
     ///
     /// Panics when the symbol was not issued by this interner.
     pub fn name(&self, sym: Sym) -> Arc<str> {
-        self.names.read().expect("interner names lock poisoned")[sym.index()].clone()
+        self.read().names[sym.index()].clone()
     }
 
     /// Symbols whose name satisfies `pred`, in interning order.
     pub fn matching(&self, pred: impl Fn(&str) -> bool) -> Vec<Sym> {
-        let names = self.names.read().expect("interner names lock poisoned");
-        names.iter().enumerate().filter(|(_, n)| pred(n)).map(|(i, _)| Sym(i as u32)).collect()
+        let table = self.read();
+        table
+            .names
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| pred(n))
+            .map(|(i, _)| Sym(i as u32))
+            .collect()
     }
 
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.names.read().expect("interner names lock poisoned").len()
+        self.read().names.len()
     }
 
     /// `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl Default for Interner {
-    fn default() -> Self {
-        Interner::new()
     }
 }
 
@@ -201,8 +156,6 @@ mod tests {
         let x = Interner::new();
         let y = Interner::new();
         x.intern("only-x");
-        // The thread cache keyed by identity must not leak x's snapshot
-        // into y's resolve.
         assert!(y.resolve("only-x").is_none());
         assert_eq!(y.intern("only-y").index(), 0);
         assert!(x.resolve("only-y").is_none());

@@ -33,9 +33,8 @@
 //!   in this repository is reproducible.
 //! - [`json`] — minimal, byte-deterministic JSON reading/writing used by the
 //!   Bifrost execution journal and the bench result files.
-//! - [`intern`] — the shared string interner with a lock-free read path
-//!   behind both the telemetry store's metric scopes and the trace
-//!   pipeline's span identity.
+//! - [`intern`] — the shared string interner behind both the telemetry
+//!   store's metric scopes and the trace pipeline's span identity.
 //! - [`obs`] — runtime self-observability: hierarchical profiling spans,
 //!   the unified counter registry, and the determinism split between
 //!   wall-clock timings (sidecar report only) and seed-pure counters

@@ -18,16 +18,16 @@
 //! path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
-//!   [`ScopeId`]s; series are keyed by `(ScopeId, MetricKind)`, so the
-//!   request loop never allocates or hashes a `String` per hop. The
-//!   interner ([`cex_core::intern::Interner`], shared with the trace
-//!   pipeline's span identity) publishes an immutable snapshot map plus a
-//!   generation counter; reader threads cache the snapshot and resolve
-//!   against it with a single atomic generation check — no lock unless a
-//!   scope was interned since the thread last looked.
-//! * **Sharding.** Series are spread over [`SHARD_COUNT`] independently
-//!   locked shards keyed by a hash of the scope, so the Bifrost engine's
-//!   worker threads and the request loop stop serializing on one lock.
+//!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
+//!   pipeline's span identity), so the request loop never allocates or
+//!   hashes a `String` per hop.
+//! * **Dense slots behind one lock.** Series live in one
+//!   `RwLock<Vec<Option<Series>>>` indexed `scope.index() * KIND_COUNT +
+//!   kind` — a lookup is an index, not a hash. Every writer in the tree
+//!   (the simulation's merge step, the engine's trace drain and scope
+//!   retirement) runs on one thread and never overlaps the engine's
+//!   parallel read pass, so readers share the lock uncontended and a
+//!   write takes it once per [`SampleBatch`] flush.
 //! * **Bucketed pre-aggregation.** Each series maintains fixed-resolution
 //!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
@@ -51,19 +51,18 @@ use cex_core::intern::Interner;
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::obs::WallProbe;
 use cex_core::simtime::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Number of independently locked shards (power of two).
-pub const SHARD_COUNT: usize = 16;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Default width of a pre-aggregation bucket.
 pub const DEFAULT_BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
 
 /// Samples buffered in a [`SampleBatch`] before an automatic flush.
 const BATCH_FLUSH_THRESHOLD: usize = 4_096;
+
+/// Number of [`MetricKind`] variants, for dense per-series indexing.
+const KIND_COUNT: usize = MetricKind::all().len();
 
 /// An interned metric scope. Dense, copyable, and stable for the lifetime
 /// of the store that issued it — the hot-path replacement for scope
@@ -72,41 +71,15 @@ const BATCH_FLUSH_THRESHOLD: usize = 4_096;
 /// for span identity).
 pub type ScopeId = cex_core::intern::Sym;
 
-/// Multiply-xor hasher for the small fixed-size `(ScopeId, MetricKind)`
-/// keys — SipHash is overkill on the record path.
-#[derive(Debug, Default)]
-struct SeriesHasher(u64);
-
-impl Hasher for SeriesHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n as u64);
-    }
+/// Dense index of a series: [`MetricStore`] and [`SampleBatch`] share it.
+fn slot_of(scope: ScopeId, metric: MetricKind) -> usize {
+    scope.index() * KIND_COUNT + metric as usize
 }
 
-type SeriesKey = (ScopeId, MetricKind);
-type SeriesMap = HashMap<SeriesKey, Series, BuildHasherDefault<SeriesHasher>>;
+/// The series of `(scope, metric)` in a series table, if it has one.
+fn series_at(table: &[Option<Series>], scope: ScopeId, metric: MetricKind) -> Option<&Series> {
+    table.get(slot_of(scope, metric))?.as_ref()
+}
 
 /// One metric series: pre-aggregated buckets plus a raw sample tail.
 #[derive(Debug, Default)]
@@ -142,18 +115,6 @@ impl Series {
             while (self.buckets.len() as u64) < needed {
                 self.buckets.push_back(OnlineStats::new());
             }
-        }
-    }
-
-    fn push(&mut self, sample: Sample, width_ms: u64) {
-        let t = sample.time.as_millis();
-        let idx = t / width_ms;
-        self.ensure_bucket(idx);
-        self.buckets[(idx - self.first_bucket) as usize].push(sample.value);
-        self.total += 1;
-        self.max_time_ms = self.max_time_ms.max(t);
-        if t >= self.raw_floor_ms {
-            self.raw.push_back(sample);
         }
     }
 
@@ -290,20 +251,18 @@ impl Series {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    series: RwLock<SeriesMap>,
-}
-
 /// Thread-safe, append-mostly metric store.
 ///
-/// Interior mutability (per-shard [`RwLock`]s) lets the Bifrost engine's
-/// worker threads share one store by reference. See the module docs for
-/// the interning / sharding / bucketing / retention architecture.
+/// Interior mutability (one [`RwLock`] over the series table) lets the
+/// Bifrost engine's worker threads share one store by reference. See the
+/// module docs for the interning / dense-slot / bucketing / retention
+/// architecture.
 #[derive(Debug)]
 pub struct MetricStore {
     interner: Interner,
-    shards: [Shard; SHARD_COUNT],
+    /// Slot [`slot_of`]`(scope, kind)`, grown on demand; `None` until the
+    /// series' first sample and again after its scope is cleared.
+    series: RwLock<Vec<Option<Series>>>,
     bucket_width_ms: u64,
     /// Retention horizon in ms; 0 = unbounded (raw samples kept forever).
     retention_ms: AtomicU64,
@@ -327,13 +286,6 @@ impl Default for MetricStore {
     }
 }
 
-fn shard_of(key: &SeriesKey) -> usize {
-    let mut h = SeriesHasher::default();
-    h.write_usize(key.0.index());
-    h.write_u8(key.1 as u8);
-    (h.finish() >> 32) as usize & (SHARD_COUNT - 1)
-}
-
 impl MetricStore {
     /// Creates an empty store with the [`DEFAULT_BUCKET_WIDTH`] and
     /// unbounded retention.
@@ -350,7 +302,7 @@ impl MetricStore {
         assert!(!width.is_zero(), "bucket width must be positive");
         MetricStore {
             interner: Interner::new(),
-            shards: std::array::from_fn(|_| Shard::default()),
+            series: RwLock::new(Vec::new()),
             bucket_width_ms: width.as_millis(),
             retention_ms: AtomicU64::new(0),
             window_reads: AtomicU64::new(0),
@@ -385,7 +337,7 @@ impl MetricStore {
         self.interner.intern(scope)
     }
 
-    /// Resolves an already-interned scope without taking any lock.
+    /// Resolves an already-interned scope (never interns).
     pub fn resolve(&self, scope: &str) -> Option<ScopeId> {
         self.interner.resolve(scope)
     }
@@ -403,8 +355,9 @@ impl MetricStore {
     }
 
     /// Starts a batched ingestion session: samples are buffered and
-    /// flushed shard-by-shard (on drop, on [`SampleBatch::flush`], or when
-    /// the buffer fills), amortizing lock traffic on the hot path.
+    /// flushed under one lock acquisition (on drop, on
+    /// [`SampleBatch::flush`], or when the buffer fills), amortizing lock
+    /// traffic on the hot path.
     pub fn batch(&self) -> SampleBatch<'_> {
         SampleBatch { store: self, pending: Vec::new(), buffered: 0 }
     }
@@ -425,14 +378,26 @@ impl MetricStore {
 
     /// Records one observation under an interned scope.
     pub fn record_id(&self, scope: ScopeId, metric: MetricKind, sample: Sample) {
-        let key = (scope, metric);
+        let mut table = self.series.write().expect("series lock poisoned");
+        self.ingest(&mut table, slot_of(scope, metric), &[sample]);
+    }
+
+    /// The one ingestion path: appends `samples` to the series at `slot`
+    /// (created on first use) and applies the retention horizon.
+    fn ingest(&self, table: &mut Vec<Option<Series>>, slot: usize, samples: &[Sample]) {
+        if slot >= table.len() {
+            table.resize_with(slot + 1, || None);
+        }
+        let series = table[slot].get_or_insert_with(Series::default);
+        series.push_run(samples, self.bucket_width_ms);
         let retention = self.retention_ms.load(Ordering::Relaxed);
-        let mut map = self.shards[shard_of(&key)].series.write().expect("shard lock poisoned");
-        let series = map.entry(key).or_default();
-        series.push(sample, self.bucket_width_ms);
         if retention != 0 {
             series.compact(retention, self.bucket_width_ms);
         }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Option<Series>>> {
+        self.series.read().expect("series lock poisoned")
     }
 
     /// Number of samples ever recorded into a series (compaction does not
@@ -443,27 +408,18 @@ impl MetricStore {
 
     /// [`MetricStore::count`] for an interned scope.
     pub fn count_id(&self, scope: ScopeId, metric: MetricKind) -> usize {
-        let key = (scope, metric);
-        self.shards[shard_of(&key)]
-            .series
-            .read()
-            .expect("shard lock poisoned")
-            .get(&key)
-            .map(|s| s.total as usize)
-            .unwrap_or(0)
+        series_at(&self.read(), scope, metric).map_or(0, |s| s.total as usize)
     }
 
     /// All scopes currently holding at least one series.
     pub fn scopes(&self) -> Vec<String> {
-        let mut ids: Vec<ScopeId> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.series.read().expect("shard lock poisoned");
-            ids.extend(map.keys().map(|(s, _)| *s));
-        }
-        ids.sort();
-        ids.dedup();
-        let mut scopes: Vec<String> =
-            ids.into_iter().map(|id| self.scope_name(id).to_string()).collect();
+        let mut scopes: Vec<String> = self
+            .read()
+            .chunks(KIND_COUNT)
+            .enumerate()
+            .filter(|(_, kinds)| kinds.iter().any(Option::is_some))
+            .map(|(scope, _)| self.scope_name(ScopeId::from_index(scope)).to_string())
+            .collect();
         scopes.sort();
         scopes
     }
@@ -488,12 +444,7 @@ impl MetricStore {
         from: SimTime,
         to: SimTime,
     ) -> Summary {
-        let key = (scope, metric);
-        self.shards[shard_of(&key)]
-            .series
-            .read()
-            .expect("shard lock poisoned")
-            .get(&key)
+        series_at(&self.read(), scope, metric)
             .map(|s| s.summary_between(from, to, self.bucket_width_ms))
             .unwrap_or_default()
     }
@@ -574,7 +525,7 @@ impl MetricStore {
     /// average of monitored response times" of Figure 4.6.
     ///
     /// The whole sweep is one bulk read of the series: it takes the
-    /// shard lock once, counts once against [`MetricStore::window_reads`],
+    /// read lock once, counts once against [`MetricStore::window_reads`],
     /// and advances two cursors over the raw tail instead of re-scanning
     /// the window per step.
     pub fn moving_average(
@@ -590,9 +541,8 @@ impl MetricStore {
         let _t = self.query_probe.time();
         self.window_reads.fetch_add(1, Ordering::Relaxed);
         let Some(id) = self.resolve(scope) else { return Vec::new() };
-        let key = (id, metric);
-        let map = self.shards[shard_of(&key)].series.read().expect("shard lock poisoned");
-        let Some(series) = map.get(&key) else { return Vec::new() };
+        let table = self.read();
+        let Some(series) = series_at(&table, id, metric) else { return Vec::new() };
 
         let mut out = Vec::new();
         // Two-pointer sweep state over the raw tail: `sum`/`cnt` track the
@@ -643,9 +593,15 @@ impl MetricStore {
     /// Removes every series of a scope (e.g. when an experiment finishes).
     pub fn clear_scope(&self, scope: &str) {
         if let Some(id) = self.resolve(scope) {
-            for shard in &self.shards {
-                shard.series.write().expect("shard lock poisoned").retain(|(s, _), _| *s != id);
-            }
+            self.clear_ids(&[id]);
+        }
+    }
+
+    fn clear_ids(&self, scopes: &[ScopeId]) {
+        let mut table = self.series.write().expect("series lock poisoned");
+        for scope in scopes {
+            let first = scope.index() * KIND_COUNT;
+            table.iter_mut().skip(first).take(KIND_COUNT).for_each(|series| *series = None);
         }
     }
 
@@ -653,13 +609,7 @@ impl MetricStore {
     /// `exp:<name>/` experiment-level series once the experiment's
     /// journal is the long-term record).
     pub fn clear_prefix(&self, prefix: &str) {
-        let ids = self.interner.matching(|n| n.starts_with(prefix));
-        if ids.is_empty() {
-            return;
-        }
-        for shard in &self.shards {
-            shard.series.write().expect("shard lock poisoned").retain(|(s, _), _| !ids.contains(s));
-        }
+        self.clear_ids(&self.interner.matching(|n| n.starts_with(prefix)));
     }
 
     /// Raw samples currently held in memory across all series — the
@@ -667,54 +617,30 @@ impl MetricStore {
     /// set this stays bounded while [`MetricStore::total_recorded`] keeps
     /// growing.
     pub fn total_samples(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| {
-                sh.series
-                    .read()
-                    .expect("shard lock poisoned")
-                    .values()
-                    .map(|s| s.raw.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.read().iter().flatten().map(|s| s.raw.len()).sum()
     }
 
     /// Samples ever recorded across all live series (compaction does not
     /// reduce it; clearing a scope does).
     pub fn total_recorded(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| {
-                sh.series
-                    .read()
-                    .expect("shard lock poisoned")
-                    .values()
-                    .map(|s| s.total)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.read().iter().flatten().map(|s| s.total).sum()
     }
 }
 
-/// Number of [`MetricKind`] variants, for dense per-series indexing.
-const KIND_COUNT: usize = MetricKind::all().len();
-
 /// A buffered ingestion session over a [`MetricStore`].
 ///
-/// Samples are appended to dense per-series buffers — the slot index is
-/// computed from the (small, dense) [`ScopeId`] and the metric-kind
-/// discriminant, so the buffered path does no hashing and takes no lock.
-/// Flushes acquire each shard lock once and look every series up once
-/// per flush (not once per sample). They happen when the buffer reaches
+/// Samples are appended to dense per-series buffers laid out like the
+/// store's own series table, so the buffered path does no hashing and
+/// takes no lock. A flush takes the store's write lock once and hands
+/// each series its whole run. Flushes happen when the buffer reaches
 /// an internal threshold, on [`SampleBatch::flush`], and on drop; callers
 /// flush at deterministic boundaries (the simulation flushes per window),
 /// so store contents never depend on wall-clock timing.
 #[derive(Debug)]
 pub struct SampleBatch<'a> {
     store: &'a MetricStore,
-    /// Slot `scope.index() * KIND_COUNT + kind as usize`, grown on demand.
-    /// Each slot keeps its series' samples in arrival order.
+    /// Slot [`slot_of`]`(scope, kind)`, grown on demand. Each slot keeps
+    /// its series' samples in arrival order.
     pending: Vec<Vec<Sample>>,
     buffered: usize,
 }
@@ -722,7 +648,7 @@ pub struct SampleBatch<'a> {
 impl SampleBatch<'_> {
     /// Buffers one observation under an interned scope.
     pub fn record_id(&mut self, scope: ScopeId, metric: MetricKind, sample: Sample) {
-        let slot = scope.index() * KIND_COUNT + metric as usize;
+        let slot = slot_of(scope, metric);
         if slot >= self.pending.len() {
             self.pending.resize_with(slot + 1, Vec::new);
         }
@@ -751,26 +677,10 @@ impl SampleBatch<'_> {
         }
         let _t = self.store.flush_probe.time();
         self.store.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        let width = self.store.bucket_width_ms;
-        let retention = self.store.retention_ms.load(Ordering::Relaxed);
-        let kinds = MetricKind::all();
-        for (shard_idx, shard) in self.store.shards.iter().enumerate() {
-            let mut map = None;
-            for (slot, samples) in self.pending.iter_mut().enumerate() {
-                if samples.is_empty() {
-                    continue;
-                }
-                let key = (ScopeId::from_index(slot / KIND_COUNT), kinds[slot % KIND_COUNT]);
-                if shard_of(&key) != shard_idx {
-                    continue;
-                }
-                let map =
-                    map.get_or_insert_with(|| shard.series.write().expect("shard lock poisoned"));
-                let series = map.entry(key).or_default();
-                series.push_run(samples, width);
-                if retention != 0 {
-                    series.compact(retention, width);
-                }
+        let mut table = self.store.series.write().expect("series lock poisoned");
+        for (slot, samples) in self.pending.iter_mut().enumerate() {
+            if !samples.is_empty() {
+                self.store.ingest(&mut table, slot, samples);
                 samples.clear();
             }
         }

@@ -306,6 +306,13 @@ impl Simulation {
         &mut self.router
     }
 
+    /// The application together with mutable access to the router — router
+    /// updates validate against the application, and borrowing both at
+    /// once saves callers a clone of the application.
+    pub fn app_and_router_mut(&mut self) -> (&Application, &mut Router) {
+        (&self.app, &mut self.router)
+    }
+
     /// Sets the trace sampling fraction. Collected traces, aggregates and
     /// the trace-id sequence are preserved — only the sampling rate of
     /// future requests changes.
