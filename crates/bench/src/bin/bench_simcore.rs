@@ -3,8 +3,8 @@
 //!
 //! Three questions about [`microsim::event`]:
 //!
-//! 1. **Single-core cost** — what does the event scheduler (heap, frames,
-//!    barrier rounds) cost against the recursive walk on a closed-loop
+//! 1. **Single-core cost** — what does the event scheduler (queue, frames,
+//!    sub-rounds, merge) cost against the recursive walk on a closed-loop
 //!    workload both cores can run? (The recursive core cannot run the
 //!    open-loop scenarios at all, so this is the only honest same-work
 //!    comparison.)

@@ -27,6 +27,14 @@ pub struct VersionId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EndpointId(pub usize);
 
+/// An endpoint *name* interned when the [`Application`] is built: the
+/// identity a call site shares with every version of its callee service.
+/// Which version's endpoint of that name serves a call is decided per
+/// request ([`Application::endpoint_named`]), so the request path compares
+/// integers where it used to compare strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EndpointName(u32);
+
 impl fmt::Display for ServiceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)
@@ -199,6 +207,8 @@ pub struct ResolvedCall {
     pub service: ServiceId,
     /// Callee endpoint name (version-resolved at request time).
     pub endpoint: String,
+    /// The same name, interned.
+    pub endpoint_name: EndpointName,
     /// Call probability.
     pub probability: f64,
 }
@@ -210,6 +220,8 @@ pub struct Endpoint {
     pub version: VersionId,
     /// Endpoint name.
     pub name: String,
+    /// The same name, interned.
+    pub name_id: EndpointName,
     /// Own latency model.
     pub latency: LatencyModel,
     /// Intrinsic error rate.
@@ -248,6 +260,8 @@ pub struct ServiceVersion {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Application {
     service_names: Vec<String>,
+    /// Distinct endpoint names, indexed by [`EndpointName`].
+    endpoint_names: Vec<String>,
     versions: Vec<ServiceVersion>,
     endpoints: Vec<Endpoint>,
     /// `versions_of[service.0]` lists deployed versions, in deploy order —
@@ -350,6 +364,29 @@ impl Application {
         })
     }
 
+    /// The interned form of an endpoint name, or `None` when no deployed
+    /// endpoint and no call site carries it. Linear in the number of
+    /// distinct names, like [`Application::service_id`].
+    pub fn endpoint_name(&self, name: &str) -> Option<EndpointName> {
+        self.endpoint_names.iter().position(|n| n == name).map(|i| EndpointName(i as u32))
+    }
+
+    /// [`Application::endpoint_of`] by interned name: no string compare.
+    pub fn endpoint_named(&self, version: VersionId, name: EndpointName) -> Option<EndpointId> {
+        self.versions[version.0]
+            .endpoints
+            .iter()
+            .copied()
+            .find(|e| self.endpoints[e.0].name_id == name)
+    }
+
+    fn intern_endpoint_name(&mut self, name: &str) -> EndpointName {
+        self.endpoint_name(name).unwrap_or_else(|| {
+            self.endpoint_names.push(name.to_string());
+            EndpointName(self.endpoint_names.len() as u32 - 1)
+        })
+    }
+
     /// Iterates over all services.
     pub fn services(&self) -> impl Iterator<Item = (ServiceId, &str)> {
         self.service_names.iter().enumerate().map(|(i, n)| (ServiceId(i), n.as_str()))
@@ -424,13 +461,16 @@ impl Application {
                 calls.push(ResolvedCall {
                     service: callee,
                     endpoint: call.endpoint.clone(),
+                    endpoint_name: self.intern_endpoint_name(&call.endpoint),
                     probability: call.probability,
                 });
             }
             let eid = EndpointId(self.endpoints.len());
+            let name_id = self.intern_endpoint_name(&ep.name);
             self.endpoints.push(Endpoint {
                 version: vid,
                 name: ep.name.clone(),
+                name_id,
                 latency: ep.latency,
                 error_rate: ep.error_rate,
                 calls,
@@ -596,6 +636,34 @@ mod tests {
         assert_eq!(app.version_label(v), "frontend@1.0.0");
         let ep = app.endpoint_of(v, "home").unwrap();
         assert_eq!(app.endpoint(ep).calls.len(), 1);
+    }
+
+    #[test]
+    fn interned_names_resolve_like_strings() {
+        let mut app = two_tier();
+        let candidate = app
+            .deploy(
+                VersionSpec::new("backend", "1.1.0")
+                    .endpoint(EndpointDef::new("api", LatencyModel::default()))
+                    .endpoint(EndpointDef::new("admin", LatencyModel::default())),
+            )
+            .unwrap();
+        assert_eq!(app.endpoint_name("nope"), None);
+        let fe = app.version_id("frontend", "1.0.0").unwrap();
+        let be = app.version_id("backend", "1.0.0").unwrap();
+        for version in [fe, be, candidate] {
+            for name in ["home", "api", "admin"] {
+                let interned = app.endpoint_name(name).unwrap();
+                assert_eq!(
+                    app.endpoint_named(version, interned),
+                    app.endpoint_of(version, name).ok(),
+                    "{name} on {version}"
+                );
+            }
+        }
+        // A call site carries the interned form of the name it calls.
+        let call = &app.endpoint(app.endpoint_of(fe, "home").unwrap()).calls[0];
+        assert_eq!(Some(call.endpoint_name), app.endpoint_name(&call.endpoint));
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! - An in-flight request is a chain of **events** — `Call` (a hop is
 //!   dispatched to a version), `Done` (a hop finished its own work and all
 //!   child calls), `Reply` (a child's outcome reaches its caller) and
-//!   `Timeout` (an attempt deadline expired) — ordered by a min-heap of
-//!   [`EvKey`]s.
+//!   `Timeout` (an attempt deadline expired) — under the total order of
+//!   their [`EvKey`]s.
 //! - Each hop is a **frame**: a small state machine holding the hop's
 //!   private RNG stream, accumulated elapsed time, and the index of the
 //!   next child call. Frames suspend while a child is outstanding and
 //!   resume when its `Reply` (or `Timeout`) arrives, so thousands of
-//!   requests interleave in simulated time.
+//!   requests interleave in simulated time. A frame is built once, lives in
+//!   its shard's identity-keyed map and is advanced in place.
 //! - Per-version **concurrency limits and bounded admission queues**
 //!   ([`OccupancyTable`]) act at frame dispatch: a frame either begins
 //!   service immediately, parks in a FIFO queue until a slot frees, or is
@@ -28,37 +29,55 @@
 //!   races the attempt's `Reply`, and a generation counter on the caller
 //!   frame discards whichever loses.
 //!
-//! # Sharding and determinism
+//! # Sub-rounds, sharding and determinism
 //!
-//! Services are sharded across worker threads (`shard = service % workers`)
-//! and every piece of mutable state — frames, occupancy, load counters,
+//! Services are sharded across workers (`shard = service % workers`) and
+//! every piece of mutable state — frames, occupancy, load counters,
 //! breakers (keyed by the *caller's* service) — is owned by exactly one
-//! shard. Workers advance in **barrier-synchronised sub-rounds**: each
-//! sub-round processes, in [`EvKey`] order, every event at the current
-//! timestamp that existed when the sub-round began; events created during a
-//! sub-round enter the heaps only at the exchange barrier, so the
-//! round an event runs in is a pure function of the event graph, never of
-//! the worker count. `Timeout` events carry a later-sorting phase and are
-//! only processed in a dedicated sub-round once no normal events remain at
-//! that timestamp — a timeout therefore fires iff the attempt's finish
-//! time strictly exceeds the deadline, exactly the recursive core's
+//! shard. Time advances in **sub-rounds**. A sub-round has an address, the
+//! earliest `(time, phase)` queued on any shard ([`queue::Front`]), and
+//! processes, in [`EvKey`] order, every event at that address *that existed
+//! when the sub-round began*: an event created during a sub-round waits in
+//! its creator's `pending` list (same shard) or its target's inbox (another
+//! shard) and joins a queue only after the sub-round ends. The sub-round an
+//! event runs in is therefore a pure function of the event graph, never of
+//! how services are spread over workers — and neither are the journaled
+//! counts of events and sub-rounds. `Timeout` events carry the later phase
+//! and so run in a sub-round of their own once no normal event remains at
+//! that timestamp (normal events they create re-open the normal phase at
+//! the same instant): a timeout fires iff the attempt's finish time
+//! strictly exceeds the deadline, exactly the recursive core's
 //! `duration > limit` rule.
+//!
+//! One loop ([`drive`]) runs every worker count. A lone worker's sub-round
+//! address is simply its own queue's front, and nothing it touches is
+//! shared: no thread, barrier, lock or atomic exists in a one-worker
+//! window. Several workers agree on the address and exchange cross-shard
+//! events through a [`rendezvous::Rendezvous`] — two barriers per
+//! sub-round — and that is the only difference. The queue itself is a ring
+//! of per-millisecond buckets ([`queue::EventQueue`]).
+//!
+//! # The merge
 //!
 //! Every output record (metric sample, breaker transition, span, visit,
 //! root outcome) is tagged with the [`EvKey`] of the event that produced
-//! it; after the window drains, a single-threaded merge sorts the tags and
-//! writes metric store, transition log and trace collector in one
-//! canonical order. Same seed + same worker count, or same seed +
+//! it. After the window drains, a single-threaded merge writes metric
+//! store, transition log and trace collector in one canonical order: tagged
+//! records in global key order, then per-request outputs in arrival order.
+//! The drive loop already emits each shard's records in non-decreasing
+//! event time, so the merge sorts only the runs that share a timestamp and
+//! interleaves the shards by key; per-request records are grouped by one
+//! sort on the request index. Same seed + same worker count, or same seed +
 //! *different* worker count: byte-identical outputs either way.
 
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+mod queue;
+mod rendezvous;
+
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use crate::app::{Application, EndpointId, ServiceId, VersionId};
+use crate::app::{Application, EndpointId, EndpointName, ServiceId, VersionId};
 use crate::exec::{MetricSink, MAX_CALL_DEPTH};
 use crate::faults::FaultPlan;
 use crate::load::{Admission, LoadTracker, OccupancyTable};
@@ -71,6 +90,8 @@ use cex_core::metrics::{MetricKind, OnlineStats};
 use cex_core::obs::{PhaseStats, Profiler};
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
+use queue::{EventQueue, Front};
+use rendezvous::Rendezvous;
 
 /// Normal events (calls, completions, replies).
 const PHASE_NORMAL: u8 = 0;
@@ -120,10 +141,22 @@ struct CallEv {
 
 #[derive(Debug)]
 enum Ev {
-    Call(Box<CallEv>),
-    Done { ident: u64 },
-    Reply { parent: u64, gen: u32, ok: bool, duration_ms: u64 },
-    Timeout { parent: u64, gen: u32 },
+    /// Carried inline: boxing it cost an allocation per hop, more than
+    /// moving the larger event through its bucket does.
+    Call(CallEv),
+    Done {
+        ident: u64,
+    },
+    Reply {
+        parent: u64,
+        gen: u32,
+        ok: bool,
+        duration_ms: u64,
+    },
+    Timeout {
+        parent: u64,
+        gen: u32,
+    },
 }
 
 #[derive(Debug)]
@@ -149,6 +182,21 @@ impl Ord for HeapEv {
     }
 }
 
+/// A resilience-guarded call in progress on a suspended frame.
+#[derive(Debug, Clone, Copy)]
+struct GuardedCall {
+    callee: VersionId,
+    endpoint: EndpointId,
+    policy: CallPolicy,
+    /// Start of the whole guarded call (first attempt's dispatch).
+    call_start_ms: u64,
+    /// Caller-perceived wait accumulated over finished attempts and
+    /// backoffs.
+    waited_ms: u64,
+    attempt: u32,
+    attempt_start_ms: u64,
+}
+
 /// What a suspended frame is waiting for.
 #[derive(Debug)]
 enum Pending {
@@ -157,18 +205,7 @@ enum Pending {
     /// An unguarded child call is outstanding.
     Plain,
     /// A resilience-guarded attempt is outstanding.
-    Guarded {
-        callee: VersionId,
-        endpoint: EndpointId,
-        policy: CallPolicy,
-        /// Start of the whole guarded call (first attempt's dispatch).
-        call_start_ms: u64,
-        /// Caller-perceived wait accumulated over finished attempts and
-        /// backoffs.
-        waited_ms: u64,
-        attempt: u32,
-        attempt_start_ms: u64,
-    },
+    Guarded(GuardedCall),
     /// All calls done; the frame's `Done` event is scheduled.
     Finishing,
 }
@@ -204,34 +241,101 @@ struct Frame {
     pending: Pending,
 }
 
+impl Frame {
+    fn new(ident: u64, req: u32, call: CallEv, dispatch_ms: u64, start_ms: u64) -> Frame {
+        Frame {
+            ident,
+            req,
+            version: call.version,
+            endpoint: call.endpoint,
+            dispatch_ms,
+            start_ms,
+            hrng: SplitMix64::new(call.seed),
+            elapsed_ms: 0,
+            ok: true,
+            dark: call.dark,
+            depth: call.depth,
+            attempt: call.attempt,
+            parent: call.parent,
+            path: call.path,
+            call_idx: 0,
+            gen: 0,
+            next_seq: 0,
+            pending: Pending::Advancing,
+        }
+    }
+
+    /// The key of the next event this frame creates.
+    fn next_key(&mut self, time_ms: u64, phase: u8) -> EvKey {
+        let cseq = self.next_seq;
+        self.next_seq += 1;
+        EvKey { time: time_ms, phase, req: self.req, ckey: self.ident, cseq }
+    }
+
+    /// Trace path of a child of the current call, when the request is
+    /// sampled.
+    fn child_path(&self, rank: u8, sub: u32) -> Option<Vec<u32>> {
+        self.path.as_ref().map(|parent| {
+            let mut p = Vec::with_capacity(parent.len() + 1);
+            p.extend_from_slice(parent);
+            p.push(((self.call_idx as u32) << 16) | (u32::from(rank) << 8) | sub.min(0xFF));
+            p
+        })
+    }
+}
+
 /// A dispatch waiting in a version's admission queue for a free slot.
 #[derive(Debug)]
 struct Parked {
-    call: Box<CallEv>,
+    call: CallEv,
     req: u32,
     dispatch_ms: u64,
 }
 
+/// Frame identities are `(service << 32) | serial`: made by this program,
+/// distinct, and dense in their low bits — one multiply spreads them, where
+/// the default SipHash (there for keys an adversary picks) cost more than
+/// the rest of a frame lookup.
+#[derive(Default)]
+struct IdentHasher(u64);
+
+impl Hasher for IdentHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("identity maps are keyed by u64");
+    }
+
+    fn write_u64(&mut self, ident: u64) {
+        let h = ident.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdentMap<V> = HashMap<u64, V, BuildHasherDefault<IdentHasher>>;
+
 // ---- tagged output records (merged canonically after the window) ----
 
+/// An output record tagged with the event that produced it and its rank
+/// among that event's records of the same kind.
 #[derive(Debug)]
-struct TaggedSample {
+struct Tagged<T> {
     key: EvKey,
     seq: u32,
+    item: T,
+}
+
+#[derive(Debug)]
+struct SampleRec {
     version: VersionId,
     kind: MetricKind,
     time: SimTime,
     value: f64,
 }
 
-#[derive(Debug)]
-struct TaggedTransition {
-    key: EvKey,
-    seq: u32,
-    transition: BreakerTransition,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct VisitRec {
     key: EvKey,
     req: u32,
@@ -265,35 +369,37 @@ struct RootRec {
     duration_ms: u64,
 }
 
+/// The shards' output buffers, kept by the caller from one window to the
+/// next: the merge drains them, so a steady-state window finds them empty
+/// at the capacity the previous one needed and grows none of them. (Grown
+/// from nothing every window, the last doubling of the sample buffer alone
+/// was a multi-millisecond copy inside some sub-round.)
+#[derive(Debug, Default)]
+pub(crate) struct WindowBuffers {
+    outs: Vec<ShardOut>,
+}
+
 #[derive(Debug, Default)]
 struct ShardOut {
-    samples: Vec<TaggedSample>,
-    transitions: Vec<TaggedTransition>,
+    samples: Vec<Tagged<SampleRec>>,
+    transitions: Vec<Tagged<BreakerTransition>>,
     visits: Vec<VisitRec>,
     spans: Vec<SpanRec>,
     patches: Vec<PatchRec>,
     roots: Vec<RootRec>,
 }
 
-/// Per-request metadata shared read-only by all shards.
-#[derive(Debug)]
-struct ReqMeta {
-    user: UserId,
-    time_ms: u64,
-    trace: Option<TraceId>,
-    conv_u: f64,
-}
-
-/// One pre-generated arrival handed to [`run_window`]. The trace decision
-/// and the two per-request RNG draws happen in the caller (in arrival
-/// order), so the recursive and event cores consume the simulation's
-/// random streams identically.
+/// One pre-generated arrival handed to [`run_window`], shared read-only by
+/// all shards while the window runs. The trace decision and the two
+/// per-request RNG draws happen in the caller (in arrival order), so the
+/// recursive and event cores consume the simulation's random streams
+/// identically.
 #[derive(Debug)]
 pub(crate) struct EventRequest {
     pub(crate) time: SimTime,
     pub(crate) user: UserId,
     pub(crate) service: ServiceId,
-    pub(crate) endpoint: String,
+    pub(crate) endpoint: EndpointName,
     pub(crate) trace: Option<TraceId>,
     pub(crate) root_seed: u64,
     pub(crate) conv_u: f64,
@@ -311,17 +417,18 @@ pub(crate) struct WindowStats {
 /// Deterministic event-core tallies for one window, folded across shards
 /// at the merge. Every field is a pure function of the seed — an event is
 /// processed by exactly one shard regardless of the worker count, and all
-/// workers execute the same barrier-synchronised sub-round sequence — so
-/// these values are safe to journal (see `cex_core::obs`).
+/// workers run the same sub-round sequence — so these values are safe to
+/// journal (see `cex_core::obs`).
 #[derive(Debug, Default)]
 pub(crate) struct WindowTally {
-    /// Events popped off shard heaps (every created event is popped once).
+    /// Events taken off shard queues (every created event is taken once).
     pub(crate) events_popped: u64,
-    /// Events routed through the outbox exchange (all non-root events).
+    /// Events created, whichever path delivers them (the creating shard's
+    /// pending list or another shard's inbox): all events but the root
+    /// arrivals.
     pub(crate) events_sent: u64,
-    /// Barrier-synchronised sub-rounds driven (identical on every worker;
-    /// taken from one shard, not summed, so the value is worker-count
-    /// invariant).
+    /// Sub-rounds driven (identical on every worker; taken from one
+    /// shard, not summed, so the value is worker-count invariant).
     pub(crate) sub_rounds: u64,
     /// Requests shed — admission-queue-full plus breaker sheds.
     pub(crate) sheds: u64,
@@ -337,14 +444,17 @@ pub(crate) struct WindowTally {
 struct ShardObs {
     timed: bool,
     events_popped: u64,
-    /// `Cell` because [`Shard::send`] takes `&self`; shards are never
-    /// shared across threads, only moved.
-    events_sent: Cell<u64>,
+    events_sent: u64,
     sub_rounds: u64,
     sheds: u64,
+    /// Taking the sub-round's bucket off the queue, in key order.
     pop: PhaseStats,
+    /// Processing the bucket's events.
     dispatch: PhaseStats,
+    /// Waiting at the rendezvous' barriers; stays empty at one worker.
     barrier: PhaseStats,
+    /// Joining created events (pending list and inbox) to the queue and
+    /// finding its new front.
     exchange: PhaseStats,
 }
 
@@ -353,7 +463,7 @@ impl ShardObs {
         ShardObs {
             timed,
             events_popped: 0,
-            events_sent: Cell::new(0),
+            events_sent: 0,
             sub_rounds: 0,
             sheds: 0,
             pop: PhaseStats::new(),
@@ -365,12 +475,15 @@ impl ShardObs {
 }
 
 /// When profiling is on, only one sub-round in this many is actually
-/// timed. A sub-round takes single-digit microseconds, so clock reads on
+/// timed. A sub-round takes a microsecond or less, so clock reads on
 /// every round cost tens of percent of the whole window; sampling keeps
 /// the per-sample distributions honest while cutting the clock reads by
 /// this factor. At fold time the sampled totals and counts are scaled
 /// back up ([`fold_sampled`]) so the profile tree shows unbiased
-/// estimates of true phase totals.
+/// estimates of true phase totals. The timed round is the middle one of
+/// each stride, not the first: a window's first sub-round is the one that
+/// migrates a ring's worth of root arrivals out of the overflow heap, and
+/// scaling that up would charge every sub-round for it.
 const OBS_TIMING_SAMPLE: u64 = 256;
 
 /// Starts a phase measurement iff timing is on (one branch otherwise).
@@ -389,47 +502,46 @@ fn service_of_ident(ident: u64) -> usize {
     (ident >> 32) as usize
 }
 
-fn path_elem(call_idx: usize, rank: u8, sub: u32) -> u32 {
-    ((call_idx as u32) << 16) | (u32::from(rank) << 8) | sub.min(0xFF)
-}
-
-fn child_path(parent: &[u32], call_idx: usize, rank: u8, sub: u32) -> Vec<u32> {
-    let mut p = Vec::with_capacity(parent.len() + 1);
-    p.extend_from_slice(parent);
-    p.push(path_elem(call_idx, rank, sub));
-    p
-}
-
-/// One worker's shard: the event heap plus every piece of mutable state
-/// owned by the services assigned to it.
+/// One worker's shard: the event queue, the frames in flight on the
+/// services assigned to it, and everything those frames read and write
+/// while they advance ([`ShardCtx`], a separate field so a frame can be
+/// advanced in place inside `frames`).
 struct Shard<'a> {
+    queue: EventQueue,
+    frames: IdentMap<Frame>,
+    parked: IdentMap<Parked>,
+    ctx: ShardCtx<'a>,
+}
+
+/// The state a shard owns besides its frames, the model it reads, its
+/// output buffers and the way out for the events it creates.
+struct ShardCtx<'a> {
     id: usize,
     workers: usize,
-    heap: BinaryHeap<Reverse<HeapEv>>,
-    frames: HashMap<u64, Frame>,
-    parked: HashMap<u64, Parked>,
+    /// The other workers, when there are any.
+    peers: Option<&'a Rendezvous>,
+    /// Events created this sub-round for services of this shard; they
+    /// join the queue when the sub-round ends.
+    pending: Vec<HeapEv>,
     /// Next frame serial per service (only this shard's services advance).
     serials: Vec<u32>,
     load: LoadTracker,
     occ: OccupancyTable,
     res: ResilienceState,
-    faults: FaultPlan,
     scratch_transitions: Vec<BreakerTransition>,
     out: ShardOut,
     cur_key: EvKey,
     sample_seq: u32,
-    transition_seq: u32,
     app: &'a Application,
     router: &'a Router,
+    faults: &'a FaultPlan,
     plan: &'a ResiliencePlan,
-    reqs: &'a [ReqMeta],
+    reqs: &'a [EventRequest],
     guard: bool,
     obs: ShardObs,
 }
 
-type Outboxes = [Mutex<Vec<HeapEv>>];
-
-impl Shard<'_> {
+impl ShardCtx<'_> {
     fn alloc_ident(&mut self, service: usize) -> u64 {
         // Serials start at 1 so a frame identity never collides with the
         // root-arrival creator key 0.
@@ -437,161 +549,32 @@ impl Shard<'_> {
         ((service as u64) << 32) | u64::from(self.serials[service])
     }
 
-    fn send(&self, outboxes: &Outboxes, target_service: usize, key: EvKey, ev: Ev) {
-        self.obs.events_sent.set(self.obs.events_sent.get() + 1);
-        outboxes[target_service % self.workers]
-            .lock()
-            .expect("outbox poisoned")
-            .push(HeapEv { key, ev });
-    }
-
-    fn key_from(&self, frame: &mut Frame, time_ms: u64, phase: u8) -> EvKey {
-        let cseq = frame.next_seq;
-        frame.next_seq += 1;
-        EvKey { time: time_ms, phase, req: frame.req, ckey: frame.ident, cseq }
+    /// Schedules a created event. It must not run in the sub-round that
+    /// created it, so it never goes straight into a queue.
+    fn send(&mut self, target_service: usize, key: EvKey, ev: Ev) {
+        self.obs.events_sent += 1;
+        let to = target_service % self.workers;
+        let ev = HeapEv { key, ev };
+        if to == self.id {
+            self.pending.push(ev);
+        } else {
+            self.peers.expect("another shard exists only beside a rendezvous").post(to, ev);
+        }
     }
 
     fn sample(&mut self, version: VersionId, kind: MetricKind, time_ms: u64, value: f64) {
-        self.out.samples.push(TaggedSample {
+        let time = SimTime::from_millis(time_ms);
+        self.out.samples.push(Tagged {
             key: self.cur_key,
             seq: self.sample_seq,
-            version,
-            kind,
-            time: SimTime::from_millis(time_ms),
-            value,
+            item: SampleRec { version, kind, time, value },
         });
         self.sample_seq += 1;
     }
 
-    fn process(&mut self, ev: HeapEv, outboxes: &Outboxes) {
-        self.cur_key = ev.key;
-        self.sample_seq = 0;
-        self.transition_seq = 0;
-        match ev.ev {
-            Ev::Call(call) => self.on_call(ev.key, call, outboxes),
-            Ev::Done { ident } => self.on_done(ident, ev.key.time, outboxes),
-            Ev::Reply { parent, gen, ok, duration_ms } => {
-                self.on_reply(parent, gen, ok, duration_ms, outboxes)
-            }
-            Ev::Timeout { parent, gen } => self.on_timeout(parent, gen, outboxes),
-        }
-        // Tag the breaker transitions this event caused so the merge can
-        // replay them in global event order.
-        let mut scratch = std::mem::take(&mut self.scratch_transitions);
-        self.res.drain_transitions_into(&mut scratch);
-        for t in &scratch {
-            self.out.transitions.push(TaggedTransition {
-                key: self.cur_key,
-                seq: self.transition_seq,
-                transition: *t,
-            });
-            self.transition_seq += 1;
-        }
-        self.scratch_transitions = scratch;
-    }
-
-    fn on_call(&mut self, key: EvKey, call: Box<CallEv>, outboxes: &Outboxes) {
-        assert!(
-            (call.depth as usize) <= MAX_CALL_DEPTH,
-            "call tree exceeds MAX_CALL_DEPTH (cycle in the application definition)"
-        );
-        let t = key.time;
-        let req = key.req;
-        let version = call.version;
-        // Offered load is recorded at dispatch regardless of admission
-        // outcome: overload is visible in arrival rates even when shed.
-        self.load.record_arrival(version, SimTime::from_millis(t));
-        let ident = self.alloc_ident(self.app.version(version).service.0);
-        match self.occ.try_admit(version, ident) {
-            Admission::Immediate => {
-                let frame = self.make_frame(ident, req, *call, t, t);
-                self.begin(frame, outboxes);
-            }
-            Admission::Queued => {
-                self.parked.insert(ident, Parked { call, req, dispatch_ms: t });
-            }
-            Admission::Shed => {
-                self.obs.sheds += 1;
-                self.sample(version, MetricKind::Shed, t, 1.0);
-                if let Some(path) = &call.path {
-                    self.out.spans.push(SpanRec {
-                        req,
-                        path: path.clone(),
-                        version,
-                        endpoint: call.endpoint,
-                        start_ms: t,
-                        duration_ms: 0,
-                        status: SpanStatus::Shed,
-                        attempt: call.attempt,
-                        dark: call.dark,
-                    });
-                }
-                match call.parent {
-                    Some((parent, gen)) => {
-                        let reply_key =
-                            EvKey { time: t, phase: PHASE_NORMAL, req, ckey: ident, cseq: 0 };
-                        self.send(
-                            outboxes,
-                            service_of_ident(parent),
-                            reply_key,
-                            Ev::Reply { parent, gen, ok: false, duration_ms: 0 },
-                        );
-                    }
-                    None if !call.dark => {
-                        self.out.roots.push(RootRec { req, ok: false, duration_ms: 0 });
-                    }
-                    None => {}
-                }
-            }
-        }
-    }
-
-    fn make_frame(
-        &mut self,
-        ident: u64,
-        req: u32,
-        call: CallEv,
-        dispatch_ms: u64,
-        start_ms: u64,
-    ) -> Frame {
-        Frame {
-            ident,
-            req,
-            version: call.version,
-            endpoint: call.endpoint,
-            dispatch_ms,
-            start_ms,
-            hrng: SplitMix64::new(call.seed),
-            elapsed_ms: 0,
-            ok: true,
-            dark: call.dark,
-            depth: call.depth,
-            attempt: call.attempt,
-            parent: call.parent,
-            path: call.path,
-            call_idx: 0,
-            gen: 0,
-            next_seq: 0,
-            pending: Pending::Advancing,
-        }
-    }
-
-    /// Admits a parked dispatch into the slot freed at `start_ms`.
-    fn begin_queued(&mut self, ident: u64, start_ms: u64, outboxes: &Outboxes) {
-        let parked = self.parked.remove(&ident).expect("released token is parked");
-        self.sample(
-            parked.call.version,
-            MetricKind::QueueDelay,
-            parked.dispatch_ms,
-            (start_ms - parked.dispatch_ms) as f64,
-        );
-        let frame = self.make_frame(ident, parked.req, *parked.call, parked.dispatch_ms, start_ms);
-        self.begin(frame, outboxes);
-    }
-
     /// Samples the frame's own work (same draw order as the recursive
     /// hop: latency, then own failure) and starts its call sequence.
-    fn begin(&mut self, mut frame: Frame, outboxes: &Outboxes) {
+    fn begin(&mut self, frame: &mut Frame) {
         let start = SimTime::from_millis(frame.start_ms);
         let fault = self.faults.effects(frame.version, start);
         let multiplier = self.load.multiplier(self.app, frame.version) * fault.latency_multiplier;
@@ -607,257 +590,362 @@ impl Shard<'_> {
                 version: frame.version,
             });
         }
-        self.advance(frame, outboxes);
+        self.advance(frame);
     }
 
     /// Runs the frame forward: skips non-firing probabilistic calls,
     /// dispatches the next child (guarded or plain, plus its dark
     /// mirrors), and schedules `Done` when the call list is exhausted.
-    fn advance(&mut self, mut frame: Frame, outboxes: &Outboxes) {
+    fn advance(&mut self, frame: &mut Frame) {
+        let (app, router) = (self.app, self.router);
         loop {
-            let endpoint = self.app.endpoint(frame.endpoint);
-            if frame.call_idx >= endpoint.calls.len() {
+            let Some(call) = app.endpoint(frame.endpoint).calls.get(frame.call_idx) else {
                 let finish = frame.start_ms + frame.elapsed_ms;
-                let key = self.key_from(&mut frame, finish, PHASE_NORMAL);
-                let svc = service_of_ident(frame.ident);
-                let ident = frame.ident;
+                let key = frame.next_key(finish, PHASE_NORMAL);
                 frame.pending = Pending::Finishing;
-                self.frames.insert(ident, frame);
-                self.send(outboxes, svc, key, Ev::Done { ident });
+                self.send(service_of_ident(frame.ident), key, Ev::Done { ident: frame.ident });
                 return;
-            }
-            let call = endpoint.calls[frame.call_idx].clone();
+            };
             if call.probability < 1.0 && frame.hrng.next_f64() >= call.probability {
                 frame.call_idx += 1;
                 continue;
             }
-            // Child and mirror seeds are drawn before anything executes,
-            // exactly as in the recursive walk.
+            // The child's seed, then one seed per mirror, are the hop's
+            // next draws, exactly as in the recursive walk; the mirror
+            // seeds are drawn where they are used (`dispatch_mirrors`)
+            // because nothing in between touches the hop's stream.
             let child_seed = frame.hrng.next_u64();
-            let mirrors = self.router.mirrors(call.service).to_vec();
-            let mirror_seeds: Vec<u64> = mirrors.iter().map(|_| frame.hrng.next_u64()).collect();
+            let mirrors = router.mirrors(call.service);
             let child_start = frame.start_ms + frame.elapsed_ms;
             let user = self.reqs[frame.req as usize].user;
 
             let policy = if !frame.dark && self.guard {
-                let caller_service = self.app.version(frame.version).service.0;
+                let caller_service = app.version(frame.version).service.0;
                 self.plan.policy_for(caller_service, call.service.0).copied()
             } else {
                 None
             };
-            let callee = self.router.resolve(self.app, call.service, user);
-            let callee_ep = self
-                .app
-                .endpoint_of(callee, &call.endpoint)
+            let callee = router.resolve(app, call.service, user);
+            let callee_ep = app
+                .endpoint_named(callee, call.endpoint_name)
                 .expect("call graph references a valid endpoint");
 
-            if let Some(policy) = policy {
-                if let Some(bp) = policy.breaker {
-                    let decision = self.res.decide(
-                        frame.version,
-                        callee,
-                        &bp,
-                        SimTime::from_millis(child_start),
-                    );
-                    if decision == CallDecision::Shed {
-                        self.obs.sheds += 1;
-                        self.sample(callee, MetricKind::Shed, child_start, 1.0);
-                        if let Some(p) = &frame.path {
-                            self.out.spans.push(SpanRec {
-                                req: frame.req,
-                                path: child_path(p, frame.call_idx, RANK_SHED, 0),
-                                version: callee,
-                                endpoint: callee_ep,
-                                start_ms: child_start,
-                                duration_ms: 0,
-                                status: SpanStatus::Shed,
-                                attempt: 0,
-                                dark: false,
-                            });
-                        }
-                        let (dur, ok) = self.resolve_fallback(
-                            &mut frame,
-                            &policy,
-                            callee,
-                            callee_ep,
-                            child_start,
-                            0,
-                        );
-                        frame.elapsed_ms += dur;
-                        frame.ok &= ok;
-                        self.dispatch_mirrors(
-                            &mut frame,
-                            &mirrors,
-                            &mirror_seeds,
-                            &call.endpoint,
-                            child_start,
-                            outboxes,
-                        );
-                        frame.call_idx += 1;
-                        continue;
+            let guarded = policy.map(|policy| GuardedCall {
+                callee,
+                endpoint: callee_ep,
+                policy,
+                call_start_ms: child_start,
+                waited_ms: 0,
+                attempt: 0,
+                attempt_start_ms: child_start,
+            });
+            if let (Some(guarded), Some(bp)) = (&guarded, policy.and_then(|p| p.breaker)) {
+                let at = SimTime::from_millis(child_start);
+                if self.res.decide(frame.version, callee, &bp, at) == CallDecision::Shed {
+                    self.obs.sheds += 1;
+                    self.sample(callee, MetricKind::Shed, child_start, 1.0);
+                    if let Some(path) = frame.child_path(RANK_SHED, 0) {
+                        self.out.spans.push(SpanRec {
+                            req: frame.req,
+                            path,
+                            version: callee,
+                            endpoint: callee_ep,
+                            start_ms: child_start,
+                            duration_ms: 0,
+                            status: SpanStatus::Shed,
+                            attempt: 0,
+                            dark: false,
+                        });
                     }
+                    self.resolve_fallback(frame, guarded);
+                    self.dispatch_mirrors(frame, mirrors, call.endpoint_name, child_start);
+                    frame.call_idx += 1;
+                    continue;
                 }
-                frame.gen += 1;
-                let gen = frame.gen;
-                let apath =
-                    frame.path.as_ref().map(|p| child_path(p, frame.call_idx, RANK_ATTEMPT, 0));
-                let key = self.key_from(&mut frame, child_start, PHASE_NORMAL);
-                self.send(
-                    outboxes,
-                    call.service.0,
-                    key,
-                    Ev::Call(Box::new(CallEv {
-                        version: callee,
-                        endpoint: callee_ep,
-                        parent: Some((frame.ident, gen)),
-                        dark: false,
-                        depth: frame.depth + 1,
-                        attempt: 0,
-                        seed: child_seed,
-                        path: apath,
-                    })),
-                );
-                if let Some(limit) = policy.attempt_timeout {
-                    let tkey =
-                        self.key_from(&mut frame, child_start + limit.as_millis(), PHASE_TIMEOUT);
-                    self.send(
-                        outboxes,
-                        service_of_ident(frame.ident),
-                        tkey,
-                        Ev::Timeout { parent: frame.ident, gen },
-                    );
-                }
-                frame.pending = Pending::Guarded {
-                    callee,
-                    endpoint: callee_ep,
-                    policy,
-                    call_start_ms: child_start,
-                    waited_ms: 0,
-                    attempt: 0,
-                    attempt_start_ms: child_start,
-                };
-            } else {
-                frame.gen += 1;
-                let gen = frame.gen;
-                let cpath =
-                    frame.path.as_ref().map(|p| child_path(p, frame.call_idx, RANK_ATTEMPT, 0));
-                let key = self.key_from(&mut frame, child_start, PHASE_NORMAL);
-                self.send(
-                    outboxes,
-                    call.service.0,
-                    key,
-                    Ev::Call(Box::new(CallEv {
-                        version: callee,
-                        endpoint: callee_ep,
-                        parent: Some((frame.ident, gen)),
-                        dark: frame.dark,
-                        depth: frame.depth + 1,
-                        attempt: 0,
-                        seed: child_seed,
-                        path: cpath,
-                    })),
-                );
-                frame.pending = Pending::Plain;
             }
-            self.dispatch_mirrors(
-                &mut frame,
-                &mirrors,
-                &mirror_seeds,
-                &call.endpoint,
-                child_start,
-                outboxes,
-            );
-            let ident = frame.ident;
-            self.frames.insert(ident, frame);
+            let deadline = policy.and_then(|p| p.attempt_timeout);
+            self.dispatch_attempt(frame, callee, callee_ep, 0, child_seed, child_start, deadline);
+            frame.pending = guarded.map_or(Pending::Plain, Pending::Guarded);
+            self.dispatch_mirrors(frame, mirrors, call.endpoint_name, child_start);
             return;
         }
     }
 
-    /// Spawns dark-launch mirror subtrees at the dispatch instant with
-    /// their pre-drawn seeds. Mirrors never reply: their latency is off
-    /// the user path, but their load and telemetry are real.
+    /// Dispatches attempt number `attempt` of the frame's current call at
+    /// `at_ms` under a fresh generation, and arms its deadline if it has
+    /// one. (Only primary frames are guarded, so a retry is never dark.)
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch_attempt(
+        &mut self,
+        frame: &mut Frame,
+        callee: VersionId,
+        endpoint: EndpointId,
+        attempt: u32,
+        seed: u64,
+        at_ms: u64,
+        deadline: Option<SimDuration>,
+    ) {
+        frame.gen += 1;
+        let gen = frame.gen;
+        let path = frame.child_path(RANK_ATTEMPT, attempt);
+        let key = frame.next_key(at_ms, PHASE_NORMAL);
+        self.send(
+            self.app.version(callee).service.0,
+            key,
+            Ev::Call(CallEv {
+                version: callee,
+                endpoint,
+                parent: Some((frame.ident, gen)),
+                dark: frame.dark,
+                depth: frame.depth + 1,
+                attempt: u8::try_from(attempt).unwrap_or(u8::MAX),
+                seed,
+                path,
+            }),
+        );
+        if let Some(limit) = deadline {
+            let key = frame.next_key(at_ms + limit.as_millis(), PHASE_TIMEOUT);
+            let timeout = Ev::Timeout { parent: frame.ident, gen };
+            self.send(service_of_ident(frame.ident), key, timeout);
+        }
+    }
+
+    /// Spawns dark-launch mirror subtrees at the dispatch instant, each
+    /// under the next seed of the hop's stream. Mirrors never reply: their
+    /// latency is off the user path, but their load and telemetry are
+    /// real.
     fn dispatch_mirrors(
         &mut self,
         frame: &mut Frame,
         mirrors: &[VersionId],
-        mirror_seeds: &[u64],
-        endpoint_name: &str,
+        endpoint: EndpointName,
         child_start: u64,
-        outboxes: &Outboxes,
     ) {
-        for (mi, (mirror, mseed)) in mirrors.iter().zip(mirror_seeds).enumerate() {
+        for (mi, mirror) in mirrors.iter().enumerate() {
+            let seed = frame.hrng.next_u64();
             let ep = self
                 .app
-                .endpoint_of(*mirror, endpoint_name)
+                .endpoint_named(*mirror, endpoint)
                 .expect("mirror references a valid endpoint");
-            let mpath =
-                frame.path.as_ref().map(|p| child_path(p, frame.call_idx, RANK_MIRROR, mi as u32));
-            let key = self.key_from(frame, child_start, PHASE_NORMAL);
-            let svc = self.app.version(*mirror).service.0;
+            let path = frame.child_path(RANK_MIRROR, mi as u32);
+            let key = frame.next_key(child_start, PHASE_NORMAL);
             self.send(
-                outboxes,
-                svc,
+                self.app.version(*mirror).service.0,
                 key,
-                Ev::Call(Box::new(CallEv {
+                Ev::Call(CallEv {
                     version: *mirror,
                     endpoint: ep,
                     parent: None,
                     dark: true,
                     depth: frame.depth + 1,
                     attempt: 0,
-                    seed: *mseed,
-                    path: mpath,
-                })),
+                    seed,
+                    path,
+                }),
             );
         }
     }
 
-    /// Resolves an exhausted or shed guarded call: fallback when the
-    /// policy has one, plain failure otherwise.
-    fn resolve_fallback(
+    /// Resolves an exhausted or shed guarded call into the frame: the
+    /// fallback when the policy has one, plain failure otherwise.
+    fn resolve_fallback(&mut self, frame: &mut Frame, call: &GuardedCall) {
+        if !call.policy.fallback {
+            frame.elapsed_ms += call.waited_ms;
+            frame.ok = false;
+            return;
+        }
+        let at = call.call_start_ms + call.waited_ms;
+        let latency_ms = call.policy.fallback_latency.as_millis();
+        self.sample(call.callee, MetricKind::FallbackServed, at, 1.0);
+        if let Some(path) = frame.child_path(RANK_FALLBACK, 0) {
+            self.out.spans.push(SpanRec {
+                req: frame.req,
+                path,
+                version: call.callee,
+                endpoint: call.endpoint,
+                start_ms: at,
+                duration_ms: latency_ms,
+                status: SpanStatus::Fallback,
+                attempt: 0,
+                dark: false,
+            });
+        }
+        frame.elapsed_ms += call.waited_ms + latency_ms;
+    }
+
+    /// Folds one finished (or timed-out) attempt into the guarded call:
+    /// breaker feedback, retry with backoff, fallback, or success.
+    /// `perceived_ms` is what the caller waited for this attempt.
+    fn settle_attempt(
         &mut self,
         frame: &mut Frame,
-        policy: &CallPolicy,
-        callee: VersionId,
-        callee_ep: EndpointId,
-        call_start_ms: u64,
-        waited_ms: u64,
-    ) -> (u64, bool) {
-        if policy.fallback {
-            let at = call_start_ms + waited_ms;
-            self.sample(callee, MetricKind::FallbackServed, at, 1.0);
-            if let Some(p) = &frame.path {
-                self.out.spans.push(SpanRec {
-                    req: frame.req,
-                    path: child_path(p, frame.call_idx, RANK_FALLBACK, 0),
-                    version: callee,
-                    endpoint: callee_ep,
-                    start_ms: at,
-                    duration_ms: policy.fallback_latency.as_millis(),
-                    status: SpanStatus::Fallback,
-                    attempt: 0,
-                    dark: false,
-                });
+        mut call: GuardedCall,
+        perceived_ms: u64,
+        child_ok: bool,
+        timed_out: bool,
+    ) {
+        let GuardedCall { callee, policy, .. } = call;
+        call.waited_ms += perceived_ms;
+        let ok = child_ok && !timed_out;
+        if timed_out {
+            self.sample(callee, MetricKind::Timeout, call.attempt_start_ms, 1.0);
+            if let Some(path) = frame.child_path(RANK_ATTEMPT, call.attempt) {
+                // Re-status the attempt's span with the caller-observed
+                // wait once it materialises (the subtree is still
+                // running); the merge applies this patch by path.
+                self.out.patches.push(PatchRec { req: frame.req, path, perceived_ms });
             }
-            (waited_ms + policy.fallback_latency.as_millis(), true)
+        }
+        let mut opened = false;
+        if let Some(bp) = policy.breaker {
+            let outcome_at = call.attempt_start_ms + perceived_ms;
+            let at = SimTime::from_millis(outcome_at);
+            if let Some((_, to)) = self.res.on_outcome(frame.version, callee, &bp, at, !ok) {
+                if to == BreakerState::Open {
+                    self.sample(callee, MetricKind::BreakerOpen, outcome_at, 1.0);
+                    opened = true;
+                }
+            }
+        }
+        if ok {
+            frame.elapsed_ms += call.waited_ms;
+        } else if !opened && call.attempt < policy.max_retries {
+            call.waited_ms += policy.backoff_delay(call.attempt, &mut frame.hrng).as_millis();
+            call.attempt += 1;
+            call.attempt_start_ms = call.call_start_ms + call.waited_ms;
+            self.sample(callee, MetricKind::Retry, call.attempt_start_ms, 1.0);
+            let seed = frame.hrng.next_u64();
+            self.dispatch_attempt(
+                frame,
+                callee,
+                call.endpoint,
+                call.attempt,
+                seed,
+                call.attempt_start_ms,
+                policy.attempt_timeout,
+            );
+            frame.pending = Pending::Guarded(call);
+            return;
         } else {
-            (waited_ms, false)
+            // Exhausted, or the breaker opened on this very outcome.
+            self.resolve_fallback(frame, &call);
+        }
+        frame.call_idx += 1;
+        self.advance(frame);
+    }
+}
+
+impl Shard<'_> {
+    fn process(&mut self, ev: HeapEv) {
+        self.ctx.cur_key = ev.key;
+        self.ctx.sample_seq = 0;
+        match ev.ev {
+            Ev::Call(call) => self.on_call(ev.key, call),
+            Ev::Done { ident } => self.on_done(ident, ev.key.time),
+            Ev::Reply { parent, gen, ok, duration_ms } => {
+                self.on_reply(parent, gen, ok, duration_ms)
+            }
+            Ev::Timeout { parent, gen } => self.on_timeout(parent, gen),
+        }
+        // Tag the breaker transitions this event caused so the merge can
+        // replay them in global event order.
+        let ctx = &mut self.ctx;
+        if !ctx.res.transitions().is_empty() {
+            ctx.res.drain_transitions_into(&mut ctx.scratch_transitions);
+            let tagged = (0..).zip(ctx.scratch_transitions.drain(..));
+            ctx.out.transitions.extend(tagged.map(|(seq, item)| Tagged {
+                key: ctx.cur_key,
+                seq,
+                item,
+            }));
         }
     }
 
-    fn on_done(&mut self, ident: u64, finish_ms: u64, outboxes: &Outboxes) {
+    fn on_call(&mut self, key: EvKey, call: CallEv) {
+        assert!(
+            (call.depth as usize) <= MAX_CALL_DEPTH,
+            "call tree exceeds MAX_CALL_DEPTH (cycle in the application definition)"
+        );
+        let ctx = &mut self.ctx;
+        let t = key.time;
+        let req = key.req;
+        let version = call.version;
+        // Offered load is recorded at dispatch regardless of admission
+        // outcome: overload is visible in arrival rates even when shed.
+        ctx.load.record_arrival(version, SimTime::from_millis(t));
+        let ident = ctx.alloc_ident(ctx.app.version(version).service.0);
+        match ctx.occ.try_admit(version, ident) {
+            Admission::Immediate => {
+                let mut frame = Frame::new(ident, req, call, t, t);
+                ctx.begin(&mut frame);
+                self.frames.insert(ident, frame);
+            }
+            Admission::Queued => {
+                self.parked.insert(ident, Parked { call, req, dispatch_ms: t });
+            }
+            Admission::Shed => {
+                ctx.obs.sheds += 1;
+                ctx.sample(version, MetricKind::Shed, t, 1.0);
+                if let Some(path) = call.path {
+                    ctx.out.spans.push(SpanRec {
+                        req,
+                        path,
+                        version,
+                        endpoint: call.endpoint,
+                        start_ms: t,
+                        duration_ms: 0,
+                        status: SpanStatus::Shed,
+                        attempt: call.attempt,
+                        dark: call.dark,
+                    });
+                }
+                match call.parent {
+                    Some((parent, gen)) => {
+                        let reply_key =
+                            EvKey { time: t, phase: PHASE_NORMAL, req, ckey: ident, cseq: 0 };
+                        ctx.send(
+                            service_of_ident(parent),
+                            reply_key,
+                            Ev::Reply { parent, gen, ok: false, duration_ms: 0 },
+                        );
+                    }
+                    None if !call.dark => {
+                        ctx.out.roots.push(RootRec { req, ok: false, duration_ms: 0 });
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+
+    /// Admits a parked dispatch into the slot freed at `start_ms`.
+    fn begin_queued(&mut self, ident: u64, start_ms: u64) {
+        let parked = self.parked.remove(&ident).expect("released token is parked");
+        self.ctx.sample(
+            parked.call.version,
+            MetricKind::QueueDelay,
+            parked.dispatch_ms,
+            (start_ms - parked.dispatch_ms) as f64,
+        );
+        let mut frame = Frame::new(ident, parked.req, parked.call, parked.dispatch_ms, start_ms);
+        self.ctx.begin(&mut frame);
+        self.frames.insert(ident, frame);
+    }
+
+    fn on_done(&mut self, ident: u64, finish_ms: u64) {
         let mut frame = self.frames.remove(&ident).expect("Done targets a live frame");
         debug_assert!(matches!(frame.pending, Pending::Finishing));
         let duration_ms = finish_ms - frame.dispatch_ms;
-        self.sample(frame.version, MetricKind::ResponseTime, frame.dispatch_ms, duration_ms as f64);
-        self.sample(
+        let ctx = &mut self.ctx;
+        ctx.sample(frame.version, MetricKind::ResponseTime, frame.dispatch_ms, duration_ms as f64);
+        ctx.sample(
             frame.version,
             MetricKind::ErrorRate,
             frame.dispatch_ms,
             if frame.ok { 0.0 } else { 1.0 },
         );
         if let Some(path) = frame.path.take() {
-            self.out.spans.push(SpanRec {
+            ctx.out.spans.push(SpanRec {
                 req: frame.req,
                 path,
                 version: frame.version,
@@ -871,318 +959,123 @@ impl Shard<'_> {
         }
         // Free the slot; the longest-waiting queued dispatch (same
         // version, hence same shard) begins service right now.
-        if let Some(token) = self.occ.release(frame.version) {
-            self.begin_queued(token, finish_ms, outboxes);
+        if let Some(token) = ctx.occ.release(frame.version) {
+            self.begin_queued(token, finish_ms);
         }
         match frame.parent {
             Some((parent, gen)) => {
-                let key = self.key_from(&mut frame, finish_ms, PHASE_NORMAL);
-                self.send(
-                    outboxes,
+                let key = frame.next_key(finish_ms, PHASE_NORMAL);
+                self.ctx.send(
                     service_of_ident(parent),
                     key,
                     Ev::Reply { parent, gen, ok: frame.ok, duration_ms },
                 );
             }
             None if !frame.dark => {
-                self.out.roots.push(RootRec { req: frame.req, ok: frame.ok, duration_ms });
+                self.ctx.out.roots.push(RootRec { req: frame.req, ok: frame.ok, duration_ms });
             }
             None => {}
         }
     }
 
-    fn on_reply(&mut self, parent: u64, gen: u32, ok: bool, duration_ms: u64, outboxes: &Outboxes) {
-        let live = self.frames.get(&parent).is_some_and(|f| {
-            f.gen == gen && matches!(f.pending, Pending::Plain | Pending::Guarded { .. })
-        });
-        if !live {
-            // Stale: the attempt timed out (generation moved on) or the
-            // caller already finished. The child's work still happened and
-            // was recorded — only its result is discarded.
-            return;
-        }
-        let mut frame = self.frames.remove(&parent).expect("checked above");
+    fn on_reply(&mut self, parent: u64, gen: u32, ok: bool, duration_ms: u64) {
+        // A reply is stale when the attempt timed out (generation moved
+        // on) or the caller already finished. The child's work still
+        // happened and was recorded — only its result is discarded.
+        let Some(frame) = self.frames.get_mut(&parent).filter(|f| f.gen == gen) else { return };
         match std::mem::replace(&mut frame.pending, Pending::Advancing) {
             Pending::Plain => {
                 frame.elapsed_ms += duration_ms;
                 frame.ok &= ok;
                 frame.call_idx += 1;
-                self.advance(frame, outboxes);
+                self.ctx.advance(frame);
             }
-            Pending::Guarded {
-                callee,
-                endpoint,
-                policy,
-                call_start_ms,
-                waited_ms,
-                attempt,
-                attempt_start_ms,
-            } => {
-                // A reply that arrives is never timed out: the deadline
-                // event would have fired in an earlier (or deferred-later)
-                // round and bumped the generation first.
-                self.settle_attempt(
-                    frame,
-                    callee,
-                    endpoint,
-                    policy,
-                    call_start_ms,
-                    waited_ms + duration_ms,
-                    attempt,
-                    attempt_start_ms,
-                    duration_ms,
-                    ok,
-                    false,
-                    outboxes,
-                );
-            }
-            _ => unreachable!("validated pending state"),
+            // A reply that arrives is never timed out: the deadline event
+            // would have fired in an earlier (or deferred-later) round and
+            // bumped the generation first.
+            Pending::Guarded(call) => self.ctx.settle_attempt(frame, call, duration_ms, ok, false),
+            waiting_for_nothing => frame.pending = waiting_for_nothing,
         }
     }
 
-    fn on_timeout(&mut self, parent: u64, gen: u32, outboxes: &Outboxes) {
-        let live = self
-            .frames
-            .get(&parent)
-            .is_some_and(|f| f.gen == gen && matches!(f.pending, Pending::Guarded { .. }));
-        if !live {
+    fn on_timeout(&mut self, parent: u64, gen: u32) {
+        let Some(frame) = self.frames.get_mut(&parent).filter(|f| f.gen == gen) else { return };
+        let Pending::Guarded(call) = frame.pending else {
             return; // the attempt settled at or before the deadline
-        }
-        let mut frame = self.frames.remove(&parent).expect("checked above");
-        let Pending::Guarded {
-            callee,
-            endpoint,
-            policy,
-            call_start_ms,
-            waited_ms,
-            attempt,
-            attempt_start_ms,
-        } = std::mem::replace(&mut frame.pending, Pending::Advancing)
-        else {
-            unreachable!("validated pending state")
         };
-        let limit = policy.attempt_timeout.expect("timeout armed only with a deadline").as_millis();
+        frame.pending = Pending::Advancing;
+        let limit =
+            call.policy.attempt_timeout.expect("timeout armed only with a deadline").as_millis();
         // Abandon the attempt: its late reply will carry this generation
         // and be discarded.
         frame.gen += 1;
-        self.settle_attempt(
-            frame,
-            callee,
-            endpoint,
-            policy,
-            call_start_ms,
-            waited_ms + limit,
-            attempt,
-            attempt_start_ms,
-            limit,
-            false,
-            true,
-            outboxes,
-        );
-    }
-
-    /// Folds one finished (or timed-out) attempt into the guarded call:
-    /// breaker feedback, retry with backoff, fallback, or success.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_attempt(
-        &mut self,
-        mut frame: Frame,
-        callee: VersionId,
-        endpoint: EndpointId,
-        policy: CallPolicy,
-        call_start_ms: u64,
-        mut waited_ms: u64,
-        attempt: u32,
-        attempt_start_ms: u64,
-        perceived_ms: u64,
-        child_ok: bool,
-        timed_out: bool,
-        outboxes: &Outboxes,
-    ) {
-        let ok = child_ok && !timed_out;
-        if timed_out {
-            self.sample(callee, MetricKind::Timeout, attempt_start_ms, 1.0);
-            if let Some(p) = &frame.path {
-                // Re-status the attempt's span with the caller-observed
-                // wait once it materialises (the subtree is still
-                // running); the merge applies this patch by path.
-                self.out.patches.push(PatchRec {
-                    req: frame.req,
-                    path: child_path(p, frame.call_idx, RANK_ATTEMPT, attempt),
-                    perceived_ms,
-                });
-            }
-        }
-        let mut opened = false;
-        if let Some(bp) = policy.breaker {
-            let outcome_at = attempt_start_ms + perceived_ms;
-            if let Some((_, to)) = self.res.on_outcome(
-                frame.version,
-                callee,
-                &bp,
-                SimTime::from_millis(outcome_at),
-                !ok,
-            ) {
-                if to == BreakerState::Open {
-                    self.sample(callee, MetricKind::BreakerOpen, outcome_at, 1.0);
-                    opened = true;
-                }
-            }
-        }
-        if ok {
-            frame.elapsed_ms += waited_ms;
-            frame.call_idx += 1;
-            self.advance(frame, outboxes);
-            return;
-        }
-        if !opened && attempt < policy.max_retries {
-            waited_ms += policy.backoff_delay(attempt, &mut frame.hrng).as_millis();
-            self.sample(callee, MetricKind::Retry, call_start_ms + waited_ms, 1.0);
-            let attempt_seed = frame.hrng.next_u64();
-            let next_attempt = attempt + 1;
-            let attempt_start = call_start_ms + waited_ms;
-            frame.gen += 1;
-            let gen = frame.gen;
-            let apath = frame
-                .path
-                .as_ref()
-                .map(|p| child_path(p, frame.call_idx, RANK_ATTEMPT, next_attempt));
-            let key = self.key_from(&mut frame, attempt_start, PHASE_NORMAL);
-            let svc = self.app.version(callee).service.0;
-            self.send(
-                outboxes,
-                svc,
-                key,
-                Ev::Call(Box::new(CallEv {
-                    version: callee,
-                    endpoint,
-                    parent: Some((frame.ident, gen)),
-                    dark: false,
-                    depth: frame.depth + 1,
-                    attempt: u8::try_from(next_attempt).unwrap_or(u8::MAX),
-                    seed: attempt_seed,
-                    path: apath,
-                })),
-            );
-            if let Some(limit) = policy.attempt_timeout {
-                let tkey =
-                    self.key_from(&mut frame, attempt_start + limit.as_millis(), PHASE_TIMEOUT);
-                self.send(
-                    outboxes,
-                    service_of_ident(frame.ident),
-                    tkey,
-                    Ev::Timeout { parent: frame.ident, gen },
-                );
-            }
-            frame.pending = Pending::Guarded {
-                callee,
-                endpoint,
-                policy,
-                call_start_ms,
-                waited_ms,
-                attempt: next_attempt,
-                attempt_start_ms: attempt_start,
-            };
-            let ident = frame.ident;
-            self.frames.insert(ident, frame);
-            return;
-        }
-        // Exhausted, or the breaker opened on this very outcome.
-        let (dur, ok2) =
-            self.resolve_fallback(&mut frame, &policy, callee, endpoint, call_start_ms, waited_ms);
-        frame.elapsed_ms += dur;
-        frame.ok &= ok2;
-        frame.call_idx += 1;
-        self.advance(frame, outboxes);
+        self.ctx.settle_attempt(frame, call, limit, false, true);
     }
 }
 
-/// One worker's drive loop. All workers execute the same barrier
-/// sequence per sub-round:
+/// One worker's drive loop, the same at every worker count. Per sub-round:
 ///
-/// 1. leader resets the shared minimum-time and phase flags;
-/// 2. every worker publishes its heap's minimum timestamp (`fetch_min`);
-/// 3. every worker reads the global timestamp `t` (all exit together when
-///    the heaps are globally empty) and flags whether it holds *normal*
-///    events at `t`;
-/// 4. every worker pops and processes its events at `(t, phase)` in key
-///    order — `phase` is normal if any shard has normal work at `t`,
-///    otherwise the deferred timeout phase — appending created events to
-///    the target shards' outboxes;
-/// 5. every worker drains its inbox into its heap.
+/// 1. agree on the global front — with peers through
+///    [`Rendezvous::agree`] (first barrier), alone by taking the own
+///    queue's front as is; all workers leave together when it is idle;
+/// 2. take the own bucket at that `(time, phase)` — often empty when
+///    another shard holds the minimum — and process its events in key
+///    order; events they create go to `pending` or, across shards, to the
+///    target's inbox;
+/// 3. with peers, wait until every worker has finished posting (second
+///    barrier);
+/// 4. join inbox and `pending` to the queue and find its new front.
 ///
-/// Because created events only enter heaps at step 5, sub-round
+/// Because created events reach a queue only at step 4, sub-round
 /// membership (and hence all state-mutation order) is independent of how
 /// services are spread over workers.
-fn drive(
-    shard: &mut Shard<'_>,
-    barrier: &Barrier,
-    outboxes: &Outboxes,
-    min_time: &AtomicU64,
-    any_normal: &AtomicBool,
-) {
-    // Events at the sub-round's (t, phase) front are popped into this
-    // scratch before any is processed. Safe because created events only
-    // ever travel through the outboxes (`Shard::send`), never straight
-    // into the local heap — and it lets pop and dispatch be timed as two
-    // phases without a clock read per event.
-    let mut front: Vec<HeapEv> = Vec::new();
-    let mut round: u64 = 0;
-    loop {
+fn drive(shard: &mut Shard<'_>) {
+    let peers = shard.ctx.peers;
+    // The bucket being processed; swapped with the queue's so both keep
+    // their capacity.
+    let mut bucket: Vec<HeapEv> = Vec::new();
+    let mut own = shard.queue.top();
+    for round in 0_u64.. {
         // Time 1-in-`OBS_TIMING_SAMPLE` rounds; see the constant's doc.
-        let timed = shard.obs.timed && round.is_multiple_of(OBS_TIMING_SAMPLE);
-        round += 1;
-        let t0 = mark(timed);
-        if barrier.wait().is_leader() {
-            min_time.store(u64::MAX, Ordering::SeqCst);
-            any_normal.store(false, Ordering::SeqCst);
-        }
-        barrier.wait();
-        lap(&mut shard.obs.barrier, t0);
-        if let Some(Reverse(top)) = shard.heap.peek() {
-            min_time.fetch_min(top.key.time, Ordering::SeqCst);
-        }
-        let t0 = mark(timed);
-        barrier.wait();
-        lap(&mut shard.obs.barrier, t0);
-        let t = min_time.load(Ordering::SeqCst);
-        if t == u64::MAX {
+        let timed = shard.ctx.obs.timed && round % OBS_TIMING_SAMPLE == OBS_TIMING_SAMPLE / 2;
+        let front = match peers {
+            None => own,
+            Some(peers) => {
+                let t0 = mark(timed);
+                let agreed = peers.agree(round, own);
+                lap(&mut shard.ctx.obs.barrier, t0);
+                agreed
+            }
+        };
+        if front == Front::IDLE {
             break;
         }
-        shard.obs.sub_rounds += 1;
-        if shard
-            .heap
-            .peek()
-            .is_some_and(|Reverse(e)| e.key.time == t && e.key.phase == PHASE_NORMAL)
-        {
-            any_normal.store(true, Ordering::SeqCst);
+        shard.ctx.obs.sub_rounds += 1;
+        let t0 = mark(timed);
+        shard.queue.take(front, &mut bucket);
+        shard.ctx.obs.events_popped += bucket.len() as u64;
+        lap(&mut shard.ctx.obs.pop, t0);
+        let t0 = mark(timed);
+        for ev in bucket.drain(..) {
+            shard.process(ev);
+        }
+        lap(&mut shard.ctx.obs.dispatch, t0);
+        if let Some(peers) = peers {
+            let t0 = mark(timed);
+            peers.settle();
+            lap(&mut shard.ctx.obs.barrier, t0);
         }
         let t0 = mark(timed);
-        barrier.wait();
-        lap(&mut shard.obs.barrier, t0);
-        let phase = if any_normal.load(Ordering::SeqCst) { PHASE_NORMAL } else { PHASE_TIMEOUT };
-        let t0 = mark(timed);
-        while shard.heap.peek().is_some_and(|Reverse(e)| e.key.time == t && e.key.phase == phase) {
-            let Reverse(ev) = shard.heap.pop().expect("peeked");
-            front.push(ev);
+        if let Some(peers) = peers {
+            peers.drain_inbox(shard.ctx.id, |ev| shard.queue.push(ev));
         }
-        shard.obs.events_popped += front.len() as u64;
-        lap(&mut shard.obs.pop, t0);
-        let t0 = mark(timed);
-        for ev in front.drain(..) {
-            shard.process(ev, outboxes);
+        for ev in shard.ctx.pending.drain(..) {
+            shard.queue.push(ev);
         }
-        lap(&mut shard.obs.dispatch, t0);
-        let t0 = mark(timed);
-        barrier.wait();
-        {
-            let mut inbox = outboxes[shard.id].lock().expect("inbox poisoned");
-            for ev in inbox.drain(..) {
-                shard.heap.push(Reverse(ev));
-            }
-        }
-        lap(&mut shard.obs.exchange, t0);
+        own = shard.queue.top();
+        lap(&mut shard.ctx.obs.exchange, t0);
     }
+    debug_assert!(shard.queue.is_empty() && shard.ctx.pending.is_empty());
 }
 
 /// Runs one window of pre-generated arrivals through the event core and
@@ -1200,56 +1093,56 @@ pub(crate) fn run_window(
     collector: &mut TraceCollector,
     requests: Vec<EventRequest>,
     workers: usize,
+    buffers: &mut WindowBuffers,
     profiler: &Profiler,
 ) -> WindowStats {
     let workers = workers.clamp(1, app.service_count().max(1));
-    let reqs: Vec<ReqMeta> = requests
-        .iter()
-        .map(|r| ReqMeta {
-            user: r.user,
-            time_ms: r.time.as_millis(),
-            trace: r.trace,
-            conv_u: r.conv_u,
-        })
-        .collect();
+    buffers.outs.resize_with(workers, ShardOut::default);
+    let owner = |version: VersionId| app.version(version).service.0 % workers;
 
-    // Partition breaker state by the caller's service shard: every
-    // breaker is touched by exactly one shard during the window.
-    let mut shard_breakers: Vec<BTreeMap<(VersionId, VersionId), _>> =
-        (0..workers).map(|_| BTreeMap::new()).collect();
+    // Every piece of per-version state goes to the shard owning the
+    // version's service — load counters and admission queues here,
+    // breakers by the *caller's* service — and comes back at the merge. A
+    // lone shard is handed the caller's tables whole.
+    let mut breakers: Vec<BTreeMap<_, _>> = (0..workers).map(|_| BTreeMap::new()).collect();
     for ((caller, callee), breaker) in state.take_breakers() {
-        let shard = app.version(caller).service.0 % workers;
-        shard_breakers[shard].insert((caller, callee), breaker);
+        breakers[owner(caller)].insert((caller, callee), breaker);
     }
-
-    let mut shards: Vec<Shard<'_>> = shard_breakers
+    let peers = (workers > 1).then(|| Rendezvous::new(workers));
+    let mut shards: Vec<Shard<'_>> = load
+        .split(workers, owner)
         .into_iter()
+        .zip(occupancy.split(workers, owner))
+        .zip(breakers)
         .enumerate()
-        .map(|(id, breakers)| {
+        .map(|(id, ((load, occ), breakers))| {
             let mut res = ResilienceState::new();
             res.absorb_breakers(breakers);
             Shard {
-                id,
-                workers,
-                heap: BinaryHeap::new(),
-                frames: HashMap::new(),
-                parked: HashMap::new(),
-                serials: vec![0; app.service_count()],
-                load: load.clone(),
-                occ: occupancy.clone(),
-                res,
-                faults: faults.clone(),
-                scratch_transitions: Vec::new(),
-                out: ShardOut::default(),
-                cur_key: KEY_ZERO,
-                sample_seq: 0,
-                transition_seq: 0,
-                app,
-                router,
-                plan,
-                reqs: &reqs,
-                guard: !plan.is_empty(),
-                obs: ShardObs::new(profiler.enabled()),
+                queue: EventQueue::new(),
+                frames: IdentMap::default(),
+                parked: IdentMap::default(),
+                ctx: ShardCtx {
+                    id,
+                    workers,
+                    peers: peers.as_ref(),
+                    pending: Vec::new(),
+                    serials: vec![0; app.service_count()],
+                    load,
+                    occ,
+                    res,
+                    scratch_transitions: Vec::new(),
+                    out: std::mem::take(&mut buffers.outs[id]),
+                    cur_key: KEY_ZERO,
+                    sample_seq: 0,
+                    app,
+                    router,
+                    faults,
+                    plan,
+                    reqs: &requests,
+                    guard: !plan.is_empty(),
+                    obs: ShardObs::new(profiler.enabled()),
+                },
             }
         })
         .collect();
@@ -1259,8 +1152,9 @@ pub(crate) fn run_window(
     // panic on a misconfigured workload).
     for (i, r) in requests.iter().enumerate() {
         let version = router.resolve(app, r.service, r.user);
-        let endpoint =
-            app.endpoint_of(version, &r.endpoint).expect("workload references a valid entry point");
+        let endpoint = app
+            .endpoint_named(version, r.endpoint)
+            .expect("workload references a valid entry point");
         let key = EvKey {
             time: r.time.as_millis(),
             phase: PHASE_NORMAL,
@@ -1268,10 +1162,9 @@ pub(crate) fn run_window(
             ckey: 0,
             cseq: i as u32,
         };
-        let path = r.trace.map(|_| Vec::new());
-        shards[r.service.0 % workers].heap.push(Reverse(HeapEv {
+        shards[r.service.0 % workers].queue.push(HeapEv {
             key,
-            ev: Ev::Call(Box::new(CallEv {
+            ev: Ev::Call(CallEv {
                 version,
                 endpoint,
                 parent: None,
@@ -1279,38 +1172,30 @@ pub(crate) fn run_window(
                 depth: 0,
                 attempt: 0,
                 seed: r.root_seed,
-                path,
-            })),
-        }));
-    }
-
-    let barrier = Barrier::new(workers);
-    let outboxes: Vec<Mutex<Vec<HeapEv>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-    let min_time = AtomicU64::new(u64::MAX);
-    let any_normal = AtomicBool::new(false);
-
-    if workers == 1 {
-        drive(&mut shards[0], &barrier, &outboxes, &min_time, &any_normal);
-    } else {
-        let barrier = &barrier;
-        let outboxes = &outboxes[..];
-        let min_time = &min_time;
-        let any_normal = &any_normal;
-        std::thread::scope(|s| {
-            for shard in &mut shards {
-                s.spawn(move || drive(shard, barrier, outboxes, min_time, any_normal));
-            }
+                path: r.trace.map(|_| Vec::new()),
+            }),
         });
     }
 
+    match shards.as_mut_slice() {
+        [alone] => drive(alone),
+        many => std::thread::scope(|s| {
+            for shard in many {
+                s.spawn(move || drive(shard));
+            }
+        }),
+    }
+
     cex_core::span!(profiler, "sim.event.merge");
-    merge(app, load, occupancy, state, sink, collector, &reqs, shards, profiler)
+    merge(app, load, occupancy, state, sink, collector, &requests, shards, buffers, profiler)
 }
 
 /// Folds a 1-in-[`OBS_TIMING_SAMPLE`] sampled phase accumulator into the
 /// profiler: the sampled durations go in as-is (so means and quantiles
 /// stay per-sub-round facts), then the total and count are topped up by
-/// the sampling factor so the tree's totals estimate true wall time.
+/// the sampling factor so the tree's totals estimate true wall time. An
+/// accumulator nothing was recorded into — barrier waits at one worker —
+/// leaves no node.
 fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     profiler.fold(path, stats);
     let total_ns = stats.total().as_nanos() as u64;
@@ -1321,9 +1206,68 @@ fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     );
 }
 
-/// Single-threaded canonical merge: writes every shard's tagged outputs
-/// into the shared store/collector/state in global event order, then the
-/// per-request (end-to-end, conversion, trace) outputs in arrival order.
+/// Drains the shards' tagged records in global `(key, seq)` order. Each
+/// shard recorded in sub-round order, so its records are already sorted by
+/// event time: only runs sharing a timestamp need sorting (a sub-round
+/// runs in key order, but a later sub-round at the same instant may hold
+/// smaller keys), and the shards interleave by a k-way merge — no event
+/// is processed by two shards, so heads never tie.
+fn merge_tagged<T>(shards: Vec<&mut Vec<Tagged<T>>>, mut emit: impl FnMut(T)) {
+    let mut heads: Vec<_> = shards
+        .into_iter()
+        .map(|records| {
+            for run in records.chunk_by_mut(|a, b| a.key.time == b.key.time) {
+                run.sort_unstable_by_key(|r| (r.key, r.seq));
+            }
+            records.drain(..).peekable()
+        })
+        .collect();
+    while let Some((_, next)) = heads
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(shard, head)| head.peek().map(|r| ((r.key, r.seq), shard)))
+        .min()
+    {
+        emit(heads[next].next().expect("peeked").item);
+    }
+}
+
+/// Groups the shards' visits by request, each request's in event order,
+/// and returns them with every request's start offset (and the total at
+/// the end). Visits are the bulk of the per-request records and request
+/// indices are dense, so this is a counting sort: linear, where sorting on
+/// `(req, key)` was the largest single cost of the merge.
+fn group_visits(shards: &mut [ShardOut], requests: usize) -> (Vec<VisitRec>, Vec<usize>) {
+    let mut starts = vec![0_usize; requests + 1];
+    for visit in shards.iter().flat_map(|out| &out.visits) {
+        starts[visit.req as usize + 1] += 1;
+    }
+    for req in 0..requests {
+        starts[req + 1] += starts[req];
+    }
+    let filler = VisitRec { key: KEY_ZERO, req: 0, version: VersionId(0) };
+    let mut grouped = vec![filler; starts[requests]];
+    let mut next = starts.clone();
+    for visit in shards.iter_mut().flat_map(|out| out.visits.drain(..)) {
+        let slot = &mut next[visit.req as usize];
+        grouped[*slot] = visit;
+        *slot += 1;
+    }
+    for req in 0..requests {
+        grouped[starts[req]..starts[req + 1]].sort_unstable_by_key(|v| v.key);
+    }
+    (grouped, starts)
+}
+
+/// End of `req`'s run in records sorted by request, starting at `from`.
+fn run_end<T>(records: &[T], from: usize, req: u32, req_of: impl Fn(&T) -> u32) -> usize {
+    from + records[from..].iter().take_while(|r| req_of(r) == req).count()
+}
+
+/// Single-threaded canonical merge: returns the shards' state to the
+/// caller, writes their tagged outputs into the shared store/collector/
+/// state in global event order, then the per-request (end-to-end,
+/// conversion, trace) outputs in arrival order.
 #[allow(clippy::too_many_arguments)]
 fn merge(
     app: &Application,
@@ -1332,19 +1276,13 @@ fn merge(
     state: &mut ResilienceState,
     sink: &mut MetricSink<'_>,
     collector: &mut TraceCollector,
-    reqs: &[ReqMeta],
-    mut shards: Vec<Shard<'_>>,
+    reqs: &[EventRequest],
+    shards: Vec<Shard<'_>>,
+    buffers: &mut WindowBuffers,
     profiler: &Profiler,
 ) -> WindowStats {
     let workers = shards.len();
-    // Each version's load counters (and queue high-water mark) are owned
-    // by its service's shard.
-    for v in 0..app.version_count() {
-        let vid = VersionId(v);
-        let shard = app.version(vid).service.0 % workers;
-        load.adopt_version_from(&shards[shard].load, vid);
-        occupancy.raise_queue_hwm(vid, shards[shard].occ.queue_hwm(vid));
-    }
+    let owner = |version: VersionId| app.version(version).service.0 % workers;
 
     // Fold observability: deterministic tallies into the window tally
     // (summed per shard — each event is processed exactly once globally,
@@ -1352,67 +1290,69 @@ fn merge(
     // every worker and taken from shard 0), wall-clock phase timings into
     // the profiler (aggregated, plus per-worker barrier-wait nodes).
     let mut tally = WindowTally::default();
-    for (si, shard) in shards.iter().enumerate() {
-        tally.events_popped += shard.obs.events_popped;
-        tally.events_sent += shard.obs.events_sent.get();
-        tally.sheds += shard.obs.sheds;
-        if si == 0 {
-            tally.sub_rounds = shard.obs.sub_rounds;
-        }
-        fold_sampled(profiler, "sim.event.pop", &shard.obs.pop);
-        fold_sampled(profiler, "sim.event.dispatch", &shard.obs.dispatch);
-        fold_sampled(profiler, "sim.event.exchange", &shard.obs.exchange);
-        fold_sampled(profiler, &format!("sim.event.barrier.w{si}"), &shard.obs.barrier);
-    }
-    for shard in &mut shards {
-        state.absorb_breakers(shard.res.take_breakers());
+    let mut loads = Vec::with_capacity(workers);
+    let mut occupancies = Vec::with_capacity(workers);
+    let mut outs = Vec::with_capacity(workers);
+    for (si, shard) in shards.into_iter().enumerate() {
         debug_assert_eq!(shard.parked.len(), 0, "admission queues drain within the window");
         debug_assert_eq!(shard.frames.len(), 0, "all frames complete within the window");
+        let ShardCtx { load, occ, mut res, out, obs, .. } = shard.ctx;
+        tally.events_popped += obs.events_popped;
+        tally.events_sent += obs.events_sent;
+        tally.sheds += obs.sheds;
+        if si == 0 {
+            tally.sub_rounds = obs.sub_rounds;
+        }
+        fold_sampled(profiler, "sim.event.pop", &obs.pop);
+        fold_sampled(profiler, "sim.event.dispatch", &obs.dispatch);
+        fold_sampled(profiler, "sim.event.exchange", &obs.exchange);
+        fold_sampled(profiler, &format!("sim.event.barrier.w{si}"), &obs.barrier);
+        state.absorb_breakers(res.take_breakers());
+        loads.push(load);
+        occupancies.push(occ);
+        outs.push(out);
     }
+    load.rejoin(loads, owner);
+    occupancy.rejoin(occupancies, owner);
 
-    let mut transitions: Vec<TaggedTransition> =
-        shards.iter_mut().flat_map(|s| s.out.transitions.drain(..)).collect();
-    transitions.sort_unstable_by_key(|t| (t.key, t.seq));
-    for t in transitions {
-        state.record_transition(t.transition);
-    }
+    merge_tagged(outs.iter_mut().map(|o| &mut o.transitions).collect(), |t| {
+        state.record_transition(t)
+    });
+    merge_tagged(outs.iter_mut().map(|o| &mut o.samples).collect(), |s| {
+        sink.record_version(s.version, s.kind, s.time, s.value)
+    });
 
-    let mut samples: Vec<TaggedSample> =
-        shards.iter_mut().flat_map(|s| s.out.samples.drain(..)).collect();
-    samples.sort_unstable_by_key(|s| (s.key, s.seq));
-    for s in &samples {
-        sink.record_version(s.version, s.kind, s.time, s.value);
-    }
-
-    let n = reqs.len();
-    let mut roots: Vec<Option<RootRec>> = (0..n).map(|_| None).collect();
-    let mut visits: Vec<Vec<(EvKey, VersionId)>> = vec![Vec::new(); n];
-    let mut spans: Vec<Vec<SpanRec>> = (0..n).map(|_| Vec::new()).collect();
-    let mut patches: Vec<Vec<PatchRec>> = (0..n).map(|_| Vec::new()).collect();
-    for shard in &mut shards {
-        for r in shard.out.roots.drain(..) {
+    // Per-request records, grouped by request index: visits in event
+    // order (`group_visits`); the few spans and patches of sampled
+    // requests by one sort each — spans by tree path (pre-order DFS), and
+    // stably, so equals keep shard order as they did when shards pushed
+    // into per-request lists one after the other.
+    let mut roots: Vec<Option<RootRec>> = (0..reqs.len()).map(|_| None).collect();
+    let (visits, visit_starts) = group_visits(&mut outs, reqs.len());
+    let mut spans = Vec::new();
+    let mut patches = Vec::new();
+    for out in &mut outs {
+        for r in out.roots.drain(..) {
             let idx = r.req as usize;
             roots[idx] = Some(r);
         }
-        for v in shard.out.visits.drain(..) {
-            visits[v.req as usize].push((v.key, v.version));
-        }
-        for s in shard.out.spans.drain(..) {
-            spans[s.req as usize].push(s);
-        }
-        for p in shard.out.patches.drain(..) {
-            patches[p.req as usize].push(p);
-        }
+        spans.append(&mut out.spans);
+        patches.append(&mut out.patches);
     }
+    spans.sort_by(|a, b| (a.req, &a.path).cmp(&(b.req, &b.path)));
+    patches.sort_by_key(|p| p.req);
+    let (mut span_at, mut patch_at) = (0, 0);
+    let mut seen: Vec<VersionId> = Vec::new();
 
     let mut stats = WindowStats { requests: 0, failures: 0, rt: OnlineStats::new(), tally };
     for (i, meta) in reqs.iter().enumerate() {
+        let req = i as u32;
         let root = roots[i].take().expect("every request completes within the window");
         stats.requests += 1;
         if !root.ok {
             stats.failures += 1;
         }
-        let at = SimTime::from_millis(meta.time_ms);
+        let at = meta.time;
         let ms = root.duration_ms as f64;
         stats.rt.push(ms);
         sink.record_app(MetricKind::ResponseTime, at, ms);
@@ -1422,15 +1362,13 @@ fn merge(
         // ordered by first service-begin (the recursive walk's visit
         // order collapses to the same *set*, so the blended rate and the
         // 0/1 outcome are identical).
-        let mut reqs_visits = std::mem::take(&mut visits[i]);
-        if !reqs_visits.is_empty() {
-            reqs_visits.sort_unstable_by_key(|(k, _)| *k);
-            let mut seen: Vec<VersionId> = Vec::new();
-            for (_, v) in reqs_visits {
-                if !seen.contains(&v) {
-                    seen.push(v);
-                }
+        seen.clear();
+        for visit in &visits[visit_starts[i]..visit_starts[i + 1]] {
+            if !seen.contains(&visit.version) {
+                seen.push(visit.version);
             }
+        }
+        if !seen.is_empty() {
             let mean = seen.iter().map(|v| app.version(*v).conversion_rate).sum::<f64>()
                 / seen.len() as f64;
             let converted = root.ok && meta.conv_u < mean;
@@ -1440,28 +1378,32 @@ fn merge(
             }
         }
 
+        let span_end = run_end(&spans, span_at, req, |s| s.req);
+        let patch_end = run_end(&patches, patch_at, req, |p| p.req);
         if let Some(trace_id) = meta.trace {
             let trace = assemble_trace(
                 app,
                 trace_id,
-                std::mem::take(&mut spans[i]),
-                std::mem::take(&mut patches[i]),
+                &mut spans[span_at..span_end],
+                &patches[patch_at..patch_end],
             );
             collector.record(trace);
         }
+        (span_at, patch_at) = (span_end, patch_end);
     }
+    buffers.outs = outs;
     stats
 }
 
-/// Rebuilds one sampled request's trace from its span records: timeout
-/// patches are applied by path, spans sort into pre-order DFS (the paths
-/// are the tree addresses, with sibling ranks matching the recursive
-/// walk's push order), and ids/parents are renumbered positionally.
+/// Rebuilds one sampled request's trace from its span records, already in
+/// pre-order DFS (the paths are the tree addresses, with sibling ranks
+/// matching the recursive walk's push order): timeout patches are applied
+/// by path and ids/parents are renumbered positionally.
 fn assemble_trace(
     app: &Application,
     trace_id: TraceId,
-    mut spans: Vec<SpanRec>,
-    patches: Vec<PatchRec>,
+    spans: &mut [SpanRec],
+    patches: &[PatchRec],
 ) -> Trace {
     for p in patches {
         if let Some(s) = spans.iter_mut().find(|s| s.path == p.path) {
@@ -1469,20 +1411,16 @@ fn assemble_trace(
             s.status = SpanStatus::TimedOut;
         }
     }
-    spans.sort_by(|a, b| a.path.cmp(&b.path));
     let out = spans
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let parent = if s.path.is_empty() {
-                None
-            } else {
-                let parent_path = &s.path[..s.path.len() - 1];
+            let parent = s.path.split_last().map(|(_, parent_path)| {
                 let idx = spans
                     .binary_search_by(|cand| cand.path.as_slice().cmp(parent_path))
                     .expect("parent span exists");
-                Some(SpanId(idx as u32))
-            };
+                SpanId(idx as u32)
+            });
             Span {
                 trace: trace_id,
                 span: SpanId(i as u32),
@@ -1937,6 +1875,31 @@ mod tests {
             any_sheds |= w1.count("sim.sheds") > 0;
         }
         assert!(any_sheds, "at least one topology exercised the shed counter");
+    }
+
+    #[test]
+    fn profile_has_barrier_nodes_only_when_workers_meet_at_one() {
+        // One worker runs the loop with no rendezvous, so there is no
+        // barrier wait to report — not even a zero one; the sampled
+        // phases it does run are all there. Two workers report a barrier
+        // node each.
+        use cex_core::obs::ObsConfig;
+        let nodes = |workers: usize| -> Vec<String> {
+            let mut sim = Simulation::new(two_tier(true), 9);
+            sim.set_workers(workers);
+            sim.set_obs(ObsConfig::enabled());
+            sim.run(SimDuration::from_secs(10), 40.0);
+            sim.profile().nodes().iter().map(|(path, _)| path.clone()).collect()
+        };
+        let alone = nodes(1);
+        for phase in ["pop", "dispatch", "exchange", "merge"] {
+            assert!(alone.contains(&format!("sim.event.{phase}")), "{phase} in {alone:?}");
+        }
+        assert!(!alone.iter().any(|path| path.contains("barrier")), "{alone:?}");
+        let pair = nodes(2);
+        for worker in 0..2 {
+            assert!(pair.contains(&format!("sim.event.barrier.w{worker}")), "{pair:?}");
+        }
     }
 
     #[test]

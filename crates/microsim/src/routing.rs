@@ -18,7 +18,6 @@
 use crate::app::{Application, ServiceId, VersionId};
 use crate::error::SimError;
 use cex_core::simtime::SimDuration;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a (simulated) end user.
@@ -54,7 +53,10 @@ impl RouteRule {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Router {
     proxy_overhead: SimDuration,
-    rules: HashMap<usize, RouteRule>,
+    /// Indexed by `ServiceId` — resolution runs once per simulated call,
+    /// so it is an array index, not a hash. Never ends in `None`, which
+    /// keeps derived equality meaning "the same rules".
+    rules: Vec<Option<RouteRule>>,
 }
 
 impl Router {
@@ -69,7 +71,7 @@ impl Router {
     /// proxied hop (the paper measured ≈2 ms per proxy hop, ≈8 ms
     /// end-to-end on the four-phase strategy).
     pub fn with_proxy_overhead(overhead: SimDuration) -> Self {
-        Router { proxy_overhead: overhead, rules: HashMap::new() }
+        Router { proxy_overhead: overhead, rules: Vec::new() }
     }
 
     /// Per-hop proxy overhead.
@@ -109,11 +111,7 @@ impl Router {
                 )));
             }
         }
-        let entry = self
-            .rules
-            .entry(service.0)
-            .or_insert(RouteRule { splits: Vec::new(), mirrors: Vec::new() });
-        entry.splits = splits;
+        self.rule_mut(service).splits = splits;
         Ok(())
     }
 
@@ -137,10 +135,7 @@ impl Router {
                 app.service_name(service)
             )));
         }
-        let entry = self
-            .rules
-            .entry(service.0)
-            .or_insert(RouteRule { splits: Vec::new(), mirrors: Vec::new() });
+        let entry = self.rule_mut(service);
         if entry.mirrors.contains(&version) {
             return Err(SimError::BadRoute("version already mirrored".into()));
         }
@@ -150,19 +145,33 @@ impl Router {
 
     /// Removes a mirror; no-op if not present.
     pub fn remove_mirror(&mut self, service: ServiceId, version: VersionId) {
-        if let Some(rule) = self.rules.get_mut(&service.0) {
+        if let Some(Some(rule)) = self.rules.get_mut(service.0) {
             rule.mirrors.retain(|v| *v != version);
         }
     }
 
+    /// `service`'s rule, created empty on first use.
+    fn rule_mut(&mut self, service: ServiceId) -> &mut RouteRule {
+        if self.rules.len() <= service.0 {
+            self.rules.resize(service.0 + 1, None);
+        }
+        self.rules[service.0]
+            .get_or_insert_with(|| RouteRule { splits: Vec::new(), mirrors: Vec::new() })
+    }
+
     /// Removes all rules for `service`, restoring baseline routing.
     pub fn clear(&mut self, service: ServiceId) {
-        self.rules.remove(&service.0);
+        if let Some(slot) = self.rules.get_mut(service.0) {
+            *slot = None;
+        }
+        while self.rules.last().is_some_and(Option::is_none) {
+            self.rules.pop();
+        }
     }
 
     /// The rule for `service`, if any.
     pub fn rule(&self, service: ServiceId) -> Option<&RouteRule> {
-        self.rules.get(&service.0)
+        self.rules.get(service.0).and_then(Option::as_ref)
     }
 
     /// `true` when any routing rule is installed.
@@ -176,7 +185,7 @@ impl Router {
     /// user consistently lands on the same variant for the lifetime of a
     /// split — required for unbiased A/B samples.
     pub fn resolve(&self, app: &Application, service: ServiceId, user: UserId) -> VersionId {
-        match self.rules.get(&service.0) {
+        match self.rule(service) {
             Some(rule) if !rule.splits.is_empty() => {
                 let x = sticky_unit(user, service);
                 let mut acc = 0.0;
@@ -196,7 +205,7 @@ impl Router {
     /// Versions that should receive a mirrored copy of a request to
     /// `service` (dark launches). Empty for unconfigured services.
     pub fn mirrors(&self, service: ServiceId) -> &[VersionId] {
-        self.rules.get(&service.0).map(|r| r.mirrors.as_slice()).unwrap_or(&[])
+        self.rule(service).map(|r| r.mirrors.as_slice()).unwrap_or(&[])
     }
 }
 

@@ -107,6 +107,8 @@ pub struct Simulation {
     /// Running deterministic event-core tallies, accumulated across
     /// windows at each canonical merge.
     event_tally: event::WindowTally,
+    /// The event core's output buffers, empty between windows.
+    event_buffers: event::WindowBuffers,
 }
 
 impl Simulation {
@@ -138,6 +140,7 @@ impl Simulation {
             resilience_state: ResilienceState::new(),
             profiler: Profiler::default(),
             event_tally: event::WindowTally::default(),
+            event_buffers: event::WindowBuffers::default(),
         }
     }
 
@@ -448,7 +451,10 @@ impl Simulation {
                     time: arrival.time,
                     user: arrival.user,
                     service: arrival.service,
-                    endpoint: arrival.endpoint,
+                    endpoint: self
+                        .app
+                        .endpoint_name(&arrival.endpoint)
+                        .expect("workload references a valid entry point"),
                     trace,
                     root_seed,
                     conv_u,
@@ -468,6 +474,7 @@ impl Simulation {
             &mut self.collector,
             requests,
             self.workers,
+            &mut self.event_buffers,
             &self.profiler,
         );
         let tally = &stats.tally;
