@@ -18,6 +18,13 @@
 //!    proportional to buckets-in-window, not samples-in-window. The
 //!    pre-PR store is measured alongside for contrast.
 //!
+//! 4. **Cumulative-window resumption** — a window that starts at a fixed
+//!    time and grows (what a sequential check reads since phase start):
+//!    one look from scratch against one look continued from the previous
+//!    look's [`WindowCursor`] ten buckets earlier, at 60 / 600 / 1,200
+//!    one-second buckets. From scratch grows with the window; resumed
+//!    must not.
+//!
 //! Writes `results/BENCH_metrics.json`. With `--smoke [--out PATH]` it
 //! runs a reduced, timing-free variant whose JSON contains only
 //! deterministic fields — CI runs it twice and diffs the outputs.
@@ -26,7 +33,7 @@ use cex_bench::write_bench_json;
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::simtime::{SimDuration, SimTime};
 use cex_core::users::Population;
-use microsim::monitor::MetricStore;
+use microsim::monitor::{MetricStore, WindowCursor};
 use microsim::sim::{Simulation, APP_SCOPE};
 use microsim::topologies::case_study_app;
 use microsim::workload::{EntryPoint, Workload};
@@ -229,6 +236,17 @@ fn bench_ingest(hops: u64, reps: usize) -> (f64, f64) {
     (base_rate, new_rate)
 }
 
+/// Mean ns per call of a store read over `iters` back-to-back calls.
+fn time_queries(iters: u64, f: &dyn Fn() -> Summary) -> f64 {
+    let mut sink = 0u64;
+    let start = Instant::now();
+    for _ in 0..iters {
+        sink += f().count;
+    }
+    std::hint::black_box(sink);
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Window-query latency at a given series length: `n` samples spread
 /// uniformly over `SPAN`, 1-minute summaries queried at the tail.
 /// Returns ns/query for (new store, baseline store).
@@ -246,15 +264,6 @@ fn bench_window_query(n: u64) -> (f64, f64) {
     let now = SimTime::from_millis(SPAN_MS);
     let window = SimDuration::from_secs(60);
 
-    let time_queries = |iters: u64, f: &dyn Fn() -> Summary| -> f64 {
-        let mut sink = 0u64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            sink += f().count;
-        }
-        std::hint::black_box(sink);
-        start.elapsed().as_nanos() as f64 / iters as f64
-    };
     let new_ns = time_queries(2_000, &|| {
         store.window_summary_id(scope, MetricKind::ResponseTime, now, window)
     });
@@ -262,6 +271,36 @@ fn bench_window_query(n: u64) -> (f64, f64) {
         baseline.window_summary("svc@1", MetricKind::ResponseTime, now, window)
     });
     (new_ns, base_ns)
+}
+
+/// One look at a cumulative window of `buckets` one-second buckets (ten
+/// samples each), from scratch and continued from the cursor of the look
+/// ten seconds before — a sequential check's cadence on `fleet-control`.
+/// Returns ns/look for (from scratch, resumed).
+fn bench_cumulative_window(buckets: u64) -> (f64, f64) {
+    let store = MetricStore::new();
+    let scope = store.intern("svc@1");
+    let metric = MetricKind::ResponseTime;
+    for i in 0..=buckets * 10 {
+        let sample = Sample::new(SimTime::from_millis(i * 100), (i % 97) as f64);
+        store.record_id(scope, metric, sample);
+    }
+    let window = |now: SimTime| now.saturating_since(SimTime::ZERO);
+    let now = SimTime::from_secs(buckets);
+    let earlier = SimTime::from_secs(buckets - 10);
+    let (_, cursor) =
+        store.window_summary_resumed(scope, metric, earlier, window(earlier), &WindowCursor::new());
+    let fresh = store.window_summary_id(scope, metric, now, window(now));
+    let (resumed, _) = store.window_summary_resumed(scope, metric, now, window(now), &cursor);
+    assert_eq!(resumed, fresh, "a resumed look reads what a look from scratch reads");
+    assert_eq!(fresh.count, buckets * 10 + 1);
+
+    let fresh_ns =
+        time_queries(20_000, &|| store.window_summary_id(scope, metric, now, window(now)));
+    let resumed_ns = time_queries(20_000, &|| {
+        store.window_summary_resumed(scope, metric, now, window(now), &cursor).0
+    });
+    (fresh_ns, resumed_ns)
 }
 
 /// Reduced deterministic run for CI: no timings in the JSON, so two
@@ -330,6 +369,16 @@ fn run_full() {
     let flatness = new_max / new_min;
     println!("window-query flatness 10^4 -> 10^6: {flatness:.2}x (acceptance: within 2x)");
 
+    // 4. Cumulative window: one look from scratch vs resumed.
+    let mut cumulative = Vec::new();
+    for buckets in [60u64, 600, 1_200] {
+        let (fresh_ns, resumed_ns) = bench_cumulative_window(buckets);
+        println!(
+            "cumulative window @ {buckets:>5} buckets: from scratch {fresh_ns:>7.0} ns, resumed {resumed_ns:>5.0} ns"
+        );
+        cumulative.push((buckets, fresh_ns, resumed_ns));
+    }
+
     let mut json = String::from("  \"sim\": {\n");
     let _ = writeln!(json, "    \"requests\": {},", sim.requests);
     let _ = writeln!(json, "    \"samples_recorded\": {},", sim.samples_recorded);
@@ -354,7 +403,16 @@ fn run_full() {
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"window_query_flatness\": {flatness:.2},");
-    let _ = writeln!(json, "  \"acceptance_max_flatness\": 2.0");
+    let _ = writeln!(json, "  \"acceptance_max_flatness\": 2.0,");
+    json.push_str("  \"cumulative_window_ns\": [\n");
+    for (i, (buckets, fresh_ns, resumed_ns)) in cumulative.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"buckets\": {buckets}, \"fresh_ns\": {fresh_ns:.0}, \"resumed_ns\": {resumed_ns:.0}}}{}",
+            if i + 1 < cumulative.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ]\n");
     write_bench_json("results/BENCH_metrics.json", "metric_hotpath", &json);
 
     assert!(speedup >= 5.0, "ingestion speedup {speedup:.2}x below the 5x acceptance bar");

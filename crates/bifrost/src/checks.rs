@@ -12,7 +12,7 @@ use cex_core::metrics::Summary;
 use cex_core::sequential::{msprt, tau_heuristic};
 use cex_core::simtime::SimTime;
 use cex_core::stats::welch_test;
-use microsim::monitor::{MetricStore, ScopeId};
+use microsim::monitor::{MetricStore, ScopeId, WindowCursor};
 
 /// Outcome of one check evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,11 +342,23 @@ pub struct SequentialUpdate {
     pub lr_harm: f64,
 }
 
+/// Where the two cumulative window reads of one sequential check left
+/// off (see [`WindowCursor`]). Kept per (run, check) beside the
+/// [`SequentialState`] and handled the same way: read-only in the observe
+/// pass, replaced in the apply pass by what the look returned, fresh on
+/// every phase (re-)entry.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SequentialWindows {
+    candidate: WindowCursor,
+    baseline: WindowCursor,
+}
+
 /// Evaluates a sequential check at `now` against the *cumulative* windows
-/// since `phase_start`, read-only with respect to `state`: the returned
-/// update (if any) must be folded into the state by the caller's
-/// single-threaded apply pass, after which [`SequentialState::verdict`]
-/// matches the returned observation's result.
+/// since `phase_start`, read-only with respect to `state` and `windows`:
+/// the returned update (if any) must be folded into the state by the
+/// caller's single-threaded apply pass, after which
+/// [`SequentialState::verdict`] matches the returned observation's result;
+/// the returned windows replace `windows` there, on every look.
 ///
 /// The two one-sided always-valid p processes are sign-gated: a look only
 /// lowers the p of the direction its observed effect points to. Each side
@@ -360,12 +372,17 @@ pub fn evaluate_sequential(
     phase_start: SimTime,
     now: SimTime,
     state: &SequentialState,
-) -> (CheckObservation, Option<SequentialUpdate>) {
+    windows: &SequentialWindows,
+) -> (CheckObservation, Option<SequentialUpdate>, SequentialWindows) {
     let window = now.saturating_since(phase_start);
-    let cand = store.window_summary_id(ctx.candidate_id, check.metric, now, window);
-    let base = store.window_summary_id(ctx.baseline_id, check.metric, now, window);
+    let read =
+        |scope, cursor| store.window_summary_resumed(scope, check.metric, now, window, cursor);
+    let (cand, candidate) = read(ctx.candidate_id, &windows.candidate);
+    let (base, baseline) = read(ctx.baseline_id, &windows.baseline);
+    let windows = SequentialWindows { candidate, baseline };
     let alpha = sequential_alpha(check);
-    let settled = |result| (CheckObservation { result, primary: cand, baseline: Some(base) }, None);
+    let settled =
+        |result| (CheckObservation { result, primary: cand, baseline: Some(base) }, None, windows);
     if cand.count == 0
         || base.count == 0
         || cand.count < check.min_samples
@@ -398,7 +415,7 @@ pub fn evaluate_sequential(
     let mut next = *state;
     next.fold(update);
     let obs = CheckObservation { result: next.verdict(alpha), primary: cand, baseline: Some(base) };
-    (obs, Some(update))
+    (obs, Some(update), windows)
 }
 
 /// Tracks when each check of a phase is next due.
@@ -786,13 +803,14 @@ mod tests {
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
         let mut state = SequentialState::new();
-        let (obs, update) = evaluate_sequential(
+        let (obs, update, windows) = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
             &state,
+            &SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Fail);
         assert_eq!(obs.primary.count, 600);
@@ -801,16 +819,19 @@ mod tests {
         assert!(state.tau().is_some(), "tau frozen at first look");
         assert!(state.lr_harm() > 1.0);
         // Absorbing: a later data-starved look cannot un-conclude.
+        // (Another store's windows are ignored, not trusted.)
         let starved = MetricStore::new();
-        let (obs, update) = evaluate_sequential(
+        let (obs, update, _) = evaluate_sequential(
             &check,
             &ctx(&starved),
             &starved,
             SimTime::ZERO,
             SimTime::from_secs(90),
             &state,
+            &windows,
         );
         assert_eq!(obs.result, CheckResult::Fail);
+        assert_eq!(obs.primary, Summary::default());
         assert!(update.is_none());
     }
 
@@ -837,13 +858,14 @@ mod tests {
         check.min_samples = 100;
         check.tau = Some(0.1);
         let state = SequentialState::new();
-        let (obs, update) = evaluate_sequential(
+        let (obs, update, _) = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
             &state,
+            &SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Pass);
         let update = update.expect("informative look");
@@ -860,15 +882,45 @@ mod tests {
         fill_rate(&store, "svc@1", 0.05, 500, 31); // same seed: identical stream
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
-        let (obs, _) = evaluate_sequential(
+        let (obs, _, _) = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
             &SequentialState::new(),
+            &SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Inconclusive);
+    }
+
+    #[test]
+    fn sequential_looks_resume_their_windows_to_the_same_bits() {
+        // A run of looks carrying the windows forward reads exactly what
+        // each look reads from scratch — on starved looks too, which still
+        // hand the windows on.
+        let store = MetricStore::new();
+        fill_rate(&store, "svc@2", 0.2, 3_000, 41);
+        fill_rate(&store, "svc@1", 0.05, 3_000, 42);
+        let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
+        check.min_samples = 1_000;
+        let (ctx, start) = (ctx(&store), SimTime::from_secs(2));
+        let mut windows = SequentialWindows::default();
+        let mut state = SequentialState::new();
+        for secs in (5..=60).step_by(5) {
+            let now = SimTime::from_secs(secs);
+            let (obs, update, next) =
+                evaluate_sequential(&check, &ctx, &store, start, now, &state, &windows);
+            let fresh = SequentialWindows::default();
+            let scratch = evaluate_sequential(&check, &ctx, &store, start, now, &state, &fresh);
+            assert_eq!((obs.clone(), update, next), scratch, "at {secs}s");
+            assert_eq!(update.is_some(), obs.primary.count >= 1_000, "at {secs}s");
+            assert_ne!(next, windows, "every look moves the windows on");
+            windows = next;
+            if let Some(update) = update {
+                state.fold(update);
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! of Figures 4.7/4.9) and the per-tick processing times (the delay of
 //! Figures 4.8/4.10).
 
-use crate::checks::{self, CheckContext, CheckScheduler, SequentialState};
+use crate::checks::{self, CheckContext, CheckScheduler, SequentialState, SequentialWindows};
 use crate::decide::{self, Evaluation, RunView, TickObservation};
 use crate::enact::{self, StrategyBinding};
 use crate::error::BifrostError;
@@ -233,9 +233,18 @@ struct PhaseRun {
     /// Per-check sequential-test state (non-sequential entries stay at
     /// their default); folded only in the single-threaded apply pass.
     sequential: Vec<SequentialState>,
+    /// Per-check resumable window reads, kept and reset with `sequential`.
+    windows: Vec<SequentialWindows>,
     /// Candidate share the phase routes; moves only in a gradual rollout.
     rollout_percent: f64,
     next_rollout_step: SimTime,
+}
+
+/// One strategy's share of the read-only pass: what [`decide::decide`]
+/// reads, and where each sequential look left its windows.
+struct Observed {
+    tick: TickObservation,
+    windows: Vec<(usize, SequentialWindows)>,
 }
 
 struct RunState<'a> {
@@ -321,6 +330,7 @@ impl<'a> Compiled<'a> {
             started: now,
             scheduler: CheckScheduler::new(&phase.checks, now),
             sequential: vec![SequentialState::new(); phase.checks.len()],
+            windows: vec![SequentialWindows::default(); phase.checks.len()],
             rollout_percent,
             next_rollout_step,
         })
@@ -618,8 +628,7 @@ impl<'a> Execution<'a> {
             self.traces.drain(self.sim, &mut self.journal);
         }
         let observations = self.observe(now);
-        let due_checks =
-            observations.iter().flatten().map(TickObservation::evaluations).sum::<u64>();
+        let due_checks = observations.iter().flatten().map(|o| o.tick.evaluations()).sum::<u64>();
         self.check_evaluations += due_checks;
         self.apply(observations, now)?;
         let spent = engine_start.elapsed();
@@ -668,7 +677,7 @@ impl<'a> Execution<'a> {
     /// Read-only pass: evaluate due checks (and phase-boundary checks)
     /// for every running strategy. Fans out over scoped worker threads when
     /// enough checks are due.
-    fn observe(&mut self, now: SimTime) -> Vec<Option<TickObservation>> {
+    fn observe(&mut self, now: SimTime) -> Vec<Option<Observed>> {
         cex_core::span!(self.profiler, "engine.tick.observe");
         let running = |run: &RunState| run.status == StrategyStatus::Running;
         // First, a mutable pre-pass collecting which checks are due (the
@@ -680,17 +689,27 @@ impl<'a> Execution<'a> {
         }
 
         let store = self.sim.store();
-        let evaluate_one = |run: &RunState| -> TickObservation {
+        let evaluate_one = |run: &RunState| -> Observed {
             let phase = &run.compiled.strategy.phases[run.phase.index];
-            // Sequential checks run against their per-run state read-only:
-            // the returned update is folded later, in the single-threaded
-            // apply pass, so this closure stays safe to fan out.
-            let eval = |i: usize| -> Evaluation {
+            // Sequential checks run against their per-run state and
+            // windows read-only: what a look returns is folded later, in
+            // the single-threaded apply pass, so this closure stays safe
+            // to fan out.
+            let mut windows = Vec::new();
+            let mut eval = |i: usize| -> Evaluation {
                 let (check, ctx) = (&phase.checks[i], &run.compiled.ctx);
                 if check.scope == CheckScope::SequentialVsBaseline {
-                    let (started, state) = (run.phase.started, &run.phase.sequential[i]);
-                    let (observed, update) =
-                        checks::evaluate_sequential(check, ctx, store, started, now, state);
+                    let PhaseRun { started, sequential, windows: kept, .. } = &run.phase;
+                    let (observed, update, resumed) = checks::evaluate_sequential(
+                        check,
+                        ctx,
+                        store,
+                        *started,
+                        now,
+                        &sequential[i],
+                        &kept[i],
+                    );
+                    windows.push((i, resumed));
                     (i, observed, update)
                 } else {
                     (i, checks::evaluate_observed(check, ctx, store, now), None)
@@ -698,8 +717,9 @@ impl<'a> Execution<'a> {
             };
             let due_results = run.due_scratch.iter().map(|&i| eval(i)).collect();
             let at_boundary = now.saturating_since(run.phase.started) >= phase.duration;
-            let boundary_results = at_boundary.then(|| (0..phase.checks.len()).map(eval).collect());
-            TickObservation { due_results, boundary_results }
+            let boundary_results =
+                at_boundary.then(|| (0..phase.checks.len()).map(&mut eval).collect());
+            Observed { tick: TickObservation { due_results, boundary_results }, windows }
         };
 
         let runs = &self.runs[..];
@@ -707,7 +727,7 @@ impl<'a> Execution<'a> {
             runs.iter().filter(|run| running(run)).map(|r| r.due_scratch.len()).sum();
         cex_core::span!(self.profiler, "engine.tick.observe.evaluate_checks");
         if due_work >= self.config.parallel_threshold && self.config.workers > 1 {
-            let mut results: Vec<Option<TickObservation>> = runs.iter().map(|_| None).collect();
+            let mut results: Vec<Option<Observed>> = runs.iter().map(|_| None).collect();
             let chunk = (runs.len() / self.config.workers).max(1);
             // The scope joins every worker and re-raises a worker's panic.
             std::thread::scope(|scope| {
@@ -731,7 +751,7 @@ impl<'a> Execution<'a> {
     /// plus the virtual clock, makes the journal deterministic.
     fn apply(
         &mut self,
-        observations: Vec<Option<TickObservation>>,
+        observations: Vec<Option<Observed>>,
         now: SimTime,
     ) -> Result<(), BifrostError> {
         cex_core::span!(self.profiler, "engine.tick.apply");
@@ -739,20 +759,23 @@ impl<'a> Execution<'a> {
         // tick; pruned after the loop so shared scopes can be guarded.
         let mut retired: Vec<(Arc<str>, String)> = Vec::new();
         for (run, obs) in self.runs.iter_mut().zip(observations) {
-            let Some(obs) = obs else { continue };
+            let Some(Observed { tick: obs, windows }) = obs else { continue };
             let compiled = &run.compiled;
             let index = run.phase.index;
 
             // Fold this tick's sequential updates first: every decision
             // reads the state advanced through the latest look. Folding
             // the same look twice (a check both due and at the boundary)
-            // is idempotent.
+            // is idempotent, and so is keeping its windows twice.
             for (i, _, update) in
                 obs.due_results.iter().chain(obs.boundary_results.iter().flatten())
             {
                 if let Some(update) = update {
                     run.phase.sequential[*i].fold(*update);
                 }
+            }
+            for (i, resumed) in windows {
+                run.phase.windows[i] = resumed;
             }
             let view = RunView {
                 machine: &compiled.machine,
@@ -2224,6 +2247,131 @@ mod tests {
         }
         assert_eq!(texts[0], texts[1], "same seed, same workers");
         assert_eq!(texts[0], texts[2], "same seed, 4 engine + 4 sim workers");
+    }
+
+    #[test]
+    fn sequential_fleet_journals_identically_at_any_worker_count_and_across_a_retry() {
+        // Sequential looks resume their cumulative windows from cursors
+        // the (possibly parallel) observe pass hands to the apply pass. A
+        // fleet that promotes early, ramps under guard, retreats, and
+        // retries an undecided A/A phase must journal the same bytes
+        // however the looks are spread over workers — and a retried phase
+        // must start its windows over.
+        let src = r#"
+        strategy "good" {
+          service "good" baseline "1.0.0" candidate "2.0.0"
+          phase "canary" canary 30% for 10m {
+            check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
+            on success goto "ramp"
+            on failure rollback
+          }
+          phase "ramp" ramp from 30% to 100% step 35% every 1m guarded for 6m {
+            check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
+            on success complete
+            on failure rollback
+          }
+        }
+        strategy "bad" {
+          service "bad" baseline "1.0.0" candidate "2.0.0"
+          phase "ramp" ramp from 10% to 100% step 30% every 1m guarded for 30m {
+            check error_rate sequential vs baseline < confidence 0.999 every 30s min_samples 20
+            on success complete
+            on failure rollback
+          }
+        }
+        strategy "same" {
+          service "same" baseline "1.0.0" candidate "2.0.0"
+          phase "aa" canary 50% for 3m {
+            check error_rate sequential vs baseline < confidence 0.9999 every 20s min_samples 20
+            on success complete
+            on failure rollback
+            on inconclusive retry
+          }
+        }"#;
+        let fleet_app = || {
+            let mut b = Application::builder();
+            for (service, errs) in [("good", [0.3, 0.05]), ("bad", [0.1, 0.13]), ("same", [0.1; 2])]
+            {
+                for (version, err) in ["1.0.0", "2.0.0"].into_iter().zip(errs) {
+                    b.version(
+                        VersionSpec::new(service, version).capacity(10_000.0).endpoint(
+                            EndpointDef::new("api", LatencyModel::Constant { ms: 20.0 })
+                                .error_rate(err),
+                        ),
+                    );
+                }
+            }
+            b.build().unwrap()
+        };
+        let mut texts = Vec::new();
+        for (workers, sim_workers) in [(1, 1), (4, 1), (1, 2), (4, 2)] {
+            let app = fleet_app();
+            let entries = ["good", "bad", "same"]
+                .iter()
+                .map(|s| microsim::workload::EntryPoint {
+                    service: app.service_id(s).unwrap(),
+                    endpoint: "api".into(),
+                    weight: 1.0,
+                })
+                .collect();
+            let wl = Workload {
+                population: cex_core::users::Population::single("all", 50_000),
+                rate_rps: 90.0,
+                entries,
+                profile: microsim::workload::RateProfile::Constant,
+            };
+            let mut sim = Simulation::new(app, 78);
+            let (strategies, _) = dsl::parse_fleet(src).unwrap();
+            let engine = Engine::new(EngineConfig {
+                parallel_threshold: 1,
+                workers,
+                sim_workers,
+                max_retries: 3,
+                ..Default::default()
+            });
+            let (_, journal) = engine
+                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
+                .unwrap();
+            if texts.is_empty() {
+                let events = journal.events();
+                let has = |pred: fn(&JournalEvent) -> bool| events.iter().any(pred);
+                assert!(has(|e| matches!(e, JournalEvent::EarlyStop { .. })));
+                assert!(has(|e| matches!(e, JournalEvent::Ramp { decision: "advance", .. })));
+                assert!(has(|e| matches!(e, JournalEvent::Ramp { decision: "retreat", .. })));
+                // The A/A phase is retried, and each retry reads a window
+                // anchored at the re-entry: sample counts fall back.
+                let looks: Vec<(SimTime, u64)> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        JournalEvent::Check {
+                            time, strategy, primary, boundary: false, ..
+                        } if strategy.as_ref() == "same" => Some((*time, primary.count)),
+                        _ => None,
+                    })
+                    .collect();
+                let retries: Vec<SimTime> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        JournalEvent::Transition { time, strategy, from, to, .. }
+                            if strategy.as_ref() == "same" && from == to =>
+                        {
+                            Some(*time)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(retries.len(), 2, "two retries, then the budget rolls back");
+                for retry in retries {
+                    let before = looks.iter().rev().find(|(t, _)| *t <= retry).unwrap().1;
+                    let after = looks.iter().find(|(t, _)| *t > retry).unwrap().1;
+                    assert!(after * 4 < before, "window restarted: {before} -> {after}");
+                }
+            }
+            texts.push(journal.to_jsonl());
+        }
+        for (i, text) in texts.iter().enumerate().skip(1) {
+            assert_eq!(&texts[0], text, "configuration {i}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::checks::CheckResult;
 use crate::error::BifrostError;
 use crate::machine::{PhaseOutcome, State};
 use crate::model::CheckScope;
-use cex_core::json::{obj, Json};
+use cex_core::json::{write_uint, Json, ObjectWriter};
 use cex_core::metrics::{MetricKind, Summary};
 use cex_core::simtime::SimTime;
 use microsim::resilience::BreakerState;
@@ -264,6 +264,15 @@ fn ramp_keyword(name: &str) -> Option<&'static str> {
     ["advance", "retreat", "hold"].into_iter().find(|k| *k == name)
 }
 
+/// A `runtime` event's name → value table; the names are made at run time.
+fn write_table<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, u64)>) {
+    let mut table = ObjectWriter::begin(out);
+    for (name, value) in entries {
+        write_uint(value, table.value_escaped(name));
+    }
+    table.end();
+}
+
 impl JournalEvent {
     /// Virtual time of the event.
     pub fn time(&self) -> SimTime {
@@ -300,17 +309,22 @@ impl JournalEvent {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let t = |time: &SimTime| Json::Num(time.as_millis() as f64);
+    /// Appends the event's JSON line (without the newline) to `out`,
+    /// member by member: no tree, no allocation besides the output.
+    fn write_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::begin(out);
+        let head = |w: &mut ObjectWriter<'_>, ev: &'static str, time: &SimTime| {
+            w.str("ev", ev);
+            w.uint("t", time.as_millis());
+        };
         match self {
-            JournalEvent::Enacted { time, strategy, phase, kind, percent } => obj(vec![
-                ("ev", Json::Str("enact".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("kind", Json::Str(kind.to_string())),
-                ("percent", Json::Num(*percent)),
-            ]),
+            JournalEvent::Enacted { time, strategy, phase, kind, percent } => {
+                head(&mut w, "enact", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.str("kind", kind);
+                w.num("percent", *percent);
+            }
             JournalEvent::Check {
                 time,
                 strategy,
@@ -322,48 +336,45 @@ impl JournalEvent {
                 result,
                 primary,
                 baseline,
-            } => obj(vec![
-                ("ev", Json::Str("check".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("check", Json::Num(*check as f64)),
-                ("metric", Json::Str(metric.name().into())),
-                ("scope", Json::Str(scope.name().into())),
-                ("boundary", Json::Bool(*boundary)),
-                ("result", Json::Str(result.name().into())),
-                ("primary", primary.to_json()),
-                ("baseline", baseline.as_ref().map_or(Json::Null, Summary::to_json)),
-            ]),
-            JournalEvent::Transition { time, strategy, from, to, outcome } => obj(vec![
-                ("ev", Json::Str("transition".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("from", Json::Str(from.to_string())),
-                ("to", Json::Str(to.to_string())),
-                ("outcome", Json::Str(outcome.name().into())),
-            ]),
-            JournalEvent::Chaos { time, strategy, phase, kind, magnitude, target, from, until } => {
-                obj(vec![
-                    ("ev", Json::Str("chaos".into())),
-                    ("t", t(time)),
-                    ("strategy", Json::Str(strategy.to_string())),
-                    ("phase", Json::Str(phase.to_string())),
-                    ("kind", Json::Str(kind.to_string())),
-                    ("magnitude", Json::Num(*magnitude)),
-                    ("target", Json::Str(target.clone())),
-                    ("from", t(from)),
-                    ("until", t(until)),
-                ])
+            } => {
+                head(&mut w, "check", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.uint("check", *check as u64);
+                w.str("metric", metric.name());
+                w.str("scope", scope.name());
+                w.bool("boundary", *boundary);
+                w.str("result", result.name());
+                primary.write_json(w.value("primary"));
+                match baseline {
+                    Some(baseline) => baseline.write_json(w.value("baseline")),
+                    None => w.null("baseline"),
+                }
             }
-            JournalEvent::Breaker { time, caller, callee, from, to } => obj(vec![
-                ("ev", Json::Str("breaker".into())),
-                ("t", t(time)),
-                ("caller", Json::Str(caller.clone())),
-                ("callee", Json::Str(callee.clone())),
-                ("from", Json::Str(from.name().into())),
-                ("to", Json::Str(to.name().into())),
-            ]),
+            JournalEvent::Transition { time, strategy, from, to, outcome } => {
+                head(&mut w, "transition", time);
+                w.str("strategy", strategy);
+                w.str("from", &from.to_string());
+                w.str("to", &to.to_string());
+                w.str("outcome", outcome.name());
+            }
+            JournalEvent::Chaos { time, strategy, phase, kind, magnitude, target, from, until } => {
+                head(&mut w, "chaos", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.str("kind", kind);
+                w.num("magnitude", *magnitude);
+                w.str("target", target);
+                w.uint("from", from.as_millis());
+                w.uint("until", until.as_millis());
+            }
+            JournalEvent::Breaker { time, caller, callee, from, to } => {
+                head(&mut w, "breaker", time);
+                w.str("caller", caller);
+                w.str("callee", callee);
+                w.str("from", from.name());
+                w.str("to", to.name());
+            }
             JournalEvent::HealthSnapshot {
                 time,
                 strategy,
@@ -379,72 +390,60 @@ impl JournalEvent {
                 dropped,
                 tail_kept,
                 downsampled,
-            } => obj(vec![
-                ("ev", Json::Str("health".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("traces", Json::Num(*traces as f64)),
-                ("failed", Json::Num(*failed as f64)),
-                ("baseline", Json::Str(baseline.clone())),
-                ("canary", Json::Str(canary.clone())),
-                ("worst_edge", worst_edge.as_ref().map_or(Json::Null, |e| Json::Str(e.clone()))),
-                ("score", Json::Num(*score)),
-                ("error_rate_delta", Json::Num(*error_rate_delta)),
-                ("p95_delta_ms", Json::Num(*p95_delta_ms)),
-                ("dropped", Json::Num(*dropped as f64)),
-                ("tail_kept", Json::Num(*tail_kept as f64)),
-                ("downsampled", Json::Num(*downsampled as f64)),
-            ]),
-            JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm } => obj(vec![
-                ("ev", Json::Str("ramp".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("decision", Json::Str(decision.to_string())),
-                ("percent", Json::Num(*percent)),
-                ("lr_harm", Json::Num(*lr_harm)),
-            ]),
-            JournalEvent::EarlyStop { time, strategy, phase, outcome, p } => obj(vec![
-                ("ev", Json::Str("early_stop".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("outcome", Json::Str(outcome.name().into())),
-                ("p", Json::Num(*p)),
-            ]),
-            JournalEvent::ScopeCleared { time, strategy, scope } => obj(vec![
-                ("ev", Json::Str("scope_cleared".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("scope", Json::Str(scope.clone())),
-            ]),
+            } => {
+                head(&mut w, "health", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.uint("traces", *traces);
+                w.uint("failed", *failed);
+                w.str("baseline", baseline);
+                w.str("canary", canary);
+                match worst_edge {
+                    Some(edge) => w.str("worst_edge", edge),
+                    None => w.null("worst_edge"),
+                }
+                w.num("score", *score);
+                w.num("error_rate_delta", *error_rate_delta);
+                w.num("p95_delta_ms", *p95_delta_ms);
+                w.uint("dropped", *dropped);
+                w.uint("tail_kept", *tail_kept);
+                w.uint("downsampled", *downsampled);
+            }
+            JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm } => {
+                head(&mut w, "ramp", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.str("decision", decision);
+                w.num("percent", *percent);
+                w.num("lr_harm", *lr_harm);
+            }
+            JournalEvent::EarlyStop { time, strategy, phase, outcome, p } => {
+                head(&mut w, "early_stop", time);
+                w.str("strategy", strategy);
+                w.str("phase", phase);
+                w.str("outcome", outcome.name());
+                w.num("p", *p);
+            }
+            JournalEvent::ScopeCleared { time, strategy, scope } => {
+                head(&mut w, "scope_cleared", time);
+                w.str("strategy", strategy);
+                w.str("scope", scope);
+            }
             JournalEvent::Runtime { time, tick, counters } => {
-                let table = |entries: Vec<(String, u64)>| {
-                    Json::Obj(entries.into_iter().map(|(k, v)| (k, Json::Num(v as f64))).collect())
-                };
-                obj(vec![
-                    ("ev", Json::Str("runtime".into())),
-                    ("t", t(time)),
-                    ("tick", Json::Num(*tick as f64)),
-                    (
-                        "counters",
-                        table(counters.counts().map(|(k, v)| (k.to_string(), v)).collect()),
-                    ),
-                    ("gauges", table(counters.gauges().map(|(k, v)| (k.to_string(), v)).collect())),
-                ])
+                head(&mut w, "runtime", time);
+                w.uint("tick", *tick);
+                write_table(w.value("counters"), counters.counts());
+                write_table(w.value("gauges"), counters.gauges());
             }
             JournalEvent::Tick { time, tick, active, due_checks, window_reads, busy: _ } => {
-                obj(vec![
-                    ("ev", Json::Str("tick".into())),
-                    ("t", t(time)),
-                    ("tick", Json::Num(*tick as f64)),
-                    ("active", Json::Num(*active as f64)),
-                    ("due_checks", Json::Num(*due_checks as f64)),
-                    ("window_reads", Json::Num(*window_reads as f64)),
-                ])
+                head(&mut w, "tick", time);
+                w.uint("tick", *tick);
+                w.uint("active", *active as u64);
+                w.uint("due_checks", *due_checks);
+                w.uint("window_reads", *window_reads);
             }
         }
+        w.end();
     }
 
     fn from_json(json: &Json) -> Result<JournalEvent, BifrostError> {
@@ -562,10 +561,12 @@ impl JournalEvent {
                     .get("percent")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| bad("percent"))?,
-                lr_harm: json
-                    .get("lr_harm")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("lr_harm"))?,
+                // The likelihood ratio reaches `+∞` on extreme evidence
+                // (`SequentialTest::lambda`) and JSON writes that as `null`.
+                lr_harm: match json.get("lr_harm") {
+                    Some(Json::Null) => f64::INFINITY,
+                    other => other.and_then(Json::as_f64).ok_or_else(|| bad("lr_harm"))?,
+                },
             }),
             Some("early_stop") => Ok(JournalEvent::EarlyStop {
                 time: time(json)?,
@@ -704,9 +705,11 @@ impl Journal {
     /// is byte-identical across runs with the same seed and any worker
     /// count (see the module docs for what that guarantee rests on).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // Reserved once: a check event, the bulk of any journal, is ~250
+        // bytes. Pages the text never reaches are never touched.
+        let mut out = String::with_capacity(self.events.len() * 256);
         for event in &self.events {
-            event.to_json().write(&mut out);
+            event.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -888,7 +891,173 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cex_core::json::obj;
     use cex_core::simtime::SimDuration;
+
+    /// The tree encoder the streaming one replaced, kept as the oracle
+    /// [`JournalEvent::write_json`] is compared against byte for byte.
+    fn tree(event: &JournalEvent) -> Json {
+        let t = |time: &SimTime| Json::Num(time.as_millis() as f64);
+        match event {
+            JournalEvent::Enacted { time, strategy, phase, kind, percent } => obj(vec![
+                ("ev", Json::Str("enact".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("phase", Json::Str(phase.to_string())),
+                ("kind", Json::Str(kind.to_string())),
+                ("percent", Json::Num(*percent)),
+            ]),
+            JournalEvent::Check {
+                time,
+                strategy,
+                phase,
+                check,
+                metric,
+                scope,
+                boundary,
+                result,
+                primary,
+                baseline,
+            } => obj(vec![
+                ("ev", Json::Str("check".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("phase", Json::Str(phase.to_string())),
+                ("check", Json::Num(*check as f64)),
+                ("metric", Json::Str(metric.name().into())),
+                ("scope", Json::Str(scope.name().into())),
+                ("boundary", Json::Bool(*boundary)),
+                ("result", Json::Str(result.name().into())),
+                ("primary", summary_tree(primary)),
+                ("baseline", baseline.as_ref().map_or(Json::Null, summary_tree)),
+            ]),
+            JournalEvent::Transition { time, strategy, from, to, outcome } => obj(vec![
+                ("ev", Json::Str("transition".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("from", Json::Str(from.to_string())),
+                ("to", Json::Str(to.to_string())),
+                ("outcome", Json::Str(outcome.name().into())),
+            ]),
+            JournalEvent::Chaos { time, strategy, phase, kind, magnitude, target, from, until } => {
+                obj(vec![
+                    ("ev", Json::Str("chaos".into())),
+                    ("t", t(time)),
+                    ("strategy", Json::Str(strategy.to_string())),
+                    ("phase", Json::Str(phase.to_string())),
+                    ("kind", Json::Str(kind.to_string())),
+                    ("magnitude", Json::Num(*magnitude)),
+                    ("target", Json::Str(target.clone())),
+                    ("from", t(from)),
+                    ("until", t(until)),
+                ])
+            }
+            JournalEvent::Breaker { time, caller, callee, from, to } => obj(vec![
+                ("ev", Json::Str("breaker".into())),
+                ("t", t(time)),
+                ("caller", Json::Str(caller.clone())),
+                ("callee", Json::Str(callee.clone())),
+                ("from", Json::Str(from.name().into())),
+                ("to", Json::Str(to.name().into())),
+            ]),
+            JournalEvent::HealthSnapshot {
+                time,
+                strategy,
+                phase,
+                traces,
+                failed,
+                baseline,
+                canary,
+                worst_edge,
+                score,
+                error_rate_delta,
+                p95_delta_ms,
+                dropped,
+                tail_kept,
+                downsampled,
+            } => obj(vec![
+                ("ev", Json::Str("health".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("phase", Json::Str(phase.to_string())),
+                ("traces", Json::Num(*traces as f64)),
+                ("failed", Json::Num(*failed as f64)),
+                ("baseline", Json::Str(baseline.clone())),
+                ("canary", Json::Str(canary.clone())),
+                ("worst_edge", worst_edge.as_ref().map_or(Json::Null, |e| Json::Str(e.clone()))),
+                ("score", Json::Num(*score)),
+                ("error_rate_delta", Json::Num(*error_rate_delta)),
+                ("p95_delta_ms", Json::Num(*p95_delta_ms)),
+                ("dropped", Json::Num(*dropped as f64)),
+                ("tail_kept", Json::Num(*tail_kept as f64)),
+                ("downsampled", Json::Num(*downsampled as f64)),
+            ]),
+            JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm } => obj(vec![
+                ("ev", Json::Str("ramp".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("phase", Json::Str(phase.to_string())),
+                ("decision", Json::Str(decision.to_string())),
+                ("percent", Json::Num(*percent)),
+                ("lr_harm", Json::Num(*lr_harm)),
+            ]),
+            JournalEvent::EarlyStop { time, strategy, phase, outcome, p } => obj(vec![
+                ("ev", Json::Str("early_stop".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("phase", Json::Str(phase.to_string())),
+                ("outcome", Json::Str(outcome.name().into())),
+                ("p", Json::Num(*p)),
+            ]),
+            JournalEvent::ScopeCleared { time, strategy, scope } => obj(vec![
+                ("ev", Json::Str("scope_cleared".into())),
+                ("t", t(time)),
+                ("strategy", Json::Str(strategy.to_string())),
+                ("scope", Json::Str(scope.clone())),
+            ]),
+            JournalEvent::Runtime { time, tick, counters } => {
+                let table = |entries: Vec<(String, u64)>| {
+                    Json::Obj(entries.into_iter().map(|(k, v)| (k, Json::Num(v as f64))).collect())
+                };
+                obj(vec![
+                    ("ev", Json::Str("runtime".into())),
+                    ("t", t(time)),
+                    ("tick", Json::Num(*tick as f64)),
+                    (
+                        "counters",
+                        table(counters.counts().map(|(k, v)| (k.to_string(), v)).collect()),
+                    ),
+                    ("gauges", table(counters.gauges().map(|(k, v)| (k.to_string(), v)).collect())),
+                ])
+            }
+            JournalEvent::Tick { time, tick, active, due_checks, window_reads, busy: _ } => {
+                obj(vec![
+                    ("ev", Json::Str("tick".into())),
+                    ("t", t(time)),
+                    ("tick", Json::Num(*tick as f64)),
+                    ("active", Json::Num(*active as f64)),
+                    ("due_checks", Json::Num(*due_checks as f64)),
+                    ("window_reads", Json::Num(*window_reads as f64)),
+                ])
+            }
+        }
+    }
+
+    fn summary_tree(s: &Summary) -> Json {
+        obj(vec![
+            ("n", Json::Num(s.count as f64)),
+            ("mean", Json::Num(s.mean)),
+            ("sd", Json::Num(s.std_dev)),
+            ("min", Json::Num(s.min)),
+            ("max", Json::Num(s.max)),
+        ])
+    }
+
+    fn line(event: &JournalEvent) -> String {
+        let mut out = String::new();
+        event.write_json(&mut out);
+        out
+    }
 
     fn sample_journal() -> Journal {
         let mut j = Journal::new();
@@ -1018,6 +1187,248 @@ mod tests {
         }
         // Re-serializing the parsed journal is byte-identical.
         assert_eq!(back.to_jsonl(), text);
+    }
+
+    /// One event of every variant, the optional members both ways, built
+    /// around a hostile string, number and integer.
+    fn one_of_each(text: &str, x: f64, n: u64) -> Vec<JournalEvent> {
+        let time = SimTime::from_millis(n);
+        let name: Arc<str> = text.into();
+        let keyword: &'static str = Box::leak(text.to_string().into_boxed_str());
+        let summary = Summary { count: n, mean: x, std_dev: -x, min: x / 3.0, max: x * 3.0 };
+        let mut counters = cex_core::obs::Counters::new();
+        counters.add(text, n);
+        counters.add("plain.counter", 1);
+        counters.hwm(text, n);
+        let check = |baseline| JournalEvent::Check {
+            time,
+            strategy: name.clone(),
+            phase: name.clone(),
+            check: n as usize,
+            metric: MetricKind::all()[(n % 12) as usize],
+            scope: CheckScope::SequentialVsBaseline,
+            boundary: n.is_multiple_of(2),
+            result: CheckResult::Inconclusive,
+            primary: summary,
+            baseline,
+        };
+        let health = |worst_edge| JournalEvent::HealthSnapshot {
+            time,
+            strategy: name.clone(),
+            phase: name.clone(),
+            traces: n,
+            failed: n / 2,
+            baseline: text.into(),
+            canary: text.into(),
+            worst_edge,
+            score: x,
+            error_rate_delta: -x,
+            p95_delta_ms: x,
+            dropped: n,
+            tail_kept: n,
+            downsampled: n,
+        };
+        vec![
+            JournalEvent::Enacted {
+                time,
+                strategy: name.clone(),
+                phase: name.clone(),
+                kind: keyword,
+                percent: x,
+            },
+            check(None),
+            check(Some(summary)),
+            JournalEvent::Transition {
+                time,
+                strategy: name.clone(),
+                from: State::Phase(n as usize),
+                to: State::RolledBack,
+                outcome: PhaseOutcome::Inconclusive,
+            },
+            JournalEvent::Chaos {
+                time,
+                strategy: name.clone(),
+                phase: name.clone(),
+                kind: keyword,
+                magnitude: x,
+                target: text.into(),
+                from: time,
+                until: time,
+            },
+            JournalEvent::Breaker {
+                time,
+                caller: text.into(),
+                callee: text.into(),
+                from: BreakerState::HalfOpen,
+                to: BreakerState::Open,
+            },
+            health(None),
+            health(Some(text.into())),
+            JournalEvent::Ramp {
+                time,
+                strategy: name.clone(),
+                phase: name.clone(),
+                decision: keyword,
+                percent: x,
+                lr_harm: x,
+            },
+            JournalEvent::EarlyStop {
+                time,
+                strategy: name.clone(),
+                phase: name.clone(),
+                outcome: PhaseOutcome::Failure,
+                p: x,
+            },
+            JournalEvent::ScopeCleared { time, strategy: name.clone(), scope: text.into() },
+            JournalEvent::Runtime { time, tick: n, counters },
+            JournalEvent::Runtime { time, tick: n, counters: cex_core::obs::Counters::new() },
+            JournalEvent::Tick {
+                time,
+                tick: n,
+                active: n as usize,
+                due_checks: n,
+                window_reads: n,
+                busy: Duration::from_nanos(n),
+            },
+        ]
+    }
+
+    /// Position of the event's variant in the enum — exhaustive, so a new
+    /// variant cannot be added without the byte-identity test covering it.
+    fn variant(event: &JournalEvent) -> usize {
+        match event {
+            JournalEvent::Enacted { .. } => 0,
+            JournalEvent::Check { .. } => 1,
+            JournalEvent::Transition { .. } => 2,
+            JournalEvent::Chaos { .. } => 3,
+            JournalEvent::Breaker { .. } => 4,
+            JournalEvent::HealthSnapshot { .. } => 5,
+            JournalEvent::Ramp { .. } => 6,
+            JournalEvent::EarlyStop { .. } => 7,
+            JournalEvent::ScopeCleared { .. } => 8,
+            JournalEvent::Runtime { .. } => 9,
+            JournalEvent::Tick { .. } => 10,
+        }
+    }
+
+    #[test]
+    fn streamed_lines_equal_the_tree_oracle_byte_for_byte() {
+        let texts = [
+            "",
+            "plain",
+            "quo\"te",
+            "back\\slash",
+            "\\\"",
+            "line\nfeed\rreturn\ttab",
+            "\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}",
+            "é€😀 mixed \"\u{2}\" ü",
+            "{\"ev\":\"tick\"}",
+        ];
+        let numbers = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1 + 0.2,
+            1e-7,
+            123456.789,
+            8_999_999_999_999_999.0,
+            9.0e15,
+            -9.0e15,
+            9_007_199_254_740_993.0,
+            1e21,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let integers =
+            [0, 1, 7, 10, 8_999_999_999_999_999, 9_000_000_000_000_000, 1 << 53, u64::MAX];
+        let mut seen = [false; 11];
+        let mut lines = 0;
+        for (i, text) in texts.iter().enumerate() {
+            for (j, &x) in numbers.iter().enumerate() {
+                let n = integers[(i + j) % integers.len()];
+                for event in one_of_each(text, x, n) {
+                    assert_eq!(line(&event), tree(&event).to_string(), "{event:?}");
+                    seen[variant(&event)] = true;
+                    lines += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every variant encoded: {seen:?}");
+        assert_eq!(lines, texts.len() * numbers.len() * 14);
+        // And the whole-journal entry point is those lines, newline-ended.
+        let journal = sample_journal();
+        let expected: String = journal.events().iter().map(|e| format!("{}\n", tree(e))).collect();
+        assert_eq!(journal.to_jsonl(), expected);
+        assert_eq!(Journal::new().to_jsonl(), "");
+    }
+
+    #[test]
+    fn an_infinite_likelihood_ratio_reads_back() {
+        // Regression: `SequentialTest::lambda` reaches `+∞`, a guarded ramp
+        // journals it as `lr_harm`, the writer renders it `null`, and the
+        // reader used to reject the engine's own line ("missing or
+        // malformed lr_harm").
+        let mut journal = Journal::new();
+        for lr_harm in [f64::INFINITY, 0.0, 3.5] {
+            journal.record(JournalEvent::Ramp {
+                time: SimTime::from_secs(90),
+                strategy: "s1".into(),
+                phase: "ramp".into(),
+                decision: "retreat",
+                percent: 10.0,
+                lr_harm,
+            });
+        }
+        let text = journal.to_jsonl();
+        assert!(text.lines().next().unwrap().ends_with("\"lr_harm\":null}"), "{text}");
+        let back = Journal::from_jsonl(&text).expect("the engine reads what it wrote");
+        assert_eq!(back, journal);
+        assert_eq!(back.to_jsonl(), text);
+        // Absent or mistyped is still malformed.
+        for broken in [text.replace(",\"lr_harm\":null", ""), text.replace("null", "\"inf\"")] {
+            let err = Journal::from_jsonl(&broken).unwrap_err();
+            assert!(err.to_string().contains("lr_harm"), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_other_float_fields_cannot_be_written_non_finite() {
+        // The sweep beside the `lr_harm` fix. `p` is `min(1, 1/Λ)` of a
+        // running minimum, inside [0, 1]; `score`, `error_rate_delta` and
+        // `p95_delta_ms` are differences of rates guarded against empty
+        // edges and of sketch quantiles of finite latencies; `magnitude`
+        // is a chaos multiplier `Strategy::validate` requires finite (see
+        // `model::tests::chaos_multiplier_must_be_finite`). None has a
+        // documented non-finite value, so a `null` there is not something
+        // the engine wrote and the reader keeps rejecting it by name.
+        let mut journal = sample_journal();
+        journal.record(JournalEvent::EarlyStop {
+            time: SimTime::from_secs(90),
+            strategy: "s1".into(),
+            phase: "canary".into(),
+            outcome: PhaseOutcome::Failure,
+            p: 0.004,
+        });
+        for (field, kind) in
+            [("p", 7), ("score", 5), ("error_rate_delta", 5), ("p95_delta_ms", 5), ("magnitude", 3)]
+        {
+            let event = journal.events().iter().find(|e| variant(e) == kind).unwrap();
+            let mut json = tree(event);
+            assert_eq!(
+                Journal::from_jsonl(&json.to_string()).unwrap().events(),
+                std::slice::from_ref(event)
+            );
+            let Json::Obj(members) = &mut json else { unreachable!() };
+            members.iter_mut().find(|(key, _)| key == field).unwrap().1 = Json::Null;
+            let err = Journal::from_jsonl(&json.to_string()).unwrap_err();
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -541,10 +541,12 @@ impl Strategy {
                     return invalid(format!("phase {}: chaos window is empty", phase.name));
                 }
                 match chaos.kind {
+                    // Finite too: an over-long digit string parses to `inf`,
+                    // which the journal could write (`null`) but not read.
                     ChaosKind::LatencySpike { multiplier } => {
-                        if multiplier < 1.0 {
+                        if !(1.0..f64::INFINITY).contains(&multiplier) {
                             return invalid(format!(
-                                "phase {}: chaos latency multiplier below 1",
+                                "phase {}: chaos latency multiplier below 1 or not finite",
                                 phase.name
                             ));
                         }
@@ -559,9 +561,9 @@ impl Strategy {
                     }
                     ChaosKind::Outage => {}
                     ChaosKind::LatencyStorm { multiplier } => {
-                        if multiplier < 1.0 {
+                        if !(1.0..f64::INFINITY).contains(&multiplier) {
                             return invalid(format!(
-                                "phase {}: chaos latency multiplier below 1",
+                                "phase {}: chaos latency multiplier below 1 or not finite",
                                 phase.name
                             ));
                         }
@@ -702,6 +704,37 @@ mod tests {
 
         let mut s = sample_strategy();
         s.phases[0].checks[0].interval = SimDuration::ZERO;
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn chaos_multiplier_must_be_finite() {
+        // Regression: `multiplier < 1.0` let `inf` (an over-long digit
+        // string parses to it) and `NaN` through; the journal writes a
+        // non-finite `magnitude` as `null` and could not read it back.
+        let spike = |multiplier| {
+            let mut s = sample_strategy();
+            s.phases[0].chaos = Some(ChaosSpec {
+                kind: ChaosKind::LatencySpike { multiplier },
+                target: ChaosTarget::Candidate,
+                start_after: SimDuration::from_secs(1),
+                duration: SimDuration::from_secs(1),
+            });
+            s.validate()
+        };
+        spike(1.0).unwrap();
+        spike(f64::MAX).unwrap();
+        for bad in [0.5, f64::INFINITY, f64::NAN, "9".repeat(400).parse::<f64>().unwrap()] {
+            let err = spike(bad).unwrap_err().to_string();
+            assert!(err.contains("multiplier below 1 or not finite"), "{bad}: {err}");
+        }
+        let mut s = sample_strategy();
+        s.phases[0].chaos = Some(ChaosSpec {
+            kind: ChaosKind::LatencyStorm { multiplier: f64::INFINITY },
+            target: ChaosTarget::Zone("zone-0".into()),
+            start_after: SimDuration::from_secs(1),
+            duration: SimDuration::from_secs(1),
+        });
         assert!(s.validate().is_err());
     }
 

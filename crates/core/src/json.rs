@@ -13,6 +13,11 @@
 //!   `f64`, with integral values written without a fractional part,
 //! - the writer emits no insignificant whitespace.
 //!
+//! A document can be written two ways with the same bytes: as a [`Json`]
+//! tree ([`Json::write`]), or member by member through an
+//! [`ObjectWriter`] with no tree and no allocation besides the output —
+//! what the journal's encoder does for every event.
+//!
 //! The parser accepts standard JSON (RFC 8259) with the usual escape
 //! sequences, so journals written by other tools can be replayed too.
 
@@ -163,34 +168,155 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// Streams one JSON object into a `String`, member by member, in call
+/// order — the allocation-free counterpart of building a [`Json::Obj`]
+/// and calling [`Json::write`] on it. Values go through the same string
+/// and number writers as the tree, so the bytes are the same.
+///
+/// Member keys are `&'static str` and pushed as they are: they are names
+/// from the source code, and must need no escaping (checked in debug
+/// builds). A key only known at run time goes through
+/// [`ObjectWriter::value_escaped`].
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn begin(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes `key` and hands back the output for its value: the caller
+    /// appends exactly one JSON value (a nested object, say).
+    pub fn value(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(!key.bytes().any(needs_escape), "static key {key:?} needs escaping");
+        self.out.push_str(if self.empty { "\"" } else { ",\"" });
+        self.empty = false;
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// [`ObjectWriter::value`] for a key made at run time, escaped like
+    /// any string.
+    pub fn value_escaped(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &'static str, value: &str) {
+        write_string(value, self.value(key));
+    }
+
+    /// A number member (non-finite values render as `null`).
+    pub fn num(&mut self, key: &'static str, value: f64) {
+        write_number(value, self.value(key));
+    }
+
+    /// An unsigned integer member.
+    pub fn uint(&mut self, key: &'static str, value: u64) {
+        write_uint(value, self.value(key));
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &'static str, value: bool) {
+        self.value(key).push_str(if value { "true" } else { "false" });
+    }
+
+    /// A `null` member.
+    pub fn null(&mut self, key: &'static str) {
+        self.value(key).push_str("null");
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
+}
+
+/// Appends an unsigned integer, byte-identical to writing
+/// `Json::Num(value as f64)`.
+pub fn write_uint(value: u64, out: &mut String) {
+    if value < INTEGRAL_LIMIT as u64 {
+        write_u64(value, out);
+    } else {
+        write_number(value as f64, out);
+    }
+}
+
+/// Integral values below this magnitude are written as integers; every
+/// one of them is exact in an `f64` (2^53 > 9e15).
+const INTEGRAL_LIMIT: f64 = 9.0e15;
+
+/// Appends `n` in decimal without going through `fmt`.
+fn write_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ascii digits"));
+}
+
 fn write_number(n: f64, out: &mut String) {
     use fmt::Write as _;
     if !n.is_finite() {
         // JSON has no NaN/Infinity; `null` keeps the document valid.
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n == n.trunc() && n.abs() < INTEGRAL_LIMIT {
+        let int = n as i64;
+        if int < 0 {
+            out.push('-');
+        }
+        write_u64(int.unsigned_abs(), out);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
+fn needs_escape(byte: u8) -> bool {
+    byte == b'"' || byte == b'\\' || byte < 0x20
+}
+
 fn write_string(s: &str, out: &mut String) {
     use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Runs of bytes that need no escape are copied whole; every byte that
+    // does is ASCII, so the cuts fall on character boundaries.
+    let mut clean_from = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !needs_escape(byte) {
+            continue;
+        }
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 
@@ -460,6 +586,102 @@ mod tests {
         }
         let err = Json::parse("[1, @]").unwrap_err();
         assert!(err.to_string().contains("byte 4"), "{err}");
+    }
+
+    /// The writer's escaping rule stated char by char — the reference the
+    /// run-copying [`write_string`] is searched against.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_escape_the_same_bytes_run_by_run_as_char_by_char() {
+        // Every pair of the interesting characters — each escape, the
+        // boundary bytes 0x1f/0x20/0x7f, and 2-, 3- and 4-byte UTF-8 —
+        // so every "run ends at an escape / at a multi-byte char / at the
+        // end" adjacency occurs.
+        let mut alphabet: Vec<char> = (0u8..0x21).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', 'a', '\u{7f}', 'é', '€', '😀']);
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for text in [format!("{a}{b}"), format!("x{a}y{b}z"), format!("{a}")] {
+                    let written = Json::Str(text.clone()).to_string();
+                    assert_eq!(written, escape_by_char(&text), "{text:?}");
+                    assert_eq!(Json::parse(&written).unwrap().as_str(), Some(text.as_str()));
+                }
+            }
+        }
+        assert_eq!(Json::Str(String::new()).to_string(), "\"\"");
+    }
+
+    #[test]
+    fn integers_write_the_same_digits_as_fmt() {
+        let mut values = vec![0i64, 1, 9, 10, 99, 100, 8_999_999_999_999_999];
+        values.extend((1..16).flat_map(|e| [10i64.pow(e) - 1, 10i64.pow(e), 10i64.pow(e) + 1]));
+        for v in values {
+            for signed in [v, -v] {
+                assert_eq!(Json::Num(signed as f64).to_string(), signed.to_string());
+            }
+        }
+        assert_eq!(Json::Num(-0.0).to_string(), "0");
+        // At and past the integral limit numbers fall back to the float
+        // formatter; the unsigned path agrees with the float path there.
+        for v in [9_000_000_000_000_000u64, 9_007_199_254_740_993, u64::MAX] {
+            let mut streamed = String::new();
+            let mut w = ObjectWriter::begin(&mut streamed);
+            w.uint("v", v);
+            w.end();
+            assert_eq!(streamed, obj(vec![("v", Json::Num(v as f64))]).to_string(), "{v}");
+        }
+    }
+
+    #[test]
+    fn object_writer_matches_the_tree() {
+        let mut streamed = String::new();
+        let mut w = ObjectWriter::begin(&mut streamed);
+        write_string("a\nb", w.value_escaped("e\"v"));
+        w.num("x", 0.1 + 0.2);
+        w.num("inf", f64::INFINITY);
+        w.uint("n", 42);
+        w.bool("ok", true);
+        w.null("none");
+        let mut inner = ObjectWriter::begin(w.value("inner"));
+        inner.uint("k", 7);
+        inner.end();
+        ObjectWriter::begin(w.value("empty")).end();
+        w.end();
+        let tree = obj(vec![
+            ("e\"v", Json::Str("a\nb".into())),
+            ("x", Json::Num(0.1 + 0.2)),
+            ("inf", Json::Num(f64::INFINITY)),
+            ("n", Json::Num(42.0)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("inner", obj(vec![("k", Json::Num(7.0))])),
+            ("empty", obj(vec![])),
+        ]);
+        assert_eq!(streamed, tree.to_string());
+        assert_eq!(Json::parse(&streamed).unwrap(), {
+            // `inf` reads back as the `null` it was written as.
+            let mut read = tree.clone();
+            if let Json::Obj(members) = &mut read {
+                members[2].1 = Json::Null;
+            }
+            read
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! provide the numerically stable aggregation Bifrost checks and the
 //! topology heuristics rely on.
 
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 use crate::simtime::SimTime;
 use std::fmt;
 
@@ -273,21 +273,21 @@ impl Summary {
         acc.summary()
     }
 
-    /// Serializes into an ordered [`Json`] object with the fixed member
+    /// Appends the summary to `out` as a JSON object with the fixed member
     /// order `n, mean, sd, min, max` — the representation the Bifrost
     /// execution journal relies on for byte-identical output.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("n".to_string(), Json::Num(self.count as f64)),
-            ("mean".to_string(), Json::Num(self.mean)),
-            ("sd".to_string(), Json::Num(self.std_dev)),
-            ("min".to_string(), Json::Num(self.min)),
-            ("max".to_string(), Json::Num(self.max)),
-        ])
+    pub fn write_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::begin(out);
+        w.uint("n", self.count);
+        w.num("mean", self.mean);
+        w.num("sd", self.std_dev);
+        w.num("min", self.min);
+        w.num("max", self.max);
+        w.end();
     }
 
     /// Reads a summary back from the representation written by
-    /// [`Summary::to_json`]. Returns `None` when a member is missing or
+    /// [`Summary::write_json`]. Returns `None` when a member is missing or
     /// not a number.
     pub fn from_json(json: &Json) -> Option<Summary> {
         Some(Summary {
@@ -565,15 +565,11 @@ mod tests {
     #[test]
     fn summary_json_round_trips() {
         let s = Summary::of(&[2.0, 4.0, 7.5]);
-        let json = s.to_json();
-        assert_eq!(
-            json.to_string(),
-            "{\"n\":3,\"mean\":4.5,\"sd\":2.7838821814150108,\"min\":2,\"max\":7.5}"
-        );
-        assert_eq!(Summary::from_json(&json), Some(s));
+        let mut text = String::new();
+        s.write_json(&mut text);
+        assert_eq!(text, "{\"n\":3,\"mean\":4.5,\"sd\":2.7838821814150108,\"min\":2,\"max\":7.5}");
+        assert_eq!(Summary::from_json(&Json::parse(&text).unwrap()), Some(s));
         assert_eq!(Summary::from_json(&Json::Null), None);
-        let reparsed = Json::parse(&json.to_string()).unwrap();
-        assert_eq!(Summary::from_json(&reparsed), Some(s));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! At million-request scale the store is the busiest shared structure in
 //! the system — every request hop writes two samples, and every Bifrost
-//! check reads a trailing window. Four mechanisms keep it off the critical
+//! check reads a trailing window. Five mechanisms keep it off the critical
 //! path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
@@ -40,11 +40,25 @@
 //!   unbounded runs. Queries reaching into the compacted region are
 //!   answered at bucket granularity (the horizon defaults past the longest
 //!   check window, so live checks never hit it).
+//! * **Resumable cumulative windows.** A window with a fixed start that
+//!   only grows at its trailing end (a sequential check's, since phase
+//!   start) is not re-folded from its first bucket on every look:
+//!   [`MetricStore::window_summary_resumed`] continues from a
+//!   [`WindowCursor`] holding the fold over the leading buckets, and only
+//!   the new buckets and the raw-resolved trailing edge are visited. The
+//!   fold is the same sequence of merges and pushes, so the summary is
+//!   bit-identical. Validity rule: the cursor keeps only buckets the
+//!   window covers whole (so only for a start on a bucket boundary) and
+//!   older than the series' newest bucket, and it is used only while the
+//!   series' epoch — renewed on creation and on any write into an older
+//!   bucket — the window start, and a `now` not before the kept buckets
+//!   all still match; otherwise the same call folds from scratch.
 //!
 //! Everything stays deterministic: ingestion order is driven by the
 //! virtual clock, bucket contents and compaction depend only on the data,
-//! and reads never mutate — so summaries are bit-exact across repeated
-//! same-seed runs and across engine worker counts.
+//! and reads never mutate (a cursor is the caller's, not the store's) — so
+//! summaries are bit-exact across repeated same-seed runs and across engine
+//! worker counts.
 
 use crate::app::Application;
 use cex_core::intern::Interner;
@@ -97,9 +111,18 @@ struct Series {
     /// Bucket-aligned compaction floor: raw samples below it were
     /// compacted away and only their buckets remain.
     raw_floor_ms: u64,
+    /// Store-wide unique stamp of "every bucket but the newest is as it
+    /// was": renewed when the series is created and whenever a sample
+    /// lands in a bucket older than the newest (see [`WindowCursor`]).
+    epoch: u64,
 }
 
 impl Series {
+    /// Index of the newest bucket, `None` before the first sample.
+    fn newest_bucket(&self) -> Option<u64> {
+        (!self.buckets.is_empty()).then(|| self.first_bucket + self.buckets.len() as u64 - 1)
+    }
+
     /// Extends bucket coverage to include bucket `idx`.
     fn ensure_bucket(&mut self, idx: u64) {
         if self.buckets.is_empty() {
@@ -130,11 +153,14 @@ impl Series {
     /// deterministic for a given sample sequence. Samples should be in
     /// non-decreasing time order (the virtual clock guarantees this for
     /// every producer; out-of-order input still lands in the right
-    /// buckets).
-    fn push_run(&mut self, samples: &[Sample], width_ms: u64) {
+    /// buckets). Returns `true` when a sample landed in a bucket older
+    /// than the newest — the caller renews [`Series::epoch`].
+    fn push_run(&mut self, samples: &[Sample], width_ms: u64) -> bool {
+        let mut rewrote_history = false;
         let mut i = 0;
         while i < samples.len() {
             let idx = samples[i].time.as_millis() / width_ms;
+            rewrote_history |= self.newest_bucket().is_some_and(|newest| idx < newest);
             self.ensure_bucket(idx);
             let b_start = idx * width_ms;
             let b_end = b_start + width_ms;
@@ -180,6 +206,7 @@ impl Series {
             }
             i = j;
         }
+        rewrote_history
     }
 
     /// Drops raw samples older than `horizon` behind the series' latest
@@ -196,22 +223,33 @@ impl Series {
         self.raw_floor_ms = aligned;
     }
 
-    /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`:
-    /// whole buckets merged for the fully covered interior, raw samples
-    /// pushed individually for the partially covered edges. Edge buckets
-    /// below the compaction floor are merged whole (bucket granularity).
-    fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
-        if to_ms <= from_ms || self.buckets.is_empty() {
-            return;
+    /// The buckets `lo..end` a query over `from_ms <= time < to_ms` visits;
+    /// empty when the query misses the series.
+    fn bucket_span(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> std::ops::Range<u64> {
+        match self.newest_bucket() {
+            Some(newest) if to_ms > from_ms => {
+                let lo = (from_ms / width_ms).max(self.first_bucket);
+                lo..(((to_ms - 1) / width_ms).min(newest) + 1).max(lo)
+            }
+            _ => 0..0,
         }
-        let lo = (from_ms / width_ms).max(self.first_bucket);
-        let last = self.first_bucket + self.buckets.len() as u64 - 1;
-        let hi = ((to_ms - 1) / width_ms).min(last);
-        if lo > hi {
-            return;
-        }
+    }
+
+    /// Folds `buckets` (existing ones, in order) of the query
+    /// `from_ms <= time < to_ms` into `acc`: whole buckets merged for the
+    /// fully covered interior, raw samples pushed individually for the
+    /// partially covered edges. Edge buckets below the compaction floor
+    /// are merged whole (bucket granularity).
+    fn fold(
+        &self,
+        buckets: std::ops::Range<u64>,
+        from_ms: u64,
+        to_ms: u64,
+        width_ms: u64,
+        acc: &mut OnlineStats,
+    ) {
         let mut raw_cursor: Option<usize> = None;
-        for b in lo..=hi {
+        for b in buckets {
             let stats = &self.buckets[(b - self.first_bucket) as usize];
             if stats.count() == 0 {
                 continue;
@@ -244,10 +282,94 @@ impl Series {
         }
     }
 
+    /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`.
+    fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
+        self.fold(self.bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
+    }
+
+    /// [`Series::accumulate`] from an empty accumulator, continued from
+    /// `cursor` where it is still good (see [`WindowCursor`] for the
+    /// rule). The buckets, their order and every merge and push are those
+    /// of the fold from scratch, so the summary is the same to the bit.
+    fn resume(
+        &self,
+        from_ms: u64,
+        to_ms: u64,
+        width_ms: u64,
+        cursor: &WindowCursor,
+    ) -> (Summary, WindowCursor) {
+        let span = self.bucket_span(from_ms, to_ms, width_ms);
+        // What a later look may skip: buckets the window covers whole on
+        // both sides — so the fold only merged them, whatever the raw tail
+        // and the compaction floor were — and older than the newest, so a
+        // write to any of them has renewed the epoch.
+        let keep_to = match self.newest_bucket() {
+            Some(newest) if from_ms.is_multiple_of(width_ms) => {
+                (to_ms / width_ms).min(newest).max(span.start)
+            }
+            _ => span.start,
+        };
+        let good = cursor.epoch == self.epoch
+            && cursor.from_ms == from_ms
+            && (span.start..=keep_to).contains(&cursor.next_bucket);
+        let (mut acc, start) =
+            if good { (cursor.acc, cursor.next_bucket) } else { (OnlineStats::new(), span.start) };
+        self.fold(start..keep_to, from_ms, to_ms, width_ms, &mut acc);
+        let kept = WindowCursor { from_ms, next_bucket: keep_to, epoch: self.epoch, acc };
+        self.fold(keep_to..span.end, from_ms, to_ms, width_ms, &mut acc);
+        (acc.summary(), kept)
+    }
+
     fn summary_between(&self, from: SimTime, to: SimTime, width_ms: u64) -> Summary {
         let mut acc = OnlineStats::new();
         self.accumulate(from.as_millis(), to.as_millis(), width_ms, &mut acc);
         acc.summary()
+    }
+}
+
+/// Where a cumulative window read left off, so the next look at the same
+/// window — same start, a later `now` — continues instead of restarting
+/// ([`MetricStore::window_summary_resumed`]). It holds the left fold over
+/// the leading buckets that can no longer change the answer; the trailing
+/// ones are folded again on every look and never kept.
+///
+/// **Validity rule.** A cursor is used only if nothing it folded can have
+/// changed, and is otherwise ignored in favour of the fold from scratch:
+///
+/// * it keeps only buckets the window covers whole on both sides (so the
+///   window start must sit on a bucket boundary — an unaligned start keeps
+///   nothing) and older than the series' newest bucket: the fold merged
+///   them and never touched the raw tail or the compaction floor;
+/// * the series carries an epoch, unique across the store, renewed when
+///   the series is created (so also when it is cleared and recorded
+///   again) and whenever a sample lands in a bucket older than the newest
+///   (which is also the only way the first bucket moves): the cursor must
+///   carry the same one;
+/// * the window start must be the same, and `now` not so much earlier
+///   that a kept bucket sticks out of the window.
+///
+/// A cursor belongs to the store that issued it; handing it back with
+/// another series is harmless (the epoch differs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowCursor {
+    from_ms: u64,
+    /// First bucket not folded into `acc`.
+    next_bucket: u64,
+    /// [`Series::epoch`] at the time of the fold; 0 matches no series.
+    epoch: u64,
+    acc: OnlineStats,
+}
+
+impl WindowCursor {
+    /// A cursor that resumes nothing: the first look of a window.
+    pub fn new() -> Self {
+        WindowCursor { from_ms: 0, next_bucket: 0, epoch: 0, acc: OnlineStats::new() }
+    }
+}
+
+impl Default for WindowCursor {
+    fn default() -> Self {
+        WindowCursor::new()
     }
 }
 
@@ -266,6 +388,9 @@ pub struct MetricStore {
     bucket_width_ms: u64,
     /// Retention horizon in ms; 0 = unbounded (raw samples kept forever).
     retention_ms: AtomicU64,
+    /// Series epochs issued so far (see [`WindowCursor`]); only writers,
+    /// who hold the series lock, draw from it.
+    epochs: AtomicU64,
     /// Windowed reads served so far (monitoring-cost accounting for the
     /// Bifrost execution journal). The total per tick is deterministic
     /// even though worker threads increment it in arbitrary order.
@@ -305,6 +430,7 @@ impl MetricStore {
             series: RwLock::new(Vec::new()),
             bucket_width_ms: width.as_millis(),
             retention_ms: AtomicU64::new(0),
+            epochs: AtomicU64::new(0),
             window_reads: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
             flush_probe: WallProbe::new(),
@@ -388,8 +514,12 @@ impl MetricStore {
         if slot >= table.len() {
             table.resize_with(slot + 1, || None);
         }
-        let series = table[slot].get_or_insert_with(Series::default);
-        series.push_run(samples, self.bucket_width_ms);
+        let new_epoch = || self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
+        let series =
+            table[slot].get_or_insert_with(|| Series { epoch: new_epoch(), ..Series::default() });
+        if series.push_run(samples, self.bucket_width_ms) {
+            series.epoch = new_epoch();
+        }
         let retention = self.retention_ms.load(Ordering::Relaxed);
         if retention != 0 {
             series.compact(retention, self.bucket_width_ms);
@@ -480,6 +610,30 @@ impl MetricStore {
         self.window_reads.fetch_add(1, Ordering::Relaxed);
         let from = SimTime::from_millis(now.as_millis().saturating_sub(window.as_millis()));
         self.summary_between_id(scope, metric, from, now + SimDuration::from_millis(1))
+    }
+
+    /// [`MetricStore::window_summary_id`] for a window that only ever
+    /// grows at its trailing end — a cumulative read since a fixed start —
+    /// continued from the cursor the previous look returned, and returning
+    /// the one for the next. The summary is bit-identical to
+    /// `window_summary_id`'s whatever cursor is passed (see
+    /// [`WindowCursor`] for when one is ignored); it counts as one
+    /// windowed read just the same.
+    pub fn window_summary_resumed(
+        &self,
+        scope: ScopeId,
+        metric: MetricKind,
+        now: SimTime,
+        window: SimDuration,
+        cursor: &WindowCursor,
+    ) -> (Summary, WindowCursor) {
+        let _t = self.query_probe.time();
+        self.window_reads.fetch_add(1, Ordering::Relaxed);
+        let from_ms = now.as_millis().saturating_sub(window.as_millis());
+        series_at(&self.read(), scope, metric).map_or_else(
+            || (Summary::default(), WindowCursor::new()),
+            |s| s.resume(from_ms, now.as_millis() + 1, self.bucket_width_ms, cursor),
+        )
     }
 
     /// Number of windowed reads ([`MetricStore::window_summary`] calls,
@@ -1095,6 +1249,153 @@ mod tests {
         );
         assert_eq!(s.count, 10);
         assert_eq!(s.min, 10.0);
+    }
+
+    fn bits(s: Summary) -> [u64; 5] {
+        [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
+    }
+
+    #[test]
+    fn resumed_windows_equal_fresh_ones_over_searched_histories() {
+        // Differential search: one series per seed lives through a random
+        // history — bursts, silences, late samples reaching back over
+        // several buckets, the scope cleared and recorded again, retention
+        // compacting past the window start, a window start on and off the
+        // bucket grid that sometimes moves, and `now` mostly advancing but
+        // sometimes stepping back. At every look the read continued from
+        // the previous look's cursor must be the fresh read, bit for bit.
+        use cex_core::rng::SplitMix64;
+        let metric = MetricKind::ResponseTime;
+        let (mut looks, mut kept_something) = (0u32, 0u32);
+        for seed in 0..400u64 {
+            let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
+            let width = [250u64, 700, 1_000, 3_000][rng.next_index(4)];
+            let store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            if rng.next_below(3) == 0 {
+                let horizon = width * (1 + rng.next_below(6));
+                store.set_retention(Some(SimDuration::from_millis(horizon)));
+            }
+            let scope = store.intern("svc@1");
+            let mut clock = rng.next_below(5_000);
+            let mut from = clock;
+            let mut cursor = WindowCursor::new();
+            for _ in 0..120 {
+                match rng.next_below(12) {
+                    // A burst of in-order samples, often dense enough for
+                    // the four-chain bucket fold.
+                    0..=4 => {
+                        for _ in 0..rng.next_below(40) {
+                            clock += rng.next_below(width / 4 + 1);
+                            let t = SimTime::from_millis(clock);
+                            store.record_id(scope, metric, Sample::new(t, rng.next_f64() * 100.0));
+                        }
+                    }
+                    // Silence: whole buckets with nothing in them.
+                    5 => clock += width * rng.next_below(5),
+                    // A late sample, up to six buckets back.
+                    6 | 7 => {
+                        let t = clock.saturating_sub(rng.next_below(width * 6));
+                        store.record_value("svc@1", metric, SimTime::from_millis(t), -5.0);
+                    }
+                    8 if rng.next_below(4) == 0 => store.clear_scope("svc@1"),
+                    // A new window start: on the grid or off it.
+                    9 => {
+                        from = clock.saturating_sub(rng.next_below(width * 8));
+                        if rng.next_below(2) == 0 {
+                            from -= from % width;
+                        }
+                    }
+                    _ => {}
+                }
+                let back = if rng.next_below(8) == 0 { rng.next_below(width * 3) } else { 0 };
+                let now = SimTime::from_millis(clock.saturating_sub(back).max(from));
+                let window = SimDuration::from_millis(now.as_millis() - from);
+                let fresh = store.window_summary_id(scope, metric, now, window);
+                let (resumed, next) =
+                    store.window_summary_resumed(scope, metric, now, window, &cursor);
+                assert_eq!(bits(resumed), bits(fresh), "seed {seed} width {width} at {now}");
+                let (scratch, _) =
+                    store.window_summary_resumed(scope, metric, now, window, &WindowCursor::new());
+                assert_eq!(bits(scratch), bits(fresh), "seed {seed}: from scratch");
+                looks += 1;
+                kept_something += u32::from(next.acc.count() > 0);
+                cursor = next;
+            }
+        }
+        // The search is not vacuous: a good share of looks left a fold
+        // behind for the next one to continue.
+        assert!(kept_something * 4 > looks, "{kept_something} of {looks} looks kept a fold");
+    }
+
+    #[test]
+    fn a_cursor_counts_only_while_nothing_under_it_can_have_changed() {
+        // A poisoned cursor — a valid one with one bogus observation added
+        // to its fold — shows up in the answer exactly when the cursor is
+        // used. It must be used on an undisturbed series, and ignored
+        // after every kind of disturbance.
+        let metric = MetricKind::ResponseTime;
+        let at = SimTime::from_millis;
+        let ramp = |store: &MetricStore, scope: ScopeId, range: std::ops::Range<u64>| {
+            for i in range {
+                store.record_id(scope, metric, Sample::new(at(i * 100), i as f64));
+            }
+        };
+        let start = |from_ms: u64| {
+            let store = MetricStore::new();
+            let scope = store.intern("s");
+            ramp(&store, scope, 0..100);
+            let now = at(8_000);
+            let window = SimDuration::from_millis(8_000 - from_ms);
+            let (summary, mut cursor) =
+                store.window_summary_resumed(scope, metric, now, window, &WindowCursor::new());
+            assert_eq!(bits(summary), bits(store.window_summary_id(scope, metric, now, window)));
+            cursor.acc.push(1e9);
+            (store, scope, cursor)
+        };
+        let read =
+            |store: &MetricStore, scope, from_ms: u64, now_ms: u64, cursor: &WindowCursor| {
+                let window = SimDuration::from_millis(now_ms - from_ms);
+                let fresh = store.window_summary_id(scope, metric, at(now_ms), window);
+                let (resumed, _) =
+                    store.window_summary_resumed(scope, metric, at(now_ms), window, cursor);
+                (resumed.count, fresh.count)
+            };
+
+        // Undisturbed, later `now`: used (the bogus observation counts).
+        let (store, scope, poisoned) = start(2_000);
+        assert_eq!(poisoned.next_bucket, 8, "buckets 2..8 kept, the newest and the edge not");
+        assert_eq!(read(&store, scope, 2_000, 9_500, &poisoned), (77, 76));
+        // Appending at the newest bucket and beyond changes nothing kept.
+        ramp(&store, scope, 100..130);
+        assert_eq!(read(&store, scope, 2_000, 12_000, &poisoned), (102, 101));
+        // A late sample in a kept bucket: ignored from then on.
+        store.record_id(scope, metric, Sample::new(at(5_050), 0.0));
+        assert_eq!(read(&store, scope, 2_000, 12_000, &poisoned), (102, 102));
+
+        // Another window start.
+        let (store, scope, poisoned) = start(2_000);
+        assert_eq!(read(&store, scope, 3_000, 9_500, &poisoned), (66, 66));
+        // `now` stepping back inside the kept buckets (and not, for contrast).
+        assert_eq!(read(&store, scope, 2_000, 6_500, &poisoned), (46, 46));
+        assert_eq!(read(&store, scope, 2_000, 8_000, &poisoned), (62, 61));
+        // The scope cleared and recorded again with the very same samples.
+        store.clear_scope("s");
+        ramp(&store, scope, 0..100);
+        assert_eq!(read(&store, scope, 2_000, 9_500, &poisoned), (76, 76));
+        // Another series of the same store.
+        let other = store.intern("other");
+        ramp(&store, other, 0..100);
+        assert_eq!(read(&store, other, 2_000, 9_500, &poisoned), (76, 76));
+
+        // A window start off the bucket grid keeps nothing to poison the
+        // next look with, compacted or not.
+        let (store, scope, poisoned) = start(2_050);
+        assert_eq!((poisoned.next_bucket, poisoned.acc.count()), (2, 1));
+        store.set_retention(Some(SimDuration::from_secs(1)));
+        ramp(&store, scope, 100..130);
+        let (resumed, fresh) = read(&store, scope, 2_050, 12_000, &WindowCursor::new());
+        assert_eq!(resumed, fresh);
+        assert_eq!(fresh, 101, "bucket 2 whole below the raw floor: 2000..=12000ms");
     }
 
     #[test]
