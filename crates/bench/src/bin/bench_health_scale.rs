@@ -227,15 +227,13 @@ struct LegacyHealth {
 impl LegacyHealth {
     fn observe_all(&mut self, traces: &[Trace]) {
         for trace in traces {
-            for span in &trace.spans {
-                let caller = span.parent.and_then(|p| trace.get(p)).map(|p| p.version);
-                let key = EdgeKey { caller, callee: span.version, endpoint: span.endpoint };
-                let stats = self.edges.entry(key).or_default();
+            for hop in trace.hops() {
+                let stats = self.edges.entry(hop.edge()).or_default();
                 stats.calls += 1;
-                if !span.status.is_ok() {
+                if !hop.span.status.is_ok() {
                     stats.errors += 1;
                 }
-                stats.latency.push(span.duration.as_millis() as f64);
+                stats.latency.push(hop.span.duration.as_millis() as f64);
             }
             self.traces += 1;
         }

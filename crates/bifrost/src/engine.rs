@@ -36,7 +36,7 @@ use microsim::health::{EdgeDelta, HealthAccumulator, HealthReport};
 use microsim::monitor::ScopeId;
 use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
-use microsim::trace::{SpanBook, SpanStatus, TailSamplingConfig, Trace};
+use microsim::trace::{SpanBook, TailSamplingConfig, Trace};
 use microsim::workload::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -934,10 +934,8 @@ fn distill_trace_samples(sim: &Simulation, trace_scopes: &[ScopeId], drained: &[
     let now = sim.now();
     let mut batch = sim.store().batch();
     for trace in drained {
-        for span in &trace.spans {
-            if span.dark || matches!(span.status, SpanStatus::Shed | SpanStatus::Fallback) {
-                continue;
-            }
+        for hop in trace.hops().filter(|hop| !hop.span.dark && hop.span.status.executed()) {
+            let span = hop.span;
             let scope = trace_scopes[span.version.0];
             let latency_ms = span.duration.as_millis() as f64;
             batch.record_value_id(scope, MetricKind::ResponseTime, now, latency_ms);
@@ -1519,6 +1517,80 @@ mod tests {
             .unwrap();
         assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
         assert!(report.health.is_empty(), "no traces, no health reports");
+    }
+
+    #[test]
+    fn trace_samples_are_the_executed_primary_spans() {
+        // The trace of the root `tests/trace_views.rs` (every span kind
+        // under one ok root), seen by the fourth consumer: one sample pair
+        // per executed primary span, under the serving version's scope.
+        use microsim::trace::{Span, SpanId, SpanStatus, TraceId};
+        use SpanStatus::{Failed, Fallback, Ok, Shed, TimedOut};
+        let mut b = Application::builder();
+        for (service, version, endpoint) in [
+            ("fe", "1.0.0", "home"),
+            ("be", "1.0.0", "api"),
+            ("be", "2.0.0", "api"),
+            ("db", "1.0.0", "q"),
+        ] {
+            b.version(
+                VersionSpec::new(service, version)
+                    .endpoint(EndpointDef::new(endpoint, LatencyModel::Constant { ms: 1.0 })),
+            );
+        }
+        let app = b.build().unwrap();
+        let (fe, be, dark_be, db) = (VersionId(0), VersionId(1), VersionId(2), VersionId(3));
+        let rows = [
+            (None, fe, Ok, 100, false),
+            (Some(0), be, Failed, 30, false),
+            (Some(1), db, Failed, 10, false),
+            (Some(0), be, TimedOut, 20, false),
+            (Some(0), be, Shed, 0, false),
+            (Some(0), be, Fallback, 1, false),
+            (Some(0), dark_be, Ok, 15, true),
+            (Some(6), db, Ok, 5, true),
+        ];
+        let spans = rows
+            .into_iter()
+            .zip(0u32..)
+            .map(|((parent, version, status, ms, dark), id)| Span {
+                trace: TraceId(1),
+                span: SpanId(id),
+                parent: parent.map(SpanId),
+                service: app.version(version).service,
+                version,
+                endpoint: app.version(version).endpoints[0],
+                start: SimTime::from_millis(0),
+                duration: SimDuration::from_millis(ms),
+                status,
+                attempt: 0,
+                dark,
+            })
+            .collect();
+        // One sample per span whatever the weight: the divergence from the
+        // weighted folds that DESIGN.md keeps on purpose.
+        let trace = Trace { id: TraceId(1), spans, weight: 3 };
+
+        let sim = Simulation::new(app, 1);
+        let pipeline = TracePipeline::new(&sim);
+        distill_trace_samples(&sim, &pipeline.scopes, std::slice::from_ref(&trace));
+        for (scope, executed, errored) in [
+            ("trace:fe@1.0.0", 1, 0.0),
+            ("trace:be@1.0.0", 2, 2.0),
+            ("trace:be@2.0.0", 0, 0.0),
+            ("trace:db@1.0.0", 1, 1.0),
+        ] {
+            for kind in [MetricKind::ResponseTime, MetricKind::ErrorRate] {
+                assert_eq!(sim.store().count(scope, kind), executed, "{scope} {kind:?}");
+            }
+            let errors = sim.store().summary_between(
+                scope,
+                MetricKind::ErrorRate,
+                SimTime::from_millis(0),
+                SimTime::from_secs(1),
+            );
+            assert_eq!(errors.mean * executed as f64, errored, "{scope} errors");
+        }
     }
 
     #[test]

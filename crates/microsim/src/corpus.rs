@@ -17,15 +17,17 @@
 //! compare two versions of the *same* service, which is blind to
 //! correlated faults that hit baseline and candidate alike (a zone
 //! outage). The corpus localizer instead compares a healthy time window
-//! against a faulted one, edge by edge, on two signals the canary report
-//! cannot use:
+//! against a faulted one, edge by edge — the same [`Trace::hops`] walk and
+//! [`EdgeKey`]s as the health fold, over executed primary spans only — on
+//! two signals the canary report cannot use:
 //!
 //! - **blame rate** — a span is *blamed* for a failure only when it
 //!   failed and none of its children did (the failure originated there,
 //!   not upstream of it), so cascading parent failures do not drown out
 //!   the root cause;
-//! - **self time** — a span's duration minus its children's, so a deep
-//!   latency spike does not inflate every ancestor edge equally.
+//! - **self time** — a span's duration minus its primary children's (in
+//!   fractional milliseconds), so a deep latency spike does not inflate
+//!   every ancestor edge equally.
 //!
 //! Scores reuse the documented [`crate::health`] weight constants.
 
@@ -35,7 +37,7 @@ use crate::faults::{self, Fault, FaultKind};
 use crate::health::{SCORE_ERROR_RATE_WEIGHT, SCORE_P95_DELTA_WEIGHT};
 use crate::latency::LatencyModel;
 use crate::sim::Simulation;
-use crate::trace::{EdgeKey, SpanStatus, Trace};
+use crate::trace::{EdgeKey, Trace};
 use crate::workload::{EntryPoint, RateProfile, Workload};
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
@@ -549,41 +551,27 @@ impl BlameAccumulator {
         Self::default()
     }
 
-    /// Folds every primary (non-dark, executed) span of `trace`.
+    /// Folds every primary (non-dark, executed) span of `trace`, with the
+    /// trace's weight. Shed/fallback event spans never ran the endpoint;
+    /// localization judges executed work only.
     pub fn observe_trace(&mut self, trace: &Trace) {
-        let n = trace.spans.len();
-        let mut child_ms = vec![0.0f64; n];
-        let mut child_failed = vec![false; n];
-        for span in &trace.spans {
-            if span.dark {
-                continue;
-            }
-            if let Some(parent) = span.parent {
-                let p = parent.0 as usize;
-                if p < n {
-                    child_ms[p] += span.duration.as_millis_f64();
-                    if matches!(span.status, SpanStatus::Failed | SpanStatus::TimedOut) {
-                        child_failed[p] = true;
-                    }
-                }
+        let weight = u64::from(trace.weight);
+        // Per-span child sums, indexed by hop position.
+        let mut child_ms = vec![0.0f64; trace.spans.len()];
+        let mut child_failed = vec![false; trace.spans.len()];
+        for hop in trace.hops().filter(|hop| !hop.span.dark) {
+            if let Some((caller, _)) = hop.caller {
+                child_ms[caller] += hop.span.duration.as_millis_f64();
+                child_failed[caller] |= hop.span.status.failed();
             }
         }
-        for (i, span) in trace.spans.iter().enumerate() {
-            // Shed/fallback event spans never executed the endpoint;
-            // localization judges executed work only.
-            if span.dark || matches!(span.status, SpanStatus::Shed | SpanStatus::Fallback) {
-                continue;
-            }
-            let caller = span.parent.and_then(|p| trace.get(p)).map(|p| p.version);
-            let key = EdgeKey { caller, callee: span.version, endpoint: span.endpoint };
-            let weight = u64::from(trace.weight);
-            let stats = self.edges.entry(key).or_default();
+        for hop in trace.hops().filter(|hop| !hop.span.dark && hop.span.status.executed()) {
+            let stats = self.edges.entry(hop.edge()).or_default();
             stats.calls += weight;
-            let failed = matches!(span.status, SpanStatus::Failed | SpanStatus::TimedOut);
-            if failed && !child_failed[i] {
+            if hop.span.status.failed() && !child_failed[hop.index] {
                 stats.blamed += weight;
             }
-            let self_ms = (span.duration.as_millis_f64() - child_ms[i]).max(0.0);
+            let self_ms = (hop.span.duration.as_millis_f64() - child_ms[hop.index]).max(0.0);
             stats.self_latency.push_weighted(self_ms, weight);
         }
     }

@@ -1646,7 +1646,7 @@ mod tests {
                 s.attempt == 0
                     && s.start >= SimTime::from_secs(10)
                     && s.start < SimTime::from_secs(20)
-                    && !matches!(s.status, SpanStatus::Shed | SpanStatus::Fallback)
+                    && s.status.executed()
                     && s.parent.is_some()
             })
             .collect::<Vec<_>>();

@@ -3,9 +3,11 @@
 //! The dissertation's analysis model assesses a change's health by
 //! comparing how a canary's *interactions* behave against the baseline's,
 //! edge by edge, instead of staring at one service-level dial. This
-//! module is that analysis layer for the simulator: drained traces fold
-//! into a [`HealthAccumulator`] (a per-`service@version` interaction
-//! graph keyed by [`EdgeKey`]), and [`HealthReport::build`] diffs a
+//! module is that analysis layer for the simulator: drained traces fold,
+//! one [`Trace::hops`] walk each, into a [`HealthAccumulator`] (a
+//! per-`service@version` interaction graph keyed by [`EdgeKey`]; dark
+//! spans skipped, sheds and fallbacks counted beside the executed calls
+//! rather than among them), and [`HealthReport::build`] diffs a
 //! canary version against its baseline per logical endpoint — latency
 //! quantiles (via [`cex_core::metrics::quantiles`]), error rate, and
 //! retry amplification — plus the critical path of each trace, so a
@@ -140,13 +142,8 @@ impl HealthAccumulator {
     /// mass stay unbiased.
     pub fn observe_trace(&mut self, trace: &Trace) {
         let weight = u64::from(trace.weight);
-        for span in &trace.spans {
-            if span.dark {
-                continue;
-            }
-            let caller = span.parent.and_then(|p| trace.get(p)).map(|p| p.version);
-            let key = EdgeKey { caller, callee: span.version, endpoint: span.endpoint };
-            self.edges.entry(key).or_default().fold(span, weight);
+        for hop in trace.hops().filter(|hop| !hop.span.dark) {
+            self.edges.entry(hop.edge()).or_default().fold(hop.span, weight);
         }
         if let Some(sink) = critical_sink(trace) {
             *self.critical_sinks.entry((sink.version, sink.endpoint)).or_default() += weight;
@@ -310,11 +307,6 @@ impl EdgeDelta {
         self.canary.p95_ms - self.baseline.p95_ms
     }
 
-    /// Canary − baseline median latency difference (ms).
-    pub fn p50_delta_ms(&self) -> f64 {
-        self.canary.p50_ms - self.baseline.p50_ms
-    }
-
     /// Degradation score used to rank edges: error-rate deltas dominate,
     /// retry amplification next, latency deltas break ties. Weights are
     /// the documented [`SCORE_ERROR_RATE_WEIGHT`] /
@@ -371,11 +363,8 @@ impl HealthReport {
             .map(|sym| {
                 let base = base_map.get(&sym).unwrap_or(&default);
                 let can = canary_map.get(&sym).unwrap_or(&default);
-                // Any endpoint id carrying this symbol resolves to the
-                // same name; find one through either side's stats. The
-                // symbol came from the book, so resolution cannot miss.
                 EdgeDelta {
-                    endpoint: endpoint_name_of(book, sym),
+                    endpoint: book.sym_name(sym).to_string(),
                     baseline: EdgeSummary::from_stats(base),
                     canary: EdgeSummary::from_stats(can),
                 }
@@ -482,12 +471,6 @@ impl HealthReport {
         }
         out
     }
-}
-
-/// Resolves a logical endpoint symbol back to its name via the book's
-/// interner (every symbol in a report originated from the book).
-fn endpoint_name_of(book: &SpanBook, sym: Sym) -> String {
-    book.sym_name(sym).to_string()
 }
 
 #[cfg(test)]

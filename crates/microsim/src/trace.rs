@@ -24,10 +24,12 @@
 //!   ring of recent traces ([`TraceCollector::retain`]); when full, the
 //!   oldest trace is evicted and counted in [`TraceCollector::dropped`],
 //!   so unbounded runs cannot hoard memory.
-//! * **Streaming per-edge aggregates.** Every recorded trace folds into
-//!   per-edge [`EdgeTotals`] (calls, errors, retries, sheds, fallbacks,
-//!   latency moments) that survive eviction — long-run interaction
-//!   statistics stay exact even after the raw traces are gone.
+//! * **One walk from spans to interactions.** [`Trace::hops`] yields every
+//!   span with its caller resolved and [`Hop::edge`] keys it; health,
+//!   blame, the interaction graph and the engine's trace-scoped samples
+//!   all fold that walk, and [`SpanStatus::executed`] /
+//!   [`SpanStatus::failed`] name the two inclusion predicates they share
+//!   (DESIGN.md § "Observability pipeline" tabulates who counts what).
 //!
 //! Sampling stays deterministic (an accumulator collects every
 //! `1/fraction`-th request) and trace ids advance for every request, so
@@ -50,10 +52,9 @@
 
 use crate::app::{Application, EndpointId, ServiceId, VersionId};
 use cex_core::intern::{Interner, Sym};
-use cex_core::metrics::OnlineStats;
 use cex_core::simtime::{SimDuration, SimTime};
 use cex_core::sketch::QuantileSketch;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -103,6 +104,19 @@ impl SpanStatus {
     /// `true` for the failure statuses (failed, timed out, shed).
     pub fn is_error(self) -> bool {
         !self.is_ok()
+    }
+
+    /// `true` when the callee's endpoint actually ran. Shed and fallback
+    /// spans are zero-work events standing in for a call that never
+    /// reached it: they carry no service latency to attribute.
+    pub fn executed(self) -> bool {
+        !matches!(self, SpanStatus::Shed | SpanStatus::Fallback)
+    }
+
+    /// `true` when the endpoint ran and the call came back failed or was
+    /// abandoned at the caller's deadline.
+    pub fn failed(self) -> bool {
+        matches!(self, SpanStatus::Failed | SpanStatus::TimedOut)
     }
 
     /// Stable lowercase name, used by reports and the journal.
@@ -199,13 +213,29 @@ impl Trace {
         self.root().status.is_ok()
     }
 
-    /// Looks up a span by id. Span ids equal pre-order positions, so this
-    /// is an index in the common case.
-    pub fn get(&self, id: SpanId) -> Option<&Span> {
+    /// Position of the span with this id. Span ids equal pre-order
+    /// positions, so this is an index check in the common case; ids that
+    /// are not positions (hand-built traces) fall back to a scan.
+    fn position(&self, id: SpanId) -> Option<usize> {
         match self.spans.get(id.0 as usize) {
-            Some(s) if s.span == id => Some(s),
-            _ => self.spans.iter().find(|s| s.span == id),
+            Some(s) if s.span == id => Some(id.0 as usize),
+            _ => self.spans.iter().position(|s| s.span == id),
         }
+    }
+
+    /// Looks up a span by id.
+    pub fn get(&self, id: SpanId) -> Option<&Span> {
+        self.position(id).map(|i| &self.spans[i])
+    }
+
+    /// Every span as an interaction, in pre-order: the span, its position,
+    /// and its caller resolved once by the rule [`Trace::get`] uses. The
+    /// one walk every trace → edge analysis folds.
+    pub fn hops(&self) -> impl Iterator<Item = Hop<'_>> {
+        self.spans.iter().enumerate().map(|(index, span)| {
+            let caller = span.parent.and_then(|p| self.position(p)).map(|i| (i, &self.spans[i]));
+            Hop { index, span, caller }
+        })
     }
 
     /// Child spans of `parent`, in call order.
@@ -292,11 +322,6 @@ impl SpanBook {
         self.interner.name(sym)
     }
 
-    /// `service@version/endpoint` designator for a span.
-    pub fn endpoint_label(&self, span: &Span) -> String {
-        format!("{}/{}", self.version_label(span.version), self.endpoint_name(span.endpoint))
-    }
-
     /// Number of versions the book covers (used to detect staleness after
     /// deploys).
     pub fn version_count(&self) -> usize {
@@ -316,47 +341,27 @@ pub struct EdgeKey {
     pub endpoint: EndpointId,
 }
 
-/// Streaming aggregates for one edge — exact totals that survive trace
-/// eviction.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EdgeTotals {
-    /// Calls observed (every attempt counts).
-    pub calls: u64,
-    /// Calls with an error status (failed, timed out, shed).
-    pub errors: u64,
-    /// Retry attempts (spans with `attempt > 0`).
-    pub retries: u64,
-    /// Attempts abandoned at the caller's deadline.
-    pub timeouts: u64,
-    /// Calls shed by an open circuit breaker.
-    pub sheds: u64,
-    /// Fallback responses served.
-    pub fallbacks: u64,
-    /// Calls serving mirrored (dark-launch) traffic.
-    pub dark: u64,
-    /// Latency moments (ms) over all attempts.
-    pub latency: OnlineStats,
+/// One span seen as an interaction (see [`Trace::hops`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Hop<'a> {
+    /// Position of the span in [`Trace::spans`]; per-trace side tables
+    /// (child sums, say) index by this, never by raw span id.
+    pub index: usize,
+    /// The span that served the hop.
+    pub span: &'a Span,
+    /// Position and span of the caller: `None` for the root, and for a
+    /// parent id that names no span of the trace.
+    pub caller: Option<(usize, &'a Span)>,
 }
 
-impl EdgeTotals {
-    fn fold(&mut self, span: &Span) {
-        self.calls += 1;
-        if span.status.is_error() {
-            self.errors += 1;
+impl Hop<'_> {
+    /// The interaction edge this hop travelled.
+    pub fn edge(&self) -> EdgeKey {
+        EdgeKey {
+            caller: self.caller.map(|(_, caller)| caller.version),
+            callee: self.span.version,
+            endpoint: self.span.endpoint,
         }
-        if span.attempt > 0 {
-            self.retries += 1;
-        }
-        match span.status {
-            SpanStatus::TimedOut => self.timeouts += 1,
-            SpanStatus::Shed => self.sheds += 1,
-            SpanStatus::Fallback => self.fallbacks += 1,
-            _ => {}
-        }
-        if span.dark {
-            self.dark += 1;
-        }
-        self.latency.push(span.duration.as_millis() as f64);
     }
 }
 
@@ -407,7 +412,7 @@ impl TailSamplingConfig {
 /// report render surface so sampling bias stays visible in replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplingStats {
-    /// Traces ever offered to the collector (folded into edge totals).
+    /// Traces ever offered to the collector.
     pub recorded: u64,
     /// Retained traces evicted by the retention ring.
     pub evicted: u64,
@@ -481,8 +486,7 @@ impl TailState {
 }
 
 /// Collects sampled traces, as the tracing backend (Zipkin/Jaeger) would,
-/// with bounded retention and streaming per-edge aggregates (see module
-/// docs).
+/// with bounded retention (see module docs).
 #[derive(Debug, Clone)]
 pub struct TraceCollector {
     sampling: f64,
@@ -493,7 +497,6 @@ pub struct TraceCollector {
     accumulator: f64,
     dropped: u64,
     recorded: u64,
-    edges: BTreeMap<EdgeKey, EdgeTotals>,
     /// Tail-based sampling policy and state; `None` retains every
     /// recorded trace (the pre-tail behaviour).
     tail: Option<TailState>,
@@ -524,7 +527,6 @@ impl TraceCollector {
             accumulator: 0.0,
             dropped: 0,
             recorded: 0,
-            edges: BTreeMap::new(),
             tail: None,
         }
     }
@@ -583,8 +585,8 @@ impl TraceCollector {
 
     /// Enables (or, with `None`, disables) tail-based sampling. Enabling
     /// resets the tail state — threshold sketch and counters — so the
-    /// policy starts from a clean, deterministic slate; recorded traces,
-    /// aggregates and the trace-id sequence are untouched.
+    /// policy starts from a clean, deterministic slate; recorded traces
+    /// and the trace-id sequence are untouched.
     pub fn set_tail_sampling(&mut self, config: Option<TailSamplingConfig>) {
         self.tail = config.map(TailState::new);
     }
@@ -656,25 +658,19 @@ impl TraceCollector {
         }
     }
 
-    /// Stores a finished trace, folding it into the streaming per-edge
-    /// aggregates and evicting the oldest retained trace when the ring is
-    /// full. With tail-based sampling active
+    /// Stores a finished trace, evicting the oldest retained trace when
+    /// the ring is full. With tail-based sampling active
     /// ([`TraceCollector::set_tail_sampling`]), erroneous and slow traces
     /// are always retained while healthy ones keep only a deterministic
     /// 1-in-`k` representative (carrying [`Trace::weight`]` = k`); traces
-    /// the downsampler drops still fold into the per-edge aggregates and
-    /// are counted in [`TraceCollector::sampling_stats`].
+    /// the downsampler drops are still counted in
+    /// [`TraceCollector::sampling_stats`].
     ///
     /// # Panics
     ///
     /// Panics when the trace has no spans.
     pub fn record(&mut self, mut trace: Trace) {
         assert!(!trace.spans.is_empty(), "refusing to record an empty trace");
-        for span in &trace.spans {
-            let caller = span.parent.and_then(|p| trace.get(p)).map(|p| p.version);
-            let key = EdgeKey { caller, callee: span.version, endpoint: span.endpoint };
-            self.edges.entry(key).or_default().fold(span);
-        }
         self.recorded += 1;
         if let Some(tail) = &mut self.tail {
             match tail.decide(&trace) {
@@ -714,14 +710,8 @@ impl TraceCollector {
         self.recorded
     }
 
-    /// The streaming per-edge aggregates over every trace ever recorded —
-    /// exact regardless of eviction, deterministically ordered.
-    pub fn edge_totals(&self) -> &BTreeMap<EdgeKey, EdgeTotals> {
-        &self.edges
-    }
-
-    /// Removes and returns all retained traces, oldest first. Streaming
-    /// aggregates and counters are unaffected.
+    /// Removes and returns all retained traces, oldest first. Counters
+    /// are unaffected.
     pub fn drain(&mut self) -> Vec<Trace> {
         std::mem::take(&mut self.traces).into()
     }
@@ -799,6 +789,21 @@ mod tests {
         assert!(SpanStatus::Fallback.is_ok());
         for bad in [SpanStatus::Failed, SpanStatus::TimedOut, SpanStatus::Shed] {
             assert!(bad.is_error(), "{}", bad.name());
+        }
+        // Event spans never ran the endpoint; only executed calls can fail.
+        for (status, executed, failed) in [
+            (SpanStatus::Ok, true, false),
+            (SpanStatus::Failed, true, true),
+            (SpanStatus::TimedOut, true, true),
+            (SpanStatus::Shed, false, false),
+            (SpanStatus::Fallback, false, false),
+        ] {
+            assert_eq!(
+                (status.executed(), status.failed()),
+                (executed, failed),
+                "{}",
+                status.name()
+            );
         }
     }
 
@@ -938,9 +943,6 @@ mod tests {
         // Oldest evicted first: the ring holds the 8 most recent ids.
         let ids: Vec<u64> = c.traces().map(|t| t.id.0).collect();
         assert_eq!(ids, (13..=20).collect::<Vec<u64>>());
-        // Streaming aggregates cover everything ever recorded.
-        let totals = c.edge_totals().values().next().unwrap();
-        assert_eq!(totals.calls, 20);
     }
 
     #[test]
@@ -956,43 +958,34 @@ mod tests {
     }
 
     #[test]
-    fn edge_totals_classify_statuses_and_callers() {
-        let mut c = TraceCollector::all();
-        let id = c.begin_trace().unwrap();
-        let mut retry = span(id.0, 1, Some(0), SpanStatus::TimedOut);
-        retry.version = VersionId(1);
-        retry.attempt = 1;
-        let mut shed = span(id.0, 2, Some(0), SpanStatus::Shed);
-        shed.version = VersionId(1);
-        let mut fallback = span(id.0, 3, Some(0), SpanStatus::Fallback);
-        fallback.version = VersionId(1);
-        c.record(Trace::new(id, vec![span(id.0, 0, None, SpanStatus::Ok), retry, shed, fallback]));
-
-        assert_eq!(c.edge_totals().len(), 2, "entry edge + callee edge");
-        let entry = c.edge_totals().get(&EdgeKey {
-            caller: None,
-            callee: VersionId(0),
+    fn hops_resolve_callers_by_id_or_position() {
+        // Ids that are not positions (10, 11, 12), one orphan parent id.
+        let mut child = span(1, 11, Some(10), SpanStatus::Ok);
+        child.version = VersionId(1);
+        let mut grandchild = span(1, 12, Some(11), SpanStatus::Failed);
+        grandchild.version = VersionId(2);
+        let orphan = span(1, 13, Some(99), SpanStatus::Ok);
+        let t = Trace::new(
+            TraceId(1),
+            vec![span(1, 10, None, SpanStatus::Ok), child, grandchild, orphan],
+        );
+        let hops: Vec<Hop<'_>> = t.hops().collect();
+        assert_eq!(hops.iter().map(|h| h.index).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        let callers: Vec<Option<usize>> = hops.iter().map(|h| h.caller.map(|(i, _)| i)).collect();
+        assert_eq!(callers, vec![None, Some(0), Some(1), None]);
+        let edge = |caller: Option<usize>, callee: usize| EdgeKey {
+            caller: caller.map(VersionId),
+            callee: VersionId(callee),
             endpoint: EndpointId(0),
-        });
-        assert_eq!(entry.unwrap().calls, 1);
-        let callee = c
-            .edge_totals()
-            .get(&EdgeKey {
-                caller: Some(VersionId(0)),
-                callee: VersionId(1),
-                endpoint: EndpointId(0),
-            })
-            .unwrap();
-        assert_eq!(callee.calls, 3);
-        assert_eq!(callee.errors, 2, "timeout + shed are errors, fallback is not");
-        assert_eq!(callee.retries, 1);
-        assert_eq!(callee.timeouts, 1);
-        assert_eq!(callee.sheds, 1);
-        assert_eq!(callee.fallbacks, 1);
+        };
+        let edges: Vec<EdgeKey> = hops.iter().map(Hop::edge).collect();
+        assert_eq!(edges, vec![edge(None, 0), edge(Some(0), 1), edge(Some(1), 2), edge(None, 0)]);
+        assert_eq!(t.get(SpanId(12)).unwrap().status, SpanStatus::Failed);
+        assert!(t.get(SpanId(2)).is_none(), "a position is not an id");
     }
 
     #[test]
-    fn drain_empties_collector_but_keeps_aggregates() {
+    fn drain_empties_collector_but_keeps_counters() {
         let mut c = TraceCollector::all();
         let id = c.begin_trace().unwrap();
         c.record(one_span_trace(id));
@@ -1000,7 +993,6 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert!(c.is_empty());
         assert_eq!(c.recorded(), 1);
-        assert_eq!(c.edge_totals().len(), 1);
     }
 
     fn trace_with(id: TraceId, status: SpanStatus, duration_ms: u64) -> Trace {
@@ -1035,9 +1027,6 @@ mod tests {
         assert_eq!(stats.downsampled_kept, 2);
         assert_eq!(stats.healthy_dropped, 6);
         assert_eq!(stats.evicted, 0);
-        // Dropped healthy traces still fold into the exact edge totals.
-        let totals = c.edge_totals().values().next().unwrap();
-        assert_eq!(totals.calls, 11);
     }
 
     #[test]

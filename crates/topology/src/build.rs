@@ -7,8 +7,8 @@
 //! traces — as collected by the microsim trace collector, structurally
 //! identical to Zipkin/Jaeger output — into one [`InteractionGraph`].
 
-use crate::graph::{InteractionGraph, NodeKey};
-use microsim::trace::{SpanBook, Trace};
+use crate::graph::{InteractionGraph, NodeIdx, NodeKey};
+use microsim::trace::{Span, SpanBook, Trace};
 
 /// Options for graph construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,30 +27,35 @@ impl Default for BuildOptions {
 }
 
 /// Builds an interaction graph from traces, resolving the spans' interned
-/// identity through `book` (see [`SpanBook`]).
+/// identity through `book` (see [`SpanBook`]). Each hop counts
+/// [`Trace::weight`] times, so a tail-sampled capture yields the rates and
+/// means of the traffic it stands for.
 pub fn build_graph(traces: &[Trace], book: &SpanBook, options: BuildOptions) -> InteractionGraph {
     let mut graph = InteractionGraph::new();
+    // Endpoint ids are dense and belong to one version each, so they key
+    // the node table: names resolve on first sight, in first-seen order.
+    let mut nodes: Vec<Option<NodeIdx>> = Vec::new();
+    let mut node_of = |graph: &mut InteractionGraph, span: &Span| {
+        if nodes.len() <= span.endpoint.0 {
+            nodes.resize(span.endpoint.0 + 1, None);
+        }
+        *nodes[span.endpoint.0].get_or_insert_with(|| {
+            graph.intern(NodeKey::new(
+                book.service_name(span.service),
+                book.version_tag(span.version),
+                &*book.endpoint_name(span.endpoint),
+            ))
+        })
+    };
+    let counts = |span: &Span| options.include_dark || !span.dark;
     for trace in traces {
-        for span in &trace.spans {
-            if span.dark && !options.include_dark {
-                continue;
-            }
-            let node = graph.intern(NodeKey::new(
-                book.service_name(span.service).to_string(),
-                book.version_tag(span.version).to_string(),
-                book.endpoint_name(span.endpoint).to_string(),
-            ));
-            graph.observe_node(node, span.duration, span.status.is_ok());
-            if let Some(parent_id) = span.parent {
-                if let Some(parent) = trace.get(parent_id) {
-                    if parent.dark && !options.include_dark {
-                        continue;
-                    }
-                    let from = graph.intern(NodeKey::new(
-                        book.service_name(parent.service).to_string(),
-                        book.version_tag(parent.version).to_string(),
-                        book.endpoint_name(parent.endpoint).to_string(),
-                    ));
+        for hop in trace.hops().filter(|hop| counts(hop.span)) {
+            let node = node_of(&mut graph, hop.span);
+            let from = hop.caller.filter(|(_, caller)| counts(caller));
+            let from = from.map(|(_, caller)| node_of(&mut graph, caller));
+            for _ in 0..trace.weight {
+                graph.observe_node(node, hop.span.duration, hop.span.status.is_ok());
+                if let Some(from) = from {
                     graph.observe_edge(from, node);
                 }
             }
@@ -65,7 +70,7 @@ mod tests {
     use cex_core::simtime::{SimDuration, SimTime};
     use microsim::app::{Application, EndpointDef, VersionSpec};
     use microsim::latency::LatencyModel;
-    use microsim::trace::{Span, SpanId, SpanStatus, TraceId};
+    use microsim::trace::{SpanId, SpanStatus, TraceId};
 
     /// fe, be, and dark-be, each serving `api` at version 1.0.0.
     fn fixture_app() -> Application {
@@ -132,23 +137,6 @@ mod tests {
         assert_eq!(g.stats(be).served, 2);
         let (_, edge) = g.out_edges(fe).iter().find(|(t, _)| *t == be).unwrap();
         assert_eq!(edge.calls, 2);
-    }
-
-    #[test]
-    fn dark_spans_can_be_excluded() {
-        let app = fixture_app();
-        let book = SpanBook::from_app(&app);
-        let g = build_graph(&traces(&app), &book, BuildOptions { include_dark: false });
-        assert_eq!(g.node_count(), 2);
-        assert!(g.find_unversioned("dark-be", "api").is_none());
-    }
-
-    #[test]
-    fn dark_spans_included_by_default() {
-        let app = fixture_app();
-        let book = SpanBook::from_app(&app);
-        let g = build_graph(&traces(&app), &book, BuildOptions::default());
-        assert!(g.find_unversioned("dark-be", "api").is_some());
     }
 
     #[test]

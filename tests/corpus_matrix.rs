@@ -3,7 +3,9 @@
 //!
 //! 1. **Localization** — comparing a healthy trace window against the
 //!    faulted one, the corpus localizer ranks an edge into the faulted
-//!    version (or faulted zone) first (`microsim::corpus::localize`).
+//!    version (or faulted zone) first (`microsim::corpus::localize`), and
+//!    the whole ranking scores at least the family's recorded nDCG@5
+//!    against the fault's victims (EXPERIMENTS.md § "Localizer nDCG").
 //! 2. **Containment** — with the standard resilience policy guarding
 //!    every edge, the app-level error rate over the fault window stays
 //!    under the chaos-recovery bound and the strategy completes.
@@ -24,6 +26,7 @@ use microsim::corpus::{
 use microsim::resilience::{BreakerPolicy, CallPolicy};
 use microsim::sim::APP_SCOPE;
 use microsim::Simulation;
+use topology::rank::{ndcg_at, Ranking};
 
 /// App-level error-rate ceiling over the fault window — the containment
 /// bound every chaos-recovery cell must respect.
@@ -116,8 +119,14 @@ fn run_cell(
 
 /// Property 1: the localizer pins the fault. Healthy window, then the
 /// fault scenario's windows, then a faulted window; the top-ranked edge
-/// must terminate at a faulted version.
-fn assert_localizes(scenario: &Scenario, kind: WorkloadKind, fault: FaultScenario, label: &str) {
+/// must terminate at a faulted version. Returns the ranking's nDCG@5 with
+/// relevance 1 for every edge into a faulted version.
+fn assert_localizes(
+    scenario: &Scenario,
+    kind: WorkloadKind,
+    fault: FaultScenario,
+    label: &str,
+) -> f64 {
     let mut sim = Simulation::new(scenario.app.clone(), 777);
     sim.set_trace_sampling(1.0);
     scenario.canary_split(&mut sim, 0.3).expect("canary split");
@@ -150,19 +159,33 @@ fn assert_localizes(scenario: &Scenario, kind: WorkloadKind, fault: FaultScenari
         top.1,
         victims.iter().map(|v| scenario.app.version_label(*v)).collect::<Vec<_>>(),
     );
+    let relevance: Vec<f64> =
+        ranked.iter().map(|(edge, _)| f64::from(victims.contains(&edge.callee))).collect();
+    let ranking = Ranking {
+        order: (0..ranked.len()).collect(),
+        scores: ranked.iter().map(|(_, score)| *score).collect(),
+    };
+    ndcg_at(&ranking, &relevance, 5)
 }
 
 /// Sweeps one family's quarter of the matrix: 4 workloads × 5 faults ×
 /// 3 strategies = 60 cells (localization is per workload × fault — the
 /// mini-sim is strategy-independent — containment and journal identity
-/// are per cell).
-fn sweep_family(family: TopologyFamily) {
+/// are per cell). `ndcg_floor` is the lowest nDCG@5 any of the family's
+/// cells scored when the table in EXPERIMENTS.md was recorded, to the
+/// table's four decimals; the runs are seeded, so a lower score means the
+/// localizer's ranking changed.
+fn sweep_family(family: TopologyFamily, ndcg_floor: f64) {
     let scenario = corpus::generate(family, 41);
     let mut cells = 0usize;
+    let mut worst_ndcg = f64::INFINITY;
     for kind in WORKLOADS {
         for fault in FAULTS {
             let label = format!("{}/{}/{}", family.name(), kind.name(), fault.name());
-            assert_localizes(&scenario, kind, fault, &label);
+            let ndcg = assert_localizes(&scenario, kind, fault, &label);
+            // `-- --nocapture` prints the table EXPERIMENTS.md records.
+            println!("ndcg@5 {label} {ndcg:.4}");
+            worst_ndcg = worst_ndcg.min(ndcg);
             for (strategy_name, phase_decl) in STRATEGIES {
                 let label = format!("{label}/{strategy_name}");
                 let src = strategy_src(&scenario, phase_decl, fault);
@@ -187,24 +210,29 @@ fn sweep_family(family: TopologyFamily) {
         }
     }
     assert_eq!(cells, WORKLOADS.len() * FAULTS.len() * STRATEGIES.len());
+    assert!(
+        worst_ndcg + 5e-5 >= ndcg_floor,
+        "{}: worst cell nDCG@5 {worst_ndcg:.4} fell below the recorded {ndcg_floor:.4}",
+        family.name(),
+    );
 }
 
 #[test]
 fn deep_chain_quarter_of_the_matrix_holds() {
-    sweep_family(TopologyFamily::DeepChain);
+    sweep_family(TopologyFamily::DeepChain, 0.7877);
 }
 
 #[test]
 fn wide_fanout_quarter_of_the_matrix_holds() {
-    sweep_family(TopologyFamily::WideFanout);
+    sweep_family(TopologyFamily::WideFanout, 1.0);
 }
 
 #[test]
 fn hub_and_spoke_quarter_of_the_matrix_holds() {
-    sweep_family(TopologyFamily::HubAndSpoke);
+    sweep_family(TopologyFamily::HubAndSpoke, 1.0);
 }
 
 #[test]
 fn cell_partition_quarter_of_the_matrix_holds() {
-    sweep_family(TopologyFamily::CellPartition);
+    sweep_family(TopologyFamily::CellPartition, 0.6992);
 }
