@@ -106,9 +106,19 @@ struct SimOutcome {
     failures: u64,
     samples_recorded: u64,
     peak_stored: usize,
+    /// [`MetricStore::state_bytes`] at the end of the run.
+    state_bytes: usize,
     wall_secs: f64,
     response_count: u64,
     response_mean: f64,
+}
+
+impl SimOutcome {
+    /// Store bytes held at the end per sample ever recorded — exact, like
+    /// both of its terms.
+    fn state_bytes_per_recorded_sample(&self) -> f64 {
+        self.state_bytes as f64 / self.samples_recorded as f64
+    }
 }
 
 /// Drives the case-study app for `secs` simulated seconds at `rate_rps`
@@ -144,6 +154,7 @@ fn run_sim(secs: u64, rate_rps: f64) -> SimOutcome {
         failures,
         samples_recorded: sim.store().total_recorded(),
         peak_stored,
+        state_bytes: sim.store().state_bytes(),
         wall_secs: start.elapsed().as_secs_f64(),
         response_count: resp_count,
         response_mean: if resp_count > 0 { resp_sum / resp_count as f64 } else { 0.0 },
@@ -327,6 +338,12 @@ fn run_smoke(out: &str) {
     let _ = writeln!(json, "  \"failures\": {},", sim.failures);
     let _ = writeln!(json, "  \"samples_recorded\": {},", sim.samples_recorded);
     let _ = writeln!(json, "  \"peak_stored_samples\": {},", sim.peak_stored);
+    let _ = writeln!(json, "  \"store_state_bytes\": {},", sim.state_bytes);
+    let _ = writeln!(
+        json,
+        "  \"state_bytes_per_recorded_sample\": {:.6},",
+        sim.state_bytes_per_recorded_sample()
+    );
     let _ = writeln!(json, "  \"app_response_count\": {},", sim.response_count);
     let _ = writeln!(json, "  \"app_response_mean\": {:.9},", sim.response_mean);
     let _ = writeln!(json, "  \"synthetic_recorded\": {},", store.total_recorded());
@@ -383,6 +400,12 @@ fn run_full() {
     let _ = writeln!(json, "    \"requests\": {},", sim.requests);
     let _ = writeln!(json, "    \"samples_recorded\": {},", sim.samples_recorded);
     let _ = writeln!(json, "    \"peak_stored_samples\": {},", sim.peak_stored);
+    let _ = writeln!(json, "    \"store_state_bytes\": {},", sim.state_bytes);
+    let _ = writeln!(
+        json,
+        "    \"state_bytes_per_recorded_sample\": {:.6},",
+        sim.state_bytes_per_recorded_sample()
+    );
     let _ = writeln!(json, "    \"retention\": \"5m\",");
     let _ = writeln!(json, "    \"wall_secs\": {:.2},", sim.wall_secs);
     let _ = writeln!(json, "    \"ingest_samples_per_sec\": {ingest_rate:.0}");

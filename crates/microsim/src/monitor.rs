@@ -32,8 +32,16 @@
 //!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
 //!   two partially covered edge buckets from raw samples, so the
-//!   documented closed-interval semantics are preserved exactly while the
-//!   cost is proportional to buckets-in-window, flat in series length.
+//!   documented closed-interval semantics are preserved exactly. Only
+//!   buckets that hold a sample exist: two parallel ascending columns, the
+//!   8-byte bucket indices and the aggregates. A sample finds its bucket
+//!   at the newest end (a late one bisects and, if its bucket never
+//!   existed, inserts); a query gallops back from the newest end of the
+//!   index column to the first bucket of its range — looks are trailing
+//!   windows — and walks forward. So a query costs in proportion to the
+//!   *non-empty* buckets in its window, flat in series length, and memory
+//!   is in proportion to samples: a second, or a year, in which a series
+//!   saw nothing costs nothing ([`MetricStore::state_bytes`]).
 //! * **Bounded retention.** When a retention horizon is set
 //!   ([`MetricStore::set_retention`]), raw samples older than the horizon
 //!   are compacted away and only their buckets remain, bounding memory on
@@ -95,17 +103,42 @@ fn series_at(table: &[Option<Series>], scope: ScopeId, metric: MetricKind) -> Op
     table.get(slot_of(scope, metric))?.as_ref()
 }
 
-/// One metric series: pre-aggregated buckets plus a raw sample tail.
+/// `column.partition_point(|&b| b < target)` for an ascending column,
+/// searched from the newest end: steps back 1, 2, 4, … entries until one is
+/// below `target`, then bisects that last step. Looks are trailing windows,
+/// so a window of `k` buckets costs O(log k) reads of the 8-byte column
+/// whatever the series' length, and a look resumed near the newest bucket
+/// costs one or two.
+fn first_at_or_after(column: &[u64], target: u64) -> usize {
+    // Every entry at or past `hi` is at or after `target`.
+    let mut hi = column.len();
+    let mut step = 1;
+    while hi > 0 {
+        let lo = hi.saturating_sub(step);
+        if column[lo] < target {
+            return lo + 1 + column[lo + 1..hi].partition_point(|&b| b < target);
+        }
+        hi = lo;
+        step *= 2;
+    }
+    0
+}
+
+/// One metric series: its non-empty pre-aggregated buckets plus a raw
+/// sample tail.
 #[derive(Debug, Default)]
 struct Series {
     /// Samples ever recorded (survives compaction).
     total: u64,
     /// Latest sample time seen, in ms — drives retention.
     max_time_ms: u64,
-    /// Bucket index of `buckets[0]`; bucket `i` covers
-    /// `[i*width, (i+1)*width)` ms.
-    first_bucket: u64,
-    buckets: VecDeque<OnlineStats>,
+    /// Indices of the buckets holding at least one sample, ascending;
+    /// bucket `i` covers `[i*width, (i+1)*width)` ms. A stretch of time
+    /// without a sample has no entry, so the two columns grow with the
+    /// samples, never with elapsed time.
+    bucket_idx: Vec<u64>,
+    /// `buckets[p]` aggregates bucket `bucket_idx[p]`.
+    buckets: Vec<OnlineStats>,
     /// Raw samples with `time >= raw_floor_ms`, in arrival order.
     raw: VecDeque<Sample>,
     /// Bucket-aligned compaction floor: raw samples below it were
@@ -120,25 +153,35 @@ struct Series {
 impl Series {
     /// Index of the newest bucket, `None` before the first sample.
     fn newest_bucket(&self) -> Option<u64> {
-        (!self.buckets.is_empty()).then(|| self.first_bucket + self.buckets.len() as u64 - 1)
+        self.bucket_idx.last().copied()
     }
 
-    /// Extends bucket coverage to include bucket `idx`.
-    fn ensure_bucket(&mut self, idx: u64) {
-        if self.buckets.is_empty() {
-            self.first_bucket = idx;
-            self.buckets.push_back(OnlineStats::new());
-        } else if idx < self.first_bucket {
-            for _ in idx..self.first_bucket {
-                self.buckets.push_front(OnlineStats::new());
-            }
-            self.first_bucket = idx;
-        } else {
-            let needed = idx - self.first_bucket + 1;
-            while (self.buckets.len() as u64) < needed {
-                self.buckets.push_back(OnlineStats::new());
-            }
-        }
+    /// Position of bucket `idx` in the columns, entered empty if the series
+    /// has none yet. The virtual clock puts every sample but a late one in
+    /// the newest bucket or a new one after it — O(1); a late sample
+    /// bisects, and inserts mid-column if its bucket never existed. Nothing
+    /// is filled in between, however far `idx` is from its neighbours.
+    fn bucket_position(&mut self, idx: u64) -> usize {
+        let pos = match self.newest_bucket() {
+            Some(newest) if idx == newest => return self.buckets.len() - 1,
+            Some(newest) if idx < newest => match self.bucket_idx.binary_search(&idx) {
+                Ok(pos) => return pos,
+                Err(pos) => pos,
+            },
+            _ => self.buckets.len(),
+        };
+        self.bucket_idx.insert(pos, idx);
+        self.buckets.insert(pos, OnlineStats::new());
+        pos
+    }
+
+    /// Bytes of series state held: a length times an element size for each
+    /// of the index column, the buckets and the raw tail.
+    fn state_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.bucket_idx.len() * size_of::<u64>()
+            + self.buckets.len() * size_of::<OnlineStats>()
+            + self.raw.len() * size_of::<Sample>()
     }
 
     /// Appends a run of samples in one go — the batched ingestion path.
@@ -161,7 +204,7 @@ impl Series {
         while i < samples.len() {
             let idx = samples[i].time.as_millis() / width_ms;
             rewrote_history |= self.newest_bucket().is_some_and(|newest| idx < newest);
-            self.ensure_bucket(idx);
+            let pos = self.bucket_position(idx);
             let b_start = idx * width_ms;
             let b_end = b_start + width_ms;
             let mut j = i;
@@ -174,7 +217,7 @@ impl Series {
                 j += 1;
             }
             let run = &samples[i..j];
-            let stats = &mut self.buckets[(idx - self.first_bucket) as usize];
+            let stats = &mut self.buckets[pos];
             if run.len() < 16 {
                 for s in run {
                     stats.push(s.value);
@@ -223,23 +266,21 @@ impl Series {
         self.raw_floor_ms = aligned;
     }
 
-    /// The buckets `lo..end` a query over `from_ms <= time < to_ms` visits;
-    /// empty when the query misses the series.
-    fn bucket_span(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> std::ops::Range<u64> {
-        match self.newest_bucket() {
-            Some(newest) if to_ms > from_ms => {
-                let lo = (from_ms / width_ms).max(self.first_bucket);
-                lo..(((to_ms - 1) / width_ms).min(newest) + 1).max(lo)
-            }
-            _ => 0..0,
+    /// The bucket indices a query over `from_ms <= time < to_ms` reaches;
+    /// empty when the interval is.
+    fn bucket_span(from_ms: u64, to_ms: u64, width_ms: u64) -> std::ops::Range<u64> {
+        if to_ms > from_ms {
+            from_ms / width_ms..(to_ms - 1) / width_ms + 1
+        } else {
+            0..0
         }
     }
 
-    /// Folds `buckets` (existing ones, in order) of the query
-    /// `from_ms <= time < to_ms` into `acc`: whole buckets merged for the
-    /// fully covered interior, raw samples pushed individually for the
-    /// partially covered edges. Edge buckets below the compaction floor
-    /// are merged whole (bucket granularity).
+    /// Folds the non-empty buckets with an index in `buckets`, in order,
+    /// of the query `from_ms <= time < to_ms` into `acc`: whole buckets
+    /// merged for the fully covered interior, raw samples pushed
+    /// individually for the partially covered edges. Edge buckets below
+    /// the compaction floor are merged whole (bucket granularity).
     fn fold(
         &self,
         buckets: std::ops::Range<u64>,
@@ -248,11 +289,17 @@ impl Series {
         width_ms: u64,
         acc: &mut OnlineStats,
     ) {
+        // No bucket is past the latest sample's: a look at a series that has
+        // since gone quiet — a version out of traffic — ends here, on the
+        // series' own fields, without a read of either column.
+        if buckets.is_empty() || buckets.start > self.max_time_ms / width_ms {
+            return;
+        }
         let mut raw_cursor: Option<usize> = None;
-        for b in buckets {
-            let stats = &self.buckets[(b - self.first_bucket) as usize];
-            if stats.count() == 0 {
-                continue;
+        let first = first_at_or_after(&self.bucket_idx, buckets.start);
+        for (&b, stats) in self.bucket_idx[first..].iter().zip(&self.buckets[first..]) {
+            if b >= buckets.end {
+                break;
             }
             let b_start = b * width_ms;
             let b_end = b_start + width_ms;
@@ -284,7 +331,7 @@ impl Series {
 
     /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`.
     fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
-        self.fold(self.bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
+        self.fold(Self::bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
     }
 
     /// [`Series::accumulate`] from an empty accumulator, continued from
@@ -298,7 +345,7 @@ impl Series {
         width_ms: u64,
         cursor: &WindowCursor,
     ) -> (Summary, WindowCursor) {
-        let span = self.bucket_span(from_ms, to_ms, width_ms);
+        let span = Self::bucket_span(from_ms, to_ms, width_ms);
         // What a later look may skip: buckets the window covers whole on
         // both sides — so the fold only merged them, whatever the raw tail
         // and the compaction floor were — and older than the newest, so a
@@ -342,9 +389,8 @@ impl Series {
 ///   them and never touched the raw tail or the compaction floor;
 /// * the series carries an epoch, unique across the store, renewed when
 ///   the series is created (so also when it is cleared and recorded
-///   again) and whenever a sample lands in a bucket older than the newest
-///   (which is also the only way the first bucket moves): the cursor must
-///   carry the same one;
+///   again) and whenever a sample lands in a bucket older than the newest:
+///   the cursor must carry the same one;
 /// * the window start must be the same, and `now` not so much earlier
 ///   that a kept bucket sticks out of the window.
 ///
@@ -778,6 +824,18 @@ impl MetricStore {
     /// reduce it; clearing a scope does).
     pub fn total_recorded(&self) -> u64 {
         self.read().iter().flatten().map(|s| s.total).sum()
+    }
+
+    /// Bytes of state held: every live series' index column, buckets and
+    /// raw tail, plus the slot table. Each term is a length times an
+    /// element size — never an allocator capacity — so the figure is a
+    /// pure function of the samples recorded, and it follows them: a
+    /// sample costs its raw entry and at most one bucket, a silence costs
+    /// nothing.
+    pub fn state_bytes(&self) -> usize {
+        let table = self.read();
+        table.len() * std::mem::size_of::<Option<Series>>()
+            + table.iter().flatten().map(Series::state_bytes).sum::<usize>()
     }
 }
 
@@ -1255,39 +1313,109 @@ mod tests {
         [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
     }
 
+    /// The fold stated apart from the store's layout, for the search below:
+    /// buckets in a `BTreeMap` pushed sample by sample, every raw sample in
+    /// a `Vec` in arrival order, no retention.
+    struct Reference {
+        width: u64,
+        buckets: std::collections::BTreeMap<u64, OnlineStats>,
+        raw: Vec<Sample>,
+    }
+
+    impl Reference {
+        /// Records `sample`; `true` when it opened a bucket that never
+        /// existed between two that do.
+        // `OnlineStats::default()` is all zeros, not the empty accumulator.
+        #[allow(clippy::unwrap_or_default)]
+        fn record(&mut self, sample: Sample) -> bool {
+            let idx = sample.time.as_millis() / self.width;
+            let opened_between = !self.buckets.contains_key(&idx)
+                && self.buckets.range(..idx).next().is_some()
+                && self.buckets.range(idx..).next().is_some();
+            self.buckets.entry(idx).or_insert_with(OnlineStats::new).push(sample.value);
+            self.raw.push(sample);
+            opened_between
+        }
+
+        /// Summary of `from_ms <= time < to_ms`: a bucket the window covers
+        /// whole is merged, one it cuts is read sample by sample from the
+        /// raw `Vec` — searched once per look as the time-ordered sequence
+        /// the virtual clock makes it, so a late sample counts in a cut
+        /// bucket only where the walk meets it.
+        fn summary(&self, from_ms: u64, to_ms: u64) -> Summary {
+            let mut acc = OnlineStats::new();
+            if from_ms >= to_ms {
+                return acc.summary();
+            }
+            let mut next_raw = None;
+            for (&b, stats) in self.buckets.range(from_ms / self.width..=(to_ms - 1) / self.width) {
+                let (b_start, b_end) = (b * self.width, (b + 1) * self.width);
+                if from_ms <= b_start && b_end <= to_ms {
+                    acc.merge(stats);
+                    continue;
+                }
+                let (s, e) = (from_ms.max(b_start), to_ms.min(b_end));
+                let mut i = next_raw
+                    .unwrap_or_else(|| self.raw.partition_point(|x| x.time.as_millis() < s));
+                while let Some(x) = self.raw.get(i).filter(|x| x.time.as_millis() < e) {
+                    if x.time.as_millis() >= s {
+                        acc.push(x.value);
+                    }
+                    i += 1;
+                }
+                next_raw = Some(i);
+            }
+            acc.summary()
+        }
+    }
+
     #[test]
     fn resumed_windows_equal_fresh_ones_over_searched_histories() {
         // Differential search: one series per seed lives through a random
-        // history — bursts, silences, late samples reaching back over
-        // several buckets, the scope cleared and recorded again, retention
-        // compacting past the window start, a window start on and off the
-        // bucket grid that sometimes moves, and `now` mostly advancing but
-        // sometimes stepping back. At every look the read continued from
-        // the previous look's cursor must be the fresh read, bit for bit.
+        // history — bursts, silences of a few buckets and of 10⁴–10⁶, late
+        // samples reaching back over several buckets or into the middle of
+        // a long silence (a bucket that never existed, between two that
+        // do), the scope cleared and recorded again, retention compacting
+        // past the window start, a window start on and off the bucket grid
+        // that sometimes moves, and `now` mostly advancing but sometimes
+        // stepping back. At every look the read continued from the
+        // previous look's cursor must be the fresh read, bit for bit — and
+        // on seeds without retention the fresh read must be the
+        // `Reference`'s, so a fold that lost a bucket cannot agree with
+        // itself and pass.
         use cex_core::rng::SplitMix64;
         let metric = MetricKind::ResponseTime;
         let (mut looks, mut kept_something) = (0u32, 0u32);
+        let (mut checked, mut opened_between) = (0u32, 0u32);
         for seed in 0..400u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
             let width = [250u64, 700, 1_000, 3_000][rng.next_index(4)];
             let store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            let mut reference = Some(Reference { width, buckets: Default::default(), raw: vec![] });
             if rng.next_below(3) == 0 {
                 let horizon = width * (1 + rng.next_below(6));
                 store.set_retention(Some(SimDuration::from_millis(horizon)));
+                reference = None;
             }
             let scope = store.intern("svc@1");
+            let mut record = |reference: &mut Option<Reference>, t_ms: u64, value: f64| {
+                let sample = Sample::new(SimTime::from_millis(t_ms), value);
+                store.record_id(scope, metric, sample);
+                if let Some(reference) = reference {
+                    opened_between += u32::from(reference.record(sample));
+                }
+            };
             let mut clock = rng.next_below(5_000);
             let mut from = clock;
+            let mut long_silence = clock..clock;
             let mut cursor = WindowCursor::new();
             for _ in 0..120 {
                 match rng.next_below(12) {
-                    // A burst of in-order samples, often dense enough for
-                    // the four-chain bucket fold.
+                    // A burst of in-order samples.
                     0..=4 => {
                         for _ in 0..rng.next_below(40) {
                             clock += rng.next_below(width / 4 + 1);
-                            let t = SimTime::from_millis(clock);
-                            store.record_id(scope, metric, Sample::new(t, rng.next_f64() * 100.0));
+                            record(&mut reference, clock, rng.next_f64() * 100.0);
                         }
                     }
                     // Silence: whole buckets with nothing in them.
@@ -1295,15 +1423,33 @@ mod tests {
                     // A late sample, up to six buckets back.
                     6 | 7 => {
                         let t = clock.saturating_sub(rng.next_below(width * 6));
-                        store.record_value("svc@1", metric, SimTime::from_millis(t), -5.0);
+                        record(&mut reference, t, -5.0);
                     }
-                    8 if rng.next_below(4) == 0 => store.clear_scope("svc@1"),
+                    8 if rng.next_below(4) == 0 => {
+                        store.clear_scope("svc@1");
+                        if let Some(reference) = &mut reference {
+                            reference.buckets.clear();
+                            reference.raw.clear();
+                        }
+                    }
                     // A new window start: on the grid or off it.
                     9 => {
                         from = clock.saturating_sub(rng.next_below(width * 8));
                         if rng.next_below(2) == 0 {
                             from -= from % width;
                         }
+                    }
+                    // A long silence: 10⁴–10⁶ buckets with nothing in them.
+                    10 if rng.next_below(4) == 0 => {
+                        let start = clock + width;
+                        clock += width * (10_000 + rng.next_below(990_001));
+                        long_silence = start..clock - width;
+                    }
+                    // A late sample somewhere in the last long silence.
+                    11 if !long_silence.is_empty() => {
+                        let t = long_silence.start
+                            + rng.next_below(long_silence.end - long_silence.start);
+                        record(&mut reference, t, -7.0);
                     }
                     _ => {}
                 }
@@ -1317,14 +1463,72 @@ mod tests {
                 let (scratch, _) =
                     store.window_summary_resumed(scope, metric, now, window, &WindowCursor::new());
                 assert_eq!(bits(scratch), bits(fresh), "seed {seed}: from scratch");
+                if let Some(reference) = &reference {
+                    let stated = reference.summary(from, now.as_millis() + 1);
+                    assert_eq!(bits(fresh), bits(stated), "seed {seed} width {width} at {now}");
+                    checked += 1;
+                }
                 looks += 1;
                 kept_something += u32::from(next.acc.count() > 0);
                 cursor = next;
             }
         }
         // The search is not vacuous: a good share of looks left a fold
-        // behind for the next one to continue.
+        // behind for the next one to continue, most were held against the
+        // reference, and late samples did open buckets mid-column.
         assert!(kept_something * 4 > looks, "{kept_something} of {looks} looks kept a fold");
+        assert!(checked * 2 > looks, "{checked} of {looks} looks checked against the reference");
+        assert!(opened_between > 400, "{opened_between} buckets opened between two others");
+    }
+
+    #[test]
+    fn the_trailing_gallop_is_partition_point() {
+        // Every ascending column of up to ten entries drawn from
+        // 1, 4, 7, …, 28 — so with gaps of every size between and around
+        // them — against every target from below the first possible entry
+        // to above the last.
+        for mask in 0u32..1 << 10 {
+            let column: Vec<u64> =
+                (0..10).filter(|bit| mask & (1 << bit) != 0).map(|bit| 3 * bit + 1).collect();
+            for target in 0..=30 {
+                assert_eq!(
+                    first_at_or_after(&column, target),
+                    column.partition_point(|&b| b < target),
+                    "column {column:?} target {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_far_away_sample_costs_one_bucket_not_the_gap() {
+        // Regression: coverage used to be extended one bucket per elapsed
+        // second, so the second sample below allocated 31.5 M buckets
+        // (1.26 GB).
+        let metric = MetricKind::ResponseTime;
+        let year = 365 * 86_400;
+        let store = MetricStore::new();
+        store.record_value("s", metric, SimTime::ZERO, 1.0);
+        store.record_value("s", metric, SimTime::from_secs(year), 2.0);
+        store.record_value("s", metric, SimTime::from_secs(year / 2), 3.0);
+        let count = |from_s: u64, to_s: u64| {
+            let (from, to) = (SimTime::from_secs(from_s), SimTime::from_secs(to_s));
+            store.summary_between("s", metric, from, to).count
+        };
+        assert_eq!((count(0, 1), count(1, year / 2)), (1, 0));
+        assert_eq!((count(year / 2, year / 2 + 1), count(year / 2 + 1, year)), (1, 0));
+        assert_eq!((count(year, year + 1), count(year + 1, 2 * year)), (1, 0));
+        assert_eq!((count(0, year), count(1, year + 1), count(0, year + 1)), (2, 2, 3));
+        assert_eq!(store.count("s", metric), 3);
+        assert!(store.state_bytes() < 1_024, "{} bytes for three samples", store.state_bytes());
+
+        // The same from the front: a late sample far before the first bucket.
+        let store = MetricStore::new();
+        store.record_value("s", metric, SimTime::from_secs(year), 2.0);
+        store.record_value("s", metric, SimTime::ZERO, 1.0);
+        let whole = store.summary_between("s", metric, SimTime::ZERO, SimTime::from_secs(2 * year));
+        assert_eq!((whole.count, whole.min, whole.max), (2, 1.0, 2.0));
+        assert!(store.state_bytes() < 1_024, "{} bytes for two samples", store.state_bytes());
     }
 
     #[test]

@@ -337,6 +337,54 @@ fn monitor_windows_compose() {
     });
 }
 
+/// The store's space follows its samples, not elapsed seconds × series:
+/// 64 series at ~0.1 samples/s each for half an hour — a 5–10% canary's
+/// share of a 0.75 rps service, four of five one-second buckets empty or
+/// more — cost at most a raw entry and one bucket a sample, and a silence
+/// costs nothing at all.
+#[test]
+fn monitor_space_follows_samples() {
+    use cex_core::metrics::Sample;
+    use cex_core::simtime::SimTime;
+    use microsim::monitor::MetricStore;
+    const SERIES: u64 = 64;
+    const SECONDS: u64 = 1_800;
+    // 16 B of raw sample + at most one bucket (8 B of index, 40 B of stats).
+    const BYTES_PER_SAMPLE: u64 = 64;
+    // One scope per series: a slot per metric kind, each under 128 B.
+    let slot_table = SERIES * MetricKind::all().len() as u64 * 128;
+
+    // The same draws whatever the silence, which only shifts the second half.
+    let fed = |silence_s: u64| {
+        let store = MetricStore::new();
+        let scopes: Vec<_> = (0..SERIES).map(|i| store.intern(&format!("svc-{i}@2.0.0"))).collect();
+        let mut rng = SplitMix64::new(0x5ACE);
+        for second in 0..SECONDS {
+            let shift = if second < SECONDS / 2 { 0 } else { silence_s };
+            for &scope in &scopes {
+                if rng.next_below(10) == 0 {
+                    let ms = (second + shift) * 1_000 + rng.next_below(1_000);
+                    let sample = Sample::new(SimTime::from_millis(ms), 100.0 * rng.next_f64());
+                    store.record_id(scope, MetricKind::ResponseTime, sample);
+                }
+            }
+        }
+        store
+    };
+
+    let store = fed(0);
+    let (samples, bytes) = (store.total_recorded(), store.state_bytes() as u64);
+    assert!((10_000..13_000).contains(&samples), "~0.1 samples/s a series: {samples}");
+    assert!(
+        bytes <= BYTES_PER_SAMPLE * samples + slot_table,
+        "{bytes} B for {samples} samples: {:.1} B a sample",
+        bytes as f64 / samples as f64
+    );
+    let silent = fed(1_000_000);
+    assert_eq!(silent.total_recorded(), samples);
+    assert_eq!(silent.state_bytes() as u64, bytes, "10⁶ s of silence halfway costs nothing");
+}
+
 // ---------------------------------------------------------------------------
 // Statistics invariants
 // ---------------------------------------------------------------------------
