@@ -184,7 +184,7 @@ fn synthetic_stream(n: u64) -> (Vec<String>, Vec<(u32, MetricKind, Sample)>) {
 
 /// Ingest throughput of the pre-PR hot path vs the interned+batched one
 /// on an identical per-hop event sequence. Each hop records a response
-/// time and an error indicator, exactly as `execute_request` does:
+/// time and an error indicator, as a finished hop does in the request core:
 ///
 /// - pre-PR: `app.version_label(v)` (a `format!` per hop) followed by two
 ///   `record_value(&label, ..)` calls, each allocating the `String` key

@@ -3,10 +3,10 @@
 //! The obs layer ([`cex_core::obs`]) must be cheap enough to leave on:
 //! hierarchical phase spans, wall probes on the metric store, and the
 //! counter registry together must not move the simulation's wall clock
-//! by more than the acceptance threshold. This bin runs the
-//! `bench_simcore` scaling workload (16 services, 4 layers, entry tier
-//! spread over every shard) twice on identically seeded simulations —
-//! profiling enabled vs disabled — and reports the wall-clock delta.
+//! by more than the acceptance threshold. This bin runs a 16-service /
+//! 4-layer scaling workload (entry tier spread over every shard) twice on
+//! identically seeded simulations — profiling enabled vs disabled — and
+//! reports the wall-clock delta.
 //! Acceptance: enabled-profiling overhead within 2% of the disabled
 //! run — or within the host's own A/A noise floor (off-vs-off spread),
 //! whichever is larger, since an estimate under the floor is
@@ -32,7 +32,7 @@ use cex_core::obs::ObsConfig;
 use cex_core::simtime::SimDuration;
 use cex_core::users::Population;
 use microsim::app::Application;
-use microsim::sim::{ExecMode, RunReport, Simulation};
+use microsim::sim::{RunReport, Simulation};
 use microsim::topologies::{random_app, RandomAppParams};
 use microsim::workload::{EntryPoint, Workload};
 use std::fmt::Write as _;
@@ -45,9 +45,7 @@ fn scaling_params() -> RandomAppParams {
     RandomAppParams { services: 16, layers: 4, ..RandomAppParams::default() }
 }
 
-/// Traffic spread uniformly over the random topology's entry tier — the
-/// same workload `bench_simcore` measures, so the overhead numbers are
-/// directly comparable.
+/// Traffic spread uniformly over the random topology's entry tier.
 fn scaling_workload(app: &Application, params: &RandomAppParams, rate_rps: f64) -> Workload {
     let entries = (0..params.services)
         .filter(|svc| svc % params.layers == 0)
@@ -77,7 +75,6 @@ fn run_once(
     let app = random_app(&params, TOPOLOGY_SEED);
     let workload = scaling_workload(&app, &params, rate_rps);
     let mut sim = Simulation::new(app, SEED);
-    sim.set_exec_mode(ExecMode::Event);
     sim.set_workers(workers);
     sim.set_obs(obs);
     let start = Instant::now();
@@ -231,7 +228,7 @@ fn run_smoke(out: &str) {
 }
 
 fn run_full() {
-    header("Runtime self-observability: profiling overhead on the simcore workload");
+    header("Runtime self-observability: profiling overhead on a 16-service scaling workload");
     const SECS: u64 = 60;
     const RATE: f64 = 400.0;
     const PAIRS: u32 = 7;

@@ -15,6 +15,12 @@ use crate::latency::LatencyModel;
 use std::collections::HashMap;
 use std::fmt;
 
+/// Deepest hop a request may reach, the entry hop being depth 0. An
+/// application in which some chain of calls runs deeper — a call cycle
+/// always does — is rejected by [`Application::validate`], so the request
+/// core never meets one.
+pub const MAX_CALL_DEPTH: usize = 32;
+
 /// Index of a service within an [`Application`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId(pub usize);
@@ -421,45 +427,50 @@ impl Application {
     }
 
     /// Deploys an additional version into a built application, as an
-    /// experiment would at runtime.
+    /// experiment would at runtime. The application is validated with the
+    /// new version in it and, when that fails, left exactly as it was.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the spec is invalid (duplicate version,
-    /// unknown callee, bad probabilities).
+    /// unknown callee, bad probabilities) or the application with it is
+    /// (see [`Application::validate`]).
     pub fn deploy(&mut self, spec: VersionSpec) -> Result<VersionId, SimError> {
-        // Create the service on first use.
-        let sid = match self.service_id(&spec.service) {
-            Ok(id) => id,
-            Err(_) => {
-                self.service_names.push(spec.service.clone());
-                self.versions_of.push(Vec::new());
-                ServiceId(self.service_names.len() - 1)
-            }
-        };
-        if self.versions_of[sid.0].iter().any(|v| self.versions[v.0].label == spec.version) {
+        let (services, names) = (self.service_names.len(), self.endpoint_names.len());
+        let (versions, endpoints) = (self.versions.len(), self.endpoints.len());
+        let vid = self.insert(&spec)?;
+        if let Err(err) = self.validate() {
+            self.service_names.truncate(services);
+            self.versions_of.truncate(services);
+            self.versions_of.iter_mut().for_each(|of| of.retain(|v| *v != vid));
+            self.endpoint_names.truncate(names);
+            self.versions.truncate(versions);
+            self.endpoints.truncate(endpoints);
+            return Err(err);
+        }
+        Ok(vid)
+    }
+
+    /// Adds one version without validating the application around it: a
+    /// callee service not deployed yet is interned, for a later version to
+    /// fill in ([`AppBuilder::build`] validates once, at the end). A spec
+    /// that is rejected changes nothing.
+    fn insert(&mut self, spec: &VersionSpec) -> Result<VersionId, SimError> {
+        if self.version_id(&spec.service, &spec.version).is_ok() {
             return Err(SimError::BadApplication(format!(
                 "version {} of service {} already deployed",
                 spec.version, spec.service
             )));
         }
-        validate_spec(&spec)?;
+        validate_spec(spec)?;
+        let sid = self.intern_service(&spec.service);
         let vid = VersionId(self.versions.len());
         let mut endpoint_ids = Vec::with_capacity(spec.endpoints.len());
         for ep in &spec.endpoints {
             let mut calls = Vec::with_capacity(ep.calls.len());
             for call in &ep.calls {
-                // Callee services may be deployed later; intern eagerly.
-                let callee = match self.service_id(&call.service) {
-                    Ok(id) => id,
-                    Err(_) => {
-                        self.service_names.push(call.service.clone());
-                        self.versions_of.push(Vec::new());
-                        ServiceId(self.service_names.len() - 1)
-                    }
-                };
                 calls.push(ResolvedCall {
-                    service: callee,
+                    service: self.intern_service(&call.service),
                     endpoint: call.endpoint.clone(),
                     endpoint_name: self.intern_endpoint_name(&call.endpoint),
                     probability: call.probability,
@@ -492,10 +503,28 @@ impl Application {
         Ok(vid)
     }
 
-    /// Verifies that every call target resolves on at least one deployed
-    /// version of the callee, and that every service has at least one
-    /// version. Called by [`AppBuilder::build`]; callable again after
+    /// The id of the service called `name`, created (with no version yet)
+    /// on first use.
+    fn intern_service(&mut self, name: &str) -> ServiceId {
+        self.service_id(name).unwrap_or_else(|_| {
+            self.service_names.push(name.to_string());
+            self.versions_of.push(Vec::new());
+            ServiceId(self.service_names.len() - 1)
+        })
+    }
+
+    /// Verifies that every service has at least one version, that every
+    /// call target resolves on at least one deployed version of the callee,
+    /// and that no chain of calls can run deeper than [`MAX_CALL_DEPTH`] —
+    /// a call cycle always can. Run by [`AppBuilder::build`] and by
     /// [`Application::deploy`].
+    ///
+    /// Which version serves a call is the router's choice per request, so a
+    /// chain is followed over `(service, endpoint name)`: a call reaches
+    /// the endpoint of its name on *every* deployed version of the callee,
+    /// and any of them may continue it. Endpoints settle in topological
+    /// order (callers first), linear in endpoints + calls over interned
+    /// name ids; what a cycle holds never settles.
     pub fn validate(&self) -> Result<(), SimError> {
         for (sid, versions) in self.versions_of.iter().enumerate() {
             if versions.is_empty() {
@@ -505,23 +534,46 @@ impl Application {
                 )));
             }
         }
-        for ep in &self.endpoints {
-            for call in &ep.calls {
-                let found = self.versions_of[call.service.0].iter().any(|v| {
-                    self.versions[v.0]
-                        .endpoints
-                        .iter()
-                        .any(|e| self.endpoints[e.0].name == call.endpoint)
+        // Kahn's order: an endpoint settles once every call into it has,
+        // one deeper than its deepest caller.
+        let mut callers = vec![0_usize; self.endpoints.len()];
+        for call in self.endpoints.iter().flat_map(|ep| &ep.calls) {
+            let mut resolves = false;
+            for target in self.targets(call) {
+                callers[target.0] += 1;
+                resolves = true;
+            }
+            if !resolves {
+                return Err(SimError::UnknownEndpoint {
+                    service: self.service_names[call.service.0].clone(),
+                    endpoint: call.endpoint.clone(),
                 });
-                if !found {
-                    return Err(SimError::UnknownEndpoint {
-                        service: self.service_names[call.service.0].clone(),
-                        endpoint: call.endpoint.clone(),
-                    });
+            }
+        }
+        let mut depth = vec![0_usize; self.endpoints.len()];
+        let mut ready: Vec<usize> = (0..callers.len()).filter(|ep| callers[*ep] == 0).collect();
+        let mut settled = 0;
+        while let Some(ep) = ready.pop() {
+            settled += 1;
+            for target in self.endpoints[ep].calls.iter().flat_map(|call| self.targets(call)) {
+                depth[target.0] = depth[target.0].max(depth[ep] + 1);
+                callers[target.0] -= 1;
+                if callers[target.0] == 0 {
+                    ready.push(target.0);
                 }
             }
         }
+        if settled < self.endpoints.len() || depth.iter().any(|d| *d > MAX_CALL_DEPTH) {
+            return Err(SimError::CallDepthExceeded { limit: MAX_CALL_DEPTH });
+        }
         Ok(())
+    }
+
+    /// The endpoints a call can reach: the one of its name on each deployed
+    /// version of the callee that has it.
+    fn targets<'a>(&'a self, call: &ResolvedCall) -> impl Iterator<Item = EndpointId> + 'a {
+        let name = call.endpoint_name;
+        self.versions_of[call.service.0].iter().filter_map(move |v| self.endpoint_named(*v, name))
     }
 }
 
@@ -597,7 +649,7 @@ impl AppBuilder {
     pub fn build(&self) -> Result<Application, SimError> {
         let mut app = Application::default();
         for spec in &self.specs {
-            app.deploy(spec.clone())?;
+            app.insert(spec)?;
         }
         app.validate()?;
         Ok(app)

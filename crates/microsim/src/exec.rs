@@ -1,4 +1,16 @@
-//! Per-request execution: walking the call tree.
+//! The request model's reference implementation: one request, walked
+//! depth-first to completion. Test-only.
+//!
+//! What ships is the discrete-event core ([`crate::event`]). This walk is
+//! the oracle it is held against: the `event_core_matches_recursive_*`
+//! differentials there run whole simulations on both, and the
+//! request-semantics tests below assert the same numbers on both, one
+//! request at a time. The walk knows no concurrency — it finishes one
+//! request before it starts the next — so the differentials are
+//! closed-loop (no limit, no queue), at zero load sensitivity (the walk
+//! feeds the load tracker in request order, the event core in time order)
+//! and without breakers (call order against outcome-time order). The
+//! one-request tests need none of these restrictions.
 //!
 //! One simulated request enters the application at an endpoint, the router
 //! resolves which deployed version serves each hop, latencies are sampled
@@ -18,76 +30,39 @@
 //! zero-work event spans — a trace of a degraded request shows *why* it
 //! degraded.
 
-use crate::app::{Application, EndpointId, ServiceId, VersionId};
+use crate::app::{Application, EndpointId, ServiceId, VersionId, MAX_CALL_DEPTH};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::load::LoadTracker;
-use crate::monitor::{MetricStore, SampleBatch, ScopeId};
-use crate::resilience::{BreakerState, CallDecision, CallPolicy, Resilience};
+use crate::monitor::MetricSink;
+use crate::resilience::{BreakerState, CallDecision, CallPolicy, ResiliencePlan, ResilienceState};
 use crate::routing::{Router, UserId};
 use crate::trace::{Span, SpanId, SpanStatus, Trace, TraceId};
 use cex_core::metrics::MetricKind;
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
 
-/// Maximum call-tree depth before assuming a cycle.
-pub const MAX_CALL_DEPTH: usize = 32;
-
-/// Batched, interned telemetry sink for the request hot path.
+/// Borrowed plan + state view handed to the walk for one request.
 ///
-/// Wraps a [`SampleBatch`] with the pre-interned scope ids the executor
-/// needs: one per deployed version (indexed by [`VersionId`]) plus the
-/// end-to-end application scope. Recording a hop is an array index and a
-/// buffered push — no string formatting, hashing, or locking. Drop (or
-/// [`MetricSink::flush`]) writes the buffer through to the store; the
-/// simulation flushes at window boundaries so store contents stay
-/// deterministic.
+/// The split keeps the plan immutable (shared config) while the breaker
+/// state mutates with the request stream.
 #[derive(Debug)]
-pub struct MetricSink<'a> {
-    batch: SampleBatch<'a>,
-    version_scopes: &'a [ScopeId],
-    app_scope: ScopeId,
-}
-
-impl<'a> MetricSink<'a> {
-    /// Creates a sink over `store`. `version_scopes` must be indexed by
-    /// `VersionId` (see [`MetricStore::intern_version_scopes`]);
-    /// `app_scope` receives end-to-end metrics.
-    pub fn new(store: &'a MetricStore, version_scopes: &'a [ScopeId], app_scope: ScopeId) -> Self {
-        MetricSink { batch: store.batch(), version_scopes, app_scope }
-    }
-
-    /// Records a per-version observation under its `service@version` scope.
-    pub fn record_version(
-        &mut self,
-        version: VersionId,
-        metric: MetricKind,
-        time: SimTime,
-        value: f64,
-    ) {
-        self.batch.record_value_id(self.version_scopes[version.0], metric, time, value);
-    }
-
-    /// Records an end-to-end (user-perceived) observation.
-    pub fn record_app(&mut self, metric: MetricKind, time: SimTime, value: f64) {
-        self.batch.record_value_id(self.app_scope, metric, time, value);
-    }
-
-    /// Writes all buffered samples through to the store.
-    pub fn flush(&mut self) {
-        self.batch.flush();
-    }
+pub(crate) struct Resilience<'a> {
+    /// Which policy applies to which service edge.
+    pub(crate) plan: &'a ResiliencePlan,
+    /// Mutable breaker state and transition log.
+    pub(crate) state: &'a mut ResilienceState,
 }
 
 /// Outcome of one executed request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RequestResult {
+pub(crate) struct RequestResult {
     /// User-perceived end-to-end response time (mirrored work excluded).
-    pub response_time: SimDuration,
+    pub(crate) response_time: SimDuration,
     /// `true` when the whole primary call tree succeeded.
-    pub ok: bool,
+    pub(crate) ok: bool,
     /// The trace, when sampled.
-    pub trace: Option<Trace>,
+    pub(crate) trace: Option<Trace>,
 }
 
 /// Executes one request against the application.
@@ -99,8 +74,8 @@ pub struct RequestResult {
 ///   every hop then derives its own [`SplitMix64`] stream from a seed
 ///   drawn in its caller's stream. This seed-chaining makes each hop's
 ///   randomness independent of sibling subtree shapes, which is what lets
-///   the event-driven core (`crate::event`) reproduce the recursive
-///   walk's outcomes from independently scheduled events.
+///   the event core reproduce this walk's outcomes from independently
+///   scheduled events.
 /// * `now` — virtual arrival time.
 /// * `trace_id` — `Some` when the trace collector sampled this request.
 /// * `sink` — when present, per-hop response times and error indicators
@@ -110,16 +85,16 @@ pub struct RequestResult {
 ///   [`CallPolicy`] get timeouts, retries, circuit breaking, and
 ///   fallbacks; retries re-enter the latency/fault models at the shifted
 ///   attempt time and breaker state persists in the caller-owned
-///   [`ResilienceState`](crate::resilience::ResilienceState).
+///   [`ResilienceState`].
 /// * `faults` — active fault windows applied on top of the normal latency
 ///   and error models.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] when a name does not resolve or the call tree
-/// exceeds [`MAX_CALL_DEPTH`] (a cycle in the application definition).
+/// exceeds [`MAX_CALL_DEPTH`] (which [`Application::validate`] rules out).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_request(
+pub(crate) fn execute_request(
     app: &Application,
     router: &Router,
     load: &mut LoadTracker,
@@ -558,7 +533,110 @@ impl ExecCtx<'_, '_> {
 mod tests {
     use super::*;
     use crate::app::{CallDef, EndpointDef, VersionSpec};
+    use crate::event::{self, EventRequest, WindowBuffers};
     use crate::latency::LatencyModel;
+    use crate::load::OccupancyTable;
+    use crate::monitor::MetricStore;
+    use crate::trace::TraceCollector;
+    use cex_core::obs::Profiler;
+
+    /// The two request cores these tests hold to one specification.
+    #[derive(Debug, Clone, Copy)]
+    enum Core {
+        /// [`execute_request`], the recursive walk.
+        Oracle,
+        /// What ships: one [`EventRequest`] through [`event::run_window`]
+        /// at one worker.
+        Shipped,
+    }
+
+    /// Runs one test body on each core. The captured output of a failing
+    /// test ends with the core it failed on.
+    fn on_each_core(body: impl Fn(Core)) {
+        for core in [Core::Oracle, Core::Shipped] {
+            println!("core: {core:?}");
+            body(core);
+        }
+    }
+
+    /// One request entering `a`/`entry` at `now` through `core`. As in
+    /// [`execute_request`], exactly two values are drawn from `rng`;
+    /// samples go to `store` when there is one.
+    #[allow(clippy::too_many_arguments)]
+    fn request(
+        core: Core,
+        app: &Application,
+        router: &Router,
+        load: &mut LoadTracker,
+        rng: &mut SplitMix64,
+        user: u64,
+        now: SimTime,
+        trace_id: Option<TraceId>,
+        store: Option<&MetricStore>,
+        resilience: Option<Resilience<'_>>,
+        faults: &FaultPlan,
+    ) -> RequestResult {
+        let scratch = MetricStore::new();
+        let store = store.unwrap_or(&scratch);
+        let scopes = store.intern_version_scopes(app);
+        // Dropped on return: the batch is flushed when the caller looks.
+        let mut sink = MetricSink::new(store, &scopes, store.intern("app"));
+        let entry = app.service_id("a").unwrap();
+        match core {
+            Core::Oracle => execute_request(
+                app,
+                router,
+                load,
+                rng,
+                UserId(user),
+                entry,
+                "entry",
+                now,
+                trace_id,
+                Some(&mut sink),
+                resilience,
+                faults,
+            )
+            .unwrap(),
+            Core::Shipped => {
+                let arrival = EventRequest {
+                    time: now,
+                    user: UserId(user),
+                    service: entry,
+                    endpoint: app.endpoint_name("entry").unwrap(),
+                    trace: trace_id,
+                    root_seed: rng.next_u64(),
+                    conv_u: rng.next_f64(),
+                };
+                let (no_plan, mut no_state) = (ResiliencePlan::none(), ResilienceState::new());
+                let (plan, state) = match resilience {
+                    Some(guard) => (guard.plan, guard.state),
+                    None => (&no_plan, &mut no_state),
+                };
+                let mut collector = TraceCollector::all();
+                let stats = event::run_window(
+                    app,
+                    router,
+                    load,
+                    &mut OccupancyTable::new(app),
+                    faults,
+                    plan,
+                    state,
+                    &mut sink,
+                    &mut collector,
+                    vec![arrival],
+                    1,
+                    &mut WindowBuffers::default(),
+                    &Profiler::default(),
+                );
+                RequestResult {
+                    response_time: SimDuration::from_millis(stats.rt.summary().max as u64),
+                    ok: stats.failures == 0,
+                    trace: collector.drain().pop(),
+                }
+            }
+        }
+    }
 
     fn chain_app() -> Application {
         let mut b = Application::builder();
@@ -581,253 +659,235 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn run(app: &Application, router: &Router, traced: bool) -> RequestResult {
-        let mut load = LoadTracker::new(app);
-        let mut rng = SplitMix64::new(9);
-        let entry = app.service_id("a").unwrap();
-        execute_request(
+    fn run(core: Core, app: &Application, router: &Router, traced: bool) -> RequestResult {
+        request(
+            core,
             app,
             router,
-            &mut load,
-            &mut rng,
-            UserId(1),
-            entry,
-            "entry",
+            &mut LoadTracker::new(app),
+            &mut SplitMix64::new(9),
+            1,
             SimTime::from_secs(1),
             traced.then_some(TraceId(7)),
             None,
             None,
             &FaultPlan::none(),
         )
-        .unwrap()
     }
 
     #[test]
     fn chain_latency_adds_up() {
-        let app = chain_app();
-        let result = run(&app, &Router::new(), false);
-        assert_eq!(result.response_time.as_millis(), 18);
-        assert!(result.ok);
-        assert!(result.trace.is_none());
+        on_each_core(|core| {
+            let app = chain_app();
+            let result = run(core, &app, &Router::new(), false);
+            assert_eq!(result.response_time.as_millis(), 18);
+            assert!(result.ok);
+            assert!(result.trace.is_none());
+        });
     }
 
     #[test]
     fn proxy_overhead_applies_per_hop() {
-        let app = chain_app();
-        let router = Router::with_proxy_overhead(SimDuration::from_millis(2));
-        let result = run(&app, &router, false);
-        // 18 ms service time + 3 hops × 2 ms.
-        assert_eq!(result.response_time.as_millis(), 24);
+        on_each_core(|core| {
+            let app = chain_app();
+            let router = Router::with_proxy_overhead(SimDuration::from_millis(2));
+            let result = run(core, &app, &router, false);
+            // 18 ms service time + 3 hops × 2 ms.
+            assert_eq!(result.response_time.as_millis(), 24);
+        });
     }
 
     #[test]
     fn trace_mirrors_call_tree() {
-        let app = chain_app();
-        let result = run(&app, &Router::new(), true);
-        let trace = result.trace.unwrap();
-        assert_eq!(trace.spans.len(), 3);
-        let root = trace.root();
-        assert_eq!(root.service, app.service_id("a").unwrap());
-        assert_eq!(root.duration, result.response_time);
-        // Parent chain a -> b -> c, stored pre-order with ids == positions.
-        let b_svc = app.service_id("b").unwrap();
-        let c_svc = app.service_id("c").unwrap();
-        let b = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
-        let c = trace.spans.iter().find(|s| s.service == c_svc).unwrap();
-        assert_eq!(b.parent, Some(root.span));
-        assert_eq!(c.parent, Some(b.span));
-        for (i, s) in trace.spans.iter().enumerate() {
-            assert_eq!(s.span, SpanId(i as u32), "span ids equal pre-order positions");
-        }
-        // Child hops start after the parent's own work and nest inside it.
-        assert!(b.start > root.start);
-        assert!(c.start > b.start);
-        assert!(c.end() <= b.end() && b.end() <= root.end());
+        on_each_core(|core| {
+            let app = chain_app();
+            let result = run(core, &app, &Router::new(), true);
+            let trace = result.trace.unwrap();
+            assert_eq!(trace.spans.len(), 3);
+            let root = trace.root();
+            assert_eq!(root.service, app.service_id("a").unwrap());
+            assert_eq!(root.duration, result.response_time);
+            // Parent chain a -> b -> c, stored pre-order with ids == positions.
+            let b_svc = app.service_id("b").unwrap();
+            let c_svc = app.service_id("c").unwrap();
+            let b = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
+            let c = trace.spans.iter().find(|s| s.service == c_svc).unwrap();
+            assert_eq!(b.parent, Some(root.span));
+            assert_eq!(c.parent, Some(b.span));
+            for (i, s) in trace.spans.iter().enumerate() {
+                assert_eq!(s.span, SpanId(i as u32), "span ids equal pre-order positions");
+            }
+            // Child hops start after the parent's own work and nest inside it.
+            assert!(b.start > root.start);
+            assert!(c.start > b.start);
+            assert!(c.end() <= b.end() && b.end() <= root.end());
+        });
     }
 
     #[test]
     fn errors_propagate_to_root() {
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("a", "1").endpoint(
-                EndpointDef::new("entry", LatencyModel::Constant { ms: 1.0 })
-                    .call(CallDef::always("b", "mid")),
-            ),
-        );
-        b.version(
-            VersionSpec::new("b", "1").endpoint(
+        on_each_core(|core| {
+            let mut b = Application::builder();
+            b.version(
+                VersionSpec::new("a", "1").endpoint(
+                    EndpointDef::new("entry", LatencyModel::Constant { ms: 1.0 })
+                        .call(CallDef::always("b", "mid")),
+                ),
+            );
+            b.version(VersionSpec::new("b", "1").endpoint(
                 EndpointDef::new("mid", LatencyModel::Constant { ms: 1.0 }).error_rate(1.0),
-            ),
-        );
-        let app = b.build().unwrap();
-        let result = run(&app, &Router::new(), true);
-        assert!(!result.ok);
-        let trace = result.trace.unwrap();
-        assert_eq!(trace.root().status, SpanStatus::Failed, "failure reaches the root span");
-        assert!(!trace.ok());
-        let b_svc = app.service_id("b").unwrap();
-        let b_span = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
-        assert_eq!(b_span.status, SpanStatus::Failed);
+            ));
+            let app = b.build().unwrap();
+            let result = run(core, &app, &Router::new(), true);
+            assert!(!result.ok);
+            let trace = result.trace.unwrap();
+            assert_eq!(trace.root().status, SpanStatus::Failed, "failure reaches the root span");
+            assert!(!trace.ok());
+            let b_svc = app.service_id("b").unwrap();
+            let b_span = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
+            assert_eq!(b_span.status, SpanStatus::Failed);
+        });
     }
 
     #[test]
     fn probabilistic_calls_fire_proportionally() {
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("a", "1").endpoint(
-                EndpointDef::new("entry", LatencyModel::Constant { ms: 1.0 })
-                    .call(CallDef::with_probability("b", "mid", 0.3)),
-            ),
-        );
-        b.version(
-            VersionSpec::new("b", "1")
-                .endpoint(EndpointDef::new("mid", LatencyModel::Constant { ms: 1.0 })),
-        );
-        let app = b.build().unwrap();
-        let router = Router::new();
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(11);
-        let entry = app.service_id("a").unwrap();
-        let mut fired = 0;
-        let n = 10_000;
-        for i in 0..n {
-            let result = execute_request(
-                &app,
-                &router,
-                &mut load,
-                &mut rng,
-                UserId(i),
-                entry,
-                "entry",
-                SimTime::from_millis(i),
-                Some(TraceId(i)),
-                None,
-                None,
-                &FaultPlan::none(),
-            )
-            .unwrap();
-            if result.trace.unwrap().spans.len() == 2 {
-                fired += 1;
+        on_each_core(|core| {
+            let mut b = Application::builder();
+            b.version(
+                VersionSpec::new("a", "1").endpoint(
+                    EndpointDef::new("entry", LatencyModel::Constant { ms: 1.0 })
+                        .call(CallDef::with_probability("b", "mid", 0.3)),
+                ),
+            );
+            b.version(
+                VersionSpec::new("b", "1")
+                    .endpoint(EndpointDef::new("mid", LatencyModel::Constant { ms: 1.0 })),
+            );
+            let app = b.build().unwrap();
+            let router = Router::new();
+            let mut load = LoadTracker::new(&app);
+            let mut rng = SplitMix64::new(11);
+            let mut fired = 0;
+            let n = 10_000;
+            for i in 0..n {
+                let result = request(
+                    core,
+                    &app,
+                    &router,
+                    &mut load,
+                    &mut rng,
+                    i,
+                    SimTime::from_millis(i),
+                    Some(TraceId(i)),
+                    None,
+                    None,
+                    &FaultPlan::none(),
+                );
+                if result.trace.unwrap().spans.len() == 2 {
+                    fired += 1;
+                }
             }
-        }
-        let share = fired as f64 / n as f64;
-        assert!((share - 0.3).abs() < 0.02, "call share {share}");
+            let share = fired as f64 / n as f64;
+            assert!((share - 0.3).abs() < 0.02, "call share {share}");
+        });
     }
 
     #[test]
     fn dark_mirror_excluded_from_latency_but_traced_and_loaded() {
-        let mut app = chain_app();
-        app.deploy(
-            VersionSpec::new("b", "2").endpoint(
-                EndpointDef::new("mid", LatencyModel::Constant { ms: 100.0 })
-                    .call(CallDef::always("c", "leaf")),
-            ),
-        )
-        .unwrap();
-        let b_svc = app.service_id("b").unwrap();
-        let dark = app.version_id("b", "2").unwrap();
-        let mut router = Router::new();
-        router.add_mirror(&app, b_svc, dark).unwrap();
+        on_each_core(|core| {
+            let mut app = chain_app();
+            app.deploy(
+                VersionSpec::new("b", "2").endpoint(
+                    EndpointDef::new("mid", LatencyModel::Constant { ms: 100.0 })
+                        .call(CallDef::always("c", "leaf")),
+                ),
+            )
+            .unwrap();
+            let b_svc = app.service_id("b").unwrap();
+            let dark = app.version_id("b", "2").unwrap();
+            let mut router = Router::new();
+            router.add_mirror(&app, b_svc, dark).unwrap();
 
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(13);
-        let entry = app.service_id("a").unwrap();
-        let result = execute_request(
-            &app,
-            &router,
-            &mut load,
-            &mut rng,
-            UserId(1),
-            entry,
-            "entry",
-            SimTime::from_secs(1),
-            Some(TraceId(1)),
-            None,
-            None,
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        // Latency unchanged: dark work is not on the user path.
-        assert_eq!(result.response_time.as_millis(), 18);
-        let trace = result.trace.unwrap();
-        // Primary a,b,c plus dark b@2 and its downstream c call.
-        assert_eq!(trace.spans.len(), 5);
-        let dark_spans: Vec<_> = trace.spans.iter().filter(|s| s.dark).collect();
-        assert_eq!(dark_spans.len(), 2);
-        assert!(dark_spans.iter().any(|s| s.version == dark));
-        // Dark leaf call doubled the load on c: flush c's bucket and check.
-        let c = app.version_id("c", "1").unwrap();
-        load.record_arrival(c, SimTime::from_secs(2));
-        assert!((load.rate_rps(c) - 2.0).abs() < 1e-9, "c saw primary + dark arrival");
+            let mut load = LoadTracker::new(&app);
+            let result = request(
+                core,
+                &app,
+                &router,
+                &mut load,
+                &mut SplitMix64::new(13),
+                1,
+                SimTime::from_secs(1),
+                Some(TraceId(1)),
+                None,
+                None,
+                &FaultPlan::none(),
+            );
+            // Latency unchanged: dark work is not on the user path.
+            assert_eq!(result.response_time.as_millis(), 18);
+            let trace = result.trace.unwrap();
+            // Primary a,b,c plus dark b@2 and its downstream c call.
+            assert_eq!(trace.spans.len(), 5);
+            let dark_spans: Vec<_> = trace.spans.iter().filter(|s| s.dark).collect();
+            assert_eq!(dark_spans.len(), 2);
+            assert!(dark_spans.iter().any(|s| s.version == dark));
+            // Dark leaf call doubled the load on c: flush c's bucket and check.
+            let c = app.version_id("c", "1").unwrap();
+            load.record_arrival(c, SimTime::from_secs(2));
+            assert!((load.rate_rps(c) - 2.0).abs() < 1e-9, "c saw primary + dark arrival");
+        });
     }
 
     #[test]
     fn metrics_recorded_per_version_scope() {
-        let app = chain_app();
-        let store = MetricStore::new();
-        let scopes = store.intern_version_scopes(&app);
-        let app_scope = store.intern("app");
-        let mut sink = MetricSink::new(&store, &scopes, app_scope);
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(17);
-        let entry = app.service_id("a").unwrap();
-        execute_request(
-            &app,
-            &Router::new(),
-            &mut load,
-            &mut rng,
-            UserId(1),
-            entry,
-            "entry",
-            SimTime::from_secs(1),
-            None,
-            Some(&mut sink),
-            None,
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        drop(sink); // flush the batch
-        assert_eq!(store.count("a@1", MetricKind::ResponseTime), 1);
-        assert_eq!(store.count("b@1", MetricKind::ResponseTime), 1);
-        assert_eq!(store.count("c@1", MetricKind::ErrorRate), 1);
+        on_each_core(|core| {
+            let app = chain_app();
+            let store = MetricStore::new();
+            request(
+                core,
+                &app,
+                &Router::new(),
+                &mut LoadTracker::new(&app),
+                &mut SplitMix64::new(17),
+                1,
+                SimTime::from_secs(1),
+                None,
+                Some(&store),
+                None,
+                &FaultPlan::none(),
+            );
+            assert_eq!(store.count("a@1", MetricKind::ResponseTime), 1);
+            assert_eq!(store.count("b@1", MetricKind::ResponseTime), 1);
+            assert_eq!(store.count("c@1", MetricKind::ErrorRate), 1);
+        });
     }
 
     /// Runs one guarded request entering `a`/`entry` at `now`, recording
     /// metrics into `store` and mutating the caller's breaker `state`.
     #[allow(clippy::too_many_arguments)]
     fn guarded_run(
+        core: Core,
         app: &Application,
         policy: &CallPolicy,
         faults: &FaultPlan,
-        state: &mut crate::resilience::ResilienceState,
+        state: &mut ResilienceState,
         store: &MetricStore,
         now: SimTime,
         user: u64,
     ) -> RequestResult {
-        let plan = crate::resilience::ResiliencePlan::with_default(*policy);
-        let scopes = store.intern_version_scopes(app);
-        let app_scope = store.intern("app");
-        let mut sink = MetricSink::new(store, &scopes, app_scope);
-        let mut load = LoadTracker::new(app);
-        let mut rng = SplitMix64::new(99);
-        let entry = app.service_id("a").unwrap();
-        let result = execute_request(
+        let plan = ResiliencePlan::with_default(*policy);
+        request(
+            core,
             app,
             &Router::new(),
-            &mut load,
-            &mut rng,
-            UserId(user),
-            entry,
-            "entry",
+            &mut LoadTracker::new(app),
+            &mut SplitMix64::new(99),
+            user,
             now,
             None,
-            Some(&mut sink),
-            Some(Resilience { plan: &plan, state: &mut *state }),
+            Some(store),
+            Some(Resilience { plan: &plan, state }),
             faults,
         )
-        .unwrap();
-        drop(sink); // flush
-        result
     }
 
     /// a (5 ms) → b (10 ms), with `b` failing at the given rate.
@@ -845,22 +905,16 @@ mod tests {
         builder.build().unwrap()
     }
 
-    #[test]
-    fn retry_succeeds_when_fault_expires_before_the_retry() {
+    /// An outage on `b` over `[1000, until_ms)` and a one-retry policy
+    /// with a flat 6 ms backoff.
+    fn outage_and_one_retry(app: &Application, until_ms: u64) -> (FaultPlan, CallPolicy) {
         use crate::faults::{Fault, FaultKind};
-        // Outage on b over [1000, 1016) ms. The request arrives at 995,
-        // spends 5 ms in `a`, so attempt 1 hits `b` at exactly 1000 (the
-        // inclusive window start) and fails. The retry fires at
-        // 1000 + 10 (attempt) + 6 (backoff) = 1016 — exactly the
-        // exclusive window end — and must succeed.
-        let app = two_tier(0.0);
-        let b = app.version_id("b", "1").unwrap();
         let mut faults = FaultPlan::none();
         faults.inject(Fault {
-            version: b,
+            version: app.version_id("b", "1").unwrap(),
             kind: FaultKind::Outage,
             from: SimTime::from_millis(1000),
-            until: SimTime::from_millis(1016),
+            until: SimTime::from_millis(until_ms),
         });
         let policy = CallPolicy {
             max_retries: 1,
@@ -868,71 +922,76 @@ mod tests {
             backoff_multiplier: 1.0,
             ..CallPolicy::default()
         };
-        let store = MetricStore::new();
-        let mut state = crate::resilience::ResilienceState::new();
-        let result =
-            guarded_run(&app, &policy, &faults, &mut state, &store, SimTime::from_millis(995), 1);
-        assert!(result.ok, "retry after the window must succeed");
-        // 5 (a) + 10 (failed attempt) + 6 (backoff) + 10 (retry).
-        assert_eq!(result.response_time.as_millis(), 31);
-        assert_eq!(store.count("b@1", MetricKind::Retry), 1);
+        (faults, policy)
+    }
+
+    #[test]
+    fn retry_succeeds_when_fault_expires_before_the_retry() {
+        on_each_core(|core| {
+            // Outage on b over [1000, 1016) ms. The request arrives at 995,
+            // spends 5 ms in `a`, so attempt 1 hits `b` at exactly 1000 (the
+            // inclusive window start) and fails. The retry fires at
+            // 1000 + 10 (attempt) + 6 (backoff) = 1016 — exactly the
+            // exclusive window end — and must succeed.
+            let app = two_tier(0.0);
+            let (faults, policy) = outage_and_one_retry(&app, 1016);
+            let store = MetricStore::new();
+            let mut state = ResilienceState::new();
+            let at = SimTime::from_millis(995);
+            let result = guarded_run(core, &app, &policy, &faults, &mut state, &store, at, 1);
+            assert!(result.ok, "retry after the window must succeed");
+            // 5 (a) + 10 (failed attempt) + 6 (backoff) + 10 (retry).
+            assert_eq!(result.response_time.as_millis(), 31);
+            assert_eq!(store.count("b@1", MetricKind::Retry), 1);
+        });
     }
 
     #[test]
     fn retry_fails_while_fault_window_still_covers_it() {
-        use crate::faults::{Fault, FaultKind};
-        // Same timeline, but the window runs one millisecond longer —
-        // [1000, 1017) — so the retry at 1016 is still inside it.
-        let app = two_tier(0.0);
-        let b = app.version_id("b", "1").unwrap();
-        let mut faults = FaultPlan::none();
-        faults.inject(Fault {
-            version: b,
-            kind: FaultKind::Outage,
-            from: SimTime::from_millis(1000),
-            until: SimTime::from_millis(1017),
+        on_each_core(|core| {
+            // Same timeline, but the window runs one millisecond longer —
+            // [1000, 1017) — so the retry at 1016 is still inside it.
+            let app = two_tier(0.0);
+            let (faults, policy) = outage_and_one_retry(&app, 1017);
+            let store = MetricStore::new();
+            let mut state = ResilienceState::new();
+            let at = SimTime::from_millis(995);
+            let result = guarded_run(core, &app, &policy, &faults, &mut state, &store, at, 1);
+            assert!(!result.ok, "both attempts fall inside the window");
         });
-        let policy = CallPolicy {
-            max_retries: 1,
-            backoff_base: SimDuration::from_millis(6),
-            backoff_multiplier: 1.0,
-            ..CallPolicy::default()
-        };
-        let store = MetricStore::new();
-        let mut state = crate::resilience::ResilienceState::new();
-        let result =
-            guarded_run(&app, &policy, &faults, &mut state, &store, SimTime::from_millis(995), 1);
-        assert!(!result.ok, "both attempts fall inside the window");
     }
 
     #[test]
     fn attempt_timeout_caps_perceived_latency_and_counts_as_failure() {
-        let app = two_tier(0.0);
-        let policy = CallPolicy {
-            attempt_timeout: Some(SimDuration::from_millis(4)),
-            ..CallPolicy::default()
-        };
-        let store = MetricStore::new();
-        let mut state = crate::resilience::ResilienceState::new();
-        let result = guarded_run(
-            &app,
-            &policy,
-            &FaultPlan::none(),
-            &mut state,
-            &store,
-            SimTime::from_secs(1),
-            1,
-        );
-        assert!(!result.ok, "a timed-out call is a failure without fallback");
-        // 5 (a) + 4 (wait capped at the deadline, not b's 10 ms).
-        assert_eq!(result.response_time.as_millis(), 9);
-        assert_eq!(store.count("b@1", MetricKind::Timeout), 1);
+        on_each_core(|core| {
+            let app = two_tier(0.0);
+            let policy = CallPolicy {
+                attempt_timeout: Some(SimDuration::from_millis(4)),
+                ..CallPolicy::default()
+            };
+            let store = MetricStore::new();
+            let mut state = ResilienceState::new();
+            let result = guarded_run(
+                core,
+                &app,
+                &policy,
+                &FaultPlan::none(),
+                &mut state,
+                &store,
+                SimTime::from_secs(1),
+                1,
+            );
+            assert!(!result.ok, "a timed-out call is a failure without fallback");
+            // 5 (a) + 4 (wait capped at the deadline, not b's 10 ms).
+            assert_eq!(result.response_time.as_millis(), 9);
+            assert_eq!(store.count("b@1", MetricKind::Timeout), 1);
+        });
     }
 
-    #[test]
-    fn breaker_opens_then_sheds_and_fallback_keeps_requests_ok() {
-        let app = two_tier(1.0);
-        let policy = CallPolicy {
+    /// Opens after four failures in a row and stays open for a minute;
+    /// every shed or exhausted call is answered by a 1 ms fallback.
+    fn breaker_with_fallback() -> CallPolicy {
+        CallPolicy {
             breaker: Some(crate::resilience::BreakerPolicy {
                 error_threshold: 0.5,
                 min_calls: 4,
@@ -943,72 +1002,80 @@ mod tests {
             fallback: true,
             fallback_latency: SimDuration::from_millis(1),
             ..CallPolicy::default()
-        };
-        let store = MetricStore::new();
-        let mut state = crate::resilience::ResilienceState::new();
-        let a = app.version_id("a", "1").unwrap();
-        let b = app.version_id("b", "1").unwrap();
-        let mut times = Vec::new();
-        for i in 0..8u64 {
-            let result = guarded_run(
-                &app,
-                &policy,
-                &FaultPlan::none(),
-                &mut state,
-                &store,
-                SimTime::from_secs(1 + i),
-                i,
-            );
-            assert!(result.ok, "fallback keeps every request successful");
-            times.push(result.response_time.as_millis());
         }
-        // Four failures open the breaker; later requests are shed and only
-        // pay a + fallback latency (6 ms) instead of a + b + fallback (16).
-        assert_eq!(state.current(a, b), crate::resilience::BreakerState::Open);
-        assert_eq!(times[0], 16);
-        assert_eq!(*times.last().unwrap(), 6);
-        assert_eq!(store.count("b@1", MetricKind::BreakerOpen), 1);
-        assert_eq!(store.count("b@1", MetricKind::Shed), 4);
-        assert_eq!(store.count("b@1", MetricKind::FallbackServed), 8);
-        // Shed calls never reach b: it saw only the 4 executed attempts.
-        assert_eq!(store.count("b@1", MetricKind::ErrorRate), 4);
+    }
+
+    #[test]
+    fn breaker_opens_then_sheds_and_fallback_keeps_requests_ok() {
+        on_each_core(|core| {
+            let app = two_tier(1.0);
+            let policy = breaker_with_fallback();
+            let store = MetricStore::new();
+            let mut state = ResilienceState::new();
+            let a = app.version_id("a", "1").unwrap();
+            let b = app.version_id("b", "1").unwrap();
+            let mut times = Vec::new();
+            for i in 0..8u64 {
+                let result = guarded_run(
+                    core,
+                    &app,
+                    &policy,
+                    &FaultPlan::none(),
+                    &mut state,
+                    &store,
+                    SimTime::from_secs(1 + i),
+                    i,
+                );
+                assert!(result.ok, "fallback keeps every request successful");
+                times.push(result.response_time.as_millis());
+            }
+            // Four failures open the breaker; later requests are shed and only
+            // pay a + fallback latency (6 ms) instead of a + b + fallback (16).
+            assert_eq!(state.current(a, b), BreakerState::Open);
+            assert_eq!(times[0], 16);
+            assert_eq!(*times.last().unwrap(), 6);
+            assert_eq!(store.count("b@1", MetricKind::BreakerOpen), 1);
+            assert_eq!(store.count("b@1", MetricKind::Shed), 4);
+            assert_eq!(store.count("b@1", MetricKind::FallbackServed), 8);
+            // Shed calls never reach b: it saw only the 4 executed attempts.
+            assert_eq!(store.count("b@1", MetricKind::ErrorRate), 4);
+        });
     }
 
     #[test]
     fn oversaturated_error_composition_clamps_instead_of_panicking() {
         use crate::faults::{Fault, FaultKind};
-        // Endpoint error rate 0.9 + fault burst 0.9 sums to 1.8; the
-        // executor must clamp to a certain failure, not panic.
-        let app = two_tier(0.9);
-        let b = app.version_id("b", "1").unwrap();
-        let mut faults = FaultPlan::none();
-        faults.inject(Fault {
-            version: b,
-            kind: FaultKind::ErrorBurst { extra_error_rate: 0.9 },
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(1_000),
+        on_each_core(|core| {
+            // Endpoint error rate 0.9 + fault burst 0.9 sums to 1.8; the
+            // core must clamp to a certain failure, not panic.
+            let app = two_tier(0.9);
+            let b = app.version_id("b", "1").unwrap();
+            let mut faults = FaultPlan::none();
+            faults.inject(Fault {
+                version: b,
+                kind: FaultKind::ErrorBurst { extra_error_rate: 0.9 },
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(1_000),
+            });
+            let mut load = LoadTracker::new(&app);
+            let mut rng = SplitMix64::new(5);
+            for i in 0..200 {
+                let result = request(
+                    core,
+                    &app,
+                    &Router::new(),
+                    &mut load,
+                    &mut rng,
+                    i,
+                    SimTime::from_millis(i),
+                    None,
+                    None,
+                    None,
+                    &faults,
+                );
+                assert!(!result.ok, "combined rate clamps to exactly 1.0");
+            }
         });
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(5);
-        let entry = app.service_id("a").unwrap();
-        for i in 0..200 {
-            let result = execute_request(
-                &app,
-                &Router::new(),
-                &mut load,
-                &mut rng,
-                UserId(i),
-                entry,
-                "entry",
-                SimTime::from_millis(i),
-                None,
-                None,
-                None,
-                &faults,
-            )
-            .unwrap();
-            assert!(!result.ok, "combined rate clamps to exactly 1.0");
-        }
     }
 
     /// Checks every structural invariant the trace module documents:
@@ -1041,101 +1108,85 @@ mod tests {
 
     #[test]
     fn timed_out_attempt_span_carries_perceived_wait() {
-        let app = two_tier(0.0);
-        let policy = CallPolicy {
-            attempt_timeout: Some(SimDuration::from_millis(4)),
-            max_retries: 0,
-            ..CallPolicy::default()
-        };
-        let plan = crate::resilience::ResiliencePlan::with_default(policy);
-        let mut state = crate::resilience::ResilienceState::new();
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(3);
-        let entry = app.service_id("a").unwrap();
-        let result = execute_request(
-            &app,
-            &Router::new(),
-            &mut load,
-            &mut rng,
-            UserId(1),
-            entry,
-            "entry",
-            SimTime::from_secs(1),
-            Some(TraceId(1)),
-            None,
-            Some(Resilience { plan: &plan, state: &mut state }),
-            &FaultPlan::none(),
-        )
-        .unwrap();
-        assert!(!result.ok);
-        let trace = result.trace.unwrap();
-        assert_span_invariants(&trace, result.response_time);
-        assert_eq!(trace.spans.len(), 2);
-        let b = &trace.spans[1];
-        assert_eq!(b.status, SpanStatus::TimedOut);
-        // The span records the caller-observed wait (the 4 ms deadline),
-        // not b's real 10 ms of work.
-        assert_eq!(b.duration.as_millis(), 4);
-        assert_eq!(trace.root().status, SpanStatus::Failed);
+        on_each_core(|core| {
+            let app = two_tier(0.0);
+            let policy = CallPolicy {
+                attempt_timeout: Some(SimDuration::from_millis(4)),
+                max_retries: 0,
+                ..CallPolicy::default()
+            };
+            let plan = ResiliencePlan::with_default(policy);
+            let mut state = ResilienceState::new();
+            let result = request(
+                core,
+                &app,
+                &Router::new(),
+                &mut LoadTracker::new(&app),
+                &mut SplitMix64::new(3),
+                1,
+                SimTime::from_secs(1),
+                Some(TraceId(1)),
+                None,
+                Some(Resilience { plan: &plan, state: &mut state }),
+                &FaultPlan::none(),
+            );
+            assert!(!result.ok);
+            let trace = result.trace.unwrap();
+            assert_span_invariants(&trace, result.response_time);
+            assert_eq!(trace.spans.len(), 2);
+            let b = &trace.spans[1];
+            assert_eq!(b.status, SpanStatus::TimedOut);
+            // The span records the caller-observed wait (the 4 ms deadline),
+            // not b's real 10 ms of work.
+            assert_eq!(b.duration.as_millis(), 4);
+            assert_eq!(trace.root().status, SpanStatus::Failed);
+        });
     }
 
     #[test]
     fn shed_and_fallback_emit_event_spans() {
-        let app = two_tier(1.0);
-        let policy = CallPolicy {
-            breaker: Some(crate::resilience::BreakerPolicy {
-                error_threshold: 0.5,
-                min_calls: 4,
-                window: 8,
-                cooldown: SimDuration::from_secs(60),
-                half_open_probes: 1,
-            }),
-            fallback: true,
-            fallback_latency: SimDuration::from_millis(1),
-            ..CallPolicy::default()
-        };
-        let plan = crate::resilience::ResiliencePlan::with_default(policy);
-        let mut state = crate::resilience::ResilienceState::new();
-        let mut load = LoadTracker::new(&app);
-        let mut rng = SplitMix64::new(21);
-        let entry = app.service_id("a").unwrap();
-        let b = app.version_id("b", "1").unwrap();
-        let mut last = None;
-        for i in 0..8u64 {
-            let result = execute_request(
-                &app,
-                &Router::new(),
-                &mut load,
-                &mut rng,
-                UserId(i),
-                entry,
-                "entry",
-                SimTime::from_secs(1 + i),
-                Some(TraceId(i)),
-                None,
-                Some(Resilience { plan: &plan, state: &mut state }),
-                &FaultPlan::none(),
-            )
-            .unwrap();
-            assert!(result.ok, "fallback keeps requests successful");
-            let trace = result.trace.unwrap();
-            assert_span_invariants(&trace, result.response_time);
-            last = Some(trace);
-        }
-        // After the breaker opened, a request is root + shed event +
-        // fallback event — no executed b endpoint at all.
-        let trace = last.unwrap();
-        assert!(trace.ok(), "fallback-served root counts as ok");
-        let shed = trace.spans.iter().find(|s| s.status == SpanStatus::Shed).unwrap();
-        assert_eq!(shed.version, b);
-        assert_eq!(shed.duration, SimDuration::ZERO);
-        let fb = trace.spans.iter().find(|s| s.status == SpanStatus::Fallback).unwrap();
-        assert_eq!(fb.version, b);
-        assert_eq!(fb.duration.as_millis(), 1);
-        assert!(
-            !trace.spans.iter().any(|s| s.status == SpanStatus::Failed),
-            "shed request never executed b"
-        );
+        on_each_core(|core| {
+            let app = two_tier(1.0);
+            let plan = ResiliencePlan::with_default(breaker_with_fallback());
+            let mut state = ResilienceState::new();
+            let mut load = LoadTracker::new(&app);
+            let mut rng = SplitMix64::new(21);
+            let b = app.version_id("b", "1").unwrap();
+            let mut last = None;
+            for i in 0..8u64 {
+                let result = request(
+                    core,
+                    &app,
+                    &Router::new(),
+                    &mut load,
+                    &mut rng,
+                    i,
+                    SimTime::from_secs(1 + i),
+                    Some(TraceId(i)),
+                    None,
+                    Some(Resilience { plan: &plan, state: &mut state }),
+                    &FaultPlan::none(),
+                );
+                assert!(result.ok, "fallback keeps requests successful");
+                let trace = result.trace.unwrap();
+                assert_span_invariants(&trace, result.response_time);
+                last = Some(trace);
+            }
+            // After the breaker opened, a request is root + shed event +
+            // fallback event — no executed b endpoint at all.
+            let trace = last.unwrap();
+            assert!(trace.ok(), "fallback-served root counts as ok");
+            let shed = trace.spans.iter().find(|s| s.status == SpanStatus::Shed).unwrap();
+            assert_eq!(shed.version, b);
+            assert_eq!(shed.duration, SimDuration::ZERO);
+            let fb = trace.spans.iter().find(|s| s.status == SpanStatus::Fallback).unwrap();
+            assert_eq!(fb.version, b);
+            assert_eq!(fb.duration.as_millis(), 1);
+            assert!(
+                !trace.spans.iter().any(|s| s.status == SpanStatus::Failed),
+                "shed request never executed b"
+            );
+        });
     }
 
     #[test]
@@ -1144,7 +1195,7 @@ mod tests {
         // A three-tier app with jittered latencies, an error-prone middle
         // tier, a slow dark-launched mirror, and a resilience policy with
         // timeouts, retries, a breaker, and fallbacks: every span shape
-        // the executor can produce shows up here.
+        // a core can produce shows up here.
         let mut builder = Application::builder();
         builder.version(
             VersionSpec::new("a", "1").endpoint(
@@ -1192,7 +1243,7 @@ mod tests {
             fallback_latency: SimDuration::from_millis(1),
             ..CallPolicy::default()
         };
-        let plan = crate::resilience::ResiliencePlan::with_default(policy);
+        let plan = ResiliencePlan::with_default(policy);
         let b_fault = app.version_id("b", "1").unwrap();
         let mut faults = FaultPlan::none();
         faults.inject(Fault {
@@ -1202,46 +1253,47 @@ mod tests {
             until: SimTime::from_millis(3_000),
         });
 
-        let entry = app.service_id("a").unwrap();
-        let mut statuses = std::collections::BTreeSet::new();
-        let mut saw_retry = false;
-        let mut saw_dark = false;
-        for seed in [4242u64, 7, 99] {
-            let mut state = crate::resilience::ResilienceState::new();
-            let mut load = LoadTracker::new(&app);
-            let mut rng = SplitMix64::new(seed);
-            for i in 0..200u64 {
-                let result = execute_request(
-                    &app,
-                    &router,
-                    &mut load,
-                    &mut rng,
-                    UserId(i),
-                    entry,
-                    "entry",
-                    SimTime::from_millis(i * 20),
-                    Some(TraceId(seed * 1_000 + i)),
-                    None,
-                    Some(Resilience { plan: &plan, state: &mut state }),
-                    &faults,
-                )
-                .unwrap();
-                let trace = result.trace.unwrap();
-                assert_span_invariants(&trace, result.response_time);
-                for s in &trace.spans {
-                    statuses.insert(s.status.name());
-                    saw_retry |= s.attempt > 0;
-                    saw_dark |= s.dark;
+        on_each_core(|core| {
+            let mut statuses = std::collections::BTreeSet::new();
+            let mut saw_retry = false;
+            let mut saw_dark = false;
+            for seed in [4242u64, 7, 99] {
+                let mut state = ResilienceState::new();
+                let mut load = LoadTracker::new(&app);
+                let mut rng = SplitMix64::new(seed);
+                for i in 0..200u64 {
+                    let result = request(
+                        core,
+                        &app,
+                        &router,
+                        &mut load,
+                        &mut rng,
+                        i,
+                        SimTime::from_millis(i * 20),
+                        Some(TraceId(seed * 1_000 + i)),
+                        None,
+                        Some(Resilience { plan: &plan, state: &mut state }),
+                        &faults,
+                    );
+                    let trace = result.trace.unwrap();
+                    assert_span_invariants(&trace, result.response_time);
+                    for s in &trace.spans {
+                        statuses.insert(s.status.name());
+                        saw_retry |= s.attempt > 0;
+                        saw_dark |= s.dark;
+                    }
                 }
             }
-        }
-        assert!(saw_retry, "retry attempts appear as numbered sibling spans");
-        assert!(saw_dark, "dark mirror work is traced");
-        for want in ["ok", "failed", "timed_out", "shed", "fallback"] {
-            assert!(statuses.contains(want), "stress run must produce a `{want}` span");
-        }
+            assert!(saw_retry, "retry attempts appear as numbered sibling spans");
+            assert!(saw_dark, "dark mirror work is traced");
+            for want in ["ok", "failed", "timed_out", "shed", "fallback"] {
+                assert!(statuses.contains(want), "stress run must produce a `{want}` span");
+            }
+        });
     }
 
+    /// The oracle's own `Err` return; the shipped core takes its entry
+    /// point as an interned name the caller has already resolved.
     #[test]
     fn unknown_entry_endpoint_errors() {
         let app = chain_app();

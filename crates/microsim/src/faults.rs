@@ -57,8 +57,8 @@ pub struct FaultEffects {
     pub latency_multiplier: f64,
     /// Extra failure probability added to the endpoint's own error rate.
     /// Overlapping bursts and outages *sum*, so this can exceed `1.0`;
-    /// the executor clamps the combined probability once at the point of
-    /// use (see `exec.rs`).
+    /// the request core clamps the combined probability once, where it
+    /// draws the hop's own failure (`event.rs`).
     pub extra_error_rate: f64,
 }
 

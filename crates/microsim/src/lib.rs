@@ -20,12 +20,12 @@
 //! - [`load`] — per-version arrival-rate tracking driving latency inflation
 //!   (this is what makes dark-launch traffic duplication visibly costly,
 //!   as observed in Section 1.2.3 of the dissertation).
-//! - [`exec`] — per-request execution: walks the call tree, samples
-//!   latencies, produces an end-to-end response time and a distributed
-//!   trace.
-//! - [`event`] — the discrete-event scheduler the simulation runs on by
-//!   default: requests as event chains, per-version concurrency limits and
-//!   bounded admission queues, deterministic sharded parallel execution.
+//! - [`event`] — the request core, a discrete-event scheduler: each request
+//!   a chain of events that samples latencies along its call tree and
+//!   yields an end-to-end response time and a distributed trace, under
+//!   per-version concurrency limits and bounded admission queues, with
+//!   deterministic sharded parallel execution. (Its test-only reference
+//!   implementation, a recursive walk, is `exec.rs`.)
 //! - [`faults`] — scheduled fault windows (latency spikes, error bursts,
 //!   outages) for failure-injection experiments.
 //! - [`trace`] — Zipkin/Jaeger-style spans with interned identity, bounded
@@ -61,7 +61,8 @@ pub mod app;
 pub mod corpus;
 pub mod error;
 pub mod event;
-pub mod exec;
+#[cfg(test)]
+mod exec;
 pub mod faults;
 pub mod health;
 pub mod latency;

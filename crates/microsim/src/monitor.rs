@@ -68,7 +68,7 @@
 //! summaries are bit-exact across repeated same-seed runs and across engine
 //! worker counts.
 
-use crate::app::Application;
+use crate::app::{Application, VersionId};
 use cex_core::intern::Interner;
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::obs::WallProbe;
@@ -903,6 +903,52 @@ impl SampleBatch<'_> {
 impl Drop for SampleBatch<'_> {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// Batched, interned telemetry sink for the request hot path.
+///
+/// Wraps a [`SampleBatch`] with the pre-interned scope ids the request core
+/// needs: one per deployed version (indexed by [`VersionId`]) plus the
+/// end-to-end application scope. Recording a hop is an array index and a
+/// buffered push — no string formatting, hashing, or locking. Drop (or
+/// [`MetricSink::flush`]) writes the buffer through to the store; the
+/// simulation flushes at window boundaries so store contents stay
+/// deterministic.
+#[derive(Debug)]
+pub struct MetricSink<'a> {
+    batch: SampleBatch<'a>,
+    version_scopes: &'a [ScopeId],
+    app_scope: ScopeId,
+}
+
+impl<'a> MetricSink<'a> {
+    /// Creates a sink over `store`. `version_scopes` must be indexed by
+    /// `VersionId` (see [`MetricStore::intern_version_scopes`]);
+    /// `app_scope` receives end-to-end metrics.
+    pub fn new(store: &'a MetricStore, version_scopes: &'a [ScopeId], app_scope: ScopeId) -> Self {
+        MetricSink { batch: store.batch(), version_scopes, app_scope }
+    }
+
+    /// Records a per-version observation under its `service@version` scope.
+    pub fn record_version(
+        &mut self,
+        version: VersionId,
+        metric: MetricKind,
+        time: SimTime,
+        value: f64,
+    ) {
+        self.batch.record_value_id(self.version_scopes[version.0], metric, time, value);
+    }
+
+    /// Records an end-to-end (user-perceived) observation.
+    pub fn record_app(&mut self, metric: MetricKind, time: SimTime, value: f64) {
+        self.batch.record_value_id(self.app_scope, metric, time, value);
+    }
+
+    /// Writes all buffered samples through to the store.
+    pub fn flush(&mut self) {
+        self.batch.flush();
     }
 }
 

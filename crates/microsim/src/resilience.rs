@@ -496,18 +496,6 @@ impl ResilienceState {
     }
 }
 
-/// Borrowed plan + state view handed to the executor for one request.
-///
-/// The split keeps the plan immutable (shared config) while the breaker
-/// state mutates with the request stream.
-#[derive(Debug)]
-pub struct Resilience<'a> {
-    /// Which policy applies to which service edge.
-    pub plan: &'a ResiliencePlan,
-    /// Mutable breaker state and transition log.
-    pub state: &'a mut ResilienceState,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,37 +9,22 @@
 use crate::app::{Application, VersionId, VersionSpec};
 use crate::error::SimError;
 use crate::event::{self, EventRequest};
-use crate::exec::{execute_request, MetricSink};
 use crate::faults::{Fault, FaultPlan};
 use crate::load::{LoadTracker, OccupancyTable};
-use crate::monitor::{MetricStore, ScopeId};
+use crate::monitor::{MetricSink, MetricStore, ScopeId};
 use crate::resilience::{
-    BreakerState, BreakerTransition, CallPolicy, Resilience, ResiliencePlan, ResilienceState,
+    BreakerState, BreakerTransition, CallPolicy, ResiliencePlan, ResilienceState,
 };
 use crate::routing::Router;
 use crate::trace::{Trace, TraceCollector};
 use crate::workload::{ArrivalProcess, Workload};
-use cex_core::metrics::{MetricKind, OnlineStats, Summary};
+use cex_core::metrics::{MetricKind, Summary};
 use cex_core::obs::{Counters, ObsConfig, ProfileSnapshot, Profiler};
 use cex_core::rng::{sub_seed, SplitMix64};
 use cex_core::simtime::{SimDuration, SimTime};
 
 /// Scope under which end-to-end (user-perceived) metrics are recorded.
 pub const APP_SCOPE: &str = "app";
-
-/// Which request-execution core a window runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The original depth-first walk ([`crate::exec`]): one request's call
-    /// tree completes before the next request starts. Kept as the
-    /// semantic reference; cannot model queueing or use multiple cores.
-    Recursive,
-    /// The discrete-event scheduler ([`crate::event`]): requests interleave
-    /// in simulated time, per-version concurrency limits and admission
-    /// queues apply, and execution shards across worker threads with
-    /// byte-identical output at any worker count. The default.
-    Event,
-}
 
 /// Aggregate outcome of one simulated window.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +69,6 @@ pub struct Simulation {
     router: Router,
     load: LoadTracker,
     occupancy: OccupancyTable,
-    exec_mode: ExecMode,
     workers: usize,
     store: MetricStore,
     /// `service@version` scope ids indexed by `VersionId`, kept in sync
@@ -125,7 +109,6 @@ impl Simulation {
             router: Router::new(),
             load,
             occupancy,
-            exec_mode: ExecMode::Event,
             workers: 1,
             store,
             version_scopes,
@@ -268,23 +251,10 @@ impl Simulation {
         self.resilience_state.drain_transitions_into(out);
     }
 
-    /// Selects the execution core for subsequent windows (see
-    /// [`ExecMode`]). Switching cores mid-run is allowed; each window runs
-    /// entirely on one core.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The active execution core.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Sets the worker-thread count for [`ExecMode::Event`] windows.
-    /// Outputs are byte-identical at any worker count; this only trades
-    /// wall-clock time. Ignored by [`ExecMode::Recursive`]. Clamped to at
-    /// least 1 (and internally to the service count — extra workers would
-    /// own no shard).
+    /// Sets how many worker threads a window's services are sharded over
+    /// (see [`crate::event`]). Outputs are byte-identical at any worker
+    /// count; this only trades wall-clock time. Clamped to at least 1 (and
+    /// internally to the service count — extra workers would own no shard).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -357,10 +327,10 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the spec is invalid.
+    /// Returns [`SimError`] when the spec, or the application with it, is
+    /// invalid; the simulation is then exactly as it was.
     pub fn deploy(&mut self, spec: VersionSpec) -> Result<VersionId, SimError> {
         let id = self.app.deploy(spec)?;
-        self.app.validate()?;
         self.load.resize_for(&self.app);
         self.occupancy.resize_for(&self.app);
         self.version_scopes = self.store.intern_version_scopes(&self.app);
@@ -412,7 +382,9 @@ impl Simulation {
         self.run_with(duration, &workload)
     }
 
-    /// Runs a window of `duration` under `workload`, advancing the clock.
+    /// Runs a window of `duration` under `workload`, advancing the clock:
+    /// the window's arrivals are generated up front, handed to the request
+    /// core ([`crate::event`]) and its canonically ordered outputs merged.
     ///
     /// Per-request, per-version metrics land in the store under
     /// `service@version` scopes; end-to-end metrics under [`APP_SCOPE`].
@@ -422,16 +394,6 @@ impl Simulation {
     /// Panics if the workload references unknown services/endpoints (a
     /// configuration error in the harness, not a runtime condition).
     pub fn run_with(&mut self, duration: SimDuration, workload: &Workload) -> RunReport {
-        match self.exec_mode {
-            ExecMode::Recursive => self.run_with_recursive(duration, workload),
-            ExecMode::Event => self.run_with_event(duration, workload),
-        }
-    }
-
-    /// [`ExecMode::Event`] window: pre-generate the arrivals (consuming the
-    /// shared RNG in the same order the recursive core would), hand them to
-    /// the event scheduler, and merge its canonical outputs.
-    fn run_with_event(&mut self, duration: SimDuration, workload: &Workload) -> RunReport {
         let window_started = std::time::Instant::now();
         let from = self.clock;
         let to = from + duration;
@@ -442,8 +404,9 @@ impl Simulation {
             cex_core::span!(self.profiler, "sim.window.arrivals");
             let mut arrivals = ArrivalProcess::new(workload.clone(), from, window_seed);
             for arrival in arrivals.arrivals_until(to) {
-                // Same per-request draw order as the recursive facade:
-                // trace decision, root hop seed, conversion draw.
+                // Per request, in arrival order: the trace decision, then
+                // two draws from the simulation's stream — the root hop's
+                // seed and the conversion draw.
                 let trace = self.collector.begin_trace();
                 let root_seed = self.rng.next_u64();
                 let conv_u = self.rng.next_f64();
@@ -497,75 +460,79 @@ impl Simulation {
             response_time: stats.rt.summary(),
         }
     }
-
-    /// [`ExecMode::Recursive`] window: the original one-request-at-a-time
-    /// depth-first walk.
-    fn run_with_recursive(&mut self, duration: SimDuration, workload: &Workload) -> RunReport {
-        let window_started = std::time::Instant::now();
-        let from = self.clock;
-        let to = from + duration;
-        let window_seed = sub_seed(self.workload_seed, self.windows_run);
-        self.windows_run += 1;
-        let mut arrivals = ArrivalProcess::new(workload.clone(), from, window_seed);
-
-        let mut requests = 0u64;
-        let mut failures = 0u64;
-        let mut rt = OnlineStats::new();
-        // One batched sink per window: samples flush at the window end (or
-        // at the batch's internal size threshold), both deterministic
-        // boundaries, so store contents never depend on wall-clock timing.
-        let mut sink = MetricSink::new(&self.store, &self.version_scopes, self.app_scope);
-        for arrival in arrivals.arrivals_until(to) {
-            let trace_id = self.collector.begin_trace();
-            let result = execute_request(
-                &self.app,
-                &self.router,
-                &mut self.load,
-                &mut self.rng,
-                arrival.user,
-                arrival.service,
-                &arrival.endpoint,
-                arrival.time,
-                trace_id,
-                Some(&mut sink),
-                // An empty plan skips the guarded path entirely, keeping
-                // the policy-free hot path identical to before.
-                (!self.resilience_plan.is_empty()).then_some(Resilience {
-                    plan: &self.resilience_plan,
-                    state: &mut self.resilience_state,
-                }),
-                &self.faults,
-            )
-            .expect("workload references a valid entry point");
-            requests += 1;
-            if !result.ok {
-                failures += 1;
-            }
-            let ms = result.response_time.as_millis_f64();
-            rt.push(ms);
-            sink.record_app(MetricKind::ResponseTime, arrival.time, ms);
-            sink.record_app(MetricKind::ErrorRate, arrival.time, if result.ok { 0.0 } else { 1.0 });
-            if let Some(trace) = result.trace {
-                self.collector.record(trace);
-            }
-        }
-        // One throughput sample per window.
-        let secs = duration.as_millis() as f64 / 1_000.0;
-        if secs > 0.0 {
-            sink.record_app(MetricKind::Throughput, to, requests as f64 / secs);
-        }
-        drop(sink); // window boundary: flush buffered samples
-        self.clock = to;
-        self.profiler.record("sim.window", window_started.elapsed());
-        RunReport { from, to, requests, failures, response_time: rt.summary() }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{CallDef, EndpointDef};
+    use crate::app::{CallDef, EndpointDef, MAX_CALL_DEPTH};
+    use crate::exec::{execute_request, Resilience};
     use crate::latency::LatencyModel;
+    use cex_core::metrics::OnlineStats;
+
+    impl Simulation {
+        /// [`Simulation::run_with`] on the oracle ([`crate::exec`]): each
+        /// arrival is walked to completion before the next, drawing from
+        /// the simulation's streams in the same order (trace decision,
+        /// root hop seed, conversion draw). The differentials in
+        /// `event.rs` run it beside the shipped window.
+        pub(crate) fn run_with_oracle(
+            &mut self,
+            duration: SimDuration,
+            workload: &Workload,
+        ) -> RunReport {
+            let from = self.clock;
+            let to = from + duration;
+            let window_seed = sub_seed(self.workload_seed, self.windows_run);
+            self.windows_run += 1;
+            let mut arrivals = ArrivalProcess::new(workload.clone(), from, window_seed);
+
+            let mut requests = 0u64;
+            let mut failures = 0u64;
+            let mut rt = OnlineStats::new();
+            let mut sink = MetricSink::new(&self.store, &self.version_scopes, self.app_scope);
+            for arrival in arrivals.arrivals_until(to) {
+                let trace_id = self.collector.begin_trace();
+                let result = execute_request(
+                    &self.app,
+                    &self.router,
+                    &mut self.load,
+                    &mut self.rng,
+                    arrival.user,
+                    arrival.service,
+                    &arrival.endpoint,
+                    arrival.time,
+                    trace_id,
+                    Some(&mut sink),
+                    (!self.resilience_plan.is_empty()).then_some(Resilience {
+                        plan: &self.resilience_plan,
+                        state: &mut self.resilience_state,
+                    }),
+                    &self.faults,
+                )
+                .expect("workload references a valid entry point");
+                requests += 1;
+                if !result.ok {
+                    failures += 1;
+                }
+                let ms = result.response_time.as_millis_f64();
+                rt.push(ms);
+                sink.record_app(MetricKind::ResponseTime, arrival.time, ms);
+                let error = if result.ok { 0.0 } else { 1.0 };
+                sink.record_app(MetricKind::ErrorRate, arrival.time, error);
+                if let Some(trace) = result.trace {
+                    self.collector.record(trace);
+                }
+            }
+            let secs = duration.as_millis() as f64 / 1_000.0;
+            if secs > 0.0 {
+                sink.record_app(MetricKind::Throughput, to, requests as f64 / secs);
+            }
+            drop(sink); // window boundary: flush buffered samples
+            self.clock = to;
+            RunReport { from, to, requests, failures, response_time: rt.summary() }
+        }
+    }
 
     fn app() -> Application {
         let mut b = Application::builder();
@@ -663,6 +630,78 @@ mod tests {
             "mean {}",
             report.response_time.mean
         );
+    }
+
+    /// `services` services in a straight line, `s0.e → s1.e → …`, 1 ms each.
+    fn chain(services: usize) -> Result<Application, SimError> {
+        let mut b = Application::builder();
+        for i in 0..services {
+            let mut e = EndpointDef::new("e", LatencyModel::Constant { ms: 1.0 });
+            if i + 1 < services {
+                e = e.call(CallDef::always(format!("s{}", i + 1), "e"));
+            }
+            b.version(VersionSpec::new(format!("s{i}"), "1").endpoint(e));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_call_chain_too_deep_to_run_is_rejected_when_the_app_is_built() {
+        let too_deep = SimError::CallDepthExceeded { limit: MAX_CALL_DEPTH };
+        // The deepest chain the request core accepts: hops at depths 0..=32.
+        let mut sim = Simulation::new(chain(MAX_CALL_DEPTH + 1).unwrap(), 3);
+        let report = sim.run(SimDuration::from_secs(2), 20.0);
+        assert!(report.requests > 0);
+        assert_eq!(report.failures, 0);
+        assert_eq!(report.response_time.min, (MAX_CALL_DEPTH + 1) as f64, "every hop ran");
+        // One service more, and a cycle, are typed errors — at build …
+        assert_eq!(chain(MAX_CALL_DEPTH + 2).unwrap_err(), too_deep);
+        let mut b = Application::builder();
+        for (caller, callee) in [("a", "b"), ("b", "a")] {
+            b.version(VersionSpec::new(caller, "1").endpoint(
+                EndpointDef::new("x", LatencyModel::default()).call(CallDef::always(callee, "x")),
+            ));
+        }
+        assert_eq!(b.build().unwrap_err(), too_deep);
+        // … and at deploy: a backend candidate that calls the frontend back.
+        let mut sim = Simulation::new(app(), 3);
+        let cyclic = VersionSpec::new("backend", "2.0.0").endpoint(
+            EndpointDef::new("api", LatencyModel::default())
+                .call(CallDef::always("frontend", "home")),
+        );
+        assert_eq!(sim.deploy(cyclic).unwrap_err(), too_deep);
+        assert_eq!(sim.app(), &app());
+    }
+
+    #[test]
+    fn a_failed_deploy_leaves_the_simulation_as_it_was() {
+        let solo = |label: &str| {
+            VersionSpec::new("a", label).endpoint(EndpointDef::new("x", LatencyModel::default()))
+        };
+        let mut b = Application::builder();
+        b.version(solo("1"));
+        let mut sim = Simulation::new(b.build().unwrap(), 5);
+        let before = sim.app().clone();
+        let ghost_caller = VersionSpec::new("a", "2").endpoint(
+            EndpointDef::new("x", LatencyModel::default()).call(CallDef::always("ghost", "y")),
+        );
+        let err = sim.deploy(ghost_caller).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BadApplication("service ghost referenced but never deployed".into())
+        );
+        // Rejected before it is looked at as part of the application: a new
+        // service's version with no endpoint.
+        assert!(sim.deploy(VersionSpec::new("b", "1")).is_err());
+        assert_eq!(sim.app(), &before, "no ghost service, version or interned name left");
+        assert_eq!((sim.app().service_count(), sim.app().version_count()), (1, 1));
+        assert!(sim.app().version_id("a", "2").is_err());
+        // The next, valid deploy is judged on its own.
+        let third = sim.deploy(solo("3")).unwrap();
+        assert_eq!(sim.app().version_label(third), "a@3");
+        let report = sim.run(SimDuration::from_secs(5), 20.0);
+        assert!(report.requests > 0);
+        assert_eq!(report.failures, 0);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub struct RandomAppParams {
     pub median_latency_ms: f64,
     /// Load-sensitivity coefficient `k` applied to every version (latency
     /// inflation `1 + k·u²`); `0.0` decouples latency from offered load,
-    /// which the execution-core equivalence tests rely on.
+    /// which the request core's oracle differentials rely on.
     pub load_sensitivity: f64,
 }
 

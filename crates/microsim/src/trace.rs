@@ -38,7 +38,8 @@
 //!
 //! # Span tree invariants
 //!
-//! Traces uphold, and property tests in `exec.rs` enforce:
+//! Traces uphold, and property tests in `exec.rs` enforce (on the request
+//! core and on its oracle):
 //!
 //! * spans are stored in **pre-order**: the root is first and every parent
 //!   precedes its children;
