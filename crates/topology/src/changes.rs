@@ -23,6 +23,7 @@
 use crate::diff::{Status, TopologicalDiff};
 use crate::graph::NodeKey;
 use cex_core::uncertainty::Uncertainty;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// The change-type taxonomy.
@@ -119,59 +120,121 @@ impl fmt::Display for Change {
 
 /// Classifies every added/removed edge of the diff into changes.
 ///
-/// The pairing pass greedily matches each added edge with a removed edge
-/// that agrees on `(service, endpoint)` for caller and callee; matched
-/// pairs become composed change types, leftovers fundamental ones.
+/// The pairing pass greedily matches each added edge with the first
+/// removed edge that agrees on `(service, endpoint)` for caller and callee;
+/// matched pairs become composed change types, leftovers fundamental ones.
 pub fn classify(diff: &TopologicalDiff) -> Vec<Change> {
+    // Number the diff's nodes by version-agnostic pair, and flag the pairs
+    // the baseline knew.
+    let mut pair_ids: HashMap<(&str, &str), usize> = HashMap::new();
+    let mut in_baseline: Vec<bool> = Vec::new();
+    let pair_of: Vec<usize> = diff
+        .nodes
+        .iter()
+        .map(|n| {
+            let id = *pair_ids.entry(n.key.unversioned()).or_insert(in_baseline.len());
+            if id == in_baseline.len() {
+                in_baseline.push(false);
+            }
+            in_baseline[id] |= n.baseline.is_some();
+            id
+        })
+        .collect();
+    let group = |edge: usize| (pair_of[diff.edges[edge].from], pair_of[diff.edges[edge].to]);
+
     let added: Vec<usize> = diff.edges_with(Status::Added).map(|(i, _)| i).collect();
     let mut removed: Vec<usize> = diff.edges_with(Status::Removed).map(|(i, _)| i).collect();
+    // Per (caller pair, callee pair), the positions in `removed` of its
+    // edges. The smallest is the one a front-to-back scan of `removed`
+    // would find first.
+    let mut positions: HashMap<(usize, usize), BTreeSet<usize>> = HashMap::new();
+    for (pos, r) in removed.iter().enumerate() {
+        positions.entry(group(*r)).or_default().insert(pos);
+    }
     let mut changes = Vec::new();
-
-    // Endpoints the baseline knew (version-agnostic).
-    let baseline_endpoints: std::collections::HashSet<(String, String)> =
-        diff.nodes.iter().filter(|n| n.baseline.is_some()).map(|n| n.key.unversioned()).collect();
 
     for a in added {
         let edge = &diff.edges[a];
         let caller = diff.nodes[edge.from].key.clone();
         let callee = diff.nodes[edge.to].key.clone();
         // Try to pair with a removed edge matching modulo versions.
-        let pair = removed.iter().position(|r| {
-            let old = &diff.edges[*r];
-            let old_caller = &diff.nodes[old.from].key;
-            let old_callee = &diff.nodes[old.to].key;
-            old_caller.unversioned() == caller.unversioned()
-                && old_callee.unversioned() == callee.unversioned()
-        });
-        match pair {
+        let pair = positions.get_mut(&group(a)).and_then(BTreeSet::pop_first);
+        let kind = match pair {
             Some(pos) => {
-                let r = removed.swap_remove(pos);
-                let old = &diff.edges[r];
-                let old_caller = &diff.nodes[old.from].key;
-                let old_callee = &diff.nodes[old.to].key;
-                let caller_changed = old_caller.version != caller.version;
-                let callee_changed = old_callee.version != callee.version;
-                let kind = match (caller_changed, callee_changed) {
+                let old = &diff.edges[removed.swap_remove(pos)];
+                // `swap_remove` put the last element at `pos`: file it there,
+                // so positions stay those of `removed` as it now is.
+                if let Some(moved) = removed.get(pos) {
+                    let set = positions.get_mut(&group(*moved)).expect("filed when collected");
+                    set.remove(&removed.len());
+                    set.insert(pos);
+                }
+                let caller_changed = diff.nodes[old.from].key.version != caller.version;
+                let callee_changed = diff.nodes[old.to].key.version != callee.version;
+                match (caller_changed, callee_changed) {
                     (true, true) => ChangeType::UpdatedVersion,
                     (true, false) => ChangeType::UpdatedCallerVersion,
                     (false, true) => ChangeType::UpdatedCalleeVersion,
                     // Same versions on both sides cannot be added+removed
                     // simultaneously; treat defensively as a new call.
                     (false, false) => ChangeType::CallingExistingEndpoint,
-                };
-                changes.push(Change { kind, caller, callee });
+                }
             }
-            None => {
-                let kind = if baseline_endpoints.contains(&callee.unversioned()) {
-                    ChangeType::CallingExistingEndpoint
-                } else {
-                    ChangeType::CallingNewEndpoint
-                };
-                changes.push(Change { kind, caller, callee });
-            }
-        }
+            None if in_baseline[pair_of[edge.to]] => ChangeType::CallingExistingEndpoint,
+            None => ChangeType::CallingNewEndpoint,
+        };
+        changes.push(Change { kind, caller, callee });
     }
     // Unpaired removed edges are genuine removals.
+    for r in removed {
+        let edge = &diff.edges[r];
+        changes.push(Change {
+            kind: ChangeType::RemovingServiceCall,
+            caller: diff.nodes[edge.from].key.clone(),
+            callee: diff.nodes[edge.to].key.clone(),
+        });
+    }
+    changes
+}
+
+/// [`classify`] with the pairing as a front-to-back scan of `removed` per
+/// added edge: the oracle the position sets are tested against.
+#[cfg(test)]
+pub(crate) fn classify_by_scan(diff: &TopologicalDiff) -> Vec<Change> {
+    let added: Vec<usize> = diff.edges_with(Status::Added).map(|(i, _)| i).collect();
+    let mut removed: Vec<usize> = diff.edges_with(Status::Removed).map(|(i, _)| i).collect();
+    let mut changes = Vec::new();
+    let baseline_endpoints: std::collections::HashSet<(&str, &str)> =
+        diff.nodes.iter().filter(|n| n.baseline.is_some()).map(|n| n.key.unversioned()).collect();
+
+    for a in added {
+        let edge = &diff.edges[a];
+        let caller = diff.nodes[edge.from].key.clone();
+        let callee = diff.nodes[edge.to].key.clone();
+        let pair = removed.iter().position(|r| {
+            let old = &diff.edges[*r];
+            diff.nodes[old.from].key.unversioned() == caller.unversioned()
+                && diff.nodes[old.to].key.unversioned() == callee.unversioned()
+        });
+        let kind = match pair {
+            Some(pos) => {
+                let old = &diff.edges[removed.swap_remove(pos)];
+                let caller_changed = diff.nodes[old.from].key.version != caller.version;
+                let callee_changed = diff.nodes[old.to].key.version != callee.version;
+                match (caller_changed, callee_changed) {
+                    (true, true) => ChangeType::UpdatedVersion,
+                    (true, false) => ChangeType::UpdatedCallerVersion,
+                    (false, true) => ChangeType::UpdatedCalleeVersion,
+                    (false, false) => ChangeType::CallingExistingEndpoint,
+                }
+            }
+            None if baseline_endpoints.contains(&callee.unversioned()) => {
+                ChangeType::CallingExistingEndpoint
+            }
+            None => ChangeType::CallingNewEndpoint,
+        };
+        changes.push(Change { kind, caller, callee });
+    }
     for r in removed {
         let edge = &diff.edges[r];
         changes.push(Change {

@@ -6,8 +6,7 @@
 //! prototype's UI colours exactly this structure (red/green/yellow,
 //! Figure 1.3); the change classifier of [`crate::changes`] consumes it.
 
-use crate::graph::{EdgeStats, InteractionGraph, NodeKey, NodeStats};
-use std::collections::HashMap;
+use crate::graph::{EdgeStats, InteractionGraph, NodeIdx, NodeKey, NodeStats};
 
 /// Presence status of a diff element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,74 +59,80 @@ pub struct TopologicalDiff {
 
 impl TopologicalDiff {
     /// Computes the difference of two interaction graphs.
+    ///
+    /// Order is part of the result ([`crate::changes::classify`] and the
+    /// rankers' tie-break inherit it): baseline node *n* is diff node *n*,
+    /// nodes only the experimental variant has follow in its order; edges
+    /// likewise, the baseline's by caller first.
     pub fn compute(baseline: &InteractionGraph, experimental: &InteractionGraph) -> Self {
-        let mut nodes: Vec<DiffNode> = Vec::new();
-        let mut index: HashMap<NodeKey, usize> = HashMap::new();
-
-        for n in baseline.nodes() {
-            let key = baseline.key(n).clone();
-            index.insert(key.clone(), nodes.len());
-            nodes.push(DiffNode {
-                key,
+        let mut nodes: Vec<DiffNode> = baseline
+            .nodes()
+            .map(|n| DiffNode {
+                key: baseline.key(n).clone(),
                 status: Status::Removed,
                 baseline: Some(*baseline.stats(n)),
                 experimental: None,
-            });
-        }
-        for n in experimental.nodes() {
-            let key = experimental.key(n).clone();
-            match index.get(&key) {
-                Some(i) => {
-                    nodes[*i].status = Status::Common;
-                    nodes[*i].experimental = Some(*experimental.stats(n));
-                }
-                None => {
-                    index.insert(key.clone(), nodes.len());
-                    nodes.push(DiffNode {
-                        key,
-                        status: Status::Added,
-                        baseline: None,
-                        experimental: Some(*experimental.stats(n)),
-                    });
-                }
-            }
-        }
-
-        let mut edges: Vec<DiffEdge> = Vec::new();
-        let mut edge_index: HashMap<(usize, usize), usize> = HashMap::new();
-        for from in baseline.nodes() {
-            for (to, stats) in baseline.out_edges(from) {
-                let f = index[baseline.key(from)];
-                let t = index[baseline.key(*to)];
-                edge_index.insert((f, t), edges.len());
-                edges.push(DiffEdge {
-                    from: f,
-                    to: t,
-                    status: Status::Removed,
-                    baseline: Some(*stats),
-                    experimental: None,
-                });
-            }
-        }
-        for from in experimental.nodes() {
-            for (to, stats) in experimental.out_edges(from) {
-                let f = index[experimental.key(from)];
-                let t = index[experimental.key(*to)];
-                match edge_index.get(&(f, t)) {
-                    Some(i) => {
-                        edges[*i].status = Status::Common;
-                        edges[*i].experimental = Some(*stats);
+            })
+            .collect();
+        // Experimental node -> diff node, through the baseline's own index.
+        let translation: Vec<usize> = experimental
+            .nodes()
+            .map(|n| {
+                let key = experimental.key(n);
+                let stats = Some(*experimental.stats(n));
+                match baseline.node(key) {
+                    Some(common) => {
+                        nodes[common.0].status = Status::Common;
+                        nodes[common.0].experimental = stats;
+                        common.0
                     }
                     None => {
-                        edge_index.insert((f, t), edges.len());
-                        edges.push(DiffEdge {
-                            from: f,
-                            to: t,
+                        nodes.push(DiffNode {
+                            key: key.clone(),
                             status: Status::Added,
                             baseline: None,
-                            experimental: Some(*stats),
+                            experimental: stats,
                         });
+                        nodes.len() - 1
                     }
+                }
+            })
+            .collect();
+
+        // A baseline caller's edges sit together, from `first_edge[caller]`,
+        // in the order of its `out_edges`.
+        let mut edges: Vec<DiffEdge> = Vec::new();
+        let mut first_edge: Vec<usize> = Vec::with_capacity(baseline.node_count());
+        for from in baseline.nodes() {
+            first_edge.push(edges.len());
+            edges.extend(baseline.out_edges(from).iter().map(|(to, stats)| DiffEdge {
+                from: from.0,
+                to: to.0,
+                status: Status::Removed,
+                baseline: Some(*stats),
+                experimental: None,
+            }));
+        }
+        for from in experimental.nodes() {
+            let f = translation[from.0];
+            for (to, stats) in experimental.out_edges(from) {
+                let t = translation[to.0];
+                let common = first_edge.get(f).and_then(|first| {
+                    let calls = baseline.out_edges(NodeIdx(f));
+                    calls.iter().position(|(callee, _)| callee.0 == t).map(|i| first + i)
+                });
+                match common {
+                    Some(i) => {
+                        edges[i].status = Status::Common;
+                        edges[i].experimental = Some(*stats);
+                    }
+                    None => edges.push(DiffEdge {
+                        from: f,
+                        to: t,
+                        status: Status::Added,
+                        baseline: None,
+                        experimental: Some(*stats),
+                    }),
                 }
             }
         }
@@ -142,11 +147,6 @@ impl TopologicalDiff {
     /// Edges with the given status.
     pub fn edges_with(&self, status: Status) -> impl Iterator<Item = (usize, &DiffEdge)> {
         self.edges.iter().enumerate().filter(move |(_, e)| e.status == status)
-    }
-
-    /// Index of a node by key.
-    pub fn node_index(&self, key: &NodeKey) -> Option<usize> {
-        self.nodes.iter().position(|n| &n.key == key)
     }
 
     /// `true` when the variants have identical topology (all elements
@@ -223,10 +223,13 @@ mod tests {
     fn stats_carried_from_both_sides() {
         let (b, e) = graphs();
         let diff = TopologicalDiff::compute(&b, &e);
-        let fe = diff.node_index(&key("fe", "1", "home")).unwrap();
+        // Baseline node n is diff node n.
+        let fe = b.node(&key("fe", "1", "home")).unwrap().0;
+        assert_eq!(diff.nodes[fe].key, key("fe", "1", "home"));
         assert_eq!(diff.nodes[fe].baseline.unwrap().mean_rt_ms(), 20.0);
         assert_eq!(diff.nodes[fe].experimental.unwrap().mean_rt_ms(), 22.0);
-        let s1 = diff.node_index(&key("svc", "1", "api")).unwrap();
+        let s1 = b.node(&key("svc", "1", "api")).unwrap().0;
+        assert_eq!(diff.nodes[s1].key, key("svc", "1", "api"));
         assert!(diff.nodes[s1].experimental.is_none());
     }
 

@@ -32,8 +32,8 @@ impl NodeKey {
 
     /// The version-agnostic `(service, endpoint)` identity used to detect
     /// version updates across variants.
-    pub fn unversioned(&self) -> (String, String) {
-        (self.service.clone(), self.endpoint.clone())
+    pub fn unversioned(&self) -> (&str, &str) {
+        (&self.service, &self.endpoint)
     }
 }
 
@@ -108,6 +108,9 @@ pub struct InteractionGraph {
     keys: Vec<NodeKey>,
     stats: Vec<NodeStats>,
     index: HashMap<NodeKey, NodeIdx>,
+    /// `versions[service][endpoint]`: the nodes of one version-agnostic
+    /// pair, in index order. Filed by [`InteractionGraph::intern`].
+    versions: HashMap<String, HashMap<String, Vec<NodeIdx>>>,
     /// Adjacency: `out[from]` lists `(to, stats)`.
     out: Vec<Vec<(NodeIdx, EdgeStats)>>,
     /// Reverse adjacency for root detection and upstream walks.
@@ -130,12 +133,26 @@ impl InteractionGraph {
         self.out.iter().map(Vec::len).sum()
     }
 
-    /// Interns `key`, returning its index.
+    /// Interns `key`, returning its index. The one place a node is born:
+    /// a new node is also filed under its version-agnostic
+    /// `(service, endpoint)` pair for [`InteractionGraph::find_unversioned`].
     pub fn intern(&mut self, key: NodeKey) -> NodeIdx {
         if let Some(idx) = self.index.get(&key) {
             return *idx;
         }
         let idx = NodeIdx(self.keys.len());
+        // Names are cloned only for a pair (or service) seen for the first
+        // time; another version of a known pair clones nothing.
+        if !self.versions.contains_key(&key.service) {
+            self.versions.insert(key.service.clone(), HashMap::new());
+        }
+        let endpoints = self.versions.get_mut(&key.service).expect("inserted above");
+        match endpoints.get_mut(&key.endpoint) {
+            Some(nodes) => nodes.push(idx),
+            None => {
+                endpoints.insert(key.endpoint.clone(), vec![idx]);
+            }
+        }
         self.index.insert(key.clone(), idx);
         self.keys.push(key);
         self.stats.push(NodeStats::default());
@@ -210,33 +227,12 @@ impl InteractionGraph {
 
     /// Finds a node by `(service, endpoint)` regardless of version,
     /// preferring the one with the most observations (the dominant
-    /// deployment of that endpoint).
+    /// deployment of that endpoint). Versions with equal `served` resolve
+    /// to the one interned last: the pair's nodes are kept in index order
+    /// and `max_by_key` keeps the last maximum.
     pub fn find_unversioned(&self, service: &str, endpoint: &str) -> Option<NodeIdx> {
-        self.nodes()
-            .filter(|n| {
-                let k = self.key(*n);
-                k.service == service && k.endpoint == endpoint
-            })
-            .max_by_key(|n| self.stats(*n).served)
-    }
-
-    /// Size (node count) of the downstream subtree reachable from `root`,
-    /// including `root` itself. Cycle-safe.
-    pub fn subtree_size(&self, root: NodeIdx) -> usize {
-        let mut seen = vec![false; self.keys.len()];
-        let mut stack = vec![root];
-        let mut count = 0;
-        while let Some(n) = stack.pop() {
-            if seen[n.0] {
-                continue;
-            }
-            seen[n.0] = true;
-            count += 1;
-            for (to, _) in &self.out[n.0] {
-                stack.push(*to);
-            }
-        }
-        count
+        let nodes = self.versions.get(service)?.get(endpoint)?;
+        nodes.iter().copied().max_by_key(|n| self.stats(*n).served)
     }
 
     /// Re-aggregates the graph at a coarser granularity: node stats sum,
@@ -277,8 +273,24 @@ impl InteractionGraph {
         out
     }
 
-    /// Downstream node indices reachable from `root` (including it).
-    pub fn subtree(&self, root: NodeIdx) -> Vec<NodeIdx> {
+    /// [`InteractionGraph::find_unversioned`] as a scan of every node: the
+    /// oracle the index is tested against.
+    #[cfg(test)]
+    pub(crate) fn find_unversioned_by_scan(
+        &self,
+        service: &str,
+        endpoint: &str,
+    ) -> Option<NodeIdx> {
+        self.nodes()
+            .filter(|n| self.key(*n).unversioned() == (service, endpoint))
+            .max_by_key(|n| self.stats(*n).served)
+    }
+
+    /// Downstream node indices reachable from `root` (including it), by a
+    /// walk of its own per call: the oracle for the memoised sums of
+    /// [`crate::heuristics::SubtreeComplexity`].
+    #[cfg(test)]
+    pub(crate) fn subtree(&self, root: NodeIdx) -> Vec<NodeIdx> {
         let mut seen = vec![false; self.keys.len()];
         let mut stack = vec![root];
         let mut out = Vec::new();
@@ -370,10 +382,9 @@ mod tests {
         let fe = g.node(&key("fe", "home")).unwrap();
         let cat = g.node(&key("cat", "list")).unwrap();
         let db = g.node(&key("db", "q")).unwrap();
-        assert_eq!(g.subtree_size(fe), 4);
-        assert_eq!(g.subtree_size(cat), 2);
-        assert_eq!(g.subtree_size(db), 1);
+        assert_eq!(g.subtree(fe).len(), 4);
         assert_eq!(g.subtree(cat).len(), 2);
+        assert_eq!(g.subtree(db).len(), 1);
     }
 
     #[test]
@@ -383,7 +394,7 @@ mod tests {
         let b = g.intern(key("b", "e"));
         g.observe_edge(a, b);
         g.observe_edge(b, a);
-        assert_eq!(g.subtree_size(a), 2);
+        assert_eq!(g.subtree(a).len(), 2);
     }
 
     #[test]
@@ -399,6 +410,42 @@ mod tests {
         }
         assert_eq!(g.find_unversioned("s", "e"), Some(v2));
         assert_eq!(g.find_unversioned("s", "nope"), None);
+    }
+
+    #[test]
+    fn unversioned_ties_resolve_to_the_later_interned_version() {
+        let mut g = InteractionGraph::new();
+        let v1 = g.intern(NodeKey::new("s", "1", "a"));
+        let other = g.intern(NodeKey::new("t", "1", "a"));
+        let v2 = g.intern(NodeKey::new("s", "2", "a"));
+        let find = |g: &InteractionGraph, service: &str, endpoint: &str| {
+            let found = g.find_unversioned(service, endpoint);
+            assert_eq!(found, g.find_unversioned_by_scan(service, endpoint));
+            found.map(|n| g.key(n).to_string())
+        };
+        // Tied at zero hops, then at four: the later-interned version.
+        assert_eq!(find(&g, "s", "a").unwrap(), "s@2/a");
+        for node in [v1, other, v2] {
+            for _ in 0..4 {
+                g.observe_node(node, SimDuration::from_millis(1), true);
+            }
+        }
+        assert_eq!(find(&g, "s", "a").unwrap(), "s@2/a");
+        assert_eq!(find(&g, "t", "a").unwrap(), "t@1/a");
+
+        // Coarser graphs are built through `intern` and carry the index,
+        // tie rule included (s@1 and s@2 at four hops each).
+        let version = g.aggregate(Granularity::Version);
+        assert_eq!(find(&version, "s", "*").unwrap(), "s@2/*");
+        assert_eq!(find(&version, "s", "a"), None);
+        let service = g.aggregate(Granularity::Service);
+        assert_eq!(find(&service, "s", "*").unwrap(), "s@*/*");
+        assert_eq!(find(&service, "t", "*").unwrap(), "t@*/*");
+
+        // One more hop breaks the tie the other way, at both levels.
+        g.observe_node(v1, SimDuration::from_millis(1), true);
+        assert_eq!(find(&g, "s", "a").unwrap(), "s@1/a");
+        assert_eq!(find(&g.aggregate(Granularity::Version), "s", "*").unwrap(), "s@1/*");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::changes::Change;
 use crate::diff::{Status, TopologicalDiff};
 use crate::graph::{InteractionGraph, NodeIdx};
-use std::collections::HashMap;
 
 /// Everything a heuristic may consult.
 #[derive(Debug, Clone, Copy)]
@@ -67,38 +66,77 @@ impl Heuristic for SubtreeComplexity {
     }
 
     fn score_all(&self, ctx: &AnalysisContext<'_>, changes: &[Change]) -> Vec<f64> {
-        // Which (service, version, endpoint) keys changed, for weighting.
-        let changed_keys: std::collections::HashSet<&crate::graph::NodeKey> =
-            ctx.diff.nodes.iter().filter(|n| n.status != Status::Common).map(|n| &n.key).collect();
+        let mut experimental = SubtreeSums::new(ctx.experimental, ctx.diff, self.change_weighted);
+        // Removals live only in the baseline graph.
+        let mut baseline = SubtreeSums::new(ctx.baseline, ctx.diff, self.change_weighted);
         changes
             .iter()
             .map(|change| {
-                // Removals live only in the baseline graph.
-                let (graph, node) = locate_callee(ctx, change);
-                let complexity =
-                    match node {
-                        Some(idx) => {
-                            if self.change_weighted {
-                                graph
-                                    .subtree(idx)
-                                    .iter()
-                                    .map(|n| {
-                                        if changed_keys.contains(graph.key(*n)) {
-                                            2.0
-                                        } else {
-                                            1.0
-                                        }
-                                    })
-                                    .sum::<f64>()
-                            } else {
-                                graph.subtree_size(idx) as f64
-                            }
-                        }
-                        None => 1.0,
-                    };
+                let complexity = if let Some(idx) = ctx.experimental.node(&change.callee) {
+                    experimental.below(idx)
+                } else if let Some(idx) = ctx.baseline.node(&change.callee) {
+                    baseline.below(idx)
+                } else {
+                    1.0
+                };
                 change.kind.uncertainty().value() * complexity
             })
             .collect()
+    }
+}
+
+/// Subtree complexities of one graph, each root walked at most once.
+///
+/// A complexity is a sum of 1.0s and 2.0s — an integer far below 2^53,
+/// exact in `f64` in any order — so a remembered sum is bit-equal to the
+/// one a fresh walk in any visit order would return.
+struct SubtreeSums<'a> {
+    graph: &'a InteractionGraph,
+    /// What a node adds to a subtree holding it: 2.0 when weighted and
+    /// added/removed in the diff, 1.0 otherwise.
+    weight: Vec<f64>,
+    sums: Vec<Option<f64>>,
+    /// `seen[n] == root` marks `n` visited by the walk from `root`. A root
+    /// is walked once, so its index is a stamp no other walk used and the
+    /// buffer is never cleared.
+    seen: Vec<usize>,
+    stack: Vec<NodeIdx>,
+}
+
+impl<'a> SubtreeSums<'a> {
+    fn new(graph: &'a InteractionGraph, diff: &TopologicalDiff, change_weighted: bool) -> Self {
+        let n = graph.node_count();
+        let mut weight = vec![1.0; n];
+        if change_weighted {
+            for node in diff.nodes.iter().filter(|node| node.status != Status::Common) {
+                if let Some(idx) = graph.node(&node.key) {
+                    weight[idx.0] = 2.0;
+                }
+            }
+        }
+        SubtreeSums { graph, weight, sums: vec![None; n], seen: vec![usize::MAX; n], stack: vec![] }
+    }
+
+    /// Summed weight of the nodes reachable from `root`, itself included.
+    /// Cycle-safe.
+    fn below(&mut self, root: NodeIdx) -> f64 {
+        if let Some(sum) = self.sums[root.0] {
+            return sum;
+        }
+        let mut sum = 0.0;
+        self.seen[root.0] = root.0;
+        self.stack.push(root);
+        while let Some(n) = self.stack.pop() {
+            sum += self.weight[n.0];
+            for (to, _) in self.graph.out_edges(n) {
+                if self.seen[to.0] != root.0 {
+                    self.seen[to.0] = root.0;
+                    self.stack.push(*to);
+                }
+            }
+        }
+        self.sums[root.0] = Some(sum);
+        sum
     }
 }
 
@@ -124,10 +162,10 @@ impl ResponseTimeAnalysis {
         ctx: &AnalysisContext<'_>,
         node: NodeIdx,
         mean_rt: f64,
-        cache: &mut HashMap<NodeIdx, f64>,
+        cache: &mut [Option<f64>],
     ) -> f64 {
-        if let Some(v) = cache.get(&node) {
-            return *v;
+        if let Some(v) = cache[node.0] {
+            return v;
         }
         let key = ctx.experimental.key(node);
         let exp_rt = ctx.experimental.stats(node).mean_rt_ms();
@@ -154,7 +192,7 @@ impl ResponseTimeAnalysis {
         };
         // Failed hops are at least as alarming as slow ones.
         let value = value + 5.0 * ctx.experimental.stats(node).error_rate();
-        cache.insert(node, value);
+        cache[node.0] = Some(value);
         value
     }
 }
@@ -182,7 +220,8 @@ impl Heuristic for ResponseTimeAnalysis {
                 0.0
             }
         };
-        let mut cache = HashMap::new();
+        // Degradation per experimental node, by node index.
+        let mut cache = vec![None; ctx.experimental.node_count()];
         changes
             .iter()
             .map(|change| {
@@ -262,19 +301,6 @@ fn normalize(mut scores: Vec<f64>) -> Vec<f64> {
     scores
 }
 
-fn locate_callee<'a>(
-    ctx: &AnalysisContext<'a>,
-    change: &Change,
-) -> (&'a InteractionGraph, Option<NodeIdx>) {
-    if let Some(idx) = ctx.experimental.node(&change.callee) {
-        return (ctx.experimental, Some(idx));
-    }
-    if let Some(idx) = ctx.baseline.node(&change.callee) {
-        return (ctx.baseline, Some(idx));
-    }
-    (ctx.experimental, None)
-}
-
 /// The six heuristic variations evaluated in the paper's grid.
 pub fn all_variants() -> Vec<Box<dyn Heuristic>> {
     vec![
@@ -300,6 +326,127 @@ pub fn hybrid(alpha: f64) -> Hybrid {
 /// The paper's best performer on average: the balanced hybrid.
 pub fn hybrid_default() -> Box<dyn Heuristic> {
     Box::new(hybrid(0.5))
+}
+
+/// The six variants as scans compute them — a subtree walk and a key hash
+/// per change, every node compared per unversioned lookup: the oracle the
+/// indexed forms are tested against.
+#[cfg(test)]
+pub(crate) mod by_scan {
+    use super::*;
+    use std::collections::{HashMap, HashSet};
+
+    fn subtree(ctx: &AnalysisContext<'_>, changes: &[Change], change_weighted: bool) -> Vec<f64> {
+        let changed_keys: HashSet<&crate::graph::NodeKey> =
+            ctx.diff.nodes.iter().filter(|n| n.status != Status::Common).map(|n| &n.key).collect();
+        changes
+            .iter()
+            .map(|change| {
+                let located = match ctx.experimental.node(&change.callee) {
+                    Some(idx) => Some((ctx.experimental, idx)),
+                    None => ctx.baseline.node(&change.callee).map(|idx| (ctx.baseline, idx)),
+                };
+                let complexity = match located {
+                    Some((graph, idx)) if change_weighted => graph
+                        .subtree(idx)
+                        .iter()
+                        .map(|n| if changed_keys.contains(graph.key(*n)) { 2.0 } else { 1.0 })
+                        .sum::<f64>(),
+                    Some((graph, idx)) => graph.subtree(idx).len() as f64,
+                    None => 1.0,
+                };
+                change.kind.uncertainty().value() * complexity
+            })
+            .collect()
+    }
+
+    fn degradation(
+        ctx: &AnalysisContext<'_>,
+        node: NodeIdx,
+        mean_rt: f64,
+        cache: &mut HashMap<NodeIdx, f64>,
+    ) -> f64 {
+        if let Some(v) = cache.get(&node) {
+            return *v;
+        }
+        let key = ctx.experimental.key(node);
+        let exp_rt = ctx.experimental.stats(node).mean_rt_ms();
+        let value = match ctx.baseline.find_unversioned_by_scan(&key.service, &key.endpoint) {
+            Some(base) => {
+                let base_rt = ctx.baseline.stats(base).mean_rt_ms();
+                if base_rt > 0.0 {
+                    (exp_rt / base_rt - 1.0).max(0.0)
+                } else if exp_rt > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            None if mean_rt > 0.0 => exp_rt / mean_rt,
+            None => 0.0,
+        };
+        let value = value + 5.0 * ctx.experimental.stats(node).error_rate();
+        cache.insert(node, value);
+        value
+    }
+
+    fn response_time(
+        ctx: &AnalysisContext<'_>,
+        changes: &[Change],
+        cascade_discount: bool,
+    ) -> Vec<f64> {
+        let exp = ctx.experimental;
+        let mut sum = 0.0;
+        for node in exp.nodes() {
+            sum += exp.stats(node).mean_rt_ms();
+        }
+        let mean_rt = if exp.node_count() > 0 { sum / exp.node_count() as f64 } else { 0.0 };
+        let mut cache = HashMap::new();
+        changes
+            .iter()
+            .map(|change| {
+                let find = |key: &crate::graph::NodeKey| {
+                    exp.find_unversioned_by_scan(&key.service, &key.endpoint)
+                };
+                let evidence = match exp.node(&change.callee).or_else(|| find(&change.callee)) {
+                    Some(idx) => {
+                        let own = degradation(ctx, idx, mean_rt, &mut cache);
+                        if cascade_discount {
+                            let worst_child = exp
+                                .out_edges(idx)
+                                .iter()
+                                .map(|(to, _)| degradation(ctx, *to, mean_rt, &mut cache))
+                                .fold(0.0, f64::max);
+                            (own - 0.8 * worst_child).max(0.1 * own)
+                        } else {
+                            own
+                        }
+                    }
+                    None => find(&change.caller)
+                        .map(|c| degradation(ctx, c, mean_rt, &mut cache))
+                        .unwrap_or(0.0),
+                };
+                change.kind.uncertainty().value() * evidence
+            })
+            .collect()
+    }
+
+    /// Scores of the six variants, in [`all_variants`]' order.
+    pub(crate) fn all_variants(ctx: &AnalysisContext<'_>, changes: &[Change]) -> Vec<Vec<f64>> {
+        let hybrid = |alpha: f64| {
+            let s = normalize(subtree(ctx, changes, true));
+            let r = normalize(response_time(ctx, changes, true));
+            s.iter().zip(&r).map(|(a, b)| alpha * a + (1.0 - alpha) * b).collect()
+        };
+        vec![
+            subtree(ctx, changes, false),
+            subtree(ctx, changes, true),
+            response_time(ctx, changes, false),
+            response_time(ctx, changes, true),
+            hybrid(0.5),
+            hybrid(0.7),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +512,27 @@ mod tests {
             let scores = SubtreeComplexity { change_weighted: weighted }.score_all(&ctx, &changes);
             assert!(scores[a_idx] > scores[b_idx], "weighted={weighted}: {scores:?}");
         }
+    }
+
+    #[test]
+    fn subtree_sums_are_cycle_safe_and_equal_a_walk_per_root() {
+        // a -> b -> c -> a, b -> d: walks from different roots overlap.
+        let mut g = InteractionGraph::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| g.intern(NodeKey::new(s, "1", "e")));
+        for (from, to) in [(a, b), (b, c), (c, a), (b, d)] {
+            g.observe_edge(from, to);
+        }
+        // Against an empty graph every node is removed, so weighs double.
+        let diff = TopologicalDiff::compute(&g, &InteractionGraph::new());
+        for (weighted, per_node) in [(false, 1.0), (true, 2.0)] {
+            let mut sums = SubtreeSums::new(&g, &diff, weighted);
+            // Asked twice: walked, then remembered.
+            for n in g.nodes().chain(g.nodes()) {
+                assert_eq!(sums.below(n), per_node * g.subtree(n).len() as f64, "{n:?}");
+            }
+        }
+        assert_eq!(g.subtree(d).len(), 1);
+        assert_eq!(g.subtree(c).len(), 4);
     }
 
     #[test]

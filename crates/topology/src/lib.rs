@@ -44,6 +44,8 @@
 pub mod build;
 pub mod changes;
 pub mod diff;
+#[cfg(test)]
+mod differential;
 pub mod graph;
 pub mod heuristics;
 pub mod perf;
