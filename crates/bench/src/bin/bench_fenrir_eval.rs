@@ -1,12 +1,10 @@
 //! Benchmarks the fenrir evaluation pipeline: full re-evaluation vs
-//! incremental single-plan moves vs parallel batch scoring, at
-//! n ∈ {10, 50, 200} experiments.
+//! incremental single-plan moves, at n ∈ {10, 50, 200} experiments.
 //!
 //! Writes `results/BENCH_fenrir_eval.json` (evals/sec per mode plus the
-//! incremental and parallel speedup factors) and mirrors the numbers on
-//! stdout.
+//! incremental speedup factor) and mirrors the numbers on stdout.
 
-use cex_bench::{detected_cores, write_bench_json};
+use cex_bench::write_bench_json;
 use cex_core::experiment::ExperimentId;
 use cex_core::rng::SplitMix64;
 use fenrir::encoding;
@@ -14,7 +12,6 @@ use fenrir::fitness::{self, Weights};
 use fenrir::generator::{ProblemGenerator, SampleSizeTier};
 use fenrir::incremental::IncrementalState;
 use fenrir::problem::Problem;
-use fenrir::runner::{Budget, Evaluator};
 use fenrir::schedule::{Plan, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -98,31 +95,12 @@ fn bench_incremental(problem: &Problem, seed: &Schedule, weights: &Weights) -> (
     (evals as f64 / start.elapsed().as_secs_f64(), sink)
 }
 
-/// Batch scoring throughput at a given worker count.
-fn bench_batch(problem: &Problem, batch: &[Schedule], workers: usize) -> f64 {
-    let mut evals = 0u64;
-    let start = Instant::now();
-    loop {
-        let mut ev = Evaluator::new(problem, Budget::evaluations(u64::MAX));
-        let reports = ev.eval_batch(batch, workers);
-        evals += reports.len() as u64;
-        if start.elapsed().as_secs_f64() >= MEASURE_SECS {
-            break;
-        }
-    }
-    evals as f64 / start.elapsed().as_secs_f64()
-}
-
 fn main() {
     let weights = Weights::default();
-    let workers = detected_cores();
     let mut json = String::from("  \"tiers\": [\n");
 
-    println!("fenrir evaluation pipeline ({workers} workers available)");
-    println!(
-        "{:>5} {:>14} {:>14} {:>9} {:>14} {:>14} {:>9}",
-        "n", "full/s", "incr/s", "speedup", "batch1/s", "batchN/s", "speedup"
-    );
+    println!("fenrir evaluation pipeline");
+    println!("{:>5} {:>14} {:>14} {:>9}", "n", "full/s", "incr/s", "speedup");
 
     for (t, n) in [10usize, 50, 200].into_iter().enumerate() {
         let problem = ProblemGenerator::new(n, SampleSizeTier::Medium).generate(7);
@@ -134,27 +112,13 @@ fn main() {
         let (inc_rate, _) = bench_incremental(&problem, &seed, &weights);
         let inc_speedup = inc_rate / full_rate;
 
-        let batch: Vec<Schedule> = (0..128)
-            .map(|_| {
-                let mut s = encoding::random_schedule(&problem, &mut rng);
-                encoding::repair(&problem, &mut s, &mut rng);
-                s
-            })
-            .collect();
-        let batch1 = bench_batch(&problem, &batch, 1);
-        let batchn = bench_batch(&problem, &batch, workers);
-        let par_speedup = batchn / batch1;
-
-        println!("{n:>5} {full_rate:>14.0} {inc_rate:>14.0} {inc_speedup:>8.1}x {batch1:>14.0} {batchn:>14.0} {par_speedup:>8.1}x");
+        println!("{n:>5} {full_rate:>14.0} {inc_rate:>14.0} {inc_speedup:>8.1}x");
 
         let _ = writeln!(
             json,
             "    {{\"n\": {n}, \"full_evals_per_sec\": {full_rate:.0}, \
              \"incremental_evals_per_sec\": {inc_rate:.0}, \
-             \"incremental_speedup\": {inc_speedup:.2}, \
-             \"batch_serial_evals_per_sec\": {batch1:.0}, \
-             \"batch_parallel_evals_per_sec\": {batchn:.0}, \
-             \"parallel_speedup\": {par_speedup:.2}}}{}",
+             \"incremental_speedup\": {inc_speedup:.2}}}{}",
             if t < 2 { "," } else { "" }
         );
     }

@@ -114,7 +114,7 @@ fn cell_fault_window_error_rate(
 
 /// Runs one zone-outage cell through the Bifrost engine and returns the
 /// serialized journal — the determinism probe across worker counts.
-fn journal_for_workers(scenario: &Scenario, workers: usize) -> String {
+fn journal_for_workers(scenario: &Scenario, sim_workers: usize) -> String {
     let service = scenario.app.service_name(scenario.experiment_service);
     let src = format!(
         r#"strategy "corpus" {{
@@ -132,7 +132,7 @@ fn journal_for_workers(scenario: &Scenario, workers: usize) -> String {
     let mut sim = Simulation::new(scenario.app.clone(), 4242);
     sim.set_call_policy(policy());
     let strategy = dsl::parse(&src).expect("corpus strategy parses");
-    let engine = Engine::new(EngineConfig { parallel_threshold: 1, workers, ..Default::default() });
+    let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
     let (_, journal) = engine
         .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_secs(180))
         .expect("corpus cell executes");

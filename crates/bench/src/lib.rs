@@ -19,7 +19,7 @@ pub fn header(title: &str) {
 }
 
 /// Detected available parallelism (1 when detection fails).
-pub fn detected_cores() -> usize {
+fn detected_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 

@@ -249,9 +249,8 @@ pub fn sequential_alpha(check: &Check) -> f64 {
 /// Per-(run, check) state of a [`CheckScope::SequentialVsBaseline`] check:
 /// the running always-valid p-values for both directions, the frozen
 /// mixing scale, and the instantaneous harm evidence the guarded ramp
-/// reads. Reset on every phase (re-)entry; advanced only in the engine's
-/// single-threaded apply pass via [`SequentialState::fold`] so the
-/// parallel observe pass stays read-only.
+/// reads. Reset on every phase (re-)entry; advanced in place by every
+/// informative look ([`evaluate_sequential`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequentialState {
     p_desired: f64,
@@ -296,14 +295,15 @@ impl SequentialState {
         self.lr_harm
     }
 
-    /// Folds one evaluation's update into the state.
-    pub fn fold(&mut self, update: SequentialUpdate) {
-        self.p_desired = self.p_desired.min(update.p_desired);
-        self.p_harm = self.p_harm.min(update.p_harm);
-        if self.tau.is_none() {
-            self.tau = update.tau;
-        }
-        self.lr_harm = update.lr_harm;
+    /// Folds one informative look into the state: the running p-values
+    /// only ever fall, `tau` freezes at the first look, `lr_harm` is the
+    /// latest. Folding the same look twice leaves the state where one
+    /// fold left it.
+    pub(crate) fn fold(&mut self, tau: f64, p_desired: f64, p_harm: f64, lr_harm: f64) {
+        self.p_desired = self.p_desired.min(p_desired);
+        self.p_harm = self.p_harm.min(p_harm);
+        self.tau.get_or_insert(tau);
+        self.lr_harm = lr_harm;
     }
 
     /// The verdict at significance level `alpha`. Harm takes precedence
@@ -327,26 +327,10 @@ impl SequentialState {
     }
 }
 
-/// The state advance computed by one sequential evaluation. Computed in
-/// the (possibly parallel) observe pass, folded into the [`SequentialState`]
-/// in the engine's deterministic single-threaded apply pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SequentialUpdate {
-    /// Mixing scale used for this look (frozen on first fold).
-    pub tau: Option<f64>,
-    /// Candidate value for the running desired-direction p.
-    pub p_desired: f64,
-    /// Candidate value for the running harm-direction p.
-    pub p_harm: f64,
-    /// Instantaneous harm-direction likelihood ratio of this look.
-    pub lr_harm: f64,
-}
-
 /// Where the two cumulative window reads of one sequential check left
 /// off (see [`WindowCursor`]). Kept per (run, check) beside the
-/// [`SequentialState`] and handled the same way: read-only in the observe
-/// pass, replaced in the apply pass by what the look returned, fresh on
-/// every phase (re-)entry.
+/// [`SequentialState`] and handled the same way: moved on in place by every
+/// look, fresh on every phase (re-)entry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SequentialWindows {
     candidate: WindowCursor,
@@ -354,11 +338,11 @@ pub struct SequentialWindows {
 }
 
 /// Evaluates a sequential check at `now` against the *cumulative* windows
-/// since `phase_start`, read-only with respect to `state` and `windows`:
-/// the returned update (if any) must be folded into the state by the
-/// caller's single-threaded apply pass, after which
-/// [`SequentialState::verdict`] matches the returned observation's result;
-/// the returned windows replace `windows` there, on every look.
+/// since `phase_start`, advancing `state` and `windows` in place: an
+/// informative look is folded into `state` (after which
+/// [`SequentialState::verdict`] is the returned observation's result), and
+/// every look, informative or not, moves `windows` on. A second look at
+/// the same `now` changes neither and returns the same observation.
 ///
 /// The two one-sided always-valid p processes are sign-gated: a look only
 /// lowers the p of the direction its observed effect points to. Each side
@@ -371,18 +355,17 @@ pub fn evaluate_sequential(
     store: &MetricStore,
     phase_start: SimTime,
     now: SimTime,
-    state: &SequentialState,
-    windows: &SequentialWindows,
-) -> (CheckObservation, Option<SequentialUpdate>, SequentialWindows) {
+    state: &mut SequentialState,
+    windows: &mut SequentialWindows,
+) -> CheckObservation {
     let window = now.saturating_since(phase_start);
     let read =
         |scope, cursor| store.window_summary_resumed(scope, check.metric, now, window, cursor);
     let (cand, candidate) = read(ctx.candidate_id, &windows.candidate);
     let (base, baseline) = read(ctx.baseline_id, &windows.baseline);
-    let windows = SequentialWindows { candidate, baseline };
+    *windows = SequentialWindows { candidate, baseline };
     let alpha = sequential_alpha(check);
-    let settled =
-        |result| (CheckObservation { result, primary: cand, baseline: Some(base) }, None, windows);
+    let observed = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
     if cand.count == 0
         || base.count == 0
         || cand.count < check.min_samples
@@ -390,32 +373,29 @@ pub fn evaluate_sequential(
     {
         // Too little data for a new look; the verdict so far stands (a
         // crossed p is absorbing, it cannot be un-concluded by silence).
-        return settled(state.verdict(alpha));
+        return observed(state.verdict(alpha));
     }
     // τ must stay fixed over the run for the always-valid guarantee: pin
     // it from the check, or freeze the data-driven heuristic at the first
     // informative look.
     let tau = match state.tau().or(check.tau).or_else(|| tau_heuristic(&cand, &base)) {
         Some(tau) => tau,
-        None => return settled(state.verdict(alpha)),
+        None => return observed(state.verdict(alpha)),
     };
     let Some(test) = msprt(&cand, &base, tau) else {
-        return settled(state.verdict(alpha));
+        return observed(state.verdict(alpha));
     };
     let desired_positive = matches!(check.comparator, Comparator::Gt | Comparator::Ge);
     let toward_desired = if desired_positive { test.theta > 0.0 } else { test.theta < 0.0 };
     let toward_harm = if desired_positive { test.theta < 0.0 } else { test.theta > 0.0 };
     let p_look = test.p_value();
-    let update = SequentialUpdate {
-        tau: Some(tau),
-        p_desired: if toward_desired { p_look } else { 1.0 },
-        p_harm: if toward_harm { p_look } else { 1.0 },
-        lr_harm: if toward_harm { test.lambda() } else { 0.0 },
-    };
-    let mut next = *state;
-    next.fold(update);
-    let obs = CheckObservation { result: next.verdict(alpha), primary: cand, baseline: Some(base) };
-    (obs, Some(update), windows)
+    state.fold(
+        tau,
+        if toward_desired { p_look } else { 1.0 },
+        if toward_harm { p_look } else { 1.0 },
+        if toward_harm { test.lambda() } else { 0.0 },
+    );
+    observed(state.verdict(alpha))
 }
 
 /// Tracks when each check of a phase is next due.
@@ -803,36 +783,37 @@ mod tests {
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
         let mut state = SequentialState::new();
-        let (obs, update, windows) = evaluate_sequential(
+        let mut windows = SequentialWindows::default();
+        let obs = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
-            &state,
-            &SequentialWindows::default(),
+            &mut state,
+            &mut windows,
         );
         assert_eq!(obs.result, CheckResult::Fail);
         assert_eq!(obs.primary.count, 600);
-        state.fold(update.expect("informative look"));
         assert!(state.p_harm() <= sequential_alpha(&check), "p_harm = {}", state.p_harm());
         assert!(state.tau().is_some(), "tau frozen at first look");
         assert!(state.lr_harm() > 1.0);
         // Absorbing: a later data-starved look cannot un-conclude.
         // (Another store's windows are ignored, not trusted.)
         let starved = MetricStore::new();
-        let (obs, update, _) = evaluate_sequential(
+        let concluded = state;
+        let obs = evaluate_sequential(
             &check,
             &ctx(&starved),
             &starved,
             SimTime::ZERO,
             SimTime::from_secs(90),
-            &state,
-            &windows,
+            &mut state,
+            &mut windows,
         );
         assert_eq!(obs.result, CheckResult::Fail);
         assert_eq!(obs.primary, Summary::default());
-        assert!(update.is_none());
+        assert_eq!(state, concluded, "a starved look folds nothing");
     }
 
     #[test]
@@ -857,22 +838,21 @@ mod tests {
         let mut check = Check::sequential(MetricKind::ConversionRate, Comparator::Gt, 0.95);
         check.min_samples = 100;
         check.tau = Some(0.1);
-        let state = SequentialState::new();
-        let (obs, update, _) = evaluate_sequential(
+        let mut state = SequentialState::new();
+        let obs = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
-            &state,
-            &SequentialWindows::default(),
+            &mut state,
+            &mut SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Pass);
-        let update = update.expect("informative look");
-        assert_eq!(update.tau, Some(0.1), "pinned tau wins over the heuristic");
-        assert!(update.p_desired <= 0.05);
-        assert_eq!(update.p_harm, 1.0, "no harm-direction evidence from a benefit");
-        assert_eq!(update.lr_harm, 0.0);
+        assert_eq!(state.tau(), Some(0.1), "pinned tau wins over the heuristic");
+        assert!(state.p_desired() <= 0.05);
+        assert_eq!(state.p_harm(), 1.0, "no harm-direction evidence from a benefit");
+        assert_eq!(state.lr_harm(), 0.0);
     }
 
     #[test]
@@ -882,14 +862,14 @@ mod tests {
         fill_rate(&store, "svc@1", 0.05, 500, 31); // same seed: identical stream
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
-        let (obs, _, _) = evaluate_sequential(
+        let obs = evaluate_sequential(
             &check,
             &ctx(&store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
-            &SequentialState::new(),
-            &SequentialWindows::default(),
+            &mut SequentialState::new(),
+            &mut SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Inconclusive);
     }
@@ -909,32 +889,71 @@ mod tests {
         let mut state = SequentialState::new();
         for secs in (5..=60).step_by(5) {
             let now = SimTime::from_secs(secs);
-            let (obs, update, next) =
-                evaluate_sequential(&check, &ctx, &store, start, now, &state, &windows);
-            let fresh = SequentialWindows::default();
-            let scratch = evaluate_sequential(&check, &ctx, &store, start, now, &state, &fresh);
-            assert_eq!((obs.clone(), update, next), scratch, "at {secs}s");
-            assert_eq!(update.is_some(), obs.primary.count >= 1_000, "at {secs}s");
-            assert_ne!(next, windows, "every look moves the windows on");
-            windows = next;
-            if let Some(update) = update {
-                state.fold(update);
-            }
+            let (before, carried) = (state, windows);
+            let obs =
+                evaluate_sequential(&check, &ctx, &store, start, now, &mut state, &mut windows);
+            let (mut scratch_state, mut scratch) = (before, SequentialWindows::default());
+            let fresh = evaluate_sequential(
+                &check,
+                &ctx,
+                &store,
+                start,
+                now,
+                &mut scratch_state,
+                &mut scratch,
+            );
+            assert_eq!((&obs, state, windows), (&fresh, scratch_state, scratch), "at {secs}s");
+            assert_eq!(state.tau().is_some(), obs.primary.count >= 1_000, "at {secs}s");
+            assert_ne!(windows, carried, "every look moves the windows on");
         }
+    }
+
+    #[test]
+    fn a_second_look_at_the_same_instant_changes_nothing() {
+        // A check both due and at the phase boundary in one tick is looked
+        // at twice at one `now`, and the second look starts from what the
+        // first left: the running minima, the frozen tau and the latest
+        // likelihood ratio fold to themselves, and the windows resume to
+        // the same bits — on an informative look and on a starved one.
+        let store = MetricStore::new();
+        fill_rate(&store, "svc@2", 0.2, 3_000, 41);
+        fill_rate(&store, "svc@1", 0.05, 3_000, 42);
+        let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
+        check.min_samples = 1_000;
+        let (ctx, start) = (ctx(&store), SimTime::from_secs(2));
+        let mut windows = SequentialWindows::default();
+        let mut state = SequentialState::new();
+        let mut starved = 0;
+        for secs in (10..=60).step_by(10) {
+            let now = SimTime::from_secs(secs);
+            let once =
+                evaluate_sequential(&check, &ctx, &store, start, now, &mut state, &mut windows);
+            let (after_one, windows_after_one) = (state, windows);
+            let twice =
+                evaluate_sequential(&check, &ctx, &store, start, now, &mut state, &mut windows);
+            assert_eq!(
+                (&twice, state, windows),
+                (&once, after_one, windows_after_one),
+                "at {secs}s"
+            );
+            starved += usize::from(once.primary.count < 1_000);
+        }
+        assert!((1..6).contains(&starved), "starved and informative looks both seen");
     }
 
     #[test]
     fn sequential_state_verdict_prefers_harm_and_warns_transiently() {
         let mut state = SequentialState::new();
-        state.fold(SequentialUpdate { tau: Some(0.1), p_desired: 0.01, p_harm: 1.0, lr_harm: 0.0 });
+        // (tau, p_desired, p_harm, lr_harm)
+        state.fold(0.1, 0.01, 1.0, 0.0);
         assert_eq!(state.verdict(0.05), CheckResult::Pass);
-        state.fold(SequentialUpdate { tau: Some(0.2), p_desired: 1.0, p_harm: 0.02, lr_harm: 3.0 });
+        state.fold(0.2, 1.0, 0.02, 3.0);
         assert_eq!(state.verdict(0.05), CheckResult::Fail, "harm outranks benefit");
         assert_eq!(state.tau(), Some(0.1), "tau frozen at first fold");
         assert!(state.warns(2.0));
         // The warning is instantaneous, not absorbing: a healthy look
         // clears it even though the running p-values never rise.
-        state.fold(SequentialUpdate { tau: None, p_desired: 1.0, p_harm: 1.0, lr_harm: 0.4 });
+        state.fold(0.2, 1.0, 1.0, 0.4);
         assert!(!state.warns(2.0));
         assert_eq!(state.p_harm(), 0.02);
     }

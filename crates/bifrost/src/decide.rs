@@ -8,7 +8,7 @@
 //! inputs and enacts and journals the answer; anything that re-derives a
 //! verdict from recorded check results calls the same function.
 
-use crate::checks::{self, CheckObservation, CheckResult, SequentialState, SequentialUpdate};
+use crate::checks::{self, CheckObservation, CheckResult, SequentialState};
 use crate::machine::{PhaseOutcome, State, StateMachine};
 use crate::model::{Check, CheckScope, Phase, PhaseKind};
 use cex_core::simtime::SimTime;
@@ -23,12 +23,11 @@ use cex_core::simtime::SimTime;
 /// candidate and the ramp resumes.
 pub const RAMP_WARN_LR: f64 = 2.0;
 
-/// One check evaluation: the check's index in its phase, the verdict with
-/// the windows it read, and a sequential check's state advance (which the
-/// engine folds before deciding).
-pub type Evaluation = (usize, CheckObservation, Option<SequentialUpdate>);
+/// One check evaluation: the check's index in its phase and the verdict
+/// with the windows it read.
+pub type Evaluation = (usize, CheckObservation);
 
-/// Results of one tick's read-only evaluation pass for one strategy.
+/// Results of one tick's evaluation pass for one strategy.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TickObservation {
     /// The checks whose cadence came due this tick.
@@ -184,7 +183,7 @@ fn phase_outcome(
     obs: &TickObservation,
     rollout_percent: f64,
 ) -> Option<(PhaseOutcome, Option<f64>)> {
-    let failed = |(_, o, _): &Evaluation| o.result == CheckResult::Fail;
+    let failed = |(_, o): &Evaluation| o.result == CheckResult::Fail;
     // A conclusively failed due check fails the phase immediately.
     let due_failed = obs.due_results.iter().any(failed);
     let rollout_target = match phase.kind {
@@ -199,7 +198,7 @@ fn phase_outcome(
             // A rollout only succeeds once it reached its target percent;
             // until then a clean boundary just keeps it rolling.
             return None;
-        } else if boundary.iter().any(|(_, o, _)| o.result == CheckResult::Inconclusive) {
+        } else if boundary.iter().any(|(_, o)| o.result == CheckResult::Inconclusive) {
             PhaseOutcome::Inconclusive
         } else {
             PhaseOutcome::Success
@@ -218,7 +217,7 @@ fn phase_outcome(
             .due_results
             .iter()
             .filter(|evaluation| failed(evaluation) && is_sequential(&phase.checks[evaluation.0]))
-            .map(|(i, _, _)| run.sequential[*i].p_harm())
+            .map(|(i, _)| run.sequential[*i].p_harm())
             .fold(f64::NAN, f64::max);
         return Some((PhaseOutcome::Failure, worst.is_finite().then_some(worst)));
     }
@@ -283,7 +282,7 @@ mod tests {
 
     fn due(results: &[(usize, CheckResult)]) -> TickObservation {
         TickObservation {
-            due_results: results.iter().map(|(i, r)| (*i, observed(*r), None)).collect(),
+            due_results: results.iter().map(|(i, r)| (*i, observed(*r))).collect(),
             boundary_results: None,
         }
     }
@@ -292,7 +291,7 @@ mod tests {
         TickObservation {
             due_results: Vec::new(),
             boundary_results: Some(
-                results.iter().enumerate().map(|(i, r)| (i, observed(*r), None)).collect(),
+                results.iter().enumerate().map(|(i, r)| (i, observed(*r))).collect(),
             ),
         }
     }
@@ -300,7 +299,7 @@ mod tests {
     /// Sequential state after one look with the given evidence.
     fn seq(p_desired: f64, p_harm: f64, lr_harm: f64) -> SequentialState {
         let mut state = SequentialState::new();
-        state.fold(SequentialUpdate { tau: Some(0.1), p_desired, p_harm, lr_harm });
+        state.fold(0.1, p_desired, p_harm, lr_harm);
         state
     }
 

@@ -7,8 +7,13 @@
 //! resulting routing changes. Strategies run fully in parallel — the
 //! paper's headline engine result is "more than a hundred experiments in
 //! parallel without introducing a significant performance degradation"
-//! (Figures 4.7–4.10) — and check evaluation fans out over worker threads
-//! (std::thread::scope) once enough strategies are active.
+//! (Figures 4.7–4.10) — which is a statement about concurrent
+//! *strategies*: one thread evaluates, decides and journals all of them,
+//! a tick at a time. Each tick is two passes — every running strategy's
+//! checks are evaluated first, then every strategy is applied in
+//! submission order — because applying one strategy moves routing and
+//! retires scopes that a later strategy's checks would otherwise read.
+//! That order is journaled behaviour.
 //!
 //! This module is the *shell*: it gathers what a tick observed, asks
 //! [`crate::decide::decide`] — the rollout policy, which lives there and
@@ -33,7 +38,7 @@ use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, VersionId};
 use microsim::faults::{self, Fault, FaultKind};
 use microsim::health::{EdgeDelta, HealthAccumulator, HealthReport};
-use microsim::monitor::ScopeId;
+use microsim::monitor::{MetricStore, ScopeId};
 use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
 use microsim::trace::{SpanBook, TailSamplingConfig, Trace};
@@ -44,7 +49,7 @@ use std::time::{Duration, Instant};
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Simulation advance per control-loop iteration.
+    /// Simulation advance per control-loop iteration; zero is rejected.
     pub tick: SimDuration,
     /// Bound on consecutive executions of one phase: the `max_retries`-th
     /// consecutive non-success outcome that would re-enter the phase rolls
@@ -52,11 +57,12 @@ pub struct EngineConfig {
     /// `max_retries = 2` an inconclusive phase runs twice — the initial
     /// execution plus one retry — before the rollback.
     pub max_retries: u32,
-    /// Number of due check evaluations in one tick at which evaluation
-    /// fans out to worker threads (below it, thread spawn costs more than
-    /// it saves).
-    pub parallel_threshold: usize,
-    /// Worker threads for the parallel path.
+    /// Read nowhere: the engine evaluates every check on the calling
+    /// thread (the per-tick thread fan-out this once sized never measured
+    /// faster than the serial pass). The field stays only because
+    /// `benchmark/src/fleet.rs` names it and a change to the engine may not
+    /// edit the benchmark; it goes with that line in the next
+    /// `[benchmark]` change (ROADMAP, the instrument item).
     pub workers: usize,
     /// Worker threads for the event-driven simulation core
     /// ([`microsim::sim::Simulation::set_workers`]); applied to the sim at
@@ -87,8 +93,7 @@ impl Default for EngineConfig {
         EngineConfig {
             tick: SimDuration::from_secs(10),
             max_retries: 3,
-            parallel_threshold: 256,
-            workers: 4,
+            workers: 1,
             sim_workers: 1,
             tail_sampling: None,
             runtime_report_every: 0,
@@ -231,20 +236,13 @@ struct PhaseRun {
     started: SimTime,
     scheduler: CheckScheduler,
     /// Per-check sequential-test state (non-sequential entries stay at
-    /// their default); folded only in the single-threaded apply pass.
+    /// their default).
     sequential: Vec<SequentialState>,
     /// Per-check resumable window reads, kept and reset with `sequential`.
     windows: Vec<SequentialWindows>,
     /// Candidate share the phase routes; moves only in a gradual rollout.
     rollout_percent: f64,
     next_rollout_step: SimTime,
-}
-
-/// One strategy's share of the read-only pass: what [`decide::decide`]
-/// reads, and where each sequential look left its windows.
-struct Observed {
-    tick: TickObservation,
-    windows: Vec<(usize, SequentialWindows)>,
 }
 
 struct RunState<'a> {
@@ -256,6 +254,33 @@ struct RunState<'a> {
     /// Scratch buffer for the scheduler's due-check indices, reused
     /// every tick so the hot loop performs no per-tick allocation.
     due_scratch: Vec<usize>,
+}
+
+impl RunState<'_> {
+    /// Evaluates the checks in `due_scratch` and, when the phase clock has
+    /// run out, every check of the phase once more. A sequential look
+    /// advances its state and windows as it goes; a check looked at twice
+    /// in one tick lands where one look would have left it.
+    fn observe(&mut self, store: &MetricStore, now: SimTime) -> TickObservation {
+        let phase = &self.compiled.strategy.phases[self.phase.index];
+        let ctx = &self.compiled.ctx;
+        let PhaseRun { started, sequential, windows, .. } = &mut self.phase;
+        let mut eval = |i: usize| -> Evaluation {
+            let check = &phase.checks[i];
+            let observed = if check.scope == CheckScope::SequentialVsBaseline {
+                let (state, cursors) = (&mut sequential[i], &mut windows[i]);
+                checks::evaluate_sequential(check, ctx, store, *started, now, state, cursors)
+            } else {
+                checks::evaluate_observed(check, ctx, store, now)
+            };
+            (i, observed)
+        };
+        let due_results = self.due_scratch.iter().map(|&i| eval(i)).collect();
+        let at_boundary = now.saturating_since(*started) >= phase.duration;
+        let boundary_results =
+            at_boundary.then(|| (0..phase.checks.len()).map(&mut eval).collect());
+        TickObservation { due_results, boundary_results }
+    }
 }
 
 impl<'a> Compiled<'a> {
@@ -345,7 +370,7 @@ impl<'a> Compiled<'a> {
         evaluations: &[Evaluation],
         boundary: bool,
     ) {
-        for (check, observed, _) in evaluations {
+        for (check, observed) in evaluations {
             let spec = &self.strategy.phases[phase].checks[*check];
             record(journal, || JournalEvent::Check {
                 time: now,
@@ -394,9 +419,8 @@ impl TracePipeline {
         }
     }
 
-    /// Runs in the single-threaded section before the read pass, so
-    /// trace-scoped checks already see this tick's data and fold order is
-    /// collection order, independent of the worker count.
+    /// Runs before the checks are evaluated, so trace-scoped checks
+    /// already see this tick's data; fold order is collection order.
     fn drain(&mut self, sim: &mut Simulation, journal: &mut JournalSink<'_>) {
         // Breaker transitions are sim state; drain them every tick
         // (journaled or not) so the backlog never grows unboundedly.
@@ -467,7 +491,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`BifrostError`] when a strategy fails validation/
-    /// compilation, its versions are not deployed, or enactment fails.
+    /// compilation, its versions are not deployed, enactment fails, or the
+    /// configured tick is zero.
     pub fn execute(
         &self,
         sim: &mut Simulation,
@@ -577,6 +602,10 @@ impl<'a> Execution<'a> {
         strategies: &'a [Strategy],
         mut journal: JournalSink<'a>,
     ) -> Result<Self, BifrostError> {
+        if config.tick.is_zero() {
+            // A zero step never advances the clock: the loop would spin.
+            return Err(BifrostError::Execution("engine tick must be positive".into()));
+        }
         sim.store().set_retention(Some(retention_horizon(strategies)));
         sim.set_workers(config.sim_workers);
         sim.set_tail_sampling(config.tail_sampling);
@@ -628,7 +657,7 @@ impl<'a> Execution<'a> {
             self.traces.drain(self.sim, &mut self.journal);
         }
         let observations = self.observe(now);
-        let due_checks = observations.iter().flatten().map(|o| o.tick.evaluations()).sum::<u64>();
+        let due_checks = observations.iter().flatten().map(|o| o.evaluations()).sum::<u64>();
         self.check_evaluations += due_checks;
         self.apply(observations, now)?;
         let spent = engine_start.elapsed();
@@ -674,84 +703,30 @@ impl<'a> Execution<'a> {
         counters
     }
 
-    /// Read-only pass: evaluate due checks (and phase-boundary checks)
-    /// for every running strategy. Fans out over scoped worker threads when
-    /// enough checks are due.
-    fn observe(&mut self, now: SimTime) -> Vec<Option<Observed>> {
+    /// First pass: evaluate due checks (and phase-boundary checks) for
+    /// every running strategy, before any strategy is applied.
+    fn observe(&mut self, now: SimTime) -> Vec<Option<TickObservation>> {
         cex_core::span!(self.profiler, "engine.tick.observe");
         let running = |run: &RunState| run.status == StrategyStatus::Running;
-        // First, a mutable pre-pass collecting which checks are due (the
-        // scheduler advances its due times) into each run's reused
-        // scratch buffer — no per-tick allocation on the hot loop.
+        // Which checks are due (the scheduler advances its due times),
+        // into each run's reused scratch buffer — no per-tick allocation
+        // on the hot loop.
         for run in self.runs.iter_mut().filter(|run| running(run)) {
             let checks = &run.compiled.strategy.phases[run.phase.index].checks;
             run.phase.scheduler.due(checks, now, &mut run.due_scratch);
         }
-
         let store = self.sim.store();
-        let evaluate_one = |run: &RunState| -> Observed {
-            let phase = &run.compiled.strategy.phases[run.phase.index];
-            // Sequential checks run against their per-run state and
-            // windows read-only: what a look returns is folded later, in
-            // the single-threaded apply pass, so this closure stays safe
-            // to fan out.
-            let mut windows = Vec::new();
-            let mut eval = |i: usize| -> Evaluation {
-                let (check, ctx) = (&phase.checks[i], &run.compiled.ctx);
-                if check.scope == CheckScope::SequentialVsBaseline {
-                    let PhaseRun { started, sequential, windows: kept, .. } = &run.phase;
-                    let (observed, update, resumed) = checks::evaluate_sequential(
-                        check,
-                        ctx,
-                        store,
-                        *started,
-                        now,
-                        &sequential[i],
-                        &kept[i],
-                    );
-                    windows.push((i, resumed));
-                    (i, observed, update)
-                } else {
-                    (i, checks::evaluate_observed(check, ctx, store, now), None)
-                }
-            };
-            let due_results = run.due_scratch.iter().map(|&i| eval(i)).collect();
-            let at_boundary = now.saturating_since(run.phase.started) >= phase.duration;
-            let boundary_results =
-                at_boundary.then(|| (0..phase.checks.len()).map(&mut eval).collect());
-            Observed { tick: TickObservation { due_results, boundary_results }, windows }
-        };
-
-        let runs = &self.runs[..];
-        let due_work: usize =
-            runs.iter().filter(|run| running(run)).map(|r| r.due_scratch.len()).sum();
         cex_core::span!(self.profiler, "engine.tick.observe.evaluate_checks");
-        if due_work >= self.config.parallel_threshold && self.config.workers > 1 {
-            let mut results: Vec<Option<Observed>> = runs.iter().map(|_| None).collect();
-            let chunk = (runs.len() / self.config.workers).max(1);
-            // The scope joins every worker and re-raises a worker's panic.
-            std::thread::scope(|scope| {
-                for (slots, runs) in results.chunks_mut(chunk).zip(runs.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (slot, run) in slots.iter_mut().zip(runs) {
-                            *slot = running(run).then(|| evaluate_one(run));
-                        }
-                    });
-                }
-            });
-            results
-        } else {
-            runs.iter().map(|run| running(run).then(|| evaluate_one(run))).collect()
-        }
+        self.runs.iter_mut().map(|run| running(run).then(|| run.observe(store, now))).collect()
     }
 
-    /// Mutating pass: fold the tick's sequential looks, ask
-    /// [`decide::decide`] what the tick means, enact and journal the
-    /// answer. Runs single-threaded in strategy submission order — that,
-    /// plus the virtual clock, makes the journal deterministic.
+    /// Second pass: ask [`decide::decide`] what the tick means for each
+    /// strategy, enact and journal the answer, in strategy submission
+    /// order — that, plus the virtual clock, makes the journal
+    /// deterministic.
     fn apply(
         &mut self,
-        observations: Vec<Option<Observed>>,
+        observations: Vec<Option<TickObservation>>,
         now: SimTime,
     ) -> Result<(), BifrostError> {
         cex_core::span!(self.profiler, "engine.tick.apply");
@@ -759,24 +734,9 @@ impl<'a> Execution<'a> {
         // tick; pruned after the loop so shared scopes can be guarded.
         let mut retired: Vec<(Arc<str>, String)> = Vec::new();
         for (run, obs) in self.runs.iter_mut().zip(observations) {
-            let Some(Observed { tick: obs, windows }) = obs else { continue };
+            let Some(obs) = obs else { continue };
             let compiled = &run.compiled;
             let index = run.phase.index;
-
-            // Fold this tick's sequential updates first: every decision
-            // reads the state advanced through the latest look. Folding
-            // the same look twice (a check both due and at the boundary)
-            // is idempotent, and so is keeping its windows twice.
-            for (i, _, update) in
-                obs.due_results.iter().chain(obs.boundary_results.iter().flatten())
-            {
-                if let Some(update) = update {
-                    run.phase.sequential[*i].fold(*update);
-                }
-            }
-            for (i, resumed) in windows {
-                run.phase.windows[i] = resumed;
-            }
             let view = RunView {
                 machine: &compiled.machine,
                 phase_index: index,
@@ -1141,8 +1101,7 @@ mod tests {
 
     #[test]
     fn many_strategies_run_in_parallel() {
-        // 20 independent service pairs, one strategy each; a threshold of
-        // one due check forces the parallel fan-out path.
+        // 20 independent service pairs, one strategy each.
         let mut b = Application::builder();
         for i in 0..20 {
             b.version(
@@ -1187,9 +1146,9 @@ mod tests {
             profile: microsim::workload::RateProfile::Constant,
         };
         let mut sim = Simulation::new(app, 4);
-        let engine = Engine::new(EngineConfig { parallel_threshold: 1, ..Default::default() });
-        let report =
-            engine.execute(&mut sim, &strategies, &wl, SimDuration::from_mins(20)).unwrap();
+        let report = Engine::default()
+            .execute(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
+            .unwrap();
         assert!(report.all_terminal());
         let completed =
             report.statuses.iter().filter(|(_, s)| *s == StrategyStatus::Completed).count();
@@ -1248,8 +1207,7 @@ mod tests {
     }
 
     /// The app/strategy pair used by the journal tests: several
-    /// independent service pairs so the parallel fan-out path has real
-    /// work.
+    /// independent service pairs.
     fn fleet(n: usize) -> (Application, Vec<Strategy>, Workload) {
         let mut b = Application::builder();
         for i in 0..n {
@@ -1297,16 +1255,14 @@ mod tests {
     }
 
     #[test]
-    fn journal_is_byte_identical_across_runs_and_worker_counts() {
+    fn journal_is_byte_identical_across_runs() {
         let mut texts = Vec::new();
         let mut healths = Vec::new();
-        for workers in [1, 1, 4] {
+        for _ in 0..2 {
             let (app, strategies, wl) = fleet(8);
             let mut sim = Simulation::new(app, 9);
             sim.set_trace_sampling(1.0);
-            let engine =
-                Engine::new(EngineConfig { parallel_threshold: 1, workers, ..Default::default() });
-            let (report, journal) = engine
+            let (report, journal) = Engine::default()
                 .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(10))
                 .unwrap();
             assert!(report.all_terminal());
@@ -1326,19 +1282,16 @@ mod tests {
                     .collect::<String>(),
             );
         }
-        assert_eq!(texts[0], texts[1], "same seed, same workers");
-        assert_eq!(texts[0], texts[2], "same seed, 1 vs 4 workers");
+        assert_eq!(texts[0], texts[1], "same seed");
         assert!(!healths[0].is_empty());
-        assert_eq!(healths[0], healths[1], "health reports: same seed, same workers");
-        assert_eq!(healths[0], healths[2], "health reports: same seed, 1 vs 4 workers");
+        assert_eq!(healths[0], healths[1], "health reports: same seed");
     }
 
     #[test]
     fn journal_is_byte_identical_across_sim_worker_counts() {
-        // Same property as above, but varying the *simulation core's*
-        // worker shards rather than the engine's check-evaluation pool:
-        // the event core guarantees byte-identical sim output at any
-        // worker count, so the downstream journal must match too.
+        // Same property as above across the simulation core's worker
+        // shards: the event core guarantees byte-identical sim output at
+        // any worker count, so the downstream journal must match too.
         let mut texts = Vec::new();
         for sim_workers in [1, 2, 8] {
             let (app, strategies, wl) = fleet(8);
@@ -2107,24 +2060,21 @@ mod tests {
     }
 
     #[test]
-    fn chaos_journal_is_byte_identical_across_runs_and_worker_counts() {
+    fn chaos_journal_is_byte_identical_across_runs() {
         let mut texts = Vec::new();
-        for workers in [1, 1, 4] {
+        for _ in 0..2 {
             let app = chaos_app();
             let wl = chaos_workload(&app);
             let mut sim = Simulation::new(app, 23);
             sim.set_call_policy(resilience_policy());
             let strategy = dsl::parse(chaos_strategy_src()).unwrap();
-            let engine =
-                Engine::new(EngineConfig { parallel_threshold: 1, workers, ..Default::default() });
-            let (_, journal) = engine
+            let (_, journal) = Engine::default()
                 .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
                 .unwrap();
             assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::Breaker { .. })));
             texts.push(journal.to_jsonl());
         }
-        assert_eq!(texts[0], texts[1], "same seed, same workers");
-        assert_eq!(texts[0], texts[2], "same seed, 1 vs 4 workers");
+        assert_eq!(texts[0], texts[1], "same seed");
     }
 
     /// One service pair with tunable error rates for the sequential
@@ -2283,7 +2233,7 @@ mod tests {
     fn sequential_journal_is_byte_identical_across_runs_and_sim_workers() {
         // The full sequential feature set — early promotion, guarded
         // ramping — journals byte-identically across same-seed runs and
-        // across engine/sim worker counts, like every other event kind.
+        // across sim worker counts, like every other event kind.
         let src = r#"strategy "seq-pipeline" {
             service "svc" baseline "1.0.0" candidate "2.0.0"
             phase "canary" canary 30% for 30m {
@@ -2298,17 +2248,12 @@ mod tests {
             }
         }"#;
         let mut texts = Vec::new();
-        for (workers, sim_workers) in [(1, 1), (1, 1), (4, 4)] {
+        for sim_workers in [1, 1, 4] {
             let app = seq_app(0.3, 0.05);
             let wl = workload(&app);
             let mut sim = Simulation::new(app, 61);
             let strategy = dsl::parse(src).unwrap();
-            let engine = Engine::new(EngineConfig {
-                parallel_threshold: 1,
-                workers,
-                sim_workers,
-                ..Default::default()
-            });
+            let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
             let (report, journal) = engine
                 .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(60))
                 .unwrap();
@@ -2317,18 +2262,17 @@ mod tests {
             assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::Ramp { .. })));
             texts.push(journal.to_jsonl());
         }
-        assert_eq!(texts[0], texts[1], "same seed, same workers");
-        assert_eq!(texts[0], texts[2], "same seed, 4 engine + 4 sim workers");
+        assert_eq!(texts[0], texts[1], "same seed, same sim workers");
+        assert_eq!(texts[0], texts[2], "same seed, 1 vs 4 sim workers");
     }
 
     #[test]
     fn sequential_fleet_journals_identically_at_any_worker_count_and_across_a_retry() {
         // Sequential looks resume their cumulative windows from cursors
-        // the (possibly parallel) observe pass hands to the apply pass. A
-        // fleet that promotes early, ramps under guard, retreats, and
-        // retries an undecided A/A phase must journal the same bytes
-        // however the looks are spread over workers — and a retried phase
-        // must start its windows over.
+        // kept per (run, check). A fleet that promotes early, ramps under
+        // guard, retreats, and retries an undecided A/A phase must journal
+        // the same bytes at any sim worker count — and a retried phase must
+        // start its windows over.
         let src = r#"
         strategy "good" {
           service "good" baseline "1.0.0" candidate "2.0.0"
@@ -2376,7 +2320,7 @@ mod tests {
             b.build().unwrap()
         };
         let mut texts = Vec::new();
-        for (workers, sim_workers) in [(1, 1), (4, 1), (1, 2), (4, 2)] {
+        for sim_workers in [1, 2] {
             let app = fleet_app();
             let entries = ["good", "bad", "same"]
                 .iter()
@@ -2394,13 +2338,8 @@ mod tests {
             };
             let mut sim = Simulation::new(app, 78);
             let (strategies, _) = dsl::parse_fleet(src).unwrap();
-            let engine = Engine::new(EngineConfig {
-                parallel_threshold: 1,
-                workers,
-                sim_workers,
-                max_retries: 3,
-                ..Default::default()
-            });
+            let engine =
+                Engine::new(EngineConfig { sim_workers, max_retries: 3, ..Default::default() });
             let (_, journal) = engine
                 .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
                 .unwrap();
@@ -2441,9 +2380,22 @@ mod tests {
             }
             texts.push(journal.to_jsonl());
         }
-        for (i, text) in texts.iter().enumerate().skip(1) {
-            assert_eq!(&texts[0], text, "configuration {i}");
-        }
+        assert_eq!(texts[0], texts[1], "same seed, 1 vs 2 sim workers");
+    }
+
+    #[test]
+    fn zero_tick_is_an_error_not_a_hang() {
+        // A zero step never advances the clock, so neither the deadline
+        // nor a phase boundary is ever reached.
+        let app = test_app(false);
+        let wl = workload(&app);
+        let mut sim = Simulation::new(app, 7);
+        let strategy = dsl::parse(strategy_src()).unwrap();
+        let err = Engine::new(EngineConfig { tick: SimDuration::ZERO, ..Default::default() })
+            .execute(&mut sim, &[strategy], &wl, SimDuration::from_secs(30))
+            .unwrap_err();
+        assert!(matches!(&err, BifrostError::Execution(why) if why.contains("tick")), "{err}");
+        assert_eq!(sim.now(), SimTime::ZERO, "rejected before the simulation is touched");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!
 //! A journal serialized with [`Journal::to_jsonl`] is **byte-for-byte
 //! identical** across repeated runs with the same seed and across any
-//! worker count: events are appended only from the engine's
-//! single-threaded apply pass in strategy submission order, JSON is
-//! written through [`cex_core::json`] (ordered members, shortest
-//! round-trip floats, no insignificant whitespace), and the one
+//! simulation worker count: one thread evaluates, decides and appends, in
+//! strategy submission order, over a simulation whose output does not
+//! depend on its shard count; JSON is written through [`cex_core::json`]
+//! (ordered members, shortest round-trip floats, no insignificant
+//! whitespace), and the one
 //! nondeterministic quantity — per-tick wall-clock busy time — is kept
 //! in memory ([`JournalEvent::Tick::busy`]) but deliberately **excluded**
 //! from the serialized form. The journal, not the live

@@ -162,6 +162,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_intern_and_resolve() {
         let i = Arc::new(Interner::new());
         let seed = i.intern("seed");

@@ -36,10 +36,6 @@ pub struct GeneticAlgorithm {
     /// earliest-fit schedule (plus mutated copies). Essential on tight
     /// instances where random individuals are almost never valid.
     pub greedy_seed: bool,
-    /// Worker threads for population scoring (`0` = one per available
-    /// core). Results are bit-identical for every setting — offspring are
-    /// bred serially, scored in parallel, and accounted in index order.
-    pub workers: usize,
 }
 
 impl Default for GeneticAlgorithm {
@@ -53,7 +49,6 @@ impl Default for GeneticAlgorithm {
             crossover: CrossoverKind::OnePoint,
             repair: true,
             greedy_seed: true,
-            workers: 0,
         }
     }
 }
@@ -126,10 +121,8 @@ impl Scheduler for GeneticAlgorithm {
             let mut next: Vec<(Schedule, f64)> =
                 population.iter().take(self.elitism.min(population.len())).cloned().collect();
 
-            // Breed the whole brood serially (all RNG draws happen here),
-            // then score it in one parallel batch. Budget accounting and
-            // best-so-far tracking stay sequential inside `eval_batch`, so
-            // results do not depend on the worker count.
+            // Breed the whole brood (all RNG draws happen here), then
+            // score it in index order.
             let brood_target = (self.population_size.saturating_sub(next.len()) as u64)
                 .min(ev.remaining()) as usize;
             let mut brood: Vec<Schedule> = Vec::with_capacity(brood_target);
@@ -163,7 +156,7 @@ impl Scheduler for GeneticAlgorithm {
                     }
                 }
             }
-            let reports = ev.eval_batch(&brood, self.workers);
+            let reports = ev.eval_batch(&brood);
             for (child, report) in brood.into_iter().zip(reports) {
                 next.push((child, report.score()));
             }
@@ -238,18 +231,6 @@ mod tests {
             Some(good.best.clone()),
         );
         assert!(reseeded.best_report.score() >= good.best_report.score() - 1e-12);
-    }
-
-    #[test]
-    fn parallel_scoring_matches_serial_exactly() {
-        let problem = ProblemGenerator::new(8, SampleSizeTier::Medium).generate(6);
-        let serial = GeneticAlgorithm { workers: 1, ..Default::default() };
-        let parallel = GeneticAlgorithm { workers: 4, ..Default::default() };
-        let a = serial.schedule(&problem, Budget::evaluations(2_000), 9);
-        let b = parallel.schedule(&problem, Budget::evaluations(2_000), 9);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.history, b.history);
-        assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]

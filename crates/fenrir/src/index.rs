@@ -4,7 +4,7 @@
 //! which experiments conflict, how much traffic a slot range carries, what
 //! the objective normalization spans are. The index computes them **once
 //! per [`Problem`](crate::problem::Problem)** so the hot evaluation path
-//! (full, incremental, and parallel) only reads:
+//! (full and incremental) only reads:
 //!
 //! - **conflict adjacency lists** — `neighbors(i)` replaces the O(n²)
 //!   all-pairs conflict sweep with an O(Σ degree) walk;
@@ -15,8 +15,7 @@
 //!   and the preferred-group membership mask of the fitness function.
 //!
 //! The index is immutable and derived deterministically from the problem,
-//! so sharing it across threads (parallel population scoring) is safe and
-//! cannot change results.
+//! so it cannot change results.
 
 use crate::problem::ExperimentRequest;
 use cex_core::experiment::ExperimentId;

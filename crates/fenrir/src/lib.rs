@@ -33,7 +33,7 @@
 //! # Evaluation pipeline
 //!
 //! Fitness evaluation — the dominant cost of every search — runs through a
-//! three-layer fast path:
+//! two-layer fast path:
 //!
 //! 1. **[`index::ProblemIndex`]**, built once per [`Problem`]: conflict
 //!    adjacency lists, per-group traffic prefix sums (O(1) range-traffic
@@ -43,11 +43,10 @@
 //!    experiment, its conflict neighbors, and the slots inside the old/new
 //!    plan spans — O(degree + plan span) instead of a full O(n²) pass,
 //!    with results *bit-identical* to [`fitness::evaluate`].
-//! 3. **parallel population scoring** via
-//!    [`runner::Evaluator::eval_batch`]: pure evaluations fan out over
-//!    scoped threads while budget accounting and best-so-far ordering stay
-//!    sequential in index order, so results are deterministic and
-//!    identical for every worker count.
+//!
+//! Every evaluation, single or batched ([`runner::Evaluator::eval_batch`]),
+//! is scored and accounted on the calling thread in the order it was asked
+//! for.
 //!
 //! # Example
 //!

@@ -196,45 +196,14 @@ impl<'a> Evaluator<'a> {
         self.inc.as_ref().expect("current requires a prior eval_seed").schedule()
     }
 
-    /// Scores a batch of schedules, fanning the pure evaluations out over
-    /// `workers` scoped threads (`0` = one per available core), then
-    /// consuming the results **sequentially in index order** for budget
-    /// accounting and best-so-far tracking. Reports, budget, best, and
-    /// history are therefore bit-identical for every worker count,
-    /// including `1`.
+    /// Scores a batch of schedules in index order, each through
+    /// [`eval`](Self::eval).
     ///
     /// At most [`remaining`](Self::remaining) schedules are evaluated; the
     /// returned vector is truncated accordingly.
-    pub fn eval_batch(&mut self, candidates: &[Schedule], workers: usize) -> Vec<FitnessReport> {
+    pub fn eval_batch(&mut self, candidates: &[Schedule]) -> Vec<FitnessReport> {
         let take = (candidates.len() as u64).min(self.remaining()) as usize;
-        let batch = &candidates[..take];
-        let problem = self.problem;
-        let weights = self.weights;
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            workers
-        };
-        let reports: Vec<FitnessReport> = if workers <= 1 || batch.len() < 2 {
-            batch.iter().map(|s| fitness::evaluate(problem, s, &weights)).collect()
-        } else {
-            let mut out: Vec<Option<FitnessReport>> = vec![None; batch.len()];
-            let chunk = batch.len().div_ceil(workers.min(batch.len()));
-            std::thread::scope(|scope| {
-                for (slots, cands) in out.chunks_mut(chunk).zip(batch.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (slot, s) in slots.iter_mut().zip(cands) {
-                            *slot = Some(fitness::evaluate(problem, s, &weights));
-                        }
-                    });
-                }
-            });
-            out.into_iter().map(|r| r.expect("every batch slot scored")).collect()
-        };
-        for (s, r) in batch.iter().zip(&reports) {
-            self.account(s, *r);
-        }
-        reports
+        candidates[..take].iter().map(|s| self.eval(s)).collect()
     }
 
     /// Finalizes into a [`SearchResult`].

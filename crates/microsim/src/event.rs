@@ -1202,6 +1202,8 @@ pub(crate) fn run_window(
         });
     }
 
+    // The one place a thread starts (see the workspace `clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
     match shards.as_mut_slice() {
         [alone] => drive(alone),
         many => std::thread::scope(|s| {

@@ -113,6 +113,7 @@ mod tests {
             let peers = Rendezvous::new(workers);
             // Compared after the join: a worker that panicked between the
             // barriers would leave the others waiting forever.
+            #[allow(clippy::disallowed_methods)]
             let seen: Vec<Vec<Front>> = std::thread::scope(|s| {
                 let handles: Vec<_> = fronts
                     .iter()

@@ -25,9 +25,9 @@
 //!   `RwLock<Vec<Option<Series>>>` indexed `scope.index() * KIND_COUNT +
 //!   kind` — a lookup is an index, not a hash. Every writer in the tree
 //!   (the simulation's merge step, the engine's trace drain and scope
-//!   retirement) runs on one thread and never overlaps the engine's
-//!   parallel read pass, so readers share the lock uncontended and a
-//!   write takes it once per [`SampleBatch`] flush.
+//!   retirement) and every reader (the engine's checks) runs on the one
+//!   thread that drives the control loop, so the lock is never contended
+//!   and a write takes it once per [`SampleBatch`] flush.
 //! * **Bucketed pre-aggregation.** Each series maintains fixed-resolution
 //!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
@@ -65,8 +65,7 @@
 //! Everything stays deterministic: ingestion order is driven by the
 //! virtual clock, bucket contents and compaction depend only on the data,
 //! and reads never mutate (a cursor is the caller's, not the store's) — so
-//! summaries are bit-exact across repeated same-seed runs and across engine
-//! worker counts.
+//! summaries are bit-exact across repeated same-seed runs.
 
 use crate::app::{Application, VersionId};
 use cex_core::intern::Interner;
@@ -422,9 +421,9 @@ impl Default for WindowCursor {
 /// Thread-safe, append-mostly metric store.
 ///
 /// Interior mutability (one [`RwLock`] over the series table) lets the
-/// Bifrost engine's worker threads share one store by reference. See the
-/// module docs for the interning / dense-slot / bucketing / retention
-/// architecture.
+/// simulation, the Bifrost engine and every [`SampleBatch`] share one store
+/// by reference, and keeps it `Sync`. See the module docs for the interning
+/// / dense-slot / bucketing / retention architecture.
 #[derive(Debug)]
 pub struct MetricStore {
     interner: Interner,
@@ -438,8 +437,7 @@ pub struct MetricStore {
     /// who hold the series lock, draw from it.
     epochs: AtomicU64,
     /// Windowed reads served so far (monitoring-cost accounting for the
-    /// Bifrost execution journal). The total per tick is deterministic
-    /// even though worker threads increment it in arbitrary order.
+    /// Bifrost execution journal).
     window_reads: AtomicU64,
     /// Non-empty [`SampleBatch`] flushes. Batches fill in canonical merge
     /// order and flush at deterministic boundaries, so this is a pure
@@ -1186,6 +1184,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn store_is_shareable_across_threads() {
         let store = MetricStore::new();
         std::thread::scope(|scope| {
@@ -1219,6 +1218,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_interning_yields_consistent_ids() {
         let store = MetricStore::new();
         let ids: Vec<Vec<ScopeId>> = std::thread::scope(|scope| {

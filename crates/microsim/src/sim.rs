@@ -580,6 +580,13 @@ mod tests {
         let ra = a.run(SimDuration::from_secs(10), 50.0);
         let rb = b.run(SimDuration::from_secs(10), 50.0);
         assert_eq!(ra, rb);
+        // Profiling is wall-clock only: switched off (it is on by default)
+        // the report and the counter registry are the same.
+        let mut unprofiled = Simulation::new(app(), 7);
+        unprofiled.set_obs(ObsConfig::disabled());
+        assert_eq!(unprofiled.run(SimDuration::from_secs(10), 50.0), ra);
+        assert_eq!(unprofiled.counters(), a.counters());
+        assert!(a.counters().count("sim.events.popped") > 0);
         let mut c = Simulation::new(app(), 8);
         let rc = c.run(SimDuration::from_secs(10), 50.0);
         assert_ne!(ra.requests, 0);

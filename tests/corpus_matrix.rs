@@ -102,16 +102,17 @@ fn run_cell(
     scenario: &Scenario,
     kind: WorkloadKind,
     src: &str,
-    workers: usize,
+    sim_workers: usize,
 ) -> (StrategyStatus, String, f64) {
     let wl = corpus::workload_for(scenario, kind, 8.0);
     let mut sim = Simulation::new(scenario.app.clone(), 4242);
     sim.set_call_policy(matrix_policy());
     let strategy = dsl::parse(src).expect("cell strategy parses");
-    let engine = Engine::new(EngineConfig { parallel_threshold: 1, workers, ..Default::default() });
+    let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
     let (report, journal) = engine
         .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_secs(180))
         .expect("cell executes");
+    assert_eq!(sim.workers(), sim_workers, "the event core ran at the asked worker count");
     let summary =
         sim.store().summary_between(APP_SCOPE, MetricKind::ErrorRate, FAULT_FROM, FAULT_UNTIL);
     (report.statuses[0].1.clone(), journal.to_jsonl(), summary.mean)
