@@ -14,12 +14,22 @@
 //!   representative value `2·γ^k/(γ+1)` is within relative error `α` of
 //!   every value in the bucket, so any quantile estimate is within `α`
 //!   of *some* sample at the queried rank.
-//! * **Bounded state.** At most [`QuantileSketch::max_buckets`] buckets
-//!   are kept. On overflow the sketch collapses from the *cheap* end:
-//!   the lowest buckets merge upward, so tail quantiles (the ones health
-//!   verdicts read) keep their guarantee while the collapsed low end
-//!   degrades gracefully. State is `O(buckets)` regardless of how many
-//!   values were pushed.
+//! * **A contiguous store.** Counts live in one `Vec<u64>`: slot `i`
+//!   counts key `offset + i`, the first and the last slot are occupied
+//!   whenever any is, and a push is a subtraction and an index (the vector
+//!   grows at whichever end a new key falls off). Empty slots between two
+//!   occupied keys cost eight bytes each and nothing else: they hold no
+//!   mass, so they never cross a rank, never reach [`QuantileSketch::encode`]
+//!   and never count against the cap.
+//! * **Bounded state.** *Occupied* slots never exceed
+//!   [`QuantileSketch::max_buckets`]: on overflow the sketch collapses from
+//!   the *cheap* end — the lowest occupied slot merges into the next
+//!   occupied one and the emptied front is trimmed — so tail quantiles
+//!   (the ones health verdicts read) keep their guarantee while the
+//!   collapsed low end degrades gracefully. *Slots* never exceed the key
+//!   span of the finite doubles, ≈36.5 k at `α = 1%` (292 KB, reached only
+//!   by feeding one sketch both `1e-9` and `f64::MAX`; non-finite values
+//!   are rejected). Neither bound depends on how many values were pushed.
 //! * **Exact deterministic merge.** Merging adds per-bucket counts and
 //!   re-collapses. The normalized state after any sequence of pushes and
 //!   merges depends only on the multiset of per-bucket counts, which
@@ -30,8 +40,6 @@
 //!
 //! No randomness anywhere: the same pushes produce the same state on
 //! every run and every worker layout.
-
-use std::collections::BTreeMap;
 
 /// Default relative-error guarantee (1%): an estimated quantile is within
 /// 1% of an actual sample at that rank (tight enough that the health
@@ -50,18 +58,23 @@ const MIN_INDEXABLE: f64 = 1e-9;
 
 /// A mergeable quantile sketch with a bounded relative-error guarantee
 /// and bounded state (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QuantileSketch {
     /// Relative-error guarantee `α`.
     alpha: f64,
     /// Bucket growth factor `γ = (1+α)/(1-α)`.
     gamma: f64,
-    /// Cached `ln γ` (the per-push division is by this).
+    /// Cached `1 / ln γ` (the per-push multiplication is by this).
     inv_ln_gamma: f64,
-    /// Bucket cap; collapse keeps the highest `max_buckets` keys.
+    /// Cap on occupied slots; collapse keeps the highest `max_buckets` keys.
     max_buckets: usize,
-    /// Per-bucket counts, keyed by the log index.
-    buckets: BTreeMap<i32, u64>,
+    /// Log index counted by `buckets[0]`.
+    offset: i32,
+    /// Per-bucket counts: slot `i` counts key `offset + i`. Non-empty ⇒
+    /// the first and the last slot are occupied.
+    buckets: Vec<u64>,
+    /// Slots with a non-zero count.
+    occupied: usize,
     /// Count of non-indexable (≤ [`MIN_INDEXABLE`]) values.
     zeros: u64,
     /// Total values observed.
@@ -76,6 +89,26 @@ pub struct QuantileSketch {
     min: f64,
     /// Exact maximum observed (`-∞` when empty).
     max: f64,
+}
+
+/// Equality of what was observed, not of how it is laid out: every scalar
+/// field, and the buckets as their occupied `(key, count)` sequence — the
+/// one [`QuantileSketch::encode`] writes. (With both ends of the store
+/// occupied the vectors are equal exactly when that sequence is; equality
+/// is stated on the sequence so that it does not lean on the layout.)
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.alpha == other.alpha
+            && self.gamma == other.gamma
+            && self.inv_ln_gamma == other.inv_ln_gamma
+            && self.max_buckets == other.max_buckets
+            && self.zeros == other.zeros
+            && self.count == other.count
+            && self.collapsed == other.collapsed
+            && self.min == other.min
+            && self.max == other.max
+            && self.occupied_buckets().eq(other.occupied_buckets())
+    }
 }
 
 impl QuantileSketch {
@@ -94,7 +127,9 @@ impl QuantileSketch {
             gamma,
             inv_ln_gamma: 1.0 / gamma.ln(),
             max_buckets,
-            buckets: BTreeMap::new(),
+            offset: 0,
+            buckets: Vec::new(),
+            occupied: 0,
             zeros: 0,
             count: 0,
             collapsed: 0,
@@ -123,8 +158,9 @@ impl QuantileSketch {
     ///
     /// # Panics
     ///
-    /// Panics on NaN or negative values (latencies are non-negative; a
-    /// negative value indicates a caller bug worth failing loudly on).
+    /// Panics on NaN, infinite or negative values (latencies are finite
+    /// and non-negative; anything else indicates a caller bug worth
+    /// failing loudly on).
     pub fn push(&mut self, value: f64) {
         self.push_weighted(value, 1);
     }
@@ -136,9 +172,13 @@ impl QuantileSketch {
     ///
     /// # Panics
     ///
-    /// Panics on NaN or negative values. A zero weight is a no-op.
+    /// Panics on NaN, infinite or negative values. A zero weight is a
+    /// no-op.
     pub fn push_weighted(&mut self, value: f64, weight: u64) {
-        assert!(value >= 0.0, "sketch values must be non-negative, got {value}");
+        assert!(
+            value.is_finite() && value >= 0.0,
+            "sketch values must be finite and non-negative, got {value}"
+        );
         if weight == 0 {
             return;
         }
@@ -150,8 +190,11 @@ impl QuantileSketch {
             return;
         }
         let key = self.key_of(value);
-        *self.buckets.entry(key).or_insert(0) += weight;
-        if self.buckets.len() > self.max_buckets {
+        self.cover(key, key);
+        let slot = (key - self.offset) as usize;
+        self.occupied += usize::from(self.buckets[slot] == 0);
+        self.buckets[slot] += weight;
+        if self.occupied > self.max_buckets {
             self.collapse();
         }
     }
@@ -168,17 +211,45 @@ impl QuantileSketch {
         2.0 * self.gamma.powi(key) / (self.gamma + 1.0)
     }
 
-    /// Collapses the cheap end until the cap holds: the lowest bucket's
-    /// count moves into the next-lowest key. Tail buckets are untouched.
-    fn collapse(&mut self) {
-        while self.buckets.len() > self.max_buckets {
-            let (&low_key, &low_count) =
-                self.buckets.iter().next().expect("non-empty over-cap bucket map");
-            self.buckets.remove(&low_key);
-            let (_, next) = self.buckets.iter_mut().next().expect("cap >= 2 leaves a successor");
-            *next += low_count;
-            self.collapsed += low_count;
+    /// Grows the store, at whichever end falls short, to hold every key in
+    /// `lo..=hi`. The caller then occupies both ends.
+    fn cover(&mut self, lo: i32, hi: i32) {
+        if self.buckets.is_empty() {
+            self.offset = lo;
+        } else if lo < self.offset {
+            let grow = (self.offset - lo) as usize;
+            self.buckets.splice(0..0, std::iter::repeat_n(0, grow));
+            self.offset = lo;
         }
+        let len = (hi - self.offset) as usize + 1;
+        if len > self.buckets.len() {
+            self.buckets.resize(len, 0);
+        }
+    }
+
+    /// Collapses the cheap end until the cap holds: the lowest occupied
+    /// slot's count moves into the next occupied one, and the emptied
+    /// front is trimmed. Tail buckets are untouched.
+    fn collapse(&mut self) {
+        let mut low = 0;
+        while self.occupied > self.max_buckets {
+            let carried = std::mem::take(&mut self.buckets[low]);
+            // The last slot is occupied and `cap >= 2` leaves a successor.
+            low += 1;
+            while self.buckets[low] == 0 {
+                low += 1;
+            }
+            self.buckets[low] += carried;
+            self.collapsed += carried;
+            self.occupied -= 1;
+        }
+        self.buckets.drain(..low);
+        self.offset += low as i32;
+    }
+
+    /// The occupied buckets as `(key, count)`, ascending by key.
+    fn occupied_buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        (self.offset..).zip(&self.buckets).filter(|(_, &count)| count > 0).map(|(k, &c)| (k, c))
     }
 
     /// Merges another sketch into this one: per-bucket counts add, then
@@ -194,15 +265,20 @@ impl QuantileSketch {
             self.alpha == other.alpha && self.max_buckets == other.max_buckets,
             "cannot merge sketches with different accuracy or cap"
         );
-        for (&key, &count) in &other.buckets {
-            *self.buckets.entry(key).or_insert(0) += count;
+        if !other.buckets.is_empty() {
+            self.cover(other.offset, other.offset + (other.buckets.len() - 1) as i32);
+            let base = (other.offset - self.offset) as usize;
+            for (mine, &theirs) in self.buckets[base..].iter_mut().zip(&other.buckets) {
+                self.occupied += usize::from(*mine == 0 && theirs > 0);
+                *mine += theirs;
+            }
         }
         self.zeros += other.zeros;
         self.count += other.count;
         self.collapsed += other.collapsed;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        if self.buckets.len() > self.max_buckets {
+        if self.occupied > self.max_buckets {
             self.collapse();
         }
     }
@@ -227,9 +303,10 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Occupied buckets (≤ [`QuantileSketch::max_buckets`]).
+    /// Occupied buckets (≤ [`QuantileSketch::max_buckets`] plus the zero
+    /// bucket).
     pub fn bucket_len(&self) -> usize {
-        self.buckets.len() + usize::from(self.zeros > 0)
+        self.occupied + usize::from(self.zeros > 0)
     }
 
     /// Conservative upper bound on the mass absorbed by cheap-end
@@ -242,14 +319,11 @@ impl QuantileSketch {
         self.collapsed
     }
 
-    /// Estimated resident bytes of the sketch state: the fixed header
-    /// plus one `(i32, u64)` entry per occupied bucket (BTreeMap node
-    /// overhead included at its approximate per-entry cost). Used by the
-    /// scale bench's peak-memory accounting.
+    /// Resident bytes of the sketch state: the fixed header plus eight
+    /// bytes per slot, occupied or not (see the module docs for the
+    /// bound). Used by the scale bench's peak-memory accounting.
     pub fn state_bytes(&self) -> usize {
-        // Key + count + ~2 words of B-tree node overhead amortized per entry.
-        const BYTES_PER_BUCKET: usize = 4 + 8 + 16;
-        std::mem::size_of::<Self>() + self.buckets.len() * BYTES_PER_BUCKET
+        std::mem::size_of::<Self>() + self.buckets.len() * std::mem::size_of::<u64>()
     }
 
     /// The estimated `q`-quantile (`0.0..=1.0`), `None` when empty.
@@ -272,10 +346,23 @@ impl QuantileSketch {
         if rank < self.zeros {
             return Some(self.min.max(0.0));
         }
+        // Whole chunks are summed until the one that crosses the rank, then
+        // that chunk is walked; empty slots add nothing, so they never
+        // cross one and need no skipping.
         let mut cum = self.zeros;
-        for (&key, &count) in &self.buckets {
+        let mut slot = 0;
+        for chunk in self.buckets.chunks(8) {
+            let sum: u64 = chunk.iter().sum();
+            if cum + sum > rank {
+                break;
+            }
+            cum += sum;
+            slot += chunk.len();
+        }
+        for (slot, &count) in self.buckets.iter().enumerate().skip(slot) {
             cum += count;
             if cum > rank {
+                let key = self.offset + slot as i32;
                 return Some(self.value_of(key).clamp(self.min, self.max));
             }
         }
@@ -297,7 +384,7 @@ impl QuantileSketch {
             return None;
         }
         let mut out = Vec::with_capacity(qs.len());
-        let mut iter = self.buckets.iter();
+        let mut iter = (self.offset..).zip(&self.buckets);
         let mut cum = self.zeros;
         let mut current: Option<(i32, u64)> = None;
         for &q in qs {
@@ -314,7 +401,7 @@ impl QuantileSketch {
                         break;
                     }
                     _ => match iter.next() {
-                        Some((&key, &count)) => {
+                        Some((key, &count)) => {
                             cum += count;
                             current = Some((key, cum));
                         }
@@ -330,21 +417,21 @@ impl QuantileSketch {
     }
 
     /// Canonical byte encoding of the distributional state:
-    /// configuration, counters, min/max bits, and every `(key, count)`
-    /// bucket in ascending key order. This is exactly the state that is
-    /// invariant under merge grouping and order — the merge property
-    /// tests compare these bytes. (The advisory
+    /// configuration, counters, min/max bits, and every occupied
+    /// `(key, count)` bucket in ascending key order. This is exactly the
+    /// state that is invariant under merge grouping and order — the merge
+    /// property tests compare these bytes. (The advisory
     /// [`QuantileSketch::collapsed`] tally is deliberately excluded: it
     /// records collapse *history*, not distributional state.)
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.buckets.len() * 12);
+        let mut out = Vec::with_capacity(48 + self.occupied * 12);
         out.extend_from_slice(&self.alpha.to_bits().to_le_bytes());
         out.extend_from_slice(&(self.max_buckets as u64).to_le_bytes());
         out.extend_from_slice(&self.count.to_le_bytes());
         out.extend_from_slice(&self.zeros.to_le_bytes());
         out.extend_from_slice(&self.min.to_bits().to_le_bytes());
         out.extend_from_slice(&self.max.to_bits().to_le_bytes());
-        for (&key, &count) in &self.buckets {
+        for (key, count) in self.occupied_buckets() {
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&count.to_le_bytes());
         }
@@ -362,6 +449,7 @@ impl Default for QuantileSketch {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     /// Exact nearest-rank quantile over raw samples — the reference the
     /// error-bound tests compare against.
@@ -591,9 +679,9 @@ mod tests {
         }
         peak = peak.max(s.state_bytes());
         assert_eq!(s.count(), 1_000_000);
-        // 4 decades at alpha 1% is ~460 buckets ≈ 13 KB — far below the
+        // 4 decades at alpha 1% is ~460 slots ≈ 3.8 KB — far below the
         // 2048-sample reservoir's 16 KB floor and independent of count.
-        assert!(peak < 16_384, "peak sketch bytes {peak}");
+        assert!(peak < 4_096, "peak sketch bytes {peak}");
     }
 
     #[test]
@@ -610,9 +698,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
+    #[should_panic(expected = "finite and non-negative")]
     fn negative_values_panic() {
         QuantileSketch::for_latency().push(-1.0);
+    }
+
+    #[test]
+    fn non_finite_values_panic_before_touching_the_store() {
+        // `∞ >= 0.0` holds and `ln ∞` casts to `i32::MAX`: a contiguous
+        // store would try to allocate the whole key space.
+        for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut s = QuantileSketch::for_latency();
+            s.push(1.0);
+            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.push(value)));
+            let message = *pushed.expect_err("a caller bug").downcast::<String>().unwrap();
+            assert!(message.contains("finite and non-negative"), "{value}: {message}");
+            assert_eq!(
+                (s.count(), s.state_bytes()),
+                (1, QuantileSketch::for_latency().state_bytes() + 8)
+            );
+        }
+    }
+
+    #[test]
+    fn slots_are_bounded_by_the_key_span_of_the_finite_doubles() {
+        // The widest store one sketch can be made to hold: the smallest
+        // indexable value beside the largest finite one. Two occupied
+        // slots, every slot between them allocated.
+        let mut s = QuantileSketch::for_latency();
+        s.push(MIN_INDEXABLE * (1.0 + f64::EPSILON));
+        s.push(f64::MAX);
+        assert_eq!(s.bucket_len(), 2);
+        let slots = (s.state_bytes() - std::mem::size_of::<QuantileSketch>()) / 8;
+        assert!((36_000..=36_600).contains(&slots), "{slots} slots");
+        // Descending arrival grows the front instead and ends in the same
+        // place; values at or below the threshold take no slot at all.
+        let mut reversed = QuantileSketch::for_latency();
+        reversed.push(f64::MAX);
+        reversed.push(MIN_INDEXABLE * (1.0 + f64::EPSILON));
+        reversed.push(MIN_INDEXABLE);
+        reversed.push(f64::MIN_POSITIVE);
+        assert_eq!(reversed.state_bytes(), s.state_bytes());
+        assert_eq!(s.quantile(1.0), Some(f64::MAX));
     }
 
     #[test]
@@ -643,6 +770,228 @@ mod tests {
         let batch = s.quantiles(&qs).unwrap();
         for (&q, &b) in qs.iter().zip(&batch) {
             assert_eq!(s.quantile(q).unwrap(), b, "q{q}");
+        }
+    }
+
+    #[test]
+    fn equality_is_of_the_distribution_not_of_the_layout() {
+        let mut rng = SplitMix64::new(17);
+        let mut values: Vec<f64> =
+            (0..4_000).map(|_| 10f64.powf(rng.next_f64() * 6.0 - 3.0)).collect();
+        values.extend([0.0, 0.0, 1e-12]);
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for cap in [8usize, 1_024] {
+            let fed = |order: &mut dyn Iterator<Item = &f64>| {
+                let mut s = QuantileSketch::new(0.01, cap);
+                order.for_each(|v| s.push(*v));
+                s
+            };
+            let ascending = fed(&mut values.iter());
+            let descending = fed(&mut values.iter().rev());
+            let mut merged = fed(&mut values.iter().step_by(2));
+            merged.merge(&fed(&mut values.iter().skip(1).step_by(2)));
+            assert_eq!(ascending.encode(), descending.encode(), "cap {cap}");
+            assert_eq!(ascending.encode(), merged.encode(), "cap {cap}");
+            if cap == 1_024 {
+                // Nothing collapsed, so the advisory tally agrees too and
+                // the three are one sketch.
+                assert_eq!(ascending, descending);
+                assert_eq!(ascending, merged);
+                assert_eq!(descending, merged);
+            }
+            let mut other = ascending.clone();
+            other.push(5.0);
+            assert_ne!(ascending, other);
+        }
+    }
+
+    /// The `BTreeMap` bucket store the array replaced, kept as the model
+    /// the differential below drives beside it.
+    #[derive(Debug, Clone)]
+    struct TreeSketch {
+        like: QuantileSketch,
+        buckets: BTreeMap<i32, u64>,
+        zeros: u64,
+        count: u64,
+        collapsed: u64,
+        min: f64,
+        max: f64,
+    }
+
+    impl TreeSketch {
+        fn new(alpha: f64, max_buckets: usize) -> Self {
+            TreeSketch {
+                like: QuantileSketch::new(alpha, max_buckets),
+                buckets: BTreeMap::new(),
+                zeros: 0,
+                count: 0,
+                collapsed: 0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn push_weighted(&mut self, value: f64, weight: u64) {
+            if weight == 0 {
+                return;
+            }
+            self.count += weight;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+            if value <= MIN_INDEXABLE {
+                self.zeros += weight;
+                return;
+            }
+            *self.buckets.entry(self.like.key_of(value)).or_insert(0) += weight;
+            self.collapse();
+        }
+
+        fn collapse(&mut self) {
+            while self.buckets.len() > self.like.max_buckets {
+                let (_, low_count) = self.buckets.pop_first().unwrap();
+                *self.buckets.values_mut().next().unwrap() += low_count;
+                self.collapsed += low_count;
+            }
+        }
+
+        fn merge(&mut self, other: &TreeSketch) {
+            for (&key, &count) in &other.buckets {
+                *self.buckets.entry(key).or_insert(0) += count;
+            }
+            self.zeros += other.zeros;
+            self.count += other.count;
+            self.collapsed += other.collapsed;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            self.collapse();
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            if self.count == 0 {
+                return None;
+            }
+            let rank = (q * (self.count - 1) as f64).round() as u64;
+            if rank < self.zeros {
+                return Some(self.min.max(0.0));
+            }
+            let mut cum = self.zeros;
+            for (&key, &count) in &self.buckets {
+                cum += count;
+                if cum > rank {
+                    return Some(self.like.value_of(key).clamp(self.min, self.max));
+                }
+            }
+            Some(self.max)
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(&self.like.alpha.to_bits().to_le_bytes());
+            out.extend_from_slice(&(self.like.max_buckets as u64).to_le_bytes());
+            out.extend_from_slice(&self.count.to_le_bytes());
+            out.extend_from_slice(&self.zeros.to_le_bytes());
+            out.extend_from_slice(&self.min.to_bits().to_le_bytes());
+            out.extend_from_slice(&self.max.to_bits().to_le_bytes());
+            for (&key, &count) in &self.buckets {
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
+            }
+            out
+        }
+    }
+
+    /// Everything a caller can read, equal to the bit.
+    fn assert_same(array: &QuantileSketch, tree: &TreeSketch, at: &str) {
+        assert_eq!(array.encode(), tree.encode(), "{at}: encode");
+        assert_eq!(array.count(), tree.count, "{at}: count");
+        assert_eq!(array.min(), (tree.count > 0).then_some(tree.min), "{at}: min");
+        assert_eq!(array.max(), (tree.count > 0).then_some(tree.max), "{at}: max");
+        let tree_len = tree.buckets.len() + usize::from(tree.zeros > 0);
+        assert_eq!(array.bucket_len(), tree_len, "{at}: bucket_len");
+        assert_eq!(array.collapsed(), tree.collapsed, "{at}: collapsed");
+        let qs = [0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0];
+        let singles: Option<Vec<f64>> = qs.iter().map(|&q| tree.quantile(q)).collect();
+        let bits =
+            |v: Option<Vec<f64>>| v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let array_singles: Option<Vec<f64>> = qs.iter().map(|&q| array.quantile(q)).collect();
+        assert_eq!(bits(array_singles), bits(singles.clone()), "{at}: quantile");
+        assert_eq!(bits(array.quantiles(&qs)), bits(singles), "{at}: quantiles");
+        // The layout invariant the array's shortcuts lean on.
+        assert_eq!(array.occupied, array.buckets.iter().filter(|&&c| c > 0).count(), "{at}");
+        assert!(array.buckets.first() != Some(&0) && array.buckets.last() != Some(&0), "{at}");
+    }
+
+    /// One value from a family picked to reach a particular corner of the
+    /// store: negative keys, growth at the front, the zero bucket, keys far
+    /// from everything seen so far.
+    fn searched_value(rng: &mut SplitMix64, step: usize) -> f64 {
+        match rng.next_u64() % 8 {
+            // Twelve decades around 1: negative and positive keys.
+            0 | 1 => 10f64.powf(rng.next_f64() * 12.0 - 6.0),
+            // A tight cluster: repeated hits on few slots.
+            2 => 40.0 + rng.next_f64() * 20.0,
+            // Descending with the step: every push grows the front.
+            3 => 1e3 * 0.97f64.powi(step as i32),
+            // The zero bucket, on and below the threshold.
+            4 => [0.0, MIN_INDEXABLE, MIN_INDEXABLE / 3.0][step % 3],
+            // Just above the threshold: the lowest keys there are.
+            5 => MIN_INDEXABLE * (1.0 + rng.next_f64()),
+            // Far above: long empty runs between occupied slots.
+            6 => 10f64.powf(8.0 + rng.next_f64() * 12.0),
+            // Exact powers of gamma-ish boundaries.
+            _ => 1.0202f64.powi((rng.next_f64() * 600.0) as i32 - 300),
+        }
+    }
+
+    #[test]
+    fn array_store_matches_the_tree_store_to_the_bit() {
+        const POOL: usize = 3;
+        for alpha in [0.01, 0.05] {
+            for cap in [2usize, 4, 16, 64, 1_024] {
+                for seed in 0..6u64 {
+                    let mut rng = SplitMix64::new(seed * 31 + cap as u64);
+                    let fresh = || (QuantileSketch::new(alpha, cap), TreeSketch::new(alpha, cap));
+                    let mut pool: Vec<(QuantileSketch, TreeSketch)> =
+                        (0..POOL).map(|_| fresh()).collect();
+                    for step in 0..240 {
+                        let at = format!("alpha {alpha} cap {cap} seed {seed} step {step}");
+                        let target = (rng.next_u64() % POOL as u64) as usize;
+                        match rng.next_u64() % 10 {
+                            // Merge another pool member in: overlapping or
+                            // disjoint ranges, collapses mid-merge at small caps.
+                            0 | 1 => {
+                                let source = (target + 1 + (rng.next_u64() % 2) as usize) % POOL;
+                                let (array, tree) = pool[source].clone();
+                                pool[target].0.merge(&array);
+                                pool[target].1.merge(&tree);
+                            }
+                            // Start one member over on a narrow band of its
+                            // own, so later merges meet disjoint ranges.
+                            2 => {
+                                pool[target] = fresh();
+                                let centre = 10f64.powf(rng.next_f64() * 16.0 - 8.0);
+                                for _ in 0..12 {
+                                    let v = centre * (1.0 + rng.next_f64());
+                                    pool[target].0.push(v);
+                                    pool[target].1.push_weighted(v, 1);
+                                }
+                            }
+                            3 => {
+                                let v = searched_value(&mut rng, step);
+                                let w = rng.next_u64() % 1_000;
+                                pool[target].0.push_weighted(v, w);
+                                pool[target].1.push_weighted(v, w);
+                            }
+                            _ => {
+                                let v = searched_value(&mut rng, step);
+                                pool[target].0.push(v);
+                                pool[target].1.push_weighted(v, 1);
+                            }
+                        }
+                        assert_same(&pool[target].0, &pool[target].1, &at);
+                    }
+                }
+            }
         }
     }
 }

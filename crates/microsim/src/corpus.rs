@@ -37,13 +37,12 @@ use crate::faults::{self, Fault, FaultKind};
 use crate::health::{SCORE_ERROR_RATE_WEIGHT, SCORE_P95_DELTA_WEIGHT};
 use crate::latency::LatencyModel;
 use crate::sim::Simulation;
-use crate::trace::{EdgeKey, Trace};
+use crate::trace::{EdgeKey, EdgeTable, Trace};
 use crate::workload::{EntryPoint, RateProfile, Workload};
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
 use cex_core::sketch::QuantileSketch;
 use cex_core::users::Population;
-use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Topology families
@@ -542,7 +541,11 @@ impl BlameStats {
 /// comparison instead of canary-vs-baseline comparison.
 #[derive(Debug, Clone, Default)]
 pub struct BlameAccumulator {
-    edges: BTreeMap<EdgeKey, BlameStats>,
+    edges: EdgeTable<BlameStats>,
+    /// Per-trace child sums, indexed by hop position; kept for their
+    /// capacity.
+    child_ms: Vec<f64>,
+    child_failed: Vec<bool>,
 }
 
 impl BlameAccumulator {
@@ -556,28 +559,29 @@ impl BlameAccumulator {
     /// localization judges executed work only.
     pub fn observe_trace(&mut self, trace: &Trace) {
         let weight = u64::from(trace.weight);
-        // Per-span child sums, indexed by hop position.
-        let mut child_ms = vec![0.0f64; trace.spans.len()];
-        let mut child_failed = vec![false; trace.spans.len()];
+        self.child_ms.clear();
+        self.child_ms.resize(trace.spans.len(), 0.0);
+        self.child_failed.clear();
+        self.child_failed.resize(trace.spans.len(), false);
         for hop in trace.hops().filter(|hop| !hop.span.dark) {
             if let Some((caller, _)) = hop.caller {
-                child_ms[caller] += hop.span.duration.as_millis_f64();
-                child_failed[caller] |= hop.span.status.failed();
+                self.child_ms[caller] += hop.span.duration.as_millis_f64();
+                self.child_failed[caller] |= hop.span.status.failed();
             }
         }
         for hop in trace.hops().filter(|hop| !hop.span.dark && hop.span.status.executed()) {
-            let stats = self.edges.entry(hop.edge()).or_default();
+            let stats = self.edges.get_or_default(hop.edge());
             stats.calls += weight;
-            if hop.span.status.failed() && !child_failed[hop.index] {
+            if hop.span.status.failed() && !self.child_failed[hop.index] {
                 stats.blamed += weight;
             }
-            let self_ms = (hop.span.duration.as_millis_f64() - child_ms[hop.index]).max(0.0);
+            let self_ms = (hop.span.duration.as_millis_f64() - self.child_ms[hop.index]).max(0.0);
             stats.self_latency.push_weighted(self_ms, weight);
         }
     }
 
-    /// The accumulated edges.
-    pub fn edges(&self) -> &BTreeMap<EdgeKey, BlameStats> {
+    /// The accumulated edges, read by key or in key order.
+    pub fn edges(&self) -> &EdgeTable<BlameStats> {
         &self.edges
     }
 }

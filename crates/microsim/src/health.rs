@@ -14,15 +14,20 @@
 //! regression is *localized* to the interaction that degraded.
 //!
 //! Everything here is deterministic: folding order follows trace order,
-//! maps are `BTreeMap`s, latencies stream into a mergeable
-//! [`QuantileSketch`] (log-spaced buckets, bounded state, no
-//! randomness), and [`HealthReport::render`] emits a byte-stable text
-//! report. Per-edge state is O(sketch) — independent of traffic volume —
-//! and tail-sampled traces fold with their [`Trace::weight`] so rates
-//! and quantile mass stay unbiased under downsampling.
+//! latencies stream into a mergeable [`QuantileSketch`] (log-spaced
+//! buckets, bounded state, no randomness), and [`HealthReport::render`]
+//! emits a byte-stable text report. Edges live in an [`EdgeTable`] — the
+//! per-span lookup is an index by endpoint id, not a tree descent — which
+//! hands out slots in order of first sight; nothing reads it in that
+//! order. The report, `state_bytes` and `==` all go through
+//! [`EdgeTable::iter`], ascending by key, so the order in which a fold
+//! discovered its edges cannot reach a report byte. Per-edge state is
+//! O(sketch) — independent of traffic volume — and tail-sampled traces
+//! fold with their [`Trace::weight`] so rates and quantile mass stay
+//! unbiased under downsampling.
 
 use crate::app::{EndpointId, VersionId};
-use crate::trace::{EdgeKey, SamplingStats, Span, SpanBook, SpanStatus, Trace};
+use crate::trace::{EdgeKey, EdgeTable, SamplingStats, Span, SpanBook, SpanStatus, Trace};
 use cex_core::intern::Sym;
 use cex_core::sketch::QuantileSketch;
 use std::collections::BTreeMap;
@@ -63,7 +68,7 @@ impl Default for EdgeStats {
 }
 
 impl EdgeStats {
-    fn fold(&mut self, span: &Span, weight: u64) {
+    pub(crate) fn fold(&mut self, span: &Span, weight: u64) {
         match span.status {
             SpanStatus::Shed => {
                 self.sheds += weight;
@@ -120,11 +125,13 @@ impl EdgeStats {
 /// edge statistics keyed by [`EdgeKey`] plus per-trace critical paths.
 #[derive(Debug, Clone, Default)]
 pub struct HealthAccumulator {
-    edges: BTreeMap<EdgeKey, EdgeStats>,
+    edges: EdgeTable<EdgeStats>,
     /// How often `(version, endpoint)` terminated a trace's critical path.
     critical_sinks: BTreeMap<(VersionId, EndpointId), u64>,
     traces: u64,
     failed_traces: u64,
+    /// Per-trace scratch of [`critical_sink_in`], kept for its capacity.
+    last_child: Vec<Option<usize>>,
 }
 
 impl HealthAccumulator {
@@ -143,9 +150,9 @@ impl HealthAccumulator {
     pub fn observe_trace(&mut self, trace: &Trace) {
         let weight = u64::from(trace.weight);
         for hop in trace.hops().filter(|hop| !hop.span.dark) {
-            self.edges.entry(hop.edge()).or_default().fold(hop.span, weight);
+            self.edges.get_or_default(hop.edge()).fold(hop.span, weight);
         }
-        if let Some(sink) = critical_sink(trace) {
+        if let Some(sink) = critical_sink_in(trace, &mut self.last_child) {
             *self.critical_sinks.entry((sink.version, sink.endpoint)).or_default() += weight;
         }
         self.traces += weight;
@@ -171,9 +178,9 @@ impl HealthAccumulator {
         self.failed_traces
     }
 
-    /// The interaction graph: per-edge statistics, deterministically
-    /// ordered.
-    pub fn edges(&self) -> &BTreeMap<EdgeKey, EdgeStats> {
+    /// The interaction graph: per-edge statistics, read by key or in key
+    /// order.
+    pub fn edges(&self) -> &EdgeTable<EdgeStats> {
         &self.edges
     }
 
@@ -188,8 +195,8 @@ impl HealthAccumulator {
     pub fn state_bytes(&self) -> usize {
         let edges: usize = self
             .edges
-            .values()
-            .map(|s| {
+            .iter()
+            .map(|(_, s)| {
                 std::mem::size_of::<EdgeKey>() + std::mem::size_of::<EdgeStats>()
                     - std::mem::size_of::<QuantileSketch>()
                     + s.latency.state_bytes()
@@ -204,7 +211,7 @@ impl HealthAccumulator {
     /// symbol (callers merged).
     fn per_endpoint(&self, book: &SpanBook, version: VersionId) -> BTreeMap<Sym, EdgeStats> {
         let mut out: BTreeMap<Sym, EdgeStats> = BTreeMap::new();
-        for (key, stats) in &self.edges {
+        for (key, stats) in self.edges.iter() {
             if key.callee == version {
                 out.entry(book.endpoint_sym(key.endpoint)).or_default().merge(stats);
             }
@@ -214,20 +221,34 @@ impl HealthAccumulator {
 }
 
 /// Walks a trace's critical path: from the root, repeatedly descend into
-/// the primary child whose interval ends last, returning the terminal
-/// span. The sink is where the trace's latency was actually spent.
+/// the primary child whose interval ends last (ties: the smaller span id),
+/// returning the terminal span. The sink is where the trace's latency was
+/// actually spent.
 pub fn critical_sink(trace: &Trace) -> Option<&Span> {
-    let mut current = trace.spans.first()?;
-    loop {
-        let next = trace
-            .children_of(current.span)
-            .filter(|s| !s.dark)
-            .max_by(|a, b| a.end().cmp(&b.end()).then(b.span.0.cmp(&a.span.0)));
-        match next {
-            Some(child) => current = child,
-            None => return Some(current),
+    critical_sink_in(trace, &mut Vec::new())
+}
+
+/// [`critical_sink`] over a caller-owned scratch: one pass files every
+/// primary span as its caller's last-ending child so far, then the path is
+/// followed down from the root.
+fn critical_sink_in<'a>(trace: &'a Trace, last_child: &mut Vec<Option<usize>>) -> Option<&'a Span> {
+    last_child.clear();
+    last_child.resize(trace.spans.len(), None);
+    for hop in trace.hops().filter(|hop| !hop.span.dark) {
+        let Some((caller, _)) = hop.caller else { continue };
+        let later = last_child[caller].is_none_or(|best| {
+            let best = &trace.spans[best];
+            (hop.span.end(), best.span.0) >= (best.end(), hop.span.span.0)
+        });
+        if later {
+            last_child[caller] = Some(hop.index);
         }
     }
+    let mut current = 0;
+    while let Some(child) = *last_child.get(current)? {
+        current = child;
+    }
+    Some(&trace.spans[current])
 }
 
 /// One logical endpoint compared between canary and baseline.

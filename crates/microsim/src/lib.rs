@@ -64,6 +64,8 @@ pub mod event;
 #[cfg(test)]
 mod exec;
 pub mod faults;
+#[cfg(test)]
+mod fold_oracle;
 pub mod health;
 pub mod latency;
 pub mod load;

@@ -342,6 +342,82 @@ pub struct EdgeKey {
     pub endpoint: EndpointId,
 }
 
+/// Values keyed by [`EdgeKey`] and found by index: endpoint ids are dense
+/// and belong to one version, so the callee endpoint picks a row and the
+/// row is the short list of `(caller, callee)` pairs seen calling it, each
+/// with the slot of its value. What the trace → edge folds look up once
+/// per span.
+///
+/// Slots are handed out in order of first sight; everything that reads
+/// the table back ([`EdgeTable::iter`], `==`) goes by ascending key, so
+/// the order in which edges were discovered is not observable.
+#[derive(Debug, Clone)]
+pub struct EdgeTable<T> {
+    /// Indexed by `EdgeKey::endpoint`: `(caller, callee, slot)`.
+    rows: Vec<Vec<(Option<VersionId>, VersionId, usize)>>,
+    /// `(key, value)` by slot.
+    entries: Vec<(EdgeKey, T)>,
+}
+
+impl<T> Default for EdgeTable<T> {
+    fn default() -> Self {
+        EdgeTable { rows: Vec::new(), entries: Vec::new() }
+    }
+}
+
+impl<T> EdgeTable<T> {
+    fn slot(&self, key: &EdgeKey) -> Option<usize> {
+        let row = self.rows.get(key.endpoint.0)?;
+        row.iter()
+            .find(|(caller, callee, _)| (*caller, *callee) == (key.caller, key.callee))
+            .map(|e| e.2)
+    }
+
+    /// The value under `key`, a default one filed there on first sight.
+    pub fn get_or_default(&mut self, key: EdgeKey) -> &mut T
+    where
+        T: Default,
+    {
+        let slot = self.slot(&key).unwrap_or_else(|| {
+            if self.rows.len() <= key.endpoint.0 {
+                self.rows.resize_with(key.endpoint.0 + 1, Vec::new);
+            }
+            self.rows[key.endpoint.0].push((key.caller, key.callee, self.entries.len()));
+            self.entries.push((key, T::default()));
+            self.entries.len() - 1
+        });
+        &mut self.entries[slot].1
+    }
+
+    /// The value under `key`, if the edge was ever seen.
+    pub fn get(&self, key: &EdgeKey) -> Option<&T> {
+        self.slot(key).map(|slot| &self.entries[slot].1)
+    }
+
+    /// Edges in the table.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no edge was seen.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every edge with its value, ascending by key.
+    pub fn iter(&self) -> impl Iterator<Item = (&EdgeKey, &T)> {
+        let mut sorted: Vec<&(EdgeKey, T)> = self.entries.iter().collect();
+        sorted.sort_unstable_by_key(|(key, _)| *key);
+        sorted.into_iter().map(|(key, value)| (key, value))
+    }
+}
+
+impl<T: PartialEq> PartialEq for EdgeTable<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
 /// One span seen as an interaction (see [`Trace::hops`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Hop<'a> {
@@ -755,6 +831,45 @@ mod tests {
 
     fn one_span_trace(id: TraceId) -> Trace {
         Trace::new(id, vec![span(id.0, 0, None, SpanStatus::Ok)])
+    }
+
+    #[test]
+    fn edge_table_reads_back_by_key_whatever_the_order_of_first_sight() {
+        let key = |caller: Option<usize>, callee: usize, endpoint: usize| EdgeKey {
+            caller: caller.map(VersionId),
+            callee: VersionId(callee),
+            endpoint: EndpointId(endpoint),
+        };
+        // Endpoint 4 is served under two versions and called from two.
+        let keys = [
+            key(Some(2), 3, 4),
+            key(None, 0, 0),
+            key(Some(1), 3, 4),
+            key(Some(1), 5, 4),
+            key(Some(0), 1, 9),
+        ];
+        let filled = |order: &[usize]| {
+            let mut table = EdgeTable::<u64>::default();
+            for round in 0..3 {
+                for &i in order {
+                    *table.get_or_default(keys[i]) += (i + round) as u64;
+                }
+            }
+            table
+        };
+        let (a, b) = (filled(&[0, 1, 2, 3, 4]), filled(&[4, 2, 0, 3, 1]));
+        assert_eq!(a, b);
+        assert_eq!((a.len(), a.is_empty()), (5, false));
+        let mut sorted = keys;
+        sorted.sort();
+        assert_eq!(a.iter().map(|(k, _)| *k).collect::<Vec<_>>(), sorted);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(b.get(k), Some(&(3 * i as u64 + 3)));
+        }
+        assert_eq!(a.get(&key(Some(2), 5, 4)), None, "a pair its row never saw");
+        assert_eq!(a.get(&key(None, 0, 77)), None, "an endpoint past the last row");
+        assert!(EdgeTable::<u64>::default().is_empty());
+        assert_ne!(a, filled(&[0, 1, 2, 3]));
     }
 
     #[test]

@@ -1,0 +1,122 @@
+#!/usr/bin/env bash
+# Order-alternated parent/change pairs: the measurement every gain claim in
+# this repo rests on (ROADMAP's house rule: >= 10 pairs beside an A/A floor).
+# The host drifts by tens of percent over minutes, so two builds are only
+# comparable run back to back, and which side goes first flips every pair.
+#
+#   scripts/ab_pairs.sh <workload> [--pairs N] [--seeds a,b,..] [--parent REV]
+#                                  [--seconds S] [--aa]
+#
+# The parent is REV (default HEAD) unpacked with `git archive` into a
+# temporary directory; the change is the working tree as it stands,
+# uncommitted edits included. With --aa the first side is instead a copy of
+# the working tree, so the ratios printed are what two builds of one source
+# read on this host right now: the floor a claim has to clear. Both sides
+# run BENCHMARK.json's command with `--workload W --seed N --seconds S
+# --trace 0` (12 seconds unless --seconds); pair i takes the i-th seed of
+# --seeds, cycling (default 42). Printed per end-to-end metric: each side's
+# median and quartiles, the ratio of medians, every pair's ratio and how
+# many pairs the change won. Nothing under benchmark/ is edited; the
+# temporary directory honours TMPDIR and is removed on exit. Needs python3.
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+usage() {
+    echo "usage: scripts/ab_pairs.sh <workload> [--pairs N] [--seeds a,b,..] [--parent REV] [--seconds S] [--aa]" >&2
+    exit 2
+}
+
+[[ $# -ge 1 && "$1" != --* ]] || usage
+workload="$1"
+shift
+pairs=10
+seeds=42
+parent=HEAD
+aa=0
+cd "$root"
+seconds="$(python3 -c "import json; print(json.load(open('BENCHMARK.json'))['run_seconds'])")"
+while [[ $# -gt 0 ]]; do
+    case "$1" in
+        --pairs) pairs="$2"; shift 2 ;;
+        --seeds) seeds="$2"; shift 2 ;;
+        --parent) parent="$2"; shift 2 ;;
+        --seconds) seconds="$2"; shift 2 ;;
+        --aa) aa=1; shift ;;
+        *) echo "ab_pairs.sh: unknown argument $1" >&2; usage ;;
+    esac
+done
+
+mapfile -t command < <(python3 -c "import json; print(*json.load(open('BENCHMARK.json'))['command'], sep='\n')")
+IFS=',' read -r -a seed_list <<<"$seeds"
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/first"
+if [[ $aa -eq 1 ]]; then
+    first_name="copy of the working tree"
+    # Tracked and untracked-but-not-ignored files that exist right now.
+    git ls-files -z --cached --others --exclude-standard \
+        | while IFS= read -r -d '' file; do
+            if [[ -e "$file" ]]; then printf '%s\0' "$file"; fi
+        done \
+        | tar --null -T - -cf - | tar -xf - -C "$work/first"
+else
+    first_name="$(git rev-parse --short "$parent")"
+    git archive "$parent" | tar -xf - -C "$work/first"
+fi
+
+build() {
+    (cd "$1" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+}
+echo "building $first_name and the working tree ..." >&2
+build "$work/first"
+build "$root"
+
+# One run: the result line (the last line of the run) lands in the side's file.
+run() {
+    local dir="$1" out="$2" seed="$3"
+    (cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 | tail -n 1) >>"$out"
+}
+
+for ((i = 0; i < pairs; i++)); do
+    seed="${seed_list[i % ${#seed_list[@]}]}"
+    if ((i % 2 == 0)); then
+        run "$work/first" "$work/first.jsonl" "$seed"
+        run "$root" "$work/change.jsonl" "$seed"
+    else
+        run "$root" "$work/change.jsonl" "$seed"
+        run "$work/first" "$work/first.jsonl" "$seed"
+    fi
+    echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
+done
+
+echo "$workload: $pairs order-alternated pairs, seeds $seeds, --seconds $seconds --trace 0"
+echo "first side: $first_name; change: the working tree ($(git describe --always --dirty))"
+python3 - "$work/first.jsonl" "$work/change.jsonl" <<'PY'
+import json, statistics, sys
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+first, change = ([json.loads(line) for line in open(path)] for path in sys.argv[1:])
+for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name, lower = metric["name"], metric["better"] == "lower"
+    a = [r["metrics"][name]["value"] for r in first]
+    b = [r["metrics"][name]["value"] for r in change]
+    print(f"{name} ({metric['unit']}, {metric['better']} is better)")
+    for label, xs in (("first ", a), ("change", b)):
+        q1, med, q3 = quartiles(xs)
+        print(f"  {label} median {med:.4g}  q1 {q1:.4g}  q3 {q3:.4g}")
+    ratios = [y / x for x, y in zip(a, b)]
+    wins = sum((r < 1) if lower else (r > 1) for r in ratios)
+    of_medians = statistics.median(b) / statistics.median(a)
+    print(f"  change/first: of medians {of_medians:.3f}, per pair "
+          + " ".join(f"{r:.3f}" for r in ratios) + f"; change wins {wins}/{len(ratios)}")
+failed = [sum(r["failed"] for r in side) for side in (first, change)]
+print(f"failed output checks: first {failed[0]}, change {failed[1]}")
+sys.exit(1 if any(failed) else 0)
+PY

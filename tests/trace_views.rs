@@ -162,8 +162,9 @@ fn one_trace_every_view() {
     let expected_self_ms: [&[f64]; 3] = [&[100.0 - 51.0], &[30.0 - 10.0, 20.0], &[10.0]];
     assert_eq!(localizer.edges().len(), 3, "blame edges");
     for ((key, blamed), self_ms) in edges.iter().zip(expected_blamed).zip(expected_self_ms) {
-        let stats = &localizer.edges()[key];
-        assert_eq!(stats.calls, acc.edges()[key].calls, "blame calls = health calls on {key:?}");
+        let stats = localizer.edges().get(key).unwrap();
+        let health_calls = acc.edges().get(key).unwrap().calls;
+        assert_eq!(stats.calls, health_calls, "blame calls = health calls on {key:?}");
         assert_eq!(stats.blamed, blamed, "blamed on {key:?}");
         let mut sketch = QuantileSketch::for_latency();
         self_ms.iter().for_each(|ms| sketch.push(*ms));
