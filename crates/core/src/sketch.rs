@@ -346,9 +346,26 @@ impl QuantileSketch {
         if rank < self.zeros {
             return Some(self.min.max(0.0));
         }
-        // Whole chunks are summed until the one that crosses the rank, then
-        // that chunk is walked; empty slots add nothing, so they never
-        // cross one and need no skipping.
+        if rank >= self.count {
+            // Only where `count - 1` does not survive the trip through f64.
+            return Some(self.max);
+        }
+        // The slot holding the rank, found from the nearer end: the tail
+        // sampler reads q = 0.95 or 0.99 once per offered trace.
+        let slot = if rank > self.count / 2 {
+            self.slot_from_top(self.count - 1 - rank)
+        } else {
+            self.slot_from_bottom(rank)
+        };
+        let key = self.offset + slot as i32;
+        Some(self.value_of(key).clamp(self.min, self.max))
+    }
+
+    /// The lowest slot whose cumulative count (zeros included) exceeds
+    /// `rank`, for `zeros <= rank < count`. Whole chunks are summed until
+    /// the one that crosses the rank, then that chunk is walked; empty
+    /// slots add nothing, so they never cross one and need no skipping.
+    fn slot_from_bottom(&self, rank: u64) -> usize {
         let mut cum = self.zeros;
         let mut slot = 0;
         for chunk in self.buckets.chunks(8) {
@@ -359,14 +376,36 @@ impl QuantileSketch {
             cum += sum;
             slot += chunk.len();
         }
-        for (slot, &count) in self.buckets.iter().enumerate().skip(slot) {
-            cum += count;
+        loop {
+            cum += self.buckets[slot];
             if cum > rank {
-                let key = self.offset + slot as i32;
-                return Some(self.value_of(key).clamp(self.min, self.max));
+                return slot;
+            }
+            slot += 1;
+        }
+    }
+
+    /// The same slot found from the other end: the highest slot whose
+    /// count from the top exceeds `above`, the number of values ranked
+    /// above the target (`above < count - zeros`).
+    fn slot_from_top(&self, above: u64) -> usize {
+        let mut cum = 0;
+        let mut end = self.buckets.len();
+        for chunk in self.buckets.rchunks(8) {
+            let sum: u64 = chunk.iter().sum();
+            if cum + sum > above {
+                break;
+            }
+            cum += sum;
+            end -= chunk.len();
+        }
+        loop {
+            end -= 1;
+            cum += self.buckets[end];
+            if cum > above {
+                return end;
             }
         }
-        Some(self.max)
     }
 
     /// Estimated quantiles at each `q` in `qs`, walking the buckets once.
@@ -940,6 +979,71 @@ mod tests {
             6 => 10f64.powf(8.0 + rng.next_f64() * 12.0),
             // Exact powers of gamma-ish boundaries.
             _ => 1.0202f64.powi((rng.next_f64() * 600.0) as i32 - 300),
+        }
+    }
+
+    /// `quantile` as it was before it walked from the nearer end: one
+    /// bottom-up pass, slot by slot.
+    fn quantile_bottom_up(s: &QuantileSketch, q: f64) -> Option<f64> {
+        if s.count == 0 {
+            return None;
+        }
+        let rank = (q * (s.count - 1) as f64).round() as u64;
+        if rank < s.zeros {
+            return Some(s.min.max(0.0));
+        }
+        let mut cum = s.zeros;
+        for (slot, &count) in s.buckets.iter().enumerate() {
+            cum += count;
+            if cum > rank {
+                return Some(s.value_of(s.offset + slot as i32).clamp(s.min, s.max));
+            }
+        }
+        Some(s.max)
+    }
+
+    #[test]
+    fn quantile_from_either_end_matches_the_bottom_up_walk() {
+        let mut sketches = Vec::new();
+        let mut zeros_only = QuantileSketch::for_latency();
+        for _ in 0..7 {
+            zeros_only.push(0.0);
+        }
+        sketches.push(zeros_only);
+        for (value, copies, zeros) in [(42.0, 1, 0), (42.0, 9, 0), (3.5, 4, 5)] {
+            let mut single = QuantileSketch::for_latency();
+            (0..zeros).for_each(|_| single.push(0.0));
+            single.push_weighted(value, copies);
+            assert_eq!(single.occupied, 1);
+            sketches.push(single);
+        }
+        let mut rng = SplitMix64::new(97);
+        for (i, cap) in [2usize, 4, 16, 64, 1_024].into_iter().cycle().take(40).enumerate() {
+            let mut s = QuantileSketch::new(0.01, cap);
+            for step in 0..(1 + i * 13) {
+                s.push_weighted(searched_value(&mut rng, step), 1 + rng.next_u64() % 5);
+            }
+            sketches.push(s);
+        }
+        assert!(sketches.iter().any(|s| s.collapsed() > 0));
+        let eps = 1e-9;
+        for (i, s) in sketches.iter().enumerate() {
+            for q in [0.0, 0.25, 0.5 - eps, 0.5, 0.5 + eps, 0.75, 0.95, 0.99, 1.0] {
+                let (got, want) = (s.quantile(q), quantile_bottom_up(s, q));
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "sketch {i}, q {q}");
+            }
+            // Every rank at which the answer can change — the last of each
+            // slot and the first of the next — found from both ends.
+            let mut cum = s.zeros;
+            for &count in &s.buckets {
+                cum += count;
+                for rank in [cum.saturating_sub(1), cum] {
+                    if (s.zeros..s.count).contains(&rank) {
+                        let above = s.count - 1 - rank;
+                        assert_eq!(s.slot_from_top(above), s.slot_from_bottom(rank), "{i} {rank}");
+                    }
+                }
+            }
         }
     }
 

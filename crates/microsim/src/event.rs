@@ -83,19 +83,43 @@
 //! sub-round — and that is the only difference. The queue itself is a ring
 //! of per-millisecond buckets (`queue::EventQueue`).
 //!
+//! # Span addresses
+//!
+//! A sampled request's hops record their spans as they finish, on whichever
+//! shard ran them, so a span record carries its place in the tree as a
+//! fixed-size `SpanAddr`: the identity of the caller's frame (0 for the
+//! root) and a slot `(call index, rank, sub)` — under one call the shed
+//! event, then the attempts by number, the fallback event, the mirrors by
+//! index. The record also carries the identity of its own frame, which is
+//! what its children name. Walking each frame's children in slot order, in
+//! pre-order from the root, is exactly the order of a sort on the
+//! root-to-span path of slots, without building any path. Frame identities
+//! are `(service << 32) | serial`, and a service's serials count its
+//! frames in sub-round order, in key order within a sub-round; that
+//! sequence is a function of the event graph alone, so an identity means
+//! the same frame at every worker count. (The order a trace is built in
+//! depends only on the slots; identities are only looked up.)
+//!
 //! # The merge
 //!
 //! Every output record (metric sample, breaker transition, span, visit,
 //! root outcome) is tagged with the `EvKey` of the event that produced
 //! it. After the window drains, a single-threaded merge writes metric
 //! store, transition log and trace collector in one canonical order: tagged
-//! records in global key order, then per-request outputs in arrival order.
-//! The drive loop already emits each shard's records in non-decreasing
-//! event time, so the merge sorts only the runs that share a timestamp and
-//! interleaves the shards by key; per-request records are grouped by one
-//! sort on the request index. Same seed + same worker count, or same seed +
-//! *different* worker count: byte-identical outputs either way.
+//! records in global key order (`sim.event.merge.samples`), then
+//! per-request outputs in arrival order (`.requests`, `.traces`). The drive
+//! loop already emits each shard's records in non-decreasing event time,
+//! so the merge sorts only the runs that share a timestamp and interleaves
+//! the shards by key. Per-request records are grouped by a counting sort
+//! on the dense request index. Each sampled request is then offered to the
+//! trace collector on its root duration and whether any span or timeout
+//! patch marks an error, and only the traces the collector keeps are built
+//! (patches applied by address, the pre-order walk above, ids numbered by
+//! position). Same seed + same worker count, or same seed + *different*
+//! worker count: byte-identical outputs either way.
 
+#[cfg(test)]
+mod path_model;
 mod queue;
 mod rendezvous;
 
@@ -125,14 +149,35 @@ const PHASE_NORMAL: u8 = 0;
 /// same timestamp, so `Reply` chains settle first.
 const PHASE_TIMEOUT: u8 = 1;
 
-/// Sibling-order rank of a breaker-shed event span under its caller.
-const RANK_SHED: u8 = 0;
-/// Sibling-order rank of an executed attempt subtree.
-const RANK_ATTEMPT: u8 = 1;
-/// Sibling-order rank of a fallback event span.
-const RANK_FALLBACK: u8 = 2;
-/// Sibling-order rank of a dark-launch mirror subtree.
-const RANK_MIRROR: u8 = 3;
+/// Where a span sits in its request's trace: under the frame that made the
+/// call (`parent`, a frame identity; 0 for the root, which no frame made)
+/// at `slot` = (call index, rank, sub), the sibling order. See the module
+/// doc's span-addressing rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SpanAddr {
+    parent: u64,
+    slot: (u32, Rank, u32),
+}
+
+/// The root span's address.
+const ROOT_ADDR: SpanAddr = SpanAddr { parent: 0, slot: (0, Rank::Attempt, 0) };
+
+/// The `ident` of a span no frame ran (breaker-shed and fallback events):
+/// nothing hangs off it.
+const NO_FRAME: u64 = 0;
+
+/// Sibling order under one call of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank {
+    /// The breaker-shed event span.
+    Shed,
+    /// An executed attempt subtree (sub = attempt number).
+    Attempt,
+    /// The fallback event span.
+    Fallback,
+    /// A dark-launch mirror subtree (sub = mirror index).
+    Mirror,
+}
 
 /// Total order over events. Time first, then phase (timeouts after all
 /// normal work at the same instant), then request, then the creating
@@ -161,8 +206,8 @@ struct CallEv {
     depth: u8,
     attempt: u8,
     seed: u64,
-    /// Trace path when the request is sampled (empty = root span).
-    path: Option<Vec<u32>>,
+    /// The hop's span address when the request is sampled.
+    span: Option<SpanAddr>,
 }
 
 #[derive(Debug)]
@@ -256,8 +301,8 @@ struct Frame {
     depth: u8,
     attempt: u8,
     parent: Option<(u64, u32)>,
-    path: Option<Vec<u32>>,
-    call_idx: usize,
+    span: Option<SpanAddr>,
+    call_idx: u32,
     /// Bumped whenever a new child/attempt is dispatched; stale replies
     /// and timeouts (older generation) are discarded.
     gen: u32,
@@ -282,7 +327,7 @@ impl Frame {
             depth: call.depth,
             attempt: call.attempt,
             parent: call.parent,
-            path: call.path,
+            span: call.span,
             call_idx: 0,
             gen: 0,
             next_seq: 0,
@@ -297,15 +342,10 @@ impl Frame {
         EvKey { time: time_ms, phase, req: self.req, ckey: self.ident, cseq }
     }
 
-    /// Trace path of a child of the current call, when the request is
+    /// Span address of a child of the current call, when the request is
     /// sampled.
-    fn child_path(&self, rank: u8, sub: u32) -> Option<Vec<u32>> {
-        self.path.as_ref().map(|parent| {
-            let mut p = Vec::with_capacity(parent.len() + 1);
-            p.extend_from_slice(parent);
-            p.push(((self.call_idx as u32) << 16) | (u32::from(rank) << 8) | sub.min(0xFF));
-            p
-        })
+    fn child_span(&self, rank: Rank, sub: u32) -> Option<SpanAddr> {
+        self.span.map(|_| SpanAddr { parent: self.ident, slot: (self.call_idx, rank, sub) })
     }
 }
 
@@ -367,10 +407,13 @@ struct VisitRec {
     version: VersionId,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct SpanRec {
     req: u32,
-    path: Vec<u32>,
+    addr: SpanAddr,
+    /// The frame that ran the span ([`NO_FRAME`] for event spans): its
+    /// children's `addr.parent`.
+    ident: u64,
     version: VersionId,
     endpoint: EndpointId,
     start_ms: u64,
@@ -380,14 +423,16 @@ struct SpanRec {
     dark: bool,
 }
 
-#[derive(Debug)]
+/// Re-statuses the attempt span at `addr` as timed out after the caller
+/// waited `perceived_ms` for it.
+#[derive(Debug, Clone, Copy)]
 struct PatchRec {
     req: u32,
-    path: Vec<u32>,
+    addr: SpanAddr,
     perceived_ms: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RootRec {
     req: u32,
     ok: bool,
@@ -624,7 +669,7 @@ impl ShardCtx<'_> {
     fn advance(&mut self, frame: &mut Frame) {
         let (app, router) = (self.app, self.router);
         loop {
-            let Some(call) = app.endpoint(frame.endpoint).calls.get(frame.call_idx) else {
+            let Some(call) = app.endpoint(frame.endpoint).calls.get(frame.call_idx as usize) else {
                 let finish = frame.start_ms + frame.elapsed_ms;
                 let key = frame.next_key(finish, PHASE_NORMAL);
                 frame.pending = Pending::Finishing;
@@ -669,10 +714,11 @@ impl ShardCtx<'_> {
                 if self.res.decide(frame.version, callee, &bp, at) == CallDecision::Shed {
                     self.obs.sheds += 1;
                     self.sample(callee, MetricKind::Shed, child_start, 1.0);
-                    if let Some(path) = frame.child_path(RANK_SHED, 0) {
+                    if let Some(addr) = frame.child_span(Rank::Shed, 0) {
                         self.out.spans.push(SpanRec {
                             req: frame.req,
-                            path,
+                            addr,
+                            ident: NO_FRAME,
                             version: callee,
                             endpoint: callee_ep,
                             start_ms: child_start,
@@ -712,7 +758,7 @@ impl ShardCtx<'_> {
     ) {
         frame.gen += 1;
         let gen = frame.gen;
-        let path = frame.child_path(RANK_ATTEMPT, attempt);
+        let span = frame.child_span(Rank::Attempt, attempt);
         let key = frame.next_key(at_ms, PHASE_NORMAL);
         self.send(
             self.app.version(callee).service.0,
@@ -725,7 +771,7 @@ impl ShardCtx<'_> {
                 depth: frame.depth + 1,
                 attempt: u8::try_from(attempt).unwrap_or(u8::MAX),
                 seed,
-                path,
+                span,
             }),
         );
         if let Some(limit) = deadline {
@@ -752,7 +798,7 @@ impl ShardCtx<'_> {
                 .app
                 .endpoint_named(*mirror, endpoint)
                 .expect("mirror references a valid endpoint");
-            let path = frame.child_path(RANK_MIRROR, mi as u32);
+            let span = frame.child_span(Rank::Mirror, mi as u32);
             let key = frame.next_key(child_start, PHASE_NORMAL);
             self.send(
                 self.app.version(*mirror).service.0,
@@ -765,7 +811,7 @@ impl ShardCtx<'_> {
                     depth: frame.depth + 1,
                     attempt: 0,
                     seed,
-                    path,
+                    span,
                 }),
             );
         }
@@ -782,10 +828,11 @@ impl ShardCtx<'_> {
         let at = call.call_start_ms + call.waited_ms;
         let latency_ms = call.policy.fallback_latency.as_millis();
         self.sample(call.callee, MetricKind::FallbackServed, at, 1.0);
-        if let Some(path) = frame.child_path(RANK_FALLBACK, 0) {
+        if let Some(addr) = frame.child_span(Rank::Fallback, 0) {
             self.out.spans.push(SpanRec {
                 req: frame.req,
-                path,
+                addr,
+                ident: NO_FRAME,
                 version: call.callee,
                 endpoint: call.endpoint,
                 start_ms: at,
@@ -814,11 +861,11 @@ impl ShardCtx<'_> {
         let ok = child_ok && !timed_out;
         if timed_out {
             self.sample(callee, MetricKind::Timeout, call.attempt_start_ms, 1.0);
-            if let Some(path) = frame.child_path(RANK_ATTEMPT, call.attempt) {
+            if let Some(addr) = frame.child_span(Rank::Attempt, call.attempt) {
                 // Re-status the attempt's span with the caller-observed
                 // wait once it materialises (the subtree is still
-                // running); the merge applies this patch by path.
-                self.out.patches.push(PatchRec { req: frame.req, path, perceived_ms });
+                // running); the merge applies this patch by address.
+                self.out.patches.push(PatchRec { req: frame.req, addr, perceived_ms });
             }
         }
         let mut opened = false;
@@ -911,10 +958,11 @@ impl Shard<'_> {
             Admission::Shed => {
                 ctx.obs.sheds += 1;
                 ctx.sample(version, MetricKind::Shed, t, 1.0);
-                if let Some(path) = call.path {
+                if let Some(addr) = call.span {
                     ctx.out.spans.push(SpanRec {
                         req,
-                        path,
+                        addr,
+                        ident,
                         version,
                         endpoint: call.endpoint,
                         start_ms: t,
@@ -969,10 +1017,11 @@ impl Shard<'_> {
             frame.dispatch_ms,
             if frame.ok { 0.0 } else { 1.0 },
         );
-        if let Some(path) = frame.path.take() {
+        if let Some(addr) = frame.span {
             ctx.out.spans.push(SpanRec {
                 req: frame.req,
-                path,
+                addr,
+                ident: frame.ident,
                 version: frame.version,
                 endpoint: frame.endpoint,
                 start_ms: frame.dispatch_ms,
@@ -1197,7 +1246,7 @@ pub(crate) fn run_window(
                 depth: 0,
                 attempt: 0,
                 seed: r.root_seed,
-                path: r.trace.map(|_| Vec::new()),
+                span: r.trace.map(|_| ROOT_ADDR),
             }),
         });
     }
@@ -1259,36 +1308,35 @@ fn merge_tagged<T>(shards: Vec<&mut Vec<Tagged<T>>>, mut emit: impl FnMut(T)) {
     }
 }
 
-/// Groups the shards' visits by request, each request's in event order,
-/// and returns them with every request's start offset (and the total at
-/// the end). Visits are the bulk of the per-request records and request
-/// indices are dense, so this is a counting sort: linear, where sorting on
-/// `(req, key)` was the largest single cost of the merge.
-fn group_visits(shards: &mut [ShardOut], requests: usize) -> (Vec<VisitRec>, Vec<usize>) {
+/// Drains the shards' per-request records of one kind, grouped by request
+/// (each request's in shard order, then in the order its shard recorded
+/// them), and returns them with every request's start offset (and the
+/// total at the end). Request indices are dense, so this is a counting
+/// sort: linear, where sorting on the request index was the largest single
+/// cost of the merge.
+fn group_by_req<T: Copy>(
+    shards: Vec<&mut Vec<T>>,
+    requests: usize,
+    req_of: impl Fn(&T) -> u32,
+) -> (Vec<T>, Vec<usize>) {
     let mut starts = vec![0_usize; requests + 1];
-    for visit in shards.iter().flat_map(|out| &out.visits) {
-        starts[visit.req as usize + 1] += 1;
+    for record in shards.iter().flat_map(|records| records.iter()) {
+        starts[req_of(record) as usize + 1] += 1;
     }
     for req in 0..requests {
         starts[req + 1] += starts[req];
     }
-    let filler = VisitRec { key: KEY_ZERO, req: 0, version: VersionId(0) };
+    let Some(&filler) = shards.iter().find_map(|records| records.first()) else {
+        return (Vec::new(), starts);
+    };
     let mut grouped = vec![filler; starts[requests]];
     let mut next = starts.clone();
-    for visit in shards.iter_mut().flat_map(|out| out.visits.drain(..)) {
-        let slot = &mut next[visit.req as usize];
-        grouped[*slot] = visit;
+    for record in shards.into_iter().flat_map(|records| records.drain(..)) {
+        let slot = &mut next[req_of(&record) as usize];
+        grouped[*slot] = record;
         *slot += 1;
     }
-    for req in 0..requests {
-        grouped[starts[req]..starts[req + 1]].sort_unstable_by_key(|v| v.key);
-    }
     (grouped, starts)
-}
-
-/// End of `req`'s run in records sorted by request, starting at `from`.
-fn run_end<T>(records: &[T], from: usize, req: u32, req_of: impl Fn(&T) -> u32) -> usize {
-    from + records[from..].iter().take_while(|r| req_of(r) == req).count()
 }
 
 /// Single-threaded canonical merge: returns the shards' state to the
@@ -1342,39 +1390,52 @@ fn merge(
     load.rejoin(loads, owner);
     occupancy.rejoin(occupancies, owner);
 
-    merge_tagged(outs.iter_mut().map(|o| &mut o.transitions).collect(), |t| {
-        state.record_transition(t)
-    });
-    merge_tagged(outs.iter_mut().map(|o| &mut o.samples).collect(), |s| {
-        sink.record_version(s.version, s.kind, s.time, s.value)
-    });
-
-    // Per-request records, grouped by request index: visits in event
-    // order (`group_visits`); the few spans and patches of sampled
-    // requests by one sort each — spans by tree path (pre-order DFS), and
-    // stably, so equals keep shard order as they did when shards pushed
-    // into per-request lists one after the other.
-    let mut roots: Vec<Option<RootRec>> = (0..reqs.len()).map(|_| None).collect();
-    let (visits, visit_starts) = group_visits(&mut outs, reqs.len());
-    let mut spans = Vec::new();
-    let mut patches = Vec::new();
-    for out in &mut outs {
-        for r in out.roots.drain(..) {
-            let idx = r.req as usize;
-            roots[idx] = Some(r);
-        }
-        spans.append(&mut out.spans);
-        patches.append(&mut out.patches);
+    {
+        cex_core::span!(profiler, "sim.event.merge.samples");
+        merge_tagged(outs.iter_mut().map(|o| &mut o.transitions).collect(), |t| {
+            state.record_transition(t)
+        });
+        merge_tagged(outs.iter_mut().map(|o| &mut o.samples).collect(), |s| {
+            sink.record_version(s.version, s.kind, s.time, s.value)
+        });
     }
-    spans.sort_by(|a, b| (a.req, &a.path).cmp(&(b.req, &b.path)));
-    patches.sort_by_key(|p| p.req);
-    let (mut span_at, mut patch_at) = (0, 0);
-    let mut seen: Vec<VersionId> = Vec::new();
+    let mut roots: Vec<Option<RootRec>> = vec![None; reqs.len()];
+    for r in outs.iter_mut().flat_map(|out| out.roots.drain(..)) {
+        roots[r.req as usize] = Some(r);
+    }
+    let roots: Vec<RootRec> =
+        roots.into_iter().map(|r| r.expect("every request completes within the window")).collect();
+    let stats = {
+        cex_core::span!(profiler, "sim.event.merge.requests");
+        record_requests(app, sink, reqs, &roots, &mut outs, tally)
+    };
+    {
+        cex_core::span!(profiler, "sim.event.merge.traces");
+        capture_traces(app, collector, reqs, &roots, &mut outs);
+    }
+    buffers.outs = outs;
+    stats
+}
 
+/// Writes every request's end-to-end and conversion samples, in arrival
+/// order, and folds the window's report.
+fn record_requests(
+    app: &Application,
+    sink: &mut MetricSink<'_>,
+    reqs: &[EventRequest],
+    roots: &[RootRec],
+    outs: &mut [ShardOut],
+    tally: WindowTally,
+) -> WindowStats {
+    // Each request's visits in event order.
+    let (mut visits, visit_starts) =
+        group_by_req(outs.iter_mut().map(|o| &mut o.visits).collect(), reqs.len(), |v| v.req);
+    for req in 0..reqs.len() {
+        visits[visit_starts[req]..visit_starts[req + 1]].sort_unstable_by_key(|v| v.key);
+    }
+    let mut seen: Vec<VersionId> = Vec::new();
     let mut stats = WindowStats { requests: 0, failures: 0, rt: OnlineStats::new(), tally };
-    for (i, meta) in reqs.iter().enumerate() {
-        let req = i as u32;
-        let root = roots[i].take().expect("every request completes within the window");
+    for (i, (meta, root)) in reqs.iter().zip(roots).enumerate() {
         stats.requests += 1;
         if !root.ok {
             stats.failures += 1;
@@ -1402,65 +1463,90 @@ fn merge(
                 sink.record_version(*v, MetricKind::ConversionRate, at, value);
             }
         }
-
-        let span_end = run_end(&spans, span_at, req, |s| s.req);
-        let patch_end = run_end(&patches, patch_at, req, |p| p.req);
-        if let Some(trace_id) = meta.trace {
-            let trace = assemble_trace(
-                app,
-                trace_id,
-                &mut spans[span_at..span_end],
-                &patches[patch_at..patch_end],
-            );
-            collector.record(trace);
-        }
-        (span_at, patch_at) = (span_end, patch_end);
     }
-    buffers.outs = outs;
     stats
 }
 
-/// Rebuilds one sampled request's trace from its span records, already in
-/// pre-order DFS (the paths are the tree addresses; under one call the
-/// siblings rank shed, attempts in order, fallback, mirrors): timeout
-/// patches are applied by path and ids/parents are renumbered positionally.
+/// Offers every sampled request's trace to the collector, in arrival
+/// order, and builds only the ones it keeps. The decision reads the root
+/// duration and whether any span is an error; a timeout patch re-statuses
+/// its span as timed out, so a request with a patch is erroneous whatever
+/// its spans say.
+fn capture_traces(
+    app: &Application,
+    collector: &mut TraceCollector,
+    reqs: &[EventRequest],
+    roots: &[RootRec],
+    outs: &mut [ShardOut],
+) {
+    #[cfg(test)]
+    path_model::offer(app, reqs, outs);
+    let requests = reqs.len();
+    let (mut spans, span_starts) =
+        group_by_req(outs.iter_mut().map(|o| &mut o.spans).collect(), requests, |s| s.req);
+    let (patches, patch_starts) =
+        group_by_req(outs.iter_mut().map(|o| &mut o.patches).collect(), requests, |p| p.req);
+    let mut stack = Vec::new();
+    for (i, (meta, root)) in reqs.iter().zip(roots).enumerate() {
+        let Some(trace_id) = meta.trace else { continue };
+        let spans = &mut spans[span_starts[i]..span_starts[i + 1]];
+        let patches = &patches[patch_starts[i]..patch_starts[i + 1]];
+        let erroneous = !patches.is_empty() || spans.iter().any(|s| s.status.is_error());
+        let root_duration = SimDuration::from_millis(root.duration_ms);
+        if let Some(weight) = collector.admit(root_duration, erroneous) {
+            let mut trace = assemble_trace(app, trace_id, spans, patches, &mut stack);
+            trace.weight = weight;
+            collector.keep(trace);
+        }
+    }
+}
+
+/// Builds one kept request's trace from its span records. Sorted by
+/// address, the root (parent 0) comes first and every frame's children
+/// form one run in sibling order; timeout patches are applied by address,
+/// the tree is walked in pre-order from the root, and ids and parents are
+/// numbered by position in that walk. `stack` is scratch.
 fn assemble_trace(
     app: &Application,
     trace_id: TraceId,
     spans: &mut [SpanRec],
     patches: &[PatchRec],
+    stack: &mut Vec<(usize, Option<SpanId>)>,
 ) -> Trace {
+    spans.sort_unstable_by_key(|s| s.addr);
     for p in patches {
-        if let Some(s) = spans.iter_mut().find(|s| s.path == p.path) {
-            s.duration_ms = p.perceived_ms;
-            s.status = SpanStatus::TimedOut;
+        let at = spans
+            .binary_search_by_key(&p.addr, |s| s.addr)
+            .expect("a timed-out attempt's span is recorded in the same window");
+        spans[at].duration_ms = p.perceived_ms;
+        spans[at].status = SpanStatus::TimedOut;
+    }
+    let mut out = Vec::with_capacity(spans.len());
+    stack.push((0, None));
+    while let Some((at, parent)) = stack.pop() {
+        let s = &spans[at];
+        let id = SpanId(out.len() as u32);
+        out.push(Span {
+            trace: trace_id,
+            span: id,
+            parent,
+            service: app.version(s.version).service,
+            version: s.version,
+            endpoint: s.endpoint,
+            start: SimTime::from_millis(s.start_ms),
+            duration: SimDuration::from_millis(s.duration_ms),
+            status: s.status,
+            attempt: s.attempt,
+            dark: s.dark,
+        });
+        if s.ident != NO_FRAME {
+            let first = spans.partition_point(|c| c.addr.parent < s.ident);
+            let children = spans[first..].iter().take_while(|c| c.addr.parent == s.ident).count();
+            // Last child first, so the first is walked next.
+            stack.extend((first..first + children).rev().map(|c| (c, Some(id))));
         }
     }
-    let out = spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let parent = s.path.split_last().map(|(_, parent_path)| {
-                let idx = spans
-                    .binary_search_by(|cand| cand.path.as_slice().cmp(parent_path))
-                    .expect("parent span exists");
-                SpanId(idx as u32)
-            });
-            Span {
-                trace: trace_id,
-                span: SpanId(i as u32),
-                parent,
-                service: app.version(s.version).service,
-                version: s.version,
-                endpoint: s.endpoint,
-                start: SimTime::from_millis(s.start_ms),
-                duration: SimDuration::from_millis(s.duration_ms),
-                status: s.status,
-                attempt: s.attempt,
-                dark: s.dark,
-            }
-        })
-        .collect();
+    debug_assert_eq!(out.len(), spans.len(), "every span hangs off the root");
     Trace::new(trace_id, out)
 }
 
@@ -1942,7 +2028,15 @@ mod tests {
             sim.profile().nodes().iter().map(|(path, _)| path.clone()).collect()
         };
         let alone = nodes(1);
-        for phase in ["pop", "dispatch", "exchange", "merge"] {
+        for phase in [
+            "pop",
+            "dispatch",
+            "exchange",
+            "merge",
+            "merge.samples",
+            "merge.requests",
+            "merge.traces",
+        ] {
             assert!(alone.contains(&format!("sim.event.{phase}")), "{phase} in {alone:?}");
         }
         assert!(!alone.iter().any(|path| path.contains("barrier")), "{alone:?}");

@@ -529,10 +529,11 @@ impl TailState {
         }
     }
 
-    /// Decides one offered trace: `Some(weight)` retains it, `None`
+    /// Decides one offered trace from its root duration and whether any
+    /// span carries an error status: `Some(weight)` retains it, `None`
     /// drops it. Deterministic — a pure function of the offer sequence.
-    fn decide(&mut self, trace: &Trace) -> Option<u32> {
-        let root_ms = trace.response_time().as_millis() as f64;
+    fn decide(&mut self, root: SimDuration, erroneous: bool) -> Option<u32> {
+        let root_ms = root.as_millis() as f64;
         // Threshold from the state *before* this trace, so the decision
         // never depends on evaluation order subtleties. The quantile is
         // inflated by the sketch's relative-error band: a value within
@@ -545,7 +546,6 @@ impl TailState {
                 .quantile(self.config.slow_quantile)
                 .is_some_and(|q| root_ms > q * (1.0 + 2.0 * self.roots.relative_error()));
         self.roots.push(root_ms);
-        let erroneous = trace.spans.iter().any(|s| s.status.is_error());
         if erroneous || slow {
             self.tail_kept += 1;
             return Some(1);
@@ -743,18 +743,42 @@ impl TraceCollector {
     /// the downsampler drops are still counted in
     /// [`TraceCollector::sampling_stats`].
     ///
+    /// The decision reads two facts of the trace, its root duration and
+    /// whether any span carries an error status, and nothing else. The
+    /// event core's merge takes the same decision from its span records
+    /// *before* it builds a trace, and builds only the ones kept; this
+    /// method is a thin wrapper over that one decision for traces that
+    /// already exist. Without tail sampling a trace keeps the weight it
+    /// came with.
+    ///
     /// # Panics
     ///
     /// Panics when the trace has no spans.
     pub fn record(&mut self, mut trace: Trace) {
         assert!(!trace.spans.is_empty(), "refusing to record an empty trace");
-        self.recorded += 1;
-        if let Some(tail) = &mut self.tail {
-            match tail.decide(&trace) {
-                Some(weight) => trace.weight = weight,
-                None => return,
-            }
+        let erroneous = trace.spans.iter().any(|s| s.status.is_error());
+        let Some(weight) = self.admit(trace.response_time(), erroneous) else { return };
+        if self.tail.is_some() {
+            trace.weight = weight;
         }
+        self.keep(trace);
+    }
+
+    /// Counts one offered trace and decides it (see
+    /// [`TraceCollector::record`]): `None` drops it, `Some(weight)` keeps
+    /// it standing for `weight` traces — 1 unless the tail sampler kept it
+    /// as a downsampled representative.
+    pub(crate) fn admit(&mut self, root: SimDuration, erroneous: bool) -> Option<u32> {
+        self.recorded += 1;
+        match &mut self.tail {
+            Some(tail) => tail.decide(root, erroneous),
+            None => Some(1),
+        }
+    }
+
+    /// Retains an admitted trace, evicting the oldest when the ring is
+    /// full.
+    pub(crate) fn keep(&mut self, trace: Trace) {
         if self.traces.len() == self.capacity {
             self.traces.pop_front();
             self.dropped += 1;

@@ -1,0 +1,166 @@
+//! Trace capture, checked from outside the event core. The merge decides
+//! each sampled request on its root duration and error flag *before* it
+//! builds the trace, and builds only the ones the tail sampler keeps; the
+//! public `TraceCollector::record` takes the same decision on a trace that
+//! already exists. So a tail-sampled run must keep exactly what recording
+//! the full capture of the same run through `record` keeps — trace by
+//! trace, with the same weights and the same sampling accounting — at every
+//! worker count. The full capture is checked against what the request
+//! model guarantees about any trace: pre-order with positional ids,
+//! synchronous siblings in time order, and a span timed out exactly when
+//! its attempt overran the deadline. (`microsim`'s own tests drive the
+//! capture beside the `Vec<u32>` path sort it replaced.)
+
+use cex_core::simtime::{SimDuration, SimTime};
+use microsim::app::{Application, CallDef, EndpointDef, VersionSpec};
+use microsim::faults::{Fault, FaultKind};
+use microsim::latency::LatencyModel;
+use microsim::resilience::{BreakerPolicy, CallPolicy};
+use microsim::sim::Simulation;
+use microsim::trace::{
+    SamplingStats, SpanId, SpanStatus, TailSamplingConfig, Trace, TraceCollector,
+};
+
+const DEADLINE: SimDuration = SimDuration::from_millis(25);
+
+const TAIL: TailSamplingConfig =
+    TailSamplingConfig { healthy_keep_one_in: 4, slow_quantile: 0.9, warmup: 64 };
+
+/// `fe` calls `api` (one slot, a queue of two, mirrored to a dark
+/// `api@2.0.0`), `cart` sometimes (a heavy tail past the deadline) and
+/// `db`, which every tier calls and which is out from 10 s to 20 s; every
+/// edge runs timeouts, jittered retries, a breaker and a fallback. Three
+/// 10 s windows at 80 rps, every request traced.
+fn capture(workers: usize, tail: Option<TailSamplingConfig>) -> (Vec<Trace>, SamplingStats) {
+    let tier = |service: &str, version: &str, latency: LatencyModel| {
+        VersionSpec::new(service, version).capacity(1_000.0).load_sensitivity(0.0).endpoint(
+            EndpointDef::new("x", latency).call(CallDef::with_probability("db", "q", 0.6)),
+        )
+    };
+    let mut b = Application::builder();
+    b.version(
+        VersionSpec::new("fe", "1.0.0").capacity(1_000.0).endpoint(
+            EndpointDef::new("home", LatencyModel::web(2.0))
+                .call(CallDef::always("api", "x"))
+                .call(CallDef::with_probability("cart", "x", 0.7))
+                .call(CallDef::always("db", "q")),
+        ),
+    );
+    b.version(tier("api", "1.0.0", LatencyModel::web(9.0)).concurrency_limit(1).queue_capacity(2));
+    b.version(tier("api", "2.0.0", LatencyModel::web(9.0)));
+    b.version(tier("cart", "1.0.0", LatencyModel::LogNormal { median_ms: 12.0, sigma: 0.9 }));
+    b.version(
+        VersionSpec::new("db", "1.0.0")
+            .capacity(1_000.0)
+            .endpoint(EndpointDef::new("q", LatencyModel::web(3.0)).error_rate(0.02)),
+    );
+    let app = b.build().unwrap();
+    let api = app.service_id("api").unwrap();
+    let dark = app.version_id("api", "2.0.0").unwrap();
+    let db = app.version_id("db", "1.0.0").unwrap();
+    let mut sim = Simulation::new(app, 0x7A11);
+    sim.set_workers(workers);
+    let (app, router) = sim.app_and_router_mut();
+    router.add_mirror(app, api, dark).unwrap();
+    sim.set_trace_sampling(1.0);
+    sim.set_tail_sampling(tail);
+    sim.set_call_policy(CallPolicy {
+        attempt_timeout: Some(DEADLINE),
+        max_retries: 2,
+        backoff_base: SimDuration::from_millis(4),
+        backoff_multiplier: 2.0,
+        jitter: 0.5,
+        breaker: Some(BreakerPolicy {
+            error_threshold: 0.5,
+            min_calls: 10,
+            window: 40,
+            cooldown: SimDuration::from_secs(3),
+            half_open_probes: 3,
+        }),
+        fallback: true,
+        fallback_latency: SimDuration::from_millis(1),
+    });
+    sim.inject_fault(Fault {
+        version: db,
+        kind: FaultKind::Outage,
+        from: SimTime::from_secs(10),
+        until: SimTime::from_secs(20),
+    });
+    for _ in 0..3 {
+        sim.run(SimDuration::from_secs(10), 80.0);
+    }
+    let stats = sim.trace_collector().sampling_stats();
+    (sim.drain_traces(), stats)
+}
+
+fn assert_same_traces(got: &[Trace], want: &[Trace], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: trace count");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g, w, "{what}: trace {}", w.id);
+    }
+}
+
+/// What the request model guarantees about a trace, whoever built it.
+fn assert_well_formed(trace: &Trace) {
+    for (i, span) in trace.spans.iter().enumerate() {
+        assert_eq!((span.trace, span.span), (trace.id, SpanId(i as u32)), "positional ids");
+        match span.parent {
+            None => assert_eq!(i, 0, "{}: the root comes first and alone", trace.id),
+            Some(parent) => assert!(parent.0 < i as u32, "{}: pre-order", trace.id),
+        }
+        // Every non-dark child is a guarded attempt (or a shed / fallback
+        // event): timed out exactly when it overran the deadline, and then
+        // carrying the caller's wait.
+        if span.parent.is_some() && !span.dark && span.status.executed() {
+            if span.status == SpanStatus::TimedOut {
+                assert_eq!(span.duration, DEADLINE, "{}: span {i}", trace.id);
+            } else {
+                assert!(span.duration <= DEADLINE, "{}: span {i} overran", trace.id);
+            }
+        }
+    }
+    // A frame makes its calls one after the other; under one call the shed
+    // event, the attempts and the fallback follow each other too.
+    for parent in &trace.spans {
+        let starts: Vec<SimTime> =
+            trace.children_of(parent.span).filter(|s| !s.dark).map(|s| s.start).collect();
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{}: sibling order", trace.id);
+    }
+}
+
+#[test]
+fn tail_sampled_capture_keeps_what_recording_the_full_capture_keeps() {
+    let (full, full_stats) = capture(1, None);
+    assert_eq!(full_stats.recorded, full.len() as u64);
+    for trace in &full {
+        assert_well_formed(trace);
+    }
+    let spans = || full.iter().flat_map(|t| &t.spans);
+    for status in [SpanStatus::TimedOut, SpanStatus::Shed, SpanStatus::Fallback] {
+        assert!(spans().any(|s| s.status == status), "no {status:?} span");
+    }
+    assert!(spans().any(|s| s.dark) && spans().any(|s| s.attempt > 0));
+    // Requests that only a timeout made erroneous: the case the merge's
+    // error flag has to see without the span that says so.
+    assert!(full.iter().any(|t| t.ok()
+        && t.spans.iter().all(|s| s.status != SpanStatus::Failed && s.status != SpanStatus::Shed)
+        && t.spans.iter().any(|s| s.status == SpanStatus::TimedOut)));
+
+    let mut reference = TraceCollector::all();
+    reference.set_tail_sampling(Some(TAIL));
+    for trace in &full {
+        reference.record(trace.clone());
+    }
+    let kept_stats = reference.sampling_stats();
+    let kept = reference.drain();
+    assert!(kept.len() < full.len() && kept.iter().any(|t| t.weight > 1));
+
+    for workers in [1, 2, 3, 8] {
+        let (traces, stats) = capture(workers, None);
+        assert_same_traces(&traces, &full, &format!("full capture, {workers} workers"));
+        assert_eq!(stats, full_stats);
+        let (traces, stats) = capture(workers, Some(TAIL));
+        assert_same_traces(&traces, &kept, &format!("tail-sampled, {workers} workers"));
+        assert_eq!(stats, kept_stats, "{workers} workers");
+    }
+}
