@@ -41,7 +41,7 @@ fn report(name: &str, ns_per_op: f64) {
 /// A store pre-filled with `n` response-time samples at 10 per
 /// simulated millisecond, so windowed queries have realistic density.
 fn filled_store(n: u64) -> (MetricStore, SimTime) {
-    let store = MetricStore::new();
+    let mut store = MetricStore::new();
     let scope = store.intern("svc@1");
     for i in 0..n {
         store.record_id(
@@ -54,7 +54,7 @@ fn filled_store(n: u64) -> (MetricStore, SimTime) {
 }
 
 fn bench_record() {
-    let store = MetricStore::new();
+    let mut store = MetricStore::new();
     let scopes: Vec<_> = (0..8).map(|i| store.intern(&format!("svc{i}@1"))).collect();
     let mut i = 0u64;
     let ns = time_per_op(400_000, || {

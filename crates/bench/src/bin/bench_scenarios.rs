@@ -113,7 +113,10 @@ fn cell_fault_window_error_rate(
 }
 
 /// Runs one zone-outage cell through the Bifrost engine and returns the
-/// serialized journal — the determinism probe across worker counts.
+/// serialized journal — the determinism probe. `sim_workers` is read
+/// nowhere since the event core became one queue, so two calls are two
+/// same-seed runs; the argument and the JSON key that names it go with the
+/// field (ROADMAP, the instrument item).
 fn journal_for_workers(scenario: &Scenario, sim_workers: usize) -> String {
     let service = scenario.app.service_name(scenario.experiment_service);
     let src = format!(
@@ -196,8 +199,8 @@ fn sweep(workloads: &[WorkloadKind], window: SimDuration) -> SweepOutcome {
     }
 }
 
-/// `true` when every family's zone-outage cell journals identically for
-/// 1 vs `workers` simulation workers.
+/// `true` when every family's zone-outage cell journals identically on two
+/// same-seed runs (see [`journal_for_workers`]).
 fn journals_identical(workers: usize) -> bool {
     FAMILIES.iter().all(|&family| {
         let scenario = corpus::generate(family, SEED);

@@ -85,7 +85,7 @@ impl CheckContext {
     /// application scope, and the candidate's trace-derived scope
     /// (`trace:service@version`, fed by the engine's trace drain) on
     /// `store`.
-    pub fn new(store: &MetricStore, candidate_scope: String, baseline_scope: String) -> Self {
+    pub fn new(store: &mut MetricStore, candidate_scope: String, baseline_scope: String) -> Self {
         let candidate_id = store.intern(&candidate_scope);
         let baseline_id = store.intern(&baseline_scope);
         let app_id = store.intern(microsim::sim::APP_SCOPE);
@@ -450,11 +450,11 @@ mod tests {
     use cex_core::metrics::MetricKind;
     use cex_core::simtime::SimDuration;
 
-    fn ctx(store: &MetricStore) -> CheckContext {
+    fn ctx(store: &mut MetricStore) -> CheckContext {
         CheckContext::new(store, "svc@2".into(), "svc@1".into())
     }
 
-    fn fill(store: &MetricStore, scope: &str, value: f64, n: u64) {
+    fn fill(store: &mut MetricStore, scope: &str, value: f64, n: u64) {
         for i in 0..n {
             store.record_value(
                 scope,
@@ -467,64 +467,64 @@ mod tests {
 
     #[test]
     fn candidate_check_passes_and_fails() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 50.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 50.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 100.0);
         check.window = SimDuration::from_secs(10);
         let now = SimTime::from_secs(3);
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Pass);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         check.threshold = 10.0;
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Fail);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Fail);
     }
 
     #[test]
     fn too_few_samples_is_inconclusive() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 50.0, 5);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 50.0, 5);
         let check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 100.0);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(1)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(1)),
             CheckResult::Inconclusive
         );
     }
 
     #[test]
     fn relative_check_compares_ratio() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
-        fill(&store, "svc@1", 100.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@1", 100.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
         let now = SimTime::from_secs(3);
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Pass);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         check.threshold = 1.1;
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Fail);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Fail);
     }
 
     #[test]
     fn relative_check_needs_both_sides() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
     }
 
     #[test]
     fn zero_baseline_mean_is_inconclusive() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
-        fill(&store, "svc@1", 0.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@1", 0.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
     }
@@ -535,48 +535,48 @@ mod tests {
         // comparator's direction silently — candidate 120 vs baseline
         // -100 gives ratio -1.2, which "passes" `< 1.25` even though the
         // candidate is clearly not below 1.25× the baseline.
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
-        fill(&store, "svc@1", -100.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@1", -100.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
         // The flipped direction must not sneak through either.
         check.comparator = Comparator::Gt;
         check.threshold = -2.0;
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
     }
 
     #[test]
     fn near_zero_baseline_mean_is_inconclusive() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
-        fill(&store, "svc@1", f64::EPSILON / 2.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@1", f64::EPSILON / 2.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
     }
 
     #[test]
     fn observed_evaluation_carries_the_windows_it_read() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 120.0, 30);
-        fill(&store, "svc@1", 100.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@1", 100.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 1.25);
         check.scope = CheckScope::CandidateVsBaseline;
         check.window = SimDuration::from_secs(10);
-        let obs = evaluate_observed(&check, &ctx(&store), &store, SimTime::from_secs(3));
+        let obs = evaluate_observed(&check, &ctx(&mut store), &store, SimTime::from_secs(3));
         assert_eq!(obs.result, CheckResult::Pass);
         assert_eq!(obs.primary.count, 30);
         assert!((obs.primary.mean - 120.0).abs() < 1e-12);
@@ -584,28 +584,28 @@ mod tests {
         assert!((base.mean - 100.0).abs() < 1e-12);
 
         check.scope = CheckScope::Candidate;
-        let obs = evaluate_observed(&check, &ctx(&store), &store, SimTime::from_secs(3));
+        let obs = evaluate_observed(&check, &ctx(&mut store), &store, SimTime::from_secs(3));
         assert_eq!(obs.baseline, None);
         assert!((obs.primary.mean - 120.0).abs() < 1e-12);
     }
 
     #[test]
     fn trace_scope_reads_the_trace_derived_scope() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         // First-party candidate stream says 500 ms; the trace-derived
         // scope says 50 ms. A trace-scoped check must read the latter.
-        fill(&store, "svc@2", 500.0, 30);
-        fill(&store, "trace:svc@2", 50.0, 30);
+        fill(&mut store, "svc@2", 500.0, 30);
+        fill(&mut store, "trace:svc@2", 50.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 100.0);
         check.scope = CheckScope::Trace;
         check.window = SimDuration::from_secs(10);
         let now = SimTime::from_secs(3);
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Pass);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         // Without trace data the scope is empty: inconclusive, never a
         // false verdict.
-        let empty = MetricStore::new();
-        fill(&empty, "svc@2", 50.0, 30);
-        assert_eq!(evaluate(&check, &ctx(&empty), &empty, now), CheckResult::Inconclusive);
+        let mut empty = MetricStore::new();
+        fill(&mut empty, "svc@2", 50.0, 30);
+        assert_eq!(evaluate(&check, &ctx(&mut empty), &empty, now), CheckResult::Inconclusive);
     }
 
     #[test]
@@ -618,29 +618,29 @@ mod tests {
 
     #[test]
     fn baseline_scope_reads_baseline() {
-        let store = MetricStore::new();
-        fill(&store, "svc@1", 500.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@1", 500.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 100.0);
         check.scope = CheckScope::Baseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Fail
         );
     }
 
     #[test]
     fn app_scope_reads_the_application_rollup() {
-        let store = MetricStore::new();
-        fill(&store, microsim::sim::APP_SCOPE, 150.0, 30);
-        fill(&store, "svc@2", 900.0, 30);
+        let mut store = MetricStore::new();
+        fill(&mut store, microsim::sim::APP_SCOPE, 150.0, 30);
+        fill(&mut store, "svc@2", 900.0, 30);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 200.0);
         check.scope = CheckScope::App;
         check.window = SimDuration::from_secs(10);
         // Passes on the app rollup even though the candidate scope would
         // fail — the app scope is what users actually experience.
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Pass
         );
     }
@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn significance_check_detects_real_differences() {
         use cex_core::rng::SplitMix64;
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let mut rng = SplitMix64::new(42);
         // Candidate converts at 6%, baseline at 2%, 400 samples each.
         for i in 0..400u64 {
@@ -671,16 +671,16 @@ mod tests {
         check.window = SimDuration::from_secs(10);
         check.min_samples = 100;
         let now = SimTime::from_secs(9);
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Pass);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         // The wrong direction is not significant.
         check.comparator = Comparator::Lt;
-        assert_eq!(evaluate(&check, &ctx(&store), &store, now), CheckResult::Fail);
+        assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Fail);
     }
 
     #[test]
     fn significance_check_rejects_noise() {
         use cex_core::rng::SplitMix64;
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let mut rng = SplitMix64::new(7);
         // Identical 2% conversion on both sides.
         for i in 0..400u64 {
@@ -703,7 +703,7 @@ mod tests {
         check.window = SimDuration::from_secs(10);
         check.min_samples = 100;
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(9)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(9)),
             CheckResult::Inconclusive,
             "a null effect is neither shipped nor treated as harm"
         );
@@ -711,14 +711,14 @@ mod tests {
 
     #[test]
     fn significance_check_needs_samples() {
-        let store = MetricStore::new();
-        fill(&store, "svc@2", 1.0, 5);
-        fill(&store, "svc@1", 1.0, 5);
+        let mut store = MetricStore::new();
+        fill(&mut store, "svc@2", 1.0, 5);
+        fill(&mut store, "svc@1", 1.0, 5);
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Gt, 0.05);
         check.scope = CheckScope::SignificantVsBaseline;
         check.window = SimDuration::from_secs(10);
         assert_eq!(
-            evaluate(&check, &ctx(&store), &store, SimTime::from_secs(3)),
+            evaluate(&check, &ctx(&mut store), &store, SimTime::from_secs(3)),
             CheckResult::Inconclusive
         );
     }
@@ -728,7 +728,7 @@ mod tests {
         // Regression: with `min_samples: 0` an empty window's Summary
         // (count 0, mean 0.0) used to produce a Pass/Fail verdict from a
         // fabricated zero in every scope that derives one.
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let mut check = Check::candidate(MetricKind::ResponseTime, Comparator::Lt, 100.0);
         check.min_samples = 0;
         check.window = SimDuration::from_secs(10);
@@ -743,24 +743,24 @@ mod tests {
         ] {
             check.scope = scope;
             assert_eq!(
-                evaluate(&check, &ctx(&store), &store, now),
+                evaluate(&check, &ctx(&mut store), &store, now),
                 CheckResult::Inconclusive,
                 "scope {scope:?} must not conclude on an empty window"
             );
         }
         // One side empty is just as inconclusive for the two-sided scopes.
-        fill(&store, "svc@2", 120.0, 30);
+        fill(&mut store, "svc@2", 120.0, 30);
         for scope in [CheckScope::CandidateVsBaseline, CheckScope::SignificantVsBaseline] {
             check.scope = scope;
             assert_eq!(
-                evaluate(&check, &ctx(&store), &store, now),
+                evaluate(&check, &ctx(&mut store), &store, now),
                 CheckResult::Inconclusive,
                 "scope {scope:?} must not conclude on an empty baseline"
             );
         }
     }
 
-    fn fill_rate(store: &MetricStore, scope: &str, rate: f64, n: u64, seed: u64) {
+    fn fill_rate(store: &mut MetricStore, scope: &str, rate: f64, n: u64, seed: u64) {
         use cex_core::rng::SplitMix64;
         let mut rng = SplitMix64::new(seed);
         for i in 0..n {
@@ -775,18 +775,18 @@ mod tests {
 
     #[test]
     fn sequential_check_concludes_harm_and_is_absorbing() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         // Candidate errors at 25%, baseline at 5%: conclusive harm for a
         // `<` (lower-is-better) sequential check.
-        fill_rate(&store, "svc@2", 0.25, 600, 11);
-        fill_rate(&store, "svc@1", 0.05, 600, 12);
+        fill_rate(&mut store, "svc@2", 0.25, 600, 11);
+        fill_rate(&mut store, "svc@1", 0.05, 600, 12);
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
         let mut state = SequentialState::new();
         let mut windows = SequentialWindows::default();
         let obs = evaluate_sequential(
             &check,
-            &ctx(&store),
+            &ctx(&mut store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
@@ -800,11 +800,11 @@ mod tests {
         assert!(state.lr_harm() > 1.0);
         // Absorbing: a later data-starved look cannot un-conclude.
         // (Another store's windows are ignored, not trusted.)
-        let starved = MetricStore::new();
+        let mut starved = MetricStore::new();
         let concluded = state;
         let obs = evaluate_sequential(
             &check,
-            &ctx(&starved),
+            &ctx(&mut starved),
             &starved,
             SimTime::ZERO,
             SimTime::from_secs(90),
@@ -818,10 +818,10 @@ mod tests {
 
     #[test]
     fn sequential_check_concludes_benefit_in_the_desired_direction() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         // Candidate converts at 12%, baseline at 2%: desired direction for
         // a `>` check.
-        let rng_fill = |scope: &str, rate: f64, seed: u64| {
+        let mut rng_fill = |scope: &str, rate: f64, seed: u64| {
             use cex_core::rng::SplitMix64;
             let mut rng = SplitMix64::new(seed);
             for i in 0..800u64 {
@@ -841,7 +841,7 @@ mod tests {
         let mut state = SequentialState::new();
         let obs = evaluate_sequential(
             &check,
-            &ctx(&store),
+            &ctx(&mut store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
@@ -857,14 +857,14 @@ mod tests {
 
     #[test]
     fn sequential_check_stays_inconclusive_on_equal_sides() {
-        let store = MetricStore::new();
-        fill_rate(&store, "svc@2", 0.05, 500, 31);
-        fill_rate(&store, "svc@1", 0.05, 500, 31); // same seed: identical stream
+        let mut store = MetricStore::new();
+        fill_rate(&mut store, "svc@2", 0.05, 500, 31);
+        fill_rate(&mut store, "svc@1", 0.05, 500, 31); // same seed: identical stream
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 50;
         let obs = evaluate_sequential(
             &check,
-            &ctx(&store),
+            &ctx(&mut store),
             &store,
             SimTime::ZERO,
             SimTime::from_secs(60),
@@ -879,12 +879,12 @@ mod tests {
         // A run of looks carrying the windows forward reads exactly what
         // each look reads from scratch — on starved looks too, which still
         // hand the windows on.
-        let store = MetricStore::new();
-        fill_rate(&store, "svc@2", 0.2, 3_000, 41);
-        fill_rate(&store, "svc@1", 0.05, 3_000, 42);
+        let mut store = MetricStore::new();
+        fill_rate(&mut store, "svc@2", 0.2, 3_000, 41);
+        fill_rate(&mut store, "svc@1", 0.05, 3_000, 42);
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 1_000;
-        let (ctx, start) = (ctx(&store), SimTime::from_secs(2));
+        let (ctx, start) = (ctx(&mut store), SimTime::from_secs(2));
         let mut windows = SequentialWindows::default();
         let mut state = SequentialState::new();
         for secs in (5..=60).step_by(5) {
@@ -915,12 +915,12 @@ mod tests {
         // first left: the running minima, the frozen tau and the latest
         // likelihood ratio fold to themselves, and the windows resume to
         // the same bits — on an informative look and on a starved one.
-        let store = MetricStore::new();
-        fill_rate(&store, "svc@2", 0.2, 3_000, 41);
-        fill_rate(&store, "svc@1", 0.05, 3_000, 42);
+        let mut store = MetricStore::new();
+        fill_rate(&mut store, "svc@2", 0.2, 3_000, 41);
+        fill_rate(&mut store, "svc@1", 0.05, 3_000, 42);
         let mut check = Check::sequential(MetricKind::ErrorRate, Comparator::Lt, 0.95);
         check.min_samples = 1_000;
-        let (ctx, start) = (ctx(&store), SimTime::from_secs(2));
+        let (ctx, start) = (ctx(&mut store), SimTime::from_secs(2));
         let mut windows = SequentialWindows::default();
         let mut state = SequentialState::new();
         let mut starved = 0;

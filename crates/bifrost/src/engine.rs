@@ -64,10 +64,9 @@ pub struct EngineConfig {
     /// edit the benchmark; it goes with that line in the next
     /// `[benchmark]` change (ROADMAP, the instrument item).
     pub workers: usize,
-    /// Worker threads for the event-driven simulation core
-    /// ([`microsim::sim::Simulation::set_workers`]); applied to the sim at
-    /// the start of every execution. Simulation output is byte-identical
-    /// at any value — this only trades wall-clock time.
+    /// Read nowhere: the simulation's event core runs every window as one
+    /// queue on the calling thread. Kept, like `workers`, only because
+    /// `benchmark/src/fleet.rs` names it.
     pub sim_workers: usize,
     /// Tail-based trace sampling applied to the sim's collector at the
     /// start of every execution ([`microsim::sim::Simulation::set_tail_sampling`]):
@@ -78,7 +77,7 @@ pub struct EngineConfig {
     /// Emit a [`JournalEvent::Runtime`] counter-registry snapshot every
     /// this many ticks when journaling (`0`, the default, disables the
     /// cadence). The snapshot carries only seed-pure counters, so journal
-    /// bytes stay identical across runs and worker counts.
+    /// bytes stay identical across runs.
     pub runtime_report_every: u64,
     /// Runtime self-observability configuration, applied to the
     /// simulation at the start of every execution and gating the
@@ -139,7 +138,7 @@ pub struct TransitionEvent {
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeReport {
     /// Merged engine + simulation counter registry at the end of the
-    /// run. Seed-pure: identical across repeated runs and worker counts.
+    /// run. Seed-pure: identical across repeated runs.
     pub counters: Counters,
     /// The hierarchical wall-clock phase profile. Empty except for the
     /// always-on busy totals when [`ObsConfig::disabled`] was configured.
@@ -284,12 +283,12 @@ impl RunState<'_> {
 }
 
 impl<'a> Compiled<'a> {
-    fn bind(sim: &Simulation, strategy: &'a Strategy) -> Result<Self, BifrostError> {
+    fn bind(sim: &mut Simulation, strategy: &'a Strategy) -> Result<Self, BifrostError> {
         let machine = StateMachine::compile(strategy)?;
         let app = sim.app();
         let binding = StrategyBinding::resolve(app, strategy)?;
         let (candidate, baseline) = (binding.candidate_scope(app), binding.baseline_scope(app));
-        let ctx = CheckContext::new(sim.store(), candidate, baseline);
+        let ctx = CheckContext::new(sim.store_mut(), candidate, baseline);
         Ok(Compiled {
             strategy,
             name: strategy.name.as_str().into(),
@@ -405,10 +404,11 @@ struct TracePipeline {
 }
 
 impl TracePipeline {
-    fn new(sim: &Simulation) -> Self {
+    fn new(sim: &mut Simulation) -> Self {
         let book = sim.span_book();
+        let store = sim.store_mut();
         let scopes = (0..book.version_count())
-            .map(|i| sim.store().intern(&format!("trace:{}", book.version_label(VersionId(i)))))
+            .map(|i| store.intern(&format!("trace:{}", book.version_label(VersionId(i)))))
             .collect();
         TracePipeline {
             book,
@@ -508,7 +508,7 @@ impl Engine {
     /// summaries it read, every transition, every enactment, every retired
     /// scope, and per-tick engine accounting. The journal's serialized
     /// form ([`Journal::to_jsonl`]) is byte-identical across repeated runs
-    /// with the same seed and across worker counts.
+    /// with the same seed.
     ///
     /// # Errors
     ///
@@ -606,8 +606,7 @@ impl<'a> Execution<'a> {
             // A zero step never advances the clock: the loop would spin.
             return Err(BifrostError::Execution("engine tick must be positive".into()));
         }
-        sim.store().set_retention(Some(retention_horizon(strategies)));
-        sim.set_workers(config.sim_workers);
+        sim.store_mut().set_retention(Some(retention_horizon(strategies)));
         sim.set_tail_sampling(config.tail_sampling);
         sim.set_obs(config.obs);
         let traces = TracePipeline::new(sim);
@@ -841,8 +840,9 @@ impl<'a> Execution<'a> {
             if still_referenced {
                 continue;
             }
-            self.sim.store().clear_scope(&scope);
-            self.sim.store().clear_prefix(&format!("exp:{strategy}/"));
+            let store = self.sim.store_mut();
+            store.clear_scope(&scope);
+            store.clear_prefix(&format!("exp:{strategy}/"));
             record(&mut self.journal, || JournalEvent::ScopeCleared { time: now, strategy, scope });
         }
     }
@@ -890,9 +890,9 @@ impl<'a> Execution<'a> {
 /// latency and dark spans are off the user path; both are skipped.
 /// Samples are stamped at the drain time, keeping every series monotonic
 /// for the store's window reads.
-fn distill_trace_samples(sim: &Simulation, trace_scopes: &[ScopeId], drained: &[Trace]) {
+fn distill_trace_samples(sim: &mut Simulation, trace_scopes: &[ScopeId], drained: &[Trace]) {
     let now = sim.now();
-    let mut batch = sim.store().batch();
+    let mut batch = sim.store_mut().batch();
     for trace in drained {
         for hop in trace.hops().filter(|hop| !hop.span.dark && hop.span.status.executed()) {
             let span = hop.span;
@@ -1288,38 +1288,15 @@ mod tests {
     }
 
     #[test]
-    fn journal_is_byte_identical_across_sim_worker_counts() {
-        // Same property as above across the simulation core's worker
-        // shards: the event core guarantees byte-identical sim output at
-        // any worker count, so the downstream journal must match too.
-        let mut texts = Vec::new();
-        for sim_workers in [1, 2, 8] {
-            let (app, strategies, wl) = fleet(8);
-            let mut sim = Simulation::new(app, 9);
-            sim.set_trace_sampling(1.0);
-            let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
-            let (report, journal) = engine
-                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert!(report.all_terminal());
-            assert_eq!(sim.workers(), sim_workers, "engine config reached the sim");
-            texts.push(journal.to_jsonl());
-        }
-        assert_eq!(texts[0], texts[1], "same seed, 1 vs 2 sim workers");
-        assert_eq!(texts[0], texts[2], "same seed, 1 vs 8 sim workers");
-    }
-
-    #[test]
-    fn journal_is_byte_identical_with_tail_sampling_across_sim_workers() {
+    fn journal_is_byte_identical_with_tail_sampling_across_runs() {
         // Acceptance: with sketches + tail sampling enabled, journal bytes
         // (including HealthSnapshot events and their sampling counters)
-        // are identical across same-seed runs and sim_workers 1 vs 4.
-        let run = |sim_workers: usize| {
+        // are identical across same-seed runs.
+        let run = || {
             let (app, strategies, wl) = fleet(8);
             let mut sim = Simulation::new(app, 9);
             sim.set_trace_sampling(1.0);
             let engine = Engine::new(EngineConfig {
-                sim_workers,
                 tail_sampling: Some(microsim::trace::TailSamplingConfig {
                     healthy_keep_one_in: 4,
                     slow_quantile: 0.95,
@@ -1338,9 +1315,8 @@ mod tests {
             assert!(health.contains("sampling: recorded"), "render discloses sampling counters");
             (journal.to_jsonl(), health)
         };
-        let first = run(1);
-        assert_eq!(first, run(1), "same seed, same sim workers");
-        assert_eq!(first, run(4), "same seed, 1 vs 4 sim workers");
+        let first = run();
+        assert_eq!(first, run(), "same seed");
         assert!(
             first.0.contains("\"tail_kept\":"),
             "HealthSnapshot events carry sampling counters"
@@ -1348,18 +1324,16 @@ mod tests {
     }
 
     #[test]
-    fn journal_with_runtime_events_is_byte_identical_across_runs_and_sim_workers() {
+    fn journal_with_runtime_events_is_byte_identical_across_runs() {
         // Acceptance: with obs enabled and runtime counter snapshots in
         // the journal, serialized bytes are identical across same-seed
-        // runs and across sim_workers 1 vs 4 — the counters are pure
-        // functions of the seed, and wall-clock timings never enter the
-        // journal.
-        let run = |sim_workers: usize| {
+        // runs — the counters are pure functions of the seed, and
+        // wall-clock timings never enter the journal.
+        let run = || {
             let (app, strategies, wl) = fleet(8);
             let mut sim = Simulation::new(app, 9);
             sim.set_trace_sampling(1.0);
             let engine = Engine::new(EngineConfig {
-                sim_workers,
                 runtime_report_every: 3,
                 obs: cex_core::obs::ObsConfig::enabled(),
                 ..Default::default()
@@ -1376,14 +1350,11 @@ mod tests {
             assert!(runtime_events > 0, "the cadence emitted runtime events");
             (journal.to_jsonl(), report.runtime)
         };
-        let first = run(1);
-        let again = run(1);
-        let wide = run(4);
-        assert_eq!(first.0, again.0, "same seed, same sim workers");
-        assert_eq!(first.0, wide.0, "same seed, 1 vs 4 sim workers");
+        let first = run();
+        let again = run();
+        assert_eq!(first.0, again.0, "same seed");
         // RuntimeReport equality is over the seed-pure counters.
-        assert_eq!(first.1, again.1, "registry: same seed, same sim workers");
-        assert_eq!(first.1, wide.1, "registry: same seed, 1 vs 4 sim workers");
+        assert_eq!(first.1, again.1, "registry: same seed");
         assert!(first.0.contains("\"ev\":\"runtime\""), "runtime events serialized");
         assert!(first.1.counters.count("engine.ticks") > 0);
         assert!(first.1.counters.count("sim.events.popped") > 0);
@@ -1524,9 +1495,9 @@ mod tests {
         // weighted folds that DESIGN.md keeps on purpose.
         let trace = Trace { id: TraceId(1), spans, weight: 3 };
 
-        let sim = Simulation::new(app, 1);
-        let pipeline = TracePipeline::new(&sim);
-        distill_trace_samples(&sim, &pipeline.scopes, std::slice::from_ref(&trace));
+        let mut sim = Simulation::new(app, 1);
+        let pipeline = TracePipeline::new(&mut sim);
+        distill_trace_samples(&mut sim, &pipeline.scopes, std::slice::from_ref(&trace));
         for (scope, executed, errored) in [
             ("trace:fe@1.0.0", 1, 0.0),
             ("trace:be@1.0.0", 2, 2.0),
@@ -2230,10 +2201,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_journal_is_byte_identical_across_runs_and_sim_workers() {
+    fn sequential_journal_is_byte_identical_across_runs() {
         // The full sequential feature set — early promotion, guarded
-        // ramping — journals byte-identically across same-seed runs and
-        // across sim worker counts, like every other event kind.
+        // ramping — journals byte-identically across same-seed runs, like
+        // every other event kind.
         let src = r#"strategy "seq-pipeline" {
             service "svc" baseline "1.0.0" candidate "2.0.0"
             phase "canary" canary 30% for 30m {
@@ -2248,12 +2219,12 @@ mod tests {
             }
         }"#;
         let mut texts = Vec::new();
-        for sim_workers in [1, 1, 4] {
+        for _ in 0..2 {
             let app = seq_app(0.3, 0.05);
             let wl = workload(&app);
             let mut sim = Simulation::new(app, 61);
             let strategy = dsl::parse(src).unwrap();
-            let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
+            let engine = Engine::new(EngineConfig::default());
             let (report, journal) = engine
                 .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(60))
                 .unwrap();
@@ -2262,16 +2233,15 @@ mod tests {
             assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::Ramp { .. })));
             texts.push(journal.to_jsonl());
         }
-        assert_eq!(texts[0], texts[1], "same seed, same sim workers");
-        assert_eq!(texts[0], texts[2], "same seed, 1 vs 4 sim workers");
+        assert_eq!(texts[0], texts[1], "same seed");
     }
 
     #[test]
-    fn sequential_fleet_journals_identically_at_any_worker_count_and_across_a_retry() {
+    fn sequential_fleet_journals_identically_across_runs_and_a_retry() {
         // Sequential looks resume their cumulative windows from cursors
         // kept per (run, check). A fleet that promotes early, ramps under
         // guard, retreats, and retries an undecided A/A phase must journal
-        // the same bytes at any sim worker count — and a retried phase must
+        // the same bytes on every same-seed run — and a retried phase must
         // start its windows over.
         let src = r#"
         strategy "good" {
@@ -2320,7 +2290,7 @@ mod tests {
             b.build().unwrap()
         };
         let mut texts = Vec::new();
-        for sim_workers in [1, 2] {
+        for _ in 0..2 {
             let app = fleet_app();
             let entries = ["good", "bad", "same"]
                 .iter()
@@ -2338,8 +2308,7 @@ mod tests {
             };
             let mut sim = Simulation::new(app, 78);
             let (strategies, _) = dsl::parse_fleet(src).unwrap();
-            let engine =
-                Engine::new(EngineConfig { sim_workers, max_retries: 3, ..Default::default() });
+            let engine = Engine::new(EngineConfig { max_retries: 3, ..Default::default() });
             let (_, journal) = engine
                 .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
                 .unwrap();
@@ -2380,7 +2349,7 @@ mod tests {
             }
             texts.push(journal.to_jsonl());
         }
-        assert_eq!(texts[0], texts[1], "same seed, 1 vs 2 sim workers");
+        assert_eq!(texts[0], texts[1], "same seed");
     }
 
     #[test]

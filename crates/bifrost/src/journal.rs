@@ -13,10 +13,9 @@
 //! # Determinism
 //!
 //! A journal serialized with [`Journal::to_jsonl`] is **byte-for-byte
-//! identical** across repeated runs with the same seed and across any
-//! simulation worker count: one thread evaluates, decides and appends, in
-//! strategy submission order, over a simulation whose output does not
-//! depend on its shard count; JSON is written through [`cex_core::json`]
+//! identical** across repeated runs with the same seed: one thread
+//! evaluates, decides and appends, in strategy submission order, over a
+//! seeded simulation; JSON is written through [`cex_core::json`]
 //! (ordered members, shortest round-trip floats, no insignificant
 //! whitespace), and the one
 //! nondeterministic quantity — per-tick wall-clock busy time — is kept
@@ -216,8 +215,8 @@ pub enum JournalEvent {
     /// Every value is a pure function of the seed — wall-clock timings
     /// live only in the sidecar profile
     /// ([`crate::engine::ExecutionReport::runtime`]), never here — so
-    /// the serialized journal stays byte-identical across runs and
-    /// worker counts with runtime reporting enabled.
+    /// the serialized journal stays byte-identical across runs with
+    /// runtime reporting enabled.
     Runtime {
         /// Virtual time of the report.
         time: SimTime,
@@ -703,8 +702,8 @@ impl Journal {
     }
 
     /// Serializes to line-delimited JSON, one event per line. The output
-    /// is byte-identical across runs with the same seed and any worker
-    /// count (see the module docs for what that guarantee rests on).
+    /// is byte-identical across runs with the same seed (see the module
+    /// docs for what that guarantee rests on).
     pub fn to_jsonl(&self) -> String {
         // Reserved once: a check event, the bulk of any journal, is ~250
         // bytes. Pages the text never reaches are never touched.

@@ -8,7 +8,7 @@
 //! matter how often the engine looks.
 //!
 //! Everything here is seeded and deterministic: the same grid produces
-//! the same abort counts on every run and at any worker count.
+//! the same abort counts on every run.
 
 use bifrost::dsl;
 use bifrost::engine::{Engine, EngineConfig, StrategyStatus};

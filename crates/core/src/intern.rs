@@ -5,12 +5,11 @@
 //! pipeline interns span identity (endpoint names shared across deployed
 //! versions). Both use this interner: names are interned once into dense
 //! [`Sym`]s at deployment or strategy start, and the per-event paths carry
-//! the symbols. Interning and by-name resolution are rare, so one
-//! reader-writer lock over the map and the name table is all the
-//! synchronisation there is.
+//! the symbols. An interner has one owner: interning takes `&mut self`,
+//! and lookups by name or symbol take `&self`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// An interned name. Dense, copyable, and stable for the lifetime of the
 /// [`Interner`] that issued it — the hot-path replacement for strings.
@@ -30,17 +29,12 @@ impl Sym {
     }
 }
 
+/// String → [`Sym`] interner.
 #[derive(Debug, Default)]
-struct Table {
+pub struct Interner {
     by_name: HashMap<Arc<str>, Sym>,
     /// Names in interning order: `names[sym.index()]`.
     names: Vec<Arc<str>>,
-}
-
-/// Thread-safe string → [`Sym`] interner.
-#[derive(Debug, Default)]
-pub struct Interner {
-    table: RwLock<Table>,
 }
 
 impl Interner {
@@ -49,29 +43,20 @@ impl Interner {
         Interner::default()
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Table> {
-        self.table.read().expect("interner lock poisoned")
-    }
-
     /// Looks up an already-interned name without ever interning.
     pub fn resolve(&self, name: &str) -> Option<Sym> {
-        self.read().by_name.get(name).copied()
+        self.by_name.get(name).copied()
     }
 
     /// Interns a name, returning its stable symbol. Idempotent.
-    pub fn intern(&self, name: &str) -> Sym {
+    pub fn intern(&mut self, name: &str) -> Sym {
         if let Some(id) = self.resolve(name) {
             return id;
         }
-        let mut table = self.table.write().expect("interner lock poisoned");
-        // Another thread may have interned it between the two locks.
-        if let Some(id) = table.by_name.get(name) {
-            return *id;
-        }
-        let id = Sym::from_index(table.names.len());
+        let id = Sym::from_index(self.names.len());
         let name: Arc<str> = name.into();
-        table.names.push(name.clone());
-        table.by_name.insert(name, id);
+        self.names.push(name.clone());
+        self.by_name.insert(name, id);
         id
     }
 
@@ -81,24 +66,17 @@ impl Interner {
     ///
     /// Panics when the symbol was not issued by this interner.
     pub fn name(&self, sym: Sym) -> Arc<str> {
-        self.read().names[sym.index()].clone()
+        self.names[sym.index()].clone()
     }
 
     /// Symbols whose name satisfies `pred`, in interning order.
     pub fn matching(&self, pred: impl Fn(&str) -> bool) -> Vec<Sym> {
-        let table = self.read();
-        table
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| pred(n))
-            .map(|(i, _)| Sym(i as u32))
-            .collect()
+        self.names.iter().enumerate().filter(|(_, n)| pred(n)).map(|(i, _)| Sym(i as u32)).collect()
     }
 
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.read().names.len()
+        self.names.len()
     }
 
     /// `true` when nothing has been interned.
@@ -113,7 +91,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent_and_dense() {
-        let i = Interner::new();
+        let mut i = Interner::new();
         let a = i.intern("alpha");
         let b = i.intern("beta");
         assert_ne!(a, b);
@@ -125,7 +103,7 @@ mod tests {
 
     #[test]
     fn resolve_does_not_intern() {
-        let i = Interner::new();
+        let mut i = Interner::new();
         assert!(i.resolve("ghost").is_none());
         let a = i.intern("real");
         assert_eq!(i.resolve("real"), Some(a));
@@ -134,7 +112,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        let i = Interner::new();
+        let mut i = Interner::new();
         let a = i.intern("svc@1.0.0");
         assert_eq!(&*i.name(a), "svc@1.0.0");
         assert_eq!(Sym::from_index(a.index()), a);
@@ -142,7 +120,7 @@ mod tests {
 
     #[test]
     fn matching_filters_by_name() {
-        let i = Interner::new();
+        let mut i = Interner::new();
         i.intern("trace:a");
         let b = i.intern("other");
         i.intern("trace:c");
@@ -153,30 +131,11 @@ mod tests {
 
     #[test]
     fn two_interners_do_not_share_symbols() {
-        let x = Interner::new();
-        let y = Interner::new();
+        let mut x = Interner::new();
+        let mut y = Interner::new();
         x.intern("only-x");
         assert!(y.resolve("only-x").is_none());
         assert_eq!(y.intern("only-y").index(), 0);
         assert!(x.resolve("only-y").is_none());
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)]
-    fn concurrent_intern_and_resolve() {
-        let i = Arc::new(Interner::new());
-        let seed = i.intern("seed");
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let i = Arc::clone(&i);
-                scope.spawn(move || {
-                    for k in 0..100 {
-                        assert_eq!(i.resolve("seed"), Some(seed));
-                        i.intern(&format!("t{t}-{k}"));
-                    }
-                });
-            }
-        });
-        assert_eq!(i.len(), 1 + 4 * 100);
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal, dependency-free JSON reading and writing.
 //!
 //! The Bifrost execution journal serializes to line-delimited JSON that
-//! must be **byte-for-byte reproducible** across runs and worker counts
+//! must be **byte-for-byte reproducible** across runs
 //! (see `DESIGN.md`, "Execution journal"). General-purpose serializers
 //! make no such promise — field order, float formatting, and whitespace
 //! are implementation details there — so the journal builds on this

@@ -18,16 +18,15 @@
 //!   (events popped, queue-depth high-water marks, sheds, batch flushes,
 //!   …) assembled as snapshots with deterministic (sorted) iteration
 //!   order.
-//! * [`WallProbe`] — an atomic accumulating timer for `&self` and
-//!   cross-thread call sites (metric-store flushes, window queries)
-//!   where a `&mut` profiler is out of reach; probe totals fold into the
-//!   profiler at snapshot time.
+//! * [`WallProbe`] — an accumulating timer for `&self` call sites
+//!   (metric-store flushes, window queries) where a profiler is out of
+//!   reach; probe totals fold into the profiler at snapshot time.
 //!
 //! # The determinism split
 //!
 //! Counter values are pure functions of the seed: the same seeded run
 //! pops the same events, sheds the same requests, and flushes the same
-//! batches regardless of worker count. They may therefore be written
+//! batches. They may therefore be written
 //! into the execution journal (the `runtime` event) and are held to the
 //! same byte-identity guarantee as every other journal event. Wall-clock
 //! timings are inherently nondeterministic and live **only** in the
@@ -50,10 +49,9 @@
 //! ```
 
 use crate::sketch::QuantileSketch;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Switches for the self-observability layer.
@@ -173,8 +171,8 @@ impl Counters {
 /// Running statistics for one profile node: total wall time, entry
 /// count, and a [`QuantileSketch`] over per-entry durations (in ms).
 ///
-/// Also usable stand-alone as a shard-local accumulator on hot paths
-/// (record locally without locks, [`Profiler::fold`] once per window).
+/// Also usable stand-alone as a local accumulator on hot paths (record
+/// locally, [`Profiler::fold`] once per window).
 #[derive(Debug, Clone)]
 pub struct PhaseStats {
     total_ns: u64,
@@ -244,20 +242,24 @@ impl Default for PhaseStats {
 /// to [`PhaseStats`], populated by RAII [`SpanGuard`]s.
 ///
 /// The node set is a static phase tree (a handful of paths per
-/// subsystem), so storage is O(tree). The map sits behind a mutex —
-/// spans are coarse-grained (per tick, window, or sub-round phase), so
-/// the lock is uncontended and off every per-event path; true hot loops
-/// accumulate into a local [`PhaseStats`] and [`Profiler::fold`] once.
-#[derive(Debug)]
+/// subsystem), so storage is O(tree). Spans are coarse-grained (per tick,
+/// window, or sub-round phase); true hot loops accumulate into a local
+/// [`PhaseStats`] and [`Profiler::fold`] once.
+///
+/// The map is a `RefCell` because recording must take `&self`: spans nest,
+/// so an outer [`SpanGuard`] still borrows the profiler when an inner one
+/// records, and the event core folds its phases through the same shared
+/// reference its caller's span holds. No borrow outlives one record.
+#[derive(Debug, Clone)]
 pub struct Profiler {
     enabled: bool,
-    nodes: Mutex<BTreeMap<String, PhaseStats>>,
+    nodes: RefCell<BTreeMap<String, PhaseStats>>,
 }
 
 impl Profiler {
     /// A profiler honoring `config.profile`.
     pub fn new(config: ObsConfig) -> Profiler {
-        Profiler { enabled: config.profile, nodes: Mutex::new(BTreeMap::new()) }
+        Profiler { enabled: config.profile, nodes: RefCell::new(BTreeMap::new()) }
     }
 
     /// Whether spans record (false ⇒ [`Profiler::span`] is a no-op).
@@ -277,7 +279,7 @@ impl Profiler {
     /// This is the escape hatch for always-on accounting (`sim.window`,
     /// `engine.tick`) whose totals back public busy-time accessors.
     pub fn record(&self, path: &str, d: Duration) {
-        self.lock().entry(path.to_string()).or_default().record(d);
+        self.nodes.borrow_mut().entry(path.to_string()).or_default().record(d);
     }
 
     /// Folds a locally-accumulated [`PhaseStats`] into `path`.
@@ -285,7 +287,7 @@ impl Profiler {
         if stats.count == 0 {
             return;
         }
-        self.lock().entry(path.to_string()).or_default().merge(stats);
+        self.nodes.borrow_mut().entry(path.to_string()).or_default().merge(stats);
     }
 
     /// Folds a pre-aggregated total into `path` (no distribution data).
@@ -293,13 +295,13 @@ impl Profiler {
         if count == 0 {
             return;
         }
-        self.lock().entry(path.to_string()).or_default().record_bulk(total_ns, count);
+        self.nodes.borrow_mut().entry(path.to_string()).or_default().record_bulk(total_ns, count);
     }
 
     /// Merges every node of `other` into this profiler by path.
     pub fn merge(&self, other: &Profiler) {
-        let theirs = other.lock();
-        let mut ours = self.lock();
+        let theirs = other.nodes.borrow();
+        let mut ours = self.nodes.borrow_mut();
         for (path, stats) in theirs.iter() {
             match ours.get_mut(path) {
                 Some(slot) => slot.merge(stats),
@@ -312,12 +314,13 @@ impl Profiler {
 
     /// Total recorded time under `path`, zero when absent.
     pub fn total(&self, path: &str) -> Duration {
-        self.lock().get(path).map(PhaseStats::total).unwrap_or(Duration::ZERO)
+        self.nodes.borrow().get(path).map(PhaseStats::total).unwrap_or(Duration::ZERO)
     }
 
     /// A point-in-time copy of every node, sorted by path.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot { nodes: self.lock().iter().map(|(k, v)| (k.clone(), v.clone())).collect() }
+        let nodes = self.nodes.borrow().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        ProfileSnapshot { nodes }
     }
 
     /// Renders the phase tree as indented text (see
@@ -334,23 +337,13 @@ impl Profiler {
 
     /// Discards every recorded node, keeping the enabled flag.
     pub fn reset(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, PhaseStats>> {
-        self.nodes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.nodes.borrow_mut().clear();
     }
 }
 
 impl Default for Profiler {
     fn default() -> Profiler {
         Profiler::new(ObsConfig::default())
-    }
-}
-
-impl Clone for Profiler {
-    fn clone(&self) -> Profiler {
-        Profiler { enabled: self.enabled, nodes: Mutex::new(self.lock().clone()) }
     }
 }
 
@@ -474,51 +467,51 @@ fn fmt_ns(ns: u64) -> String {
 // Wall probe
 // ---------------------------------------------------------------------------
 
-/// An atomic accumulating timer for `&self` and cross-thread call sites
-/// (metric-store flushes, parallel check evaluation) where a `&mut`
-/// profiler is out of reach.
+/// An accumulating timer for `&self` call sites (metric-store window
+/// queries and flushes) where a profiler is out of reach.
 ///
 /// Totals fold into a profiler node at snapshot time via
 /// [`Profiler::fold_bulk`]; probes carry no per-entry distribution. A
-/// disarmed probe takes one relaxed atomic load per call site.
+/// disarmed probe takes one branch per call site. The totals are `Cell`s
+/// because a measured read takes `&self`: the store's window queries are
+/// timed through the shared reference every check holds.
 #[derive(Debug, Default)]
 pub struct WallProbe {
-    armed: AtomicBool,
-    ns: AtomicU64,
-    count: AtomicU64,
+    armed: bool,
+    ns: Cell<u64>,
+    count: Cell<u64>,
 }
 
 impl WallProbe {
     /// An armed probe with zeroed totals.
     pub fn new() -> WallProbe {
-        WallProbe { armed: AtomicBool::new(true), ns: AtomicU64::new(0), count: AtomicU64::new(0) }
+        WallProbe { armed: true, ..WallProbe::default() }
     }
 
     /// Arms or disarms the probe; disarmed probes skip the clock reads.
-    pub fn set_armed(&self, armed: bool) {
-        self.armed.store(armed, Ordering::Relaxed);
+    pub fn set_armed(&mut self, armed: bool) {
+        self.armed = armed;
     }
 
     /// Starts a scoped measurement; elapsed time accumulates on drop.
     pub fn time(&self) -> ProbeGuard<'_> {
-        let armed = self.armed.load(Ordering::Relaxed);
-        ProbeGuard { inner: armed.then(|| (self, Instant::now())) }
+        ProbeGuard { inner: self.armed.then(|| (self, Instant::now())) }
     }
 
     /// Total accumulated nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.ns.load(Ordering::Relaxed)
+        self.ns.get()
     }
 
     /// Number of completed measurements.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.get()
     }
 
     /// Zeroes the totals (the armed flag is untouched).
-    pub fn reset(&self) {
-        self.ns.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
+    pub fn reset(&mut self) {
+        self.ns.set(0);
+        self.count.set(0);
     }
 }
 
@@ -532,8 +525,8 @@ impl Drop for ProbeGuard<'_> {
     fn drop(&mut self) {
         if let Some((probe, started)) = self.inner.take() {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            probe.ns.fetch_add(ns, Ordering::Relaxed);
-            probe.count.fetch_add(1, Ordering::Relaxed);
+            probe.ns.set(probe.ns.get() + ns);
+            probe.count.set(probe.count.get() + 1);
         }
     }
 }
@@ -637,7 +630,7 @@ mod tests {
 
     #[test]
     fn wall_probe_accumulates_and_disarms() {
-        let probe = WallProbe::new();
+        let mut probe = WallProbe::new();
         {
             let _t = probe.time();
             std::hint::black_box(0);
@@ -655,7 +648,7 @@ mod tests {
     }
 
     /// Satellite requirement: spans must be near-zero when disabled.
-    /// 1M disabled spans do no clock reads, no locking, and no
+    /// 1M disabled spans do no clock reads, no map access, and no
     /// allocation — a generous wall bound keeps this robust on loaded
     /// CI machines while still catching an accidental hot-path
     /// regression (e.g. an unconditional `Instant::now()`).

@@ -1,5 +1,5 @@
-//! The request core: a discrete-event scheduler with deterministic sharded
-//! parallel execution. Every simulated request runs here.
+//! The request core: a deterministic discrete-event scheduler on the
+//! calling thread. Every simulated request runs here.
 //!
 //! # The request model
 //!
@@ -44,7 +44,7 @@
 //!   next child call. Frames suspend while a child is outstanding and
 //!   resume when its `Reply` (or `Timeout`) arrives, so thousands of
 //!   requests interleave in simulated time. A frame is built once, lives in
-//!   its shard's identity-keyed map and is advanced in place.
+//!   an identity-keyed map and is advanced in place.
 //! - Per-version **concurrency limits and bounded admission queues**
 //!   ([`OccupancyTable`]) act at frame dispatch: a frame either begins
 //!   service immediately, parks in a FIFO queue until a slot frees, or is
@@ -55,75 +55,61 @@
 //!   races the attempt's `Reply`, and a generation counter on the caller
 //!   frame discards whichever loses.
 //!
-//! # Sub-rounds, sharding and determinism
+//! # Sub-rounds and determinism
 //!
-//! Services are sharded across workers (`shard = service % workers`) and
-//! every piece of mutable state — frames, occupancy, load counters,
-//! breakers (keyed by the *caller's* service) — is owned by exactly one
-//! shard. Time advances in **sub-rounds**. A sub-round has an address, the
-//! earliest `(time, phase)` queued on any shard (`queue::Front`), and
-//! processes, in `EvKey` order, every event at that address *that existed
-//! when the sub-round began*: an event created during a sub-round waits in
-//! its creator's `pending` list (same shard) or its target's inbox (another
-//! shard) and joins a queue only after the sub-round ends. The sub-round an
-//! event runs in is therefore a pure function of the event graph, never of
-//! how services are spread over workers — and neither are the journaled
-//! counts of events and sub-rounds. `Timeout` events carry the later phase
-//! and so run in a sub-round of their own once no normal event remains at
-//! that timestamp (normal events they create re-open the normal phase at
-//! the same instant): a timeout fires iff the attempt's finish time
-//! strictly exceeds the deadline — an attempt that takes exactly the
-//! deadline is on time.
-//!
-//! One loop (`drive`) runs every worker count. A lone worker's sub-round
-//! address is simply its own queue's front, and nothing it touches is
-//! shared: no thread, barrier, lock or atomic exists in a one-worker
-//! window. Several workers agree on the address and exchange cross-shard
-//! events through a `rendezvous::Rendezvous` — two barriers per
-//! sub-round — and that is the only difference. The queue itself is a ring
-//! of per-millisecond buckets (`queue::EventQueue`).
+//! One queue, a ring of per-millisecond buckets (`queue::EventQueue`),
+//! holds every scheduled event. Time advances in **sub-rounds**. A
+//! sub-round has an address, the earliest queued `(time, phase)`
+//! (`queue::Front`), and processes, in `EvKey` order, every event at that
+//! address *that existed when the sub-round began*: the sub-round takes its
+//! whole bucket off the queue before it runs any of it, so an event it
+//! creates — even at the same address — joins the queue behind it and runs
+//! in a later sub-round. The sub-round an event runs in is therefore a pure
+//! function of the event graph, and so are the journaled counts of events
+//! and sub-rounds. `Timeout` events carry the later phase and so run in a
+//! sub-round of their own once no normal event remains at that timestamp
+//! (normal events they create re-open the normal phase at the same
+//! instant): a timeout fires iff the attempt's finish time strictly exceeds
+//! the deadline — an attempt that takes exactly the deadline is on time.
 //!
 //! # Span addresses
 //!
-//! A sampled request's hops record their spans as they finish, on whichever
-//! shard ran them, so a span record carries its place in the tree as a
-//! fixed-size `SpanAddr`: the identity of the caller's frame (0 for the
-//! root) and a slot `(call index, rank, sub)` — under one call the shed
-//! event, then the attempts by number, the fallback event, the mirrors by
-//! index. The record also carries the identity of its own frame, which is
-//! what its children name. Walking each frame's children in slot order, in
-//! pre-order from the root, is exactly the order of a sort on the
+//! A sampled request's hops record their spans as they finish, in event
+//! order rather than tree order, so a span record carries its place in the
+//! tree as a fixed-size `SpanAddr`: the identity of the caller's frame (0
+//! for the root) and a slot `(call index, rank, sub)` — under one call the
+//! shed event, then the attempts by number, the fallback event, the mirrors
+//! by index. The record also carries the identity of its own frame, which
+//! is what its children name. Walking each frame's children in slot order,
+//! in pre-order from the root, is exactly the order of a sort on the
 //! root-to-span path of slots, without building any path. Frame identities
 //! are `(service << 32) | serial`, and a service's serials count its
-//! frames in sub-round order, in key order within a sub-round; that
-//! sequence is a function of the event graph alone, so an identity means
-//! the same frame at every worker count. (The order a trace is built in
-//! depends only on the slots; identities are only looked up.)
+//! frames in sub-round order, in key order within a sub-round. (The order a
+//! trace is built in depends only on the slots; identities are only looked
+//! up.)
 //!
 //! # The merge
 //!
 //! Every output record (metric sample, breaker transition, span, visit,
 //! root outcome) is tagged with the `EvKey` of the event that produced
-//! it. After the window drains, a single-threaded merge writes metric
-//! store, transition log and trace collector in one canonical order: tagged
-//! records in global key order (`sim.event.merge.samples`), then
-//! per-request outputs in arrival order (`.requests`, `.traces`). The drive
-//! loop already emits each shard's records in non-decreasing event time,
-//! so the merge sorts only the runs that share a timestamp and interleaves
-//! the shards by key. Per-request records are grouped by a counting sort
-//! on the dense request index. Each sampled request is then offered to the
-//! trace collector on its root duration and whether any span or timeout
-//! patch marks an error, and only the traces the collector keeps are built
+//! it. After the window drains, the merge writes metric store, transition
+//! log and trace collector in one canonical order: tagged records in key
+//! order (`sim.event.merge.samples`), then per-request outputs in arrival
+//! order (`.requests`, `.traces`). The drive loop emits records in
+//! non-decreasing event time, but a later sub-round at the same instant
+//! may hold smaller keys, so the merge sorts the runs that share a
+//! timestamp. Per-request records are grouped by a counting sort on the
+//! dense request index. Each sampled request is then offered to the trace
+//! collector on its root duration and whether any span or timeout patch
+//! marks an error, and only the traces the collector keeps are built
 //! (patches applied by address, the pre-order walk above, ids numbered by
-//! position). Same seed + same worker count, or same seed + *different*
-//! worker count: byte-identical outputs either way.
+//! position). Same seed, byte-identical outputs.
 
 #[cfg(test)]
 mod path_model;
 mod queue;
-mod rendezvous;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
@@ -141,7 +127,6 @@ use cex_core::obs::{PhaseStats, Profiler};
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
 use queue::{EventQueue, Front};
-use rendezvous::Rendezvous;
 
 /// Normal events (calls, completions, replies).
 const PHASE_NORMAL: u8 = 0;
@@ -439,18 +424,13 @@ struct RootRec {
     duration_ms: u64,
 }
 
-/// The shards' output buffers, kept by the caller from one window to the
-/// next: the merge drains them, so a steady-state window finds them empty
-/// at the capacity the previous one needed and grows none of them. (Grown
-/// from nothing every window, the last doubling of the sample buffer alone
-/// was a multi-millisecond copy inside some sub-round.)
+/// The event core's output buffers, kept by the caller from one window to
+/// the next: the merge drains them, so a steady-state window finds them
+/// empty at the capacity the previous one needed and grows none of them.
+/// (Grown from nothing every window, the last doubling of the sample buffer
+/// alone was a multi-millisecond copy inside some sub-round.)
 #[derive(Debug, Default)]
 pub(crate) struct WindowBuffers {
-    outs: Vec<ShardOut>,
-}
-
-#[derive(Debug, Default)]
-struct ShardOut {
     samples: Vec<Tagged<SampleRec>>,
     transitions: Vec<Tagged<BreakerTransition>>,
     visits: Vec<VisitRec>,
@@ -459,11 +439,10 @@ struct ShardOut {
     roots: Vec<RootRec>,
 }
 
-/// One pre-generated arrival handed to [`run_window`], shared read-only by
-/// all shards while the window runs. The trace decision and the two
-/// per-request RNG draws happen in the caller, in arrival order, so the
-/// simulation's random streams are consumed the same way at any worker
-/// count.
+/// One pre-generated arrival handed to [`run_window`]. The trace decision
+/// and the two per-request RNG draws happen in the caller, in arrival
+/// order, so the simulation's random streams are consumed in arrival order
+/// whatever order the window's events run in.
 #[derive(Debug)]
 pub(crate) struct EventRequest {
     pub(crate) time: SimTime,
@@ -484,64 +463,45 @@ pub(crate) struct WindowStats {
     pub(crate) tally: WindowTally,
 }
 
-/// Deterministic event-core tallies for one window, folded across shards
-/// at the merge. Every field is a pure function of the seed — an event is
-/// processed by exactly one shard regardless of the worker count, and all
-/// workers run the same sub-round sequence — so these values are safe to
-/// journal (see `cex_core::obs`).
+/// Deterministic event-core tallies: per window, then summed over windows.
+/// Every field is a pure function of the seed — the sub-round sequence is
+/// the event graph's — so these values are safe to journal (see
+/// `cex_core::obs`).
 #[derive(Debug, Default)]
 pub(crate) struct WindowTally {
-    /// Events taken off shard queues (every created event is taken once).
+    /// Events taken off the queue (every created event is taken once).
     pub(crate) events_popped: u64,
-    /// Events created, whichever path delivers them (the creating shard's
-    /// pending list or another shard's inbox): all events but the root
-    /// arrivals.
+    /// Events created: all events but the root arrivals.
     pub(crate) events_sent: u64,
-    /// Sub-rounds driven (identical on every worker; taken from one
-    /// shard, not summed, so the value is worker-count invariant).
+    /// Sub-rounds driven.
     pub(crate) sub_rounds: u64,
     /// Requests shed — admission-queue-full plus breaker sheds.
     pub(crate) sheds: u64,
 }
 
-/// Shard-local observability: deterministic tallies plus wall-clock phase
-/// accumulators. Tallies fold into [`WindowTally`] at the merge; phase
-/// timings fold into the profiler and are recorded only when profiling is
-/// on (`timed`), keeping the disabled path free of clock reads. Even when
-/// on, only 1-in-[`OBS_TIMING_SAMPLE`] sub-rounds are timed — the
-/// accumulators hold sampled values that [`fold_sampled`] scales back up.
-#[derive(Debug)]
-struct ShardObs {
-    timed: bool,
-    events_popped: u64,
-    events_sent: u64,
-    sub_rounds: u64,
-    sheds: u64,
-    /// Taking the sub-round's bucket off the queue, in key order.
-    pop: PhaseStats,
-    /// Processing the bucket's events.
-    dispatch: PhaseStats,
-    /// Waiting at the rendezvous' barriers; stays empty at one worker.
-    barrier: PhaseStats,
-    /// Joining created events (pending list and inbox) to the queue and
-    /// finding its new front.
-    exchange: PhaseStats,
+impl WindowTally {
+    /// Adds `other`'s tallies to these.
+    pub(crate) fn add(&mut self, other: &WindowTally) {
+        self.events_popped += other.events_popped;
+        self.events_sent += other.events_sent;
+        self.sub_rounds += other.sub_rounds;
+        self.sheds += other.sheds;
+    }
 }
 
-impl ShardObs {
-    fn new(timed: bool) -> ShardObs {
-        ShardObs {
-            timed,
-            events_popped: 0,
-            events_sent: 0,
-            sub_rounds: 0,
-            sheds: 0,
-            pop: PhaseStats::new(),
-            dispatch: PhaseStats::new(),
-            barrier: PhaseStats::new(),
-            exchange: PhaseStats::new(),
-        }
-    }
+/// The drive loop's wall-clock phase accumulators, recorded only when
+/// profiling is on, keeping the disabled path free of clock reads. Even
+/// when on, only 1-in-[`OBS_TIMING_SAMPLE`] sub-rounds are timed — the
+/// accumulators hold sampled values that [`fold_sampled`] scales back up.
+#[derive(Debug, Default)]
+struct PhaseTimes {
+    /// Taking the sub-round's bucket off the queue, in key order.
+    pop: PhaseStats,
+    /// Processing the bucket.
+    dispatch: PhaseStats,
+    /// Finding the next sub-round's address (created events joined the
+    /// queue as they were sent).
+    exchange: PhaseStats,
 }
 
 /// When profiling is on, only one sub-round in this many is actually
@@ -568,38 +528,29 @@ fn lap(stats: &mut PhaseStats, started: Option<Instant>) {
     }
 }
 
-fn service_of_ident(ident: u64) -> usize {
-    (ident >> 32) as usize
-}
-
-/// One worker's shard: the event queue, the frames in flight on the
-/// services assigned to it, and everything those frames read and write
-/// while they advance ([`ShardCtx`], a separate field so a frame can be
-/// advanced in place inside `frames`).
-struct Shard<'a> {
-    queue: EventQueue,
+/// One window's event core: the frames in flight and everything they read
+/// and write while they advance ([`Ctx`], a separate field so a frame can
+/// be advanced in place inside `frames`).
+struct Core<'a> {
     frames: IdentMap<Frame>,
     parked: IdentMap<Parked>,
-    ctx: ShardCtx<'a>,
+    ctx: Ctx<'a>,
 }
 
-/// The state a shard owns besides its frames, the model it reads, its
-/// output buffers and the way out for the events it creates.
-struct ShardCtx<'a> {
-    id: usize,
-    workers: usize,
-    /// The other workers, when there are any.
-    peers: Option<&'a Rendezvous>,
-    /// Events created this sub-round for services of this shard; they
-    /// join the queue when the sub-round ends.
-    pending: Vec<HeapEv>,
-    /// Next frame serial per service (only this shard's services advance).
+/// The event queue, the state the window mutates, the model it reads and
+/// its output buffers.
+struct Ctx<'a> {
+    queue: EventQueue,
+    /// Next frame serial per service.
     serials: Vec<u32>,
-    load: LoadTracker,
-    occ: OccupancyTable,
+    load: &'a mut LoadTracker,
+    occ: &'a mut OccupancyTable,
+    /// Holds the simulation's breakers for the window, so the transitions
+    /// it logs are this window's alone (the merge replays them in key
+    /// order).
     res: ResilienceState,
     scratch_transitions: Vec<BreakerTransition>,
-    out: ShardOut,
+    out: &'a mut WindowBuffers,
     cur_key: EvKey,
     sample_seq: u32,
     app: &'a Application,
@@ -608,10 +559,11 @@ struct ShardCtx<'a> {
     plan: &'a ResiliencePlan,
     reqs: &'a [EventRequest],
     guard: bool,
-    obs: ShardObs,
+    /// Events popped and sent, sheds; the loop counts sub-rounds.
+    tally: WindowTally,
 }
 
-impl ShardCtx<'_> {
+impl Ctx<'_> {
     fn alloc_ident(&mut self, service: usize) -> u64 {
         // Serials start at 1 so a frame identity never collides with the
         // root-arrival creator key 0.
@@ -619,17 +571,12 @@ impl ShardCtx<'_> {
         ((service as u64) << 32) | u64::from(self.serials[service])
     }
 
-    /// Schedules a created event. It must not run in the sub-round that
-    /// created it, so it never goes straight into a queue.
-    fn send(&mut self, target_service: usize, key: EvKey, ev: Ev) {
-        self.obs.events_sent += 1;
-        let to = target_service % self.workers;
-        let ev = HeapEv { key, ev };
-        if to == self.id {
-            self.pending.push(ev);
-        } else {
-            self.peers.expect("another shard exists only beside a rendezvous").post(to, ev);
-        }
+    /// Schedules a created event. The running sub-round's bucket is
+    /// already off the queue, so the event runs in a later sub-round even
+    /// at the same address.
+    fn send(&mut self, key: EvKey, ev: Ev) {
+        self.tally.events_sent += 1;
+        self.queue.push(HeapEv { key, ev });
     }
 
     fn sample(&mut self, version: VersionId, kind: MetricKind, time_ms: u64, value: f64) {
@@ -673,7 +620,7 @@ impl ShardCtx<'_> {
                 let finish = frame.start_ms + frame.elapsed_ms;
                 let key = frame.next_key(finish, PHASE_NORMAL);
                 frame.pending = Pending::Finishing;
-                self.send(service_of_ident(frame.ident), key, Ev::Done { ident: frame.ident });
+                self.send(key, Ev::Done { ident: frame.ident });
                 return;
             };
             if call.probability < 1.0 && frame.hrng.next_f64() >= call.probability {
@@ -712,7 +659,7 @@ impl ShardCtx<'_> {
             if let (Some(guarded), Some(bp)) = (&guarded, policy.and_then(|p| p.breaker)) {
                 let at = SimTime::from_millis(child_start);
                 if self.res.decide(frame.version, callee, &bp, at) == CallDecision::Shed {
-                    self.obs.sheds += 1;
+                    self.tally.sheds += 1;
                     self.sample(callee, MetricKind::Shed, child_start, 1.0);
                     if let Some(addr) = frame.child_span(Rank::Shed, 0) {
                         self.out.spans.push(SpanRec {
@@ -761,7 +708,6 @@ impl ShardCtx<'_> {
         let span = frame.child_span(Rank::Attempt, attempt);
         let key = frame.next_key(at_ms, PHASE_NORMAL);
         self.send(
-            self.app.version(callee).service.0,
             key,
             Ev::Call(CallEv {
                 version: callee,
@@ -776,8 +722,7 @@ impl ShardCtx<'_> {
         );
         if let Some(limit) = deadline {
             let key = frame.next_key(at_ms + limit.as_millis(), PHASE_TIMEOUT);
-            let timeout = Ev::Timeout { parent: frame.ident, gen };
-            self.send(service_of_ident(frame.ident), key, timeout);
+            self.send(key, Ev::Timeout { parent: frame.ident, gen });
         }
     }
 
@@ -801,7 +746,6 @@ impl ShardCtx<'_> {
             let span = frame.child_span(Rank::Mirror, mi as u32);
             let key = frame.next_key(child_start, PHASE_NORMAL);
             self.send(
-                self.app.version(*mirror).service.0,
                 key,
                 Ev::Call(CallEv {
                     version: *mirror,
@@ -907,7 +851,7 @@ impl ShardCtx<'_> {
     }
 }
 
-impl Shard<'_> {
+impl Core<'_> {
     fn process(&mut self, ev: HeapEv) {
         self.ctx.cur_key = ev.key;
         self.ctx.sample_seq = 0;
@@ -956,7 +900,7 @@ impl Shard<'_> {
                 self.parked.insert(ident, Parked { call, req, dispatch_ms: t });
             }
             Admission::Shed => {
-                ctx.obs.sheds += 1;
+                ctx.tally.sheds += 1;
                 ctx.sample(version, MetricKind::Shed, t, 1.0);
                 if let Some(addr) = call.span {
                     ctx.out.spans.push(SpanRec {
@@ -976,11 +920,7 @@ impl Shard<'_> {
                     Some((parent, gen)) => {
                         let reply_key =
                             EvKey { time: t, phase: PHASE_NORMAL, req, ckey: ident, cseq: 0 };
-                        ctx.send(
-                            service_of_ident(parent),
-                            reply_key,
-                            Ev::Reply { parent, gen, ok: false, duration_ms: 0 },
-                        );
+                        ctx.send(reply_key, Ev::Reply { parent, gen, ok: false, duration_ms: 0 });
                     }
                     None if !call.dark => {
                         ctx.out.roots.push(RootRec { req, ok: false, duration_ms: 0 });
@@ -1031,19 +971,15 @@ impl Shard<'_> {
                 dark: frame.dark,
             });
         }
-        // Free the slot; the longest-waiting queued dispatch (same
-        // version, hence same shard) begins service right now.
+        // Free the slot; the longest-waiting queued dispatch begins service
+        // right now.
         if let Some(token) = ctx.occ.release(frame.version) {
             self.begin_queued(token, finish_ms);
         }
         match frame.parent {
             Some((parent, gen)) => {
                 let key = frame.next_key(finish_ms, PHASE_NORMAL);
-                self.ctx.send(
-                    service_of_ident(parent),
-                    key,
-                    Ev::Reply { parent, gen, ok: frame.ok, duration_ms },
-                );
+                self.ctx.send(key, Ev::Reply { parent, gen, ok: frame.ok, duration_ms });
             }
             None if !frame.dark => {
                 self.ctx.out.roots.push(RootRec { req: frame.req, ok: frame.ok, duration_ms });
@@ -1087,69 +1023,35 @@ impl Shard<'_> {
     }
 }
 
-/// One worker's drive loop, the same at every worker count. Per sub-round:
-///
-/// 1. agree on the global front — with peers through
-///    [`Rendezvous::agree`] (first barrier), alone by taking the own
-///    queue's front as is; all workers leave together when it is idle;
-/// 2. take the own bucket at that `(time, phase)` — often empty when
-///    another shard holds the minimum — and process its events in key
-///    order; events they create go to `pending` or, across shards, to the
-///    target's inbox;
-/// 3. with peers, wait until every worker has finished posting (second
-///    barrier);
-/// 4. join inbox and `pending` to the queue and find its new front.
-///
-/// Because created events reach a queue only at step 4, sub-round
-/// membership (and hence all state-mutation order) is independent of how
-/// services are spread over workers.
-fn drive(shard: &mut Shard<'_>) {
-    let peers = shard.ctx.peers;
+/// Drives a window's queue to empty and returns the number of sub-rounds.
+/// Each sub-round takes the bucket at the earliest queued `(time, phase)`
+/// off the queue, then processes its events in key order; the events they
+/// create join the queue as they are sent, behind the bucket already
+/// taken (see the module doc).
+fn drive(core: &mut Core<'_>, times: &mut PhaseTimes, profile: bool) -> u64 {
     // The bucket being processed; swapped with the queue's so both keep
     // their capacity.
     let mut bucket: Vec<HeapEv> = Vec::new();
-    let mut own = shard.queue.top();
-    for round in 0_u64.. {
+    let mut front = core.ctx.queue.top();
+    let mut round = 0_u64;
+    while front != Front::IDLE {
         // Time 1-in-`OBS_TIMING_SAMPLE` rounds; see the constant's doc.
-        let timed = shard.ctx.obs.timed && round % OBS_TIMING_SAMPLE == OBS_TIMING_SAMPLE / 2;
-        let front = match peers {
-            None => own,
-            Some(peers) => {
-                let t0 = mark(timed);
-                let agreed = peers.agree(round, own);
-                lap(&mut shard.ctx.obs.barrier, t0);
-                agreed
-            }
-        };
-        if front == Front::IDLE {
-            break;
-        }
-        shard.ctx.obs.sub_rounds += 1;
+        let timed = profile && round % OBS_TIMING_SAMPLE == OBS_TIMING_SAMPLE / 2;
+        round += 1;
         let t0 = mark(timed);
-        shard.queue.take(front, &mut bucket);
-        shard.ctx.obs.events_popped += bucket.len() as u64;
-        lap(&mut shard.ctx.obs.pop, t0);
+        core.ctx.queue.take(front, &mut bucket);
+        core.ctx.tally.events_popped += bucket.len() as u64;
+        lap(&mut times.pop, t0);
         let t0 = mark(timed);
         for ev in bucket.drain(..) {
-            shard.process(ev);
+            core.process(ev);
         }
-        lap(&mut shard.ctx.obs.dispatch, t0);
-        if let Some(peers) = peers {
-            let t0 = mark(timed);
-            peers.settle();
-            lap(&mut shard.ctx.obs.barrier, t0);
-        }
+        lap(&mut times.dispatch, t0);
         let t0 = mark(timed);
-        if let Some(peers) = peers {
-            peers.drain_inbox(shard.ctx.id, |ev| shard.queue.push(ev));
-        }
-        for ev in shard.ctx.pending.drain(..) {
-            shard.queue.push(ev);
-        }
-        own = shard.queue.top();
-        lap(&mut shard.ctx.obs.exchange, t0);
+        front = core.ctx.queue.top();
+        lap(&mut times.exchange, t0);
     }
-    debug_assert!(shard.queue.is_empty() && shard.ctx.pending.is_empty());
+    round
 }
 
 /// Runs one window of pre-generated arrivals through the event core and
@@ -1166,60 +1068,33 @@ pub(crate) fn run_window(
     sink: &mut MetricSink<'_>,
     collector: &mut TraceCollector,
     requests: Vec<EventRequest>,
-    workers: usize,
     buffers: &mut WindowBuffers,
     profiler: &Profiler,
 ) -> WindowStats {
-    let workers = workers.clamp(1, app.service_count().max(1));
-    buffers.outs.resize_with(workers, ShardOut::default);
-    let owner = |version: VersionId| app.version(version).service.0 % workers;
-
-    // Every piece of per-version state goes to the shard owning the
-    // version's service — load counters and admission queues here,
-    // breakers by the *caller's* service — and comes back at the merge. A
-    // lone shard is handed the caller's tables whole.
-    let mut breakers: Vec<BTreeMap<_, _>> = (0..workers).map(|_| BTreeMap::new()).collect();
-    for ((caller, callee), breaker) in state.take_breakers() {
-        breakers[owner(caller)].insert((caller, callee), breaker);
-    }
-    let peers = (workers > 1).then(|| Rendezvous::new(workers));
-    let mut shards: Vec<Shard<'_>> = load
-        .split(workers, owner)
-        .into_iter()
-        .zip(occupancy.split(workers, owner))
-        .zip(breakers)
-        .enumerate()
-        .map(|(id, ((load, occ), breakers))| {
-            let mut res = ResilienceState::new();
-            res.absorb_breakers(breakers);
-            Shard {
-                queue: EventQueue::new(),
-                frames: IdentMap::default(),
-                parked: IdentMap::default(),
-                ctx: ShardCtx {
-                    id,
-                    workers,
-                    peers: peers.as_ref(),
-                    pending: Vec::new(),
-                    serials: vec![0; app.service_count()],
-                    load,
-                    occ,
-                    res,
-                    scratch_transitions: Vec::new(),
-                    out: std::mem::take(&mut buffers.outs[id]),
-                    cur_key: KEY_ZERO,
-                    sample_seq: 0,
-                    app,
-                    router,
-                    faults,
-                    plan,
-                    reqs: &requests,
-                    guard: !plan.is_empty(),
-                    obs: ShardObs::new(profiler.enabled()),
-                },
-            }
-        })
-        .collect();
+    let mut res = ResilienceState::new();
+    res.absorb_breakers(state.take_breakers());
+    let mut core = Core {
+        frames: IdentMap::default(),
+        parked: IdentMap::default(),
+        ctx: Ctx {
+            queue: EventQueue::new(),
+            serials: vec![0; app.service_count()],
+            load,
+            occ: occupancy,
+            res,
+            scratch_transitions: Vec::new(),
+            out: buffers,
+            cur_key: KEY_ZERO,
+            sample_seq: 0,
+            app,
+            router,
+            faults,
+            plan,
+            reqs: &requests,
+            guard: !plan.is_empty(),
+            tally: WindowTally::default(),
+        },
+    };
 
     // Seed root arrivals. Entry version and endpoint resolve up front, in
     // arrival order; a workload that names an endpoint its entry version
@@ -1236,7 +1111,7 @@ pub(crate) fn run_window(
             ckey: 0,
             cseq: i as u32,
         };
-        shards[r.service.0 % workers].queue.push(HeapEv {
+        core.ctx.queue.push(HeapEv {
             key,
             ev: Ev::Call(CallEv {
                 version,
@@ -1251,27 +1126,26 @@ pub(crate) fn run_window(
         });
     }
 
-    // The one place a thread starts (see the workspace `clippy.toml`).
-    #[allow(clippy::disallowed_methods)]
-    match shards.as_mut_slice() {
-        [alone] => drive(alone),
-        many => std::thread::scope(|s| {
-            for shard in many {
-                s.spawn(move || drive(shard));
-            }
-        }),
-    }
+    let mut times = PhaseTimes::default();
+    let sub_rounds = drive(&mut core, &mut times, profiler.enabled());
+    fold_sampled(profiler, "sim.event.pop", &times.pop);
+    fold_sampled(profiler, "sim.event.dispatch", &times.dispatch);
+    fold_sampled(profiler, "sim.event.exchange", &times.exchange);
+    debug_assert!(core.parked.is_empty(), "admission queues drain within the window");
+    debug_assert!(core.frames.is_empty(), "all frames complete within the window");
+    let Ctx { mut res, tally, out, .. } = core.ctx;
+    state.absorb_breakers(res.take_breakers());
 
     cex_core::span!(profiler, "sim.event.merge");
-    merge(app, load, occupancy, state, sink, collector, &requests, shards, buffers, profiler)
+    let tally = WindowTally { sub_rounds, ..tally };
+    merge(app, state, sink, collector, &requests, tally, out, profiler)
 }
 
 /// Folds a 1-in-[`OBS_TIMING_SAMPLE`] sampled phase accumulator into the
 /// profiler: the sampled durations go in as-is (so means and quantiles
 /// stay per-sub-round facts), then the total and count are topped up by
 /// the sampling factor so the tree's totals estimate true wall time. An
-/// accumulator nothing was recorded into — barrier waits at one worker —
-/// leaves no node.
+/// accumulator nothing was recorded into — profiling off — leaves no node.
 fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     profiler.fold(path, stats);
     let total_ns = stats.total().as_nanos() as u64;
@@ -1282,56 +1156,40 @@ fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     );
 }
 
-/// Drains the shards' tagged records in global `(key, seq)` order. Each
-/// shard recorded in sub-round order, so its records are already sorted by
-/// event time: only runs sharing a timestamp need sorting (a sub-round
-/// runs in key order, but a later sub-round at the same instant may hold
-/// smaller keys), and the shards interleave by a k-way merge — no event
-/// is processed by two shards, so heads never tie.
-fn merge_tagged<T>(shards: Vec<&mut Vec<Tagged<T>>>, mut emit: impl FnMut(T)) {
-    let mut heads: Vec<_> = shards
-        .into_iter()
-        .map(|records| {
-            for run in records.chunk_by_mut(|a, b| a.key.time == b.key.time) {
-                run.sort_unstable_by_key(|r| (r.key, r.seq));
-            }
-            records.drain(..).peekable()
-        })
-        .collect();
-    while let Some((_, next)) = heads
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(shard, head)| head.peek().map(|r| ((r.key, r.seq), shard)))
-        .min()
-    {
-        emit(heads[next].next().expect("peeked").item);
+/// Drains tagged records in `(key, seq)` order. They were recorded in
+/// sub-round order, so they are already sorted by event time: only runs
+/// sharing a timestamp need sorting (a sub-round runs in key order, but a
+/// later sub-round at the same instant may hold smaller keys).
+fn drain_tagged<T>(records: &mut Vec<Tagged<T>>, emit: impl FnMut(T)) {
+    for run in records.chunk_by_mut(|a, b| a.key.time == b.key.time) {
+        run.sort_unstable_by_key(|r| (r.key, r.seq));
     }
+    records.drain(..).map(|r| r.item).for_each(emit);
 }
 
-/// Drains the shards' per-request records of one kind, grouped by request
-/// (each request's in shard order, then in the order its shard recorded
-/// them), and returns them with every request's start offset (and the
-/// total at the end). Request indices are dense, so this is a counting
-/// sort: linear, where sorting on the request index was the largest single
-/// cost of the merge.
+/// Drains per-request records of one kind, grouped by request (each
+/// request's in the order they were recorded), and returns them with every
+/// request's start offset (and the total at the end). Request indices are
+/// dense, so this is a counting sort: linear, where sorting on the request
+/// index was the largest single cost of the merge.
 fn group_by_req<T: Copy>(
-    shards: Vec<&mut Vec<T>>,
+    records: &mut Vec<T>,
     requests: usize,
     req_of: impl Fn(&T) -> u32,
 ) -> (Vec<T>, Vec<usize>) {
     let mut starts = vec![0_usize; requests + 1];
-    for record in shards.iter().flat_map(|records| records.iter()) {
+    for record in records.iter() {
         starts[req_of(record) as usize + 1] += 1;
     }
     for req in 0..requests {
         starts[req + 1] += starts[req];
     }
-    let Some(&filler) = shards.iter().find_map(|records| records.first()) else {
+    let Some(&filler) = records.first() else {
         return (Vec::new(), starts);
     };
-    let mut grouped = vec![filler; starts[requests]];
+    let mut grouped = vec![filler; records.len()];
     let mut next = starts.clone();
-    for record in shards.into_iter().flat_map(|records| records.drain(..)) {
+    for record in records.drain(..) {
         let slot = &mut next[req_of(&record) as usize];
         grouped[*slot] = record;
         *slot += 1;
@@ -1339,81 +1197,39 @@ fn group_by_req<T: Copy>(
     (grouped, starts)
 }
 
-/// Single-threaded canonical merge: returns the shards' state to the
-/// caller, writes their tagged outputs into the shared store/collector/
-/// state in global event order, then the per-request (end-to-end,
-/// conversion, trace) outputs in arrival order.
+/// The canonical merge: writes the window's tagged outputs into the
+/// store and transition log in key order, then the per-request
+/// (end-to-end, conversion, trace) outputs in arrival order.
 #[allow(clippy::too_many_arguments)]
 fn merge(
     app: &Application,
-    load: &mut LoadTracker,
-    occupancy: &mut OccupancyTable,
     state: &mut ResilienceState,
     sink: &mut MetricSink<'_>,
     collector: &mut TraceCollector,
     reqs: &[EventRequest],
-    shards: Vec<Shard<'_>>,
-    buffers: &mut WindowBuffers,
+    tally: WindowTally,
+    out: &mut WindowBuffers,
     profiler: &Profiler,
 ) -> WindowStats {
-    let workers = shards.len();
-    let owner = |version: VersionId| app.version(version).service.0 % workers;
-
-    // Fold observability: deterministic tallies into the window tally
-    // (summed per shard — each event is processed exactly once globally,
-    // so sums are worker-count invariant; sub-rounds are identical on
-    // every worker and taken from shard 0), wall-clock phase timings into
-    // the profiler (aggregated, plus per-worker barrier-wait nodes).
-    let mut tally = WindowTally::default();
-    let mut loads = Vec::with_capacity(workers);
-    let mut occupancies = Vec::with_capacity(workers);
-    let mut outs = Vec::with_capacity(workers);
-    for (si, shard) in shards.into_iter().enumerate() {
-        debug_assert_eq!(shard.parked.len(), 0, "admission queues drain within the window");
-        debug_assert_eq!(shard.frames.len(), 0, "all frames complete within the window");
-        let ShardCtx { load, occ, mut res, out, obs, .. } = shard.ctx;
-        tally.events_popped += obs.events_popped;
-        tally.events_sent += obs.events_sent;
-        tally.sheds += obs.sheds;
-        if si == 0 {
-            tally.sub_rounds = obs.sub_rounds;
-        }
-        fold_sampled(profiler, "sim.event.pop", &obs.pop);
-        fold_sampled(profiler, "sim.event.dispatch", &obs.dispatch);
-        fold_sampled(profiler, "sim.event.exchange", &obs.exchange);
-        fold_sampled(profiler, &format!("sim.event.barrier.w{si}"), &obs.barrier);
-        state.absorb_breakers(res.take_breakers());
-        loads.push(load);
-        occupancies.push(occ);
-        outs.push(out);
-    }
-    load.rejoin(loads, owner);
-    occupancy.rejoin(occupancies, owner);
-
     {
         cex_core::span!(profiler, "sim.event.merge.samples");
-        merge_tagged(outs.iter_mut().map(|o| &mut o.transitions).collect(), |t| {
-            state.record_transition(t)
-        });
-        merge_tagged(outs.iter_mut().map(|o| &mut o.samples).collect(), |s| {
-            sink.record_version(s.version, s.kind, s.time, s.value)
-        });
+        drain_tagged(&mut out.transitions, |t| state.record_transition(t));
+        drain_tagged(&mut out.samples, |s| sink.record_version(s.version, s.kind, s.time, s.value));
     }
     let mut roots: Vec<Option<RootRec>> = vec![None; reqs.len()];
-    for r in outs.iter_mut().flat_map(|out| out.roots.drain(..)) {
+    for r in out.roots.drain(..) {
         roots[r.req as usize] = Some(r);
     }
     let roots: Vec<RootRec> =
         roots.into_iter().map(|r| r.expect("every request completes within the window")).collect();
     let stats = {
         cex_core::span!(profiler, "sim.event.merge.requests");
-        record_requests(app, sink, reqs, &roots, &mut outs, tally)
+        record_requests(app, sink, reqs, &roots, out, tally)
     };
     {
         cex_core::span!(profiler, "sim.event.merge.traces");
-        capture_traces(app, collector, reqs, &roots, &mut outs);
+        capture_traces(app, collector, reqs, &roots, out);
     }
-    buffers.outs = outs;
     stats
 }
 
@@ -1424,12 +1240,11 @@ fn record_requests(
     sink: &mut MetricSink<'_>,
     reqs: &[EventRequest],
     roots: &[RootRec],
-    outs: &mut [ShardOut],
+    out: &mut WindowBuffers,
     tally: WindowTally,
 ) -> WindowStats {
     // Each request's visits in event order.
-    let (mut visits, visit_starts) =
-        group_by_req(outs.iter_mut().map(|o| &mut o.visits).collect(), reqs.len(), |v| v.req);
+    let (mut visits, visit_starts) = group_by_req(&mut out.visits, reqs.len(), |v| v.req);
     for req in 0..reqs.len() {
         visits[visit_starts[req]..visit_starts[req + 1]].sort_unstable_by_key(|v| v.key);
     }
@@ -1477,15 +1292,13 @@ fn capture_traces(
     collector: &mut TraceCollector,
     reqs: &[EventRequest],
     roots: &[RootRec],
-    outs: &mut [ShardOut],
+    out: &mut WindowBuffers,
 ) {
     #[cfg(test)]
-    path_model::offer(app, reqs, outs);
+    path_model::offer(app, reqs, out);
     let requests = reqs.len();
-    let (mut spans, span_starts) =
-        group_by_req(outs.iter_mut().map(|o| &mut o.spans).collect(), requests, |s| s.req);
-    let (patches, patch_starts) =
-        group_by_req(outs.iter_mut().map(|o| &mut o.patches).collect(), requests, |p| p.req);
+    let (mut spans, span_starts) = group_by_req(&mut out.spans, requests, |s| s.req);
+    let (patches, patch_starts) = group_by_req(&mut out.patches, requests, |p| p.req);
     let mut stack = Vec::new();
     for (i, (meta, root)) in reqs.iter().zip(roots).enumerate() {
         let Some(trace_id) = meta.trace else { continue };
@@ -1555,7 +1368,7 @@ mod tests {
     use crate::app::{Application, CallDef, EndpointDef, EndpointId, ServiceId, VersionSpec};
     use crate::faults::{Fault, FaultKind};
     use crate::latency::LatencyModel;
-    use crate::resilience::{BreakerPolicy, BreakerTransition, CallPolicy};
+    use crate::resilience::CallPolicy;
     use crate::sim::{RunReport, Simulation};
     use crate::topologies::{random_app, RandomAppParams};
     use crate::trace::{SpanStatus, Trace};
@@ -1900,134 +1713,13 @@ mod tests {
     }
 
     #[test]
-    fn outputs_are_byte_identical_across_worker_counts() {
-        // Property: over seeded random topologies, with resilience,
-        // breakers, faults and tracing all active, every observable output
-        // is identical at 1, 2 and 8 workers.
-        for seed in [3_u64, 17] {
-            let run = |workers: usize| -> (RunDump, Vec<BreakerTransition>) {
-                let params =
-                    RandomAppParams { services: 12, layers: 3, ..RandomAppParams::default() };
-                let app = random_app(&params, seed);
-                let fault_target = app.version_id("svc-0001", "1.0.0").unwrap();
-                let mut sim = Simulation::new(app, seed ^ 0x9e37_79b9);
-                sim.set_workers(workers);
-                sim.set_trace_sampling(0.3);
-                sim.set_call_policy(CallPolicy {
-                    attempt_timeout: Some(SimDuration::from_millis(60)),
-                    max_retries: 1,
-                    backoff_base: SimDuration::from_millis(5),
-                    backoff_multiplier: 2.0,
-                    jitter: 0.5,
-                    breaker: Some(BreakerPolicy {
-                        error_threshold: 0.5,
-                        min_calls: 10,
-                        window: 40,
-                        cooldown: SimDuration::from_secs(5),
-                        half_open_probes: 3,
-                    }),
-                    fallback: true,
-                    fallback_latency: SimDuration::from_millis(1),
-                });
-                sim.inject_fault(Fault {
-                    version: fault_target,
-                    kind: FaultKind::Outage,
-                    from: SimTime::from_secs(10),
-                    until: SimTime::from_secs(20),
-                });
-                let reports =
-                    (0..3).map(|_| sim.run(SimDuration::from_secs(10), 40.0)).collect::<Vec<_>>();
-                let fingerprint = store_fingerprint(&sim);
-                let traces = sim.drain_traces();
-                let transitions = sim.drain_breaker_transitions();
-                ((reports, fingerprint, traces), transitions)
-            };
-            let w1 = run(1);
-            let w2 = run(2);
-            let w8 = run(8);
-            assert_eq!(w1.0 .0, w2.0 .0, "reports w1 vs w2 (seed {seed})");
-            assert_eq!(w1.0 .0, w8.0 .0, "reports w1 vs w8 (seed {seed})");
-            assert_eq!(w1.0 .1, w2.0 .1, "store w1 vs w2 (seed {seed})");
-            assert_eq!(w1.0 .1, w8.0 .1, "store w1 vs w8 (seed {seed})");
-            assert_eq!(w1.0 .2, w2.0 .2, "traces w1 vs w2 (seed {seed})");
-            assert_eq!(w1.0 .2, w8.0 .2, "traces w1 vs w8 (seed {seed})");
-            assert_eq!(w1.1, w2.1, "transitions w1 vs w2 (seed {seed})");
-            assert_eq!(w1.1, w8.1, "transitions w1 vs w8 (seed {seed})");
-            assert!(!w1.0 .2.is_empty(), "traces were actually collected");
-            assert!(!w1.1.is_empty(), "the outage actually tripped a breaker");
-        }
-    }
-
-    #[test]
-    fn obs_counters_are_identical_across_worker_counts() {
-        // Property: the unified counter registry is a pure function of the
-        // seed. Over seeded random topologies with faults, breakers and
-        // tracing active, every counter and gauge (events popped/sent,
-        // sub-rounds, sheds, store flushes, trace sampling tallies, queue
-        // high-water marks) is identical at 1, 2 and 8 workers.
-        let mut any_sheds = false;
-        for seed in [7_u64, 23, 41] {
-            let run = |workers: usize| {
-                let params =
-                    RandomAppParams { services: 12, layers: 3, ..RandomAppParams::default() };
-                let app = random_app(&params, seed);
-                let fault_target = app.version_id("svc-0001", "1.0.0").unwrap();
-                let mut sim = Simulation::new(app, seed.wrapping_mul(0x9e37_79b9));
-                sim.set_workers(workers);
-                sim.set_trace_sampling(0.4);
-                sim.set_call_policy(CallPolicy {
-                    attempt_timeout: Some(SimDuration::from_millis(60)),
-                    max_retries: 1,
-                    backoff_base: SimDuration::from_millis(5),
-                    backoff_multiplier: 2.0,
-                    jitter: 0.5,
-                    breaker: Some(BreakerPolicy {
-                        error_threshold: 0.5,
-                        min_calls: 10,
-                        window: 40,
-                        cooldown: SimDuration::from_secs(5),
-                        half_open_probes: 3,
-                    }),
-                    fallback: true,
-                    fallback_latency: SimDuration::from_millis(1),
-                });
-                sim.inject_fault(Fault {
-                    version: fault_target,
-                    kind: FaultKind::Outage,
-                    from: SimTime::from_secs(5),
-                    until: SimTime::from_secs(15),
-                });
-                for _ in 0..2 {
-                    sim.run(SimDuration::from_secs(10), 40.0);
-                }
-                sim.counters()
-            };
-            let w1 = run(1);
-            let w2 = run(2);
-            let w8 = run(8);
-            assert_eq!(w1, w2, "counters w1 vs w2 (seed {seed})");
-            assert_eq!(w1, w8, "counters w1 vs w8 (seed {seed})");
-            assert!(w1.count("sim.events.popped") > 0, "events were processed (seed {seed})");
-            any_sheds |= w1.count("sim.sheds") > 0;
-        }
-        assert!(any_sheds, "at least one topology exercised the shed counter");
-    }
-
-    #[test]
-    fn profile_has_barrier_nodes_only_when_workers_meet_at_one() {
-        // One worker runs the loop with no rendezvous, so there is no
-        // barrier wait to report — not even a zero one; the sampled
-        // phases it does run are all there. Two workers report a barrier
-        // node each.
+    fn profile_has_every_sampled_phase_node() {
         use cex_core::obs::ObsConfig;
-        let nodes = |workers: usize| -> Vec<String> {
-            let mut sim = Simulation::new(two_tier(true), 9);
-            sim.set_workers(workers);
-            sim.set_obs(ObsConfig::enabled());
-            sim.run(SimDuration::from_secs(10), 40.0);
-            sim.profile().nodes().iter().map(|(path, _)| path.clone()).collect()
-        };
-        let alone = nodes(1);
+        let mut sim = Simulation::new(two_tier(true), 9);
+        sim.set_obs(ObsConfig::enabled());
+        sim.run(SimDuration::from_secs(10), 40.0);
+        let nodes: Vec<String> =
+            sim.profile().nodes().iter().map(|(path, _)| path.clone()).collect();
         for phase in [
             "pop",
             "dispatch",
@@ -2037,12 +1729,7 @@ mod tests {
             "merge.requests",
             "merge.traces",
         ] {
-            assert!(alone.contains(&format!("sim.event.{phase}")), "{phase} in {alone:?}");
-        }
-        assert!(!alone.iter().any(|path| path.contains("barrier")), "{alone:?}");
-        let pair = nodes(2);
-        for worker in 0..2 {
-            assert!(pair.contains(&format!("sim.event.barrier.w{worker}")), "{pair:?}");
+            assert!(nodes.contains(&format!("sim.event.{phase}")), "{phase} in {nodes:?}");
         }
     }
 
@@ -2056,58 +1743,6 @@ mod tests {
         let counters = sim.counters();
         assert_eq!(counters.gauge("sim.queue_hwm.worker"), 4, "queue filled to its bound");
         assert!(counters.count("sim.sheds") > 0, "overflow beyond the bound is shed");
-    }
-
-    #[test]
-    fn tail_sampling_is_byte_identical_across_worker_counts() {
-        // Property: with tail-based sampling active, retained traces
-        // (ids, spans, weights), sampling counters and the sketch-backed
-        // health report are identical at 1, 2 and 8 workers — sampling
-        // decisions depend only on the deterministic offer order.
-        use crate::health::{HealthAccumulator, HealthReport};
-        use crate::trace::TailSamplingConfig;
-        let run = |workers: usize| {
-            let params = RandomAppParams { services: 12, layers: 3, ..RandomAppParams::default() };
-            let app = random_app(&params, 29);
-            let fault_target = app.version_id("svc-0001", "1.0.0").unwrap();
-            let baseline = fault_target;
-            let mut sim = Simulation::new(app, 0x5eed);
-            sim.set_workers(workers);
-            sim.set_trace_sampling(0.5);
-            sim.set_tail_sampling(Some(TailSamplingConfig {
-                healthy_keep_one_in: 5,
-                slow_quantile: 0.9,
-                warmup: 64,
-            }));
-            sim.inject_fault(Fault {
-                version: fault_target,
-                kind: FaultKind::ErrorBurst { extra_error_rate: 0.3 },
-                from: SimTime::from_secs(5),
-                until: SimTime::from_secs(15),
-            });
-            sim.run(SimDuration::from_secs(20), 30.0);
-            let book = sim.span_book();
-            let stats = sim.trace_collector().sampling_stats();
-            let traces = sim.drain_traces();
-            let mut acc = HealthAccumulator::new();
-            acc.observe_all(&traces);
-            let render =
-                HealthReport::build(&acc, &book, baseline, baseline).with_sampling(stats).render();
-            (traces, stats, render)
-        };
-        let w1 = run(1);
-        let w2 = run(2);
-        let w8 = run(8);
-        assert_eq!(w1.0, w2.0, "retained traces w1 vs w2");
-        assert_eq!(w1.0, w8.0, "retained traces w1 vs w8");
-        assert_eq!(w1.1, w2.1, "sampling stats w1 vs w2");
-        assert_eq!(w1.1, w8.1, "sampling stats w1 vs w8");
-        assert_eq!(w1.2, w2.2, "health render w1 vs w2");
-        assert_eq!(w1.2, w8.2, "health render w1 vs w8");
-        assert!(w1.1.tail_kept > 0, "the fault produced tail-kept traces");
-        assert!(w1.1.healthy_dropped > 0, "healthy traces were downsampled");
-        assert!(w1.0.iter().any(|t| t.weight > 1), "a weighted representative survived");
-        assert!(w1.2.contains("sampling: recorded"), "render discloses sampling");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use super::{EventRequest, ShardOut, SpanAddr, SpanRec, NO_FRAME};
+use super::{EventRequest, SpanAddr, SpanRec, WindowBuffers, NO_FRAME};
 use crate::app::Application;
 use crate::trace::{Span, SpanId, SpanStatus, Trace, TraceCollector, TraceId};
 use cex_core::simtime::{SimDuration, SimTime};
@@ -37,10 +37,10 @@ fn take() -> TraceCollector {
 
 /// Captures one window's traces into the installed model, if any. The
 /// merge calls this before it groups the records.
-pub(super) fn offer(app: &Application, reqs: &[EventRequest], outs: &[ShardOut]) {
+pub(super) fn offer(app: &Application, reqs: &[EventRequest], out: &WindowBuffers) {
     MODEL.with(|m| {
         if let Some(collector) = m.borrow_mut().as_mut() {
-            capture_by_path(app, reqs, outs, collector);
+            capture_by_path(app, reqs, out, collector);
         }
     });
 }
@@ -48,16 +48,12 @@ pub(super) fn offer(app: &Application, reqs: &[EventRequest], outs: &[ShardOut])
 fn capture_by_path(
     app: &Application,
     reqs: &[EventRequest],
-    outs: &[ShardOut],
+    out: &WindowBuffers,
     collector: &mut TraceCollector,
 ) {
     // Frame identities are unique within a window.
-    let frames: HashMap<u64, SpanAddr> = outs
-        .iter()
-        .flat_map(|out| &out.spans)
-        .filter(|s| s.ident != NO_FRAME)
-        .map(|s| (s.ident, s.addr))
-        .collect();
+    let frames: HashMap<u64, SpanAddr> =
+        out.spans.iter().filter(|s| s.ident != NO_FRAME).map(|s| (s.ident, s.addr)).collect();
     let path_of = |mut addr: SpanAddr| -> Vec<u32> {
         let mut levels = Vec::new();
         while addr.parent != 0 {
@@ -68,13 +64,10 @@ fn capture_by_path(
         levels.into_iter().rev().flatten().collect()
     };
     let mut spans: Vec<(Vec<u32>, SpanRec)> =
-        outs.iter().flat_map(|out| &out.spans).map(|s| (path_of(s.addr), *s)).collect();
-    let mut patches: Vec<(u32, Vec<u32>, u64)> = outs
-        .iter()
-        .flat_map(|out| &out.patches)
-        .map(|p| (p.req, path_of(p.addr), p.perceived_ms))
-        .collect();
-    // Stably, so equal paths keep shard order.
+        out.spans.iter().map(|s| (path_of(s.addr), *s)).collect();
+    let mut patches: Vec<(u32, Vec<u32>, u64)> =
+        out.patches.iter().map(|p| (p.req, path_of(p.addr), p.perceived_ms)).collect();
+    // Stably, so equal paths keep the order they were recorded in.
     spans.sort_by(|a, b| (a.1.req, &a.0).cmp(&(b.1.req, &b.0)));
     patches.sort_by_key(|p| p.0);
     let (mut span_at, mut patch_at) = (0, 0);
@@ -150,8 +143,6 @@ mod tests {
     use cex_core::metrics::MetricKind;
     use cex_core::simtime::{SimDuration, SimTime};
 
-    const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
     /// Runs `windows` windows of `sim` with the path model beside the merge
     /// and asserts the two captured the same traces — one by one — and the
     /// same sampling accounting. Returns the traces and the store's sample
@@ -185,7 +176,7 @@ mod tests {
     /// `api@2.0.0`), `cart` sometimes (a heavy tail past the deadline) and
     /// `db`, which every tier calls and which is out from 10 s to 20 s;
     /// every edge runs timeouts, jittered retries, a breaker and a fallback.
-    fn chaos_sim(workers: usize, tail: bool) -> Simulation {
+    fn chaos_sim(tail: bool) -> Simulation {
         let tier = |service: &str, version: &str, latency: LatencyModel| {
             VersionSpec::new(service, version).capacity(1_000.0).load_sensitivity(0.0).endpoint(
                 EndpointDef::new("x", latency).call(CallDef::with_probability("db", "q", 0.6)),
@@ -217,7 +208,6 @@ mod tests {
             app.version_id("db", "1.0.0").unwrap(),
         );
         let mut sim = Simulation::new(app, 0x7A11);
-        sim.set_workers(workers);
         let (app, router) = sim.app_and_router_mut();
         router.add_mirror(app, api, dark).unwrap();
         sim.set_trace_sampling(1.0);
@@ -252,34 +242,25 @@ mod tests {
     }
 
     #[test]
-    fn capture_matches_the_path_model_at_every_worker_count() {
-        let mut kept = Vec::new();
-        for tail in [false, true] {
-            for workers in WORKER_COUNTS {
-                let (traces, count) =
-                    assert_capture_matches_model(chaos_sim(workers, tail), 3, 80.0);
-                let spans = || traces.iter().flat_map(|t| &t.spans);
-                let statuses = |status| spans().filter(|s| s.status == status).count();
-                // The run walks every path the capture has to order.
-                for kind in [MetricKind::QueueDelay, MetricKind::Shed, MetricKind::Retry] {
-                    assert!(count(kind) > 0, "no {kind:?} sample");
-                }
-                for status in [SpanStatus::TimedOut, SpanStatus::Shed, SpanStatus::Fallback] {
-                    assert!(statuses(status) > 0, "no {status:?} span");
-                }
-                assert!(spans().any(|s| s.dark), "no dark span");
-                assert!(spans().any(|s| s.attempt > 0), "no retry span");
-                kept.push((tail, traces));
+    fn capture_matches_the_path_model() {
+        let [full, sampled] = [false, true].map(|tail| {
+            let (traces, count) = assert_capture_matches_model(chaos_sim(tail), 3, 80.0);
+            let spans = || traces.iter().flat_map(|t| &t.spans);
+            let statuses = |status| spans().filter(|s| s.status == status).count();
+            // The run walks every path the capture has to order.
+            for kind in [MetricKind::QueueDelay, MetricKind::Shed, MetricKind::Retry] {
+                assert!(count(kind) > 0, "no {kind:?} sample");
             }
-        }
-        // Tail sampling kept a strict subset, and every worker count kept
-        // the same one.
-        let (full, sampled): (Vec<_>, Vec<_>) = kept.into_iter().partition(|(tail, _)| !tail);
-        assert!(sampled[0].1.len() < full[0].1.len());
-        assert!(sampled[0].1.iter().any(|t| t.weight > 1));
-        for runs in [&full, &sampled] {
-            assert!(runs.iter().all(|(_, traces)| *traces == runs[0].1));
-        }
+            for status in [SpanStatus::TimedOut, SpanStatus::Shed, SpanStatus::Fallback] {
+                assert!(statuses(status) > 0, "no {status:?} span");
+            }
+            assert!(spans().any(|s| s.dark), "no dark span");
+            assert!(spans().any(|s| s.attempt > 0), "no retry span");
+            traces
+        });
+        // Tail sampling kept a strict subset.
+        assert!(sampled.len() < full.len());
+        assert!(sampled.iter().any(|t| t.weight > 1));
     }
 
     #[test]

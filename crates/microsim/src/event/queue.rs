@@ -1,5 +1,5 @@
-//! The shard-local event queue: a ring of per-millisecond buckets for the
-//! near future, an overflow heap for the rest.
+//! The event queue: a ring of per-millisecond buckets for the near future,
+//! an overflow heap for the rest.
 //!
 //! Simulated time has millisecond grain and almost every event lands within
 //! a service time of the instant that created it, so a binary heap pays
@@ -14,7 +14,7 @@
 //!
 //! Invariants, with `base` the time of the last bucket taken:
 //! - every queued event has `time >= base` (events are never created in
-//!   the past, and a sub-round's time is the global minimum);
+//!   the past, and a sub-round's time is the queue's minimum);
 //! - ring events have `time < base + RING`, overflow events `>=`, so a ring
 //!   slot holds one timestamp only and the overflow top is never the
 //!   minimum while the ring is non-empty;
@@ -31,9 +31,8 @@ const MASK: u64 = RING - 1;
 /// Event phases per timestamp (`PHASE_NORMAL`, `PHASE_TIMEOUT`).
 const PHASES: usize = 2;
 
-/// The address of a sub-round, `(time << 1) | phase`: the numeric minimum
-/// over any set of fronts is the earliest time and, at that time, the
-/// lowest phase present — which is the sub-round every shard runs next.
+/// The address of a sub-round, `(time << 1) | phase`: numeric order is
+/// time order, then phase order at one time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct Front(pub(super) u64);
 
@@ -100,13 +99,13 @@ impl EventQueue {
         }
     }
 
-    /// Moves every event at `front` into `into` (which must be empty), in
-    /// key order, and advances the base to `front`'s time. `front` must
-    /// not be later than [`EventQueue::top`].
+    /// Moves every event at `front`, which must be [`EventQueue::top`],
+    /// into `into` (which must be empty), in key order, and advances the
+    /// base to `front`'s time.
     pub(super) fn take(&mut self, front: Front, into: &mut Vec<HeapEv>) {
         debug_assert!(into.is_empty());
         let time = front.time();
-        debug_assert!(time >= self.base && front <= self.top());
+        debug_assert!(front == self.top());
         self.base = time;
         self.cursor = self.cursor.max(time);
         while self.overflow.peek().is_some_and(|Reverse(ev)| ev.key.time < time + RING) {
@@ -118,6 +117,7 @@ impl EventQueue {
         into.sort_unstable_by_key(|ev| ev.key);
     }
 
+    #[cfg(test)]
     pub(super) fn is_empty(&self) -> bool {
         self.ring_len == 0 && self.overflow.is_empty()
     }
@@ -210,26 +210,5 @@ mod tests {
                 "seed {seed}: {taken} taken, {spilled} spilled"
             );
         }
-    }
-
-    #[test]
-    fn a_front_earlier_than_the_own_top_takes_nothing_and_moves_the_base() {
-        // Another shard holds the global minimum: this one is asked for a
-        // sub-round it has no events in, and later receives an event
-        // earlier than anything it had queued.
-        let key = |time, cseq| EvKey { time, phase: PHASE_NORMAL, req: 0, ckey: 1, cseq };
-        let mut queue = EventQueue::new();
-        let mut front = Vec::new();
-        queue.push(event(key(5_000, 0)));
-        queue.take(Front::of(&key(4_000, 0)), &mut front);
-        assert!(front.is_empty());
-        assert_eq!(queue.top(), Front::of(&key(5_000, 0)));
-        queue.push(event(key(4_003, 1)));
-        assert_eq!(queue.top(), Front::of(&key(4_003, 1)));
-        let top = queue.top();
-        queue.take(top, &mut front);
-        assert_eq!(front.len(), 1);
-        front.clear();
-        assert_eq!(queue.top(), Front::of(&key(5_000, 0)));
     }
 }

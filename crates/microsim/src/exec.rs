@@ -545,8 +545,7 @@ mod tests {
     enum Core {
         /// [`execute_request`], the recursive walk.
         Oracle,
-        /// What ships: one [`EventRequest`] through [`event::run_window`]
-        /// at one worker.
+        /// What ships: one [`EventRequest`] through [`event::run_window`].
         Shipped,
     }
 
@@ -572,15 +571,16 @@ mod tests {
         user: u64,
         now: SimTime,
         trace_id: Option<TraceId>,
-        store: Option<&MetricStore>,
+        store: Option<&mut MetricStore>,
         resilience: Option<Resilience<'_>>,
         faults: &FaultPlan,
     ) -> RequestResult {
-        let scratch = MetricStore::new();
-        let store = store.unwrap_or(&scratch);
+        let mut scratch = MetricStore::new();
+        let store = store.unwrap_or(&mut scratch);
         let scopes = store.intern_version_scopes(app);
+        let app_scope = store.intern("app");
         // Dropped on return: the batch is flushed when the caller looks.
-        let mut sink = MetricSink::new(store, &scopes, store.intern("app"));
+        let mut sink = MetricSink::new(store, &scopes, app_scope);
         let entry = app.service_id("a").unwrap();
         match core {
             Core::Oracle => execute_request(
@@ -625,7 +625,6 @@ mod tests {
                     &mut sink,
                     &mut collector,
                     vec![arrival],
-                    1,
                     &mut WindowBuffers::default(),
                     &Profiler::default(),
                 );
@@ -841,7 +840,7 @@ mod tests {
     fn metrics_recorded_per_version_scope() {
         on_each_core(|core| {
             let app = chain_app();
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             request(
                 core,
                 &app,
@@ -851,7 +850,7 @@ mod tests {
                 1,
                 SimTime::from_secs(1),
                 None,
-                Some(&store),
+                Some(&mut store),
                 None,
                 &FaultPlan::none(),
             );
@@ -870,7 +869,7 @@ mod tests {
         policy: &CallPolicy,
         faults: &FaultPlan,
         state: &mut ResilienceState,
-        store: &MetricStore,
+        store: &mut MetricStore,
         now: SimTime,
         user: u64,
     ) -> RequestResult {
@@ -935,10 +934,10 @@ mod tests {
             // exclusive window end — and must succeed.
             let app = two_tier(0.0);
             let (faults, policy) = outage_and_one_retry(&app, 1016);
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             let mut state = ResilienceState::new();
             let at = SimTime::from_millis(995);
-            let result = guarded_run(core, &app, &policy, &faults, &mut state, &store, at, 1);
+            let result = guarded_run(core, &app, &policy, &faults, &mut state, &mut store, at, 1);
             assert!(result.ok, "retry after the window must succeed");
             // 5 (a) + 10 (failed attempt) + 6 (backoff) + 10 (retry).
             assert_eq!(result.response_time.as_millis(), 31);
@@ -953,10 +952,10 @@ mod tests {
             // [1000, 1017) — so the retry at 1016 is still inside it.
             let app = two_tier(0.0);
             let (faults, policy) = outage_and_one_retry(&app, 1017);
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             let mut state = ResilienceState::new();
             let at = SimTime::from_millis(995);
-            let result = guarded_run(core, &app, &policy, &faults, &mut state, &store, at, 1);
+            let result = guarded_run(core, &app, &policy, &faults, &mut state, &mut store, at, 1);
             assert!(!result.ok, "both attempts fall inside the window");
         });
     }
@@ -969,7 +968,7 @@ mod tests {
                 attempt_timeout: Some(SimDuration::from_millis(4)),
                 ..CallPolicy::default()
             };
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             let mut state = ResilienceState::new();
             let result = guarded_run(
                 core,
@@ -977,7 +976,7 @@ mod tests {
                 &policy,
                 &FaultPlan::none(),
                 &mut state,
-                &store,
+                &mut store,
                 SimTime::from_secs(1),
                 1,
             );
@@ -1010,7 +1009,7 @@ mod tests {
         on_each_core(|core| {
             let app = two_tier(1.0);
             let policy = breaker_with_fallback();
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             let mut state = ResilienceState::new();
             let a = app.version_id("a", "1").unwrap();
             let b = app.version_id("b", "1").unwrap();
@@ -1022,7 +1021,7 @@ mod tests {
                     &policy,
                     &FaultPlan::none(),
                     &mut state,
-                    &store,
+                    &mut store,
                     SimTime::from_secs(1 + i),
                     i,
                 );

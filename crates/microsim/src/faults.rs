@@ -18,7 +18,7 @@
 
 use crate::app::VersionId;
 use cex_core::simtime::SimTime;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// What kind of degradation a fault inflicts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,36 +67,8 @@ impl FaultEffects {
     pub const NONE: FaultEffects = FaultEffects { latency_multiplier: 1.0, extra_error_rate: 0.0 };
 }
 
-/// How many leading windows of one version have already expired.
-///
-/// Interior-mutable cache state: `apply` re-establishes its invariant from
-/// whatever value it finds, so the cursor changes how fast `effects` gets
-/// to its answer, never the answer, and lookups can stay `&self`. It is an
-/// atomic (not a `Cell`) so the event core's worker threads can share one
-/// `&FaultPlan` instead of cloning the plan per shard per window; each
-/// version is queried by the one shard that owns it, and the value
-/// publishes nothing else, hence `Relaxed` plain loads and stores.
-#[derive(Debug, Default)]
-struct Cursor(AtomicUsize);
-
-impl Cursor {
-    fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn set(&self, at: usize) {
-        self.0.store(at, Ordering::Relaxed);
-    }
-}
-
-impl Clone for Cursor {
-    fn clone(&self) -> Self {
-        Cursor(AtomicUsize::new(self.get()))
-    }
-}
-
 /// The windows afflicting one version, sorted by start time, behind a
-/// [`Cursor`] over the expired prefix.
+/// cursor over the expired prefix.
 #[derive(Debug, Clone, Default)]
 struct VersionWindows {
     /// Sorted by `from` (ties keep insertion order).
@@ -106,8 +78,12 @@ struct VersionWindows {
     /// exactly `prefix_max_until[cursor - 1] <= now`.
     prefix_max_until: Vec<SimTime>,
     /// Every index below the cursor has `until <= now` for the last
-    /// queried `now`.
-    cursor: Cursor,
+    /// queried `now`. Cache state: `apply` re-establishes the invariant
+    /// from whatever value it finds, so the cursor changes how fast
+    /// `effects` gets to its answer, never the answer. A `Cell` so lookups
+    /// take `&self`: the plan is read-only to the event core and the
+    /// oracle that query it, and the cursor is only a cache.
+    cursor: Cell<usize>,
 }
 
 impl VersionWindows {

@@ -23,9 +23,8 @@
 //! - [`event`] — the request core, a discrete-event scheduler: each request
 //!   a chain of events that samples latencies along its call tree and
 //!   yields an end-to-end response time and a distributed trace, under
-//!   per-version concurrency limits and bounded admission queues, with
-//!   deterministic sharded parallel execution. (Its test-only reference
-//!   implementation, a recursive walk, is `exec.rs`.)
+//!   per-version concurrency limits and bounded admission queues. (Its
+//!   test-only reference implementation, a recursive walk, is `exec.rs`.)
 //! - [`faults`] — scheduled fault windows (latency spikes, error bursts,
 //!   outages) for failure-injection experiments.
 //! - [`trace`] — Zipkin/Jaeger-style spans with interned identity, bounded

@@ -48,26 +48,6 @@ impl LoadTracker {
         }
     }
 
-    /// Hands the counters to the event core's shards for one window; see
-    /// [`split_by_owner`].
-    pub(crate) fn split(
-        &mut self,
-        parts: usize,
-        owner: impl Fn(VersionId) -> usize,
-    ) -> Vec<LoadTracker> {
-        split_by_owner(&mut self.per_version, parts, owner)
-            .into_iter()
-            .map(|per_version| LoadTracker { per_version })
-            .collect()
-    }
-
-    /// Takes the counters back from the shards [`LoadTracker::split`] gave
-    /// them to.
-    pub(crate) fn rejoin(&mut self, parts: Vec<LoadTracker>, owner: impl Fn(VersionId) -> usize) {
-        let parts = parts.into_iter().map(|part| part.per_version).collect();
-        rejoin_by_owner(&mut self.per_version, parts, owner);
-    }
-
     /// Records one request arriving at `version` at time `now`.
     pub fn record_arrival(&mut self, version: VersionId, now: SimTime) {
         let slot = &mut self.per_version[version.0];
@@ -121,41 +101,6 @@ impl LoadTracker {
     }
 }
 
-/// Moves per-version state out to `parts` owners for one event-core window:
-/// a single owner gets the whole table (nothing is copied), several owners
-/// each get a table of the same length holding the entries `owner` assigns
-/// them and defaults elsewhere — no shard carries another shard's queues.
-fn split_by_owner<T: Default>(
-    all: &mut Vec<T>,
-    parts: usize,
-    owner: impl Fn(VersionId) -> usize,
-) -> Vec<Vec<T>> {
-    if parts == 1 {
-        return vec![std::mem::take(all)];
-    }
-    let mut out: Vec<Vec<T>> =
-        (0..parts).map(|_| std::iter::repeat_with(T::default).take(all.len()).collect()).collect();
-    for (v, entry) in all.iter_mut().enumerate() {
-        out[owner(VersionId(v))][v] = std::mem::take(entry);
-    }
-    out
-}
-
-/// Inverse of [`split_by_owner`].
-fn rejoin_by_owner<T: Default>(
-    all: &mut Vec<T>,
-    mut parts: Vec<Vec<T>>,
-    owner: impl Fn(VersionId) -> usize,
-) {
-    if parts.len() == 1 {
-        *all = parts.pop().expect("one part");
-        return;
-    }
-    for (v, entry) in all.iter_mut().enumerate() {
-        *entry = std::mem::take(&mut parts[owner(VersionId(v))][v]);
-    }
-}
-
 /// Outcome of asking a version for a concurrency slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
@@ -174,8 +119,8 @@ struct VersionOccupancy {
     busy: u32,
     queue: VecDeque<u64>,
     /// Deepest the admission queue has ever been — a pure function of
-    /// the seed (each version is owned by exactly one shard), surfaced
-    /// as a high-water gauge in the observability counter registry.
+    /// the seed, surfaced as a high-water gauge in the observability
+    /// counter registry.
     queue_hwm: u64,
 }
 
@@ -268,30 +213,6 @@ impl OccupancyTable {
     pub fn queue_hwm(&self, version: VersionId) -> u64 {
         self.per_version.get(version.0).map(|s| s.queue_hwm).unwrap_or(0)
     }
-
-    /// Hands slots, queues and high-water marks to the event core's shards
-    /// for one window; see [`split_by_owner`].
-    pub(crate) fn split(
-        &mut self,
-        parts: usize,
-        owner: impl Fn(VersionId) -> usize,
-    ) -> Vec<OccupancyTable> {
-        split_by_owner(&mut self.per_version, parts, owner)
-            .into_iter()
-            .map(|per_version| OccupancyTable { per_version })
-            .collect()
-    }
-
-    /// Takes the state back from the shards [`OccupancyTable::split`] gave
-    /// it to.
-    pub(crate) fn rejoin(
-        &mut self,
-        parts: Vec<OccupancyTable>,
-        owner: impl Fn(VersionId) -> usize,
-    ) {
-        let parts = parts.into_iter().map(|part| part.per_version).collect();
-        rejoin_by_owner(&mut self.per_version, parts, owner);
-    }
 }
 
 #[cfg(test)]
@@ -309,58 +230,6 @@ mod tests {
                 .endpoint(EndpointDef::new("api", LatencyModel::default())),
         );
         b.build().unwrap()
-    }
-
-    #[test]
-    fn split_and_rejoin_move_each_version_to_its_owner_and_back() {
-        let mut b = Application::builder();
-        for svc in ["a", "b", "c", "d", "e"] {
-            b.version(
-                VersionSpec::new(svc, "1")
-                    .concurrency_limit(1)
-                    .endpoint(EndpointDef::new("api", LatencyModel::default())),
-            );
-        }
-        let app = b.build().unwrap();
-        let mut tracker = LoadTracker::new(&app);
-        let mut table = OccupancyTable::new(&app);
-        for v in 0..5 {
-            // Version v: v + 1 arrivals per second, one slot busy, v queued.
-            for i in 0..=v {
-                tracker.record_arrival(VersionId(v), SimTime::from_millis(i as u64));
-                table.try_admit(VersionId(v), i as u64);
-            }
-            tracker.record_arrival(VersionId(v), SimTime::from_millis(1_000));
-        }
-        let observe =
-            |tracker: &LoadTracker, table: &OccupancyTable| -> Vec<(f64, u32, usize, u64)> {
-                (0..5)
-                    .map(VersionId)
-                    .map(|v| {
-                        (tracker.rate_rps(v), table.busy(v), table.queue_len(v), table.queue_hwm(v))
-                    })
-                    .collect()
-            };
-        let before = observe(&tracker, &table);
-        for parts in [1, 2, 3] {
-            let owner = |v: VersionId| v.0 % parts;
-            let loads = tracker.split(parts, owner);
-            let tables = table.split(parts, owner);
-            for (part, (load, occ)) in loads.iter().zip(&tables).enumerate() {
-                // A part sees its own versions as they were, the others idle.
-                for (v, was) in before.iter().enumerate() {
-                    let idle = (0.0, 0, 0, 0);
-                    let v = VersionId(v);
-                    let is = (load.rate_rps(v), occ.busy(v), occ.queue_len(v), occ.queue_hwm(v));
-                    assert_eq!(is, if owner(v) == part { *was } else { idle });
-                }
-            }
-            tracker.rejoin(loads, owner);
-            table.rejoin(tables, owner);
-            assert_eq!(observe(&tracker, &table), before, "{parts} parts");
-        }
-        // The queues themselves came back, not just their lengths.
-        assert_eq!(table.release(VersionId(4)), Some(1));
     }
 
     #[test]

@@ -12,22 +12,21 @@
 //!
 //! # Hot-path architecture
 //!
-//! At million-request scale the store is the busiest shared structure in
-//! the system — every request hop writes two samples, and every Bifrost
-//! check reads a trailing window. Five mechanisms keep it off the critical
-//! path:
+//! At million-request scale the store is the busiest structure in the
+//! system — every request hop writes two samples, and every Bifrost check
+//! reads a trailing window. Five mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
 //!   pipeline's span identity), so the request loop never allocates or
 //!   hashes a `String` per hop.
-//! * **Dense slots behind one lock.** Series live in one
-//!   `RwLock<Vec<Option<Series>>>` indexed `scope.index() * KIND_COUNT +
-//!   kind` — a lookup is an index, not a hash. Every writer in the tree
-//!   (the simulation's merge step, the engine's trace drain and scope
-//!   retirement) and every reader (the engine's checks) runs on the one
-//!   thread that drives the control loop, so the lock is never contended
-//!   and a write takes it once per [`SampleBatch`] flush.
+//! * **Dense slots, one owner.** Series live in one `Vec<Option<Series>>`
+//!   indexed `scope.index() * KIND_COUNT + kind` — a lookup is an index,
+//!   not a hash. The store has one owner (the [`crate::sim::Simulation`]):
+//!   writers (its merge step, the engine's trace drain and scope
+//!   retirement) take `&mut self` or go through a [`SampleBatch`] that
+//!   holds the store mutably, and readers (the engine's checks) take
+//!   `&self`.
 //! * **Bucketed pre-aggregation.** Each series maintains fixed-resolution
 //!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
@@ -72,9 +71,9 @@ use cex_core::intern::Interner;
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::obs::WallProbe;
 use cex_core::simtime::{SimDuration, SimTime};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 /// Default width of a pre-aggregation bucket.
 pub const DEFAULT_BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
@@ -95,11 +94,6 @@ pub type ScopeId = cex_core::intern::Sym;
 /// Dense index of a series: [`MetricStore`] and [`SampleBatch`] share it.
 fn slot_of(scope: ScopeId, metric: MetricKind) -> usize {
     scope.index() * KIND_COUNT + metric as usize
-}
-
-/// The series of `(scope, metric)` in a series table, if it has one.
-fn series_at(table: &[Option<Series>], scope: ScopeId, metric: MetricKind) -> Option<&Series> {
-    table.get(slot_of(scope, metric))?.as_ref()
 }
 
 /// `column.partition_point(|&b| b < target)` for an ascending column,
@@ -418,31 +412,30 @@ impl Default for WindowCursor {
     }
 }
 
-/// Thread-safe, append-mostly metric store.
-///
-/// Interior mutability (one [`RwLock`] over the series table) lets the
-/// simulation, the Bifrost engine and every [`SampleBatch`] share one store
-/// by reference, and keeps it `Sync`. See the module docs for the interning
-/// / dense-slot / bucketing / retention architecture.
+/// Append-mostly, single-owner metric store: writes take `&mut self`,
+/// reads `&self`. See the module docs for the interning / dense-slot /
+/// bucketing / retention architecture.
 #[derive(Debug)]
 pub struct MetricStore {
     interner: Interner,
     /// Slot [`slot_of`]`(scope, kind)`, grown on demand; `None` until the
     /// series' first sample and again after its scope is cleared.
-    series: RwLock<Vec<Option<Series>>>,
+    series: Vec<Option<Series>>,
     bucket_width_ms: u64,
     /// Retention horizon in ms; 0 = unbounded (raw samples kept forever).
-    retention_ms: AtomicU64,
-    /// Series epochs issued so far (see [`WindowCursor`]); only writers,
-    /// who hold the series lock, draw from it.
-    epochs: AtomicU64,
+    retention_ms: u64,
+    /// Series epochs issued so far (see [`WindowCursor`]).
+    epochs: u64,
     /// Windowed reads served so far (monitoring-cost accounting for the
-    /// Bifrost execution journal).
-    window_reads: AtomicU64,
+    /// Bifrost execution journal). A `Cell` because a windowed read takes
+    /// `&self` — the engine's checks read through a shared reference, as
+    /// does anyone holding [`crate::sim::Simulation::store`] — and still
+    /// counts.
+    window_reads: Cell<u64>,
     /// Non-empty [`SampleBatch`] flushes. Batches fill in canonical merge
     /// order and flush at deterministic boundaries, so this is a pure
     /// function of the seed (registry counter `store.batch_flushes`).
-    batch_flushes: AtomicU64,
+    batch_flushes: u64,
     /// Wall time spent in batch flushes (sidecar profile only).
     flush_probe: WallProbe,
     /// Wall time spent serving windowed queries (sidecar profile only).
@@ -471,12 +464,12 @@ impl MetricStore {
         assert!(!width.is_zero(), "bucket width must be positive");
         MetricStore {
             interner: Interner::new(),
-            series: RwLock::new(Vec::new()),
+            series: Vec::new(),
             bucket_width_ms: width.as_millis(),
-            retention_ms: AtomicU64::new(0),
-            epochs: AtomicU64::new(0),
-            window_reads: AtomicU64::new(0),
-            batch_flushes: AtomicU64::new(0),
+            retention_ms: 0,
+            epochs: 0,
+            window_reads: Cell::new(0),
+            batch_flushes: 0,
             flush_probe: WallProbe::new(),
             query_probe: WallProbe::new(),
         }
@@ -490,20 +483,20 @@ impl MetricStore {
     /// Sets (or clears) the retention horizon: raw samples older than
     /// `horizon` behind a series' latest sample are compacted into their
     /// buckets. `None` keeps raw samples forever.
-    pub fn set_retention(&self, horizon: Option<SimDuration>) {
-        self.retention_ms.store(horizon.map_or(0, SimDuration::as_millis), Ordering::Relaxed);
+    pub fn set_retention(&mut self, horizon: Option<SimDuration>) {
+        self.retention_ms = horizon.map_or(0, SimDuration::as_millis);
     }
 
     /// The active retention horizon, if any.
     pub fn retention(&self) -> Option<SimDuration> {
-        match self.retention_ms.load(Ordering::Relaxed) {
+        match self.retention_ms {
             0 => None,
             ms => Some(SimDuration::from_millis(ms)),
         }
     }
 
     /// Interns `scope`, returning its dense id (idempotent).
-    pub fn intern(&self, scope: &str) -> ScopeId {
+    pub fn intern(&mut self, scope: &str) -> ScopeId {
         self.interner.intern(scope)
     }
 
@@ -520,15 +513,14 @@ impl MetricStore {
     /// Interns the `service@version` scope of every deployed version,
     /// indexed by `VersionId` — the per-request hot path looks scopes up
     /// here instead of formatting labels.
-    pub fn intern_version_scopes(&self, app: &Application) -> Vec<ScopeId> {
+    pub fn intern_version_scopes(&mut self, app: &Application) -> Vec<ScopeId> {
         app.versions().map(|(id, _)| self.intern(&app.version_label(id))).collect()
     }
 
-    /// Starts a batched ingestion session: samples are buffered and
-    /// flushed under one lock acquisition (on drop, on
-    /// [`SampleBatch::flush`], or when the buffer fills), amortizing lock
-    /// traffic on the hot path.
-    pub fn batch(&self) -> SampleBatch<'_> {
+    /// Starts a batched ingestion session: samples are buffered and each
+    /// series gets its whole run at once (on drop, on
+    /// [`SampleBatch::flush`], or when the buffer fills).
+    pub fn batch(&mut self) -> SampleBatch<'_> {
         SampleBatch { store: self, pending: Vec::new(), buffered: 0 }
     }
 
@@ -537,41 +529,29 @@ impl MetricStore {
     /// Samples for one series should arrive in non-decreasing time order
     /// (the virtual clock guarantees this); out-of-order samples are
     /// accepted but degrade window queries for their series.
-    pub fn record(&self, scope: &str, metric: MetricKind, sample: Sample) {
-        self.record_id(self.intern(scope), metric, sample);
+    pub fn record(&mut self, scope: &str, metric: MetricKind, sample: Sample) {
+        let scope = self.intern(scope);
+        self.record_id(scope, metric, sample);
     }
 
     /// Convenience: records `value` at `time`.
-    pub fn record_value(&self, scope: &str, metric: MetricKind, time: SimTime, value: f64) {
+    pub fn record_value(&mut self, scope: &str, metric: MetricKind, time: SimTime, value: f64) {
         self.record(scope, metric, Sample::new(time, value));
     }
 
     /// Records one observation under an interned scope.
-    pub fn record_id(&self, scope: ScopeId, metric: MetricKind, sample: Sample) {
-        let mut table = self.series.write().expect("series lock poisoned");
-        self.ingest(&mut table, slot_of(scope, metric), &[sample]);
+    pub fn record_id(&mut self, scope: ScopeId, metric: MetricKind, sample: Sample) {
+        let MetricStore { series, epochs, bucket_width_ms, retention_ms, .. } = self;
+        ingest(series, epochs, *bucket_width_ms, *retention_ms, slot_of(scope, metric), &[sample]);
     }
 
-    /// The one ingestion path: appends `samples` to the series at `slot`
-    /// (created on first use) and applies the retention horizon.
-    fn ingest(&self, table: &mut Vec<Option<Series>>, slot: usize, samples: &[Sample]) {
-        if slot >= table.len() {
-            table.resize_with(slot + 1, || None);
-        }
-        let new_epoch = || self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
-        let series =
-            table[slot].get_or_insert_with(|| Series { epoch: new_epoch(), ..Series::default() });
-        if series.push_run(samples, self.bucket_width_ms) {
-            series.epoch = new_epoch();
-        }
-        let retention = self.retention_ms.load(Ordering::Relaxed);
-        if retention != 0 {
-            series.compact(retention, self.bucket_width_ms);
-        }
+    fn series_at(&self, scope: ScopeId, metric: MetricKind) -> Option<&Series> {
+        self.series.get(slot_of(scope, metric))?.as_ref()
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Vec<Option<Series>>> {
-        self.series.read().expect("series lock poisoned")
+    /// Counts one windowed read.
+    fn count_read(&self) {
+        self.window_reads.set(self.window_reads.get() + 1);
     }
 
     /// Number of samples ever recorded into a series (compaction does not
@@ -582,13 +562,13 @@ impl MetricStore {
 
     /// [`MetricStore::count`] for an interned scope.
     pub fn count_id(&self, scope: ScopeId, metric: MetricKind) -> usize {
-        series_at(&self.read(), scope, metric).map_or(0, |s| s.total as usize)
+        self.series_at(scope, metric).map_or(0, |s| s.total as usize)
     }
 
     /// All scopes currently holding at least one series.
     pub fn scopes(&self) -> Vec<String> {
         let mut scopes: Vec<String> = self
-            .read()
+            .series
             .chunks(KIND_COUNT)
             .enumerate()
             .filter(|(_, kinds)| kinds.iter().any(Option::is_some))
@@ -618,7 +598,7 @@ impl MetricStore {
         from: SimTime,
         to: SimTime,
     ) -> Summary {
-        series_at(&self.read(), scope, metric)
+        self.series_at(scope, metric)
             .map(|s| s.summary_between(from, to, self.bucket_width_ms))
             .unwrap_or_default()
     }
@@ -636,7 +616,7 @@ impl MetricStore {
         match self.resolve(scope) {
             Some(id) => self.window_summary_id(id, metric, now, window),
             None => {
-                self.window_reads.fetch_add(1, Ordering::Relaxed);
+                self.count_read();
                 Summary::default()
             }
         }
@@ -651,7 +631,7 @@ impl MetricStore {
         window: SimDuration,
     ) -> Summary {
         let _t = self.query_probe.time();
-        self.window_reads.fetch_add(1, Ordering::Relaxed);
+        self.count_read();
         let from = SimTime::from_millis(now.as_millis().saturating_sub(window.as_millis()));
         self.summary_between_id(scope, metric, from, now + SimDuration::from_millis(1))
     }
@@ -672,9 +652,9 @@ impl MetricStore {
         cursor: &WindowCursor,
     ) -> (Summary, WindowCursor) {
         let _t = self.query_probe.time();
-        self.window_reads.fetch_add(1, Ordering::Relaxed);
+        self.count_read();
         let from_ms = now.as_millis().saturating_sub(window.as_millis());
-        series_at(&self.read(), scope, metric).map_or_else(
+        self.series_at(scope, metric).map_or_else(
             || (Summary::default(), WindowCursor::new()),
             |s| s.resume(from_ms, now.as_millis() + 1, self.bucket_width_ms, cursor),
         )
@@ -685,13 +665,13 @@ impl MetricStore {
     /// served since creation — the monitoring-cost counter the Bifrost
     /// journal samples per tick.
     pub fn window_reads(&self) -> u64 {
-        self.window_reads.load(Ordering::Relaxed)
+        self.window_reads.get()
     }
 
     /// Non-empty [`SampleBatch`] flushes completed against this store —
     /// deterministic (registry counter `store.batch_flushes`).
     pub fn batch_flushes(&self) -> u64 {
-        self.batch_flushes.load(Ordering::Relaxed)
+        self.batch_flushes
     }
 
     /// Number of interned metric scopes (registry gauge
@@ -713,7 +693,7 @@ impl MetricStore {
 
     /// Arms or disarms both wall-clock probes (see
     /// [`cex_core::obs::ObsConfig`]).
-    pub fn set_probes_armed(&self, armed: bool) {
+    pub fn set_probes_armed(&mut self, armed: bool) {
         self.flush_probe.set_armed(armed);
         self.query_probe.set_armed(armed);
     }
@@ -722,10 +702,9 @@ impl MetricStore {
     /// mean of the trailing `window`. This regenerates the "3-second moving
     /// average of monitored response times" of Figure 4.6.
     ///
-    /// The whole sweep is one bulk read of the series: it takes the
-    /// read lock once, counts once against [`MetricStore::window_reads`],
-    /// and advances two cursors over the raw tail instead of re-scanning
-    /// the window per step.
+    /// The whole sweep is one bulk read of the series: it counts once
+    /// against [`MetricStore::window_reads`], and advances two cursors over
+    /// the raw tail instead of re-scanning the window per step.
     pub fn moving_average(
         &self,
         scope: &str,
@@ -737,10 +716,9 @@ impl MetricStore {
     ) -> Vec<(SimTime, f64)> {
         assert!(!step.is_zero(), "step must be positive");
         let _t = self.query_probe.time();
-        self.window_reads.fetch_add(1, Ordering::Relaxed);
+        self.count_read();
         let Some(id) = self.resolve(scope) else { return Vec::new() };
-        let table = self.read();
-        let Some(series) = series_at(&table, id, metric) else { return Vec::new() };
+        let Some(series) = self.series_at(id, metric) else { return Vec::new() };
 
         let mut out = Vec::new();
         // Two-pointer sweep state over the raw tail: `sum`/`cnt` track the
@@ -789,24 +767,23 @@ impl MetricStore {
     }
 
     /// Removes every series of a scope (e.g. when an experiment finishes).
-    pub fn clear_scope(&self, scope: &str) {
+    pub fn clear_scope(&mut self, scope: &str) {
         if let Some(id) = self.resolve(scope) {
             self.clear_ids(&[id]);
         }
     }
 
-    fn clear_ids(&self, scopes: &[ScopeId]) {
-        let mut table = self.series.write().expect("series lock poisoned");
+    fn clear_ids(&mut self, scopes: &[ScopeId]) {
         for scope in scopes {
             let first = scope.index() * KIND_COUNT;
-            table.iter_mut().skip(first).take(KIND_COUNT).for_each(|series| *series = None);
+            self.series.iter_mut().skip(first).take(KIND_COUNT).for_each(|series| *series = None);
         }
     }
 
     /// Removes every series whose scope starts with `prefix` (e.g. all
     /// `exp:<name>/` experiment-level series once the experiment's
     /// journal is the long-term record).
-    pub fn clear_prefix(&self, prefix: &str) {
+    pub fn clear_prefix(&mut self, prefix: &str) {
         self.clear_ids(&self.interner.matching(|n| n.starts_with(prefix)));
     }
 
@@ -815,13 +792,13 @@ impl MetricStore {
     /// set this stays bounded while [`MetricStore::total_recorded`] keeps
     /// growing.
     pub fn total_samples(&self) -> usize {
-        self.read().iter().flatten().map(|s| s.raw.len()).sum()
+        self.series.iter().flatten().map(|s| s.raw.len()).sum()
     }
 
     /// Samples ever recorded across all live series (compaction does not
     /// reduce it; clearing a scope does).
     pub fn total_recorded(&self) -> u64 {
-        self.read().iter().flatten().map(|s| s.total).sum()
+        self.series.iter().flatten().map(|s| s.total).sum()
     }
 
     /// Bytes of state held: every live series' index column, buckets and
@@ -831,24 +808,52 @@ impl MetricStore {
     /// sample costs its raw entry and at most one bucket, a silence costs
     /// nothing.
     pub fn state_bytes(&self) -> usize {
-        let table = self.read();
-        table.len() * std::mem::size_of::<Option<Series>>()
-            + table.iter().flatten().map(Series::state_bytes).sum::<usize>()
+        self.series.len() * std::mem::size_of::<Option<Series>>()
+            + self.series.iter().flatten().map(Series::state_bytes).sum::<usize>()
+    }
+}
+
+/// The one ingestion path: appends `samples` to the series at `slot` of
+/// `table` (created on first use, under a new epoch drawn from `epochs`)
+/// and applies the retention horizon. It takes the store's fields rather
+/// than the store so that a flush can time itself on the store's probe
+/// meanwhile.
+fn ingest(
+    table: &mut Vec<Option<Series>>,
+    epochs: &mut u64,
+    width_ms: u64,
+    retention_ms: u64,
+    slot: usize,
+    samples: &[Sample],
+) {
+    if slot >= table.len() {
+        table.resize_with(slot + 1, || None);
+    }
+    let mut new_epoch = || {
+        *epochs += 1;
+        *epochs
+    };
+    let series =
+        table[slot].get_or_insert_with(|| Series { epoch: new_epoch(), ..Series::default() });
+    if series.push_run(samples, width_ms) {
+        series.epoch = new_epoch();
+    }
+    if retention_ms != 0 {
+        series.compact(retention_ms, width_ms);
     }
 }
 
 /// A buffered ingestion session over a [`MetricStore`].
 ///
 /// Samples are appended to dense per-series buffers laid out like the
-/// store's own series table, so the buffered path does no hashing and
-/// takes no lock. A flush takes the store's write lock once and hands
-/// each series its whole run. Flushes happen when the buffer reaches
+/// store's own series table, so the buffered path does no hashing. A
+/// flush hands each series its whole run. Flushes happen when the buffer reaches
 /// an internal threshold, on [`SampleBatch::flush`], and on drop; callers
 /// flush at deterministic boundaries (the simulation flushes per window),
 /// so store contents never depend on wall-clock timing.
 #[derive(Debug)]
 pub struct SampleBatch<'a> {
-    store: &'a MetricStore,
+    store: &'a mut MetricStore,
     /// Slot [`slot_of`]`(scope, kind)`, grown on demand. Each slot keeps
     /// its series' samples in arrival order.
     pending: Vec<Vec<Sample>>,
@@ -885,12 +890,20 @@ impl SampleBatch<'_> {
         if self.buffered == 0 {
             return;
         }
-        let _t = self.store.flush_probe.time();
-        self.store.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        let mut table = self.store.series.write().expect("series lock poisoned");
+        let MetricStore {
+            series,
+            epochs,
+            bucket_width_ms,
+            retention_ms,
+            batch_flushes,
+            flush_probe,
+            ..
+        } = &mut *self.store;
+        let _t = flush_probe.time();
+        *batch_flushes += 1;
         for (slot, samples) in self.pending.iter_mut().enumerate() {
             if !samples.is_empty() {
-                self.store.ingest(&mut table, slot, samples);
+                ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
                 samples.clear();
             }
         }
@@ -909,7 +922,7 @@ impl Drop for SampleBatch<'_> {
 /// Wraps a [`SampleBatch`] with the pre-interned scope ids the request core
 /// needs: one per deployed version (indexed by [`VersionId`]) plus the
 /// end-to-end application scope. Recording a hop is an array index and a
-/// buffered push — no string formatting, hashing, or locking. Drop (or
+/// buffered push — no string formatting or hashing. Drop (or
 /// [`MetricSink::flush`]) writes the buffer through to the store; the
 /// simulation flushes at window boundaries so store contents stay
 /// deterministic.
@@ -924,7 +937,11 @@ impl<'a> MetricSink<'a> {
     /// Creates a sink over `store`. `version_scopes` must be indexed by
     /// `VersionId` (see [`MetricStore::intern_version_scopes`]);
     /// `app_scope` receives end-to-end metrics.
-    pub fn new(store: &'a MetricStore, version_scopes: &'a [ScopeId], app_scope: ScopeId) -> Self {
+    pub fn new(
+        store: &'a mut MetricStore,
+        version_scopes: &'a [ScopeId],
+        app_scope: ScopeId,
+    ) -> Self {
         MetricSink { batch: store.batch(), version_scopes, app_scope }
     }
 
@@ -955,7 +972,7 @@ mod tests {
     use super::*;
 
     fn store_with_ramp() -> MetricStore {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         // value(t) = t/1000 for t = 0ms, 100ms, …, 9900ms
         for i in 0..100u64 {
             store.record_value(
@@ -1055,7 +1072,7 @@ mod tests {
 
     #[test]
     fn window_summary_interval_is_closed_on_both_ends() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         for ms in [1_000u64, 2_000, 3_000] {
             store.record_value("s", MetricKind::ResponseTime, SimTime::from_millis(ms), ms as f64);
         }
@@ -1073,7 +1090,7 @@ mod tests {
 
     #[test]
     fn moving_average_skips_gaps_in_the_series() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         // Two bursts with a 10-second silence between them.
         for i in 0..5u64 {
             store.record_value("s", MetricKind::ResponseTime, SimTime::from_secs(i), 10.0);
@@ -1165,7 +1182,7 @@ mod tests {
 
     #[test]
     fn clear_prefix_removes_matching_scopes_only() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         store.record_value("exp:a/control", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
         store.record_value("exp:a/variant", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
         store.record_value("exp:ab/variant", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
@@ -1176,7 +1193,7 @@ mod tests {
 
     #[test]
     fn clear_scope_removes_series() {
-        let store = store_with_ramp();
+        let mut store = store_with_ramp();
         store.record_value("other", MetricKind::ErrorRate, SimTime::ZERO, 0.0);
         store.clear_scope("svc@1.0.0");
         assert_eq!(store.count("svc@1.0.0", MetricKind::ResponseTime), 0);
@@ -1184,30 +1201,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)]
-    fn store_is_shareable_across_threads() {
-        let store = MetricStore::new();
-        std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let store = &store;
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        store.record_value(
-                            "shared",
-                            MetricKind::Throughput,
-                            SimTime::from_millis(worker * 1_000 + i),
-                            1.0,
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(store.count("shared", MetricKind::Throughput), 400);
-    }
-
-    #[test]
     fn interner_is_idempotent_and_resolvable() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let a = store.intern("svc@1");
         let b = store.intern("svc@2");
         assert_ne!(a, b);
@@ -1218,34 +1213,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)]
-    fn concurrent_interning_yields_consistent_ids() {
-        let store = MetricStore::new();
-        let ids: Vec<Vec<ScopeId>> = std::thread::scope(|scope| {
-            (0..4)
-                .map(|_| {
-                    let store = &store;
-                    scope.spawn(move || {
-                        (0..50).map(|i| store.intern(&format!("scope-{i}"))).collect::<Vec<_>>()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("interner thread panicked"))
-                .collect()
-        });
-        for other in &ids[1..] {
-            assert_eq!(&ids[0], other, "all threads agree on every id");
-        }
-        for (i, id) in ids[0].iter().enumerate() {
-            assert_eq!(store.resolve(&format!("scope-{i}")), Some(*id));
-        }
-    }
-
-    #[test]
     fn batch_is_equivalent_to_direct_records() {
-        let direct = MetricStore::new();
-        let batched = MetricStore::new();
+        let mut direct = MetricStore::new();
+        let mut batched = MetricStore::new();
         let scope = batched.intern("svc@1");
         let mut batch = batched.batch();
         for i in 0..500u64 {
@@ -1291,7 +1261,7 @@ mod tests {
 
     #[test]
     fn retention_bounds_raw_samples_but_not_counts() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         store.set_retention(Some(SimDuration::from_secs(2)));
         assert_eq!(store.retention(), Some(SimDuration::from_secs(2)));
         for i in 0..100u64 {
@@ -1320,7 +1290,7 @@ mod tests {
 
     #[test]
     fn compacted_region_is_answered_at_bucket_granularity() {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         store.set_retention(Some(SimDuration::from_secs(2)));
         for i in 0..100u64 {
             store.record_value(
@@ -1436,7 +1406,7 @@ mod tests {
         for seed in 0..400u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
             let width = [250u64, 700, 1_000, 3_000][rng.next_index(4)];
-            let store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
             let mut reference = Some(Reference { width, buckets: Default::default(), raw: vec![] });
             if rng.next_below(3) == 0 {
                 let horizon = width * (1 + rng.next_below(6));
@@ -1444,7 +1414,10 @@ mod tests {
                 reference = None;
             }
             let scope = store.intern("svc@1");
-            let mut record = |reference: &mut Option<Reference>, t_ms: u64, value: f64| {
+            let mut record = |store: &mut MetricStore,
+                              reference: &mut Option<Reference>,
+                              t_ms: u64,
+                              value: f64| {
                 let sample = Sample::new(SimTime::from_millis(t_ms), value);
                 store.record_id(scope, metric, sample);
                 if let Some(reference) = reference {
@@ -1461,7 +1434,7 @@ mod tests {
                     0..=4 => {
                         for _ in 0..rng.next_below(40) {
                             clock += rng.next_below(width / 4 + 1);
-                            record(&mut reference, clock, rng.next_f64() * 100.0);
+                            record(&mut store, &mut reference, clock, rng.next_f64() * 100.0);
                         }
                     }
                     // Silence: whole buckets with nothing in them.
@@ -1469,7 +1442,7 @@ mod tests {
                     // A late sample, up to six buckets back.
                     6 | 7 => {
                         let t = clock.saturating_sub(rng.next_below(width * 6));
-                        record(&mut reference, t, -5.0);
+                        record(&mut store, &mut reference, t, -5.0);
                     }
                     8 if rng.next_below(4) == 0 => {
                         store.clear_scope("svc@1");
@@ -1495,7 +1468,7 @@ mod tests {
                     11 if !long_silence.is_empty() => {
                         let t = long_silence.start
                             + rng.next_below(long_silence.end - long_silence.start);
-                        record(&mut reference, t, -7.0);
+                        record(&mut store, &mut reference, t, -7.0);
                     }
                     _ => {}
                 }
@@ -1553,7 +1526,7 @@ mod tests {
         // (1.26 GB).
         let metric = MetricKind::ResponseTime;
         let year = 365 * 86_400;
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         store.record_value("s", metric, SimTime::ZERO, 1.0);
         store.record_value("s", metric, SimTime::from_secs(year), 2.0);
         store.record_value("s", metric, SimTime::from_secs(year / 2), 3.0);
@@ -1569,7 +1542,7 @@ mod tests {
         assert!(store.state_bytes() < 1_024, "{} bytes for three samples", store.state_bytes());
 
         // The same from the front: a late sample far before the first bucket.
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         store.record_value("s", metric, SimTime::from_secs(year), 2.0);
         store.record_value("s", metric, SimTime::ZERO, 1.0);
         let whole = store.summary_between("s", metric, SimTime::ZERO, SimTime::from_secs(2 * year));
@@ -1585,15 +1558,15 @@ mod tests {
         // after every kind of disturbance.
         let metric = MetricKind::ResponseTime;
         let at = SimTime::from_millis;
-        let ramp = |store: &MetricStore, scope: ScopeId, range: std::ops::Range<u64>| {
+        let ramp = |store: &mut MetricStore, scope: ScopeId, range: std::ops::Range<u64>| {
             for i in range {
                 store.record_id(scope, metric, Sample::new(at(i * 100), i as f64));
             }
         };
         let start = |from_ms: u64| {
-            let store = MetricStore::new();
+            let mut store = MetricStore::new();
             let scope = store.intern("s");
-            ramp(&store, scope, 0..100);
+            ramp(&mut store, scope, 0..100);
             let now = at(8_000);
             let window = SimDuration::from_millis(8_000 - from_ms);
             let (summary, mut cursor) =
@@ -1612,37 +1585,37 @@ mod tests {
             };
 
         // Undisturbed, later `now`: used (the bogus observation counts).
-        let (store, scope, poisoned) = start(2_000);
+        let (mut store, scope, poisoned) = start(2_000);
         assert_eq!(poisoned.next_bucket, 8, "buckets 2..8 kept, the newest and the edge not");
         assert_eq!(read(&store, scope, 2_000, 9_500, &poisoned), (77, 76));
         // Appending at the newest bucket and beyond changes nothing kept.
-        ramp(&store, scope, 100..130);
+        ramp(&mut store, scope, 100..130);
         assert_eq!(read(&store, scope, 2_000, 12_000, &poisoned), (102, 101));
         // A late sample in a kept bucket: ignored from then on.
         store.record_id(scope, metric, Sample::new(at(5_050), 0.0));
         assert_eq!(read(&store, scope, 2_000, 12_000, &poisoned), (102, 102));
 
         // Another window start.
-        let (store, scope, poisoned) = start(2_000);
+        let (mut store, scope, poisoned) = start(2_000);
         assert_eq!(read(&store, scope, 3_000, 9_500, &poisoned), (66, 66));
         // `now` stepping back inside the kept buckets (and not, for contrast).
         assert_eq!(read(&store, scope, 2_000, 6_500, &poisoned), (46, 46));
         assert_eq!(read(&store, scope, 2_000, 8_000, &poisoned), (62, 61));
         // The scope cleared and recorded again with the very same samples.
         store.clear_scope("s");
-        ramp(&store, scope, 0..100);
+        ramp(&mut store, scope, 0..100);
         assert_eq!(read(&store, scope, 2_000, 9_500, &poisoned), (76, 76));
         // Another series of the same store.
         let other = store.intern("other");
-        ramp(&store, other, 0..100);
+        ramp(&mut store, other, 0..100);
         assert_eq!(read(&store, other, 2_000, 9_500, &poisoned), (76, 76));
 
         // A window start off the bucket grid keeps nothing to poison the
         // next look with, compacted or not.
-        let (store, scope, poisoned) = start(2_050);
+        let (mut store, scope, poisoned) = start(2_050);
         assert_eq!((poisoned.next_bucket, poisoned.acc.count()), (2, 1));
         store.set_retention(Some(SimDuration::from_secs(1)));
-        ramp(&store, scope, 100..130);
+        ramp(&mut store, scope, 100..130);
         let (resumed, fresh) = read(&store, scope, 2_050, 12_000, &WindowCursor::new());
         assert_eq!(resumed, fresh);
         assert_eq!(fresh, 101, "bucket 2 whole below the raw floor: 2000..=12000ms");

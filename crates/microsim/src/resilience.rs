@@ -430,7 +430,8 @@ impl ResilienceState {
     }
 
     /// Moves all breakers out, leaving this state empty — the event core
-    /// partitions them across worker shards by caller service.
+    /// runs each window on a fresh state holding them, so the transitions
+    /// that state logs are the window's alone.
     pub(crate) fn take_breakers(&mut self) -> BTreeMap<(VersionId, VersionId), Breaker> {
         std::mem::take(&mut self.breakers)
     }
@@ -444,7 +445,7 @@ impl ResilienceState {
     }
 
     /// Appends one transition to the log — the event core's canonical
-    /// merge replays shard-local transitions in global event order.
+    /// merge replays a window's transitions in event-key order.
     pub(crate) fn record_transition(&mut self, transition: BreakerTransition) {
         self.transitions.push(transition);
     }

@@ -69,7 +69,6 @@ pub struct Simulation {
     router: Router,
     load: LoadTracker,
     occupancy: OccupancyTable,
-    workers: usize,
     store: MetricStore,
     /// `service@version` scope ids indexed by `VersionId`, kept in sync
     /// with deployments so the request loop records without formatting or
@@ -101,7 +100,7 @@ impl Simulation {
     pub fn new(app: Application, seed: u64) -> Self {
         let load = LoadTracker::new(&app);
         let occupancy = OccupancyTable::new(&app);
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let version_scopes = store.intern_version_scopes(&app);
         let app_scope = store.intern(APP_SCOPE);
         Simulation {
@@ -109,7 +108,6 @@ impl Simulation {
             router: Router::new(),
             load,
             occupancy,
-            workers: 1,
             store,
             version_scopes,
             app_scope,
@@ -163,7 +161,7 @@ impl Simulation {
     /// Deterministic counter-registry snapshot: event-core tallies,
     /// metric-store and trace-collector accounting, and per-service
     /// queue-depth high-water gauges. Every value is a pure function of
-    /// the seed — identical across runs and worker counts — and safe to
+    /// the seed — identical across runs — and safe to
     /// journal (see [`cex_core::obs`]).
     pub fn counters(&self) -> Counters {
         let mut c = Counters::new();
@@ -251,19 +249,6 @@ impl Simulation {
         self.resilience_state.drain_transitions_into(out);
     }
 
-    /// Sets how many worker threads a window's services are sharded over
-    /// (see [`crate::event`]). Outputs are byte-identical at any worker
-    /// count; this only trades wall-clock time. Clamped to at least 1 (and
-    /// internally to the service count — extra workers would own no shard).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured event-core worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Replaces the router (e.g. to enable proxy-overhead modelling).
     pub fn set_router(&mut self, router: Router) {
         self.router = router;
@@ -340,6 +325,12 @@ impl Simulation {
     /// The metric store.
     pub fn store(&self) -> &MetricStore {
         &self.store
+    }
+
+    /// Mutable access to the metric store (Bifrost interns its scopes,
+    /// records trace-derived samples and retires scopes through this).
+    pub fn store_mut(&mut self) -> &mut MetricStore {
+        &mut self.store
     }
 
     /// Collected traces so far, oldest first.
@@ -424,7 +415,7 @@ impl Simulation {
                 });
             }
         }
-        let mut sink = MetricSink::new(&self.store, &self.version_scopes, self.app_scope);
+        let mut sink = MetricSink::new(&mut self.store, &self.version_scopes, self.app_scope);
         let stats = event::run_window(
             &self.app,
             &self.router,
@@ -436,15 +427,10 @@ impl Simulation {
             &mut sink,
             &mut self.collector,
             requests,
-            self.workers,
             &mut self.event_buffers,
             &self.profiler,
         );
-        let tally = &stats.tally;
-        self.event_tally.events_popped += tally.events_popped;
-        self.event_tally.events_sent += tally.events_sent;
-        self.event_tally.sub_rounds += tally.sub_rounds;
-        self.event_tally.sheds += tally.sheds;
+        self.event_tally.add(&stats.tally);
         let secs = duration.as_millis() as f64 / 1_000.0;
         if secs > 0.0 {
             sink.record_app(MetricKind::Throughput, to, stats.requests as f64 / secs);
@@ -490,7 +476,7 @@ mod tests {
             let mut requests = 0u64;
             let mut failures = 0u64;
             let mut rt = OnlineStats::new();
-            let mut sink = MetricSink::new(&self.store, &self.version_scopes, self.app_scope);
+            let mut sink = MetricSink::new(&mut self.store, &self.version_scopes, self.app_scope);
             for arrival in arrivals.arrivals_until(to) {
                 let trace_id = self.collector.begin_trace();
                 let result = execute_request(

@@ -266,7 +266,7 @@ impl SpanBook {
     /// Builds the book for an application's current deployment set.
     /// Deterministic: ids and symbols depend only on deployment order.
     pub fn from_app(app: &Application) -> SpanBook {
-        let interner = Interner::new();
+        let mut interner = Interner::new();
         let services: Vec<Arc<str>> = app.services().map(|(_, name)| Arc::from(name)).collect();
         let mut version_service = Vec::new();
         let mut version_labels = Vec::new();

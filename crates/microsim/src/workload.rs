@@ -12,9 +12,8 @@
 //! rate schedules (diurnal cycles, flash crowds) and a two-state
 //! Markov-modulated Poisson process (MMPP) for bursty arrivals. All
 //! profiles are generated by Lewis thinning against the profile's peak
-//! rate, so every arrival stream remains a pure function of the seed —
-//! and, because arrivals are drawn single-threaded before the event core
-//! runs, byte-identical at any simulator worker count.
+//! rate, so every arrival stream remains a pure function of the seed,
+//! drawn in arrival order before the event core runs.
 
 use crate::app::ServiceId;
 use crate::error::SimError;

