@@ -963,7 +963,7 @@ fn chaos_faults(
 
 /// The journaled keyword for a chaos spec — zone-targeted outages
 /// journal as `zone_outage`, matching the DSL spelling.
-fn chaos_journal_kind(spec: &ChaosSpec) -> &'static str {
+pub(crate) fn chaos_journal_kind(spec: &ChaosSpec) -> &'static str {
     match (&spec.kind, &spec.target) {
         (ChaosKind::Outage, ChaosTarget::Zone(_)) => "zone_outage",
         _ => spec.kind.keyword(),

@@ -31,266 +31,307 @@ use crate::machine::{PhaseOutcome, State};
 use crate::model::CheckScope;
 use cex_core::json::{write_uint, Json, ObjectWriter};
 use cex_core::metrics::{MetricKind, Summary};
+use cex_core::obs::Counters;
 use cex_core::simtime::SimTime;
 use microsim::resilience::BreakerState;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One entry of the execution journal, stamped with virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
-    /// A routing configuration was applied: phase entry, re-entry
-    /// (retry), or a gradual-rollout step.
-    Enacted {
-        /// Virtual time of the enactment.
-        time: SimTime,
-        /// The strategy enacting.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// Phase kind keyword (`canary`, `dark_launch`, …).
-        kind: &'static str,
-        /// Candidate traffic share in percent (0 for dark launches).
-        percent: f64,
-    },
-    /// One check evaluation, with the windowed summaries it read.
-    Check {
-        /// Virtual time of the evaluation.
-        time: SimTime,
-        /// The strategy whose check ran.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// Check index within the phase.
-        check: usize,
-        /// The monitored metric.
-        metric: MetricKind,
-        /// The check's scope.
-        scope: CheckScope,
-        /// `true` for the phase-boundary evaluation deciding the
-        /// phase outcome, `false` for a scheduled mid-phase evaluation.
-        boundary: bool,
-        /// The verdict.
-        result: CheckResult,
-        /// Window summary of the primarily read scope.
-        primary: Summary,
-        /// Window summary of the baseline side (two-sided scopes only).
-        baseline: Option<Summary>,
-    },
-    /// A state-machine transition with its triggering outcome.
-    Transition {
-        /// Virtual time of the transition.
-        time: SimTime,
-        /// The strategy that transitioned.
-        strategy: Arc<str>,
-        /// State left.
-        from: State,
-        /// State entered.
-        to: State,
-        /// The phase outcome that triggered it.
-        outcome: PhaseOutcome,
-    },
-    /// A scheduled chaos injection was armed: the engine translated a
-    /// phase's [`crate::model::ChaosSpec`] into a simulator fault window.
-    Chaos {
-        /// Virtual time the injection was armed (phase entry).
-        time: SimTime,
-        /// The strategy whose phase scheduled it.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// Chaos kind keyword (`outage`, `latency_spike`, `error_burst`).
-        kind: &'static str,
-        /// Kind magnitude (latency multiplier / extra error rate; zero
-        /// for outages).
-        magnitude: f64,
-        /// Label of the afflicted version (`service@version`).
-        target: String,
-        /// Fault window start (inclusive).
-        from: SimTime,
-        /// Fault window end (exclusive).
-        until: SimTime,
-    },
-    /// A circuit breaker in the simulated request path changed state —
-    /// the resilience layer reacting to (or recovering from) a fault.
-    Breaker {
-        /// Virtual time of the transition.
-        time: SimTime,
-        /// Label of the calling version.
-        caller: String,
-        /// Label of the guarded callee version.
-        callee: String,
-        /// State left.
-        from: BreakerState,
-        /// State entered.
-        to: BreakerState,
-    },
-    /// A trace-derived health snapshot, journaled at every phase-boundary
-    /// evaluation while trace collection is active: the canary-vs-baseline
-    /// worst-edge verdict distilled from the engine's health accumulator
-    /// (see [`microsim::health::HealthReport`]).
-    HealthSnapshot {
-        /// Virtual time of the snapshot (the phase boundary).
-        time: SimTime,
-        /// The strategy assessed.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// Traces folded into the accumulator so far (engine-wide).
-        traces: u64,
-        /// Traces whose root span failed.
-        failed: u64,
-        /// Baseline `service@version` label.
-        baseline: String,
-        /// Canary `service@version` label.
-        canary: String,
-        /// Most degraded logical endpoint, `None` when the service's
-        /// edges saw no traffic yet.
-        worst_edge: Option<String>,
-        /// Its degradation score ([`microsim::health::EdgeDelta::score`]).
-        score: f64,
-        /// Its canary − baseline error-rate delta.
-        error_rate_delta: f64,
-        /// Its canary − baseline p95 latency delta (ms).
-        p95_delta_ms: f64,
-        /// Retained traces the collector's retention ring evicted
-        /// ([`microsim::trace::TraceCollector::dropped`]).
-        dropped: u64,
-        /// Traces always retained by the tail-sampling rule (error status
-        /// or sketch-flagged slow); `0` when tail sampling is off.
-        tail_kept: u64,
-        /// Healthy traces retained as weighted 1-in-`k` representatives;
-        /// `0` when tail sampling is off.
-        downsampled: u64,
-    },
-    /// A guarded gradual rollout took a ramp decision at a step boundary:
-    /// advance one step, retreat one step, or hold at the floor — driven
-    /// by the instantaneous harm evidence of the phase's sequential
-    /// checks (see [`crate::checks::SequentialState::warns`]).
-    Ramp {
-        /// Virtual time of the decision (the step boundary).
-        time: SimTime,
-        /// The strategy ramping.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// The decision taken (`advance`, `retreat`, or `hold`).
-        decision: &'static str,
-        /// Candidate traffic percent after the decision.
-        percent: f64,
-        /// Strongest instantaneous harm-direction likelihood ratio among
-        /// the phase's sequential guards at decision time.
-        lr_harm: f64,
-    },
-    /// A phase concluded before its scheduled boundary: the always-valid
-    /// sequential checks reached a verdict mid-phase, so the engine
-    /// promoted (or aborted) without waiting out the clock.
-    EarlyStop {
-        /// Virtual time of the early conclusion.
-        time: SimTime,
-        /// The strategy that stopped early.
-        strategy: Arc<str>,
-        /// Phase name.
-        phase: Arc<str>,
-        /// The outcome the sequential evidence decided.
-        outcome: PhaseOutcome,
-        /// The deciding always-valid p-value: the worst (largest) p among
-        /// the sequential checks that crossed their threshold.
-        p: f64,
-    },
-    /// A retired metric scope was pruned from the live store (the
-    /// journal keeps the long-term record).
-    ScopeCleared {
-        /// Virtual time of the pruning.
-        time: SimTime,
-        /// The terminal strategy whose scope retired.
-        strategy: Arc<str>,
-        /// The pruned scope.
-        scope: String,
-    },
-    /// A runtime self-observability report: the unified counter-registry
-    /// snapshot ([`cex_core::obs::Counters`]) emitted at the configured
-    /// cadence ([`crate::engine::EngineConfig::runtime_report_every`]).
-    /// Every value is a pure function of the seed — wall-clock timings
-    /// live only in the sidecar profile
-    /// ([`crate::engine::ExecutionReport::runtime`]), never here — so
-    /// the serialized journal stays byte-identical across runs with
-    /// runtime reporting enabled.
-    Runtime {
-        /// Virtual time of the report.
-        time: SimTime,
-        /// Control-loop iteration the report was taken after (0-based).
-        tick: u64,
-        /// The merged engine + simulation counter registry snapshot.
-        counters: cex_core::obs::Counters,
-    },
-    /// Per-tick engine accounting.
-    Tick {
-        /// Virtual time at the end of the tick.
-        time: SimTime,
-        /// Control-loop iteration number (0-based).
-        tick: u64,
-        /// Strategies still running after this tick.
-        active: usize,
-        /// Check evaluations performed this tick.
-        due_checks: u64,
-        /// Cumulative windowed metric reads served by the store.
-        window_reads: u64,
-        /// Engine wall-clock busy time this tick. **Not serialized** —
-        /// wall time varies run to run, and the serialized journal is
-        /// bit-identical across runs; [`Journal::from_jsonl`] restores
-        /// this as zero.
-        busy: Duration,
-    },
+/// The two members every line leads with: the event's tag, and its
+/// virtual time in milliseconds.
+const TAG: &str = "ev";
+const TIME: &str = "t";
+
+/// A field's codec: the one `Wire` picks by the field's type, unless the
+/// declaration names another after `as`.
+macro_rules! codec {
+    () => {
+        Wire
+    };
+    ($codec:expr) => {
+        $codec
+    };
 }
 
-/// Resolves a parsed phase-kind keyword back to its canonical static
-/// form (the engine only ever journals [`crate::model::PhaseKind`]
-/// keywords).
-fn kind_keyword(name: &str) -> Option<&'static str> {
-    ["canary", "dark_launch", "ab_test", "gradual_rollout"].into_iter().find(|k| *k == name)
+/// Declares [`JournalEvent`] and derives its wire format from that one
+/// declaration: the `ev` tag and the `t` time, then the other fields in
+/// member order, each keyed by its name and travelling by its `codec!`.
+/// DESIGN.md § "Execution journal" quotes the format (a test holds the two
+/// together); the test-only tree encoder spells it again, independently,
+/// as the byte oracle.
+macro_rules! journal_events {
+    ($(#[$meta:meta])* pub enum JournalEvent {
+        $($(#[$vmeta:meta])* $variant:ident $tag:literal {
+            $(#[$tmeta:meta])* time: SimTime,
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty $(as $codec:expr)?,)*
+        },)*
+    }) => {
+        $(#[$meta])*
+        pub enum JournalEvent {
+            $($(#[$vmeta])* $variant {
+                $(#[$tmeta])* time: SimTime,
+                $($(#[$fmeta])* $field: $ty,)*
+            },)*
+        }
+
+        impl JournalEvent {
+            /// Virtual time of the event.
+            pub fn time(&self) -> SimTime {
+                match self {
+                    $(JournalEvent::$variant { time, .. })|* => *time,
+                }
+            }
+
+            /// Appends the event's JSON line (without the newline) to `out`,
+            /// member by member: no tree, no allocation besides the output.
+            fn write_json(&self, out: &mut String) {
+                let mut w = ObjectWriter::begin(out);
+                match self {
+                    $(JournalEvent::$variant { time, $($field),* } => {
+                        w.str(TAG, $tag);
+                        Wire.put(time, TIME, &mut w);
+                        $(codec!($($codec)?).put($field, stringify!($field), &mut w);)*
+                    })*
+                }
+                w.end();
+            }
+
+            /// Reads one parsed line back. Each member must be one the
+            /// declaration names, once; any other is an error naming its key.
+            fn from_json(json: &Json) -> Result<JournalEvent, String> {
+                let Json::Obj(all) = json else { return Err(malformed(TAG)) };
+                let mut line = Line { all, read: 0 };
+                let event = match line.get(TAG).and_then(Json::as_str) {
+                    $(Some($tag) => JournalEvent::$variant {
+                        time: Wire.take(&mut line, TIME).map_err(malformed)?,
+                        $($field: codec!($($codec)?)
+                            .take(&mut line, stringify!($field))
+                            .map_err(malformed)?,)*
+                    },)*
+                    Some(other) => return Err(format!("unknown event kind '{other}'")),
+                    None => return Err(malformed(TAG)),
+                };
+                match line.unread() {
+                    Some(key) => Err(format!("unexpected member {key}")),
+                    None => Ok(event),
+                }
+            }
+        }
+    };
 }
 
-/// Same resolution for chaos kinds ([`crate::model::ChaosKind`] keywords).
-fn chaos_keyword(name: &str) -> Option<&'static str> {
-    ["outage", "latency_spike", "error_burst", "zone_outage", "latency_storm"]
-        .into_iter()
-        .find(|k| *k == name)
-}
-
-/// Same resolution for guarded-ramp decisions.
-fn ramp_keyword(name: &str) -> Option<&'static str> {
-    ["advance", "retreat", "hold"].into_iter().find(|k| *k == name)
-}
-
-/// A `runtime` event's name → value table; the names are made at run time.
-fn write_table<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, u64)>) {
-    let mut table = ObjectWriter::begin(out);
-    for (name, value) in entries {
-        write_uint(value, table.value_escaped(name));
+journal_events! {
+    /// One entry of the execution journal, stamped with virtual time.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalEvent {
+        /// A routing configuration was applied: phase entry, re-entry
+        /// (retry), or a gradual-rollout step.
+        Enacted "enact" {
+            /// Virtual time of the enactment.
+            time: SimTime,
+            /// The strategy enacting.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// Phase kind keyword (`canary`, `dark_launch`, …).
+            kind: &'static str as PHASE_KINDS,
+            /// Candidate traffic share in percent (0 for dark launches).
+            percent: f64,
+        },
+        /// One check evaluation, with the windowed summaries it read.
+        Check "check" {
+            /// Virtual time of the evaluation.
+            time: SimTime,
+            /// The strategy whose check ran.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// Check index within the phase.
+            check: usize,
+            /// The monitored metric.
+            metric: MetricKind,
+            /// The check's scope.
+            scope: CheckScope,
+            /// `true` for the phase-boundary evaluation deciding the
+            /// phase outcome, `false` for a scheduled mid-phase evaluation.
+            boundary: bool,
+            /// The verdict.
+            result: CheckResult,
+            /// Window summary of the primarily read scope.
+            primary: Summary,
+            /// Window summary of the baseline side (two-sided scopes only).
+            baseline: Option<Summary>,
+        },
+        /// A state-machine transition with its triggering outcome.
+        Transition "transition" {
+            /// Virtual time of the transition.
+            time: SimTime,
+            /// The strategy that transitioned.
+            strategy: Arc<str>,
+            /// State left.
+            from: State,
+            /// State entered.
+            to: State,
+            /// The phase outcome that triggered it.
+            outcome: PhaseOutcome,
+        },
+        /// A scheduled chaos injection was armed: the engine translated a
+        /// phase's [`crate::model::ChaosSpec`] into a simulator fault window.
+        Chaos "chaos" {
+            /// Virtual time the injection was armed (phase entry).
+            time: SimTime,
+            /// The strategy whose phase scheduled it.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// Chaos kind keyword (`outage`, `latency_spike`, `error_burst`,
+            /// `zone_outage`, `latency_storm`).
+            kind: &'static str as CHAOS_KINDS,
+            /// Kind magnitude (latency multiplier / extra error rate; zero
+            /// for outages).
+            magnitude: f64,
+            /// Label of the afflicted version (`service@version`).
+            target: String,
+            /// Fault window start (inclusive).
+            from: SimTime,
+            /// Fault window end (exclusive).
+            until: SimTime,
+        },
+        /// A circuit breaker in the simulated request path changed state —
+        /// the resilience layer reacting to (or recovering from) a fault.
+        Breaker "breaker" {
+            /// Virtual time of the transition.
+            time: SimTime,
+            /// Label of the calling version.
+            caller: String,
+            /// Label of the guarded callee version.
+            callee: String,
+            /// State left.
+            from: BreakerState,
+            /// State entered.
+            to: BreakerState,
+        },
+        /// A trace-derived health snapshot, journaled at every phase-boundary
+        /// evaluation while trace collection is active: the canary-vs-baseline
+        /// worst-edge verdict distilled from the engine's health accumulator
+        /// (see [`microsim::health::HealthReport`]).
+        HealthSnapshot "health" {
+            /// Virtual time of the snapshot (the phase boundary).
+            time: SimTime,
+            /// The strategy assessed.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// Traces folded into the accumulator so far (engine-wide).
+            traces: u64,
+            /// Traces whose root span failed.
+            failed: u64,
+            /// Baseline `service@version` label.
+            baseline: String,
+            /// Canary `service@version` label.
+            canary: String,
+            /// Most degraded logical endpoint, `None` when the service's
+            /// edges saw no traffic yet.
+            worst_edge: Option<String>,
+            /// Its degradation score ([`microsim::health::EdgeDelta::score`]).
+            score: f64,
+            /// Its canary − baseline error-rate delta.
+            error_rate_delta: f64,
+            /// Its canary − baseline p95 latency delta (ms).
+            p95_delta_ms: f64,
+            /// Retained traces the collector's retention ring evicted
+            /// ([`microsim::trace::TraceCollector::dropped`]).
+            dropped: u64,
+            /// Traces always retained by the tail-sampling rule (error status
+            /// or sketch-flagged slow); `0` when tail sampling is off.
+            tail_kept: u64,
+            /// Healthy traces retained as weighted 1-in-`k` representatives;
+            /// `0` when tail sampling is off.
+            downsampled: u64,
+        },
+        /// A guarded gradual rollout took a ramp decision at a step boundary:
+        /// advance one step, retreat one step, or hold at the floor — driven
+        /// by the instantaneous harm evidence of the phase's sequential
+        /// checks (see [`crate::checks::SequentialState::warns`]).
+        Ramp "ramp" {
+            /// Virtual time of the decision (the step boundary).
+            time: SimTime,
+            /// The strategy ramping.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// The decision taken (`advance`, `retreat`, or `hold`).
+            decision: &'static str as RAMP_DECISIONS,
+            /// Candidate traffic percent after the decision.
+            percent: f64,
+            /// Strongest instantaneous harm-direction likelihood ratio among the
+            /// phase's sequential guards at decision time; `+∞` on extreme
+            /// evidence (`SequentialTest::lambda`), which JSON writes `null`.
+            lr_harm: f64 as NullAs(f64::INFINITY),
+        },
+        /// A phase concluded before its scheduled boundary: the always-valid
+        /// sequential checks reached a verdict mid-phase, so the engine
+        /// promoted (or aborted) without waiting out the clock.
+        EarlyStop "early_stop" {
+            /// Virtual time of the early conclusion.
+            time: SimTime,
+            /// The strategy that stopped early.
+            strategy: Arc<str>,
+            /// Phase name.
+            phase: Arc<str>,
+            /// The outcome the sequential evidence decided.
+            outcome: PhaseOutcome,
+            /// The deciding always-valid p-value: the worst (largest) p among
+            /// the sequential checks that crossed their threshold.
+            p: f64,
+        },
+        /// A retired metric scope was pruned from the live store (the
+        /// journal keeps the long-term record).
+        ScopeCleared "scope_cleared" {
+            /// Virtual time of the pruning.
+            time: SimTime,
+            /// The terminal strategy whose scope retired.
+            strategy: Arc<str>,
+            /// The pruned scope.
+            scope: String,
+        },
+        /// A runtime self-observability report: the unified counter-registry snapshot
+        /// ([`Counters`]) emitted at the configured cadence
+        /// ([`crate::engine::EngineConfig::runtime_report_every`]). Every value is a
+        /// pure function of the seed — wall-clock timings live only in the sidecar
+        /// profile ([`crate::engine::ExecutionReport::runtime`]), never here — so the
+        /// serialized journal stays byte-identical across runs with runtime
+        /// reporting enabled.
+        Runtime "runtime" {
+            /// Virtual time of the report.
+            time: SimTime,
+            /// Control-loop iteration the report was taken after (0-based).
+            tick: u64,
+            /// The merged engine + simulation counter registry snapshot.
+            counters: Counters,
+        },
+        /// Per-tick engine accounting.
+        Tick "tick" {
+            /// Virtual time at the end of the tick.
+            time: SimTime,
+            /// Control-loop iteration number (0-based).
+            tick: u64,
+            /// Strategies still running after this tick.
+            active: usize,
+            /// Check evaluations performed this tick.
+            due_checks: u64,
+            /// Cumulative windowed metric reads served by the store.
+            window_reads: u64,
+            /// Engine wall-clock busy time this tick. **Not serialized**: wall
+            /// time varies run to run and the serialized journal does not;
+            /// [`Journal::from_jsonl`] restores this as zero.
+            busy: Duration as Skipped,
+        },
     }
-    table.end();
 }
 
 impl JournalEvent {
-    /// Virtual time of the event.
-    pub fn time(&self) -> SimTime {
-        match self {
-            JournalEvent::Enacted { time, .. }
-            | JournalEvent::Check { time, .. }
-            | JournalEvent::Transition { time, .. }
-            | JournalEvent::Chaos { time, .. }
-            | JournalEvent::Breaker { time, .. }
-            | JournalEvent::HealthSnapshot { time, .. }
-            | JournalEvent::Ramp { time, .. }
-            | JournalEvent::EarlyStop { time, .. }
-            | JournalEvent::ScopeCleared { time, .. }
-            | JournalEvent::Runtime { time, .. }
-            | JournalEvent::Tick { time, .. } => *time,
-        }
-    }
-
     /// The strategy the event belongs to, or `None` for engine-wide
     /// events.
     pub fn strategy(&self) -> Option<&str> {
@@ -308,320 +349,175 @@ impl JournalEvent {
             | JournalEvent::Tick { .. } => None,
         }
     }
+}
 
-    /// Appends the event's JSON line (without the newline) to `out`,
-    /// member by member: no tree, no allocation besides the output.
-    fn write_json(&self, out: &mut String) {
-        let mut w = ObjectWriter::begin(out);
-        let head = |w: &mut ObjectWriter<'_>, ev: &'static str, time: &SimTime| {
-            w.str("ev", ev);
-            w.uint("t", time.as_millis());
-        };
-        match self {
-            JournalEvent::Enacted { time, strategy, phase, kind, percent } => {
-                head(&mut w, "enact", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.str("kind", kind);
-                w.num("percent", *percent);
-            }
-            JournalEvent::Check {
-                time,
-                strategy,
-                phase,
-                check,
-                metric,
-                scope,
-                boundary,
-                result,
-                primary,
-                baseline,
-            } => {
-                head(&mut w, "check", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.uint("check", *check as u64);
-                w.str("metric", metric.name());
-                w.str("scope", scope.name());
-                w.bool("boundary", *boundary);
-                w.str("result", result.name());
-                primary.write_json(w.value("primary"));
-                match baseline {
-                    Some(baseline) => baseline.write_json(w.value("baseline")),
-                    None => w.null("baseline"),
-                }
-            }
-            JournalEvent::Transition { time, strategy, from, to, outcome } => {
-                head(&mut w, "transition", time);
-                w.str("strategy", strategy);
-                w.str("from", &from.to_string());
-                w.str("to", &to.to_string());
-                w.str("outcome", outcome.name());
-            }
-            JournalEvent::Chaos { time, strategy, phase, kind, magnitude, target, from, until } => {
-                head(&mut w, "chaos", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.str("kind", kind);
-                w.num("magnitude", *magnitude);
-                w.str("target", target);
-                w.uint("from", from.as_millis());
-                w.uint("until", until.as_millis());
-            }
-            JournalEvent::Breaker { time, caller, callee, from, to } => {
-                head(&mut w, "breaker", time);
-                w.str("caller", caller);
-                w.str("callee", callee);
-                w.str("from", from.name());
-                w.str("to", to.name());
-            }
-            JournalEvent::HealthSnapshot {
-                time,
-                strategy,
-                phase,
-                traces,
-                failed,
-                baseline,
-                canary,
-                worst_edge,
-                score,
-                error_rate_delta,
-                p95_delta_ms,
-                dropped,
-                tail_kept,
-                downsampled,
-            } => {
-                head(&mut w, "health", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.uint("traces", *traces);
-                w.uint("failed", *failed);
-                w.str("baseline", baseline);
-                w.str("canary", canary);
-                match worst_edge {
-                    Some(edge) => w.str("worst_edge", edge),
-                    None => w.null("worst_edge"),
-                }
-                w.num("score", *score);
-                w.num("error_rate_delta", *error_rate_delta);
-                w.num("p95_delta_ms", *p95_delta_ms);
-                w.uint("dropped", *dropped);
-                w.uint("tail_kept", *tail_kept);
-                w.uint("downsampled", *downsampled);
-            }
-            JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm } => {
-                head(&mut w, "ramp", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.str("decision", decision);
-                w.num("percent", *percent);
-                w.num("lr_harm", *lr_harm);
-            }
-            JournalEvent::EarlyStop { time, strategy, phase, outcome, p } => {
-                head(&mut w, "early_stop", time);
-                w.str("strategy", strategy);
-                w.str("phase", phase);
-                w.str("outcome", outcome.name());
-                w.num("p", *p);
-            }
-            JournalEvent::ScopeCleared { time, strategy, scope } => {
-                head(&mut w, "scope_cleared", time);
-                w.str("strategy", strategy);
-                w.str("scope", scope);
-            }
-            JournalEvent::Runtime { time, tick, counters } => {
-                head(&mut w, "runtime", time);
-                w.uint("tick", *tick);
-                write_table(w.value("counters"), counters.counts());
-                write_table(w.value("gauges"), counters.gauges());
-            }
-            JournalEvent::Tick { time, tick, active, due_checks, window_reads, busy: _ } => {
-                head(&mut w, "tick", time);
-                w.uint("tick", *tick);
-                w.uint("active", *active as u64);
-                w.uint("due_checks", *due_checks);
-                w.uint("window_reads", *window_reads);
-            }
-        }
-        w.end();
+fn malformed(key: &str) -> String {
+    format!("missing or malformed {key}")
+}
+
+/// The members of one parsed line, each marked as a codec reads it.
+struct Line<'a> {
+    all: &'a [(String, Json)],
+    /// Bit `i` set: `all[i]` was read (no event has 64 members).
+    read: u64,
+}
+
+impl<'a> Line<'a> {
+    /// The value of the first member named `key`, marked read.
+    fn get(&mut self, key: &str) -> Option<&'a Json> {
+        let i = self.all.iter().position(|(k, _)| k == key)?;
+        self.read |= 1u64.checked_shl(i as u32).unwrap_or(0);
+        Some(&self.all[i].1)
     }
 
-    fn from_json(json: &Json) -> Result<JournalEvent, BifrostError> {
-        let bad = |what: &str| BifrostError::Journal(format!("missing or malformed {what}"));
-        let time = |j: &Json| -> Result<SimTime, BifrostError> {
-            Ok(SimTime::from_millis(j.get("t").and_then(Json::as_u64).ok_or_else(|| bad("t"))?))
-        };
-        let text = |j: &Json, key: &str| -> Result<String, BifrostError> {
-            Ok(j.get(key).and_then(Json::as_str).ok_or_else(|| bad(key))?.to_string())
-        };
-        match json.get("ev").and_then(Json::as_str) {
-            Some("enact") => Ok(JournalEvent::Enacted {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                kind: kind_keyword(&text(json, "kind")?).ok_or_else(|| bad("kind"))?,
-                percent: json
-                    .get("percent")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("percent"))?,
-            }),
-            Some("check") => Ok(JournalEvent::Check {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                check: json.get("check").and_then(Json::as_u64).ok_or_else(|| bad("check"))?
-                    as usize,
-                metric: MetricKind::from_name(&text(json, "metric")?)
-                    .ok_or_else(|| bad("metric"))?,
-                scope: CheckScope::from_name(&text(json, "scope")?).ok_or_else(|| bad("scope"))?,
-                boundary: matches!(json.get("boundary"), Some(Json::Bool(true))),
-                result: CheckResult::from_name(&text(json, "result")?)
-                    .ok_or_else(|| bad("result"))?,
-                primary: json
-                    .get("primary")
-                    .and_then(Summary::from_json)
-                    .ok_or_else(|| bad("primary"))?,
-                baseline: match json.get("baseline") {
-                    None | Some(Json::Null) => None,
-                    Some(j) => Some(Summary::from_json(j).ok_or_else(|| bad("baseline"))?),
-                },
-            }),
-            Some("transition") => Ok(JournalEvent::Transition {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                from: State::parse(&text(json, "from")?).ok_or_else(|| bad("from"))?,
-                to: State::parse(&text(json, "to")?).ok_or_else(|| bad("to"))?,
-                outcome: PhaseOutcome::from_name(&text(json, "outcome")?)
-                    .ok_or_else(|| bad("outcome"))?,
-            }),
-            Some("chaos") => Ok(JournalEvent::Chaos {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                kind: chaos_keyword(&text(json, "kind")?).ok_or_else(|| bad("kind"))?,
-                magnitude: json
-                    .get("magnitude")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("magnitude"))?,
-                target: text(json, "target")?,
-                from: SimTime::from_millis(
-                    json.get("from").and_then(Json::as_u64).ok_or_else(|| bad("from"))?,
-                ),
-                until: SimTime::from_millis(
-                    json.get("until").and_then(Json::as_u64).ok_or_else(|| bad("until"))?,
-                ),
-            }),
-            Some("breaker") => Ok(JournalEvent::Breaker {
-                time: time(json)?,
-                caller: text(json, "caller")?,
-                callee: text(json, "callee")?,
-                from: BreakerState::from_name(&text(json, "from")?).ok_or_else(|| bad("from"))?,
-                to: BreakerState::from_name(&text(json, "to")?).ok_or_else(|| bad("to"))?,
-            }),
-            Some("health") => Ok(JournalEvent::HealthSnapshot {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                traces: json.get("traces").and_then(Json::as_u64).ok_or_else(|| bad("traces"))?,
-                failed: json.get("failed").and_then(Json::as_u64).ok_or_else(|| bad("failed"))?,
-                baseline: text(json, "baseline")?,
-                canary: text(json, "canary")?,
-                worst_edge: match json.get("worst_edge") {
-                    None | Some(Json::Null) => None,
-                    Some(j) => Some(j.as_str().ok_or_else(|| bad("worst_edge"))?.to_string()),
-                },
-                score: json.get("score").and_then(Json::as_f64).ok_or_else(|| bad("score"))?,
-                error_rate_delta: json
-                    .get("error_rate_delta")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("error_rate_delta"))?,
-                p95_delta_ms: json
-                    .get("p95_delta_ms")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("p95_delta_ms"))?,
-                dropped: json
-                    .get("dropped")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("dropped"))?,
-                tail_kept: json
-                    .get("tail_kept")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("tail_kept"))?,
-                downsampled: json
-                    .get("downsampled")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("downsampled"))?,
-            }),
-            Some("ramp") => Ok(JournalEvent::Ramp {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                decision: ramp_keyword(&text(json, "decision")?).ok_or_else(|| bad("decision"))?,
-                percent: json
-                    .get("percent")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("percent"))?,
-                // The likelihood ratio reaches `+∞` on extreme evidence
-                // (`SequentialTest::lambda`) and JSON writes that as `null`.
-                lr_harm: match json.get("lr_harm") {
-                    Some(Json::Null) => f64::INFINITY,
-                    other => other.and_then(Json::as_f64).ok_or_else(|| bad("lr_harm"))?,
-                },
-            }),
-            Some("early_stop") => Ok(JournalEvent::EarlyStop {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                phase: text(json, "phase")?.into(),
-                outcome: PhaseOutcome::from_name(&text(json, "outcome")?)
-                    .ok_or_else(|| bad("outcome"))?,
-                p: json.get("p").and_then(Json::as_f64).ok_or_else(|| bad("p"))?,
-            }),
-            Some("scope_cleared") => Ok(JournalEvent::ScopeCleared {
-                time: time(json)?,
-                strategy: text(json, "strategy")?.into(),
-                scope: text(json, "scope")?,
-            }),
-            Some("runtime") => {
-                let mut counters = cex_core::obs::Counters::new();
-                let mut fold =
-                    |key: &str, apply: &mut dyn FnMut(&mut cex_core::obs::Counters, &str, u64)| {
-                        match json.get(key) {
-                            Some(Json::Obj(members)) => {
-                                for (name, value) in members {
-                                    let v = value.as_u64().ok_or_else(|| bad(key))?;
-                                    apply(&mut counters, name, v);
-                                }
-                                Ok(())
-                            }
-                            _ => Err(bad(key)),
-                        }
-                    };
-                fold("counters", &mut |c, name, v| c.add(name, v))?;
-                fold("gauges", &mut |c, name, v| c.hwm(name, v))?;
-                Ok(JournalEvent::Runtime {
-                    time: time(json)?,
-                    tick: json.get("tick").and_then(Json::as_u64).ok_or_else(|| bad("tick"))?,
-                    counters,
-                })
+    /// The key of the first member nothing read: one the declaration does
+    /// not name, or a repeat.
+    fn unread(&self) -> Option<&'a str> {
+        let read = |i: usize| self.read.checked_shr(i as u32).is_some_and(|bits| bits & 1 == 1);
+        (0..self.all.len()).find(|&i| !read(i)).map(|i| self.all[i].0.as_str())
+    }
+}
+
+/// How one field travels: put as member `key` of its event's object, and
+/// taken back from the parsed line. A failed take names the key it missed.
+trait Codec<T> {
+    fn put(&self, value: &T, key: &'static str, w: &mut ObjectWriter<'_>);
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<T, &'static str>;
+}
+
+/// The codec a field's type picks.
+struct Wire;
+
+/// `impl Codec<T> for Wire` for each type `T` that travels as one member:
+/// how a value is put, and how the member's value reads back.
+macro_rules! wire {
+    ($($ty:ty: |$v:ident, $key:ident, $w:ident| $put:expr, |$j:ident| $take:expr;)*) => {$(
+        impl Codec<$ty> for Wire {
+            fn put(&self, $v: &$ty, $key: &'static str, $w: &mut ObjectWriter<'_>) {
+                $put
             }
-            Some("tick") => Ok(JournalEvent::Tick {
-                time: time(json)?,
-                tick: json.get("tick").and_then(Json::as_u64).ok_or_else(|| bad("tick"))?,
-                active: json.get("active").and_then(Json::as_u64).ok_or_else(|| bad("active"))?
-                    as usize,
-                due_checks: json
-                    .get("due_checks")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("due_checks"))?,
-                window_reads: json
-                    .get("window_reads")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("window_reads"))?,
-                busy: Duration::ZERO,
-            }),
-            Some(other) => Err(BifrostError::Journal(format!("unknown event kind '{other}'"))),
-            None => Err(bad("ev")),
+            fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<$ty, &'static str> {
+                line.get(key).and_then(|$j| $take).ok_or(key)
+            }
         }
+    )*};
+}
+
+wire! {
+    SimTime: |t, key, w| w.uint(key, t.as_millis()), |j| j.as_u64().map(SimTime::from_millis);
+    u64: |n, key, w| w.uint(key, *n), |j| j.as_u64();
+    usize: |n, key, w| w.uint(key, *n as u64), |j| j.as_u64().map(|n| n as usize);
+    f64: |x, key, w| w.num(key, *x), |j| j.as_f64();
+    bool: |b, key, w| w.bool(key, *b), |j| if let Json::Bool(b) = j { Some(*b) } else { None };
+    Arc<str>: |s, key, w| w.str(key, s), |j| j.as_str().map(Arc::from);
+    String: |s, key, w| w.str(key, s), |j| j.as_str().map(String::from);
+    Summary: |s, key, w| s.write_json(w.value(key)), |j| Summary::from_json(j);
+    State: |s, key, w| w.str(key, &s.to_string()), |j| State::parse(j.as_str()?);
+    PhaseOutcome: |o, key, w| w.str(key, o.name()), |j| PhaseOutcome::from_name(j.as_str()?);
+    MetricKind: |m, key, w| w.str(key, m.name()), |j| MetricKind::from_name(j.as_str()?);
+    CheckScope: |s, key, w| w.str(key, s.name()), |j| CheckScope::from_name(j.as_str()?);
+    CheckResult: |r, key, w| w.str(key, r.name()), |j| CheckResult::from_name(j.as_str()?);
+    BreakerState: |s, key, w| w.str(key, s.name()), |j| BreakerState::from_name(j.as_str()?);
+}
+
+/// `None` travels as `null`.
+impl<T> Codec<Option<T>> for Wire
+where
+    Wire: Codec<T>,
+{
+    fn put(&self, value: &Option<T>, key: &'static str, w: &mut ObjectWriter<'_>) {
+        match value {
+            Some(value) => self.put(value, key, w),
+            None => w.null(key),
+        }
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<Option<T>, &'static str> {
+        match line.get(key) {
+            Some(Json::Null) => Ok(None),
+            _ => self.take(line, key).map(Some),
+        }
+    }
+}
+
+/// A `runtime` event's registry travels as two name → value tables, the
+/// counts under the field's key and the high-water gauges under
+/// [`GAUGES`]; the names in them are made at run time.
+impl Codec<Counters> for Wire {
+    fn put(&self, counters: &Counters, key: &'static str, w: &mut ObjectWriter<'_>) {
+        write_table(w.value(key), counters.counts());
+        write_table(w.value(GAUGES), counters.gauges());
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<Counters, &'static str> {
+        let mut counters = Counters::new();
+        let fold = [(key, Counters::add as fn(&mut Counters, &str, u64)), (GAUGES, Counters::hwm)];
+        for (key, apply) in fold {
+            let Some(Json::Obj(table)) = line.get(key) else { return Err(key) };
+            for (name, value) in table {
+                apply(&mut counters, name, value.as_u64().ok_or(key)?);
+            }
+        }
+        Ok(counters)
+    }
+}
+
+/// The key of a `runtime` event's gauge table.
+const GAUGES: &str = "gauges";
+
+fn write_table<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, u64)>) {
+    let mut table = ObjectWriter::begin(out);
+    for (name, value) in entries {
+        write_uint(value, table.value_escaped(name));
+    }
+    table.end();
+}
+
+/// The words each keyword field can hold: every one the engine writes
+/// (`PhaseKind::keyword`, `engine::chaos_journal_kind`, `decide`'s ramp
+/// decisions — a test feeds each through the reader). Written as they are,
+/// read back as the static word, so the field keeps its `&'static str`.
+const PHASE_KINDS: &[&str] = &["canary", "dark_launch", "ab_test", "gradual_rollout"];
+const CHAOS_KINDS: &[&str] =
+    &["outage", "latency_spike", "error_burst", "zone_outage", "latency_storm"];
+const RAMP_DECISIONS: &[&str] = &["advance", "retreat", "hold"];
+
+impl Codec<&'static str> for &[&'static str] {
+    fn put(&self, word: &&'static str, key: &'static str, w: &mut ObjectWriter<'_>) {
+        w.str(key, word);
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<&'static str, &'static str> {
+        let word = line.get(key).and_then(Json::as_str);
+        self.iter().copied().find(|k| Some(*k) == word).ok_or(key)
+    }
+}
+
+/// An `f64` with one documented non-finite value: written `null` like any
+/// non-finite number, and `null` reads back as that value.
+struct NullAs(f64);
+
+impl Codec<f64> for NullAs {
+    fn put(&self, x: &f64, key: &'static str, w: &mut ObjectWriter<'_>) {
+        w.num(key, *x);
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<f64, &'static str> {
+        match line.get(key) {
+            Some(Json::Null) => Ok(self.0),
+            _ => Wire.take(line, key),
+        }
+    }
+}
+
+/// A field kept off the wire; it reads back as its type's default.
+struct Skipped;
+
+impl<T: Default> Codec<T> for Skipped {
+    fn put(&self, _: &T, _: &'static str, _: &mut ObjectWriter<'_>) {}
+
+    fn take(&self, _: &mut Line<'_>, _: &'static str) -> Result<T, &'static str> {
+        Ok(T::default())
     }
 }
 
@@ -691,11 +587,9 @@ impl Journal {
     /// Strategies appearing in the journal, in first-appearance order.
     pub fn strategies(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        for event in &self.events {
-            if let Some(s) = event.strategy() {
-                if !out.iter().any(|known| known == s) {
-                    out.push(s.to_string());
-                }
+        for s in self.events.iter().filter_map(JournalEvent::strategy) {
+            if !out.iter().any(|known| known == s) {
+                out.push(s.to_string());
             }
         }
         out
@@ -724,15 +618,10 @@ impl Journal {
     /// Returns [`BifrostError::Journal`] on malformed lines.
     pub fn from_jsonl(src: &str) -> Result<Journal, BifrostError> {
         let mut events = Vec::new();
-        for (i, line) in src.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let json = Json::parse(line)
-                .map_err(|e| BifrostError::Journal(format!("line {}: {e}", i + 1)))?;
-            let event = JournalEvent::from_json(&json)
-                .map_err(|e| BifrostError::Journal(format!("line {}: {e}", i + 1)))?;
-            events.push(event);
+        for (i, line) in src.lines().enumerate().filter(|(_, line)| !line.trim().is_empty()) {
+            let at = |e: String| BifrostError::Journal(format!("line {}: {e}", i + 1));
+            let json = Json::parse(line).map_err(|e| at(e.to_string()))?;
+            events.push(JournalEvent::from_json(&json).map_err(at)?);
         }
         Ok(Journal { events })
     }
@@ -1456,6 +1345,13 @@ mod tests {
             ("{\"ev\":\"health\",\"t\":1,\"strategy\":\"s\",\"phase\":\"p\",\"failed\":0,\"baseline\":\"a\",\"canary\":\"b\",\"worst_edge\":null,\"score\":0,\"error_rate_delta\":0,\"p95_delta_ms\":0}", "traces"),
             ("{\"ev\":\"runtime\",\"t\":1,\"tick\":0,\"counters\":{\"a\":1}}", "gauges"),
             ("{\"ev\":\"runtime\",\"t\":1,\"tick\":0,\"counters\":{\"a\":-1},\"gauges\":{}}", "counters"),
+            // `boundary` is a strict bool: missing or mistyped is not `false`.
+            ("{\"ev\":\"check\",\"t\":1,\"strategy\":\"s\",\"phase\":\"p\",\"check\":0,\"metric\":\"error_rate\",\"scope\":\"candidate\",\"result\":\"pass\",\"primary\":{\"n\":1,\"mean\":0,\"sd\":0,\"min\":0,\"max\":0},\"baseline\":null}", "boundary"),
+            ("{\"ev\":\"check\",\"t\":1,\"strategy\":\"s\",\"phase\":\"p\",\"check\":0,\"metric\":\"error_rate\",\"scope\":\"candidate\",\"boundary\":1,\"result\":\"pass\",\"primary\":{\"n\":1,\"mean\":0,\"sd\":0,\"min\":0,\"max\":0},\"baseline\":null}", "boundary"),
+            ("{\"ev\":\"check\",\"t\":1,\"strategy\":\"s\",\"phase\":\"p\",\"check\":0,\"metric\":\"error_rate\",\"scope\":\"candidate\",\"boundary\":\"true\",\"result\":\"pass\",\"primary\":{\"n\":1,\"mean\":0,\"sd\":0,\"min\":0,\"max\":0},\"baseline\":null}", "boundary"),
+            // A member the event does not declare, or one declared member twice.
+            ("{\"ev\":\"scope_cleared\",\"t\":1,\"strategy\":\"s\",\"scope\":\"x\",\"extra\":1}", "unexpected member extra"),
+            ("{\"ev\":\"scope_cleared\",\"t\":1,\"strategy\":\"s\",\"scope\":\"x\",\"strategy\":\"s\"}", "unexpected member strategy"),
         ] {
             let err = Journal::from_jsonl(src).unwrap_err();
             assert!(err.to_string().contains(needle), "{src} -> {err}");
@@ -1463,6 +1359,119 @@ mod tests {
         // Blank lines are fine.
         let ok = Journal::from_jsonl("\n\n").unwrap();
         assert!(ok.is_empty());
+    }
+
+    #[test]
+    fn every_keyword_the_engine_writes_reads_back() {
+        use crate::engine::chaos_journal_kind;
+        use crate::model::{ChaosKind, ChaosSpec, ChaosTarget, PhaseKind};
+        let reads_back = |event: JournalEvent| {
+            let text = line(&event);
+            assert_eq!(JournalEvent::from_json(&Json::parse(&text).unwrap()), Ok(event), "{text}");
+        };
+        let (time, strategy, phase): (_, Arc<str>, Arc<str>) =
+            (SimTime::from_secs(1), "s".into(), "p".into());
+        // One value of every variant; the exhaustive matches stop compiling
+        // when the model grows one, as a reminder to list it here too.
+        let phase_kinds = [
+            PhaseKind::Canary { traffic_percent: 5.0 },
+            PhaseKind::DarkLaunch,
+            PhaseKind::AbTest { split_percent: 50.0 },
+            PhaseKind::GradualRollout {
+                from_percent: 10.0,
+                to_percent: 100.0,
+                step_percent: 10.0,
+                step_duration: SimDuration::from_secs(60),
+                guarded: true,
+            },
+        ];
+        let chaos_kinds = [
+            ChaosKind::LatencySpike { multiplier: 3.0 },
+            ChaosKind::ErrorBurst { extra_error_rate: 0.5 },
+            ChaosKind::Outage,
+            ChaosKind::LatencyStorm { multiplier: 3.0 },
+        ];
+        let targets =
+            [ChaosTarget::Candidate, ChaosTarget::Baseline, ChaosTarget::Zone("z".into())];
+        for kind in &phase_kinds {
+            match kind {
+                PhaseKind::Canary { .. }
+                | PhaseKind::DarkLaunch
+                | PhaseKind::AbTest { .. }
+                | PhaseKind::GradualRollout { .. } => {}
+            }
+            let (strategy, phase, kind) = (strategy.clone(), phase.clone(), kind.keyword());
+            reads_back(JournalEvent::Enacted { time, strategy, phase, kind, percent: 5.0 });
+        }
+        for kind in chaos_kinds {
+            match kind {
+                ChaosKind::LatencySpike { .. }
+                | ChaosKind::ErrorBurst { .. }
+                | ChaosKind::Outage
+                | ChaosKind::LatencyStorm { .. } => {}
+            }
+            for target in &targets {
+                match target {
+                    ChaosTarget::Candidate | ChaosTarget::Baseline | ChaosTarget::Zone(_) => {}
+                }
+                let spec = ChaosSpec {
+                    kind,
+                    target: target.clone(),
+                    start_after: SimDuration::ZERO,
+                    duration: SimDuration::from_secs(60),
+                };
+                reads_back(JournalEvent::Chaos {
+                    time,
+                    strategy: strategy.clone(),
+                    phase: phase.clone(),
+                    kind: chaos_journal_kind(&spec),
+                    magnitude: 1.0,
+                    target: "svc@1.0.0".into(),
+                    from: time,
+                    until: time,
+                });
+            }
+        }
+        // The three decisions `decide::ramp_step` takes.
+        for decision in ["advance", "retreat", "hold"] {
+            let (strategy, phase) = (strategy.clone(), phase.clone());
+            let (percent, lr_harm) = (10.0, 1.0);
+            reads_back(JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm });
+        }
+    }
+
+    #[test]
+    fn design_md_quotes_the_wire_format() {
+        // The `| `tag` | `key` … |` rows of DESIGN.md § "Execution journal".
+        let design = include_str!("../../../DESIGN.md");
+        let section = design.split("\n## Execution journal").nth(1).unwrap();
+        let section = section.split("\n## ").next().unwrap();
+        let ticked = |cell: &str| -> Vec<String> {
+            cell.split('`').skip(1).step_by(2).map(String::from).collect()
+        };
+        let rows: Vec<(Vec<String>, Vec<String>)> = section
+            .lines()
+            .filter(|row| row.starts_with("| `"))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').collect();
+                (ticked(cells[1]), ticked(cells[2]))
+            })
+            .collect();
+        // The members the writer puts on the wire, one row per variant in
+        // declaration order.
+        let mut wire: Vec<(Vec<String>, Vec<String>)> = Vec::new();
+        for event in one_of_each("s", 1.0, 1) {
+            let Json::Obj(members) = Json::parse(&line(&event)).unwrap() else { unreachable!() };
+            let (tag, keys) = members.split_first().unwrap();
+            assert_eq!(tag.0, "ev");
+            let tag = vec![tag.1.as_str().unwrap().to_string()];
+            let row = (tag, keys.iter().map(|(k, _)| k.clone()).collect());
+            if wire.last() != Some(&row) {
+                wire.push(row);
+            }
+        }
+        assert_eq!(wire.len(), 11);
+        assert_eq!(rows, wire);
     }
 
     #[test]

@@ -17,12 +17,14 @@
 
 use bifrost::dsl;
 use bifrost::engine::{Engine, EngineConfig, StrategyStatus};
+use bifrost::journal::Journal;
 use bifrost::JournalEvent;
 use cex_core::simtime::SimDuration;
 use microsim::app::{Application, EndpointDef, VersionSpec};
 use microsim::latency::LatencyModel;
 use microsim::sim::Simulation;
 use microsim::workload::{EntryPoint, RateProfile, Workload};
+use std::time::Duration;
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -145,4 +147,20 @@ fn journal_bytes_of_the_golden_fleet_are_pinned() {
         (190, 34790, "e3be3f21f499521d".to_string()),
         "the golden fleet's journal changed"
     );
+
+    // The reader gives the journal back, less the wall-clock busy times
+    // that are never written, and writing it again gives the same bytes.
+    let back = Journal::from_jsonl(&text).unwrap();
+    let unbusied: Vec<JournalEvent> = events
+        .iter()
+        .map(|event| {
+            let mut event = event.clone();
+            if let JournalEvent::Tick { busy, .. } = &mut event {
+                *busy = Duration::ZERO;
+            }
+            event
+        })
+        .collect();
+    assert_eq!(back.events(), unbusied.as_slice());
+    assert_eq!(back.to_jsonl(), text);
 }
