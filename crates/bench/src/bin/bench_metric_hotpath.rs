@@ -16,14 +16,20 @@
 //!    over a fixed 10-minute span; a 1-minute `window_summary` must stay
 //!    flat (within 2×) as the series grows, since its cost is
 //!    proportional to buckets-in-window, not samples-in-window. The
-//!    pre-PR store is measured alongside for contrast.
+//!    pre-PR store is measured alongside for contrast. Each timed look
+//!    ends one bucket earlier than the last, so every one folds: a series
+//!    remembers its last window's answer, and a repeated look would time
+//!    that instead. At 10^5 samples two more rows: a paired read of two
+//!    series against two single reads of the same two, and the repeated
+//!    look itself (a remembered answer).
 //!
 //! 4. **Cumulative-window resumption** — a window that starts at a fixed
 //!    time and grows (what a sequential check reads since phase start):
 //!    one look from scratch against one look continued from the previous
 //!    look's [`WindowCursor`] ten buckets earlier, at 60 / 600 / 1,200
 //!    one-second buckets. From scratch grows with the window; resumed
-//!    must not.
+//!    must not. The looks from scratch step back one bucket per call over
+//!    the last ten; a resumed look is never remembered, so it repeats.
 //!
 //! Writes `results/BENCH_metrics.json`. With `--smoke [--out PATH]` it
 //! runs a reduced, timing-free variant whose JSON contains only
@@ -247,41 +253,94 @@ fn bench_ingest(hops: u64, reps: usize) -> (f64, f64) {
     (base_rate, new_rate)
 }
 
-/// Mean ns per call of a store read over `iters` back-to-back calls.
-fn time_queries(iters: u64, f: &dyn Fn() -> Summary) -> f64 {
+/// Mean ns per call of a store read over `iters` back-to-back calls;
+/// call `i` is `f(i)`, which returns a count to keep the read alive.
+fn time_queries(iters: u64, f: impl Fn(u64) -> u64) -> f64 {
     let mut sink = 0u64;
     let start = Instant::now();
-    for _ in 0..iters {
-        sink += f().count;
+    for i in 0..iters {
+        sink += f(i);
     }
     std::hint::black_box(sink);
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Span the window-query series cover, and their bucket width.
+const SPAN_MS: u64 = 600_000;
+const QUERY_BUCKET_MS: u64 = 100;
+
+/// `n` samples of `metric` spread uniformly over [`SPAN_MS`] under `scope`.
+fn fill_span(store: &mut MetricStore, scope: &str, metric: MetricKind, n: u64) -> Vec<Sample> {
+    let scope = store.intern(scope);
+    let samples: Vec<Sample> = (0..n)
+        .map(|i| Sample::new(SimTime::from_millis(i * SPAN_MS / n), (i % 97) as f64))
+        .collect();
+    for &sample in &samples {
+        store.record_id(scope, metric, sample);
+    }
+    samples
+}
+
+/// The `i`-th timed 1-minute look: at the tail, stepping back one bucket
+/// per call over the last 600, so that no look repeats the one before.
+fn stepped_look(i: u64) -> SimTime {
+    SimTime::from_millis(SPAN_MS - (i % 600) * QUERY_BUCKET_MS)
+}
+
+fn query_store() -> MetricStore {
+    MetricStore::with_bucket_width(SimDuration::from_millis(QUERY_BUCKET_MS))
+}
+
 /// Window-query latency at a given series length: `n` samples spread
-/// uniformly over `SPAN`, 1-minute summaries queried at the tail.
+/// uniformly over [`SPAN_MS`], 1-minute summaries queried at the tail.
 /// Returns ns/query for (new store, baseline store).
 fn bench_window_query(n: u64) -> (f64, f64) {
-    const SPAN_MS: u64 = 600_000;
-    let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(100));
-    let scope = store.intern("svc@1");
+    let mut store = query_store();
+    let metric = MetricKind::ResponseTime;
+    let samples = fill_span(&mut store, "svc@1", metric, n);
+    let scope = store.resolve("svc@1").expect("interned above");
     let baseline = BaselineStore::default();
-    for i in 0..n {
-        let t = SimTime::from_millis(i * SPAN_MS / n);
-        let v = (i % 97) as f64;
-        store.record_id(scope, MetricKind::ResponseTime, Sample::new(t, v));
-        baseline.record("svc@1", MetricKind::ResponseTime, Sample::new(t, v));
+    for &sample in &samples {
+        baseline.record("svc@1", metric, sample);
     }
-    let now = SimTime::from_millis(SPAN_MS);
     let window = SimDuration::from_secs(60);
 
-    let new_ns = time_queries(2_000, &|| {
-        store.window_summary_id(scope, MetricKind::ResponseTime, now, window)
+    let new_ns = time_queries(2_000, |i| {
+        store.window_summary_id(scope, metric, stepped_look(i), window).count
     });
-    let base_ns = time_queries(200, &|| {
-        baseline.window_summary("svc@1", MetricKind::ResponseTime, now, window)
+    let base_ns = time_queries(200, |i| {
+        baseline.window_summary("svc@1", metric, stepped_look(i), window).count
     });
     (new_ns, base_ns)
+}
+
+/// Two series of `n` samples each (response time and error rate of one
+/// scope), 1-minute looks stepped as in [`bench_window_query`]: ns per
+/// look at both for (one paired read, two single reads), then ns for one
+/// single look repeated at the same `now` — after the first, the series'
+/// remembered answer.
+fn bench_window_pair(n: u64) -> (f64, f64, f64) {
+    let mut store = query_store();
+    let (rt, err) = (MetricKind::ResponseTime, MetricKind::ErrorRate);
+    fill_span(&mut store, "svc@1", rt, n);
+    fill_span(&mut store, "svc@1", err, n);
+    let scope = store.resolve("svc@1").expect("interned above");
+    let window = SimDuration::from_secs(60);
+    let now = stepped_look(0);
+    let pair = store.window_summary_pair((scope, rt), (scope, err), now, window);
+    let singles = [rt, err].map(|m| store.window_summary_id(scope, m, now, window));
+    assert_eq!(pair, singles, "a paired read reads what two single reads do");
+
+    let pair_ns = time_queries(2_000, |i| {
+        let [a, b] = store.window_summary_pair((scope, rt), (scope, err), stepped_look(i), window);
+        a.count + b.count
+    });
+    let singles_ns = time_queries(2_000, |i| {
+        let look = |metric| store.window_summary_id(scope, metric, stepped_look(i), window);
+        look(rt).count + look(err).count
+    });
+    let repeat_ns = time_queries(20_000, |_| store.window_summary_id(scope, rt, now, window).count);
+    (pair_ns, singles_ns, repeat_ns)
 }
 
 /// One look at a cumulative window of `buckets` one-second buckets (ten
@@ -306,10 +365,12 @@ fn bench_cumulative_window(buckets: u64) -> (f64, f64) {
     assert_eq!(resumed, fresh, "a resumed look reads what a look from scratch reads");
     assert_eq!(fresh.count, buckets * 10 + 1);
 
-    let fresh_ns =
-        time_queries(20_000, &|| store.window_summary_id(scope, metric, now, window(now)));
-    let resumed_ns = time_queries(20_000, &|| {
-        store.window_summary_resumed(scope, metric, now, window(now), &cursor).0
+    let back = |i: u64| SimTime::from_secs(buckets - i % 10);
+    let fresh_ns = time_queries(20_000, |i| {
+        store.window_summary_id(scope, metric, back(i), window(back(i))).count
+    });
+    let resumed_ns = time_queries(20_000, |_| {
+        store.window_summary_resumed(scope, metric, now, window(now), &cursor).0.count
     });
     (fresh_ns, resumed_ns)
 }
@@ -385,6 +446,11 @@ fn run_full() {
     let new_max = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
     let flatness = new_max / new_min;
     println!("window-query flatness 10^4 -> 10^6: {flatness:.2}x (acceptance: within 2x)");
+    let pair_len = 100_000;
+    let (pair_ns, singles_ns, repeat_ns) = bench_window_pair(pair_len);
+    println!(
+        "window pair @ {pair_len} samples: paired {pair_ns:.0} ns, two single reads {singles_ns:.0} ns; repeated look {repeat_ns:.0} ns"
+    );
 
     // 4. Cumulative window: one look from scratch vs resumed.
     let mut cumulative = Vec::new();
@@ -425,6 +491,14 @@ fn run_full() {
         );
     }
     json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"window_pair_ns\": {{\"series_len\": {pair_len}, \"pair_ns\": {pair_ns:.0}, \"two_singles_ns\": {singles_ns:.0}}},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"window_repeat_ns\": {{\"series_len\": {pair_len}, \"repeat_ns\": {repeat_ns:.0}}},"
+    );
     let _ = writeln!(json, "  \"window_query_flatness\": {flatness:.2},");
     let _ = writeln!(json, "  \"acceptance_max_flatness\": 2.0,");
     json.push_str("  \"cumulative_window_ns\": [\n");

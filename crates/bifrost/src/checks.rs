@@ -119,6 +119,27 @@ impl CheckContext {
     pub fn trace_candidate_id(&self) -> ScopeId {
         self.trace_candidate_id
     }
+
+    /// The one scope an absolute check reads; `None` for the two-sided
+    /// scopes.
+    fn absolute_id(&self, scope: CheckScope) -> Option<ScopeId> {
+        match scope {
+            CheckScope::Candidate => Some(self.candidate_id),
+            CheckScope::Baseline => Some(self.baseline_id),
+            CheckScope::App => Some(self.app_id),
+            CheckScope::Trace => Some(self.trace_candidate_id),
+            CheckScope::CandidateVsBaseline
+            | CheckScope::SequentialVsBaseline
+            | CheckScope::SignificantVsBaseline => None,
+        }
+    }
+
+    /// Candidate and baseline window summaries of one metric, read as a
+    /// pair.
+    fn both_sides(&self, check: &Check, store: &MetricStore, now: SimTime) -> [Summary; 2] {
+        let (cand, base) = ((self.candidate_id, check.metric), (self.baseline_id, check.metric));
+        store.window_summary_pair(cand, base, now, check.window)
+    }
 }
 
 /// Evaluates one check at `now` against the store.
@@ -140,14 +161,14 @@ pub fn evaluate_observed(
     store: &MetricStore,
     now: SimTime,
 ) -> CheckObservation {
+    let read = |scope| store.window_summary_id(scope, check.metric, now, check.window);
     match check.scope {
-        CheckScope::Candidate => absolute(check, store, ctx.candidate_id, now),
-        CheckScope::Baseline => absolute(check, store, ctx.baseline_id, now),
-        CheckScope::App => absolute(check, store, ctx.app_id, now),
-        CheckScope::Trace => absolute(check, store, ctx.trace_candidate_id, now),
+        CheckScope::Candidate => absolute(check, read(ctx.candidate_id)),
+        CheckScope::Baseline => absolute(check, read(ctx.baseline_id)),
+        CheckScope::App => absolute(check, read(ctx.app_id)),
+        CheckScope::Trace => absolute(check, read(ctx.trace_candidate_id)),
         CheckScope::CandidateVsBaseline => {
-            let cand = store.window_summary_id(ctx.candidate_id, check.metric, now, check.window);
-            let base = store.window_summary_id(ctx.baseline_id, check.metric, now, check.window);
+            let [cand, base] = ctx.both_sides(check, store, now);
             let verdict = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
             // The `count == 0` guard is load-bearing even with
             // `min_samples: 0`: an empty window summarizes to count 0 and
@@ -178,8 +199,7 @@ pub fn evaluate_observed(
             // p-value since phase start — so the engine evaluates them via
             // [`evaluate_sequential`]. A stateless evaluation cannot
             // conclude.
-            let cand = store.window_summary_id(ctx.candidate_id, check.metric, now, check.window);
-            let base = store.window_summary_id(ctx.baseline_id, check.metric, now, check.window);
+            let [cand, base] = ctx.both_sides(check, store, now);
             CheckObservation {
                 result: CheckResult::Inconclusive,
                 primary: cand,
@@ -187,8 +207,7 @@ pub fn evaluate_observed(
             }
         }
         CheckScope::SignificantVsBaseline => {
-            let cand = store.window_summary_id(ctx.candidate_id, check.metric, now, check.window);
-            let base = store.window_summary_id(ctx.baseline_id, check.metric, now, check.window);
+            let [cand, base] = ctx.both_sides(check, store, now);
             let verdict = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
             if cand.count == 0
                 || base.count == 0
@@ -226,8 +245,8 @@ pub fn evaluate_observed(
     }
 }
 
-fn absolute(check: &Check, store: &MetricStore, scope: ScopeId, now: SimTime) -> CheckObservation {
-    let summary = store.window_summary_id(scope, check.metric, now, check.window);
+/// The verdict of an absolute check on the window summary it read.
+fn absolute(check: &Check, summary: Summary) -> CheckObservation {
     // An empty window must stay inconclusive even with `min_samples: 0` —
     // its summary carries a fabricated mean of 0.0, not a measurement.
     let result = if summary.count == 0 || summary.count < check.min_samples {
@@ -238,6 +257,55 @@ fn absolute(check: &Check, store: &MetricStore, scope: ScopeId, now: SimTime) ->
         CheckResult::Fail
     };
     CheckObservation { result, primary: summary, baseline: None }
+}
+
+/// Partners for paired reads: entry `i` is the check that shares check
+/// `i`'s scope and window but reads another metric, for the absolute
+/// scopes (both read one series each). Each check has at most one
+/// partner, the first free one after it, and pairing is symmetric.
+pub fn absolute_partners(checks: &[Check]) -> Vec<Option<usize>> {
+    let mut partners = vec![None; checks.len()];
+    for (i, a) in checks.iter().enumerate() {
+        let absolute = matches!(
+            a.scope,
+            CheckScope::Candidate | CheckScope::Baseline | CheckScope::App | CheckScope::Trace
+        );
+        if partners[i].is_some() || !absolute {
+            continue;
+        }
+        let partner = (i + 1..checks.len()).find(|&j| {
+            let b = &checks[j];
+            partners[j].is_none()
+                && (b.scope, b.window) == (a.scope, a.window)
+                && b.metric != a.metric
+        });
+        if let Some(j) = partner {
+            (partners[i], partners[j]) = (Some(j), Some(i));
+        }
+    }
+    partners
+}
+
+/// Evaluates two partnered absolute checks ([`absolute_partners`]) at
+/// `now` with one paired read of their two series: the same two
+/// observations as two [`evaluate_observed`] calls, and the same two
+/// windowed reads.
+///
+/// # Panics
+///
+/// Panics when the two checks are not both absolute; in debug builds, also
+/// when their windows differ.
+pub fn evaluate_partners(
+    a: &Check,
+    b: &Check,
+    ctx: &CheckContext,
+    store: &MetricStore,
+    now: SimTime,
+) -> [CheckObservation; 2] {
+    debug_assert_eq!(a.window, b.window, "partners read one window");
+    let series = |c: &Check| (ctx.absolute_id(c.scope).expect("an absolute check"), c.metric);
+    let [x, y] = store.window_summary_pair(series(a), series(b), now, a.window);
+    [absolute(a, x), absolute(b, y)]
 }
 
 /// Significance level of a sequential check: its `threshold` is a
@@ -475,6 +543,56 @@ mod tests {
         assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         check.threshold = 10.0;
         assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Fail);
+    }
+
+    #[test]
+    fn partnered_checks_are_read_in_pairs_and_judged_as_alone() {
+        use CheckScope::{App, Candidate, CandidateVsBaseline, SequentialVsBaseline, Trace};
+        use MetricKind::{ErrorRate as Err, ResponseTime as Rt};
+        let check = |scope, metric, window_s| {
+            let mut check = Check::candidate(metric, Comparator::Lt, 40.0);
+            (check.scope, check.window, check.min_samples) =
+                (scope, SimDuration::from_secs(window_s), 1);
+            check
+        };
+        let checks = [
+            check(SequentialVsBaseline, Rt, 60),
+            check(Candidate, Err, 120),
+            check(Candidate, Rt, 120),
+            check(App, Err, 60),
+            // Another window than its scope's other check.
+            check(Candidate, Rt, 60),
+            check(App, Rt, 60),
+            // Its one match is taken, and another of its own metric is not one.
+            check(App, Rt, 60),
+            // Two-sided checks read their two series as a pair already.
+            check(CandidateVsBaseline, Err, 60),
+            check(CandidateVsBaseline, Rt, 60),
+            check(Trace, Rt, 120),
+            check(Trace, Err, 120),
+        ];
+        let partners = absolute_partners(&checks);
+        let expected = [None, Some(2), Some(1), Some(5), None, Some(3), None, None, None];
+        assert_eq!(partners, [&expected[..], &[Some(10), Some(9)]].concat());
+
+        let mut store = MetricStore::new();
+        let ctx = ctx(&mut store);
+        for scope in ["svc@2", microsim::sim::APP_SCOPE, "trace:svc@2"] {
+            for i in 0..900 {
+                let t = SimTime::from_millis(i * 100);
+                store.record_value(scope, Rt, t, (i % 83) as f64);
+                store.record_value(scope, Err, t, (i % 7 == 0) as u64 as f64);
+            }
+        }
+        let now = SimTime::from_secs(90);
+        for (i, partner) in partners.iter().enumerate() {
+            let Some(j) = *partner else { continue };
+            let reads = store.window_reads();
+            let paired = evaluate_partners(&checks[i], &checks[j], &ctx, &store, now);
+            assert_eq!(store.window_reads(), reads + 2, "a pair is two reads");
+            let alone = [i, j].map(|k| evaluate_observed(&checks[k], &ctx, &store, now));
+            assert_eq!(paired, alone, "checks {i} and {j}");
+        }
     }
 
     #[test]

@@ -239,6 +239,8 @@ struct PhaseRun {
     sequential: Vec<SequentialState>,
     /// Per-check resumable window reads, kept and reset with `sequential`.
     windows: Vec<SequentialWindows>,
+    /// Per-check partner for a paired read ([`checks::absolute_partners`]).
+    partners: Vec<Option<usize>>,
     /// Candidate share the phase routes; moves only in a gradual rollout.
     rollout_percent: f64,
     next_rollout_step: SimTime,
@@ -259,25 +261,44 @@ impl RunState<'_> {
     /// Evaluates the checks in `due_scratch` and, when the phase clock has
     /// run out, every check of the phase once more. A sequential look
     /// advances its state and windows as it goes; a check looked at twice
-    /// in one tick lands where one look would have left it.
+    /// in one tick lands where one look would have left it. A check whose
+    /// partner is looked at in the same pass is read with it, in one
+    /// paired read.
     fn observe(&mut self, store: &MetricStore, now: SimTime) -> TickObservation {
         let phase = &self.compiled.strategy.phases[self.phase.index];
         let ctx = &self.compiled.ctx;
-        let PhaseRun { started, sequential, windows, .. } = &mut self.phase;
-        let mut eval = |i: usize| -> Evaluation {
-            let check = &phase.checks[i];
-            let observed = if check.scope == CheckScope::SequentialVsBaseline {
-                let (state, cursors) = (&mut sequential[i], &mut windows[i]);
-                checks::evaluate_sequential(check, ctx, store, *started, now, state, cursors)
-            } else {
-                checks::evaluate_observed(check, ctx, store, now)
-            };
-            (i, observed)
+        let PhaseRun { started, sequential, windows, partners, .. } = &mut self.phase;
+        let mut eval = |indices: &[usize]| -> Vec<Evaluation> {
+            let mut observed = vec![None; indices.len()];
+            for (p, &i) in indices.iter().enumerate() {
+                if observed[p].is_some() {
+                    continue;
+                }
+                let check = &phase.checks[i];
+                let partner = partners[i].and_then(|j| {
+                    indices[p + 1..].iter().position(|&k| k == j).map(|q| (j, p + 1 + q))
+                });
+                if let Some((j, q)) = partner {
+                    let [a, b] =
+                        checks::evaluate_partners(check, &phase.checks[j], ctx, store, now);
+                    (observed[p], observed[q]) = (Some(a), Some(b));
+                } else if check.scope == CheckScope::SequentialVsBaseline {
+                    let (state, cursors) = (&mut sequential[i], &mut windows[i]);
+                    let look = checks::evaluate_sequential(
+                        check, ctx, store, *started, now, state, cursors,
+                    );
+                    observed[p] = Some(look);
+                } else {
+                    observed[p] = Some(checks::evaluate_observed(check, ctx, store, now));
+                }
+            }
+            let observed = observed.into_iter().map(|o| o.expect("every check looked at"));
+            indices.iter().copied().zip(observed).collect()
         };
-        let due_results = self.due_scratch.iter().map(|&i| eval(i)).collect();
+        let due_results = eval(&self.due_scratch);
         let at_boundary = now.saturating_since(*started) >= phase.duration;
         let boundary_results =
-            at_boundary.then(|| (0..phase.checks.len()).map(&mut eval).collect());
+            at_boundary.then(|| eval(&(0..phase.checks.len()).collect::<Vec<_>>()));
         TickObservation { due_results, boundary_results }
     }
 }
@@ -355,6 +376,7 @@ impl<'a> Compiled<'a> {
             scheduler: CheckScheduler::new(&phase.checks, now),
             sequential: vec![SequentialState::new(); phase.checks.len()],
             windows: vec![SequentialWindows::default(); phase.checks.len()],
+            partners: checks::absolute_partners(&phase.checks),
             rollout_percent,
             next_rollout_step,
         })

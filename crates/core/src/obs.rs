@@ -495,7 +495,15 @@ impl WallProbe {
 
     /// Starts a scoped measurement; elapsed time accumulates on drop.
     pub fn time(&self) -> ProbeGuard<'_> {
-        ProbeGuard { inner: self.armed.then(|| (self, Instant::now())) }
+        self.time_many(1)
+    }
+
+    /// [`WallProbe::time`] for one span that does the work of `n`
+    /// operations (a paired window read is two reads): it counts as `n`
+    /// measurements, so total time over [`WallProbe::count`] stays the
+    /// cost of one operation.
+    pub fn time_many(&self, n: u64) -> ProbeGuard<'_> {
+        ProbeGuard { inner: self.armed.then(|| (self, Instant::now(), n)) }
     }
 
     /// Total accumulated nanoseconds.
@@ -518,15 +526,15 @@ impl WallProbe {
 /// RAII measurement returned by [`WallProbe::time`].
 #[derive(Debug)]
 pub struct ProbeGuard<'a> {
-    inner: Option<(&'a WallProbe, Instant)>,
+    inner: Option<(&'a WallProbe, Instant, u64)>,
 }
 
 impl Drop for ProbeGuard<'_> {
     fn drop(&mut self) {
-        if let Some((probe, started)) = self.inner.take() {
+        if let Some((probe, started, n)) = self.inner.take() {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             probe.ns.set(probe.ns.get() + ns);
-            probe.count.set(probe.count.get() + 1);
+            probe.count.set(probe.count.get() + n);
         }
     }
 }

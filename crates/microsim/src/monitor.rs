@@ -14,7 +14,7 @@
 //!
 //! At million-request scale the store is the busiest structure in the
 //! system — every request hop writes two samples, and every Bifrost check
-//! reads a trailing window. Five mechanisms keep it off the critical path:
+//! reads a trailing window. Seven mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
@@ -60,10 +60,33 @@
 //!   series' epoch — renewed on creation and on any write into an older
 //!   bucket — the window start, and a `now` not before the kept buckets
 //!   all still match; otherwise the same call folds from scratch.
+//! * **One fold per distinct window.** Every strategy of a fleet reads the
+//!   same application-scope window at the same tick, and a phase boundary
+//!   reads each of its checks' windows a second time. Each series
+//!   remembers its last trailing-window answer, so a repeated look at an
+//!   unchanged window returns the remembered [`Summary`] instead of
+//!   folding again. Validity rule: the memo is keyed by the window's two
+//!   edges, the series' sample total — which every write moves, a late
+//!   one included — and its compaction floor — which every compaction
+//!   moves — and a cleared scope is a new series with no memo. Over one
+//!   key the fold reads the same buckets and samples, so the remembered
+//!   summary is the fold's to the bit. A hit still counts as a windowed
+//!   read: the count is journaled per tick.
+//! * **Paired reads in lockstep.** A check that compares two series (a
+//!   candidate against its baseline), or two checks that read two
+//!   metrics of one scope over one window, fold both series in one loop
+//!   ([`MetricStore::window_summary_pair`]), one bucket of each per
+//!   iteration. Each series keeps exactly the merges and pushes of its
+//!   own fold, and only the two independent dependency chains interleave,
+//!   so the CPU overlaps their divides. Validity rule: none is needed —
+//!   each side is the single-series fold's sequence, with its own raw
+//!   cursor, and the longer side finishes alone; a pair counts as two
+//!   reads and fills both memos.
 //!
 //! Everything stays deterministic: ingestion order is driven by the
 //! virtual clock, bucket contents and compaction depend only on the data,
-//! and reads never mutate (a cursor is the caller's, not the store's) — so
+//! and reads never change an answer (a cursor is the caller's, not the
+//! store's, and a memo only hands back what the fold would compute) — so
 //! summaries are bit-exact across repeated same-seed runs.
 
 use crate::app::{Application, VersionId};
@@ -71,7 +94,7 @@ use cex_core::intern::Interner;
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::obs::WallProbe;
 use cex_core::simtime::{SimDuration, SimTime};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -141,6 +164,22 @@ struct Series {
     /// was": renewed when the series is created and whenever a sample
     /// lands in a bucket older than the newest (see [`WindowCursor`]).
     epoch: u64,
+    /// The last trailing-window answer, boxed on the series' first
+    /// windowed read so that a slot nobody reads keeps its size.
+    memo: OnceCell<Box<Cell<Memo>>>,
+}
+
+/// One series' last trailing-window answer and everything it was a
+/// function of besides the store's bucket width.
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    from_ms: u64,
+    to_ms: u64,
+    /// [`Series::total`] at the fold: moves with every write.
+    total: u64,
+    /// [`Series::raw_floor_ms`] at the fold: moves with every compaction.
+    raw_floor_ms: u64,
+    summary: Summary,
 }
 
 impl Series {
@@ -365,6 +404,154 @@ impl Series {
         self.accumulate(from.as_millis(), to.as_millis(), width_ms, &mut acc);
         acc.summary()
     }
+
+    /// The remembered summary of `from_ms <= time < to_ms`, if the memo
+    /// holds that window and nothing has been written or compacted since.
+    fn remembered(&self, from_ms: u64, to_ms: u64) -> Option<Summary> {
+        let memo = self.memo.get()?.get();
+        let same = (memo.from_ms, memo.to_ms, memo.total, memo.raw_floor_ms)
+            == (from_ms, to_ms, self.total, self.raw_floor_ms);
+        same.then_some(memo.summary)
+    }
+
+    /// Remembers `acc`'s summary as the answer for `from_ms..to_ms` and
+    /// returns it.
+    fn remember(&self, from_ms: u64, to_ms: u64, acc: &OnlineStats) -> Summary {
+        let summary = acc.summary();
+        let memo =
+            Memo { from_ms, to_ms, total: self.total, raw_floor_ms: self.raw_floor_ms, summary };
+        match self.memo.get() {
+            Some(cell) => cell.set(memo),
+            None => drop(self.memo.set(Box::new(Cell::new(memo)))),
+        }
+        summary
+    }
+
+    /// Summary of the trailing window `from_ms <= time < to_ms`: the
+    /// remembered one, or the fold's, remembered.
+    fn window(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> Summary {
+        self.remembered(from_ms, to_ms).unwrap_or_else(|| {
+            let mut acc = OnlineStats::new();
+            self.accumulate(from_ms, to_ms, width_ms, &mut acc);
+            self.remember(from_ms, to_ms, &acc)
+        })
+    }
+
+    /// [`Series::window`] of two series over one window, the two folds
+    /// taken in lockstep when neither is remembered.
+    fn window_pair(
+        a: &Series,
+        b: &Series,
+        from_ms: u64,
+        to_ms: u64,
+        width_ms: u64,
+    ) -> [Summary; 2] {
+        match (a.remembered(from_ms, to_ms), b.remembered(from_ms, to_ms)) {
+            (Some(x), Some(y)) => [x, y],
+            (None, None) => {
+                let walk = |s| Walk::new(s, from_ms, to_ms, width_ms);
+                let [x, y] = lockstep(walk(a), walk(b));
+                [a.remember(from_ms, to_ms, &x), b.remember(from_ms, to_ms, &y)]
+            }
+            (x, y) => [
+                x.unwrap_or_else(|| a.window(from_ms, to_ms, width_ms)),
+                y.unwrap_or_else(|| b.window(from_ms, to_ms, width_ms)),
+            ],
+        }
+    }
+}
+
+/// [`Series::fold`] of a trailing window from an empty accumulator,
+/// taken one non-empty bucket at a time ([`Walk::step`]) so that
+/// [`lockstep`] can run two side by side. A step is one iteration of the
+/// fold's loop: the same merge, or the same pushes from the same raw
+/// cursor, in the same order.
+struct Walk<'a> {
+    series: &'a Series,
+    /// The two bucket columns from the next bucket on.
+    idx: &'a [u64],
+    stats: &'a [OnlineStats],
+    /// First bucket index past the window.
+    end: u64,
+    from_ms: u64,
+    to_ms: u64,
+    width_ms: u64,
+    raw_cursor: Option<usize>,
+    acc: OnlineStats,
+}
+
+impl<'a> Walk<'a> {
+    fn new(series: &'a Series, from_ms: u64, to_ms: u64, width_ms: u64) -> Self {
+        let span = Series::bucket_span(from_ms, to_ms, width_ms);
+        // The fold's early exit for a series gone quiet: nothing to walk.
+        let first = if span.is_empty() || span.start > series.max_time_ms / width_ms {
+            series.bucket_idx.len()
+        } else {
+            first_at_or_after(&series.bucket_idx, span.start)
+        };
+        Walk {
+            series,
+            idx: &series.bucket_idx[first..],
+            stats: &series.buckets[first..],
+            end: span.end,
+            from_ms,
+            to_ms,
+            width_ms,
+            raw_cursor: None,
+            acc: OnlineStats::new(),
+        }
+    }
+
+    /// Folds the next bucket into the accumulator; `false`, folding
+    /// nothing, once the window has none left.
+    #[inline(always)]
+    fn step(&mut self) -> bool {
+        let (Some((&b, idx)), Some((stats, rest))) =
+            (self.idx.split_first(), self.stats.split_first())
+        else {
+            return false;
+        };
+        if b >= self.end {
+            return false;
+        }
+        (self.idx, self.stats) = (idx, rest);
+        let series = self.series;
+        let b_start = b * self.width_ms;
+        let b_end = b_start + self.width_ms;
+        if (self.from_ms <= b_start && self.to_ms >= b_end) || b_start < series.raw_floor_ms {
+            self.acc.merge(stats);
+        } else {
+            let s = self.from_ms.max(b_start);
+            let e = self.to_ms.min(b_end);
+            let mut i = *self
+                .raw_cursor
+                .get_or_insert_with(|| series.raw.partition_point(|x| x.time.as_millis() < s));
+            while let Some(sample) = series.raw.get(i) {
+                let t = sample.time.as_millis();
+                if t >= e {
+                    break;
+                }
+                if t >= s {
+                    self.acc.push(sample.value);
+                }
+                i += 1;
+            }
+            self.raw_cursor = Some(i);
+        }
+        true
+    }
+}
+
+/// Runs two walks to their ends, one step of each per iteration, then
+/// the longer one's tail alone. Each walk makes the merges and pushes it
+/// would make on its own, in the same order; what changes is only that
+/// two independent dependency chains — each a serial divide per merge —
+/// are in flight at once.
+fn lockstep(mut a: Walk<'_>, mut b: Walk<'_>) -> [OnlineStats; 2] {
+    while a.step() & b.step() {}
+    while a.step() {}
+    while b.step() {}
+    [a.acc, b.acc]
 }
 
 /// Where a cumulative window read left off, so the next look at the same
@@ -549,9 +736,9 @@ impl MetricStore {
         self.series.get(slot_of(scope, metric))?.as_ref()
     }
 
-    /// Counts one windowed read.
-    fn count_read(&self) {
-        self.window_reads.set(self.window_reads.get() + 1);
+    /// Counts `n` windowed reads.
+    fn count_reads(&self, n: u64) {
+        self.window_reads.set(self.window_reads.get() + n);
     }
 
     /// Number of samples ever recorded into a series (compaction does not
@@ -616,7 +803,8 @@ impl MetricStore {
         match self.resolve(scope) {
             Some(id) => self.window_summary_id(id, metric, now, window),
             None => {
-                self.count_read();
+                let _t = self.query_probe.time();
+                self.count_reads(1);
                 Summary::default()
             }
         }
@@ -631,9 +819,33 @@ impl MetricStore {
         window: SimDuration,
     ) -> Summary {
         let _t = self.query_probe.time();
-        self.count_read();
-        let from = SimTime::from_millis(now.as_millis().saturating_sub(window.as_millis()));
-        self.summary_between_id(scope, metric, from, now + SimDuration::from_millis(1))
+        self.count_reads(1);
+        let (from_ms, to_ms) = trailing(now, window);
+        self.series_at(scope, metric)
+            .map_or_else(Summary::default, |s| s.window(from_ms, to_ms, self.bucket_width_ms))
+    }
+
+    /// [`MetricStore::window_summary_id`] of two series over one window,
+    /// `[a, b]` in argument order: what two calls return, to the bit, from
+    /// one walk over both bucket columns, one bucket of each per step. It
+    /// counts as two windowed reads, and as two measurements of the query
+    /// probe.
+    pub fn window_summary_pair(
+        &self,
+        a: (ScopeId, MetricKind),
+        b: (ScopeId, MetricKind),
+        now: SimTime,
+        window: SimDuration,
+    ) -> [Summary; 2] {
+        let _t = self.query_probe.time_many(2);
+        self.count_reads(2);
+        let (from_ms, to_ms) = trailing(now, window);
+        let width_ms = self.bucket_width_ms;
+        match (self.series_at(a.0, a.1), self.series_at(b.0, b.1)) {
+            (Some(a), Some(b)) => Series::window_pair(a, b, from_ms, to_ms, width_ms),
+            (a, b) => [a, b]
+                .map(|s| s.map_or_else(Summary::default, |s| s.window(from_ms, to_ms, width_ms))),
+        }
     }
 
     /// [`MetricStore::window_summary_id`] for a window that only ever
@@ -652,18 +864,19 @@ impl MetricStore {
         cursor: &WindowCursor,
     ) -> (Summary, WindowCursor) {
         let _t = self.query_probe.time();
-        self.count_read();
-        let from_ms = now.as_millis().saturating_sub(window.as_millis());
+        self.count_reads(1);
+        let (from_ms, to_ms) = trailing(now, window);
         self.series_at(scope, metric).map_or_else(
             || (Summary::default(), WindowCursor::new()),
-            |s| s.resume(from_ms, now.as_millis() + 1, self.bucket_width_ms, cursor),
+            |s| s.resume(from_ms, to_ms, self.bucket_width_ms, cursor),
         )
     }
 
     /// Number of windowed reads ([`MetricStore::window_summary`] calls,
-    /// with a whole [`MetricStore::moving_average`] sweep counting as one)
-    /// served since creation — the monitoring-cost counter the Bifrost
-    /// journal samples per tick.
+    /// a remembered answer included, with a
+    /// [`MetricStore::window_summary_pair`] counting as two and a whole
+    /// [`MetricStore::moving_average`] sweep as one) served since creation
+    /// — the monitoring-cost counter the Bifrost journal samples per tick.
     pub fn window_reads(&self) -> u64 {
         self.window_reads.get()
     }
@@ -716,7 +929,7 @@ impl MetricStore {
     ) -> Vec<(SimTime, f64)> {
         assert!(!step.is_zero(), "step must be positive");
         let _t = self.query_probe.time();
-        self.count_read();
+        self.count_reads(1);
         let Some(id) = self.resolve(scope) else { return Vec::new() };
         let Some(series) = self.series_at(id, metric) else { return Vec::new() };
 
@@ -806,11 +1019,18 @@ impl MetricStore {
     /// element size — never an allocator capacity — so the figure is a
     /// pure function of the samples recorded, and it follows them: a
     /// sample costs its raw entry and at most one bucket, a silence costs
-    /// nothing.
+    /// nothing. A read series' remembered answer (one fixed-size box each)
+    /// is a cache of a read, not state, and is not counted.
     pub fn state_bytes(&self) -> usize {
         self.series.len() * std::mem::size_of::<Option<Series>>()
             + self.series.iter().flatten().map(Series::state_bytes).sum::<usize>()
     }
+}
+
+/// The half-open interval `from_ms..to_ms` of the trailing window
+/// `[now - window, now]`, closed at both ends.
+fn trailing(now: SimTime, window: SimDuration) -> (u64, u64) {
+    (now.as_millis().saturating_sub(window.as_millis()), now.as_millis() + 1)
 }
 
 /// The one ingestion path: appends `samples` to the series at `slot` of
@@ -1626,5 +1846,290 @@ mod tests {
         let store = store_with_ramp();
         assert_eq!(store.retention(), None);
         assert_eq!(store.total_samples(), 100);
+    }
+
+    #[test]
+    fn paired_reads_equal_two_single_reads_over_searched_histories() {
+        // Differential search: two series — two metrics of one scope, or
+        // two scopes — live through random histories of different lengths:
+        // the second is written more sparsely, sometimes not at all; both
+        // go quiet for stretches; late samples reach back over several
+        // buckets; retention sometimes compacts past the window start; the
+        // window's edges fall on and off the bucket grid. At every look the
+        // pair must be two `window_summary_id` calls on a twin store read
+        // one series at a time, and the fold from scratch
+        // (`summary_between_id`, which no memo serves), bit for bit — and,
+        // without retention, the `Reference`'s. Some looks read one side
+        // alone first or repeat the pair, so the pair also meets one or two
+        // remembered sides.
+        use cex_core::rng::SplitMix64;
+        struct Twin {
+            paired: MetricStore,
+            singles: MetricStore,
+            sides: [(ScopeId, MetricKind); 2],
+            references: [Option<Reference>; 2],
+        }
+        impl Twin {
+            fn record(&mut self, side: usize, t_ms: u64, value: f64) {
+                let (scope, metric) = self.sides[side];
+                let sample = Sample::new(SimTime::from_millis(t_ms), value);
+                self.paired.record_id(scope, metric, sample);
+                self.singles.record_id(scope, metric, sample);
+                if let Some(reference) = &mut self.references[side] {
+                    reference.record(sample);
+                }
+            }
+        }
+        let (mut looks, mut uneven, mut one_empty) = (0u32, 0u32, 0u32);
+        let (mut unaligned, mut compacted, mut remembered) = (0u32, 0u32, 0u32);
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(0x9A1B ^ seed);
+            let width = [100u64, 250, 1_000, 3_000][rng.next_index(4)];
+            let retention = (rng.next_below(3) == 0).then(|| width * (1 + rng.next_below(6)));
+            let new_store = || {
+                let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+                store.set_retention(retention.map(SimDuration::from_millis));
+                store
+            };
+            let (mut paired, mut singles) = (new_store(), new_store());
+            let ids = [paired.intern("svc@1"), paired.intern("svc@2")];
+            assert_eq!([singles.intern("svc@1"), singles.intern("svc@2")], ids);
+            let (a, b) = ((ids[0], MetricKind::ResponseTime), (ids[0], MetricKind::ErrorRate));
+            let b = if rng.next_below(2) == 0 { b } else { (ids[1], MetricKind::ResponseTime) };
+            let reference = || Reference { width, buckets: Default::default(), raw: vec![] };
+            let references = [0, 1].map(|_| retention.is_none().then(reference));
+            let mut twin = Twin { paired, singles, sides: [a, b], references };
+            // How often the second series is written, in quarters of the
+            // first's: never, now and then, or as often.
+            let b_share = [0, 1, 3, 4][rng.next_index(4)];
+            let mut clock = rng.next_below(5_000);
+            for _ in 0..80 {
+                match rng.next_below(10) {
+                    0..=5 => {
+                        for _ in 0..rng.next_below(40) {
+                            clock += rng.next_below(width / 3 + 1);
+                            twin.record(0, clock, rng.next_f64() * 100.0);
+                            if rng.next_below(4) < b_share {
+                                twin.record(1, clock, rng.next_f64());
+                            }
+                        }
+                    }
+                    6 => clock += width * rng.next_below(8),
+                    7 => {
+                        let side = usize::from(b_share > 0 && rng.next_below(2) == 0);
+                        twin.record(side, clock.saturating_sub(rng.next_below(width * 6)), -5.0);
+                    }
+                    _ => {}
+                }
+                let back = if rng.next_below(6) == 0 { rng.next_below(width * 3) } else { 0 };
+                let now = SimTime::from_millis(clock.saturating_sub(back));
+                let window = SimDuration::from_millis(match rng.next_below(3) {
+                    0 => width * (1 + rng.next_below(12)),
+                    _ => rng.next_below(width * 12),
+                });
+                let store = &twin.paired;
+                match rng.next_below(5) {
+                    0 => {
+                        let _ = store.window_summary_id(a.0, a.1, now, window);
+                    }
+                    1 => {
+                        let _ = store.window_summary_id(b.0, b.1, now, window);
+                    }
+                    _ => {}
+                }
+                let (from_ms, to_ms) = trailing(now, window);
+                remembered += u32::from([a, b].iter().any(|&(scope, metric)| {
+                    store
+                        .series_at(scope, metric)
+                        .and_then(|s| s.remembered(from_ms, to_ms))
+                        .is_some()
+                }));
+                let pair = store.window_summary_pair(a, b, now, window);
+                if rng.next_below(4) == 0 {
+                    let again = store.window_summary_pair(a, b, now, window);
+                    assert_eq!(again.map(bits), pair.map(bits), "seed {seed}: a repeated pair");
+                }
+                let (from, to) = (SimTime::from_millis(from_ms), SimTime::from_millis(to_ms));
+                for (side, (scope, metric)) in [a, b].into_iter().enumerate() {
+                    let single = twin.singles.window_summary_id(scope, metric, now, window);
+                    let fresh = store.summary_between_id(scope, metric, from, to);
+                    let at =
+                        format!("seed {seed} width {width} side {side} at {now} over {window}");
+                    assert_eq!(bits(pair[side]), bits(single), "{at}: pair vs single");
+                    assert_eq!(bits(pair[side]), bits(fresh), "{at}: pair vs fresh fold");
+                    if let Some(reference) = &twin.references[side] {
+                        let stated = reference.summary(from_ms, to_ms);
+                        assert_eq!(bits(pair[side]), bits(stated), "{at}: pair vs reference");
+                    }
+                    let floor = store.series_at(scope, metric).map_or(0, |s| s.raw_floor_ms);
+                    compacted += u32::from(floor > from_ms && pair[side].count > 0);
+                }
+                looks += 1;
+                let counts = pair.map(|s| s.count);
+                uneven += u32::from(counts[0] != counts[1] && counts.iter().all(|&c| c > 0));
+                one_empty += u32::from(counts.iter().filter(|&&c| c == 0).count() == 1);
+                unaligned += u32::from(from_ms % width != 0);
+            }
+        }
+        // Not vacuous: every shape the pair must survive occurred often.
+        assert!(uneven * 4 > looks, "{uneven} of {looks} looks: two unequal non-empty sides");
+        assert!(one_empty * 10 > looks, "{one_empty} of {looks} looks: one side empty");
+        assert!(unaligned * 2 > looks, "{unaligned} of {looks} looks: start off the grid");
+        assert!(compacted > 200, "{compacted} sides read over a compacted floor");
+        assert!(remembered * 10 > looks, "{remembered} of {looks} pairs met a remembered side");
+    }
+
+    #[test]
+    fn a_remembered_window_is_folded_again_after_every_kind_of_write() {
+        // Searched: a look, then one disturbance, then the very same look.
+        // The second look must be the fold from scratch, bit for bit,
+        // whatever came between: nothing (a hit), a sample inside the
+        // window, a late one into an older bucket inside or before it, a
+        // write far ahead that makes retention compact past the window
+        // start, a compaction on its own, or the scope cleared and
+        // recorded again with as many samples. Each kind that can change
+        // the answer must have changed it somewhere — else a memo that
+        // ignored it would pass.
+        use cex_core::rng::SplitMix64;
+        let metric = MetricKind::ResponseTime;
+        let mut changed = [0u32; 7];
+        let mut hits = 0u32;
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(0x3E30 ^ seed);
+            let width = [100u64, 250, 1_000][rng.next_index(3)];
+            let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            let horizon = width * (2 + rng.next_below(6));
+            let retained = rng.next_below(2) == 0;
+            if retained {
+                store.set_retention(Some(SimDuration::from_millis(horizon)));
+            }
+            let scope = store.intern("svc@1");
+            let mut clock = 0;
+            let ramp = |store: &mut MetricStore, clock: &mut u64, n: u64, rng: &mut SplitMix64| {
+                for _ in 0..n {
+                    *clock += 1 + rng.next_below(width / 4);
+                    store.record_id(
+                        scope,
+                        metric,
+                        Sample::new(SimTime::from_millis(*clock), rng.next_f64()),
+                    );
+                }
+            };
+            ramp(&mut store, &mut clock, 50, &mut rng);
+            for _ in 0..40 {
+                let now = SimTime::from_millis(clock.saturating_sub(rng.next_below(width * 2)));
+                let window = SimDuration::from_millis(width / 2 + rng.next_below(width * 8));
+                let (from_ms, to_ms) = trailing(now, window);
+                let first = store.window_summary_id(scope, metric, now, window);
+                let kind = rng.next_index(7);
+                match kind {
+                    0 => {}
+                    // Inside the window, at its trailing edge.
+                    1 => store.record_id(scope, metric, Sample::new(now, 1e3)),
+                    // Late, into an older bucket inside the window.
+                    2 => {
+                        let t = from_ms + rng.next_below(to_ms - from_ms);
+                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 1e3));
+                    }
+                    // Late, before the window: the answer stays, the key moves.
+                    3 => {
+                        let t = from_ms.saturating_sub(1 + rng.next_below(width * 3));
+                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 1e3));
+                    }
+                    // Far ahead: with retention, the floor moves past `from`.
+                    4 => {
+                        let t = from_ms + horizon + width * (1 + rng.next_below(3));
+                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 0.5));
+                        clock = clock.max(t);
+                    }
+                    // A compaction with no write: the floor alone moves.
+                    5 => {
+                        let series =
+                            store.series[slot_of(scope, metric)].as_mut().expect("recorded");
+                        let floor_to = from_ms + rng.next_below(to_ms - from_ms);
+                        series.compact(series.max_time_ms.saturating_sub(floor_to), width);
+                    }
+                    // Cleared and recorded again, the same number of samples.
+                    _ => {
+                        let total = store.count_id(scope, metric) as u64;
+                        store.clear_scope("svc@1");
+                        clock = 0;
+                        ramp(&mut store, &mut clock, total, &mut rng);
+                    }
+                }
+                let again = store.window_summary_id(scope, metric, now, window);
+                let (from, to) = (SimTime::from_millis(from_ms), SimTime::from_millis(to_ms));
+                let fresh = store.summary_between_id(scope, metric, from, to);
+                assert_eq!(
+                    bits(again),
+                    bits(fresh),
+                    "seed {seed} width {width} kind {kind} at {now}"
+                );
+                changed[kind] += u32::from(bits(again) != bits(first));
+                hits += u32::from(kind == 0);
+                if rng.next_below(3) == 0 {
+                    ramp(&mut store, &mut clock, rng.next_below(20), &mut rng);
+                }
+            }
+        }
+        assert_eq!(changed[0], 0, "nothing between two looks changes nothing");
+        assert!(hits > 1_000, "{hits} looks repeated over an undisturbed series");
+        for kind in [1, 2, 4, 5, 6] {
+            assert!(changed[kind] > 50, "kind {kind} changed the answer {} times", changed[kind]);
+        }
+    }
+
+    #[test]
+    fn every_read_counts_once_remembered_or_paired_and_the_probe_agrees() {
+        // A searched mix of every windowed read — single, paired, repeated
+        // (a memo hit), resumed, a moving-average sweep, a scope never
+        // interned — on an armed store. `window_reads` must grow by what
+        // the old per-call reads counted (a pair as its two reads), and the
+        // query probe must count as many measurements, so probe time over
+        // probe count stays the cost of one read.
+        use cex_core::rng::SplitMix64;
+        let mut store = store_with_ramp();
+        store.set_probes_armed(true);
+        let scope = store.resolve("svc@1.0.0").expect("recorded");
+        store.record_id(scope, MetricKind::ErrorRate, Sample::new(SimTime::from_secs(3), 0.0));
+        let (rt, err) = ((scope, MetricKind::ResponseTime), (scope, MetricKind::ErrorRate));
+        let mut rng = SplitMix64::new(7);
+        let mut expected = store.window_reads();
+        let mut hits = 0;
+        for _ in 0..2_000 {
+            let now = SimTime::from_millis(rng.next_below(4) * 2_500);
+            let window = SimDuration::from_millis(rng.next_below(2) * 3_000 + 500);
+            let (from_ms, to_ms) = trailing(now, window);
+            hits += u32::from(
+                store.series_at(rt.0, rt.1).and_then(|s| s.remembered(from_ms, to_ms)).is_some(),
+            );
+            expected += match rng.next_below(5) {
+                0 => {
+                    let _ = store.window_summary_id(rt.0, rt.1, now, window);
+                    1
+                }
+                1 => {
+                    let _ = store.window_summary_pair(rt, err, now, window);
+                    2
+                }
+                2 => {
+                    let _ =
+                        store.window_summary_resumed(rt.0, rt.1, now, window, &WindowCursor::new());
+                    1
+                }
+                3 => {
+                    let _ =
+                        store.moving_average("svc@1.0.0", rt.1, SimTime::ZERO, now, window, window);
+                    1
+                }
+                _ => {
+                    let _ = store.window_summary("ghost", rt.1, now, window);
+                    1
+                }
+            };
+        }
+        assert!(hits > 200, "{hits} reads met a remembered window");
+        assert_eq!(store.window_reads(), expected);
+        assert_eq!(store.query_probe().count(), store.window_reads());
     }
 }
