@@ -37,7 +37,7 @@ use cex_core::obs::{Counters, ObsConfig, ProfileSnapshot, Profiler};
 use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, VersionId};
 use microsim::faults::{self, Fault, FaultKind};
-use microsim::health::{EdgeDelta, HealthAccumulator, HealthReport};
+use microsim::health::{self, EdgeDelta, HealthAccumulator, HealthReport};
 use microsim::monitor::{MetricStore, ScopeId};
 use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
@@ -470,19 +470,30 @@ impl TracePipeline {
         })
     }
 
-    /// The worst-edge snapshot journaled beside a boundary's verdicts.
-    fn snapshot(&self, sim: &Simulation, run: &Compiled<'_>, phase: usize) -> Option<JournalEvent> {
-        let report = self.report(&run.binding)?;
-        let worst = report.worst_edge();
+    /// The worst-edge snapshot journaled beside a boundary's verdicts: what
+    /// [`TracePipeline::report`] would say of the worst edge, from the
+    /// pair's edge deltas alone (no critical-sink list, no report).
+    fn snapshot(
+        &self,
+        sim: &Simulation,
+        binding: &StrategyBinding,
+        strategy: Arc<str>,
+        phase: Arc<str>,
+    ) -> Option<JournalEvent> {
+        if self.health.traces() == 0 {
+            return None;
+        }
+        let edges = self.health.edge_deltas(&self.book, binding.baseline, binding.candidate);
+        let worst = health::worst_edge(&edges);
         let sampling = sim.trace_collector().sampling_stats();
         Some(JournalEvent::HealthSnapshot {
             time: sim.now(),
-            strategy: run.name.clone(),
-            phase: run.phase_names[phase].clone(),
-            traces: report.traces,
-            failed: report.failed_traces,
-            baseline: report.baseline.clone(),
-            canary: report.canary.clone(),
+            strategy,
+            phase,
+            traces: self.health.traces(),
+            failed: self.health.failed_traces(),
+            baseline: self.book.version_label(binding.baseline).to_string(),
+            canary: self.book.version_label(binding.candidate).to_string(),
             worst_edge: worst.map(|e| e.endpoint.clone()),
             score: worst.map_or(0.0, EdgeDelta::score),
             error_rate_delta: worst.map_or(0.0, EdgeDelta::error_rate_delta),
@@ -790,7 +801,11 @@ impl<'a> Execution<'a> {
             if let Some(boundary) = &obs.boundary_results {
                 compiled.journal_checks(&mut self.journal, now, index, boundary, true);
                 if let Some(j) = self.journal.as_deref_mut() {
-                    if let Some(snapshot) = self.traces.snapshot(self.sim, compiled, index) {
+                    let (strategy, phase) =
+                        (compiled.name.clone(), compiled.phase_names[index].clone());
+                    if let Some(snapshot) =
+                        self.traces.snapshot(self.sim, &compiled.binding, strategy, phase)
+                    {
                         j.record(snapshot);
                     }
                 }
@@ -1584,6 +1599,150 @@ mod tests {
         let text = journal.to_jsonl();
         let parsed = crate::journal::Journal::from_jsonl(&text).unwrap();
         assert_eq!(parsed.to_jsonl(), text);
+    }
+
+    #[test]
+    fn boundary_snapshots_journal_the_full_reports_worst_edge() {
+        // Searched accumulators over hand-built traces: edges of the
+        // service's two versions on three endpoints (declared in different
+        // orders, so their ids differ), statuses and latencies from small
+        // sets so that scores tie, mirrored pairs of edges that must tie, a
+        // candidate with no edges, a baseline with none, and traces that
+        // never reach the service. Each snapshot must carry what the report
+        // built at the end of a run would say, and name the smallest of the
+        // tied worst endpoints.
+        use cex_core::rng::SplitMix64;
+        use microsim::trace::{Span, SpanId, SpanStatus, TraceId};
+        let mut b = Application::builder();
+        b.version(
+            VersionSpec::new("fe", "1.0.0").endpoint(EndpointDef::new("home", Default::default())),
+        );
+        for (version, names) in
+            [("1.0.0", ["alpha", "beta", "gamma"]), ("2.0.0", ["gamma", "beta", "alpha"])]
+        {
+            let mut spec = VersionSpec::new("svc", version);
+            for name in names {
+                spec = spec.endpoint(EndpointDef::new(name, LatencyModel::default()));
+            }
+            b.version(spec);
+        }
+        let app = b.build().unwrap();
+        let binding = StrategyBinding {
+            service: app.service_id("svc").unwrap(),
+            baseline: app.version_id("svc", "1.0.0").unwrap(),
+            candidate: app.version_id("svc", "2.0.0").unwrap(),
+            variant_b: None,
+        };
+        let fe = app.version_id("fe", "1.0.0").unwrap();
+        let endpoint = |version: VersionId, name: &str| {
+            app.endpoint_named(version, app.endpoint_name(name).unwrap()).unwrap()
+        };
+        let statuses = [SpanStatus::Ok, SpanStatus::Ok, SpanStatus::Failed, SpanStatus::TimedOut];
+        let mut sim = Simulation::new(app.clone(), 1);
+        let (mut ties, mut empty_sides, mut no_edges) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = SplitMix64::new(seed);
+            let shape = rng.next_index(5);
+            let mut pipeline = TracePipeline::new(&mut sim);
+            for t in 0..rng.next_below(12) {
+                let mut spans = vec![(fe, endpoint(fe, "home"), SpanStatus::Ok, 50, 0)];
+                for _ in 0..rng.next_below(4) {
+                    let version = match shape {
+                        2 => binding.baseline,
+                        3 => binding.candidate,
+                        _ if rng.next_below(2) == 0 => binding.baseline,
+                        _ => binding.candidate,
+                    };
+                    let name = ["alpha", "beta", "gamma"][rng.next_index(3)];
+                    let status = statuses[rng.next_index(statuses.len())];
+                    let (ms, attempt) = ([5, 20][rng.next_index(2)], rng.next_below(2) as u8);
+                    spans.push((version, endpoint(version, name), status, ms, attempt));
+                    if shape == 1 && name != "gamma" {
+                        let twin = if name == "alpha" { "beta" } else { "alpha" };
+                        spans.push((version, endpoint(version, twin), status, ms, attempt));
+                    }
+                }
+                if shape == 4 {
+                    spans.truncate(1);
+                }
+                spans[0].2 = statuses[rng.next_index(statuses.len())];
+                let spans = (0u32..)
+                    .zip(spans)
+                    .map(|(id, (version, endpoint, status, ms, attempt))| Span {
+                        trace: TraceId(t),
+                        span: SpanId(id),
+                        parent: (id > 0).then_some(SpanId(0)),
+                        service: app.version(version).service,
+                        version,
+                        endpoint,
+                        start: SimTime::ZERO,
+                        duration: SimDuration::from_millis(ms),
+                        status,
+                        attempt,
+                        dark: false,
+                    })
+                    .collect();
+                let weight = 1 + rng.next_below(3) as u32;
+                pipeline.health.observe_trace(&Trace { id: TraceId(t), spans, weight });
+            }
+            let snapshot = pipeline.snapshot(&sim, &binding, "s".into(), "p".into());
+            let Some(report) = pipeline.report(&binding) else {
+                assert_eq!(snapshot, None, "seed {seed}: no trace, no snapshot");
+                continue;
+            };
+            let Some(JournalEvent::HealthSnapshot {
+                traces,
+                failed,
+                baseline,
+                canary,
+                worst_edge,
+                score,
+                error_rate_delta,
+                p95_delta_ms,
+                ..
+            }) = snapshot
+            else {
+                panic!("seed {seed}: traces were folded, so a snapshot is due");
+            };
+            assert_eq!(
+                (traces, failed, baseline.as_str(), canary.as_str()),
+                (
+                    report.traces,
+                    report.failed_traces,
+                    report.baseline.as_str(),
+                    report.canary.as_str()
+                ),
+                "seed {seed}"
+            );
+            let worst = report.worst_edge();
+            assert_eq!(worst_edge.as_deref(), worst.map(|e| e.endpoint.as_str()), "seed {seed}");
+            let numbers = |x: [f64; 3]| x.map(f64::to_bits);
+            assert_eq!(
+                numbers([score, error_rate_delta, p95_delta_ms]),
+                numbers(worst.map_or([0.0; 3], |e| [
+                    e.score(),
+                    e.error_rate_delta(),
+                    e.p95_delta_ms()
+                ])),
+                "seed {seed}"
+            );
+            // The tie rule, stated apart: the smallest name among the edges
+            // with the highest score.
+            let top = report.edges.iter().map(EdgeDelta::score).fold(f64::NEG_INFINITY, f64::max);
+            let tied: Vec<&str> = report
+                .edges
+                .iter()
+                .filter(|e| e.score() == top)
+                .map(|e| e.endpoint.as_str())
+                .collect();
+            assert_eq!(worst_edge.as_deref(), tied.iter().min().copied(), "seed {seed}");
+            ties += u32::from(tied.len() > 1);
+            let canary_calls = report.edges.iter().any(|e| e.canary.calls > 0);
+            let baseline_calls = report.edges.iter().any(|e| e.baseline.calls > 0);
+            no_edges += u32::from(report.edges.is_empty());
+            empty_sides += u32::from(canary_calls != baseline_calls);
+        }
+        assert!(ties > 30 && empty_sides > 30 && no_edges > 30, "{ties} {empty_sides} {no_edges}");
     }
 
     #[test]

@@ -57,8 +57,10 @@
 //!
 //! # Sub-rounds and determinism
 //!
-//! One queue, a ring of per-millisecond buckets (`queue::EventQueue`),
-//! holds every scheduled event. Time advances in **sub-rounds**. A
+//! One queue, a ring of per-millisecond buckets (`queue::EventQueue`) with
+//! the window's later root arrivals in key order and any other later event
+//! in a heap beside it, holds every scheduled event. Time advances in
+//! **sub-rounds**. A
 //! sub-round has an address, the earliest queued `(time, phase)`
 //! (`queue::Front`), and processes, in `EvKey` order, every event at that
 //! address *that existed when the sub-round began*: the sub-round takes its
@@ -443,7 +445,7 @@ pub(crate) struct WindowBuffers {
 /// and the two per-request RNG draws happen in the caller, in arrival
 /// order, so the simulation's random streams are consumed in arrival order
 /// whatever order the window's events run in.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct EventRequest {
     pub(crate) time: SimTime,
     pub(crate) user: UserId,
@@ -512,8 +514,8 @@ struct PhaseTimes {
 /// back up ([`fold_sampled`]) so the profile tree shows unbiased
 /// estimates of true phase totals. The timed round is the middle one of
 /// each stride, not the first: a window's first sub-round is the one that
-/// migrates a ring's worth of root arrivals out of the overflow heap, and
-/// scaling that up would charge every sub-round for it.
+/// moves a ring's worth of root arrivals out of the roots run, and scaling
+/// that up would charge every sub-round for it.
 const OBS_TIMING_SAMPLE: u64 = 256;
 
 /// Starts a phase measurement iff timing is on (one branch otherwise).
@@ -1098,7 +1100,9 @@ pub(crate) fn run_window(
 
     // Seed root arrivals. Entry version and endpoint resolve up front, in
     // arrival order; a workload that names an endpoint its entry version
-    // lacks is a misconfigured harness and panics here.
+    // lacks is a misconfigured harness and panics here. Arrival times never
+    // decrease and the request index grows, so the keys strictly ascend, as
+    // the queue's roots run requires.
     for (i, r) in requests.iter().enumerate() {
         let version = router.resolve(app, r.service, r.user);
         let endpoint = app
@@ -1111,7 +1115,7 @@ pub(crate) fn run_window(
             ckey: 0,
             cseq: i as u32,
         };
-        core.ctx.queue.push(HeapEv {
+        core.ctx.queue.push_root(HeapEv {
             key,
             ev: Ev::Call(CallEv {
                 version,

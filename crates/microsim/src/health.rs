@@ -218,6 +218,44 @@ impl HealthAccumulator {
         }
         out
     }
+
+    /// `canary` against `baseline` per logical endpoint, sorted by endpoint
+    /// name: [`HealthReport::edges`], without the rest of the report.
+    /// Endpoints are matched by their shared interner symbol, so versions
+    /// with differing [`EndpointId`]s still line up.
+    pub fn edge_deltas(
+        &self,
+        book: &SpanBook,
+        baseline: VersionId,
+        canary: VersionId,
+    ) -> Vec<EdgeDelta> {
+        let base_map = self.per_endpoint(book, baseline);
+        let canary_map = self.per_endpoint(book, canary);
+        let mut names: Vec<Sym> = base_map.keys().chain(canary_map.keys()).copied().collect();
+        names.sort();
+        names.dedup();
+        let default = EdgeStats::default();
+        let mut edges: Vec<EdgeDelta> = names
+            .into_iter()
+            .map(|sym| {
+                let base = base_map.get(&sym).unwrap_or(&default);
+                let can = canary_map.get(&sym).unwrap_or(&default);
+                EdgeDelta {
+                    endpoint: book.sym_name(sym).to_string(),
+                    baseline: EdgeSummary::from_stats(base),
+                    canary: EdgeSummary::from_stats(can),
+                }
+            })
+            .collect();
+        edges.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
+        edges
+    }
+}
+
+/// The most degraded of `edges` (highest [`EdgeDelta::score`]), ties
+/// broken by the smaller endpoint name: [`HealthReport::worst_edge`].
+pub fn worst_edge(edges: &[EdgeDelta]) -> Option<&EdgeDelta> {
+    edges.iter().max_by(|a, b| a.score().total_cmp(&b.score()).then(b.endpoint.cmp(&a.endpoint)))
 }
 
 /// Walks a trace's critical path: from the root, repeatedly descend into
@@ -364,35 +402,16 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Diffs `canary` against `baseline` per logical endpoint. Endpoints
-    /// are matched by their shared interner symbol, so versions with
-    /// differing [`EndpointId`]s still line up.
+    /// Diffs `canary` against `baseline` per logical endpoint
+    /// ([`HealthAccumulator::edge_deltas`]) and lists the critical-path
+    /// sinks.
     pub fn build(
         acc: &HealthAccumulator,
         book: &SpanBook,
         baseline: VersionId,
         canary: VersionId,
     ) -> HealthReport {
-        let base_map = acc.per_endpoint(book, baseline);
-        let canary_map = acc.per_endpoint(book, canary);
-        let mut names: Vec<Sym> = base_map.keys().chain(canary_map.keys()).copied().collect();
-        names.sort();
-        names.dedup();
-        let default = EdgeStats::default();
-        let mut edges: Vec<EdgeDelta> = names
-            .into_iter()
-            .map(|sym| {
-                let base = base_map.get(&sym).unwrap_or(&default);
-                let can = canary_map.get(&sym).unwrap_or(&default);
-                EdgeDelta {
-                    endpoint: book.sym_name(sym).to_string(),
-                    baseline: EdgeSummary::from_stats(base),
-                    canary: EdgeSummary::from_stats(can),
-                }
-            })
-            .collect();
-        edges.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
-
+        let edges = acc.edge_deltas(book, baseline, canary);
         let mut critical_sinks: Vec<(String, u64)> = acc
             .critical_sinks
             .iter()
@@ -424,9 +443,7 @@ impl HealthReport {
     /// The most degraded endpoint (highest [`EdgeDelta::score`]), ties
     /// broken by endpoint name.
     pub fn worst_edge(&self) -> Option<&EdgeDelta> {
-        self.edges
-            .iter()
-            .max_by(|a, b| a.score().total_cmp(&b.score()).then(b.endpoint.cmp(&a.endpoint)))
+        worst_edge(&self.edges)
     }
 
     /// `true` when some edge degraded beyond the given error-rate or p95

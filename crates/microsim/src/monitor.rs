@@ -7,14 +7,20 @@
 //!
 //! Series are keyed by a free-form *scope* string (conventionally
 //! `service@version` for infrastructure metrics and `exp:<name>/<variant>`
-//! for experiment-level metrics) plus a [`MetricKind`]. Samples arrive in
-//! virtual-time order, so window queries use binary search.
+//! for experiment-level metrics) plus a [`MetricKind`]. A series keeps its
+//! raw samples in arrival order, which is not time order: a version-scope
+//! sample is stamped when its hop was dispatched but written when the hop
+//! completes, so a long hop's sample lands behind later-stamped ones. Every
+//! sample counts in its bucket wherever it lands. A window query resolves a
+//! bucket it cuts from the raw tail by a binary search for the window's
+//! edge and a walk from there, so a late sample counts in a cut bucket only
+//! where that walk meets it.
 //!
 //! # Hot-path architecture
 //!
 //! At million-request scale the store is the busiest structure in the
 //! system — every request hop writes two samples, and every Bifrost check
-//! reads a trailing window. Seven mechanisms keep it off the critical path:
+//! reads a trailing window. Eight mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
@@ -27,6 +33,13 @@
 //!   retirement) take `&mut self` or go through a [`SampleBatch`] that
 //!   holds the store mutably, and readers (the engine's checks) take
 //!   `&self`.
+//! * **Batches that visit only their own slots.** A [`SampleBatch`] buffers
+//!   samples per slot in buffers the store keeps, with their capacity,
+//!   from one batch to the next, and notes each slot the first time it
+//!   writes there. A flush ingests exactly those slots, in ascending slot
+//!   order — the order a scan of every slot would meet them in, which is
+//!   what decides the epochs new series draw — so a batch costs what it
+//!   wrote, not the size of the slot table.
 //! * **Bucketed pre-aggregation.** Each series maintains fixed-resolution
 //!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
@@ -225,11 +238,10 @@ impl Series {
     /// serial divide chain. Counts, extrema, and the raw tail are
     /// identical to pushing each sample individually; bucket mean and
     /// variance may differ by floating-point rounding only, and stay
-    /// deterministic for a given sample sequence. Samples should be in
-    /// non-decreasing time order (the virtual clock guarantees this for
-    /// every producer; out-of-order input still lands in the right
-    /// buckets). Returns `true` when a sample landed in a bucket older
-    /// than the newest — the caller renews [`Series::epoch`].
+    /// deterministic for a given sample sequence. Samples come in arrival
+    /// order, mostly but not always time order; a late one starts a new
+    /// run in its own bucket. Returns `true` when a sample landed in a
+    /// bucket older than the newest — the caller renews [`Series::epoch`].
     fn push_run(&mut self, samples: &[Sample], width_ms: u64) -> bool {
         let mut rewrote_history = false;
         let mut i = 0;
@@ -619,10 +631,20 @@ pub struct MetricStore {
     /// does anyone holding [`crate::sim::Simulation::store`] — and still
     /// counts.
     window_reads: Cell<u64>,
+    /// The open [`SampleBatch`]'s buffers, slot [`slot_of`]`(scope, kind)`,
+    /// grown on demand. Each keeps its series' samples in arrival order and
+    /// is empty between batches, at the capacity it last needed.
+    pending: Vec<Vec<Sample>>,
+    /// The slots whose buffer is non-empty, each once, in the order their
+    /// first sample arrived.
+    dirty: Vec<usize>,
     /// Non-empty [`SampleBatch`] flushes. Batches fill in canonical merge
     /// order and flush at deterministic boundaries, so this is a pure
     /// function of the seed (registry counter `store.batch_flushes`).
     batch_flushes: u64,
+    /// Slots ingested by batch flushes so far.
+    #[cfg(test)]
+    flushed_slots: u64,
     /// Wall time spent in batch flushes (sidecar profile only).
     flush_probe: WallProbe,
     /// Wall time spent serving windowed queries (sidecar profile only).
@@ -656,7 +678,11 @@ impl MetricStore {
             retention_ms: 0,
             epochs: 0,
             window_reads: Cell::new(0),
+            pending: Vec::new(),
+            dirty: Vec::new(),
             batch_flushes: 0,
+            #[cfg(test)]
+            flushed_slots: 0,
             flush_probe: WallProbe::new(),
             query_probe: WallProbe::new(),
         }
@@ -708,14 +734,16 @@ impl MetricStore {
     /// series gets its whole run at once (on drop, on
     /// [`SampleBatch::flush`], or when the buffer fills).
     pub fn batch(&mut self) -> SampleBatch<'_> {
-        SampleBatch { store: self, pending: Vec::new(), buffered: 0 }
+        SampleBatch { store: self, buffered: 0 }
     }
 
     /// Records one observation.
     ///
-    /// Samples for one series should arrive in non-decreasing time order
-    /// (the virtual clock guarantees this); out-of-order samples are
-    /// accepted but degrade window queries for their series.
+    /// Samples for one series may arrive out of time order (the simulation
+    /// writes a hop's samples, stamped at dispatch, when the hop
+    /// completes). Each counts in its bucket; in a bucket a window cuts, a
+    /// late sample counts only where the query's walk of the raw tail meets
+    /// it (see the module docs).
     pub fn record(&mut self, scope: &str, metric: MetricKind, sample: Sample) {
         let scope = self.intern(scope);
         self.record_id(scope, metric, sample);
@@ -1066,28 +1094,32 @@ fn ingest(
 /// A buffered ingestion session over a [`MetricStore`].
 ///
 /// Samples are appended to dense per-series buffers laid out like the
-/// store's own series table, so the buffered path does no hashing. A
-/// flush hands each series its whole run. Flushes happen when the buffer reaches
+/// store's own series table, so the buffered path does no hashing. The
+/// buffers belong to the store and keep their capacity from one batch to
+/// the next. A batch notes each slot the first time it writes to it, and a
+/// flush hands each of those series its whole run, in ascending slot order,
+/// without visiting any other slot. Flushes happen when the buffer reaches
 /// an internal threshold, on [`SampleBatch::flush`], and on drop; callers
 /// flush at deterministic boundaries (the simulation flushes per window),
 /// so store contents never depend on wall-clock timing.
 #[derive(Debug)]
 pub struct SampleBatch<'a> {
     store: &'a mut MetricStore,
-    /// Slot [`slot_of`]`(scope, kind)`, grown on demand. Each slot keeps
-    /// its series' samples in arrival order.
-    pending: Vec<Vec<Sample>>,
     buffered: usize,
 }
 
 impl SampleBatch<'_> {
     /// Buffers one observation under an interned scope.
     pub fn record_id(&mut self, scope: ScopeId, metric: MetricKind, sample: Sample) {
+        let MetricStore { pending, dirty, .. } = &mut *self.store;
         let slot = slot_of(scope, metric);
-        if slot >= self.pending.len() {
-            self.pending.resize_with(slot + 1, Vec::new);
+        if slot >= pending.len() {
+            pending.resize_with(slot + 1, Vec::new);
         }
-        self.pending[slot].push(sample);
+        if pending[slot].is_empty() {
+            dirty.push(slot);
+        }
+        pending[slot].push(sample);
         self.buffered += 1;
         if self.buffered >= BATCH_FLUSH_THRESHOLD {
             self.flush();
@@ -1115,17 +1147,27 @@ impl SampleBatch<'_> {
             epochs,
             bucket_width_ms,
             retention_ms,
+            pending,
+            dirty,
             batch_flushes,
+            #[cfg(test)]
+            flushed_slots,
             flush_probe,
             ..
         } = &mut *self.store;
         let _t = flush_probe.time();
         *batch_flushes += 1;
-        for (slot, samples) in self.pending.iter_mut().enumerate() {
-            if !samples.is_empty() {
-                ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
-                samples.clear();
+        // Ascending, as a scan of every slot would meet them: ingestion
+        // order decides which series draws which epoch.
+        dirty.sort_unstable();
+        for slot in dirty.drain(..) {
+            #[cfg(test)]
+            {
+                *flushed_slots += 1;
             }
+            let samples = &mut pending[slot];
+            ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
+            samples.clear();
         }
         self.buffered = 0;
     }
@@ -2131,5 +2173,179 @@ mod tests {
         assert!(hits > 200, "{hits} reads met a remembered window");
         assert_eq!(store.window_reads(), expected);
         assert_eq!(store.query_probe().count(), store.window_reads());
+    }
+
+    /// The batch the store's own buffers replaced: a slot table of its own,
+    /// allocated by every batch, and a flush that scans all of it.
+    struct ScanBatch<'a> {
+        store: &'a mut MetricStore,
+        pending: Vec<Vec<Sample>>,
+        buffered: usize,
+    }
+
+    impl ScanBatch<'_> {
+        fn record_id(&mut self, scope: ScopeId, metric: MetricKind, sample: Sample) {
+            let slot = slot_of(scope, metric);
+            if slot >= self.pending.len() {
+                self.pending.resize_with(slot + 1, Vec::new);
+            }
+            self.pending[slot].push(sample);
+            self.buffered += 1;
+            if self.buffered >= BATCH_FLUSH_THRESHOLD {
+                self.flush();
+            }
+        }
+
+        fn flush(&mut self) {
+            if self.buffered == 0 {
+                return;
+            }
+            let MetricStore {
+                series, epochs, bucket_width_ms, retention_ms, batch_flushes, ..
+            } = &mut *self.store;
+            *batch_flushes += 1;
+            for (slot, samples) in self.pending.iter_mut().enumerate() {
+                if !samples.is_empty() {
+                    ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
+                    samples.clear();
+                }
+            }
+            self.buffered = 0;
+        }
+    }
+
+    impl Drop for ScanBatch<'_> {
+        fn drop(&mut self) {
+            self.flush();
+        }
+    }
+
+    /// Every field of a series but its memo (a cache of a read).
+    fn same_series(a: &Series, b: &Series) -> bool {
+        (a.total, a.max_time_ms, a.raw_floor_ms, a.epoch)
+            == (b.total, b.max_time_ms, b.raw_floor_ms, b.epoch)
+            && a.bucket_idx == b.bucket_idx
+            && a.buckets == b.buckets
+            && a.raw == b.raw
+    }
+
+    #[test]
+    fn batches_flush_only_the_slots_they_wrote_and_equal_the_full_scan() {
+        // Differential search over a store of 10⁴ interned scopes: batches
+        // of a few, a few hundred, or many thousand samples (so threshold
+        // flushes fire mid-batch), most into a handful of hot scopes, the
+        // rest anywhere, some late; explicit flushes; batches dropped with
+        // nothing in them; scopes cleared between batches; retention on some
+        // seeds. The shipped batch and `ScanBatch` get the same operations.
+        // After every batch the two stores must hold the same series — epochs
+        // included, which only the order of ingestion decides — count the
+        // same flushes and give the same resumed reads, cursors included;
+        // and every flush must have visited exactly the slots written since
+        // the one before.
+        use cex_core::rng::SplitMix64;
+        use std::collections::{BTreeMap, BTreeSet};
+        const SCOPES: u64 = 10_000;
+        let kinds = [MetricKind::ResponseTime, MetricKind::ErrorRate, MetricKind::Shed];
+        let (mut flushes_seen, mut threshold_flushes, mut cleared, mut resumed_kept) = (0, 0, 0, 0);
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0xBA7C4 ^ seed);
+            let width = [250u64, 1_000][rng.next_index(2)];
+            let mut shipped = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            let mut scanned = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            if seed % 3 == 0 {
+                let horizon = Some(SimDuration::from_millis(width * 20));
+                shipped.set_retention(horizon);
+                scanned.set_retention(horizon);
+            }
+            let scopes: Vec<ScopeId> = (0..SCOPES)
+                .map(|i| {
+                    let id = shipped.intern(&format!("s{i}"));
+                    assert_eq!(scanned.intern(&format!("s{i}")), id);
+                    id
+                })
+                .collect();
+            let hot: Vec<usize> = (0..8).map(|_| rng.next_index(SCOPES as usize)).collect();
+            let mut cursors: BTreeMap<(usize, usize), [WindowCursor; 2]> = BTreeMap::new();
+            let mut clock = 0u64;
+            for batch in 0..30 {
+                if rng.next_below(3) == 0 {
+                    let i = hot[rng.next_index(hot.len())];
+                    shipped.clear_scope(&format!("s{i}"));
+                    scanned.clear_scope(&format!("s{i}"));
+                    cleared += 1;
+                }
+                let mut written = BTreeSet::new();
+                let mut a = shipped.batch();
+                let mut b = ScanBatch { store: &mut scanned, pending: Vec::new(), buffered: 0 };
+                let (mut flushes, mut visited) = (a.store.batch_flushes, a.store.flushed_slots);
+                let samples = match rng.next_below(4) {
+                    0 => rng.next_below(3),
+                    1 => rng.next_below(600),
+                    _ => 3_000 + rng.next_below(6_000),
+                };
+                for _ in 0..samples {
+                    let i = if rng.next_below(10) < 7 {
+                        hot[rng.next_index(hot.len())]
+                    } else {
+                        rng.next_index(SCOPES as usize)
+                    };
+                    let kind = kinds[rng.next_index(kinds.len())];
+                    clock += rng.next_below(width / 50 + 1);
+                    let t = if rng.next_below(20) == 0 {
+                        clock.saturating_sub(rng.next_below(width * 4))
+                    } else {
+                        clock
+                    };
+                    let sample = Sample::new(SimTime::from_millis(t), rng.next_f64());
+                    a.record_id(scopes[i], kind, sample);
+                    b.record_id(scopes[i], kind, sample);
+                    written.insert(slot_of(scopes[i], kind));
+                    let explicit = rng.next_below(2_500) == 0;
+                    if explicit {
+                        a.flush();
+                        b.flush();
+                    }
+                    if a.store.batch_flushes != flushes {
+                        threshold_flushes += u32::from(!explicit);
+                        assert_eq!(a.store.flushed_slots - visited, written.len() as u64);
+                        written.clear();
+                        (flushes, visited) = (a.store.batch_flushes, a.store.flushed_slots);
+                    }
+                }
+                drop((a, b));
+                let flushed = shipped.batch_flushes - flushes;
+                assert_eq!(flushed, u64::from(!written.is_empty()), "seed {seed} batch {batch}");
+                assert_eq!(shipped.flushed_slots - visited, written.len() as u64);
+                assert!(shipped.pending.iter().all(Vec::is_empty) && shipped.dirty.is_empty());
+                flushes_seen += flushed;
+
+                assert_eq!(shipped.batch_flushes, scanned.batch_flushes, "seed {seed}");
+                assert_eq!(shipped.series.len(), scanned.series.len(), "seed {seed}");
+                for (slot, (x, y)) in shipped.series.iter().zip(&scanned.series).enumerate() {
+                    let same = match (x, y) {
+                        (Some(x), Some(y)) => same_series(x, y),
+                        (x, y) => x.is_none() && y.is_none(),
+                    };
+                    assert!(same, "seed {seed} batch {batch}: slot {slot} differs");
+                }
+                for _ in 0..20 {
+                    let i = hot[rng.next_index(hot.len())];
+                    let k = rng.next_index(kinds.len());
+                    let now = SimTime::from_millis(clock.saturating_sub(rng.next_below(width)));
+                    let from = (clock / 2) - (clock / 2) % width;
+                    let window = SimDuration::from_millis(now.as_millis().saturating_sub(from));
+                    let [ca, cb] = cursors.entry((i, k)).or_default();
+                    let (sa, na) =
+                        shipped.window_summary_resumed(scopes[i], kinds[k], now, window, ca);
+                    let (sb, nb) =
+                        scanned.window_summary_resumed(scopes[i], kinds[k], now, window, cb);
+                    assert_eq!((bits(sa), na), (bits(sb), nb), "seed {seed} batch {batch}");
+                    resumed_kept += u32::from(na.acc.count() > 0);
+                    (*ca, *cb) = (na, nb);
+                }
+            }
+        }
+        assert!(flushes_seen > 150 && threshold_flushes > 20, "{flushes_seen} {threshold_flushes}");
+        assert!(cleared > 50 && resumed_kept > 1_000, "{cleared} cleared, {resumed_kept} kept");
     }
 }

@@ -6,7 +6,7 @@
 //! workload, mutate routing between windows, deploy new versions, and read
 //! the metric store and trace collector.
 
-use crate::app::{Application, VersionId, VersionSpec};
+use crate::app::{Application, EndpointName, VersionId, VersionSpec};
 use crate::error::SimError;
 use crate::event::{self, EventRequest};
 use crate::faults::{Fault, FaultPlan};
@@ -388,33 +388,7 @@ impl Simulation {
         let window_started = std::time::Instant::now();
         let from = self.clock;
         let to = from + duration;
-        let window_seed = sub_seed(self.workload_seed, self.windows_run);
-        self.windows_run += 1;
-        let mut requests = Vec::new();
-        {
-            cex_core::span!(self.profiler, "sim.window.arrivals");
-            let mut arrivals = ArrivalProcess::new(workload.clone(), from, window_seed);
-            for arrival in arrivals.arrivals_until(to) {
-                // Per request, in arrival order: the trace decision, then
-                // two draws from the simulation's stream — the root hop's
-                // seed and the conversion draw.
-                let trace = self.collector.begin_trace();
-                let root_seed = self.rng.next_u64();
-                let conv_u = self.rng.next_f64();
-                requests.push(EventRequest {
-                    time: arrival.time,
-                    user: arrival.user,
-                    service: arrival.service,
-                    endpoint: self
-                        .app
-                        .endpoint_name(&arrival.endpoint)
-                        .expect("workload references a valid entry point"),
-                    trace,
-                    root_seed,
-                    conv_u,
-                });
-            }
-        }
+        let requests = self.window_requests(to, workload);
         let mut sink = MetricSink::new(&mut self.store, &self.version_scopes, self.app_scope);
         let stats = event::run_window(
             &self.app,
@@ -445,6 +419,41 @@ impl Simulation {
             failures: stats.failures,
             response_time: stats.rt.summary(),
         }
+    }
+
+    /// The next window's arrivals, from the clock up to `to`, as event-core
+    /// requests. Per request, in arrival order: the trace decision, then two
+    /// draws from the simulation's stream — the root hop's seed and the
+    /// conversion draw. An entry's endpoint name is resolved on its first
+    /// draw of the window, so an entry never drawn is never looked up.
+    fn window_requests(&mut self, to: SimTime, workload: &Workload) -> Vec<EventRequest> {
+        cex_core::span!(self.profiler, "sim.window.arrivals");
+        let window_seed = sub_seed(self.workload_seed, self.windows_run);
+        self.windows_run += 1;
+        let mut arrivals = ArrivalProcess::new(workload.clone(), self.clock, window_seed);
+        let mut endpoints: Vec<Option<EndpointName>> = vec![None; workload.entries.len()];
+        let mut requests = Vec::new();
+        while let Some(draw) = arrivals.draw_before(to) {
+            let trace = self.collector.begin_trace();
+            let root_seed = self.rng.next_u64();
+            let conv_u = self.rng.next_f64();
+            let entry = &workload.entries[draw.entry];
+            let endpoint = *endpoints[draw.entry].get_or_insert_with(|| {
+                self.app
+                    .endpoint_name(&entry.endpoint)
+                    .expect("workload references a valid entry point")
+            });
+            requests.push(EventRequest {
+                time: draw.time,
+                user: draw.user,
+                service: entry.service,
+                endpoint,
+                trace,
+                root_seed,
+                conv_u,
+            });
+        }
+        requests
     }
 }
 
@@ -517,6 +526,82 @@ mod tests {
             drop(sink); // window boundary: flush buffered samples
             self.clock = to;
             RunReport { from, to, requests, failures, response_time: rt.summary() }
+        }
+
+        /// [`Simulation::window_requests`] as it was before arrivals became
+        /// (time, user, entry index): every arrival built whole by the
+        /// linear-scan entry draw, its endpoint looked up by name.
+        fn window_requests_by_lookup(
+            &mut self,
+            to: SimTime,
+            workload: &Workload,
+        ) -> Vec<EventRequest> {
+            let window_seed = sub_seed(self.workload_seed, self.windows_run);
+            self.windows_run += 1;
+            let mut arrivals = ArrivalProcess::new(workload.clone(), self.clock, window_seed);
+            let mut requests = Vec::new();
+            loop {
+                let arrival = arrivals.next_arrival_by_scan();
+                if arrival.time >= to {
+                    return requests;
+                }
+                let trace = self.collector.begin_trace();
+                let root_seed = self.rng.next_u64();
+                let conv_u = self.rng.next_f64();
+                requests.push(EventRequest {
+                    time: arrival.time,
+                    user: arrival.user,
+                    service: arrival.service,
+                    endpoint: self
+                        .app
+                        .endpoint_name(&arrival.endpoint)
+                        .expect("workload references a valid entry point"),
+                    trace,
+                    root_seed,
+                    conv_u,
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn window_requests_equal_the_linear_scan_and_name_lookup_oracle() {
+        // One service serving `e0`..`e23`; a zero-weight entry names an
+        // endpoint nobody serves, which must never be looked up.
+        let mut b = Application::builder();
+        let mut spec = VersionSpec::new("s", "1");
+        for i in 0..24 {
+            spec = spec.endpoint(EndpointDef::new(format!("e{i}"), LatencyModel::default()));
+        }
+        b.version(spec);
+        let app = b.build().unwrap();
+        let s = app.service_id("s").unwrap();
+        for (case, weights) in crate::workload::entry_weight_cases(3).iter().enumerate() {
+            let mut workload = Workload::simple(s, "e0", 2_000.0);
+            workload.entries = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &weight)| crate::workload::EntryPoint {
+                    service: s,
+                    endpoint: if weight > 0.0 { format!("e{i}") } else { format!("nowhere{i}") },
+                    weight,
+                })
+                .collect();
+            let mut shipped = Simulation::new(app.clone(), 40 + case as u64);
+            let mut oracle = Simulation::new(app.clone(), 40 + case as u64);
+            for sim in [&mut shipped, &mut oracle] {
+                sim.set_trace_sampling(0.3);
+            }
+            let mut drawn = 0;
+            for window in 1..=2 {
+                let to = SimTime::from_secs(30 * window);
+                let requests = shipped.window_requests(to, &workload);
+                assert_eq!(requests, oracle.window_requests_by_lookup(to, &workload), "{case}");
+                drawn += requests.len();
+                shipped.clock = to;
+                oracle.clock = to;
+            }
+            assert!(drawn >= 100_000, "case {case}: {drawn} draws");
         }
     }
 

@@ -14,6 +14,15 @@
 //! profiles are generated by Lewis thinning against the profile's peak
 //! rate, so every arrival stream remains a pure function of the seed,
 //! drawn in arrival order before the event core runs.
+//!
+//! An arrival's entry point is one uniform draw `x` looked up in the
+//! normalised cumulative entry weights: the first entry whose cumulative
+//! weight exceeds `x`, found by bisection, or the last entry when rounding
+//! left the total below `x`. Zero-weight entries are never drawn (their
+//! cumulative weight equals their predecessor's), except a trailing one by
+//! that clamp. The simulation takes each arrival as (time, user, entry
+//! index) and resolves an entry's endpoint once per window, on its first
+//! draw; [`ArrivalProcess::next_arrival`] builds the full [`Arrival`].
 
 use crate::app::ServiceId;
 use crate::error::SimError;
@@ -239,6 +248,22 @@ pub struct Arrival {
     pub endpoint: String,
 }
 
+/// One arrival as the process draws it: an [`Arrival`] with its entry
+/// point as an index into [`Workload::entries`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Draw {
+    pub(crate) time: SimTime,
+    pub(crate) user: UserId,
+    pub(crate) group: GroupId,
+    pub(crate) entry: usize,
+}
+
+/// The entry drawn by `x`: the first whose cumulative weight exceeds it,
+/// clamped to the last (see the module doc).
+fn entry_index(cumulative_weights: &[f64], x: f64) -> usize {
+    cumulative_weights.partition_point(|w| *w <= x).min(cumulative_weights.len() - 1)
+}
+
 /// The two states of the MMPP modulating chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum MmppState {
@@ -388,6 +413,25 @@ impl ArrivalProcess {
 
     /// The next arrival (advances virtual time).
     pub fn next_arrival(&mut self) -> Arrival {
+        let draw = self.next_draw();
+        self.arrival(draw)
+    }
+
+    /// The [`Arrival`] a draw stands for.
+    fn arrival(&self, draw: Draw) -> Arrival {
+        let entry = &self.workload.entries[draw.entry];
+        Arrival {
+            time: draw.time,
+            user: draw.user,
+            group: draw.group,
+            service: entry.service,
+            endpoint: entry.endpoint.clone(),
+        }
+    }
+
+    /// Advances virtual time to the next arrival and draws its user and
+    /// entry index.
+    fn next_draw(&mut self) -> Draw {
         self.advance_to_next_arrival();
 
         // Draw a user: group by size weight, then uniform within group.
@@ -408,33 +452,28 @@ impl ArrivalProcess {
 
         // Draw an entry point.
         let x = self.rng.next_f64();
-        let idx = self
-            .cumulative_entry_weights
-            .iter()
-            .position(|w| x < *w)
-            .unwrap_or(self.workload.entries.len() - 1);
-        let entry = &self.workload.entries[idx];
-        Arrival {
-            time: self.now,
-            user,
-            group,
-            service: entry.service,
-            endpoint: entry.endpoint.clone(),
+        let entry = entry_index(&self.cumulative_entry_weights, x);
+        Draw { time: self.now, user, group, entry }
+    }
+
+    /// The next draw if it arrives strictly before `end`. Otherwise the
+    /// overshooting draw is dropped, the process stops at `end` and `None`
+    /// ends the window; open-loop processes are memoryless, so this does
+    /// not bias the next window.
+    pub(crate) fn draw_before(&mut self, end: SimTime) -> Option<Draw> {
+        let draw = self.next_draw();
+        if draw.time >= end {
+            self.now = end;
+            return None;
         }
+        Some(draw)
     }
 
     /// All arrivals strictly before `end`.
     pub fn arrivals_until(&mut self, end: SimTime) -> Vec<Arrival> {
         let mut out = Vec::new();
-        loop {
-            let a = self.next_arrival();
-            if a.time >= end {
-                // The overshooting arrival is dropped; open-loop processes
-                // are memoryless so this does not bias the next window.
-                self.now = end;
-                break;
-            }
-            out.push(a);
+        while let Some(draw) = self.draw_before(end) {
+            out.push(self.arrival(draw));
         }
         out
     }
@@ -461,6 +500,34 @@ impl ArrivalProcess {
 fn exponential(rng: &mut SplitMix64, mean: SimDuration) -> SimDuration {
     let u = rng.next_f64().max(f64::MIN_POSITIVE);
     SimDuration::from_millis(((-u.ln() * mean.as_millis_f64()).round() as u64).max(1))
+}
+
+/// Entry weights with zeros leading, inside and trailing, a single entry,
+/// all weight on the last entry, totals that do not normalise to exactly 1,
+/// and `searched` random vectors (about a third of their weights zero).
+#[cfg(test)]
+pub(crate) fn entry_weight_cases(searched: u64) -> Vec<Vec<f64>> {
+    let mut cases = vec![
+        vec![1.0],
+        vec![0.0, 0.0, 2.0, 1.0],
+        vec![1.0, 0.0, 0.0, 3.0, 0.0, 1.0],
+        vec![2.0, 1.0, 0.0, 0.0],
+        vec![0.0, 0.0, 0.0, 5.0],
+        vec![0.1; 10],
+        vec![1.0 / 3.0; 7],
+    ];
+    let mut rng = SplitMix64::new(0x5eed);
+    for _ in 0..searched {
+        let len = 1 + (rng.next_u64() % 24) as usize;
+        let mut weights: Vec<f64> = (0..len)
+            .map(|_| if rng.next_u64().is_multiple_of(3) { 0.0 } else { rng.next_f64() * 10.0 })
+            .collect();
+        if weights.iter().all(|w| *w == 0.0) {
+            weights[len - 1] = 1.0;
+        }
+        cases.push(weights);
+    }
+    cases
 }
 
 #[cfg(test)]
@@ -526,6 +593,106 @@ mod tests {
         for _ in 0..1_000 {
             let a = p.next_arrival();
             assert_eq!(p.group_of(a.user), a.group);
+        }
+    }
+
+    /// The entry draw this module's bisection replaced: the first
+    /// cumulative weight above `x`, else the last entry.
+    fn entry_index_by_scan(cumulative_weights: &[f64], x: f64) -> usize {
+        cumulative_weights.iter().position(|w| x < *w).unwrap_or(cumulative_weights.len() - 1)
+    }
+
+    impl ArrivalProcess {
+        /// [`ArrivalProcess::next_arrival`] with the entry drawn by
+        /// [`entry_index_by_scan`]: the same draws in the same order.
+        pub(crate) fn next_arrival_by_scan(&mut self) -> Arrival {
+            self.advance_to_next_arrival();
+            let total_users = self.workload.population.total_users().max(1);
+            let pick = (self.rng.next_f64() * total_users as f64) as u64;
+            let mut group = GroupId(0);
+            let mut seen = 0u64;
+            for (gid, g) in self.workload.population.iter() {
+                seen += g.size();
+                if pick < seen {
+                    group = gid;
+                    break;
+                }
+                group = gid;
+            }
+            let gsize = self.workload.population.group(group).size().max(1);
+            let user =
+                UserId(self.group_bases[group.0] + (self.rng.next_f64() * gsize as f64) as u64);
+            let x = self.rng.next_f64();
+            let entry =
+                &self.workload.entries[entry_index_by_scan(&self.cumulative_entry_weights, x)];
+            Arrival {
+                time: self.now,
+                user,
+                group,
+                service: entry.service,
+                endpoint: entry.endpoint.clone(),
+            }
+        }
+    }
+
+    fn weighted_workload(weights: &[f64]) -> Workload {
+        let mut w = workload(1_000.0);
+        w.entries = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &weight)| EntryPoint {
+                service: ServiceId(i % 3),
+                endpoint: format!("e{i}"),
+                weight,
+            })
+            .collect();
+        w
+    }
+
+    #[test]
+    fn the_entry_bisection_is_the_linear_scan_at_and_around_every_boundary() {
+        let mut rng = SplitMix64::new(17);
+        let mut beyond_the_total = 0;
+        for weights in entry_weight_cases(400) {
+            let p = ArrivalProcess::new(weighted_workload(&weights), SimTime::ZERO, 1);
+            let cumulative = &p.cumulative_entry_weights;
+            let last = *cumulative.last().unwrap();
+            let mut probes = vec![0.0, -0.0, last, last.next_up(), 1.0, 2.0, f64::MAX];
+            for &w in cumulative {
+                probes.extend([w, w.next_down(), w.next_up()]);
+            }
+            probes.extend((0..64).map(|_| rng.next_f64()));
+            for x in probes {
+                beyond_the_total += usize::from(x >= last);
+                let got = entry_index(cumulative, x);
+                assert_eq!(got, entry_index_by_scan(cumulative, x), "{weights:?} at {x}");
+                // Inside the draw's domain, never a zero-weight entry but by
+                // the clamp.
+                let drawable = x >= 0.0;
+                assert!(!drawable || weights[got] > 0.0 || got == weights.len() - 1, "{x}");
+            }
+        }
+        assert!(beyond_the_total > 1_000);
+    }
+
+    #[test]
+    fn next_arrival_streams_equal_the_linear_scan_oracle() {
+        for (case, weights) in entry_weight_cases(3).iter().enumerate() {
+            let w = weighted_workload(weights);
+            let seed = 1_000 + case as u64;
+            let mut bisected = ArrivalProcess::new(w.clone(), SimTime::from_secs(3), seed);
+            let mut scanned = ArrivalProcess::new(w, SimTime::from_secs(3), seed);
+            let mut drawn = vec![0_usize; weights.len()];
+            for _ in 0..100_000 {
+                let a = bisected.next_arrival();
+                assert_eq!(a, scanned.next_arrival_by_scan(), "case {case}");
+                drawn[a.endpoint[1..].parse::<usize>().unwrap()] += 1;
+            }
+            let total: f64 = weights.iter().sum();
+            for (i, (n, weight)) in drawn.iter().zip(weights).enumerate() {
+                assert!(*weight > 0.0 || *n == 0, "case {case}: zero-weight entry {i} drawn");
+                assert!(weight / total < 1e-3 || *n > 0, "case {case}: entry {i} never drawn");
+            }
         }
     }
 
