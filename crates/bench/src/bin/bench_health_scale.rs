@@ -29,7 +29,7 @@
 //! [--out PATH]` a reduced run emits only deterministic fields — CI runs
 //! it twice and byte-diffs the outputs.
 
-use cex_bench::write_bench_json;
+use cex_bench::{smoke_args, write_bench_json};
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, EndpointDef, EndpointId, VersionId, VersionSpec};
@@ -499,14 +499,7 @@ fn run_full() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_health_scale_smoke.json".to_string());
+    let (smoke, out) = smoke_args("results/BENCH_health_scale_smoke.json");
     if smoke {
         run_smoke(&out);
     } else {

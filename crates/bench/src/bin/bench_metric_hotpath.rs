@@ -2,7 +2,7 @@
 //! case-study application, plus head-to-head comparisons against the
 //! pre-PR metric store.
 //!
-//! Three measurements, mirroring the store's three claims:
+//! Five measurements, the first three mirroring the store's three claims:
 //!
 //! 1. **End-to-end ingestion** — drives ≥1M requests through the
 //!    case-study app (Figure 4.5) and reports sample throughput and the
@@ -30,12 +30,14 @@
 //!    one-second buckets. From scratch grows with the window; resumed
 //!    must not. The looks from scratch step back one bucket per call over
 //!    the last ten; a resumed look is never remembered, so it repeats.
+//! 5. **Moving average** — one Figure 4.6-shaped sweep (3 s window,
+//!    500 ms step, one minute) over 10^6 samples.
 //!
 //! Writes `results/BENCH_metrics.json`. With `--smoke [--out PATH]` it
 //! runs a reduced, timing-free variant whose JSON contains only
 //! deterministic fields — CI runs it twice and diffs the outputs.
 
-use cex_bench::write_bench_json;
+use cex_bench::{smoke_args, write_bench_json};
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::simtime::{SimDuration, SimTime};
 use cex_core::users::Population;
@@ -375,6 +377,24 @@ fn bench_cumulative_window(buckets: u64) -> (f64, f64) {
     (fresh_ns, resumed_ns)
 }
 
+/// One [`MetricStore::moving_average`] sweep of Figure 4.6's shape — a 3 s
+/// window stepped every 500 ms over the last minute — on a series of 10^6
+/// samples at ten per simulated millisecond (one-second buckets). Returns
+/// ns per sweep.
+fn bench_moving_average() -> f64 {
+    let mut store = MetricStore::new();
+    let scope = store.intern("svc@1");
+    let metric = MetricKind::ResponseTime;
+    for i in 0..1_000_000u64 {
+        store.record_id(scope, metric, Sample::new(SimTime::from_millis(i / 10), (i % 97) as f64));
+    }
+    let (start, end) = (SimTime::from_secs(40), SimTime::from_secs(100));
+    let (window, step) = (SimDuration::from_secs(3), SimDuration::from_millis(500));
+    time_queries(200, |_| {
+        store.moving_average("svc@1", metric, start, end, window, step).len() as u64
+    })
+}
+
 /// Reduced deterministic run for CI: no timings in the JSON, so two
 /// invocations must produce byte-identical files.
 fn run_smoke(out: &str) {
@@ -462,6 +482,10 @@ fn run_full() {
         cumulative.push((buckets, fresh_ns, resumed_ns));
     }
 
+    // 5. A moving-average sweep.
+    let sweep_ns = bench_moving_average();
+    println!("moving_average (1m span, 3s window, 500ms step, 10^6 samples): {sweep_ns:.0} ns");
+
     let mut json = String::from("  \"sim\": {\n");
     let _ = writeln!(json, "    \"requests\": {},", sim.requests);
     let _ = writeln!(json, "    \"samples_recorded\": {},", sim.samples_recorded);
@@ -509,7 +533,11 @@ fn run_full() {
             if i + 1 < cumulative.len() { "," } else { "" }
         );
     }
-    json.push_str("  ]\n");
+    json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"moving_average_ns\": {{\"series_len\": 1000000, \"span_s\": 60, \"window_ms\": 3000, \"step_ms\": 500, \"sweep_ns\": {sweep_ns:.0}}}"
+    );
     write_bench_json("results/BENCH_metrics.json", "metric_hotpath", &json);
 
     assert!(speedup >= 5.0, "ingestion speedup {speedup:.2}x below the 5x acceptance bar");
@@ -518,14 +546,7 @@ fn run_full() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_metrics_smoke.json".to_string());
+    let (smoke, out) = smoke_args("results/BENCH_metrics_smoke.json");
     if smoke {
         run_smoke(&out);
     } else {

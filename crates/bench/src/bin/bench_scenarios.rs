@@ -22,7 +22,7 @@
 
 use bifrost::dsl;
 use bifrost::engine::{Engine, EngineConfig};
-use cex_bench::write_bench_json;
+use cex_bench::{smoke_args, write_bench_json};
 use cex_core::metrics::MetricKind;
 use cex_core::simtime::{SimDuration, SimTime};
 use microsim::corpus::{
@@ -270,14 +270,7 @@ fn run_full() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_scenarios_smoke.json".to_string());
+    let (smoke, out) = smoke_args("results/BENCH_scenarios_smoke.json");
     if smoke {
         run_smoke(&out);
     } else {

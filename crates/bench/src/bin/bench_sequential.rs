@@ -29,7 +29,7 @@
 
 use bifrost::dsl;
 use bifrost::engine::{Engine, EngineConfig, StrategyStatus};
-use cex_bench::write_bench_json;
+use cex_bench::{smoke_args, write_bench_json};
 use cex_core::simtime::SimDuration;
 use microsim::app::{Application, EndpointDef, VersionSpec};
 use microsim::latency::LatencyModel;
@@ -199,15 +199,7 @@ fn run_grid(out: &str, bench: &str, seeds: &[u64], phase_mins: u64, verbose: boo
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_sequential.json")
-        .to_string();
+    let (smoke, out) = smoke_args("results/BENCH_sequential.json");
     if smoke {
         let seeds: Vec<u64> = (300..304).collect();
         run_grid(&out, "sequential_smoke", &seeds, 10, false);

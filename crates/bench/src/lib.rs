@@ -46,6 +46,21 @@ pub fn write_bench_json(path: &str, bench: &str, fields: &str) {
     println!("wrote {path}");
 }
 
+/// The command line every `bench_*` bin takes, `[--smoke] [--out PATH]`:
+/// whether to run the reduced, timing-free variant, and the JSON file to
+/// write (`default_out` when `--out` is absent).
+pub fn smoke_args(default_out: &str) -> (bool, String) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| default_out.to_string());
+    (smoke, out)
+}
+
 /// Renders one aligned text row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")

@@ -11,9 +11,9 @@
 //!   (`"engine.tick.observe"`). Scoped RAII timers ([`Profiler::span`],
 //!   or the [`span!`](crate::span) macro) fold each duration into the
 //!   node's running total and a [`QuantileSketch`], so the whole profile
-//!   is O(tree), not O(samples). [`Profiler::render_profile`] emits a
-//!   text tree; [`Profiler::collapsed_stacks`] emits collapsed-stack
-//!   lines loadable in flamegraph tools.
+//!   is O(tree), not O(samples). A [`Profiler::snapshot`] renders as a
+//!   text tree ([`ProfileSnapshot::render`]) or as collapsed-stack lines
+//!   loadable in flamegraph tools ([`ProfileSnapshot::collapsed`]).
 //! * [`Counters`] — named monotonic counters and high-water gauges
 //!   (events popped, queue-depth high-water marks, sheds, batch flushes,
 //!   …) assembled as snapshots with deterministic (sorted) iteration
@@ -279,7 +279,7 @@ impl Profiler {
     /// This is the escape hatch for always-on accounting (`sim.window`,
     /// `engine.tick`) whose totals back public busy-time accessors.
     pub fn record(&self, path: &str, d: Duration) {
-        self.nodes.borrow_mut().entry(path.to_string()).or_default().record(d);
+        self.update(path, |node| node.record(d));
     }
 
     /// Folds a locally-accumulated [`PhaseStats`] into `path`.
@@ -287,7 +287,7 @@ impl Profiler {
         if stats.count == 0 {
             return;
         }
-        self.nodes.borrow_mut().entry(path.to_string()).or_default().merge(stats);
+        self.update(path, |node| node.merge(stats));
     }
 
     /// Folds a pre-aggregated total into `path` (no distribution data).
@@ -295,7 +295,18 @@ impl Profiler {
         if count == 0 {
             return;
         }
-        self.nodes.borrow_mut().entry(path.to_string()).or_default().record_bulk(total_ns, count);
+        self.update(path, |node| node.record_bulk(total_ns, count));
+    }
+
+    /// Applies `f` to the node at `path`, looked up by `&str`: the path's
+    /// `String` is allocated only on the node's first record.
+    fn update(&self, path: &str, f: impl FnOnce(&mut PhaseStats)) {
+        let mut nodes = self.nodes.borrow_mut();
+        if let Some(node) = nodes.get_mut(path) {
+            f(node);
+        } else {
+            f(nodes.entry(path.to_string()).or_default());
+        }
     }
 
     /// Merges every node of `other` into this profiler by path.
@@ -321,23 +332,6 @@ impl Profiler {
     pub fn snapshot(&self) -> ProfileSnapshot {
         let nodes = self.nodes.borrow().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         ProfileSnapshot { nodes }
-    }
-
-    /// Renders the phase tree as indented text (see
-    /// [`ProfileSnapshot::render`]).
-    pub fn render_profile(&self) -> String {
-        self.snapshot().render()
-    }
-
-    /// Renders collapsed-stack lines for flamegraph tools (see
-    /// [`ProfileSnapshot::collapsed`]).
-    pub fn collapsed_stacks(&self) -> String {
-        self.snapshot().collapsed()
-    }
-
-    /// Discards every recorded node, keeping the enabled flag.
-    pub fn reset(&self) {
-        self.nodes.borrow_mut().clear();
     }
 }
 
@@ -682,5 +676,13 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.5µs");
         assert_eq!(fmt_ns(2_500_000), "2.50ms");
         assert_eq!(fmt_ns(3_210_000_000), "3.210s");
+        // `ProfileSnapshot::render` prints totals and means in those units,
+        // and `ProfileSnapshot::collapsed` self-times in whole nanoseconds.
+        let prof = Profiler::new(ObsConfig::disabled());
+        prof.fold_bulk("engine.tick", 5_000_000, 2);
+        let snap = prof.snapshot();
+        let rendered = snap.render();
+        assert!(rendered.contains("5.00ms") && rendered.contains("mean     2.50ms"), "{rendered}");
+        assert_eq!(snap.collapsed(), "engine;tick 5000000\n");
     }
 }

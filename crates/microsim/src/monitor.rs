@@ -89,12 +89,13 @@
 //!   candidate against its baseline), or two checks that read two
 //!   metrics of one scope over one window, fold both series in one loop
 //!   ([`MetricStore::window_summary_pair`]), one bucket of each per
-//!   iteration. Each series keeps exactly the merges and pushes of its
-//!   own fold, and only the two independent dependency chains interleave,
-//!   so the CPU overlaps their divides. Validity rule: none is needed —
-//!   each side is the single-series fold's sequence, with its own raw
-//!   cursor, and the longer side finishes alone; a pair counts as two
-//!   reads and fills both memos.
+//!   iteration. Every read folds a window the same way, one bucket per
+//!   step of one walk; a pair steps two walks in turn, so each series
+//!   keeps exactly the merges and pushes of its own read, and only the
+//!   two independent dependency chains interleave, so the CPU overlaps
+//!   their divides. Validity rule: none is needed — each side is a
+//!   single read's walk, with its own raw cursor, and the longer side
+//!   finishes alone; a pair counts as two reads and fills both memos.
 //!
 //! Everything stays deterministic: ingestion order is driven by the
 //! virtual clock, bucket contents and compaction depend only on the data,
@@ -320,68 +321,17 @@ impl Series {
         }
     }
 
-    /// Folds the non-empty buckets with an index in `buckets`, in order,
-    /// of the query `from_ms <= time < to_ms` into `acc`: whole buckets
-    /// merged for the fully covered interior, raw samples pushed
-    /// individually for the partially covered edges. Edge buckets below
-    /// the compaction floor are merged whole (bucket granularity).
-    fn fold(
-        &self,
-        buckets: std::ops::Range<u64>,
-        from_ms: u64,
-        to_ms: u64,
-        width_ms: u64,
-        acc: &mut OnlineStats,
-    ) {
-        // No bucket is past the latest sample's: a look at a series that has
-        // since gone quiet — a version out of traffic — ends here, on the
-        // series' own fields, without a read of either column.
-        if buckets.is_empty() || buckets.start > self.max_time_ms / width_ms {
-            return;
-        }
-        let mut raw_cursor: Option<usize> = None;
-        let first = first_at_or_after(&self.bucket_idx, buckets.start);
-        for (&b, stats) in self.bucket_idx[first..].iter().zip(&self.buckets[first..]) {
-            if b >= buckets.end {
-                break;
-            }
-            let b_start = b * width_ms;
-            let b_end = b_start + width_ms;
-            if (from_ms <= b_start && to_ms >= b_end) || b_start < self.raw_floor_ms {
-                // Fully covered, or compacted below the raw floor: merge
-                // the pre-aggregated bucket.
-                acc.merge(stats);
-            } else {
-                // Partially covered edge, raw-backed: exact resolution.
-                let s = from_ms.max(b_start);
-                let e = to_ms.min(b_end);
-                let start = *raw_cursor
-                    .get_or_insert_with(|| self.raw.partition_point(|x| x.time.as_millis() < s));
-                let mut i = start;
-                while let Some(sample) = self.raw.get(i) {
-                    let t = sample.time.as_millis();
-                    if t >= e {
-                        break;
-                    }
-                    if t >= s {
-                        acc.push(sample.value);
-                    }
-                    i += 1;
-                }
-                raw_cursor = Some(i);
-            }
-        }
+    /// The walk over the whole query `from_ms <= time < to_ms`, from an
+    /// empty accumulator.
+    fn walk(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> Walk<'_> {
+        let buckets = Self::bucket_span(from_ms, to_ms, width_ms);
+        Walk::new(self, buckets, from_ms, to_ms, width_ms, OnlineStats::new())
     }
 
-    /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`.
-    fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
-        self.fold(Self::bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
-    }
-
-    /// [`Series::accumulate`] from an empty accumulator, continued from
-    /// `cursor` where it is still good (see [`WindowCursor`] for the
-    /// rule). The buckets, their order and every merge and push are those
-    /// of the fold from scratch, so the summary is the same to the bit.
+    /// [`Series::walk`]'s summary, continued from `cursor` where it is
+    /// still good (see [`WindowCursor`] for the rule). The buckets, their
+    /// order and every merge and push are those of the walk from scratch,
+    /// so the summary is the same to the bit.
     fn resume(
         &self,
         from_ms: u64,
@@ -403,18 +353,12 @@ impl Series {
         let good = cursor.epoch == self.epoch
             && cursor.from_ms == from_ms
             && (span.start..=keep_to).contains(&cursor.next_bucket);
-        let (mut acc, start) =
+        let (acc, start) =
             if good { (cursor.acc, cursor.next_bucket) } else { (OnlineStats::new(), span.start) };
-        self.fold(start..keep_to, from_ms, to_ms, width_ms, &mut acc);
+        let acc = Walk::new(self, start..keep_to, from_ms, to_ms, width_ms, acc).finish();
         let kept = WindowCursor { from_ms, next_bucket: keep_to, epoch: self.epoch, acc };
-        self.fold(keep_to..span.end, from_ms, to_ms, width_ms, &mut acc);
+        let acc = Walk::new(self, keep_to..span.end, from_ms, to_ms, width_ms, acc).finish();
         (acc.summary(), kept)
-    }
-
-    fn summary_between(&self, from: SimTime, to: SimTime, width_ms: u64) -> Summary {
-        let mut acc = OnlineStats::new();
-        self.accumulate(from.as_millis(), to.as_millis(), width_ms, &mut acc);
-        acc.summary()
     }
 
     /// The remembered summary of `from_ms <= time < to_ms`, if the memo
@@ -443,8 +387,7 @@ impl Series {
     /// remembered one, or the fold's, remembered.
     fn window(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> Summary {
         self.remembered(from_ms, to_ms).unwrap_or_else(|| {
-            let mut acc = OnlineStats::new();
-            self.accumulate(from_ms, to_ms, width_ms, &mut acc);
+            let acc = self.walk(from_ms, to_ms, width_ms).finish();
             self.remember(from_ms, to_ms, &acc)
         })
     }
@@ -461,8 +404,8 @@ impl Series {
         match (a.remembered(from_ms, to_ms), b.remembered(from_ms, to_ms)) {
             (Some(x), Some(y)) => [x, y],
             (None, None) => {
-                let walk = |s| Walk::new(s, from_ms, to_ms, width_ms);
-                let [x, y] = lockstep(walk(a), walk(b));
+                let [x, y] =
+                    lockstep(a.walk(from_ms, to_ms, width_ms), b.walk(from_ms, to_ms, width_ms));
                 [a.remember(from_ms, to_ms, &x), b.remember(from_ms, to_ms, &y)]
             }
             (x, y) => [
@@ -473,17 +416,17 @@ impl Series {
     }
 }
 
-/// [`Series::fold`] of a trailing window from an empty accumulator,
-/// taken one non-empty bucket at a time ([`Walk::step`]) so that
-/// [`lockstep`] can run two side by side. A step is one iteration of the
-/// fold's loop: the same merge, or the same pushes from the same raw
-/// cursor, in the same order.
+/// The store's one fold: the non-empty buckets of a series with an index
+/// in a range, in order, folded into an accumulator for the query
+/// `from_ms <= time < to_ms`, one bucket per [`Walk::step`] — so that
+/// [`lockstep`] can run two side by side, and a resumed read can stop at
+/// the buckets its cursor keeps and go on from there.
 struct Walk<'a> {
     series: &'a Series,
     /// The two bucket columns from the next bucket on.
     idx: &'a [u64],
     stats: &'a [OnlineStats],
-    /// First bucket index past the window.
+    /// First bucket index past the range.
     end: u64,
     from_ms: u64,
     to_ms: u64,
@@ -493,29 +436,42 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(series: &'a Series, from_ms: u64, to_ms: u64, width_ms: u64) -> Self {
-        let span = Series::bucket_span(from_ms, to_ms, width_ms);
-        // The fold's early exit for a series gone quiet: nothing to walk.
-        let first = if span.is_empty() || span.start > series.max_time_ms / width_ms {
+    #[inline(always)]
+    fn new(
+        series: &'a Series,
+        buckets: std::ops::Range<u64>,
+        from_ms: u64,
+        to_ms: u64,
+        width_ms: u64,
+        acc: OnlineStats,
+    ) -> Self {
+        // No bucket is past the latest sample's: a look at a series that has
+        // since gone quiet — a version out of traffic — walks nothing, and
+        // is decided on the series' own fields without a read of either
+        // column.
+        let first = if buckets.is_empty() || buckets.start > series.max_time_ms / width_ms {
             series.bucket_idx.len()
         } else {
-            first_at_or_after(&series.bucket_idx, span.start)
+            first_at_or_after(&series.bucket_idx, buckets.start)
         };
         Walk {
             series,
             idx: &series.bucket_idx[first..],
             stats: &series.buckets[first..],
-            end: span.end,
+            end: buckets.end,
             from_ms,
             to_ms,
             width_ms,
             raw_cursor: None,
-            acc: OnlineStats::new(),
+            acc,
         }
     }
 
     /// Folds the next bucket into the accumulator; `false`, folding
-    /// nothing, once the window has none left.
+    /// nothing, once the range has none left. A bucket the query covers
+    /// whole, or one compacted below the raw floor (bucket granularity),
+    /// is merged; a partially covered edge pushes its raw samples in the
+    /// query, from one raw cursor per walk.
     #[inline(always)]
     fn step(&mut self) -> bool {
         let (Some((&b, idx)), Some((stats, rest))) =
@@ -552,6 +508,13 @@ impl<'a> Walk<'a> {
         }
         true
     }
+
+    /// Walks to the end of the range and returns the accumulator.
+    #[inline(always)]
+    fn finish(mut self) -> OnlineStats {
+        while self.step() {}
+        self.acc
+    }
 }
 
 /// Runs two walks to their ends, one step of each per iteration, then
@@ -561,9 +524,7 @@ impl<'a> Walk<'a> {
 /// are in flight at once.
 fn lockstep(mut a: Walk<'_>, mut b: Walk<'_>) -> [OnlineStats; 2] {
     while a.step() & b.step() {}
-    while a.step() {}
-    while b.step() {}
-    [a.acc, b.acc]
+    [a.finish(), b.finish()]
 }
 
 /// Where a cumulative window read left off, so the next look at the same
@@ -814,7 +775,9 @@ impl MetricStore {
         to: SimTime,
     ) -> Summary {
         self.series_at(scope, metric)
-            .map(|s| s.summary_between(from, to, self.bucket_width_ms))
+            .map(|s| {
+                s.walk(from.as_millis(), to.as_millis(), self.bucket_width_ms).finish().summary()
+            })
             .unwrap_or_default()
     }
 
@@ -996,8 +959,7 @@ impl MetricStore {
             } else {
                 // Window reaches into the compacted region: answer this
                 // step at bucket granularity.
-                let mut acc = OnlineStats::new();
-                series.accumulate(from_ms, to_ms, self.bucket_width_ms, &mut acc);
+                let acc = series.walk(from_ms, to_ms, self.bucket_width_ms).finish();
                 if let Some(mean) = acc.mean() {
                     out.push((t, mean));
                 }
@@ -1591,6 +1553,86 @@ mod tests {
         [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
     }
 
+    /// The fold [`Walk`] replaced, kept as it was: the oracle that single,
+    /// paired, remembered and resumed reads are all held to, so that a
+    /// defect in the one walk they share cannot pass by agreeing with
+    /// itself.
+    impl Series {
+        /// Folds the non-empty buckets with an index in `buckets`, in order,
+        /// of the query `from_ms <= time < to_ms` into `acc`: whole buckets
+        /// merged for the fully covered interior, raw samples pushed
+        /// individually for the partially covered edges. Edge buckets below
+        /// the compaction floor are merged whole (bucket granularity).
+        fn fold(
+            &self,
+            buckets: std::ops::Range<u64>,
+            from_ms: u64,
+            to_ms: u64,
+            width_ms: u64,
+            acc: &mut OnlineStats,
+        ) {
+            // No bucket is past the latest sample's: a look at a series that has
+            // since gone quiet — a version out of traffic — ends here, on the
+            // series' own fields, without a read of either column.
+            if buckets.is_empty() || buckets.start > self.max_time_ms / width_ms {
+                return;
+            }
+            let mut raw_cursor: Option<usize> = None;
+            let first = first_at_or_after(&self.bucket_idx, buckets.start);
+            for (&b, stats) in self.bucket_idx[first..].iter().zip(&self.buckets[first..]) {
+                if b >= buckets.end {
+                    break;
+                }
+                let b_start = b * width_ms;
+                let b_end = b_start + width_ms;
+                if (from_ms <= b_start && to_ms >= b_end) || b_start < self.raw_floor_ms {
+                    // Fully covered, or compacted below the raw floor: merge
+                    // the pre-aggregated bucket.
+                    acc.merge(stats);
+                } else {
+                    // Partially covered edge, raw-backed: exact resolution.
+                    let s = from_ms.max(b_start);
+                    let e = to_ms.min(b_end);
+                    let start = *raw_cursor.get_or_insert_with(|| {
+                        self.raw.partition_point(|x| x.time.as_millis() < s)
+                    });
+                    let mut i = start;
+                    while let Some(sample) = self.raw.get(i) {
+                        let t = sample.time.as_millis();
+                        if t >= e {
+                            break;
+                        }
+                        if t >= s {
+                            acc.push(sample.value);
+                        }
+                        i += 1;
+                    }
+                    raw_cursor = Some(i);
+                }
+            }
+        }
+
+        /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`.
+        fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
+            self.fold(Self::bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
+        }
+    }
+
+    /// The oracle fold's summary of `from_ms <= time < to_ms` over one
+    /// series of `store`, from an empty accumulator.
+    fn folded(
+        store: &MetricStore,
+        series: (ScopeId, MetricKind),
+        from_ms: u64,
+        to_ms: u64,
+    ) -> Summary {
+        let mut acc = OnlineStats::new();
+        if let Some(s) = store.series_at(series.0, series.1) {
+            s.accumulate(from_ms, to_ms, store.bucket_width_ms, &mut acc);
+        }
+        acc.summary()
+    }
+
     /// The fold stated apart from the store's layout, for the search below:
     /// buckets in a `BTreeMap` pushed sample by sample, every raw sample in
     /// a `Vec` in arrival order, no retention.
@@ -1657,10 +1699,10 @@ mod tests {
         // past the window start, a window start on and off the bucket grid
         // that sometimes moves, and `now` mostly advancing but sometimes
         // stepping back. At every look the read continued from the
-        // previous look's cursor must be the fresh read, bit for bit — and
-        // on seeds without retention the fresh read must be the
-        // `Reference`'s, so a fold that lost a bucket cannot agree with
-        // itself and pass.
+        // previous look's cursor must be the fresh read, bit for bit, and
+        // both must be the oracle fold's — and on seeds without retention
+        // the `Reference`'s — so a walk that lost a bucket cannot agree
+        // with itself and pass.
         use cex_core::rng::SplitMix64;
         let metric = MetricKind::ResponseTime;
         let (mut looks, mut kept_something) = (0u32, 0u32);
@@ -1744,6 +1786,9 @@ mod tests {
                 let (scratch, _) =
                     store.window_summary_resumed(scope, metric, now, window, &WindowCursor::new());
                 assert_eq!(bits(scratch), bits(fresh), "seed {seed}: from scratch");
+                let oracle = folded(&store, (scope, metric), from, now.as_millis() + 1);
+                assert_eq!(bits(fresh), bits(oracle), "seed {seed} width {width} at {now}: fresh");
+                assert_eq!(bits(resumed), bits(oracle), "seed {seed} at {now}: resumed");
                 if let Some(reference) = &reference {
                     let stated = reference.summary(from, now.as_millis() + 1);
                     assert_eq!(bits(fresh), bits(stated), "seed {seed} width {width} at {now}");
@@ -1899,8 +1944,8 @@ mod tests {
         // buckets; retention sometimes compacts past the window start; the
         // window's edges fall on and off the bucket grid. At every look the
         // pair must be two `window_summary_id` calls on a twin store read
-        // one series at a time, and the fold from scratch
-        // (`summary_between_id`, which no memo serves), bit for bit — and,
+        // one series at a time, the read from scratch (`summary_between_id`,
+        // which no memo serves) and the oracle fold, bit for bit — and,
         // without retention, the `Reference`'s. Some looks read one side
         // alone first or repeat the pair, so the pair also meets one or two
         // remembered sides.
@@ -1998,7 +2043,9 @@ mod tests {
                     let at =
                         format!("seed {seed} width {width} side {side} at {now} over {window}");
                     assert_eq!(bits(pair[side]), bits(single), "{at}: pair vs single");
-                    assert_eq!(bits(pair[side]), bits(fresh), "{at}: pair vs fresh fold");
+                    assert_eq!(bits(pair[side]), bits(fresh), "{at}: pair vs fresh read");
+                    let oracle = folded(store, (scope, metric), from_ms, to_ms);
+                    assert_eq!(bits(pair[side]), bits(oracle), "{at}: pair vs the fold");
                     if let Some(reference) = &twin.references[side] {
                         let stated = reference.summary(from_ms, to_ms);
                         assert_eq!(bits(pair[side]), bits(stated), "{at}: pair vs reference");

@@ -341,7 +341,8 @@ impl Breaker {
     }
 }
 
-/// Which policy applies to which caller→callee *service* edge.
+/// Which policy applies to which caller→callee *service* edge: one policy
+/// for every edge, or none.
 ///
 /// Breakers are still tracked per *version* pair — the plan only selects
 /// the configuration. An empty plan is free: the executor skips the
@@ -349,7 +350,6 @@ impl Breaker {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResiliencePlan {
     default: Option<CallPolicy>,
-    edges: Vec<((usize, usize), CallPolicy)>,
 }
 
 impl ResiliencePlan {
@@ -361,33 +361,18 @@ impl ResiliencePlan {
     /// A plan applying one policy to every service edge.
     pub fn with_default(policy: CallPolicy) -> Self {
         policy.validate();
-        ResiliencePlan { default: Some(policy), edges: Vec::new() }
+        ResiliencePlan { default: Some(policy) }
     }
 
-    /// Sets the policy for one caller→callee service edge (overrides the
-    /// default on that edge). Service ids are the `ServiceId` indices.
-    pub fn set_edge(&mut self, caller: usize, callee: usize, policy: CallPolicy) -> &mut Self {
-        policy.validate();
-        if let Some(slot) = self.edges.iter_mut().find(|(edge, _)| *edge == (caller, callee)) {
-            slot.1 = policy;
-        } else {
-            self.edges.push(((caller, callee), policy));
-        }
-        self
-    }
-
-    /// The policy governing one caller→callee service edge, if any.
-    pub fn policy_for(&self, caller: usize, callee: usize) -> Option<&CallPolicy> {
-        self.edges
-            .iter()
-            .find(|(edge, _)| *edge == (caller, callee))
-            .map(|(_, p)| p)
-            .or(self.default.as_ref())
+    /// The policy governing one caller→callee service edge, if any (the
+    /// plan's one policy: every edge has the same).
+    pub fn policy_for(&self, _caller: usize, _callee: usize) -> Option<&CallPolicy> {
+        self.default.as_ref()
     }
 
     /// `true` when no policy is configured anywhere.
     pub fn is_empty(&self) -> bool {
-        self.default.is_none() && self.edges.is_empty()
+        self.default.is_none()
     }
 }
 
@@ -646,10 +631,8 @@ mod tests {
     #[test]
     fn plan_edge_overrides_default() {
         let default = CallPolicy { max_retries: 1, ..CallPolicy::default() };
-        let edge = CallPolicy { max_retries: 5, ..CallPolicy::default() };
-        let mut plan = ResiliencePlan::with_default(default);
-        plan.set_edge(0, 1, edge);
-        assert_eq!(plan.policy_for(0, 1).unwrap().max_retries, 5);
+        let plan = ResiliencePlan::with_default(default);
+        assert_eq!(plan.policy_for(0, 1).unwrap().max_retries, 1);
         assert_eq!(plan.policy_for(0, 2).unwrap().max_retries, 1);
         assert!(!plan.is_empty());
         assert!(ResiliencePlan::none().is_empty());

@@ -220,16 +220,6 @@ impl Simulation {
         self.resilience_plan = ResiliencePlan::with_default(policy);
     }
 
-    /// Replaces the whole resilience plan (per-edge policies).
-    pub fn set_resilience_plan(&mut self, plan: ResiliencePlan) {
-        self.resilience_plan = plan;
-    }
-
-    /// The active resilience plan.
-    pub fn resilience_plan(&self) -> &ResiliencePlan {
-        &self.resilience_plan
-    }
-
     /// Current state of the breaker on `caller → callee`, or `None` when
     /// that version edge has never seen a guarded call.
     pub fn breaker_state(&self, caller: VersionId, callee: VersionId) -> Option<BreakerState> {
