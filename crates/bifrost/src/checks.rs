@@ -1,13 +1,20 @@
 //! Check scheduling and evaluation (Figure 4.3).
 //!
-//! Each check runs on its own cadence: a [`CheckScheduler`] tracks per-
-//! check due times ("time-based execution of multiple checks"), and
-//! [`evaluate`] reads the trailing window from the metric store and turns
-//! it into a [`CheckResult`]. A check with too few observations is
-//! *inconclusive* — it neither passes nor fails the phase, which is what
-//! drives the retry action when not enough data was collected.
+//! [`evaluate_observed`] reads one check's trailing window from the metric
+//! store and turns it into a [`CheckResult`] with the summaries it read. A
+//! check with too few observations is *inconclusive* — it neither passes
+//! nor fails the phase, which is what drives the retry action when not
+//! enough data was collected.
+//!
+//! The engine looks at a phase's checks through one owner, `PhaseChecks`,
+//! made on every phase (re-)entry: it keeps each check's cadence ("time-
+//! based execution of multiple checks"), the partners that share a paired
+//! read, and each sequential check's state and resumable windows, and looks
+//! at the due checks — at the phase boundary, at every check — returning,
+//! to the bit, what looking at one check at a time returns.
 
-use crate::model::{Check, CheckScope, Comparator};
+use crate::decide::{Evaluation, TickObservation};
+use crate::model::{Check, CheckScope, Comparator, Phase};
 use cex_core::metrics::Summary;
 use cex_core::sequential::{msprt, tau_heuristic};
 use cex_core::simtime::SimTime;
@@ -67,7 +74,7 @@ pub struct CheckObservation {
 /// scopes so every check evaluation reads through dense [`ScopeId`]s —
 /// no string hashing on the engine's per-tick read path. The ids are only
 /// valid against the store they were interned on; pass that same store to
-/// [`evaluate`].
+/// [`evaluate_observed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckContext {
     /// Scope of the candidate version (`service@version`).
@@ -100,26 +107,6 @@ impl CheckContext {
         }
     }
 
-    /// Interned id of the candidate scope.
-    pub fn candidate_id(&self) -> ScopeId {
-        self.candidate_id
-    }
-
-    /// Interned id of the baseline scope.
-    pub fn baseline_id(&self) -> ScopeId {
-        self.baseline_id
-    }
-
-    /// Interned id of the end-to-end application scope.
-    pub fn app_id(&self) -> ScopeId {
-        self.app_id
-    }
-
-    /// Interned id of the candidate's trace-derived scope.
-    pub fn trace_candidate_id(&self) -> ScopeId {
-        self.trace_candidate_id
-    }
-
     /// The one scope an absolute check reads; `None` for the two-sided
     /// scopes.
     fn absolute_id(&self, scope: CheckScope) -> Option<ScopeId> {
@@ -142,16 +129,6 @@ impl CheckContext {
     }
 }
 
-/// Evaluates one check at `now` against the store.
-pub fn evaluate(
-    check: &Check,
-    ctx: &CheckContext,
-    store: &MetricStore,
-    now: SimTime,
-) -> CheckResult {
-    evaluate_observed(check, ctx, store, now).result
-}
-
 /// Evaluates one check at `now`, returning the verdict together with the
 /// window summaries it was derived from (what the execution journal
 /// records).
@@ -170,15 +147,7 @@ pub fn evaluate_observed(
         CheckScope::CandidateVsBaseline => {
             let [cand, base] = ctx.both_sides(check, store, now);
             let verdict = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
-            // The `count == 0` guard is load-bearing even with
-            // `min_samples: 0`: an empty window summarizes to count 0 and
-            // mean 0.0, and a verdict derived from that fabricated zero is
-            // a bug, not a measurement.
-            if cand.count == 0
-                || base.count == 0
-                || cand.count < check.min_samples
-                || base.count < check.min_samples
-            {
+            if !enough(check, &cand) || !enough(check, &base) {
                 return verdict(CheckResult::Inconclusive);
             }
             // Ratio semantics need a positive denominator: a negative
@@ -196,9 +165,8 @@ pub fn evaluate_observed(
         }
         CheckScope::SequentialVsBaseline => {
             // Sequential checks are stateful — a running always-valid
-            // p-value since phase start — so the engine evaluates them via
-            // [`evaluate_sequential`]. A stateless evaluation cannot
-            // conclude.
+            // p-value since phase start, which only the phase's own looks
+            // carry. A stateless evaluation cannot conclude.
             let [cand, base] = ctx.both_sides(check, store, now);
             CheckObservation {
                 result: CheckResult::Inconclusive,
@@ -209,11 +177,7 @@ pub fn evaluate_observed(
         CheckScope::SignificantVsBaseline => {
             let [cand, base] = ctx.both_sides(check, store, now);
             let verdict = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
-            if cand.count == 0
-                || base.count == 0
-                || cand.count < check.min_samples
-                || base.count < check.min_samples
-            {
+            if !enough(check, &cand) || !enough(check, &base) {
                 return verdict(CheckResult::Inconclusive);
             }
             let Some(test) = welch_test(&cand, &base) else {
@@ -245,11 +209,17 @@ pub fn evaluate_observed(
     }
 }
 
+/// Whether a window holds enough observations for a verdict. An empty one
+/// never does, even with `min_samples: 0`: it summarizes to count 0 and
+/// mean 0.0, and a verdict derived from that fabricated zero is a bug, not
+/// a measurement.
+fn enough(check: &Check, summary: &Summary) -> bool {
+    summary.count > 0 && summary.count >= check.min_samples
+}
+
 /// The verdict of an absolute check on the window summary it read.
 fn absolute(check: &Check, summary: Summary) -> CheckObservation {
-    // An empty window must stay inconclusive even with `min_samples: 0` —
-    // its summary carries a fabricated mean of 0.0, not a measurement.
-    let result = if summary.count == 0 || summary.count < check.min_samples {
+    let result = if !enough(check, &summary) {
         CheckResult::Inconclusive
     } else if check.comparator.holds(summary.mean, check.threshold) {
         CheckResult::Pass
@@ -263,7 +233,7 @@ fn absolute(check: &Check, summary: Summary) -> CheckObservation {
 /// `i`'s scope and window but reads another metric, for the absolute
 /// scopes (both read one series each). Each check has at most one
 /// partner, the first free one after it, and pairing is symmetric.
-pub fn absolute_partners(checks: &[Check]) -> Vec<Option<usize>> {
+fn absolute_partners(checks: &[Check]) -> Vec<Option<usize>> {
     let mut partners = vec![None; checks.len()];
     for (i, a) in checks.iter().enumerate() {
         let absolute = matches!(
@@ -286,16 +256,10 @@ pub fn absolute_partners(checks: &[Check]) -> Vec<Option<usize>> {
     partners
 }
 
-/// Evaluates two partnered absolute checks ([`absolute_partners`]) at
-/// `now` with one paired read of their two series: the same two
-/// observations as two [`evaluate_observed`] calls, and the same two
-/// windowed reads.
-///
-/// # Panics
-///
-/// Panics when the two checks are not both absolute; in debug builds, also
-/// when their windows differ.
-pub fn evaluate_partners(
+/// Two partnered absolute checks ([`absolute_partners`]) at `now` from one
+/// paired read: the observations and windowed reads of two
+/// [`evaluate_observed`] calls. Panics unless both checks are absolute.
+fn evaluate_partners(
     a: &Check,
     b: &Check,
     ctx: &CheckContext,
@@ -318,7 +282,7 @@ pub fn sequential_alpha(check: &Check) -> f64 {
 /// the running always-valid p-values for both directions, the frozen
 /// mixing scale, and the instantaneous harm evidence the guarded ramp
 /// reads. Reset on every phase (re-)entry; advanced in place by every
-/// informative look ([`evaluate_sequential`]).
+/// informative look.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequentialState {
     p_desired: f64,
@@ -348,11 +312,6 @@ impl SequentialState {
     /// Running always-valid p for the harm direction.
     pub fn p_harm(&self) -> f64 {
         self.p_harm
-    }
-
-    /// The mixing scale τ, once frozen at the first informative look.
-    pub fn tau(&self) -> Option<f64> {
-        self.tau
     }
 
     /// Instantaneous harm-direction likelihood ratio at the latest look —
@@ -386,21 +345,12 @@ impl SequentialState {
             CheckResult::Inconclusive
         }
     }
-
-    /// `true` while the latest look shows instantaneous harm evidence at
-    /// likelihood ratio `warn_lr` or stronger — the guarded ramp's
-    /// hold/retreat signal.
-    pub fn warns(&self, warn_lr: f64) -> bool {
-        self.lr_harm >= warn_lr
-    }
 }
 
-/// Where the two cumulative window reads of one sequential check left
-/// off (see [`WindowCursor`]). Kept per (run, check) beside the
-/// [`SequentialState`] and handled the same way: moved on in place by every
-/// look, fresh on every phase (re-)entry.
+/// Where one sequential check's two cumulative window reads left off
+/// ([`WindowCursor`]): moved on by every look, fresh on phase (re-)entry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SequentialWindows {
+struct SequentialWindows {
     candidate: WindowCursor,
     baseline: WindowCursor,
 }
@@ -417,7 +367,7 @@ pub struct SequentialWindows {
 /// is a running minimum of `min(1, 1/Λ_n)`, so by Ville's inequality the
 /// probability of ever crossing α under the null is at most α per side —
 /// regardless of how often the engine peeks.
-pub fn evaluate_sequential(
+fn evaluate_sequential(
     check: &Check,
     ctx: &CheckContext,
     store: &MetricStore,
@@ -434,11 +384,7 @@ pub fn evaluate_sequential(
     *windows = SequentialWindows { candidate, baseline };
     let alpha = sequential_alpha(check);
     let observed = |result| CheckObservation { result, primary: cand, baseline: Some(base) };
-    if cand.count == 0
-        || base.count == 0
-        || cand.count < check.min_samples
-        || base.count < check.min_samples
-    {
+    if !enough(check, &cand) || !enough(check, &base) {
         // Too little data for a new look; the verdict so far stands (a
         // crossed p is absorbing, it cannot be un-concluded by silence).
         return observed(state.verdict(alpha));
@@ -446,7 +392,7 @@ pub fn evaluate_sequential(
     // τ must stay fixed over the run for the always-valid guarantee: pin
     // it from the check, or freeze the data-driven heuristic at the first
     // informative look.
-    let tau = match state.tau().or(check.tau).or_else(|| tau_heuristic(&cand, &base)) {
+    let tau = match state.tau.or(check.tau).or_else(|| tau_heuristic(&cand, &base)) {
         Some(tau) => tau,
         None => return observed(state.verdict(alpha)),
     };
@@ -466,48 +412,102 @@ pub fn evaluate_sequential(
     observed(state.verdict(alpha))
 }
 
-/// Tracks when each check of a phase is next due.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckScheduler {
+/// The checks of one phase run, looked at together. Made on every phase
+/// (re-)entry: checks are rescheduled, sequential tests start from scratch
+/// and their cumulative windows anchor at the entry time.
+pub(crate) struct PhaseChecks {
+    started: SimTime,
     next_due: Vec<SimTime>,
+    /// Each check's partner for a paired read ([`absolute_partners`]).
+    partners: Vec<Option<usize>>,
+    /// Per-check sequential-test state (non-sequential entries stay at
+    /// their default) and resumable window reads, reset together.
+    sequential: Vec<SequentialState>,
+    windows: Vec<SequentialWindows>,
+    /// The checks due this tick: one buffer for the phase, so the per-tick
+    /// loop allocates nothing for it.
+    due: Vec<usize>,
 }
 
-impl CheckScheduler {
-    /// Creates a scheduler for `checks`, with the first evaluation of each
-    /// check one interval after `phase_start` (the window needs time to
-    /// fill).
-    pub fn new(checks: &[Check], phase_start: SimTime) -> Self {
-        CheckScheduler { next_due: checks.iter().map(|c| phase_start + c.interval).collect() }
+impl PhaseChecks {
+    /// The checks of a phase entered at `started`, each first due one
+    /// interval later (the window needs time to fill).
+    pub(crate) fn new(checks: &[Check], started: SimTime) -> Self {
+        PhaseChecks {
+            started,
+            next_due: checks.iter().map(|c| started + c.interval).collect(),
+            partners: absolute_partners(checks),
+            sequential: vec![SequentialState::new(); checks.len()],
+            windows: vec![SequentialWindows::default(); checks.len()],
+            due: Vec::with_capacity(checks.len()),
+        }
     }
 
-    /// Fills `due` with the indices of the checks due at or before `now`,
-    /// advancing each one's next due time past `now`. A check that fell
-    /// multiple intervals behind fires once (evaluations are idempotent
-    /// reads of the trailing window — catch-up storms would be wasted
-    /// work). Takes a caller-owned scratch buffer (cleared first) so the
-    /// engine's per-tick hot loop reuses one allocation per strategy
-    /// instead of allocating a fresh `Vec` every tick.
-    pub fn due(&mut self, checks: &[Check], now: SimTime, due: &mut Vec<usize>) {
-        due.clear();
+    /// Finds the checks due at or before `now`, moving each one's next due
+    /// time past `now`. A check that fell several intervals behind fires
+    /// once (looks are idempotent reads of the trailing window — catch-up
+    /// storms would be wasted work).
+    pub(crate) fn schedule(&mut self, checks: &[Check], now: SimTime) {
+        self.due.clear();
         for (i, next) in self.next_due.iter_mut().enumerate() {
             if *next <= now {
-                due.push(i);
-                let interval = checks[i].interval;
+                self.due.push(i);
                 while *next <= now {
-                    *next += interval;
+                    *next += checks[i].interval;
                 }
             }
         }
     }
 
-    /// Number of scheduled checks.
-    pub fn len(&self) -> usize {
-        self.next_due.len()
+    /// Looks at the checks [`PhaseChecks::schedule`] found due and, when
+    /// the phase clock has run out, at every check of `phase` once more,
+    /// each list in index order. A sequential look advances its state and
+    /// windows as it goes; a check looked at twice in one tick lands where
+    /// one look would have left it. A check whose partner is looked at in
+    /// the same pass is read with it, in one paired read.
+    pub(crate) fn look(
+        &mut self,
+        phase: &Phase,
+        ctx: &CheckContext,
+        store: &MetricStore,
+        now: SimTime,
+    ) -> TickObservation {
+        let PhaseChecks { started, partners, sequential, windows, due, .. } = self;
+        let mut eval = |indices: &[usize]| -> Vec<Evaluation> {
+            let mut observed = vec![None; indices.len()];
+            for (p, &i) in indices.iter().enumerate() {
+                if observed[p].is_some() {
+                    continue;
+                }
+                let check = &phase.checks[i];
+                let partner = partners[i].and_then(|j| {
+                    indices[p + 1..].iter().position(|&k| k == j).map(|q| (j, p + 1 + q))
+                });
+                if let Some((j, q)) = partner {
+                    let [a, b] = evaluate_partners(check, &phase.checks[j], ctx, store, now);
+                    (observed[p], observed[q]) = (Some(a), Some(b));
+                } else if check.scope == CheckScope::SequentialVsBaseline {
+                    let (state, cursors) = (&mut sequential[i], &mut windows[i]);
+                    let look =
+                        evaluate_sequential(check, ctx, store, *started, now, state, cursors);
+                    observed[p] = Some(look);
+                } else {
+                    observed[p] = Some(evaluate_observed(check, ctx, store, now));
+                }
+            }
+            let observed = observed.into_iter().map(|o| o.expect("every check looked at"));
+            indices.iter().copied().zip(observed).collect()
+        };
+        let due_results = eval(due);
+        let at_boundary = now.saturating_since(*started) >= phase.duration;
+        let boundary_results =
+            at_boundary.then(|| eval(&(0..phase.checks.len()).collect::<Vec<_>>()));
+        TickObservation { due_results, boundary_results }
     }
 
-    /// `true` when no checks are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.next_due.is_empty()
+    /// Each check's sequential state, every look so far folded in.
+    pub(crate) fn sequential(&self) -> &[SequentialState] {
+        &self.sequential
     }
 }
 
@@ -520,6 +520,15 @@ mod tests {
 
     fn ctx(store: &mut MetricStore) -> CheckContext {
         CheckContext::new(store, "svc@2".into(), "svc@1".into())
+    }
+
+    fn evaluate(
+        check: &Check,
+        ctx: &CheckContext,
+        store: &MetricStore,
+        now: SimTime,
+    ) -> CheckResult {
+        evaluate_observed(check, ctx, store, now).result
     }
 
     fn fill(store: &mut MetricStore, scope: &str, value: f64, n: u64) {
@@ -914,7 +923,7 @@ mod tests {
         assert_eq!(obs.result, CheckResult::Fail);
         assert_eq!(obs.primary.count, 600);
         assert!(state.p_harm() <= sequential_alpha(&check), "p_harm = {}", state.p_harm());
-        assert!(state.tau().is_some(), "tau frozen at first look");
+        assert!(state.tau.is_some(), "tau frozen at first look");
         assert!(state.lr_harm() > 1.0);
         // Absorbing: a later data-starved look cannot un-conclude.
         // (Another store's windows are ignored, not trusted.)
@@ -967,7 +976,7 @@ mod tests {
             &mut SequentialWindows::default(),
         );
         assert_eq!(obs.result, CheckResult::Pass);
-        assert_eq!(state.tau(), Some(0.1), "pinned tau wins over the heuristic");
+        assert_eq!(state.tau, Some(0.1), "pinned tau wins over the heuristic");
         assert!(state.p_desired() <= 0.05);
         assert_eq!(state.p_harm(), 1.0, "no harm-direction evidence from a benefit");
         assert_eq!(state.lr_harm(), 0.0);
@@ -1021,7 +1030,7 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!((&obs, state, windows), (&fresh, scratch_state, scratch), "at {secs}s");
-            assert_eq!(state.tau().is_some(), obs.primary.count >= 1_000, "at {secs}s");
+            assert_eq!(state.tau.is_some(), obs.primary.count >= 1_000, "at {secs}s");
             assert_ne!(windows, carried, "every look moves the windows on");
         }
     }
@@ -1067,12 +1076,12 @@ mod tests {
         assert_eq!(state.verdict(0.05), CheckResult::Pass);
         state.fold(0.2, 1.0, 0.02, 3.0);
         assert_eq!(state.verdict(0.05), CheckResult::Fail, "harm outranks benefit");
-        assert_eq!(state.tau(), Some(0.1), "tau frozen at first fold");
-        assert!(state.warns(2.0));
+        assert_eq!(state.tau, Some(0.1), "tau frozen at first fold");
+        assert!(state.lr_harm() >= 2.0);
         // The warning is instantaneous, not absorbing: a healthy look
         // clears it even though the running p-values never rise.
         state.fold(0.2, 1.0, 1.0, 0.4);
-        assert!(!state.warns(2.0));
+        assert!(state.lr_harm() < 2.0);
         assert_eq!(state.p_harm(), 0.02);
     }
 
@@ -1088,23 +1097,19 @@ mod tests {
                 ..Check::candidate(MetricKind::ErrorRate, Comparator::Lt, 1.0)
             },
         ];
-        let mut sched = CheckScheduler::new(&checks, SimTime::ZERO);
-        let mut due = Vec::new();
-        assert_eq!(sched.len(), 2);
-        sched.due(&checks, SimTime::from_secs(5), &mut due);
-        assert_eq!(due, Vec::<usize>::new());
-        sched.due(&checks, SimTime::from_secs(10), &mut due);
-        assert_eq!(due, vec![0]);
-        sched.due(&checks, SimTime::from_secs(10), &mut due);
-        assert_eq!(due, Vec::<usize>::new(), "idempotent");
-        sched.due(&checks, SimTime::from_secs(25), &mut due);
-        assert_eq!(due, vec![0, 1]);
+        let mut phase = PhaseChecks::new(&checks, SimTime::ZERO);
+        let mut due = |secs| {
+            phase.schedule(&checks, SimTime::from_secs(secs));
+            phase.due.clone()
+        };
+        assert_eq!(due(5), Vec::<usize>::new());
+        assert_eq!(due(10), vec![0]);
+        assert_eq!(due(10), Vec::<usize>::new(), "idempotent");
+        assert_eq!(due(25), vec![0, 1]);
         // Falling far behind fires each check once, not per missed tick.
-        sched.due(&checks, SimTime::from_secs(300), &mut due);
-        assert_eq!(due, vec![0, 1]);
-        // The scratch buffer is cleared on every call, not appended to.
-        sched.due(&checks, SimTime::from_secs(301), &mut due);
-        assert_eq!(due, Vec::<usize>::new());
+        assert_eq!(due(300), vec![0, 1]);
+        // The due buffer is cleared on every call, not appended to.
+        assert_eq!(due(301), Vec::<usize>::new());
     }
 
     #[test]
@@ -1116,20 +1121,129 @@ mod tests {
             interval: SimDuration::from_secs(30),
             ..Check::candidate(MetricKind::ErrorRate, Comparator::Lt, 1.0)
         }];
-        let mut sched = CheckScheduler::new(&checks, SimTime::ZERO);
-        let mut due = Vec::new();
+        let mut phase = PhaseChecks::new(&checks, SimTime::ZERO);
+        let mut due = |now| {
+            phase.schedule(&checks, now);
+            phase.due.clone()
+        };
         // 17 intervals behind (first due at 30s, now = 510s).
-        sched.due(&checks, SimTime::from_secs(510), &mut due);
-        assert_eq!(due, vec![0]);
+        assert_eq!(due(SimTime::from_secs(510)), vec![0]);
         // Not due again until the next 30-second boundary after 510s.
-        sched.due(&checks, SimTime::from_secs(539), &mut due);
-        assert_eq!(due, Vec::<usize>::new());
-        sched.due(&checks, SimTime::from_secs(540), &mut due);
-        assert_eq!(due, vec![0]);
+        assert_eq!(due(SimTime::from_secs(539)), Vec::<usize>::new());
+        assert_eq!(due(SimTime::from_secs(540)), vec![0]);
         // One more giant gap: still a single firing.
-        sched.due(&checks, SimTime::from_hours(3), &mut due);
-        assert_eq!(due, vec![0]);
-        sched.due(&checks, SimTime::from_hours(3) + SimDuration::from_secs(29), &mut due);
-        assert_eq!(due, Vec::<usize>::new());
+        assert_eq!(due(SimTime::from_hours(3)), vec![0]);
+        let later = SimTime::from_hours(3) + SimDuration::from_secs(29);
+        assert_eq!(due(later), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_phase_looks_at_its_checks_as_one_check_at_a_time_would() {
+        // Searched phases over one store: absolute checks sharing scope and
+        // window (pairs, triples, other metrics), two-sided and sequential
+        // checks, looked at over random due subsets, at and past the phase
+        // boundary, and again at the same `now`. Every observation,
+        // sequential state and window cursor, and the number of windowed
+        // reads, must be what looking at one check at a time gives.
+        use crate::model::{Action, PhaseKind};
+        use cex_core::rng::SplitMix64;
+        use CheckScope::*;
+        use MetricKind::{ErrorRate, ResponseTime};
+        let mut store = MetricStore::new();
+        let ctx = ctx(&mut store);
+        let mut rng = SplitMix64::new(1);
+        let sides = [("svc@2", 0.2), ("svc@1", 0.1), (microsim::sim::APP_SCOPE, 0.1)];
+        for (scope, error_rate) in sides.into_iter().chain([("trace:svc@2", 0.3)]) {
+            for i in 0..2_400u64 {
+                if rng.next_below(5) == 0 {
+                    continue;
+                }
+                let t = SimTime::from_millis(i * 100);
+                store.record_value(scope, ResponseTime, t, 20.0 + 40.0 * rng.next_f64());
+                let errored = f64::from(u8::from(rng.next_f64() < error_rate));
+                store.record_value(scope, ErrorRate, t, errored);
+            }
+        }
+        let scopes = [Candidate, Candidate, App, App, Trace, Baseline];
+        let scopes = [&scopes[..], &[CandidateVsBaseline, SignificantVsBaseline]].concat();
+        let scopes = [&scopes[..], &[SequentialVsBaseline; 2]].concat();
+        let absolute = |c: &Check| matches!(c.scope, Candidate | Baseline | App | Trace);
+        let (mut pairs, mut triples, mut boundaries, mut repeats, mut informative) =
+            (0, 0, 0, 0, 0);
+        for seed in 0..400 {
+            let mut rng = SplitMix64::new(seed);
+            let checks: Vec<Check> = (0..1 + rng.next_index(8))
+                .map(|_| Check {
+                    metric: [ResponseTime, ErrorRate][rng.next_index(2)],
+                    scope: scopes[rng.next_index(scopes.len())],
+                    comparator: [Comparator::Lt, Comparator::Gt][rng.next_index(2)],
+                    threshold: [0.15, 0.9, 1.1, 40.0][rng.next_index(4)],
+                    window: SimDuration::from_secs([20, 60][rng.next_index(2)]),
+                    interval: SimDuration::from_secs(10),
+                    min_samples: [0, 20, 300][rng.next_index(3)],
+                    tau: None,
+                })
+                .collect();
+            triples += usize::from(checks.iter().any(|a| {
+                let shared = |b: &&Check| absolute(b) && (b.scope, b.window) == (a.scope, a.window);
+                checks.iter().filter(shared).count() >= 3
+            }));
+            let started = SimTime::from_secs(rng.next_below(60));
+            let phase = Phase {
+                name: "p".into(),
+                kind: PhaseKind::Canary { traffic_percent: 10.0 },
+                duration: SimDuration::from_secs(20 + rng.next_below(120)),
+                checks,
+                chaos: None,
+                on_success: Action::Complete,
+                on_failure: Action::Rollback,
+                on_inconclusive: Action::Retry,
+            };
+            let n = phase.checks.len();
+            let mut owner = PhaseChecks::new(&phase.checks, started);
+            let mut alone = vec![(SequentialState::new(), SequentialWindows::default()); n];
+            let mut now = started;
+            for _ in 0..10 {
+                if rng.next_below(4) == 0 {
+                    repeats += 1;
+                } else {
+                    now += SimDuration::from_secs(1 + rng.next_below(30));
+                }
+                owner.due = (0..n).filter(|_| rng.next_below(2) == 0).collect();
+                let before = store.window_reads();
+                let seen = owner.look(&phase, &ctx, &store, now);
+                let reads = store.window_reads() - before;
+                let mut one = |i: usize| {
+                    let check = &phase.checks[i];
+                    if check.scope == SequentialVsBaseline {
+                        let (state, windows) = &mut alone[i];
+                        evaluate_sequential(check, &ctx, &store, started, now, state, windows)
+                    } else {
+                        evaluate_observed(check, &ctx, &store, now)
+                    }
+                };
+                let due_results = owner.due.iter().map(|&i| (i, one(i))).collect();
+                let boundary = now.saturating_since(started) >= phase.duration;
+                let boundary_results = boundary.then(|| (0..n).map(|i| (i, one(i))).collect());
+                let expected = TickObservation { due_results, boundary_results };
+                assert_eq!(store.window_reads() - before - reads, reads, "seed {seed}: reads");
+                assert_eq!(format!("{seen:?}"), format!("{expected:?}"), "seed {seed}");
+                let (states, windows): (Vec<_>, Vec<_>) = alone.iter().copied().unzip();
+                assert_eq!(
+                    format!("{:?}", (&owner.sequential, &owner.windows)),
+                    format!("{:?}", (&states, &windows)),
+                    "seed {seed}"
+                );
+                boundaries += usize::from(boundary);
+                let partnered =
+                    |&&i: &&usize| owner.partners[i].is_some_and(|j| owner.due.contains(&j));
+                pairs += owner.due.iter().filter(partnered).count();
+            }
+            informative += owner.sequential.iter().filter(|s| s.tau.is_some()).count();
+        }
+        // Paired reads, triples of one scope and window, boundary looks,
+        // repeated instants and informative sequential looks were all met.
+        let seen = [pairs, triples, boundaries, repeats, informative];
+        assert!(seen.iter().zip([200, 10, 1000, 500, 200]).all(|(n, min)| *n > min), "{seen:?}");
     }
 }

@@ -15,17 +15,17 @@
 //! retires scopes that a later strategy's checks would otherwise read.
 //! That order is journaled behaviour.
 //!
-//! This module is the *shell*: it gathers what a tick observed, asks
-//! [`crate::decide::decide`] — the rollout policy, which lives there and
-//! nowhere else — what that means for each strategy, and enacts and
-//! journals the answer.
+//! This module is the *shell*: it gathers what a tick observed (how a
+//! phase's checks are looked at lives in [`crate::checks`]), asks
+//! [`crate::decide::decide`] — the rollout policy — what that means for
+//! each strategy, and enacts and journals the answer.
 //!
 //! The engine accounts its own processing cost separately from the
 //! simulated application: [`ExecutionReport::engine_busy`] (the CPU proxy
 //! of Figures 4.7/4.9) and the per-tick processing times (the delay of
 //! Figures 4.8/4.10).
 
-use crate::checks::{self, CheckContext, CheckScheduler, SequentialState, SequentialWindows};
+use crate::checks::{CheckContext, PhaseChecks};
 use crate::decide::{self, Evaluation, RunView, TickObservation};
 use crate::enact::{self, StrategyBinding};
 use crate::error::BifrostError;
@@ -38,7 +38,7 @@ use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, VersionId};
 use microsim::faults::{self, Fault, FaultKind};
 use microsim::health::{self, EdgeDelta, HealthAccumulator, HealthReport};
-use microsim::monitor::{MetricStore, ScopeId};
+use microsim::monitor::ScopeId;
 use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
 use microsim::trace::{SpanBook, TailSamplingConfig, Trace};
@@ -57,16 +57,12 @@ pub struct EngineConfig {
     /// `max_retries = 2` an inconclusive phase runs twice — the initial
     /// execution plus one retry — before the rollback.
     pub max_retries: u32,
-    /// Read nowhere: the engine evaluates every check on the calling
-    /// thread (the per-tick thread fan-out this once sized never measured
-    /// faster than the serial pass). The field stays only because
-    /// `benchmark/src/fleet.rs` names it and a change to the engine may not
-    /// edit the benchmark; it goes with that line in the next
-    /// `[benchmark]` change (ROADMAP, the instrument item).
+    /// Read nowhere: every check is evaluated on the calling thread. Kept
+    /// only because `benchmark/src/fleet.rs` names it; it goes with that
+    /// line in the next `[benchmark]` change (ROADMAP, the instrument item).
     pub workers: usize,
-    /// Read nowhere: the simulation's event core runs every window as one
-    /// queue on the calling thread. Kept, like `workers`, only because
-    /// `benchmark/src/fleet.rs` names it.
+    /// Read nowhere: the event core is one queue on the calling thread.
+    /// Kept, like `workers`, only because `benchmark/src/fleet.rs` names it.
     pub sim_workers: usize,
     /// Tail-based trace sampling applied to the sim's collector at the
     /// start of every execution ([`microsim::sim::Simulation::set_tail_sampling`]):
@@ -227,23 +223,14 @@ struct Compiled<'a> {
     machine: StateMachine,
 }
 
-/// Everything that restarts when a strategy (re-)enters a phase — a retry
-/// repeats the whole experiment: checks are rescheduled, sequential tests
-/// start from scratch and their cumulative windows anchor at `started`.
+/// What restarts when a strategy (re-)enters a phase: a retry repeats the
+/// whole experiment.
 struct PhaseRun {
     index: usize,
-    started: SimTime,
-    scheduler: CheckScheduler,
-    /// Per-check sequential-test state (non-sequential entries stay at
-    /// their default).
-    sequential: Vec<SequentialState>,
-    /// Per-check resumable window reads, kept and reset with `sequential`.
-    windows: Vec<SequentialWindows>,
-    /// Per-check partner for a paired read ([`checks::absolute_partners`]).
-    partners: Vec<Option<usize>>,
     /// Candidate share the phase routes; moves only in a gradual rollout.
     rollout_percent: f64,
     next_rollout_step: SimTime,
+    checks: PhaseChecks,
 }
 
 struct RunState<'a> {
@@ -252,62 +239,18 @@ struct RunState<'a> {
     retries: u32,
     /// The phase in progress; the last one once `status` is terminal.
     phase: PhaseRun,
-    /// Scratch buffer for the scheduler's due-check indices, reused
-    /// every tick so the hot loop performs no per-tick allocation.
-    due_scratch: Vec<usize>,
-}
-
-impl RunState<'_> {
-    /// Evaluates the checks in `due_scratch` and, when the phase clock has
-    /// run out, every check of the phase once more. A sequential look
-    /// advances its state and windows as it goes; a check looked at twice
-    /// in one tick lands where one look would have left it. A check whose
-    /// partner is looked at in the same pass is read with it, in one
-    /// paired read.
-    fn observe(&mut self, store: &MetricStore, now: SimTime) -> TickObservation {
-        let phase = &self.compiled.strategy.phases[self.phase.index];
-        let ctx = &self.compiled.ctx;
-        let PhaseRun { started, sequential, windows, partners, .. } = &mut self.phase;
-        let mut eval = |indices: &[usize]| -> Vec<Evaluation> {
-            let mut observed = vec![None; indices.len()];
-            for (p, &i) in indices.iter().enumerate() {
-                if observed[p].is_some() {
-                    continue;
-                }
-                let check = &phase.checks[i];
-                let partner = partners[i].and_then(|j| {
-                    indices[p + 1..].iter().position(|&k| k == j).map(|q| (j, p + 1 + q))
-                });
-                if let Some((j, q)) = partner {
-                    let [a, b] =
-                        checks::evaluate_partners(check, &phase.checks[j], ctx, store, now);
-                    (observed[p], observed[q]) = (Some(a), Some(b));
-                } else if check.scope == CheckScope::SequentialVsBaseline {
-                    let (state, cursors) = (&mut sequential[i], &mut windows[i]);
-                    let look = checks::evaluate_sequential(
-                        check, ctx, store, *started, now, state, cursors,
-                    );
-                    observed[p] = Some(look);
-                } else {
-                    observed[p] = Some(checks::evaluate_observed(check, ctx, store, now));
-                }
-            }
-            let observed = observed.into_iter().map(|o| o.expect("every check looked at"));
-            indices.iter().copied().zip(observed).collect()
-        };
-        let due_results = eval(&self.due_scratch);
-        let at_boundary = now.saturating_since(*started) >= phase.duration;
-        let boundary_results =
-            at_boundary.then(|| eval(&(0..phase.checks.len()).collect::<Vec<_>>()));
-        TickObservation { due_results, boundary_results }
-    }
 }
 
 impl<'a> Compiled<'a> {
+    /// Compiles and binds a strategy and resolves every phase's chaos
+    /// target; of the simulation, only the store's interner is touched.
     fn bind(sim: &mut Simulation, strategy: &'a Strategy) -> Result<Self, BifrostError> {
         let machine = StateMachine::compile(strategy)?;
         let app = sim.app();
         let binding = StrategyBinding::resolve(app, strategy)?;
+        for spec in strategy.phases.iter().filter_map(|phase| phase.chaos.as_ref()) {
+            chaos_versions(spec, &binding, app)?;
+        }
         let (candidate, baseline) = (binding.candidate_scope(app), binding.baseline_scope(app));
         let ctx = CheckContext::new(sim.store_mut(), candidate, baseline);
         Ok(Compiled {
@@ -355,7 +298,8 @@ impl<'a> Compiled<'a> {
         let (rollout_percent, next_rollout_step) = entry_percent(&phase.kind, now);
         self.enact(sim, index, rollout_percent, journal)?;
         if let Some(spec) = &phase.chaos {
-            for fault in chaos_faults(spec, &self.binding, sim.app(), now)? {
+            let versions = chaos_versions(spec, &self.binding, sim.app())?;
+            for fault in chaos_faults(spec, versions, now) {
                 sim.inject_fault(fault);
             }
             let from = now + spec.start_after;
@@ -370,16 +314,8 @@ impl<'a> Compiled<'a> {
                 until: from + spec.duration,
             });
         }
-        Ok(PhaseRun {
-            index,
-            started: now,
-            scheduler: CheckScheduler::new(&phase.checks, now),
-            sequential: vec![SequentialState::new(); phase.checks.len()],
-            windows: vec![SequentialWindows::default(); phase.checks.len()],
-            partners: checks::absolute_partners(&phase.checks),
-            rollout_percent,
-            next_rollout_step,
-        })
+        let checks = PhaseChecks::new(&phase.checks, now);
+        Ok(PhaseRun { index, rollout_percent, next_rollout_step, checks })
     }
 
     /// Journals check evaluations with the windows they read.
@@ -626,8 +562,9 @@ struct Execution<'a> {
 }
 
 impl<'a> Execution<'a> {
-    /// Applies the configuration to the simulation, then binds, compiles
-    /// and enters phase 0 of every strategy, in submission order.
+    /// Binds every strategy first, which only interns scope names, so a
+    /// start that fails leaves the simulation as it was; then applies the
+    /// configuration to it and enters every strategy's phase 0, in order.
     fn start(
         config: &'a EngineConfig,
         profiler: &'a Profiler,
@@ -639,21 +576,16 @@ impl<'a> Execution<'a> {
             // A zero step never advances the clock: the loop would spin.
             return Err(BifrostError::Execution("engine tick must be positive".into()));
         }
+        let traces = TracePipeline::new(sim);
+        let compiled: Vec<_> =
+            strategies.iter().map(|s| Compiled::bind(sim, s)).collect::<Result<_, _>>()?;
         sim.store_mut().set_retention(Some(retention_horizon(strategies)));
         sim.set_tail_sampling(config.tail_sampling);
         sim.set_obs(config.obs);
-        let traces = TracePipeline::new(sim);
         let mut runs = Vec::with_capacity(strategies.len());
-        for strategy in strategies {
-            let compiled = Compiled::bind(sim, strategy)?;
+        for compiled in compiled {
             let phase = compiled.enter_phase(sim, 0, &mut journal)?;
-            runs.push(RunState {
-                compiled,
-                status: StrategyStatus::Running,
-                retries: 0,
-                phase,
-                due_scratch: Vec::new(),
-            });
+            runs.push(RunState { compiled, status: StrategyStatus::Running, retries: 0, phase });
         }
         Ok(Execution {
             config,
@@ -740,16 +672,18 @@ impl<'a> Execution<'a> {
     fn observe(&mut self, now: SimTime) -> Vec<Option<TickObservation>> {
         cex_core::span!(self.profiler, "engine.tick.observe");
         let running = |run: &RunState| run.status == StrategyStatus::Running;
-        // Which checks are due (the scheduler advances its due times),
-        // into each run's reused scratch buffer — no per-tick allocation
-        // on the hot loop.
+        // Which checks are due, outside the evaluation span.
         for run in self.runs.iter_mut().filter(|run| running(run)) {
             let checks = &run.compiled.strategy.phases[run.phase.index].checks;
-            run.phase.scheduler.due(checks, now, &mut run.due_scratch);
+            run.phase.checks.schedule(checks, now);
         }
         let store = self.sim.store();
         cex_core::span!(self.profiler, "engine.tick.observe.evaluate_checks");
-        self.runs.iter_mut().map(|run| running(run).then(|| run.observe(store, now))).collect()
+        let look = |run: &mut RunState| {
+            let phase = &run.compiled.strategy.phases[run.phase.index];
+            run.phase.checks.look(phase, &run.compiled.ctx, store, now)
+        };
+        self.runs.iter_mut().map(|run| running(run).then(|| look(run))).collect()
     }
 
     /// Second pass: ask [`decide::decide`] what the tick means for each
@@ -775,7 +709,7 @@ impl<'a> Execution<'a> {
                 retries: run.retries,
                 rollout_percent: run.phase.rollout_percent,
                 next_rollout_step: run.phase.next_rollout_step,
-                sequential: &run.phase.sequential,
+                sequential: run.phase.checks.sequential(),
             };
             let phase = &compiled.strategy.phases[index];
             let decision = decide::decide(phase, view, &obs, now, self.config.max_retries);
@@ -877,9 +811,7 @@ impl<'a> Execution<'a> {
             if still_referenced {
                 continue;
             }
-            let store = self.sim.store_mut();
-            store.clear_scope(&scope);
-            store.clear_prefix(&format!("exp:{strategy}/"));
+            self.sim.store_mut().clear_scope(&scope);
             record(&mut self.journal, || JournalEvent::ScopeCleared { time: now, strategy, scope });
         }
     }
@@ -957,18 +889,14 @@ fn entry_percent(kind: &PhaseKind, now: SimTime) -> (f64, SimTime) {
     }
 }
 
-/// Translates a phase's chaos spec into concrete simulator fault
-/// windows anchored at the phase entry time `now`. Version targets map
-/// to a single fault; zone targets expand to one fault per version
-/// deployed with the zone label (the correlated-fault semantics).
-fn chaos_faults(
+/// The versions a phase's chaos spec strikes: a version target is one
+/// version, a zone target every version deployed with the zone label (the
+/// correlated-fault semantics).
+fn chaos_versions(
     spec: &ChaosSpec,
     binding: &StrategyBinding,
     app: &Application,
-    now: SimTime,
-) -> Result<Vec<Fault>, BifrostError> {
-    let from = now + spec.start_after;
-    let until = from + spec.duration;
+) -> Result<Vec<VersionId>, BifrostError> {
     let versions = match &spec.target {
         ChaosTarget::Candidate => vec![binding.candidate],
         ChaosTarget::Baseline => vec![binding.baseline],
@@ -982,20 +910,29 @@ fn chaos_faults(
             members
         }
     };
+    // Strategy::validate rejects a storm on a single version; guard for
+    // hand-built specs.
+    let storm = matches!(spec.kind, ChaosKind::LatencyStorm { .. });
+    if storm && !matches!(spec.target, ChaosTarget::Zone(_)) {
+        return Err(BifrostError::Execution("latency_storm needs a zone target".into()));
+    }
+    Ok(versions)
+}
+
+/// Translates a phase's chaos spec into simulator fault windows on
+/// `versions`, anchored at the phase entry time `now`.
+fn chaos_faults(spec: &ChaosSpec, versions: Vec<VersionId>, now: SimTime) -> Vec<Fault> {
+    let from = now + spec.start_after;
+    let until = from + spec.duration;
     let kind = match spec.kind {
         ChaosKind::LatencySpike { multiplier } => FaultKind::LatencySpike { multiplier },
         ChaosKind::ErrorBurst { extra_error_rate } => FaultKind::ErrorBurst { extra_error_rate },
         ChaosKind::Outage => FaultKind::Outage,
         ChaosKind::LatencyStorm { multiplier } => {
-            // Strategy::validate rejects a storm on a single version;
-            // guard for hand-built specs.
-            if !matches!(spec.target, ChaosTarget::Zone(_)) {
-                return Err(BifrostError::Execution("latency_storm needs a zone target".into()));
-            }
-            return Ok(faults::latency_storm(&versions, multiplier, from, until));
+            return faults::latency_storm(&versions, multiplier, from, until)
         }
     };
-    Ok(versions.into_iter().map(|version| Fault { version, kind, from, until }).collect())
+    versions.into_iter().map(|version| Fault { version, kind, from, until }).collect()
 }
 
 /// The journaled keyword for a chaos spec — zone-targeted outages
@@ -1029,456 +966,12 @@ fn chaos_magnitude(kind: &ChaosKind) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    //! The engine's behaviour is pinned through the public API by the
+    //! scenario table in `tests/engine_scenarios.rs`; these two tests reach
+    //! private items.
     use super::*;
-    use crate::dsl;
-    use microsim::app::{Application, EndpointDef, VersionSpec};
+    use microsim::app::{EndpointDef, VersionSpec};
     use microsim::latency::LatencyModel;
-    use microsim::workload::Workload;
-
-    /// One service with a healthy candidate and a broken candidate.
-    fn test_app(broken_candidate: bool) -> Application {
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("svc", "1.0.0")
-                .capacity(10_000.0)
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 20.0 })),
-        );
-        let candidate = if broken_candidate {
-            VersionSpec::new("svc", "2.0.0").capacity(10_000.0).endpoint(
-                EndpointDef::new("api", LatencyModel::Constant { ms: 25.0 }).error_rate(0.5),
-            )
-        } else {
-            VersionSpec::new("svc", "2.0.0")
-                .capacity(10_000.0)
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 18.0 }))
-        };
-        b.version(candidate);
-        b.build().unwrap()
-    }
-
-    fn strategy_src() -> &'static str {
-        r#"strategy "canary-then-rollout" {
-            service "svc" baseline "1.0.0" candidate "2.0.0"
-            phase "canary" canary 10% for 3m {
-              check error_rate < 0.1 over 1m every 30s min_samples 10
-              on success goto "rollout"
-              on failure rollback
-            }
-            phase "rollout" gradual_rollout from 25% to 100% step 25% every 1m for 10m {
-              check error_rate < 0.1 over 1m every 30s min_samples 10
-              on success complete
-              on failure rollback
-            }
-        }"#
-    }
-
-    fn workload(app: &Application) -> Workload {
-        let svc = app.service_id("svc").unwrap();
-        Workload::simple(svc, "api", 30.0)
-    }
-
-    #[test]
-    fn healthy_candidate_completes_and_serves_everyone() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 1);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        assert!(report.all_terminal());
-        assert!(report.check_evaluations > 0);
-        // After completion the candidate serves 100%: response times drop
-        // to the candidate's 18 ms.
-        let after = sim.run(SimDuration::from_secs(30), 30.0);
-        assert!((after.response_time.mean - 18.0).abs() < 1.0, "mean {}", after.response_time.mean);
-    }
-
-    #[test]
-    fn broken_candidate_rolls_back() {
-        let app = test_app(true);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 2);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        // Everyone back on the 20 ms baseline, and no residual errors.
-        let after = sim.run(SimDuration::from_secs(30), 30.0);
-        assert!((after.response_time.mean - 20.0).abs() < 1.0);
-        assert_eq!(after.failures, 0);
-    }
-
-    #[test]
-    fn inconclusive_phase_retries_then_rolls_back() {
-        let app = test_app(false);
-        let svc = app.service_id("svc").unwrap();
-        // Near-zero traffic: checks can never reach min_samples.
-        let wl = Workload::simple(svc, "api", 0.05);
-        let mut sim = Simulation::new(app, 3);
-        let strategy = dsl::parse(
-            r#"strategy "starved" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 10% for 2m {
-                  check error_rate < 0.1 over 1m every 30s min_samples 1000
-                  on success complete
-                  on failure rollback
-                  on inconclusive retry
-                }
-            }"#,
-        )
-        .unwrap();
-        let report = Engine::new(EngineConfig { max_retries: 2, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_hours(2))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-    }
-
-    #[test]
-    fn many_strategies_run_in_parallel() {
-        // 20 independent service pairs, one strategy each.
-        let mut b = Application::builder();
-        for i in 0..20 {
-            b.version(
-                VersionSpec::new(format!("svc{i}"), "1.0.0")
-                    .capacity(10_000.0)
-                    .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 10.0 })),
-            );
-            b.version(
-                VersionSpec::new(format!("svc{i}"), "2.0.0")
-                    .capacity(10_000.0)
-                    .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 9.0 })),
-            );
-        }
-        let app = b.build().unwrap();
-        let strategies: Vec<Strategy> = (0..20)
-            .map(|i| {
-                dsl::parse(&format!(
-                    r#"strategy "s{i}" {{
-                        service "svc{i}" baseline "1.0.0" candidate "2.0.0"
-                        phase "canary" canary 20% for 2m {{
-                          check error_rate < 0.2 over 1m every 30s min_samples 5
-                          on success complete
-                          on failure rollback
-                        }}
-                    }}"#
-                ))
-                .unwrap()
-            })
-            .collect();
-        // Spread workload across all services.
-        let entries = (0..20)
-            .map(|i| microsim::workload::EntryPoint {
-                service: app.service_id(&format!("svc{i}")).unwrap(),
-                endpoint: "api".into(),
-                weight: 1.0,
-            })
-            .collect();
-        let wl = Workload {
-            population: cex_core::users::Population::single("all", 50_000),
-            rate_rps: 200.0,
-            entries,
-            profile: microsim::workload::RateProfile::Constant,
-        };
-        let mut sim = Simulation::new(app, 4);
-        let report = Engine::default()
-            .execute(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
-            .unwrap();
-        assert!(report.all_terminal());
-        let completed =
-            report.statuses.iter().filter(|(_, s)| *s == StrategyStatus::Completed).count();
-        assert!(completed >= 18, "completed {completed}/20");
-    }
-
-    #[test]
-    fn transition_log_records_the_phase_sequence() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 21);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        // canary -> rollout -> completed, in time order.
-        let path: Vec<State> = report.transitions.iter().map(|t| t.to).collect();
-        assert_eq!(path.last(), Some(&State::Completed));
-        assert!(path.contains(&State::Phase(1)), "rollout entered: {path:?}");
-        assert!(report.transitions.windows(2).all(|w| w[0].time <= w[1].time));
-        assert_eq!(report.transitions[0].from, State::Phase(0));
-        assert_eq!(report.transitions[0].outcome, crate::machine::PhaseOutcome::Success);
-    }
-
-    #[test]
-    fn report_accounting_is_consistent() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 5);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        assert!(report.ticks > 0);
-        assert!(report.engine_busy <= report.wall_total);
-        assert!(report.mean_tick_processing <= report.max_tick_processing);
-        assert!((0.0..=1.0).contains(&report.cpu_utilization()));
-        assert!(report.sim_duration <= SimDuration::from_mins(30));
-    }
-
-    #[test]
-    fn undeployed_candidate_is_an_error() {
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("svc", "1.0.0")
-                .endpoint(EndpointDef::new("api", LatencyModel::default())),
-        );
-        let app = b.build().unwrap();
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 6);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let err = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(5))
-            .unwrap_err();
-        assert!(matches!(err, BifrostError::Execution(_)));
-    }
-
-    /// The app/strategy pair used by the journal tests: several
-    /// independent service pairs.
-    fn fleet(n: usize) -> (Application, Vec<Strategy>, Workload) {
-        let mut b = Application::builder();
-        for i in 0..n {
-            b.version(
-                VersionSpec::new(format!("svc{i}"), "1.0.0")
-                    .capacity(10_000.0)
-                    .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 10.0 })),
-            );
-            b.version(
-                VersionSpec::new(format!("svc{i}"), "2.0.0")
-                    .capacity(10_000.0)
-                    .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 9.0 })),
-            );
-        }
-        let app = b.build().unwrap();
-        let strategies: Vec<Strategy> = (0..n)
-            .map(|i| {
-                dsl::parse(&format!(
-                    r#"strategy "s{i}" {{
-                        service "svc{i}" baseline "1.0.0" candidate "2.0.0"
-                        phase "canary" canary 20% for 2m {{
-                          check error_rate < 0.2 over 1m every 30s min_samples 5
-                          on success complete
-                          on failure rollback
-                        }}
-                    }}"#
-                ))
-                .unwrap()
-            })
-            .collect();
-        let entries = (0..n)
-            .map(|i| microsim::workload::EntryPoint {
-                service: app.service_id(&format!("svc{i}")).unwrap(),
-                endpoint: "api".into(),
-                weight: 1.0,
-            })
-            .collect();
-        let wl = Workload {
-            population: cex_core::users::Population::single("all", 50_000),
-            rate_rps: 100.0,
-            entries,
-            profile: microsim::workload::RateProfile::Constant,
-        };
-        (app, strategies, wl)
-    }
-
-    #[test]
-    fn journal_is_byte_identical_across_runs() {
-        let mut texts = Vec::new();
-        let mut healths = Vec::new();
-        for _ in 0..2 {
-            let (app, strategies, wl) = fleet(8);
-            let mut sim = Simulation::new(app, 9);
-            sim.set_trace_sampling(1.0);
-            let (report, journal) = Engine::default()
-                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert!(report.all_terminal());
-            assert!(!journal.is_empty());
-            // With sampling on, every phase boundary journals a health
-            // snapshot.
-            assert!(journal
-                .events()
-                .iter()
-                .any(|e| matches!(e, JournalEvent::HealthSnapshot { .. })));
-            texts.push(journal.to_jsonl());
-            healths.push(
-                report
-                    .health
-                    .iter()
-                    .map(|(name, h)| format!("{name}\n{}", h.render()))
-                    .collect::<String>(),
-            );
-        }
-        assert_eq!(texts[0], texts[1], "same seed");
-        assert!(!healths[0].is_empty());
-        assert_eq!(healths[0], healths[1], "health reports: same seed");
-    }
-
-    #[test]
-    fn journal_is_byte_identical_with_tail_sampling_across_runs() {
-        // Acceptance: with sketches + tail sampling enabled, journal bytes
-        // (including HealthSnapshot events and their sampling counters)
-        // are identical across same-seed runs.
-        let run = || {
-            let (app, strategies, wl) = fleet(8);
-            let mut sim = Simulation::new(app, 9);
-            sim.set_trace_sampling(1.0);
-            let engine = Engine::new(EngineConfig {
-                tail_sampling: Some(microsim::trace::TailSamplingConfig {
-                    healthy_keep_one_in: 4,
-                    slow_quantile: 0.95,
-                    warmup: 64,
-                }),
-                ..Default::default()
-            });
-            let (report, journal) = engine
-                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert!(report.all_terminal());
-            let stats = sim.trace_collector().sampling_stats();
-            assert!(stats.downsampled_kept > 0, "healthy traces were downsampled");
-            let health: String =
-                report.health.iter().map(|(name, h)| format!("{name}\n{}", h.render())).collect();
-            assert!(health.contains("sampling: recorded"), "render discloses sampling counters");
-            (journal.to_jsonl(), health)
-        };
-        let first = run();
-        assert_eq!(first, run(), "same seed");
-        assert!(
-            first.0.contains("\"tail_kept\":"),
-            "HealthSnapshot events carry sampling counters"
-        );
-    }
-
-    #[test]
-    fn journal_with_runtime_events_is_byte_identical_across_runs() {
-        // Acceptance: with obs enabled and runtime counter snapshots in
-        // the journal, serialized bytes are identical across same-seed
-        // runs — the counters are pure functions of the seed, and
-        // wall-clock timings never enter the journal.
-        let run = || {
-            let (app, strategies, wl) = fleet(8);
-            let mut sim = Simulation::new(app, 9);
-            sim.set_trace_sampling(1.0);
-            let engine = Engine::new(EngineConfig {
-                runtime_report_every: 3,
-                obs: cex_core::obs::ObsConfig::enabled(),
-                ..Default::default()
-            });
-            let (report, journal) = engine
-                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert!(report.all_terminal());
-            let runtime_events = journal
-                .events()
-                .iter()
-                .filter(|e| matches!(e, JournalEvent::Runtime { .. }))
-                .count();
-            assert!(runtime_events > 0, "the cadence emitted runtime events");
-            (journal.to_jsonl(), report.runtime)
-        };
-        let first = run();
-        let again = run();
-        assert_eq!(first.0, again.0, "same seed");
-        // RuntimeReport equality is over the seed-pure counters.
-        assert_eq!(first.1, again.1, "registry: same seed");
-        assert!(first.0.contains("\"ev\":\"runtime\""), "runtime events serialized");
-        assert!(first.1.counters.count("engine.ticks") > 0);
-        assert!(first.1.counters.count("sim.events.popped") > 0);
-        // And the serialized journal round-trips through the parser.
-        let parsed = crate::journal::Journal::from_jsonl(&first.0).unwrap();
-        assert_eq!(parsed.to_jsonl(), first.0);
-    }
-
-    #[test]
-    fn runtime_report_profile_covers_the_phase_tree() {
-        // With obs on, the sidecar profile exposes the engine tick
-        // phases and the sim's window nodes; engine_busy is a thin read
-        // of the `engine.busy` node. With obs off, only the always-on
-        // busy totals remain.
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 1);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, std::slice::from_ref(&strategy), &wl, SimDuration::from_mins(30))
-            .unwrap();
-        let profile = &report.runtime.profile;
-        for node in ["engine.tick", "engine.tick.simulate", "engine.busy", "sim.window"] {
-            assert!(
-                profile.total(node) > Duration::ZERO,
-                "node {node} recorded:\n{}",
-                profile.render()
-            );
-        }
-        assert_eq!(report.engine_busy, profile.total("engine.busy"));
-        assert!(!profile.render().is_empty());
-        assert!(profile.collapsed().contains("engine;tick;simulate "));
-
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 1);
-        let report = Engine::new(EngineConfig {
-            obs: cex_core::obs::ObsConfig::disabled(),
-            ..Default::default()
-        })
-        .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-        .unwrap();
-        let profile = &report.runtime.profile;
-        assert_eq!(profile.total("engine.tick.simulate"), Duration::ZERO, "spans were off");
-        assert!(profile.total("engine.busy") > Duration::ZERO, "busy totals stay on");
-        assert!(report.engine_busy > Duration::ZERO);
-    }
-
-    #[test]
-    fn trace_scoped_check_reads_trace_derived_metrics() {
-        let src = r#"strategy "traced" {
-            service "svc" baseline "1.0.0" candidate "2.0.0"
-            phase "canary" canary 20% for 3m {
-              check response_time trace < 100 over 1m every 30s min_samples 5
-              on success complete
-              on failure rollback
-              on inconclusive retry
-            }
-        }"#;
-        // With sampling on, trace-derived samples back the check and the
-        // healthy candidate completes.
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 31);
-        sim.set_trace_sampling(1.0);
-        let strategy = dsl::parse(src).unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, std::slice::from_ref(&strategy), &wl, SimDuration::from_mins(10))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        assert!(
-            sim.store().count("trace:svc@2.0.0", cex_core::metrics::MetricKind::ResponseTime) > 0,
-            "the engine distilled trace samples into the trace scope"
-        );
-        assert!(!report.health.is_empty(), "tracing produces per-strategy health reports");
-        // With sampling off there is no trace-derived data: the check
-        // never concludes and the retry budget rolls the strategy back.
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 31);
-        sim.set_trace_sampling(0.0);
-        let report = Engine::new(EngineConfig { max_retries: 2, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        assert!(report.health.is_empty(), "no traces, no health reports");
-    }
 
     #[test]
     fn trace_samples_are_the_executed_primary_spans() {
@@ -1552,53 +1045,6 @@ mod tests {
             );
             assert_eq!(errors.mean * executed as f64, errored, "{scope} errors");
         }
-    }
-
-    #[test]
-    fn health_report_localizes_the_faulty_canary() {
-        // A canary carrying an injected error burst: the end-to-end check
-        // is lenient enough to let the phase run its course, but the
-        // trace-driven health report must pin the degradation on the
-        // candidate's `api` edge.
-        let app = chaos_app();
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 29);
-        sim.set_trace_sampling(1.0);
-        let strategy = dsl::parse(
-            r#"strategy "burst-canary" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 50% for 6m {
-                  inject error_burst 0.5 on candidate after 1m for 4m
-                  check error_rate app < 0.9 over 1m every 30s min_samples 10
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(8))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        let (name, health) = &report.health[0];
-        assert_eq!(name, "burst-canary");
-        assert_eq!(health.canary, "svc@2.0.0");
-        assert!(health.traces > 0);
-        let worst = health.worst_edge().expect("edges were compared");
-        assert_eq!(worst.endpoint, "api", "the fault is localized to the api edge");
-        assert!(worst.error_rate_delta() > 0.1, "delta {}", worst.error_rate_delta());
-        assert!(health.degraded(0.05, 1_000.0));
-        // The boundary snapshot journaled the same verdict.
-        assert!(journal.events().iter().any(|e| matches!(
-            e,
-            JournalEvent::HealthSnapshot { canary, worst_edge: Some(w), error_rate_delta, .. }
-                if canary == "svc@2.0.0" && w == "api" && *error_rate_delta > 0.1
-        )));
-        // And the journal still replays byte-identically with health
-        // events in it.
-        let text = journal.to_jsonl();
-        let parsed = crate::journal::Journal::from_jsonl(&text).unwrap();
-        assert_eq!(parsed.to_jsonl(), text);
     }
 
     #[test]
@@ -1743,816 +1189,5 @@ mod tests {
             empty_sides += u32::from(canary_calls != baseline_calls);
         }
         assert!(ties > 30 && empty_sides > 30 && no_edges > 30, "{ties} {empty_sides} {no_edges}");
-    }
-
-    #[test]
-    fn journal_round_trips_and_replays_the_execution() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 13);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        let parsed = crate::journal::Journal::from_jsonl(&journal.to_jsonl()).unwrap();
-        // The parsed journal replays the same verdict trace and the same
-        // terminal state as the live report.
-        assert_eq!(
-            parsed.check_trace("canary-then-rollout"),
-            journal.check_trace("canary-then-rollout")
-        );
-        assert!(!journal.check_trace("canary-then-rollout").is_empty());
-        assert_eq!(parsed.final_states(), vec![("canary-then-rollout".into(), State::Completed)]);
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        // Transitions in the journal match the report's audit log.
-        let journaled: Vec<(State, State)> = parsed
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                crate::journal::JournalEvent::Transition { from, to, .. } => Some((*from, *to)),
-                _ => None,
-            })
-            .collect();
-        let reported: Vec<(State, State)> =
-            report.transitions.iter().map(|t| (t.from, t.to)).collect();
-        assert_eq!(journaled, reported);
-        // The timeline renders one row per strategy plus header and load.
-        let timeline = journal.render_timeline(crate::journal::TimelineOptions::default());
-        assert_eq!(timeline.lines().count(), 3);
-    }
-
-    #[test]
-    fn retry_budget_bounds_total_phase_executions() {
-        // max_retries = 2 permits the initial execution plus exactly one
-        // retry; the second consecutive inconclusive outcome must roll
-        // back. The pre-fix `>` comparison allowed one extra retry.
-        let app = test_app(false);
-        let svc = app.service_id("svc").unwrap();
-        let wl = Workload::simple(svc, "api", 0.05);
-        let mut sim = Simulation::new(app, 3);
-        let strategy = dsl::parse(
-            r#"strategy "starved" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 10% for 2m {
-                  check error_rate < 0.1 over 1m every 30s min_samples 1000
-                  on success complete
-                  on failure rollback
-                  on inconclusive retry
-                }
-            }"#,
-        )
-        .unwrap();
-        let report = Engine::new(EngineConfig { max_retries: 2, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_hours(2))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        let retries = report.transitions.iter().filter(|t| t.from == t.to).count();
-        assert_eq!(retries, 1, "transitions: {:?}", report.transitions);
-        assert_eq!(report.transitions.last().unwrap().to, State::RolledBack);
-    }
-
-    #[test]
-    fn terminal_strategies_retire_their_scopes() {
-        let app = test_app(true);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 11);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        // The rolled-back candidate's samples are pruned from the live
-        // store; the journal records the retirement.
-        assert!(
-            !sim.store().scopes().iter().any(|s| s == "svc@2.0.0"),
-            "scopes: {:?}",
-            sim.store().scopes()
-        );
-        assert!(journal.events().iter().any(|e| matches!(
-            e,
-            crate::journal::JournalEvent::ScopeCleared { scope, .. } if scope == "svc@2.0.0"
-        )));
-    }
-
-    #[test]
-    fn sequential_experiments_do_not_accumulate_retired_samples() {
-        // Re-running experiments against the same long-lived simulation
-        // must not grow the store with retired candidate scopes: each
-        // rollback prunes the candidate's samples.
-        let app = test_app(true);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 12);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let mut candidate_counts = Vec::new();
-        for _ in 0..3 {
-            let report = Engine::default()
-                .execute(&mut sim, std::slice::from_ref(&strategy), &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-            let candidate_samples: usize = cex_core::metrics::MetricKind::all()
-                .iter()
-                .map(|m| sim.store().count("svc@2.0.0", *m))
-                .sum();
-            candidate_counts.push(candidate_samples);
-        }
-        assert_eq!(candidate_counts, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn auto_retention_bounds_live_store_memory() {
-        // A long execution keeps only a bounded raw tail per series: the
-        // auto horizon (4× the longest 1m check window, floored at 5min)
-        // compacts older samples into buckets while logical counts keep
-        // growing.
-        let app = test_app(false);
-        let svc = app.service_id("svc").unwrap();
-        let wl = Workload::simple(svc, "api", 5.0);
-        let mut sim = Simulation::new(app, 3);
-        let strategy = dsl::parse(
-            r#"strategy "starved" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 10% for 2m {
-                  check error_rate < 0.1 over 1m every 30s min_samples 1000000
-                  on success complete
-                  on failure rollback
-                  on inconclusive retry
-                }
-            }"#,
-        )
-        .unwrap();
-        Engine::new(EngineConfig { max_retries: 100, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(30))
-            .unwrap();
-        let store = sim.store();
-        assert_eq!(store.retention(), Some(SimDuration::from_mins(5)));
-        assert!(
-            (store.total_samples() as u64) < store.total_recorded(),
-            "raw tail ({}) stays below lifetime samples ({})",
-            store.total_samples(),
-            store.total_recorded()
-        );
-        // ~30 minutes of traffic recorded, at most ~5-and-change minutes
-        // of raw samples retained per series.
-        assert!(
-            (store.total_samples() as u64) < store.total_recorded() / 3,
-            "raw tail ({}) should be a fraction of lifetime samples ({})",
-            store.total_samples(),
-            store.total_recorded()
-        );
-        // Checks still read sample-exact windows: the horizon leaves the
-        // trailing minute fully raw-backed.
-        let s = store.window_summary(
-            "svc@1.0.0",
-            cex_core::metrics::MetricKind::ErrorRate,
-            sim.now(),
-            SimDuration::from_mins(1),
-        );
-        assert!(s.count > 0);
-    }
-
-    /// Two-tier app for the chaos-recovery tests: a stable frontend
-    /// fanning into the experimented backend, giving the resilience
-    /// layer a caller→callee edge to guard.
-    fn chaos_app() -> Application {
-        use microsim::app::CallDef;
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("web", "1.0.0").capacity(10_000.0).endpoint(
-                EndpointDef::new("home", LatencyModel::Constant { ms: 5.0 })
-                    .call(CallDef::always("svc", "api")),
-            ),
-        );
-        b.version(
-            VersionSpec::new("svc", "1.0.0")
-                .capacity(10_000.0)
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 10.0 })),
-        );
-        b.version(
-            VersionSpec::new("svc", "2.0.0")
-                .capacity(10_000.0)
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 9.0 })),
-        );
-        b.build().unwrap()
-    }
-
-    fn chaos_workload(app: &Application) -> Workload {
-        Workload::simple(app.service_id("web").unwrap(), "home", 40.0)
-    }
-
-    fn resilience_policy() -> microsim::resilience::CallPolicy {
-        use microsim::resilience::{BreakerPolicy, CallPolicy};
-        CallPolicy {
-            max_retries: 1,
-            backoff_base: SimDuration::from_millis(20),
-            jitter: 0.5,
-            breaker: Some(BreakerPolicy {
-                error_threshold: 0.5,
-                min_calls: 10,
-                window: 40,
-                cooldown: SimDuration::from_secs(5),
-                half_open_probes: 3,
-            }),
-            fallback: true,
-            fallback_latency: SimDuration::from_millis(1),
-            ..CallPolicy::default()
-        }
-    }
-
-    fn chaos_strategy_src() -> &'static str {
-        r#"strategy "chaos-canary" {
-            service "svc" baseline "1.0.0" candidate "2.0.0"
-            phase "chaos" canary 20% for 8m {
-              inject outage on candidate after 2m for 1m
-              check error_rate app < 0.02 over 1m every 30s min_samples 20
-              on success complete
-              on failure rollback
-            }
-        }"#
-    }
-
-    #[test]
-    fn chaos_recovery_survives_the_outage_and_journals_the_breaker_cycle() {
-        let app = chaos_app();
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 17);
-        sim.set_call_policy(resilience_policy());
-        let strategy = dsl::parse(chaos_strategy_src()).unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-            .unwrap();
-        // The fallback absorbs the outage, so users never see it and the
-        // app-scope check passes the phase.
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-
-        // The armed fault window is journaled with its absolute bounds.
-        let chaos: Vec<_> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                JournalEvent::Chaos { kind, target, from, until, .. } => {
-                    Some((*kind, target.clone(), *from, *until))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            chaos,
-            vec![("outage", "svc@2.0.0".to_string(), SimTime::from_mins(2), SimTime::from_mins(3))]
-        );
-
-        // The breaker on the web→candidate edge opens during the outage
-        // and re-closes shortly after the window clears.
-        use microsim::resilience::BreakerState;
-        let breaker: Vec<_> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                JournalEvent::Breaker { time, caller, callee, to, .. } if callee == "svc@2.0.0" => {
-                    Some((*time, caller.clone(), *to))
-                }
-                _ => None,
-            })
-            .collect();
-        let opened = breaker.iter().find(|(_, _, to)| *to == BreakerState::Open).expect("opens");
-        assert!(opened.0 >= SimTime::from_mins(2) && opened.0 < SimTime::from_mins(3));
-        assert_eq!(opened.1, "web@1.0.0");
-        let reclosed =
-            breaker.iter().rev().find(|(_, _, to)| *to == BreakerState::Closed).expect("re-closes");
-        assert!(
-            reclosed.0 >= SimTime::from_mins(3) && reclosed.0 <= SimTime::from_mins(4),
-            "re-closed at {} — expected within a minute of the window clearing",
-            reclosed.0
-        );
-
-        // The journal replays: parse → re-serialize is byte-identical,
-        // and the replayed terminal state matches the live report.
-        let text = journal.to_jsonl();
-        let parsed = crate::journal::Journal::from_jsonl(&text).unwrap();
-        assert_eq!(parsed.to_jsonl(), text);
-        assert_eq!(parsed.final_states(), vec![("chaos-canary".into(), State::Completed)]);
-    }
-
-    #[test]
-    fn chaos_without_resilience_is_caught_and_rolled_back() {
-        // Same experiment, no resilience layer: the outage leaks straight
-        // to users, the app-scope check fails, and the strategy rolls
-        // back. The fault window starts exactly on the phase boundary
-        // (start_after 0) — the `[from, until)` convention must apply it
-        // from the very first request of the phase.
-        let app = chaos_app();
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 17);
-        let strategy = dsl::parse(
-            r#"strategy "chaos-naked" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "chaos" canary 20% for 8m {
-                  inject outage on candidate after 0s for 2m
-                  check error_rate app < 0.02 over 1m every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let report = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        // Caught inside the outage window, not at the phase boundary.
-        let t = report.transitions.last().unwrap().time;
-        assert!(t <= SimTime::from_mins(2) + SimDuration::from_secs(30), "rolled back at {t}");
-    }
-
-    /// The chaos app with zone labels on the backend pair, for the
-    /// correlated-fault (zone chaos) tests.
-    fn zoned_chaos_app() -> Application {
-        use microsim::app::CallDef;
-        let mut b = Application::builder();
-        b.version(
-            VersionSpec::new("web", "1.0.0").capacity(10_000.0).zone("edge").endpoint(
-                EndpointDef::new("home", LatencyModel::Constant { ms: 5.0 })
-                    .call(CallDef::always("svc", "api")),
-            ),
-        );
-        b.version(
-            VersionSpec::new("svc", "1.0.0")
-                .capacity(10_000.0)
-                .zone("backend")
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 10.0 })),
-        );
-        b.version(
-            VersionSpec::new("svc", "2.0.0")
-                .capacity(10_000.0)
-                .zone("backend")
-                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 9.0 })),
-        );
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn zone_outage_strikes_every_zone_member_and_journals_the_zone() {
-        let app = zoned_chaos_app();
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 17);
-        sim.set_call_policy(resilience_policy());
-        let strategy = dsl::parse(
-            r#"strategy "zone-chaos" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "chaos" canary 20% for 8m {
-                  inject zone_outage "backend" after 2m for 1m
-                  check error_rate app < 0.02 over 1m every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-            .unwrap();
-        // Fallbacks absorb the whole-zone outage, so the app-scope check
-        // passes and the experiment completes.
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-
-        // One journal event for the correlated fault, tagged with the
-        // zone (not a single version) and the DSL spelling of the kind.
-        let chaos: Vec<_> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                JournalEvent::Chaos { kind, target, from, until, .. } => {
-                    Some((*kind, target.clone(), *from, *until))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            chaos,
-            vec![(
-                "zone_outage",
-                "zone:backend".to_string(),
-                SimTime::from_mins(2),
-                SimTime::from_mins(3)
-            )]
-        );
-
-        // Both zone members went dark: the breakers guarding the edges
-        // into each backend version open during the window.
-        use microsim::resilience::BreakerState;
-        for callee in ["svc@1.0.0", "svc@2.0.0"] {
-            let opened = journal.events().iter().any(|e| {
-                matches!(e, JournalEvent::Breaker { time, callee: c, to, .. }
-                    if c == callee
-                        && *to == BreakerState::Open
-                        && *time >= SimTime::from_mins(2)
-                        && *time < SimTime::from_mins(3))
-            });
-            assert!(opened, "breaker into {callee} never opened during the zone outage");
-        }
-
-        // The zone_outage keyword survives the journal round-trip.
-        let text = journal.to_jsonl();
-        let parsed = crate::journal::Journal::from_jsonl(&text).unwrap();
-        assert_eq!(parsed.to_jsonl(), text);
-    }
-
-    #[test]
-    fn latency_storm_journals_its_magnitude_and_zone() {
-        let app = zoned_chaos_app();
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 17);
-        sim.set_call_policy(resilience_policy());
-        let strategy = dsl::parse(
-            r#"strategy "storm" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "chaos" canary 20% for 8m {
-                  inject latency_storm 5 on zone "backend" after 2m for 1m
-                  check error_rate app < 0.02 over 1m every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-            .unwrap();
-        // A pure latency storm produces no errors, so the experiment
-        // completes; the journal carries the multiplier and the zone.
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        let stormed = journal.events().iter().any(|e| {
-            matches!(e, JournalEvent::Chaos { kind, magnitude, target, .. }
-                if *kind == "latency_storm" && *magnitude == 5.0 && target == "zone:backend")
-        });
-        assert!(stormed, "latency_storm event missing from the journal");
-        let text = journal.to_jsonl();
-        assert_eq!(crate::journal::Journal::from_jsonl(&text).unwrap().to_jsonl(), text);
-    }
-
-    #[test]
-    fn unknown_chaos_zone_is_an_execution_error() {
-        let app = chaos_app(); // no zone labels at all
-        let wl = chaos_workload(&app);
-        let mut sim = Simulation::new(app, 17);
-        let strategy = dsl::parse(
-            r#"strategy "ghost-zone" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "chaos" canary 20% for 8m {
-                  inject zone_outage "ghost" after 2m for 1m
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let err = Engine::default()
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-            .unwrap_err();
-        assert!(err.to_string().contains("matches no deployed version"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn chaos_journal_is_byte_identical_across_runs() {
-        let mut texts = Vec::new();
-        for _ in 0..2 {
-            let app = chaos_app();
-            let wl = chaos_workload(&app);
-            let mut sim = Simulation::new(app, 23);
-            sim.set_call_policy(resilience_policy());
-            let strategy = dsl::parse(chaos_strategy_src()).unwrap();
-            let (_, journal) = Engine::default()
-                .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(10))
-                .unwrap();
-            assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::Breaker { .. })));
-            texts.push(journal.to_jsonl());
-        }
-        assert_eq!(texts[0], texts[1], "same seed");
-    }
-
-    /// One service pair with tunable error rates for the sequential
-    /// tests: equal latency so the error-rate metric is the only
-    /// difference between the sides.
-    fn seq_app(baseline_err: f64, candidate_err: f64) -> Application {
-        let mut b = Application::builder();
-        b.version(VersionSpec::new("svc", "1.0.0").capacity(10_000.0).endpoint(
-            EndpointDef::new("api", LatencyModel::Constant { ms: 20.0 }).error_rate(baseline_err),
-        ));
-        b.version(VersionSpec::new("svc", "2.0.0").capacity(10_000.0).endpoint(
-            EndpointDef::new("api", LatencyModel::Constant { ms: 20.0 }).error_rate(candidate_err),
-        ));
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn sequential_check_promotes_the_phase_early() {
-        // Candidate clearly better: the always-valid p crosses well before
-        // the 30-minute phase clock, and the engine promotes immediately.
-        let app = seq_app(0.3, 0.05);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 41);
-        let strategy = dsl::parse(
-            r#"strategy "seq" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 50% for 30m {
-                  check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(40))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        let done = report.transitions.last().unwrap().time;
-        assert!(done < SimTime::from_mins(15), "promoted early, at {done}");
-        assert!(journal.events().iter().any(|e| matches!(
-            e,
-            JournalEvent::EarlyStop { outcome: PhaseOutcome::Success, p, .. } if *p <= 0.05
-        )));
-        let text = journal.to_jsonl();
-        assert_eq!(crate::journal::Journal::from_jsonl(&text).unwrap().to_jsonl(), text);
-    }
-
-    #[test]
-    fn sequential_check_aborts_early_on_harm() {
-        // Candidate clearly worse: the harm-direction p crosses mid-phase
-        // and the strategy rolls back without waiting for the boundary.
-        let app = seq_app(0.05, 0.4);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 43);
-        let strategy = dsl::parse(
-            r#"strategy "seq-bad" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "canary" canary 50% for 30m {
-                  check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(40))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        let done = report.transitions.last().unwrap().time;
-        assert!(done < SimTime::from_mins(10), "aborted early, at {done}");
-        assert!(journal.events().iter().any(|e| matches!(
-            e,
-            JournalEvent::EarlyStop { outcome: PhaseOutcome::Failure, p, .. } if *p <= 0.05
-        )));
-    }
-
-    #[test]
-    fn guarded_ramp_advances_to_completion_when_healthy() {
-        let app = seq_app(0.3, 0.05);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 47);
-        let strategy = dsl::parse(
-            r#"strategy "ramp-good" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "ramp" ramp from 10% to 100% step 30% every 1m guarded for 10m {
-                  check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(15))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-        let decisions: Vec<&str> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                JournalEvent::Ramp { decision, .. } => Some(*decision),
-                _ => None,
-            })
-            .collect();
-        assert!(!decisions.is_empty(), "guarded ramp journals its decisions");
-        assert!(
-            decisions.iter().all(|d| *d == "advance"),
-            "healthy ramp only advances: {decisions:?}"
-        );
-    }
-
-    #[test]
-    fn guarded_ramp_retreats_under_harm_before_the_sequential_abort() {
-        // A mildly worse candidate under a very strict confidence: the
-        // instantaneous warn threshold (LR ≥ 2) trips long before the
-        // absorbing abort (always-valid p ≤ 0.001 ⇔ LR ≥ 1000), so the
-        // ramp retreats/holds at its step boundaries and the strategy
-        // still ends in a rollback once the evidence is conclusive.
-        let app = seq_app(0.1, 0.22);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 53);
-        let strategy = dsl::parse(
-            r#"strategy "ramp-bad" {
-                service "svc" baseline "1.0.0" candidate "2.0.0"
-                phase "ramp" ramp from 10% to 100% step 30% every 1m guarded for 40m {
-                  check error_rate sequential vs baseline < confidence 0.999 every 30s min_samples 20
-                  on success complete
-                  on failure rollback
-                }
-            }"#,
-        )
-        .unwrap();
-        let (report, journal) = Engine::default()
-            .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(45))
-            .unwrap();
-        assert_eq!(report.statuses[0].1, StrategyStatus::RolledBack);
-        let decisions: Vec<(&str, f64)> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                JournalEvent::Ramp { decision, percent, .. } => Some((*decision, *percent)),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            decisions.iter().any(|(d, _)| *d == "retreat" || *d == "hold"),
-            "harm evidence throttles the ramp: {decisions:?}"
-        );
-        // The ramp never retreats below its entry percent.
-        assert!(decisions.iter().all(|(_, pct)| *pct >= 10.0), "{decisions:?}");
-    }
-
-    #[test]
-    fn sequential_journal_is_byte_identical_across_runs() {
-        // The full sequential feature set — early promotion, guarded
-        // ramping — journals byte-identically across same-seed runs, like
-        // every other event kind.
-        let src = r#"strategy "seq-pipeline" {
-            service "svc" baseline "1.0.0" candidate "2.0.0"
-            phase "canary" canary 30% for 30m {
-              check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-              on success goto "ramp"
-              on failure rollback
-            }
-            phase "ramp" ramp from 30% to 100% step 35% every 1m guarded for 8m {
-              check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-              on success complete
-              on failure rollback
-            }
-        }"#;
-        let mut texts = Vec::new();
-        for _ in 0..2 {
-            let app = seq_app(0.3, 0.05);
-            let wl = workload(&app);
-            let mut sim = Simulation::new(app, 61);
-            let strategy = dsl::parse(src).unwrap();
-            let engine = Engine::new(EngineConfig::default());
-            let (report, journal) = engine
-                .execute_journaled(&mut sim, &[strategy], &wl, SimDuration::from_mins(60))
-                .unwrap();
-            assert_eq!(report.statuses[0].1, StrategyStatus::Completed);
-            assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::EarlyStop { .. })));
-            assert!(journal.events().iter().any(|e| matches!(e, JournalEvent::Ramp { .. })));
-            texts.push(journal.to_jsonl());
-        }
-        assert_eq!(texts[0], texts[1], "same seed");
-    }
-
-    #[test]
-    fn sequential_fleet_journals_identically_across_runs_and_a_retry() {
-        // Sequential looks resume their cumulative windows from cursors
-        // kept per (run, check). A fleet that promotes early, ramps under
-        // guard, retreats, and retries an undecided A/A phase must journal
-        // the same bytes on every same-seed run — and a retried phase must
-        // start its windows over.
-        let src = r#"
-        strategy "good" {
-          service "good" baseline "1.0.0" candidate "2.0.0"
-          phase "canary" canary 30% for 10m {
-            check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-            on success goto "ramp"
-            on failure rollback
-          }
-          phase "ramp" ramp from 30% to 100% step 35% every 1m guarded for 6m {
-            check error_rate sequential vs baseline < confidence 0.95 every 30s min_samples 20
-            on success complete
-            on failure rollback
-          }
-        }
-        strategy "bad" {
-          service "bad" baseline "1.0.0" candidate "2.0.0"
-          phase "ramp" ramp from 10% to 100% step 30% every 1m guarded for 30m {
-            check error_rate sequential vs baseline < confidence 0.999 every 30s min_samples 20
-            on success complete
-            on failure rollback
-          }
-        }
-        strategy "same" {
-          service "same" baseline "1.0.0" candidate "2.0.0"
-          phase "aa" canary 50% for 3m {
-            check error_rate sequential vs baseline < confidence 0.9999 every 20s min_samples 20
-            on success complete
-            on failure rollback
-            on inconclusive retry
-          }
-        }"#;
-        let fleet_app = || {
-            let mut b = Application::builder();
-            for (service, errs) in [("good", [0.3, 0.05]), ("bad", [0.1, 0.13]), ("same", [0.1; 2])]
-            {
-                for (version, err) in ["1.0.0", "2.0.0"].into_iter().zip(errs) {
-                    b.version(
-                        VersionSpec::new(service, version).capacity(10_000.0).endpoint(
-                            EndpointDef::new("api", LatencyModel::Constant { ms: 20.0 })
-                                .error_rate(err),
-                        ),
-                    );
-                }
-            }
-            b.build().unwrap()
-        };
-        let mut texts = Vec::new();
-        for _ in 0..2 {
-            let app = fleet_app();
-            let entries = ["good", "bad", "same"]
-                .iter()
-                .map(|s| microsim::workload::EntryPoint {
-                    service: app.service_id(s).unwrap(),
-                    endpoint: "api".into(),
-                    weight: 1.0,
-                })
-                .collect();
-            let wl = Workload {
-                population: cex_core::users::Population::single("all", 50_000),
-                rate_rps: 90.0,
-                entries,
-                profile: microsim::workload::RateProfile::Constant,
-            };
-            let mut sim = Simulation::new(app, 78);
-            let (strategies, _) = dsl::parse_fleet(src).unwrap();
-            let engine = Engine::new(EngineConfig { max_retries: 3, ..Default::default() });
-            let (_, journal) = engine
-                .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(20))
-                .unwrap();
-            if texts.is_empty() {
-                let events = journal.events();
-                let has = |pred: fn(&JournalEvent) -> bool| events.iter().any(pred);
-                assert!(has(|e| matches!(e, JournalEvent::EarlyStop { .. })));
-                assert!(has(|e| matches!(e, JournalEvent::Ramp { decision: "advance", .. })));
-                assert!(has(|e| matches!(e, JournalEvent::Ramp { decision: "retreat", .. })));
-                // The A/A phase is retried, and each retry reads a window
-                // anchored at the re-entry: sample counts fall back.
-                let looks: Vec<(SimTime, u64)> = events
-                    .iter()
-                    .filter_map(|e| match e {
-                        JournalEvent::Check {
-                            time, strategy, primary, boundary: false, ..
-                        } if strategy.as_ref() == "same" => Some((*time, primary.count)),
-                        _ => None,
-                    })
-                    .collect();
-                let retries: Vec<SimTime> = events
-                    .iter()
-                    .filter_map(|e| match e {
-                        JournalEvent::Transition { time, strategy, from, to, .. }
-                            if strategy.as_ref() == "same" && from == to =>
-                        {
-                            Some(*time)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(retries.len(), 2, "two retries, then the budget rolls back");
-                for retry in retries {
-                    let before = looks.iter().rev().find(|(t, _)| *t <= retry).unwrap().1;
-                    let after = looks.iter().find(|(t, _)| *t > retry).unwrap().1;
-                    assert!(after * 4 < before, "window restarted: {before} -> {after}");
-                }
-            }
-            texts.push(journal.to_jsonl());
-        }
-        assert_eq!(texts[0], texts[1], "same seed");
-    }
-
-    #[test]
-    fn zero_tick_is_an_error_not_a_hang() {
-        // A zero step never advances the clock, so neither the deadline
-        // nor a phase boundary is ever reached.
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 7);
-        let strategy = dsl::parse(strategy_src()).unwrap();
-        let err = Engine::new(EngineConfig { tick: SimDuration::ZERO, ..Default::default() })
-            .execute(&mut sim, &[strategy], &wl, SimDuration::from_secs(30))
-            .unwrap_err();
-        assert!(matches!(&err, BifrostError::Execution(why) if why.contains("tick")), "{err}");
-        assert_eq!(sim.now(), SimTime::ZERO, "rejected before the simulation is touched");
-    }
-
-    #[test]
-    fn empty_strategy_list_is_an_error() {
-        let app = test_app(false);
-        let wl = workload(&app);
-        let mut sim = Simulation::new(app, 7);
-        assert!(Engine::default().execute(&mut sim, &[], &wl, SimDuration::from_mins(1)).is_err());
     }
 }

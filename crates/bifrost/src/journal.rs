@@ -253,7 +253,7 @@ journal_events! {
         /// A guarded gradual rollout took a ramp decision at a step boundary:
         /// advance one step, retreat one step, or hold at the floor — driven
         /// by the instantaneous harm evidence of the phase's sequential
-        /// checks (see [`crate::checks::SequentialState::warns`]).
+        /// checks (see [`crate::decide::RAMP_WARN_LR`]).
         Ramp "ramp" {
             /// Virtual time of the decision (the step boundary).
             time: SimTime,

@@ -317,16 +317,6 @@ impl ChaosTarget {
             ChaosTarget::Zone(_) => "zone",
         }
     }
-
-    /// Parses the keyword produced by [`ChaosTarget::keyword`] (version
-    /// targets only; zone targets carry a label and are parsed by the DSL).
-    pub fn from_keyword(name: &str) -> Option<Self> {
-        Some(match name {
-            "candidate" => ChaosTarget::Candidate,
-            "baseline" => ChaosTarget::Baseline,
-            _ => return None,
-        })
-    }
 }
 
 /// A scheduled fault window inside a phase — the chaos half of a

@@ -69,11 +69,6 @@ impl Interner {
         self.names[sym.index()].clone()
     }
 
-    /// Symbols whose name satisfies `pred`, in interning order.
-    pub fn matching(&self, pred: impl Fn(&str) -> bool) -> Vec<Sym> {
-        self.names.iter().enumerate().filter(|(_, n)| pred(n)).map(|(i, _)| Sym(i as u32)).collect()
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -116,17 +111,6 @@ mod tests {
         let a = i.intern("svc@1.0.0");
         assert_eq!(&*i.name(a), "svc@1.0.0");
         assert_eq!(Sym::from_index(a.index()), a);
-    }
-
-    #[test]
-    fn matching_filters_by_name() {
-        let mut i = Interner::new();
-        i.intern("trace:a");
-        let b = i.intern("other");
-        i.intern("trace:c");
-        let hits = i.matching(|n| n.starts_with("trace:"));
-        assert_eq!(hits.len(), 2);
-        assert!(!hits.contains(&b));
     }
 
     #[test]

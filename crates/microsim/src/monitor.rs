@@ -649,11 +649,6 @@ impl MetricStore {
         }
     }
 
-    /// The pre-aggregation bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        SimDuration::from_millis(self.bucket_width_ms)
-    }
-
     /// Sets (or clears) the retention horizon: raw samples older than
     /// `horizon` behind a series' latest sample are compacted into their
     /// buckets. `None` keeps raw samples forever.
@@ -972,22 +967,9 @@ impl MetricStore {
     /// Removes every series of a scope (e.g. when an experiment finishes).
     pub fn clear_scope(&mut self, scope: &str) {
         if let Some(id) = self.resolve(scope) {
-            self.clear_ids(&[id]);
-        }
-    }
-
-    fn clear_ids(&mut self, scopes: &[ScopeId]) {
-        for scope in scopes {
-            let first = scope.index() * KIND_COUNT;
+            let first = id.index() * KIND_COUNT;
             self.series.iter_mut().skip(first).take(KIND_COUNT).for_each(|series| *series = None);
         }
-    }
-
-    /// Removes every series whose scope starts with `prefix` (e.g. all
-    /// `exp:<name>/` experiment-level series once the experiment's
-    /// journal is the long-term record).
-    pub fn clear_prefix(&mut self, prefix: &str) {
-        self.clear_ids(&self.interner.matching(|n| n.starts_with(prefix)));
     }
 
     /// Raw samples currently held in memory across all series — the
@@ -1402,17 +1384,6 @@ mod tests {
             assert_eq!(ta, te);
             assert!((va - ve).abs() < 1e-9, "at {ta}: {va} vs {ve}");
         }
-    }
-
-    #[test]
-    fn clear_prefix_removes_matching_scopes_only() {
-        let mut store = MetricStore::new();
-        store.record_value("exp:a/control", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
-        store.record_value("exp:a/variant", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
-        store.record_value("exp:ab/variant", MetricKind::ConversionRate, SimTime::ZERO, 1.0);
-        store.record_value("svc@1", MetricKind::ResponseTime, SimTime::ZERO, 1.0);
-        store.clear_prefix("exp:a/");
-        assert_eq!(store.scopes(), vec!["exp:ab/variant".to_string(), "svc@1".to_string()]);
     }
 
     #[test]
