@@ -13,8 +13,9 @@
 //!    allocation per record) and into the interned/dense-slot/batched
 //!    store. Acceptance: ≥5× throughput.
 //! 3. **Window-query flatness** — series of 10^4..10^6 samples spread
-//!    over a fixed 10-minute span; a 1-minute `window_summary` must stay
-//!    flat (within 2×) as the series grows, since its cost is
+//!    over a fixed 100-minute span; a 10-minute `window_summary` (600
+//!    one-second buckets) must stay flat (within 2×) as the series
+//!    grows, since its cost is
 //!    proportional to buckets-in-window, not samples-in-window. The
 //!    pre-PR store is measured alongside for contrast. Each timed look
 //!    ends one bucket earlier than the last, so every one folds: a series
@@ -41,7 +42,7 @@ use cex_bench::{smoke_args, write_bench_json};
 use cex_core::metrics::{MetricKind, OnlineStats, Sample, Summary};
 use cex_core::simtime::{SimDuration, SimTime};
 use cex_core::users::Population;
-use microsim::monitor::{MetricStore, WindowCursor};
+use microsim::monitor::{MetricStore, WindowCursor, BUCKET_WIDTH};
 use microsim::sim::{Simulation, APP_SCOPE};
 use microsim::topologies::case_study_app;
 use microsim::workload::{EntryPoint, Workload};
@@ -267,9 +268,12 @@ fn time_queries(iters: u64, f: impl Fn(u64) -> u64) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Span the window-query series cover, and their bucket width.
-const SPAN_MS: u64 = 600_000;
-const QUERY_BUCKET_MS: u64 = 100;
+/// Span the window-query series cover: 6,000 one-second buckets, ten
+/// times a look's window.
+const SPAN_MS: u64 = 6_000_000;
+
+/// A timed look's window: 600 buckets.
+const LOOK_WINDOW: SimDuration = SimDuration::from_mins(10);
 
 /// `n` samples of `metric` spread uniformly over [`SPAN_MS`] under `scope`.
 fn fill_span(store: &mut MetricStore, scope: &str, metric: MetricKind, n: u64) -> Vec<Sample> {
@@ -283,21 +287,17 @@ fn fill_span(store: &mut MetricStore, scope: &str, metric: MetricKind, n: u64) -
     samples
 }
 
-/// The `i`-th timed 1-minute look: at the tail, stepping back one bucket
-/// per call over the last 600, so that no look repeats the one before.
+/// The `i`-th timed look: at the tail, stepping back one bucket (1 s) per
+/// call over the last 600, so that no look repeats the one before.
 fn stepped_look(i: u64) -> SimTime {
-    SimTime::from_millis(SPAN_MS - (i % 600) * QUERY_BUCKET_MS)
-}
-
-fn query_store() -> MetricStore {
-    MetricStore::with_bucket_width(SimDuration::from_millis(QUERY_BUCKET_MS))
+    SimTime::from_millis(SPAN_MS - (i % 600) * BUCKET_WIDTH.as_millis())
 }
 
 /// Window-query latency at a given series length: `n` samples spread
-/// uniformly over [`SPAN_MS`], 1-minute summaries queried at the tail.
-/// Returns ns/query for (new store, baseline store).
+/// uniformly over [`SPAN_MS`], [`LOOK_WINDOW`] summaries queried at the
+/// tail. Returns ns/query for (new store, baseline store).
 fn bench_window_query(n: u64) -> (f64, f64) {
-    let mut store = query_store();
+    let mut store = MetricStore::new();
     let metric = MetricKind::ResponseTime;
     let samples = fill_span(&mut store, "svc@1", metric, n);
     let scope = store.resolve("svc@1").expect("interned above");
@@ -305,7 +305,7 @@ fn bench_window_query(n: u64) -> (f64, f64) {
     for &sample in &samples {
         baseline.record("svc@1", metric, sample);
     }
-    let window = SimDuration::from_secs(60);
+    let window = LOOK_WINDOW;
 
     let new_ns = time_queries(2_000, |i| {
         store.window_summary_id(scope, metric, stepped_look(i), window).count
@@ -317,17 +317,17 @@ fn bench_window_query(n: u64) -> (f64, f64) {
 }
 
 /// Two series of `n` samples each (response time and error rate of one
-/// scope), 1-minute looks stepped as in [`bench_window_query`]: ns per
+/// scope), looks stepped as in [`bench_window_query`]: ns per
 /// look at both for (one paired read, two single reads), then ns for one
 /// single look repeated at the same `now` — after the first, the series'
 /// remembered answer.
 fn bench_window_pair(n: u64) -> (f64, f64, f64) {
-    let mut store = query_store();
+    let mut store = MetricStore::new();
     let (rt, err) = (MetricKind::ResponseTime, MetricKind::ErrorRate);
     fill_span(&mut store, "svc@1", rt, n);
     fill_span(&mut store, "svc@1", err, n);
     let scope = store.resolve("svc@1").expect("interned above");
-    let window = SimDuration::from_secs(60);
+    let window = LOOK_WINDOW;
     let now = stepped_look(0);
     let pair = store.window_summary_pair((scope, rt), (scope, err), now, window);
     let singles = [rt, err].map(|m| store.window_summary_id(scope, m, now, window));

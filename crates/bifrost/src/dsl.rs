@@ -331,6 +331,25 @@ impl Parser {
         }
     }
 
+    /// A whole count after `keyword`: a bare number with no fraction,
+    /// below 2^64. Numbers lex as `f64`, so a fraction, a percentage or a
+    /// count too long for `u64` would otherwise truncate or saturate
+    /// without a word. The error sits on the count.
+    fn expect_count(&mut self, keyword: &str) -> Result<u64, BifrostError> {
+        const PAST_U64: f64 = 18_446_744_073_709_551_616.0; // 2^64
+        match self.peek() {
+            Some(Spanned { tok: Tok::Number(v), .. }) if v.fract() == 0.0 && *v < PAST_U64 => {
+                let count = *v as u64;
+                self.pos += 1;
+                Ok(count)
+            }
+            _ => {
+                Err(self
+                    .err(format!("`{keyword}` takes a whole count below 2^64{}", self.offending())))
+            }
+        }
+    }
+
     fn expect_lbrace(&mut self) -> Result<(), BifrostError> {
         match self.next() {
             Some(Spanned { tok: Tok::LBrace, .. }) => Ok(()),
@@ -350,11 +369,7 @@ impl Parser {
                 break;
             }
             if self.eat_keyword("report_every") {
-                let n = self.expect_number()?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(self.err("`report_every` takes a whole tick count"));
-                }
-                settings.report_every = n as u64;
+                settings.report_every = self.expect_count("report_every")?;
             } else if self.eat_keyword("profile") {
                 settings.profile = if self.eat_keyword("on") {
                     true
@@ -607,8 +622,11 @@ impl Parser {
             let threshold = self.expect_number()?;
             self.expect_keyword("every")?;
             let interval = self.expect_duration()?;
-            let min_samples =
-                if self.eat_keyword("min_samples") { self.expect_number()? as u64 } else { 20 };
+            let min_samples = if self.eat_keyword("min_samples") {
+                self.expect_count("min_samples")?
+            } else {
+                20
+            };
             let tau = if self.eat_keyword("tau") { Some(self.expect_number()?) } else { None };
             return Ok(Check {
                 metric,
@@ -627,7 +645,7 @@ impl Parser {
         self.expect_keyword("every")?;
         let interval = self.expect_duration()?;
         let min_samples =
-            if self.eat_keyword("min_samples") { self.expect_number()? as u64 } else { 20 };
+            if self.eat_keyword("min_samples") { self.expect_count("min_samples")? } else { 20 };
         Ok(Check { metric, scope, comparator, threshold, window, interval, min_samples, tau: None })
     }
 
@@ -1289,15 +1307,43 @@ strategy "rec-rollout" {
     }
 
     #[test]
-    fn runtime_block_rejects_malformed_settings() {
-        for (src, needle) in [
-            ("runtime { report_every 1.5 }", "whole tick count"),
-            ("runtime { profile maybe }", "`on` or `off`"),
-            ("runtime { cadence 3 }", "`report_every`, `profile`"),
-            ("runtime { report_every 3", "expected"),
+    fn malformed_settings_and_counts_are_rejected_where_they_stand() {
+        // Each row: a source, the token the error must point at (its first
+        // occurrence), and a piece of the message.
+        let check = |tail: &str| {
+            format!(
+                "strategy \"s\" {{ service \"a\" baseline \"1\" candidate \"2\"\n\
+                 phase \"p\" canary 1% for 5m {{\n  check error_rate{tail}\n\
+                 on success complete on failure rollback }} }}"
+            )
+        };
+        let windowed =
+            |count: &str| check(&format!(" < 0.05 over 1m every 30s min_samples {count}"));
+        let sequential =
+            check(" sequential vs baseline < confidence 0.95 every 30s min_samples 2.5");
+        let big = "100000000000000000000000";
+        for (src, token, needle) in [
+            ("runtime { report_every 1.5 }".to_string(), "1.5", "whole count"),
+            ("runtime { report_every 100% }".to_string(), "100%", "got percentage `100%`"),
+            (format!("runtime {{ report_every {big} }}"), big, "below 2^64"),
+            ("runtime { profile maybe }".to_string(), "maybe", "`on` or `off`"),
+            ("runtime { cadence 3 }".to_string(), "cadence", "`report_every`, `profile`"),
+            ("runtime { report_every 3".to_string(), "3", "expected"),
+            (windowed("2.5"), "2.5", "`min_samples` takes a whole count"),
+            (windowed("50%"), "50%", "got percentage `50%`"),
+            (windowed(big), big, "below 2^64"),
+            (sequential, "2.5", "`min_samples` takes a whole count"),
         ] {
-            let err = parse_fleet(src).unwrap_err();
-            assert!(err.to_string().contains(needle), "{src} -> {err}");
+            let at = src.find(token).expect("the row names a token of its source");
+            let line = src[..at].matches('\n').count() + 1;
+            let column = src[..at].rfind('\n').map_or(at, |nl| at - nl - 1) + 1;
+            match parse_fleet(&src) {
+                Err(BifrostError::Parse { line: l, column: c, message }) => {
+                    assert_eq!((l, c), (line, column), "{src} -> {message}");
+                    assert!(message.contains(needle), "{src} -> {message}");
+                }
+                other => panic!("{src} -> expected a parse error, got {other:?}"),
+            }
         }
     }
 }

@@ -120,7 +120,7 @@ use crate::faults::FaultPlan;
 use crate::load::{Admission, LoadTracker, OccupancyTable};
 use crate::monitor::MetricSink;
 use crate::resilience::{
-    BreakerState, BreakerTransition, CallDecision, CallPolicy, ResiliencePlan, ResilienceState,
+    BreakerState, BreakerTransition, CallDecision, CallPolicy, ResilienceState,
 };
 use crate::routing::{Router, UserId};
 use crate::trace::{Span, SpanId, SpanStatus, Trace, TraceCollector, TraceId};
@@ -558,9 +558,9 @@ struct Ctx<'a> {
     app: &'a Application,
     router: &'a Router,
     faults: &'a FaultPlan,
-    plan: &'a ResiliencePlan,
+    /// The policy every primary inter-service call runs under, if any.
+    policy: Option<CallPolicy>,
     reqs: &'a [EventRequest],
-    guard: bool,
     /// Events popped and sent, sheds; the loop counts sub-rounds.
     tally: WindowTally,
 }
@@ -638,12 +638,7 @@ impl Ctx<'_> {
             let child_start = frame.start_ms + frame.elapsed_ms;
             let user = self.reqs[frame.req as usize].user;
 
-            let policy = if !frame.dark && self.guard {
-                let caller_service = app.version(frame.version).service.0;
-                self.plan.policy_for(caller_service, call.service.0).copied()
-            } else {
-                None
-            };
+            let policy = if frame.dark { None } else { self.policy };
             let callee = router.resolve(app, call.service, user);
             let callee_ep = app
                 .endpoint_named(callee, call.endpoint_name)
@@ -1065,7 +1060,7 @@ pub(crate) fn run_window(
     load: &mut LoadTracker,
     occupancy: &mut OccupancyTable,
     faults: &FaultPlan,
-    plan: &ResiliencePlan,
+    policy: Option<CallPolicy>,
     state: &mut ResilienceState,
     sink: &mut MetricSink<'_>,
     collector: &mut TraceCollector,
@@ -1091,9 +1086,8 @@ pub(crate) fn run_window(
             app,
             router,
             faults,
-            plan,
+            policy,
             reqs: &requests,
-            guard: !plan.is_empty(),
             tally: WindowTally::default(),
         },
     };

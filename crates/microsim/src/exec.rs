@@ -35,21 +35,22 @@ use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::load::LoadTracker;
 use crate::monitor::MetricSink;
-use crate::resilience::{BreakerState, CallDecision, CallPolicy, ResiliencePlan, ResilienceState};
+use crate::resilience::{BreakerState, CallDecision, CallPolicy, ResilienceState};
 use crate::routing::{Router, UserId};
 use crate::trace::{Span, SpanId, SpanStatus, Trace, TraceId};
 use cex_core::metrics::MetricKind;
 use cex_core::rng::SplitMix64;
 use cex_core::simtime::{SimDuration, SimTime};
 
-/// Borrowed plan + state view handed to the walk for one request.
+/// The call policy and the breaker state handed to the walk for one
+/// request.
 ///
-/// The split keeps the plan immutable (shared config) while the breaker
+/// The split keeps the policy immutable (shared config) while the breaker
 /// state mutates with the request stream.
 #[derive(Debug)]
 pub(crate) struct Resilience<'a> {
-    /// Which policy applies to which service edge.
-    pub(crate) plan: &'a ResiliencePlan,
+    /// The policy every inter-service call runs under.
+    pub(crate) policy: CallPolicy,
     /// Mutable breaker state and transition log.
     pub(crate) state: &'a mut ResilienceState,
 }
@@ -373,25 +374,8 @@ impl ExecCtx<'_, '_> {
         first_seed: u64,
         hrng: &mut SplitMix64,
     ) -> Result<HopOutcome, SimError> {
-        let caller_service = self.app.version(caller).service;
-        let policy = match self
-            .resilience
-            .as_ref()
-            .and_then(|r| r.plan.policy_for(caller_service.0, service.0))
-        {
-            Some(policy) => *policy,
-            None => {
-                return self.hop(
-                    service,
-                    endpoint,
-                    start,
-                    Some(parent),
-                    false,
-                    depth,
-                    0,
-                    first_seed,
-                )
-            }
+        let Some(policy) = self.resilience.as_ref().map(|r| r.policy) else {
+            return self.hop(service, endpoint, start, Some(parent), false, depth, 0, first_seed);
         };
         let callee = self.router.resolve(self.app, service, self.user);
         // Resolved only when tracing: event spans (shed/fallback) need the
@@ -608,10 +592,10 @@ mod tests {
                     root_seed: rng.next_u64(),
                     conv_u: rng.next_f64(),
                 };
-                let (no_plan, mut no_state) = (ResiliencePlan::none(), ResilienceState::new());
-                let (plan, state) = match resilience {
-                    Some(guard) => (guard.plan, guard.state),
-                    None => (&no_plan, &mut no_state),
+                let mut no_state = ResilienceState::new();
+                let (policy, state) = match resilience {
+                    Some(guard) => (Some(guard.policy), guard.state),
+                    None => (None, &mut no_state),
                 };
                 let mut collector = TraceCollector::all();
                 let stats = event::run_window(
@@ -620,7 +604,7 @@ mod tests {
                     load,
                     &mut OccupancyTable::new(app),
                     faults,
-                    plan,
+                    policy,
                     state,
                     &mut sink,
                     &mut collector,
@@ -873,7 +857,6 @@ mod tests {
         now: SimTime,
         user: u64,
     ) -> RequestResult {
-        let plan = ResiliencePlan::with_default(*policy);
         request(
             core,
             app,
@@ -884,7 +867,7 @@ mod tests {
             now,
             None,
             Some(store),
-            Some(Resilience { plan: &plan, state }),
+            Some(Resilience { policy: *policy, state }),
             faults,
         )
     }
@@ -1114,7 +1097,6 @@ mod tests {
                 max_retries: 0,
                 ..CallPolicy::default()
             };
-            let plan = ResiliencePlan::with_default(policy);
             let mut state = ResilienceState::new();
             let result = request(
                 core,
@@ -1126,7 +1108,7 @@ mod tests {
                 SimTime::from_secs(1),
                 Some(TraceId(1)),
                 None,
-                Some(Resilience { plan: &plan, state: &mut state }),
+                Some(Resilience { policy, state: &mut state }),
                 &FaultPlan::none(),
             );
             assert!(!result.ok);
@@ -1146,7 +1128,7 @@ mod tests {
     fn shed_and_fallback_emit_event_spans() {
         on_each_core(|core| {
             let app = two_tier(1.0);
-            let plan = ResiliencePlan::with_default(breaker_with_fallback());
+            let policy = breaker_with_fallback();
             let mut state = ResilienceState::new();
             let mut load = LoadTracker::new(&app);
             let mut rng = SplitMix64::new(21);
@@ -1163,7 +1145,7 @@ mod tests {
                     SimTime::from_secs(1 + i),
                     Some(TraceId(i)),
                     None,
-                    Some(Resilience { plan: &plan, state: &mut state }),
+                    Some(Resilience { policy, state: &mut state }),
                     &FaultPlan::none(),
                 );
                 assert!(result.ok, "fallback keeps requests successful");
@@ -1242,7 +1224,6 @@ mod tests {
             fallback_latency: SimDuration::from_millis(1),
             ..CallPolicy::default()
         };
-        let plan = ResiliencePlan::with_default(policy);
         let b_fault = app.version_id("b", "1").unwrap();
         let mut faults = FaultPlan::none();
         faults.inject(Fault {
@@ -1271,7 +1252,7 @@ mod tests {
                         SimTime::from_millis(i * 20),
                         Some(TraceId(seed * 1_000 + i)),
                         None,
-                        Some(Resilience { plan: &plan, state: &mut state }),
+                        Some(Resilience { policy, state: &mut state }),
                         &faults,
                     );
                     let trace = result.trace.unwrap();

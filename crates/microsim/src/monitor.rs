@@ -40,8 +40,9 @@
 //!   order — the order a scan of every slot would meet them in, which is
 //!   what decides the epochs new series draw — so a batch costs what it
 //!   wrote, not the size of the slot table.
-//! * **Bucketed pre-aggregation.** Each series maintains fixed-resolution
-//!   [`OnlineStats`] buckets next to a raw sample tail. Window queries
+//! * **Bucketed pre-aggregation.** Each series maintains [`OnlineStats`]
+//!   buckets one [`BUCKET_WIDTH`] wide — a constant, the same for every
+//!   store — next to a raw sample tail. Window queries
 //!   merge whole buckets for the interior of the window and resolve the
 //!   two partially covered edge buckets from raw samples, so the
 //!   documented closed-interval semantics are preserved exactly. Only
@@ -110,10 +111,10 @@ use cex_core::obs::WallProbe;
 use cex_core::simtime::{SimDuration, SimTime};
 use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// Default width of a pre-aggregation bucket.
-pub const DEFAULT_BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
+/// Width of a pre-aggregation bucket, the same for every store.
+pub const BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
+const WIDTH_MS: u64 = BUCKET_WIDTH.as_millis();
 
 /// Samples buffered in a [`SampleBatch`] before an automatic flush.
 const BATCH_FLUSH_THRESHOLD: usize = 4_096;
@@ -163,7 +164,7 @@ struct Series {
     /// Latest sample time seen, in ms — drives retention.
     max_time_ms: u64,
     /// Indices of the buckets holding at least one sample, ascending;
-    /// bucket `i` covers `[i*width, (i+1)*width)` ms. A stretch of time
+    /// bucket `i` covers `[i*WIDTH_MS, (i+1)*WIDTH_MS)`. A stretch of time
     /// without a sample has no entry, so the two columns grow with the
     /// samples, never with elapsed time.
     bucket_idx: Vec<u64>,
@@ -184,7 +185,7 @@ struct Series {
 }
 
 /// One series' last trailing-window answer and everything it was a
-/// function of besides the store's bucket width.
+/// function of.
 #[derive(Debug, Clone, Copy)]
 struct Memo {
     from_ms: u64,
@@ -243,15 +244,15 @@ impl Series {
     /// order, mostly but not always time order; a late one starts a new
     /// run in its own bucket. Returns `true` when a sample landed in a
     /// bucket older than the newest — the caller renews [`Series::epoch`].
-    fn push_run(&mut self, samples: &[Sample], width_ms: u64) -> bool {
+    fn push_run(&mut self, samples: &[Sample]) -> bool {
         let mut rewrote_history = false;
         let mut i = 0;
         while i < samples.len() {
-            let idx = samples[i].time.as_millis() / width_ms;
+            let idx = samples[i].time.as_millis() / WIDTH_MS;
             rewrote_history |= self.newest_bucket().is_some_and(|newest| idx < newest);
             let pos = self.bucket_position(idx);
-            let b_start = idx * width_ms;
-            let b_end = b_start + width_ms;
+            let b_start = idx * WIDTH_MS;
+            let b_end = b_start + WIDTH_MS;
             let mut j = i;
             while j < samples.len() {
                 let t = samples[j].time.as_millis();
@@ -299,9 +300,9 @@ impl Series {
 
     /// Drops raw samples older than `horizon` behind the series' latest
     /// sample, in whole-bucket units (their buckets remain).
-    fn compact(&mut self, horizon_ms: u64, width_ms: u64) {
+    fn compact(&mut self, horizon_ms: u64) {
         let cutoff = self.max_time_ms.saturating_sub(horizon_ms);
-        let aligned = (cutoff / width_ms) * width_ms;
+        let aligned = (cutoff / WIDTH_MS) * WIDTH_MS;
         if aligned <= self.raw_floor_ms {
             return;
         }
@@ -313,9 +314,9 @@ impl Series {
 
     /// The bucket indices a query over `from_ms <= time < to_ms` reaches;
     /// empty when the interval is.
-    fn bucket_span(from_ms: u64, to_ms: u64, width_ms: u64) -> std::ops::Range<u64> {
+    fn bucket_span(from_ms: u64, to_ms: u64) -> std::ops::Range<u64> {
         if to_ms > from_ms {
-            from_ms / width_ms..(to_ms - 1) / width_ms + 1
+            from_ms / WIDTH_MS..(to_ms - 1) / WIDTH_MS + 1
         } else {
             0..0
         }
@@ -323,30 +324,23 @@ impl Series {
 
     /// The walk over the whole query `from_ms <= time < to_ms`, from an
     /// empty accumulator.
-    fn walk(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> Walk<'_> {
-        let buckets = Self::bucket_span(from_ms, to_ms, width_ms);
-        Walk::new(self, buckets, from_ms, to_ms, width_ms, OnlineStats::new())
+    fn walk(&self, from_ms: u64, to_ms: u64) -> Walk<'_> {
+        Walk::new(self, Self::bucket_span(from_ms, to_ms), from_ms, to_ms, OnlineStats::new())
     }
 
     /// [`Series::walk`]'s summary, continued from `cursor` where it is
     /// still good (see [`WindowCursor`] for the rule). The buckets, their
     /// order and every merge and push are those of the walk from scratch,
     /// so the summary is the same to the bit.
-    fn resume(
-        &self,
-        from_ms: u64,
-        to_ms: u64,
-        width_ms: u64,
-        cursor: &WindowCursor,
-    ) -> (Summary, WindowCursor) {
-        let span = Self::bucket_span(from_ms, to_ms, width_ms);
+    fn resume(&self, from_ms: u64, to_ms: u64, cursor: &WindowCursor) -> (Summary, WindowCursor) {
+        let span = Self::bucket_span(from_ms, to_ms);
         // What a later look may skip: buckets the window covers whole on
         // both sides — so the fold only merged them, whatever the raw tail
         // and the compaction floor were — and older than the newest, so a
         // write to any of them has renewed the epoch.
         let keep_to = match self.newest_bucket() {
-            Some(newest) if from_ms.is_multiple_of(width_ms) => {
-                (to_ms / width_ms).min(newest).max(span.start)
+            Some(newest) if from_ms.is_multiple_of(WIDTH_MS) => {
+                (to_ms / WIDTH_MS).min(newest).max(span.start)
             }
             _ => span.start,
         };
@@ -355,9 +349,9 @@ impl Series {
             && (span.start..=keep_to).contains(&cursor.next_bucket);
         let (acc, start) =
             if good { (cursor.acc, cursor.next_bucket) } else { (OnlineStats::new(), span.start) };
-        let acc = Walk::new(self, start..keep_to, from_ms, to_ms, width_ms, acc).finish();
+        let acc = Walk::new(self, start..keep_to, from_ms, to_ms, acc).finish();
         let kept = WindowCursor { from_ms, next_bucket: keep_to, epoch: self.epoch, acc };
-        let acc = Walk::new(self, keep_to..span.end, from_ms, to_ms, width_ms, acc).finish();
+        let acc = Walk::new(self, keep_to..span.end, from_ms, to_ms, acc).finish();
         (acc.summary(), kept)
     }
 
@@ -385,32 +379,25 @@ impl Series {
 
     /// Summary of the trailing window `from_ms <= time < to_ms`: the
     /// remembered one, or the fold's, remembered.
-    fn window(&self, from_ms: u64, to_ms: u64, width_ms: u64) -> Summary {
+    fn window(&self, from_ms: u64, to_ms: u64) -> Summary {
         self.remembered(from_ms, to_ms).unwrap_or_else(|| {
-            let acc = self.walk(from_ms, to_ms, width_ms).finish();
+            let acc = self.walk(from_ms, to_ms).finish();
             self.remember(from_ms, to_ms, &acc)
         })
     }
 
     /// [`Series::window`] of two series over one window, the two folds
     /// taken in lockstep when neither is remembered.
-    fn window_pair(
-        a: &Series,
-        b: &Series,
-        from_ms: u64,
-        to_ms: u64,
-        width_ms: u64,
-    ) -> [Summary; 2] {
+    fn window_pair(a: &Series, b: &Series, from_ms: u64, to_ms: u64) -> [Summary; 2] {
         match (a.remembered(from_ms, to_ms), b.remembered(from_ms, to_ms)) {
             (Some(x), Some(y)) => [x, y],
             (None, None) => {
-                let [x, y] =
-                    lockstep(a.walk(from_ms, to_ms, width_ms), b.walk(from_ms, to_ms, width_ms));
+                let [x, y] = lockstep(a.walk(from_ms, to_ms), b.walk(from_ms, to_ms));
                 [a.remember(from_ms, to_ms, &x), b.remember(from_ms, to_ms, &y)]
             }
             (x, y) => [
-                x.unwrap_or_else(|| a.window(from_ms, to_ms, width_ms)),
-                y.unwrap_or_else(|| b.window(from_ms, to_ms, width_ms)),
+                x.unwrap_or_else(|| a.window(from_ms, to_ms)),
+                y.unwrap_or_else(|| b.window(from_ms, to_ms)),
             ],
         }
     }
@@ -430,7 +417,6 @@ struct Walk<'a> {
     end: u64,
     from_ms: u64,
     to_ms: u64,
-    width_ms: u64,
     raw_cursor: Option<usize>,
     acc: OnlineStats,
 }
@@ -442,14 +428,13 @@ impl<'a> Walk<'a> {
         buckets: std::ops::Range<u64>,
         from_ms: u64,
         to_ms: u64,
-        width_ms: u64,
         acc: OnlineStats,
     ) -> Self {
         // No bucket is past the latest sample's: a look at a series that has
         // since gone quiet — a version out of traffic — walks nothing, and
         // is decided on the series' own fields without a read of either
         // column.
-        let first = if buckets.is_empty() || buckets.start > series.max_time_ms / width_ms {
+        let first = if buckets.is_empty() || buckets.start > series.max_time_ms / WIDTH_MS {
             series.bucket_idx.len()
         } else {
             first_at_or_after(&series.bucket_idx, buckets.start)
@@ -461,7 +446,6 @@ impl<'a> Walk<'a> {
             end: buckets.end,
             from_ms,
             to_ms,
-            width_ms,
             raw_cursor: None,
             acc,
         }
@@ -484,8 +468,8 @@ impl<'a> Walk<'a> {
         }
         (self.idx, self.stats) = (idx, rest);
         let series = self.series;
-        let b_start = b * self.width_ms;
-        let b_end = b_start + self.width_ms;
+        let b_start = b * WIDTH_MS;
+        let b_end = b_start + WIDTH_MS;
         if (self.from_ms <= b_start && self.to_ms >= b_end) || b_start < series.raw_floor_ms {
             self.acc.merge(stats);
         } else {
@@ -581,7 +565,6 @@ pub struct MetricStore {
     /// Slot [`slot_of`]`(scope, kind)`, grown on demand; `None` until the
     /// series' first sample and again after its scope is cleared.
     series: Vec<Option<Series>>,
-    bucket_width_ms: u64,
     /// Retention horizon in ms; 0 = unbounded (raw samples kept forever).
     retention_ms: u64,
     /// Series epochs issued so far (see [`WindowCursor`]).
@@ -619,23 +602,11 @@ impl Default for MetricStore {
 }
 
 impl MetricStore {
-    /// Creates an empty store with the [`DEFAULT_BUCKET_WIDTH`] and
-    /// unbounded retention.
+    /// Creates an empty store with unbounded retention.
     pub fn new() -> Self {
-        MetricStore::with_bucket_width(DEFAULT_BUCKET_WIDTH)
-    }
-
-    /// Creates an empty store with a custom pre-aggregation bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is zero.
-    pub fn with_bucket_width(width: SimDuration) -> Self {
-        assert!(!width.is_zero(), "bucket width must be positive");
         MetricStore {
             interner: Interner::new(),
             series: Vec::new(),
-            bucket_width_ms: width.as_millis(),
             retention_ms: 0,
             epochs: 0,
             window_reads: Cell::new(0),
@@ -674,11 +645,6 @@ impl MetricStore {
         self.interner.resolve(scope)
     }
 
-    /// The scope name behind an id.
-    pub fn scope_name(&self, id: ScopeId) -> Arc<str> {
-        self.interner.name(id)
-    }
-
     /// Interns the `service@version` scope of every deployed version,
     /// indexed by `VersionId` — the per-request hot path looks scopes up
     /// here instead of formatting labels.
@@ -712,8 +678,8 @@ impl MetricStore {
 
     /// Records one observation under an interned scope.
     pub fn record_id(&mut self, scope: ScopeId, metric: MetricKind, sample: Sample) {
-        let MetricStore { series, epochs, bucket_width_ms, retention_ms, .. } = self;
-        ingest(series, epochs, *bucket_width_ms, *retention_ms, slot_of(scope, metric), &[sample]);
+        let MetricStore { series, epochs, retention_ms, .. } = self;
+        ingest(series, epochs, *retention_ms, slot_of(scope, metric), &[sample]);
     }
 
     fn series_at(&self, scope: ScopeId, metric: MetricKind) -> Option<&Series> {
@@ -728,12 +694,8 @@ impl MetricStore {
     /// Number of samples ever recorded into a series (compaction does not
     /// reduce it).
     pub fn count(&self, scope: &str, metric: MetricKind) -> usize {
-        self.resolve(scope).map_or(0, |id| self.count_id(id, metric))
-    }
-
-    /// [`MetricStore::count`] for an interned scope.
-    pub fn count_id(&self, scope: ScopeId, metric: MetricKind) -> usize {
-        self.series_at(scope, metric).map_or(0, |s| s.total as usize)
+        let series = self.resolve(scope).and_then(|id| self.series_at(id, metric));
+        series.map_or(0, |s| s.total as usize)
     }
 
     /// All scopes currently holding at least one series.
@@ -743,7 +705,7 @@ impl MetricStore {
             .chunks(KIND_COUNT)
             .enumerate()
             .filter(|(_, kinds)| kinds.iter().any(Option::is_some))
-            .map(|(scope, _)| self.scope_name(ScopeId::from_index(scope)).to_string())
+            .map(|(scope, _)| self.interner.name(ScopeId::from_index(scope)).to_string())
             .collect();
         scopes.sort();
         scopes
@@ -757,23 +719,10 @@ impl MetricStore {
         from: SimTime,
         to: SimTime,
     ) -> Summary {
-        self.resolve(scope)
-            .map_or_else(Summary::default, |id| self.summary_between_id(id, metric, from, to))
-    }
-
-    /// [`MetricStore::summary_between`] for an interned scope.
-    pub fn summary_between_id(
-        &self,
-        scope: ScopeId,
-        metric: MetricKind,
-        from: SimTime,
-        to: SimTime,
-    ) -> Summary {
-        self.series_at(scope, metric)
-            .map(|s| {
-                s.walk(from.as_millis(), to.as_millis(), self.bucket_width_ms).finish().summary()
-            })
-            .unwrap_or_default()
+        let series = self.resolve(scope).and_then(|id| self.series_at(id, metric));
+        series.map_or_else(Summary::default, |s| {
+            s.walk(from.as_millis(), to.as_millis()).finish().summary()
+        })
     }
 
     /// Summary of the trailing window — the **closed** interval
@@ -807,8 +756,7 @@ impl MetricStore {
         let _t = self.query_probe.time();
         self.count_reads(1);
         let (from_ms, to_ms) = trailing(now, window);
-        self.series_at(scope, metric)
-            .map_or_else(Summary::default, |s| s.window(from_ms, to_ms, self.bucket_width_ms))
+        self.series_at(scope, metric).map_or_else(Summary::default, |s| s.window(from_ms, to_ms))
     }
 
     /// [`MetricStore::window_summary_id`] of two series over one window,
@@ -826,11 +774,9 @@ impl MetricStore {
         let _t = self.query_probe.time_many(2);
         self.count_reads(2);
         let (from_ms, to_ms) = trailing(now, window);
-        let width_ms = self.bucket_width_ms;
         match (self.series_at(a.0, a.1), self.series_at(b.0, b.1)) {
-            (Some(a), Some(b)) => Series::window_pair(a, b, from_ms, to_ms, width_ms),
-            (a, b) => [a, b]
-                .map(|s| s.map_or_else(Summary::default, |s| s.window(from_ms, to_ms, width_ms))),
+            (Some(a), Some(b)) => Series::window_pair(a, b, from_ms, to_ms),
+            (a, b) => [a, b].map(|s| s.map_or_else(Summary::default, |s| s.window(from_ms, to_ms))),
         }
     }
 
@@ -854,7 +800,7 @@ impl MetricStore {
         let (from_ms, to_ms) = trailing(now, window);
         self.series_at(scope, metric).map_or_else(
             || (Summary::default(), WindowCursor::new()),
-            |s| s.resume(from_ms, to_ms, self.bucket_width_ms, cursor),
+            |s| s.resume(from_ms, to_ms, cursor),
         )
     }
 
@@ -954,7 +900,7 @@ impl MetricStore {
             } else {
                 // Window reaches into the compacted region: answer this
                 // step at bucket granularity.
-                let acc = series.walk(from_ms, to_ms, self.bucket_width_ms).finish();
+                let acc = series.walk(from_ms, to_ms).finish();
                 if let Some(mean) = acc.mean() {
                     out.push((t, mean));
                 }
@@ -1013,7 +959,6 @@ fn trailing(now: SimTime, window: SimDuration) -> (u64, u64) {
 fn ingest(
     table: &mut Vec<Option<Series>>,
     epochs: &mut u64,
-    width_ms: u64,
     retention_ms: u64,
     slot: usize,
     samples: &[Sample],
@@ -1027,11 +972,11 @@ fn ingest(
     };
     let series =
         table[slot].get_or_insert_with(|| Series { epoch: new_epoch(), ..Series::default() });
-    if series.push_run(samples, width_ms) {
+    if series.push_run(samples) {
         series.epoch = new_epoch();
     }
     if retention_ms != 0 {
-        series.compact(retention_ms, width_ms);
+        series.compact(retention_ms);
     }
 }
 
@@ -1089,7 +1034,6 @@ impl SampleBatch<'_> {
         let MetricStore {
             series,
             epochs,
-            bucket_width_ms,
             retention_ms,
             pending,
             dirty,
@@ -1110,7 +1054,7 @@ impl SampleBatch<'_> {
                 *flushed_slots += 1;
             }
             let samples = &mut pending[slot];
-            ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
+            ingest(series, epochs, *retention_ms, slot, samples);
             samples.clear();
         }
         self.buffered = 0;
@@ -1128,12 +1072,11 @@ impl Drop for SampleBatch<'_> {
 /// Wraps a [`SampleBatch`] with the pre-interned scope ids the request core
 /// needs: one per deployed version (indexed by [`VersionId`]) plus the
 /// end-to-end application scope. Recording a hop is an array index and a
-/// buffered push — no string formatting or hashing. Drop (or
-/// [`MetricSink::flush`]) writes the buffer through to the store; the
-/// simulation flushes at window boundaries so store contents stay
-/// deterministic.
+/// buffered push — no string formatting or hashing. Drop writes the buffer
+/// through to the store; the simulation drops its sink at window boundaries
+/// so store contents stay deterministic.
 #[derive(Debug)]
-pub struct MetricSink<'a> {
+pub(crate) struct MetricSink<'a> {
     batch: SampleBatch<'a>,
     version_scopes: &'a [ScopeId],
     app_scope: ScopeId,
@@ -1143,7 +1086,7 @@ impl<'a> MetricSink<'a> {
     /// Creates a sink over `store`. `version_scopes` must be indexed by
     /// `VersionId` (see [`MetricStore::intern_version_scopes`]);
     /// `app_scope` receives end-to-end metrics.
-    pub fn new(
+    pub(crate) fn new(
         store: &'a mut MetricStore,
         version_scopes: &'a [ScopeId],
         app_scope: ScopeId,
@@ -1152,7 +1095,7 @@ impl<'a> MetricSink<'a> {
     }
 
     /// Records a per-version observation under its `service@version` scope.
-    pub fn record_version(
+    pub(crate) fn record_version(
         &mut self,
         version: VersionId,
         metric: MetricKind,
@@ -1163,365 +1106,209 @@ impl<'a> MetricSink<'a> {
     }
 
     /// Records an end-to-end (user-perceived) observation.
-    pub fn record_app(&mut self, metric: MetricKind, time: SimTime, value: f64) {
+    pub(crate) fn record_app(&mut self, metric: MetricKind, time: SimTime, value: f64) {
         self.batch.record_value_id(self.app_scope, metric, time, value);
-    }
-
-    /// Writes all buffered samples through to the store.
-    pub fn flush(&mut self) {
-        self.batch.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cex_core::rng::SplitMix64;
+    use std::ops::Range;
 
-    fn store_with_ramp() -> MetricStore {
-        let mut store = MetricStore::new();
-        // value(t) = t/1000 for t = 0ms, 100ms, …, 9900ms
-        for i in 0..100u64 {
-            store.record_value(
-                "svc@1.0.0",
-                MetricKind::ResponseTime,
-                SimTime::from_millis(i * 100),
-                i as f64,
-            );
-        }
-        store
-    }
-
-    #[test]
-    fn counts_and_scopes() {
-        let store = store_with_ramp();
-        assert_eq!(store.count("svc@1.0.0", MetricKind::ResponseTime), 100);
-        assert_eq!(store.count("svc@1.0.0", MetricKind::ErrorRate), 0);
-        assert_eq!(store.scopes(), vec!["svc@1.0.0".to_string()]);
-        assert_eq!(store.total_samples(), 100);
-        assert_eq!(store.total_recorded(), 100);
-    }
-
-    #[test]
-    fn summary_between_respects_bounds() {
-        let store = store_with_ramp();
-        let s = store.summary_between(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(1_000),
-            SimTime::from_millis(2_000),
-        );
-        // Samples at 1000..1900ms → values 10..=19.
-        assert_eq!(s.count, 10);
-        assert!((s.mean - 14.5).abs() < 1e-12);
-        assert_eq!(s.min, 10.0);
-        assert_eq!(s.max, 19.0);
-    }
-
-    #[test]
-    fn summary_with_unaligned_bounds_resolves_edges_exactly() {
-        let store = store_with_ramp();
-        // [1250, 3750): bucket width is 1s, so both edges are partial.
-        let s = store.summary_between(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(1_250),
-            SimTime::from_millis(3_750),
-        );
-        // Samples at 1300..=3700ms → values 13..=37.
-        assert_eq!(s.count, 25);
-        assert_eq!(s.min, 13.0);
-        assert_eq!(s.max, 37.0);
-        assert!((s.mean - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_summary_trailing() {
-        let store = store_with_ramp();
-        let s = store.window_summary(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(9_900),
-            SimDuration::from_millis(500),
-        );
-        // Samples at 9400..=9900 → values 94..=99.
-        assert_eq!(s.count, 6);
-        assert_eq!(s.max, 99.0);
-    }
-
-    #[test]
-    fn empty_series_gives_empty_summary() {
-        let store = MetricStore::new();
-        let s = store.window_summary(
-            "x",
-            MetricKind::ErrorRate,
-            SimTime::from_secs(1),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(s.count, 0);
-    }
-
-    #[test]
-    fn moving_average_tracks_ramp() {
-        let store = store_with_ramp();
-        let ma = store.moving_average(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(3_000),
-            SimTime::from_millis(6_000),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(ma.len(), 3);
-        // The ramp's moving average increases monotonically.
-        assert!(ma.windows(2).all(|w| w[0].1 < w[1].1));
-    }
-
-    #[test]
-    fn window_summary_interval_is_closed_on_both_ends() {
-        let mut store = MetricStore::new();
-        for ms in [1_000u64, 2_000, 3_000] {
-            store.record_value("s", MetricKind::ResponseTime, SimTime::from_millis(ms), ms as f64);
-        }
-        // Window [1000, 3000]: all three samples, including both edges.
-        let s = store.window_summary(
-            "s",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(3_000),
-            SimDuration::from_millis(2_000),
-        );
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 1_000.0);
-        assert_eq!(s.max, 3_000.0);
-    }
-
-    #[test]
-    fn moving_average_skips_gaps_in_the_series() {
-        let mut store = MetricStore::new();
-        // Two bursts with a 10-second silence between them.
-        for i in 0..5u64 {
-            store.record_value("s", MetricKind::ResponseTime, SimTime::from_secs(i), 10.0);
-        }
-        for i in 15..20u64 {
-            store.record_value("s", MetricKind::ResponseTime, SimTime::from_secs(i), 30.0);
-        }
-        let ma = store.moving_average(
-            "s",
-            MetricKind::ResponseTime,
-            SimTime::ZERO,
-            SimTime::from_secs(20),
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(1),
-        );
-        // Step boundaries whose trailing 2-second window is empty (the
-        // gap from 7s through 14s) emit no point at all.
-        assert!(ma.iter().all(|(t, _)| t.as_secs() <= 6 || t.as_secs() >= 15), "{ma:?}");
-        // Points inside each burst reflect that burst's level only.
-        assert!(ma.iter().filter(|(t, _)| t.as_secs() <= 6).all(|(_, v)| *v == 10.0));
-        assert!(ma.iter().filter(|(t, _)| t.as_secs() >= 15).all(|(_, v)| *v == 30.0));
-        assert!(!ma.is_empty());
-    }
-
-    #[test]
-    fn window_reads_counts_windowed_queries() {
-        let store = store_with_ramp();
-        let before = store.window_reads();
-        store.window_summary(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::from_secs(5),
-            SimDuration::from_secs(1),
-        );
-        store.window_summary("ghost", MetricKind::ErrorRate, SimTime::ZERO, SimDuration::ZERO);
-        assert_eq!(store.window_reads(), before + 2);
-        // Non-windowed reads are not counted.
-        store.summary_between("svc@1.0.0", MetricKind::ResponseTime, SimTime::ZERO, SimTime::ZERO);
-        assert_eq!(store.window_reads(), before + 2);
-    }
-
-    #[test]
-    fn moving_average_counts_as_one_window_read() {
-        // Regression: the old implementation issued one window_summary per
-        // step boundary, inflating the journal's per-tick monitoring-cost
-        // accounting by the step count (30 increments for this sweep).
-        let store = store_with_ramp();
-        let before = store.window_reads();
-        let ma = store.moving_average(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::ZERO,
-            SimTime::from_secs(9),
-            SimDuration::from_secs(3),
-            SimDuration::from_millis(300),
-        );
-        assert_eq!(ma.len(), 30, "one point per step over the dense ramp");
-        assert_eq!(store.window_reads(), before + 1, "a sweep is one bulk read");
-    }
-
-    #[test]
-    fn moving_average_matches_per_step_window_summaries() {
-        let store = store_with_ramp();
-        let window = SimDuration::from_millis(700);
-        let step = SimDuration::from_millis(300);
-        let ma = store.moving_average(
-            "svc@1.0.0",
-            MetricKind::ResponseTime,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-            window,
-            step,
-        );
-        let mut t = SimTime::ZERO;
-        let mut expected = Vec::new();
-        while t < SimTime::from_secs(10) {
-            let s = store.window_summary("svc@1.0.0", MetricKind::ResponseTime, t, window);
-            if s.count > 0 {
-                expected.push((t, s.mean));
-            }
-            t += step;
-        }
-        assert_eq!(ma.len(), expected.len());
-        for ((ta, va), (te, ve)) in ma.iter().zip(&expected) {
-            assert_eq!(ta, te);
-            assert!((va - ve).abs() < 1e-9, "at {ta}: {va} vs {ve}");
-        }
-    }
-
-    #[test]
-    fn clear_scope_removes_series() {
-        let mut store = store_with_ramp();
-        store.record_value("other", MetricKind::ErrorRate, SimTime::ZERO, 0.0);
-        store.clear_scope("svc@1.0.0");
-        assert_eq!(store.count("svc@1.0.0", MetricKind::ResponseTime), 0);
-        assert_eq!(store.count("other", MetricKind::ErrorRate), 1);
-    }
-
-    #[test]
-    fn interner_is_idempotent_and_resolvable() {
-        let mut store = MetricStore::new();
-        let a = store.intern("svc@1");
-        let b = store.intern("svc@2");
-        assert_ne!(a, b);
-        assert_eq!(store.intern("svc@1"), a);
-        assert_eq!(store.resolve("svc@1"), Some(a));
-        assert_eq!(store.resolve("missing"), None);
-        assert_eq!(&*store.scope_name(b), "svc@2");
-    }
-
-    #[test]
-    fn batch_is_equivalent_to_direct_records() {
-        let mut direct = MetricStore::new();
-        let mut batched = MetricStore::new();
-        let scope = batched.intern("svc@1");
-        let mut batch = batched.batch();
-        for i in 0..500u64 {
-            let t = SimTime::from_millis(i * 10);
-            let v = (i as f64).sin() * 50.0;
-            direct.record_value("svc@1", MetricKind::ResponseTime, t, v);
-            batch.record_value_id(scope, MetricKind::ResponseTime, t, v);
-        }
-        drop(batch); // flush
-        assert_eq!(batched.count("svc@1", MetricKind::ResponseTime), 500);
-        let a = direct.window_summary(
-            "svc@1",
-            MetricKind::ResponseTime,
-            SimTime::from_secs(4),
-            SimDuration::from_secs(2),
-        );
-        let b = batched.window_summary(
-            "svc@1",
-            MetricKind::ResponseTime,
-            SimTime::from_secs(4),
-            SimDuration::from_secs(2),
-        );
-        // Counts, extrema, and the raw-backed window edges are identical;
-        // bucket mean/variance may differ by rounding only, because the
-        // batched path aggregates long runs over interleaved Welford
-        // chains (see Series::push_run).
-        assert_eq!(a.count, b.count, "batched ingestion keeps every sample");
-        assert_eq!(a.min, b.min);
-        assert_eq!(a.max, b.max);
-        assert!(
-            (a.mean - b.mean).abs() <= 1e-9 * a.mean.abs().max(1.0),
-            "{} vs {}",
-            a.mean,
-            b.mean
-        );
-        assert!(
-            (a.std_dev - b.std_dev).abs() <= 1e-9 * a.std_dev.abs().max(1.0),
-            "{} vs {}",
-            a.std_dev,
-            b.std_dev
-        );
-    }
-
-    #[test]
-    fn retention_bounds_raw_samples_but_not_counts() {
-        let mut store = MetricStore::new();
-        store.set_retention(Some(SimDuration::from_secs(2)));
-        assert_eq!(store.retention(), Some(SimDuration::from_secs(2)));
-        for i in 0..100u64 {
-            store.record_value(
-                "s",
-                MetricKind::ResponseTime,
-                SimTime::from_millis(i * 100),
-                i as f64,
-            );
-        }
-        // Logical count is untouched; raw memory is bounded to roughly the
-        // horizon (2s of samples at 10/s, bucket-aligned).
-        assert_eq!(store.count("s", MetricKind::ResponseTime), 100);
-        assert_eq!(store.total_recorded(), 100);
-        assert!(store.total_samples() <= 31, "raw tail bounded: {}", store.total_samples());
-        // Recent windows are still exact.
-        let s = store.window_summary(
-            "s",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(9_900),
-            SimDuration::from_millis(500),
-        );
-        assert_eq!(s.count, 6);
-        assert_eq!(s.max, 99.0);
-    }
-
-    #[test]
-    fn compacted_region_is_answered_at_bucket_granularity() {
-        let mut store = MetricStore::new();
-        store.set_retention(Some(SimDuration::from_secs(2)));
-        for i in 0..100u64 {
-            store.record_value(
-                "s",
-                MetricKind::ResponseTime,
-                SimTime::from_millis(i * 100),
-                i as f64,
-            );
-        }
-        // A full-range summary still sees every sample: compacted buckets
-        // are merged whole, the raw tail exactly.
-        let s = store.summary_between(
-            "s",
-            MetricKind::ResponseTime,
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 99.0);
-        assert!((s.mean - 49.5).abs() < 1e-9);
-        // A query cutting into a compacted bucket includes that whole
-        // bucket (bucket granularity): [1250, 2000) yields the full
-        // 1000..=1900ms bucket, i.e. values 10..=19.
-        let s = store.summary_between(
-            "s",
-            MetricKind::ResponseTime,
-            SimTime::from_millis(1_250),
-            SimTime::from_millis(2_000),
-        );
-        assert_eq!(s.count, 10);
-        assert_eq!(s.min, 10.0);
-    }
+    const RT: MetricKind = MetricKind::ResponseTime;
 
     fn bits(s: Summary) -> [u64; 5] {
         [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
+    }
+
+    /// The scope of the hand-built histories.
+    const S: &str = "svc@1.0.0";
+
+    /// `value(t) = t / 100` for `t` = 0 ms, 100 ms, …, 9,900 ms.
+    fn ramp(store: &mut MetricStore) {
+        (0..100u64)
+            .for_each(|i| store.record_value(S, RT, SimTime::from_millis(i * 100), i as f64));
+    }
+
+    /// `value(t) = t` at each of `seconds`.
+    fn seconds(store: &mut MetricStore, seconds: impl IntoIterator<Item = u64>) {
+        seconds
+            .into_iter()
+            .for_each(|t| store.record_value(S, RT, SimTime::from_secs(t), t as f64));
+    }
+
+    /// The ramp under a 2 s retention horizon.
+    fn retained_ramp(store: &mut MetricStore) {
+        store.set_retention(Some(SimDuration::from_secs(2)));
+        ramp(store);
+    }
+
+    fn numbers(s: Summary) -> Vec<f64> {
+        vec![s.count as f64, s.mean, s.min, s.max]
+    }
+
+    fn between(store: &MetricStore, from_ms: u64, to_ms: u64) -> Vec<f64> {
+        let (from, to) = (SimTime::from_millis(from_ms), SimTime::from_millis(to_ms));
+        numbers(store.summary_between(S, RT, from, to))
+    }
+
+    fn window(store: &MetricStore, now_ms: u64, window_ms: u64) -> Vec<f64> {
+        let (now, window) = (SimTime::from_millis(now_ms), SimDuration::from_millis(window_ms));
+        numbers(store.window_summary(S, RT, now, window))
+    }
+
+    /// A moving average as `[t_ms, value, t_ms, value, …]`.
+    fn sweep(store: &MetricStore, [from, to, window, step]: [u64; 4]) -> Vec<f64> {
+        let (from, to) = (SimTime::from_millis(from), SimTime::from_millis(to));
+        let (window, step) = (SimDuration::from_millis(window), SimDuration::from_millis(step));
+        let points = store.moving_average(S, RT, from, to, window, step);
+        points.into_iter().flat_map(|(t, v)| [t.as_millis() as f64, v]).collect()
+    }
+
+    /// A hand-built case: a history written into a fresh store, a read of
+    /// it, and the numbers the read must give.
+    type Row = (&'static str, fn(&mut MetricStore), fn(&MetricStore) -> Vec<f64>, &'static [f64]);
+
+    #[test]
+    fn hand_built_histories_read_as_stated() {
+        let rows: [Row; 13] = [
+            (
+                // No retention: every sample stays raw.
+                "counts and scopes",
+                ramp,
+                |s| {
+                    let err = s.count(S, MetricKind::ErrorRate);
+                    let scopes = usize::from(s.scopes() == [S]);
+                    let raw = [s.total_samples(), usize::from(s.retention().is_none())];
+                    [s.count(S, RT), err, scopes, raw[0], raw[1]].map(|n| n as f64).into()
+                },
+                &[100.0, 0.0, 1.0, 100.0, 1.0],
+            ),
+            // Samples at 1,000..=1,900 ms: values 10..=19.
+            ("half-open", ramp, |s| between(s, 1_000, 2_000), &[10.0, 14.5, 10.0, 19.0]),
+            // Both edges cut a bucket: samples at 1,300..=3,700 ms.
+            ("unaligned", ramp, |s| between(s, 1_250, 3_750), &[25.0, 25.0, 13.0, 37.0]),
+            ("trailing", ramp, |s| window(s, 9_900, 500), &[6.0, 96.5, 94.0, 99.0]),
+            (
+                "closed",
+                |s| seconds(s, [1, 2, 3]),
+                |s| window(s, 3_000, 2_000),
+                &[3.0, 2.0, 1.0, 3.0],
+            ),
+            (
+                "moving average",
+                ramp,
+                |s| sweep(s, [3_000, 6_000, 3_000, 1_000]),
+                &[3e3, 15.0, 4e3, 25.0, 5e3, 35.0],
+            ),
+            (
+                // Two bursts, 10 s apart: a step whose window is empty
+                // emits no point.
+                "moving average over a silence",
+                |s| seconds(s, (0..5).chain(15..20)),
+                |s| sweep(s, [0, 20_000, 2_000, 1_000]),
+                &[
+                    0.0, 0.0, 1e3, 0.5, 2e3, 1.0, 3e3, 2.0, 4e3, 3.0, 5e3, 3.5, 6e3, 4.0, 15e3,
+                    15.0, 16e3, 15.5, 17e3, 16.0, 18e3, 17.0, 19e3, 18.0,
+                ],
+            ),
+            (
+                // The sweep's points, and those that are not the mean of the
+                // trailing window at their step.
+                "moving average against window means",
+                ramp,
+                |s| {
+                    let points = sweep(s, [0, 10_000, 700, 300]);
+                    let off = points
+                        .chunks(2)
+                        .filter(|p| (window(s, p[0] as u64, 700)[1] - p[1]).abs() > 1e-9);
+                    vec![points.len() as f64 / 2.0, off.count() as f64]
+                },
+                &[34.0, 0.0],
+            ),
+            (
+                "clear_scope",
+                |s| {
+                    ramp(s);
+                    s.record_value("other", MetricKind::ErrorRate, SimTime::ZERO, 0.0);
+                    s.clear_scope(S);
+                },
+                |s| vec![s.count(S, RT) as f64, s.count("other", MetricKind::ErrorRate) as f64],
+                &[0.0, 1.0],
+            ),
+            (
+                "interning",
+                |s| ["a", "b", "a"].into_iter().for_each(|name| _ = s.intern(name)),
+                |s| {
+                    [s.resolve("a"), s.resolve("b"), s.resolve("c")]
+                        .map(|id| id.map_or(-1.0, |id| id.index() as f64))
+                        .into()
+                },
+                &[0.0, 1.0, -1.0],
+            ),
+            (
+                // Counts, extrema and the raw-resolved edges are identical;
+                // bucket mean and variance may differ by rounding only,
+                // because a batch folds long runs over four Welford chains.
+                "a batch records what single records do",
+                |s| {
+                    let samples = (0..500u64)
+                        .map(|i| Sample::new(SimTime::from_millis(i * 10), (i as f64).sin()));
+                    samples.clone().for_each(|x| s.record_value(S, RT, x.time, x.value));
+                    let batched = s.intern("batched");
+                    let mut batch = s.batch();
+                    samples.for_each(|x| batch.record_id(batched, MetricKind::ErrorRate, x));
+                },
+                |s| {
+                    let (now, window) = (SimTime::from_secs(4), SimDuration::from_secs(2));
+                    let [a, b] = [(S, RT), ("batched", MetricKind::ErrorRate)]
+                        .map(|(scope, m)| s.window_summary(scope, m, now, window));
+                    vec![
+                        a.count as f64 - b.count as f64,
+                        a.min - b.min,
+                        a.max - b.max,
+                        a.mean - b.mean,
+                        a.std_dev - b.std_dev,
+                    ]
+                },
+                &[0.0; 5],
+            ),
+            (
+                // 7,000..=9,900 ms stay raw (the horizon, bucket-aligned);
+                // counts stay and recent windows are still exact.
+                "retention",
+                retained_ramp,
+                |s| {
+                    [
+                        vec![s.total_recorded() as f64, s.total_samples() as f64],
+                        window(s, 9_900, 500),
+                    ]
+                    .concat()
+                },
+                &[100.0, 30.0, 6.0, 96.5, 94.0, 99.0],
+            ),
+            (
+                // The whole range sees every sample; a window cutting a
+                // compacted bucket takes it whole: [1,250, 2,000) reads
+                // 1,000..=1,900 ms.
+                "compacted buckets are read whole",
+                retained_ramp,
+                |s| [between(s, 0, 10_000), between(s, 1_250, 2_000)].concat(),
+                &[100.0, 49.5, 0.0, 99.0, 10.0, 14.5, 10.0, 19.0],
+            ),
+        ];
+        for (name, history, read, expected) in rows {
+            let mut store = MetricStore::new();
+            history(&mut store);
+            let got = read(&store);
+            let close = |(g, e): (&f64, &f64)| (g - e).abs() <= 1e-9 * e.abs().max(1.0);
+            assert!(
+                got.len() == expected.len() && got.iter().zip(expected).all(close),
+                "{name}: {got:?}"
+            );
+        }
     }
 
     /// The fold [`Walk`] replaced, kept as it was: the oracle that single,
@@ -1534,18 +1321,11 @@ mod tests {
         /// merged for the fully covered interior, raw samples pushed
         /// individually for the partially covered edges. Edge buckets below
         /// the compaction floor are merged whole (bucket granularity).
-        fn fold(
-            &self,
-            buckets: std::ops::Range<u64>,
-            from_ms: u64,
-            to_ms: u64,
-            width_ms: u64,
-            acc: &mut OnlineStats,
-        ) {
+        fn fold(&self, buckets: Range<u64>, from_ms: u64, to_ms: u64, acc: &mut OnlineStats) {
             // No bucket is past the latest sample's: a look at a series that has
             // since gone quiet — a version out of traffic — ends here, on the
             // series' own fields, without a read of either column.
-            if buckets.is_empty() || buckets.start > self.max_time_ms / width_ms {
+            if buckets.is_empty() || buckets.start > self.max_time_ms / WIDTH_MS {
                 return;
             }
             let mut raw_cursor: Option<usize> = None;
@@ -1554,8 +1334,8 @@ mod tests {
                 if b >= buckets.end {
                     break;
                 }
-                let b_start = b * width_ms;
-                let b_end = b_start + width_ms;
+                let b_start = b * WIDTH_MS;
+                let b_end = b_start + WIDTH_MS;
                 if (from_ms <= b_start && to_ms >= b_end) || b_start < self.raw_floor_ms {
                     // Fully covered, or compacted below the raw floor: merge
                     // the pre-aggregated bucket.
@@ -1582,33 +1362,13 @@ mod tests {
                 }
             }
         }
-
-        /// Accumulates the samples with `from_ms <= time < to_ms` into `acc`.
-        fn accumulate(&self, from_ms: u64, to_ms: u64, width_ms: u64, acc: &mut OnlineStats) {
-            self.fold(Self::bucket_span(from_ms, to_ms, width_ms), from_ms, to_ms, width_ms, acc);
-        }
-    }
-
-    /// The oracle fold's summary of `from_ms <= time < to_ms` over one
-    /// series of `store`, from an empty accumulator.
-    fn folded(
-        store: &MetricStore,
-        series: (ScopeId, MetricKind),
-        from_ms: u64,
-        to_ms: u64,
-    ) -> Summary {
-        let mut acc = OnlineStats::new();
-        if let Some(s) = store.series_at(series.0, series.1) {
-            s.accumulate(from_ms, to_ms, store.bucket_width_ms, &mut acc);
-        }
-        acc.summary()
     }
 
     /// The fold stated apart from the store's layout, for the search below:
     /// buckets in a `BTreeMap` pushed sample by sample, every raw sample in
     /// a `Vec` in arrival order, no retention.
+    #[derive(Default)]
     struct Reference {
-        width: u64,
         buckets: std::collections::BTreeMap<u64, OnlineStats>,
         raw: Vec<Sample>,
     }
@@ -1619,7 +1379,7 @@ mod tests {
         // `OnlineStats::default()` is all zeros, not the empty accumulator.
         #[allow(clippy::unwrap_or_default)]
         fn record(&mut self, sample: Sample) -> bool {
-            let idx = sample.time.as_millis() / self.width;
+            let idx = sample.time.as_millis() / WIDTH_MS;
             let opened_between = !self.buckets.contains_key(&idx)
                 && self.buckets.range(..idx).next().is_some()
                 && self.buckets.range(idx..).next().is_some();
@@ -1639,8 +1399,8 @@ mod tests {
                 return acc.summary();
             }
             let mut next_raw = None;
-            for (&b, stats) in self.buckets.range(from_ms / self.width..=(to_ms - 1) / self.width) {
-                let (b_start, b_end) = (b * self.width, (b + 1) * self.width);
+            for (&b, stats) in self.buckets.range(from_ms / WIDTH_MS..=(to_ms - 1) / WIDTH_MS) {
+                let (b_start, b_end) = (b * WIDTH_MS, (b + 1) * WIDTH_MS);
                 if from_ms <= b_start && b_end <= to_ms {
                     acc.merge(stats);
                     continue;
@@ -1660,122 +1420,297 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resumed_windows_equal_fresh_ones_over_searched_histories() {
-        // Differential search: one series per seed lives through a random
-        // history — bursts, silences of a few buckets and of 10⁴–10⁶, late
-        // samples reaching back over several buckets or into the middle of
-        // a long silence (a bucket that never existed, between two that
-        // do), the scope cleared and recorded again, retention compacting
-        // past the window start, a window start on and off the bucket grid
-        // that sometimes moves, and `now` mostly advancing but sometimes
-        // stepping back. At every look the read continued from the
-        // previous look's cursor must be the fresh read, bit for bit, and
-        // both must be the oracle fold's — and on seeds without retention
-        // the `Reference`'s — so a walk that lost a bucket cannot agree
-        // with itself and pass.
-        use cex_core::rng::SplitMix64;
-        let metric = MetricKind::ResponseTime;
-        let (mut looks, mut kept_something) = (0u32, 0u32);
-        let (mut checked, mut opened_between) = (0u32, 0u32);
-        for seed in 0..400u64 {
-            let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
-            let width = [250u64, 700, 1_000, 3_000][rng.next_index(4)];
-            let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
-            let mut reference = Some(Reference { width, buckets: Default::default(), raw: vec![] });
-            if rng.next_below(3) == 0 {
-                let horizon = width * (1 + rng.next_below(6));
-                store.set_retention(Some(SimDuration::from_millis(horizon)));
-                reference = None;
+    /// One seed's store in the search below: two sides, each with a
+    /// `Reference` that every write to it also goes to, while no retention
+    /// compacts the store.
+    struct Searched {
+        seed: u64,
+        store: MetricStore,
+        sides: [(ScopeId, MetricKind); 2],
+        references: [Option<Reference>; 2],
+        opened_between: u32,
+    }
+
+    impl Searched {
+        fn record(&mut self, side: usize, t_ms: u64, value: f64) {
+            let (scope, metric) = self.sides[side];
+            let sample = Sample::new(SimTime::from_millis(t_ms), value);
+            self.store.record_id(scope, metric, sample);
+            if let Some(reference) = &mut self.references[side] {
+                self.opened_between += u32::from(reference.record(sample));
             }
-            let scope = store.intern("svc@1");
-            let mut record = |store: &mut MetricStore,
-                              reference: &mut Option<Reference>,
-                              t_ms: u64,
-                              value: f64| {
-                let sample = Sample::new(SimTime::from_millis(t_ms), value);
-                store.record_id(scope, metric, sample);
-                if let Some(reference) = reference {
-                    opened_between += u32::from(reference.record(sample));
-                }
+        }
+
+        /// Holds `got`, a read of `side` over `from..to`, to the oracle
+        /// fold from an empty accumulator and, while the side has one, to
+        /// its `Reference`; `true` when it met the `Reference`.
+        fn check(&self, what: &str, side: usize, (from, to): (u64, u64), got: Summary) -> bool {
+            let at = || format!("seed {}: {what}, side {side} over {from}..{to}", self.seed);
+            let mut oracle = OnlineStats::new();
+            if let Some(series) = self.series(side) {
+                series.fold(Series::bucket_span(from, to), from, to, &mut oracle);
+            }
+            assert_eq!(bits(got), bits(oracle.summary()), "{}: vs the fold", at());
+            let Some(reference) = &self.references[side] else { return false };
+            assert_eq!(bits(got), bits(reference.summary(from, to)), "{}: vs the reference", at());
+            true
+        }
+
+        fn series(&self, side: usize) -> Option<&Series> {
+            self.store.series_at(self.sides[side].0, self.sides[side].1)
+        }
+
+        /// What a move can change: samples recorded, epochs drawn, and
+        /// both sides' compaction floors.
+        fn state(&self) -> (u64, u64, [u64; 2]) {
+            let floor = |side| self.series(side).map_or(0, |s| s.raw_floor_ms);
+            (self.store.total_recorded(), self.store.epochs, [floor(0), floor(1)])
+        }
+
+        fn remembered(&self, side: usize, (from_ms, to_ms): (u64, u64)) -> bool {
+            self.series(side).and_then(|s| s.remembered(from_ms, to_ms)).is_some()
+        }
+    }
+
+    #[test]
+    fn searched_histories_read_as_the_fold_whatever_the_read() {
+        // Differential search. Per seed, a store lives through a random
+        // history of two series: `a`, and `b` — another metric of a's
+        // scope, or another scope — written as often as `a`, now and then,
+        // or never; retention compacts a third of the seeds. Each step makes
+        // one move of `MOVES` and reads the last look again — so nothing,
+        // one write or one compaction sits between two equal looks — then
+        // makes a new look: a window since a start on or off the bucket
+        // grid that sometimes moves, or any trailing window, with `now`
+        // now and then stepped back. A look reads in a random mix of
+        // shapes: resumed from the carried cursor and from scratch, single
+        // reads, a pair, a pair repeated (memo hits), `summary_between`,
+        // and now and then a moving average and a scope never interned.
+        // Every read must be the oracle fold's, to the bit, and on seeds
+        // without retention the `Reference`'s; a move that writes nothing
+        // may not change the last look's answer; and `window_reads` and
+        // the query probe must count every windowed read once, a pair as
+        // two and a sweep as one.
+        const MOVES: [&str; 11] = [
+            "nothing",
+            "a burst",
+            "a sample at the last look's now",
+            "a late sample",
+            "a short silence",
+            "a long silence",
+            "a late sample in the long silence",
+            "a new window start",
+            "a sample far ahead",
+            "a compaction with no write",
+            "the scope cleared and recorded again",
+        ];
+        let (mut looks, mut checked, mut kept, mut hits) = (0u32, 0u32, 0u32, 0u32);
+        let (mut pairs, mut uneven, mut one_empty, mut unaligned) = (0u32, 0u32, 0u32, 0u32);
+        let (mut compacted, mut remembered, mut opened_between) = (0u32, 0u32, 0u32);
+        let mut changed = [0u32; MOVES.len()];
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
+            let mut store = MetricStore::new();
+            store.set_probes_armed(true);
+            let horizon = WIDTH_MS * (2 + rng.next_below(10));
+            let retained = rng.next_below(3) == 0;
+            if retained {
+                store.set_retention(Some(SimDuration::from_millis(horizon)));
+            }
+            let ids = [store.intern("svc@1"), store.intern("svc@2")];
+            let other = [(ids[0], MetricKind::ErrorRate), (ids[1], RT)][rng.next_index(2)];
+            let references = [0, 1].map(|_| (!retained).then(Reference::default));
+            let mut s = Searched {
+                seed,
+                store,
+                sides: [(ids[0], RT), other],
+                references,
+                opened_between: 0,
             };
+            // How often `b` is written, in quarters of `a`'s writes.
+            let b_share = [0, 1, 3, 4][rng.next_index(4)];
             let mut clock = rng.next_below(5_000);
             let mut from = clock;
             let mut long_silence = clock..clock;
             let mut cursor = WindowCursor::new();
+            let mut reads = 0u64;
+            let mut last: Option<(SimTime, SimDuration, Summary)> = None;
             for _ in 0..120 {
-                match rng.next_below(12) {
-                    // A burst of in-order samples.
-                    0..=4 => {
+                // One move (a burst five times as often as the others), then
+                // the last look again.
+                let kind = [0, 1, 1, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10][rng.next_index(17)];
+                let (last_from, last_to) =
+                    last.map_or((clock, clock + 1), |(now, w, _)| trailing(now, w));
+                let state = s.state();
+                match kind {
+                    1 => {
                         for _ in 0..rng.next_below(40) {
-                            clock += rng.next_below(width / 4 + 1);
-                            record(&mut store, &mut reference, clock, rng.next_f64() * 100.0);
+                            clock += rng.next_below(WIDTH_MS / 4 + 1);
+                            s.record(0, clock, rng.next_f64() * 100.0);
+                            if rng.next_below(4) < b_share {
+                                s.record(1, clock, rng.next_f64());
+                            }
                         }
                     }
-                    // Silence: whole buckets with nothing in them.
-                    5 => clock += width * rng.next_below(5),
-                    // A late sample, up to six buckets back.
-                    6 | 7 => {
-                        let t = clock.saturating_sub(rng.next_below(width * 6));
-                        record(&mut store, &mut reference, t, -5.0);
+                    2 => s.record(0, last_to - 1, 1e3),
+                    3 => {
+                        let t = match rng.next_below(3) {
+                            0 => last_from + rng.next_below(last_to - last_from),
+                            1 => last_from.saturating_sub(1 + rng.next_below(WIDTH_MS * 3)),
+                            _ => clock.saturating_sub(rng.next_below(WIDTH_MS * 6)),
+                        };
+                        s.record(usize::from(b_share > 0 && rng.next_below(2) == 0), t, -5.0);
                     }
-                    8 if rng.next_below(4) == 0 => {
-                        store.clear_scope("svc@1");
-                        if let Some(reference) = &mut reference {
-                            reference.buckets.clear();
-                            reference.raw.clear();
-                        }
+                    4 => clock += WIDTH_MS * rng.next_below(5),
+                    // 10⁴–10⁶ buckets with nothing in them.
+                    5 if rng.next_below(4) == 0 => {
+                        let start = clock + WIDTH_MS;
+                        clock += WIDTH_MS * (10_000 + rng.next_below(990_001));
+                        long_silence = start..clock - WIDTH_MS;
                     }
-                    // A new window start: on the grid or off it.
-                    9 => {
-                        from = clock.saturating_sub(rng.next_below(width * 8));
+                    // A bucket that never existed, between two that do.
+                    6 if !long_silence.is_empty() => {
+                        let span = long_silence.end - long_silence.start;
+                        s.record(0, long_silence.start + rng.next_below(span), -7.0);
+                    }
+                    7 => {
+                        from = clock.saturating_sub(rng.next_below(WIDTH_MS * 8));
                         if rng.next_below(2) == 0 {
-                            from -= from % width;
+                            from -= from % WIDTH_MS;
                         }
                     }
-                    // A long silence: 10⁴–10⁶ buckets with nothing in them.
-                    10 if rng.next_below(4) == 0 => {
-                        let start = clock + width;
-                        clock += width * (10_000 + rng.next_below(990_001));
-                        long_silence = start..clock - width;
+                    // With retention, the floor moves past the last look's start.
+                    8 => {
+                        let t = last_from + horizon + WIDTH_MS * (1 + rng.next_below(3));
+                        s.record(0, t, 0.5);
+                        clock = clock.max(t);
                     }
-                    // A late sample somewhere in the last long silence.
-                    11 if !long_silence.is_empty() => {
-                        let t = long_silence.start
-                            + rng.next_below(long_silence.end - long_silence.start);
-                        record(&mut store, &mut reference, t, -7.0);
+                    // The floor alone moves, past the last look's first bucket.
+                    9 if retained => {
+                        if let Some(Some(a)) = s.store.series.get_mut(slot_of(ids[0], RT)) {
+                            a.compact(a.max_time_ms.saturating_sub(last_from + WIDTH_MS));
+                        }
+                    }
+                    // As many samples as before, over the last look's window.
+                    10 if rng.next_below(4) == 0 => {
+                        let total = s.store.count("svc@1", RT);
+                        s.store.clear_scope("svc@1");
+                        for (side, reference) in s.references.iter_mut().enumerate() {
+                            if s.sides[side].0 == ids[0] && reference.is_some() {
+                                *reference = Some(Reference::default());
+                            }
+                        }
+                        let mut t = last_from;
+                        for _ in 0..total {
+                            t += 1 + rng.next_below(WIDTH_MS / 4);
+                            s.record(0, t, rng.next_f64());
+                        }
+                        clock = clock.max(t);
                     }
                     _ => {}
                 }
-                let back = if rng.next_below(8) == 0 { rng.next_below(width * 3) } else { 0 };
-                let now = SimTime::from_millis(clock.saturating_sub(back).max(from));
-                let window = SimDuration::from_millis(now.as_millis() - from);
-                let fresh = store.window_summary_id(scope, metric, now, window);
-                let (resumed, next) =
-                    store.window_summary_resumed(scope, metric, now, window, &cursor);
-                assert_eq!(bits(resumed), bits(fresh), "seed {seed} width {width} at {now}");
-                let (scratch, _) =
-                    store.window_summary_resumed(scope, metric, now, window, &WindowCursor::new());
-                assert_eq!(bits(scratch), bits(fresh), "seed {seed}: from scratch");
-                let oracle = folded(&store, (scope, metric), from, now.as_millis() + 1);
-                assert_eq!(bits(fresh), bits(oracle), "seed {seed} width {width} at {now}: fresh");
-                assert_eq!(bits(resumed), bits(oracle), "seed {seed} at {now}: resumed");
-                if let Some(reference) = &reference {
-                    let stated = reference.summary(from, now.as_millis() + 1);
-                    assert_eq!(bits(fresh), bits(stated), "seed {seed} width {width} at {now}");
-                    checked += 1;
+                let touched = s.state() != state;
+                if let Some((now, window, before)) = last {
+                    hits += u32::from(s.remembered(0, (last_from, last_to)));
+                    let again = s.store.window_summary_id(ids[0], RT, now, window);
+                    reads += 1;
+                    s.check(MOVES[kind], 0, (last_from, last_to), again);
+                    let moved = bits(again) != bits(before);
+                    assert!(touched || !moved, "seed {seed}: {} changed the answer", MOVES[kind]);
+                    changed[kind] += u32::from(moved);
                 }
+
+                // The new look.
+                let back = if rng.next_below(8) == 0 { rng.next_below(WIDTH_MS * 3) } else { 0 };
+                let cumulative = rng.next_below(3) != 0;
+                let (now, window) = if cumulative {
+                    let now = clock.saturating_sub(back).max(from);
+                    (now, now - from)
+                } else if rng.next_below(3) == 0 {
+                    (clock.saturating_sub(back), WIDTH_MS * (1 + rng.next_below(12)))
+                } else {
+                    (clock.saturating_sub(back), rng.next_below(WIDTH_MS * 12))
+                };
+                let (now, window) = (SimTime::from_millis(now), SimDuration::from_millis(window));
+                let edges = trailing(now, window);
+                let (a, b) = (s.sides[0], s.sides[1]);
+                let (resumed, next) =
+                    s.store.window_summary_resumed(a.0, a.1, now, window, &cursor);
+                let (scratch, _) =
+                    s.store.window_summary_resumed(a.0, a.1, now, window, &WindowCursor::new());
+                reads += 2;
+                checked += u32::from(s.check("resumed", 0, edges, resumed));
+                s.check("resumed from scratch", 0, edges, scratch);
+                if cumulative {
+                    kept += u32::from(next.acc.count() > 0);
+                    cursor = next;
+                }
+                let single = |side: usize| {
+                    s.store.window_summary_id(s.sides[side].0, s.sides[side].1, now, window)
+                };
+                let mut got = Vec::new();
+                let shape = rng.next_below(5);
+                match shape {
+                    0 | 1 => got.push((shape as usize, single(shape as usize))),
+                    2 => got.extend([(0, single(0)), (1, single(1))]),
+                    _ => {}
+                }
+                if shape != 2 {
+                    remembered += u32::from(s.remembered(0, edges) || s.remembered(1, edges));
+                    let pair = s.store.window_summary_pair(a, b, now, window);
+                    if shape == 4 {
+                        let again = s.store.window_summary_pair(a, b, now, window);
+                        assert_eq!(again.map(bits), pair.map(bits), "seed {seed}: a repeated pair");
+                        reads += 2;
+                    }
+                    let floors = s.state().2;
+                    for side in 0..2 {
+                        compacted += u32::from(floors[side] > edges.0 && pair[side].count > 0);
+                    }
+                    let counts = pair.map(|x| x.count);
+                    uneven += u32::from(counts[0] != counts[1] && counts.iter().all(|&c| c > 0));
+                    one_empty += u32::from(counts.iter().filter(|&&c| c == 0).count() == 1);
+                    pairs += 1;
+                    got.extend([(0, pair[0]), (1, pair[1])]);
+                }
+                reads += got.len() as u64;
+                for &(side, summary) in &got {
+                    s.check("trailing", side, edges, summary);
+                }
+                let side = rng.next_index(2);
+                let name = if s.sides[side].0 == ids[0] { "svc@1" } else { "svc@2" };
+                let (from_t, to_t) = (SimTime::from_millis(edges.0), SimTime::from_millis(edges.1));
+                let fresh = s.store.summary_between(name, s.sides[side].1, from_t, to_t);
+                s.check("summary_between", side, edges, fresh);
+                if rng.next_below(16) == 0 {
+                    let start = SimTime::from_millis(now.as_millis().saturating_sub(10_000));
+                    let _ = s.store.moving_average("svc@1", RT, start, now, window, BUCKET_WIDTH);
+                    let ghost = s.store.window_summary("ghost", RT, now, window);
+                    assert_eq!(bits(ghost), bits(Summary::default()), "seed {seed}: no scope");
+                    reads += 2;
+                }
+                assert_eq!(s.store.window_reads(), reads, "seed {seed}: windowed reads");
+                assert_eq!(s.store.query_probe().count(), reads, "seed {seed}: probe measurements");
+                unaligned += u32::from(!edges.0.is_multiple_of(WIDTH_MS));
                 looks += 1;
-                kept_something += u32::from(next.acc.count() > 0);
-                cursor = next;
+                let a_read = got.iter().find(|(side, _)| *side == 0).expect("every shape reads a");
+                last = Some((now, window, a_read.1));
             }
+            opened_between += s.opened_between;
         }
-        // The search is not vacuous: a good share of looks left a fold
-        // behind for the next one to continue, most were held against the
-        // reference, and late samples did open buckets mid-column.
-        assert!(kept_something * 4 > looks, "{kept_something} of {looks} looks kept a fold");
+        // Not vacuous: every shape each property must survive occurred often.
+        assert!(kept * 4 > looks, "{kept} of {looks} looks kept a fold");
         assert!(checked * 2 > looks, "{checked} of {looks} looks checked against the reference");
         assert!(opened_between > 400, "{opened_between} buckets opened between two others");
+        assert!(uneven * 4 > pairs, "{uneven} of {pairs} pairs: two unequal non-empty sides");
+        assert!(one_empty * 10 > pairs, "{one_empty} of {pairs} pairs: one side empty");
+        assert!(unaligned * 2 > looks, "{unaligned} of {looks} looks: start off the grid");
+        assert!(compacted > 200, "{compacted} sides read over a compacted floor");
+        assert!(remembered * 10 > pairs, "{remembered} of {pairs} pairs met a remembered side");
+        assert!(hits > 1_000, "{hits} looks repeated over an undisturbed series");
+        for kind in [1, 2, 3, 8, 9, 10] {
+            assert!(changed[kind] > 50, "{}: {} changed answers", MOVES[kind], changed[kind]);
+        }
     }
 
     #[test]
@@ -1899,300 +1834,6 @@ mod tests {
         assert_eq!(fresh, 101, "bucket 2 whole below the raw floor: 2000..=12000ms");
     }
 
-    #[test]
-    fn unbounded_store_never_compacts() {
-        let store = store_with_ramp();
-        assert_eq!(store.retention(), None);
-        assert_eq!(store.total_samples(), 100);
-    }
-
-    #[test]
-    fn paired_reads_equal_two_single_reads_over_searched_histories() {
-        // Differential search: two series — two metrics of one scope, or
-        // two scopes — live through random histories of different lengths:
-        // the second is written more sparsely, sometimes not at all; both
-        // go quiet for stretches; late samples reach back over several
-        // buckets; retention sometimes compacts past the window start; the
-        // window's edges fall on and off the bucket grid. At every look the
-        // pair must be two `window_summary_id` calls on a twin store read
-        // one series at a time, the read from scratch (`summary_between_id`,
-        // which no memo serves) and the oracle fold, bit for bit — and,
-        // without retention, the `Reference`'s. Some looks read one side
-        // alone first or repeat the pair, so the pair also meets one or two
-        // remembered sides.
-        use cex_core::rng::SplitMix64;
-        struct Twin {
-            paired: MetricStore,
-            singles: MetricStore,
-            sides: [(ScopeId, MetricKind); 2],
-            references: [Option<Reference>; 2],
-        }
-        impl Twin {
-            fn record(&mut self, side: usize, t_ms: u64, value: f64) {
-                let (scope, metric) = self.sides[side];
-                let sample = Sample::new(SimTime::from_millis(t_ms), value);
-                self.paired.record_id(scope, metric, sample);
-                self.singles.record_id(scope, metric, sample);
-                if let Some(reference) = &mut self.references[side] {
-                    reference.record(sample);
-                }
-            }
-        }
-        let (mut looks, mut uneven, mut one_empty) = (0u32, 0u32, 0u32);
-        let (mut unaligned, mut compacted, mut remembered) = (0u32, 0u32, 0u32);
-        for seed in 0..300u64 {
-            let mut rng = SplitMix64::new(0x9A1B ^ seed);
-            let width = [100u64, 250, 1_000, 3_000][rng.next_index(4)];
-            let retention = (rng.next_below(3) == 0).then(|| width * (1 + rng.next_below(6)));
-            let new_store = || {
-                let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
-                store.set_retention(retention.map(SimDuration::from_millis));
-                store
-            };
-            let (mut paired, mut singles) = (new_store(), new_store());
-            let ids = [paired.intern("svc@1"), paired.intern("svc@2")];
-            assert_eq!([singles.intern("svc@1"), singles.intern("svc@2")], ids);
-            let (a, b) = ((ids[0], MetricKind::ResponseTime), (ids[0], MetricKind::ErrorRate));
-            let b = if rng.next_below(2) == 0 { b } else { (ids[1], MetricKind::ResponseTime) };
-            let reference = || Reference { width, buckets: Default::default(), raw: vec![] };
-            let references = [0, 1].map(|_| retention.is_none().then(reference));
-            let mut twin = Twin { paired, singles, sides: [a, b], references };
-            // How often the second series is written, in quarters of the
-            // first's: never, now and then, or as often.
-            let b_share = [0, 1, 3, 4][rng.next_index(4)];
-            let mut clock = rng.next_below(5_000);
-            for _ in 0..80 {
-                match rng.next_below(10) {
-                    0..=5 => {
-                        for _ in 0..rng.next_below(40) {
-                            clock += rng.next_below(width / 3 + 1);
-                            twin.record(0, clock, rng.next_f64() * 100.0);
-                            if rng.next_below(4) < b_share {
-                                twin.record(1, clock, rng.next_f64());
-                            }
-                        }
-                    }
-                    6 => clock += width * rng.next_below(8),
-                    7 => {
-                        let side = usize::from(b_share > 0 && rng.next_below(2) == 0);
-                        twin.record(side, clock.saturating_sub(rng.next_below(width * 6)), -5.0);
-                    }
-                    _ => {}
-                }
-                let back = if rng.next_below(6) == 0 { rng.next_below(width * 3) } else { 0 };
-                let now = SimTime::from_millis(clock.saturating_sub(back));
-                let window = SimDuration::from_millis(match rng.next_below(3) {
-                    0 => width * (1 + rng.next_below(12)),
-                    _ => rng.next_below(width * 12),
-                });
-                let store = &twin.paired;
-                match rng.next_below(5) {
-                    0 => {
-                        let _ = store.window_summary_id(a.0, a.1, now, window);
-                    }
-                    1 => {
-                        let _ = store.window_summary_id(b.0, b.1, now, window);
-                    }
-                    _ => {}
-                }
-                let (from_ms, to_ms) = trailing(now, window);
-                remembered += u32::from([a, b].iter().any(|&(scope, metric)| {
-                    store
-                        .series_at(scope, metric)
-                        .and_then(|s| s.remembered(from_ms, to_ms))
-                        .is_some()
-                }));
-                let pair = store.window_summary_pair(a, b, now, window);
-                if rng.next_below(4) == 0 {
-                    let again = store.window_summary_pair(a, b, now, window);
-                    assert_eq!(again.map(bits), pair.map(bits), "seed {seed}: a repeated pair");
-                }
-                let (from, to) = (SimTime::from_millis(from_ms), SimTime::from_millis(to_ms));
-                for (side, (scope, metric)) in [a, b].into_iter().enumerate() {
-                    let single = twin.singles.window_summary_id(scope, metric, now, window);
-                    let fresh = store.summary_between_id(scope, metric, from, to);
-                    let at =
-                        format!("seed {seed} width {width} side {side} at {now} over {window}");
-                    assert_eq!(bits(pair[side]), bits(single), "{at}: pair vs single");
-                    assert_eq!(bits(pair[side]), bits(fresh), "{at}: pair vs fresh read");
-                    let oracle = folded(store, (scope, metric), from_ms, to_ms);
-                    assert_eq!(bits(pair[side]), bits(oracle), "{at}: pair vs the fold");
-                    if let Some(reference) = &twin.references[side] {
-                        let stated = reference.summary(from_ms, to_ms);
-                        assert_eq!(bits(pair[side]), bits(stated), "{at}: pair vs reference");
-                    }
-                    let floor = store.series_at(scope, metric).map_or(0, |s| s.raw_floor_ms);
-                    compacted += u32::from(floor > from_ms && pair[side].count > 0);
-                }
-                looks += 1;
-                let counts = pair.map(|s| s.count);
-                uneven += u32::from(counts[0] != counts[1] && counts.iter().all(|&c| c > 0));
-                one_empty += u32::from(counts.iter().filter(|&&c| c == 0).count() == 1);
-                unaligned += u32::from(from_ms % width != 0);
-            }
-        }
-        // Not vacuous: every shape the pair must survive occurred often.
-        assert!(uneven * 4 > looks, "{uneven} of {looks} looks: two unequal non-empty sides");
-        assert!(one_empty * 10 > looks, "{one_empty} of {looks} looks: one side empty");
-        assert!(unaligned * 2 > looks, "{unaligned} of {looks} looks: start off the grid");
-        assert!(compacted > 200, "{compacted} sides read over a compacted floor");
-        assert!(remembered * 10 > looks, "{remembered} of {looks} pairs met a remembered side");
-    }
-
-    #[test]
-    fn a_remembered_window_is_folded_again_after_every_kind_of_write() {
-        // Searched: a look, then one disturbance, then the very same look.
-        // The second look must be the fold from scratch, bit for bit,
-        // whatever came between: nothing (a hit), a sample inside the
-        // window, a late one into an older bucket inside or before it, a
-        // write far ahead that makes retention compact past the window
-        // start, a compaction on its own, or the scope cleared and
-        // recorded again with as many samples. Each kind that can change
-        // the answer must have changed it somewhere — else a memo that
-        // ignored it would pass.
-        use cex_core::rng::SplitMix64;
-        let metric = MetricKind::ResponseTime;
-        let mut changed = [0u32; 7];
-        let mut hits = 0u32;
-        for seed in 0..300u64 {
-            let mut rng = SplitMix64::new(0x3E30 ^ seed);
-            let width = [100u64, 250, 1_000][rng.next_index(3)];
-            let mut store = MetricStore::with_bucket_width(SimDuration::from_millis(width));
-            let horizon = width * (2 + rng.next_below(6));
-            let retained = rng.next_below(2) == 0;
-            if retained {
-                store.set_retention(Some(SimDuration::from_millis(horizon)));
-            }
-            let scope = store.intern("svc@1");
-            let mut clock = 0;
-            let ramp = |store: &mut MetricStore, clock: &mut u64, n: u64, rng: &mut SplitMix64| {
-                for _ in 0..n {
-                    *clock += 1 + rng.next_below(width / 4);
-                    store.record_id(
-                        scope,
-                        metric,
-                        Sample::new(SimTime::from_millis(*clock), rng.next_f64()),
-                    );
-                }
-            };
-            ramp(&mut store, &mut clock, 50, &mut rng);
-            for _ in 0..40 {
-                let now = SimTime::from_millis(clock.saturating_sub(rng.next_below(width * 2)));
-                let window = SimDuration::from_millis(width / 2 + rng.next_below(width * 8));
-                let (from_ms, to_ms) = trailing(now, window);
-                let first = store.window_summary_id(scope, metric, now, window);
-                let kind = rng.next_index(7);
-                match kind {
-                    0 => {}
-                    // Inside the window, at its trailing edge.
-                    1 => store.record_id(scope, metric, Sample::new(now, 1e3)),
-                    // Late, into an older bucket inside the window.
-                    2 => {
-                        let t = from_ms + rng.next_below(to_ms - from_ms);
-                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 1e3));
-                    }
-                    // Late, before the window: the answer stays, the key moves.
-                    3 => {
-                        let t = from_ms.saturating_sub(1 + rng.next_below(width * 3));
-                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 1e3));
-                    }
-                    // Far ahead: with retention, the floor moves past `from`.
-                    4 => {
-                        let t = from_ms + horizon + width * (1 + rng.next_below(3));
-                        store.record_id(scope, metric, Sample::new(SimTime::from_millis(t), 0.5));
-                        clock = clock.max(t);
-                    }
-                    // A compaction with no write: the floor alone moves.
-                    5 => {
-                        let series =
-                            store.series[slot_of(scope, metric)].as_mut().expect("recorded");
-                        let floor_to = from_ms + rng.next_below(to_ms - from_ms);
-                        series.compact(series.max_time_ms.saturating_sub(floor_to), width);
-                    }
-                    // Cleared and recorded again, the same number of samples.
-                    _ => {
-                        let total = store.count_id(scope, metric) as u64;
-                        store.clear_scope("svc@1");
-                        clock = 0;
-                        ramp(&mut store, &mut clock, total, &mut rng);
-                    }
-                }
-                let again = store.window_summary_id(scope, metric, now, window);
-                let (from, to) = (SimTime::from_millis(from_ms), SimTime::from_millis(to_ms));
-                let fresh = store.summary_between_id(scope, metric, from, to);
-                assert_eq!(
-                    bits(again),
-                    bits(fresh),
-                    "seed {seed} width {width} kind {kind} at {now}"
-                );
-                changed[kind] += u32::from(bits(again) != bits(first));
-                hits += u32::from(kind == 0);
-                if rng.next_below(3) == 0 {
-                    ramp(&mut store, &mut clock, rng.next_below(20), &mut rng);
-                }
-            }
-        }
-        assert_eq!(changed[0], 0, "nothing between two looks changes nothing");
-        assert!(hits > 1_000, "{hits} looks repeated over an undisturbed series");
-        for kind in [1, 2, 4, 5, 6] {
-            assert!(changed[kind] > 50, "kind {kind} changed the answer {} times", changed[kind]);
-        }
-    }
-
-    #[test]
-    fn every_read_counts_once_remembered_or_paired_and_the_probe_agrees() {
-        // A searched mix of every windowed read — single, paired, repeated
-        // (a memo hit), resumed, a moving-average sweep, a scope never
-        // interned — on an armed store. `window_reads` must grow by what
-        // the old per-call reads counted (a pair as its two reads), and the
-        // query probe must count as many measurements, so probe time over
-        // probe count stays the cost of one read.
-        use cex_core::rng::SplitMix64;
-        let mut store = store_with_ramp();
-        store.set_probes_armed(true);
-        let scope = store.resolve("svc@1.0.0").expect("recorded");
-        store.record_id(scope, MetricKind::ErrorRate, Sample::new(SimTime::from_secs(3), 0.0));
-        let (rt, err) = ((scope, MetricKind::ResponseTime), (scope, MetricKind::ErrorRate));
-        let mut rng = SplitMix64::new(7);
-        let mut expected = store.window_reads();
-        let mut hits = 0;
-        for _ in 0..2_000 {
-            let now = SimTime::from_millis(rng.next_below(4) * 2_500);
-            let window = SimDuration::from_millis(rng.next_below(2) * 3_000 + 500);
-            let (from_ms, to_ms) = trailing(now, window);
-            hits += u32::from(
-                store.series_at(rt.0, rt.1).and_then(|s| s.remembered(from_ms, to_ms)).is_some(),
-            );
-            expected += match rng.next_below(5) {
-                0 => {
-                    let _ = store.window_summary_id(rt.0, rt.1, now, window);
-                    1
-                }
-                1 => {
-                    let _ = store.window_summary_pair(rt, err, now, window);
-                    2
-                }
-                2 => {
-                    let _ =
-                        store.window_summary_resumed(rt.0, rt.1, now, window, &WindowCursor::new());
-                    1
-                }
-                3 => {
-                    let _ =
-                        store.moving_average("svc@1.0.0", rt.1, SimTime::ZERO, now, window, window);
-                    1
-                }
-                _ => {
-                    let _ = store.window_summary("ghost", rt.1, now, window);
-                    1
-                }
-            };
-        }
-        assert!(hits > 200, "{hits} reads met a remembered window");
-        assert_eq!(store.window_reads(), expected);
-        assert_eq!(store.query_probe().count(), store.window_reads());
-    }
-
     /// The batch the store's own buffers replaced: a slot table of its own,
     /// allocated by every batch, and a flush that scans all of it.
     struct ScanBatch<'a> {
@@ -2218,13 +1859,11 @@ mod tests {
             if self.buffered == 0 {
                 return;
             }
-            let MetricStore {
-                series, epochs, bucket_width_ms, retention_ms, batch_flushes, ..
-            } = &mut *self.store;
+            let MetricStore { series, epochs, retention_ms, batch_flushes, .. } = &mut *self.store;
             *batch_flushes += 1;
             for (slot, samples) in self.pending.iter_mut().enumerate() {
                 if !samples.is_empty() {
-                    ingest(series, epochs, *bucket_width_ms, *retention_ms, slot, samples);
+                    ingest(series, epochs, *retention_ms, slot, samples);
                     samples.clear();
                 }
             }
@@ -2267,11 +1906,9 @@ mod tests {
         let (mut flushes_seen, mut threshold_flushes, mut cleared, mut resumed_kept) = (0, 0, 0, 0);
         for seed in 0..8u64 {
             let mut rng = SplitMix64::new(0xBA7C4 ^ seed);
-            let width = [250u64, 1_000][rng.next_index(2)];
-            let mut shipped = MetricStore::with_bucket_width(SimDuration::from_millis(width));
-            let mut scanned = MetricStore::with_bucket_width(SimDuration::from_millis(width));
+            let (mut shipped, mut scanned) = (MetricStore::new(), MetricStore::new());
             if seed % 3 == 0 {
-                let horizon = Some(SimDuration::from_millis(width * 20));
+                let horizon = Some(SimDuration::from_millis(WIDTH_MS * 20));
                 shipped.set_retention(horizon);
                 scanned.set_retention(horizon);
             }
@@ -2308,9 +1945,9 @@ mod tests {
                         rng.next_index(SCOPES as usize)
                     };
                     let kind = kinds[rng.next_index(kinds.len())];
-                    clock += rng.next_below(width / 50 + 1);
+                    clock += rng.next_below(WIDTH_MS / 50 + 1);
                     let t = if rng.next_below(20) == 0 {
-                        clock.saturating_sub(rng.next_below(width * 4))
+                        clock.saturating_sub(rng.next_below(WIDTH_MS * 4))
                     } else {
                         clock
                     };
@@ -2349,8 +1986,8 @@ mod tests {
                 for _ in 0..20 {
                     let i = hot[rng.next_index(hot.len())];
                     let k = rng.next_index(kinds.len());
-                    let now = SimTime::from_millis(clock.saturating_sub(rng.next_below(width)));
-                    let from = (clock / 2) - (clock / 2) % width;
+                    let now = SimTime::from_millis(clock.saturating_sub(rng.next_below(WIDTH_MS)));
+                    let from = (clock / 2) - (clock / 2) % WIDTH_MS;
                     let window = SimDuration::from_millis(now.as_millis().saturating_sub(from));
                     let [ca, cb] = cursors.entry((i, k)).or_default();
                     let (sa, na) =

@@ -13,7 +13,9 @@
 //! - [`BreakerPolicy`] / [`Breaker`] — a per-(caller-version,
 //!   callee-version) circuit breaker with a rolling error-rate window,
 //!   open-cooldown, and half-open probing.
-//! - [`ResiliencePlan`] — which policy applies to which service edge.
+//! - [`Simulation::set_call_policy`](crate::sim::Simulation::set_call_policy)
+//!   — one policy for every service edge, or none: breakers are still
+//!   tracked per *version* pair.
 //! - [`ResilienceState`] — all mutable breaker state, owned by the
 //!   simulation so that same-seed runs are byte-identical.
 //!
@@ -341,41 +343,6 @@ impl Breaker {
     }
 }
 
-/// Which policy applies to which caller→callee *service* edge: one policy
-/// for every edge, or none.
-///
-/// Breakers are still tracked per *version* pair — the plan only selects
-/// the configuration. An empty plan is free: the executor skips the
-/// resilience path entirely.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ResiliencePlan {
-    default: Option<CallPolicy>,
-}
-
-impl ResiliencePlan {
-    /// A plan with no policies (requests behave exactly as before).
-    pub fn none() -> Self {
-        ResiliencePlan::default()
-    }
-
-    /// A plan applying one policy to every service edge.
-    pub fn with_default(policy: CallPolicy) -> Self {
-        policy.validate();
-        ResiliencePlan { default: Some(policy) }
-    }
-
-    /// The policy governing one caller→callee service edge, if any (the
-    /// plan's one policy: every edge has the same).
-    pub fn policy_for(&self, _caller: usize, _callee: usize) -> Option<&CallPolicy> {
-        self.default.as_ref()
-    }
-
-    /// `true` when no policy is configured anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.default.is_none()
-    }
-}
-
 /// All mutable resilience state of one simulation: breakers per
 /// (caller-version, callee-version) pair plus the transition log.
 ///
@@ -626,17 +593,6 @@ mod tests {
         );
         assert!(state.drain_transitions().is_empty(), "drain empties the log");
         assert_eq!(state.current(a, b), BreakerState::Closed);
-    }
-
-    #[test]
-    fn plan_edge_overrides_default() {
-        let default = CallPolicy { max_retries: 1, ..CallPolicy::default() };
-        let plan = ResiliencePlan::with_default(default);
-        assert_eq!(plan.policy_for(0, 1).unwrap().max_retries, 1);
-        assert_eq!(plan.policy_for(0, 2).unwrap().max_retries, 1);
-        assert!(!plan.is_empty());
-        assert!(ResiliencePlan::none().is_empty());
-        assert_eq!(ResiliencePlan::none().policy_for(0, 1), None);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use crate::event::{self, EventRequest};
 use crate::faults::{Fault, FaultPlan};
 use crate::load::{LoadTracker, OccupancyTable};
 use crate::monitor::{MetricSink, MetricStore, ScopeId};
-use crate::resilience::{
-    BreakerState, BreakerTransition, CallPolicy, ResiliencePlan, ResilienceState,
-};
+use crate::resilience::{BreakerState, BreakerTransition, CallPolicy, ResilienceState};
 use crate::routing::Router;
 use crate::trace::{Trace, TraceCollector};
 use crate::workload::{ArrivalProcess, Workload};
@@ -81,7 +79,8 @@ pub struct Simulation {
     workload_seed: u64,
     windows_run: u64,
     faults: FaultPlan,
-    resilience_plan: ResiliencePlan,
+    /// The policy every inter-service call runs under, if any.
+    call_policy: Option<CallPolicy>,
     resilience_state: ResilienceState,
     /// Wall-clock phase tree (`sim.window`, event-core phases, …). The
     /// `sim.window` node is recorded unconditionally and backs
@@ -117,7 +116,7 @@ impl Simulation {
             workload_seed: sub_seed(seed, 1),
             windows_run: 0,
             faults: FaultPlan::none(),
-            resilience_plan: ResiliencePlan::none(),
+            call_policy: None,
             resilience_state: ResilienceState::new(),
             profiler: Profiler::default(),
             event_tally: event::WindowTally::default(),
@@ -217,7 +216,8 @@ impl Simulation {
     ///
     /// Panics when the policy is out of domain.
     pub fn set_call_policy(&mut self, policy: CallPolicy) {
-        self.resilience_plan = ResiliencePlan::with_default(policy);
+        policy.validate();
+        self.call_policy = Some(policy);
     }
 
     /// Current state of the breaker on `caller → callee`, or `None` when
@@ -386,7 +386,7 @@ impl Simulation {
             &mut self.load,
             &mut self.occupancy,
             &self.faults,
-            &self.resilience_plan,
+            self.call_policy,
             &mut self.resilience_state,
             &mut sink,
             &mut self.collector,
@@ -489,10 +489,8 @@ mod tests {
                     arrival.time,
                     trace_id,
                     Some(&mut sink),
-                    (!self.resilience_plan.is_empty()).then_some(Resilience {
-                        plan: &self.resilience_plan,
-                        state: &mut self.resilience_state,
-                    }),
+                    self.call_policy
+                        .map(|policy| Resilience { policy, state: &mut self.resilience_state }),
                     &self.faults,
                 )
                 .expect("workload references a valid entry point");

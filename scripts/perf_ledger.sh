@@ -5,7 +5,7 @@
 # end-to-end medians, failed/attempted output checks. One set of lines per
 # landed change gives the trajectory ROADMAP asks for; compare two entries
 # only as a first look (the host drifts by tens of percent between
-# sessions — a claim needs alternated pairs, see EXPERIMENTS.md).
+# sessions — a claim needs alternated pairs, see scripts/ab_pairs.sh).
 #
 #   scripts/perf_ledger.sh [--label TEXT] [--seed N] [--out FILE] [--smoke]
 #
