@@ -82,6 +82,34 @@ fn describe_tok(tok: &Tok) -> String {
     }
 }
 
+/// `digits`, a decimal such as `4.1`, times `unit_ms`, in whole
+/// milliseconds. Computed on the digits, so no float rounds `4.1m` down to
+/// 245,999 ms; `Err` names why when the product is not a whole number of
+/// milliseconds or does not fit the clock.
+fn duration_ms(digits: &str, unit_ms: u64) -> Result<u64, &'static str> {
+    const TOO_LONG: &str = "is longer than 2^64 - 1 ms";
+    const SUB_MS: &str = "is not a whole number of milliseconds";
+    let (whole, fraction) = digits.split_once('.').unwrap_or((digits, ""));
+    let whole = whole.parse::<u64>().ok().and_then(|w| w.checked_mul(unit_ms)).ok_or(TOO_LONG)?;
+    let fraction = fraction.trim_end_matches('0');
+    if fraction.is_empty() {
+        return Ok(whole);
+    }
+    // `k` decimals, the last not 0, times a unit are whole milliseconds only
+    // if 10^k divides the product, and no unit holds more than 2^7 or 5^5
+    // (an hour is 2^7 * 3^2 * 5^5 ms): past seven decimals none is; up to
+    // seven, the product fits.
+    if fraction.len() > 7 {
+        return Err(SUB_MS);
+    }
+    let parts = fraction.parse::<u64>().map_err(|_| SUB_MS)? * unit_ms;
+    let per_ms = 10u64.pow(fraction.len() as u32);
+    if !parts.is_multiple_of(per_ms) {
+        return Err(SUB_MS);
+    }
+    whole.checked_add(parts / per_ms).ok_or(TOO_LONG)
+}
+
 fn lex(source: &str) -> Result<Vec<Spanned>, BifrostError> {
     let mut tokens = Vec::new();
     let mut chars = source.chars().peekable();
@@ -174,29 +202,39 @@ fn lex(source: &str) -> Result<Vec<Spanned>, BifrostError> {
                     BifrostError::parse(tok_line, tok_col, format!("bad number {num}"))
                 })?;
                 // Suffix: %, ms, s, m, h — or a bare number.
-                let tok = match chars.peek() {
-                    Some('%') => {
-                        bump!();
-                        Tok::Percent(value)
-                    }
+                let unit = match chars.peek() {
                     Some('m') => {
                         bump!();
                         if chars.peek() == Some(&'s') {
                             bump!();
-                            Tok::Duration(SimDuration::from_millis(value as u64))
+                            Some(("ms", 1))
                         } else {
-                            Tok::Duration(SimDuration::from_millis((value * 60_000.0) as u64))
+                            Some(("m", 60_000))
                         }
                     }
                     Some('s') => {
                         bump!();
-                        Tok::Duration(SimDuration::from_millis((value * 1_000.0) as u64))
+                        Some(("s", 1_000))
                     }
                     Some('h') => {
                         bump!();
-                        Tok::Duration(SimDuration::from_millis((value * 3_600_000.0) as u64))
+                        Some(("h", 3_600_000))
                     }
-                    _ => Tok::Number(value),
+                    _ => None,
+                };
+                let tok = match unit {
+                    Some((suffix, unit_ms)) => {
+                        let ms = duration_ms(&num, unit_ms).map_err(|why| {
+                            let message = format!("duration {num}{suffix} {why}");
+                            BifrostError::parse(tok_line, tok_col, message)
+                        })?;
+                        Tok::Duration(SimDuration::from_millis(ms))
+                    }
+                    None if chars.peek() == Some(&'%') => {
+                        bump!();
+                        Tok::Percent(value)
+                    }
+                    None => Tok::Number(value),
                 };
                 tokens.push(Spanned { tok, line: tok_line, column: tok_col });
             }
@@ -1322,6 +1360,12 @@ strategy "rec-rollout" {
         let sequential =
             check(" sequential vs baseline < confidence 0.95 every 30s min_samples 2.5");
         let big = "100000000000000000000000";
+        let phase_for = |length: &str| {
+            format!(
+                "strategy \"s\" {{ service \"a\" baseline \"1\" candidate \"2\"\n\
+                 phase \"p\" canary 1% for {length} {{ on success complete on failure rollback }} }}"
+            )
+        };
         for (src, token, needle) in [
             ("runtime { report_every 1.5 }".to_string(), "1.5", "whole count"),
             ("runtime { report_every 100% }".to_string(), "100%", "got percentage `100%`"),
@@ -1333,6 +1377,12 @@ strategy "rec-rollout" {
             (windowed("50%"), "50%", "got percentage `50%`"),
             (windowed(big), big, "below 2^64"),
             (sequential, "2.5", "`min_samples` takes a whole count"),
+            (phase_for("1.5ms"), "1.5ms", "duration 1.5ms is not a whole number of milliseconds"),
+            (phase_for("0.0001s"), "0.0001s", "not a whole number of milliseconds"),
+            (phase_for(&format!("{big}m")), big, "is longer than 2^64 - 1 ms"),
+            (phase_for("99999999999999999999m"), "9999", "is longer than 2^64 - 1 ms"),
+            (phase_for("18446744073709551616ms"), "1844", "is longer than 2^64 - 1 ms"),
+            (check(" < 0.05 over 2.0005s every 30s"), "2.0005s", "not a whole number"),
         ] {
             let at = src.find(token).expect("the row names a token of its source");
             let line = src[..at].matches('\n').count() + 1;
@@ -1344,6 +1394,39 @@ strategy "rec-rollout" {
                 }
                 other => panic!("{src} -> expected a parse error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn fractional_durations_are_exact_milliseconds() {
+        // Each was a millisecond short, or more, when the lexer multiplied
+        // in floating point.
+        let length = |text: &str| {
+            let src = format!(
+                "strategy \"s\" {{ service \"a\" baseline \"1\" candidate \"2\"\n\
+                 phase \"p\" canary 1% for {text} {{ on success complete on failure rollback }} }}"
+            );
+            parse(&src).unwrap_or_else(|e| panic!("{text}: {e}")).phases[0].duration.as_millis()
+        };
+        for (text, ms) in [
+            ("4.1m", 246_000),
+            ("2.01s", 2_010),
+            ("8.2m", 492_000),
+            ("2.3h", 8_280_000),
+            ("4.35m", 261_000),
+            ("1.15h", 4_140_000),
+        ] {
+            assert_eq!(length(text), ms, "{text}");
+        }
+        // The digits' own edges: trailing zeros past 10^38, leading zeros,
+        // a bare point, and the clock's last millisecond.
+        for (text, ms) in [
+            ("1.50000000000000000000000000000000000000000s", 1_500),
+            ("007.5s", 7_500),
+            ("5.ms", 5),
+            ("18446744073709551615ms", u64::MAX),
+        ] {
+            assert_eq!(length(text), ms, "{text}");
         }
     }
 }

@@ -29,7 +29,7 @@ use crate::checks::{CheckContext, PhaseChecks};
 use crate::decide::{self, Evaluation, RunView, TickObservation};
 use crate::enact::{self, StrategyBinding};
 use crate::error::BifrostError;
-use crate::journal::{Journal, JournalEvent};
+use crate::journal::{HealthDetail, Journal, JournalEvent, Name};
 use crate::machine::{PhaseOutcome, State, StateMachine};
 use crate::model::{ChaosKind, ChaosSpec, ChaosTarget, CheckScope, PhaseKind, Strategy};
 use cex_core::metrics::MetricKind;
@@ -43,7 +43,6 @@ use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
 use microsim::trace::{SpanBook, TailSamplingConfig, Trace};
 use microsim::workload::Workload;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -213,11 +212,11 @@ fn record(journal: &mut JournalSink<'_>, event: impl FnOnce() -> JournalEvent) {
 /// What a strategy resolves to once, before its first phase.
 struct Compiled<'a> {
     strategy: &'a Strategy,
-    /// Interned copies of the strategy and phase names — journal events
+    /// Shared copies of the strategy and phase names — journal events
     /// clone these (an atomic refcount bump) instead of allocating on
     /// every check evaluation.
-    name: Arc<str>,
-    phase_names: Vec<Arc<str>>,
+    name: Name,
+    phase_names: Vec<Name>,
     binding: StrategyBinding,
     ctx: CheckContext,
     machine: StateMachine,
@@ -309,7 +308,7 @@ impl<'a> Compiled<'a> {
                 phase: self.phase_names[index].clone(),
                 kind: chaos_journal_kind(spec),
                 magnitude: chaos_magnitude(&spec.kind),
-                target: chaos_target_label(spec, sim.app(), &self.binding),
+                target: chaos_target_label(spec, sim.app(), &self.binding).into(),
                 from,
                 until: from + spec.duration,
             });
@@ -339,7 +338,7 @@ impl<'a> Compiled<'a> {
                 boundary,
                 result: observed.result,
                 primary: observed.primary,
-                baseline: observed.baseline,
+                baseline: observed.baseline.map(Box::new),
             });
         }
     }
@@ -353,6 +352,9 @@ struct TracePipeline {
     /// Resolves interned span identity; versions deploy before execution,
     /// so one snapshot stays valid for the run.
     book: SpanBook,
+    /// `service@version` label per `VersionId`, shared by the events that
+    /// journal it.
+    labels: Vec<Name>,
     /// `trace:service@version` scope per `VersionId`.
     scopes: Vec<ScopeId>,
     health: HealthAccumulator,
@@ -364,12 +366,13 @@ struct TracePipeline {
 impl TracePipeline {
     fn new(sim: &mut Simulation) -> Self {
         let book = sim.span_book();
+        let labels: Vec<Name> =
+            (0..book.version_count()).map(|i| book.version_label(VersionId(i)).into()).collect();
         let store = sim.store_mut();
-        let scopes = (0..book.version_count())
-            .map(|i| store.intern(&format!("trace:{}", book.version_label(VersionId(i)))))
-            .collect();
+        let scopes = labels.iter().map(|label| store.intern(&format!("trace:{label}"))).collect();
         TracePipeline {
             book,
+            labels,
             scopes,
             health: HealthAccumulator::new(),
             breakers: Vec::new(),
@@ -386,8 +389,8 @@ impl TracePipeline {
         for tr in &self.breakers {
             record(journal, || JournalEvent::Breaker {
                 time: tr.time,
-                caller: sim.app().version_label(tr.caller),
-                callee: sim.app().version_label(tr.callee),
+                caller: self.labels[tr.caller.0].clone(),
+                callee: self.labels[tr.callee.0].clone(),
                 from: tr.from,
                 to: tr.to,
             });
@@ -413,8 +416,8 @@ impl TracePipeline {
         &self,
         sim: &Simulation,
         binding: &StrategyBinding,
-        strategy: Arc<str>,
-        phase: Arc<str>,
+        strategy: Name,
+        phase: Name,
     ) -> Option<JournalEvent> {
         if self.health.traces() == 0 {
             return None;
@@ -428,15 +431,17 @@ impl TracePipeline {
             phase,
             traces: self.health.traces(),
             failed: self.health.failed_traces(),
-            baseline: self.book.version_label(binding.baseline).to_string(),
-            canary: self.book.version_label(binding.candidate).to_string(),
-            worst_edge: worst.map(|e| e.endpoint.clone()),
-            score: worst.map_or(0.0, EdgeDelta::score),
-            error_rate_delta: worst.map_or(0.0, EdgeDelta::error_rate_delta),
-            p95_delta_ms: worst.map_or(0.0, EdgeDelta::p95_delta_ms),
-            dropped: sampling.evicted,
-            tail_kept: sampling.tail_kept,
-            downsampled: sampling.downsampled_kept,
+            detail: Box::new(HealthDetail {
+                baseline: self.labels[binding.baseline.0].clone(),
+                canary: self.labels[binding.candidate.0].clone(),
+                worst_edge: worst.map(|e| e.endpoint.as_str().into()),
+                score: worst.map_or(0.0, EdgeDelta::score),
+                error_rate_delta: worst.map_or(0.0, EdgeDelta::error_rate_delta),
+                p95_delta_ms: worst.map_or(0.0, EdgeDelta::p95_delta_ms),
+                dropped: sampling.evicted,
+                tail_kept: sampling.tail_kept,
+                downsampled: sampling.downsampled_kept,
+            }),
         })
     }
 }
@@ -698,7 +703,7 @@ impl<'a> Execution<'a> {
         cex_core::span!(self.profiler, "engine.tick.apply");
         // Scopes retired by strategies reaching a terminal state this
         // tick; pruned after the loop so shared scopes can be guarded.
-        let mut retired: Vec<(Arc<str>, String)> = Vec::new();
+        let mut retired: Vec<(Name, String)> = Vec::new();
         for (run, obs) in self.runs.iter_mut().zip(observations) {
             let Some(obs) = obs else { continue };
             let compiled = &run.compiled;
@@ -801,7 +806,7 @@ impl<'a> Execution<'a> {
     /// checks are journaled, so they must not pin samples in the live
     /// store forever. A scope another running strategy still references
     /// (e.g. a shared baseline) is kept.
-    fn retire(&mut self, retired: Vec<(Arc<str>, String)>, now: SimTime) {
+    fn retire(&mut self, retired: Vec<(Name, String)>, now: SimTime) {
         for (strategy, scope) in retired {
             let still_referenced = self.runs.iter().any(|r| {
                 r.status == StrategyStatus::Running
@@ -812,7 +817,11 @@ impl<'a> Execution<'a> {
                 continue;
             }
             self.sim.store_mut().clear_scope(&scope);
-            record(&mut self.journal, || JournalEvent::ScopeCleared { time: now, strategy, scope });
+            record(&mut self.journal, || JournalEvent::ScopeCleared {
+                time: now,
+                strategy,
+                scope: scope.into(),
+            });
         }
     }
 
@@ -1136,9 +1145,10 @@ mod tests {
                 assert_eq!(snapshot, None, "seed {seed}: no trace, no snapshot");
                 continue;
             };
-            let Some(JournalEvent::HealthSnapshot {
-                traces,
-                failed,
+            let Some(JournalEvent::HealthSnapshot { traces, failed, detail, .. }) = snapshot else {
+                panic!("seed {seed}: traces were folded, so a snapshot is due");
+            };
+            let HealthDetail {
                 baseline,
                 canary,
                 worst_edge,
@@ -1146,12 +1156,9 @@ mod tests {
                 error_rate_delta,
                 p95_delta_ms,
                 ..
-            }) = snapshot
-            else {
-                panic!("seed {seed}: traces were folded, so a snapshot is due");
-            };
+            } = *detail;
             assert_eq!(
-                (traces, failed, baseline.as_str(), canary.as_str()),
+                (traces, failed, &*baseline, &*canary),
                 (
                     report.traces,
                     report.failed_traces,

@@ -34,7 +34,8 @@ use cex_core::metrics::{MetricKind, Summary};
 use cex_core::obs::Counters;
 use cex_core::simtime::SimTime;
 use microsim::resilience::BreakerState;
-use std::fmt::Write as _;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,11 +98,12 @@ macro_rules! journal_events {
                 w.end();
             }
 
-            /// Reads one parsed line back. Each member must be one the
-            /// declaration names, once; any other is an error naming its key.
-            fn from_json(json: &Json) -> Result<JournalEvent, String> {
+            /// Reads one parsed line back, its names shared through `names`.
+            /// Each member must be one the declaration names, once; any
+            /// other is an error naming its key.
+            fn from_json(json: &Json, names: &mut Names) -> Result<JournalEvent, String> {
                 let Json::Obj(all) = json else { return Err(malformed(TAG)) };
-                let mut line = Line { all, read: 0 };
+                let mut line = Line { all, read: 0, names };
                 let event = match line.get(TAG).and_then(Json::as_str) {
                     $(Some($tag) => JournalEvent::$variant {
                         time: Wire.take(&mut line, TIME).map_err(malformed)?,
@@ -131,9 +133,9 @@ journal_events! {
             /// Virtual time of the enactment.
             time: SimTime,
             /// The strategy enacting.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// Phase kind keyword (`canary`, `dark_launch`, …).
             kind: &'static str as PHASE_KINDS,
             /// Candidate traffic share in percent (0 for dark launches).
@@ -144,9 +146,9 @@ journal_events! {
             /// Virtual time of the evaluation.
             time: SimTime,
             /// The strategy whose check ran.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// Check index within the phase.
             check: usize,
             /// The monitored metric.
@@ -160,15 +162,17 @@ journal_events! {
             result: CheckResult,
             /// Window summary of the primarily read scope.
             primary: Summary,
-            /// Window summary of the baseline side (two-sided scopes only).
-            baseline: Option<Summary>,
+            /// Window summary of the baseline side (two-sided scopes only),
+            /// boxed: most checks are one-sided, and inline it would widen
+            /// every event.
+            baseline: Option<Box<Summary>>,
         },
         /// A state-machine transition with its triggering outcome.
         Transition "transition" {
             /// Virtual time of the transition.
             time: SimTime,
             /// The strategy that transitioned.
-            strategy: Arc<str>,
+            strategy: Name,
             /// State left.
             from: State,
             /// State entered.
@@ -182,9 +186,9 @@ journal_events! {
             /// Virtual time the injection was armed (phase entry).
             time: SimTime,
             /// The strategy whose phase scheduled it.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// Chaos kind keyword (`outage`, `latency_spike`, `error_burst`,
             /// `zone_outage`, `latency_storm`).
             kind: &'static str as CHAOS_KINDS,
@@ -192,7 +196,7 @@ journal_events! {
             /// for outages).
             magnitude: f64,
             /// Label of the afflicted version (`service@version`).
-            target: String,
+            target: Name,
             /// Fault window start (inclusive).
             from: SimTime,
             /// Fault window end (exclusive).
@@ -204,9 +208,9 @@ journal_events! {
             /// Virtual time of the transition.
             time: SimTime,
             /// Label of the calling version.
-            caller: String,
+            caller: Name,
             /// Label of the guarded callee version.
-            callee: String,
+            callee: Name,
             /// State left.
             from: BreakerState,
             /// State entered.
@@ -220,35 +224,17 @@ journal_events! {
             /// Virtual time of the snapshot (the phase boundary).
             time: SimTime,
             /// The strategy assessed.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// Traces folded into the accumulator so far (engine-wide).
             traces: u64,
             /// Traces whose root span failed.
             failed: u64,
-            /// Baseline `service@version` label.
-            baseline: String,
-            /// Canary `service@version` label.
-            canary: String,
-            /// Most degraded logical endpoint, `None` when the service's
-            /// edges saw no traffic yet.
-            worst_edge: Option<String>,
-            /// Its degradation score ([`microsim::health::EdgeDelta::score`]).
-            score: f64,
-            /// Its canary − baseline error-rate delta.
-            error_rate_delta: f64,
-            /// Its canary − baseline p95 latency delta (ms).
-            p95_delta_ms: f64,
-            /// Retained traces the collector's retention ring evicted
-            /// ([`microsim::trace::TraceCollector::dropped`]).
-            dropped: u64,
-            /// Traces always retained by the tail-sampling rule (error status
-            /// or sketch-flagged slow); `0` when tail sampling is off.
-            tail_kept: u64,
-            /// Healthy traces retained as weighted 1-in-`k` representatives;
-            /// `0` when tail sampling is off.
-            downsampled: u64,
+            /// The labels, the worst edge and the sampling tail, boxed: a
+            /// snapshot is rare, and inline they would set the width of
+            /// every event. They travel as members of the event itself.
+            detail: Box<HealthDetail> as Flat,
         },
         /// A guarded gradual rollout took a ramp decision at a step boundary:
         /// advance one step, retreat one step, or hold at the floor — driven
@@ -258,9 +244,9 @@ journal_events! {
             /// Virtual time of the decision (the step boundary).
             time: SimTime,
             /// The strategy ramping.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// The decision taken (`advance`, `retreat`, or `hold`).
             decision: &'static str as RAMP_DECISIONS,
             /// Candidate traffic percent after the decision.
@@ -277,9 +263,9 @@ journal_events! {
             /// Virtual time of the early conclusion.
             time: SimTime,
             /// The strategy that stopped early.
-            strategy: Arc<str>,
+            strategy: Name,
             /// Phase name.
-            phase: Arc<str>,
+            phase: Name,
             /// The outcome the sequential evidence decided.
             outcome: PhaseOutcome,
             /// The deciding always-valid p-value: the worst (largest) p among
@@ -292,9 +278,9 @@ journal_events! {
             /// Virtual time of the pruning.
             time: SimTime,
             /// The terminal strategy whose scope retired.
-            strategy: Arc<str>,
+            strategy: Name,
             /// The pruned scope.
-            scope: String,
+            scope: Name,
         },
         /// A runtime self-observability report: the unified counter-registry snapshot
         /// ([`Counters`]) emitted at the configured cadence
@@ -351,6 +337,122 @@ impl JournalEvent {
     }
 }
 
+// A check event, the bulk of any journal, is the widest: thin names and
+// a boxed baseline keep it at 88 bytes.
+const _: () = assert!(std::mem::size_of::<JournalEvent>() <= 96);
+
+/// What a [`JournalEvent::HealthSnapshot`] holds behind its box, in wire
+/// order: the two labels, the worst edge and the sampling tail.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HealthDetail {
+    /// Baseline `service@version` label.
+    pub baseline: Name,
+    /// Canary `service@version` label.
+    pub canary: Name,
+    /// Most degraded logical endpoint, `None` when the service's edges saw
+    /// no traffic yet.
+    pub worst_edge: Option<Name>,
+    /// Its degradation score ([`microsim::health::EdgeDelta::score`]).
+    pub score: f64,
+    /// Its canary − baseline error-rate delta.
+    pub error_rate_delta: f64,
+    /// Its canary − baseline p95 latency delta (ms).
+    pub p95_delta_ms: f64,
+    /// Retained traces the collector's retention ring evicted
+    /// ([`microsim::trace::TraceCollector::dropped`]).
+    pub dropped: u64,
+    /// Traces always retained by the tail-sampling rule (error status or
+    /// sketch-flagged slow); `0` when tail sampling is off.
+    pub tail_kept: u64,
+    /// Healthy traces retained as weighted 1-in-`k` representatives; `0`
+    /// when tail sampling is off.
+    pub downsampled: u64,
+}
+
+/// A name events share: a strategy's, a phase's, a version label. One
+/// pointer wide (an `Arc<str>` is two), its clones share one allocation;
+/// it derefs to `str` and compares, orders and hashes by content.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(Arc<Box<str>>);
+
+impl Name {
+    /// `true` when `a` and `b` are clones of one handle, not only equal.
+    pub fn ptr_eq(a: &Name, b: &Name) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        self
+    }
+}
+
+impl std::borrow::Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Name {
+        Name(Arc::new(name.into()))
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Name {
+        Name(Arc::new(name.into_boxed_str()))
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+/// One [`Name`] per distinct name read in one parse, so that a parsed
+/// journal shares its names as a recorded one does.
+#[derive(Default)]
+struct Names(HashSet<Name>);
+
+impl Names {
+    fn get(&mut self, name: &str) -> Name {
+        if let Some(known) = self.0.get(name) {
+            return known.clone();
+        }
+        let name = Name::from(name);
+        self.0.insert(name.clone());
+        name
+    }
+}
+
 fn malformed(key: &str) -> String {
     format!("missing or malformed {key}")
 }
@@ -360,6 +462,7 @@ struct Line<'a> {
     all: &'a [(String, Json)],
     /// Bit `i` set: `all[i]` was read (no event has 64 members).
     read: u64,
+    names: &'a mut Names,
 }
 
 impl<'a> Line<'a> {
@@ -409,8 +512,6 @@ wire! {
     usize: |n, key, w| w.uint(key, *n as u64), |j| j.as_u64().map(|n| n as usize);
     f64: |x, key, w| w.num(key, *x), |j| j.as_f64();
     bool: |b, key, w| w.bool(key, *b), |j| if let Json::Bool(b) = j { Some(*b) } else { None };
-    Arc<str>: |s, key, w| w.str(key, s), |j| j.as_str().map(Arc::from);
-    String: |s, key, w| w.str(key, s), |j| j.as_str().map(String::from);
     Summary: |s, key, w| s.write_json(w.value(key)), |j| Summary::from_json(j);
     State: |s, key, w| w.str(key, &s.to_string()), |j| State::parse(j.as_str()?);
     PhaseOutcome: |o, key, w| w.str(key, o.name()), |j| PhaseOutcome::from_name(j.as_str()?);
@@ -418,6 +519,33 @@ wire! {
     CheckScope: |s, key, w| w.str(key, s.name()), |j| CheckScope::from_name(j.as_str()?);
     CheckResult: |r, key, w| w.str(key, r.name()), |j| CheckResult::from_name(j.as_str()?);
     BreakerState: |s, key, w| w.str(key, s.name()), |j| BreakerState::from_name(j.as_str()?);
+}
+
+/// A name travels as a string, and reads back shared with every other
+/// member of the parse that names it.
+impl Codec<Name> for Wire {
+    fn put(&self, name: &Name, key: &'static str, w: &mut ObjectWriter<'_>) {
+        w.str(key, name);
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<Name, &'static str> {
+        let name = line.get(key).and_then(Json::as_str).ok_or(key)?;
+        Ok(line.names.get(name))
+    }
+}
+
+/// A box travels as what it holds.
+impl<T> Codec<Box<T>> for Wire
+where
+    Wire: Codec<T>,
+{
+    fn put(&self, value: &Box<T>, key: &'static str, w: &mut ObjectWriter<'_>) {
+        self.put(&**value, key, w);
+    }
+
+    fn take(&self, line: &mut Line<'_>, key: &'static str) -> Result<Box<T>, &'static str> {
+        self.take(line, key).map(Box::new)
+    }
 }
 
 /// `None` travels as `null`.
@@ -507,6 +635,42 @@ impl Codec<f64> for NullAs {
             Some(Json::Null) => Ok(self.0),
             _ => Wire.take(line, key),
         }
+    }
+}
+
+/// A struct whose fields travel as members of the event itself, each under
+/// its own name; the field's key is not on the wire.
+struct Flat;
+
+impl Codec<Box<HealthDetail>> for Flat {
+    fn put(&self, d: &Box<HealthDetail>, _: &'static str, w: &mut ObjectWriter<'_>) {
+        Wire.put(&d.baseline, "baseline", w);
+        Wire.put(&d.canary, "canary", w);
+        Wire.put(&d.worst_edge, "worst_edge", w);
+        Wire.put(&d.score, "score", w);
+        Wire.put(&d.error_rate_delta, "error_rate_delta", w);
+        Wire.put(&d.p95_delta_ms, "p95_delta_ms", w);
+        Wire.put(&d.dropped, "dropped", w);
+        Wire.put(&d.tail_kept, "tail_kept", w);
+        Wire.put(&d.downsampled, "downsampled", w);
+    }
+
+    fn take(
+        &self,
+        line: &mut Line<'_>,
+        _: &'static str,
+    ) -> Result<Box<HealthDetail>, &'static str> {
+        Ok(Box::new(HealthDetail {
+            baseline: Wire.take(line, "baseline")?,
+            canary: Wire.take(line, "canary")?,
+            worst_edge: Wire.take(line, "worst_edge")?,
+            score: Wire.take(line, "score")?,
+            error_rate_delta: Wire.take(line, "error_rate_delta")?,
+            p95_delta_ms: Wire.take(line, "p95_delta_ms")?,
+            dropped: Wire.take(line, "dropped")?,
+            tail_kept: Wire.take(line, "tail_kept")?,
+            downsampled: Wire.take(line, "downsampled")?,
+        }))
     }
 }
 
@@ -611,17 +775,20 @@ impl Journal {
 
     /// Reads a journal back from the line-delimited JSON produced by
     /// [`Journal::to_jsonl`]. Blank lines are ignored; tick busy times
-    /// are restored as zero (they are not serialized).
+    /// are restored as zero (they are not serialized). Each distinct name
+    /// is one [`Name`] shared by every event that names it, as in a
+    /// recorded journal.
     ///
     /// # Errors
     ///
     /// Returns [`BifrostError::Journal`] on malformed lines.
     pub fn from_jsonl(src: &str) -> Result<Journal, BifrostError> {
         let mut events = Vec::new();
+        let mut names = Names::default();
         for (i, line) in src.lines().enumerate().filter(|(_, line)| !line.trim().is_empty()) {
             let at = |e: String| BifrostError::Journal(format!("line {}: {e}", i + 1));
             let json = Json::parse(line).map_err(|e| at(e.to_string()))?;
-            events.push(JournalEvent::from_json(&json).map_err(at)?);
+            events.push(JournalEvent::from_json(&json, &mut names).map_err(at)?);
         }
         Ok(Journal { events })
     }
@@ -818,7 +985,7 @@ mod tests {
                 ("boundary", Json::Bool(*boundary)),
                 ("result", Json::Str(result.name().into())),
                 ("primary", summary_tree(primary)),
-                ("baseline", baseline.as_ref().map_or(Json::Null, summary_tree)),
+                ("baseline", baseline.as_deref().map_or(Json::Null, summary_tree)),
             ]),
             JournalEvent::Transition { time, strategy, from, to, outcome } => obj(vec![
                 ("ev", Json::Str("transition".into())),
@@ -836,7 +1003,7 @@ mod tests {
                     ("phase", Json::Str(phase.to_string())),
                     ("kind", Json::Str(kind.to_string())),
                     ("magnitude", Json::Num(*magnitude)),
-                    ("target", Json::Str(target.clone())),
+                    ("target", Json::Str(target.to_string())),
                     ("from", t(from)),
                     ("until", t(until)),
                 ])
@@ -844,43 +1011,33 @@ mod tests {
             JournalEvent::Breaker { time, caller, callee, from, to } => obj(vec![
                 ("ev", Json::Str("breaker".into())),
                 ("t", t(time)),
-                ("caller", Json::Str(caller.clone())),
-                ("callee", Json::Str(callee.clone())),
+                ("caller", Json::Str(caller.to_string())),
+                ("callee", Json::Str(callee.to_string())),
                 ("from", Json::Str(from.name().into())),
                 ("to", Json::Str(to.name().into())),
             ]),
-            JournalEvent::HealthSnapshot {
-                time,
-                strategy,
-                phase,
-                traces,
-                failed,
-                baseline,
-                canary,
-                worst_edge,
-                score,
-                error_rate_delta,
-                p95_delta_ms,
-                dropped,
-                tail_kept,
-                downsampled,
-            } => obj(vec![
-                ("ev", Json::Str("health".into())),
-                ("t", t(time)),
-                ("strategy", Json::Str(strategy.to_string())),
-                ("phase", Json::Str(phase.to_string())),
-                ("traces", Json::Num(*traces as f64)),
-                ("failed", Json::Num(*failed as f64)),
-                ("baseline", Json::Str(baseline.clone())),
-                ("canary", Json::Str(canary.clone())),
-                ("worst_edge", worst_edge.as_ref().map_or(Json::Null, |e| Json::Str(e.clone()))),
-                ("score", Json::Num(*score)),
-                ("error_rate_delta", Json::Num(*error_rate_delta)),
-                ("p95_delta_ms", Json::Num(*p95_delta_ms)),
-                ("dropped", Json::Num(*dropped as f64)),
-                ("tail_kept", Json::Num(*tail_kept as f64)),
-                ("downsampled", Json::Num(*downsampled as f64)),
-            ]),
+            JournalEvent::HealthSnapshot { time, strategy, phase, traces, failed, detail } => {
+                obj(vec![
+                    ("ev", Json::Str("health".into())),
+                    ("t", t(time)),
+                    ("strategy", Json::Str(strategy.to_string())),
+                    ("phase", Json::Str(phase.to_string())),
+                    ("traces", Json::Num(*traces as f64)),
+                    ("failed", Json::Num(*failed as f64)),
+                    ("baseline", Json::Str(detail.baseline.to_string())),
+                    ("canary", Json::Str(detail.canary.to_string())),
+                    (
+                        "worst_edge",
+                        detail.worst_edge.as_ref().map_or(Json::Null, |e| Json::Str(e.to_string())),
+                    ),
+                    ("score", Json::Num(detail.score)),
+                    ("error_rate_delta", Json::Num(detail.error_rate_delta)),
+                    ("p95_delta_ms", Json::Num(detail.p95_delta_ms)),
+                    ("dropped", Json::Num(detail.dropped as f64)),
+                    ("tail_kept", Json::Num(detail.tail_kept as f64)),
+                    ("downsampled", Json::Num(detail.downsampled as f64)),
+                ])
+            }
             JournalEvent::Ramp { time, strategy, phase, decision, percent, lr_harm } => obj(vec![
                 ("ev", Json::Str("ramp".into())),
                 ("t", t(time)),
@@ -902,7 +1059,7 @@ mod tests {
                 ("ev", Json::Str("scope_cleared".into())),
                 ("t", t(time)),
                 ("strategy", Json::Str(strategy.to_string())),
-                ("scope", Json::Str(scope.clone())),
+                ("scope", Json::Str(scope.to_string())),
             ]),
             JournalEvent::Runtime { time, tick, counters } => {
                 let table = |entries: Vec<(String, u64)>| {
@@ -980,7 +1137,7 @@ mod tests {
             boundary: true,
             result: CheckResult::Inconclusive,
             primary: Summary::of(&[120.0]),
-            baseline: Some(Summary::of(&[100.0, 110.0])),
+            baseline: Some(Box::new(Summary::of(&[100.0, 110.0]))),
         });
         j.record(JournalEvent::Chaos {
             time: t(40),
@@ -1019,15 +1176,17 @@ mod tests {
             phase: "canary".into(),
             traces: 480,
             failed: 3,
-            baseline: "svc@1.0.0".into(),
-            canary: "svc@2.0.0".into(),
-            worst_edge: Some("api".into()),
-            score: 62.5,
-            error_rate_delta: 0.0625,
-            p95_delta_ms: 12.25,
-            dropped: 16,
-            tail_kept: 7,
-            downsampled: 48,
+            detail: Box::new(HealthDetail {
+                baseline: "svc@1.0.0".into(),
+                canary: "svc@2.0.0".into(),
+                worst_edge: Some("api".into()),
+                score: 62.5,
+                error_rate_delta: 0.0625,
+                p95_delta_ms: 12.25,
+                dropped: 16,
+                tail_kept: 7,
+                downsampled: 48,
+            }),
         });
         j.record(JournalEvent::ScopeCleared {
             time: t(120),
@@ -1082,7 +1241,7 @@ mod tests {
     /// around a hostile string, number and integer.
     fn one_of_each(text: &str, x: f64, n: u64) -> Vec<JournalEvent> {
         let time = SimTime::from_millis(n);
-        let name: Arc<str> = text.into();
+        let name: Name = text.into();
         let keyword: &'static str = Box::leak(text.to_string().into_boxed_str());
         let summary = Summary { count: n, mean: x, std_dev: -x, min: x / 3.0, max: x * 3.0 };
         let mut counters = cex_core::obs::Counters::new();
@@ -1107,15 +1266,17 @@ mod tests {
             phase: name.clone(),
             traces: n,
             failed: n / 2,
-            baseline: text.into(),
-            canary: text.into(),
-            worst_edge,
-            score: x,
-            error_rate_delta: -x,
-            p95_delta_ms: x,
-            dropped: n,
-            tail_kept: n,
-            downsampled: n,
+            detail: Box::new(HealthDetail {
+                baseline: text.into(),
+                canary: text.into(),
+                worst_edge,
+                score: x,
+                error_rate_delta: -x,
+                p95_delta_ms: x,
+                dropped: n,
+                tail_kept: n,
+                downsampled: n,
+            }),
         };
         vec![
             JournalEvent::Enacted {
@@ -1126,7 +1287,7 @@ mod tests {
                 percent: x,
             },
             check(None),
-            check(Some(summary)),
+            check(Some(Box::new(summary))),
             JournalEvent::Transition {
                 time,
                 strategy: name.clone(),
@@ -1367,9 +1528,10 @@ mod tests {
         use crate::model::{ChaosKind, ChaosSpec, ChaosTarget, PhaseKind};
         let reads_back = |event: JournalEvent| {
             let text = line(&event);
-            assert_eq!(JournalEvent::from_json(&Json::parse(&text).unwrap()), Ok(event), "{text}");
+            let json = Json::parse(&text).unwrap();
+            assert_eq!(JournalEvent::from_json(&json, &mut Names::default()), Ok(event), "{text}");
         };
-        let (time, strategy, phase): (_, Arc<str>, Arc<str>) =
+        let (time, strategy, phase): (_, Name, Name) =
             (SimTime::from_secs(1), "s".into(), "p".into());
         // One value of every variant; the exhaustive matches stop compiling
         // when the model grows one, as a reminder to list it here too.

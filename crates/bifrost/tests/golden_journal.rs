@@ -16,8 +16,8 @@
 //! say so in the change that moves it and re-pin the constant.
 
 use bifrost::dsl;
-use bifrost::engine::{Engine, EngineConfig, StrategyStatus};
-use bifrost::journal::Journal;
+use bifrost::engine::{Engine, EngineConfig, ExecutionReport, StrategyStatus};
+use bifrost::journal::{Journal, Name};
 use bifrost::JournalEvent;
 use cex_core::simtime::SimDuration;
 use microsim::app::{Application, EndpointDef, VersionSpec};
@@ -91,8 +91,8 @@ fn fleet_app() -> Application {
     b.build().unwrap()
 }
 
-#[test]
-fn journal_bytes_of_the_golden_fleet_are_pinned() {
+/// The golden fleet, run journaled.
+fn run_fleet() -> (ExecutionReport, Journal) {
     let app = fleet_app();
     let entries = ["good", "bad", "starved"]
         .iter()
@@ -113,9 +113,14 @@ fn journal_bytes_of_the_golden_fleet_are_pinned() {
     runtime.apply(&mut config);
     let mut sim = Simulation::new(app, 20_171_211);
     sim.set_trace_sampling(1.0);
-    let (report, journal) = Engine::new(config)
+    Engine::new(config)
         .execute_journaled(&mut sim, &strategies, &wl, SimDuration::from_mins(45))
-        .unwrap();
+        .unwrap()
+}
+
+#[test]
+fn journal_bytes_of_the_golden_fleet_are_pinned() {
+    let (report, journal) = run_fleet();
 
     // The run really walks the paths the digest is meant to guard.
     let statuses: Vec<&StrategyStatus> = report.statuses.iter().map(|(_, s)| s).collect();
@@ -163,4 +168,45 @@ fn journal_bytes_of_the_golden_fleet_are_pinned() {
         .collect();
     assert_eq!(back.events(), unbusied.as_slice());
     assert_eq!(back.to_jsonl(), text);
+}
+
+#[test]
+fn a_parsed_fleet_journal_shares_one_handle_per_name() {
+    // Recorded or read back, every event of a strategy holds one handle
+    // for its name, and every event of one of its phases one for the
+    // phase's.
+    let (_, journal) = run_fleet();
+    let back = Journal::from_jsonl(&journal.to_jsonl()).unwrap();
+    for journal in [&journal, &back] {
+        let mut first: Vec<(&str, &Name)> = Vec::new();
+        let mut shared = 0;
+        for event in journal.events() {
+            let (strategy, phase) = match event {
+                JournalEvent::Check { strategy, phase, .. }
+                | JournalEvent::Enacted { strategy, phase, .. }
+                | JournalEvent::Ramp { strategy, phase, .. } => (strategy, Some(phase)),
+                JournalEvent::Transition { strategy, .. } => (strategy, None),
+                _ => continue,
+            };
+            for name in std::iter::once(strategy).chain(phase) {
+                match first.iter().find(|(of, known)| *of == &**strategy && *known == name) {
+                    Some((_, known)) => {
+                        assert!(Name::ptr_eq(known, name), "{strategy}: {name} held twice");
+                        shared += 1;
+                    }
+                    None => first.push((strategy, name)),
+                }
+            }
+        }
+        // Three strategies, two phases each but "starved"'s one.
+        assert_eq!(first.len(), 8, "{first:?}");
+        assert!(shared > 100, "{shared} names shared");
+    }
+    // The reader keeps one handle per distinct name across strategies too.
+    let canaries = back.events().iter().filter_map(|event| match event {
+        JournalEvent::Check { phase, .. } if phase == "canary" => Some(phase),
+        _ => None,
+    });
+    let canaries: Vec<&Name> = canaries.collect();
+    assert!(canaries.len() > 2 && canaries.iter().all(|c| Name::ptr_eq(c, canaries[0])));
 }

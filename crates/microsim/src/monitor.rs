@@ -111,6 +111,7 @@ use cex_core::obs::WallProbe;
 use cex_core::simtime::{SimDuration, SimTime};
 use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// Width of a pre-aggregation bucket, the same for every store.
 pub const BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
@@ -155,6 +156,74 @@ fn first_at_or_after(column: &[u64], target: u64) -> usize {
     0
 }
 
+/// A raw tail's values: `f32` while every value the series has kept is
+/// exactly an `f32` — integral milliseconds and 0/1 rates are — and `f64`
+/// from the first one that is not.
+#[derive(Debug)]
+enum Values {
+    Narrow(VecDeque<f32>),
+    Wide(VecDeque<f64>),
+}
+
+// A narrow series' raw sample is an 8-byte time and a 4-byte value.
+const _: () = assert!(size_of::<SimTime>() + size_of::<f32>() == 12);
+// A slot stays within 128 bytes: the values sit behind a box.
+#[cfg(not(test))]
+const _: () = assert!(size_of::<Option<Series>>() <= 128);
+
+impl Default for Values {
+    fn default() -> Self {
+        Values::Narrow(VecDeque::new())
+    }
+}
+
+/// `true` when `value` is exactly an `f32`. Compared bit for bit, so that
+/// `-0.0` stays negative and a NaN keeps its payload.
+fn is_f32(value: f64) -> bool {
+    f64::from(value as f32).to_bits() == value.to_bits()
+}
+
+impl Values {
+    /// The `i`-th value, oldest first.
+    fn at(&self, i: usize) -> f64 {
+        match self {
+            Values::Narrow(v) => f64::from(v[i]),
+            Values::Wide(v) => v[i],
+        }
+    }
+
+    /// Bytes a value takes.
+    fn width(&self) -> usize {
+        match self {
+            Values::Narrow(_) => size_of::<f32>(),
+            Values::Wide(_) => size_of::<f64>(),
+        }
+    }
+
+    /// Appends the values of `samples`, having widened the column first —
+    /// once in the series' life — if one of them is not exactly an `f32`.
+    fn extend<'a>(&mut self, samples: impl Iterator<Item = &'a Sample> + Clone) {
+        if let Values::Narrow(narrow) = self {
+            if samples.clone().all(|s| is_f32(s.value)) {
+                narrow.extend(samples.map(|s| s.value as f32));
+                return;
+            }
+            *self = Values::Wide(narrow.iter().map(|&x| f64::from(x)).collect());
+        }
+        if let Values::Wide(wide) = self {
+            wide.extend(samples.map(|s| s.value));
+        }
+    }
+
+    /// Drops the `n` oldest values.
+    fn drop_front(&mut self, n: usize) {
+        match self {
+            Values::Narrow(v) => drop(v.drain(..n)),
+            Values::Wide(v) => drop(v.drain(..n)),
+        }
+    }
+}
+
 /// One metric series: its non-empty pre-aggregated buckets plus a raw
 /// sample tail.
 #[derive(Debug, Default)]
@@ -170,7 +239,18 @@ struct Series {
     bucket_idx: Vec<u64>,
     /// `buckets[p]` aggregates bucket `bucket_idx[p]`.
     buckets: Vec<OnlineStats>,
-    /// Raw samples with `time >= raw_floor_ms`, in arrival order.
+    /// Times of the raw samples with `time >= raw_floor_ms`, in arrival
+    /// order. It takes exactly the pushes, extends and pops a
+    /// `VecDeque<Sample>` of those samples would, so it has that deque's
+    /// capacity and wraps where it would: a cut bucket's samples are found
+    /// with a binary search over an arrival-ordered tail, whose answer
+    /// depends on where the deque wraps.
+    times: VecDeque<SimTime>,
+    /// Their values, index for index.
+    values: Box<Values>,
+    /// The raw samples as one deque, the layout `times` and `values`
+    /// replaced: the oracle the test fold reads.
+    #[cfg(test)]
     raw: VecDeque<Sample>,
     /// Bucket-aligned compaction floor: raw samples below it were
     /// compacted away and only their buckets remain.
@@ -217,18 +297,24 @@ impl Series {
             },
             _ => self.buckets.len(),
         };
+        // The columns grow by half rather than double: a doubled column can
+        // stand half empty, one grown by half at most a third.
+        if self.buckets.len() == self.buckets.capacity() {
+            let extra = (self.buckets.len() / 2).max(4);
+            self.bucket_idx.reserve_exact(extra);
+            self.buckets.reserve_exact(extra);
+        }
         self.bucket_idx.insert(pos, idx);
         self.buckets.insert(pos, OnlineStats::new());
         pos
     }
 
     /// Bytes of series state held: a length times an element size for each
-    /// of the index column, the buckets and the raw tail.
+    /// of the index column, the buckets and the raw tail's two columns.
     fn state_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.bucket_idx.len() * size_of::<u64>()
             + self.buckets.len() * size_of::<OnlineStats>()
-            + self.raw.len() * size_of::<Sample>()
+            + self.times.len() * (size_of::<SimTime>() + self.values.width())
     }
 
     /// Appends a run of samples in one go — the batched ingestion path.
@@ -287,11 +373,21 @@ impl Series {
                 stats.merge(&head[0]);
             }
             self.total += run.len() as u64;
+            // The times take a block copy, or a filtered extend, as a
+            // `VecDeque<Sample>` would: the same reservations, so the same
+            // capacities.
             if self.raw_floor_ms == 0 {
+                self.times.extend(run.iter().map(|s| s.time));
+                self.values.extend(run.iter());
+                #[cfg(test)]
                 self.raw.extend(run.iter().copied());
             } else {
                 let floor = self.raw_floor_ms;
-                self.raw.extend(run.iter().copied().filter(|s| s.time.as_millis() >= floor));
+                let kept = run.iter().filter(|s| s.time.as_millis() >= floor);
+                self.times.extend(kept.clone().map(|s| s.time));
+                self.values.extend(kept.clone());
+                #[cfg(test)]
+                self.raw.extend(kept.copied());
             }
             i = j;
         }
@@ -306,9 +402,14 @@ impl Series {
         if aligned <= self.raw_floor_ms {
             return;
         }
-        while self.raw.front().is_some_and(|s| s.time.as_millis() < aligned) {
+        let mut dropped = 0;
+        while self.times.front().is_some_and(|t| t.as_millis() < aligned) {
+            self.times.pop_front();
+            #[cfg(test)]
             self.raw.pop_front();
+            dropped += 1;
         }
+        self.values.drop_front(dropped);
         self.raw_floor_ms = aligned;
     }
 
@@ -477,14 +578,14 @@ impl<'a> Walk<'a> {
             let e = self.to_ms.min(b_end);
             let mut i = *self
                 .raw_cursor
-                .get_or_insert_with(|| series.raw.partition_point(|x| x.time.as_millis() < s));
-            while let Some(sample) = series.raw.get(i) {
-                let t = sample.time.as_millis();
+                .get_or_insert_with(|| series.times.partition_point(|t| t.as_millis() < s));
+            while let Some(t) = series.times.get(i) {
+                let t = t.as_millis();
                 if t >= e {
                     break;
                 }
                 if t >= s {
-                    self.acc.push(sample.value);
+                    self.acc.push(series.values.at(i));
                 }
                 i += 1;
             }
@@ -878,19 +979,19 @@ impl MetricStore {
             let from_ms = t.as_millis().saturating_sub(window.as_millis());
             let to_ms = t.as_millis() + 1;
             if from_ms >= series.raw_floor_ms {
-                while let Some(s) = series.raw.get(hi) {
-                    if s.time.as_millis() >= to_ms {
+                while let Some(t) = series.times.get(hi) {
+                    if t.as_millis() >= to_ms {
                         break;
                     }
-                    sum += s.value;
+                    sum += series.values.at(hi);
                     cnt += 1;
                     hi += 1;
                 }
-                while let Some(s) = series.raw.get(lo) {
-                    if lo >= hi || s.time.as_millis() >= from_ms {
+                while let Some(t) = series.times.get(lo) {
+                    if lo >= hi || t.as_millis() >= from_ms {
                         break;
                     }
-                    sum -= s.value;
+                    sum -= series.values.at(lo);
                     cnt -= 1;
                     lo += 1;
                 }
@@ -923,7 +1024,7 @@ impl MetricStore {
     /// set this stays bounded while [`MetricStore::total_recorded`] keeps
     /// growing.
     pub fn total_samples(&self) -> usize {
-        self.series.iter().flatten().map(|s| s.raw.len()).sum()
+        self.series.iter().flatten().map(|s| s.times.len()).sum()
     }
 
     /// Samples ever recorded across all live series (compaction does not
@@ -940,7 +1041,7 @@ impl MetricStore {
     /// nothing. A read series' remembered answer (one fixed-size box each)
     /// is a cache of a read, not state, and is not counted.
     pub fn state_bytes(&self) -> usize {
-        self.series.len() * std::mem::size_of::<Option<Series>>()
+        self.series.len() * size_of::<Option<Series>>()
             + self.series.iter().flatten().map(Series::state_bytes).sum::<usize>()
     }
 }
@@ -1364,6 +1465,76 @@ mod tests {
         }
     }
 
+    impl Series {
+        /// [`MetricStore::moving_average`]'s sweep as it read the one-deque
+        /// tail, the oracle the two columns are held to.
+        fn sweep(&self, start: u64, end: u64, window: u64, step: u64) -> Vec<(u64, f64)> {
+            let (mut lo, mut hi, mut sum, mut cnt) = (0usize, 0usize, 0.0f64, 0u64);
+            let mut out = Vec::new();
+            for t in (start..end).step_by(step as usize) {
+                let (from_ms, to_ms) = (t.saturating_sub(window), t + 1);
+                if from_ms < self.raw_floor_ms {
+                    let mut acc = OnlineStats::new();
+                    self.fold(Series::bucket_span(from_ms, to_ms), from_ms, to_ms, &mut acc);
+                    out.extend(acc.mean().map(|mean| (t, mean)));
+                    continue;
+                }
+                while let Some(s) = self.raw.get(hi).filter(|s| s.time.as_millis() < to_ms) {
+                    (sum, cnt, hi) = (sum + s.value, cnt + 1, hi + 1);
+                }
+                while let Some(s) =
+                    self.raw.get(lo).filter(|s| lo < hi && s.time.as_millis() < from_ms)
+                {
+                    (sum, cnt, lo) = (sum - s.value, cnt - 1, lo + 1);
+                }
+                if cnt > 0 {
+                    out.push((t, sum / cnt as f64));
+                }
+            }
+            out
+        }
+
+        /// `true` when the two columns hold the one-deque tail: the same
+        /// times, laid out alike — capacity and wrap — and the same values
+        /// to the bit.
+        fn columns_are_the_tail(&self) -> bool {
+            let layout = |d: &VecDeque<SimTime>| (d.capacity(), d.as_slices().0.len());
+            let raw_layout = (self.raw.capacity(), self.raw.as_slices().0.len());
+            layout(&self.times) == raw_layout
+                && self.times.iter().eq(self.raw.iter().map(|s| &s.time))
+                && (0..self.raw.len())
+                    .all(|i| self.values.at(i).to_bits() == self.raw[i].value.to_bits())
+        }
+
+        fn wide(&self) -> bool {
+            matches!(*self.values, Values::Wide(_))
+        }
+    }
+
+    #[test]
+    fn values_keep_their_bits_and_widen_once() {
+        // Exact `f32`s — a negative zero among them — stay narrow; the
+        // first value that is not widens the column, keeping every value
+        // before it; a NaN whose payload an `f32` would lose is not one.
+        let exact = [0.0, -0.0, 1.0, 250.0, 0.5, -7.0, 1e3, f64::INFINITY, f64::NAN];
+        let quiet_nan_with_payload = f64::from_bits(0x7ff8_0000_0000_0001);
+        for odd in [0.1, 1.0 / 3.0, 16_777_217.0, 1e300, quiet_nan_with_payload] {
+            assert!(exact.iter().all(|&x| is_f32(x)) && !is_f32(odd), "{odd}");
+            let mut values = Values::default();
+            let at = |t: usize, value| Sample::new(SimTime::from_millis(t as u64), value);
+            let head: Vec<Sample> = exact.iter().enumerate().map(|(t, &x)| at(t, x)).collect();
+            values.extend(head.iter());
+            assert_eq!(values.width(), 4);
+            values.extend([at(9, odd), at(10, 2.0)].iter());
+            assert_eq!(values.width(), 8);
+            let tail = [odd, 2.0];
+            let all = exact.iter().chain(&tail).map(|x| x.to_bits());
+            assert!(all.enumerate().all(|(i, bits)| values.at(i).to_bits() == bits), "{odd}");
+            values.drop_front(2);
+            assert_eq!((values.at(0), values.at(8)), (1.0, 2.0));
+        }
+    }
+
     /// The fold stated apart from the store's layout, for the search below:
     /// buckets in a `BTreeMap` pushed sample by sample, every raw sample in
     /// a `Vec` in arrival order, no retention.
@@ -1486,11 +1657,15 @@ mod tests {
         // shapes: resumed from the carried cursor and from scratch, single
         // reads, a pair, a pair repeated (memo hits), `summary_between`,
         // and now and then a moving average and a scope never interned.
+        // Values are exact `f32`s (integers, as milliseconds and 0/1 rates
+        // are), or not, or exact until a step where the series widens.
         // Every read must be the oracle fold's, to the bit, and on seeds
         // without retention the `Reference`'s; a move that writes nothing
         // may not change the last look's answer; and `window_reads` and
         // the query probe must count every windowed read once, a pair as
-        // two and a sweep as one.
+        // two and a sweep as one. After every move each series' two raw
+        // columns must be the one-deque tail the oracle reads, to the bit
+        // and laid out alike, however compaction has wrapped it.
         const MOVES: [&str; 11] = [
             "nothing",
             "a burst",
@@ -1508,6 +1683,7 @@ mod tests {
         let (mut pairs, mut uneven, mut one_empty, mut unaligned) = (0u32, 0u32, 0u32, 0u32);
         let (mut compacted, mut remembered, mut opened_between) = (0u32, 0u32, 0u32);
         let mut changed = [0u32; MOVES.len()];
+        let (mut wrapped, mut widened, mut narrow, mut sweeps) = (0u32, 0u32, 0u32, 0u32);
         for seed in 0..300u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
             let mut store = MetricStore::new();
@@ -1529,13 +1705,25 @@ mod tests {
             };
             // How often `b` is written, in quarters of `a`'s writes.
             let b_share = [0, 1, 3, 4][rng.next_index(4)];
+            // The step from which values need an `f64`: from the start, never,
+            // or mid-history.
+            let wide_from = [0, u32::MAX, 10 + rng.next_below(90) as u32][rng.next_index(3)];
+            let mut was_narrow = false;
             let mut clock = rng.next_below(5_000);
             let mut from = clock;
             let mut long_silence = clock..clock;
             let mut cursor = WindowCursor::new();
             let mut reads = 0u64;
             let mut last: Option<(SimTime, SimDuration, Summary)> = None;
-            for _ in 0..120 {
+            for step in 0..120u32 {
+                // A value up to `scale`: an integer, or any `f64`.
+                let value = |rng: &mut SplitMix64, scale: u64| {
+                    if step < wide_from {
+                        rng.next_below(scale + 1) as f64
+                    } else {
+                        rng.next_f64() * scale as f64
+                    }
+                };
                 // One move (a burst five times as often as the others), then
                 // the last look again.
                 let kind = [0, 1, 1, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10][rng.next_index(17)];
@@ -1546,9 +1734,11 @@ mod tests {
                     1 => {
                         for _ in 0..rng.next_below(40) {
                             clock += rng.next_below(WIDTH_MS / 4 + 1);
-                            s.record(0, clock, rng.next_f64() * 100.0);
+                            let v = value(&mut rng, 100);
+                            s.record(0, clock, v);
                             if rng.next_below(4) < b_share {
-                                s.record(1, clock, rng.next_f64());
+                                let v = value(&mut rng, 1);
+                                s.record(1, clock, v);
                             }
                         }
                     }
@@ -1603,13 +1793,27 @@ mod tests {
                         let mut t = last_from;
                         for _ in 0..total {
                             t += 1 + rng.next_below(WIDTH_MS / 4);
-                            s.record(0, t, rng.next_f64());
+                            let v = value(&mut rng, 1);
+                            s.record(0, t, v);
                         }
                         clock = clock.max(t);
                     }
                     _ => {}
                 }
                 let touched = s.state() != state;
+                for series in (0..2).filter_map(|side| s.series(side)) {
+                    let (times, raw) = (&series.times, &series.raw);
+                    assert!(
+                        times.len() == raw.len() && times.capacity() == raw.capacity(),
+                        "seed {seed}: {} left columns of another shape",
+                        MOVES[kind]
+                    );
+                    wrapped += u32::from(!times.as_slices().1.is_empty());
+                }
+                if let Some(a) = s.series(0) {
+                    was_narrow |= !a.wide() && !a.times.is_empty();
+                    assert!(!a.wide() || step >= wide_from, "seed {seed}: wide before {wide_from}");
+                }
                 if let Some((now, window, before)) = last {
                     hits += u32::from(s.remembered(0, (last_from, last_to)));
                     let again = s.store.window_summary_id(ids[0], RT, now, window);
@@ -1684,7 +1888,16 @@ mod tests {
                 s.check("summary_between", side, edges, fresh);
                 if rng.next_below(16) == 0 {
                     let start = SimTime::from_millis(now.as_millis().saturating_sub(10_000));
-                    let _ = s.store.moving_average("svc@1", RT, start, now, window, BUCKET_WIDTH);
+                    let got = s.store.moving_average("svc@1", RT, start, now, window, BUCKET_WIDTH);
+                    let got: Vec<_> =
+                        got.iter().map(|(t, v)| (t.as_millis(), v.to_bits())).collect();
+                    let edges = [start, now].map(SimTime::as_millis);
+                    let oracle = s.series(0).map_or(Vec::new(), |a| {
+                        a.sweep(edges[0], edges[1], window.as_millis(), WIDTH_MS)
+                    });
+                    let oracle: Vec<_> = oracle.iter().map(|(t, v)| (*t, v.to_bits())).collect();
+                    assert_eq!(got, oracle, "seed {seed}: moving average");
+                    sweeps += u32::from(!got.is_empty());
                     let ghost = s.store.window_summary("ghost", RT, now, window);
                     assert_eq!(bits(ghost), bits(Summary::default()), "seed {seed}: no scope");
                     reads += 2;
@@ -1697,6 +1910,15 @@ mod tests {
                 last = Some((now, window, a_read.1));
             }
             opened_between += s.opened_between;
+            for series in (0..2).filter_map(|side| s.series(side)) {
+                assert!(series.columns_are_the_tail(), "seed {seed}: columns vs the tail");
+                narrow += u32::from(!series.wide());
+            }
+            let raw: usize = s.store.series.iter().flatten().map(|x| x.raw.len()).sum();
+            assert_eq!(s.store.total_samples(), raw, "seed {seed}: samples stored");
+            let total = s.series(0).map_or(0, |a| a.total as usize);
+            assert_eq!(s.store.count("svc@1", RT), total, "seed {seed}: count");
+            widened += u32::from(was_narrow && s.series(0).is_some_and(Series::wide));
         }
         // Not vacuous: every shape each property must survive occurred often.
         assert!(kept * 4 > looks, "{kept} of {looks} looks kept a fold");
@@ -1708,6 +1930,12 @@ mod tests {
         assert!(compacted > 200, "{compacted} sides read over a compacted floor");
         assert!(remembered * 10 > pairs, "{remembered} of {pairs} pairs met a remembered side");
         assert!(hits > 1_000, "{hits} looks repeated over an undisturbed series");
+        assert!(wrapped > 3_000, "{wrapped} moves left a wrapped tail");
+        assert!(
+            widened > 80 && narrow > 80,
+            "{widened} series widened mid-history, {narrow} never"
+        );
+        assert!(sweeps > 1_000, "{sweeps} moving averages with a point");
         for kind in [1, 2, 3, 8, 9, 10] {
             assert!(changed[kind] > 50, "{}: {} changed answers", MOVES[kind], changed[kind]);
         }
@@ -1884,6 +2112,8 @@ mod tests {
             && a.bucket_idx == b.bucket_idx
             && a.buckets == b.buckets
             && a.raw == b.raw
+            && a.columns_are_the_tail()
+            && b.columns_are_the_tail()
     }
 
     #[test]

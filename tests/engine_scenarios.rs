@@ -198,7 +198,7 @@ fn has(journal: &Journal, pred: impl Fn(&JournalEvent) -> bool) -> bool {
 fn chaos_windows(journal: &Journal) -> Vec<(&'static str, String, SimTime, SimTime)> {
     events(journal, |e| match e {
         JournalEvent::Chaos { kind, target, from, until, .. } => {
-            Some((*kind, target.clone(), *from, *until))
+            Some((*kind, target.to_string(), *from, *until))
         }
         _ => None,
     })
@@ -550,8 +550,8 @@ fn health_report_localizes_the_faulty_canary() {
         assert!(worst.error_rate_delta() > 0.1, "delta {}", worst.error_rate_delta());
         // The boundary snapshot journaled the same verdict.
         assert!(has(&run.journal, |e| matches!(e,
-            JournalEvent::HealthSnapshot { canary, worst_edge: Some(w), error_rate_delta, .. }
-                if canary == "svc@2.0.0" && w == "api" && *error_rate_delta > 0.1)));
+            JournalEvent::HealthSnapshot { detail, .. } if detail.canary == "svc@2.0.0"
+                && detail.worst_edge.as_deref() == Some("api") && detail.error_rate_delta > 0.1)));
     });
     run(Case { rate: 40.0, sampling: Some(1.0), ..row });
 }
