@@ -19,7 +19,7 @@ fn main() {
     println!("{:>10} {:>7} | {:>8} {:>8} | {:>6}", "crossover", "repair", "fitness", "sd", "valid");
     for crossover in [CrossoverKind::OnePoint, CrossoverKind::Uniform] {
         for repair in [true, false] {
-            let ga = GeneticAlgorithm { crossover, repair, ..Default::default() };
+            let ga = GeneticAlgorithm { crossover, repair };
             let mut fitness = Vec::new();
             let mut valid = 0;
             for rep in 0..REPETITIONS {

@@ -12,7 +12,7 @@ use cex_bench::{smoke_args, write_bench_json};
 use cex_core::experiment::ExperimentId;
 use cex_core::rng::SplitMix64;
 use fenrir::encoding;
-use fenrir::fitness::{self, Weights};
+use fenrir::fitness;
 use fenrir::generator::{ProblemGenerator, SampleSizeTier};
 use fenrir::incremental::IncrementalState;
 use fenrir::problem::Problem;
@@ -79,34 +79,24 @@ fn drive(moves: Option<u64>, mut step: impl FnMut() -> f64) -> (u64, f64, f64) {
 
 /// Full-evaluation baseline: apply each move, re-evaluate the whole
 /// schedule.
-fn bench_full(
-    problem: &Problem,
-    seed: &Schedule,
-    weights: &Weights,
-    moves: Option<u64>,
-) -> (u64, f64, f64) {
+fn bench_full(problem: &Problem, seed: &Schedule, moves: Option<u64>) -> (u64, f64, f64) {
     let mut schedule = seed.clone();
     let mut rng = SplitMix64::new(0xBE);
     drive(moves, || {
         let (id, plan) = random_move(problem, &schedule, &mut rng);
         *schedule.plan_mut(id) = plan;
-        let r = fitness::evaluate(problem, &schedule, weights);
+        let r = fitness::evaluate(problem, &schedule);
         r.raw + r.violations as f64
     })
 }
 
 /// Incremental path: the same move sequence through `eval_move`.
-fn bench_incremental(
-    problem: &Problem,
-    seed: &Schedule,
-    weights: &Weights,
-    moves: Option<u64>,
-) -> (u64, f64, f64) {
-    let mut state = IncrementalState::new(problem, seed.clone(), weights);
+fn bench_incremental(problem: &Problem, seed: &Schedule, moves: Option<u64>) -> (u64, f64, f64) {
+    let mut state = IncrementalState::new(problem, seed.clone());
     let mut rng = SplitMix64::new(0xBE);
     drive(moves, || {
         let (id, plan) = random_move(problem, state.schedule(), &mut rng);
-        let r = state.eval_move(problem, weights, id, plan);
+        let r = state.eval_move(problem, id, plan);
         r.raw + r.violations as f64
     })
 }
@@ -117,7 +107,6 @@ const TIERS: [(usize, u64); 3] =
 
 fn main() {
     let (smoke, out) = smoke_args("results/BENCH_fenrir_eval.json");
-    let weights = Weights::default();
     let mut json = String::from("  \"tiers\": [\n");
 
     println!("fenrir evaluation pipeline");
@@ -130,16 +119,15 @@ fn main() {
     for (t, (n, smoke_moves)) in TIERS.into_iter().enumerate() {
         let problem = ProblemGenerator::new(n, SampleSizeTier::Medium).generate(7);
         let mut rng = SplitMix64::new(n as u64);
-        let mut seed = encoding::random_schedule(&problem, &mut rng);
-        encoding::repair(&problem, &mut seed, &mut rng);
+        let seed = encoding::repaired_random(&problem, &mut rng);
         let comma = if t + 1 < TIERS.len() { "," } else { "" };
 
         if smoke {
             // A fixed count of the same moves down both paths, and only what
             // the moves decide: the two fitness sums, equal to the bit.
             let moves = Some(smoke_moves);
-            let (_, _, full) = bench_full(&problem, &seed, &weights, moves);
-            let (_, _, incremental) = bench_incremental(&problem, &seed, &weights, moves);
+            let (_, _, full) = bench_full(&problem, &seed, moves);
+            let (_, _, incremental) = bench_incremental(&problem, &seed, moves);
             assert_eq!(
                 full.to_bits(),
                 incremental.to_bits(),
@@ -155,8 +143,8 @@ fn main() {
         }
 
         let rate = |(evals, secs, _): (u64, f64, f64)| evals as f64 / secs;
-        let full_rate = rate(bench_full(&problem, &seed, &weights, None));
-        let inc_rate = rate(bench_incremental(&problem, &seed, &weights, None));
+        let full_rate = rate(bench_full(&problem, &seed, None));
+        let inc_rate = rate(bench_incremental(&problem, &seed, None));
         let inc_speedup = inc_rate / full_rate;
 
         println!("{n:>5} {full_rate:>14.0} {inc_rate:>14.0} {inc_speedup:>8.1}x");

@@ -22,9 +22,9 @@ const BUDGET: u64 = 5_000;
 fn algorithms() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(GeneticAlgorithm::default()),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(LocalSearch::default()),
-        Box::new(RandomSampling::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(LocalSearch),
+        Box::new(RandomSampling),
         Box::new(Greedy),
     ]
 }

@@ -18,9 +18,9 @@ const REPETITIONS: u64 = 3;
 fn algorithms() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(GeneticAlgorithm::default()),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(LocalSearch::default()),
-        Box::new(RandomSampling::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(LocalSearch),
+        Box::new(RandomSampling),
     ]
 }
 

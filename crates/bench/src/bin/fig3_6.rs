@@ -20,9 +20,9 @@ use fenrir::runner::{Budget, Scheduler};
 fn algorithms() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(GeneticAlgorithm::default()),
-        Box::new(SimulatedAnnealing::default()),
-        Box::new(LocalSearch::default()),
-        Box::new(RandomSampling::default()),
+        Box::new(SimulatedAnnealing),
+        Box::new(LocalSearch),
+        Box::new(RandomSampling),
     ]
 }
 

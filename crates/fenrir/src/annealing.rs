@@ -12,22 +12,14 @@ use crate::runner::{Budget, Evaluator, Scheduler, SearchResult};
 use crate::schedule::Schedule;
 use cex_core::rng::{sub_seed, SplitMix64};
 
-/// Simulated-annealing configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatedAnnealing {
-    /// Starting temperature, in score units (scores live in `0.0..=2.0`).
-    pub initial_temperature: f64,
-    /// Temperature at budget exhaustion (freezing point).
-    pub final_temperature: f64,
-    /// Whether neighbors are greedily repaired before evaluation.
-    pub repair: bool,
-}
+/// Starting temperature, in score units (scores live in `0.0..=2.0`).
+const INITIAL_TEMPERATURE: f64 = 0.25;
+/// Temperature at budget exhaustion (freezing point).
+const FINAL_TEMPERATURE: f64 = 1e-4;
 
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing { initial_temperature: 0.25, final_temperature: 1e-4, repair: true }
-    }
-}
+/// Simulated annealing; neighbors are greedily repaired before evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimulatedAnnealing;
 
 impl Scheduler for SimulatedAnnealing {
     fn name(&self) -> &'static str {
@@ -41,39 +33,24 @@ impl Scheduler for SimulatedAnnealing {
         seed: u64,
         initial: Option<Schedule>,
     ) -> SearchResult {
-        assert!(
-            self.initial_temperature > 0.0 && self.final_temperature > 0.0,
-            "temperatures must be positive"
-        );
         let mut rng = SplitMix64::new(sub_seed(seed, 0x5A));
         let mut ev = Evaluator::new(problem, budget);
 
-        let current = match initial {
-            Some(s) => s,
-            None => {
-                let mut s = encoding::random_schedule(problem, &mut rng);
-                if self.repair {
-                    encoding::repair(problem, &mut s, &mut rng);
-                }
-                s
-            }
-        };
+        let current = initial.unwrap_or_else(|| encoding::repaired_random(problem, &mut rng));
         // The incumbent lives in the evaluator's incremental state;
         // rejected neighbors are rolled back with `undo_last`.
-        let mut current_score = ev.eval_seed(&current).score();
+        let mut current_score = ev.eval_diff(&current).score();
 
         // Geometric cooling: T(i) = T0 · α^i with α chosen so
         // T(budget) = T_final.
         let steps = budget.max_evaluations.max(2) as f64;
-        let alpha = (self.final_temperature / self.initial_temperature).powf(1.0 / steps);
-        let mut temperature = self.initial_temperature;
+        let alpha = (FINAL_TEMPERATURE / INITIAL_TEMPERATURE).powf(1.0 / steps);
+        let mut temperature = INITIAL_TEMPERATURE;
 
         while ev.has_budget() {
             let mut neighbor = ev.current().clone();
             encoding::mutate(problem, &mut neighbor, &mut rng);
-            if self.repair {
-                encoding::repair(problem, &mut neighbor, &mut rng);
-            }
+            encoding::repair(problem, &mut neighbor, &mut rng);
             let score = ev.eval_diff(&neighbor).score();
             let delta = score - current_score;
             if delta >= 0.0 || rng.next_f64() < (delta / temperature).exp() {
@@ -81,54 +58,8 @@ impl Scheduler for SimulatedAnnealing {
             } else {
                 ev.undo_last();
             }
-            temperature = (temperature * alpha).max(self.final_temperature);
+            temperature = (temperature * alpha).max(FINAL_TEMPERATURE);
         }
         ev.finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generator::{ProblemGenerator, SampleSizeTier};
-    use crate::random_sampling::RandomSampling;
-
-    #[test]
-    fn annealing_finds_valid_schedule_on_small_instance() {
-        let problem = ProblemGenerator::new(5, SampleSizeTier::Low).generate(1);
-        let result =
-            SimulatedAnnealing::default().schedule(&problem, Budget::evaluations(3_000), 1);
-        assert!(result.best_report.is_valid(), "{:?}", result.best_report);
-    }
-
-    #[test]
-    fn annealing_beats_random_sampling_usually() {
-        let mut wins = 0;
-        for seed in 0..3 {
-            let problem = ProblemGenerator::new(10, SampleSizeTier::Medium).generate(seed + 10);
-            let budget = Budget::evaluations(1_500);
-            let sa = SimulatedAnnealing::default().schedule(&problem, budget, seed);
-            let rs = RandomSampling::default().schedule(&problem, budget, seed);
-            if sa.best_report.score() >= rs.best_report.score() {
-                wins += 1;
-            }
-        }
-        assert!(wins >= 2, "SA won only {wins}/3 against RS");
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let problem = ProblemGenerator::new(4, SampleSizeTier::Low).generate(2);
-        let a = SimulatedAnnealing::default().schedule(&problem, Budget::evaluations(400), 3);
-        let b = SimulatedAnnealing::default().schedule(&problem, Budget::evaluations(400), 3);
-        assert_eq!(a.best, b.best);
-    }
-
-    #[test]
-    #[should_panic(expected = "temperatures must be positive")]
-    fn zero_temperature_rejected() {
-        let problem = ProblemGenerator::new(2, SampleSizeTier::Low).generate(1);
-        let sa = SimulatedAnnealing { initial_temperature: 0.0, ..Default::default() };
-        sa.schedule(&problem, Budget::evaluations(10), 1);
     }
 }

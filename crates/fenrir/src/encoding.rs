@@ -78,6 +78,14 @@ pub fn random_schedule(problem: &Problem, rng: &mut SplitMix64) -> Schedule {
     Schedule::new(plans)
 }
 
+/// A [`random_schedule`] passed through [`repair`]: the starting point of
+/// every baseline search.
+pub fn repaired_random(problem: &Problem, rng: &mut SplitMix64) -> Schedule {
+    let mut schedule = random_schedule(problem, rng);
+    repair(problem, &mut schedule, rng);
+    schedule
+}
+
 /// Mutates one random gene component of one random experiment in place.
 pub fn mutate(problem: &Problem, schedule: &mut Schedule, rng: &mut SplitMix64) {
     let id = ExperimentId(uniform_usize(rng, 0, problem.len() - 1));

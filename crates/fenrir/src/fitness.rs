@@ -22,23 +22,13 @@ use crate::problem::Problem;
 use crate::schedule::Schedule;
 use cex_core::experiment::ExperimentId;
 
-/// Objective weights. The paper weights timeliness objectives above
-/// coverage; these defaults reproduce that emphasis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weights {
-    /// Weight of the duration objective.
-    pub duration: f64,
-    /// Weight of the start-time objective.
-    pub start: f64,
-    /// Weight of the group-coverage objective.
-    pub coverage: f64,
-}
-
-impl Default for Weights {
-    fn default() -> Self {
-        Weights { duration: 0.4, start: 0.4, coverage: 0.2 }
-    }
-}
+// Objective weights. The paper weights timeliness objectives above
+// coverage; these reproduce that emphasis.
+const DURATION_WEIGHT: f64 = 0.4;
+const START_WEIGHT: f64 = 0.4;
+const COVERAGE_WEIGHT: f64 = 0.2;
+/// The weights' sum, in the order `(duration + start) + coverage`.
+const TOTAL_WEIGHT: f64 = DURATION_WEIGHT + START_WEIGHT + COVERAGE_WEIGHT;
 
 /// Fitness of one evaluated schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,31 +59,31 @@ impl FitnessReport {
 }
 
 /// Evaluates one schedule.
-pub fn evaluate(problem: &Problem, schedule: &Schedule, weights: &Weights) -> FitnessReport {
+pub fn evaluate(problem: &Problem, schedule: &Schedule) -> FitnessReport {
     let violations = constraints::check(problem, schedule).len();
-    let raw = raw_fitness(problem, schedule, weights);
+    let raw = raw_fitness(problem, schedule);
     FitnessReport { raw, violations }
 }
 
 /// The raw (unconstrained) objective value in `0.0..=1.0`.
-pub fn raw_fitness(problem: &Problem, schedule: &Schedule, weights: &Weights) -> f64 {
-    let n = problem.len();
-    let total_weight = weights.duration + weights.start + weights.coverage;
+pub fn raw_fitness(problem: &Problem, schedule: &Schedule) -> f64 {
+    mean_fitness((0..problem.len()).map(|i| experiment_fitness(problem, schedule, ExperimentId(i))))
+}
+
+/// The mean of per-experiment [`experiment_fitness`] values, each
+/// normalized by the total weight, summed in index order. The full and the
+/// incremental path both fold through here, so they agree to the bit.
+pub(crate) fn mean_fitness(per_experiment: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = per_experiment.len();
     let mut sum = 0.0;
-    for i in 0..n {
-        let id = ExperimentId(i);
-        sum += experiment_fitness(problem, schedule, id, weights) / total_weight;
+    for f in per_experiment {
+        sum += f / TOTAL_WEIGHT;
     }
     sum / n as f64
 }
 
 /// Weighted (unnormalized) fitness of one experiment's plan.
-pub fn experiment_fitness(
-    problem: &Problem,
-    schedule: &Schedule,
-    id: ExperimentId,
-    weights: &Weights,
-) -> f64 {
+pub fn experiment_fitness(problem: &Problem, schedule: &Schedule, id: ExperimentId) -> f64 {
     let e = problem.experiment(id);
     let plan = schedule.plan(id);
     let index = problem.index();
@@ -126,7 +116,7 @@ pub fn experiment_fitness(
         preferred as f64 / plan.groups.len() as f64
     };
 
-    weights.duration * f_duration + weights.start * f_start + weights.coverage * f_coverage
+    DURATION_WEIGHT * f_duration + START_WEIGHT * f_start + COVERAGE_WEIGHT * f_coverage
 }
 
 #[cfg(test)]
@@ -154,7 +144,7 @@ mod tests {
     fn ideal_plan_scores_one() {
         let p = problem();
         let s = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(0)])]);
-        let report = evaluate(&p, &s, &Weights::default());
+        let report = evaluate(&p, &s);
         assert!(report.is_valid());
         assert!((report.raw - 1.0).abs() < 1e-12, "raw {}", report.raw);
         assert!(report.score() > 1.0);
@@ -163,47 +153,43 @@ mod tests {
     #[test]
     fn longer_duration_lowers_fitness() {
         let p = problem();
-        let w = Weights::default();
         let short = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(0)])]);
         let long = Schedule::new(vec![Plan::new(2, 10, 0.3, vec![GroupId(0)])]);
-        assert!(raw_fitness(&p, &short, &w) > raw_fitness(&p, &long, &w));
+        assert!(raw_fitness(&p, &short) > raw_fitness(&p, &long));
     }
 
     #[test]
     fn later_start_lowers_fitness() {
         let p = problem();
-        let w = Weights::default();
         let early = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(0)])]);
         let late = Schedule::new(vec![Plan::new(12, 2, 0.3, vec![GroupId(0)])]);
-        assert!(raw_fitness(&p, &early, &w) > raw_fitness(&p, &late, &w));
+        assert!(raw_fitness(&p, &early) > raw_fitness(&p, &late));
     }
 
     #[test]
     fn non_preferred_groups_lower_coverage() {
         let p = problem();
-        let w = Weights::default();
         let preferred = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(0)])]);
         let mixed = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(0), GroupId(1)])]);
         let off = Schedule::new(vec![Plan::new(2, 2, 0.3, vec![GroupId(1)])]);
-        let fp = raw_fitness(&p, &preferred, &w);
-        let fm = raw_fitness(&p, &mixed, &w);
-        let fo = raw_fitness(&p, &off, &w);
+        let fp = raw_fitness(&p, &preferred);
+        let fm = raw_fitness(&p, &mixed);
+        let fo = raw_fitness(&p, &off);
         assert!(fp > fm && fm > fo, "{fp} {fm} {fo}");
     }
 
     #[test]
     fn valid_always_outranks_invalid() {
         let p = problem();
-        let w = Weights::default();
         // Valid but mediocre (late, long).
         let mediocre = Schedule::new(vec![Plan::new(10, 10, 0.5, vec![GroupId(0)])]);
         // Hmm: 10+10=20 = horizon, ok. Samples: 10×0.5×100=500 ≥ 50. Valid.
-        let rv = evaluate(&p, &mediocre, &w);
+        let rv = evaluate(&p, &mediocre);
         assert!(rv.is_valid());
         // Invalid but objective-perfect (too little data).
         let invalid = Schedule::new(vec![Plan::new(2, 2, 0.01, vec![GroupId(0)])]);
         // Wait: min share default is 0.01 → in bounds; samples 2×0.01×100=2 < 50 → invalid.
-        let ri = evaluate(&p, &invalid, &w);
+        let ri = evaluate(&p, &invalid);
         assert!(!ri.is_valid());
         assert!(rv.score() > ri.score());
     }
@@ -211,9 +197,8 @@ mod tests {
     #[test]
     fn more_violations_score_lower() {
         let p = problem();
-        let w = Weights::default();
-        let one = evaluate(&p, &Schedule::new(vec![Plan::new(2, 2, 0.01, vec![GroupId(0)])]), &w);
-        let two = evaluate(&p, &Schedule::new(vec![Plan::new(0, 2, 0.01, vec![GroupId(0)])]), &w);
+        let one = evaluate(&p, &Schedule::new(vec![Plan::new(2, 2, 0.01, vec![GroupId(0)])]));
+        let two = evaluate(&p, &Schedule::new(vec![Plan::new(0, 2, 0.01, vec![GroupId(0)])]));
         assert_eq!(one.violations, 1);
         assert_eq!(two.violations, 2);
         assert!(one.score() > two.score());
@@ -222,11 +207,10 @@ mod tests {
     #[test]
     fn raw_fitness_bounded() {
         let p = problem();
-        let w = Weights::default();
         for start in [0usize, 5, 15, 19] {
             for dur in [1usize, 5, 20] {
                 let s = Schedule::new(vec![Plan::new(start, dur, 0.2, vec![GroupId(1)])]);
-                let raw = raw_fitness(&p, &s, &w);
+                let raw = raw_fitness(&p, &s);
                 assert!((0.0..=1.0).contains(&raw), "raw {raw}");
             }
         }

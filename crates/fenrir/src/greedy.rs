@@ -36,8 +36,9 @@ impl Scheduler for Greedy {
         if let Some(s) = initial {
             ev.eval(&s);
         }
-        let schedule = greedy_schedule(problem);
-        ev.eval(&schedule);
+        if ev.has_budget() {
+            ev.eval(&greedy_schedule(problem));
+        }
         ev.finish()
     }
 }

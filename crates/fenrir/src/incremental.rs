@@ -27,10 +27,10 @@
 //!    ([`fitness::experiment_fitness`], the capacity sum in plan-index
 //!    order matching [`Schedule::allocated_share`]);
 //! 2. the final raw fitness is re-summed over experiments in index order
-//!    on every report, replicating [`fitness::raw_fitness`]'s fold exactly.
+//!    on every report, through the one fold [`fitness::raw_fitness`] uses.
 
 use crate::constraints;
-use crate::fitness::{self, FitnessReport, Weights};
+use crate::fitness::{self, FitnessReport};
 use crate::problem::Problem;
 use crate::schedule::{Plan, Schedule};
 use cex_core::experiment::ExperimentId;
@@ -94,7 +94,7 @@ impl IncrementalState {
     ///
     /// Panics when the schedule does not cover exactly the problem's
     /// experiments.
-    pub fn new(problem: &Problem, schedule: Schedule, weights: &Weights) -> Self {
+    pub fn new(problem: &Problem, schedule: Schedule) -> Self {
         assert_eq!(
             schedule.len(),
             problem.len(),
@@ -108,7 +108,7 @@ impl IncrementalState {
         let mut exp_viol = Vec::with_capacity(n);
         for i in 0..n {
             let id = ExperimentId(i);
-            exp_fit.push(fitness::experiment_fitness(problem, &schedule, id, weights));
+            exp_fit.push(fitness::experiment_fitness(problem, &schedule, id));
             exp_viol.push(constraints::experiment_violation_count(problem, &schedule, id));
         }
 
@@ -174,14 +174,8 @@ impl IncrementalState {
 
     /// The fitness report of the current schedule, assembled from the
     /// maintained state. Bit-identical to a full evaluation.
-    pub fn report(&self, weights: &Weights) -> FitnessReport {
-        // Re-sum in index order — the exact fold of `fitness::raw_fitness`.
-        let total_weight = weights.duration + weights.start + weights.coverage;
-        let mut sum = 0.0;
-        for f in &self.exp_fit {
-            sum += f / total_weight;
-        }
-        let raw = sum / self.exp_fit.len() as f64;
+    pub fn report(&self) -> FitnessReport {
+        let raw = fitness::mean_fitness(self.exp_fit.iter().copied());
         let violations = self.exp_viol.iter().sum::<usize>() + self.pairs.len() + self.cap_count;
         FitnessReport { raw, violations }
     }
@@ -191,26 +185,20 @@ impl IncrementalState {
     pub fn eval_move(
         &mut self,
         problem: &Problem,
-        weights: &Weights,
         id: ExperimentId,
         new_plan: Plan,
     ) -> FitnessReport {
         self.undo.clear();
         self.undo.push((id, self.schedule.plan(id).clone()));
-        self.apply(problem, weights, id, new_plan);
-        self.report(weights)
+        self.apply(problem, id, new_plan);
+        self.report()
     }
 
     /// Diffs `candidate` against the current schedule and applies one move
     /// per changed plan. The whole diff is reverted by one
     /// [`undo`](Self::undo). Cost: O(n) plan comparisons plus
     /// O(degree + span) per changed plan.
-    pub fn eval_diff(
-        &mut self,
-        problem: &Problem,
-        weights: &Weights,
-        candidate: &Schedule,
-    ) -> FitnessReport {
+    pub fn eval_diff(&mut self, problem: &Problem, candidate: &Schedule) -> FitnessReport {
         assert_eq!(
             candidate.len(),
             self.schedule.len(),
@@ -221,25 +209,25 @@ impl IncrementalState {
             let id = ExperimentId(i);
             if candidate.plan(id) != self.schedule.plan(id) {
                 self.undo.push((id, self.schedule.plan(id).clone()));
-                self.apply(problem, weights, id, candidate.plan(id).clone());
+                self.apply(problem, id, candidate.plan(id).clone());
             }
         }
-        self.report(weights)
+        self.report()
     }
 
     /// Reverts the last [`eval_move`](Self::eval_move) /
     /// [`eval_diff`](Self::eval_diff). A no-op when nothing is pending.
     /// State restoration is exact: every touched quantity is recomputed
     /// through the same code path the forward move used.
-    pub fn undo(&mut self, problem: &Problem, weights: &Weights) {
+    pub fn undo(&mut self, problem: &Problem) {
         let moves = std::mem::take(&mut self.undo);
         for (id, plan) in moves.into_iter().rev() {
-            self.apply(problem, weights, id, plan);
+            self.apply(problem, id, plan);
         }
     }
 
     /// Applies one plan replacement, updating all derived state.
-    fn apply(&mut self, problem: &Problem, weights: &Weights, id: ExperimentId, new_plan: Plan) {
+    fn apply(&mut self, problem: &Problem, id: ExperimentId, new_plan: Plan) {
         let h = self.horizon;
         let old = self.schedule.plan(id).clone();
 
@@ -348,7 +336,7 @@ impl IncrementalState {
         }
 
         // Phase 6: re-score the moved experiment and its conflict edges.
-        self.exp_fit[id.0] = fitness::experiment_fitness(problem, &self.schedule, id, weights);
+        self.exp_fit[id.0] = fitness::experiment_fitness(problem, &self.schedule, id);
         self.exp_viol[id.0] = constraints::experiment_violation_count(problem, &self.schedule, id);
         for &j in problem.conflict_neighbors(id) {
             let key = if j.0 < id.0 { (j.0, id.0) } else { (id.0, j.0) };
@@ -383,9 +371,9 @@ mod tests {
         Problem::new(vec![e0, e1], pop, traffic).unwrap()
     }
 
-    fn assert_matches_full(problem: &Problem, state: &IncrementalState, weights: &Weights) {
-        let inc = state.report(weights);
-        let full = fitness::evaluate(problem, state.schedule(), weights);
+    fn assert_matches_full(problem: &Problem, state: &IncrementalState) {
+        let inc = state.report();
+        let full = fitness::evaluate(problem, state.schedule());
         assert_eq!(inc.raw.to_bits(), full.raw.to_bits(), "raw {} vs {}", inc.raw, full.raw);
         assert_eq!(inc.violations, full.violations);
     }
@@ -393,33 +381,31 @@ mod tests {
     #[test]
     fn seed_report_matches_full_evaluation() {
         let p = problem();
-        let w = Weights::default();
         let s = Schedule::new(vec![
             Plan::new(0, 4, 0.3, vec![GroupId(0)]),
             Plan::new(5, 4, 0.3, vec![GroupId(1)]),
         ]);
-        let state = IncrementalState::new(&p, s, &w);
-        assert_matches_full(&p, &state, &w);
+        let state = IncrementalState::new(&p, s);
+        assert_matches_full(&p, &state);
     }
 
     #[test]
     fn moves_and_undo_track_full_evaluation() {
         let p = problem();
-        let w = Weights::default();
         let s = Schedule::new(vec![
             Plan::new(0, 4, 0.3, vec![GroupId(0)]),
             Plan::new(5, 4, 0.3, vec![GroupId(1)]),
         ]);
-        let mut state = IncrementalState::new(&p, s, &w);
-        let before = state.report(&w);
+        let mut state = IncrementalState::new(&p, s);
+        let before = state.report();
 
         // Move e1 on top of e0: conflict + capacity pressure.
-        state.eval_move(&p, &w, ExperimentId(1), Plan::new(1, 4, 0.9, vec![GroupId(0)]));
-        assert_matches_full(&p, &state, &w);
+        state.eval_move(&p, ExperimentId(1), Plan::new(1, 4, 0.9, vec![GroupId(0)]));
+        assert_matches_full(&p, &state);
 
-        state.undo(&p, &w);
-        assert_matches_full(&p, &state, &w);
-        let after = state.report(&w);
+        state.undo(&p);
+        assert_matches_full(&p, &state);
+        let after = state.report();
         assert_eq!(before.raw.to_bits(), after.raw.to_bits());
         assert_eq!(before.violations, after.violations);
     }
@@ -427,18 +413,17 @@ mod tests {
     #[test]
     fn diff_applies_multiple_plans() {
         let p = problem();
-        let w = Weights::default();
         let s = Schedule::new(vec![
             Plan::new(0, 4, 0.3, vec![GroupId(0)]),
             Plan::new(5, 4, 0.3, vec![GroupId(1)]),
         ]);
-        let mut state = IncrementalState::new(&p, s, &w);
+        let mut state = IncrementalState::new(&p, s);
         let candidate = Schedule::new(vec![
             Plan::new(2, 5, 0.4, vec![GroupId(0), GroupId(1)]),
             Plan::new(0, 2, 0.1, vec![GroupId(1)]),
         ]);
-        let report = state.eval_diff(&p, &w, &candidate);
-        let full = fitness::evaluate(&p, &candidate, &w);
+        let report = state.eval_diff(&p, &candidate);
+        let full = fitness::evaluate(&p, &candidate);
         assert_eq!(report.raw.to_bits(), full.raw.to_bits());
         assert_eq!(report.violations, full.violations);
         assert_eq!(state.schedule(), &candidate);

@@ -44,9 +44,12 @@
 //!    plan spans — O(degree + plan span) instead of a full O(n²) pass,
 //!    with results *bit-identical* to [`fitness::evaluate`].
 //!
-//! Every evaluation, single or batched ([`runner::Evaluator::eval_batch`]),
-//! is scored and accounted on the calling thread in the order it was asked
-//! for.
+//! [`runner::Evaluator`] offers both paths under one budget: the GA,
+//! random sampling and greedy score each candidate fully
+//! ([`runner::Evaluator::eval`]), local search and annealing score each
+//! neighbor as a diff against their incumbent
+//! ([`runner::Evaluator::eval_diff`]). Every evaluation is scored and
+//! accounted on the calling thread in the order it was asked for.
 //!
 //! # Example
 //!

@@ -11,18 +11,9 @@ use crate::runner::{Budget, Evaluator, Scheduler, SearchResult};
 use crate::schedule::Schedule;
 use cex_core::rng::{sub_seed, SplitMix64};
 
-/// Random-sampling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomSampling {
-    /// Whether sampled schedules are greedily repaired before evaluation.
-    pub repair: bool,
-}
-
-impl Default for RandomSampling {
-    fn default() -> Self {
-        RandomSampling { repair: true }
-    }
-}
+/// Random sampling of repaired schedules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RandomSampling;
 
 impl Scheduler for RandomSampling {
     fn name(&self) -> &'static str {
@@ -42,11 +33,7 @@ impl Scheduler for RandomSampling {
             ev.eval(&s);
         }
         while ev.has_budget() {
-            let mut s = encoding::random_schedule(problem, &mut rng);
-            if self.repair {
-                encoding::repair(problem, &mut s, &mut rng);
-            }
-            ev.eval(&s);
+            ev.eval(&encoding::repaired_random(problem, &mut rng));
         }
         ev.finish()
     }
@@ -60,29 +47,7 @@ mod tests {
     #[test]
     fn sampling_exhausts_budget() {
         let problem = ProblemGenerator::new(5, SampleSizeTier::Low).generate(1);
-        let result = RandomSampling::default().schedule(&problem, Budget::evaluations(500), 1);
+        let result = RandomSampling.schedule(&problem, Budget::evaluations(500), 1);
         assert_eq!(result.evaluations, 500);
-    }
-
-    #[test]
-    fn repair_improves_over_raw_sampling() {
-        let problem = ProblemGenerator::new(10, SampleSizeTier::Medium).generate(2);
-        let budget = Budget::evaluations(800);
-        let raw = RandomSampling { repair: false }.schedule(&problem, budget, 3);
-        let repaired = RandomSampling { repair: true }.schedule(&problem, budget, 3);
-        assert!(
-            repaired.best_report.score() >= raw.best_report.score(),
-            "repaired {:?} vs raw {:?}",
-            repaired.best_report,
-            raw.best_report
-        );
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let problem = ProblemGenerator::new(4, SampleSizeTier::Low).generate(3);
-        let a = RandomSampling::default().schedule(&problem, Budget::evaluations(200), 9);
-        let b = RandomSampling::default().schedule(&problem, Budget::evaluations(200), 9);
-        assert_eq!(a.best, b.best);
     }
 }

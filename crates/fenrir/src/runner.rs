@@ -7,23 +7,28 @@
 //! [`Evaluator`] counts every fitness evaluation against a shared
 //! [`Budget`], records the best-so-far trajectory, and measures wall time.
 
-use crate::fitness::{self, FitnessReport, Weights};
+use crate::fitness::{self, FitnessReport};
 use crate::incremental::IncrementalState;
 use crate::problem::Problem;
-use crate::schedule::{Plan, Schedule};
-use cex_core::experiment::ExperimentId;
+use crate::schedule::Schedule;
 use std::time::{Duration, Instant};
 
 /// Search budget, expressed in fitness evaluations (the dominant cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
-    /// Maximum number of schedule evaluations.
-    pub max_evaluations: u64,
+    /// Maximum number of schedule evaluations, at least one.
+    pub(crate) max_evaluations: u64,
 }
 
 impl Budget {
     /// A budget of `n` evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is zero: every search evaluates at least its initial
+    /// candidate, so a zero budget is a harness bug.
     pub fn evaluations(n: u64) -> Self {
+        assert!(n > 0, "a zero evaluation budget cannot score even one schedule");
         Budget { max_evaluations: n }
     }
 }
@@ -65,25 +70,29 @@ pub trait Scheduler {
 }
 
 /// Budgeted fitness evaluator shared by all algorithms.
+///
+/// Two scoring paths share one budget and one best-so-far trajectory:
+/// [`eval`](Self::eval) scores any schedule from scratch, and
+/// [`eval_diff`](Self::eval_diff) re-scores an incumbent that changes a few
+/// plans at a time. Each is faster on some workloads, so both stay.
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     problem: &'a Problem,
-    weights: Weights,
     budget: Budget,
     evaluations: u64,
     best: Option<(Schedule, FitnessReport)>,
     history: Vec<(u64, f64)>,
     started: Instant,
-    /// Incremental state seeded by [`eval_seed`](Self::eval_seed).
+    /// The incumbent of [`eval_diff`](Self::eval_diff), seeded by its first
+    /// call.
     inc: Option<IncrementalState>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with default objective weights.
+    /// Creates an evaluator.
     pub fn new(problem: &'a Problem, budget: Budget) -> Self {
         Evaluator {
             problem,
-            weights: Weights::default(),
             budget,
             evaluations: 0,
             best: None,
@@ -114,9 +123,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Consumes one budget unit and folds `report` into the best-so-far
-    /// trajectory. All evaluation paths funnel through here so accounting
+    /// trajectory. Both evaluation paths funnel through here so accounting
     /// is identical regardless of how the score was produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the budget is already spent: a search that evaluates
+    /// past it is a harness bug.
     fn account(&mut self, schedule: &Schedule, report: FitnessReport) -> FitnessReport {
+        assert!(self.has_budget(), "a search evaluated past its budget");
         self.evaluations += 1;
         let score = report.score();
         let improved = self.best.as_ref().map(|(_, b)| score > b.score()).unwrap_or(true);
@@ -129,81 +144,51 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a schedule from scratch, consuming one budget unit and
     /// tracking the best-so-far.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the budget is spent.
     pub fn eval(&mut self, schedule: &Schedule) -> FitnessReport {
-        let report = fitness::evaluate(self.problem, schedule, &self.weights);
+        let report = fitness::evaluate(self.problem, schedule);
         self.account(schedule, report)
     }
 
-    /// Evaluates `schedule` fully and makes it the incumbent of the
-    /// incremental evaluator, enabling [`eval_move`](Self::eval_move) /
-    /// [`eval_diff`](Self::eval_diff). Consumes one budget unit.
-    pub fn eval_seed(&mut self, schedule: &Schedule) -> FitnessReport {
-        let state = IncrementalState::new(self.problem, schedule.clone(), &self.weights);
-        let report = state.report(&self.weights);
-        self.inc = Some(state);
-        self.account(schedule, report)
-    }
-
-    /// Replaces one plan of the incumbent and re-scores incrementally in
-    /// O(degree + plan span). Consumes one budget unit; revert with
+    /// Makes `candidate` the incumbent, re-scoring only the plans that
+    /// differ from the previous one in O(degree + plan span) each; the
+    /// first call scores it fully. Consumes one budget unit; revert with
     /// [`undo_last`](Self::undo_last).
     ///
     /// # Panics
     ///
-    /// Panics without a prior [`eval_seed`](Self::eval_seed).
-    pub fn eval_move(&mut self, id: ExperimentId, new_plan: Plan) -> FitnessReport {
-        let mut state = self.inc.take().expect("eval_move requires a prior eval_seed");
-        let report = state.eval_move(self.problem, &self.weights, id, new_plan);
-        let report = self.account(state.schedule(), report);
-        self.inc = Some(state);
-        report
-    }
-
-    /// Diffs `candidate` against the incumbent and re-scores only the
-    /// changed plans. Consumes one budget unit; revert with
-    /// [`undo_last`](Self::undo_last).
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`eval_seed`](Self::eval_seed).
+    /// Panics when the budget is spent.
     pub fn eval_diff(&mut self, candidate: &Schedule) -> FitnessReport {
-        let mut state = self.inc.take().expect("eval_diff requires a prior eval_seed");
-        let report = state.eval_diff(self.problem, &self.weights, candidate);
-        let report = self.account(state.schedule(), report);
-        self.inc = Some(state);
-        report
+        let report = match &mut self.inc {
+            Some(state) => state.eval_diff(self.problem, candidate),
+            None => {
+                self.inc.insert(IncrementalState::new(self.problem, candidate.clone())).report()
+            }
+        };
+        self.account(candidate, report)
     }
 
-    /// Reverts the last [`eval_move`](Self::eval_move) /
-    /// [`eval_diff`](Self::eval_diff), restoring the previous incumbent
-    /// exactly. Does not refund budget.
+    /// Reverts the last [`eval_diff`](Self::eval_diff), restoring the
+    /// previous incumbent exactly. Does not refund budget.
     ///
     /// # Panics
     ///
-    /// Panics without a prior [`eval_seed`](Self::eval_seed).
+    /// Panics without a prior [`eval_diff`](Self::eval_diff).
     pub fn undo_last(&mut self) {
-        let mut state = self.inc.take().expect("undo_last requires a prior eval_seed");
-        state.undo(self.problem, &self.weights);
-        self.inc = Some(state);
+        let problem = self.problem;
+        self.inc.as_mut().expect("undo_last requires a prior eval_diff").undo(problem);
     }
 
-    /// The incremental evaluator's incumbent schedule.
+    /// The incumbent of [`eval_diff`](Self::eval_diff).
     ///
     /// # Panics
     ///
-    /// Panics without a prior [`eval_seed`](Self::eval_seed).
+    /// Panics without a prior [`eval_diff`](Self::eval_diff).
     pub fn current(&self) -> &Schedule {
-        self.inc.as_ref().expect("current requires a prior eval_seed").schedule()
-    }
-
-    /// Scores a batch of schedules in index order, each through
-    /// [`eval`](Self::eval).
-    ///
-    /// At most [`remaining`](Self::remaining) schedules are evaluated; the
-    /// returned vector is truncated accordingly.
-    pub fn eval_batch(&mut self, candidates: &[Schedule]) -> Vec<FitnessReport> {
-        let take = (candidates.len() as u64).min(self.remaining()) as usize;
-        candidates[..take].iter().map(|s| self.eval(s)).collect()
+        self.inc.as_ref().expect("current requires a prior eval_diff").schedule()
     }
 
     /// Finalizes into a [`SearchResult`].
@@ -258,6 +243,16 @@ mod tests {
         // History scores are strictly increasing.
         assert!(result.history.windows(2).all(|w| w[0].1 < w[1].1));
         assert_eq!(result.evaluations, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "past its budget")]
+    fn evaluating_past_the_budget_panics() {
+        let p = tiny_problem();
+        let s = encoding::random_schedule(&p, &mut SplitMix64::new(1));
+        let mut ev = Evaluator::new(&p, Budget::evaluations(1));
+        ev.eval(&s);
+        ev.eval_diff(&s);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Differential tests: the incremental and batch evaluation paths must
+//! Differential tests: the incremental evaluation path must
 //! agree with the full `fitness::evaluate` **exactly** — `f64::to_bits`
 //! equality on the raw fitness and integer equality on violation counts —
 //! across random problems, random (often deliberately invalid) schedules,
@@ -13,7 +13,7 @@ use cex_core::rng::{sub_seed, SplitMix64};
 use cex_core::traffic::TrafficProfile;
 use cex_core::users::{GroupId, Population, UserGroup};
 use fenrir::encoding;
-use fenrir::fitness::{self, Weights};
+use fenrir::fitness;
 use fenrir::generator::{ProblemGenerator, SampleSizeTier};
 use fenrir::incremental::IncrementalState;
 use fenrir::problem::{ExperimentRequest, Problem};
@@ -99,9 +99,9 @@ fn wild_schedule(problem: &Problem, rng: &mut SplitMix64) -> Schedule {
     Schedule::new((0..problem.len()).map(|_| wild_plan(problem, rng)).collect())
 }
 
-fn assert_exact(problem: &Problem, state: &IncrementalState, weights: &Weights, ctx: &str) {
-    let inc = state.report(weights);
-    let full = fitness::evaluate(problem, state.schedule(), weights);
+fn assert_exact(problem: &Problem, state: &IncrementalState, ctx: &str) {
+    let inc = state.report();
+    let full = fitness::evaluate(problem, state.schedule());
     assert_eq!(
         inc.raw.to_bits(),
         full.raw.to_bits(),
@@ -116,9 +116,8 @@ fn assert_exact(problem: &Problem, state: &IncrementalState, weights: &Weights, 
 fn random_move_sequences_stay_exact() {
     for_cases(40, 0xD1FF, |case, rng| {
         let problem = random_problem(rng);
-        let weights = Weights::default();
-        let mut state = IncrementalState::new(&problem, wild_schedule(&problem, rng), &weights);
-        assert_exact(&problem, &state, &weights, &format!("case {case} seed"));
+        let mut state = IncrementalState::new(&problem, wild_schedule(&problem, rng));
+        assert_exact(&problem, &state, &format!("case {case} seed"));
 
         for step in 0..60 {
             let ctx = format!("case {case} step {step}");
@@ -126,8 +125,8 @@ fn random_move_sequences_stay_exact() {
                 // Single-plan move.
                 0 | 1 => {
                     let id = ExperimentId(rng.next_index(problem.len()));
-                    let report = state.eval_move(&problem, &weights, id, wild_plan(&problem, rng));
-                    let full = fitness::evaluate(&problem, state.schedule(), &weights);
+                    let report = state.eval_move(&problem, id, wild_plan(&problem, rng));
+                    let full = fitness::evaluate(&problem, state.schedule());
                     assert_eq!(report.raw.to_bits(), full.raw.to_bits(), "{ctx}: move raw");
                     assert_eq!(report.violations, full.violations, "{ctx}: move violations");
                 }
@@ -141,21 +140,21 @@ fn random_move_sequences_stay_exact() {
                     if rng.next_f64() < 0.5 {
                         encoding::repair(&problem, &mut candidate, rng);
                     }
-                    let report = state.eval_diff(&problem, &weights, &candidate);
-                    let full = fitness::evaluate(&problem, &candidate, &weights);
+                    let report = state.eval_diff(&problem, &candidate);
+                    let full = fitness::evaluate(&problem, &candidate);
                     assert_eq!(report.raw.to_bits(), full.raw.to_bits(), "{ctx}: diff raw");
                     assert_eq!(report.violations, full.violations, "{ctx}: diff violations");
                     assert_eq!(state.schedule(), &candidate, "{ctx}: diff schedule");
                 }
                 // Undo the previous move (no-op when nothing is pending).
                 _ => {
-                    let before = state.report(&weights);
-                    state.undo(&problem, &weights);
-                    state.undo(&problem, &weights); // second undo is a no-op
+                    let before = state.report();
+                    state.undo(&problem);
+                    state.undo(&problem); // second undo is a no-op
                     let _ = before;
                 }
             }
-            assert_exact(&problem, &state, &weights, &ctx);
+            assert_exact(&problem, &state, &ctx);
         }
     });
 }
@@ -164,15 +163,14 @@ fn random_move_sequences_stay_exact() {
 fn undo_restores_previous_report_bitwise() {
     for_cases(25, 0xBEEF, |case, rng| {
         let problem = random_problem(rng);
-        let weights = Weights::default();
-        let mut state = IncrementalState::new(&problem, wild_schedule(&problem, rng), &weights);
+        let mut state = IncrementalState::new(&problem, wild_schedule(&problem, rng));
         for step in 0..30 {
-            let before = state.report(&weights);
+            let before = state.report();
             let snapshot = state.schedule().clone();
             let id = ExperimentId(rng.next_index(problem.len()));
-            state.eval_move(&problem, &weights, id, wild_plan(&problem, rng));
-            state.undo(&problem, &weights);
-            let after = state.report(&weights);
+            state.eval_move(&problem, id, wild_plan(&problem, rng));
+            state.undo(&problem);
+            let after = state.report();
             assert_eq!(
                 before.raw.to_bits(),
                 after.raw.to_bits(),
@@ -190,19 +188,17 @@ fn generated_instances_stay_exact_under_realistic_moves() {
     // long spans and many boundary slots.
     for_cases(4, 0x9E4, |case, rng| {
         let problem = ProblemGenerator::new(10, SampleSizeTier::Medium).generate(case + 1);
-        let weights = Weights::default();
-        let mut schedule = encoding::random_schedule(&problem, rng);
-        encoding::repair(&problem, &mut schedule, rng);
-        let mut state = IncrementalState::new(&problem, schedule, &weights);
-        assert_exact(&problem, &state, &weights, &format!("case {case} seed"));
+        let schedule = encoding::repaired_random(&problem, rng);
+        let mut state = IncrementalState::new(&problem, schedule);
+        assert_exact(&problem, &state, &format!("case {case} seed"));
         for step in 0..40 {
             let mut candidate = state.schedule().clone();
             encoding::mutate(&problem, &mut candidate, rng);
             if rng.next_f64() < 0.3 {
                 encoding::repair(&problem, &mut candidate, rng);
             }
-            state.eval_diff(&problem, &weights, &candidate);
-            assert_exact(&problem, &state, &weights, &format!("case {case} step {step}"));
+            state.eval_diff(&problem, &candidate);
+            assert_exact(&problem, &state, &format!("case {case} step {step}"));
         }
     });
 }
@@ -221,13 +217,12 @@ fn handcrafted_boundary_cases_stay_exact() {
     e1.max_traffic_share = 0.9;
     e1.preferred_groups = vec![GroupId(1)];
     let problem = Problem::new(vec![e0, e1], pop, traffic).unwrap();
-    let weights = Weights::default();
 
     let seed = Schedule::new(vec![
         Plan::new(0, 4, 0.5, vec![GroupId(0)]),
         Plan::new(4, 4, 0.5, vec![GroupId(1)]),
     ]);
-    let mut state = IncrementalState::new(&problem, seed, &weights);
+    let mut state = IncrementalState::new(&problem, seed);
 
     let cases: Vec<(&str, ExperimentId, Plan)> = vec![
         ("ends exactly at horizon", ExperimentId(0), Plan::new(4, 4, 0.5, vec![GroupId(0)])),
@@ -242,13 +237,13 @@ fn handcrafted_boundary_cases_stay_exact() {
         ("back to valid", ExperimentId(1), Plan::new(4, 4, 0.5, vec![GroupId(1)])),
     ];
     for (name, id, plan) in cases {
-        let report = state.eval_move(&problem, &weights, id, plan);
-        let full = fitness::evaluate(&problem, state.schedule(), &weights);
+        let report = state.eval_move(&problem, id, plan);
+        let full = fitness::evaluate(&problem, state.schedule());
         assert_eq!(report.raw.to_bits(), full.raw.to_bits(), "{name}: raw");
         assert_eq!(report.violations, full.violations, "{name}: violations");
         // And again after an undo/redo cycle.
-        state.undo(&problem, &weights);
-        assert_exact(&problem, &state, &weights, name);
+        state.undo(&problem);
+        assert_exact(&problem, &state, name);
     }
 }
 
@@ -256,41 +251,23 @@ fn handcrafted_boundary_cases_stay_exact() {
 fn evaluator_incremental_path_matches_eval() {
     for_cases(10, 0xE7A1, |case, rng| {
         let problem = random_problem(rng);
-        let seed = wild_schedule(&problem, rng);
-        let mut ev = Evaluator::new(&problem, Budget::evaluations(1_000));
-        let seeded = ev.eval_seed(&seed);
-        let full = fitness::evaluate(&problem, &seed, &Weights::default());
-        assert_eq!(seeded.raw.to_bits(), full.raw.to_bits(), "case {case}: seed");
-        assert_eq!(seeded.violations, full.violations);
-
-        for step in 0..20 {
-            let id = ExperimentId(rng.next_index(problem.len()));
-            let report = ev.eval_move(id, wild_plan(&problem, rng));
-            let full = fitness::evaluate(&problem, ev.current(), &Weights::default());
+        let mut ev = Evaluator::new(&problem, Budget::evaluations(21));
+        // The first diff seeds the incumbent; each later one moves one plan
+        // of it, and half of them are taken back.
+        let mut candidate = wild_schedule(&problem, rng);
+        for step in 0..21 {
+            let report = ev.eval_diff(&candidate);
+            let full = fitness::evaluate(&problem, &candidate);
             assert_eq!(report.raw.to_bits(), full.raw.to_bits(), "case {case} step {step}");
             assert_eq!(report.violations, full.violations, "case {case} step {step}");
+            assert_eq!(ev.current(), &candidate, "case {case} step {step}");
             if rng.next_f64() < 0.5 {
                 ev.undo_last();
             }
+            candidate = ev.current().clone();
+            let id = ExperimentId(rng.next_index(problem.len()));
+            *candidate.plan_mut(id) = wild_plan(&problem, rng);
         }
-        assert_eq!(ev.evaluations(), 21, "one seed + twenty moves");
+        assert!(!ev.has_budget(), "one seed and twenty moves spend the budget");
     });
-}
-
-#[test]
-fn eval_batch_respects_the_budget() {
-    let mut rng = SplitMix64::new(42);
-    let problem = random_problem(&mut rng);
-    let batch: Vec<Schedule> = (0..10).map(|_| wild_schedule(&problem, &mut rng)).collect();
-    let mut ev = Evaluator::new(&problem, Budget::evaluations(7));
-    let reports = ev.eval_batch(&batch);
-    assert_eq!(reports.len(), 7, "batch truncated to the remaining budget");
-    for (s, r) in batch.iter().zip(&reports) {
-        let full = fitness::evaluate(&problem, s, &Weights::default());
-        assert_eq!((r.raw.to_bits(), r.violations), (full.raw.to_bits(), full.violations));
-    }
-    assert_eq!(ev.evaluations(), 7);
-    assert!(!ev.has_budget());
-    let more = ev.eval_batch(&batch);
-    assert!(more.is_empty(), "exhausted budget evaluates nothing");
 }

@@ -14,7 +14,7 @@ use cex_core::rng::SplitMix64;
 use cex_core::simtime::SimDuration;
 use fenrir::constraints;
 use fenrir::encoding::{self, CrossoverKind};
-use fenrir::fitness::{self, Weights};
+use fenrir::fitness;
 use fenrir::generator::{ProblemGenerator, SampleSizeTier};
 
 /// Runs `body` for `cases` deterministic cases, handing each its own rng.
@@ -43,7 +43,7 @@ fn fitness_bounds_hold_under_operators() {
         }
         let (c1, c2) = encoding::crossover(&a, &b, CrossoverKind::OnePoint, rng);
         for schedule in [&a, &b, &c1, &c2] {
-            let report = fitness::evaluate(&problem, schedule, &Weights::default());
+            let report = fitness::evaluate(&problem, schedule);
             assert!((0.0..=1.0).contains(&report.raw), "case {case}: raw {}", report.raw);
             if report.violations == 0 {
                 assert!(report.score() >= 1.0, "case {case}");
