@@ -1,14 +1,12 @@
 //! Benchmarks the fenrir evaluation pipeline: full re-evaluation vs
 //! incremental single-plan moves, at n ∈ {10, 50, 200} experiments.
 //!
-//! Writes `results/BENCH_fenrir_eval.json` (evals/sec per mode plus the
-//! incremental speedup factor) and mirrors the numbers on stdout. With
-//! `--smoke [--out PATH]` it makes a fixed number of moves per tier instead
-//! of timing them, and writes only what those moves decide — the full and
-//! incremental fitness sums, which must be equal — so two runs give the
-//! same bytes.
+//! Stdout holds what a fixed number of moves per tier decides: the full and
+//! incremental fitness sums, asserted equal to the bit, which
+//! `scripts/check_results.sh` diffs against `results/bench_fenrir_eval.txt`.
+//! Stderr holds the timed rates: evaluations per second down each path and
+//! the incremental speedup.
 
-use cex_bench::{smoke_args, write_bench_json};
 use cex_core::experiment::ExperimentId;
 use cex_core::rng::SplitMix64;
 use fenrir::encoding;
@@ -17,7 +15,6 @@ use fenrir::generator::{ProblemGenerator, SampleSizeTier};
 use fenrir::incremental::IncrementalState;
 use fenrir::problem::Problem;
 use fenrir::schedule::{Plan, Schedule};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Minimum wall time per measurement, in seconds.
@@ -101,62 +98,27 @@ fn bench_incremental(problem: &Problem, seed: &Schedule, moves: Option<u64>) -> 
     })
 }
 
-/// The three tiers: experiments, and the moves a smoke run makes at each.
+/// The three tiers: experiments, and the moves whose fitness sums are printed.
 const TIERS: [(usize, u64); 3] =
     [(10, 8 * CHUNK as u64), (50, 4 * CHUNK as u64), (200, 2 * CHUNK as u64)];
 
 fn main() {
-    let (smoke, out) = smoke_args("results/BENCH_fenrir_eval.json");
-    let mut json = String::from("  \"tiers\": [\n");
-
-    println!("fenrir evaluation pipeline");
-    if smoke {
-        println!("{:>5} {:>7} {:>22} {:>22}", "n", "moves", "full fitness sum", "incr fitness sum");
-    } else {
-        println!("{:>5} {:>14} {:>14} {:>9}", "n", "full/s", "incr/s", "speedup");
-    }
-
-    for (t, (n, smoke_moves)) in TIERS.into_iter().enumerate() {
+    println!("fenrir evaluation pipeline: the same moves scored in full and incrementally");
+    println!("{:>5} {:>7} {:>22} {:>22}", "n", "moves", "full fitness sum", "incr fitness sum");
+    eprintln!("{:>5} {:>14} {:>14} {:>9}", "n", "full/s", "incr/s", "speedup");
+    for (n, moves) in TIERS {
         let problem = ProblemGenerator::new(n, SampleSizeTier::Medium).generate(7);
         let mut rng = SplitMix64::new(n as u64);
         let seed = encoding::repaired_random(&problem, &mut rng);
-        let comma = if t + 1 < TIERS.len() { "," } else { "" };
 
-        if smoke {
-            // A fixed count of the same moves down both paths, and only what
-            // the moves decide: the two fitness sums, equal to the bit.
-            let moves = Some(smoke_moves);
-            let (_, _, full) = bench_full(&problem, &seed, moves);
-            let (_, _, incremental) = bench_incremental(&problem, &seed, moves);
-            assert_eq!(
-                full.to_bits(),
-                incremental.to_bits(),
-                "n={n}: full {full} vs {incremental}"
-            );
-            println!("{n:>5} {smoke_moves:>7} {full:>22?} {incremental:>22?}");
-            let _ = writeln!(
-                json,
-                "    {{\"n\": {n}, \"moves\": {smoke_moves}, \"full_fitness_sum\": {full:?}, \
-                 \"incremental_fitness_sum\": {incremental:?}}}{comma}"
-            );
-            continue;
-        }
+        let (_, _, full) = bench_full(&problem, &seed, Some(moves));
+        let (_, _, incremental) = bench_incremental(&problem, &seed, Some(moves));
+        assert_eq!(full.to_bits(), incremental.to_bits(), "n={n}: full {full} vs {incremental}");
+        println!("{n:>5} {moves:>7} {full:>22?} {incremental:>22?}");
 
         let rate = |(evals, secs, _): (u64, f64, f64)| evals as f64 / secs;
         let full_rate = rate(bench_full(&problem, &seed, None));
         let inc_rate = rate(bench_incremental(&problem, &seed, None));
-        let inc_speedup = inc_rate / full_rate;
-
-        println!("{n:>5} {full_rate:>14.0} {inc_rate:>14.0} {inc_speedup:>8.1}x");
-
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {n}, \"full_evals_per_sec\": {full_rate:.0}, \
-             \"incremental_evals_per_sec\": {inc_rate:.0}, \
-             \"incremental_speedup\": {inc_speedup:.2}}}{comma}"
-        );
+        eprintln!("{n:>5} {full_rate:>14.0} {inc_rate:>14.0} {:>8.1}x", inc_rate / full_rate);
     }
-    json.push_str("  ]\n");
-    let bench = if smoke { "fenrir_eval_smoke" } else { "fenrir_eval" };
-    write_bench_json(&out, bench, &json);
 }

@@ -18,49 +18,6 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Detected available parallelism (1 when detection fails).
-fn detected_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Writes one `results/BENCH_*.json` artifact: opens the object, stamps
-/// the benchmark name and the machine's detected core count — recorded
-/// throughput and speedup numbers are only interpretable against the
-/// parallelism that produced them — then appends `fields` (pre-rendered
-/// `  "key": value` lines, the last without a trailing comma) and closes
-/// the object. Creates parent directories as needed.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written.
-pub fn write_bench_json(path: &str, bench: &str, fields: &str) {
-    let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"cores\": {},\n", detected_cores());
-    json.push_str(fields);
-    json.push_str("}\n");
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("output directory");
-        }
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// The command line every `bench_*` bin takes, `[--smoke] [--out PATH]`:
-/// whether to run the reduced, timing-free variant, and the JSON file to
-/// write (`default_out` when `--out` is absent).
-pub fn smoke_args(default_out: &str) -> (bool, String) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default_out.to_string());
-    (smoke, out)
-}
-
 /// Renders one aligned text row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Gated results: every figure bin whose stdout holds no timing must print
-# exactly the file committed under results/, across commits and not just
-# reruns.
+# Gated results: every bin whose stdout holds no timing must print exactly
+# the file committed under results/, across commits and not just reruns.
 # Run from anywhere; exits non-zero on the first bin whose stdout differs,
 # after printing the diff.
 #
@@ -18,17 +17,26 @@
 # through topology::build_graph; ablation_hybrid drives classify and rank across
 # eleven alpha values on both ch. 5 scenarios, so a change to diff order,
 # edge pairing or a score bit shows there.
+# The bench_* bins print what their seeds decide to stdout and any timing to
+# stderr: bench_sequential the mSPRT-vs-fixed-window detection grid and its
+# A/A row; bench_fenrir_eval the fitness sums of a fixed move count, full and
+# incremental asserted equal; bench_health_scale the sketch pipeline's
+# sampling, peak state, quantile error and ranking over 10^7 traces, with the
+# 2% error and exact-ranking bounds asserted; bench_metric_hotpath the metric
+# store's accounting over a million requests. pipefail makes a tripped
+# assertion fail the gate.
 set -euo pipefail
 
-figures=(
+bins=(
     ch2_tables fig3_3 fig3_4 fig3_5 fig3_6 ablation_crossover tab3_3
     fig4_6 fig4_6_replay fig5_5 fig5_6 ablation_hybrid
+    bench_sequential bench_fenrir_eval bench_health_scale bench_metric_hotpath
 )
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
-cargo build --release -q -p cex-bench $(printf -- '--bin %s ' "${figures[@]}")
-for fig in "${figures[@]}"; do
-    "${CARGO_TARGET_DIR:-target}/release/$fig" | diff -u "results/$fig.txt" -
+cargo build --release -q -p cex-bench $(printf -- '--bin %s ' "${bins[@]}")
+for bin in "${bins[@]}"; do
+    "${CARGO_TARGET_DIR:-target}/release/$bin" | diff -u "results/$bin.txt" -
 done
-echo "check_results.sh: all ${#figures[@]} figures equal results/"
+echo "check_results.sh: all ${#bins[@]} bins equal results/"

@@ -8,7 +8,10 @@
 //!    against the fault's victims (EXPERIMENTS.md § "Localizer nDCG").
 //! 2. **Containment** — with the standard resilience policy guarding
 //!    every edge, the app-level error rate over the fault window stays
-//!    under the chaos-recovery bound and the strategy completes.
+//!    under the chaos-recovery bound and the strategy completes. The bound
+//!    is not vacuous: every fault that produces errors breaches it when the
+//!    same cell runs without the policy, by at least five times the
+//!    policy's own rate.
 //! 3. **Determinism** — the execution journal is byte-identical across
 //!    two runs of the cell with the same seed.
 //!
@@ -112,6 +115,28 @@ fn run_cell(scenario: &Scenario, kind: WorkloadKind, src: &str) -> (StrategyStat
     (report.statuses[0].1.clone(), journal.to_jsonl(), summary.mean)
 }
 
+/// App error rate over the fault window of a 25% canary of the cell's
+/// candidate, driven without the engine at 10 rps, with or without the
+/// standard policy.
+fn fault_window_error_rate(
+    scenario: &Scenario,
+    kind: WorkloadKind,
+    fault: FaultScenario,
+    policy: Option<CallPolicy>,
+) -> f64 {
+    let mut sim = Simulation::new(scenario.app.clone(), 4242);
+    sim.set_trace_sampling(0.0);
+    scenario.canary_split(&mut sim, 0.25).expect("canary split");
+    if let Some(policy) = policy {
+        sim.set_call_policy(policy);
+    }
+    for f in corpus::faults_for(scenario, fault, FAULT_FROM, FAULT_UNTIL) {
+        sim.inject_fault(f);
+    }
+    sim.run_with(SimDuration::from_secs(90), &corpus::workload_for(scenario, kind, 10.0));
+    sim.store().summary_between(APP_SCOPE, MetricKind::ErrorRate, FAULT_FROM, FAULT_UNTIL).mean
+}
+
 /// Property 1: the localizer pins the fault. Healthy window, then the
 /// fault scenario's windows, then a faulted window; the top-ranked edge
 /// must terminate at a faulted version. Returns the ranking's nDCG@5 with
@@ -181,6 +206,22 @@ fn sweep_family(family: TopologyFamily, ndcg_floor: f64) {
             // `-- --nocapture` prints the table EXPERIMENTS.md records.
             println!("ndcg@5 {label} {ndcg:.4}");
             worst_ndcg = worst_ndcg.min(ndcg);
+            // Latency-only faults produce no errors with or without the policy.
+            if !matches!(fault, FaultScenario::CandidateLatencySpike | FaultScenario::LatencyStorm)
+            {
+                let bare = fault_window_error_rate(&scenario, kind, fault, None);
+                let guarded =
+                    fault_window_error_rate(&scenario, kind, fault, Some(matrix_policy()));
+                assert!(
+                    bare >= CONTAINMENT_BOUND,
+                    "{label}: without the policy the fault window's error rate {bare:.4} stays \
+                     under the containment bound {CONTAINMENT_BOUND}, so the bound shows nothing",
+                );
+                assert!(
+                    5.0 * guarded <= bare,
+                    "{label}: the policy contains {bare:.4} only down to {guarded:.4}",
+                );
+            }
             for (strategy_name, phase_decl) in STRATEGIES {
                 let label = format!("{label}/{strategy_name}");
                 let src = strategy_src(&scenario, phase_decl, fault);
