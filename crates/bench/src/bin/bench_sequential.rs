@@ -6,7 +6,7 @@
 //! once both methods are held to the same false-positive guarantee, how
 //! much faster does the always-valid test catch a real regression? The
 //! baseline is the repo's idiomatic fixed-window check (`over 1m every
-//! 30s`, the shape the engine tests and templates use) with its per-look
+//! 30s`, the shape the engine tests and examples use) with its per-look
 //! α Bonferroni-deflated (α/looks), which caps its family-wise error at
 //! the same 0.05 the sequential test's Ville bound provides. An A/A
 //! control row verifies both sides actually stay at or under the nominal
@@ -93,7 +93,9 @@ fn fixed_src() -> String {
     )
 }
 
-/// One run; `Some(ms)` is the virtual time of the rollback transition.
+/// One run; `Some(ms)` is the virtual time of the rollback transition. The
+/// run starts at zero and stops on the tick its one strategy rolls back, so
+/// that time is the run's simulated length.
 fn detect_at(src: &str, candidate_err: f64, seed: u64) -> Option<u64> {
     let app = app(candidate_err);
     let svc = app.service_id("svc").expect("svc exists");
@@ -105,7 +107,7 @@ fn detect_at(src: &str, candidate_err: f64, seed: u64) -> Option<u64> {
         .execute(&mut sim, &[strategy], &wl, SimDuration::from_mins(PHASE_MINS + 5))
         .expect("benchmark run");
     if report.statuses[0].1 == StrategyStatus::RolledBack {
-        Some(report.transitions.last().expect("rollback transitioned").time.as_millis())
+        Some(report.sim_duration.as_millis())
     } else {
         None
     }

@@ -82,18 +82,23 @@ fn describe_tok(tok: &Tok) -> String {
     }
 }
 
+/// Durations stay below 9·10^15 ms (about 285,000 years): the engine adds
+/// a few of them to the clock with plain `+`, which cannot then overflow,
+/// and `cex_core::json` writes every integer below this bound exactly.
+const DURATION_LIMIT_MS: u64 = 9_000_000_000_000_000;
+
 /// `digits`, a decimal such as `4.1`, times `unit_ms`, in whole
 /// milliseconds. Computed on the digits, so no float rounds `4.1m` down to
 /// 245,999 ms; `Err` names why when the product is not a whole number of
-/// milliseconds or does not fit the clock.
+/// milliseconds or reaches [`DURATION_LIMIT_MS`].
 fn duration_ms(digits: &str, unit_ms: u64) -> Result<u64, &'static str> {
-    const TOO_LONG: &str = "is longer than 2^64 - 1 ms";
+    const TOO_LONG: &str = "is 9e15 ms (about 285,000 years) or longer";
     const SUB_MS: &str = "is not a whole number of milliseconds";
     let (whole, fraction) = digits.split_once('.').unwrap_or((digits, ""));
     let whole = whole.parse::<u64>().ok().and_then(|w| w.checked_mul(unit_ms)).ok_or(TOO_LONG)?;
     let fraction = fraction.trim_end_matches('0');
     if fraction.is_empty() {
-        return Ok(whole);
+        return Some(whole).filter(|ms| *ms < DURATION_LIMIT_MS).ok_or(TOO_LONG);
     }
     // `k` decimals, the last not 0, times a unit are whole milliseconds only
     // if 10^k divides the product, and no unit holds more than 2^7 or 5^5
@@ -107,7 +112,7 @@ fn duration_ms(digits: &str, unit_ms: u64) -> Result<u64, &'static str> {
     if !parts.is_multiple_of(per_ms) {
         return Err(SUB_MS);
     }
-    whole.checked_add(parts / per_ms).ok_or(TOO_LONG)
+    whole.checked_add(parts / per_ms).filter(|ms| *ms < DURATION_LIMIT_MS).ok_or(TOO_LONG)
 }
 
 fn lex(source: &str) -> Result<Vec<Spanned>, BifrostError> {
@@ -1231,6 +1236,21 @@ strategy "rec-rollout" {
         assert_eq!(s.phases[0].duration, SimDuration::from_millis(2500));
         assert_eq!(s.phases[0].checks[0].window, SimDuration::from_millis(1500));
         assert_eq!(s.phases[0].checks[0].interval, SimDuration::from_secs(1));
+        // An offset near 2^64 ms would overflow the engine's clock (a panic,
+        // or an outage that strikes at once), so it is an error at its token.
+        let src = r#"strategy "s" { service "a" baseline "1" candidate "2"
+            phase "p" canary 1% for 5m {
+              inject outage on candidate after 18446744073709551615ms for 1m
+              on success complete
+              on failure rollback
+            } }"#;
+        match parse(src) {
+            Err(BifrostError::Parse { line, column, message }) => {
+                assert_eq!((line, column), (3, 48), "{message}");
+                assert!(message.contains("18446744073709551615ms is 9e15 ms"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1379,9 +1399,11 @@ strategy "rec-rollout" {
             (sequential, "2.5", "`min_samples` takes a whole count"),
             (phase_for("1.5ms"), "1.5ms", "duration 1.5ms is not a whole number of milliseconds"),
             (phase_for("0.0001s"), "0.0001s", "not a whole number of milliseconds"),
-            (phase_for(&format!("{big}m")), big, "is longer than 2^64 - 1 ms"),
-            (phase_for("99999999999999999999m"), "9999", "is longer than 2^64 - 1 ms"),
-            (phase_for("18446744073709551616ms"), "1844", "is longer than 2^64 - 1 ms"),
+            (phase_for(&format!("{big}m")), big, "is 9e15 ms (about 285,000 years) or longer"),
+            (phase_for("99999999999999999999m"), "9999", "or longer"),
+            (phase_for("18446744073709551616ms"), "1844", "or longer"),
+            (phase_for("9000000000000000ms"), "9000", "or longer"),
+            (phase_for("2500000000h"), "2500", "or longer"),
             (check(" < 0.05 over 2.0005s every 30s"), "2.0005s", "not a whole number"),
         ] {
             let at = src.find(token).expect("the row names a token of its source");
@@ -1419,12 +1441,12 @@ strategy "rec-rollout" {
             assert_eq!(length(text), ms, "{text}");
         }
         // The digits' own edges: trailing zeros past 10^38, leading zeros,
-        // a bare point, and the clock's last millisecond.
+        // a bare point, and the longest duration the language takes.
         for (text, ms) in [
             ("1.50000000000000000000000000000000000000000s", 1_500),
             ("007.5s", 7_500),
             ("5.ms", 5),
-            ("18446744073709551615ms", u64::MAX),
+            ("8999999999999999ms", 8_999_999_999_999_999),
         ] {
             assert_eq!(length(text), ms, "{text}");
         }

@@ -30,7 +30,7 @@ use crate::decide::{self, Evaluation, RunView, TickObservation};
 use crate::enact::{self, StrategyBinding};
 use crate::error::BifrostError;
 use crate::journal::{HealthDetail, Journal, JournalEvent, Name};
-use crate::machine::{PhaseOutcome, State, StateMachine};
+use crate::machine::{State, StateMachine};
 use crate::model::{ChaosKind, ChaosSpec, ChaosTarget, CheckScope, PhaseKind, Strategy};
 use cex_core::metrics::MetricKind;
 use cex_core::obs::{Counters, ObsConfig, ProfileSnapshot, Profiler};
@@ -107,22 +107,6 @@ pub enum StrategyStatus {
     RolledBack,
 }
 
-/// One recorded state-machine transition (the engine's audit log —
-/// experimentation-as-code implies the execution trail is inspectable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransitionEvent {
-    /// Virtual time of the transition.
-    pub time: SimTime,
-    /// The strategy that transitioned.
-    pub strategy: String,
-    /// State left.
-    pub from: State,
-    /// State entered.
-    pub to: State,
-    /// The phase outcome that triggered it.
-    pub outcome: PhaseOutcome,
-}
-
 /// Sidecar runtime self-observability report (the determinism split's
 /// wall-clock side plus the counter registry).
 ///
@@ -153,8 +137,6 @@ impl PartialEq for RuntimeReport {
 pub struct ExecutionReport {
     /// Final status per strategy, in submission order.
     pub statuses: Vec<(String, StrategyStatus)>,
-    /// Every state-machine transition, in time order.
-    pub transitions: Vec<TransitionEvent>,
     /// Control-loop iterations executed.
     pub ticks: u64,
     /// Total check evaluations performed.
@@ -560,7 +542,6 @@ struct Execution<'a> {
     journal: JournalSink<'a>,
     traces: TracePipeline,
     runs: Vec<RunState<'a>>,
-    transitions: Vec<TransitionEvent>,
     ticks: u64,
     check_evaluations: u64,
     max_tick_processing: Duration,
@@ -599,7 +580,6 @@ impl<'a> Execution<'a> {
             journal,
             traces,
             runs,
-            transitions: Vec::new(),
             ticks: 0,
             check_evaluations: 0,
             max_tick_processing: Duration::ZERO,
@@ -762,13 +742,6 @@ impl<'a> Execution<'a> {
             }
             run.retries = decision.retries;
             let (from, to) = (State::Phase(index), decision.next);
-            self.transitions.push(TransitionEvent {
-                time: now,
-                strategy: compiled.strategy.name.clone(),
-                from,
-                to,
-                outcome,
-            });
             record(&mut self.journal, || JournalEvent::Transition {
                 time: now,
                 strategy: compiled.name.clone(),
@@ -847,7 +820,6 @@ impl<'a> Execution<'a> {
                 .iter()
                 .map(|r| (r.compiled.strategy.name.clone(), r.status.clone()))
                 .collect(),
-            transitions: self.transitions,
             ticks: self.ticks,
             check_evaluations: self.check_evaluations,
             engine_busy,

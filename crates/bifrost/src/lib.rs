@@ -30,10 +30,10 @@
 //! - [`engine`] — the multi-strategy execution engine measured in
 //!   Figures 4.6–4.10: the shell that gathers observations, calls
 //!   [`decide::decide`] and enacts and journals the answer.
-//! - [`journal`] — the structured, deterministic execution journal:
-//!   check verdicts with the windows they read, transitions,
-//!   enactments, per-tick engine accounting; JSONL in and out.
-//! - [`templates`] — a library of well-formed standard strategies.
+//! - [`journal`] — the structured, deterministic execution journal, a
+//!   run's one record of what it did: check verdicts with the windows they
+//!   read, transitions, enactments, per-tick engine accounting; JSONL in
+//!   and out.
 //! - [`verify`] — pre-launch static verification of strategy sets
 //!   (the dissertation's §1.6.4 future work).
 //!
@@ -71,7 +71,6 @@ pub mod error;
 pub mod journal;
 pub mod machine;
 pub mod model;
-pub mod templates;
 pub mod verify;
 
 pub use engine::{Engine, EngineConfig, ExecutionReport, RuntimeReport};

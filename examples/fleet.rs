@@ -2,16 +2,17 @@
 //!
 //! The dissertation's setting is "decentralized microservice teams
 //! independently running experiments". Here 24 teams each canary their own
-//! service with a templated strategy; the fleet is verified as a whole
-//! before launch (catching one team's mistake), executed in parallel, and
-//! summarized from the engine's transition log.
+//! service with one strategy written in the DSL; the fleet is verified as a
+//! whole before launch (catching one team's mistake), executed in parallel,
+//! and summarized from the execution journal's transitions.
 //!
 //! Run with `cargo run --release --example fleet`.
 
+use continuous_experimentation::bifrost::dsl;
 use continuous_experimentation::bifrost::engine::{Engine, StrategyStatus};
 use continuous_experimentation::bifrost::machine::State;
-use continuous_experimentation::bifrost::templates::{canary_then_rollout, HealthCriteria};
 use continuous_experimentation::bifrost::verify::{is_launchable, verify, Severity};
+use continuous_experimentation::bifrost::JournalEvent;
 use continuous_experimentation::core::simtime::SimDuration;
 use continuous_experimentation::core::users::Population;
 use continuous_experimentation::microsim::app::{Application, EndpointDef, VersionSpec};
@@ -20,6 +21,34 @@ use continuous_experimentation::microsim::sim::Simulation;
 use continuous_experimentation::microsim::workload::{EntryPoint, Workload};
 
 const TEAMS: usize = 24;
+
+/// Team `i`'s strategy: a 5% canary held to the error rate and the
+/// response-time ratio, then a gradual rollout held to the error rate alone
+/// (the baseline gets no traffic at 100%, so a relative check could never
+/// conclude there).
+fn canary_then_rollout(i: usize) -> String {
+    let errors = "check error_rate < 0.05 over 1m every 30s min_samples 10";
+    format!(
+        r#"strategy "team{i:02}-canary" {{
+  service "team{i:02}-svc"
+  baseline "1.0.0"
+  candidate "1.1.0"
+  phase "canary" canary 5% for 10m {{
+    {errors}
+    check response_time vs_baseline < 1.5 over 1m every 30s min_samples 10
+    on success goto "rollout"
+    on failure rollback
+    on inconclusive retry
+  }}
+  phase "rollout" gradual_rollout from 10% to 100% step 15% every 5m for 45m {{
+    {errors}
+    on success complete
+    on failure rollback
+    on inconclusive retry
+  }}
+}}"#
+    )
+}
 
 fn fleet_app() -> Application {
     let mut b = Application::builder();
@@ -47,18 +76,9 @@ fn fleet_app() -> Application {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = fleet_app();
 
-    // Each team instantiates the same vetted template.
-    let mut strategies: Vec<_> = (0..TEAMS)
-        .map(|i| {
-            canary_then_rollout(
-                format!("team{i:02}-canary"),
-                format!("team{i:02}-svc"),
-                "1.0.0",
-                "1.1.0",
-                HealthCriteria { min_samples: 10, ..Default::default() },
-            )
-        })
-        .collect();
+    // Each team writes the same strategy for its own service.
+    let mut strategies =
+        (0..TEAMS).map(|i| dsl::parse(&canary_then_rollout(i))).collect::<Result<Vec<_>, _>>()?;
 
     // Team 3 accidentally targets team 2's service — verification catches
     // the collision before anything is enacted.
@@ -88,8 +108,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut sim = Simulation::new(app, 2026);
-    let report =
-        Engine::default().execute(&mut sim, &strategies, &workload, SimDuration::from_hours(2))?;
+    let (report, journal) = Engine::default().execute_journaled(
+        &mut sim,
+        &strategies,
+        &workload,
+        SimDuration::from_hours(2),
+    )?;
 
     let completed = report.statuses.iter().filter(|(_, s)| *s == StrategyStatus::Completed).count();
     let rolled_back: Vec<&str> = report
@@ -106,14 +130,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("rolled back: {rolled_back:?}");
     assert!(rolled_back.contains(&"team07-canary"), "the flaky build must be caught");
 
-    // Transition-log summary: how long did each rollback take to trigger?
-    for (name, _) in report.statuses.iter().filter(|(_, s)| *s == StrategyStatus::RolledBack) {
-        let t = report
-            .transitions
-            .iter()
-            .find(|t| &t.strategy == name && t.to == State::RolledBack)
-            .expect("rollback recorded");
-        println!("  {name}: rolled back after {}s of experiment time", t.time.as_secs());
+    // Journal summary: how long did each rollback take to trigger?
+    for event in journal.events() {
+        if let JournalEvent::Transition { time, strategy, to: State::RolledBack, .. } = event {
+            println!("  {strategy}: rolled back after {}s of experiment time", time.as_secs());
+        }
     }
     println!(
         "\nengine cost: {:.2}% CPU, mean tick processing {:?}",

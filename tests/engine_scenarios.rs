@@ -7,13 +7,14 @@
 //! driver; each row is its own `#[test]`, so the rows run in parallel.
 //!
 //! The driver holds every row to more than its own assertion. A run's
-//! accounting is consistent and its transitions are in time order; a start
-//! that fails leaves the simulation as it was (no routing rule, retention
-//! horizon or fault, the clock at zero). A journaled row is held to four
-//! more checks: a same-seed rerun journals the same bytes and reports the
-//! same seed-pure facts; the JSONL reads back to the same bytes; the
-//! report's transitions are the journaled `transition` events; and the
-//! report's statuses agree with `Journal::final_states`.
+//! accounting is consistent; a start that fails leaves the simulation as it
+//! was (no routing rule, retention horizon or fault, the clock at zero). A
+//! journaled row is held to four more checks: a same-seed rerun journals
+//! the same bytes and reports the same seed-pure facts; the JSONL reads back
+//! to the same bytes; the journaled `transition` events are in time order;
+//! and the report's statuses agree with `Journal::final_states`. The journal
+//! is the run's one transition log: a row that reads transitions is
+//! journaled and reads them through `transitions`.
 //!
 //! To add a row, write a `#[test]` that calls `run` with a `Case` built by
 //! `case(app, rate, seed, dsl)` (or `journaled`, `chaos`, `traced_fleet`),
@@ -146,7 +147,6 @@ fn run(case: Case) {
     assert!(report.engine_busy <= report.wall_total);
     assert!(report.mean_tick_processing <= report.max_tick_processing);
     assert!((0.0..=1.0).contains(&report.cpu_utilization()));
-    assert!(report.transitions.windows(2).all(|w| w[0].time <= w[1].time));
     if case.journaled {
         let text = journal.to_jsonl();
         let (mut again, ..) = case.set_up();
@@ -155,15 +155,7 @@ fn run(case: Case) {
         assert!(journal_again.to_jsonl() == text, "a same-seed rerun journals other bytes");
         assert_eq!(seed_pure(&report_again), seed_pure(&report), "a same-seed rerun");
         assert!(Journal::from_jsonl(&text).unwrap().to_jsonl() == text, "the JSONL reads back");
-        let journaled = events(&journal, |e| match e {
-            JournalEvent::Transition { time, strategy, from, to, outcome } => {
-                Some((*time, strategy.to_string(), *from, *to, *outcome))
-            }
-            _ => None,
-        });
-        let reported = report.transitions.iter();
-        let reported = reported.map(|t| (t.time, t.strategy.clone(), t.from, t.to, t.outcome));
-        assert_eq!(journaled, reported.collect::<Vec<_>>());
+        assert!(transitions(&journal).windows(2).all(|w| w[0].0 <= w[1].0));
         let finals = journal.final_states();
         assert_eq!(finals.len(), report.statuses.len());
         for ((name, status), (journaled, state)) in report.statuses.iter().zip(&finals) {
@@ -182,7 +174,7 @@ fn run(case: Case) {
 fn seed_pure(r: &ExecutionReport) -> String {
     let health: Vec<_> = r.health.iter().map(|(n, h)| format!("{n}\n{}", h.render())).collect();
     let counters = &r.runtime.counters;
-    format!("{:?}", (&r.statuses, &r.transitions, r.ticks, r.check_evaluations, health, counters))
+    format!("{:?}", (&r.statuses, r.ticks, r.check_evaluations, health, counters))
 }
 
 /// The journal's events that `pick` maps to something, in order.
@@ -192,6 +184,16 @@ fn events<T>(journal: &Journal, pick: impl Fn(&JournalEvent) -> Option<T>) -> Ve
 
 fn has(journal: &Journal, pred: impl Fn(&JournalEvent) -> bool) -> bool {
     journal.events().iter().any(pred)
+}
+
+/// The journal's transitions: `(time, from, to, outcome)`.
+fn transitions(journal: &Journal) -> Vec<(SimTime, State, State, PhaseOutcome)> {
+    events(journal, |e| match e {
+        JournalEvent::Transition { time, from, to, outcome, .. } => {
+            Some((*time, *from, *to, *outcome))
+        }
+        _ => None,
+    })
 }
 
 /// The journal's chaos windows: `(kind, target, from, until)`.
@@ -425,11 +427,12 @@ fn retry_budget_bounds_total_phase_executions() {
     run(Case {
         config: EngineConfig { max_retries: 2, ..EngineConfig::default() },
         horizon: SimDuration::from_hours(2),
+        journaled: true,
         expect: Ok(vec![RolledBack]),
         check: |run| {
-            let transitions = &run.report.transitions;
-            assert_eq!(transitions.iter().filter(|t| t.from == t.to).count(), 1, "{transitions:?}");
-            assert_eq!(transitions.last().unwrap().to, State::RolledBack);
+            let transitions = transitions(&run.journal);
+            assert_eq!(transitions.iter().filter(|t| t.1 == t.2).count(), 1, "{transitions:?}");
+            assert_eq!(transitions.last().unwrap().2, State::RolledBack);
         },
         ..case(healthy, 0.05, 3, starved(1000))
     });
@@ -447,13 +450,15 @@ fn many_strategies_run_in_parallel() {
 #[test]
 fn transition_log_records_the_phase_sequence() {
     run(Case {
+        journaled: true,
         check: |run| {
             // canary -> rollout -> completed.
-            let path: Vec<State> = run.report.transitions.iter().map(|t| t.to).collect();
+            let transitions = transitions(&run.journal);
+            let path: Vec<State> = transitions.iter().map(|t| t.2).collect();
             assert_eq!(path.last(), Some(&State::Completed));
             assert!(path.contains(&State::Phase(1)), "rollout entered: {path:?}");
-            let first = &run.report.transitions[0];
-            assert_eq!((first.from, first.outcome), (State::Phase(0), PhaseOutcome::Success));
+            let first = transitions[0];
+            assert_eq!((first.1, first.3), (State::Phase(0), PhaseOutcome::Success));
         },
         ..case(healthy, 30.0, 21, canary_then_rollout())
     });
@@ -662,7 +667,7 @@ fn chaos_without_resilience_is_caught_and_rolled_back() {
     // until)` convention applies it from the phase's first request.
     let outage = "outage on candidate after 0s for 2m";
     let row = chaos(false, 17, "chaos-naked", outage, |run| {
-        let t = run.report.transitions.last().unwrap().time;
+        let t = transitions(&run.journal).last().unwrap().0;
         assert!(t <= SimTime::from_mins(2) + SimDuration::from_secs(30), "rolled back at {t}");
     });
     run(Case { resilient: false, expect: Ok(vec![RolledBack]), ..row });
@@ -723,7 +728,7 @@ fn sequential_check_promotes_the_phase_early() {
     // the 30-minute phase clock, and the engine promotes at once.
     let app = || svc(0.3, 20.0, 0.05);
     run(journaled(app, 41, 40, sequential_canary("seq"), |run| {
-        let done = run.report.transitions.last().unwrap().time;
+        let done = transitions(&run.journal).last().unwrap().0;
         assert!(done < SimTime::from_mins(15), "promoted early, at {done}");
         assert!(has(&run.journal, |e| matches!(e,
             JournalEvent::EarlyStop { outcome: PhaseOutcome::Success, p, .. } if *p <= 0.05)));
@@ -736,7 +741,7 @@ fn sequential_check_aborts_early_on_harm() {
     // strategy rolls back without waiting for the boundary.
     let app = || svc(0.05, 20.0, 0.4);
     let row = journaled(app, 43, 40, sequential_canary("seq-bad"), |run| {
-        let done = run.report.transitions.last().unwrap().time;
+        let done = transitions(&run.journal).last().unwrap().0;
         assert!(done < SimTime::from_mins(10), "aborted early, at {done}");
         assert!(has(&run.journal, |e| matches!(e,
             JournalEvent::EarlyStop { outcome: PhaseOutcome::Failure, p, .. } if *p <= 0.05)));
@@ -882,12 +887,14 @@ fn error_burst_mid_rollout_triggers_rollback() {
     let burst = FaultKind::ErrorBurst { extra_error_rate: 0.6 };
     run(Case {
         faults: vec![("svc", "2.0.0", burst, SimTime::from_mins(5), SimTime::from_mins(60))],
+        journaled: true,
         expect: Ok(vec![RolledBack]),
         check: |run| {
             // The rollback came after the fault struck, and the baseline
             // then serves everyone cleanly.
-            let rollback = run.report.transitions.iter().find(|t| t.to == State::RolledBack);
-            assert!(rollback.unwrap().time >= SimTime::from_mins(5));
+            let transitions = transitions(&run.journal);
+            let rollback = transitions.iter().find(|t| t.2 == State::RolledBack);
+            assert!(rollback.unwrap().0 >= SimTime::from_mins(5));
             let after = run.sim.run(SimDuration::from_mins(2), 30.0);
             assert!(after.failures == 0 && (after.response_time.mean - 20.0).abs() < 1.0);
         },
