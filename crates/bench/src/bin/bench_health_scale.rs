@@ -87,8 +87,6 @@ fn scale_app() -> Application {
 struct Identity {
     fe_version: VersionId,
     fe_endpoint: EndpointId,
-    fe_service: microsim::app::ServiceId,
-    be_service: microsim::app::ServiceId,
     versions: [VersionId; 2],
     endpoints: [[EndpointId; ENDPOINTS]; 2],
 }
@@ -108,8 +106,6 @@ impl Identity {
         Identity {
             fe_version,
             fe_endpoint: app.endpoint_of(fe_version, "home").unwrap(),
-            fe_service: app.service_id("frontend").unwrap(),
-            be_service: app.service_id("backend").unwrap(),
             versions: [v1, v2],
             endpoints: [eps(v1), eps(v2)],
         }
@@ -141,10 +137,8 @@ fn synthesize(
     let status = if failed { SpanStatus::Failed } else { SpanStatus::Ok };
     let trace_id = TraceId(id);
     let root = Span {
-        trace: trace_id,
         span: SpanId(0),
         parent: None,
-        service: identity.fe_service,
         version: identity.fe_version,
         endpoint: identity.fe_endpoint,
         start: SimTime::ZERO,
@@ -154,10 +148,8 @@ fn synthesize(
         dark: false,
     };
     let child = Span {
-        trace: trace_id,
         span: SpanId(1),
         parent: Some(SpanId(0)),
-        service: identity.be_service,
         version: identity.versions[side],
         endpoint: identity.endpoints[side][endpoint],
         start: SimTime::from_millis(5),

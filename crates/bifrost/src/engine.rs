@@ -989,10 +989,8 @@ mod tests {
             .into_iter()
             .zip(0u32..)
             .map(|((parent, version, status, ms, dark), id)| Span {
-                trace: TraceId(1),
                 span: SpanId(id),
                 parent: parent.map(SpanId),
-                service: app.version(version).service,
                 version,
                 endpoint: app.version(version).endpoints[0],
                 start: SimTime::from_millis(0),
@@ -1096,10 +1094,8 @@ mod tests {
                 let spans = (0u32..)
                     .zip(spans)
                     .map(|(id, (version, endpoint, status, ms, attempt))| Span {
-                        trace: TraceId(t),
                         span: SpanId(id),
                         parent: (id > 0).then_some(SpanId(0)),
-                        service: app.version(version).service,
                         version,
                         endpoint,
                         start: SimTime::ZERO,

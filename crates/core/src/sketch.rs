@@ -14,6 +14,12 @@
 //!   representative value `2·γ^k/(γ+1)` is within relative error `α` of
 //!   every value in the bucket, so any quantile estimate is within `α`
 //!   of *some* sample at the queried rank.
+//! * **Keys of whole numbers looked up.** Latencies are whole
+//!   milliseconds, so an integral value below 4096 reads its key from a
+//!   table built once with the very expression every other value
+//!   evaluates: each entry is that expression's key on any libm, and the
+//!   `ln` leaves the hot path. The table is shared (one per thread for the
+//!   default `α`) and sits in the slot `γ` had, so a sketch is no larger.
 //! * **A contiguous store.** Counts live in one `Vec<u64>`: slot `i`
 //!   counts key `offset + i`, the first and the last slot are occupied
 //!   whenever any is, and a push is a subtraction and an index (the vector
@@ -41,6 +47,9 @@
 //! No randomness anywhere: the same pushes produce the same state on
 //! every run and every worker layout.
 
+use std::fmt;
+use std::sync::Arc;
+
 /// Default relative-error guarantee (1%): an estimated quantile is within
 /// 1% of an actual sample at that rank (tight enough that the health
 /// pipeline's 2% acceptance bound holds with slack).
@@ -56,14 +65,50 @@ pub const DEFAULT_MAX_BUCKETS: usize = 1_024;
 /// latencies they mean "instantaneous" anyway.
 const MIN_INDEXABLE: f64 = 1e-9;
 
+/// Integral values below this read their key from a [`KeyTable`].
+const TABLED: usize = 4_096;
+
+/// The key of every integral value below [`TABLED`]: entry `v` is
+/// [`ln_key`] of `v`.
+type KeyTable = [i32; TABLED];
+
+thread_local! {
+    /// The table of the default `α`, built once per thread and shared by
+    /// every sketch made there.
+    static LATENCY_KEYS: Arc<KeyTable> =
+        key_table(1.0 / gamma(DEFAULT_RELATIVE_ERROR).ln());
+}
+
+/// The bucket growth factor `γ = (1+α)/(1-α)`.
+fn gamma(alpha: f64) -> f64 {
+    (1.0 + alpha) / (1.0 - alpha)
+}
+
+/// The log-bucket key of a positive value: the one expression every key,
+/// looked up or not, comes from.
+fn ln_key(value: f64, inv_ln_gamma: f64) -> i32 {
+    (value.ln() * inv_ln_gamma).ceil() as i32
+}
+
+/// [`ln_key`] of `0, 1, .., TABLED - 1` (entry 0 is never read: zero
+/// goes to the zero bucket).
+fn key_table(inv_ln_gamma: f64) -> Arc<KeyTable> {
+    let mut keys = [0; TABLED];
+    for (v, key) in keys.iter_mut().enumerate() {
+        *key = ln_key(v as f64, inv_ln_gamma);
+    }
+    Arc::new(keys)
+}
+
 /// A mergeable quantile sketch with a bounded relative-error guarantee
 /// and bounded state (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct QuantileSketch {
     /// Relative-error guarantee `α`.
     alpha: f64,
-    /// Bucket growth factor `γ = (1+α)/(1-α)`.
-    gamma: f64,
+    /// The keys of small whole values under this `α`, shared. Derived from
+    /// `alpha`, so `==`, `Debug` and [`QuantileSketch::encode`] skip it.
+    keys: Arc<KeyTable>,
     /// Cached `1 / ln γ` (the per-push multiplication is by this).
     inv_ln_gamma: f64,
     /// Cap on occupied slots; collapse keeps the highest `max_buckets` keys.
@@ -91,6 +136,31 @@ pub struct QuantileSketch {
     max: f64,
 }
 
+// One per edge and direction in every health fold: the key table took the
+// slot of `γ`, which `value_of` recomputes from `α`.
+const _: () = assert!(std::mem::size_of::<QuantileSketch>() == 112);
+
+/// The fields a derived `Debug` printed, `γ` among them (recomputed from
+/// `α`); the key table is left out.
+impl fmt::Debug for QuantileSketch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QuantileSketch")
+            .field("alpha", &self.alpha)
+            .field("gamma", &gamma(self.alpha))
+            .field("inv_ln_gamma", &self.inv_ln_gamma)
+            .field("max_buckets", &self.max_buckets)
+            .field("offset", &self.offset)
+            .field("buckets", &self.buckets)
+            .field("occupied", &self.occupied)
+            .field("zeros", &self.zeros)
+            .field("count", &self.count)
+            .field("collapsed", &self.collapsed)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .finish()
+    }
+}
+
 /// Equality of what was observed, not of how it is laid out: every scalar
 /// field, and the buckets as their occupied `(key, count)` sequence — the
 /// one [`QuantileSketch::encode`] writes. (With both ends of the store
@@ -99,7 +169,6 @@ pub struct QuantileSketch {
 impl PartialEq for QuantileSketch {
     fn eq(&self, other: &Self) -> bool {
         self.alpha == other.alpha
-            && self.gamma == other.gamma
             && self.inv_ln_gamma == other.inv_ln_gamma
             && self.max_buckets == other.max_buckets
             && self.zeros == other.zeros
@@ -121,11 +190,16 @@ impl QuantileSketch {
     pub fn new(alpha: f64, max_buckets: usize) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "relative error must be in (0, 1)");
         assert!(max_buckets >= 2, "a sketch needs at least two buckets");
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let inv_ln_gamma = 1.0 / gamma(alpha).ln();
+        let keys = if alpha == DEFAULT_RELATIVE_ERROR {
+            LATENCY_KEYS.with(Arc::clone)
+        } else {
+            key_table(inv_ln_gamma)
+        };
         QuantileSketch {
             alpha,
-            gamma,
-            inv_ln_gamma: 1.0 / gamma.ln(),
+            keys,
+            inv_ln_gamma,
             max_buckets,
             offset: 0,
             buckets: Vec::new(),
@@ -175,21 +249,36 @@ impl QuantileSketch {
     /// Panics on NaN, infinite or negative values. A zero weight is a
     /// no-op.
     pub fn push_weighted(&mut self, value: f64, weight: u64) {
+        if let Some(value) = self.tally(value, weight) {
+            self.add(self.key_of(value), weight);
+        }
+    }
+
+    /// Counts a value everywhere but in its log bucket: count, min, max,
+    /// the zero bucket. The value to bucket, if it takes one.
+    fn tally(&mut self, value: f64, weight: u64) -> Option<f64> {
         assert!(
             value.is_finite() && value >= 0.0,
             "sketch values must be finite and non-negative, got {value}"
         );
         if weight == 0 {
-            return;
+            return None;
         }
+        // `-0.0 >= 0.0`: one zero, or min/max bits (and so `encode`) would
+        // depend on which zero came first.
+        let value = if value == 0.0 { 0.0 } else { value };
         self.count += weight;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         if value <= MIN_INDEXABLE {
             self.zeros += weight;
-            return;
+            return None;
         }
-        let key = self.key_of(value);
+        Some(value)
+    }
+
+    /// Adds `weight` to the bucket `key`, collapsing if the cap is passed.
+    fn add(&mut self, key: i32, weight: u64) {
         self.cover(key, key);
         let slot = (key - self.offset) as usize;
         self.occupied += usize::from(self.buckets[slot] == 0);
@@ -199,16 +288,24 @@ impl QuantileSketch {
         }
     }
 
-    /// The log-bucket index of a positive value.
+    /// The log-bucket key of a positive value: looked up for a whole value
+    /// below [`TABLED`], [`ln_key`] otherwise — the same key either way.
     fn key_of(&self, value: f64) -> i32 {
-        (value.ln() * self.inv_ln_gamma).ceil() as i32
+        if value < TABLED as f64 {
+            let whole = value as usize;
+            if whole as f64 == value {
+                return self.keys[whole];
+            }
+        }
+        ln_key(value, self.inv_ln_gamma)
     }
 
     /// The representative value of a bucket: the multiplicative midpoint
     /// `2·γ^k/(γ+1)`, within `α` relative error of every value the bucket
     /// admits (`(γ^{k-1}, γ^k]`).
     fn value_of(&self, key: i32) -> f64 {
-        2.0 * self.gamma.powi(key) / (self.gamma + 1.0)
+        let gamma = gamma(self.alpha);
+        2.0 * gamma.powi(key) / (gamma + 1.0)
     }
 
     /// Grows the store, at whichever end falls short, to hold every key in
@@ -841,6 +938,107 @@ mod tests {
             let mut other = ascending.clone();
             other.push(5.0);
             assert_ne!(ascending, other);
+        }
+    }
+
+    #[test]
+    fn minus_zero_is_zero_in_any_order() {
+        let fed = |values: &[f64]| {
+            let mut s = QuantileSketch::for_latency();
+            values.iter().for_each(|&v| s.push(v));
+            s
+        };
+        let (a, b) = (fed(&[0.0, 5.0]), fed(&[-0.0, 7.0]));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.encode(), ba.encode());
+        assert_eq!(fed(&[0.0, -0.0]).encode(), fed(&[-0.0, 0.0]).encode());
+        assert_eq!(fed(&[-0.0]).min().map(f64::to_bits), Some(0));
+        assert_eq!(fed(&[-0.0]).encode(), fed(&[0.0]).encode());
+    }
+
+    /// The key of a positive value as the module docs define it, written
+    /// out here rather than shared with the code under test.
+    fn ln_expression(alpha: f64, value: f64) -> i32 {
+        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        (value.ln() * (1.0 / gamma.ln())).ceil() as i32
+    }
+
+    /// Values around the table's edges and between its entries: every one
+    /// must take the key the `ln` expression gives.
+    fn searched_keys(rng: &mut SplitMix64) -> Vec<f64> {
+        let mut values = vec![
+            4095.5,
+            4095.0,
+            4096.0,
+            (1u64 << 32) as f64 - 1.0,
+            (1u64 << 32) as f64,
+            (1u64 << 53) as f64,
+            0.5,
+            1.5,
+            MIN_INDEXABLE.next_up(),
+        ];
+        for v in 1..=TABLED as u64 {
+            values.extend([(v as f64).next_down(), (v as f64).next_up(), v as f64 + 0.5]);
+        }
+        for _ in 0..20_000 {
+            values.push(match rng.next_u64() % 4 {
+                0 => rng.next_f64() * TABLED as f64,
+                1 => (TABLED as u64 + rng.next_u64() % 1_000_000) as f64,
+                2 => 10f64.powf(rng.next_f64() * 24.0 - 8.0),
+                _ => (1 + rng.next_u64() % (TABLED as u64 - 1)) as f64,
+            });
+        }
+        values
+    }
+
+    #[test]
+    fn whole_values_read_the_key_the_ln_expression_gives() {
+        let mut rng = SplitMix64::new(4_096);
+        let searched = searched_keys(&mut rng);
+        for alpha in [DEFAULT_RELATIVE_ERROR, 0.02, 0.05] {
+            let s = QuantileSketch::new(alpha, DEFAULT_MAX_BUCKETS);
+            for v in 1..TABLED {
+                let v = v as f64;
+                assert_eq!(s.key_of(v), ln_expression(alpha, v), "alpha {alpha}, {v}");
+            }
+            for &v in &searched {
+                assert_eq!(s.key_of(v), ln_expression(alpha, v), "alpha {alpha}, {v}");
+            }
+        }
+        // Every default sketch on a thread shares one table.
+        let (a, b) = (QuantileSketch::for_latency(), QuantileSketch::for_latency());
+        assert!(Arc::ptr_eq(&a.keys, &b.keys));
+    }
+
+    /// `push_weighted` with every key from the `ln` expression, as before
+    /// the table.
+    fn push_by_ln(s: &mut QuantileSketch, value: f64, weight: u64) {
+        if let Some(value) = s.tally(value, weight) {
+            s.add(ln_expression(s.alpha, value), weight);
+        }
+    }
+
+    #[test]
+    fn looked_up_keys_encode_as_the_ln_expression_does() {
+        let mut rng = SplitMix64::new(48);
+        let mut searched = searched_keys(&mut rng);
+        searched.extend([0.0, MIN_INDEXABLE, 1.0, 2.0, 4_095.0]);
+        for (alpha, cap) in [(DEFAULT_RELATIVE_ERROR, DEFAULT_MAX_BUCKETS), (0.05, 64), (0.01, 8)] {
+            let mut table = QuantileSketch::new(alpha, cap);
+            let mut ln = QuantileSketch::new(alpha, cap);
+            for (i, &v) in searched.iter().enumerate() {
+                let w = 1 + rng.next_u64() % 3;
+                table.push_weighted(v, w);
+                push_by_ln(&mut ln, v, w);
+                if i % 4_096 == 0 {
+                    assert_eq!(table.encode(), ln.encode(), "alpha {alpha} cap {cap} at {i}");
+                }
+            }
+            assert_eq!(table.encode(), ln.encode(), "alpha {alpha} cap {cap}");
+            assert_eq!(table, ln);
         }
     }
 

@@ -1226,7 +1226,7 @@ fn merge(
     };
     {
         cex_core::span!(profiler, "sim.event.merge.traces");
-        capture_traces(app, collector, reqs, &roots, out);
+        capture_traces(collector, reqs, &roots, out);
     }
     stats
 }
@@ -1286,14 +1286,13 @@ fn record_requests(
 /// its span as timed out, so a request with a patch is erroneous whatever
 /// its spans say.
 fn capture_traces(
-    app: &Application,
     collector: &mut TraceCollector,
     reqs: &[EventRequest],
     roots: &[RootRec],
     out: &mut WindowBuffers,
 ) {
     #[cfg(test)]
-    path_model::offer(app, reqs, out);
+    path_model::offer(reqs, out);
     let requests = reqs.len();
     let (mut spans, span_starts) = group_by_req(&mut out.spans, requests, |s| s.req);
     let (patches, patch_starts) = group_by_req(&mut out.patches, requests, |p| p.req);
@@ -1305,7 +1304,7 @@ fn capture_traces(
         let erroneous = !patches.is_empty() || spans.iter().any(|s| s.status.is_error());
         let root_duration = SimDuration::from_millis(root.duration_ms);
         if let Some(weight) = collector.admit(root_duration, erroneous) {
-            let mut trace = assemble_trace(app, trace_id, spans, patches, &mut stack);
+            let mut trace = assemble_trace(trace_id, spans, patches, &mut stack);
             trace.weight = weight;
             collector.keep(trace);
         }
@@ -1318,7 +1317,6 @@ fn capture_traces(
 /// the tree is walked in pre-order from the root, and ids and parents are
 /// numbered by position in that walk. `stack` is scratch.
 fn assemble_trace(
-    app: &Application,
     trace_id: TraceId,
     spans: &mut [SpanRec],
     patches: &[PatchRec],
@@ -1338,10 +1336,8 @@ fn assemble_trace(
         let s = &spans[at];
         let id = SpanId(out.len() as u32);
         out.push(Span {
-            trace: trace_id,
             span: id,
             parent,
-            service: app.version(s.version).service,
             version: s.version,
             endpoint: s.endpoint,
             start: SimTime::from_millis(s.start_ms),

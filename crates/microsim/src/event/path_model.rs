@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use super::{EventRequest, SpanAddr, SpanRec, WindowBuffers, NO_FRAME};
-use crate::app::Application;
 use crate::trace::{Span, SpanId, SpanStatus, Trace, TraceCollector, TraceId};
 use cex_core::simtime::{SimDuration, SimTime};
 
@@ -37,20 +36,15 @@ fn take() -> TraceCollector {
 
 /// Captures one window's traces into the installed model, if any. The
 /// merge calls this before it groups the records.
-pub(super) fn offer(app: &Application, reqs: &[EventRequest], out: &WindowBuffers) {
+pub(super) fn offer(reqs: &[EventRequest], out: &WindowBuffers) {
     MODEL.with(|m| {
         if let Some(collector) = m.borrow_mut().as_mut() {
-            capture_by_path(app, reqs, out, collector);
+            capture_by_path(reqs, out, collector);
         }
     });
 }
 
-fn capture_by_path(
-    app: &Application,
-    reqs: &[EventRequest],
-    out: &WindowBuffers,
-    collector: &mut TraceCollector,
-) {
+fn capture_by_path(reqs: &[EventRequest], out: &WindowBuffers, collector: &mut TraceCollector) {
     // Frame identities are unique within a window.
     let frames: HashMap<u64, SpanAddr> =
         out.spans.iter().filter(|s| s.ident != NO_FRAME).map(|s| (s.ident, s.addr)).collect();
@@ -77,7 +71,6 @@ fn capture_by_path(
         let patch_end = patch_at + patches[patch_at..].iter().take_while(|p| p.0 == req).count();
         if let Some(trace_id) = meta.trace {
             let trace = assemble_by_path(
-                app,
                 trace_id,
                 &mut spans[span_at..span_end],
                 &patches[patch_at..patch_end],
@@ -92,7 +85,6 @@ fn capture_by_path(
 /// applied to the first span on their path, every span's parent found by
 /// binary search on its path less the last level, ids by position.
 fn assemble_by_path(
-    app: &Application,
     trace_id: TraceId,
     spans: &mut [(Vec<u32>, SpanRec)],
     patches: &[(u32, Vec<u32>, u64)],
@@ -115,10 +107,8 @@ fn assemble_by_path(
                 SpanId(idx as u32)
             });
             Span {
-                trace: trace_id,
                 span: SpanId(i as u32),
                 parent,
-                service: app.version(s.version).service,
                 version: s.version,
                 endpoint: s.endpoint,
                 start: SimTime::from_millis(s.start_ms),

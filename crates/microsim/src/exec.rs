@@ -209,13 +209,11 @@ impl ExecCtx<'_, '_> {
         // Pre-order placeholder: push the hop's span *before* recursing so
         // parents precede children and `spans[i].span == SpanId(i)`;
         // duration/status are patched on the way out.
-        let span_idx = self.trace_id.map(|trace| {
+        let span_idx = self.trace_id.map(|_| {
             let idx = self.spans.len();
             self.spans.push(Span {
-                trace,
                 span: span_id,
                 parent,
-                service: self.app.version(version).service,
                 version,
                 endpoint: endpoint_id,
                 start,
@@ -334,14 +332,12 @@ impl ExecCtx<'_, '_> {
         duration: SimDuration,
         status: SpanStatus,
     ) {
-        if let Some(trace) = self.trace_id {
+        if self.trace_id.is_some() {
             let span_id = SpanId(self.next_span);
             self.next_span += 1;
             self.spans.push(Span {
-                trace,
                 span: span_id,
                 parent: Some(parent),
-                service: self.app.version(version).service,
                 version,
                 endpoint,
                 start,
@@ -688,13 +684,13 @@ mod tests {
             let trace = result.trace.unwrap();
             assert_eq!(trace.spans.len(), 3);
             let root = trace.root();
-            assert_eq!(root.service, app.service_id("a").unwrap());
+            assert_eq!(app.version(root.version).service, app.service_id("a").unwrap());
             assert_eq!(root.duration, result.response_time);
             // Parent chain a -> b -> c, stored pre-order with ids == positions.
             let b_svc = app.service_id("b").unwrap();
             let c_svc = app.service_id("c").unwrap();
-            let b = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
-            let c = trace.spans.iter().find(|s| s.service == c_svc).unwrap();
+            let b = trace.spans.iter().find(|s| app.version(s.version).service == b_svc).unwrap();
+            let c = trace.spans.iter().find(|s| app.version(s.version).service == c_svc).unwrap();
             assert_eq!(b.parent, Some(root.span));
             assert_eq!(c.parent, Some(b.span));
             for (i, s) in trace.spans.iter().enumerate() {
@@ -727,7 +723,8 @@ mod tests {
             assert_eq!(trace.root().status, SpanStatus::Failed, "failure reaches the root span");
             assert!(!trace.ok());
             let b_svc = app.service_id("b").unwrap();
-            let b_span = trace.spans.iter().find(|s| s.service == b_svc).unwrap();
+            let b_span =
+                trace.spans.iter().find(|s| app.version(s.version).service == b_svc).unwrap();
             assert_eq!(b_span.status, SpanStatus::Failed);
         });
     }

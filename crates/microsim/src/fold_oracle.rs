@@ -5,7 +5,7 @@
 //! pass — each driven beside the library over captured traces of every
 //! corpus topology family and over searched hand-built ones.
 
-use crate::app::{EndpointId, ServiceId, VersionId};
+use crate::app::{EndpointId, VersionId};
 use crate::corpus::{
     faults_for, generate, workload_for, BlameAccumulator, BlameStats, FaultScenario, WorkloadKind,
     FAMILIES,
@@ -111,10 +111,8 @@ fn captured() -> Vec<(String, Vec<Trace>, SpanBook, VersionId, VersionId)> {
 
 fn span(id: u32, parent: Option<u32>, version: usize, endpoint: usize) -> Span {
     Span {
-        trace: TraceId(1),
         span: SpanId(id),
         parent: parent.map(SpanId),
-        service: ServiceId(version),
         version: VersionId(version),
         endpoint: EndpointId(endpoint),
         start: SimTime::from_millis(0),

@@ -13,9 +13,10 @@
 //! the same treatment PR 3 gave metric scopes:
 //!
 //! * **Interned span identity.** A [`Span`] carries the dense
-//!   `(ServiceId, VersionId, EndpointId)` ids the application model
-//!   already assigns — not three `String`s — making spans `Copy` and span
-//!   recording allocation-free. Names are resolved at analysis time
+//!   `(VersionId, EndpointId)` ids the application model already assigns
+//!   — not `String`s — making spans `Copy`, 48 bytes and span recording
+//!   allocation-free. The service is not stored: a version belongs to one
+//!   ([`SpanBook::service_of`]). Names are resolved at analysis time
 //!   through a [`SpanBook`], which also interns endpoint *names* through
 //!   the shared [`cex_core::intern`] interner so the same logical endpoint
 //!   is comparable across deployed versions (the key step when diffing a
@@ -134,19 +135,18 @@ impl SpanStatus {
 
 /// One hop of a request: a service version's endpoint serving a call.
 ///
-/// Identity is carried as the dense application ids and resolved to names
-/// through a [`SpanBook`]; the span itself is `Copy` and allocation-free.
+/// Identity is `(VersionId, EndpointId)`, the dense application ids,
+/// resolved to names through a [`SpanBook`]. Nothing a reader can look up
+/// is stored: the owning trace is [`Trace::id`] and the serving service is
+/// [`SpanBook::service_of`] (or `Application::version(v).service`) of
+/// [`Span::version`]. The span is `Copy`, allocation-free and 48 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
-    /// Owning trace.
-    pub trace: TraceId,
     /// This span's id, unique within the trace and equal to its pre-order
     /// position in [`Trace::spans`].
     pub span: SpanId,
     /// The calling span, `None` for the root.
     pub parent: Option<SpanId>,
-    /// Service that served the hop.
-    pub service: ServiceId,
     /// Deployed version that served the hop.
     pub version: VersionId,
     /// Endpoint that served the hop.
@@ -164,6 +164,10 @@ pub struct Span {
     /// `true` when this hop served mirrored (dark-launch) traffic.
     pub dark: bool,
 }
+
+// A trace store holds every span of every kept trace: a widening here is
+// paid once per span.
+const _: () = assert!(std::mem::size_of::<Span>() == 48);
 
 impl Span {
     /// End of the span's interval.
@@ -837,12 +841,10 @@ impl Default for TraceCollector {
 mod tests {
     use super::*;
 
-    fn span(trace: u64, id: u32, parent: Option<u32>, status: SpanStatus) -> Span {
+    fn span(id: u32, parent: Option<u32>, status: SpanStatus) -> Span {
         Span {
-            trace: TraceId(trace),
             span: SpanId(id),
             parent: parent.map(SpanId),
-            service: ServiceId(0),
             version: VersionId(0),
             endpoint: EndpointId(0),
             start: SimTime::from_millis(0),
@@ -854,7 +856,7 @@ mod tests {
     }
 
     fn one_span_trace(id: TraceId) -> Trace {
-        Trace::new(id, vec![span(id.0, 0, None, SpanStatus::Ok)])
+        Trace::new(id, vec![span(0, None, SpanStatus::Ok)])
     }
 
     #[test]
@@ -901,9 +903,9 @@ mod tests {
         let t = Trace::new(
             TraceId(1),
             vec![
-                span(1, 0, None, SpanStatus::Ok),
-                span(1, 1, Some(0), SpanStatus::Ok),
-                span(1, 2, Some(0), SpanStatus::Failed),
+                span(0, None, SpanStatus::Ok),
+                span(1, Some(0), SpanStatus::Ok),
+                span(2, Some(0), SpanStatus::Failed),
             ],
         );
         assert_eq!(t.root().span, SpanId(0));
@@ -1100,15 +1102,13 @@ mod tests {
     #[test]
     fn hops_resolve_callers_by_id_or_position() {
         // Ids that are not positions (10, 11, 12), one orphan parent id.
-        let mut child = span(1, 11, Some(10), SpanStatus::Ok);
+        let mut child = span(11, Some(10), SpanStatus::Ok);
         child.version = VersionId(1);
-        let mut grandchild = span(1, 12, Some(11), SpanStatus::Failed);
+        let mut grandchild = span(12, Some(11), SpanStatus::Failed);
         grandchild.version = VersionId(2);
-        let orphan = span(1, 13, Some(99), SpanStatus::Ok);
-        let t = Trace::new(
-            TraceId(1),
-            vec![span(1, 10, None, SpanStatus::Ok), child, grandchild, orphan],
-        );
+        let orphan = span(13, Some(99), SpanStatus::Ok);
+        let t =
+            Trace::new(TraceId(1), vec![span(10, None, SpanStatus::Ok), child, grandchild, orphan]);
         let hops: Vec<Hop<'_>> = t.hops().collect();
         assert_eq!(hops.iter().map(|h| h.index).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         let callers: Vec<Option<usize>> = hops.iter().map(|h| h.caller.map(|(i, _)| i)).collect();
@@ -1136,7 +1136,7 @@ mod tests {
     }
 
     fn trace_with(id: TraceId, status: SpanStatus, duration_ms: u64) -> Trace {
-        let mut s = span(id.0, 0, None, status);
+        let mut s = span(0, None, status);
         s.duration = SimDuration::from_millis(duration_ms);
         Trace::new(id, vec![s])
     }

@@ -23,7 +23,7 @@ use microsim::latency::LatencyModel;
 use microsim::resilience::{BreakerPolicy, CallPolicy};
 use microsim::sim::Simulation;
 use microsim::topologies::{random_app, RandomAppParams};
-use microsim::trace::TailSamplingConfig;
+use microsim::trace::{TailSamplingConfig, Trace};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -76,7 +76,7 @@ fn run(mut sim: Simulation, windows: usize, window: SimDuration, rate_rps: f64) 
     }
     let traces = sim.drain_traces();
     for trace in &traces {
-        writeln!(dump, "{trace:?}").unwrap();
+        write_trace(&mut dump, trace, sim.app());
     }
     Outcome {
         digest: format!("{:016x}", fnv1a(dump.as_bytes())),
@@ -85,6 +85,34 @@ fn run(mut sim: Simulation, windows: usize, window: SimDuration, rate_rps: f64) 
         breaker_transitions: transitions.len(),
         dark_spans: traces.iter().flat_map(|t| &t.spans).filter(|s| s.dark).count(),
     }
+}
+
+/// One trace in the `Debug` text the digests were computed over, from when
+/// every span also carried its trace's id and its version's service.
+fn write_trace(dump: &mut String, trace: &Trace, app: &Application) {
+    write!(dump, "Trace {{ id: {:?}, spans: [", trace.id).unwrap();
+    for (i, s) in trace.spans.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        write!(
+            dump,
+            "{sep}Span {{ trace: {:?}, span: {:?}, parent: {:?}, service: {:?}, version: {:?}, \
+             endpoint: {:?}, start: {:?}, duration: {:?}, status: {:?}, attempt: {:?}, \
+             dark: {:?} }}",
+            trace.id,
+            s.span,
+            s.parent,
+            app.version(s.version).service,
+            s.version,
+            s.endpoint,
+            s.start,
+            s.duration,
+            s.status,
+            s.attempt,
+            s.dark,
+        )
+        .unwrap();
+    }
+    writeln!(dump, "], weight: {:?} }}", trace.weight).unwrap();
 }
 
 /// A second version of `baseline`'s service with the same endpoints and

@@ -41,7 +41,7 @@ pub fn build_graph(traces: &[Trace], book: &SpanBook, options: BuildOptions) -> 
         }
         *nodes[span.endpoint.0].get_or_insert_with(|| {
             graph.intern(NodeKey::new(
-                book.service_name(span.service),
+                book.service_name(book.service_of(span.version)),
                 book.version_tag(span.version),
                 &*book.endpoint_name(span.endpoint),
             ))
@@ -84,20 +84,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn span(
-        app: &Application,
-        trace: u64,
-        id: u32,
-        parent: Option<u32>,
-        svc: &str,
-        dark: bool,
-    ) -> Span {
+    fn span(app: &Application, id: u32, parent: Option<u32>, svc: &str, dark: bool) -> Span {
         let version = app.version_id(svc, "1.0.0").unwrap();
         Span {
-            trace: TraceId(trace),
             span: SpanId(id),
             parent: parent.map(SpanId),
-            service: app.service_id(svc).unwrap(),
             version,
             endpoint: app.endpoint_of(version, "api").unwrap(),
             start: SimTime::from_millis(0),
@@ -113,14 +104,14 @@ mod tests {
             Trace::new(
                 TraceId(1),
                 vec![
-                    span(app, 1, 0, None, "fe", false),
-                    span(app, 1, 1, Some(0), "be", false),
-                    span(app, 1, 2, Some(0), "dark-be", true),
+                    span(app, 0, None, "fe", false),
+                    span(app, 1, Some(0), "be", false),
+                    span(app, 2, Some(0), "dark-be", true),
                 ],
             ),
             Trace::new(
                 TraceId(2),
-                vec![span(app, 2, 0, None, "fe", false), span(app, 2, 1, Some(0), "be", false)],
+                vec![span(app, 0, None, "fe", false), span(app, 1, Some(0), "be", false)],
             ),
         ]
     }

@@ -408,6 +408,34 @@ fn t_cdf_is_a_cdf() {
     });
 }
 
+/// A latency's sketch bucket is `ceil(ln v / ln γ)`, the expression the
+/// sketch's docs state, whether the sketch looks the key up (whole values
+/// below 4096) or computes it: read back from `encode()`, whose first
+/// bucket follows a 48-byte header.
+#[test]
+fn sketch_keys_follow_the_ln_expression() {
+    use cex_core::sketch::{QuantileSketch, DEFAULT_RELATIVE_ERROR};
+    let gamma = (1.0 + DEFAULT_RELATIVE_ERROR) / (1.0 - DEFAULT_RELATIVE_ERROR);
+    let expected = |v: f64| (v.ln() * (1.0 / gamma.ln())).ceil() as i32;
+    let key = |v: f64| {
+        let mut sketch = QuantileSketch::for_latency();
+        sketch.push(v);
+        i32::from_le_bytes(sketch.encode()[48..52].try_into().unwrap())
+    };
+    let mut values: Vec<f64> = (1..4_096).map(f64::from).collect();
+    values.extend([4_095.5, 4_096.0, 4_294_967_295.0, 4_294_967_296.0, 9_007_199_254_740_992.0]);
+    for_cases(4_000, 0x5EE7, |_, rng| {
+        values.push(match rng.next_index(3) {
+            0 => rng.next_f64() * 4_096.0,
+            1 => f64::from(1 + rng.next_index(4_095) as u32) + 0.25,
+            _ => 10f64.powf(rng.next_f64() * 16.0 - 6.0),
+        })
+    });
+    for v in values {
+        assert_eq!(key(v), expected(v), "{v}");
+    }
+}
+
 /// Welch p-values are complementary and bounded for any sane summaries.
 #[test]
 fn welch_p_values_bounded() {

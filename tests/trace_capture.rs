@@ -9,11 +9,14 @@
 //! model guarantees about any trace: pre-order with positional ids,
 //! synchronous siblings in time order, and a span timed out exactly when
 //! its attempt overran the deadline. (`microsim`'s own tests drive the
-//! capture beside the `Vec<u32>` path sort it replaced.)
+//! capture beside the `Vec<u32>` path sort it replaced.) Over corpus cells,
+//! the weights of a tail-sampled capture account for every offered trace.
 
 use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, CallDef, EndpointDef, VersionSpec};
+use microsim::corpus::{self, FAMILIES, FAULTS, WORKLOADS};
 use microsim::faults::{Fault, FaultKind};
+use microsim::health::HealthAccumulator;
 use microsim::latency::LatencyModel;
 use microsim::resilience::{BreakerPolicy, CallPolicy};
 use microsim::sim::Simulation;
@@ -102,7 +105,7 @@ fn assert_same_traces(got: &[Trace], want: &[Trace], what: &str) {
 /// What the request model guarantees about a trace, whoever built it.
 fn assert_well_formed(trace: &Trace) {
     for (i, span) in trace.spans.iter().enumerate() {
-        assert_eq!((span.trace, span.span), (trace.id, SpanId(i as u32)), "positional ids");
+        assert_eq!(span.span, SpanId(i as u32), "positional ids");
         match span.parent {
             None => assert_eq!(i, 0, "{}: the root comes first and alone", trace.id),
             Some(parent) => assert!(parent.0 < i as u32, "{}: pre-order", trace.id),
@@ -157,4 +160,68 @@ fn tail_sampled_capture_keeps_what_recording_the_full_capture_keeps() {
     let (traces, stats) = capture(Some(TAIL));
     assert_same_traces(&traces, &kept, "tail-sampled");
     assert_eq!(stats, kept_stats);
+}
+
+/// One corpus cell, numbered so that cells `0..20` meet every family ×
+/// fault pair and every workload shape: 15 s healthy, then 15 s under the
+/// fault, at 30 rps, the candidate taking 30%; every request traced and
+/// nothing evicted.
+fn corpus_cell(cell: usize, tail: Option<TailSamplingConfig>) -> (Vec<Trace>, SamplingStats) {
+    let family = FAMILIES[cell % FAMILIES.len()];
+    let fault = FAULTS[cell % FAULTS.len()];
+    let scenario = corpus::generate(family, 3 + cell as u64);
+    let mut sim = Simulation::new(scenario.app.clone(), 0x5A17 + cell as u64);
+    sim.set_trace_sampling(1.0);
+    sim.set_trace_retention(1 << 20);
+    sim.set_tail_sampling(tail);
+    scenario.canary_split(&mut sim, 0.3).unwrap();
+    let kind = WORKLOADS[cell / FAMILIES.len() % WORKLOADS.len()];
+    let workload = corpus::workload_for(&scenario, kind, 30.0);
+    sim.run_with(SimDuration::from_secs(15), &workload);
+    let until = sim.now() + SimDuration::from_secs(3_600);
+    for fault in corpus::faults_for(&scenario, fault, sim.now(), until) {
+        sim.inject_fault(fault);
+    }
+    sim.run_with(SimDuration::from_secs(15), &workload);
+    let stats = sim.trace_collector().sampling_stats();
+    (sim.drain_traces(), stats)
+}
+
+fn health_of(traces: &[Trace]) -> HealthAccumulator {
+    let mut health = HealthAccumulator::new();
+    health.observe_all(traces);
+    health
+}
+
+/// A kept healthy trace stands for `k` (the first of every `k` is kept),
+/// so the weights overcount the offered traces by less than `k`, and a
+/// health fold counts exactly the weights. At `k = 1` nothing is dropped
+/// or weighted: the sampled fold is the unsampled one.
+#[test]
+fn tail_sampled_weights_account_for_every_offered_trace() {
+    for cell in 0..FAMILIES.len() * FAULTS.len() {
+        let (all, all_stats) = corpus_cell(cell, None);
+        assert_eq!((all_stats.recorded, all_stats.evicted), (all.len() as u64, 0), "cell {cell}");
+        let config = TailSamplingConfig::default();
+        let (kept, stats) = corpus_cell(cell, Some(config));
+        assert_eq!((stats.recorded, stats.evicted), (all_stats.recorded, 0), "cell {cell}");
+        assert!(stats.healthy_dropped > 0, "cell {cell}: the downsampler ran");
+        let weights: u64 = kept.iter().map(|t| u64::from(t.weight)).sum();
+        let excess = weights.checked_sub(stats.recorded).expect("weights cover the offers");
+        assert!(excess < u64::from(config.healthy_keep_one_in), "cell {cell}: excess {excess}");
+        let health = health_of(&kept);
+        assert_eq!(health.traces(), weights, "cell {cell}");
+
+        let every_one = TailSamplingConfig { healthy_keep_one_in: 1, ..config };
+        let (unweighted, _) = corpus_cell(cell, Some(every_one));
+        assert_same_traces(&unweighted, &all, "keep one in one");
+        let (sampled, unsampled) = (health_of(&unweighted), health_of(&all));
+        assert_eq!(sampled.edges(), unsampled.edges(), "cell {cell}");
+        assert_eq!(sampled.critical_sinks(), unsampled.critical_sinks(), "cell {cell}");
+        assert_eq!(
+            (sampled.traces(), sampled.failed_traces()),
+            (unsampled.traces(), unsampled.failed_traces()),
+            "cell {cell}"
+        );
+    }
 }

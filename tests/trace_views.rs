@@ -67,10 +67,8 @@ fn trace(app: &Application, first_id: u32, weight: u32) -> Trace {
         .map(|((parent, label, status, ms, attempt, dark), id)| {
             let version = version(app, label);
             Span {
-                trace: TraceId(1),
                 span: SpanId(id),
                 parent: parent.map(|p: u32| SpanId(first_id + p)),
-                service: app.version(version).service,
                 version,
                 endpoint: app.version(version).endpoints[0],
                 start: SimTime::from_millis(0),
