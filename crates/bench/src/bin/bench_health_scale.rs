@@ -295,8 +295,8 @@ fn main() {
     println!("config: {} traces, {ENDPOINTS} endpoints, {TICK_TRACES} traces per tick", o.traces);
     println!(
         "sketch: relative error {}, at most {} buckets",
-        cex_core::sketch::DEFAULT_RELATIVE_ERROR,
-        cex_core::sketch::DEFAULT_MAX_BUCKETS
+        cex_core::sketch::RELATIVE_ERROR,
+        cex_core::sketch::MAX_BUCKETS
     );
     println!(
         "tail sampling: keep 1 in {} healthy, slow above q{}, warmup {}",

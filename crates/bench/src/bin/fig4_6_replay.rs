@@ -11,7 +11,7 @@
 
 use bifrost::dsl;
 use bifrost::engine::{Engine, EngineConfig};
-use bifrost::journal::{Journal, TimelineOptions};
+use bifrost::journal::Journal;
 use cex_bench::header;
 use cex_core::simtime::SimDuration;
 use cex_core::users::Population;
@@ -122,7 +122,7 @@ fn main() {
     }
 
     println!("\nphase timeline (replayed):");
-    print!("{}", replayed.render_timeline(TimelineOptions::default()));
+    print!("{}", replayed.render_timeline());
 
     for (name, state) in replayed.final_states() {
         println!("\nfinal state of {name}: {state}");

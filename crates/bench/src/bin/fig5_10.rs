@@ -6,6 +6,9 @@
 //! performance. A ranking scores and sorts every change, so its time grows
 //! with the number of changes; what can be flat across change frequencies
 //! is the time *per change*, which is printed beside every box.
+//!
+//! Stdout holds what the seeds decide — the change counts per pair at each
+//! change frequency — and the boxes and times per change go to stderr.
 
 use cex_bench::{five_number, fmt_duration, header};
 use std::time::{Duration, Instant};
@@ -34,11 +37,13 @@ fn main() {
             .collect();
         let mut counts: Vec<f64> = pairs.iter().map(|(.., changes)| changes.len() as f64).collect();
         let (fewest, _, median_count, _, most) = five_number(&mut counts);
-        println!(
-            "\nchange frequency {:.0}%: {fewest}–{most} changes per pair (median {median_count})",
+        let frequency = format!(
+            "change frequency {:.0}%: {fewest}–{most} changes per pair (median {median_count})",
             change_fraction * 100.0
         );
-        println!(
+        println!("\n{frequency}");
+        eprintln!("\n{frequency}");
+        eprintln!(
             "{:>18} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>16}",
             "heuristic", "min", "q1", "median", "q3", "max", "median µs/change"
         );
@@ -56,7 +61,7 @@ fn main() {
             let (min, q1, median, q3, max) = five_number(&mut times_ms);
             let (.., per_change, _, _) = five_number(&mut us_per_change);
             let f = |ms: f64| fmt_duration(Duration::from_secs_f64(ms / 1_000.0));
-            println!(
+            eprintln!(
                 "{:>18} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>16.3}",
                 v.name(),
                 f(min),
@@ -68,6 +73,7 @@ fn main() {
             );
         }
     }
-    println!("\npaper finding: runtimes are stable; change frequency does not affect them.");
-    println!("here: a ranking is linear in the changes it ranks; compare the last column.");
+    println!("\nper-heuristic time boxes and median µs/change print to stderr.");
+    println!("paper finding: runtimes are stable; change frequency does not affect them.");
+    println!("here: a ranking is linear in the changes it ranks; compare µs/change.");
 }

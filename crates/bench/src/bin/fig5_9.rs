@@ -7,6 +7,10 @@
 //! the prototype; the shape is what transfers.) Every cell is the median
 //! of [`REPETITIONS`] runs, and the last line states the growth from 2,000
 //! to 10,000 endpoints per column beside the growth of the input.
+//!
+//! Stdout holds what the seeds decide — the change count per size and the
+//! input's growth — and the timing table with its growth row goes to
+//! stderr.
 
 use cex_bench::{fmt_duration, header};
 use std::time::{Duration, Instant};
@@ -38,11 +42,12 @@ fn median_of<T>(mut stage: impl FnMut() -> T) -> (Duration, T) {
 fn main() {
     header("Figure 5.9 — heuristic execution time vs number of endpoints");
     let variants = heuristics::all_variants();
-    print!("{:>12} | {:>8} | {:>8}", "endpoints", "diff", "classify");
+    println!("{:>12} | {:>8}", "endpoints", "changes");
+    eprint!("{:>12} | {:>8} | {:>8}", "endpoints", "diff", "classify");
     for v in &variants {
-        print!(" | {:>17}", v.name());
+        eprint!(" | {:>17}", v.name());
     }
-    println!();
+    eprintln!();
     // diff and classify are narrow columns, the six heuristics wide ones.
     let width = |column: usize| if column < 2 { 8 } else { 17 };
     // Per printed size: the change count and every column's time.
@@ -57,11 +62,12 @@ fn main() {
         let mut times = vec![diff_time, classify_time];
         times.extend(variants.iter().map(|v| median_of(|| rank(v.as_ref(), &ctx, &changes)).0));
 
-        print!("{endpoints:>12}");
+        println!("{endpoints:>12} | {:>8}", changes.len());
+        eprint!("{endpoints:>12}");
         for (column, time) in times.iter().enumerate() {
-            print!(" | {:>w$}", fmt_duration(*time), w = width(column));
+            eprint!(" | {:>w$}", fmt_duration(*time), w = width(column));
         }
-        println!("   ({} changes)", changes.len());
+        eprintln!();
         rows.push((endpoints, changes.len(), times));
     }
 
@@ -69,16 +75,20 @@ fn main() {
         rows.iter().find(|(n, ..)| *n == endpoints).expect("both growth sizes are printed")
     };
     let ((small, few, before), (large, many, after)) = (row(GROWTH.0), row(GROWTH.1));
-    print!("{:>12}", format!("{large} ÷ {small}"));
-    for (column, (a, b)) in after.iter().zip(before).enumerate() {
-        let ratio = format!("{:.1}×", a.as_secs_f64() / b.as_secs_f64());
-        print!(" | {:>w$}", ratio, w = width(column));
-    }
+    let growth = format!("{large} ÷ {small}");
     println!(
-        "   (endpoints {:.1}×, changes {many} / {few} = {:.1}×)",
+        "{growth:>12} | endpoints {:.1}×, changes {many} / {few} = {:.1}×",
         *large as f64 / *small as f64,
         *many as f64 / *few as f64
     );
-    println!("\neach cell: median of {REPETITIONS} runs.");
+    eprint!("{growth:>12}");
+    for (column, (a, b)) in after.iter().zip(before).enumerate() {
+        let ratio = format!("{:.1}×", a.as_secs_f64() / b.as_secs_f64());
+        eprint!(" | {:>w$}", ratio, w = width(column));
+    }
+    eprintln!("\n\neach cell: median of {REPETITIONS} runs.");
+    println!(
+        "\ndiff, classify and per-heuristic times (median of {REPETITIONS} runs) print to stderr."
+    );
     println!("paper bound: ≤1 s at 4,000 endpoints, ≤5 s at 10,000 (research prototype).");
 }

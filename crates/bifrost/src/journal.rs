@@ -359,7 +359,7 @@ pub struct HealthDetail {
     /// Its canary − baseline p95 latency delta (ms).
     pub p95_delta_ms: f64,
     /// Retained traces the collector's retention ring evicted
-    /// ([`microsim::trace::TraceCollector::dropped`]).
+    /// ([`microsim::trace::SamplingStats::evicted`]).
     pub dropped: u64,
     /// Traces always retained by the tail-sampling rule (error status or
     /// sketch-flagged slow); `0` when tail sampling is off.
@@ -703,18 +703,8 @@ pub struct CheckTracePoint {
     pub boundary: bool,
 }
 
-/// Options for [`Journal::render_timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineOptions {
-    /// Width of the timeline in character columns.
-    pub width: usize,
-}
-
-impl Default for TimelineOptions {
-    fn default() -> Self {
-        TimelineOptions { width: 72 }
-    }
-}
+/// Width of [`Journal::render_timeline`]'s chart in character columns.
+const TIMELINE_WIDTH: usize = 72;
 
 /// The append-only execution journal of one engine run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -852,16 +842,11 @@ impl Journal {
     /// `fenrir::gantt`): one row per strategy, phases drawn with shaded
     /// bars, terminal transitions marked `✓` (completed) / `✗` (rolled
     /// back).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `options.width` is zero.
-    pub fn render_timeline(&self, options: TimelineOptions) -> String {
-        assert!(options.width > 0, "width must be positive");
+    pub fn render_timeline(&self) -> String {
         const PHASE_GLYPHS: [char; 4] = ['█', '▓', '▒', '░'];
         let end = self.events.last().map_or(SimTime::ZERO, JournalEvent::time);
         let span_ms = end.as_millis().max(1);
-        let cols = options.width;
+        let cols = TIMELINE_WIDTH;
         let col_of = |t: SimTime| {
             (((t.as_millis() as u128 * cols as u128) / span_ms as u128) as usize).min(cols - 1)
         };
@@ -1659,7 +1644,7 @@ mod tests {
     #[test]
     fn timeline_renders_rows_and_terminal_marks() {
         let journal = sample_journal();
-        let text = journal.render_timeline(TimelineOptions { width: 24 });
+        let text = journal.render_timeline();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
         assert!(lines[0].contains("timeline"));

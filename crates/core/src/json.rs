@@ -457,27 +457,7 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xd800) << 10)
-                                        + (low.wrapping_sub(0xdc00) & 0x3ff);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         c => {
                             return Err(self.err(format!("invalid escape '\\{}'", c as char)));
                         }
@@ -486,6 +466,26 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` was just read: a
+    /// high surrogate must be followed by an escaped low surrogate
+    /// (`DC00..=DFFF`), and a lone low surrogate is no character.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4()?;
+        if !(0xd800..0xdc00).contains(&code) {
+            return char::from_u32(code).ok_or_else(|| self.err("unpaired low surrogate"));
+        }
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(self.err("high surrogate without a low surrogate"));
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xdc00..0xe000).contains(&low) {
+            return Err(self.err("high surrogate without a low surrogate"));
+        }
+        let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        Ok(char::from_u32(combined).expect("a surrogate pair is a supplementary character"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -499,34 +499,48 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// A number in RFC 8259 §6's grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                return Err(self.err("leading zero in a number"));
+            }
+        } else {
+            self.digits("a digit")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits("a digit after the decimal point")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits("a digit in the exponent")?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| JsonError { offset: start, message: format!("invalid number '{text}'") })
+    }
+
+    /// Consumes one or more ASCII digits, or fails naming what was due.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            return Err(self.err(format!("expected {what}")));
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 }
 
@@ -586,6 +600,34 @@ mod tests {
         }
         let err = Json::parse("[1, @]").unwrap_err();
         assert!(err.to_string().contains("byte 4"), "{err}");
+        // Broken surrogate pairs and number forms RFC 8259 §6 rejects,
+        // each with the byte it fails at.
+        for (src, at) in [
+            (r#""\ud83d\u0041""#, 13),
+            (r#""\ud83d\ud83d""#, 13),
+            (r#""\ud83d\uffff""#, 13),
+            (r#""\ud83dx""#, 7),
+            (r#""\ud83d""#, 7),
+            (r#""\ude00""#, 7),
+            ("01", 1),
+            ("-01", 2),
+            ("-.5", 1),
+            (".5", 0),
+            ("1.", 2),
+            ("1.e5", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[00]", 2),
+        ] {
+            let err = Json::parse(src).expect_err(src);
+            assert!(err.to_string().contains(&format!("byte {at}:")), "{src}: {err}");
+        }
+        for (src, value) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("10", 10.0), ("1E+2", 100.0)]
+        {
+            assert_eq!(Json::parse(src).unwrap(), Json::Num(value), "{src}");
+        }
+        assert_eq!(Json::parse(r#""\udbff\udfff""#).unwrap(), Json::Str("\u{10ffff}".into()));
     }
 
     /// The writer's escaping rule stated char by char — the reference the

@@ -10,10 +10,9 @@
 //! * [`Profiler`] — a static phase tree of dot-separated node paths
 //!   (`"engine.tick.observe"`). Scoped RAII timers ([`Profiler::span`],
 //!   or the [`span!`](crate::span) macro) fold each duration into the
-//!   node's running total and a [`QuantileSketch`], so the whole profile
-//!   is O(tree), not O(samples). A [`Profiler::snapshot`] renders as a
-//!   text tree ([`ProfileSnapshot::render`]) or as collapsed-stack lines
-//!   loadable in flamegraph tools ([`ProfileSnapshot::collapsed`]).
+//!   node's running total and entry count, so the whole profile is
+//!   O(tree), not O(samples). A [`Profiler::snapshot`] is the path-sorted
+//!   list of those totals and counts.
 //! * [`Counters`] — named monotonic counters and high-water gauges
 //!   (events popped, queue-depth high-water marks, sheds, batch flushes,
 //!   …) assembled as snapshots with deterministic (sorted) iteration
@@ -48,16 +47,14 @@
 //! assert_eq!(prof.snapshot().nodes().len(), 2);
 //! ```
 
-use crate::sketch::QuantileSketch;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Switches for the self-observability layer.
 ///
 /// [`ObsConfig::disabled`] reduces every span to a single branch — no
-/// `Instant::now()` calls, no sketch pushes — so instrumentation can stay
+/// `Instant::now()` calls, no node updates — so instrumentation can stay
 /// compiled in permanently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -168,43 +165,37 @@ impl Counters {
 // Phase statistics
 // ---------------------------------------------------------------------------
 
-/// Running statistics for one profile node: total wall time, entry
-/// count, and a [`QuantileSketch`] over per-entry durations (in ms).
+/// Running statistics for one profile node: total wall time and entry
+/// count, all the phase tree's readers take from it.
 ///
 /// Also usable stand-alone as a local accumulator on hot paths (record
 /// locally, [`Profiler::fold`] once per window).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     total_ns: u64,
     count: u64,
-    sketch: QuantileSketch,
 }
 
-impl PhaseStats {
-    /// An empty accumulator.
-    pub fn new() -> PhaseStats {
-        PhaseStats { total_ns: 0, count: 0, sketch: QuantileSketch::for_latency() }
-    }
+// One per profile node and per wall probe: two words, nothing behind them.
+const _: () = assert!(std::mem::size_of::<PhaseStats>() == 16);
 
+impl PhaseStats {
     /// Folds one measured duration in.
     pub fn record(&mut self, d: Duration) {
         self.total_ns += u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.count += 1;
-        self.sketch.push(d.as_secs_f64() * 1_000.0);
     }
 
-    /// Adds a pre-aggregated total without per-entry distribution data
-    /// (the [`WallProbe`] fold path).
-    pub fn record_bulk(&mut self, total_ns: u64, count: u64) {
-        self.total_ns += total_ns;
-        self.count += count;
+    /// The totals of `factor` accumulators like this one: what a phase
+    /// timed one time in `factor` stands for.
+    pub fn scaled(self, factor: u64) -> PhaseStats {
+        PhaseStats { total_ns: self.total_ns * factor, count: self.count * factor }
     }
 
     /// Folds another accumulator in.
-    pub fn merge(&mut self, other: &PhaseStats) {
+    fn merge(&mut self, other: &PhaseStats) {
         self.total_ns += other.total_ns;
         self.count += other.count;
-        self.sketch.merge(&other.sketch);
     }
 
     /// Total accumulated wall time.
@@ -215,22 +206,6 @@ impl PhaseStats {
     /// Number of recorded entries.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean entry duration, `None` before the first entry.
-    pub fn mean(&self) -> Option<Duration> {
-        (self.count > 0).then(|| Duration::from_nanos(self.total_ns / self.count))
-    }
-
-    /// Per-entry duration quantile in ms, when distribution data exists.
-    pub fn quantile_ms(&self, q: f64) -> Option<f64> {
-        self.sketch.quantile(q)
-    }
-}
-
-impl Default for PhaseStats {
-    fn default() -> PhaseStats {
-        PhaseStats::new()
     }
 }
 
@@ -282,20 +257,13 @@ impl Profiler {
         self.update(path, |node| node.record(d));
     }
 
-    /// Folds a locally-accumulated [`PhaseStats`] into `path`.
+    /// Folds a locally-accumulated [`PhaseStats`] into `path`. An
+    /// accumulator with no entries leaves no node.
     pub fn fold(&self, path: &str, stats: &PhaseStats) {
         if stats.count == 0 {
             return;
         }
         self.update(path, |node| node.merge(stats));
-    }
-
-    /// Folds a pre-aggregated total into `path` (no distribution data).
-    pub fn fold_bulk(&self, path: &str, total_ns: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.update(path, |node| node.record_bulk(total_ns, count));
     }
 
     /// Applies `f` to the node at `path`, looked up by `&str`: the path's
@@ -317,7 +285,7 @@ impl Profiler {
             match ours.get_mut(path) {
                 Some(slot) => slot.merge(stats),
                 None => {
-                    ours.insert(path.clone(), stats.clone());
+                    ours.insert(path.clone(), *stats);
                 }
             }
         }
@@ -330,7 +298,7 @@ impl Profiler {
 
     /// A point-in-time copy of every node, sorted by path.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        let nodes = self.nodes.borrow().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let nodes = self.nodes.borrow().iter().map(|(k, v)| (k.clone(), *v)).collect();
         ProfileSnapshot { nodes }
     }
 }
@@ -370,7 +338,7 @@ macro_rules! span {
 pub use crate::span;
 
 // ---------------------------------------------------------------------------
-// Profile snapshot rendering
+// Profile snapshot
 // ---------------------------------------------------------------------------
 
 /// An immutable, path-sorted copy of a [`Profiler`]'s phase tree.
@@ -394,67 +362,6 @@ impl ProfileSnapshot {
     pub fn total(&self, path: &str) -> Duration {
         self.nodes.iter().find(|(p, _)| p == path).map(|(_, s)| s.total()).unwrap_or(Duration::ZERO)
     }
-
-    /// Renders the phase tree as indented text: one line per node with
-    /// total, count, mean, and p50/p95 per-entry durations.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (path, stats) in &self.nodes {
-            let depth = path.matches('.').count();
-            let label = path.rsplit('.').next().unwrap_or(path);
-            let _ = write!(
-                out,
-                "{:indent$}{label:<24} {:>12} n={:<8}",
-                "",
-                fmt_ns(stats.total_ns),
-                stats.count,
-                indent = depth * 2,
-            );
-            if let Some(mean) = stats.mean() {
-                let _ = write!(out, " mean {:>10}", fmt_ns(mean.as_nanos() as u64));
-            }
-            if let (Some(p50), Some(p95)) = (stats.quantile_ms(0.5), stats.quantile_ms(0.95)) {
-                let _ = write!(out, " p50 {p50:.3}ms p95 {p95:.3}ms");
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders collapsed-stack lines (`a;b;c <self-time-ns>`), the
-    /// format flamegraph tools ingest. Each node's value is its *self*
-    /// time: total minus the sum of its direct children, clamped at 0.
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for (path, stats) in &self.nodes {
-            let child_ns: u64 = self
-                .nodes
-                .iter()
-                .filter(|(p, _)| {
-                    p.len() > path.len()
-                        && p.starts_with(path.as_str())
-                        && p.as_bytes()[path.len()] == b'.'
-                        && !p[path.len() + 1..].contains('.')
-                })
-                .map(|(_, s)| s.total_ns)
-                .sum();
-            let self_ns = stats.total_ns.saturating_sub(child_ns);
-            let _ = writeln!(out, "{} {}", path.replace('.', ";"), self_ns);
-        }
-        out
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2}ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.3}s", ns as f64 / 1_000_000_000.0)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -464,16 +371,15 @@ fn fmt_ns(ns: u64) -> String {
 /// An accumulating timer for `&self` call sites (metric-store window
 /// queries and flushes) where a profiler is out of reach.
 ///
-/// Totals fold into a profiler node at snapshot time via
-/// [`Profiler::fold_bulk`]; probes carry no per-entry distribution. A
-/// disarmed probe takes one branch per call site. The totals are `Cell`s
-/// because a measured read takes `&self`: the store's window queries are
-/// timed through the shared reference every check holds.
+/// Its totals fold into a profiler node at snapshot time
+/// ([`Profiler::fold`] of [`WallProbe::stats`]). A disarmed probe takes
+/// one branch per call site. The totals are a `Cell` because a measured
+/// read takes `&self`: the store's window queries are timed through the
+/// shared reference every check holds.
 #[derive(Debug, Default)]
 pub struct WallProbe {
     armed: bool,
-    ns: Cell<u64>,
-    count: Cell<u64>,
+    stats: Cell<PhaseStats>,
 }
 
 impl WallProbe {
@@ -494,26 +400,15 @@ impl WallProbe {
 
     /// [`WallProbe::time`] for one span that does the work of `n`
     /// operations (a paired window read is two reads): it counts as `n`
-    /// measurements, so total time over [`WallProbe::count`] stays the
-    /// cost of one operation.
+    /// measurements, so total time over the count stays the cost of one
+    /// operation.
     pub fn time_many(&self, n: u64) -> ProbeGuard<'_> {
         ProbeGuard { inner: self.armed.then(|| (self, Instant::now(), n)) }
     }
 
-    /// Total accumulated nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.get()
-    }
-
-    /// Number of completed measurements.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Zeroes the totals (the armed flag is untouched).
-    pub fn reset(&mut self) {
-        self.ns.set(0);
-        self.count.set(0);
+    /// The accumulated total and measurement count.
+    pub fn stats(&self) -> PhaseStats {
+        self.stats.get()
     }
 }
 
@@ -526,9 +421,10 @@ pub struct ProbeGuard<'a> {
 impl Drop for ProbeGuard<'_> {
     fn drop(&mut self) {
         if let Some((probe, started, n)) = self.inner.take() {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            probe.ns.set(probe.ns.get() + ns);
-            probe.count.set(probe.count.get() + n);
+            let mut stats = probe.stats.get();
+            stats.total_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            stats.count += n;
+            probe.stats.set(stats);
         }
     }
 }
@@ -583,16 +479,13 @@ mod tests {
             }
         }
         let snap = prof.snapshot();
-        assert_eq!(snap.nodes().len(), 3);
-        assert!(snap.total("engine.tick") >= snap.total("engine.tick.observe"));
-        let rendered = snap.render();
-        assert!(rendered.contains("observe"), "tree lists children: {rendered}");
-        let collapsed = snap.collapsed();
-        assert!(collapsed.contains("engine;tick;observe "), "collapsed stacks: {collapsed}");
-        // Self-time of the parent excludes both children.
-        let parent_line = collapsed.lines().find(|l| l.starts_with("engine;tick ")).unwrap();
-        let self_ns: u64 = parent_line.rsplit(' ').next().unwrap().parse().unwrap();
-        assert!(self_ns <= snap.total("engine.tick").as_nanos() as u64);
+        let paths: Vec<(&str, u64)> = snap.nodes().iter().map(|(p, s)| (&**p, s.count())).collect();
+        assert_eq!(
+            paths,
+            [("engine.tick", 1), ("engine.tick.apply", 1), ("engine.tick.observe", 1)]
+        );
+        let children = snap.total("engine.tick.observe") + snap.total("engine.tick.apply");
+        assert!(snap.total("engine.tick") >= children);
     }
 
     #[test]
@@ -609,7 +502,7 @@ mod tests {
     #[test]
     fn fold_and_merge_combine_nodes_by_path() {
         let local = {
-            let mut s = PhaseStats::new();
+            let mut s = PhaseStats::default();
             s.record(Duration::from_micros(100));
             s.record(Duration::from_micros(300));
             s
@@ -627,7 +520,6 @@ mod tests {
         let snap = a.snapshot();
         let pop = &snap.nodes().iter().find(|(p, _)| p == "sim.subround.pop").unwrap().1;
         assert_eq!(pop.count(), 4);
-        assert!(pop.quantile_ms(0.5).is_some());
     }
 
     #[test]
@@ -637,16 +529,19 @@ mod tests {
             let _t = probe.time();
             std::hint::black_box(0);
         }
-        assert_eq!(probe.count(), 1);
+        {
+            let _t = probe.time_many(2);
+        }
+        assert_eq!(probe.stats().count(), 3, "a paired read counts twice");
         probe.set_armed(false);
         {
             let _t = probe.time();
         }
-        assert_eq!(probe.count(), 1, "disarmed probe records nothing");
+        assert_eq!(probe.stats().count(), 3, "disarmed probe records nothing");
 
         let prof = Profiler::new(ObsConfig::enabled());
-        prof.fold_bulk("store.flush", probe.total_ns(), probe.count());
-        assert_eq!(prof.total("store.flush").as_nanos() as u64, probe.total_ns());
+        prof.fold("store.flush", &probe.stats());
+        assert_eq!(prof.total("store.flush"), probe.stats().total());
     }
 
     /// Satellite requirement: spans must be near-zero when disabled.
@@ -671,18 +566,16 @@ mod tests {
     }
 
     #[test]
-    fn render_profile_formats_durations_adaptively() {
-        assert_eq!(fmt_ns(999), "999ns");
-        assert_eq!(fmt_ns(1_500), "1.5µs");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_210_000_000), "3.210s");
-        // `ProfileSnapshot::render` prints totals and means in those units,
-        // and `ProfileSnapshot::collapsed` self-times in whole nanoseconds.
+    fn a_sampled_fold_stands_for_every_round_and_an_empty_one_leaves_no_node() {
+        let mut sampled = PhaseStats::default();
+        sampled.record(Duration::from_nanos(700));
+        sampled.record(Duration::from_nanos(300));
         let prof = Profiler::new(ObsConfig::disabled());
-        prof.fold_bulk("engine.tick", 5_000_000, 2);
+        prof.fold("sim.event.pop", &sampled.scaled(256));
+        prof.fold("sim.event.exchange", &PhaseStats::default().scaled(256));
         let snap = prof.snapshot();
-        let rendered = snap.render();
-        assert!(rendered.contains("5.00ms") && rendered.contains("mean     2.50ms"), "{rendered}");
-        assert_eq!(snap.collapsed(), "engine;tick 5000000\n");
+        assert_eq!(snap.nodes(), [("sim.event.pop".to_string(), sampled.scaled(256))]);
+        assert_eq!(snap.total("sim.event.pop"), Duration::from_nanos(256_000));
+        assert_eq!(snap.nodes()[0].1.count(), 512);
     }
 }

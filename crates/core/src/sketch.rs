@@ -9,6 +9,11 @@
 //! with relative-error guarantees*, VLDB 2019), hand-rolled so the
 //! workspace stays std-only:
 //!
+//! * **One configuration.** Every sketch has relative error
+//!   `α =` [`RELATIVE_ERROR`] (1%) and at most [`MAX_BUCKETS`] (1024)
+//!   occupied buckets: the health verdicts, the blame fold and the tail
+//!   sampler all read quantiles at that accuracy, so any two sketches
+//!   merge.
 //! * **Log-spaced buckets.** A positive value `v` lands in bucket
 //!   `ceil(ln v / ln γ)` with `γ = (1+α)/(1-α)`; the bucket's
 //!   representative value `2·γ^k/(γ+1)` is within relative error `α` of
@@ -18,8 +23,7 @@
 //!   milliseconds, so an integral value below 4096 reads its key from a
 //!   table built once with the very expression every other value
 //!   evaluates: each entry is that expression's key on any libm, and the
-//!   `ln` leaves the hot path. The table is shared (one per thread for the
-//!   default `α`) and sits in the slot `γ` had, so a sketch is no larger.
+//!   `ln` leaves the hot path. The table is shared, one per thread.
 //! * **A contiguous store.** Counts live in one `Vec<u64>`: slot `i`
 //!   counts key `offset + i`, the first and the last slot are occupied
 //!   whenever any is, and a push is a subtraction and an index (the vector
@@ -28,12 +32,12 @@
 //!   mass, so they never cross a rank, never reach [`QuantileSketch::encode`]
 //!   and never count against the cap.
 //! * **Bounded state.** *Occupied* slots never exceed
-//!   [`QuantileSketch::max_buckets`]: on overflow the sketch collapses from
+//!   [`MAX_BUCKETS`]: on overflow the sketch collapses from
 //!   the *cheap* end — the lowest occupied slot merges into the next
 //!   occupied one and the emptied front is trimmed — so tail quantiles
 //!   (the ones health verdicts read) keep their guarantee while the
 //!   collapsed low end degrades gracefully. *Slots* never exceed the key
-//!   span of the finite doubles, ≈36.5 k at `α = 1%` (292 KB, reached only
+//!   span of the finite doubles, ≈36.5 k (292 KB, reached only
 //!   by feeding one sketch both `1e-9` and `f64::MAX`; non-finite values
 //!   are rejected). Neither bound depends on how many values were pushed.
 //! * **Exact deterministic merge.** Merging adds per-bucket counts and
@@ -50,15 +54,22 @@
 use std::fmt;
 use std::sync::Arc;
 
-/// Default relative-error guarantee (1%): an estimated quantile is within
+/// The relative-error guarantee `α` (1%): an estimated quantile is within
 /// 1% of an actual sample at that rank (tight enough that the health
 /// pipeline's 2% acceptance bound holds with slack).
-pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
+pub const RELATIVE_ERROR: f64 = 0.01;
 
-/// Default bucket cap. With `α = 0.01` each bucket spans a factor of
-/// `γ ≈ 1.0202`, so 1024 buckets cover a `γ^1024 ≈ e^20.5` ≈ 8×10⁸ dynamic
-/// range — microseconds to hours of latency — before any collapse occurs.
-pub const DEFAULT_MAX_BUCKETS: usize = 1_024;
+/// The bucket cap. Each bucket spans a factor of `γ ≈ 1.0202`, so 1024
+/// buckets cover a `γ^1024 ≈ e^20.5` ≈ 8×10⁸ dynamic range —
+/// microseconds to hours of latency — before any collapse occurs.
+pub const MAX_BUCKETS: usize = 1_024;
+
+/// The bucket growth factor `γ = (1+α)/(1-α)`.
+const GAMMA: f64 = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
+
+/// `1 / ln γ`, the factor every key is computed with (`ln` is not `const`;
+/// a test holds this to the expression).
+const INV_LN_GAMMA: f64 = 49.998_333_288_886_78;
 
 /// Values at or below this threshold (in the sketch's unit) are counted in
 /// a dedicated zero bucket: the log mapping cannot index them, and for
@@ -73,46 +84,30 @@ const TABLED: usize = 4_096;
 type KeyTable = [i32; TABLED];
 
 thread_local! {
-    /// The table of the default `α`, built once per thread and shared by
-    /// every sketch made there.
-    static LATENCY_KEYS: Arc<KeyTable> =
-        key_table(1.0 / gamma(DEFAULT_RELATIVE_ERROR).ln());
-}
-
-/// The bucket growth factor `γ = (1+α)/(1-α)`.
-fn gamma(alpha: f64) -> f64 {
-    (1.0 + alpha) / (1.0 - alpha)
+    /// The key table, built once per thread and shared by every sketch
+    /// made there (entry 0 is never read: zero goes to the zero bucket).
+    static LATENCY_KEYS: Arc<KeyTable> = {
+        let mut keys = [0; TABLED];
+        for (v, key) in keys.iter_mut().enumerate() {
+            *key = ln_key(v as f64);
+        }
+        Arc::new(keys)
+    };
 }
 
 /// The log-bucket key of a positive value: the one expression every key,
 /// looked up or not, comes from.
-fn ln_key(value: f64, inv_ln_gamma: f64) -> i32 {
-    (value.ln() * inv_ln_gamma).ceil() as i32
-}
-
-/// [`ln_key`] of `0, 1, .., TABLED - 1` (entry 0 is never read: zero
-/// goes to the zero bucket).
-fn key_table(inv_ln_gamma: f64) -> Arc<KeyTable> {
-    let mut keys = [0; TABLED];
-    for (v, key) in keys.iter_mut().enumerate() {
-        *key = ln_key(v as f64, inv_ln_gamma);
-    }
-    Arc::new(keys)
+fn ln_key(value: f64) -> i32 {
+    (value.ln() * INV_LN_GAMMA).ceil() as i32
 }
 
 /// A mergeable quantile sketch with a bounded relative-error guarantee
 /// and bounded state (see the module docs).
 #[derive(Clone)]
 pub struct QuantileSketch {
-    /// Relative-error guarantee `α`.
-    alpha: f64,
-    /// The keys of small whole values under this `α`, shared. Derived from
-    /// `alpha`, so `==`, `Debug` and [`QuantileSketch::encode`] skip it.
+    /// The keys of small whole values, shared. The same for every sketch,
+    /// so `==`, `Debug` and [`QuantileSketch::encode`] skip it.
     keys: Arc<KeyTable>,
-    /// Cached `1 / ln γ` (the per-push multiplication is by this).
-    inv_ln_gamma: f64,
-    /// Cap on occupied slots; collapse keeps the highest `max_buckets` keys.
-    max_buckets: usize,
     /// Log index counted by `buckets[0]`.
     offset: i32,
     /// Per-bucket counts: slot `i` counts key `offset + i`. Non-empty ⇒
@@ -136,19 +131,13 @@ pub struct QuantileSketch {
     max: f64,
 }
 
-// One per edge and direction in every health fold: the key table took the
-// slot of `γ`, which `value_of` recomputes from `α`.
-const _: () = assert!(std::mem::size_of::<QuantileSketch>() == 112);
+// One per edge and direction in every health fold.
+const _: () = assert!(std::mem::size_of::<QuantileSketch>() <= 88);
 
-/// The fields a derived `Debug` printed, `γ` among them (recomputed from
-/// `α`); the key table is left out.
+/// Every field but the shared key table.
 impl fmt::Debug for QuantileSketch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuantileSketch")
-            .field("alpha", &self.alpha)
-            .field("gamma", &gamma(self.alpha))
-            .field("inv_ln_gamma", &self.inv_ln_gamma)
-            .field("max_buckets", &self.max_buckets)
             .field("offset", &self.offset)
             .field("buckets", &self.buckets)
             .field("occupied", &self.occupied)
@@ -168,10 +157,7 @@ impl fmt::Debug for QuantileSketch {
 /// is stated on the sequence so that it does not lean on the layout.)
 impl PartialEq for QuantileSketch {
     fn eq(&self, other: &Self) -> bool {
-        self.alpha == other.alpha
-            && self.inv_ln_gamma == other.inv_ln_gamma
-            && self.max_buckets == other.max_buckets
-            && self.zeros == other.zeros
+        self.zeros == other.zeros
             && self.count == other.count
             && self.collapsed == other.collapsed
             && self.min == other.min
@@ -181,26 +167,11 @@ impl PartialEq for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// A sketch with relative-error guarantee `alpha` and at most
-    /// `max_buckets` log-spaced buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha` is outside `(0, 1)` or `max_buckets < 2`.
-    pub fn new(alpha: f64, max_buckets: usize) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "relative error must be in (0, 1)");
-        assert!(max_buckets >= 2, "a sketch needs at least two buckets");
-        let inv_ln_gamma = 1.0 / gamma(alpha).ln();
-        let keys = if alpha == DEFAULT_RELATIVE_ERROR {
-            LATENCY_KEYS.with(Arc::clone)
-        } else {
-            key_table(inv_ln_gamma)
-        };
+    /// An empty sketch: relative error [`RELATIVE_ERROR`], at most
+    /// [`MAX_BUCKETS`] buckets.
+    pub fn for_latency() -> Self {
         QuantileSketch {
-            alpha,
-            keys,
-            inv_ln_gamma,
-            max_buckets,
+            keys: LATENCY_KEYS.with(Arc::clone),
             offset: 0,
             buckets: Vec::new(),
             occupied: 0,
@@ -210,22 +181,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// The default health-pipeline sketch: 1% relative error, 1024-bucket
-    /// cap ([`DEFAULT_RELATIVE_ERROR`], [`DEFAULT_MAX_BUCKETS`]).
-    pub fn for_latency() -> Self {
-        QuantileSketch::new(DEFAULT_RELATIVE_ERROR, DEFAULT_MAX_BUCKETS)
-    }
-
-    /// The configured relative-error guarantee `α`.
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The configured bucket cap.
-    pub fn max_buckets(&self) -> usize {
-        self.max_buckets
     }
 
     /// Observes one value.
@@ -283,7 +238,7 @@ impl QuantileSketch {
         let slot = (key - self.offset) as usize;
         self.occupied += usize::from(self.buckets[slot] == 0);
         self.buckets[slot] += weight;
-        if self.occupied > self.max_buckets {
+        if self.occupied > MAX_BUCKETS {
             self.collapse();
         }
     }
@@ -297,15 +252,14 @@ impl QuantileSketch {
                 return self.keys[whole];
             }
         }
-        ln_key(value, self.inv_ln_gamma)
+        ln_key(value)
     }
 
     /// The representative value of a bucket: the multiplicative midpoint
     /// `2·γ^k/(γ+1)`, within `α` relative error of every value the bucket
     /// admits (`(γ^{k-1}, γ^k]`).
-    fn value_of(&self, key: i32) -> f64 {
-        let gamma = gamma(self.alpha);
-        2.0 * gamma.powi(key) / (gamma + 1.0)
+    fn value_of(key: i32) -> f64 {
+        2.0 * GAMMA.powi(key) / (GAMMA + 1.0)
     }
 
     /// Grows the store, at whichever end falls short, to hold every key in
@@ -329,9 +283,9 @@ impl QuantileSketch {
     /// front is trimmed. Tail buckets are untouched.
     fn collapse(&mut self) {
         let mut low = 0;
-        while self.occupied > self.max_buckets {
+        while self.occupied > MAX_BUCKETS {
             let carried = std::mem::take(&mut self.buckets[low]);
-            // The last slot is occupied and `cap >= 2` leaves a successor.
+            // The last slot is occupied and the cap leaves a successor.
             low += 1;
             while self.buckets[low] == 0 {
                 low += 1;
@@ -352,16 +306,7 @@ impl QuantileSketch {
     /// Merges another sketch into this one: per-bucket counts add, then
     /// the cap re-collapses. Deterministic and — in normalized state —
     /// associative and commutative to the byte (see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sketches were built with different `alpha` or
-    /// `max_buckets` (their buckets would not line up).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            self.alpha == other.alpha && self.max_buckets == other.max_buckets,
-            "cannot merge sketches with different accuracy or cap"
-        );
         if !other.buckets.is_empty() {
             self.cover(other.offset, other.offset + (other.buckets.len() - 1) as i32);
             let base = (other.offset - self.offset) as usize;
@@ -375,7 +320,7 @@ impl QuantileSketch {
         self.collapsed += other.collapsed;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        if self.occupied > self.max_buckets {
+        if self.occupied > MAX_BUCKETS {
             self.collapse();
         }
     }
@@ -400,8 +345,7 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Occupied buckets (≤ [`QuantileSketch::max_buckets`] plus the zero
-    /// bucket).
+    /// Occupied buckets (≤ [`MAX_BUCKETS`] plus the zero bucket).
     pub fn bucket_len(&self) -> usize {
         self.occupied + usize::from(self.zeros > 0)
     }
@@ -455,7 +399,7 @@ impl QuantileSketch {
             self.slot_from_bottom(rank)
         };
         let key = self.offset + slot as i32;
-        Some(self.value_of(key).clamp(self.min, self.max))
+        Some(Self::value_of(key).clamp(self.min, self.max))
     }
 
     /// The lowest slot whose cumulative count (zeros included) exceeds
@@ -533,7 +477,7 @@ impl QuantileSketch {
             loop {
                 match current {
                     Some((key, upto)) if upto > rank => {
-                        out.push(self.value_of(key).clamp(self.min, self.max));
+                        out.push(Self::value_of(key).clamp(self.min, self.max));
                         break;
                     }
                     _ => match iter.next() {
@@ -552,8 +496,9 @@ impl QuantileSketch {
         Some(out)
     }
 
-    /// Canonical byte encoding of the distributional state:
-    /// configuration, counters, min/max bits, and every occupied
+    /// Canonical byte encoding of the distributional state: the
+    /// configuration's two words (`α`'s bits and the cap), counters,
+    /// min/max bits, and every occupied
     /// `(key, count)` bucket in ascending key order. This is exactly the
     /// state that is invariant under merge grouping and order — the merge
     /// property tests compare these bytes. (The advisory
@@ -561,8 +506,8 @@ impl QuantileSketch {
     /// records collapse *history*, not distributional state.)
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48 + self.occupied * 12);
-        out.extend_from_slice(&self.alpha.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.max_buckets as u64).to_le_bytes());
+        out.extend_from_slice(&RELATIVE_ERROR.to_bits().to_le_bytes());
+        out.extend_from_slice(&(MAX_BUCKETS as u64).to_le_bytes());
         out.extend_from_slice(&self.count.to_le_bytes());
         out.extend_from_slice(&self.zeros.to_le_bytes());
         out.extend_from_slice(&self.min.to_bits().to_le_bytes());
@@ -599,7 +544,7 @@ mod tests {
         for &q in qs {
             let exact = exact_quantile(values, q);
             let est = sketch.quantile(q).unwrap();
-            let tolerance = sketch.relative_error() * 1.0001;
+            let tolerance = RELATIVE_ERROR * 1.0001;
             if exact <= MIN_INDEXABLE {
                 assert!(est <= MIN_INDEXABLE, "q{q}: exact {exact}, est {est}");
             } else {
@@ -625,7 +570,7 @@ mod tests {
         s.push(42.0);
         for q in [0.0, 0.5, 1.0] {
             let est = s.quantile(q).unwrap();
-            assert!((est - 42.0).abs() / 42.0 <= s.relative_error());
+            assert!((est - 42.0).abs() / 42.0 <= RELATIVE_ERROR);
         }
         assert_eq!(s.min(), Some(42.0));
         assert_eq!(s.max(), Some(42.0));
@@ -679,7 +624,7 @@ mod tests {
                 } else {
                     let rel = (est - exact).abs() / exact;
                     assert!(
-                        rel <= s.relative_error() * 1.0001,
+                        rel <= RELATIVE_ERROR * 1.0001,
                         "{name} q{q}: exact {exact}, est {est}, rel {rel}"
                     );
                 }
@@ -701,31 +646,32 @@ mod tests {
         assert_eq!(s.count(), 100);
     }
 
+    /// Log-uniform over fifteen decades: about 1,730 keys at 1%, past the
+    /// 1,024-bucket cap.
+    fn wide(rng: &mut SplitMix64) -> f64 {
+        10f64.powf(rng.next_f64() * 15.0 - 6.0)
+    }
+
     #[test]
     fn cap_collapses_cheap_end_and_keeps_tail_accurate() {
-        // At α = 0.05 a 64-bucket cap spans e^{64·ln γ} ≈ e^{6.4} ≈ 2.8
-        // decades; log-uniform data over 8 decades must collapse, leaving
-        // the top ~35% of the mass inside kept buckets — so quantiles
-        // from the median of that kept mass upward stay guaranteed.
-        let mut s = QuantileSketch::new(0.05, 64);
+        // The top 1,024 of the ~1,730 keys hold the top ~59% of the mass,
+        // so quantiles from the 60th percentile upward stay guaranteed.
+        let mut s = QuantileSketch::for_latency();
         let mut values = Vec::new();
         let mut rng = SplitMix64::new(5);
         for _ in 0..50_000 {
-            let v = 10f64.powf(rng.next_f64() * 8.0 - 4.0);
+            let v = wide(&mut rng);
             s.push(v);
             values.push(v);
         }
-        assert!(s.bucket_len() <= 64 + 1, "cap holds: {} buckets", s.bucket_len());
+        assert!(s.bucket_len() <= MAX_BUCKETS + 1, "cap holds: {} buckets", s.bucket_len());
         assert!(s.collapsed() > 0, "collapse must have occurred");
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for &q in &[0.9, 0.95, 0.99] {
+        for &q in &[0.6, 0.9, 0.95, 0.99] {
             let exact = exact_quantile(&values, q);
             let est = s.quantile(q).unwrap();
             let rel = (est - exact).abs() / exact;
-            assert!(
-                rel <= s.relative_error() * 1.0001,
-                "q{q}: exact {exact}, est {est}, rel {rel}"
-            );
+            assert!(rel <= RELATIVE_ERROR * 1.0001, "q{q}: exact {exact}, est {est}, rel {rel}");
         }
         // The collapsed cheap end degrades but stays within the data
         // range — never a wild value.
@@ -754,52 +700,44 @@ mod tests {
 
     #[test]
     fn merge_is_associative_and_commutative_to_the_byte() {
-        // Small caps force collapses mid-merge — the hard case for
-        // byte-identical grouping independence.
-        for cap in [4usize, 16, 64] {
-            let mut rng = SplitMix64::new(77);
-            let sketches: Vec<QuantileSketch> = (0..4)
-                .map(|_| {
-                    let mut s = QuantileSketch::new(0.02, cap);
-                    for _ in 0..5_000 {
-                        s.push(10f64.powf(rng.next_f64() * 7.0 - 3.0));
-                    }
-                    s
-                })
-                .collect();
-            let [a, b, c, d] = &sketches[..] else { unreachable!() };
+        // Every part passes the cap on its own, so collapses happen
+        // mid-merge — the hard case for byte-identical grouping
+        // independence.
+        let mut rng = SplitMix64::new(77);
+        let sketches: Vec<QuantileSketch> = (0..4)
+            .map(|_| {
+                let mut s = QuantileSketch::for_latency();
+                for _ in 0..5_000 {
+                    s.push(wide(&mut rng));
+                }
+                assert!(s.collapsed() > 0);
+                s
+            })
+            .collect();
+        let [a, b, c, d] = &sketches[..] else { unreachable!() };
 
-            // ((a+b)+c)+d
-            let mut left = a.clone();
-            left.merge(b);
-            left.merge(c);
-            left.merge(d);
-            // (a+b)+(c+d)
-            let mut ab = a.clone();
-            ab.merge(b);
-            let mut cd = c.clone();
-            cd.merge(d);
-            let mut balanced = ab;
-            balanced.merge(&cd);
-            // d+(c+(b+a)) — fully reversed grouping and order.
-            let mut ba = b.clone();
-            ba.merge(a);
-            let mut cba = c.clone();
-            cba.merge(&ba);
-            let mut reversed = d.clone();
-            reversed.merge(&cba);
+        // ((a+b)+c)+d
+        let mut left = a.clone();
+        left.merge(b);
+        left.merge(c);
+        left.merge(d);
+        // (a+b)+(c+d)
+        let mut ab = a.clone();
+        ab.merge(b);
+        let mut cd = c.clone();
+        cd.merge(d);
+        let mut balanced = ab;
+        balanced.merge(&cd);
+        // d+(c+(b+a)) — fully reversed grouping and order.
+        let mut ba = b.clone();
+        ba.merge(a);
+        let mut cba = c.clone();
+        cba.merge(&ba);
+        let mut reversed = d.clone();
+        reversed.merge(&cba);
 
-            assert_eq!(left.encode(), balanced.encode(), "associativity at cap {cap}");
-            assert_eq!(left.encode(), reversed.encode(), "commutativity at cap {cap}");
-        }
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_configuration() {
-        let mut a = QuantileSketch::new(0.01, 64);
-        let b = QuantileSketch::new(0.02, 64);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)));
-        assert!(result.is_err(), "mismatched alpha must not merge");
+        assert_eq!(left.encode(), balanced.encode(), "associativity");
+        assert_eq!(left.encode(), reversed.encode(), "commutativity");
     }
 
     #[test]
@@ -911,14 +849,16 @@ mod tests {
 
     #[test]
     fn equality_is_of_the_distribution_not_of_the_layout() {
-        let mut rng = SplitMix64::new(17);
-        let mut values: Vec<f64> =
-            (0..4_000).map(|_| 10f64.powf(rng.next_f64() * 6.0 - 3.0)).collect();
-        values.extend([0.0, 0.0, 1e-12]);
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for cap in [8usize, 1_024] {
+        for collapsing in [true, false] {
+            // Six decades fit the cap; fifteen do not.
+            let mut rng = SplitMix64::new(17);
+            let decades = if collapsing { 15.0 } else { 6.0 };
+            let mut values: Vec<f64> =
+                (0..4_000).map(|_| 10f64.powf(rng.next_f64() * decades - 3.0)).collect();
+            values.extend([0.0, 0.0, 1e-12]);
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let fed = |order: &mut dyn Iterator<Item = &f64>| {
-                let mut s = QuantileSketch::new(0.01, cap);
+                let mut s = QuantileSketch::for_latency();
                 order.for_each(|v| s.push(*v));
                 s
             };
@@ -926,9 +866,10 @@ mod tests {
             let descending = fed(&mut values.iter().rev());
             let mut merged = fed(&mut values.iter().step_by(2));
             merged.merge(&fed(&mut values.iter().skip(1).step_by(2)));
-            assert_eq!(ascending.encode(), descending.encode(), "cap {cap}");
-            assert_eq!(ascending.encode(), merged.encode(), "cap {cap}");
-            if cap == 1_024 {
+            assert_eq!(ascending.collapsed() > 0, collapsing);
+            assert_eq!(ascending.encode(), descending.encode(), "collapsing {collapsing}");
+            assert_eq!(ascending.encode(), merged.encode(), "collapsing {collapsing}");
+            if !collapsing {
                 // Nothing collapsed, so the advisory tally agrees too and
                 // the three are one sketch.
                 assert_eq!(ascending, descending);
@@ -961,8 +902,8 @@ mod tests {
 
     /// The key of a positive value as the module docs define it, written
     /// out here rather than shared with the code under test.
-    fn ln_expression(alpha: f64, value: f64) -> i32 {
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+    fn ln_expression(value: f64) -> i32 {
+        let gamma: f64 = (1.0 + 0.01) / (1.0 - 0.01);
         (value.ln() * (1.0 / gamma.ln())).ceil() as i32
     }
 
@@ -996,17 +937,13 @@ mod tests {
 
     #[test]
     fn whole_values_read_the_key_the_ln_expression_gives() {
+        // The constants are the expressions they stand for.
+        assert_eq!(GAMMA, (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR));
+        assert_eq!(INV_LN_GAMMA.to_bits(), (1.0 / GAMMA.ln()).to_bits());
         let mut rng = SplitMix64::new(4_096);
-        let searched = searched_keys(&mut rng);
-        for alpha in [DEFAULT_RELATIVE_ERROR, 0.02, 0.05] {
-            let s = QuantileSketch::new(alpha, DEFAULT_MAX_BUCKETS);
-            for v in 1..TABLED {
-                let v = v as f64;
-                assert_eq!(s.key_of(v), ln_expression(alpha, v), "alpha {alpha}, {v}");
-            }
-            for &v in &searched {
-                assert_eq!(s.key_of(v), ln_expression(alpha, v), "alpha {alpha}, {v}");
-            }
+        let s = QuantileSketch::for_latency();
+        for v in (1..TABLED).map(|v| v as f64).chain(searched_keys(&mut rng)) {
+            assert_eq!(s.key_of(v), ln_expression(v), "{v}");
         }
         // Every default sketch on a thread shares one table.
         let (a, b) = (QuantileSketch::for_latency(), QuantileSketch::for_latency());
@@ -1017,7 +954,7 @@ mod tests {
     /// the table.
     fn push_by_ln(s: &mut QuantileSketch, value: f64, weight: u64) {
         if let Some(value) = s.tally(value, weight) {
-            s.add(ln_expression(s.alpha, value), weight);
+            s.add(ln_expression(value), weight);
         }
     }
 
@@ -1026,20 +963,20 @@ mod tests {
         let mut rng = SplitMix64::new(48);
         let mut searched = searched_keys(&mut rng);
         searched.extend([0.0, MIN_INDEXABLE, 1.0, 2.0, 4_095.0]);
-        for (alpha, cap) in [(DEFAULT_RELATIVE_ERROR, DEFAULT_MAX_BUCKETS), (0.05, 64), (0.01, 8)] {
-            let mut table = QuantileSketch::new(alpha, cap);
-            let mut ln = QuantileSketch::new(alpha, cap);
-            for (i, &v) in searched.iter().enumerate() {
-                let w = 1 + rng.next_u64() % 3;
-                table.push_weighted(v, w);
-                push_by_ln(&mut ln, v, w);
-                if i % 4_096 == 0 {
-                    assert_eq!(table.encode(), ln.encode(), "alpha {alpha} cap {cap} at {i}");
-                }
+        let mut table = QuantileSketch::for_latency();
+        let mut ln = QuantileSketch::for_latency();
+        for (i, &v) in searched.iter().enumerate() {
+            let w = 1 + rng.next_u64() % 3;
+            table.push_weighted(v, w);
+            push_by_ln(&mut ln, v, w);
+            if i % 4_096 == 0 {
+                assert_eq!(table.encode(), ln.encode(), "at {i}");
             }
-            assert_eq!(table.encode(), ln.encode(), "alpha {alpha} cap {cap}");
-            assert_eq!(table, ln);
         }
+        // Twenty-four decades of searched values pass the cap.
+        assert!(table.collapsed() > 0);
+        assert_eq!(table.encode(), ln.encode());
+        assert_eq!(table, ln);
     }
 
     /// The `BTreeMap` bucket store the array replaced, kept as the model
@@ -1056,9 +993,9 @@ mod tests {
     }
 
     impl TreeSketch {
-        fn new(alpha: f64, max_buckets: usize) -> Self {
+        fn new() -> Self {
             TreeSketch {
-                like: QuantileSketch::new(alpha, max_buckets),
+                like: QuantileSketch::for_latency(),
                 buckets: BTreeMap::new(),
                 zeros: 0,
                 count: 0,
@@ -1084,7 +1021,7 @@ mod tests {
         }
 
         fn collapse(&mut self) {
-            while self.buckets.len() > self.like.max_buckets {
+            while self.buckets.len() > MAX_BUCKETS {
                 let (_, low_count) = self.buckets.pop_first().unwrap();
                 *self.buckets.values_mut().next().unwrap() += low_count;
                 self.collapsed += low_count;
@@ -1115,7 +1052,7 @@ mod tests {
             for (&key, &count) in &self.buckets {
                 cum += count;
                 if cum > rank {
-                    return Some(self.like.value_of(key).clamp(self.min, self.max));
+                    return Some(QuantileSketch::value_of(key).clamp(self.min, self.max));
                 }
             }
             Some(self.max)
@@ -1123,8 +1060,8 @@ mod tests {
 
         fn encode(&self) -> Vec<u8> {
             let mut out = Vec::new();
-            out.extend_from_slice(&self.like.alpha.to_bits().to_le_bytes());
-            out.extend_from_slice(&(self.like.max_buckets as u64).to_le_bytes());
+            out.extend_from_slice(&RELATIVE_ERROR.to_bits().to_le_bytes());
+            out.extend_from_slice(&(MAX_BUCKETS as u64).to_le_bytes());
             out.extend_from_slice(&self.count.to_le_bytes());
             out.extend_from_slice(&self.zeros.to_le_bytes());
             out.extend_from_slice(&self.min.to_bits().to_le_bytes());
@@ -1194,7 +1131,7 @@ mod tests {
         for (slot, &count) in s.buckets.iter().enumerate() {
             cum += count;
             if cum > rank {
-                return Some(s.value_of(s.offset + slot as i32).clamp(s.min, s.max));
+                return Some(QuantileSketch::value_of(s.offset + slot as i32).clamp(s.min, s.max));
             }
         }
         Some(s.max)
@@ -1216,9 +1153,11 @@ mod tests {
             sketches.push(single);
         }
         let mut rng = SplitMix64::new(97);
-        for (i, cap) in [2usize, 4, 16, 64, 1_024].into_iter().cycle().take(40).enumerate() {
-            let mut s = QuantileSketch::new(0.01, cap);
-            for step in 0..(1 + i * 13) {
+        for i in 0..40 {
+            let mut s = QuantileSketch::for_latency();
+            // Every fifth sketch takes enough values to pass the cap.
+            let steps = if i % 5 == 0 { 2_000 + i * 100 } else { 1 + i * 13 };
+            for step in 0..steps {
                 s.push_weighted(searched_value(&mut rng, step), 1 + rng.next_u64() % 5);
             }
             sketches.push(s);
@@ -1248,52 +1187,59 @@ mod tests {
     #[test]
     fn array_store_matches_the_tree_store_to_the_bit() {
         const POOL: usize = 3;
-        for alpha in [0.01, 0.05] {
-            for cap in [2usize, 4, 16, 64, 1_024] {
-                for seed in 0..6u64 {
-                    let mut rng = SplitMix64::new(seed * 31 + cap as u64);
-                    let fresh = || (QuantileSketch::new(alpha, cap), TreeSketch::new(alpha, cap));
-                    let mut pool: Vec<(QuantileSketch, TreeSketch)> =
-                        (0..POOL).map(|_| fresh()).collect();
-                    for step in 0..240 {
-                        let at = format!("alpha {alpha} cap {cap} seed {seed} step {step}");
-                        let target = (rng.next_u64() % POOL as u64) as usize;
-                        match rng.next_u64() % 10 {
-                            // Merge another pool member in: overlapping or
-                            // disjoint ranges, collapses mid-merge at small caps.
-                            0 | 1 => {
-                                let source = (target + 1 + (rng.next_u64() % 2) as usize) % POOL;
-                                let (array, tree) = pool[source].clone();
-                                pool[target].0.merge(&array);
-                                pool[target].1.merge(&tree);
-                            }
-                            // Start one member over on a narrow band of its
-                            // own, so later merges meet disjoint ranges.
-                            2 => {
-                                pool[target] = fresh();
-                                let centre = 10f64.powf(rng.next_f64() * 16.0 - 8.0);
-                                for _ in 0..12 {
-                                    let v = centre * (1.0 + rng.next_f64());
-                                    pool[target].0.push(v);
-                                    pool[target].1.push_weighted(v, 1);
-                                }
-                            }
-                            3 => {
-                                let v = searched_value(&mut rng, step);
-                                let w = rng.next_u64() % 1_000;
-                                pool[target].0.push_weighted(v, w);
-                                pool[target].1.push_weighted(v, w);
-                            }
-                            _ => {
-                                let v = searched_value(&mut rng, step);
-                                pool[target].0.push(v);
-                                pool[target].1.push_weighted(v, 1);
-                            }
+        let mut collapsed = 0;
+        for seed in 0..12u64 {
+            let mut rng = SplitMix64::new(seed * 31 + 1_024);
+            let fresh = || (QuantileSketch::for_latency(), TreeSketch::new());
+            let mut pool: Vec<(QuantileSketch, TreeSketch)> = (0..POOL).map(|_| fresh()).collect();
+            for step in 0..240 {
+                let at = format!("seed {seed} step {step}");
+                let target = (rng.next_u64() % POOL as u64) as usize;
+                match rng.next_u64() % 10 {
+                    // Merge another pool member in: overlapping or disjoint
+                    // ranges, collapses mid-merge past the cap.
+                    0 | 1 => {
+                        let source = (target + 1 + (rng.next_u64() % 2) as usize) % POOL;
+                        let (array, tree) = pool[source].clone();
+                        pool[target].0.merge(&array);
+                        pool[target].1.merge(&tree);
+                    }
+                    // Start one member over on a narrow band of its own, so
+                    // later merges meet disjoint ranges.
+                    2 => {
+                        pool[target] = fresh();
+                        let centre = 10f64.powf(rng.next_f64() * 16.0 - 8.0);
+                        for _ in 0..12 {
+                            let v = centre * (1.0 + rng.next_f64());
+                            pool[target].0.push(v);
+                            pool[target].1.push_weighted(v, 1);
                         }
-                        assert_same(&pool[target].0, &pool[target].1, &at);
+                    }
+                    3 => {
+                        let v = searched_value(&mut rng, step);
+                        let w = rng.next_u64() % 1_000;
+                        pool[target].0.push_weighted(v, w);
+                        pool[target].1.push_weighted(v, w);
+                    }
+                    // A burst over fifteen decades: a few of these pass the
+                    // cap, so pushes and merges collapse.
+                    4 => {
+                        for _ in 0..300 {
+                            let v = wide(&mut rng);
+                            pool[target].0.push(v);
+                            pool[target].1.push_weighted(v, 1);
+                        }
+                    }
+                    _ => {
+                        let v = searched_value(&mut rng, step);
+                        pool[target].0.push(v);
+                        pool[target].1.push_weighted(v, 1);
                     }
                 }
+                assert_same(&pool[target].0, &pool[target].1, &at);
+                collapsed += usize::from(pool[target].0.collapsed() > 0);
             }
         }
+        assert!(collapsed > 100, "{collapsed} steps saw a collapsed sketch");
     }
 }

@@ -508,10 +508,9 @@ struct PhaseTimes {
 
 /// When profiling is on, only one sub-round in this many is actually
 /// timed. A sub-round takes a microsecond or less, so clock reads on
-/// every round cost tens of percent of the whole window; sampling keeps
-/// the per-sample distributions honest while cutting the clock reads by
-/// this factor. At fold time the sampled totals and counts are scaled
-/// back up ([`fold_sampled`]) so the profile tree shows unbiased
+/// every round cost tens of percent of the whole window; sampling cuts
+/// them by this factor. At fold time the sampled totals and counts are
+/// scaled back up ([`fold_sampled`]) so the profile tree shows unbiased
 /// estimates of true phase totals. The timed round is the middle one of
 /// each stride, not the first: a window's first sub-round is the one that
 /// moves a ring's worth of root arrivals out of the roots run, and scaling
@@ -1140,18 +1139,11 @@ pub(crate) fn run_window(
 }
 
 /// Folds a 1-in-[`OBS_TIMING_SAMPLE`] sampled phase accumulator into the
-/// profiler: the sampled durations go in as-is (so means and quantiles
-/// stay per-sub-round facts), then the total and count are topped up by
-/// the sampling factor so the tree's totals estimate true wall time. An
-/// accumulator nothing was recorded into — profiling off — leaves no node.
+/// profiler, its total and count scaled by the sampling factor so the
+/// tree's totals estimate true wall time. An accumulator nothing was
+/// recorded into — profiling off — leaves no node.
 fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
-    profiler.fold(path, stats);
-    let total_ns = stats.total().as_nanos() as u64;
-    profiler.fold_bulk(
-        path,
-        total_ns * (OBS_TIMING_SAMPLE - 1),
-        stats.count() * (OBS_TIMING_SAMPLE - 1),
-    );
+    profiler.fold(path, &stats.scaled(OBS_TIMING_SAMPLE));
 }
 
 /// Drains tagged records in `(key, seq)` order. They were recorded in

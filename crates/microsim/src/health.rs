@@ -9,9 +9,10 @@
 //! spans skipped, sheds and fallbacks counted beside the executed calls
 //! rather than among them), and [`HealthReport::build`] diffs a
 //! canary version against its baseline per logical endpoint — latency
-//! quantiles (via [`cex_core::metrics::quantiles`]), error rate, and
-//! retry amplification — plus the critical path of each trace, so a
-//! regression is *localized* to the interaction that degraded.
+//! quantiles (one walk of each edge's sketch,
+//! [`QuantileSketch::quantiles`]), error rate, and retry amplification —
+//! plus the critical path of each trace, so a regression is *localized*
+//! to the interaction that degraded.
 //!
 //! Everything here is deterministic: folding order follows trace order,
 //! latencies stream into a mergeable [`QuantileSketch`] (log-spaced

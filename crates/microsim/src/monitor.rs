@@ -1903,7 +1903,11 @@ mod tests {
                     reads += 2;
                 }
                 assert_eq!(s.store.window_reads(), reads, "seed {seed}: windowed reads");
-                assert_eq!(s.store.query_probe().count(), reads, "seed {seed}: probe measurements");
+                assert_eq!(
+                    s.store.query_probe().stats().count(),
+                    reads,
+                    "seed {seed}: probe measurements"
+                );
                 unaligned += u32::from(!edges.0.is_multiple_of(WIDTH_MS));
                 looks += 1;
                 let a_read = got.iter().find(|(side, _)| *side == 0).expect("every shape reads a");

@@ -151,10 +151,8 @@ impl Simulation {
     /// `store.window_query`) into `target` — for callers assembling a
     /// combined phase tree across subsystems.
     pub fn fold_probes_into(&self, target: &Profiler) {
-        let flush = self.store.flush_probe();
-        target.fold_bulk("store.flush", flush.total_ns(), flush.count());
-        let query = self.store.query_probe();
-        target.fold_bulk("store.window_query", query.total_ns(), query.count());
+        target.fold("store.flush", &self.store.flush_probe().stats());
+        target.fold("store.window_query", &self.store.query_probe().stats());
     }
 
     /// Deterministic counter-registry snapshot: event-core tallies,

@@ -22,9 +22,9 @@
 //!   is comparable across deployed versions (the key step when diffing a
 //!   canary edge against its baseline counterpart).
 //! * **Bounded retention.** The [`TraceCollector`] keeps a configurable
-//!   ring of recent traces ([`TraceCollector::retain`]); when full, the
-//!   oldest trace is evicted and counted in [`TraceCollector::dropped`],
-//!   so unbounded runs cannot hoard memory.
+//!   ring of recent traces ([`TraceCollector::set_capacity`]); when full,
+//!   the oldest trace is evicted and counted in
+//!   [`SamplingStats::evicted`], so unbounded runs cannot hoard memory.
 //! * **One walk from spans to interactions.** [`Trace::hops`] yields every
 //!   span with its caller resolved and [`Hop::edge`] keys it; health,
 //!   blame, the interaction graph and the engine's trace-scoped samples
@@ -55,7 +55,7 @@
 use crate::app::{Application, EndpointId, ServiceId, VersionId};
 use cex_core::intern::{Interner, Sym};
 use cex_core::simtime::{SimDuration, SimTime};
-use cex_core::sketch::QuantileSketch;
+use cex_core::sketch::{QuantileSketch, RELATIVE_ERROR};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -548,7 +548,7 @@ impl TailState {
             && self
                 .roots
                 .quantile(self.config.slow_quantile)
-                .is_some_and(|q| root_ms > q * (1.0 + 2.0 * self.roots.relative_error()));
+                .is_some_and(|q| root_ms > q * (1.0 + 2.0 * RELATIVE_ERROR));
         self.roots.push(root_ms);
         if erroneous || slow {
             self.tail_kept += 1;
@@ -612,17 +612,6 @@ impl TraceCollector {
         }
     }
 
-    /// Sets the retention budget: at most `capacity` traces are kept, the
-    /// oldest evicted first (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn retain(mut self, capacity: usize) -> Self {
-        self.set_capacity(capacity);
-        self
-    }
-
     /// Sets the retention budget in place; excess traces are evicted
     /// immediately (oldest first) and counted as dropped.
     ///
@@ -636,11 +625,6 @@ impl TraceCollector {
             self.traces.pop_front();
             self.dropped += 1;
         }
-    }
-
-    /// The active retention budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Changes the sampling fraction **without** resetting trace ids or
@@ -659,36 +643,12 @@ impl TraceCollector {
         self.accumulator = 0.0;
     }
 
-    /// The active sampling fraction.
-    pub fn sampling(&self) -> f64 {
-        self.sampling
-    }
-
     /// Enables (or, with `None`, disables) tail-based sampling. Enabling
     /// resets the tail state — threshold sketch and counters — so the
     /// policy starts from a clean, deterministic slate; recorded traces
     /// and the trace-id sequence are untouched.
     pub fn set_tail_sampling(&mut self, config: Option<TailSamplingConfig>) {
         self.tail = config.map(TailState::new);
-    }
-
-    /// The active tail-sampling policy, `None` when every recorded trace
-    /// is retained.
-    pub fn tail_sampling(&self) -> Option<&TailSamplingConfig> {
-        self.tail.as_ref().map(|t| &t.config)
-    }
-
-    /// The sketch-derived root-latency threshold (ms) above which a trace
-    /// currently counts as slow (quantile inflated by the sketch's
-    /// relative-error band): `None` while tail sampling is off or the
-    /// threshold sketch is still warming up.
-    pub fn slow_threshold_ms(&self) -> Option<f64> {
-        let tail = self.tail.as_ref()?;
-        if tail.roots.count() < tail.config.warmup {
-            return None;
-        }
-        let q = tail.roots.quantile(tail.config.slow_quantile)?;
-        Some(q * (1.0 + 2.0 * tail.roots.relative_error()))
     }
 
     /// Monotone sampling accounting (see [`SamplingStats`]); counters
@@ -803,16 +763,6 @@ impl TraceCollector {
     /// `true` when nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.traces.is_empty()
-    }
-
-    /// Traces evicted by the retention budget so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Traces ever recorded (retained + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
     }
 
     /// Removes and returns all retained traces, oldest first. Counters
@@ -1074,14 +1024,15 @@ mod tests {
 
     #[test]
     fn retention_ring_bounds_storage_and_counts_drops() {
-        let mut c = TraceCollector::all().retain(8);
+        let mut c = TraceCollector::all();
+        c.set_capacity(8);
         for _ in 0..20 {
             let id = c.begin_trace().unwrap();
             c.record(one_span_trace(id));
         }
         assert_eq!(c.len(), 8);
-        assert_eq!(c.dropped(), 12);
-        assert_eq!(c.recorded(), 20);
+        assert_eq!(c.sampling_stats().evicted, 12);
+        assert_eq!(c.sampling_stats().recorded, 20);
         // Oldest evicted first: the ring holds the 8 most recent ids.
         let ids: Vec<u64> = c.traces().map(|t| t.id.0).collect();
         assert_eq!(ids, (13..=20).collect::<Vec<u64>>());
@@ -1096,7 +1047,7 @@ mod tests {
         }
         c.set_capacity(4);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.dropped(), 6);
+        assert_eq!(c.sampling_stats().evicted, 6);
     }
 
     #[test]
@@ -1132,7 +1083,7 @@ mod tests {
         let drained = c.drain();
         assert_eq!(drained.len(), 1);
         assert!(c.is_empty());
-        assert_eq!(c.recorded(), 1);
+        assert_eq!(c.sampling_stats().recorded, 1);
     }
 
     fn trace_with(id: TraceId, status: SpanStatus, duration_ms: u64) -> Trace {
@@ -1177,18 +1128,27 @@ mod tests {
             slow_quantile: 0.9,
             warmup: 32,
         }));
-        // Before warmup the first trace is the only healthy keep; after
-        // warmup a 100× outlier must be tail-kept despite Ok status.
-        for _ in 0..40 {
+        // Before warmup the first trace is the only healthy keep, and a
+        // 100× outlier is not slow yet: the sketch has 31 of its 32 roots.
+        let offer = |c: &mut TraceCollector, ms: u64| {
             let id = c.begin_trace().unwrap();
-            c.record(trace_with(id, SpanStatus::Ok, 10));
+            c.record(trace_with(id, SpanStatus::Ok, ms));
+            c.sampling_stats().tail_kept
+        };
+        for _ in 0..31 {
+            offer(&mut c, 10);
         }
-        assert!(c.slow_threshold_ms().is_some_and(|t| t < 20.0));
-        let id = c.begin_trace().unwrap();
-        c.record(trace_with(id, SpanStatus::Ok, 1_000));
-        let stats = c.sampling_stats();
-        assert_eq!(stats.tail_kept, 1, "the slow outlier is always retained");
-        assert_eq!(c.traces().last().unwrap().weight, 1);
+        assert_eq!(offer(&mut c, 1_000), 0, "still warming up");
+        // After warmup the threshold is q0.9 = 10 ms widened by twice the
+        // sketch's 1% error: 10 ms is not slow, 11 ms and the outlier are,
+        // and both are retained despite Ok status.
+        for _ in 0..8 {
+            assert_eq!(offer(&mut c, 10), 0, "within the sketch's error of q0.9");
+        }
+        assert_eq!(offer(&mut c, 11), 1);
+        assert_eq!(offer(&mut c, 1_000), 2, "the slow outlier is always retained");
+        let kept: Vec<(u64, u32)> = c.traces().map(|t| (t.id.0, t.weight)).collect();
+        assert_eq!(kept, [(1, u32::MAX), (41, 1), (42, 1)]);
     }
 
     #[test]
@@ -1206,7 +1166,7 @@ mod tests {
                 c.record(trace_with(id, status, 5 + (i * 7) % 90));
             }
             let kept: Vec<(u64, u32)> = c.traces().map(|t| (t.id.0, t.weight)).collect();
-            (kept, c.sampling_stats(), c.slow_threshold_ms())
+            (kept, c.sampling_stats())
         };
         assert_eq!(run(), run(), "same offers, same decisions, same counters");
     }
@@ -1214,15 +1174,19 @@ mod tests {
     #[test]
     fn disabling_tail_sampling_restores_keep_everything() {
         let mut c = TraceCollector::all();
+        let offer_five = |c: &mut TraceCollector| {
+            for _ in 0..5 {
+                let id = c.begin_trace().unwrap();
+                c.record(trace_with(id, SpanStatus::Ok, 10));
+            }
+        };
         c.set_tail_sampling(Some(TailSamplingConfig::default()));
-        assert!(c.tail_sampling().is_some());
+        offer_five(&mut c);
+        assert_eq!((c.len(), c.sampling_stats().healthy_dropped), (1, 4), "1 in 10 kept");
         c.set_tail_sampling(None);
-        for _ in 0..5 {
-            let id = c.begin_trace().unwrap();
-            c.record(trace_with(id, SpanStatus::Ok, 10));
-        }
-        assert_eq!(c.len(), 5);
-        assert_eq!(c.sampling_stats().tail_kept, 0);
-        assert!(c.traces().all(|t| t.weight == 1));
+        offer_five(&mut c);
+        assert_eq!(c.len(), 6);
+        assert_eq!(c.sampling_stats().healthy_dropped, 0, "the tail state went with the policy");
+        assert!(c.traces().skip(1).all(|t| t.weight == 1));
     }
 }

@@ -21,7 +21,7 @@
 //! overriding the fields that differ.
 
 use bifrost::engine::{Engine, EngineConfig, ExecutionReport, StrategyStatus};
-use bifrost::journal::{Journal, JournalEvent, TimelineOptions};
+use bifrost::journal::{Journal, JournalEvent};
 use bifrost::machine::{PhaseOutcome, State};
 use bifrost::{dsl, BifrostError, Strategy};
 use cex_core::metrics::MetricKind;
@@ -379,11 +379,10 @@ fn healthy_candidate_completes_and_serves_everyone() {
             // window nodes; engine_busy is a thin read of `engine.busy`.
             let profile = &run.report.runtime.profile;
             for node in ["engine.tick", "engine.tick.simulate", "engine.busy", "sim.window"] {
-                assert!(profile.total(node) > Duration::ZERO, "{node}:\n{}", profile.render());
+                assert!(profile.total(node) > Duration::ZERO, "{node}: {:?}", profile.nodes());
             }
             assert_eq!(run.report.engine_busy, profile.total("engine.busy"));
-            assert!(!profile.render().is_empty());
-            assert!(profile.collapsed().contains("engine;tick;simulate "));
+            assert!(profile.total("engine.tick") >= profile.total("engine.tick.simulate"));
             // The candidate serves everyone: response times drop to its 18 ms.
             let after = run.sim.run(SimDuration::from_secs(30), 30.0);
             assert!((after.response_time.mean - 18.0).abs() < 1.0, "{}", after.response_time.mean);
@@ -570,7 +569,7 @@ fn journal_round_trips_and_replays_the_execution() {
         assert!(!trace.is_empty());
         assert_eq!(parsed.check_trace("canary-then-rollout"), trace);
         // The timeline renders one row per strategy plus header and load.
-        let timeline = run.journal.render_timeline(TimelineOptions::default());
+        let timeline = run.journal.render_timeline();
         assert_eq!(timeline.lines().count(), 3);
     }));
 }

@@ -414,8 +414,8 @@ fn t_cdf_is_a_cdf() {
 /// bucket follows a 48-byte header.
 #[test]
 fn sketch_keys_follow_the_ln_expression() {
-    use cex_core::sketch::{QuantileSketch, DEFAULT_RELATIVE_ERROR};
-    let gamma = (1.0 + DEFAULT_RELATIVE_ERROR) / (1.0 - DEFAULT_RELATIVE_ERROR);
+    use cex_core::sketch::{QuantileSketch, RELATIVE_ERROR};
+    let gamma = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
     let expected = |v: f64| (v.ln() * (1.0 / gamma.ln())).ceil() as i32;
     let key = |v: f64| {
         let mut sketch = QuantileSketch::for_latency();
@@ -434,6 +434,41 @@ fn sketch_keys_follow_the_ln_expression() {
     for v in values {
         assert_eq!(key(v), expected(v), "{v}");
     }
+}
+
+/// The sketch's canonical bytes, pinned across commits: whole and
+/// fractional milliseconds, zeros, and values over fifteen decades (about
+/// 1,700 keys at 1%, so the 1,024-bucket cap collapses) folded into eight
+/// shards, merged left to right and as a balanced tree. Both groupings
+/// must encode alike, and the FNV-1a of that encoding must equal the
+/// constant below, so a change to the key expression, the cap, the
+/// collapse or the encoding's layout fails here.
+#[test]
+fn sketch_encoding_is_pinned() {
+    use cex_core::sketch::QuantileSketch;
+    let mut shards: Vec<QuantileSketch> = (0..8).map(|_| QuantileSketch::for_latency()).collect();
+    for_cases(20_000, 0xD15C, |case, rng| {
+        let value = match rng.next_index(4) {
+            0 => rng.next_index(4_096) as f64,
+            1 => rng.next_f64() * 500.0,
+            2 => 0.0,
+            _ => 10f64.powf(rng.next_f64() * 15.0 - 6.0),
+        };
+        shards[case as usize % 8].push_weighted(value, 1 + rng.next_below(3));
+    });
+    let mut left = QuantileSketch::for_latency();
+    shards.iter().for_each(|s| left.merge(s));
+    while shards.len() > 1 {
+        let odd = shards.split_off(shards.len() / 2);
+        shards.iter_mut().zip(&odd).for_each(|(a, b)| a.merge(b));
+    }
+    let bytes = left.encode();
+    assert_eq!(bytes, shards[0].encode(), "merge grouping reaches the bytes");
+    assert!(left.collapsed() > 0, "the cap collapsed");
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(fnv, 0xf315_3860_667d_37ef, "encode() bytes moved: {fnv:#018x}");
 }
 
 /// Welch p-values are complementary and bounded for any sane summaries.
