@@ -20,7 +20,7 @@
 //!
 //! At million-request scale the store is the busiest structure in the
 //! system — every request hop writes two samples, and every Bifrost check
-//! reads a trailing window. Eight mechanisms keep it off the critical path:
+//! reads a trailing window. Nine mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
@@ -55,6 +55,14 @@
 //!   *non-empty* buckets in its window, flat in series length, and memory
 //!   is in proportion to samples: a second, or a year, in which a series
 //!   saw nothing costs nothing ([`MetricStore::state_bytes`]).
+//! * **Raw samples at the width they need.** The raw tail is two columns,
+//!   behind one box: times as `u32` milliseconds while every kept time is
+//!   below 2³² ms (≈49.7 days) and values as `f32` while every kept value
+//!   is exactly one, each widened to 8 bytes once, from the first sample
+//!   that does not fit. A raw sample of a run shorter than 49.7 days, in
+//!   integral milliseconds or 0/1 rates, costs 8 B. The times column is
+//!   laid out as the one-deque tail it replaced would be, across its
+//!   widening too (the layout rule, at `Times`).
 //! * **Bounded retention.** When a retention horizon is set
 //!   ([`MetricStore::set_retention`]), raw samples older than the horizon
 //!   are compacted away and only their buckets remain, bounding memory on
@@ -156,20 +164,133 @@ fn first_at_or_after(column: &[u64], target: u64) -> usize {
     0
 }
 
+/// `(capacity, length of the front slice)`: where a deque's buffer ends
+/// and where its contents wrap — the layout every times column keeps
+/// equal to the one-deque tail's (see [`Times`]).
+fn layout<T>(deque: &VecDeque<T>) -> (usize, usize) {
+    (deque.capacity(), deque.as_slices().0.len())
+}
+
+/// A raw tail's times, in ms: `u32` while every time the series has kept
+/// is below 2³² ms (≈49.7 days), and `u64` from the first one that is not.
+///
+/// **Layout rule.** The column takes exactly the pushes, extends and pops a
+/// `VecDeque<Sample>` of the same samples would, so it has that deque's
+/// capacities and wraps where it would — the growth policy is the same for
+/// 4-, 8- and 16-byte elements. That is load-bearing: a cut bucket's
+/// samples are found with [`VecDeque::partition_point`] over an
+/// arrival-ordered tail, which searches the two halves of a wrapped deque
+/// apart, so a column laid out differently can count a different late
+/// sample. The widening, made once in a series' life, keeps the layout too
+/// ([`widen`]).
+#[derive(Debug)]
+enum Times {
+    Narrow(VecDeque<u32>),
+    Wide(VecDeque<u64>),
+}
+
+impl Default for Times {
+    fn default() -> Self {
+        Times::Narrow(VecDeque::new())
+    }
+}
+
+impl Times {
+    fn len(&self) -> usize {
+        match self {
+            Times::Narrow(t) => t.len(),
+            Times::Wide(t) => t.len(),
+        }
+    }
+
+    /// The `i`-th time, oldest first.
+    fn get(&self, i: usize) -> Option<u64> {
+        match self {
+            Times::Narrow(t) => t.get(i).map(|&ms| u64::from(ms)),
+            Times::Wide(t) => t.get(i).copied(),
+        }
+    }
+
+    /// [`VecDeque::partition_point`] for "before `ms`".
+    fn partition_point(&self, ms: u64) -> usize {
+        match self {
+            Times::Narrow(t) => t.partition_point(|&x| u64::from(x) < ms),
+            Times::Wide(t) => t.partition_point(|&x| x < ms),
+        }
+    }
+
+    /// Bytes a time takes.
+    fn width(&self) -> usize {
+        match self {
+            Times::Narrow(_) => size_of::<u32>(),
+            Times::Wide(_) => size_of::<u64>(),
+        }
+    }
+
+    /// Appends the times of `samples`, having widened the column first —
+    /// once in the series' life — if one of them is not below 2³² ms.
+    fn extend<'a>(&mut self, samples: impl Iterator<Item = &'a Sample> + Clone) {
+        if let Times::Narrow(narrow) = self {
+            if samples.clone().all(|s| u32::try_from(s.time.as_millis()).is_ok()) {
+                narrow.extend(samples.map(|s| s.time.as_millis() as u32));
+                return;
+            }
+            *self = Times::Wide(widen(narrow));
+        }
+        if let Times::Wide(wide) = self {
+            wide.extend(samples.map(|s| s.time.as_millis()));
+        }
+    }
+
+    /// Pops the oldest times while they are before `ms`, one `pop_front`
+    /// at a time as the one-deque tail does; returns how many went.
+    fn pop_before(&mut self, ms: u64) -> usize {
+        fn pop<T: Copy + Into<u64>>(times: &mut VecDeque<T>, ms: u64) -> usize {
+            let mut popped = 0;
+            while times.front().is_some_and(|&t| t.into() < ms) {
+                times.pop_front();
+                popped += 1;
+            }
+            popped
+        }
+        match self {
+            Times::Narrow(t) => pop(t, ms),
+            Times::Wide(t) => pop(t, ms),
+        }
+    }
+}
+
+/// `narrow`'s times as `u64`s, in a deque with its [`layout`]: the same
+/// capacity, the head at the same place. `collect` would not do — it sizes
+/// the buffer to the length and starts it at the head. With public calls
+/// only: filled to its capacity without growing, a deque's front slice runs
+/// from its head to the buffer's end, which tells where the head is; a new
+/// deque of that capacity is brought there by pushes and pops, then takes
+/// the times.
+fn widen(narrow: &mut VecDeque<u32>) -> VecDeque<u64> {
+    let (len, capacity) = (narrow.len(), narrow.capacity());
+    narrow.resize(capacity, 0);
+    let head = capacity - narrow.as_slices().0.len();
+    narrow.truncate(len);
+    let mut wide = VecDeque::with_capacity(capacity);
+    for _ in 0..head {
+        wide.push_back(0);
+        wide.pop_front();
+    }
+    wide.extend(narrow.iter().map(|&ms| u64::from(ms)));
+    assert!(layout(&wide) == layout(narrow), "a widened times column keeps its layout");
+    wide
+}
+
 /// A raw tail's values: `f32` while every value the series has kept is
 /// exactly an `f32` — integral milliseconds and 0/1 rates are — and `f64`
-/// from the first one that is not.
+/// from the first one that is not. Read by position, so the column's own
+/// layout does not matter.
 #[derive(Debug)]
 enum Values {
     Narrow(VecDeque<f32>),
     Wide(VecDeque<f64>),
 }
-
-// A narrow series' raw sample is an 8-byte time and a 4-byte value.
-const _: () = assert!(size_of::<SimTime>() + size_of::<f32>() == 12);
-// A slot stays within 128 bytes: the values sit behind a box.
-#[cfg(not(test))]
-const _: () = assert!(size_of::<Option<Series>>() <= 128);
 
 impl Default for Values {
     fn default() -> Self {
@@ -224,6 +345,28 @@ impl Values {
     }
 }
 
+/// A series' raw tail: the samples with `time >= raw_floor_ms`, in arrival
+/// order, as two columns, index for index.
+#[derive(Debug, Default)]
+struct Tail {
+    times: Times,
+    values: Values,
+}
+
+// A narrow raw sample is a 4-byte time and a 4-byte value.
+const _: () = assert!(size_of::<u32>() + size_of::<f32>() == 8);
+// A slot stays within 96 bytes: both columns sit behind one box.
+#[cfg(not(test))]
+const _: () = assert!(size_of::<Option<Series>>() <= 96);
+
+impl Tail {
+    /// Appends `samples` to both columns.
+    fn extend<'a>(&mut self, samples: impl Iterator<Item = &'a Sample> + Clone) {
+        self.times.extend(samples.clone());
+        self.values.extend(samples);
+    }
+}
+
 /// One metric series: its non-empty pre-aggregated buckets plus a raw
 /// sample tail.
 #[derive(Debug, Default)]
@@ -239,17 +382,13 @@ struct Series {
     bucket_idx: Vec<u64>,
     /// `buckets[p]` aggregates bucket `bucket_idx[p]`.
     buckets: Vec<OnlineStats>,
-    /// Times of the raw samples with `time >= raw_floor_ms`, in arrival
-    /// order. It takes exactly the pushes, extends and pops a
-    /// `VecDeque<Sample>` of those samples would, so it has that deque's
-    /// capacity and wraps where it would: a cut bucket's samples are found
-    /// with a binary search over an arrival-ordered tail, whose answer
-    /// depends on where the deque wraps.
-    times: VecDeque<SimTime>,
-    /// Their values, index for index.
-    values: Box<Values>,
-    /// The raw samples as one deque, the layout `times` and `values`
-    /// replaced: the oracle the test fold reads.
+    /// The raw samples with `time >= raw_floor_ms`, in arrival order: a
+    /// times column laid out as the one-deque tail would be (the layout
+    /// rule, [`Times`]) and a values column, behind one box so that a slot
+    /// stays 96 bytes.
+    tail: Box<Tail>,
+    /// The raw samples as one deque, the layout the two columns replaced:
+    /// the oracle the test fold reads.
     #[cfg(test)]
     raw: VecDeque<Sample>,
     /// Bucket-aligned compaction floor: raw samples below it were
@@ -314,7 +453,7 @@ impl Series {
     fn state_bytes(&self) -> usize {
         self.bucket_idx.len() * size_of::<u64>()
             + self.buckets.len() * size_of::<OnlineStats>()
-            + self.times.len() * (size_of::<SimTime>() + self.values.width())
+            + self.tail.times.len() * (self.tail.times.width() + self.tail.values.width())
     }
 
     /// Appends a run of samples in one go — the batched ingestion path.
@@ -373,19 +512,17 @@ impl Series {
                 stats.merge(&head[0]);
             }
             self.total += run.len() as u64;
-            // The times take a block copy, or a filtered extend, as a
+            // The columns take a block copy, or a filtered extend, as a
             // `VecDeque<Sample>` would: the same reservations, so the same
             // capacities.
             if self.raw_floor_ms == 0 {
-                self.times.extend(run.iter().map(|s| s.time));
-                self.values.extend(run.iter());
+                self.tail.extend(run.iter());
                 #[cfg(test)]
                 self.raw.extend(run.iter().copied());
             } else {
                 let floor = self.raw_floor_ms;
                 let kept = run.iter().filter(|s| s.time.as_millis() >= floor);
-                self.times.extend(kept.clone().map(|s| s.time));
-                self.values.extend(kept.clone());
+                self.tail.extend(kept.clone());
                 #[cfg(test)]
                 self.raw.extend(kept.copied());
             }
@@ -402,14 +539,12 @@ impl Series {
         if aligned <= self.raw_floor_ms {
             return;
         }
-        let mut dropped = 0;
-        while self.times.front().is_some_and(|t| t.as_millis() < aligned) {
-            self.times.pop_front();
-            #[cfg(test)]
+        let dropped = self.tail.times.pop_before(aligned);
+        self.tail.values.drop_front(dropped);
+        #[cfg(test)]
+        for _ in 0..dropped {
             self.raw.pop_front();
-            dropped += 1;
         }
-        self.values.drop_front(dropped);
         self.raw_floor_ms = aligned;
     }
 
@@ -576,16 +711,14 @@ impl<'a> Walk<'a> {
         } else {
             let s = self.from_ms.max(b_start);
             let e = self.to_ms.min(b_end);
-            let mut i = *self
-                .raw_cursor
-                .get_or_insert_with(|| series.times.partition_point(|t| t.as_millis() < s));
-            while let Some(t) = series.times.get(i) {
-                let t = t.as_millis();
+            let Tail { times, values } = &*series.tail;
+            let mut i = *self.raw_cursor.get_or_insert_with(|| times.partition_point(s));
+            while let Some(t) = times.get(i) {
                 if t >= e {
                     break;
                 }
                 if t >= s {
-                    self.acc.push(series.values.at(i));
+                    self.acc.push(values.at(i));
                 }
                 i += 1;
             }
@@ -979,19 +1112,20 @@ impl MetricStore {
             let from_ms = t.as_millis().saturating_sub(window.as_millis());
             let to_ms = t.as_millis() + 1;
             if from_ms >= series.raw_floor_ms {
-                while let Some(t) = series.times.get(hi) {
-                    if t.as_millis() >= to_ms {
+                let Tail { times, values } = &*series.tail;
+                while let Some(t) = times.get(hi) {
+                    if t >= to_ms {
                         break;
                     }
-                    sum += series.values.at(hi);
+                    sum += values.at(hi);
                     cnt += 1;
                     hi += 1;
                 }
-                while let Some(t) = series.times.get(lo) {
-                    if lo >= hi || t.as_millis() >= from_ms {
+                while let Some(t) = times.get(lo) {
+                    if lo >= hi || t >= from_ms {
                         break;
                     }
-                    sum -= series.values.at(lo);
+                    sum -= values.at(lo);
                     cnt -= 1;
                     lo += 1;
                 }
@@ -1024,7 +1158,7 @@ impl MetricStore {
     /// set this stays bounded while [`MetricStore::total_recorded`] keeps
     /// growing.
     pub fn total_samples(&self) -> usize {
-        self.series.iter().flatten().map(|s| s.times.len()).sum()
+        self.series.iter().flatten().map(|s| s.tail.times.len()).sum()
     }
 
     /// Samples ever recorded across all live series (compaction does not
@@ -1219,6 +1353,9 @@ mod tests {
     use std::ops::Range;
 
     const RT: MetricKind = MetricKind::ResponseTime;
+
+    /// The first time a narrow times column cannot hold, 2³² ms.
+    const CROSSING: u64 = 1 << 32;
 
     fn bits(s: Summary) -> [u64; 5] {
         [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
@@ -1465,6 +1602,16 @@ mod tests {
         }
     }
 
+    impl Times {
+        /// The column's [`layout`], whatever its width.
+        fn layout(&self) -> (usize, usize) {
+            match self {
+                Times::Narrow(t) => layout(t),
+                Times::Wide(t) => layout(t),
+            }
+        }
+    }
+
     impl Series {
         /// [`MetricStore::moving_average`]'s sweep as it read the one-deque
         /// tail, the oracle the two columns are held to.
@@ -1498,16 +1645,21 @@ mod tests {
         /// times, laid out alike — capacity and wrap — and the same values
         /// to the bit.
         fn columns_are_the_tail(&self) -> bool {
-            let layout = |d: &VecDeque<SimTime>| (d.capacity(), d.as_slices().0.len());
-            let raw_layout = (self.raw.capacity(), self.raw.as_slices().0.len());
-            layout(&self.times) == raw_layout
-                && self.times.iter().eq(self.raw.iter().map(|s| &s.time))
-                && (0..self.raw.len())
-                    .all(|i| self.values.at(i).to_bits() == self.raw[i].value.to_bits())
+            let Tail { times, values } = &*self.tail;
+            times.layout() == layout(&self.raw)
+                && times.len() == self.raw.len()
+                && self.raw.iter().enumerate().all(|(i, s)| {
+                    times.get(i) == Some(s.time.as_millis())
+                        && values.at(i).to_bits() == s.value.to_bits()
+                })
         }
 
         fn wide(&self) -> bool {
-            matches!(*self.values, Values::Wide(_))
+            matches!(self.tail.values, Values::Wide(_))
+        }
+
+        fn wide_times(&self) -> bool {
+            matches!(self.tail.times, Times::Wide(_))
         }
     }
 
@@ -1533,6 +1685,78 @@ mod tests {
             values.drop_front(2);
             assert_eq!((values.at(0), values.at(8)), (1.0, 2.0));
         }
+    }
+
+    #[test]
+    fn times_keep_their_layout_and_widen_once() {
+        // Random histories of the three things a series does to its times
+        // — a block extend, an extend filtered by a floor, pops from the
+        // front — done to a `Times` and to a deque of 16-byte samples, with
+        // times below 2³² ms until one move keeps one that is not, then 40
+        // moves more with times on both sides of 2³². After every move the
+        // column holds the deque's times, laid out as the deque is; it is
+        // narrow before the crossing and wide from it on.
+        let mut rng = SplitMix64::new(0x7135);
+        let (mut wrapped, mut emptied, mut below_after) = (0u32, 0u32, 0u32);
+        for history in 0..10_000 {
+            let mut times = Times::default();
+            let mut raw: VecDeque<Sample> = VecDeque::new();
+            let mut after = None;
+            while after.is_none_or(|moves| moves < 40) {
+                // Below 2³² ms before the crossing, but on a move that may
+                // cross; on both sides of it after.
+                let straddle = after.is_some() || rng.next_below(8) == 0;
+                let next = |rng: &mut SplitMix64| {
+                    let ms = CROSSING - if straddle { 100 } else { 200 } + rng.next_below(200);
+                    Sample::new(SimTime::from_millis(ms), 0.0)
+                };
+                let (len, front) = (raw.len(), raw.as_slices().0.len());
+                let above = |s: &Sample| s.time.as_millis() >= CROSSING;
+                let mut kept_above = false;
+                match rng.next_below(3) {
+                    0 => {
+                        let run: Vec<Sample> =
+                            (0..rng.next_below(9)).map(|_| next(&mut rng)).collect();
+                        times.extend(run.iter());
+                        raw.extend(run.iter().copied());
+                        kept_above = run.iter().any(above);
+                    }
+                    1 => {
+                        let run: Vec<Sample> =
+                            (0..rng.next_below(9)).map(|_| next(&mut rng)).collect();
+                        let floor = CROSSING - rng.next_below(300);
+                        let kept = run.iter().filter(|s| s.time.as_millis() >= floor);
+                        times.extend(kept.clone());
+                        raw.extend(kept.clone().copied());
+                        kept_above = kept.clone().any(above);
+                    }
+                    _ => {
+                        let ms = CROSSING - 100 + rng.next_below(300);
+                        let popped = times.pop_before(ms);
+                        for _ in 0..popped {
+                            raw.pop_front();
+                        }
+                        assert!(raw.front().is_none_or(|s| s.time.as_millis() >= ms));
+                    }
+                }
+                let at = |what: &str| format!("history {history}, {what}");
+                if after.is_none() && kept_above {
+                    wrapped += u32::from(front < len);
+                    emptied += u32::from(len == 0 && raw.capacity() > 0);
+                    after = Some(0);
+                }
+                assert_eq!(matches!(times, Times::Wide(_)), after.is_some(), "{}", at("width"));
+                assert_eq!(times.layout(), layout(&raw), "{}", at("layout"));
+                let same = (0..raw.len()).all(|i| times.get(i) == Some(raw[i].time.as_millis()));
+                assert!(same && times.len() == raw.len(), "{}", at("times"));
+                if let Some(moves) = &mut after {
+                    *moves += 1;
+                    below_after += u32::from(!raw.iter().all(above));
+                }
+            }
+        }
+        assert!(wrapped > 800 && emptied > 2_000, "{wrapped} widened wrapped, {emptied} emptied");
+        assert!(below_after > 150_000, "{below_after} moves after a crossing held an earlier time");
     }
 
     /// The fold stated apart from the store's layout, for the search below:
@@ -1658,14 +1882,18 @@ mod tests {
         // reads, a pair, a pair repeated (memo hits), `summary_between`,
         // and now and then a moving average and a scope never interned.
         // Values are exact `f32`s (integers, as milliseconds and 0/1 rates
-        // are), or not, or exact until a step where the series widens.
+        // are), or not, or exact until a step where the series widens. A
+        // quarter of the histories start a little below 2³² ms and cross
+        // it, most after retention has wrapped the tail, with late samples
+        // on both sides of the crossing.
         // Every read must be the oracle fold's, to the bit, and on seeds
         // without retention the `Reference`'s; a move that writes nothing
         // may not change the last look's answer; and `window_reads` and
         // the query probe must count every windowed read once, a pair as
         // two and a sweep as one. After every move each series' two raw
         // columns must be the one-deque tail the oracle reads, to the bit
-        // and laid out alike, however compaction has wrapped it.
+        // and laid out alike, however compaction has wrapped it and
+        // wherever the times column widened.
         const MOVES: [&str; 11] = [
             "nothing",
             "a burst",
@@ -1684,12 +1912,15 @@ mod tests {
         let (mut compacted, mut remembered, mut opened_between) = (0u32, 0u32, 0u32);
         let mut changed = [0u32; MOVES.len()];
         let (mut wrapped, mut widened, mut narrow, mut sweeps) = (0u32, 0u32, 0u32, 0u32);
+        let (mut crossed, mut crossed_wrapped, mut late) = (0u32, 0u32, [0u32; 2]);
         for seed in 0..300u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
             let mut store = MetricStore::new();
             store.set_probes_armed(true);
             let horizon = WIDTH_MS * (2 + rng.next_below(10));
-            let retained = rng.next_below(3) == 0;
+            // Half the histories that cross 2³² ms keep a horizon, so that
+            // most of those cross with a tail retention has wrapped.
+            let retained = rng.next_below(3) == 0 || seed % 8 == 1;
             if retained {
                 store.set_retention(Some(SimDuration::from_millis(horizon)));
             }
@@ -1710,6 +1941,9 @@ mod tests {
             let wide_from = [0, u32::MAX, 10 + rng.next_below(90) as u32][rng.next_index(3)];
             let mut was_narrow = false;
             let mut clock = rng.next_below(5_000);
+            if seed % 4 == 1 {
+                clock += CROSSING - WIDTH_MS * (20 + seed % 64);
+            }
             let mut from = clock;
             let mut long_silence = clock..clock;
             let mut cursor = WindowCursor::new();
@@ -1730,6 +1964,12 @@ mod tests {
                 let (last_from, last_to) =
                     last.map_or((clock, clock + 1), |(now, w, _)| trailing(now, w));
                 let state = s.state();
+                // Each side's tail before the move, while its times are
+                // narrow: wrapped or not.
+                let narrow_times = [0, 1].map(|side| {
+                    let series = s.series(side).filter(|x| !x.wide_times());
+                    series.map(|x| !x.raw.as_slices().1.is_empty())
+                });
                 match kind {
                     1 => {
                         for _ in 0..rng.next_below(40) {
@@ -1749,7 +1989,11 @@ mod tests {
                             1 => last_from.saturating_sub(1 + rng.next_below(WIDTH_MS * 3)),
                             _ => clock.saturating_sub(rng.next_below(WIDTH_MS * 6)),
                         };
-                        s.record(usize::from(b_share > 0 && rng.next_below(2) == 0), t, -5.0);
+                        let side = usize::from(b_share > 0 && rng.next_below(2) == 0);
+                        s.record(side, t, -5.0);
+                        if s.series(side).is_some_and(Series::wide_times) {
+                            late[usize::from(t >= CROSSING)] += 1;
+                        }
                     }
                     4 => clock += WIDTH_MS * rng.next_below(5),
                     // 10⁴–10⁶ buckets with nothing in them.
@@ -1801,17 +2045,22 @@ mod tests {
                     _ => {}
                 }
                 let touched = s.state() != state;
-                for series in (0..2).filter_map(|side| s.series(side)) {
-                    let (times, raw) = (&series.times, &series.raw);
+                for (side, narrow_before) in narrow_times.into_iter().enumerate() {
+                    let Some(series) = s.series(side) else { continue };
                     assert!(
-                        times.len() == raw.len() && times.capacity() == raw.capacity(),
-                        "seed {seed}: {} left columns of another shape",
+                        series.columns_are_the_tail(),
+                        "seed {seed}: {} left columns that are not the tail",
                         MOVES[kind]
                     );
-                    wrapped += u32::from(!times.as_slices().1.is_empty());
+                    wrapped += u32::from(!series.raw.as_slices().1.is_empty());
+                    if let Some(was_wrapped) = narrow_before {
+                        let widened_here = kind != 10 && series.wide_times();
+                        crossed += u32::from(widened_here);
+                        crossed_wrapped += u32::from(widened_here && was_wrapped);
+                    }
                 }
                 if let Some(a) = s.series(0) {
-                    was_narrow |= !a.wide() && !a.times.is_empty();
+                    was_narrow |= !a.wide() && !a.raw.is_empty();
                     assert!(!a.wide() || step >= wide_from, "seed {seed}: wide before {wide_from}");
                 }
                 if let Some((now, window, before)) = last {
@@ -1915,7 +2164,6 @@ mod tests {
             }
             opened_between += s.opened_between;
             for series in (0..2).filter_map(|side| s.series(side)) {
-                assert!(series.columns_are_the_tail(), "seed {seed}: columns vs the tail");
                 narrow += u32::from(!series.wide());
             }
             let raw: usize = s.store.series.iter().flatten().map(|x| x.raw.len()).sum();
@@ -1940,6 +2188,11 @@ mod tests {
             "{widened} series widened mid-history, {narrow} never"
         );
         assert!(sweeps > 1_000, "{sweeps} moving averages with a point");
+        assert!(
+            crossed > 60 && crossed_wrapped > 20,
+            "{crossed} times columns widened mid-history, {crossed_wrapped} of them wrapped"
+        );
+        assert!(late[0] > 30 && late[1] > 300, "late samples below/above 2³² ms: {late:?}");
         for kind in [1, 2, 3, 8, 9, 10] {
             assert!(changed[kind] > 50, "{}: {} changed answers", MOVES[kind], changed[kind]);
         }

@@ -341,7 +341,8 @@ fn monitor_windows_compose() {
 /// 64 series at ~0.1 samples/s each for half an hour — a 5–10% canary's
 /// share of a 0.75 rps service, four of five one-second buckets empty or
 /// more — cost at most a raw entry and one bucket a sample, and a silence
-/// costs nothing at all.
+/// costs nothing at all. A raw entry is 8 B while values are whole
+/// milliseconds, 12 B once they are not.
 #[test]
 fn monitor_space_follows_samples() {
     use cex_core::metrics::Sample;
@@ -349,13 +350,14 @@ fn monitor_space_follows_samples() {
     use microsim::monitor::MetricStore;
     const SERIES: u64 = 64;
     const SECONDS: u64 = 1_800;
-    // 16 B of raw sample + at most one bucket (8 B of index, 40 B of stats).
-    const BYTES_PER_SAMPLE: u64 = 64;
-    // One scope per series: a slot per metric kind, each under 128 B.
-    let slot_table = SERIES * MetricKind::all().len() as u64 * 128;
+    // At most one bucket a sample: 8 B of index, 40 B of stats.
+    const BUCKET_BYTES: u64 = 48;
+    // One scope per series: a slot per metric kind, each under 96 B.
+    let slot_table = SERIES * MetricKind::all().len() as u64 * 96;
 
-    // The same draws whatever the silence, which only shifts the second half.
-    let fed = |silence_s: u64| {
+    // The same draws whatever the silence, which only shifts the second
+    // half, and whatever the values' width.
+    let fed = |silence_s: u64, whole_ms: bool| {
         let mut store = MetricStore::new();
         let scopes: Vec<_> = (0..SERIES).map(|i| store.intern(&format!("svc-{i}@2.0.0"))).collect();
         let mut rng = SplitMix64::new(0x5ACE);
@@ -364,25 +366,34 @@ fn monitor_space_follows_samples() {
             for &scope in &scopes {
                 if rng.next_below(10) == 0 {
                     let ms = (second + shift) * 1_000 + rng.next_below(1_000);
-                    let sample = Sample::new(SimTime::from_millis(ms), 100.0 * rng.next_f64());
-                    store.record_id(scope, MetricKind::ResponseTime, sample);
+                    let value = 100.0 * rng.next_f64();
+                    let value = if whole_ms { value.round() } else { value };
+                    store.record_id(
+                        scope,
+                        MetricKind::ResponseTime,
+                        Sample::new(SimTime::from_millis(ms), value),
+                    );
                 }
             }
         }
         store
     };
 
-    let store = fed(0);
-    let (samples, bytes) = (store.total_recorded(), store.state_bytes() as u64);
-    assert!((10_000..13_000).contains(&samples), "~0.1 samples/s a series: {samples}");
-    assert!(
-        bytes <= BYTES_PER_SAMPLE * samples + slot_table,
-        "{bytes} B for {samples} samples: {:.1} B a sample",
-        bytes as f64 / samples as f64
-    );
-    let silent = fed(1_000_000);
-    assert_eq!(silent.total_recorded(), samples);
-    assert_eq!(silent.state_bytes() as u64, bytes, "10⁶ s of silence halfway costs nothing");
+    // A raw entry: a 4-byte time and a 4-byte value, or an 8-byte one in
+    // a series whose values are not all `f32`s.
+    for (whole_ms, raw_bytes) in [(true, 8), (false, 12)] {
+        let store = fed(0, whole_ms);
+        let (samples, bytes) = (store.total_recorded(), store.state_bytes() as u64);
+        assert!((10_000..13_000).contains(&samples), "~0.1 samples/s a series: {samples}");
+        assert!(
+            bytes <= (raw_bytes + BUCKET_BYTES) * samples + slot_table,
+            "{bytes} B for {samples} samples: {:.1} B a sample",
+            bytes as f64 / samples as f64
+        );
+        let silent = fed(1_000_000, whole_ms);
+        assert_eq!(silent.total_recorded(), samples);
+        assert_eq!(silent.state_bytes() as u64, bytes, "10⁶ s of silence halfway costs nothing");
+    }
 }
 
 // ---------------------------------------------------------------------------
