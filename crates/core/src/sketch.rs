@@ -257,9 +257,17 @@ impl QuantileSketch {
 
     /// The representative value of a bucket: the multiplicative midpoint
     /// `2·γ^k/(γ+1)`, within `α` relative error of every value the bucket
-    /// admits (`(γ^{k-1}, γ^k]`).
+    /// admits (`(γ^{k-1}, γ^k]`). In the buckets of values above
+    /// `f64::MAX / 2` the product `2·γ^k` overflows; there the midpoint is
+    /// taken as `γ^{k-1}·2γ/(γ+1)`, which is infinite only where the
+    /// midpoint is past `f64::MAX` (the caller clamps it to the maximum).
     fn value_of(key: i32) -> f64 {
-        2.0 * GAMMA.powi(key) / (GAMMA + 1.0)
+        let midpoint = 2.0 * GAMMA.powi(key) / (GAMMA + 1.0);
+        if midpoint.is_finite() {
+            midpoint
+        } else {
+            GAMMA.powi(key - 1) * (2.0 * GAMMA / (GAMMA + 1.0))
+        }
     }
 
     /// Grows the store, at whichever end falls short, to hold every key in
@@ -813,7 +821,10 @@ mod tests {
         reversed.push(MIN_INDEXABLE);
         reversed.push(f64::MIN_POSITIVE);
         assert_eq!(reversed.state_bytes(), s.state_bytes());
-        assert_eq!(s.quantile(1.0), Some(f64::MAX));
+        // The top bucket's midpoint is finite, and within α of the largest
+        // finite double.
+        let top = s.quantile(1.0).unwrap();
+        assert!(top.is_finite() && (f64::MAX - top) / f64::MAX <= RELATIVE_ERROR, "{top}");
     }
 
     #[test]

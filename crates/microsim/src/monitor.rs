@@ -20,7 +20,7 @@
 //!
 //! At million-request scale the store is the busiest structure in the
 //! system — every request hop writes two samples, and every Bifrost check
-//! reads a trailing window. Nine mechanisms keep it off the critical path:
+//! reads a trailing window. Ten mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
@@ -47,7 +47,8 @@
 //!   two partially covered edge buckets from raw samples, so the
 //!   documented closed-interval semantics are preserved exactly. Only
 //!   buckets that hold a sample exist: two parallel ascending columns, the
-//!   8-byte bucket indices and the aggregates. A sample finds its bucket
+//!   8-byte bucket indices and the 8-byte cells (next bullet), whose
+//!   aggregates a fold merges in bucket order. A sample finds its bucket
 //!   at the newest end (a late one bisects and, if its bucket never
 //!   existed, inserts); a query gallops back from the newest end of the
 //!   index column to the first bucket of its range — looks are trailing
@@ -55,6 +56,17 @@
 //!   *non-empty* buckets in its window, flat in series length, and memory
 //!   is in proportion to samples: a second, or a year, in which a series
 //!   saw nothing costs nothing ([`MetricStore::state_bytes`]).
+//! * **Buckets at the width they need.** A bucket that holds one sample is
+//!   that sample: its cell is the value's 8 bytes, and the bucket costs
+//!   16 B with its index. Its aggregate is rebuilt wherever one is needed —
+//!   a fold's merge, a resumed read, a promotion — as the empty
+//!   accumulator pushed once, which is what the bucket's own push made, to
+//!   the bit. On its second sample a bucket moves to a per-series side
+//!   column of 40-byte aggregates, where it folds its runs as it would
+//!   have, and its cell keeps the position (a NaN bit pattern no
+//!   operation makes, `SIDE_TAG`, marks one); such a bucket costs 56 B.
+//!   Sparse series — a canary version under 1 rps — are mostly one-sample
+//!   buckets; dense ones have few buckets either way.
 //! * **Raw samples at the width they need.** The raw tail is two columns,
 //!   behind one box: times as `u32` milliseconds while every kept time is
 //!   below 2³² ms (≈49.7 days) and values as `f32` while every kept value
@@ -346,16 +358,25 @@ impl Values {
 }
 
 /// A series' raw tail: the samples with `time >= raw_floor_ms`, in arrival
-/// order, as two columns, index for index.
+/// order, as two columns, index for index — and, behind the same box, the
+/// side column of the series' buckets that are not one sample.
 #[derive(Debug, Default)]
 struct Tail {
     times: Times,
     values: Values,
+    /// The aggregates of the buckets whose [`BucketCell`] holds a position,
+    /// in the order they left their cell; never shrinks, so a position
+    /// stays good for the series' life.
+    side: Vec<OnlineStats>,
 }
 
 // A narrow raw sample is a 4-byte time and a 4-byte value.
 const _: () = assert!(size_of::<u32>() + size_of::<f32>() == 8);
-// A slot stays within 96 bytes: both columns sit behind one box.
+// A bucket is an 8-byte index and an 8-byte cell, and 40 bytes of side
+// column only once it holds more than its one sample.
+const _: () = assert!(size_of::<BucketCell>() == 8 && size_of::<OnlineStats>() == 40);
+// A slot stays within 96 bytes: the raw columns and the side column sit
+// behind one box.
 #[cfg(not(test))]
 const _: () = assert!(size_of::<Option<Series>>() <= 96);
 
@@ -365,6 +386,96 @@ impl Tail {
         self.times.extend(samples.clone());
         self.values.extend(samples);
     }
+}
+
+/// The top 32 bits of a [`BucketCell`] that holds a position: those of a
+/// NaN that no operation makes — a NaN an operation makes is the default
+/// one, `0x7FF8_0000_…` or `0xFFF8_0000_…`, or an operand's — so a sample
+/// with these bits is the only one that cannot be its own cell.
+const SIDE_TAG: u64 = 0xFFFB_51DE;
+
+/// A bucket at the width it needs, in 8 bytes: its one sample's bits, or
+/// `SIDE_TAG` above the position of its aggregate in the series' side
+/// column ([`Tail::side`]). A bucket leaves its cell for the side column
+/// on its second sample — or at once, if its one sample's bits carry the
+/// tag — and never comes back.
+#[derive(Debug, Clone, Copy)]
+struct BucketCell(u64);
+
+impl BucketCell {
+    /// The cell of a bucket whose one sample is `value`, if its bits are
+    /// not a position's.
+    fn one(value: f64) -> Option<BucketCell> {
+        (value.to_bits() >> 32 != SIDE_TAG).then_some(BucketCell(value.to_bits()))
+    }
+
+    /// The cell of the bucket whose aggregate is `side[position]`.
+    fn side(position: usize) -> BucketCell {
+        let position = u32::try_from(position).expect("a series' side column is indexed by u32");
+        BucketCell(SIDE_TAG << 32 | u64::from(position))
+    }
+
+    /// The bucket's one sample, or `Err` with its aggregate's position in
+    /// the side column.
+    #[inline(always)]
+    fn decode(self) -> Result<f64, usize> {
+        if self.0 >> 32 == SIDE_TAG {
+            Err(self.0 as u32 as usize)
+        } else {
+            Ok(f64::from_bits(self.0))
+        }
+    }
+
+    /// The aggregate of this bucket of `series`, chosen without a branch on
+    /// the bucket's kind: a fold meets one-sample and side buckets in no
+    /// order a predictor could learn. A position's bits read as a value are
+    /// a NaN, whose pushed aggregate is made and dropped.
+    #[inline(always)]
+    fn stats(self, series: &Series) -> OnlineStats {
+        let alone = one(f64::from_bits(self.0));
+        let position = if self.0 >> 32 == SIDE_TAG { self.0 as u32 as usize } else { usize::MAX };
+        *series.tail.side.get(position).unwrap_or(&alone)
+    }
+}
+
+/// The aggregate of a bucket holding the one sample `value`: the empty
+/// accumulator pushed once, which is what the bucket's first sample made of
+/// it, to the bit. A literal `{1, x, 0, x, x}` is not: the pushed mean of
+/// `-0.0` is `+0.0`, and a pushed NaN leaves both extrema infinite.
+#[inline(always)]
+fn one(value: f64) -> OnlineStats {
+    let mut stats = OnlineStats::new();
+    stats.push(value);
+    stats
+}
+
+/// Folds a same-bucket run into `stats`: pushed one by one when short, and
+/// otherwise over four interleaved Welford chains merged exactly (parallel
+/// Welford), so that aggregation is not latency-bound on one serial divide
+/// chain.
+fn fold_run(stats: &mut OnlineStats, run: &[Sample]) {
+    if run.len() < 16 {
+        for s in run {
+            stats.push(s.value);
+        }
+        return;
+    }
+    let mut chains = [OnlineStats::new(); 4];
+    let mut chunks = run.chunks_exact(4);
+    for c in chunks.by_ref() {
+        chains[0].push(c[0].value);
+        chains[1].push(c[1].value);
+        chains[2].push(c[2].value);
+        chains[3].push(c[3].value);
+    }
+    for s in chunks.remainder() {
+        chains[0].push(s.value);
+    }
+    let (head, tail) = chains.split_at_mut(1);
+    for chain in tail {
+        head[0].merge(chain);
+    }
+    stats.merge(&head[0]);
 }
 
 /// One metric series: its non-empty pre-aggregated buckets plus a raw
@@ -380,17 +491,26 @@ struct Series {
     /// without a sample has no entry, so the two columns grow with the
     /// samples, never with elapsed time.
     bucket_idx: Vec<u64>,
-    /// `buckets[p]` aggregates bucket `bucket_idx[p]`.
-    buckets: Vec<OnlineStats>,
+    /// `cells[p]` is bucket `bucket_idx[p]`: its one sample, or where its
+    /// aggregate is in the side column.
+    cells: Vec<BucketCell>,
     /// The raw samples with `time >= raw_floor_ms`, in arrival order: a
     /// times column laid out as the one-deque tail would be (the layout
-    /// rule, [`Times`]) and a values column, behind one box so that a slot
-    /// stays 96 bytes.
+    /// rule, [`Times`]) and a values column; and the side column of the
+    /// buckets' aggregates — behind one box so that a slot stays 96 bytes.
     tail: Box<Tail>,
     /// The raw samples as one deque, the layout the two columns replaced:
     /// the oracle the test fold reads.
     #[cfg(test)]
     raw: VecDeque<Sample>,
+    /// Every bucket's aggregate, `buckets[p]` for `bucket_idx[p]`: the
+    /// 40-byte column the cells replaced, which the test fold reads.
+    #[cfg(test)]
+    buckets: Vec<OnlineStats>,
+    /// Buckets that left their cell, by the path their run took:
+    /// `[pushed, four chains]`.
+    #[cfg(test)]
+    promotions: [u32; 2],
     /// Bucket-aligned compaction floor: raw samples below it were
     /// compacted away and only their buckets remain.
     raw_floor_ms: u64,
@@ -422,37 +542,92 @@ impl Series {
         self.bucket_idx.last().copied()
     }
 
-    /// Position of bucket `idx` in the columns, entered empty if the series
-    /// has none yet. The virtual clock puts every sample but a late one in
-    /// the newest bucket or a new one after it — O(1); a late sample
-    /// bisects, and inserts mid-column if its bucket never existed. Nothing
-    /// is filled in between, however far `idx` is from its neighbours.
-    fn bucket_position(&mut self, idx: u64) -> usize {
-        let pos = match self.newest_bucket() {
-            Some(newest) if idx == newest => return self.buckets.len() - 1,
-            Some(newest) if idx < newest => match self.bucket_idx.binary_search(&idx) {
-                Ok(pos) => return pos,
-                Err(pos) => pos,
-            },
-            _ => self.buckets.len(),
-        };
+    /// Position of bucket `idx` in the columns: `Ok` if the series has it,
+    /// `Err` with the position it is to be entered at if not. The virtual
+    /// clock puts every sample but a late one in the newest bucket or a new
+    /// one after it — O(1); a late sample bisects.
+    fn find_bucket(&self, idx: u64) -> Result<usize, usize> {
+        match self.newest_bucket() {
+            Some(newest) if idx == newest => Ok(self.cells.len() - 1),
+            Some(newest) if idx < newest => self.bucket_idx.binary_search(&idx),
+            _ => Err(self.cells.len()),
+        }
+    }
+
+    /// Enters bucket `idx` at `pos` as `cell` — mid-column if a late sample
+    /// opened it. Nothing is filled in between, however far `idx` is from
+    /// its neighbours.
+    fn enter_bucket(&mut self, pos: usize, idx: u64, cell: BucketCell) {
         // The columns grow by half rather than double: a doubled column can
         // stand half empty, one grown by half at most a third.
-        if self.buckets.len() == self.buckets.capacity() {
-            let extra = (self.buckets.len() / 2).max(4);
+        if self.cells.len() == self.cells.capacity() {
+            let extra = (self.cells.len() / 2).max(4);
             self.bucket_idx.reserve_exact(extra);
-            self.buckets.reserve_exact(extra);
+            self.cells.reserve_exact(extra);
         }
         self.bucket_idx.insert(pos, idx);
-        self.buckets.insert(pos, OnlineStats::new());
-        pos
+        self.cells.insert(pos, cell);
+    }
+
+    /// Moves `stats` into the side column, grown by half like the bucket
+    /// columns, and returns the cell that points at it.
+    fn side_cell(&mut self, stats: OnlineStats) -> BucketCell {
+        let side = &mut self.tail.side;
+        if side.len() == side.capacity() {
+            side.reserve_exact((side.len() / 2).max(4));
+        }
+        side.push(stats);
+        BucketCell::side(side.len() - 1)
+    }
+
+    /// Folds a same-bucket run into bucket `idx`. A new bucket of one
+    /// sample is that sample's cell; any other bucket is an aggregate in
+    /// the side column, which a one-sample bucket enters rebuilt as
+    /// [`one`] and then folds the run into exactly as the aggregate it
+    /// stands for would.
+    fn fold_into_bucket(&mut self, idx: u64, run: &[Sample]) {
+        let found = self.find_bucket(idx);
+        #[cfg(test)]
+        {
+            let pos = found.unwrap_or_else(|pos| {
+                self.buckets.insert(pos, OnlineStats::new());
+                pos
+            });
+            fold_run(&mut self.buckets[pos], run);
+            let promoted = found.is_ok_and(|pos| self.cells[pos].decode().is_ok());
+            self.promotions[usize::from(run.len() >= 16)] += u32::from(promoted);
+        }
+        match found {
+            Ok(pos) => match self.cells[pos].decode() {
+                Err(position) => fold_run(&mut self.tail.side[position], run),
+                Ok(value) => {
+                    let mut stats = one(value);
+                    fold_run(&mut stats, run);
+                    self.cells[pos] = self.side_cell(stats);
+                }
+            },
+            Err(pos) => {
+                let cell = match run {
+                    [sample] => BucketCell::one(sample.value),
+                    _ => None,
+                };
+                let cell = cell.unwrap_or_else(|| {
+                    let mut stats = OnlineStats::new();
+                    fold_run(&mut stats, run);
+                    self.side_cell(stats)
+                });
+                self.enter_bucket(pos, idx, cell);
+            }
+        }
     }
 
     /// Bytes of series state held: a length times an element size for each
-    /// of the index column, the buckets and the raw tail's two columns.
+    /// of the index column, the cells, the side column and the raw tail's
+    /// two columns.
     fn state_bytes(&self) -> usize {
         self.bucket_idx.len() * size_of::<u64>()
-            + self.buckets.len() * size_of::<OnlineStats>()
+            + self.cells.len() * size_of::<BucketCell>()
+            + self.tail.side.len() * size_of::<OnlineStats>()
             + self.tail.times.len() * (self.tail.times.width() + self.tail.values.width())
     }
 
@@ -460,22 +635,20 @@ impl Series {
     ///
     /// The bucket is looked up once per same-bucket run instead of once
     /// per sample, the raw tail is extended with a block copy, and long
-    /// runs feed four interleaved Welford chains (merged exactly with
-    /// parallel Welford) so aggregation is not latency-bound on one
-    /// serial divide chain. Counts, extrema, and the raw tail are
-    /// identical to pushing each sample individually; bucket mean and
-    /// variance may differ by floating-point rounding only, and stay
-    /// deterministic for a given sample sequence. Samples come in arrival
-    /// order, mostly but not always time order; a late one starts a new
-    /// run in its own bucket. Returns `true` when a sample landed in a
-    /// bucket older than the newest — the caller renews [`Series::epoch`].
+    /// runs feed four interleaved Welford chains ([`fold_run`]). Counts,
+    /// extrema, and the raw tail are identical to pushing each sample
+    /// individually; bucket mean and variance may differ by floating-point
+    /// rounding only, and stay deterministic for a given sample sequence.
+    /// Samples come in arrival order, mostly but not always time order; a
+    /// late one starts a new run in its own bucket. Returns `true` when a
+    /// sample landed in a bucket older than the newest — the caller renews
+    /// [`Series::epoch`].
     fn push_run(&mut self, samples: &[Sample]) -> bool {
         let mut rewrote_history = false;
         let mut i = 0;
         while i < samples.len() {
             let idx = samples[i].time.as_millis() / WIDTH_MS;
             rewrote_history |= self.newest_bucket().is_some_and(|newest| idx < newest);
-            let pos = self.bucket_position(idx);
             let b_start = idx * WIDTH_MS;
             let b_end = b_start + WIDTH_MS;
             let mut j = i;
@@ -488,29 +661,7 @@ impl Series {
                 j += 1;
             }
             let run = &samples[i..j];
-            let stats = &mut self.buckets[pos];
-            if run.len() < 16 {
-                for s in run {
-                    stats.push(s.value);
-                }
-            } else {
-                let mut chains = [OnlineStats::new(); 4];
-                let mut chunks = run.chunks_exact(4);
-                for c in chunks.by_ref() {
-                    chains[0].push(c[0].value);
-                    chains[1].push(c[1].value);
-                    chains[2].push(c[2].value);
-                    chains[3].push(c[3].value);
-                }
-                for s in chunks.remainder() {
-                    chains[0].push(s.value);
-                }
-                let (head, tail) = chains.split_at_mut(1);
-                for chain in tail {
-                    head[0].merge(chain);
-                }
-                stats.merge(&head[0]);
-            }
+            self.fold_into_bucket(idx, run);
             self.total += run.len() as u64;
             // The columns take a block copy, or a filtered extend, as a
             // `VecDeque<Sample>` would: the same reservations, so the same
@@ -648,7 +799,7 @@ struct Walk<'a> {
     series: &'a Series,
     /// The two bucket columns from the next bucket on.
     idx: &'a [u64],
-    stats: &'a [OnlineStats],
+    cells: &'a [BucketCell],
     /// First bucket index past the range.
     end: u64,
     from_ms: u64,
@@ -678,7 +829,7 @@ impl<'a> Walk<'a> {
         Walk {
             series,
             idx: &series.bucket_idx[first..],
-            stats: &series.buckets[first..],
+            cells: &series.cells[first..],
             end: buckets.end,
             from_ms,
             to_ms,
@@ -694,24 +845,24 @@ impl<'a> Walk<'a> {
     /// query, from one raw cursor per walk.
     #[inline(always)]
     fn step(&mut self) -> bool {
-        let (Some((&b, idx)), Some((stats, rest))) =
-            (self.idx.split_first(), self.stats.split_first())
+        let (Some((&b, idx)), Some((&cell, rest))) =
+            (self.idx.split_first(), self.cells.split_first())
         else {
             return false;
         };
         if b >= self.end {
             return false;
         }
-        (self.idx, self.stats) = (idx, rest);
+        (self.idx, self.cells) = (idx, rest);
         let series = self.series;
         let b_start = b * WIDTH_MS;
         let b_end = b_start + WIDTH_MS;
         if (self.from_ms <= b_start && self.to_ms >= b_end) || b_start < series.raw_floor_ms {
-            self.acc.merge(stats);
+            self.acc.merge(&cell.stats(series));
         } else {
             let s = self.from_ms.max(b_start);
             let e = self.to_ms.min(b_end);
-            let Tail { times, values } = &*series.tail;
+            let Tail { times, values, .. } = &*series.tail;
             let mut i = *self.raw_cursor.get_or_insert_with(|| times.partition_point(s));
             while let Some(t) = times.get(i) {
                 if t >= e {
@@ -1112,7 +1263,7 @@ impl MetricStore {
             let from_ms = t.as_millis().saturating_sub(window.as_millis());
             let to_ms = t.as_millis() + 1;
             if from_ms >= series.raw_floor_ms {
-                let Tail { times, values } = &*series.tail;
+                let Tail { times, values, .. } = &*series.tail;
                 while let Some(t) = times.get(hi) {
                     if t >= to_ms {
                         break;
@@ -1357,8 +1508,30 @@ mod tests {
     /// The first time a narrow times column cannot hold, 2³² ms.
     const CROSSING: u64 = 1 << 32;
 
+    /// `x`'s bits, one pattern for every NaN: the sign and payload of a
+    /// NaN that arithmetic makes are unspecified, so two compilations of
+    /// one fold may differ there and nowhere else.
+    fn canon(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
     fn bits(s: Summary) -> [u64; 5] {
-        [s.count, s.mean.to_bits(), s.std_dev.to_bits(), s.min.to_bits(), s.max.to_bits()]
+        [s.count, canon(s.mean), canon(s.std_dev), canon(s.min), canon(s.max)]
+    }
+
+    /// An aggregate's five fields as bits: the count, mean and extrema
+    /// read directly, and `m2` through the variance of a merge of the
+    /// aggregate into a fixed one of two samples.
+    fn stats_bits(s: &OnlineStats) -> [u64; 5] {
+        let f = |x: Option<f64>| x.map_or(u64::MAX, canon);
+        let mut probe = one(0.0);
+        probe.push(1.0);
+        probe.merge(s);
+        [s.count(), f(s.mean()), f(probe.variance()), f(s.min()), f(s.max())]
     }
 
     /// The scope of the hand-built histories.
@@ -1645,13 +1818,37 @@ mod tests {
         /// times, laid out alike — capacity and wrap — and the same values
         /// to the bit.
         fn columns_are_the_tail(&self) -> bool {
-            let Tail { times, values } = &*self.tail;
+            let Tail { times, values, .. } = &*self.tail;
             times.layout() == layout(&self.raw)
                 && times.len() == self.raw.len()
                 && self.raw.iter().enumerate().all(|(i, s)| {
                     times.get(i) == Some(s.time.as_millis())
                         && values.at(i).to_bits() == s.value.to_bits()
                 })
+        }
+
+        /// `true` when the cells and the side column hold the 40-byte
+        /// column to the bit: a cell is a sample exactly where its bucket
+        /// aggregates that one sample, the side column holds the other
+        /// buckets — those of two samples or more, or of one whose bits
+        /// carry the tag — each once, and nothing else.
+        fn cells_are_the_buckets(&self) -> bool {
+            let side = &self.tail.side;
+            let mut pointed_at = vec![false; side.len()];
+            self.cells.len() == self.buckets.len()
+                && self.cells.iter().zip(&self.buckets).all(|(&cell, shadow)| {
+                    let fits = match cell.decode() {
+                        Ok(_) => shadow.count() == 1,
+                        Err(position) => {
+                            let once = !std::mem::replace(&mut pointed_at[position], true);
+                            // Alone on the side only as the tag's NaN (whose
+                            // payload the pushed mean need not keep).
+                            once && (shadow.count() > 1 || shadow.mean().is_some_and(f64::is_nan))
+                        }
+                    };
+                    fits && stats_bits(&cell.stats(self)) == stats_bits(shadow)
+                })
+                && pointed_at.iter().all(|&p| p)
         }
 
         fn wide(&self) -> bool {
@@ -1824,16 +2021,72 @@ mod tests {
         sides: [(ScopeId, MetricKind); 2],
         references: [Option<Reference>; 2],
         opened_between: u32,
+        /// Samples that landed in a one-sample bucket older than the newest.
+        late_into_one: u32,
     }
 
     impl Searched {
         fn record(&mut self, side: usize, t_ms: u64, value: f64) {
             let (scope, metric) = self.sides[side];
             let sample = Sample::new(SimTime::from_millis(t_ms), value);
+            self.late_into_one += u32::from(self.one_sample_and_late(side, t_ms));
             self.store.record_id(scope, metric, sample);
             if let Some(reference) = &mut self.references[side] {
                 self.opened_between += u32::from(reference.record(sample));
             }
+        }
+
+        /// Writes `samples`, in time order, to `side` through one batch, so
+        /// that each same-bucket stretch of them is one run. A run of 16
+        /// samples or more is folded over four chains, which pushing them
+        /// one by one need not match to the bit, so after one the side's
+        /// `Reference` goes; shorter runs are pushed as it pushes them.
+        fn record_batch(&mut self, side: usize, samples: &[(u64, f64)]) {
+            let (scope, metric) = self.sides[side];
+            if let Some(&(t_ms, _)) = samples.first() {
+                self.late_into_one += u32::from(self.one_sample_and_late(side, t_ms));
+            }
+            let mut batch = self.store.batch();
+            for &(t_ms, value) in samples {
+                batch.record_id(scope, metric, Sample::new(SimTime::from_millis(t_ms), value));
+            }
+            drop(batch);
+            let mut runs = samples.chunk_by(|x, y| x.0 / WIDTH_MS == y.0 / WIDTH_MS);
+            if runs.any(|run| run.len() >= 16) {
+                self.references[side] = None;
+            } else if let Some(reference) = &mut self.references[side] {
+                for &(t_ms, value) in samples {
+                    reference.record(Sample::new(SimTime::from_millis(t_ms), value));
+                }
+            }
+        }
+
+        /// `true` when `t_ms` falls in a one-sample bucket of `side` older
+        /// than its newest.
+        fn one_sample_and_late(&self, side: usize, t_ms: u64) -> bool {
+            let Some(series) = self.series(side) else { return false };
+            let idx = t_ms / WIDTH_MS;
+            series.newest_bucket().is_some_and(|newest| idx < newest)
+                && series.find_bucket(idx).is_ok_and(|pos| series.cells[pos].decode().is_ok())
+        }
+
+        /// The indices of `side`'s one-sample buckets.
+        fn one_sample_buckets(&self, side: usize) -> Vec<u64> {
+            let Some(series) = self.series(side) else { return Vec::new() };
+            let cells = series.bucket_idx.iter().zip(&series.cells);
+            cells.filter(|(_, cell)| cell.decode().is_ok()).map(|(&b, _)| b).collect()
+        }
+
+        /// Buckets of `side` in `span` that hold one sample and lie below
+        /// the compaction floor, so a read merges them whole.
+        fn compacted_ones(&self, side: usize, span: Range<u64>) -> usize {
+            let Some(series) = self.series(side) else { return 0 };
+            let cells = series.bucket_idx.iter().zip(&series.cells);
+            cells
+                .filter(|(&b, cell)| {
+                    span.contains(&b) && b * WIDTH_MS < series.raw_floor_ms && cell.decode().is_ok()
+                })
+                .count()
         }
 
         /// Holds `got`, a read of `side` over `from..to`, to the oracle
@@ -1882,7 +2135,11 @@ mod tests {
         // reads, a pair, a pair repeated (memo hits), `summary_between`,
         // and now and then a moving average and a scope never interned.
         // Values are exact `f32`s (integers, as milliseconds and 0/1 rates
-        // are), or not, or exact until a step where the series widens. A
+        // are), or not, or exact until a step where the series widens; now
+        // and then an odd one — a negative zero, a NaN, one with the side
+        // tag's bits, an infinity — alone in a new bucket or late into a
+        // one-sample bucket. Batched runs, short and of 16 samples or more,
+        // land in the newest bucket, past it, or on a one-sample bucket. A
         // quarter of the histories start a little below 2³² ms and cross
         // it, most after retention has wrapped the tail, with late samples
         // on both sides of the crossing.
@@ -1893,8 +2150,9 @@ mod tests {
         // two and a sweep as one. After every move each series' two raw
         // columns must be the one-deque tail the oracle reads, to the bit
         // and laid out alike, however compaction has wrapped it and
-        // wherever the times column widened.
-        const MOVES: [&str; 11] = [
+        // wherever the times column widened; and its cells and side column
+        // must be the 40-byte bucket column the oracle reads, to the bit.
+        const MOVES: [&str; 13] = [
             "nothing",
             "a burst",
             "a sample at the last look's now",
@@ -1906,6 +2164,21 @@ mod tests {
             "a sample far ahead",
             "a compaction with no write",
             "the scope cleared and recorded again",
+            "a batched burst",
+            "an odd value alone in its bucket",
+        ];
+        // Values a cell must keep to the bit, and one it cannot hold: a
+        // negative zero, the two NaNs a program meets (the constant and
+        // the hardware's default), one with the side tag's bits, values
+        // that are not `f32`s, and an infinity.
+        let odd = [
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0xFFF8_0000_0000_0000),
+            f64::from_bits(SIDE_TAG << 32 | 3),
+            0.1,
+            -1e300,
+            f64::INFINITY,
         ];
         let (mut looks, mut checked, mut kept, mut hits) = (0u32, 0u32, 0u32, 0u32);
         let (mut pairs, mut uneven, mut one_empty, mut unaligned) = (0u32, 0u32, 0u32, 0u32);
@@ -1913,6 +2186,8 @@ mod tests {
         let mut changed = [0u32; MOVES.len()];
         let (mut wrapped, mut widened, mut narrow, mut sweeps) = (0u32, 0u32, 0u32, 0u32);
         let (mut crossed, mut crossed_wrapped, mut late) = (0u32, 0u32, [0u32; 2]);
+        let (mut promotions, mut late_into_one, mut compacted_ones) = ([0u32; 2], 0u32, 0u32);
+        let mut odd_cells = [0u32; 2];
         for seed in 0..300u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
             let mut store = MetricStore::new();
@@ -1933,12 +2208,14 @@ mod tests {
                 sides: [(ids[0], RT), other],
                 references,
                 opened_between: 0,
+                late_into_one: 0,
             };
             // How often `b` is written, in quarters of `a`'s writes.
             let b_share = [0, 1, 3, 4][rng.next_index(4)];
             // The step from which values need an `f64`: from the start, never,
             // or mid-history.
-            let wide_from = [0, u32::MAX, 10 + rng.next_below(90) as u32][rng.next_index(3)];
+            // An odd value that is not an `f32` widens the series too.
+            let mut wide_from = [0, u32::MAX, 10 + rng.next_below(90) as u32][rng.next_index(3)];
             let mut was_narrow = false;
             let mut clock = rng.next_below(5_000);
             if seed % 4 == 1 {
@@ -1960,7 +2237,8 @@ mod tests {
                 };
                 // One move (a burst five times as often as the others), then
                 // the last look again.
-                let kind = [0, 1, 1, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10][rng.next_index(17)];
+                let kind = [0, 1, 1, 1, 1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10, 11, 12]
+                    [rng.next_index(19)];
                 let (last_from, last_to) =
                     last.map_or((clock, clock + 1), |(now, w, _)| trailing(now, w));
                 let state = s.state();
@@ -2042,6 +2320,68 @@ mod tests {
                         }
                         clock = clock.max(t);
                     }
+                    // A run into the newest bucket or past it: short (pushed),
+                    // or of 16 and more (four chains) where the side has no
+                    // `Reference` left to lose or on a sixth of the seeds.
+                    11 => {
+                        let side = usize::from(b_share > 0 && rng.next_below(3) == 0);
+                        let long = s.references[side].is_none() || seed % 6 == 5;
+                        let n = if long && rng.next_below(2) == 0 {
+                            16 + rng.next_below(40)
+                        } else {
+                            1 + rng.next_below(15)
+                        };
+                        // At the start of a one-sample bucket half the time.
+                        let ones = s.one_sample_buckets(side);
+                        let mut t = if ones.is_empty() || rng.next_below(2) == 0 {
+                            clock + rng.next_below(2) * WIDTH_MS
+                        } else {
+                            ones[rng.next_index(ones.len())] * WIDTH_MS
+                        };
+                        let run: Vec<(u64, f64)> = (0..n)
+                            .map(|_| {
+                                t += rng.next_below(8);
+                                (t, value(&mut rng, 100))
+                            })
+                            .collect();
+                        s.record_batch(side, &run);
+                        clock = clock.max(t);
+                    }
+                    // Into a bucket of its own past the newest, or late into
+                    // a one-sample bucket.
+                    12 => {
+                        // A history meant to stay narrow takes the odd
+                        // values that are `f32`s only.
+                        let odd: Vec<f64> = if wide_from == u32::MAX {
+                            odd.iter().copied().filter(|&x| is_f32(x)).collect()
+                        } else {
+                            odd.to_vec()
+                        };
+                        let v = if rng.next_below(2) == 0 {
+                            odd[rng.next_index(odd.len())]
+                        } else {
+                            value(&mut rng, 100)
+                        };
+                        if !is_f32(v) {
+                            wide_from = wide_from.min(step);
+                        }
+                        let newest = s.series(0).and_then(Series::newest_bucket);
+                        let mut ones = s.one_sample_buckets(0);
+                        ones.retain(|&b| Some(b) != newest);
+                        if ones.is_empty() || rng.next_below(2) == 0 {
+                            clock += WIDTH_MS * (1 + rng.next_below(3));
+                            s.record(0, clock, v);
+                            let a = s.series(0).expect("just written");
+                            let cell = a.cells[a.cells.len() - 1].decode();
+                            let zero_or_nan =
+                                |x: f64| x.to_bits() == (-0.0f64).to_bits() || x.is_nan();
+                            odd_cells[0] += u32::from(cell.is_ok_and(zero_or_nan));
+                            odd_cells[1] += u32::from(cell.is_err());
+                        } else {
+                            let b = ones[rng.next_index(ones.len())];
+                            s.record(0, b * WIDTH_MS + rng.next_below(WIDTH_MS), v);
+                        }
+                    }
                     _ => {}
                 }
                 let touched = s.state() != state;
@@ -2050,6 +2390,11 @@ mod tests {
                     assert!(
                         series.columns_are_the_tail(),
                         "seed {seed}: {} left columns that are not the tail",
+                        MOVES[kind]
+                    );
+                    assert!(
+                        series.cells_are_the_buckets(),
+                        "seed {seed}: {} left cells that are not the buckets",
                         MOVES[kind]
                     );
                     wrapped += u32::from(!series.raw.as_slices().1.is_empty());
@@ -2119,6 +2464,8 @@ mod tests {
                     let floors = s.state().2;
                     for side in 0..2 {
                         compacted += u32::from(floors[side] > edges.0 && pair[side].count > 0);
+                        let span = Series::bucket_span(edges.0, edges.1);
+                        compacted_ones += u32::from(s.compacted_ones(side, span) > 0);
                     }
                     let counts = pair.map(|x| x.count);
                     uneven += u32::from(counts[0] != counts[1] && counts.iter().all(|&c| c > 0));
@@ -2138,13 +2485,12 @@ mod tests {
                 if rng.next_below(16) == 0 {
                     let start = SimTime::from_millis(now.as_millis().saturating_sub(10_000));
                     let got = s.store.moving_average("svc@1", RT, start, now, window, BUCKET_WIDTH);
-                    let got: Vec<_> =
-                        got.iter().map(|(t, v)| (t.as_millis(), v.to_bits())).collect();
+                    let got: Vec<_> = got.iter().map(|(t, v)| (t.as_millis(), canon(*v))).collect();
                     let edges = [start, now].map(SimTime::as_millis);
                     let oracle = s.series(0).map_or(Vec::new(), |a| {
                         a.sweep(edges[0], edges[1], window.as_millis(), WIDTH_MS)
                     });
-                    let oracle: Vec<_> = oracle.iter().map(|(t, v)| (*t, v.to_bits())).collect();
+                    let oracle: Vec<_> = oracle.iter().map(|(t, v)| (*t, canon(*v))).collect();
                     assert_eq!(got, oracle, "seed {seed}: moving average");
                     sweeps += u32::from(!got.is_empty());
                     let ghost = s.store.window_summary("ghost", RT, now, window);
@@ -2163,8 +2509,11 @@ mod tests {
                 last = Some((now, window, a_read.1));
             }
             opened_between += s.opened_between;
+            late_into_one += s.late_into_one;
             for series in (0..2).filter_map(|side| s.series(side)) {
                 narrow += u32::from(!series.wide());
+                promotions[0] += series.promotions[0];
+                promotions[1] += series.promotions[1];
             }
             let raw: usize = s.store.series.iter().flatten().map(|x| x.raw.len()).sum();
             assert_eq!(s.store.total_samples(), raw, "seed {seed}: samples stored");
@@ -2193,9 +2542,24 @@ mod tests {
             "{crossed} times columns widened mid-history, {crossed_wrapped} of them wrapped"
         );
         assert!(late[0] > 30 && late[1] > 300, "late samples below/above 2³² ms: {late:?}");
-        for kind in [1, 2, 3, 8, 9, 10] {
+        for kind in [1, 2, 3, 8, 9, 10, 11, 12] {
             assert!(changed[kind] > 50, "{}: {} changed answers", MOVES[kind], changed[kind]);
         }
+        assert!(
+            promotions[0] > 10_000 && promotions[1] > 50,
+            "one-sample buckets that took a pushed run and a four-chain run: {promotions:?}"
+        );
+        assert!(late_into_one > 700, "{late_into_one} late samples into a one-sample bucket");
+        assert!(
+            compacted_ones > 1_500,
+            "{compacted_ones} reads merged a compacted one-sample bucket"
+        );
+        assert!(
+            odd_cells[0] > 150 && odd_cells[1] > 30,
+            "new buckets: {} a negative zero or a NaN in a cell, {} one value on the side",
+            odd_cells[0],
+            odd_cells[1]
+        );
     }
 
     #[test]
@@ -2371,6 +2735,8 @@ mod tests {
             && a.raw == b.raw
             && a.columns_are_the_tail()
             && b.columns_are_the_tail()
+            && a.cells_are_the_buckets()
+            && b.cells_are_the_buckets()
     }
 
     #[test]

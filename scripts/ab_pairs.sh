@@ -8,19 +8,22 @@
 #                                  [--seconds S] [--aa] [--layers a,b,..]
 #
 # The parent is REV (default HEAD) unpacked with `git archive` into a
-# temporary directory; the change is the working tree as it stands,
-# uncommitted edits included. With --aa the first side is instead a copy of
-# the working tree, so the ratios printed are what two builds of one source
-# read on this host right now: the floor a claim has to clear. Both sides
+# temporary directory; the change is a copy of the working tree as it stands
+# at start, uncommitted edits included, made into the same directory and
+# built once, so an edit made while the pairs run is not measured. With
+# --aa the first side is instead a second copy of the working tree, so the
+# ratios printed are what two builds of one source read on this host right
+# now: the floor a claim has to clear. Both sides
 # run BENCHMARK.json's command with `--workload W --seed N --seconds S
 # --trace 0` (12 seconds unless --seconds); pair i takes the i-th seed of
 # --seeds, cycling (default 42). Printed per end-to-end metric: each side's
 # median and quartiles, the ratio of medians, every pair's ratio and how
 # many pairs the change won. With --layers, both sides run with --trace 1
 # instead and the same is printed for each named per_layer metric of
-# BENCHMARK.json, so which layer moved comes from the same pairs. Nothing
-# under benchmark/ is edited (a traced run writes benchmark/out/ in its own
-# checkout); the temporary directory honours TMPDIR and is removed on exit.
+# BENCHMARK.json, so which layer moved comes from the same pairs. Both
+# sides run from their copies: nothing under the checkout's benchmark/ is
+# written (a traced run writes benchmark/out/ in its side's copy); the
+# temporary directory honours TMPDIR and is removed on exit.
 # Needs python3.
 set -euo pipefail
 
@@ -69,15 +72,21 @@ fi
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/first"
-if [[ $aa -eq 1 ]]; then
-    first_name="copy of the working tree"
-    # Tracked and untracked-but-not-ignored files that exist right now.
+mkdir "$work/first" "$work/change"
+# Copies the working tree as it is now into $1: tracked and
+# untracked-but-not-ignored files that exist.
+copy_tree() {
     git ls-files -z --cached --others --exclude-standard \
         | while IFS= read -r -d '' file; do
             if [[ -e "$file" ]]; then printf '%s\0' "$file"; fi
         done \
-        | tar --null -T - -cf - | tar -xf - -C "$work/first"
+        | tar --null -T - -cf - | tar -xf - -C "$1"
+}
+change_name="copy of the working tree ($(git describe --always --dirty))"
+copy_tree "$work/change"
+if [[ $aa -eq 1 ]]; then
+    first_name="second copy of the working tree"
+    copy_tree "$work/first"
 else
     first_name="$(git rev-parse --short "$parent")"
     git archive "$parent" | tar -xf - -C "$work/first"
@@ -86,9 +95,9 @@ fi
 build() {
     (cd "$1" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 }
-echo "building $first_name and the working tree ..." >&2
+echo "building $first_name and the $change_name ..." >&2
 build "$work/first"
-build "$root"
+build "$work/change"
 
 # One run: the result line (the last line of the run) lands in the side's file.
 # A traced result line holds the per_layer metrics only, so the end-to-end
@@ -114,16 +123,16 @@ for ((i = 0; i < pairs; i++)); do
     seed="${seed_list[i % ${#seed_list[@]}]}"
     if ((i % 2 == 0)); then
         run "$work/first" "$work/first.jsonl" "$seed"
-        run "$root" "$work/change.jsonl" "$seed"
+        run "$work/change" "$work/change.jsonl" "$seed"
     else
-        run "$root" "$work/change.jsonl" "$seed"
+        run "$work/change" "$work/change.jsonl" "$seed"
         run "$work/first" "$work/first.jsonl" "$seed"
     fi
     echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
 done
 
 echo "$workload: $pairs order-alternated pairs, seeds $seeds, --seconds $seconds --trace $trace"
-echo "first side: $first_name; change: the working tree ($(git describe --always --dirty))"
+echo "first side: $first_name; change: $change_name"
 python3 - "$work/first.jsonl" "$work/change.jsonl" "$layers" <<'PY'
 import json, statistics, sys
 

@@ -340,9 +340,10 @@ fn monitor_windows_compose() {
 /// The store's space follows its samples, not elapsed seconds × series:
 /// 64 series at ~0.1 samples/s each for half an hour — a 5–10% canary's
 /// share of a 0.75 rps service, four of five one-second buckets empty or
-/// more — cost at most a raw entry and one bucket a sample, and a silence
-/// costs nothing at all. A raw entry is 8 B while values are whole
-/// milliseconds, 12 B once they are not.
+/// more, and never two samples in one — cost at most a raw entry and one
+/// one-sample bucket a sample, and a silence costs nothing at all. A raw
+/// entry is 8 B while values are whole milliseconds, 12 B once they are
+/// not; a one-sample bucket is 16 B whatever its value.
 #[test]
 fn monitor_space_follows_samples() {
     use cex_core::metrics::Sample;
@@ -350,13 +351,15 @@ fn monitor_space_follows_samples() {
     use microsim::monitor::MetricStore;
     const SERIES: u64 = 64;
     const SECONDS: u64 = 1_800;
-    // At most one bucket a sample: 8 B of index, 40 B of stats.
-    const BUCKET_BYTES: u64 = 48;
+    // One bucket a sample, holding that sample: 8 B of index and an 8-byte
+    // cell, with no 40-byte aggregate beside them.
+    const BUCKET_BYTES: u64 = 16;
     // One scope per series: a slot per metric kind, each under 96 B.
     let slot_table = SERIES * MetricKind::all().len() as u64 * 96;
 
     // The same draws whatever the silence, which only shifts the second
-    // half, and whatever the values' width.
+    // half, and whatever the values' width. A series draws at most one
+    // sample a second, so every bucket holds one.
     let fed = |silence_s: u64, whole_ms: bool| {
         let mut store = MetricStore::new();
         let scopes: Vec<_> = (0..SERIES).map(|i| store.intern(&format!("svc-{i}@2.0.0"))).collect();
@@ -380,7 +383,8 @@ fn monitor_space_follows_samples() {
     };
 
     // A raw entry: a 4-byte time and a 4-byte value, or an 8-byte one in
-    // a series whose values are not all `f32`s.
+    // a series whose values are not all `f32`s. Whole milliseconds cost
+    // 24 B a sample, 8 raw, 8 index and 8 cell; other values 28.
     for (whole_ms, raw_bytes) in [(true, 8), (false, 12)] {
         let store = fed(0, whole_ms);
         let (samples, bytes) = (store.total_recorded(), store.state_bytes() as u64);
