@@ -38,7 +38,10 @@
 //!   dispatched to a version), `Done` (a hop finished its own work and all
 //!   child calls), `Reply` (a child's outcome reaches its caller) and
 //!   `Timeout` (an attempt deadline expired) — under the total order of
-//!   their `EvKey`s.
+//!   their `EvKey`s. In an *uncontended* window an event created at its
+//!   creator's instant — a hop's `Reply` always, the caller's next `Call`
+//!   or `Done` after it, a `Done` after no elapsed time — runs **inline**,
+//!   straight after its creator, instead of through the queue (see below).
 //! - Each hop is a **frame**: a small state machine holding the hop's
 //!   private RNG stream, accumulated elapsed time, and the index of the
 //!   next child call. Frames suspend while a child is outstanding and
@@ -66,13 +69,37 @@
 //! address *that existed when the sub-round began*: the sub-round takes its
 //! whole bucket off the queue before it runs any of it, so an event it
 //! creates — even at the same address — joins the queue behind it and runs
-//! in a later sub-round. The sub-round an event runs in is therefore a pure
-//! function of the event graph, and so are the journaled counts of events
-//! and sub-rounds. `Timeout` events carry the later phase and so run in a
-//! sub-round of their own once no normal event remains at that timestamp
-//! (normal events they create re-open the normal phase at the same
-//! instant): a timeout fires iff the attempt's finish time strictly exceeds
+//! in a later sub-round, unless it runs inline (see *Inline events*). The
+//! sub-round an event runs in is therefore a pure function of the event
+//! graph, and so are the journaled counts of events and sub-rounds.
+//! `Timeout` events carry the later phase and so run in a sub-round of
+//! their own once no normal event remains at that timestamp (normal
+//! events they create re-open the normal phase at the same instant): a
+//! timeout fires iff the attempt's finish time strictly exceeds
 //! the deadline — an attempt that takes exactly the deadline is on time.
+//!
+//! **Inline events.** A window is *uncontended* when it has no call
+//! policy, no version behind a concurrency limit and no mirrored service;
+//! `run_window` works this out once from its inputs. There `Ctx::send`
+//! holds an event whose time is the running event's, and `Core::process`
+//! runs it next, under its own key and with its record rank reset, as a
+//! later sub-round would have run it. Every event of such a window creates
+//! at most one event, so a request has one live event at any time and the
+//! chain needs one slot. Running a chain
+//! early reorders only the work of *different* requests at one instant,
+//! and nothing that work shares depends on that order: the load tracker's
+//! rate changes only on the first arrival in a later one-second bucket,
+//! and every multiplier read follows the reading hop's own arrival; fault
+//! effects depend on time alone; admission is always immediate; and frame
+//! identities, which count a service's frames in processing order and so
+//! differ, are only looked up, or order one request's records, whose
+//! frames are created in the same causal order either way. Each gate
+//! condition keeps out what breaks this. A policy brings breakers, which
+//! count outcomes in order, and `Timeout`s, a second live event per
+//! request. A limit makes dispatch order decide who takes a slot, queues
+//! or is shed. A mirror is dispatched at its call's instant, beside it. A
+//! contended window runs every event through the queue, as above; the
+//! `sim.events.*` tallies count queued events only.
 //!
 //! # Span addresses
 //!
@@ -86,9 +113,10 @@
 //! in pre-order from the root, is exactly the order of a sort on the
 //! root-to-span path of slots, without building any path. Frame identities
 //! are `(service << 32) | serial`, and a service's serials count its
-//! frames in sub-round order, in key order within a sub-round. (The order a
-//! trace is built in depends only on the slots; identities are only looked
-//! up.)
+//! frames in the order they are created: sub-round by sub-round, in key
+//! order within one, an inline chain straight after the event that began
+//! it. (The order a trace is built in depends only on the slots;
+//! identities are only looked up.)
 //!
 //! # The merge
 //!
@@ -99,14 +127,18 @@
 //! order (`sim.event.merge.samples`), then per-request outputs in arrival
 //! order (`.requests`, `.traces`). The drive loop emits records in
 //! non-decreasing event time, but a later sub-round at the same instant
-//! may hold smaller keys, so the merge sorts the runs that share a
-//! timestamp. Per-request records are grouped by a counting sort on the
-//! dense request index. Each sampled request is then offered to the trace
-//! collector on its root duration and whether any span or timeout patch
-//! marks an error, and only the traces the collector keeps are built
-//! (patches applied by address, the pre-order walk above, ids numbered by
-//! position). Same seed, byte-identical outputs.
+//! may hold smaller keys, and an inline chain runs in causal order, so the
+//! merge sorts the runs that share a timestamp (`.samples.sort`) before
+//! it writes them (`.samples.write`). Per-request records are grouped by
+//! a counting sort on the dense request index. Each sampled request is
+//! then offered to the trace collector on its root duration and whether
+//! any span or timeout patch marks an error, and only the traces the
+//! collector keeps are built (patches applied by address, the pre-order
+//! walk above, ids numbered by position). Same seed, byte-identical
+//! outputs.
 
+#[cfg(test)]
+mod fusion;
 #[cfg(test)]
 mod path_model;
 mod queue;
@@ -240,12 +272,13 @@ impl Ord for HeapEv {
     }
 }
 
-/// A resilience-guarded call in progress on a suspended frame.
+/// A resilience-guarded call in progress on a suspended frame. It runs
+/// under the window's policy ([`Ctx::guard`]), which is not copied here: a
+/// frame moves in and out of the identity map on every hop.
 #[derive(Debug, Clone, Copy)]
 struct GuardedCall {
     callee: VersionId,
     endpoint: EndpointId,
-    policy: CallPolicy,
     /// Start of the whole guarded call (first attempt's dispatch).
     call_start_ms: u64,
     /// Caller-perceived wait accumulated over finished attempts and
@@ -335,6 +368,10 @@ impl Frame {
         self.span.map(|_| SpanAddr { parent: self.ident, slot: (self.call_idx, rank, sub) })
     }
 }
+
+// Every hop moves its frame into and out of the identity map.
+const _: () = assert!(std::mem::size_of::<Pending>() <= 56);
+const _: () = assert!(std::mem::size_of::<Frame>() <= 184);
 
 /// A dispatch waiting in a version's admission queue for a free slot.
 #[derive(Debug)]
@@ -468,12 +505,14 @@ pub(crate) struct WindowStats {
 /// Deterministic event-core tallies: per window, then summed over windows.
 /// Every field is a pure function of the seed — the sub-round sequence is
 /// the event graph's — so these values are safe to journal (see
-/// `cex_core::obs`).
+/// `cex_core::obs`). Events count when they pass through the queue: an
+/// event run inline (see the module doc) is neither popped nor sent.
 #[derive(Debug, Default)]
 pub(crate) struct WindowTally {
-    /// Events taken off the queue (every created event is taken once).
+    /// Events taken off the queue (every queued event is taken once).
     pub(crate) events_popped: u64,
-    /// Events created: all events but the root arrivals.
+    /// Created events that were queued: all queued events but the root
+    /// arrivals.
     pub(crate) events_sent: u64,
     /// Sub-rounds driven.
     pub(crate) sub_rounds: u64,
@@ -559,6 +598,12 @@ struct Ctx<'a> {
     faults: &'a FaultPlan,
     /// The policy every primary inter-service call runs under, if any.
     policy: Option<CallPolicy>,
+    /// No policy, no concurrency limit, no mirror: an event created at the
+    /// running event's instant runs inline (see the module doc).
+    uncontended: bool,
+    /// The event the running one created at its own instant, in an
+    /// uncontended window; [`Core::process`] runs it next.
+    inline: Option<HeapEv>,
     reqs: &'a [EventRequest],
     /// Events popped and sent, sheds; the loop counts sub-rounds.
     tally: WindowTally,
@@ -572,10 +617,23 @@ impl Ctx<'_> {
         ((service as u64) << 32) | u64::from(self.serials[service])
     }
 
-    /// Schedules a created event. The running sub-round's bucket is
-    /// already off the queue, so the event runs in a later sub-round even
-    /// at the same address.
+    /// The policy a guarded call runs under: the window's, which a frame
+    /// is guarded only when there is.
+    fn guard(&self) -> CallPolicy {
+        self.policy.expect("a guarded call runs under the window's policy")
+    }
+
+    /// Schedules a created event. In an uncontended window an event at the
+    /// running event's instant is held for [`Core::process`] to run next;
+    /// any other joins the queue. The running sub-round's bucket is already
+    /// off the queue, so a queued event runs in a later sub-round even at
+    /// the same address.
     fn send(&mut self, key: EvKey, ev: Ev) {
+        if self.uncontended && key.time == self.cur_key.time {
+            debug_assert!(self.inline.is_none(), "an uncontended event creates one event");
+            self.inline = Some(HeapEv { key, ev });
+            return;
+        }
         self.tally.events_sent += 1;
         self.queue.push(HeapEv { key, ev });
     }
@@ -643,10 +701,9 @@ impl Ctx<'_> {
                 .endpoint_named(callee, call.endpoint_name)
                 .expect("call graph references a valid endpoint");
 
-            let guarded = policy.map(|policy| GuardedCall {
+            let guarded = policy.map(|_| GuardedCall {
                 callee,
                 endpoint: callee_ep,
-                policy,
                 call_start_ms: child_start,
                 waited_ms: 0,
                 attempt: 0,
@@ -760,13 +817,14 @@ impl Ctx<'_> {
     /// Resolves an exhausted or shed guarded call into the frame: the
     /// fallback when the policy has one, plain failure otherwise.
     fn resolve_fallback(&mut self, frame: &mut Frame, call: &GuardedCall) {
-        if !call.policy.fallback {
+        let policy = self.guard();
+        if !policy.fallback {
             frame.elapsed_ms += call.waited_ms;
             frame.ok = false;
             return;
         }
         let at = call.call_start_ms + call.waited_ms;
-        let latency_ms = call.policy.fallback_latency.as_millis();
+        let latency_ms = policy.fallback_latency.as_millis();
         self.sample(call.callee, MetricKind::FallbackServed, at, 1.0);
         if let Some(addr) = frame.child_span(Rank::Fallback, 0) {
             self.out.spans.push(SpanRec {
@@ -796,7 +854,7 @@ impl Ctx<'_> {
         child_ok: bool,
         timed_out: bool,
     ) {
-        let GuardedCall { callee, policy, .. } = call;
+        let (callee, policy) = (call.callee, self.guard());
         call.waited_ms += perceived_ms;
         let ok = child_ok && !timed_out;
         if timed_out {
@@ -848,7 +906,17 @@ impl Ctx<'_> {
 }
 
 impl Core<'_> {
-    fn process(&mut self, ev: HeapEv) {
+    /// Runs a queued event, then the chain of events it created inline,
+    /// each under its own key.
+    fn process(&mut self, mut ev: HeapEv) {
+        loop {
+            self.run(ev);
+            let Some(next) = self.ctx.inline.take() else { return };
+            ev = next;
+        }
+    }
+
+    fn run(&mut self, ev: HeapEv) {
         self.ctx.cur_key = ev.key;
         self.ctx.sample_seq = 0;
         match ev.ev {
@@ -1010,8 +1078,12 @@ impl Core<'_> {
             return; // the attempt settled at or before the deadline
         };
         frame.pending = Pending::Advancing;
-        let limit =
-            call.policy.attempt_timeout.expect("timeout armed only with a deadline").as_millis();
+        let limit = self
+            .ctx
+            .guard()
+            .attempt_timeout
+            .expect("timeout armed only with a deadline")
+            .as_millis();
         // Abandon the attempt: its late reply will carry this generation
         // and be discarded.
         frame.gen += 1;
@@ -1069,6 +1141,7 @@ pub(crate) fn run_window(
 ) -> WindowStats {
     let mut res = ResilienceState::new();
     res.absorb_breakers(state.take_breakers());
+    let uncontended = is_uncontended(app, router, policy);
     let mut core = Core {
         frames: IdentMap::default(),
         parked: IdentMap::default(),
@@ -1086,6 +1159,8 @@ pub(crate) fn run_window(
             router,
             faults,
             policy,
+            uncontended,
+            inline: None,
             reqs: &requests,
             tally: WindowTally::default(),
         },
@@ -1138,6 +1213,19 @@ pub(crate) fn run_window(
     merge(app, state, sink, collector, &requests, tally, out, profiler)
 }
 
+/// Whether a window runs uncontended: no call policy, no version behind a
+/// concurrency limit and no service mirrored. See the module doc for why
+/// each condition is needed.
+fn is_uncontended(app: &Application, router: &Router, policy: Option<CallPolicy>) -> bool {
+    #[cfg(test)]
+    if fusion::queue_every_event() {
+        return false;
+    }
+    policy.is_none()
+        && (0..app.version_count()).all(|v| app.version(VersionId(v)).concurrency_limit.is_none())
+        && (0..app.service_count()).all(|s| router.mirrors(ServiceId(s)).is_empty())
+}
+
 /// Folds a 1-in-[`OBS_TIMING_SAMPLE`] sampled phase accumulator into the
 /// profiler, its total and count scaled by the sampling factor so the
 /// tree's totals estimate true wall time. An accumulator nothing was
@@ -1146,15 +1234,14 @@ fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     profiler.fold(path, &stats.scaled(OBS_TIMING_SAMPLE));
 }
 
-/// Drains tagged records in `(key, seq)` order. They were recorded in
-/// sub-round order, so they are already sorted by event time: only runs
-/// sharing a timestamp need sorting (a sub-round runs in key order, but a
-/// later sub-round at the same instant may hold smaller keys).
-fn drain_tagged<T>(records: &mut Vec<Tagged<T>>, emit: impl FnMut(T)) {
+/// Sorts tagged records into `(key, seq)` order. They were recorded in
+/// event-time order, so only runs sharing a timestamp need sorting (a
+/// sub-round runs in key order, but a later sub-round at the same instant
+/// may hold smaller keys, and an inline chain runs in causal order).
+fn sort_tagged<T>(records: &mut [Tagged<T>]) {
     for run in records.chunk_by_mut(|a, b| a.key.time == b.key.time) {
         run.sort_unstable_by_key(|r| (r.key, r.seq));
     }
-    records.drain(..).map(|r| r.item).for_each(emit);
 }
 
 /// Drains per-request records of one kind, grouped by request (each
@@ -1203,8 +1290,18 @@ fn merge(
 ) -> WindowStats {
     {
         cex_core::span!(profiler, "sim.event.merge.samples");
-        drain_tagged(&mut out.transitions, |t| state.record_transition(t));
-        drain_tagged(&mut out.samples, |s| sink.record_version(s.version, s.kind, s.time, s.value));
+        {
+            cex_core::span!(profiler, "sim.event.merge.samples.sort");
+            sort_tagged(&mut out.transitions);
+            sort_tagged(&mut out.samples);
+        }
+        #[cfg(test)]
+        fusion::written(&out.samples);
+        cex_core::span!(profiler, "sim.event.merge.samples.write");
+        out.transitions.drain(..).for_each(|t| state.record_transition(t.item));
+        for Tagged { item: s, .. } in out.samples.drain(..) {
+            sink.record_version(s.version, s.kind, s.time, s.value);
+        }
     }
     let mut roots: Vec<Option<RootRec>> = vec![None; reqs.len()];
     for r in out.roots.drain(..) {
@@ -1712,6 +1809,8 @@ mod tests {
             "exchange",
             "merge",
             "merge.samples",
+            "merge.samples.sort",
+            "merge.samples.write",
             "merge.requests",
             "merge.traces",
         ] {

@@ -454,6 +454,11 @@ mod tests {
     use cex_core::metrics::OnlineStats;
 
     impl Simulation {
+        /// The latency multiplier load puts on `version` now.
+        pub(crate) fn load_multiplier(&self, version: VersionId) -> f64 {
+            self.load.multiplier(&self.app, version)
+        }
+
         /// [`Simulation::run_with`] on the oracle ([`crate::exec`]): each
         /// arrival is walked to completion before the next, drawing from
         /// the simulation's streams in the same order (trace decision,

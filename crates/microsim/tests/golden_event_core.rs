@@ -10,12 +10,19 @@
 //! (`sim.events.{popped,sent,subrounds}` among them) and the per-window
 //! reports.
 //!
+//! The third scene is uncontended — no call policy, no concurrency limit,
+//! no mirror — so the event core runs its same-instant events inline and
+//! queues fewer events than it did. Its digest leaves `sim.events.*` out
+//! and was computed at the commit before inline events: every other output
+//! is what the queued path gave. Its `popped` count is pinned apart.
+//!
 //! If a digest moves because request semantics changed on purpose, say so
 //! in the change that moves it and re-pin the constant.
 
 use std::fmt::Write as _;
 
 use cex_core::metrics::MetricKind;
+use cex_core::obs::Counters;
 use cex_core::simtime::{SimDuration, SimTime};
 use microsim::app::{Application, CallDef, EndpointDef, VersionId, VersionSpec};
 use microsim::faults::{Fault, FaultKind};
@@ -49,7 +56,20 @@ impl Outcome {
     }
 }
 
-fn run(mut sim: Simulation, windows: usize, window: SimDuration, rate_rps: f64) -> Outcome {
+/// Whether a digest covers the `sim.events.*` counters.
+#[derive(Clone, Copy, PartialEq)]
+enum EventCounts {
+    Digested,
+    Left,
+}
+
+fn run(
+    mut sim: Simulation,
+    windows: usize,
+    window: SimDuration,
+    rate_rps: f64,
+    event_counts: EventCounts,
+) -> Outcome {
     let mut dump = String::new();
     let mut samples: Vec<(MetricKind, usize)> =
         MetricKind::all().into_iter().map(|k| (k, 0)).collect();
@@ -69,7 +89,19 @@ fn run(mut sim: Simulation, windows: usize, window: SimDuration, rate_rps: f64) 
         }
     }
     let counters = sim.counters();
-    writeln!(dump, "{counters:?}").unwrap();
+    if event_counts == EventCounts::Digested {
+        writeln!(dump, "{counters:?}").unwrap();
+    } else {
+        let mut kept = Counters::new();
+        for (name, count) in counters.counts().filter(|(name, _)| !name.starts_with("sim.events."))
+        {
+            kept.add(name, count);
+        }
+        for (name, gauge) in counters.gauges() {
+            kept.hwm(name, gauge);
+        }
+        writeln!(dump, "{kept:?}").unwrap();
+    }
     let transitions = sim.drain_breaker_transitions();
     for transition in &transitions {
         writeln!(dump, "{transition:?}").unwrap();
@@ -118,12 +150,16 @@ fn write_trace(dump: &mut String, trace: &Trace, app: &Application) {
 /// A second version of `baseline`'s service with the same endpoints and
 /// calls, behind a concurrency limit and a bounded admission queue.
 fn limited_copy(app: &Application, baseline: VersionId, label: &str) -> VersionSpec {
+    copy_of(app, baseline, label).concurrency_limit(2).queue_capacity(3)
+}
+
+/// A second version of `baseline`'s service with the same endpoints and
+/// calls, at capacity 500.
+fn copy_of(app: &Application, baseline: VersionId, label: &str) -> VersionSpec {
     let version = app.version(baseline);
     let mut spec = VersionSpec::new(app.service_name(version.service), label)
         .capacity(500.0)
-        .load_sensitivity(version.load_sensitivity)
-        .concurrency_limit(2)
-        .queue_capacity(3);
+        .load_sensitivity(version.load_sensitivity);
     for eid in &version.endpoints {
         let ep = app.endpoint(*eid);
         let mut def = EndpointDef::new(ep.name.clone(), ep.latency).error_rate(ep.error_rate);
@@ -240,9 +276,50 @@ fn zero_latency_fanout() -> Simulation {
     sim
 }
 
+/// A seeded random topology with nothing that contends: no call policy, no
+/// concurrency limit, no mirror. Load sensitivity is on and the entry
+/// service is offered 90% of its capacity, so per-second rates move the
+/// latency multipliers; a candidate takes 30% of one service under a
+/// latency spike, an error burst and an outage strike two others, and half
+/// the requests are traced with tail sampling behind.
+fn uncontended_canary() -> Simulation {
+    let params = RandomAppParams { services: 12, layers: 3, ..RandomAppParams::default() };
+    let app = random_app(&params, 11);
+    let split_baseline = app.version_id("svc-0004", "1.0.0").unwrap();
+    let burst_target = app.version_id("svc-0002", "1.0.0").unwrap();
+    let outage_target = app.version_id("svc-0007", "1.0.0").unwrap();
+    let split_spec = copy_of(&app, split_baseline, "2.0.0");
+
+    let mut sim = Simulation::new(app, 0x0051_DE11);
+    let candidate = sim.deploy(split_spec).unwrap();
+    let split_service = sim.app().service_id("svc-0004").unwrap();
+    let (app, router) = sim.app_and_router_mut();
+    router.set_split(app, split_service, vec![(split_baseline, 0.7), (candidate, 0.3)]).unwrap();
+
+    sim.set_trace_sampling(0.5);
+    sim.set_tail_sampling(Some(TailSamplingConfig {
+        healthy_keep_one_in: 4,
+        slow_quantile: 0.9,
+        warmup: 64,
+    }));
+    for (version, kind, from_s, until_s) in [
+        (candidate, FaultKind::LatencySpike { multiplier: 4.0 }, 1, 7),
+        (burst_target, FaultKind::ErrorBurst { extra_error_rate: 0.3 }, 3, 8),
+        (outage_target, FaultKind::Outage, 6, 9),
+    ] {
+        sim.inject_fault(Fault {
+            version,
+            kind,
+            from: SimTime::from_secs(from_s),
+            until: SimTime::from_secs(until_s),
+        });
+    }
+    sim
+}
+
 #[test]
 fn random_topology_outputs_are_pinned() {
-    let out = run(random_topology(), 3, SimDuration::from_secs(10), 40.0);
+    let out = run(random_topology(), 3, SimDuration::from_secs(10), 40.0, EventCounts::Digested);
     assert_eq!((out.digest.as_str(), out.popped), (RANDOM_TOPOLOGY_DIGEST, RANDOM_TOPOLOGY_POPPED));
     // The scenario walks the paths it claims to.
     for kind in [
@@ -261,7 +338,8 @@ fn random_topology_outputs_are_pinned() {
 
 #[test]
 fn zero_latency_fanout_outputs_are_pinned() {
-    let out = run(zero_latency_fanout(), 2, SimDuration::from_secs(2), 150.0);
+    let out =
+        run(zero_latency_fanout(), 2, SimDuration::from_secs(2), 150.0, EventCounts::Digested);
     assert_eq!((out.digest.as_str(), out.popped), (ZERO_LATENCY_DIGEST, ZERO_LATENCY_POPPED));
     // Every request times out twice (attempt + retry) and falls back.
     let requests = out.samples_of(MetricKind::Throughput);
@@ -270,6 +348,23 @@ fn zero_latency_fanout_outputs_are_pinned() {
     assert_eq!(out.samples_of(MetricKind::FallbackServed), out.samples_of(MetricKind::Retry));
 }
 
+#[test]
+fn uncontended_canary_outputs_are_pinned() {
+    let out = run(uncontended_canary(), 2, SimDuration::from_secs(5), 450.0, EventCounts::Left);
+    assert_eq!((out.digest.as_str(), out.popped), (UNCONTENDED_DIGEST, UNCONTENDED_POPPED));
+    for kind in [MetricKind::ResponseTime, MetricKind::ErrorRate, MetricKind::ConversionRate] {
+        assert!(out.samples_of(kind) > 0, "no {kind:?} sample");
+    }
+    for kind in [MetricKind::Shed, MetricKind::QueueDelay, MetricKind::Timeout] {
+        assert_eq!(out.samples_of(kind), 0, "{kind:?} in an uncontended run");
+    }
+    assert_eq!((out.breaker_transitions, out.dark_spans), (0, 0));
+}
+
+const UNCONTENDED_DIGEST: &str = "c2163541fb488239";
+/// With every event queued, as before same-instant events ran inline, the
+/// scene popped 48,993.
+const UNCONTENDED_POPPED: u64 = 22_211;
 const RANDOM_TOPOLOGY_DIGEST: &str = "f09e13d4873e6b9b";
 const RANDOM_TOPOLOGY_POPPED: u64 = 12_274;
 const ZERO_LATENCY_DIGEST: &str = "780148e47033388c";
