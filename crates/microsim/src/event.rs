@@ -46,8 +46,14 @@
 //!   private RNG stream, accumulated elapsed time, and the index of the
 //!   next child call. Frames suspend while a child is outstanding and
 //!   resume when its `Reply` (or `Timeout`) arrives, so thousands of
-//!   requests interleave in simulated time. A frame is built once, lives in
-//!   an identity-keyed map and is advanced in place.
+//!   requests interleave in simulated time. A frame is built in place in a
+//!   slot of a slab (`Frames`), advanced there and taken out when it is
+//!   done. Events name a frame by position, `(slot, generation)`, never by
+//!   its identity: a freed slot's next frame starts at the generation after
+//!   the last one the slot used, so a late `Reply` or `Timeout` to a frame
+//!   that is gone finds a generation that no later frame has. A parked
+//!   dispatch, likewise, is named by its position in the parked list, which
+//!   is its occupancy token.
 //! - Per-version **concurrency limits and bounded admission queues**
 //!   ([`OccupancyTable`]) act at frame dispatch: a frame either begins
 //!   service immediately, parks in a FIFO queue until a slot frees, or is
@@ -82,8 +88,8 @@
 //! policy, no version behind a concurrency limit and no mirrored service;
 //! `run_window` works this out once from its inputs. There `Ctx::send`
 //! holds an event whose time is the running event's, and `Core::process`
-//! runs it next, under its own key and with its record rank reset, as a
-//! later sub-round would have run it. Every event of such a window creates
+//! runs it next, under its own key and with its own index entry (see *The
+//! merge*), as a later sub-round would have run it. Every event of such a window creates
 //! at most one event, so a request has one live event at any time and the
 //! chain needs one slot. Running a chain
 //! early reorders only the work of *different* requests at one instant,
@@ -120,22 +126,29 @@
 //!
 //! # The merge
 //!
-//! Every output record (metric sample, breaker transition, span, visit,
-//! root outcome) is tagged with the `EvKey` of the event that produced
-//! it. After the window drains, the merge writes metric store, transition
-//! log and trace collector in one canonical order: tagged records in key
-//! order (`sim.event.merge.samples`), then per-request outputs in arrival
-//! order (`.requests`, `.traces`). The drive loop emits records in
+//! Metric samples and breaker transitions are recorded bare, as events
+//! emit them; `Core::run` closes each event's records with one index entry
+//! `{key, start, len}` (`Emitted`) per kind when the event emitted any of
+//! it. Visits carry their event's key, the other records (span, timeout
+//! patch, root outcome) their request. After the window drains, the merge
+//! writes metric store, transition log and trace collector in one
+//! canonical order: samples and transitions in `(key, rank)` order
+//! (`sim.event.merge.samples`), then per-request outputs in arrival order
+//! (`.requests`, `.traces`). The drive loop closes entries in
 //! non-decreasing event time, but a later sub-round at the same instant
 //! may hold smaller keys, and an inline chain runs in causal order, so the
-//! merge sorts the runs that share a timestamp (`.samples.sort`) before
-//! it writes them (`.samples.write`). Per-request records are grouped by
-//! a counting sort on the dense request index. Each sampled request is
-//! then offered to the trace collector on its root duration and whether
-//! any span or timeout patch marks an error, and only the traces the
-//! collector keeps are built (patches applied by address, the pre-order
-//! walk above, ids numbered by position). Same seed, byte-identical
-//! outputs.
+//! merge sorts the entries of each run that shares a timestamp by key
+//! (`.samples.sort`), then writes each entry's records in emission order
+//! (`.samples.write`). An event's records are contiguous and in rank
+//! order, so that is exactly the order of a sort of the records themselves
+//! on `(key, rank)`, the `#[cfg(test)]` oracle in `event/fusion.rs` that
+//! every merge in this crate's tests is held to. Per-request records are
+//! grouped by a counting sort on the dense request index. Each sampled
+//! request is then offered to the trace collector on its root duration
+//! and whether any span or timeout patch marks an error, and only the
+//! traces the collector keeps are built (patches applied by address, the
+//! pre-order walk above, ids numbered by position). Same seed,
+//! byte-identical outputs.
 
 #[cfg(test)]
 mod fusion;
@@ -143,8 +156,6 @@ mod fusion;
 mod path_model;
 mod queue;
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use crate::app::{Application, EndpointId, EndpointName, ServiceId, VersionId, MAX_CALL_DEPTH};
@@ -199,28 +210,48 @@ enum Rank {
 }
 
 /// Total order over events. Time first, then phase (timeouts after all
-/// normal work at the same instant), then request, then the creating
-/// frame's identity and its per-lifetime emission counter. Keys are unique
-/// because every frame numbers the events it creates.
+/// normal work at the same instant) — both packed in `at` as
+/// `(time << 1) | phase` — then request, then the creating frame's
+/// identity and its per-lifetime emission counter. Keys are unique because
+/// every frame numbers the events it creates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvKey {
-    time: u64,
-    phase: u8,
+    at: u64,
     req: u32,
     ckey: u64,
     cseq: u32,
 }
 
-const KEY_ZERO: EvKey = EvKey { time: 0, phase: 0, req: 0, ckey: 0, cseq: 0 };
+const KEY_ZERO: EvKey = EvKey { at: 0, req: 0, ckey: 0, cseq: 0 };
+
+impl EvKey {
+    fn new(time: u64, phase: u8, req: u32, ckey: u64, cseq: u32) -> EvKey {
+        EvKey { at: (time << 1) | u64::from(phase), req, ckey, cseq }
+    }
+
+    fn time(&self) -> u64 {
+        self.at >> 1
+    }
+}
+
+/// A frame as a message names it: its slot in [`Frames`] and the
+/// generation the message expects. The frame's 64-bit identity is not a
+/// lookup key; it orders keys and addresses spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameRef {
+    slot: u32,
+    gen: u32,
+}
 
 /// One hop dispatch: begin (or queue, or shed) a frame on `version`.
 #[derive(Debug)]
 struct CallEv {
     version: VersionId,
     endpoint: EndpointId,
-    /// Caller frame + the generation expecting this child's reply. `None`
-    /// for root arrivals and dark mirrors (their results go nowhere).
-    parent: Option<(u64, u32)>,
+    /// The caller frame at the generation expecting this child's reply.
+    /// `None` for root arrivals and dark mirrors (their results go
+    /// nowhere).
+    parent: Option<FrameRef>,
     dark: bool,
     depth: u8,
     attempt: u8,
@@ -235,17 +266,15 @@ enum Ev {
     /// moving the larger event through its bucket does.
     Call(CallEv),
     Done {
-        ident: u64,
+        frame: FrameRef,
     },
     Reply {
-        parent: u64,
-        gen: u32,
+        parent: FrameRef,
         ok: bool,
         duration_ms: u64,
     },
     Timeout {
-        parent: u64,
-        gen: u32,
+        parent: FrameRef,
     },
 }
 
@@ -273,8 +302,8 @@ impl Ord for HeapEv {
 }
 
 /// A resilience-guarded call in progress on a suspended frame. It runs
-/// under the window's policy ([`Ctx::guard`]), which is not copied here: a
-/// frame moves in and out of the identity map on every hop.
+/// under the window's policy ([`Ctx::guard`]), which is not copied here:
+/// every frame of a window would carry the same copy.
 #[derive(Debug, Clone, Copy)]
 struct GuardedCall {
     callee: VersionId,
@@ -306,7 +335,11 @@ enum Pending {
 /// index.
 #[derive(Debug)]
 struct Frame {
+    /// `(service << 32) | serial`: the creator field of the keys this
+    /// frame makes, and the parent its children's span addresses name.
     ident: u64,
+    /// Where the frame lives in [`Frames`].
+    slot: u32,
     req: u32,
     version: VersionId,
     endpoint: EndpointId,
@@ -320,11 +353,12 @@ struct Frame {
     dark: bool,
     depth: u8,
     attempt: u8,
-    parent: Option<(u64, u32)>,
+    parent: Option<FrameRef>,
     span: Option<SpanAddr>,
     call_idx: u32,
     /// Bumped whenever a new child/attempt is dispatched; stale replies
-    /// and timeouts (older generation) are discarded.
+    /// and timeouts (older generation) are discarded. A frame starts at
+    /// the generation after the last one its slot's previous frame used.
     gen: u32,
     /// Per-lifetime counter numbering the events this frame creates.
     next_seq: u32,
@@ -332,9 +366,17 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(ident: u64, req: u32, call: CallEv, dispatch_ms: u64, start_ms: u64) -> Frame {
+    fn new(
+        at: FrameRef,
+        ident: u64,
+        req: u32,
+        call: CallEv,
+        dispatch_ms: u64,
+        start_ms: u64,
+    ) -> Frame {
         Frame {
             ident,
+            slot: at.slot,
             req,
             version: call.version,
             endpoint: call.endpoint,
@@ -349,7 +391,7 @@ impl Frame {
             parent: call.parent,
             span: call.span,
             call_idx: 0,
-            gen: 0,
+            gen: at.gen,
             next_seq: 0,
             pending: Pending::Advancing,
         }
@@ -359,7 +401,12 @@ impl Frame {
     fn next_key(&mut self, time_ms: u64, phase: u8) -> EvKey {
         let cseq = self.next_seq;
         self.next_seq += 1;
-        EvKey { time: time_ms, phase, req: self.req, ckey: self.ident, cseq }
+        EvKey::new(time_ms, phase, self.req, self.ident, cseq)
+    }
+
+    /// How a message to this frame at its current generation names it.
+    fn at_gen(&self) -> FrameRef {
+        FrameRef { slot: self.slot, gen: self.gen }
     }
 
     /// Span address of a child of the current call, when the request is
@@ -369,51 +416,128 @@ impl Frame {
     }
 }
 
-// Every hop moves its frame into and out of the identity map.
+/// The window's frames in flight, by slot. A frame is built in place in a
+/// free slot and taken out when it is done. A freed slot's next frame
+/// starts at the generation after the last one it used, and generations
+/// only grow, so a message still in flight to a frame that left — a late
+/// `Reply`, a `Timeout` — never matches the slot's later frames.
+#[derive(Debug, Default)]
+struct Frames {
+    slots: Vec<Option<Frame>>,
+    /// Free slots, each with the last generation its frame used.
+    free: Vec<(u32, u32)>,
+}
+
+impl Frames {
+    /// Builds a frame in a free slot; `build` gets the slot and the
+    /// frame's first generation.
+    fn insert(&mut self, build: impl FnOnce(FrameRef) -> Frame) -> &mut Frame {
+        let at = match self.free.pop() {
+            Some((slot, last)) => FrameRef { slot, gen: last + 1 },
+            None => {
+                self.slots.push(None);
+                let slot = u32::try_from(self.slots.len() - 1).expect("frames in flight fit u32");
+                FrameRef { slot, gen: 0 }
+            }
+        };
+        self.slots[at.slot as usize].insert(build(at))
+    }
+
+    /// The frame `at` names, if it is still at that generation.
+    fn get(&mut self, at: FrameRef) -> Option<&mut Frame> {
+        self.slots[at.slot as usize].as_mut().filter(|f| f.gen == at.gen)
+    }
+
+    /// Takes the frame `at` names out, freeing its slot.
+    fn take(&mut self, at: FrameRef) -> Frame {
+        let frame = self.slots[at.slot as usize].take().expect("Done targets a live frame");
+        debug_assert_eq!(frame.gen, at.gen, "a frame's generation stays put once it is done");
+        self.free.push((at.slot, frame.gen));
+        frame
+    }
+
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
+    }
+}
+
+// What the hot path moves: a frame per hop, built in its slot; an event
+// through the queue or the inline slot; a record per sample and an index
+// entry per emitting event.
 const _: () = assert!(std::mem::size_of::<Pending>() <= 56);
-const _: () = assert!(std::mem::size_of::<Frame>() <= 184);
+const _: () = assert!(std::mem::size_of::<Frame>() <= 176);
+const _: () = assert!(std::mem::size_of::<EvKey>() == 24);
+const _: () = assert!(std::mem::size_of::<HeapEv>() <= 88);
+const _: () = assert!(std::mem::size_of::<SampleRec>() <= 32);
+const _: () = assert!(std::mem::size_of::<Emitted>() <= 32);
 
 /// A dispatch waiting in a version's admission queue for a free slot.
 #[derive(Debug)]
 struct Parked {
     call: CallEv,
+    /// The frame identity allocated at dispatch.
+    ident: u64,
     req: u32,
     dispatch_ms: u64,
 }
 
-/// Frame identities are `(service << 32) | serial`: made by this program,
-/// distinct, and dense in their low bits — one multiply spreads them, where
-/// the default SipHash (there for keys an adversary picks) cost more than
-/// the rest of a frame lookup.
-#[derive(Default)]
-struct IdentHasher(u64);
+// ---- output records (merged canonically after the window) ----
 
-impl Hasher for IdentHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("identity maps are keyed by u64");
-    }
+/// Where the records one event emitted lie in their buffer: `len` of them
+/// from `start`, in emission order, under the event's key.
+#[derive(Debug, Clone, Copy)]
+struct Emitted {
+    key: EvKey,
+    start: u32,
+    len: u32,
+}
 
-    fn write_u64(&mut self, ident: u64) {
-        let h = ident.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
+/// Records of one kind as the window emitted them, and one [`Emitted`]
+/// entry per event that emitted any. An event's records are contiguous, so
+/// ordering the entries by key orders the records by `(key, rank)`.
+#[derive(Debug)]
+struct ByEvent<T> {
+    records: Vec<T>,
+    events: Vec<Emitted>,
+}
 
-    fn finish(&self) -> u64 {
-        self.0
+impl<T> Default for ByEvent<T> {
+    fn default() -> Self {
+        ByEvent { records: Vec::new(), events: Vec::new() }
     }
 }
 
-type IdentMap<V> = HashMap<u64, V, BuildHasherDefault<IdentHasher>>;
+impl<T> ByEvent<T> {
+    /// Closes the running event's records, those from `start` on, under
+    /// its key; an event that emitted none gets no entry.
+    fn close(&mut self, key: EvKey, start: usize) {
+        let len = self.records.len() - start;
+        if len > 0 {
+            let fit = |n: usize| u32::try_from(n).expect("a window's records are counted in u32");
+            self.events.push(Emitted { key, start: fit(start), len: fit(len) });
+        }
+    }
 
-// ---- tagged output records (merged canonically after the window) ----
+    /// Puts the entries in key order. They were closed in event-time
+    /// order, so only runs sharing a timestamp need sorting (a sub-round
+    /// runs in key order, but a later sub-round at the same instant may
+    /// hold smaller keys, and an inline chain runs in causal order). An
+    /// event runs once, so no two entries share a key.
+    fn sort(&mut self) {
+        for run in self.events.chunk_by_mut(|a, b| a.key.time() == b.key.time()) {
+            run.sort_unstable_by_key(|e| e.key);
+        }
+    }
 
-/// An output record tagged with the event that produced it and its rank
-/// among that event's records of the same kind.
-#[derive(Debug)]
-struct Tagged<T> {
-    key: EvKey,
-    seq: u32,
-    item: T,
+    /// The records in entry order, each event's in emission order.
+    fn in_entry_order(&self) -> impl Iterator<Item = &T> {
+        self.events.iter().flat_map(|e| &self.records[e.start as usize..][..e.len as usize])
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.events.clear();
+    }
 }
 
 #[derive(Debug)]
@@ -467,11 +591,14 @@ struct RootRec {
 /// the next: the merge drains them, so a steady-state window finds them
 /// empty at the capacity the previous one needed and grows none of them.
 /// (Grown from nothing every window, the last doubling of the sample buffer
-/// alone was a multi-millisecond copy inside some sub-round.)
+/// alone was a multi-millisecond copy inside some sub-round.) Samples and
+/// breaker transitions are recorded bare, with one index entry per event
+/// that emitted any; visits carry their event's key, and the other
+/// records their request.
 #[derive(Debug, Default)]
 pub(crate) struct WindowBuffers {
-    samples: Vec<Tagged<SampleRec>>,
-    transitions: Vec<Tagged<BreakerTransition>>,
+    samples: ByEvent<SampleRec>,
+    transitions: ByEvent<BreakerTransition>,
     visits: Vec<VisitRec>,
     spans: Vec<SpanRec>,
     patches: Vec<PatchRec>,
@@ -572,8 +699,12 @@ fn lap(stats: &mut PhaseStats, started: Option<Instant>) {
 /// and write while they advance ([`Ctx`], a separate field so a frame can
 /// be advanced in place inside `frames`).
 struct Core<'a> {
-    frames: IdentMap<Frame>,
-    parked: IdentMap<Parked>,
+    frames: Frames,
+    /// Dispatches waiting for a free slot, by position: a dispatch's
+    /// position here is its occupancy token.
+    parked: Vec<Option<Parked>>,
+    /// Free positions in `parked`.
+    parked_free: Vec<usize>,
     ctx: Ctx<'a>,
 }
 
@@ -589,10 +720,8 @@ struct Ctx<'a> {
     /// it logs are this window's alone (the merge replays them in key
     /// order).
     res: ResilienceState,
-    scratch_transitions: Vec<BreakerTransition>,
     out: &'a mut WindowBuffers,
     cur_key: EvKey,
-    sample_seq: u32,
     app: &'a Application,
     router: &'a Router,
     faults: &'a FaultPlan,
@@ -629,7 +758,7 @@ impl Ctx<'_> {
     /// off the queue, so a queued event runs in a later sub-round even at
     /// the same address.
     fn send(&mut self, key: EvKey, ev: Ev) {
-        if self.uncontended && key.time == self.cur_key.time {
+        if self.uncontended && key.time() == self.cur_key.time() {
             debug_assert!(self.inline.is_none(), "an uncontended event creates one event");
             self.inline = Some(HeapEv { key, ev });
             return;
@@ -640,12 +769,7 @@ impl Ctx<'_> {
 
     fn sample(&mut self, version: VersionId, kind: MetricKind, time_ms: u64, value: f64) {
         let time = SimTime::from_millis(time_ms);
-        self.out.samples.push(Tagged {
-            key: self.cur_key,
-            seq: self.sample_seq,
-            item: SampleRec { version, kind, time, value },
-        });
-        self.sample_seq += 1;
+        self.out.samples.records.push(SampleRec { version, kind, time, value });
     }
 
     /// Samples the frame's own work (latency, then own failure) and starts
@@ -679,7 +803,7 @@ impl Ctx<'_> {
                 let finish = frame.start_ms + frame.elapsed_ms;
                 let key = frame.next_key(finish, PHASE_NORMAL);
                 frame.pending = Pending::Finishing;
-                self.send(key, Ev::Done { ident: frame.ident });
+                self.send(key, Ev::Done { frame: frame.at_gen() });
                 return;
             };
             if call.probability < 1.0 && frame.hrng.next_f64() >= call.probability {
@@ -757,7 +881,7 @@ impl Ctx<'_> {
         deadline: Option<SimDuration>,
     ) {
         frame.gen += 1;
-        let gen = frame.gen;
+        let expecting = frame.at_gen();
         let span = frame.child_span(Rank::Attempt, attempt);
         let key = frame.next_key(at_ms, PHASE_NORMAL);
         self.send(
@@ -765,7 +889,7 @@ impl Ctx<'_> {
             Ev::Call(CallEv {
                 version: callee,
                 endpoint,
-                parent: Some((frame.ident, gen)),
+                parent: Some(expecting),
                 dark: frame.dark,
                 depth: frame.depth + 1,
                 attempt: u8::try_from(attempt).unwrap_or(u8::MAX),
@@ -775,7 +899,7 @@ impl Ctx<'_> {
         );
         if let Some(limit) = deadline {
             let key = frame.next_key(at_ms + limit.as_millis(), PHASE_TIMEOUT);
-            self.send(key, Ev::Timeout { parent: frame.ident, gen });
+            self.send(key, Ev::Timeout { parent: expecting });
         }
     }
 
@@ -917,27 +1041,23 @@ impl Core<'_> {
     }
 
     fn run(&mut self, ev: HeapEv) {
-        self.ctx.cur_key = ev.key;
-        self.ctx.sample_seq = 0;
+        let ctx = &mut self.ctx;
+        ctx.cur_key = ev.key;
+        let samples = ctx.out.samples.records.len();
         match ev.ev {
             Ev::Call(call) => self.on_call(ev.key, call),
-            Ev::Done { ident } => self.on_done(ident, ev.key.time),
-            Ev::Reply { parent, gen, ok, duration_ms } => {
-                self.on_reply(parent, gen, ok, duration_ms)
-            }
-            Ev::Timeout { parent, gen } => self.on_timeout(parent, gen),
+            Ev::Done { frame } => self.on_done(frame, ev.key.time()),
+            Ev::Reply { parent, ok, duration_ms } => self.on_reply(parent, ok, duration_ms),
+            Ev::Timeout { parent } => self.on_timeout(parent),
         }
-        // Tag the breaker transitions this event caused so the merge can
-        // replay them in global event order.
-        let ctx = &mut self.ctx;
-        if !ctx.res.transitions().is_empty() {
-            ctx.res.drain_transitions_into(&mut ctx.scratch_transitions);
-            let tagged = (0..).zip(ctx.scratch_transitions.drain(..));
-            ctx.out.transitions.extend(tagged.map(|(seq, item)| Tagged {
-                key: ctx.cur_key,
-                seq,
-                item,
-            }));
+        // Index what this event emitted so the merge can write it in
+        // global event order; breaker transitions are collected here.
+        let out = &mut *self.ctx.out;
+        out.samples.close(ev.key, samples);
+        if !self.ctx.res.transitions().is_empty() {
+            let transitions = out.transitions.records.len();
+            out.transitions.records.append(&mut self.ctx.res.drain_transitions());
+            out.transitions.close(ev.key, transitions);
         }
     }
 
@@ -947,21 +1067,25 @@ impl Core<'_> {
             "call tree exceeds MAX_CALL_DEPTH, which Application::validate rules out"
         );
         let ctx = &mut self.ctx;
-        let t = key.time;
+        let t = key.time();
         let req = key.req;
         let version = call.version;
         // Offered load is recorded at dispatch regardless of admission
         // outcome: overload is visible in arrival rates even when shed.
         ctx.load.record_arrival(version, SimTime::from_millis(t));
         let ident = ctx.alloc_ident(ctx.app.version(version).service.0);
-        match ctx.occ.try_admit(version, ident) {
+        let token = self.parked_free.last().copied().unwrap_or(self.parked.len());
+        match ctx.occ.try_admit(version, token as u64) {
             Admission::Immediate => {
-                let mut frame = Frame::new(ident, req, call, t, t);
-                ctx.begin(&mut frame);
-                self.frames.insert(ident, frame);
+                let frame = self.frames.insert(|at| Frame::new(at, ident, req, call, t, t));
+                ctx.begin(frame);
             }
             Admission::Queued => {
-                self.parked.insert(ident, Parked { call, req, dispatch_ms: t });
+                let parked = Some(Parked { call, ident, req, dispatch_ms: t });
+                match self.parked_free.pop() {
+                    Some(p) => self.parked[p] = parked,
+                    None => self.parked.push(parked),
+                }
             }
             Admission::Shed => {
                 ctx.tally.sheds += 1;
@@ -981,10 +1105,9 @@ impl Core<'_> {
                     });
                 }
                 match call.parent {
-                    Some((parent, gen)) => {
-                        let reply_key =
-                            EvKey { time: t, phase: PHASE_NORMAL, req, ckey: ident, cseq: 0 };
-                        ctx.send(reply_key, Ev::Reply { parent, gen, ok: false, duration_ms: 0 });
+                    Some(parent) => {
+                        let reply_key = EvKey::new(t, PHASE_NORMAL, req, ident, 0);
+                        ctx.send(reply_key, Ev::Reply { parent, ok: false, duration_ms: 0 });
                     }
                     None if !call.dark => {
                         ctx.out.roots.push(RootRec { req, ok: false, duration_ms: 0 });
@@ -995,22 +1118,27 @@ impl Core<'_> {
         }
     }
 
-    /// Admits a parked dispatch into the slot freed at `start_ms`.
-    fn begin_queued(&mut self, ident: u64, start_ms: u64) {
-        let parked = self.parked.remove(&ident).expect("released token is parked");
-        self.ctx.sample(
-            parked.call.version,
+    /// Admits the parked dispatch `token` names into the slot freed at
+    /// `start_ms`.
+    fn begin_queued(&mut self, token: u64, start_ms: u64) {
+        let at = token as usize;
+        let parked = self.parked[at].take().expect("released token is parked");
+        self.parked_free.push(at);
+        let Parked { call, ident, req, dispatch_ms } = parked;
+        let ctx = &mut self.ctx;
+        ctx.sample(
+            call.version,
             MetricKind::QueueDelay,
-            parked.dispatch_ms,
-            (start_ms - parked.dispatch_ms) as f64,
+            dispatch_ms,
+            (start_ms - dispatch_ms) as f64,
         );
-        let mut frame = Frame::new(ident, parked.req, parked.call, parked.dispatch_ms, start_ms);
-        self.ctx.begin(&mut frame);
-        self.frames.insert(ident, frame);
+        let frame =
+            self.frames.insert(|at| Frame::new(at, ident, req, call, dispatch_ms, start_ms));
+        ctx.begin(frame);
     }
 
-    fn on_done(&mut self, ident: u64, finish_ms: u64) {
-        let mut frame = self.frames.remove(&ident).expect("Done targets a live frame");
+    fn on_done(&mut self, at: FrameRef, finish_ms: u64) {
+        let mut frame = self.frames.take(at);
         debug_assert!(matches!(frame.pending, Pending::Finishing));
         let duration_ms = finish_ms - frame.dispatch_ms;
         let ctx = &mut self.ctx;
@@ -1041,9 +1169,9 @@ impl Core<'_> {
             self.begin_queued(token, finish_ms);
         }
         match frame.parent {
-            Some((parent, gen)) => {
+            Some(parent) => {
                 let key = frame.next_key(finish_ms, PHASE_NORMAL);
-                self.ctx.send(key, Ev::Reply { parent, gen, ok: frame.ok, duration_ms });
+                self.ctx.send(key, Ev::Reply { parent, ok: frame.ok, duration_ms });
             }
             None if !frame.dark => {
                 self.ctx.out.roots.push(RootRec { req: frame.req, ok: frame.ok, duration_ms });
@@ -1052,11 +1180,12 @@ impl Core<'_> {
         }
     }
 
-    fn on_reply(&mut self, parent: u64, gen: u32, ok: bool, duration_ms: u64) {
+    fn on_reply(&mut self, parent: FrameRef, ok: bool, duration_ms: u64) {
         // A reply is stale when the attempt timed out (generation moved
-        // on) or the caller already finished. The child's work still
+        // on) or the caller already finished (its slot is empty or holds a
+        // later frame, at a later generation). The child's work still
         // happened and was recorded — only its result is discarded.
-        let Some(frame) = self.frames.get_mut(&parent).filter(|f| f.gen == gen) else { return };
+        let Some(frame) = self.frames.get(parent) else { return };
         match std::mem::replace(&mut frame.pending, Pending::Advancing) {
             Pending::Plain => {
                 frame.elapsed_ms += duration_ms;
@@ -1072,8 +1201,8 @@ impl Core<'_> {
         }
     }
 
-    fn on_timeout(&mut self, parent: u64, gen: u32) {
-        let Some(frame) = self.frames.get_mut(&parent).filter(|f| f.gen == gen) else { return };
+    fn on_timeout(&mut self, parent: FrameRef) {
+        let Some(frame) = self.frames.get(parent) else { return };
         let Pending::Guarded(call) = frame.pending else {
             return; // the attempt settled at or before the deadline
         };
@@ -1143,18 +1272,17 @@ pub(crate) fn run_window(
     res.absorb_breakers(state.take_breakers());
     let uncontended = is_uncontended(app, router, policy);
     let mut core = Core {
-        frames: IdentMap::default(),
-        parked: IdentMap::default(),
+        frames: Frames::default(),
+        parked: Vec::new(),
+        parked_free: Vec::new(),
         ctx: Ctx {
             queue: EventQueue::new(),
             serials: vec![0; app.service_count()],
             load,
             occ: occupancy,
             res,
-            scratch_transitions: Vec::new(),
             out: buffers,
             cur_key: KEY_ZERO,
-            sample_seq: 0,
             app,
             router,
             faults,
@@ -1176,13 +1304,7 @@ pub(crate) fn run_window(
         let endpoint = app
             .endpoint_named(version, r.endpoint)
             .expect("workload references a valid entry point");
-        let key = EvKey {
-            time: r.time.as_millis(),
-            phase: PHASE_NORMAL,
-            req: i as u32,
-            ckey: 0,
-            cseq: i as u32,
-        };
+        let key = EvKey::new(r.time.as_millis(), PHASE_NORMAL, i as u32, 0, i as u32);
         core.ctx.queue.push_root(HeapEv {
             key,
             ev: Ev::Call(CallEv {
@@ -1203,7 +1325,10 @@ pub(crate) fn run_window(
     fold_sampled(profiler, "sim.event.pop", &times.pop);
     fold_sampled(profiler, "sim.event.dispatch", &times.dispatch);
     fold_sampled(profiler, "sim.event.exchange", &times.exchange);
-    debug_assert!(core.parked.is_empty(), "admission queues drain within the window");
+    debug_assert!(
+        core.parked.len() == core.parked_free.len(),
+        "admission queues drain within the window"
+    );
     debug_assert!(core.frames.is_empty(), "all frames complete within the window");
     let Ctx { mut res, tally, out, .. } = core.ctx;
     state.absorb_breakers(res.take_breakers());
@@ -1232,16 +1357,6 @@ fn is_uncontended(app: &Application, router: &Router, policy: Option<CallPolicy>
 /// recorded into — profiling off — leaves no node.
 fn fold_sampled(profiler: &Profiler, path: &str, stats: &PhaseStats) {
     profiler.fold(path, &stats.scaled(OBS_TIMING_SAMPLE));
-}
-
-/// Sorts tagged records into `(key, seq)` order. They were recorded in
-/// event-time order, so only runs sharing a timestamp need sorting (a
-/// sub-round runs in key order, but a later sub-round at the same instant
-/// may hold smaller keys, and an inline chain runs in causal order).
-fn sort_tagged<T>(records: &mut [Tagged<T>]) {
-    for run in records.chunk_by_mut(|a, b| a.key.time == b.key.time) {
-        run.sort_unstable_by_key(|r| (r.key, r.seq));
-    }
 }
 
 /// Drains per-request records of one kind, grouped by request (each
@@ -1292,16 +1407,18 @@ fn merge(
         cex_core::span!(profiler, "sim.event.merge.samples");
         {
             cex_core::span!(profiler, "sim.event.merge.samples.sort");
-            sort_tagged(&mut out.transitions);
-            sort_tagged(&mut out.samples);
+            out.transitions.sort();
+            out.samples.sort();
         }
         #[cfg(test)]
-        fusion::written(&out.samples);
+        fusion::written(&out.samples, &out.transitions);
         cex_core::span!(profiler, "sim.event.merge.samples.write");
-        out.transitions.drain(..).for_each(|t| state.record_transition(t.item));
-        for Tagged { item: s, .. } in out.samples.drain(..) {
+        out.transitions.in_entry_order().for_each(|t| state.record_transition(*t));
+        for s in out.samples.in_entry_order() {
             sink.record_version(s.version, s.kind, s.time, s.value);
         }
+        out.transitions.clear();
+        out.samples.clear();
     }
     let mut roots: Vec<Option<RootRec>> = vec![None; reqs.len()];
     for r in out.roots.drain(..) {
@@ -1828,6 +1945,113 @@ mod tests {
         let counters = sim.counters();
         assert_eq!(counters.gauge("sim.queue_hwm.worker"), 4, "queue filled to its bound");
         assert!(counters.count("sim.sheds") > 0, "overflow beyond the bound is shed");
+    }
+
+    #[test]
+    fn a_freed_slot_takes_its_next_frame_past_its_last_generation() {
+        use super::{CallEv, Frame, FrameRef, Frames};
+        let call = || CallEv {
+            version: crate::app::VersionId(0),
+            endpoint: EndpointId(0),
+            parent: None,
+            dark: false,
+            depth: 0,
+            attempt: 0,
+            seed: 1,
+            span: None,
+        };
+        let mut frames = Frames::default();
+        let first = frames.insert(|at| Frame::new(at, 1, 0, call(), 0, 0)).at_gen();
+        let other = frames.insert(|at| Frame::new(at, 2, 0, call(), 0, 0)).at_gen();
+        assert_eq!((first, other), (FrameRef { slot: 0, gen: 0 }, FrameRef { slot: 1, gen: 0 }));
+        frames.get(first).expect("live").gen = 5;
+        frames.take(FrameRef { slot: 0, gen: 5 });
+        assert!(frames.get(FrameRef { slot: 0, gen: 5 }).is_none(), "a freed slot holds nothing");
+        let reused = frames.insert(|at| Frame::new(at, 3, 0, call(), 0, 0));
+        assert_eq!((reused.ident, reused.at_gen()), (3, FrameRef { slot: 0, gen: 6 }));
+        for stale in 0..=5 {
+            assert!(frames.get(FrameRef { slot: 0, gen: stale }).is_none(), "generation {stale}");
+        }
+        assert!(!frames.is_empty());
+        frames.take(FrameRef { slot: 0, gen: 6 });
+        frames.take(other);
+        assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn a_late_reply_after_its_callers_slot_was_reused_is_discarded() {
+        use super::{run_window, EventRequest, WindowBuffers};
+        use crate::faults::FaultPlan;
+        use crate::load::{LoadTracker, OccupancyTable};
+        use crate::monitor::{MetricSink, MetricStore};
+        use crate::resilience::ResilienceState;
+        use crate::routing::{Router, UserId};
+        use crate::trace::TraceCollector;
+        use cex_core::obs::Profiler;
+
+        // `front` takes 1 ms and calls `backend`, which takes 50 ms, under
+        // a 10 ms deadline with no retry and a 1 ms fallback. The request
+        // at 0 ms times out at 11 ms and its frame is done at 12 ms, which
+        // frees its slot. The request at 45 ms takes that slot and waits
+        // on its own attempt (deadline 56 ms) when the first backend hop
+        // replies at 51 ms to the slot at the generation it left with.
+        // That reply is stale: the second request must time out and fall
+        // back exactly as the first did, 12 ms end to end. Had the slot's
+        // next frame restarted its generations, the reply would settle the
+        // second request's attempt as a 50 ms success.
+        let mut b = Application::builder();
+        b.version(
+            VersionSpec::new("front", "1").endpoint(
+                EndpointDef::new("home", LatencyModel::Constant { ms: 1.0 })
+                    .call(CallDef::always("backend", "api")),
+            ),
+        );
+        b.version(
+            VersionSpec::new("backend", "1")
+                .endpoint(EndpointDef::new("api", LatencyModel::Constant { ms: 50.0 })),
+        );
+        let app = b.build().unwrap();
+        let policy = CallPolicy {
+            attempt_timeout: Some(SimDuration::from_millis(10)),
+            max_retries: 0,
+            fallback: true,
+            fallback_latency: SimDuration::from_millis(1),
+            ..CallPolicy::default()
+        };
+        let router = Router::new();
+        let mut store = MetricStore::new();
+        let scopes = store.intern_version_scopes(&app);
+        let app_scope = store.intern("app");
+        let requests = [0, 45]
+            .map(|ms| EventRequest {
+                time: SimTime::from_millis(ms),
+                user: UserId(ms),
+                service: ServiceId(0),
+                endpoint: app.endpoint_name("home").unwrap(),
+                trace: None,
+                root_seed: ms,
+                conv_u: 0.5,
+            })
+            .into();
+        let stats = run_window(
+            &app,
+            &router,
+            &mut LoadTracker::new(&app),
+            &mut OccupancyTable::new(&app),
+            &FaultPlan::default(),
+            Some(policy),
+            &mut ResilienceState::new(),
+            &mut MetricSink::new(&mut store, &scopes, app_scope),
+            &mut TraceCollector::all(),
+            requests,
+            &mut WindowBuffers::default(),
+            &Profiler::default(),
+        );
+        let rt = stats.rt.summary();
+        assert_eq!((stats.requests, stats.failures), (2, 0));
+        assert_eq!((rt.min, rt.max), (12.0, 12.0), "both requests fell back after 10 ms");
+        assert_eq!(store.count("backend@1", MetricKind::Timeout), 2);
+        assert_eq!(store.count("backend@1", MetricKind::FallbackServed), 2);
     }
 
     #[test]

@@ -9,14 +9,22 @@
 //! policy, a concurrency limit, a mirror) must queue exactly as many, since
 //! the gate keeps them on the queued path. `cargo test --release -p
 //! microsim fusion -- --ignored` runs the long table.
+//!
+//! The merge writes samples and breaker transitions through an index of
+//! one entry per emitting event. Every merge in this crate's tests is held
+//! to the **oracle**, the per-record sort the index replaced — each record
+//! tagged with its event's key and its rank among that event's records, in
+//! emission order, and sorted by `(key, rank)` within each same-time run:
+//! it must write the very same records in the very same order. The scene table, run both ways, is where that
+//! comparison meets queued, inline, contended and breaker-heavy windows.
 
 use std::cell::{Cell, RefCell};
 
-use super::{SampleRec, Tagged};
+use super::{ByEvent, EvKey, SampleRec};
 use crate::app::{Application, CallDef, EndpointDef, ServiceId, VersionSpec};
 use crate::faults::{Fault, FaultKind};
 use crate::latency::LatencyModel;
-use crate::resilience::{BreakerPolicy, CallPolicy};
+use crate::resilience::{BreakerPolicy, BreakerTransition, CallPolicy};
 use crate::routing::Router;
 use crate::sim::Simulation;
 use crate::topologies::{random_app, RandomAppParams};
@@ -26,9 +34,18 @@ use cex_core::simtime::{SimDuration, SimTime};
 thread_local! {
     /// Set while the queued side of a differential runs on this thread.
     static QUEUE_EVERY_EVENT: Cell<bool> = const { Cell::new(false) };
-    /// The samples the merge wrote on this thread, in order, while a
-    /// differential records them.
-    static WRITTEN: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
+    /// What the merge wrote on this thread while a differential records.
+    static WRITTEN: RefCell<Option<Written>> = const { RefCell::new(None) };
+}
+
+/// The merge's writes as a differential records them.
+#[derive(Default)]
+struct Written {
+    /// The samples, in the order written.
+    samples: Vec<String>,
+    /// Records held to the oracle: samples, transitions, and records of
+    /// events that emitted more than one of a kind.
+    checked: [usize; 3],
 }
 
 /// Whether the window gate must call every window contended.
@@ -36,15 +53,67 @@ pub(super) fn queue_every_event() -> bool {
     QUEUE_EVERY_EVENT.with(Cell::get)
 }
 
-/// Logs the samples the merge is about to write, in the order it writes
-/// them, when a differential is recording.
-pub(super) fn written(samples: &[Tagged<SampleRec>]) {
+/// An output record tagged with the event that produced it and its rank
+/// among that event's records of the same kind: how records were buffered
+/// before the index.
+struct Tagged {
+    key: EvKey,
+    seq: u32,
+    /// The record's position in its buffer.
+    item: usize,
+}
+
+/// The oracle's write order of `by_event`'s records, as positions: rebuilt
+/// from the index in emission order (an event's entry `start`s after every
+/// earlier event's records), then sorted by `(key, rank)` within each run
+/// sharing a timestamp, as the sort the index replaced did. Asserts that
+/// the entries cover every record exactly once.
+fn oracle_order<T>(by_event: &ByEvent<T>) -> Vec<usize> {
+    let mut emitted = by_event.events.clone();
+    emitted.sort_unstable_by_key(|e| e.start);
+    let mut tagged = Vec::with_capacity(by_event.records.len());
+    for e in &emitted {
+        assert_eq!(e.start as usize, tagged.len(), "an event's records follow the last event's");
+        let records = e.start as usize..(e.start + e.len) as usize;
+        tagged.extend((0..).zip(records).map(|(seq, item)| Tagged { key: e.key, seq, item }));
+    }
+    assert_eq!(tagged.len(), by_event.records.len(), "every record has its event's entry");
+    for run in tagged.chunk_by_mut(|a, b| a.key.time() == b.key.time()) {
+        run.sort_unstable_by_key(|r| (r.key, r.seq));
+    }
+    tagged.into_iter().map(|r| r.item).collect()
+}
+
+/// Asserts that the merge is about to write the very records the oracle
+/// would, in its order, and returns how many it held to it and how many of
+/// those shared their event with another record of their kind.
+fn check_against_oracle<T>(by_event: &ByEvent<T>) -> (usize, usize) {
+    let written: Vec<&T> = by_event.in_entry_order().collect();
+    let oracle = oracle_order(by_event);
+    assert!(
+        written.len() == oracle.len()
+            && written.iter().zip(oracle).all(|(w, i)| std::ptr::eq(*w, &by_event.records[i])),
+        "the merge writes records out of (key, rank) order"
+    );
+    let shared = by_event.events.iter().filter(|e| e.len > 1).map(|e| e.len as usize).sum();
+    (written.len(), shared)
+}
+
+/// Holds the samples and transitions the merge is about to write to the
+/// oracle, and logs the samples in the order it writes them when a
+/// differential is recording.
+pub(super) fn written(samples: &ByEvent<SampleRec>, transitions: &ByEvent<BreakerTransition>) {
+    let (sampled, shared_samples) = check_against_oracle(samples);
+    let (transitioned, shared_transitions) = check_against_oracle(transitions);
     WRITTEN.with(|log| {
         if let Some(log) = log.borrow_mut().as_mut() {
-            log.extend(samples.iter().map(|s| {
-                let SampleRec { version, kind, time, value } = s.item;
+            log.samples.extend(samples.in_entry_order().map(|s| {
+                let SampleRec { version, kind, time, value } = s;
                 format!("{version:?} {kind:?} {time:?} {:x}", value.to_bits())
             }));
+            log.checked[0] += sampled;
+            log.checked[1] += transitioned;
+            log.checked[2] += shared_samples + shared_transitions;
         }
     });
 }
@@ -81,6 +150,9 @@ struct Run {
     /// Response times recorded by candidate versions.
     candidate_samples: usize,
     dark_spans: usize,
+    /// Records the merge's write order was held to the oracle on, as
+    /// [`Written::checked`] counts them.
+    checked: [usize; 3],
 }
 
 fn run(scene: &Scene, queue_every_event: bool) -> Run {
@@ -88,7 +160,7 @@ fn run(scene: &Scene, queue_every_event: bool) -> Run {
     (scene.setup)(&mut sim);
     let entry = sim.app().baseline_of(ServiceId(0));
     QUEUE_EVERY_EVENT.with(|q| q.set(queue_every_event));
-    WRITTEN.with(|log| *log.borrow_mut() = Some(Vec::new()));
+    WRITTEN.with(|log| *log.borrow_mut() = Some(Written::default()));
     let mut reports = Vec::new();
     let mut multipliers = Vec::new();
     for _ in 0..scene.windows {
@@ -96,7 +168,8 @@ fn run(scene: &Scene, queue_every_event: bool) -> Run {
         multipliers.push(sim.load_multiplier(entry));
     }
     QUEUE_EVERY_EVENT.with(|q| q.set(false));
-    let written = WRITTEN.with(|log| log.borrow_mut().take()).expect("recording");
+    let Written { samples: written, checked } =
+        WRITTEN.with(|log| log.borrow_mut().take()).expect("recording");
 
     let mut scopes = sim.store().scopes();
     scopes.sort();
@@ -132,7 +205,7 @@ fn run(scene: &Scene, queue_every_event: bool) -> Run {
             .collect(),
     };
     let popped = counters.count("sim.events.popped");
-    Run { outputs, popped, multipliers, kinds, candidate_samples, dark_spans }
+    Run { outputs, popped, multipliers, kinds, candidate_samples, dark_spans, checked }
 }
 
 /// What the table as a whole walked, so a floor can say it did.
@@ -148,6 +221,9 @@ struct Walked {
     kinds: Vec<usize>,
     candidate_samples: usize,
     dark_spans: usize,
+    /// Records held to the oracle on either side, as [`Written::checked`]
+    /// counts them.
+    checked: [usize; 3],
 }
 
 impl Walked {
@@ -163,6 +239,9 @@ impl Walked {
         self.traces += run.outputs.traces.len();
         self.candidate_samples += run.candidate_samples;
         self.dark_spans += run.dark_spans;
+        for (total, count) in self.checked.iter_mut().zip(run.checked) {
+            *total += count;
+        }
         for m in run.multipliers.into_iter().filter(|m| *m > 1.0) {
             if !self.multipliers.contains(&m.to_bits()) {
                 self.multipliers.push(m.to_bits());
@@ -200,6 +279,9 @@ fn check(scenes: &[Scene]) -> Walked {
                 "{name}: {inline_popped} events queued, {queued_popped} without inline events"
             );
             walked.uncontended += 1;
+        }
+        for (total, count) in walked.checked.iter_mut().zip(queued.checked) {
+            *total += count;
         }
         walked.add(inline);
     }
@@ -435,6 +517,10 @@ fn assert_walked(walked: &Walked, scenes: usize) {
     for kind in [MetricKind::QueueDelay, MetricKind::Timeout, MetricKind::Retry] {
         assert!(walked.samples_of(kind) > 0, "no {kind:?} sample");
     }
+    // Both sides' merges were held to the per-record oracle, breaker
+    // transitions and events with several records included.
+    let [samples, transitions, shared] = walked.checked;
+    assert!(samples > 100_000 && transitions > 10 && shared > 100_000, "{:?}", walked.checked);
 }
 
 #[test]

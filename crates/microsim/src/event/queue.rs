@@ -4,7 +4,7 @@
 //!
 //! Simulated time has millisecond grain and almost every event lands within
 //! a service time of the instant that created it, so a binary heap pays
-//! `O(log n)` comparisons of 32-byte keys, per push and per pop, for an
+//! `O(log n)` comparisons of 24-byte keys, per push and per pop, for an
 //! order that is mostly known. Here an event with `time < base + RING` goes
 //! to bucket `time % RING`, split by phase. A window's root arrivals are
 //! seeded before it runs, in strictly ascending key order, so those past the
@@ -36,8 +36,8 @@ const MASK: u64 = RING - 1;
 /// Event phases per timestamp (`PHASE_NORMAL`, `PHASE_TIMEOUT`).
 const PHASES: usize = 2;
 
-/// The address of a sub-round, `(time << 1) | phase`: numeric order is
-/// time order, then phase order at one time.
+/// The address of a sub-round, `(time << 1) | phase` — an [`EvKey`]'s
+/// `at`: numeric order is time order, then phase order at one time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct Front(pub(super) u64);
 
@@ -46,7 +46,7 @@ impl Front {
     pub(super) const IDLE: Front = Front(u64::MAX);
 
     fn of(key: &EvKey) -> Front {
-        Front((key.time << 1) | u64::from(key.phase))
+        Front(key.at)
     }
 
     fn time(self) -> u64 {
@@ -84,7 +84,7 @@ impl EventQueue {
     /// Queues an event into the ring, or past its horizon into the
     /// overflow heap.
     pub(super) fn push(&mut self, ev: HeapEv) {
-        if ev.key.time < self.base + RING {
+        if ev.key.time() < self.base + RING {
             self.push_ring(ev);
         } else {
             self.overflow.push(Reverse(ev));
@@ -99,7 +99,7 @@ impl EventQueue {
             self.roots.back().is_none_or(|last| last.key < ev.key),
             "roots arrive in ascending key order"
         );
-        if ev.key.time < self.base + RING {
+        if ev.key.time() < self.base + RING {
             self.push_ring(ev);
         } else {
             self.roots.push_back(ev);
@@ -107,11 +107,12 @@ impl EventQueue {
     }
 
     fn push_ring(&mut self, ev: HeapEv) {
-        let time = ev.key.time;
+        let front = Front::of(&ev.key);
+        let time = front.time();
         debug_assert!(time >= self.base, "event scheduled in the past");
         self.cursor = self.cursor.min(time);
         self.ring_len += 1;
-        self.ring[(time & MASK) as usize][usize::from(ev.key.phase)].push(ev);
+        self.ring[(time & MASK) as usize][front.phase()].push(ev);
     }
 
     /// The earliest `(time, phase)` queued, [`Front::IDLE`] when empty.
@@ -141,11 +142,11 @@ impl EventQueue {
         self.base = time;
         self.cursor = self.cursor.max(time);
         let horizon = time + RING;
-        while self.roots.front().is_some_and(|ev| ev.key.time < horizon) {
+        while self.roots.front().is_some_and(|ev| ev.key.time() < horizon) {
             let ev = self.roots.pop_front().expect("peeked");
             self.push_ring(ev);
         }
-        while self.overflow.peek().is_some_and(|Reverse(ev)| ev.key.time < horizon) {
+        while self.overflow.peek().is_some_and(|Reverse(ev)| ev.key.time() < horizon) {
             let Reverse(ev) = self.overflow.pop().expect("peeked");
             self.push_ring(ev);
         }
@@ -162,7 +163,7 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Ev, PHASE_NORMAL, PHASE_TIMEOUT};
+    use super::super::{Ev, FrameRef, PHASE_NORMAL, PHASE_TIMEOUT};
     use super::*;
     use cex_core::rng::SplitMix64;
 
@@ -185,7 +186,7 @@ mod tests {
     }
 
     fn event(key: EvKey) -> HeapEv {
-        HeapEv { key, ev: Ev::Done { ident: key.ckey } }
+        HeapEv { key, ev: Ev::Done { frame: FrameRef { slot: key.cseq, gen: 0 } } }
     }
 
     /// Root arrivals as a window seeds them: strictly ascending keys
@@ -195,7 +196,7 @@ mod tests {
         (0..count)
             .map(|i| {
                 time += [0, 0, 1, 3, 7, 12, 20, 30][(rng.next_u64() % 8) as usize];
-                EvKey { time, phase: PHASE_NORMAL, req: i, ckey: 0, cseq: i }
+                EvKey::new(time, PHASE_NORMAL, i, 0, i)
             })
             .collect()
     }
@@ -250,14 +251,14 @@ mod tests {
                         };
                         spilled += usize::from(ahead >= RING);
                         serial += 1;
-                        let key = EvKey {
-                            time: now + ahead,
-                            phase: [PHASE_NORMAL, PHASE_NORMAL, PHASE_NORMAL, PHASE_TIMEOUT]
+                        let key = EvKey::new(
+                            now + ahead,
+                            [PHASE_NORMAL, PHASE_NORMAL, PHASE_NORMAL, PHASE_TIMEOUT]
                                 [(rng.next_u64() % 4) as usize],
-                            req: (rng.next_u64() % 8) as u32,
-                            ckey: 1 + rng.next_u64() % 8,
-                            cseq: serial as u32,
-                        };
+                            (rng.next_u64() % 8) as u32,
+                            1 + rng.next_u64() % 8,
+                            serial as u32,
+                        );
                         queue.push(event(key));
                         reference.0.push(Reverse(event(key)));
                     }
