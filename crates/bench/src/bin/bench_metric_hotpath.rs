@@ -19,9 +19,8 @@
 //!    for contrast. Each timed look ends one bucket earlier than the
 //!    last, so every one folds: a series remembers its last window's
 //!    answer, and a repeated look would time that instead. At 10^5
-//!    samples two more rows: a paired read of two series against two
-//!    single reads of the same two, and the repeated look itself (a
-//!    remembered answer).
+//!    samples one more row: the repeated look itself (a remembered
+//!    answer).
 //! 2. **Cumulative-window resumption** — a window that starts at a fixed
 //!    time and grows (what a sequential check reads since phase start):
 //!    one look from scratch against one look continued from the previous
@@ -203,33 +202,16 @@ fn bench_window_query(n: u64) -> (f64, f64) {
     (store_ns, scan_ns)
 }
 
-/// Two series of `n` samples each (response time and error rate of one
-/// scope), looks stepped as in [`bench_window_query`]: ns per
-/// look at both for (one paired read, two single reads), then ns for one
-/// single look repeated at the same `now` — after the first, the series'
-/// remembered answer.
-fn bench_window_pair(n: u64) -> (f64, f64, f64) {
+/// One look at a series of `n` samples, as in [`bench_window_query`],
+/// repeated at the same `now`: after the first, the series' remembered
+/// answer. Returns ns/look.
+fn bench_repeated_look(n: u64) -> f64 {
     let mut store = MetricStore::new();
-    let (rt, err) = (MetricKind::ResponseTime, MetricKind::ErrorRate);
-    fill_span(&mut store, "svc@1", rt, n);
-    fill_span(&mut store, "svc@1", err, n);
+    let metric = MetricKind::ResponseTime;
+    fill_span(&mut store, "svc@1", metric, n);
     let scope = store.resolve("svc@1").expect("interned above");
-    let window = LOOK_WINDOW;
     let now = stepped_look(0);
-    let pair = store.window_summary_pair((scope, rt), (scope, err), now, window);
-    let singles = [rt, err].map(|m| store.window_summary_id(scope, m, now, window));
-    assert_eq!(pair, singles, "a paired read reads what two single reads do");
-
-    let pair_ns = time_queries(2_000, |i| {
-        let [a, b] = store.window_summary_pair((scope, rt), (scope, err), stepped_look(i), window);
-        a.count + b.count
-    });
-    let singles_ns = time_queries(2_000, |i| {
-        let look = |metric| store.window_summary_id(scope, metric, stepped_look(i), window);
-        look(rt).count + look(err).count
-    });
-    let repeat_ns = time_queries(20_000, |_| store.window_summary_id(scope, rt, now, window).count);
-    (pair_ns, singles_ns, repeat_ns)
+    time_queries(20_000, |_| store.window_summary_id(scope, metric, now, LOOK_WINDOW).count)
 }
 
 /// One look at a cumulative window of `buckets` one-second buckets (ten
@@ -323,12 +305,9 @@ fn main() {
     let flatness = rows.iter().copied().fold(0.0f64, f64::max)
         / rows.iter().copied().fold(f64::INFINITY, f64::min);
     eprintln!("window-query flatness 10^4 -> 10^6: {flatness:.2}x (acceptance: within 2x)");
-    let pair_len = 100_000;
-    let (pair_ns, singles_ns, repeat_ns) = bench_window_pair(pair_len);
-    eprintln!(
-        "window pair @ {pair_len} samples: paired {pair_ns:.0} ns, two single reads \
-         {singles_ns:.0} ns; repeated look {repeat_ns:.0} ns"
-    );
+    let repeat_len = 100_000;
+    let repeat_ns = bench_repeated_look(repeat_len);
+    eprintln!("repeated look @ {repeat_len} samples: {repeat_ns:.0} ns (a remembered answer)");
 
     // Cumulative window: one look from scratch vs resumed.
     for buckets in [60u64, 600, 1_200] {

@@ -8,10 +8,10 @@
 //!
 //! The engine looks at a phase's checks through one owner, `PhaseChecks`,
 //! made on every phase (re-)entry: it keeps each check's cadence ("time-
-//! based execution of multiple checks"), the partners that share a paired
-//! read, and each sequential check's state and resumable windows, and looks
-//! at the due checks — at the phase boundary, at every check — returning,
-//! to the bit, what looking at one check at a time returns.
+//! based execution of multiple checks") and each sequential check's state
+//! and resumable windows, and looks at the due checks — at the phase
+//! boundary, at every check — returning, to the bit, what looking at one
+//! check at a time returns. Every windowed read is one read of one series.
 
 use crate::decide::{Evaluation, TickObservation};
 use crate::model::{Check, CheckScope, Comparator, Phase};
@@ -107,25 +107,11 @@ impl CheckContext {
         }
     }
 
-    /// The one scope an absolute check reads; `None` for the two-sided
-    /// scopes.
-    fn absolute_id(&self, scope: CheckScope) -> Option<ScopeId> {
-        match scope {
-            CheckScope::Candidate => Some(self.candidate_id),
-            CheckScope::Baseline => Some(self.baseline_id),
-            CheckScope::App => Some(self.app_id),
-            CheckScope::Trace => Some(self.trace_candidate_id),
-            CheckScope::CandidateVsBaseline
-            | CheckScope::SequentialVsBaseline
-            | CheckScope::SignificantVsBaseline => None,
-        }
-    }
-
-    /// Candidate and baseline window summaries of one metric, read as a
-    /// pair.
+    /// Candidate and baseline window summaries of one metric, read in
+    /// that order.
     fn both_sides(&self, check: &Check, store: &MetricStore, now: SimTime) -> [Summary; 2] {
-        let (cand, base) = ((self.candidate_id, check.metric), (self.baseline_id, check.metric));
-        store.window_summary_pair(cand, base, now, check.window)
+        [self.candidate_id, self.baseline_id]
+            .map(|scope| store.window_summary_id(scope, check.metric, now, check.window))
     }
 }
 
@@ -227,49 +213,6 @@ fn absolute(check: &Check, summary: Summary) -> CheckObservation {
         CheckResult::Fail
     };
     CheckObservation { result, primary: summary, baseline: None }
-}
-
-/// Partners for paired reads: entry `i` is the check that shares check
-/// `i`'s scope and window but reads another metric, for the absolute
-/// scopes (both read one series each). Each check has at most one
-/// partner, the first free one after it, and pairing is symmetric.
-fn absolute_partners(checks: &[Check]) -> Vec<Option<usize>> {
-    let mut partners = vec![None; checks.len()];
-    for (i, a) in checks.iter().enumerate() {
-        let absolute = matches!(
-            a.scope,
-            CheckScope::Candidate | CheckScope::Baseline | CheckScope::App | CheckScope::Trace
-        );
-        if partners[i].is_some() || !absolute {
-            continue;
-        }
-        let partner = (i + 1..checks.len()).find(|&j| {
-            let b = &checks[j];
-            partners[j].is_none()
-                && (b.scope, b.window) == (a.scope, a.window)
-                && b.metric != a.metric
-        });
-        if let Some(j) = partner {
-            (partners[i], partners[j]) = (Some(j), Some(i));
-        }
-    }
-    partners
-}
-
-/// Two partnered absolute checks ([`absolute_partners`]) at `now` from one
-/// paired read: the observations and windowed reads of two
-/// [`evaluate_observed`] calls. Panics unless both checks are absolute.
-fn evaluate_partners(
-    a: &Check,
-    b: &Check,
-    ctx: &CheckContext,
-    store: &MetricStore,
-    now: SimTime,
-) -> [CheckObservation; 2] {
-    debug_assert_eq!(a.window, b.window, "partners read one window");
-    let series = |c: &Check| (ctx.absolute_id(c.scope).expect("an absolute check"), c.metric);
-    let [x, y] = store.window_summary_pair(series(a), series(b), now, a.window);
-    [absolute(a, x), absolute(b, y)]
 }
 
 /// Significance level of a sequential check: its `threshold` is a
@@ -418,8 +361,6 @@ fn evaluate_sequential(
 pub(crate) struct PhaseChecks {
     started: SimTime,
     next_due: Vec<SimTime>,
-    /// Each check's partner for a paired read ([`absolute_partners`]).
-    partners: Vec<Option<usize>>,
     /// Per-check sequential-test state (non-sequential entries stay at
     /// their default) and resumable window reads, reset together.
     sequential: Vec<SequentialState>,
@@ -436,7 +377,6 @@ impl PhaseChecks {
         PhaseChecks {
             started,
             next_due: checks.iter().map(|c| started + c.interval).collect(),
-            partners: absolute_partners(checks),
             sequential: vec![SequentialState::new(); checks.len()],
             windows: vec![SequentialWindows::default(); checks.len()],
             due: Vec::with_capacity(checks.len()),
@@ -463,8 +403,7 @@ impl PhaseChecks {
     /// the phase clock has run out, at every check of `phase` once more,
     /// each list in index order. A sequential look advances its state and
     /// windows as it goes; a check looked at twice in one tick lands where
-    /// one look would have left it. A check whose partner is looked at in
-    /// the same pass is read with it, in one paired read.
+    /// one look would have left it.
     pub(crate) fn look(
         &mut self,
         phase: &Phase,
@@ -472,31 +411,18 @@ impl PhaseChecks {
         store: &MetricStore,
         now: SimTime,
     ) -> TickObservation {
-        let PhaseChecks { started, partners, sequential, windows, due, .. } = self;
+        let PhaseChecks { started, sequential, windows, due, .. } = self;
         let mut eval = |indices: &[usize]| -> Vec<Evaluation> {
-            let mut observed = vec![None; indices.len()];
-            for (p, &i) in indices.iter().enumerate() {
-                if observed[p].is_some() {
-                    continue;
-                }
+            let mut look = |i: usize| {
                 let check = &phase.checks[i];
-                let partner = partners[i].and_then(|j| {
-                    indices[p + 1..].iter().position(|&k| k == j).map(|q| (j, p + 1 + q))
-                });
-                if let Some((j, q)) = partner {
-                    let [a, b] = evaluate_partners(check, &phase.checks[j], ctx, store, now);
-                    (observed[p], observed[q]) = (Some(a), Some(b));
-                } else if check.scope == CheckScope::SequentialVsBaseline {
+                if check.scope == CheckScope::SequentialVsBaseline {
                     let (state, cursors) = (&mut sequential[i], &mut windows[i]);
-                    let look =
-                        evaluate_sequential(check, ctx, store, *started, now, state, cursors);
-                    observed[p] = Some(look);
+                    evaluate_sequential(check, ctx, store, *started, now, state, cursors)
                 } else {
-                    observed[p] = Some(evaluate_observed(check, ctx, store, now));
+                    evaluate_observed(check, ctx, store, now)
                 }
-            }
-            let observed = observed.into_iter().map(|o| o.expect("every check looked at"));
-            indices.iter().copied().zip(observed).collect()
+            };
+            indices.iter().map(|&i| (i, look(i))).collect()
         };
         let due_results = eval(due);
         let at_boundary = now.saturating_since(*started) >= phase.duration;
@@ -552,56 +478,6 @@ mod tests {
         assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Pass);
         check.threshold = 10.0;
         assert_eq!(evaluate(&check, &ctx(&mut store), &store, now), CheckResult::Fail);
-    }
-
-    #[test]
-    fn partnered_checks_are_read_in_pairs_and_judged_as_alone() {
-        use CheckScope::{App, Candidate, CandidateVsBaseline, SequentialVsBaseline, Trace};
-        use MetricKind::{ErrorRate as Err, ResponseTime as Rt};
-        let check = |scope, metric, window_s| {
-            let mut check = Check::candidate(metric, Comparator::Lt, 40.0);
-            (check.scope, check.window, check.min_samples) =
-                (scope, SimDuration::from_secs(window_s), 1);
-            check
-        };
-        let checks = [
-            check(SequentialVsBaseline, Rt, 60),
-            check(Candidate, Err, 120),
-            check(Candidate, Rt, 120),
-            check(App, Err, 60),
-            // Another window than its scope's other check.
-            check(Candidate, Rt, 60),
-            check(App, Rt, 60),
-            // Its one match is taken, and another of its own metric is not one.
-            check(App, Rt, 60),
-            // Two-sided checks read their two series as a pair already.
-            check(CandidateVsBaseline, Err, 60),
-            check(CandidateVsBaseline, Rt, 60),
-            check(Trace, Rt, 120),
-            check(Trace, Err, 120),
-        ];
-        let partners = absolute_partners(&checks);
-        let expected = [None, Some(2), Some(1), Some(5), None, Some(3), None, None, None];
-        assert_eq!(partners, [&expected[..], &[Some(10), Some(9)]].concat());
-
-        let mut store = MetricStore::new();
-        let ctx = ctx(&mut store);
-        for scope in ["svc@2", microsim::sim::APP_SCOPE, "trace:svc@2"] {
-            for i in 0..900 {
-                let t = SimTime::from_millis(i * 100);
-                store.record_value(scope, Rt, t, (i % 83) as f64);
-                store.record_value(scope, Err, t, (i % 7 == 0) as u64 as f64);
-            }
-        }
-        let now = SimTime::from_secs(90);
-        for (i, partner) in partners.iter().enumerate() {
-            let Some(j) = *partner else { continue };
-            let reads = store.window_reads();
-            let paired = evaluate_partners(&checks[i], &checks[j], &ctx, &store, now);
-            assert_eq!(store.window_reads(), reads + 2, "a pair is two reads");
-            let alone = [i, j].map(|k| evaluate_observed(&checks[k], &ctx, &store, now));
-            assert_eq!(paired, alone, "checks {i} and {j}");
-        }
     }
 
     #[test]
@@ -1139,12 +1015,12 @@ mod tests {
 
     #[test]
     fn a_phase_looks_at_its_checks_as_one_check_at_a_time_would() {
-        // Searched phases over one store: absolute checks sharing scope and
-        // window (pairs, triples, other metrics), two-sided and sequential
-        // checks, looked at over random due subsets, at and past the phase
-        // boundary, and again at the same `now`. Every observation,
-        // sequential state and window cursor, and the number of windowed
-        // reads, must be what looking at one check at a time gives.
+        // Searched phases over one store: absolute checks, some sharing
+        // scope and window, two-sided and sequential checks, looked at over
+        // random due subsets, at and past the phase boundary, and again at
+        // the same `now`. Every observation, sequential state and window
+        // cursor, and the number of windowed reads, must be what looking at
+        // one check at a time gives.
         use crate::model::{Action, PhaseKind};
         use cex_core::rng::SplitMix64;
         use CheckScope::*;
@@ -1167,9 +1043,7 @@ mod tests {
         let scopes = [Candidate, Candidate, App, App, Trace, Baseline];
         let scopes = [&scopes[..], &[CandidateVsBaseline, SignificantVsBaseline]].concat();
         let scopes = [&scopes[..], &[SequentialVsBaseline; 2]].concat();
-        let absolute = |c: &Check| matches!(c.scope, Candidate | Baseline | App | Trace);
-        let (mut pairs, mut triples, mut boundaries, mut repeats, mut informative) =
-            (0, 0, 0, 0, 0);
+        let (mut boundaries, mut repeats, mut informative) = (0, 0, 0);
         for seed in 0..400 {
             let mut rng = SplitMix64::new(seed);
             let checks: Vec<Check> = (0..1 + rng.next_index(8))
@@ -1184,10 +1058,6 @@ mod tests {
                     tau: None,
                 })
                 .collect();
-            triples += usize::from(checks.iter().any(|a| {
-                let shared = |b: &&Check| absolute(b) && (b.scope, b.window) == (a.scope, a.window);
-                checks.iter().filter(shared).count() >= 3
-            }));
             let started = SimTime::from_secs(rng.next_below(60));
             let phase = Phase {
                 name: "p".into(),
@@ -1235,15 +1105,12 @@ mod tests {
                     "seed {seed}"
                 );
                 boundaries += usize::from(boundary);
-                let partnered =
-                    |&&i: &&usize| owner.partners[i].is_some_and(|j| owner.due.contains(&j));
-                pairs += owner.due.iter().filter(partnered).count();
             }
             informative += owner.sequential.iter().filter(|s| s.tau.is_some()).count();
         }
-        // Paired reads, triples of one scope and window, boundary looks,
-        // repeated instants and informative sequential looks were all met.
-        let seen = [pairs, triples, boundaries, repeats, informative];
-        assert!(seen.iter().zip([200, 10, 1000, 500, 200]).all(|(n, min)| *n > min), "{seen:?}");
+        // Boundary looks, repeated instants and informative sequential
+        // looks were all met.
+        let seen = [boundaries, repeats, informative];
+        assert!(seen.iter().zip([1000, 500, 200]).all(|(n, min)| *n > min), "{seen:?}");
     }
 }

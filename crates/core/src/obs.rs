@@ -395,15 +395,7 @@ impl WallProbe {
 
     /// Starts a scoped measurement; elapsed time accumulates on drop.
     pub fn time(&self) -> ProbeGuard<'_> {
-        self.time_many(1)
-    }
-
-    /// [`WallProbe::time`] for one span that does the work of `n`
-    /// operations (a paired window read is two reads): it counts as `n`
-    /// measurements, so total time over the count stays the cost of one
-    /// operation.
-    pub fn time_many(&self, n: u64) -> ProbeGuard<'_> {
-        ProbeGuard { inner: self.armed.then(|| (self, Instant::now(), n)) }
+        ProbeGuard { inner: self.armed.then(|| (self, Instant::now())) }
     }
 
     /// The accumulated total and measurement count.
@@ -415,15 +407,14 @@ impl WallProbe {
 /// RAII measurement returned by [`WallProbe::time`].
 #[derive(Debug)]
 pub struct ProbeGuard<'a> {
-    inner: Option<(&'a WallProbe, Instant, u64)>,
+    inner: Option<(&'a WallProbe, Instant)>,
 }
 
 impl Drop for ProbeGuard<'_> {
     fn drop(&mut self) {
-        if let Some((probe, started, n)) = self.inner.take() {
+        if let Some((probe, started)) = self.inner.take() {
             let mut stats = probe.stats.get();
-            stats.total_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.count += n;
+            stats.record(started.elapsed());
             probe.stats.set(stats);
         }
     }
@@ -529,15 +520,12 @@ mod tests {
             let _t = probe.time();
             std::hint::black_box(0);
         }
-        {
-            let _t = probe.time_many(2);
-        }
-        assert_eq!(probe.stats().count(), 3, "a paired read counts twice");
+        assert_eq!(probe.stats().count(), 1);
         probe.set_armed(false);
         {
             let _t = probe.time();
         }
-        assert_eq!(probe.stats().count(), 3, "disarmed probe records nothing");
+        assert_eq!(probe.stats().count(), 1, "disarmed probe records nothing");
 
         let prof = Profiler::new(ObsConfig::enabled());
         prof.fold("store.flush", &probe.stats());

@@ -7,7 +7,9 @@
 //!
 //! Uncontended scenes must queue fewer events; contended ones (a call
 //! policy, a concurrency limit, a mirror) must queue exactly as many, since
-//! the gate keeps them on the queued path. `cargo test --release -p
+//! the gate keeps them on the queued path. Every uncontended scene also
+//! runs with the default call policy attached, which is inert: it queues
+//! every event and must change no output. `cargo test --release -p
 //! microsim fusion -- --ignored` runs the long table.
 //!
 //! The merge writes samples and breaker transitions through an index of
@@ -139,7 +141,7 @@ struct Scene {
     contended: bool,
 }
 
-/// One run of a scene: its outputs and what it walked.
+/// One run of a scene: its outputs and what it covered.
 struct Run {
     outputs: Outputs,
     popped: u64,
@@ -155,9 +157,13 @@ struct Run {
     checked: [usize; 3],
 }
 
-fn run(scene: &Scene, queue_every_event: bool) -> Run {
+/// Runs `scene`, with `policy` attached after its setup when there is one.
+fn run(scene: &Scene, queue_every_event: bool, policy: Option<CallPolicy>) -> Run {
     let mut sim = Simulation::new(scene.app.clone(), scene.seed);
     (scene.setup)(&mut sim);
+    if let Some(policy) = policy {
+        sim.set_call_policy(policy);
+    }
     let entry = sim.app().baseline_of(ServiceId(0));
     QUEUE_EVERY_EVENT.with(|q| q.set(queue_every_event));
     WRITTEN.with(|log| *log.borrow_mut() = Some(Written::default()));
@@ -208,9 +214,9 @@ fn run(scene: &Scene, queue_every_event: bool) -> Run {
     Run { outputs, popped, multipliers, kinds, candidate_samples, dark_spans, checked }
 }
 
-/// What the table as a whole walked, so a floor can say it did.
+/// What the table as a whole covered, so a floor can say it did.
 #[derive(Default)]
-struct Walked {
+struct Covered {
     uncontended: usize,
     contended: usize,
     /// Distinct entry-version latency multipliers above 1 seen at window
@@ -226,7 +232,7 @@ struct Walked {
     checked: [usize; 3],
 }
 
-impl Walked {
+impl Covered {
     fn samples_of(&self, kind: MetricKind) -> usize {
         self.kinds[kind as usize]
     }
@@ -250,27 +256,31 @@ impl Walked {
     }
 }
 
+/// Asserts that two runs of the scene `name` exposed the same outputs.
+fn assert_same(name: &str, a: &Outputs, b: &Outputs) {
+    assert_eq!(a.reports, b.reports, "{name}: reports");
+    assert_eq!(a.store, b.store, "{name}: store");
+    assert!(a.written == b.written, "{name}: the merge wrote samples in another order");
+    assert_eq!(a.traces, b.traces, "{name}: traces");
+    assert_eq!(a.transitions, b.transitions, "{name}: breaker log");
+    assert_eq!(a.counters, b.counters, "{name}: counters");
+}
+
 /// Runs every scene both ways and asserts they agree.
-fn check(scenes: &[Scene]) -> Walked {
-    let mut walked = Walked::default();
+fn check(scenes: &[Scene]) -> Covered {
+    let mut covered = Covered::default();
     for scene in scenes {
-        let inline = run(scene, false);
-        let queued = run(scene, true);
+        let inline = run(scene, false, None);
+        let queued = run(scene, true, None);
         let name = &scene.name;
-        let (a, b) = (&inline.outputs, &queued.outputs);
-        assert_eq!(a.reports, b.reports, "{name}: reports");
-        assert_eq!(a.store, b.store, "{name}: store");
-        assert!(a.written == b.written, "{name}: the merge wrote samples in another order");
-        assert_eq!(a.traces, b.traces, "{name}: traces");
-        assert_eq!(a.transitions, b.transitions, "{name}: breaker log");
-        assert_eq!(a.counters, b.counters, "{name}: counters");
+        assert_same(name, &inline.outputs, &queued.outputs);
         let (inline_popped, queued_popped) = (inline.popped, queued.popped);
         if scene.contended {
             assert_eq!(
                 inline_popped, queued_popped,
                 "{name}: a contended window queues every event"
             );
-            walked.contended += 1;
+            covered.contended += 1;
         } else {
             // A hop's Reply and its caller's next Call always run inline,
             // so fewer than half the queued events remain.
@@ -278,14 +288,14 @@ fn check(scenes: &[Scene]) -> Walked {
                 2 * inline_popped < queued_popped,
                 "{name}: {inline_popped} events queued, {queued_popped} without inline events"
             );
-            walked.uncontended += 1;
+            covered.uncontended += 1;
         }
-        for (total, count) in walked.checked.iter_mut().zip(queued.checked) {
+        for (total, count) in covered.checked.iter_mut().zip(queued.checked) {
             *total += count;
         }
-        walked.add(inline);
+        covered.add(inline);
     }
-    walked
+    covered
 }
 
 fn layered(seed: u64, load_sensitivity: f64) -> Application {
@@ -503,37 +513,66 @@ fn scenes(seeds: &[u64], windows: usize) -> Vec<Scene> {
     out
 }
 
-fn assert_walked(walked: &Walked, scenes: usize) {
-    assert_eq!(walked.uncontended + walked.contended, scenes);
-    assert!(walked.traces > 1_000, "{} traces", walked.traces);
+fn assert_covered(covered: &Covered, scenes: usize) {
+    assert_eq!(covered.uncontended + covered.contended, scenes);
+    assert!(covered.traces > 1_000, "{} traces", covered.traces);
     assert!(
-        walked.multipliers.len() >= 4,
+        covered.multipliers.len() >= 4,
         "load sensitivity moved the entry multiplier to only {} values",
-        walked.multipliers.len()
+        covered.multipliers.len()
     );
-    assert!(walked.candidate_samples > 100, "{} candidate samples", walked.candidate_samples);
+    assert!(covered.candidate_samples > 100, "{} candidate samples", covered.candidate_samples);
     // Each contended scene walks what makes it contended.
-    assert!(walked.dark_spans > 0, "no mirrored span");
+    assert!(covered.dark_spans > 0, "no mirrored span");
     for kind in [MetricKind::QueueDelay, MetricKind::Timeout, MetricKind::Retry] {
-        assert!(walked.samples_of(kind) > 0, "no {kind:?} sample");
+        assert!(covered.samples_of(kind) > 0, "no {kind:?} sample");
     }
     // Both sides' merges were held to the per-record oracle, breaker
     // transitions and events with several records included.
-    let [samples, transitions, shared] = walked.checked;
-    assert!(samples > 100_000 && transitions > 10 && shared > 100_000, "{:?}", walked.checked);
+    let [samples, transitions, shared] = covered.checked;
+    assert!(samples > 100_000 && transitions > 10 && shared > 100_000, "{:?}", covered.checked);
 }
 
 #[test]
 fn inline_events_leave_every_output_as_queued_events_do() {
     let scenes = scenes(&[3], 3);
-    assert_walked(&check(&scenes), scenes.len());
+    assert_covered(&check(&scenes), scenes.len());
 }
 
 #[test]
 #[ignore = "long: the table over eight seeds and longer runs; run in release"]
 fn inline_events_leave_every_output_as_queued_events_do_long() {
     let scenes = scenes(&[3, 8, 21, 34, 55, 89, 144, 233], 6);
-    assert_walked(&check(&scenes), scenes.len());
+    assert_covered(&check(&scenes), scenes.len());
+}
+
+/// Runs every uncontended scene as it is and with the default call policy
+/// attached, and asserts that the policy changed no output: the default
+/// policy is inert ([`CallPolicy`]). Attached, it makes every window
+/// contended, so the second run also queues every event. Returns the
+/// scenes compared.
+fn check_null_policy(scenes: &[Scene]) -> usize {
+    let mut compared = 0;
+    for scene in scenes.iter().filter(|s| !s.contended) {
+        let bare = run(scene, false, None);
+        let null = run(scene, false, Some(CallPolicy::default()));
+        let name = format!("{}, default policy", scene.name);
+        assert_same(&name, &bare.outputs, &null.outputs);
+        assert!(bare.popped < null.popped, "{name}: the policy's window queues every event");
+        compared += 1;
+    }
+    compared
+}
+
+#[test]
+fn the_default_call_policy_changes_no_output() {
+    assert_eq!(check_null_policy(&scenes(&[3], 3)), 8);
+}
+
+#[test]
+#[ignore = "long: the table over eight seeds and longer runs; run in release"]
+fn the_default_call_policy_changes_no_output_long() {
+    assert_eq!(check_null_policy(&scenes(&[3, 8, 21, 34, 55, 89, 144, 233], 6)), 64);
 }
 
 #[test]

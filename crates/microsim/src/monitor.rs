@@ -20,7 +20,7 @@
 //!
 //! At million-request scale the store is the busiest structure in the
 //! system — every request hop writes two samples, and every Bifrost check
-//! reads a trailing window. Ten mechanisms keep it off the critical path:
+//! reads a trailing window. Nine mechanisms keep it off the critical path:
 //!
 //! * **Scope interning.** Scope strings are interned once into dense
 //!   [`ScopeId`]s ([`cex_core::intern::Interner`], shared with the trace
@@ -106,17 +106,6 @@
 //!   key the fold reads the same buckets and samples, so the remembered
 //!   summary is the fold's to the bit. A hit still counts as a windowed
 //!   read: the count is journaled per tick.
-//! * **Paired reads in lockstep.** A check that compares two series (a
-//!   candidate against its baseline), or two checks that read two
-//!   metrics of one scope over one window, fold both series in one loop
-//!   ([`MetricStore::window_summary_pair`]), one bucket of each per
-//!   iteration. Every read folds a window the same way, one bucket per
-//!   step of one walk; a pair steps two walks in turn, so each series
-//!   keeps exactly the merges and pushes of its own read, and only the
-//!   two independent dependency chains interleave, so the CPU overlaps
-//!   their divides. Validity rule: none is needed — each side is a
-//!   single read's walk, with its own raw cursor, and the longer side
-//!   finishes alone; a pair counts as two reads and fills both memos.
 //!
 //! Everything stays deterministic: ingestion order is driven by the
 //! virtual clock, bucket contents and compaction depend only on the data,
@@ -709,15 +698,15 @@ impl Series {
         }
     }
 
-    /// The walk over the whole query `from_ms <= time < to_ms`, from an
+    /// The fold of the whole query `from_ms <= time < to_ms`, from an
     /// empty accumulator.
-    fn walk(&self, from_ms: u64, to_ms: u64) -> Walk<'_> {
-        Walk::new(self, Self::bucket_span(from_ms, to_ms), from_ms, to_ms, OnlineStats::new())
+    fn fold_query(&self, from_ms: u64, to_ms: u64) -> OnlineStats {
+        fold_buckets(self, Self::bucket_span(from_ms, to_ms), from_ms, to_ms, OnlineStats::new())
     }
 
-    /// [`Series::walk`]'s summary, continued from `cursor` where it is
+    /// [`Series::fold_query`]'s summary, continued from `cursor` where it is
     /// still good (see [`WindowCursor`] for the rule). The buckets, their
-    /// order and every merge and push are those of the walk from scratch,
+    /// order and every merge and push are those of the fold from scratch,
     /// so the summary is the same to the bit.
     fn resume(&self, from_ms: u64, to_ms: u64, cursor: &WindowCursor) -> (Summary, WindowCursor) {
         let span = Self::bucket_span(from_ms, to_ms);
@@ -736,9 +725,9 @@ impl Series {
             && (span.start..=keep_to).contains(&cursor.next_bucket);
         let (acc, start) =
             if good { (cursor.acc, cursor.next_bucket) } else { (OnlineStats::new(), span.start) };
-        let acc = Walk::new(self, start..keep_to, from_ms, to_ms, acc).finish();
+        let acc = fold_buckets(self, start..keep_to, from_ms, to_ms, acc);
         let kept = WindowCursor { from_ms, next_bucket: keep_to, epoch: self.epoch, acc };
-        let acc = Walk::new(self, keep_to..span.end, from_ms, to_ms, acc).finish();
+        let acc = fold_buckets(self, keep_to..span.end, from_ms, to_ms, acc);
         (acc.summary(), kept)
     }
 
@@ -768,132 +757,60 @@ impl Series {
     /// remembered one, or the fold's, remembered.
     fn window(&self, from_ms: u64, to_ms: u64) -> Summary {
         self.remembered(from_ms, to_ms).unwrap_or_else(|| {
-            let acc = self.walk(from_ms, to_ms).finish();
+            let acc = self.fold_query(from_ms, to_ms);
             self.remember(from_ms, to_ms, &acc)
         })
     }
-
-    /// [`Series::window`] of two series over one window, the two folds
-    /// taken in lockstep when neither is remembered.
-    fn window_pair(a: &Series, b: &Series, from_ms: u64, to_ms: u64) -> [Summary; 2] {
-        match (a.remembered(from_ms, to_ms), b.remembered(from_ms, to_ms)) {
-            (Some(x), Some(y)) => [x, y],
-            (None, None) => {
-                let [x, y] = lockstep(a.walk(from_ms, to_ms), b.walk(from_ms, to_ms));
-                [a.remember(from_ms, to_ms, &x), b.remember(from_ms, to_ms, &y)]
-            }
-            (x, y) => [
-                x.unwrap_or_else(|| a.window(from_ms, to_ms)),
-                y.unwrap_or_else(|| b.window(from_ms, to_ms)),
-            ],
-        }
-    }
 }
 
-/// The store's one fold: the non-empty buckets of a series with an index
-/// in a range, in order, folded into an accumulator for the query
-/// `from_ms <= time < to_ms`, one bucket per [`Walk::step`] — so that
-/// [`lockstep`] can run two side by side, and a resumed read can stop at
-/// the buckets its cursor keeps and go on from there.
-struct Walk<'a> {
-    series: &'a Series,
-    /// The two bucket columns from the next bucket on.
-    idx: &'a [u64],
-    cells: &'a [BucketCell],
-    /// First bucket index past the range.
-    end: u64,
+/// The store's one fold: the non-empty buckets of `series` with an index
+/// in `buckets`, in order, folded into `acc` for the query
+/// `from_ms <= time < to_ms`. A bucket the query covers whole, or one
+/// compacted below the raw floor (bucket granularity), is merged; a
+/// partially covered edge pushes its raw samples in the query, from one
+/// raw cursor per call.
+#[inline(always)]
+fn fold_buckets(
+    series: &Series,
+    buckets: std::ops::Range<u64>,
     from_ms: u64,
     to_ms: u64,
-    raw_cursor: Option<usize>,
-    acc: OnlineStats,
-}
-
-impl<'a> Walk<'a> {
-    #[inline(always)]
-    fn new(
-        series: &'a Series,
-        buckets: std::ops::Range<u64>,
-        from_ms: u64,
-        to_ms: u64,
-        acc: OnlineStats,
-    ) -> Self {
-        // No bucket is past the latest sample's: a look at a series that has
-        // since gone quiet — a version out of traffic — walks nothing, and
-        // is decided on the series' own fields without a read of either
-        // column.
-        let first = if buckets.is_empty() || buckets.start > series.max_time_ms / WIDTH_MS {
-            series.bucket_idx.len()
-        } else {
-            first_at_or_after(&series.bucket_idx, buckets.start)
-        };
-        Walk {
-            series,
-            idx: &series.bucket_idx[first..],
-            cells: &series.cells[first..],
-            end: buckets.end,
-            from_ms,
-            to_ms,
-            raw_cursor: None,
-            acc,
-        }
+    mut acc: OnlineStats,
+) -> OnlineStats {
+    // No bucket is past the latest sample's: a look at a series that has
+    // since gone quiet — a version out of traffic — folds nothing, and is
+    // decided on the series' own fields without a read of either column.
+    if buckets.is_empty() || buckets.start > series.max_time_ms / WIDTH_MS {
+        return acc;
     }
-
-    /// Folds the next bucket into the accumulator; `false`, folding
-    /// nothing, once the range has none left. A bucket the query covers
-    /// whole, or one compacted below the raw floor (bucket granularity),
-    /// is merged; a partially covered edge pushes its raw samples in the
-    /// query, from one raw cursor per walk.
-    #[inline(always)]
-    fn step(&mut self) -> bool {
-        let (Some((&b, idx)), Some((&cell, rest))) =
-            (self.idx.split_first(), self.cells.split_first())
-        else {
-            return false;
-        };
-        if b >= self.end {
-            return false;
+    let first = first_at_or_after(&series.bucket_idx, buckets.start);
+    let mut raw_cursor: Option<usize> = None;
+    for (&b, cell) in series.bucket_idx[first..].iter().zip(&series.cells[first..]) {
+        if b >= buckets.end {
+            break;
         }
-        (self.idx, self.cells) = (idx, rest);
-        let series = self.series;
         let b_start = b * WIDTH_MS;
         let b_end = b_start + WIDTH_MS;
-        if (self.from_ms <= b_start && self.to_ms >= b_end) || b_start < series.raw_floor_ms {
-            self.acc.merge(&cell.stats(series));
+        if (from_ms <= b_start && to_ms >= b_end) || b_start < series.raw_floor_ms {
+            acc.merge(&cell.stats(series));
         } else {
-            let s = self.from_ms.max(b_start);
-            let e = self.to_ms.min(b_end);
+            let s = from_ms.max(b_start);
+            let e = to_ms.min(b_end);
             let Tail { times, values, .. } = &*series.tail;
-            let mut i = *self.raw_cursor.get_or_insert_with(|| times.partition_point(s));
+            let mut i = *raw_cursor.get_or_insert_with(|| times.partition_point(s));
             while let Some(t) = times.get(i) {
                 if t >= e {
                     break;
                 }
                 if t >= s {
-                    self.acc.push(values.at(i));
+                    acc.push(values.at(i));
                 }
                 i += 1;
             }
-            self.raw_cursor = Some(i);
+            raw_cursor = Some(i);
         }
-        true
     }
-
-    /// Walks to the end of the range and returns the accumulator.
-    #[inline(always)]
-    fn finish(mut self) -> OnlineStats {
-        while self.step() {}
-        self.acc
-    }
-}
-
-/// Runs two walks to their ends, one step of each per iteration, then
-/// the longer one's tail alone. Each walk makes the merges and pushes it
-/// would make on its own, in the same order; what changes is only that
-/// two independent dependency chains — each a serial divide per merge —
-/// are in flight at once.
-fn lockstep(mut a: Walk<'_>, mut b: Walk<'_>) -> [OnlineStats; 2] {
-    while a.step() & b.step() {}
-    [a.finish(), b.finish()]
+    acc
 }
 
 /// Where a cumulative window read left off, so the next look at the same
@@ -1071,11 +988,6 @@ impl MetricStore {
         self.series.get(slot_of(scope, metric))?.as_ref()
     }
 
-    /// Counts `n` windowed reads.
-    fn count_reads(&self, n: u64) {
-        self.window_reads.set(self.window_reads.get() + n);
-    }
-
     /// Number of samples ever recorded into a series (compaction does not
     /// reduce it).
     pub fn count(&self, scope: &str, metric: MetricKind) -> usize {
@@ -1106,7 +1018,7 @@ impl MetricStore {
     ) -> Summary {
         let series = self.resolve(scope).and_then(|id| self.series_at(id, metric));
         series.map_or_else(Summary::default, |s| {
-            s.walk(from.as_millis(), to.as_millis()).finish().summary()
+            s.fold_query(from.as_millis(), to.as_millis()).summary()
         })
     }
 
@@ -1124,7 +1036,7 @@ impl MetricStore {
             Some(id) => self.window_summary_id(id, metric, now, window),
             None => {
                 let _t = self.query_probe.time();
-                self.count_reads(1);
+                self.window_reads.set(self.window_reads.get() + 1);
                 Summary::default()
             }
         }
@@ -1139,30 +1051,9 @@ impl MetricStore {
         window: SimDuration,
     ) -> Summary {
         let _t = self.query_probe.time();
-        self.count_reads(1);
+        self.window_reads.set(self.window_reads.get() + 1);
         let (from_ms, to_ms) = trailing(now, window);
         self.series_at(scope, metric).map_or_else(Summary::default, |s| s.window(from_ms, to_ms))
-    }
-
-    /// [`MetricStore::window_summary_id`] of two series over one window,
-    /// `[a, b]` in argument order: what two calls return, to the bit, from
-    /// one walk over both bucket columns, one bucket of each per step. It
-    /// counts as two windowed reads, and as two measurements of the query
-    /// probe.
-    pub fn window_summary_pair(
-        &self,
-        a: (ScopeId, MetricKind),
-        b: (ScopeId, MetricKind),
-        now: SimTime,
-        window: SimDuration,
-    ) -> [Summary; 2] {
-        let _t = self.query_probe.time_many(2);
-        self.count_reads(2);
-        let (from_ms, to_ms) = trailing(now, window);
-        match (self.series_at(a.0, a.1), self.series_at(b.0, b.1)) {
-            (Some(a), Some(b)) => Series::window_pair(a, b, from_ms, to_ms),
-            (a, b) => [a, b].map(|s| s.map_or_else(Summary::default, |s| s.window(from_ms, to_ms))),
-        }
     }
 
     /// [`MetricStore::window_summary_id`] for a window that only ever
@@ -1181,7 +1072,7 @@ impl MetricStore {
         cursor: &WindowCursor,
     ) -> (Summary, WindowCursor) {
         let _t = self.query_probe.time();
-        self.count_reads(1);
+        self.window_reads.set(self.window_reads.get() + 1);
         let (from_ms, to_ms) = trailing(now, window);
         self.series_at(scope, metric).map_or_else(
             || (Summary::default(), WindowCursor::new()),
@@ -1189,11 +1080,11 @@ impl MetricStore {
         )
     }
 
-    /// Number of windowed reads ([`MetricStore::window_summary`] calls,
-    /// a remembered answer included, with a
-    /// [`MetricStore::window_summary_pair`] counting as two and a whole
-    /// [`MetricStore::moving_average`] sweep as one) served since creation
-    /// — the monitoring-cost counter the Bifrost journal samples per tick.
+    /// Number of windowed reads served since creation — one per read of
+    /// one series (a [`MetricStore::window_summary`] call, a remembered
+    /// answer included) and one per whole [`MetricStore::moving_average`]
+    /// sweep: the monitoring-cost counter the Bifrost journal samples per
+    /// tick.
     pub fn window_reads(&self) -> u64 {
         self.window_reads.get()
     }
@@ -1246,7 +1137,7 @@ impl MetricStore {
     ) -> Vec<(SimTime, f64)> {
         assert!(!step.is_zero(), "step must be positive");
         let _t = self.query_probe.time();
-        self.count_reads(1);
+        self.window_reads.set(self.window_reads.get() + 1);
         let Some(id) = self.resolve(scope) else { return Vec::new() };
         let Some(series) = self.series_at(id, metric) else { return Vec::new() };
 
@@ -1286,7 +1177,7 @@ impl MetricStore {
             } else {
                 // Window reaches into the compacted region: answer this
                 // step at bucket granularity.
-                let acc = series.walk(from_ms, to_ms).finish();
+                let acc = series.fold_query(from_ms, to_ms);
                 if let Some(mean) = acc.mean() {
                     out.push((t, mean));
                 }
@@ -1722,9 +1613,9 @@ mod tests {
         }
     }
 
-    /// The fold [`Walk`] replaced, kept as it was: the oracle that single,
-    /// paired, remembered and resumed reads are all held to, so that a
-    /// defect in the one walk they share cannot pass by agreeing with
+    /// The fold [`fold_buckets`] replaced, kept as it was: the oracle that
+    /// single, remembered and resumed reads are all held to, so that a
+    /// defect in the one fold they share cannot pass by agreeing with
     /// itself.
     impl Series {
         /// Folds the non-empty buckets with an index in `buckets`, in order,
@@ -2132,8 +2023,9 @@ mod tests {
         // grid that sometimes moves, or any trailing window, with `now`
         // now and then stepped back. A look reads in a random mix of
         // shapes: resumed from the carried cursor and from scratch, single
-        // reads, a pair, a pair repeated (memo hits), `summary_between`,
-        // and now and then a moving average and a scope never interned.
+        // reads of either side, of both, of both repeated (memo hits),
+        // `summary_between`, and now and then a moving average and a scope
+        // never interned.
         // Values are exact `f32`s (integers, as milliseconds and 0/1 rates
         // are), or not, or exact until a step where the series widens; now
         // and then an odd one — a negative zero, a NaN, one with the side
@@ -2146,8 +2038,8 @@ mod tests {
         // Every read must be the oracle fold's, to the bit, and on seeds
         // without retention the `Reference`'s; a move that writes nothing
         // may not change the last look's answer; and `window_reads` and
-        // the query probe must count every windowed read once, a pair as
-        // two and a sweep as one. After every move each series' two raw
+        // the query probe must count every windowed read once, a sweep as
+        // one. After every move each series' two raw
         // columns must be the one-deque tail the oracle reads, to the bit
         // and laid out alike, however compaction has wrapped it and
         // wherever the times column widened; and its cells and side column
@@ -2181,8 +2073,8 @@ mod tests {
             f64::INFINITY,
         ];
         let (mut looks, mut checked, mut kept, mut hits) = (0u32, 0u32, 0u32, 0u32);
-        let (mut pairs, mut uneven, mut one_empty, mut unaligned) = (0u32, 0u32, 0u32, 0u32);
-        let (mut compacted, mut remembered, mut opened_between) = (0u32, 0u32, 0u32);
+        let (mut compacted, mut remembered, mut opened_between, mut unaligned) =
+            (0u32, 0u32, 0u32, 0u32);
         let mut changed = [0u32; MOVES.len()];
         let (mut wrapped, mut widened, mut narrow, mut sweeps) = (0u32, 0u32, 0u32, 0u32);
         let (mut crossed, mut crossed_wrapped, mut late) = (0u32, 0u32, [0u32; 2]);
@@ -2431,7 +2323,7 @@ mod tests {
                 };
                 let (now, window) = (SimTime::from_millis(now), SimDuration::from_millis(window));
                 let edges = trailing(now, window);
-                let (a, b) = (s.sides[0], s.sides[1]);
+                let a = s.sides[0];
                 let (resumed, next) =
                     s.store.window_summary_resumed(a.0, a.1, now, window, &cursor);
                 let (scratch, _) =
@@ -2448,31 +2340,23 @@ mod tests {
                 };
                 let mut got = Vec::new();
                 let shape = rng.next_below(5);
-                match shape {
-                    0 | 1 => got.push((shape as usize, single(shape as usize))),
-                    2 => got.extend([(0, single(0)), (1, single(1))]),
-                    _ => {}
+                if shape < 2 {
+                    got.push((shape as usize, single(shape as usize)));
                 }
-                if shape != 2 {
-                    remembered += u32::from(s.remembered(0, edges) || s.remembered(1, edges));
-                    let pair = s.store.window_summary_pair(a, b, now, window);
-                    if shape == 4 {
-                        let again = s.store.window_summary_pair(a, b, now, window);
-                        assert_eq!(again.map(bits), pair.map(bits), "seed {seed}: a repeated pair");
-                        reads += 2;
-                    }
-                    let floors = s.state().2;
-                    for side in 0..2 {
-                        compacted += u32::from(floors[side] > edges.0 && pair[side].count > 0);
-                        let span = Series::bucket_span(edges.0, edges.1);
-                        compacted_ones += u32::from(s.compacted_ones(side, span) > 0);
-                    }
-                    let counts = pair.map(|x| x.count);
-                    uneven += u32::from(counts[0] != counts[1] && counts.iter().all(|&c| c > 0));
-                    one_empty += u32::from(counts.iter().filter(|&&c| c == 0).count() == 1);
-                    pairs += 1;
-                    got.extend([(0, pair[0]), (1, pair[1])]);
+                remembered += u32::from(s.remembered(0, edges) || s.remembered(1, edges));
+                let both = [single(0), single(1)];
+                if shape == 4 {
+                    let again = [single(0), single(1)];
+                    assert_eq!(again.map(bits), both.map(bits), "seed {seed}: two reads repeated");
+                    reads += 2;
                 }
+                let floors = s.state().2;
+                for side in 0..2 {
+                    compacted += u32::from(floors[side] > edges.0 && both[side].count > 0);
+                    let span = Series::bucket_span(edges.0, edges.1);
+                    compacted_ones += u32::from(s.compacted_ones(side, span) > 0);
+                }
+                got.extend([(0, both[0]), (1, both[1])]);
                 reads += got.len() as u64;
                 for &(side, summary) in &got {
                     s.check("trailing", side, edges, summary);
@@ -2525,11 +2409,9 @@ mod tests {
         assert!(kept * 4 > looks, "{kept} of {looks} looks kept a fold");
         assert!(checked * 2 > looks, "{checked} of {looks} looks checked against the reference");
         assert!(opened_between > 400, "{opened_between} buckets opened between two others");
-        assert!(uneven * 4 > pairs, "{uneven} of {pairs} pairs: two unequal non-empty sides");
-        assert!(one_empty * 10 > pairs, "{one_empty} of {pairs} pairs: one side empty");
         assert!(unaligned * 2 > looks, "{unaligned} of {looks} looks: start off the grid");
         assert!(compacted > 200, "{compacted} sides read over a compacted floor");
-        assert!(remembered * 10 > pairs, "{remembered} of {pairs} pairs met a remembered side");
+        assert!(remembered * 10 > looks, "{remembered} of {looks} looks met a remembered side");
         assert!(hits > 1_000, "{hits} looks repeated over an undisturbed series");
         assert!(wrapped > 3_000, "{wrapped} moves left a wrapped tail");
         assert!(
