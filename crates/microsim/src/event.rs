@@ -84,8 +84,9 @@
 //! timeout fires iff the attempt's finish time strictly exceeds
 //! the deadline — an attempt that takes exactly the deadline is on time.
 //!
-//! **Inline events.** A window is *uncontended* when it has no call
-//! policy, no version behind a concurrency limit and no mirrored service;
+//! **Inline events.** A window is *uncontended* when its call policy is
+//! the null one, no version is behind a concurrency limit and no service
+//! is mirrored;
 //! `run_window` works this out once from its inputs. There `Ctx::send`
 //! holds an event whose time is the running event's, and `Core::process`
 //! runs it next, under its own key and with its own index entry (see *The
@@ -301,14 +302,14 @@ impl Ord for HeapEv {
     }
 }
 
-/// A resilience-guarded call in progress on a suspended frame. It runs
-/// under the window's policy ([`Ctx::guard`]), which is not copied here:
-/// every frame of a window would carry the same copy.
+/// A call in progress on a suspended frame. It runs under the frame's
+/// policy ([`Ctx::policy_of`]), which is not copied here: every frame of a
+/// window would carry the same copy.
 #[derive(Debug, Clone, Copy)]
 struct GuardedCall {
     callee: VersionId,
     endpoint: EndpointId,
-    /// Start of the whole guarded call (first attempt's dispatch).
+    /// Start of the whole call (first attempt's dispatch).
     call_start_ms: u64,
     /// Caller-perceived wait accumulated over finished attempts and
     /// backoffs.
@@ -322,9 +323,7 @@ struct GuardedCall {
 enum Pending {
     /// Transient state while the frame is being advanced.
     Advancing,
-    /// An unguarded child call is outstanding.
-    Plain,
-    /// A resilience-guarded attempt is outstanding.
+    /// An attempt of a child call is outstanding.
     Guarded(GuardedCall),
     /// All calls done; the frame's `Done` event is scheduled.
     Finishing,
@@ -725,9 +724,10 @@ struct Ctx<'a> {
     app: &'a Application,
     router: &'a Router,
     faults: &'a FaultPlan,
-    /// The policy every primary inter-service call runs under, if any.
-    policy: Option<CallPolicy>,
-    /// No policy, no concurrency limit, no mirror: an event created at the
+    /// The policy every primary inter-service call runs under; the null
+    /// policy, [`CallPolicy::default`], when none is attached.
+    policy: CallPolicy,
+    /// Null policy, no concurrency limit, no mirror: an event created at the
     /// running event's instant runs inline (see the module doc).
     uncontended: bool,
     /// The event the running one created at its own instant, in an
@@ -746,10 +746,14 @@ impl Ctx<'_> {
         ((service as u64) << 32) | u64::from(self.serials[service])
     }
 
-    /// The policy a guarded call runs under: the window's, which a frame
-    /// is guarded only when there is.
-    fn guard(&self) -> CallPolicy {
-        self.policy.expect("a guarded call runs under the window's policy")
+    /// The policy `frame`'s calls run under: the window's, or the null
+    /// policy for a dark frame, whose mirrored subtree is never guarded.
+    fn policy_of(&self, frame: &Frame) -> CallPolicy {
+        if frame.dark {
+            CallPolicy::default()
+        } else {
+            self.policy
+        }
     }
 
     /// Schedules a created event. In an uncontended window an event at the
@@ -794,8 +798,8 @@ impl Ctx<'_> {
     }
 
     /// Runs the frame forward: skips non-firing probabilistic calls,
-    /// dispatches the next child (guarded or plain, plus its dark
-    /// mirrors), and schedules `Done` when the call list is exhausted.
+    /// dispatches the next child (plus its dark mirrors), and schedules
+    /// `Done` when the call list is exhausted.
     fn advance(&mut self, frame: &mut Frame) {
         let (app, router) = (self.app, self.router);
         loop {
@@ -819,21 +823,21 @@ impl Ctx<'_> {
             let child_start = frame.start_ms + frame.elapsed_ms;
             let user = self.reqs[frame.req as usize].user;
 
-            let policy = if frame.dark { None } else { self.policy };
+            let policy = self.policy_of(frame);
             let callee = router.resolve(app, call.service, user);
             let callee_ep = app
                 .endpoint_named(callee, call.endpoint_name)
                 .expect("call graph references a valid endpoint");
 
-            let guarded = policy.map(|_| GuardedCall {
+            let guarded = GuardedCall {
                 callee,
                 endpoint: callee_ep,
                 call_start_ms: child_start,
                 waited_ms: 0,
                 attempt: 0,
                 attempt_start_ms: child_start,
-            });
-            if let (Some(guarded), Some(bp)) = (&guarded, policy.and_then(|p| p.breaker)) {
+            };
+            if let Some(bp) = policy.breaker {
                 let at = SimTime::from_millis(child_start);
                 if self.res.decide(frame.version, callee, &bp, at) == CallDecision::Shed {
                     self.tally.sheds += 1;
@@ -852,24 +856,23 @@ impl Ctx<'_> {
                             dark: false,
                         });
                     }
-                    self.resolve_fallback(frame, guarded);
+                    self.resolve_fallback(frame, &guarded);
                     self.dispatch_mirrors(frame, mirrors, call.endpoint_name, child_start);
                     frame.call_idx += 1;
                     continue;
                 }
             }
-            let deadline = policy.and_then(|p| p.attempt_timeout);
-            self.dispatch_attempt(frame, callee, callee_ep, 0, child_seed, child_start, deadline);
-            frame.pending = guarded.map_or(Pending::Plain, Pending::Guarded);
+            self.dispatch_attempt(frame, callee, callee_ep, 0, child_seed, child_start);
+            frame.pending = Pending::Guarded(guarded);
             self.dispatch_mirrors(frame, mirrors, call.endpoint_name, child_start);
             return;
         }
     }
 
     /// Dispatches attempt number `attempt` of the frame's current call at
-    /// `at_ms` under a fresh generation, and arms its deadline if it has
-    /// one. (Only primary frames are guarded, so a retry is never dark.)
-    #[allow(clippy::too_many_arguments)]
+    /// `at_ms` under a fresh generation, and arms its deadline if the
+    /// frame's policy has one. (A dark frame's calls run under the null
+    /// policy, so a retry is never dark.)
     fn dispatch_attempt(
         &mut self,
         frame: &mut Frame,
@@ -878,7 +881,6 @@ impl Ctx<'_> {
         attempt: u32,
         seed: u64,
         at_ms: u64,
-        deadline: Option<SimDuration>,
     ) {
         frame.gen += 1;
         let expecting = frame.at_gen();
@@ -897,7 +899,7 @@ impl Ctx<'_> {
                 span,
             }),
         );
-        if let Some(limit) = deadline {
+        if let Some(limit) = self.policy_of(frame).attempt_timeout {
             let key = frame.next_key(at_ms + limit.as_millis(), PHASE_TIMEOUT);
             self.send(key, Ev::Timeout { parent: expecting });
         }
@@ -938,10 +940,10 @@ impl Ctx<'_> {
         }
     }
 
-    /// Resolves an exhausted or shed guarded call into the frame: the
-    /// fallback when the policy has one, plain failure otherwise.
+    /// Resolves an exhausted or shed call into the frame: the fallback when
+    /// the policy has one, plain failure otherwise.
     fn resolve_fallback(&mut self, frame: &mut Frame, call: &GuardedCall) {
-        let policy = self.guard();
+        let policy = self.policy_of(frame);
         if !policy.fallback {
             frame.elapsed_ms += call.waited_ms;
             frame.ok = false;
@@ -967,8 +969,8 @@ impl Ctx<'_> {
         frame.elapsed_ms += call.waited_ms + latency_ms;
     }
 
-    /// Folds one finished (or timed-out) attempt into the guarded call:
-    /// breaker feedback, retry with backoff, fallback, or success.
+    /// Folds one finished (or timed-out) attempt into its call: breaker
+    /// feedback, retry with backoff, fallback, or success.
     /// `perceived_ms` is what the caller waited for this attempt.
     fn settle_attempt(
         &mut self,
@@ -978,7 +980,7 @@ impl Ctx<'_> {
         child_ok: bool,
         timed_out: bool,
     ) {
-        let (callee, policy) = (call.callee, self.guard());
+        let (callee, policy) = (call.callee, self.policy_of(frame));
         call.waited_ms += perceived_ms;
         let ok = child_ok && !timed_out;
         if timed_out {
@@ -1016,7 +1018,6 @@ impl Ctx<'_> {
                 call.attempt,
                 seed,
                 call.attempt_start_ms,
-                policy.attempt_timeout,
             );
             frame.pending = Pending::Guarded(call);
             return;
@@ -1187,12 +1188,6 @@ impl Core<'_> {
         // happened and was recorded — only its result is discarded.
         let Some(frame) = self.frames.get(parent) else { return };
         match std::mem::replace(&mut frame.pending, Pending::Advancing) {
-            Pending::Plain => {
-                frame.elapsed_ms += duration_ms;
-                frame.ok &= ok;
-                frame.call_idx += 1;
-                self.ctx.advance(frame);
-            }
             // A reply that arrives is never timed out: the deadline event
             // would have fired in an earlier (or deferred-later) round and
             // bumped the generation first.
@@ -1209,7 +1204,7 @@ impl Core<'_> {
         frame.pending = Pending::Advancing;
         let limit = self
             .ctx
-            .guard()
+            .policy_of(frame)
             .attempt_timeout
             .expect("timeout armed only with a deadline")
             .as_millis();
@@ -1260,7 +1255,7 @@ pub(crate) fn run_window(
     load: &mut LoadTracker,
     occupancy: &mut OccupancyTable,
     faults: &FaultPlan,
-    policy: Option<CallPolicy>,
+    policy: CallPolicy,
     state: &mut ResilienceState,
     sink: &mut MetricSink<'_>,
     collector: &mut TraceCollector,
@@ -1338,15 +1333,15 @@ pub(crate) fn run_window(
     merge(app, state, sink, collector, &requests, tally, out, profiler)
 }
 
-/// Whether a window runs uncontended: no call policy, no version behind a
-/// concurrency limit and no service mirrored. See the module doc for why
-/// each condition is needed.
-fn is_uncontended(app: &Application, router: &Router, policy: Option<CallPolicy>) -> bool {
+/// Whether a window runs uncontended: the null call policy, no version
+/// behind a concurrency limit and no service mirrored. See the module doc
+/// for why each condition is needed.
+fn is_uncontended(app: &Application, router: &Router, policy: CallPolicy) -> bool {
     #[cfg(test)]
     if fusion::queue_every_event() {
         return false;
     }
-    policy.is_none()
+    policy == CallPolicy::default()
         && (0..app.version_count()).all(|v| app.version(VersionId(v)).concurrency_limit.is_none())
         && (0..app.service_count()).all(|s| router.mirrors(ServiceId(s)).is_empty())
 }
@@ -1763,6 +1758,51 @@ mod tests {
     }
 
     #[test]
+    fn event_core_matches_recursive_with_a_mirror_under_a_policy() {
+        // Dark traffic is never guarded: under `guard_policy`, the primary
+        // backend's calls to an error-prone db time out, retry and fall
+        // back, while the mirrored backend's calls to the same db run
+        // under the null policy, in both cores.
+        let tier = |service, endpoint: EndpointDef| {
+            VersionSpec::new(service, "1.0.0")
+                .capacity(1_000.0)
+                .load_sensitivity(0.0)
+                .endpoint(endpoint)
+        };
+        let api = || {
+            EndpointDef::new("api", LatencyModel::Constant { ms: 5.0 })
+                .call(CallDef::always("db", "query"))
+        };
+        let mut b = Application::builder();
+        b.version(tier(
+            "frontend",
+            EndpointDef::new("home", LatencyModel::Constant { ms: 5.0 })
+                .call(CallDef::always("backend", "api")),
+        ));
+        b.version(tier("backend", api()));
+        b.version(tier("db", EndpointDef::new("query", LatencyModel::web(10.0)).error_rate(0.3)));
+        let app = b.build().unwrap();
+        let setup = |sim: &mut Simulation| {
+            sim.set_call_policy(guard_policy());
+            let spec = VersionSpec::new("backend", "2.0.0")
+                .capacity(1_000.0)
+                .load_sensitivity(0.0)
+                .endpoint(api());
+            let dark = sim.deploy(spec).unwrap();
+            let (app, router) = sim.app_and_router_mut();
+            let backend = app.service_id("backend").unwrap();
+            router.add_mirror(app, backend, dark).unwrap();
+        };
+        let (_, store, _) = assert_cores_agree(&app, 11, setup);
+        let count = |scope: &str, kind: MetricKind| -> usize {
+            store.iter().filter(|(s, k, ..)| s == scope && *k == kind).map(|(.., c, _)| c).sum()
+        };
+        assert!(count("backend@2.0.0", MetricKind::ResponseTime) > 1_000, "the mirror ran");
+        assert!(count("db@1.0.0", MetricKind::Timeout) > 0, "the primary calls timed out");
+        assert!(count("db@1.0.0", MetricKind::Retry) > 0, "the primary calls retried");
+    }
+
+    #[test]
     fn event_core_matches_recursive_with_overlapping_fault_windows() {
         // Overlapping bursts *sum* without capping in FaultPlan::effects
         // (0.7 + 0.6 = 1.3) and each core clamps the combined probability
@@ -2039,7 +2079,7 @@ mod tests {
             &mut LoadTracker::new(&app),
             &mut OccupancyTable::new(&app),
             &FaultPlan::default(),
-            Some(policy),
+            policy,
             &mut ResilienceState::new(),
             &mut MetricSink::new(&mut store, &scopes, app_scope),
             &mut TraceCollector::all(),

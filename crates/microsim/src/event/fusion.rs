@@ -8,9 +8,9 @@
 //! Uncontended scenes must queue fewer events; contended ones (a call
 //! policy, a concurrency limit, a mirror) must queue exactly as many, since
 //! the gate keeps them on the queued path. Every uncontended scene also
-//! runs with the default call policy attached, which is inert: it queues
-//! every event and must change no output. `cargo test --release -p
-//! microsim fusion -- --ignored` runs the long table.
+//! runs with an inert policy attached that is not the null one: it queues
+//! every event through the guarded path and must change no output. `cargo
+//! test --release -p microsim fusion -- --ignored` runs the long table.
 //!
 //! The merge writes samples and breaker transitions through an index of
 //! one entry per emitting event. Every merge in this crate's tests is held
@@ -546,47 +546,56 @@ fn inline_events_leave_every_output_as_queued_events_do_long() {
     assert_covered(&check(&scenes), scenes.len());
 }
 
-/// Runs every uncontended scene as it is and with the default call policy
-/// attached, and asserts that the policy changed no output: the default
-/// policy is inert ([`CallPolicy`]). Attached, it makes every window
-/// contended, so the second run also queues every event. Returns the
-/// scenes compared.
-fn check_null_policy(scenes: &[Scene]) -> usize {
+/// Runs every uncontended scene as it is and with an inert policy
+/// attached, and asserts that the policy changed no output. The policy
+/// differs from the null one only in a backoff that no retry ever waits,
+/// so it makes every window contended: the second run queues every event,
+/// and every call settles through the guarded path, timeouts and retries
+/// included, with nothing for them to do. Returns the scenes compared.
+fn check_inert_policy(scenes: &[Scene]) -> usize {
+    let inert = CallPolicy {
+        backoff_base: SimDuration::from_millis(7),
+        max_retries: 0,
+        ..CallPolicy::default()
+    };
+    assert_ne!(inert, CallPolicy::default());
     let mut compared = 0;
     for scene in scenes.iter().filter(|s| !s.contended) {
         let bare = run(scene, false, None);
-        let null = run(scene, false, Some(CallPolicy::default()));
-        let name = format!("{}, default policy", scene.name);
-        assert_same(&name, &bare.outputs, &null.outputs);
-        assert!(bare.popped < null.popped, "{name}: the policy's window queues every event");
+        let guarded = run(scene, false, Some(inert));
+        let name = format!("{}, inert policy", scene.name);
+        assert_same(&name, &bare.outputs, &guarded.outputs);
+        assert!(bare.popped < guarded.popped, "{name}: the policy's window queues every event");
         compared += 1;
     }
     compared
 }
 
 #[test]
-fn the_default_call_policy_changes_no_output() {
-    assert_eq!(check_null_policy(&scenes(&[3], 3)), 8);
+fn an_inert_call_policy_changes_no_output() {
+    assert_eq!(check_inert_policy(&scenes(&[3], 3)), 8);
 }
 
 #[test]
 #[ignore = "long: the table over eight seeds and longer runs; run in release"]
-fn the_default_call_policy_changes_no_output_long() {
-    assert_eq!(check_null_policy(&scenes(&[3, 8, 21, 34, 55, 89, 144, 233], 6)), 64);
+fn an_inert_call_policy_changes_no_output_long() {
+    assert_eq!(check_inert_policy(&scenes(&[3, 8, 21, 34, 55, 89, 144, 233], 6)), 64);
 }
 
 #[test]
 fn the_gate_names_each_contending_condition() {
     let app = layered(3, 1.0);
     let router = Router::new();
-    assert!(super::is_uncontended(&app, &router, None));
-    assert!(!super::is_uncontended(&app, &router, Some(CallPolicy::default())));
+    let null = CallPolicy::default();
+    assert!(super::is_uncontended(&app, &router, null), "the null policy");
+    let retrying = CallPolicy { max_retries: 1, ..null };
+    assert!(!super::is_uncontended(&app, &router, retrying));
     let mut sim = Simulation::new(app.clone(), 1);
     mirrored(&mut sim);
-    assert!(!super::is_uncontended(sim.app(), sim.router(), None));
+    assert!(!super::is_uncontended(sim.app(), sim.router(), null));
     let mut sim = Simulation::new(app, 1);
     limited(&mut sim);
     let (app, router) = (sim.app().clone(), sim.router().clone());
-    assert!(!super::is_uncontended(&app, &Router::new(), None), "a limited version");
-    assert!(!super::is_uncontended(&app, &router, None));
+    assert!(!super::is_uncontended(&app, &Router::new(), null), "a limited version");
+    assert!(!super::is_uncontended(&app, &router, null));
 }

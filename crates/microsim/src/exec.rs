@@ -590,8 +590,8 @@ mod tests {
                 };
                 let mut no_state = ResilienceState::new();
                 let (policy, state) = match resilience {
-                    Some(guard) => (Some(guard.policy), guard.state),
-                    None => (None, &mut no_state),
+                    Some(guard) => (guard.policy, guard.state),
+                    None => (CallPolicy::default(), &mut no_state),
                 };
                 let mut collector = TraceCollector::all();
                 let stats = event::run_window(

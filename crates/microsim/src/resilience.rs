@@ -14,8 +14,8 @@
 //!   callee-version) circuit breaker with a rolling error-rate window,
 //!   open-cooldown, and half-open probing.
 //! - [`Simulation::set_call_policy`](crate::sim::Simulation::set_call_policy)
-//!   — one policy for every service edge, or none: breakers are still
-//!   tracked per *version* pair.
+//!   — one policy for every service edge, the null policy until one is
+//!   set: breakers are still tracked per *version* pair.
 //! - [`ResilienceState`] — all mutable breaker state, owned by the
 //!   simulation so that same-seed runs are byte-identical.
 //!
@@ -35,9 +35,9 @@ use std::collections::BTreeMap;
 
 /// Resilience policy for one caller→callee service edge.
 ///
-/// The default policy is inert: no timeout, no retries, no breaker, no
-/// fallback — attaching it changes nothing, which keeps the policy-free
-/// and policy-present request paths comparable in benchmarks.
+/// The default is the null policy: no timeout, no retries, no breaker,
+/// no fallback. Every call runs under it until another is set, so
+/// attaching it changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallPolicy {
     /// Per-attempt deadline. Attempts that take longer count as failures

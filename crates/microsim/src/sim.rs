@@ -79,8 +79,8 @@ pub struct Simulation {
     workload_seed: u64,
     windows_run: u64,
     faults: FaultPlan,
-    /// The policy every inter-service call runs under, if any.
-    call_policy: Option<CallPolicy>,
+    /// The policy every inter-service call runs under (null by default).
+    call_policy: CallPolicy,
     resilience_state: ResilienceState,
     /// Wall-clock phase tree (`sim.window`, event-core phases, …). The
     /// `sim.window` node is recorded unconditionally and backs
@@ -116,7 +116,7 @@ impl Simulation {
             workload_seed: sub_seed(seed, 1),
             windows_run: 0,
             faults: FaultPlan::none(),
-            call_policy: None,
+            call_policy: CallPolicy::default(),
             resilience_state: ResilienceState::new(),
             profiler: Profiler::default(),
             event_tally: event::WindowTally::default(),
@@ -207,15 +207,16 @@ impl Simulation {
     }
 
     /// Applies one [`CallPolicy`] to every service edge (see
-    /// [`crate::resilience`]). Breaker state carries over: changing the
-    /// policy mid-run does not reset open breakers.
+    /// [`crate::resilience`]) in place of the null policy, the default.
+    /// Breaker state carries over: changing the policy mid-run does not
+    /// reset open breakers.
     ///
     /// # Panics
     ///
     /// Panics when the policy is out of domain.
     pub fn set_call_policy(&mut self, policy: CallPolicy) {
         policy.validate();
-        self.call_policy = Some(policy);
+        self.call_policy = policy;
     }
 
     /// Current state of the breaker on `caller → callee`, or `None` when
@@ -492,8 +493,10 @@ mod tests {
                     arrival.time,
                     trace_id,
                     Some(&mut sink),
-                    self.call_policy
-                        .map(|policy| Resilience { policy, state: &mut self.resilience_state }),
+                    (self.call_policy != CallPolicy::default()).then_some(Resilience {
+                        policy: self.call_policy,
+                        state: &mut self.resilience_state,
+                    }),
                     &self.faults,
                 )
                 .expect("workload references a valid entry point");

@@ -23,8 +23,10 @@
 # BENCHMARK.json, so which layer moved comes from the same pairs. Both
 # sides run from their copies: nothing under the checkout's benchmark/ is
 # written (a traced run writes benchmark/out/ in its side's copy); the
-# temporary directory honours TMPDIR and is removed on exit.
-# Needs python3.
+# temporary directory honours TMPDIR and is removed on exit. Each side's
+# name is printed with its binary's `.text` bytes (`size -A`): code layout
+# follows the build directory, so two builds of one source differ there.
+# Needs python3 and binutils' `size`.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -131,8 +133,13 @@ for ((i = 0; i < pairs; i++)); do
     echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
 done
 
+# The `.text` section's size in bytes of the side's benchmark binary.
+text_bytes() {
+    size -A "$1/benchmark/target/release/cex-benchmark" | awk '$1 == ".text" { print $2 }'
+}
+
 echo "$workload: $pairs order-alternated pairs, seeds $seeds, --seconds $seconds --trace $trace"
-echo "first side: $first_name; change: $change_name"
+echo "first side: $first_name (.text $(text_bytes "$work/first") B); change: $change_name (.text $(text_bytes "$work/change") B)"
 python3 - "$work/first.jsonl" "$work/change.jsonl" "$layers" <<'PY'
 import json, statistics, sys
 
