@@ -7,9 +7,16 @@
 //! Headline numbers to reproduce in shape: ≈8 ms average overhead
 //! end-to-end, dropping to ≈4 ms during the A/B phase (traffic splitting
 //! load-balances), and load amplification during the dark launch.
+//!
+//! The live run is journaled, and the second half of the output — the
+//! per-check verdict trace and the phase timeline — is rebuilt from that
+//! journal alone: it is serialized to line-delimited JSON, dropped, and
+//! parsed back. Nothing is re-simulated on the replay side, so the section
+//! guards the journal's writer and reader.
 
 use bifrost::dsl;
-use bifrost::engine::{Engine, EngineConfig};
+use bifrost::engine::{Engine, EngineConfig, ExecutionReport};
+use bifrost::journal::Journal;
 use cex_bench::header;
 use cex_core::metrics::MetricKind;
 use cex_core::simtime::{SimDuration, SimTime};
@@ -97,7 +104,9 @@ fn main() {
     deploy_candidates(&mut sim);
     let strategy = dsl::parse(STRATEGY).expect("strategy parses");
     let engine = Engine::new(EngineConfig::default());
-    let exec = engine.execute(&mut sim, &[strategy], &wl2, duration).expect("execution succeeds");
+    let (exec, journal) = engine
+        .execute_journaled(&mut sim, &[strategy], &wl2, duration)
+        .expect("execution succeeds");
     println!("strategy outcome: {:?} after {} ticks\n", exec.statuses[0].1, exec.ticks);
 
     // Table 4.1 — basic statistics of response times in milliseconds.
@@ -136,5 +145,50 @@ fn main() {
     );
     for (t, mean) in series {
         println!("{:>6} | {:>9.1}", t.as_secs() / 60, mean);
+    }
+
+    replay(&exec, journal);
+}
+
+/// The check-verdict trace and phase timeline of the run, from its
+/// serialized journal alone.
+fn replay(exec: &ExecutionReport, journal: Journal) {
+    header("Figure 4.6 (replay) — check-verdict trace regenerated from the journal");
+    println!(
+        "live run: {:?} after {} ticks, {} journal events\n",
+        exec.statuses[0].1,
+        exec.ticks,
+        journal.len()
+    );
+
+    // Serialize, drop the live journal, parse back — everything below is
+    // derived from the serialized record alone.
+    let jsonl = journal.to_jsonl();
+    drop(journal);
+    println!("serialized journal: {} bytes of JSONL", jsonl.len());
+    let replayed = Journal::from_jsonl(&jsonl).expect("journal parses back");
+
+    println!("\ncheck-verdict trace (replayed, boundary evaluations marked *):");
+    println!(
+        "{:>6} | {:>8} | {:>6} | {:>13} | {:>10}",
+        "min", "phase", "check", "result", "observed"
+    );
+    for point in replayed.check_trace("rec-four-phase") {
+        println!(
+            "{:>6} | {:>8} | {:>5}{} | {:>13} | {:>10.2}",
+            point.time.as_secs() / 60,
+            point.phase,
+            point.check,
+            if point.boundary { "*" } else { " " },
+            point.result.name(),
+            point.observed
+        );
+    }
+
+    println!("\nphase timeline (replayed):");
+    print!("{}", replayed.render_timeline());
+
+    for (name, state) in replayed.final_states() {
+        println!("\nfinal state of {name}: {state}");
     }
 }

@@ -70,9 +70,9 @@ pub struct EngineConfig {
     /// every sampled trace.
     pub tail_sampling: Option<TailSamplingConfig>,
     /// Emit a [`JournalEvent::Runtime`] counter-registry snapshot every
-    /// this many ticks when journaling (`0`, the default, disables the
-    /// cadence). The snapshot carries only seed-pure counters, so journal
-    /// bytes stay identical across runs.
+    /// this many ticks (`0`, the default, disables the cadence). The
+    /// snapshot carries only seed-pure counters, so journal bytes stay
+    /// identical across runs.
     pub runtime_report_every: u64,
     /// Runtime self-observability configuration, applied to the
     /// simulation at the start of every execution and gating the
@@ -182,15 +182,6 @@ impl ExecutionReport {
     }
 }
 
-type JournalSink<'a> = Option<&'a mut Journal>;
-
-/// Records `event()` when journaling and builds nothing otherwise.
-fn record(journal: &mut JournalSink<'_>, event: impl FnOnce() -> JournalEvent) {
-    if let Some(j) = journal {
-        j.record(event());
-    }
-}
-
 /// What a strategy resolves to once, before its first phase.
 struct Compiled<'a> {
     strategy: &'a Strategy,
@@ -250,12 +241,12 @@ impl<'a> Compiled<'a> {
         sim: &mut Simulation,
         index: usize,
         rollout_percent: f64,
-        journal: &mut JournalSink<'_>,
+        journal: &mut Journal,
     ) -> Result<(), BifrostError> {
         let kind = &self.strategy.phases[index].kind;
         let (app, router) = sim.app_and_router_mut();
         enact::enact_phase(app, router, &self.binding, kind, Some(rollout_percent))?;
-        record(journal, || JournalEvent::Enacted {
+        journal.record(JournalEvent::Enacted {
             time: sim.now(),
             strategy: self.name.clone(),
             phase: self.phase_names[index].clone(),
@@ -272,7 +263,7 @@ impl<'a> Compiled<'a> {
         &self,
         sim: &mut Simulation,
         index: usize,
-        journal: &mut JournalSink<'_>,
+        journal: &mut Journal,
     ) -> Result<PhaseRun, BifrostError> {
         let now = sim.now();
         let phase = &self.strategy.phases[index];
@@ -284,7 +275,7 @@ impl<'a> Compiled<'a> {
                 sim.inject_fault(fault);
             }
             let from = now + spec.start_after;
-            record(journal, || JournalEvent::Chaos {
+            journal.record(JournalEvent::Chaos {
                 time: now,
                 strategy: self.name.clone(),
                 phase: self.phase_names[index].clone(),
@@ -302,7 +293,7 @@ impl<'a> Compiled<'a> {
     /// Journals check evaluations with the windows they read.
     fn journal_checks(
         &self,
-        journal: &mut JournalSink<'_>,
+        journal: &mut Journal,
         now: SimTime,
         phase: usize,
         evaluations: &[Evaluation],
@@ -310,7 +301,7 @@ impl<'a> Compiled<'a> {
     ) {
         for (check, observed) in evaluations {
             let spec = &self.strategy.phases[phase].checks[*check];
-            record(journal, || JournalEvent::Check {
+            journal.record(JournalEvent::Check {
                 time: now,
                 strategy: self.name.clone(),
                 phase: self.phase_names[phase].clone(),
@@ -364,12 +355,12 @@ impl TracePipeline {
 
     /// Runs before the checks are evaluated, so trace-scoped checks
     /// already see this tick's data; fold order is collection order.
-    fn drain(&mut self, sim: &mut Simulation, journal: &mut JournalSink<'_>) {
-        // Breaker transitions are sim state; drain them every tick
-        // (journaled or not) so the backlog never grows unboundedly.
+    fn drain(&mut self, sim: &mut Simulation, journal: &mut Journal) {
+        // Breaker transitions are sim state; drain and journal them every
+        // tick so the backlog never grows unboundedly.
         sim.drain_breaker_transitions_into(&mut self.breakers);
         for tr in &self.breakers {
-            record(journal, || JournalEvent::Breaker {
+            journal.record(JournalEvent::Breaker {
                 time: tr.time,
                 caller: self.labels[tr.caller.0].clone(),
                 callee: self.labels[tr.callee.0].clone(),
@@ -440,15 +431,12 @@ impl Engine {
         Engine { config }
     }
 
-    /// Executes `strategies` against the simulated application under
-    /// `workload` until every strategy terminates or `max_duration` of
-    /// simulated time elapses.
+    /// [`Engine::execute_journaled`] without its journal: the run is
+    /// journaled all the same, and the journal is dropped.
     ///
     /// # Errors
     ///
-    /// Returns [`BifrostError`] when a strategy fails validation/
-    /// compilation, its versions are not deployed, enactment fails, or the
-    /// configured tick is zero.
+    /// Same failure modes as [`Engine::execute_journaled`].
     pub fn execute(
         &self,
         sim: &mut Simulation,
@@ -456,19 +444,23 @@ impl Engine {
         workload: &Workload,
         max_duration: SimDuration,
     ) -> Result<ExecutionReport, BifrostError> {
-        self.execute_inner(sim, strategies, workload, max_duration, None)
+        Ok(self.execute_journaled(sim, strategies, workload, max_duration)?.0)
     }
 
-    /// Like [`Engine::execute`], additionally recording a structured
-    /// [`Journal`] of the run: every check evaluation with the window
-    /// summaries it read, every transition, every enactment, every retired
-    /// scope, and per-tick engine accounting. The journal's serialized
-    /// form ([`Journal::to_jsonl`]) is byte-identical across repeated runs
-    /// with the same seed.
+    /// Executes `strategies` against the simulated application under
+    /// `workload` until every strategy terminates or `max_duration` of
+    /// simulated time elapses, recording a structured [`Journal`] of the
+    /// run: every check evaluation with the window summaries it read,
+    /// every transition, every enactment, every retired scope, and
+    /// per-tick engine accounting. The journal's serialized form
+    /// ([`Journal::to_jsonl`]) is byte-identical across repeated runs with
+    /// the same seed.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Engine::execute`].
+    /// Returns [`BifrostError`] when a strategy fails validation/
+    /// compilation, its versions are not deployed, enactment fails, or the
+    /// configured tick is zero.
     pub fn execute_journaled(
         &self,
         sim: &mut Simulation,
@@ -476,20 +468,6 @@ impl Engine {
         workload: &Workload,
         max_duration: SimDuration,
     ) -> Result<(ExecutionReport, Journal), BifrostError> {
-        let mut journal = Journal::new();
-        let report =
-            self.execute_inner(sim, strategies, workload, max_duration, Some(&mut journal))?;
-        Ok((report, journal))
-    }
-
-    fn execute_inner(
-        &self,
-        sim: &mut Simulation,
-        strategies: &[Strategy],
-        workload: &Workload,
-        max_duration: SimDuration,
-        journal: JournalSink<'_>,
-    ) -> Result<ExecutionReport, BifrostError> {
         if strategies.is_empty() {
             return Err(BifrostError::Execution("no strategies to execute".into()));
         }
@@ -498,11 +476,14 @@ impl Engine {
         let deadline = started_sim + max_duration;
         // Wall-clock timings go to the sidecar RuntimeReport, never the journal.
         let profiler = Profiler::new(self.config.obs);
-        let mut execution = Execution::start(&self.config, &profiler, sim, strategies, journal)?;
+        let mut journal = Journal::new();
+        let mut execution =
+            Execution::start(&self.config, &profiler, sim, strategies, &mut journal)?;
         while execution.sim.now() < deadline && execution.active() > 0 {
             execution.tick(workload, deadline)?;
         }
-        Ok(execution.finish(started_wall, started_sim))
+        let report = execution.finish(started_wall, started_sim);
+        Ok((report, journal))
     }
 }
 
@@ -539,7 +520,7 @@ struct Execution<'a> {
     config: &'a EngineConfig,
     profiler: &'a Profiler,
     sim: &'a mut Simulation,
-    journal: JournalSink<'a>,
+    journal: &'a mut Journal,
     traces: TracePipeline,
     runs: Vec<RunState<'a>>,
     ticks: u64,
@@ -556,7 +537,7 @@ impl<'a> Execution<'a> {
         profiler: &'a Profiler,
         sim: &'a mut Simulation,
         strategies: &'a [Strategy],
-        mut journal: JournalSink<'a>,
+        journal: &'a mut Journal,
     ) -> Result<Self, BifrostError> {
         if config.tick.is_zero() {
             // A zero step never advances the clock: the loop would spin.
@@ -570,7 +551,7 @@ impl<'a> Execution<'a> {
         sim.set_obs(config.obs);
         let mut runs = Vec::with_capacity(strategies.len());
         for compiled in compiled {
-            let phase = compiled.enter_phase(sim, 0, &mut journal)?;
+            let phase = compiled.enter_phase(sim, 0, journal)?;
             runs.push(RunState { compiled, status: StrategyStatus::Running, retries: 0, phase });
         }
         Ok(Execution {
@@ -603,7 +584,7 @@ impl<'a> Execution<'a> {
         let engine_start = Instant::now();
         {
             cex_core::span!(profiler, "engine.tick.drain_traces");
-            self.traces.drain(self.sim, &mut self.journal);
+            self.traces.drain(self.sim, self.journal);
         }
         let observations = self.observe(now);
         let due_checks = observations.iter().flatten().map(|o| o.evaluations()).sum::<u64>();
@@ -613,10 +594,10 @@ impl<'a> Execution<'a> {
         self.max_tick_processing = self.max_tick_processing.max(spent);
         let tick = self.ticks;
         self.ticks += 1;
-        if self.journal.is_some() {
+        {
             cex_core::span!(profiler, "engine.tick.journal_encode");
             let (active, window_reads) = (self.active(), self.sim.store().window_reads());
-            record(&mut self.journal, || JournalEvent::Tick {
+            self.journal.record(JournalEvent::Tick {
                 time: now,
                 tick,
                 active,
@@ -630,7 +611,7 @@ impl<'a> Execution<'a> {
             let every = self.config.runtime_report_every;
             if every > 0 && self.ticks.is_multiple_of(every) {
                 let counters = self.registry();
-                record(&mut self.journal, || JournalEvent::Runtime { time: now, tick, counters });
+                self.journal.record(JournalEvent::Runtime { time: now, tick, counters });
             }
         }
         // Always-on accounting: `engine.busy` backs the report's
@@ -646,9 +627,7 @@ impl<'a> Execution<'a> {
         let mut counters = self.sim.counters();
         counters.add("engine.ticks", self.ticks);
         counters.add("engine.check_evaluations", self.check_evaluations);
-        if let Some(j) = self.journal.as_deref() {
-            counters.add("engine.journal.events", j.len() as u64);
-        }
+        counters.add("engine.journal.events", self.journal.len() as u64);
         counters
     }
 
@@ -699,11 +678,11 @@ impl<'a> Execution<'a> {
             let phase = &compiled.strategy.phases[index];
             let decision = decide::decide(phase, view, &obs, now, self.config.max_retries);
 
-            compiled.journal_checks(&mut self.journal, now, index, &obs.due_results, false);
+            compiled.journal_checks(self.journal, now, index, &obs.due_results, false);
             if let Some(step) = decision.ramp {
                 run.phase.next_rollout_step = step.next_step_at;
                 if step.guarded {
-                    record(&mut self.journal, || JournalEvent::Ramp {
+                    self.journal.record(JournalEvent::Ramp {
                         time: now,
                         strategy: compiled.name.clone(),
                         phase: compiled.phase_names[index].clone(),
@@ -714,25 +693,23 @@ impl<'a> Execution<'a> {
                 }
                 if step.percent != run.phase.rollout_percent {
                     run.phase.rollout_percent = step.percent;
-                    compiled.enact(self.sim, index, step.percent, &mut self.journal)?;
+                    compiled.enact(self.sim, index, step.percent, self.journal)?;
                 }
             }
             if let Some(boundary) = &obs.boundary_results {
-                compiled.journal_checks(&mut self.journal, now, index, boundary, true);
-                if let Some(j) = self.journal.as_deref_mut() {
-                    let (strategy, phase) =
-                        (compiled.name.clone(), compiled.phase_names[index].clone());
-                    if let Some(snapshot) =
-                        self.traces.snapshot(self.sim, &compiled.binding, strategy, phase)
-                    {
-                        j.record(snapshot);
-                    }
+                compiled.journal_checks(self.journal, now, index, boundary, true);
+                let (strategy, phase) =
+                    (compiled.name.clone(), compiled.phase_names[index].clone());
+                if let Some(snapshot) =
+                    self.traces.snapshot(self.sim, &compiled.binding, strategy, phase)
+                {
+                    self.journal.record(snapshot);
                 }
             }
 
             let Some(outcome) = decision.outcome else { continue };
             if let Some(p) = decision.early_stop_p {
-                record(&mut self.journal, || JournalEvent::EarlyStop {
+                self.journal.record(JournalEvent::EarlyStop {
                     time: now,
                     strategy: compiled.name.clone(),
                     phase: compiled.phase_names[index].clone(),
@@ -742,7 +719,7 @@ impl<'a> Execution<'a> {
             }
             run.retries = decision.retries;
             let (from, to) = (State::Phase(index), decision.next);
-            record(&mut self.journal, || JournalEvent::Transition {
+            self.journal.record(JournalEvent::Transition {
                 time: now,
                 strategy: compiled.name.clone(),
                 from,
@@ -751,7 +728,7 @@ impl<'a> Execution<'a> {
             });
             match to {
                 State::Phase(next) => {
-                    run.phase = compiled.enter_phase(self.sim, next, &mut self.journal)?;
+                    run.phase = compiled.enter_phase(self.sim, next, self.journal)?;
                 }
                 State::Completed => {
                     let (app, router) = self.sim.app_and_router_mut();
@@ -790,7 +767,7 @@ impl<'a> Execution<'a> {
                 continue;
             }
             self.sim.store_mut().clear_scope(&scope);
-            record(&mut self.journal, || JournalEvent::ScopeCleared {
+            self.journal.record(JournalEvent::ScopeCleared {
                 time: now,
                 strategy,
                 scope: scope.into(),

@@ -1,4 +1,4 @@
-//! Golden event core: every observable output of two seeded windows runs,
+//! Golden event core: every observable output of four seeded windows runs,
 //! pinned to constants.
 //!
 //! A test that compares two runs of the *same* binary cannot fail when a
@@ -15,6 +15,11 @@
 //! queues fewer events than it did. Its digest leaves `sim.events.*` out
 //! and was computed at the commit before inline events: every other output
 //! is what the queued path gave. Its `popped` count is pinned apart.
+//!
+//! The fourth scene is uncontended too: an entry that fails only when its
+//! callee does, under the null policy. Its digest covers everything and
+//! was computed on the event core it was added to, with inline events, so
+//! a settled child failure that stopped failing its caller moves it.
 //!
 //! If a digest moves because request semantics changed on purpose, say so
 //! in the change that moves it and re-pin the constant.
@@ -48,6 +53,8 @@ struct Outcome {
     samples: Vec<(MetricKind, usize)>,
     breaker_transitions: usize,
     dark_spans: usize,
+    /// Traces whose root span did not end ok.
+    failed_roots: usize,
 }
 
 impl Outcome {
@@ -116,6 +123,10 @@ fn run(
         samples,
         breaker_transitions: transitions.len(),
         dark_spans: traces.iter().flat_map(|t| &t.spans).filter(|s| s.dark).count(),
+        failed_roots: traces
+            .iter()
+            .filter(|t| t.spans.iter().any(|s| s.parent.is_none() && !s.status.is_ok()))
+            .count(),
     }
 }
 
@@ -317,6 +328,37 @@ fn uncontended_canary() -> Simulation {
     sim
 }
 
+/// An uncontended chain under the null call policy (no fallback): the
+/// entry endpoint never fails on its own, but it calls `checkout`, which
+/// fails at a 10% rate and at 60% during an error burst, and `catalog`,
+/// which is healthy. Every failure the entry records is a settled child
+/// failure; a call that loses one still counts the request as served.
+fn failing_callee() -> Simulation {
+    let constant = |ms| LatencyModel::Constant { ms };
+    let plain = |name: &str| VersionSpec::new(name, "1.0.0").capacity(10_000.0);
+    let mut b = Application::builder();
+    b.version(
+        plain("front").endpoint(
+            EndpointDef::new("home", constant(2.0))
+                .call(CallDef::always("checkout", "pay"))
+                .call(CallDef::with_probability("catalog", "list", 0.5)),
+        ),
+    );
+    b.version(plain("checkout").endpoint(EndpointDef::new("pay", constant(4.0)).error_rate(0.1)));
+    b.version(plain("catalog").endpoint(EndpointDef::new("list", constant(3.0))));
+    let app = b.build().unwrap();
+    let checkout = app.version_id("checkout", "1.0.0").unwrap();
+    let mut sim = Simulation::new(app, 0x00FA_11ED);
+    sim.set_trace_sampling(1.0);
+    sim.inject_fault(Fault {
+        version: checkout,
+        kind: FaultKind::ErrorBurst { extra_error_rate: 0.5 },
+        from: SimTime::from_secs(2),
+        until: SimTime::from_secs(4),
+    });
+    sim
+}
+
 #[test]
 fn random_topology_outputs_are_pinned() {
     let out = run(random_topology(), 3, SimDuration::from_secs(10), 40.0, EventCounts::Digested);
@@ -361,6 +403,19 @@ fn uncontended_canary_outputs_are_pinned() {
     assert_eq!((out.breaker_transitions, out.dark_spans), (0, 0));
 }
 
+#[test]
+fn failing_callee_outputs_are_pinned() {
+    let out = run(failing_callee(), 3, SimDuration::from_secs(2), 200.0, EventCounts::Digested);
+    assert_eq!((out.digest.as_str(), out.popped), (FAILING_CALLEE_DIGEST, FAILING_CALLEE_POPPED));
+    // The entry fails only through its callee, and it does fail.
+    assert!(out.failed_roots > 0, "no settled child failure reached the entry");
+    for kind in [MetricKind::Timeout, MetricKind::Retry, MetricKind::FallbackServed] {
+        assert_eq!(out.samples_of(kind), 0, "{kind:?} under the null policy");
+    }
+}
+
+const FAILING_CALLEE_DIGEST: &str = "14f42951a333f666";
+const FAILING_CALLEE_POPPED: u64 = 3_993;
 const UNCONTENDED_DIGEST: &str = "c2163541fb488239";
 /// With every event queued, as before same-instant events ran inline, the
 /// scene popped 48,993.

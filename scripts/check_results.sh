@@ -4,16 +4,17 @@
 # Run from anywhere; exits non-zero on the first bin whose stdout differs,
 # after printing the diff.
 #
-# All twenty bins of cex-bench are gated; any timing a bin
+# All nineteen bins of cex-bench are gated; any timing a bin
 # prints goes to stderr. ch2_tables renders the study's tables from its
 # seeded data. fig3_3, fig3_4, fig3_5, fig3_6 and ablation_crossover
 # run the Fenrir schedulers (fig3_5 takes about 30 s), so a change to an
 # operator, the evaluator's accounting or a fitness bit shows there. tab3_3
 # prints its wall-clock columns to stderr (left on the terminal); its stdout
 # holds all four schedulers' evaluations-to-target and fitness at n = 15 and
-# n = 40 High. fig4_6 runs the four-phase strategy live; fig4_6_replay
-# rebuilds its verdict trace and timeline from the journal's JSONL alone, so
-# a change to the journal's writer or reader shows there. fig4_7 and fig4_9
+# n = 40 High. fig4_6 runs the four-phase strategy live, journaled, and
+# replays its own journal: it rebuilds the verdict trace and timeline from
+# the journal's JSONL alone, so a change to the journal's writer or reader
+# shows there. fig4_7 and fig4_9
 # print check evaluations (and fig4_7 completed strategies) per row of the
 # parallel-strategy and check-count sweeps to stdout, and the engine's CPU
 # share and per-tick delays to stderr. fig5_5/fig5_6 go
@@ -34,7 +35,7 @@ set -euo pipefail
 
 bins=(
     ch2_tables fig3_3 fig3_4 fig3_5 fig3_6 ablation_crossover tab3_3
-    fig4_6 fig4_6_replay fig4_7 fig4_9 fig5_5 fig5_6 fig5_9 fig5_10 ablation_hybrid
+    fig4_6 fig4_7 fig4_9 fig5_5 fig5_6 fig5_9 fig5_10 ablation_hybrid
     bench_sequential bench_fenrir_eval bench_health_scale bench_metric_hotpath
 )
 

@@ -8,16 +8,16 @@
 //!
 //! The driver holds every row to more than its own assertion. A run's
 //! accounting is consistent; a start that fails leaves the simulation as it
-//! was (no routing rule, retention horizon or fault, the clock at zero). A
-//! journaled row is held to four more checks: a same-seed rerun journals
-//! the same bytes and reports the same seed-pure facts; the JSONL reads back
-//! to the same bytes; the journaled `transition` events are in time order;
-//! and the report's statuses agree with `Journal::final_states`. The journal
-//! is the run's one transition log: a row that reads transitions is
-//! journaled and reads them through `transitions`.
+//! was (no routing rule, retention horizon or fault, the clock at zero).
+//! Every run is journaled, and every row that runs is held to four more
+//! checks: a same-seed rerun journals the same bytes and reports the same
+//! seed-pure facts; the JSONL reads back to the same bytes; the journaled
+//! `transition` events are in time order; and the report's statuses agree
+//! with `Journal::final_states`. The journal is the run's one transition
+//! log: a row that reads transitions reads them through `transitions`.
 //!
 //! To add a row, write a `#[test]` that calls `run` with a `Case` built by
-//! `case(app, rate, seed, dsl)` (or `journaled`, `chaos`, `traced_fleet`),
+//! `case(app, rate, seed, dsl)` (or `checked`, `chaos`, `traced_fleet`),
 //! overriding the fields that differ.
 
 use bifrost::engine::{Engine, EngineConfig, ExecutionReport, StrategyStatus};
@@ -54,7 +54,6 @@ struct Case {
     /// `(service, version, fault, from, until)`, injected before the run.
     faults: Vec<(&'static str, &'static str, FaultKind, SimTime, SimTime)>,
     horizon: SimDuration,
-    journaled: bool,
     /// The final statuses, or a part of the message the start fails with.
     expect: Result<Vec<StrategyStatus>, &'static str>,
     /// The row's own assertions.
@@ -67,12 +66,11 @@ struct Run {
     workload: Workload,
     strategies: Vec<Strategy>,
     report: ExecutionReport,
-    /// Empty unless the row is journaled.
     journal: Journal,
 }
 
 /// A row under the default engine for 30 minutes, with no faults, sampling
-/// or resilience, not journaled, whose one strategy completes.
+/// or resilience, whose one strategy completes.
 fn case(app: fn() -> Application, rate: f64, seed: u64, dsl: String) -> Case {
     Case {
         app,
@@ -84,7 +82,6 @@ fn case(app: fn() -> Application, rate: f64, seed: u64, dsl: String) -> Case {
         resilient: false,
         faults: Vec::new(),
         horizon: SimDuration::from_mins(30),
-        journaled: false,
         expect: Ok(vec![Completed]),
         check: |_| {},
     }
@@ -115,12 +112,7 @@ impl Case {
         workload: &Workload,
         strategies: &[Strategy],
     ) -> Result<(ExecutionReport, Journal), BifrostError> {
-        let engine = Engine::new(self.config.clone());
-        if self.journaled {
-            engine.execute_journaled(sim, strategies, workload, self.horizon)
-        } else {
-            Ok((engine.execute(sim, strategies, workload, self.horizon)?, Journal::new()))
-        }
+        Engine::new(self.config.clone()).execute_journaled(sim, strategies, workload, self.horizon)
     }
 }
 
@@ -147,25 +139,22 @@ fn run(case: Case) {
     assert!(report.engine_busy <= report.wall_total);
     assert!(report.mean_tick_processing <= report.max_tick_processing);
     assert!((0.0..=1.0).contains(&report.cpu_utilization()));
-    if case.journaled {
-        let text = journal.to_jsonl();
-        let (mut again, ..) = case.set_up();
-        let (report_again, journal_again) =
-            case.execute(&mut again, &workload, &strategies).unwrap();
-        assert!(journal_again.to_jsonl() == text, "a same-seed rerun journals other bytes");
-        assert_eq!(seed_pure(&report_again), seed_pure(&report), "a same-seed rerun");
-        assert!(Journal::from_jsonl(&text).unwrap().to_jsonl() == text, "the JSONL reads back");
-        assert!(transitions(&journal).windows(2).all(|w| w[0].0 <= w[1].0));
-        let finals = journal.final_states();
-        assert_eq!(finals.len(), report.statuses.len());
-        for ((name, status), (journaled, state)) in report.statuses.iter().zip(&finals) {
-            let agrees = match status {
-                Running => matches!(state, State::Phase(_)),
-                Completed => *state == State::Completed,
-                RolledBack => *state == State::RolledBack,
-            };
-            assert!(name == journaled && agrees, "{name} {status:?} vs {journaled} {state:?}");
-        }
+    let text = journal.to_jsonl();
+    let (mut again, ..) = case.set_up();
+    let (report_again, journal_again) = case.execute(&mut again, &workload, &strategies).unwrap();
+    assert!(journal_again.to_jsonl() == text, "a same-seed rerun journals other bytes");
+    assert_eq!(seed_pure(&report_again), seed_pure(&report), "a same-seed rerun");
+    assert!(Journal::from_jsonl(&text).unwrap().to_jsonl() == text, "the JSONL reads back");
+    assert!(transitions(&journal).windows(2).all(|w| w[0].0 <= w[1].0));
+    let finals = journal.final_states();
+    assert_eq!(finals.len(), report.statuses.len());
+    for ((name, status), (journaled, state)) in report.statuses.iter().zip(&finals) {
+        let agrees = match status {
+            Running => matches!(state, State::Phase(_)),
+            Completed => *state == State::Completed,
+            RolledBack => *state == State::RolledBack,
+        };
+        assert!(name == journaled && agrees, "{name} {status:?} vs {journaled} {state:?}");
     }
     (case.check)(&mut Run { sim, workload, strategies, report, journal });
 }
@@ -336,20 +325,20 @@ fn fleet_canaries(n: usize) -> String {
     (0..n).map(|i| strategy(&format!("s{i}"), &format!("svc{i}"), &canary)).collect()
 }
 
-/// A resilient, journaled 10-minute run of a 20% canary on `web(zoned)`
+/// A resilient 10-minute run of a 20% canary on `web(zoned)`
 /// with one chaos `inject`, held to the app's error rate.
 fn chaos(zoned: bool, seed: u64, name: &str, inject: &str, check: fn(&mut Run)) -> Case {
     let app: fn() -> Application = if zoned { || web(true) } else { || web(false) };
     let body = format!("inject {inject} {APP_ERRORS}");
     let dsl = strategy(name, "svc", &phase("chaos", "canary 20% for 8m", &body));
     let horizon = SimDuration::from_mins(10);
-    Case { resilient: true, horizon, journaled: true, check, ..case(app, 40.0, seed, dsl) }
+    Case { resilient: true, horizon, check, ..case(app, 40.0, seed, dsl) }
 }
 
-/// A journaled run of `dsl` on `app` at 30 rps for `m` minutes, checked by `f`.
-fn journaled(app: fn() -> Application, seed: u64, m: u64, dsl: String, f: fn(&mut Run)) -> Case {
+/// A run of `dsl` on `app` at 30 rps for `m` minutes, checked by `f`.
+fn checked(app: fn() -> Application, seed: u64, m: u64, dsl: String, f: fn(&mut Run)) -> Case {
     let horizon = SimDuration::from_mins(m);
-    Case { horizon, journaled: true, check: f, ..case(app, 30.0, seed, dsl) }
+    Case { horizon, check: f, ..case(app, 30.0, seed, dsl) }
 }
 
 /// A 50% canary of at most 30 minutes, held to one sequential check.
@@ -426,7 +415,6 @@ fn retry_budget_bounds_total_phase_executions() {
     run(Case {
         config: EngineConfig { max_retries: 2, ..EngineConfig::default() },
         horizon: SimDuration::from_hours(2),
-        journaled: true,
         expect: Ok(vec![RolledBack]),
         check: |run| {
             let transitions = transitions(&run.journal);
@@ -449,7 +437,6 @@ fn many_strategies_run_in_parallel() {
 #[test]
 fn transition_log_records_the_phase_sequence() {
     run(Case {
-        journaled: true,
         check: |run| {
             // canary -> rollout -> completed.
             let transitions = transitions(&run.journal);
@@ -464,13 +451,12 @@ fn transition_log_records_the_phase_sequence() {
 }
 
 /// Eight canaries on `fleet(8)` at 100 rps for 10 minutes, every request
-/// traced, journaled.
+/// traced.
 fn traced_fleet(config: EngineConfig, check: fn(&mut Run)) -> Case {
     Case {
         config,
         sampling: Some(1.0),
         horizon: SimDuration::from_mins(10),
-        journaled: true,
         expect: Ok(vec![Completed; 8]),
         check,
         ..case(|| fleet(8), 100.0, 9, fleet_canaries(8))
@@ -545,7 +531,7 @@ fn health_report_localizes_the_faulty_canary() {
                 check error_rate app < 0.9 over 1m every 30s min_samples 10";
     let dsl = strategy("burst-canary", "svc", &phase("canary", "canary 50% for 6m", body));
     let app = || web(false);
-    let row = journaled(app, 29, 8, dsl, |run| {
+    let row = checked(app, 29, 8, dsl, |run| {
         let (name, health) = &run.report.health[0];
         assert_eq!((name.as_str(), health.canary.as_str()), ("burst-canary", "svc@2.0.0"));
         assert!(health.traces > 0 && health.degraded(0.05, 1_000.0));
@@ -562,7 +548,7 @@ fn health_report_localizes_the_faulty_canary() {
 
 #[test]
 fn journal_round_trips_and_replays_the_execution() {
-    run(journaled(healthy, 13, 30, canary_then_rollout(), |run| {
+    run(checked(healthy, 13, 30, canary_then_rollout(), |run| {
         // The parsed journal replays the live verdict trace.
         let parsed = Journal::from_jsonl(&run.journal.to_jsonl()).unwrap();
         let trace = run.journal.check_trace("canary-then-rollout");
@@ -576,7 +562,7 @@ fn journal_round_trips_and_replays_the_execution() {
 
 #[test]
 fn terminal_strategies_retire_their_scopes() {
-    let row = journaled(broken, 11, 30, canary_then_rollout(), |run| {
+    let row = checked(broken, 11, 30, canary_then_rollout(), |run| {
         // The rolled-back candidate's samples leave the live store, and the
         // journal records the retirement.
         let scopes = run.sim.store().scopes();
@@ -726,7 +712,7 @@ fn sequential_check_promotes_the_phase_early() {
     // A clearly better candidate: the always-valid p crosses well before
     // the 30-minute phase clock, and the engine promotes at once.
     let app = || svc(0.3, 20.0, 0.05);
-    run(journaled(app, 41, 40, sequential_canary("seq"), |run| {
+    run(checked(app, 41, 40, sequential_canary("seq"), |run| {
         let done = transitions(&run.journal).last().unwrap().0;
         assert!(done < SimTime::from_mins(15), "promoted early, at {done}");
         assert!(has(&run.journal, |e| matches!(e,
@@ -739,7 +725,7 @@ fn sequential_check_aborts_early_on_harm() {
     // A clearly worse candidate: the harm-side p crosses mid-phase, and the
     // strategy rolls back without waiting for the boundary.
     let app = || svc(0.05, 20.0, 0.4);
-    let row = journaled(app, 43, 40, sequential_canary("seq-bad"), |run| {
+    let row = checked(app, 43, 40, sequential_canary("seq-bad"), |run| {
         let done = transitions(&run.journal).last().unwrap().0;
         assert!(done < SimTime::from_mins(10), "aborted early, at {done}");
         assert!(has(&run.journal, |e| matches!(e,
@@ -753,7 +739,7 @@ fn guarded_ramp_advances_to_completion_when_healthy() {
     let ramp = phase("ramp", "ramp from 10% to 100% step 30% every 1m guarded for 10m", SEQUENTIAL);
     let dsl = strategy("ramp-good", "svc", &ramp);
     let app = || svc(0.3, 20.0, 0.05);
-    run(journaled(app, 47, 15, dsl, |run| {
+    run(checked(app, 47, 15, dsl, |run| {
         let decisions = ramps(&run.journal);
         assert!(!decisions.is_empty(), "guarded ramp journals its decisions");
         assert!(decisions.iter().all(|d| d.0 == "advance"), "{decisions:?}");
@@ -769,7 +755,7 @@ fn guarded_ramp_retreats_under_harm_before_the_sequential_abort() {
     let check = SEQUENTIAL.replace("0.95", "0.999");
     let ramp = phase("ramp", "ramp from 10% to 100% step 30% every 1m guarded for 40m", &check);
     let app = || svc(0.1, 20.0, 0.22);
-    let row = journaled(app, 53, 45, strategy("ramp-bad", "svc", &ramp), |run| {
+    let row = checked(app, 53, 45, strategy("ramp-bad", "svc", &ramp), |run| {
         let decisions = ramps(&run.journal);
         assert!(decisions.iter().any(|d| d.0 == "retreat" || d.0 == "hold"), "{decisions:?}");
         // The ramp never retreats below its entry percent.
@@ -786,7 +772,7 @@ fn sequential_journal_is_byte_identical_across_runs() {
     let dsl =
         strategy("seq-pipeline", "svc", &(phase("canary", "canary 30% for 30m", &canary) + &ramp));
     let app = || svc(0.3, 20.0, 0.05);
-    run(journaled(app, 61, 60, dsl, |run| {
+    run(checked(app, 61, 60, dsl, |run| {
         assert!(has(&run.journal, |e| matches!(e, JournalEvent::EarlyStop { .. })));
         assert!(has(&run.journal, |e| matches!(e, JournalEvent::Ramp { .. })));
     }));
@@ -811,7 +797,7 @@ fn sequential_fleet_journals_identically_across_runs_and_a_retry() {
             [version(service, "1.0.0", 20.0, baseline), version(service, "2.0.0", 20.0, candidate)]
         }))
     };
-    let row = journaled(app, 78, 20, dsl, |run| {
+    let row = checked(app, 78, 20, dsl, |run| {
         let seen = |pred: fn(&JournalEvent) -> bool| has(&run.journal, pred);
         assert!(seen(|e| matches!(e, JournalEvent::EarlyStop { .. })));
         assert!(seen(|e| matches!(e, JournalEvent::Ramp { decision: "advance", .. })));
@@ -886,7 +872,6 @@ fn error_burst_mid_rollout_triggers_rollback() {
     let burst = FaultKind::ErrorBurst { extra_error_rate: 0.6 };
     run(Case {
         faults: vec![("svc", "2.0.0", burst, SimTime::from_mins(5), SimTime::from_mins(60))],
-        journaled: true,
         expect: Ok(vec![RolledBack]),
         check: |run| {
             // The rollback came after the fault struck, and the baseline
