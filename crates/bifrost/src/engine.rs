@@ -43,6 +43,7 @@ use microsim::resilience::BreakerTransition;
 use microsim::sim::Simulation;
 use microsim::trace::{SpanBook, TailSamplingConfig, Trace};
 use microsim::workload::Workload;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -376,9 +377,17 @@ impl TracePipeline {
     }
 
     /// One strategy's health report; `None` when no trace was collected.
-    fn report(&self, binding: &StrategyBinding) -> Option<HealthReport> {
+    /// Its critical-sink list is fleet-wide: `sinks`, built once by
+    /// [`HealthAccumulator::critical_sink_list`] and shared by every report.
+    fn report(
+        &self,
+        binding: &StrategyBinding,
+        sinks: &Arc<[(String, u64)]>,
+    ) -> Option<HealthReport> {
         (self.health.traces() > 0).then(|| {
-            HealthReport::build(&self.health, &self.book, binding.baseline, binding.candidate)
+            let (baseline, candidate) = (binding.baseline, binding.candidate);
+            let sinks = Arc::clone(sinks);
+            HealthReport::build_sharing(&self.health, &self.book, baseline, candidate, sinks)
         })
     }
 
@@ -778,11 +787,12 @@ impl<'a> Execution<'a> {
     fn finish(self, started_wall: Instant, started_sim: SimTime) -> ExecutionReport {
         let engine_busy = self.profiler.total("engine.busy");
         let sampling = self.sim.trace_collector().sampling_stats();
+        let sinks = self.traces.health.critical_sink_list(&self.traces.book);
         let health = self
             .runs
             .iter()
             .filter_map(|r| {
-                let report = self.traces.report(&r.compiled.binding)?;
+                let report = self.traces.report(&r.compiled.binding, &sinks)?;
                 Some((r.compiled.strategy.name.clone(), report.with_sampling(sampling)))
             })
             .collect();
@@ -1086,7 +1096,8 @@ mod tests {
                 pipeline.health.observe_trace(&Trace { id: TraceId(t), spans, weight });
             }
             let snapshot = pipeline.snapshot(&sim, &binding, "s".into(), "p".into());
-            let Some(report) = pipeline.report(&binding) else {
+            let sinks = pipeline.health.critical_sink_list(&pipeline.book);
+            let Some(report) = pipeline.report(&binding, &sinks) else {
                 assert_eq!(snapshot, None, "seed {seed}: no trace, no snapshot");
                 continue;
             };

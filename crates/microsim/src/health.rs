@@ -33,6 +33,7 @@ use cex_core::intern::Sym;
 use cex_core::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Per-edge statistics accumulated from spans.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,6 +189,23 @@ impl HealthAccumulator {
     /// How often each `(version, endpoint)` terminated a critical path.
     pub fn critical_sinks(&self) -> &BTreeMap<(VersionId, EndpointId), u64> {
         &self.critical_sinks
+    }
+
+    /// The critical-path sinks as `service@version/endpoint` labels with
+    /// their counts, most frequent first (ties by label): the list every
+    /// [`HealthReport`] built from this accumulator carries. Fleet-wide,
+    /// not per pair, so one list can be built once and shared by every
+    /// report ([`HealthReport::build_sharing`]).
+    pub fn critical_sink_list(&self, book: &SpanBook) -> Arc<[(String, u64)]> {
+        let mut sinks: Vec<(String, u64)> = self
+            .critical_sinks
+            .iter()
+            .map(|((v, e), n)| {
+                (format!("{}/{}", book.version_label(*v), book.endpoint_name(*e)), *n)
+            })
+            .collect();
+        sinks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        sinks.into()
     }
 
     /// Approximate resident bytes of the accumulated health state:
@@ -395,8 +413,9 @@ pub struct HealthReport {
     /// Per-endpoint deltas, sorted by endpoint name.
     pub edges: Vec<EdgeDelta>,
     /// Critical-path sinks (`service@version/endpoint`, count), most
-    /// frequent first.
-    pub critical_sinks: Vec<(String, u64)>,
+    /// frequent first: the accumulator's fleet-wide list, shared by every
+    /// report built from one [`HealthAccumulator::critical_sink_list`].
+    pub critical_sinks: Arc<[(String, u64)]>,
     /// Trace-collector sampling counters at build time, so sampling bias
     /// is visible wherever the report lands (render, journal, replay).
     pub sampling: SamplingStats,
@@ -412,23 +431,26 @@ impl HealthReport {
         baseline: VersionId,
         canary: VersionId,
     ) -> HealthReport {
-        let edges = acc.edge_deltas(book, baseline, canary);
-        let mut critical_sinks: Vec<(String, u64)> = acc
-            .critical_sinks
-            .iter()
-            .map(|((v, e), n)| {
-                (format!("{}/{}", book.version_label(*v), book.endpoint_name(*e)), *n)
-            })
-            .collect();
-        critical_sinks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        Self::build_sharing(acc, book, baseline, canary, acc.critical_sink_list(book))
+    }
 
+    /// [`HealthReport::build`] with the critical-sink list already built,
+    /// by [`HealthAccumulator::critical_sink_list`] over the same `acc`
+    /// and `book`: reports of many pairs over one accumulator share one.
+    pub fn build_sharing(
+        acc: &HealthAccumulator,
+        book: &SpanBook,
+        baseline: VersionId,
+        canary: VersionId,
+        critical_sinks: Arc<[(String, u64)]>,
+    ) -> HealthReport {
         HealthReport {
             service: book.service_name(book.service_of(canary)).to_string(),
             baseline: book.version_label(baseline).to_string(),
             canary: book.version_label(canary).to_string(),
             traces: acc.traces(),
             failed_traces: acc.failed_traces(),
-            edges,
+            edges: acc.edge_deltas(book, baseline, canary),
             critical_sinks,
             sampling: SamplingStats::default(),
         }
@@ -613,7 +635,7 @@ mod tests {
             traces: 10,
             failed_traces: 0,
             edges: vec![edge("beta"), edge("alpha")],
-            critical_sinks: Vec::new(),
+            critical_sinks: Arc::new([]),
             sampling: SamplingStats::default(),
         };
         assert_eq!(report.worst_edge().unwrap().endpoint, "alpha");
@@ -667,6 +689,14 @@ mod tests {
         assert!(report.degraded(0.1, 1_000.0));
         assert!(report.degraded(1.0, 25.0));
         assert!(!report.degraded(1.0, 1_000.0));
+        // Reports sharing one sink list read, render and print as built
+        // alone: the shared list prints as the `Vec` it replaced.
+        let sinks = acc.critical_sink_list(&book);
+        let shared = HealthReport::build_sharing(&acc, &book, baseline, canary, sinks.clone());
+        assert_eq!(shared, report);
+        assert_eq!(format!("{shared:?}"), format!("{report:?}"));
+        assert_eq!(format!("{sinks:?}"), format!("{:?}", sinks.to_vec()));
+        assert!(!sinks.is_empty());
     }
 
     #[test]

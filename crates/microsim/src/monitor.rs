@@ -68,13 +68,15 @@
 //!   Sparse series — a canary version under 1 rps — are mostly one-sample
 //!   buckets; dense ones have few buckets either way.
 //! * **Raw samples at the width they need.** The raw tail is two columns,
-//!   behind one box: times as `u32` milliseconds while every kept time is
-//!   below 2³² ms (≈49.7 days) and values as `f32` while every kept value
-//!   is exactly one, each widened to 8 bytes once, from the first sample
-//!   that does not fit. A raw sample of a run shorter than 49.7 days, in
-//!   integral milliseconds or 0/1 rates, costs 8 B. The times column is
-//!   laid out as the one-deque tail it replaced would be, across its
-//!   widening too (the layout rule, at `Times`).
+//!   behind one box. Times are `u32` milliseconds while every kept time is
+//!   below 2³² ms (≈49.7 days), widened to `u64` once. Values take the
+//!   narrowest exact width of every kept value — `u8` for integers in
+//!   0..=255, `u16` up to 65535, then `f32`, then `f64` — and widen at
+//!   most once to each, from the first value that does not fit (`Values`).
+//!   A raw sample of a run shorter than 49.7 days, a 0/1 rate or a latency
+//!   under 256 ms, costs 5 B. The times column is laid out as the
+//!   one-deque tail it replaced would be, across its widening too (the
+//!   layout rule, at `Times`); the values column is read by position only.
 //! * **Bounded retention.** When a retention horizon is set
 //!   ([`MetricStore::set_retention`]), raw samples older than the horizon
 //!   are compacted away and only their buckets remain, bounding memory on
@@ -283,66 +285,130 @@ fn widen(narrow: &mut VecDeque<u32>) -> VecDeque<u64> {
     wide
 }
 
-/// A raw tail's values: `f32` while every value the series has kept is
-/// exactly an `f32` — integral milliseconds and 0/1 rates are — and `f64`
-/// from the first one that is not. Read by position, so the column's own
-/// layout does not matter.
+/// A raw tail's values at the narrowest width that holds every value the
+/// series has kept, exactly: `u8` while each is an integer in 0..=255 —
+/// 0/1 rates and most latencies in milliseconds are — `u16` while each is
+/// an integer in 0..=65535, then `f32`, then `f64`. Each width holds every
+/// value of the narrower ones, so the column only widens: at most once to
+/// each width in the series' life, from the first value that does not fit,
+/// straight to the narrowest width that holds it. Read by position, so the
+/// column's own layout does not matter (unlike [`Times`]).
 #[derive(Debug)]
 enum Values {
-    Narrow(VecDeque<f32>),
-    Wide(VecDeque<f64>),
+    U8(VecDeque<u8>),
+    U16(VecDeque<u16>),
+    F32(VecDeque<f32>),
+    F64(VecDeque<f64>),
 }
 
 impl Default for Values {
     fn default() -> Self {
-        Values::Narrow(VecDeque::new())
+        Values::U8(VecDeque::new())
     }
 }
 
-/// `true` when `value` is exactly an `f32`. Compared bit for bit, so that
-/// `-0.0` stays negative and a NaN keeps its payload.
-fn is_f32(value: f64) -> bool {
-    f64::from(value as f32).to_bits() == value.to_bits()
+/// `$body` with `$column` bound to the column of `$values`, whatever its
+/// width: every operation on a values column is written once, here or
+/// generic over [`Width`].
+macro_rules! with_column {
+    ($values:expr, $column:ident => $body:expr) => {
+        match $values {
+            Values::U8($column) => $body,
+            Values::U16($column) => $body,
+            Values::F32($column) => $body,
+            Values::F64($column) => $body,
+        }
+    };
+}
+
+/// A type a values column can be kept in.
+trait Width: Copy + Into<f64> {
+    /// `value` as this type: exact where it [`fits`](Width::fits).
+    fn cast(value: f64) -> Self;
+
+    /// This value as an `f64`, exactly.
+    fn get(self) -> f64 {
+        self.into()
+    }
+
+    /// `true` when `value` converts to this type and back to the same
+    /// bits. Compared bit for bit, so that `-0.0`, a NaN and an infinity
+    /// never fit an integer type, and `-0.0` stays negative and a NaN
+    /// keeps its payload in `f32`.
+    fn fits(value: f64) -> bool {
+        Self::cast(value).get().to_bits() == value.to_bits()
+    }
+}
+
+macro_rules! widths {
+    ($($t:ty),*) => {$(
+        impl Width for $t {
+            fn cast(value: f64) -> Self {
+                value as $t
+            }
+        }
+    )*};
+}
+
+widths!(u8, u16, f32, f64);
+
+/// Appends `values` to `column` if every one of them fits its type;
+/// `false`, with the column untouched, if one does not.
+fn extend_exact<T: Width>(
+    column: &mut VecDeque<T>,
+    values: impl Iterator<Item = f64> + Clone,
+) -> bool {
+    let fits = values.clone().all(T::fits);
+    if fits {
+        column.extend(values.map(T::cast));
+    }
+    fits
 }
 
 impl Values {
+    fn len(&self) -> usize {
+        with_column!(self, v => v.len())
+    }
+
     /// The `i`-th value, oldest first.
     fn at(&self, i: usize) -> f64 {
-        match self {
-            Values::Narrow(v) => f64::from(v[i]),
-            Values::Wide(v) => v[i],
-        }
+        with_column!(self, v => v[i].get())
     }
 
     /// Bytes a value takes.
     fn width(&self) -> usize {
-        match self {
-            Values::Narrow(_) => size_of::<f32>(),
-            Values::Wide(_) => size_of::<f64>(),
+        fn element<T>(_: &VecDeque<T>) -> usize {
+            size_of::<T>()
         }
+        with_column!(self, v => element(v))
     }
 
     /// Appends the values of `samples`, having widened the column first —
-    /// once in the series' life — if one of them is not exactly an `f32`.
+    /// to the narrowest width that holds both the values it keeps and
+    /// these — if one of them does not fit its width.
     fn extend<'a>(&mut self, samples: impl Iterator<Item = &'a Sample> + Clone) {
-        if let Values::Narrow(narrow) = self {
-            if samples.clone().all(|s| is_f32(s.value)) {
-                narrow.extend(samples.map(|s| s.value as f32));
-                return;
-            }
-            *self = Values::Wide(narrow.iter().map(|&x| f64::from(x)).collect());
+        let values = samples.map(|s| s.value);
+        if !with_column!(self, v => extend_exact(v, values.clone())) {
+            let held = (0..self.len()).map(|i| self.at(i));
+            *self = Values::narrowest(held.chain(values));
         }
-        if let Values::Wide(wide) = self {
-            wide.extend(samples.map(|s| s.value));
+    }
+
+    /// The narrowest column that holds every one of `values`, exactly.
+    fn narrowest(values: impl Iterator<Item = f64> + Clone) -> Values {
+        fn column<T: Width>(values: impl Iterator<Item = f64> + Clone) -> Option<VecDeque<T>> {
+            values.clone().all(T::fits).then(|| values.map(T::cast).collect())
         }
+        column(values.clone())
+            .map(Values::U8)
+            .or_else(|| column(values.clone()).map(Values::U16))
+            .or_else(|| column(values.clone()).map(Values::F32))
+            .unwrap_or_else(|| Values::F64(values.collect()))
     }
 
     /// Drops the `n` oldest values.
     fn drop_front(&mut self, n: usize) {
-        match self {
-            Values::Narrow(v) => drop(v.drain(..n)),
-            Values::Wide(v) => drop(v.drain(..n)),
-        }
+        with_column!(self, v => drop(v.drain(..n)))
     }
 }
 
@@ -359,8 +425,12 @@ struct Tail {
     side: Vec<OnlineStats>,
 }
 
-// A narrow raw sample is a 4-byte time and a 4-byte value.
-const _: () = assert!(size_of::<u32>() + size_of::<f32>() == 8);
+// A narrow raw sample is a 4-byte time and a 1-byte value, and a values
+// column, whatever its width, one deque and its tag.
+const _: () = assert!(
+    size_of::<u32>() + size_of::<u8>() == 5
+        && size_of::<Values>() == size_of::<VecDeque<u8>>() + size_of::<usize>()
+);
 // A bucket is an 8-byte index and an 8-byte cell, and 40 bytes of side
 // column only once it holds more than its one sample.
 const _: () = assert!(size_of::<BucketCell>() == 8 && size_of::<OnlineStats>() == 40);
@@ -1712,6 +1782,7 @@ mod tests {
             let Tail { times, values, .. } = &*self.tail;
             times.layout() == layout(&self.raw)
                 && times.len() == self.raw.len()
+                && values.len() == self.raw.len()
                 && self.raw.iter().enumerate().all(|(i, s)| {
                     times.get(i) == Some(s.time.as_millis())
                         && values.at(i).to_bits() == s.value.to_bits()
@@ -1743,7 +1814,7 @@ mod tests {
         }
 
         fn wide(&self) -> bool {
-            matches!(self.tail.values, Values::Wide(_))
+            matches!(self.tail.values, Values::F64(_))
         }
 
         fn wide_times(&self) -> bool {
@@ -1751,28 +1822,199 @@ mod tests {
         }
     }
 
-    #[test]
-    fn values_keep_their_bits_and_widen_once() {
-        // Exact `f32`s — a negative zero among them — stay narrow; the
-        // first value that is not widens the column, keeping every value
-        // before it; a NaN whose payload an `f32` would lose is not one.
-        let exact = [0.0, -0.0, 1.0, 250.0, 0.5, -7.0, 1e3, f64::INFINITY, f64::NAN];
-        let quiet_nan_with_payload = f64::from_bits(0x7ff8_0000_0000_0001);
-        for odd in [0.1, 1.0 / 3.0, 16_777_217.0, 1e300, quiet_nan_with_payload] {
-            assert!(exact.iter().all(|&x| is_f32(x)) && !is_f32(odd), "{odd}");
-            let mut values = Values::default();
-            let at = |t: usize, value| Sample::new(SimTime::from_millis(t as u64), value);
-            let head: Vec<Sample> = exact.iter().enumerate().map(|(t, &x)| at(t, x)).collect();
-            values.extend(head.iter());
-            assert_eq!(values.width(), 4);
-            values.extend([at(9, odd), at(10, 2.0)].iter());
-            assert_eq!(values.width(), 8);
-            let tail = [odd, 2.0];
-            let all = exact.iter().chain(&tail).map(|x| x.to_bits());
-            assert!(all.enumerate().all(|(i, bits)| values.at(i).to_bits() == bits), "{odd}");
-            values.drop_front(2);
-            assert_eq!((values.at(0), values.at(8)), (1.0, 2.0));
+    /// The bytes `value` needs, stated apart from [`Width::fits`]: one for
+    /// an integer in 0..=255, two for one up to 65535 — a negative zero is
+    /// neither, nor is a NaN or an infinity, whose fractional part is a
+    /// NaN — four for an exact `f32`, and eight for any other.
+    fn needs(value: f64) -> usize {
+        let whole = value.fract() == 0.0 && value.is_sign_positive();
+        if whole && value <= 255.0 {
+            1
+        } else if whole && value <= 65_535.0 {
+            2
+        } else if f64::from(value as f32).to_bits() == value.to_bits() {
+            4
+        } else {
+            8
         }
+    }
+
+    /// Width differential: a searched history per case of one series whose
+    /// values cross every width's edge — 0/1, 255/256, 65535/65536,
+    /// fractions, a negative zero, NaNs with and without a payload an `f32`
+    /// keeps, infinities — in single writes, late writes (some below the
+    /// compaction floor, so never kept), batched runs that widen the column
+    /// part-way, compactions with no write on retained cases, and
+    /// silences. Each case starts at a random width and rises now and then
+    /// by one to three widths. After every move the values column must be
+    /// the one-deque tail the oracle reads, to the bit and as long, at the
+    /// narrowest width that holds every value it ever kept; and a trailing
+    /// read (now and then a moving average) must be the oracle fold's.
+    fn value_widths(cases: std::ops::Range<u64>) {
+        const MOVES: [&str; 6] =
+            ["a sample", "a sample", "a late sample", "a batched run", "a compaction", "a silence"];
+        let edges: [&[f64]; 4] = [
+            &[0.0, 1.0, 254.0, 255.0],
+            &[256.0, 257.0, 1_000.0, 65_534.0, 65_535.0],
+            &[
+                65_536.0,
+                0.5,
+                255.5,
+                -1.0,
+                -0.0,
+                1e9,
+                16_777_216.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                f64::from_bits(0x7FF8_0000_2000_0000),
+                f64::from_bits(0xFFF8_0000_0000_0000),
+            ],
+            &[0.1, -0.1, 65_535.000_1, 16_777_217.0, 1e300, f64::from_bits(0x7FF8_0000_0000_0001)],
+        ];
+        for (tier, values) in edges.iter().enumerate() {
+            assert!(values.iter().all(|&v| needs(v) == 1 << tier), "tier {tier}: {values:?}");
+        }
+        let index = |width: usize| width.trailing_zeros() as usize;
+        let mut widenings = [[0u32; 4]; 4];
+        let (mut compacted, mut wrapped, mut mid_run, mut negative_zeros) = ([0u32; 4], 0, 0, 0);
+        for case in cases.clone() {
+            let mut rng = SplitMix64::new(0x0057_1D7E ^ case);
+            let mut store = MetricStore::new();
+            let retained = rng.next_below(4) != 0;
+            let horizon = WIDTH_MS * (1 + rng.next_below(5));
+            if retained {
+                store.set_retention(Some(SimDuration::from_millis(horizon)));
+            }
+            let scope = store.intern("svc@1");
+            let mut top = [0, 0, 0, 1, 2, 3][rng.next_index(6)];
+            let mut clock = rng.next_below(5_000);
+            let mut expected = 1;
+            // A value of the top tier a quarter of the time, else of any
+            // tier up to it; an edge half the time, else drawn in its tier.
+            let draw = |rng: &mut SplitMix64, top: usize| {
+                let tier = if rng.next_below(4) == 0 { top } else { rng.next_index(top + 1) };
+                if rng.next_below(2) == 0 {
+                    return edges[tier][rng.next_index(edges[tier].len())];
+                }
+                match tier {
+                    0 => rng.next_below(256) as f64,
+                    1 => (256 + rng.next_below(65_280)) as f64,
+                    2 => f64::from((rng.next_f64() * 1e4) as f32),
+                    _ => rng.next_f64() * 1e4,
+                }
+            };
+            for _ in 0..150 {
+                if rng.next_below(20) == 0 {
+                    top = (top + 1 + rng.next_index(3)).min(3);
+                }
+                let kind = rng.next_index(MOVES.len());
+                let before = store.series_at(scope, RT).map_or((0, 1, false, 0), |a| {
+                    let wrapped = !a.raw.as_slices().1.is_empty();
+                    (a.raw_floor_ms, a.tail.values.width(), wrapped, a.raw.len())
+                });
+                let (floor, width_before, wrapped_before, len_before) = before;
+                let mut written = Vec::new();
+                match kind {
+                    0 | 1 => {
+                        clock += rng.next_below(400);
+                        written.push((clock, draw(&mut rng, top)));
+                    }
+                    2 => {
+                        let t = clock.saturating_sub(rng.next_below(4 * WIDTH_MS));
+                        written.push((t, draw(&mut rng, top)));
+                    }
+                    3 => {
+                        for _ in 0..1 + rng.next_below(30) {
+                            clock += rng.next_below(50);
+                            written.push((clock, draw(&mut rng, top)));
+                        }
+                    }
+                    4 if retained => {
+                        if let Some(Some(a)) = store.series.get_mut(slot_of(scope, RT)) {
+                            a.compact(rng.next_below(horizon));
+                        }
+                    }
+                    _ => clock += WIDTH_MS * (1 + rng.next_below(8)),
+                }
+                let mut batch = store.batch();
+                for &(t, value) in &written {
+                    batch.record_id(scope, RT, Sample::new(SimTime::from_millis(t), value));
+                }
+                drop(batch);
+                let kept: Vec<f64> =
+                    written.iter().filter(|&&(t, _)| t >= floor).map(|&(_, v)| v).collect();
+                negative_zeros += u32::from(
+                    expected < 4 && kept.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()),
+                );
+                expected = kept.iter().map(|&v| needs(v)).fold(expected, usize::max);
+
+                let at = || format!("case {case}: {}", MOVES[kind]);
+                let Some(a) = store.series_at(scope, RT) else { continue };
+                assert!(a.columns_are_the_tail(), "{}: values that are not the tail", at());
+                let width = a.tail.values.width();
+                assert_eq!(width, expected, "{}: not the narrowest width", at());
+                if width > width_before {
+                    widenings[index(width_before)][index(width)] += 1;
+                    wrapped += u32::from(wrapped_before);
+                    mid_run += u32::from(
+                        kind == 3 && kept.first().is_some_and(|&v| needs(v) <= width_before),
+                    );
+                }
+                if len_before + kept.len() > a.raw.len() {
+                    compacted[index(width)] += 1;
+                }
+                let (now, window) = (clock, rng.next_below(6 * WIDTH_MS));
+                let (from, to) = (now.saturating_sub(window), now + 1);
+                let got = store.window_summary_id(
+                    scope,
+                    RT,
+                    SimTime::from_millis(now),
+                    SimDuration::from_millis(window),
+                );
+                let mut oracle = OnlineStats::new();
+                a.fold(Series::bucket_span(from, to), from, to, &mut oracle);
+                assert_eq!(bits(got), bits(oracle.summary()), "{}: a read", at());
+                if rng.next_below(10) == 0 {
+                    let start = now.saturating_sub(10_000);
+                    let (t0, t1) = (SimTime::from_millis(start), SimTime::from_millis(now));
+                    let window = SimDuration::from_millis(window);
+                    let got = store.moving_average("svc@1", RT, t0, t1, window, BUCKET_WIDTH);
+                    let got: Vec<_> = got.iter().map(|(t, v)| (t.as_millis(), canon(*v))).collect();
+                    let oracle = a.sweep(start, now, window.as_millis(), WIDTH_MS);
+                    let oracle: Vec<_> = oracle.iter().map(|(t, v)| (*t, canon(*v))).collect();
+                    assert_eq!(got, oracle, "{}: a moving average", at());
+                }
+            }
+        }
+        // Not vacuous: every widening, and a compaction at every width,
+        // occurred often.
+        let n = (cases.end - cases.start) as u32;
+        for (from, to) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            assert!(
+                widenings[from][to] * 10 > n,
+                "{} B to {} B: {widenings:?}",
+                1 << from,
+                1 << to
+            );
+        }
+        assert!(compacted.iter().all(|&c| c * 2 > n), "compactions by width: {compacted:?}");
+        assert!(
+            wrapped * 10 > n && mid_run * 5 > n,
+            "{wrapped} widened wrapped, {mid_run} mid-run"
+        );
+        assert!(negative_zeros * 20 > n, "{negative_zeros} negative zeros into an integer column");
+    }
+
+    #[test]
+    fn value_widths_hold_the_tail_to_the_bit() {
+        value_widths(0..300);
+    }
+
+    #[test]
+    #[ignore = "long table: run in release with --ignored"]
+    fn value_widths_hold_the_tail_to_the_bit_long() {
+        value_widths(300..30_300);
     }
 
     #[test]
@@ -2245,7 +2487,7 @@ mod tests {
                         // A history meant to stay narrow takes the odd
                         // values that are `f32`s only.
                         let odd: Vec<f64> = if wide_from == u32::MAX {
-                            odd.iter().copied().filter(|&x| is_f32(x)).collect()
+                            odd.iter().copied().filter(|&x| f32::fits(x)).collect()
                         } else {
                             odd.to_vec()
                         };
@@ -2254,7 +2496,7 @@ mod tests {
                         } else {
                             value(&mut rng, 100)
                         };
-                        if !is_f32(v) {
+                        if !f32::fits(v) {
                             wide_from = wide_from.min(step);
                         }
                         let newest = s.series(0).and_then(Series::newest_bucket);

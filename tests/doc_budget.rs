@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 /// DESIGN.md's size in bytes when the cap was last lowered; lower it as the
 /// document shrinks.
-const DESIGN_MAX_BYTES: u64 = 91_477;
+const DESIGN_MAX_BYTES: u64 = 91_421;
 /// The longest a CHANGES.md entry may be, in bytes.
 const ENTRY_MAX_BYTES: usize = 2_000;
 /// The first PR whose CHANGES.md entry is capped.

@@ -342,8 +342,8 @@ fn monitor_windows_compose() {
 /// share of a 0.75 rps service, four of five one-second buckets empty or
 /// more, and never two samples in one — cost at most a raw entry and one
 /// one-sample bucket a sample, and a silence costs nothing at all. A raw
-/// entry is 8 B while values are whole milliseconds, 12 B once they are
-/// not; a one-sample bucket is 16 B whatever its value.
+/// entry is 5 B while values are whole milliseconds below 256, 12 B once
+/// they are not `f32`s; a one-sample bucket is 16 B whatever its value.
 #[test]
 fn monitor_space_follows_samples() {
     use cex_core::metrics::Sample;
@@ -382,10 +382,11 @@ fn monitor_space_follows_samples() {
         store
     };
 
-    // A raw entry: a 4-byte time and a 4-byte value, or an 8-byte one in
-    // a series whose values are not all `f32`s. Whole milliseconds cost
-    // 24 B a sample, 8 raw, 8 index and 8 cell; other values 28.
-    for (whole_ms, raw_bytes) in [(true, 8), (false, 12)] {
+    // A raw entry: a 4-byte time and a 1-byte value in a series whose
+    // values are all integers in 0..=255, or an 8-byte one in a series
+    // whose values are not all `f32`s. Whole milliseconds below 256 cost
+    // 21 B a sample, 5 raw, 8 index and 8 cell; other values 28.
+    for (whole_ms, raw_bytes) in [(true, 5), (false, 12)] {
         let store = fed(0, whole_ms);
         let (samples, bytes) = (store.total_recorded(), store.state_bytes() as u64);
         assert!((10_000..13_000).contains(&samples), "~0.1 samples/s a series: {samples}");
